@@ -129,64 +129,17 @@ pub fn extract(inst: &FilterInst) -> Result<LinearNode, NonLinear> {
     if inst.prints {
         return Err(NonLinear::Prints);
     }
-    let written = written_names(&inst.work.body);
-    let mut env: HashMap<String, SymCell> = HashMap::new();
-    for (name, cell) in &inst.state {
-        let is_mutated_field = inst.field_names.contains(name) && written.contains(name.as_str());
-        env.insert(
-            name.clone(),
-            SymCell::from_cell(cell, is_mutated_field, None),
-        );
-    }
-    let mut exec = SymExec {
-        declared_peek: inst.work.peek,
-        fuel: 50_000_000,
-    };
-    let mut st = SymState {
-        env,
-        popcount: 0,
-        pushes: Vec::new(),
-    };
-    exec.exec_block(&mut st, &inst.work.body)?;
-
-    if st.popcount != inst.work.pop {
-        return Err(NonLinear::PopCountMismatch {
-            declared: inst.work.pop,
-            actual: st.popcount,
-        });
-    }
-    if st.pushes.len() != inst.work.push {
-        return Err(NonLinear::PushCountMismatch {
-            declared: inst.work.push,
-            actual: st.pushes.len(),
-        });
-    }
-    // Build A and b from the recorded pushes.
-    let peek = inst.work.peek;
-    let mut coeffs: Vec<BTreeMap<SymKey, f64>> = Vec::with_capacity(st.pushes.len());
-    let mut offsets: Vec<f64> = Vec::with_capacity(st.pushes.len());
-    for (j, sym) in st.pushes.iter().enumerate() {
-        let Sym::Lin(form) = sym else {
-            return Err(NonLinear::PushedNonAffine { index: j });
-        };
-        if let Some(pos) = form.max_peek() {
-            if pos >= peek {
-                return Err(NonLinear::PeekOutOfRange { pos, peek });
-            }
-        }
-        let konst = form
-            .konst
-            .as_f64()
-            .map_err(|_| NonLinear::PushedNonAffine { index: j })?;
-        coeffs.push(form.coeffs.clone());
-        offsets.push(konst);
-    }
+    // Standard extraction is the stateless case of the shared engine:
+    // with no state indices, every mutated field is ⊤.
+    let outputs = extract_symbolic(inst, &HashMap::new())?.outputs;
+    let offsets: Vec<f64> = outputs.iter().map(|(_, konst)| *konst).collect();
     Ok(LinearNode::from_coeffs(
-        peek,
+        inst.work.peek,
         inst.work.pop,
         inst.work.push,
         |peek_idx, out_idx| {
-            coeffs[out_idx]
+            outputs[out_idx]
+                .0
                 .get(&SymKey::Peek(peek_idx))
                 .copied()
                 .unwrap_or(0.0)
@@ -195,18 +148,19 @@ pub fn extract(inst: &FilterInst) -> Result<LinearNode, NonLinear> {
     ))
 }
 
-/// The affine pieces of a *stateful* extraction (used by
-/// `crate::state_space::extract_stateful`): one coefficient map + constant
-/// per output, and one per state component (its end-of-firing value).
+/// The affine pieces of an extraction: one coefficient map + constant per
+/// output, and one per state component (its end-of-firing value; none in
+/// standard extraction).
 #[derive(Debug, Clone)]
 pub(crate) struct StatefulPieces {
     pub(crate) outputs: Vec<(BTreeMap<SymKey, f64>, f64)>,
     pub(crate) next_state: Vec<(BTreeMap<SymKey, f64>, f64)>,
 }
 
-/// Symbolically executes `work` with mutated fields bound to the given
-/// state indices, returning the affine pieces. Shared engine behind both
-/// extraction entry points.
+/// Symbolically executes `work` once — mutated fields bound to the given
+/// state indices (⊤ when absent) — checks the executed pop and push
+/// counts against the declared rates, and returns the affine pieces. The
+/// engine behind both extraction entry points.
 pub(crate) fn extract_symbolic(
     inst: &FilterInst,
     state_index: &HashMap<String, usize>,
@@ -243,8 +197,11 @@ pub(crate) fn extract_symbolic(
             actual: st.pushes.len(),
         });
     }
+    let SymState {
+        mut env, pushes, ..
+    } = st;
     let peek = inst.work.peek;
-    let take_form = |sym: &Sym, what: &str| -> Result<(BTreeMap<SymKey, f64>, f64), NonLinear> {
+    let take_form = |sym: Sym, what: &str| -> Result<(BTreeMap<SymKey, f64>, f64), NonLinear> {
         let Sym::Lin(form) = sym else {
             return Err(NonLinear::Unsupported(format!(
                 "{what} is not an affine function of inputs and state"
@@ -259,10 +216,10 @@ pub(crate) fn extract_symbolic(
             .konst
             .as_f64()
             .map_err(|e| NonLinear::Unsupported(e.message))?;
-        Ok((form.coeffs.clone(), konst))
+        Ok((form.coeffs, konst))
     };
-    let mut outputs = Vec::with_capacity(st.pushes.len());
-    for (j, sym) in st.pushes.iter().enumerate() {
+    let mut outputs = Vec::with_capacity(pushes.len());
+    for (j, sym) in pushes.into_iter().enumerate() {
         outputs.push(take_form(sym, &format!("push #{j}")).map_err(|e| match e {
             NonLinear::Unsupported(_) => NonLinear::PushedNonAffine { index: j },
             other => other,
@@ -273,7 +230,7 @@ pub(crate) fn extract_symbolic(
     names_by_index.sort_by_key(|n| state_index[*n]);
     let mut next_state = Vec::with_capacity(names_by_index.len());
     for name in names_by_index {
-        match st.env.get(name.as_str()) {
+        match env.remove(name.as_str()) {
             Some(SymCell::Scalar(sym)) => {
                 next_state.push(take_form(sym, &format!("final value of field `{name}`"))?)
             }
@@ -305,10 +262,36 @@ pub(crate) enum SymKey {
 
 /// An affine form `Σ coeffs[key]·value(key) + konst` over tape positions
 /// (and, in stateful mode, state components) — the paper's `⟨v⃗, c⟩`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// No coefficient is ever stored as zero: every operation drops the
+/// entries it cancels, so an empty map *is* a constant.
+#[derive(Debug, PartialEq)]
 pub(crate) struct LinForm {
     pub(crate) coeffs: BTreeMap<SymKey, f64>,
     pub(crate) konst: Value,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Coefficient entries written by this thread's extractions — the unit
+    /// in which the tests assert extraction cost is linear in the taps.
+    static COEFF_WRITES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+#[inline]
+fn count_coeff_writes(_n: usize) {
+    #[cfg(test)]
+    COEFF_WRITES.with(|c| c.set(c.get() + _n));
+}
+
+impl Clone for LinForm {
+    fn clone(&self) -> Self {
+        count_coeff_writes(self.coeffs.len());
+        LinForm {
+            coeffs: self.coeffs.clone(),
+            konst: self.konst,
+        }
+    }
 }
 
 impl LinForm {
@@ -319,20 +302,11 @@ impl LinForm {
         }
     }
 
-    fn peek_at(pos: usize) -> Self {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(SymKey::Peek(pos), 1.0);
+    /// The form `1·value(key) + 0.0`.
+    fn unit(key: SymKey) -> Self {
+        count_coeff_writes(1);
         LinForm {
-            coeffs,
-            konst: Value::Float(0.0),
-        }
-    }
-
-    fn state_at(k: usize) -> Self {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(SymKey::State(k), 1.0);
-        LinForm {
-            coeffs,
+            coeffs: BTreeMap::from([(key, 1.0)]),
             konst: Value::Float(0.0),
         }
     }
@@ -352,9 +326,13 @@ impl LinForm {
             .max()
     }
 
-    fn prune(mut self) -> Self {
-        self.coeffs.retain(|_, c| *c != 0.0);
-        self
+    /// Applies `f` to every coefficient in place, dropping those it zeroes.
+    fn map_coeffs(&mut self, f: impl Fn(f64) -> f64) {
+        count_coeff_writes(self.coeffs.len());
+        self.coeffs.retain(|_, c| {
+            *c = f(*c);
+            *c != 0.0
+        });
     }
 }
 
@@ -410,7 +388,7 @@ impl SymCell {
     fn from_cell(cell: &Cell, mutated_field: bool, state_index: Option<usize>) -> SymCell {
         if mutated_field {
             if let Some(k) = state_index {
-                return SymCell::Scalar(Sym::Lin(LinForm::state_at(k)));
+                return SymCell::Scalar(Sym::Lin(LinForm::unit(SymKey::State(k))));
             }
             return match cell {
                 Cell::Scalar(..) => SymCell::Scalar(Sym::Top),
@@ -434,8 +412,11 @@ impl SymCell {
 
 // ---- linear-form arithmetic (Figure 3-2 / Algorithm 2 cases) --------------
 
-fn sym_bin(op: BinOp, a: &Sym, b: &Sym) -> Sym {
-    let (Sym::Lin(fa), Sym::Lin(fb)) = (a, b) else {
+/// `a op b`. Both operands are consumed: sums and differences accumulate
+/// into `a`'s coefficient map entry by entry, so `sum += h[i] * peek(i)`
+/// costs one map operation per iteration, not a copy of `sum`.
+fn sym_bin(op: BinOp, a: Sym, b: Sym) -> Sym {
+    let (Sym::Lin(mut fa), Sym::Lin(fb)) = (a, b) else {
         return Sym::Top;
     };
     match op {
@@ -443,16 +424,20 @@ fn sym_bin(op: BinOp, a: &Sym, b: &Sym) -> Sym {
             let Ok(konst) = bin_op(op, fa.konst, fb.konst) else {
                 return Sym::Top;
             };
-            let mut coeffs = fa.coeffs.clone();
-            for (&p, &c) in &fb.coeffs {
-                let e = coeffs.entry(p).or_insert(0.0);
+            fa.konst = konst;
+            count_coeff_writes(fb.coeffs.len());
+            for (p, c) in fb.coeffs {
+                let e = fa.coeffs.entry(p).or_insert(0.0);
                 if op == BinOp::Add {
                     *e += c;
                 } else {
                     *e -= c;
                 }
+                if *e == 0.0 {
+                    fa.coeffs.remove(&p);
+                }
             }
-            Sym::Lin(LinForm { coeffs, konst }.prune())
+            Sym::Lin(fa)
         }
         BinOp::Mul => {
             if fa.is_const() {
@@ -488,28 +473,26 @@ fn sym_bin(op: BinOp, a: &Sym, b: &Sym) -> Sym {
 
 /// Scales a form by a constant (`op` is `Mul` or `Div`, constant on the
 /// right).
-fn scale_form(f: &LinForm, k: Value, op: BinOp) -> Sym {
+fn scale_form(mut f: LinForm, k: Value, op: BinOp) -> Sym {
     let Ok(konst) = bin_op(op, f.konst, k) else {
         return Sym::Top;
     };
     let Ok(kf) = k.as_f64() else { return Sym::Top };
-    let coeffs = f
-        .coeffs
-        .iter()
-        .map(|(&p, &c)| (p, if op == BinOp::Mul { c * kf } else { c / kf }))
-        .collect();
-    Sym::Lin(LinForm { coeffs, konst }.prune())
+    f.konst = konst;
+    f.map_coeffs(|c| if op == BinOp::Mul { c * kf } else { c / kf });
+    Sym::Lin(f)
 }
 
-fn sym_un(op: UnOp, a: &Sym) -> Sym {
-    let Sym::Lin(f) = a else { return Sym::Top };
+fn sym_un(op: UnOp, a: Sym) -> Sym {
+    let Sym::Lin(mut f) = a else { return Sym::Top };
     match op {
         UnOp::Neg => {
             let Ok(konst) = un_op(op, f.konst) else {
                 return Sym::Top;
             };
-            let coeffs = f.coeffs.iter().map(|(&p, &c)| (p, -c)).collect();
-            Sym::Lin(LinForm { coeffs, konst })
+            f.konst = konst;
+            f.map_coeffs(|c| -c);
+            Sym::Lin(f)
         }
         UnOp::Not => match f.is_const() {
             true => match un_op(op, f.konst) {
@@ -566,20 +549,17 @@ impl SymExec {
                 st.env.insert(name.clone(), cell);
                 if let Some(e) = init {
                     let v = self.eval(st, e)?;
-                    self.assign(st, &LValue::Var(name.clone()), v)?;
+                    self.update(st, name, &[], |_| v)?;
                 }
                 Ok(Flow::Normal)
             }
             Stmt::Assign { target, op, value } => {
                 let rhs = self.eval(st, value)?;
-                let v = match op {
-                    None => rhs,
-                    Some(op) => {
-                        let cur = self.read_lvalue(st, target)?;
-                        sym_bin(*op, &cur, &rhs)
-                    }
-                };
-                self.assign(st, target, v)?;
+                let (name, idx) = lvalue_parts(target);
+                match op {
+                    None => self.update(st, name, idx, |_| rhs)?,
+                    Some(op) => self.update(st, name, idx, |cur| sym_bin(*op, cur, rhs))?,
+                }
                 Ok(Flow::Normal)
             }
             Stmt::If {
@@ -743,78 +723,57 @@ impl SymExec {
         Ok(Some(idx))
     }
 
-    fn read_lvalue(&mut self, st: &mut SymState, lv: &LValue) -> Result<Sym, NonLinear> {
-        match lv {
-            LValue::Var(name) => match st.env.get(name) {
-                Some(SymCell::Scalar(s)) => Ok(s.clone()),
-                Some(SymCell::Array(_)) => {
-                    Err(NonLinear::Unsupported(format!("`{name}` is an array")))
-                }
-                None => Err(NonLinear::Unsupported(format!(
-                    "undefined variable `{name}`"
-                ))),
+    /// Reads a scalar (no index expressions) or an array element.
+    fn read(
+        &mut self,
+        st: &mut SymState,
+        name: &str,
+        idx_exprs: &[Expr],
+    ) -> Result<Sym, NonLinear> {
+        let idx = self.eval_indices(st, idx_exprs)?;
+        match st.env.get(name) {
+            Some(SymCell::Scalar(s)) if idx_exprs.is_empty() => Ok(s.clone()),
+            Some(SymCell::Array(a)) if !idx_exprs.is_empty() => match idx {
+                _ if a.tainted => Ok(Sym::Top),
+                None => Ok(Sym::Top),
+                Some(idx) => Ok(a.data[Self::flat_offset(&a.dims, &idx)?].clone()),
             },
-            LValue::Index(name, idx_exprs) => {
-                let idx = self.eval_indices(st, idx_exprs)?;
-                match st.env.get(name) {
-                    Some(SymCell::Array(a)) => match idx {
-                        _ if a.tainted => Ok(Sym::Top),
-                        None => Ok(Sym::Top),
-                        Some(idx) => {
-                            let off = Self::flat_offset(&a.dims, &idx)?;
-                            Ok(a.data[off].clone())
-                        }
-                    },
-                    Some(SymCell::Scalar(_)) => {
-                        Err(NonLinear::Unsupported(format!("`{name}` is a scalar")))
-                    }
-                    None => Err(NonLinear::Unsupported(format!("undefined array `{name}`"))),
-                }
-            }
+            other => Err(access_error(name, other, idx_exprs.is_empty())),
         }
     }
 
-    fn assign(&mut self, st: &mut SymState, lv: &LValue, v: Sym) -> Result<(), NonLinear> {
-        match lv {
-            LValue::Var(name) => match st.env.get_mut(name) {
-                Some(SymCell::Scalar(slot)) => {
-                    *slot = v;
-                    Ok(())
-                }
-                Some(SymCell::Array(_)) => Err(NonLinear::Unsupported(format!(
-                    "cannot assign to array `{name}`"
-                ))),
-                None => Err(NonLinear::Unsupported(format!(
-                    "undefined variable `{name}`"
-                ))),
-            },
-            LValue::Index(name, idx_exprs) => {
-                let idx = self.eval_indices(st, idx_exprs)?;
-                match st.env.get_mut(name) {
-                    Some(SymCell::Array(a)) => {
-                        match idx {
-                            None => {
-                                // A store at an unknown position clobbers
-                                // the whole array, conservatively.
-                                a.tainted = true;
-                                for s in &mut a.data {
-                                    *s = Sym::Top;
-                                }
-                            }
-                            Some(idx) => {
-                                let off = Self::flat_offset(&a.dims, &idx)?;
-                                a.data[off] = v;
-                            }
-                        }
-                        Ok(())
-                    }
-                    Some(SymCell::Scalar(_)) => {
-                        Err(NonLinear::Unsupported(format!("`{name}` is a scalar")))
-                    }
-                    None => Err(NonLinear::Unsupported(format!("undefined array `{name}`"))),
-                }
+    /// Replaces the value of a scalar (no index expressions) or an array
+    /// element with `f(current value)`. The current value is moved out of
+    /// its cell and the result moved back, so `f` can accumulate into it in
+    /// place; the index expressions are evaluated once.
+    fn update(
+        &mut self,
+        st: &mut SymState,
+        name: &str,
+        idx_exprs: &[Expr],
+        f: impl FnOnce(Sym) -> Sym,
+    ) -> Result<(), NonLinear> {
+        let idx = self.eval_indices(st, idx_exprs)?;
+        match st.env.get_mut(name) {
+            Some(SymCell::Scalar(slot)) if idx_exprs.is_empty() => {
+                *slot = f(std::mem::replace(slot, Sym::Top));
             }
+            Some(SymCell::Array(a)) if !idx_exprs.is_empty() => match idx {
+                None => {
+                    // A store at an unknown position clobbers the whole
+                    // array, conservatively.
+                    a.tainted = true;
+                    a.data.fill(Sym::Top);
+                }
+                Some(idx) => {
+                    let slot = &mut a.data[Self::flat_offset(&a.dims, &idx)?];
+                    let cur = std::mem::replace(slot, Sym::Top);
+                    *slot = f(if a.tainted { Sym::Top } else { cur });
+                }
+            },
+            other => return Err(access_error(name, other.as_deref(), idx_exprs.is_empty())),
         }
+        Ok(())
     }
 
     fn eval(&mut self, st: &mut SymState, expr: &Expr) -> Result<Sym, NonLinear> {
@@ -823,18 +782,16 @@ impl SymExec {
             Expr::Float(v) => Ok(Sym::constant(Value::Float(*v))),
             Expr::Bool(v) => Ok(Sym::constant(Value::Bool(*v))),
             Expr::Pi => Ok(Sym::constant(Value::Float(std::f64::consts::PI))),
-            Expr::Var(name) => self.read_lvalue(st, &LValue::Var(name.clone())),
-            Expr::Index(name, idx) => {
-                self.read_lvalue(st, &LValue::Index(name.clone(), idx.clone()))
-            }
+            Expr::Var(name) => self.read(st, name, &[]),
+            Expr::Index(name, idx) => self.read(st, name, idx),
             Expr::Unary(op, e) => {
                 let v = self.eval(st, e)?;
-                Ok(sym_un(*op, &v))
+                Ok(sym_un(*op, v))
             }
             Expr::Binary(op, a, b) => {
                 let x = self.eval(st, a)?;
                 let y = self.eval(st, b)?;
-                Ok(sym_bin(*op, &x, &y))
+                Ok(sym_bin(*op, x, y))
             }
             Expr::Peek(i) => {
                 let i = self.const_index(st, i)?;
@@ -845,7 +802,7 @@ impl SymExec {
                         peek: self.declared_peek,
                     });
                 }
-                Ok(Sym::Lin(LinForm::peek_at(pos)))
+                Ok(Sym::Lin(LinForm::unit(SymKey::Peek(pos))))
             }
             Expr::Pop => {
                 let pos = st.popcount;
@@ -856,7 +813,7 @@ impl SymExec {
                     });
                 }
                 st.popcount += 1;
-                Ok(Sym::Lin(LinForm::peek_at(pos)))
+                Ok(Sym::Lin(LinForm::unit(SymKey::Peek(pos))))
             }
             Expr::Push(e) => {
                 let v = self.eval(st, e)?;
@@ -880,15 +837,28 @@ impl SymExec {
                 }
             }
             Expr::PostIncDec { target, inc } => {
-                let cur = self.read_lvalue(st, target)?;
-                let one = Sym::constant(Value::Int(1));
                 let op = if *inc { BinOp::Add } else { BinOp::Sub };
-                let next = sym_bin(op, &cur, &one);
-                self.assign(st, target, next)?;
-                Ok(cur)
+                let (name, idx) = lvalue_parts(target);
+                let mut old = Sym::Top;
+                self.update(st, name, idx, |cur| {
+                    old = cur.clone();
+                    sym_bin(op, cur, Sym::constant(Value::Int(1)))
+                })?;
+                Ok(old)
             }
         }
     }
+}
+
+/// The error for a name that is missing, a scalar that is indexed, or an
+/// array used as a scalar.
+fn access_error(name: &str, cell: Option<&SymCell>, scalar_access: bool) -> NonLinear {
+    NonLinear::Unsupported(match (cell, scalar_access) {
+        (Some(SymCell::Array(_)), _) => format!("`{name}` is an array"),
+        (Some(SymCell::Scalar(_)), _) => format!("`{name}` is a scalar"),
+        (None, true) => format!("undefined variable `{name}`"),
+        (None, false) => format!("undefined array `{name}`"),
+    })
 }
 
 fn join_states(a: SymState, b: SymState) -> Result<SymState, NonLinear> {
@@ -967,7 +937,7 @@ fn collect_writes_block(block: &Block, out: &mut HashSet<String>) {
 fn collect_writes_stmt(stmt: &Stmt, out: &mut HashSet<String>) {
     match stmt {
         Stmt::Assign { target, value, .. } => {
-            out.insert(lvalue_name(target).to_string());
+            out.insert(lvalue_parts(target).0.to_string());
             collect_writes_expr(value, out);
         }
         Stmt::Decl { init, .. } => {
@@ -1015,7 +985,7 @@ fn collect_writes_stmt(stmt: &Stmt, out: &mut HashSet<String>) {
 fn collect_writes_expr(e: &Expr, out: &mut HashSet<String>) {
     match e {
         Expr::PostIncDec { target, .. } => {
-            out.insert(lvalue_name(target).to_string());
+            out.insert(lvalue_parts(target).0.to_string());
         }
         Expr::Unary(_, a) | Expr::Peek(a) | Expr::Push(a) => collect_writes_expr(a, out),
         Expr::Binary(_, a, b) => {
@@ -1036,10 +1006,11 @@ fn collect_writes_expr(e: &Expr, out: &mut HashSet<String>) {
     }
 }
 
-fn lvalue_name(lv: &LValue) -> &str {
+/// An lvalue's variable name and index expressions (none for a scalar).
+fn lvalue_parts(lv: &LValue) -> (&str, &[Expr]) {
     match lv {
-        LValue::Var(n) => n,
-        LValue::Index(n, _) => n,
+        LValue::Var(n) => (n, &[]),
+        LValue::Index(n, idx) => (n, idx),
     }
 }
 
@@ -1457,5 +1428,181 @@ mod tests {
         )
         .unwrap();
         assert_eq!(node.coeff(0, 0), 1.0);
+    }
+
+    // ---- in-place form arithmetic --------------------------------------
+
+    /// The by-value arithmetic the in-place version replaced: copy the
+    /// left map, merge the right into it, prune zeros.
+    fn by_value(op: BinOp, a: &Sym, b: &Sym) -> Sym {
+        let (Sym::Lin(fa), Sym::Lin(fb)) = (a, b) else {
+            return Sym::Top;
+        };
+        let Ok(konst) = bin_op(op, fa.konst, fb.konst) else {
+            return Sym::Top;
+        };
+        let mut coeffs = fa.coeffs.clone();
+        for (&p, &c) in &fb.coeffs {
+            let e = coeffs.entry(p).or_insert(0.0);
+            if op == BinOp::Add {
+                *e += c;
+            } else {
+                *e -= c;
+            }
+        }
+        coeffs.retain(|_, c| *c != 0.0);
+        Sym::Lin(LinForm { coeffs, konst })
+    }
+
+    /// A small deterministic generator (xorshift) for random forms.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        /// A random operand: mostly forms over a few shared keys with
+        /// small integer coefficients (so sums cancel often), sometimes a
+        /// bare int or float constant, sometimes ⊤.
+        fn sym(&mut self) -> Sym {
+            match self.next() % 10 {
+                0 => Sym::Top,
+                1 => Sym::constant(Value::Int(self.next() as i64 % 5)),
+                2 => Sym::constant(Value::Float((self.next() % 7) as f64 - 3.0)),
+                _ => {
+                    let mut coeffs = BTreeMap::new();
+                    for _ in 0..self.next() % 6 {
+                        let key = match self.next() % 8 {
+                            k @ 0..=5 => SymKey::Peek(k as usize),
+                            k => SymKey::State(k as usize - 6),
+                        };
+                        let c = (self.next() % 5) as f64 - 2.0;
+                        if c != 0.0 {
+                            coeffs.insert(key, c);
+                        }
+                    }
+                    let konst = Value::Float((self.next() % 3) as f64);
+                    Sym::Lin(LinForm { coeffs, konst })
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_sums_equal_the_by_value_result() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..2000 {
+            let (a, b) = (rng.sym(), rng.sym());
+            for op in [BinOp::Add, BinOp::Sub] {
+                assert_eq!(
+                    sym_bin(op, a.clone(), b.clone()),
+                    by_value(op, &a, &b),
+                    "{a:?} {op:?} {b:?}"
+                );
+            }
+            // Self-aliasing operands: `s += s` doubles, `s -= s` cancels
+            // every coefficient and leaves a constant.
+            assert_eq!(
+                sym_bin(BinOp::Add, a.clone(), a.clone()),
+                by_value(BinOp::Add, &a, &a)
+            );
+            let diff = sym_bin(BinOp::Sub, a.clone(), a.clone());
+            assert_eq!(diff, by_value(BinOp::Sub, &a, &a));
+            if let Sym::Lin(f) = diff {
+                assert!(f.coeffs.is_empty(), "x - x kept entries: {f:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn compound_assignment_through_a_program() {
+        // `s += s` reads the target on both sides; `t -= t` must leave a
+        // constant; an int constant accumulates into a float form.
+        let node = extract_src(
+            "float->float filter F {
+                work peek 2 pop 1 push 3 {
+                    float s = 3 * peek(0) + peek(1);
+                    s += s;
+                    push(s);
+                    float t = peek(1);
+                    t -= t;
+                    t += 2;
+                    push(t);
+                    float[2] a;
+                    a[1] = peek(0);
+                    a[1] -= 4 * peek(1);
+                    a[1]++;
+                    push(a[1]);
+                    pop();
+                }
+            }",
+            "F",
+            &[],
+        )
+        .unwrap();
+        assert_eq!((node.coeff(0, 0), node.coeff(1, 0)), (6.0, 2.0));
+        assert_eq!((node.coeff(0, 1), node.coeff(1, 1)), (0.0, 0.0));
+        assert_eq!(node.offset(1), 2.0);
+        assert_eq!((node.coeff(0, 2), node.coeff(1, 2)), (1.0, -4.0));
+        assert_eq!(node.offset(2), 1.0);
+    }
+
+    #[test]
+    fn index_expressions_of_a_compound_assignment_run_once() {
+        // `a[i++] += …` advances `i` once, as in the interpreters.
+        let node = extract_src(
+            "float->float filter F {
+                work pop 1 push 2 {
+                    float[2] a;
+                    int i = 0;
+                    a[i++] += pop();
+                    push(a[0]);
+                    push(i);
+                }
+            }",
+            "F",
+            &[],
+        )
+        .unwrap();
+        assert_eq!(node.coeff(0, 0), 1.0);
+        assert_eq!(node.offset(1), 1.0);
+    }
+
+    const FIR_SRC: &str = "float->float filter Fir(int N) {
+        float[N] h;
+        init { for (int i = 0; i < N; i++) h[i] = 1.0 / (i + 1); }
+        work peek N pop 1 push 1 {
+            float sum = 0;
+            for (int i = 0; i < N; i++) sum += h[i] * peek(i);
+            push(sum);
+            pop();
+        }
+    }";
+
+    #[test]
+    fn fir_4096_extracts_to_exactly_its_weights() {
+        let weights: Vec<f64> = (0..4096).map(|i| 1.0 / (i as f64 + 1.0)).collect();
+        let node = extract_src(FIR_SRC, "Fir", &[Value::Int(4096)]).unwrap();
+        assert_eq!(node, LinearNode::fir(&weights));
+    }
+
+    #[test]
+    fn extraction_work_is_linear_in_the_taps() {
+        let writes = |taps: i64| {
+            let inst = filter_of(FIR_SRC, "Fir", &[Value::Int(taps)]);
+            COEFF_WRITES.with(|c| c.set(0));
+            extract(&inst).unwrap();
+            COEFF_WRITES.with(|c| c.get())
+        };
+        let (small, large) = (writes(1024), writes(2048));
+        assert!(small >= 1024, "the tally saw {small} writes for 1024 taps");
+        assert!(
+            large * 10 <= small * 23,
+            "doubling the taps took {small} -> {large} coefficient writes"
+        );
     }
 }

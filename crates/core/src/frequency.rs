@@ -79,6 +79,13 @@ pub struct FreqSpec {
     h: Vec<Vec<f64>>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Specs constructed by this thread — lets the selection tests assert
+    /// that only chosen regions are ever planned.
+    pub(crate) static SPECS_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl FreqSpec {
     /// Plans a frequency implementation of `node`.
     ///
@@ -97,6 +104,8 @@ impl FreqSpec {
         kind: FftKind,
         n_override: Option<usize>,
     ) -> Result<Self, FreqError> {
+        #[cfg(test)]
+        SPECS_BUILT.with(|c| c.set(c.get() + 1));
         let (e, u) = (node.peek(), node.push());
         if e == 0 || u == 0 || node.pop() == 0 {
             return Err(FreqError::NotApplicable(format!(

@@ -22,7 +22,7 @@ use std::rc::Rc;
 
 use streamlin_fft::FftKind;
 use streamlin_graph::ir::{FilterInst, Joiner, Splitter, Stream};
-use streamlin_graph::steady::{child_multipliers, steady_state};
+use streamlin_graph::steady::steady_state;
 
 use crate::combine::LinearAnalysis;
 use crate::cost::CostModel;
@@ -111,222 +111,142 @@ pub fn select(
     model: &CostModel,
     opts: &SelectOptions,
 ) -> Result<Selection, SelectError> {
-    let mut next_id = 0;
-    let tree = build(stream, analysis, 1.0, &mut next_id)?;
-    let mut dp = Dp {
+    // One rate solve for the whole graph: a filter's repetition count is
+    // its firings per global steady state, and every flow the DP prices
+    // is a sum of filter flows.
+    let reps = steady_state(stream)
+        .map_err(|e| SelectError { message: e.message })?
+        .reps;
+    let dp = Dp {
+        analysis,
         model,
         opts,
-        memo: HashMap::new(),
+        reps: &reps,
     };
-    let choice = dp.any(&tree);
+    let best = dp.solve(stream, false).best;
     Ok(Selection {
-        opt: choice.opt.flatten_pipelines(),
-        cost: choice.cost,
+        opt: dp.materialize(&best).flatten_pipelines(),
+        cost: best.cost,
     })
-}
-
-// ---- the DP tree -----------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct DpNode {
-    id: usize,
-    /// True when this node lives inside a feedback loop — frequency
-    /// implementations are forbidden there (their block latency can
-    /// exceed the loop's enqueued slack and deadlock the cycle).
-    in_feedback: bool,
-    /// Macro-firings per global steady state.
-    scale: f64,
-    /// Items popped per macro-firing.
-    io_pop: u64,
-    /// Items pushed per macro-firing.
-    io_push: u64,
-    /// The fully-combined linear node of this subtree, when it exists.
-    whole: Option<LinearNode>,
-    kind: DpKind,
-}
-
-#[derive(Debug, Clone)]
-enum DpKind {
-    Leaf(Rc<FilterInst>),
-    Pipe(Vec<DpNode>),
-    Split {
-        split: Splitter,
-        join: Joiner,
-        children: Vec<DpNode>,
-    },
-    Feedback {
-        join: Joiner,
-        split: Splitter,
-        enqueue: Vec<f64>,
-        body: Box<DpNode>,
-        loop_stream: Box<DpNode>,
-    },
-}
-
-fn build(
-    stream: &Stream,
-    analysis: &LinearAnalysis,
-    scale: f64,
-    next_id: &mut usize,
-) -> Result<DpNode, SelectError> {
-    build_inner(stream, analysis, scale, next_id, false)
-}
-
-fn build_inner(
-    stream: &Stream,
-    analysis: &LinearAnalysis,
-    scale: f64,
-    next_id: &mut usize,
-    in_feedback: bool,
-) -> Result<DpNode, SelectError> {
-    let io = steady_state(stream)
-        .map_err(|e| SelectError {
-            message: e.message.clone(),
-        })?
-        .io;
-    let id = *next_id;
-    *next_id += 1;
-    let mults = child_multipliers(stream).map_err(|e| SelectError {
-        message: e.message.clone(),
-    })?;
-    let (kind, whole) = match stream {
-        Stream::Filter(f) => {
-            let whole = analysis.node_for(f).cloned();
-            (DpKind::Leaf(Rc::clone(f)), whole)
-        }
-        Stream::Pipeline(children) => {
-            let built: Vec<DpNode> = children
-                .iter()
-                .zip(&mults)
-                .map(|(c, &m)| build_inner(c, analysis, scale * m as f64, next_id, in_feedback))
-                .collect::<Result<_, _>>()?;
-            let whole = fold_pipeline(&built, 0, built.len() - 1);
-            (DpKind::Pipe(built), whole)
-        }
-        Stream::SplitJoin {
-            split,
-            children,
-            join,
-        } => {
-            let built: Vec<DpNode> = children
-                .iter()
-                .zip(&mults)
-                .map(|(c, &m)| build_inner(c, analysis, scale * m as f64, next_id, in_feedback))
-                .collect::<Result<_, _>>()?;
-            let whole = combine_split_range(split, join, &built, 0, built.len() - 1);
-            (
-                DpKind::Split {
-                    split: split.clone(),
-                    join: join.clone(),
-                    children: built,
-                },
-                whole,
-            )
-        }
-        Stream::FeedbackLoop {
-            join,
-            body,
-            loop_stream,
-            split,
-            enqueue,
-        } => {
-            let b = build_inner(body, analysis, scale * mults[0] as f64, next_id, true)?;
-            let l = build_inner(
-                loop_stream,
-                analysis,
-                scale * mults[1] as f64,
-                next_id,
-                true,
-            )?;
-            (
-                DpKind::Feedback {
-                    join: join.clone(),
-                    split: split.clone(),
-                    enqueue: enqueue.clone(),
-                    body: Box::new(b),
-                    loop_stream: Box::new(l),
-                },
-                None, // feedback loops are never collapsed (§3.3)
-            )
-        }
-    };
-    Ok(DpNode {
-        id,
-        in_feedback,
-        scale,
-        io_pop: io.pop,
-        io_push: io.push,
-        whole,
-        kind,
-    })
-}
-
-fn fold_pipeline(children: &[DpNode], lo: usize, hi: usize) -> Option<LinearNode> {
-    let mut acc = children[lo].whole.clone()?;
-    for child in &children[lo + 1..=hi] {
-        acc = combine_pipeline(&acc, child.whole.as_ref()?).ok()?;
-    }
-    Some(acc)
-}
-
-fn slice_split(split: &Splitter, lo: usize, hi: usize) -> Splitter {
-    match split {
-        Splitter::Duplicate => Splitter::Duplicate,
-        Splitter::RoundRobin(v) => Splitter::RoundRobin(v[lo..=hi].to_vec()),
-    }
-}
-
-fn combine_split_range(
-    split: &Splitter,
-    join: &Joiner,
-    children: &[DpNode],
-    lo: usize,
-    hi: usize,
-) -> Option<LinearNode> {
-    let nodes: Option<Vec<LinearNode>> =
-        children[lo..=hi].iter().map(|c| c.whole.clone()).collect();
-    combine_splitjoin(&slice_split(split, lo, hi), &nodes?, &join.weights[lo..=hi]).ok()
 }
 
 // ---- the DP ----------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-struct Choice {
+/// One priced implementation of a region. Choices are shared behind `Rc`
+/// — a range's best choice is referenced by every cut that contains it —
+/// and stay symbolic until [`Dp::materialize`] builds the winner.
+struct Choice<'a> {
     cost: f64,
-    opt: OptStream,
+    plan: Plan<'a>,
+}
+
+enum Plan<'a> {
+    /// A non-linear filter, left to the interpreter.
+    Original(&'a Rc<FilterInst>),
+    /// A region collapsed to one linear node, run in the time domain or
+    /// (`freq`) the frequency domain.
+    Collapsed { node: Rc<LinearNode>, freq: bool },
+    /// A pipeline range cut horizontally in two.
+    PipeCut([Rc<Choice<'a>>; 2]),
+    /// Children `lo..=hi` of a splitjoin cut vertically after `pivot`.
+    SplitCut {
+        split: &'a Splitter,
+        join: &'a Joiner,
+        lo: usize,
+        pivot: usize,
+        hi: usize,
+        halves: [Rc<Choice<'a>>; 2],
+    },
+    /// A feedback loop around its solved body and loop path.
+    Feedback {
+        join: &'a Joiner,
+        split: &'a Splitter,
+        enqueue: &'a [f64],
+        body: Rc<Choice<'a>>,
+        loop_stream: Rc<Choice<'a>>,
+    },
+}
+
+/// A region collapsed into one linear node, with the items flowing into
+/// and out of it per global steady state.
+#[derive(Clone)]
+struct Whole {
+    node: Rc<LinearNode>,
+    inflow: f64,
+    outflow: f64,
+}
+
+/// What the DP hands up from a solved subtree.
+struct Solved<'a> {
+    /// `getCost(s, ANY)`: the cheapest implementation.
+    best: Rc<Choice<'a>>,
+    /// The fully combined subtree, when it exists — what the parent
+    /// container folds into its own ranges.
+    whole: Option<Whole>,
+}
+
+/// The two container kinds whose child ranges the DP cuts.
+#[derive(Clone, Copy)]
+enum Container<'a> {
+    Pipe,
+    Split(&'a Splitter, &'a Joiner),
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Range combinations formed by this thread's selections.
+    static COMBINATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 struct Dp<'a> {
+    analysis: &'a LinearAnalysis,
     model: &'a CostModel,
     opts: &'a SelectOptions,
-    memo: HashMap<(usize, usize, usize), Choice>,
+    /// Filter-instance id → firings per global steady state.
+    reps: &'a HashMap<usize, u64>,
 }
 
-impl Dp<'_> {
-    /// `getCost(s, ANY)`: the best implementation of a subtree.
-    fn any(&mut self, node: &DpNode) -> Choice {
-        match &node.kind {
-            DpKind::Leaf(inst) => self.leaf(node, inst),
-            DpKind::Pipe(children) => self.range(node, children, 0, children.len() - 1),
-            DpKind::Split { children, .. } => self.range(node, children, 0, children.len() - 1),
-            DpKind::Feedback {
-                join,
+impl<'a> Dp<'a> {
+    /// Solves a subtree bottom-up. `in_feedback` is true inside a feedback
+    /// loop, where frequency implementations are forbidden (their block
+    /// latency can exceed the loop's enqueued slack and deadlock the
+    /// cycle).
+    fn solve(&self, stream: &'a Stream, in_feedback: bool) -> Solved<'a> {
+        match stream {
+            Stream::Filter(inst) => self.leaf(inst, in_feedback),
+            Stream::Pipeline(children) => {
+                let solved = children.iter().map(|c| self.solve(c, in_feedback));
+                self.container(Container::Pipe, solved.collect(), in_feedback)
+            }
+            Stream::SplitJoin {
                 split,
-                enqueue,
+                children,
+                join,
+            } => {
+                let solved = children.iter().map(|c| self.solve(c, in_feedback));
+                self.container(Container::Split(split, join), solved.collect(), in_feedback)
+            }
+            Stream::FeedbackLoop {
+                join,
                 body,
                 loop_stream,
+                split,
+                enqueue,
             } => {
-                let b = self.any(body);
-                let l = self.any(loop_stream);
-                Choice {
-                    cost: b.cost + l.cost,
-                    opt: OptStream::FeedbackLoop {
-                        join: join.clone(),
-                        body: Box::new(b.opt),
-                        loop_stream: Box::new(l.opt),
-                        split: split.clone(),
-                        enqueue: enqueue.clone(),
-                    },
+                let body = self.solve(body, true).best;
+                let loop_stream = self.solve(loop_stream, true).best;
+                Solved {
+                    best: Rc::new(Choice {
+                        cost: body.cost + loop_stream.cost,
+                        plan: Plan::Feedback {
+                            join,
+                            split,
+                            enqueue,
+                            body,
+                            loop_stream,
+                        },
+                    }),
+                    whole: None, // feedback loops are never collapsed (§3.3)
                 }
             }
         }
@@ -334,185 +254,238 @@ impl Dp<'_> {
 
     /// `getNodeCost`: a leaf filter — direct or frequency if linear,
     /// free (untallied) otherwise.
-    fn leaf(&mut self, node: &DpNode, inst: &Rc<FilterInst>) -> Choice {
-        let Some(lin) = node.whole.clone() else {
-            return Choice {
-                cost: 0.0,
-                opt: OptStream::Original(Rc::clone(inst)),
+    fn leaf(&self, inst: &'a Rc<FilterInst>, in_feedback: bool) -> Solved<'a> {
+        let Some(lin) = self.analysis.node_for(inst) else {
+            return Solved {
+                best: Rc::new(Choice {
+                    cost: 0.0,
+                    plan: Plan::Original(inst),
+                }),
+                whole: None,
             };
         };
-        let inflow = node.scale * node.io_pop as f64;
-        self.best_node_impl(lin, node.scale, inflow, node.in_feedback)
+        let firings = self.reps[&inst.id] as f64;
+        let whole = Whole {
+            node: Rc::new(lin.clone()),
+            inflow: firings * inst.work.pop as f64,
+            outflow: firings * inst.work.push as f64,
+        };
+        Solved {
+            best: Rc::new(self.collapsed(&whole, firings, in_feedback)),
+            whole: Some(whole),
+        }
     }
 
-    /// Picks direct vs frequency for a collapsed node.
-    fn best_node_impl(
-        &mut self,
-        lin: LinearNode,
-        firings: f64,
-        inflow: f64,
-        in_feedback: bool,
-    ) -> Choice {
-        let direct = self.model.direct_total(&lin, firings);
-        let mut best = Choice {
-            cost: direct,
-            opt: OptStream::Linear(lin.clone()),
-        };
+    /// Prices a collapsed region, direct vs frequency, from the cost model
+    /// alone.
+    fn collapsed(&self, region: &Whole, firings: f64, in_feedback: bool) -> Choice<'a> {
+        let node = &region.node;
+        let direct = self.model.direct_total(node, firings);
         let freq_ok = !in_feedback
-            && lin.peek() >= 1
-            && lin.push() >= 1
-            && lin.pop() >= 1
-            && !(self.opts.unit_pop_only && lin.pop() != 1);
-        if freq_ok {
-            let cost = self.model.freq_total(&lin, inflow, self.opts.strategy);
-            if cost < best.cost {
-                if let Ok(spec) = FreqSpec::new(&lin, self.opts.strategy, self.opts.kind, None) {
-                    best = Choice {
-                        cost,
-                        opt: OptStream::Freq(spec),
-                    };
-                }
-            }
-        }
-        best
-    }
-
-    /// `getContainerCost`: best implementation of children `lo..=hi`.
-    fn range(&mut self, container: &DpNode, children: &[DpNode], lo: usize, hi: usize) -> Choice {
-        if lo == hi {
-            return self.any(&children[lo]);
-        }
-        if let Some(hit) = self.memo.get(&(container.id, lo, hi)) {
-            return hit.clone();
-        }
-        let mut best: Option<Choice> = None;
-        let consider = |c: Choice, best: &mut Option<Choice>| {
-            if best.as_ref().is_none_or(|b| c.cost < b.cost) {
-                *best = Some(c);
-            }
-        };
-
-        // Option 1/2: collapse the whole range (LINEAR / FREQ).
-        let combined = match &container.kind {
-            DpKind::Pipe(_) => fold_pipeline(children, lo, hi),
-            DpKind::Split { split, join, .. } => combine_split_range(split, join, children, lo, hi),
-            _ => None,
-        };
-        if let Some(lin) = combined {
-            let (inflow, outflow) = self.range_flow(container, children, lo, hi);
-            let firings = if lin.push() > 0 {
-                outflow / lin.push() as f64
-            } else if lin.pop() > 0 {
-                inflow / lin.pop() as f64
-            } else {
-                0.0
-            };
-            consider(
-                self.best_node_impl(lin, firings, inflow, container.in_feedback),
-                &mut best,
-            );
-        }
-
-        // Option 3: cut the range (horizontal for pipelines, vertical for
-        // splitjoins) and recurse with ANY on both halves.
-        for pivot in lo..hi {
-            let left = self.range(container, children, lo, pivot);
-            let right = self.range(container, children, pivot + 1, hi);
-            let cost = left.cost + right.cost;
-            if best.as_ref().is_some_and(|b| cost >= b.cost) {
-                continue;
-            }
-            let opt = match &container.kind {
-                DpKind::Pipe(_) => OptStream::Pipeline(vec![left.opt, right.opt]),
-                DpKind::Split { split, join, .. } => {
-                    let lw: usize = join.weights[lo..=pivot].iter().sum();
-                    let rw: usize = join.weights[pivot + 1..=hi].iter().sum();
-                    let outer_split = match split {
-                        Splitter::Duplicate => Splitter::Duplicate,
-                        Splitter::RoundRobin(v) => Splitter::RoundRobin(vec![
-                            v[lo..=pivot].iter().sum(),
-                            v[pivot + 1..=hi].iter().sum(),
-                        ]),
-                    };
-                    OptStream::SplitJoin {
-                        split: outer_split,
-                        children: vec![
-                            self.wrap_split_half(split, join, left.opt, lo, pivot),
-                            self.wrap_split_half(split, join, right.opt, pivot + 1, hi),
-                        ],
-                        join: Joiner {
-                            weights: vec![lw, rw],
-                        },
-                    }
-                }
-                _ => unreachable!("ranges only exist for containers"),
-            };
-            consider(Choice { cost, opt }, &mut best);
-        }
-
-        let best = best.expect("at least one cut exists for hi > lo");
-        self.memo.insert((container.id, lo, hi), best.clone());
-        best
-    }
-
-    /// Wraps one half of a splitjoin cut so it is itself a valid stream
-    /// consuming its input share: collapsed halves and single children are
-    /// already streams; an uncollapsed multi-child half is a sub-splitjoin
-    /// (which the recursion already produced as such — `range` only
-    /// returns either a collapsed node or a nested `SplitJoin`).
-    fn wrap_split_half(
-        &mut self,
-        split: &Splitter,
-        join: &Joiner,
-        half: OptStream,
-        lo: usize,
-        hi: usize,
-    ) -> OptStream {
-        if lo == hi {
-            return half;
-        }
-        match half {
-            collapsed @ (OptStream::Linear(_) | OptStream::Freq(_)) => collapsed,
-            sj @ OptStream::SplitJoin { .. } => sj,
-            other => OptStream::SplitJoin {
-                split: slice_split(split, lo, hi),
-                children: vec![other],
-                join: Joiner {
-                    weights: vec![join.weights[lo..=hi].iter().sum()],
-                },
+            && node.peek() >= 1
+            && node.push() >= 1
+            && node.pop() >= 1
+            && !(self.opts.unit_pop_only && node.pop() != 1);
+        let freq = freq_ok
+            .then(|| {
+                self.model
+                    .freq_total(node, region.inflow, self.opts.strategy)
+            })
+            .filter(|&cost| cost < direct);
+        Choice {
+            cost: freq.unwrap_or(direct),
+            plan: Plan::Collapsed {
+                node: Rc::clone(node),
+                freq: freq.is_some(),
             },
         }
     }
 
-    /// Items flowing into / out of a child range per global steady state.
-    fn range_flow(
+    /// `getContainerCost` for every child range of one container, solved
+    /// smallest-first: `lo` descends and `hi` ascends, so both halves of
+    /// every cut of `lo..=hi` are already in the table. A pipeline's
+    /// combined node for `lo..=hi` is the one for `lo..=hi-1` times child
+    /// `hi`, carried along the row — each range product is formed once,
+    /// and none outlives its step unless its collapse is that range's best
+    /// choice.
+    fn container(
         &self,
-        container: &DpNode,
-        children: &[DpNode],
-        lo: usize,
-        hi: usize,
-    ) -> (f64, f64) {
-        match &container.kind {
-            DpKind::Pipe(_) => (
-                children[lo].scale * children[lo].io_pop as f64,
-                children[hi].scale * children[hi].io_push as f64,
-            ),
-            DpKind::Split { split, .. } => {
-                let outflow: f64 = children[lo..=hi]
-                    .iter()
-                    .map(|c| c.scale * c.io_push as f64)
-                    .sum();
-                let inflow = match split {
-                    // Every duplicate branch sees the same stream.
-                    Splitter::Duplicate => children[lo].scale * children[lo].io_pop as f64,
-                    Splitter::RoundRobin(_) => children[lo..=hi]
-                        .iter()
-                        .map(|c| c.scale * c.io_pop as f64)
-                        .sum(),
-                };
-                (inflow, outflow)
+        kind: Container<'a>,
+        children: Vec<Solved<'a>>,
+        in_feedback: bool,
+    ) -> Solved<'a> {
+        let n = children.len();
+        if n == 1 {
+            // A single child is priced as itself: there is no range to cut.
+            let whole = match kind {
+                Container::Pipe => children[0].whole.clone(),
+                Container::Split(..) => combine(kind, &children, 0, 0, None),
+            };
+            let best = Rc::clone(&children[0].best);
+            return Solved { best, whole };
+        }
+        let mut table: Vec<Option<Rc<Choice<'a>>>> = vec![None; n * n];
+        for (k, child) in children.iter().enumerate() {
+            table[k * n + k] = Some(Rc::clone(&child.best));
+        }
+        let mut whole = None;
+        for lo in (0..n - 1).rev() {
+            let mut carried = children[lo].whole.clone();
+            for hi in lo + 1..n {
+                carried = combine(kind, &children, lo, hi, carried);
+
+                // Option 1/2: collapse the whole range (LINEAR / FREQ).
+                let mut best = carried.as_ref().map(|region| {
+                    let node = &region.node;
+                    let firings = if node.push() > 0 {
+                        region.outflow / node.push() as f64
+                    } else if node.pop() > 0 {
+                        region.inflow / node.pop() as f64
+                    } else {
+                        0.0
+                    };
+                    Rc::new(self.collapsed(region, firings, in_feedback))
+                });
+
+                // Option 3: cut the range (horizontal for pipelines,
+                // vertical for splitjoins) with ANY on both halves.
+                for pivot in lo..hi {
+                    let solved = |lo: usize, hi: usize| {
+                        table[lo * n + hi]
+                            .as_ref()
+                            .expect("smaller ranges are solved first")
+                    };
+                    let (left, right) = (solved(lo, pivot), solved(pivot + 1, hi));
+                    let cost = left.cost + right.cost;
+                    if best.as_ref().is_none_or(|b| cost < b.cost) {
+                        let halves = [Rc::clone(left), Rc::clone(right)];
+                        let plan = match kind {
+                            Container::Pipe => Plan::PipeCut(halves),
+                            Container::Split(split, join) => Plan::SplitCut {
+                                split,
+                                join,
+                                lo,
+                                pivot,
+                                hi,
+                                halves,
+                            },
+                        };
+                        best = Some(Rc::new(Choice { cost, plan }));
+                    }
+                }
+                table[lo * n + hi] = best;
             }
-            _ => (0.0, 0.0),
+            if lo == 0 {
+                whole = carried;
+            }
+        }
+        Solved {
+            best: table[n - 1]
+                .take()
+                .expect("at least one cut exists for n > 1"),
+            whole,
+        }
+    }
+
+    /// Builds the chosen structure: the only place a [`FreqSpec`] (an FFT
+    /// plan plus one kernel transform per output) is constructed.
+    fn materialize(&self, choice: &Choice<'a>) -> OptStream {
+        match &choice.plan {
+            Plan::Original(inst) => OptStream::Original(Rc::clone(inst)),
+            Plan::Collapsed { node, freq: false } => OptStream::Linear(LinearNode::clone(node)),
+            Plan::Collapsed { node, freq: true } => OptStream::Freq(
+                FreqSpec::new(node, self.opts.strategy, self.opts.kind, None)
+                    .expect("frequency candidates have peek, pop and push of at least 1"),
+            ),
+            Plan::PipeCut(halves) => {
+                OptStream::Pipeline(halves.iter().map(|h| self.materialize(h)).collect())
+            }
+            Plan::SplitCut {
+                split,
+                join,
+                lo,
+                pivot,
+                hi,
+                halves,
+            } => {
+                // Each half consumes its share of the sliced splitter and
+                // joiner weights; a half is a single child, a collapsed
+                // node or a nested cut, so it is already a stream.
+                let (left, right) = (*lo..=*pivot, *pivot + 1..=*hi);
+                let sum = |w: &[usize]| w.iter().sum();
+                OptStream::SplitJoin {
+                    split: match split {
+                        Splitter::Duplicate => Splitter::Duplicate,
+                        Splitter::RoundRobin(v) => Splitter::RoundRobin(vec![
+                            sum(&v[left.clone()]),
+                            sum(&v[right.clone()]),
+                        ]),
+                    },
+                    children: halves.iter().map(|h| self.materialize(h)).collect(),
+                    join: Joiner {
+                        weights: vec![sum(&join.weights[left]), sum(&join.weights[right])],
+                    },
+                }
+            }
+            Plan::Feedback {
+                join,
+                split,
+                enqueue,
+                body,
+                loop_stream,
+            } => OptStream::FeedbackLoop {
+                join: Joiner::clone(join),
+                body: Box::new(self.materialize(body)),
+                loop_stream: Box::new(self.materialize(loop_stream)),
+                split: Splitter::clone(split),
+                enqueue: enqueue.to_vec(),
+            },
+        }
+    }
+}
+
+/// The combined node of children `lo..=hi` with its flows, or `None` when
+/// a child is not linear or the combination is refused. For a pipeline
+/// `carried` is the combination of `lo..=hi-1`.
+fn combine(
+    kind: Container<'_>,
+    children: &[Solved<'_>],
+    lo: usize,
+    hi: usize,
+    carried: Option<Whole>,
+) -> Option<Whole> {
+    #[cfg(test)]
+    COMBINATIONS.with(|c| c.set(c.get() + 1));
+    match kind {
+        Container::Pipe => {
+            let (first, last) = (carried?, children[hi].whole.as_ref()?);
+            Some(Whole {
+                node: Rc::new(combine_pipeline(&first.node, &last.node).ok()?),
+                inflow: first.inflow,
+                outflow: last.outflow,
+            })
+        }
+        Container::Split(split, join) => {
+            let wholes: Vec<&Whole> = children[lo..=hi]
+                .iter()
+                .map(|c| c.whole.as_ref())
+                .collect::<Option<_>>()?;
+            let nodes: Vec<LinearNode> =
+                wholes.iter().map(|w| LinearNode::clone(&w.node)).collect();
+            let sliced = match split {
+                Splitter::Duplicate => Splitter::Duplicate,
+                Splitter::RoundRobin(v) => Splitter::RoundRobin(v[lo..=hi].to_vec()),
+            };
+            let node = combine_splitjoin(&sliced, &nodes, &join.weights[lo..=hi]).ok()?;
+            Some(Whole {
+                node: Rc::new(node),
+                inflow: match split {
+                    // Every duplicate branch sees the same stream.
+                    Splitter::Duplicate => wholes[0].inflow,
+                    Splitter::RoundRobin(_) => wholes.iter().map(|w| w.inflow).sum(),
+                },
+                outflow: wholes.iter().map(|w| w.outflow).sum(),
+            })
         }
     }
 }
@@ -664,6 +637,54 @@ mod tests {
         // The two gains may merge; Abs stays interpreted.
         assert_eq!(st.originals, 3, "{}", sel.opt.describe());
         assert!(st.splitjoins >= 1);
+    }
+
+    /// Child ranges `lo < hi` over every container of a graph, plus one
+    /// for each single-child splitjoin: the most combinations a selection
+    /// may form.
+    fn range_count(s: &Stream) -> usize {
+        let ranges = |children: &[Stream], single: usize| {
+            let n = children.len();
+            let own = if n == 1 { single } else { n * (n - 1) / 2 };
+            own + children.iter().map(range_count).sum::<usize>()
+        };
+        match s {
+            Stream::Filter(_) => 0,
+            Stream::Pipeline(children) => ranges(children, 0),
+            Stream::SplitJoin { children, .. } => ranges(children, 1),
+            Stream::FeedbackLoop {
+                body, loop_stream, ..
+            } => range_count(body) + range_count(loop_stream),
+        }
+    }
+
+    #[test]
+    fn fm_radio_plans_only_what_it_chooses_and_combines_each_range_once() {
+        let bench = streamlin_benchmarks::fm_radio();
+        let analysis = analyze_graph(bench.graph());
+        crate::frequency::SPECS_BUILT.with(|c| c.set(0));
+        COMBINATIONS.with(|c| c.set(0));
+        let sel = select(
+            bench.graph(),
+            &analysis,
+            &CostModel::default(),
+            &SelectOptions::default(),
+        )
+        .unwrap();
+        let freq_chosen = sel.opt.stats().freq;
+        assert!(freq_chosen >= 1, "{}", sel.opt.describe());
+        assert_eq!(
+            crate::frequency::SPECS_BUILT.with(|c| c.get()),
+            freq_chosen,
+            "a FreqSpec was planned for a region selection did not keep"
+        );
+        let formed = COMBINATIONS.with(|c| c.get());
+        assert!(formed > 0);
+        assert!(
+            formed <= range_count(bench.graph()),
+            "{formed} combinations for {} child ranges",
+            range_count(bench.graph())
+        );
     }
 
     #[test]

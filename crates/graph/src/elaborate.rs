@@ -12,10 +12,10 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use streamlin_lang::ast::{
-    Block, Expr, LValue, Program, Stmt, StreamDecl, StreamKind, StreamRef, WorkDecl,
+    Block, DataType, Expr, LValue, Program, Stmt, StreamDecl, StreamKind, StreamRef, WorkDecl,
 };
 
-use crate::exec::{const_eval_expr, const_exec_block, const_exec_stmt_flat};
+use crate::exec::{const_eval_expr, const_exec_stmt_flat, PureHost, DEFAULT_FUEL};
 use crate::ir::{FilterInst, Joiner, Splitter, Stream, WorkFn};
 use crate::value::{Cell, EvalError, Value};
 
@@ -271,8 +271,7 @@ impl<'a> Elaborator<'a> {
             env.insert(field.name.clone(), cell);
         }
         if let Some(init) = &f.init {
-            const_exec_block(&mut env, init)
-                .map_err(|e| ElabError::new(format!("while running `init`: {}", e.message)))?;
+            run_init(&mut env, init, DEFAULT_FUEL)?;
         }
 
         let work = self.resolve_work(&f.work, &mut env)?;
@@ -287,13 +286,13 @@ impl<'a> Elaborator<'a> {
         // elaboration instead of on the Nth firing — all of them in one
         // pass, each with its source position.
         let lowered =
-            crate::lower::lower_filter(&env, &work, init_work.as_ref()).map_err(|errs| {
-                let msgs: Vec<String> = errs
-                    .iter()
-                    .map(|e| format!("at {}: {}", e.span, e.message))
-                    .collect();
-                ElabError::new(format!("in a work function: {}", msgs.join("; ")))
-            })?;
+            crate::lower::lower_filter(&env, &work.body, init_work.as_ref().map(|w| &w.body))
+                .map_err(|errs| {
+                    spanned_error(
+                        "in a work function",
+                        errs.iter().map(|e| (e.span, e.message.as_str())),
+                    )
+                })?;
 
         // Run the abstract interpreter (see `crate::analyze`): state
         // effect, rate/bounds certification, lints. Provable rate or
@@ -308,15 +307,10 @@ impl<'a> Elaborator<'a> {
             f.init_work.as_ref().map(|w| w.span).unwrap_or_default(),
         );
         if !facts.errors.is_empty() {
-            let msgs: Vec<String> = facts
-                .errors
-                .iter()
-                .map(|e| format!("at {}: {}", e.span, e.message))
-                .collect();
-            return Err(ElabError::new(format!(
-                "in a work function: {}",
-                msgs.join("; ")
-            )));
+            return Err(spanned_error(
+                "in a work function",
+                facts.errors.iter().map(|e| (e.span, e.message.as_str())),
+            ));
         }
         facts.lints.extend(unused_decl_lints(decl, f));
 
@@ -537,6 +531,55 @@ impl<'a> Elaborator<'a> {
         }
         Ok(weights)
     }
+}
+
+/// Runs a filter's `init` block over its cells (parameters, captured
+/// constants, zeroed fields) the way a firing runs: slot-resolved against
+/// the cells by [`crate::lower`], compiled to bytecode and executed under
+/// [`PureHost`] — so filling a weight table costs what a firing that
+/// filled it would.
+///
+/// # Errors
+///
+/// Name errors are reported before anything runs, all at once and with
+/// their source positions; an execution error (a tape operation, an index
+/// out of bounds, exhausted `fuel`) reads ``while running `init`: …``.
+pub fn run_init(
+    state: &mut HashMap<String, Cell>,
+    init: &Block,
+    fuel: u64,
+) -> Result<(), ElabError> {
+    let lowered = crate::lower::lower_filter(state, init, None).map_err(|errs| {
+        spanned_error(
+            "in `init`",
+            errs.iter().map(|e| (e.span, e.message.as_str())),
+        )
+    })?;
+    let mut globals: Vec<Cell> = lowered
+        .globals
+        .iter()
+        .map(|n| state.remove(n).expect("global slots are the state's names"))
+        .collect();
+    let mut frame = vec![Cell::zero_of(DataType::Int, Vec::new()); lowered.work.frame_slots];
+    let mut store = crate::lower::SlotStore {
+        globals: &mut globals,
+        frame: &mut frame,
+    };
+    let run = crate::bytecode::exec(&lowered.work.code, &mut store, &mut PureHost, fuel);
+    state.extend(lowered.globals.into_iter().zip(globals));
+    run.map(|_| ())
+        .map_err(|e| ElabError::new(format!("while running `init`: {}", e.message)))
+}
+
+/// One elaboration error listing every finding with its source position.
+fn spanned_error<'e>(
+    what: &str,
+    findings: impl Iterator<Item = (streamlin_lang::token::Span, &'e str)>,
+) -> ElabError {
+    let msgs: Vec<String> = findings
+        .map(|(span, message)| format!("at {span}: {message}"))
+        .collect();
+    ElabError::new(format!("{what}: {}", msgs.join("; ")))
 }
 
 /// True if the block contains a `print`/`println` call anywhere.

@@ -1,11 +1,13 @@
 //! A statement/expression interpreter over the dialect AST.
 //!
 //! This is the **constant-context** engine: elaboration runs container
-//! bodies, filter `init` blocks and rate expressions through it under
-//! [`PureHost`], which rejects tape operations — mirroring how the
-//! StreamIt compiler resolves rates and weights at compile time (§2.1).
-//! Its environment is name-based (`HashMap<String, Cell>` scopes) because
-//! elaboration environments are genuinely dynamic.
+//! bodies and rate expressions through it under [`PureHost`], which
+//! rejects tape operations — mirroring how the StreamIt compiler resolves
+//! rates and weights at compile time (§2.1). Its environment is name-based
+//! (`HashMap<String, Cell>` scopes) because those environments are
+//! genuinely dynamic. Filter `init` blocks run on the bytecode tier
+//! ([`crate::elaborate::run_init`]); this engine is their reference in
+//! `tests/interp_differential.rs`.
 //!
 //! **Runtime execution** of work functions no longer goes through this
 //! engine: `streamlin-runtime` executes the slot-resolved form produced by
@@ -550,7 +552,8 @@ pub fn const_eval_expr(
     interp.eval(&mut env, expr)
 }
 
-/// Convenience: executes a block in a constant context (used for `init`).
+/// Convenience: executes a block in a constant context — the reference
+/// semantics of a filter's `init` block.
 ///
 /// # Errors
 ///

@@ -24,8 +24,10 @@
 //!   pins that down across the nine benchmarks.
 //!
 //! The name-based [`crate::exec::Interp`] remains the engine for constant
-//! contexts (container bodies, `init` blocks, rate expressions), where
-//! the environment is genuinely dynamic.
+//! contexts whose environment is genuinely dynamic (container bodies, rate
+//! and dimension expressions). A filter's `init` block is not one of them:
+//! its cells are fixed when it runs, so elaboration lowers and compiles it
+//! like a work body ([`crate::elaborate::run_init`]).
 
 use std::collections::HashMap;
 
@@ -33,7 +35,6 @@ use streamlin_lang::ast::{BinOp, Block, DataType, Expr, LValue, Stmt, UnOp};
 use streamlin_lang::token::Span;
 
 use crate::exec::{Flow, Host, IndexBuf};
-use crate::ir::WorkFn;
 use crate::value::{bin_op, un_op, ArrayVal, Cell, EvalError, MathFn, Value};
 
 /// A static resolution error (undefined name, unknown function, `add` in a
@@ -284,7 +285,8 @@ impl LoweredFilter {
 }
 
 /// Lowers a filter's work phases against its persistent state (fields,
-/// parameters, captured constants).
+/// parameters, captured constants). Elaboration lowers an `init` block
+/// the same way, as a lone `work` body.
 ///
 /// # Errors
 ///
@@ -295,8 +297,8 @@ impl LoweredFilter {
 /// declaration still binds its name, so uses of it don't cascade).
 pub fn lower_filter(
     state: &HashMap<String, Cell>,
-    work: &WorkFn,
-    init_work: Option<&WorkFn>,
+    work: &Block,
+    init_work: Option<&Block>,
 ) -> Result<LoweredFilter, Vec<LowerError>> {
     let mut globals: Vec<String> = state.keys().cloned().collect();
     globals.sort();
@@ -306,8 +308,8 @@ pub fn lower_filter(
         .map(|(i, n)| (n.as_str(), i as u32))
         .collect();
     let mut errors = Vec::new();
-    let lowered_work = lower_work(&index, &work.body, &mut errors);
-    let lowered_init = init_work.map(|w| lower_work(&index, &w.body, &mut errors));
+    let lowered_work = lower_work(&index, work, &mut errors);
+    let lowered_init = init_work.map(|w| lower_work(&index, w, &mut errors));
     if !errors.is_empty() {
         return Err(errors);
     }
@@ -937,13 +939,7 @@ mod tests {
         for field in &f.fields {
             state.insert(field.name.clone(), Cell::zero_of(field.ty.base, Vec::new()));
         }
-        let work = WorkFn {
-            peek: 0,
-            pop: 0,
-            push: 0,
-            body: f.work.body.clone(),
-        };
-        (lower_filter(&state, &work, None).unwrap(), state)
+        (lower_filter(&state, &f.work.body, None).unwrap(), state)
     }
 
     /// Host used by the lowering unit tests.
@@ -1076,13 +1072,7 @@ mod tests {
         let StreamKind::Filter(f) = &p.decls[0].kind else {
             panic!()
         };
-        let work = WorkFn {
-            peek: 0,
-            pop: 0,
-            push: 1,
-            body: f.work.body.clone(),
-        };
-        let errs = lower_filter(&HashMap::new(), &work, None).unwrap_err();
+        let errs = lower_filter(&HashMap::new(), &f.work.body, None).unwrap_err();
         assert_eq!(errs.len(), 1);
         assert!(errs[0].message.contains("nope"), "{errs:?}");
         assert_ne!(errs[0].span, Span::default(), "error carries a position");
@@ -1094,13 +1084,7 @@ mod tests {
         let StreamKind::Filter(f) = &p.decls[0].kind else {
             panic!()
         };
-        let work = WorkFn {
-            peek: 0,
-            pop: 0,
-            push: 1,
-            body: f.work.body.clone(),
-        };
-        let errs = lower_filter(&HashMap::new(), &work, None).unwrap_err();
+        let errs = lower_filter(&HashMap::new(), &f.work.body, None).unwrap_err();
         assert_eq!(errs.len(), 1);
         assert!(errs[0].message.contains("frob"), "{errs:?}");
     }
@@ -1121,13 +1105,7 @@ mod tests {
         let StreamKind::Filter(f) = &p.decls[0].kind else {
             panic!()
         };
-        let work = WorkFn {
-            peek: 0,
-            pop: 0,
-            push: 2,
-            body: f.work.body.clone(),
-        };
-        let errs = lower_filter(&HashMap::new(), &work, None).unwrap_err();
+        let errs = lower_filter(&HashMap::new(), &f.work.body, None).unwrap_err();
         let msgs: Vec<&str> = errs.iter().map(|e| e.message.as_str()).collect();
         assert_eq!(errs.len(), 3, "{msgs:?}");
         assert!(msgs[0].contains("nope"));
@@ -1154,13 +1132,7 @@ mod tests {
         let StreamKind::Filter(f) = &p.decls[0].kind else {
             panic!()
         };
-        let work = WorkFn {
-            peek: 0,
-            pop: 0,
-            push: 1,
-            body: f.work.body.clone(),
-        };
-        let errs = lower_filter(&HashMap::new(), &work, None).unwrap_err();
+        let errs = lower_filter(&HashMap::new(), &f.work.body, None).unwrap_err();
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(errs[0].message.contains("frob"));
     }

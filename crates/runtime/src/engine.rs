@@ -127,9 +127,21 @@ impl<T: Tally + Default> Engine<T> {
 }
 
 impl<T: Tally> Engine<T> {
-    /// Values printed so far (the program's output stream).
+    /// Values printed so far (the program's output stream), less any
+    /// removed by [`Self::take_printed`].
     pub fn printed(&self) -> &[f64] {
         &self.state.printed
+    }
+
+    /// Removes and returns the first `n` printed values, keeping any
+    /// overshoot for the next call (see
+    /// [`crate::plan::PlanEngine::take_printed`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` values have been printed.
+    pub fn take_printed(&mut self, n: usize) -> Vec<f64> {
+        self.state.printed.drain(..n).collect()
     }
 
     /// The tally so far (use [`Tally::counts`] for the numbers; a

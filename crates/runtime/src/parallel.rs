@@ -52,6 +52,7 @@
 //! which is *correct* because every execution family is pinned
 //! bit-identical.
 
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -771,9 +772,10 @@ pub struct PipelineSession<P: Probe> {
     target: u64,
     /// Target when output last grew (silent-cycle accounting).
     progress_at: u64,
-    /// All values printed so far, in schedule order.
-    values: Vec<f64>,
-    /// How many of `values` have been handed out through [`Self::read`].
+    /// Values printed but not yet handed out through [`Self::read`], in
+    /// schedule order.
+    values: VecDeque<f64>,
+    /// How many values have been handed out through [`Self::read`].
     delivered: usize,
     tripped: bool,
     failed: Option<RunError>,
@@ -1074,7 +1076,7 @@ impl<P: Probe> PipelineSession<P> {
             est_per_cycle,
             target: 0,
             progress_at: 0,
-            values: Vec::new(),
+            values: VecDeque::new(),
             delivered: 0,
             tripped: false,
             failed: None,
@@ -1085,7 +1087,7 @@ impl<P: Probe> PipelineSession<P> {
 
     /// Total values printed so far (delivered or not).
     pub fn available(&self) -> usize {
-        self.values.len()
+        self.delivered + self.values.len()
     }
 
     /// Values handed out through [`Self::read`] so far.
@@ -1093,21 +1095,20 @@ impl<P: Probe> PipelineSession<P> {
         self.delivered
     }
 
-    /// Runs until `n` further values are available and returns them, in
-    /// order. The value sequence is independent of how reads are
+    /// Runs until `n` further values are available and hands them out,
+    /// in order. The value sequence is independent of how reads are
     /// batched: overshoot beyond the goal stays buffered for the next
-    /// read.
+    /// read, and delivered values are not retained.
     ///
     /// # Errors
     ///
     /// As [`run_pipeline_supervised`]; once a session has failed, every
     /// subsequent read reports the same error.
-    pub fn read(&mut self, n: usize) -> Result<&[f64], RunError> {
+    pub fn read(&mut self, n: usize) -> Result<Vec<f64>, RunError> {
         let end = self.delivered + n;
         self.run_until(end)?;
-        let start = self.delivered;
         self.delivered = end;
-        Ok(&self.values[start..end])
+        Ok(self.values.drain(..n).collect())
     }
 
     /// The pacing protocol: extends the cumulative cycle target until at
@@ -1122,9 +1123,9 @@ impl<P: Probe> PipelineSession<P> {
     ///
     /// As [`Self::read`].
     pub fn run_until(&mut self, goal: usize) -> Result<(), RunError> {
-        while self.values.len() < goal && self.failed.is_none() {
-            let remaining = (goal - self.values.len()) as u64;
-            let printed = self.values.len() as u64;
+        while self.available() < goal && self.failed.is_none() {
+            let remaining = (goal - self.available()) as u64;
+            let printed = self.available() as u64;
             let add = if printed > 0 {
                 // Observed rate so far, rounded pessimistically upward.
                 (remaining * self.target).div_ceil(printed)
@@ -1386,7 +1387,9 @@ impl<P: Probe> PipelineSession<P> {
     }
 
     /// Finishes the run: tears the workers down, absorbs the coordinator
-    /// and worker probes into `probe`, and merges the outcome.
+    /// and worker probes into `probe`, and merges the outcome. The
+    /// outcome's `printed` holds what [`Self::read`] has not handed out —
+    /// everything, for a one-shot run.
     ///
     /// # Errors
     ///
@@ -1401,7 +1404,7 @@ impl<P: Probe> PipelineSession<P> {
         }
         results.sort_by_key(|r| r.stage);
         let mut outcome = PipelineOutcome {
-            printed: std::mem::take(&mut self.values),
+            printed: std::mem::take(&mut self.values).into(),
             ops: OpCounter::default(),
             firings: 0,
             cycles: self.target,

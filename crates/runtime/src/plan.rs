@@ -713,9 +713,27 @@ impl<T: Tally> PlanEngine<T> {
         &self.plan
     }
 
-    /// Values printed so far (the program's output stream).
+    /// Values printed so far (the program's output stream), less any
+    /// removed by [`Self::take_printed`].
     pub fn printed(&self) -> &[f64] {
         &self.state.printed
+    }
+
+    /// Removes and returns the first `n` printed values, keeping any
+    /// overshoot for the next call — how a resident stream hands out its
+    /// output without retaining what it has delivered. Afterwards
+    /// [`Self::printed`] and the `n` of [`Self::run_until_outputs`] count
+    /// from the first value not yet taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `n` values have been printed.
+    pub fn take_printed(&mut self, n: usize) -> Vec<f64> {
+        // Rebase the wrap marker with the buffer. Values taken from past
+        // the marker were printed in the current cycle, so the marker must
+        // not equal the rebased length at the next wrap.
+        self.printed_at_wrap = self.printed_at_wrap.checked_sub(n).unwrap_or(usize::MAX);
+        self.state.printed.drain(..n).collect()
     }
 
     /// The tally so far (use [`Tally::counts`] for the numbers; a

@@ -33,15 +33,20 @@ pub fn serve_lines(
         if line.trim().is_empty() {
             continue;
         }
-        let response = svc.handle(&line);
-        output.write_all(response.as_bytes())?;
-        output.write_all(b"\n")?;
-        output.flush()?;
+        write_response(&mut output, svc.handle(&line))?;
         if svc.is_shutdown() {
             break;
         }
     }
     Ok(())
+}
+
+/// Sends one response line as a single write: split in two, the newline
+/// of a small response waits on a TCP socket for the peer's delayed ACK.
+fn write_response(out: &mut impl Write, mut response: String) -> std::io::Result<()> {
+    response.push('\n');
+    out.write_all(response.as_bytes())?;
+    out.flush()
 }
 
 /// The stdio daemon: requests on stdin, responses on stdout (one line
@@ -107,7 +112,9 @@ const CONN_POLL: Duration = Duration::from_millis(100);
 /// otherwise `shutdown` would not terminate the daemon until every
 /// client disconnected on its own.
 fn serve_conn(svc: &Service, mut conn: TcpStream) {
-    if conn.set_read_timeout(Some(CONN_POLL)).is_err() {
+    // Responses are complete lines a client is waiting on: never hold one
+    // back to coalesce it with the next.
+    if conn.set_read_timeout(Some(CONN_POLL)).is_err() || conn.set_nodelay(true).is_err() {
         return;
     }
     let mut reader = match conn.try_clone() {
@@ -156,10 +163,7 @@ fn respond(svc: &Service, line: &str, out: &mut TcpStream) -> std::io::Result<()
     if line.is_empty() {
         return Ok(());
     }
-    let response = svc.handle(line);
-    out.write_all(response.as_bytes())?;
-    out.write_all(b"\n")?;
-    out.flush()
+    write_response(out, svc.handle(line))
 }
 
 #[cfg(test)]
@@ -185,7 +189,8 @@ mod tests {
 
     /// A shutdown on one connection terminates the whole daemon even
     /// while another connection sits idle between requests — the idle
-    /// connection's read timeout wakes it to observe the flag.
+    /// connection's read timeout wakes it to observe the flag. On the
+    /// way, sequential round trips on one connection must be prompt.
     #[test]
     fn tcp_shutdown_terminates_despite_idle_connection() {
         let svc = Arc::new(Service::new(ServiceOpts::default()));
@@ -196,13 +201,20 @@ mod tests {
             std::thread::spawn(move || serve_listener(svc, listener))
         };
 
-        // Idle connection: pings once, then just sits there.
+        // Idle connection: 50 ping round trips, then it just sits there.
+        // A response held back for a delayed ACK costs ~40 ms a trip.
         let mut idle = TcpStream::connect(addr).unwrap();
-        idle.write_all(b"{\"op\":\"ping\"}\n").unwrap();
         let mut idle_reader = BufReader::new(idle.try_clone().unwrap());
         let mut line = String::new();
-        idle_reader.read_line(&mut line).unwrap();
-        assert!(line.contains("\"pong\""), "{line}");
+        let started = std::time::Instant::now();
+        for _ in 0..50 {
+            idle.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+            line.clear();
+            idle_reader.read_line(&mut line).unwrap();
+            assert!(line.contains("\"pong\""), "{line}");
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "50 pings took {took:?}");
 
         // Second connection shuts the daemon down.
         let mut ctl = TcpStream::connect(addr).unwrap();

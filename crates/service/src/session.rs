@@ -99,6 +99,9 @@ pub trait StreamExec: Send {
     fn read(&mut self, n: usize) -> Result<ReadOut, RunError>;
     /// Values delivered so far.
     fn delivered(&self) -> usize;
+    /// Values produced but not yet delivered: all a stream retains of its
+    /// output (the overshoot of its last read), however long it lives.
+    fn buffered(&self) -> usize;
     /// Whether (and why) the stream has degraded to the single-threaded
     /// plan.
     fn degraded(&self) -> Option<&str>;
@@ -211,6 +214,10 @@ where
     }
 }
 
+/// Values a degrading stream replays (and discards) per step of its
+/// fast-forward, bounding what the replay holds at once.
+const FAST_FORWARD_PIECE: usize = 1 << 16;
+
 /// Pipeline-backed stream: resident [`PipelineSession`] until a
 /// degradable failure, then the canonical single-threaded replay.
 struct PipeExec<T: Tally + Default + Send + 'static, P: ProbeReport> {
@@ -238,8 +245,17 @@ impl<T: Tally + Default + Send + 'static, P: ProbeReport> PipeExec<T, P> {
             .canonical
             .take()
             .expect("degrade is only entered with a canonical pair");
+        // Replay in bounded pieces: the engine stops at the exact firing
+        // that crosses each goal and resumes mid-cycle, so the firing
+        // sequence is the same as one long run.
         let mut engine = PlanEngine::<T>::new(flat, plan);
-        engine.run_probed(self.handed, &mut self.probe)?;
+        let mut skip = self.handed;
+        while skip > 0 {
+            let piece = skip.min(FAST_FORWARD_PIECE);
+            engine.run_probed(piece, &mut self.probe)?;
+            drop(engine.take_printed(piece));
+            skip -= piece;
+        }
         self.fallback = Some(engine);
         self.degraded = Some(cause.to_string());
         Ok(())
@@ -247,9 +263,8 @@ impl<T: Tally + Default + Send + 'static, P: ProbeReport> PipeExec<T, P> {
 
     fn read_fallback(&mut self, n: usize) -> Result<Vec<f64>, RunError> {
         let engine = self.fallback.as_mut().expect("fallback engine present");
-        let goal = self.handed + n;
-        engine.run_probed(goal, &mut self.probe)?;
-        Ok(engine.printed()[self.handed..goal].to_vec())
+        engine.run_probed(n, &mut self.probe)?;
+        Ok(engine.take_printed(n))
     }
 }
 
@@ -266,7 +281,6 @@ impl<T: Tally + Default + Send + 'static, P: ProbeReport> StreamExec for PipeExe
         let session = self.session.as_mut().expect("live session");
         match session.read(n) {
             Ok(values) => {
-                let values = values.to_vec();
                 self.handed += n;
                 Ok(ReadOut {
                     values,
@@ -288,6 +302,14 @@ impl<T: Tally + Default + Send + 'static, P: ProbeReport> StreamExec for PipeExe
 
     fn delivered(&self) -> usize {
         self.handed
+    }
+
+    fn buffered(&self) -> usize {
+        match (&self.fallback, &self.session) {
+            (Some(engine), _) => engine.printed().len(),
+            (None, Some(s)) => s.available() - s.delivered(),
+            (None, None) => 0,
+        }
     }
 
     fn degraded(&self) -> Option<&str> {
@@ -326,10 +348,9 @@ struct PlanExec<T: Tally + Default, P: ProbeReport> {
 
 impl<T: Tally + Default + Send + 'static, P: ProbeReport> StreamExec for PlanExec<T, P> {
     fn read(&mut self, n: usize) -> Result<ReadOut, RunError> {
-        let goal = self.handed + n;
-        self.engine.run_probed(goal, &mut self.probe)?;
-        let values = self.engine.printed()[self.handed..goal].to_vec();
-        self.handed = goal;
+        self.engine.run_probed(n, &mut self.probe)?;
+        let values = self.engine.take_printed(n);
+        self.handed += n;
         Ok(ReadOut {
             values,
             just_degraded: None,
@@ -338,6 +359,10 @@ impl<T: Tally + Default + Send + 'static, P: ProbeReport> StreamExec for PlanExe
 
     fn delivered(&self) -> usize {
         self.handed
+    }
+
+    fn buffered(&self) -> usize {
+        self.engine.printed().len()
     }
 
     fn degraded(&self) -> Option<&str> {
@@ -366,10 +391,9 @@ struct DynExec<T: Tally + Default, P: ProbeReport> {
 
 impl<T: Tally + Default + Send + 'static, P: ProbeReport> StreamExec for DynExec<T, P> {
     fn read(&mut self, n: usize) -> Result<ReadOut, RunError> {
-        let goal = self.handed + n;
-        self.engine.run_probed(goal, &mut self.probe)?;
-        let values = self.engine.printed()[self.handed..goal].to_vec();
-        self.handed = goal;
+        self.engine.run_probed(n, &mut self.probe)?;
+        let values = self.engine.take_printed(n);
+        self.handed += n;
         Ok(ReadOut {
             values,
             just_degraded: None,
@@ -378,6 +402,10 @@ impl<T: Tally + Default + Send + 'static, P: ProbeReport> StreamExec for DynExec
 
     fn delivered(&self) -> usize {
         self.handed
+    }
+
+    fn buffered(&self) -> usize {
+        self.engine.printed().len()
     }
 
     fn degraded(&self) -> Option<&str> {

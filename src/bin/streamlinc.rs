@@ -22,6 +22,7 @@
 //! $ streamlinc program.str --threads 4 --fault-inject 7:panic@s1  # drill
 //! ```
 
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -233,6 +234,23 @@ fn main() -> ExitCode {
     }
 }
 
+/// Writes the program's outputs, one per line, through a single buffered
+/// lock on stdout. A reader that has gone away (`streamlinc … | head -1`)
+/// ends the run quietly: the outputs it wanted were delivered.
+fn print_outputs(values: &[f64]) -> Result<(), String> {
+    let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    let written = values
+        .iter()
+        .try_for_each(|v| writeln!(out, "{v}"))
+        .and_then(|()| out.flush());
+    match written {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to stdout: {e}"))
+        }
+        _ => Ok(()),
+    }
+}
+
 fn run(args: &Args) -> Result<(), String> {
     let source = std::fs::read_to_string(&args.path)
         .map_err(|e| format!("cannot read {}: {e}", args.path))?;
@@ -388,9 +406,7 @@ fn run(args: &Args) -> Result<(), String> {
         }
     }
     if args.quiet {
-        for v in &prof.outputs {
-            println!("{v}");
-        }
+        print_outputs(&prof.outputs)?;
     } else {
         let stats = opt.stats();
         eprintln!(

@@ -25,6 +25,25 @@ fn compiles_and_runs_the_fir_asset() {
     }
 }
 
+/// The `streamlinc … | head -1` shape: the reader is gone before the
+/// outputs are written. The run ends quietly with exit 0 — no panic, no
+/// "Broken pipe" on stderr.
+#[test]
+fn a_closed_stdout_pipe_is_a_quiet_exit() {
+    let mut child = streamlinc()
+        .args(["assets/fir.str", "-n", "4096", "--quiet"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take()); // close the read end, as an exited `head` does
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("Broken pipe"), "{stderr}");
+}
+
 #[test]
 fn all_configs_agree_on_rate_convert_asset() {
     let mut outputs = Vec::new();

@@ -15,15 +15,22 @@
 //! compared family: the compiled form of every work phase (including its
 //! fused dot-product loops) runs the same firings and must match the
 //! tree-walkers on every dimension — values, pops, tallies, state.
+//!
+//! Filter **`init` blocks** run on the bytecode tier at elaboration
+//! ([`streamlin::graph::elaborate::run_init`]); the name-based interpreter
+//! is their reference too: same post-`init` cells for every filter of the
+//! nine benchmarks, same message text for every way an `init` can fail.
 
 use std::collections::HashMap;
 
 use streamlin::benchmarks::Benchmark;
 use streamlin::core::opt::OptStream;
-use streamlin::graph::exec::{Env, Host, Interp};
+use streamlin::graph::elaborate::{elaborate, run_init};
+use streamlin::graph::exec::{const_eval_expr, Env, Host, Interp, PureHost, DEFAULT_FUEL};
 use streamlin::graph::ir::FilterInst;
 use streamlin::graph::lower::{SlotInterp, SlotStore};
 use streamlin::graph::value::{Cell, EvalError, Value};
+use streamlin::lang::ast::{Block, DataType, FilterDecl, StreamKind};
 use streamlin::runtime::measure::{profile_mode, ExecMode, Scheduler};
 use streamlin::runtime::MatMulStrategy;
 
@@ -141,10 +148,7 @@ fn run_slot_based(inst: &FilterInst, input: &[f64], count: bool) -> RunResult {
         .iter()
         .map(|n| inst.state[n].clone())
         .collect();
-    let mut frame = vec![
-        Cell::Scalar(streamlin::lang::ast::DataType::Int, Value::Int(0));
-        lowered.frame_slots()
-    ];
+    let mut frame = vec![Cell::Scalar(DataType::Int, Value::Int(0)); lowered.frame_slots()];
     let mut host = TapeHost {
         input: input.to_vec(),
         count,
@@ -182,10 +186,7 @@ fn run_bytecode(inst: &FilterInst, input: &[f64], count: bool) -> RunResult {
         .iter()
         .map(|n| inst.state[n].clone())
         .collect();
-    let mut frame = vec![
-        Cell::Scalar(streamlin::lang::ast::DataType::Int, Value::Int(0));
-        lowered.frame_slots()
-    ];
+    let mut frame = vec![Cell::Scalar(DataType::Int, Value::Int(0)); lowered.frame_slots()];
     let mut host = TapeHost {
         input: input.to_vec(),
         count,
@@ -331,6 +332,160 @@ per_filter_differential! {
     vocoder_filters_match => streamlin::benchmarks::vocoder();
     oversampler_filters_match => streamlin::benchmarks::oversampler();
     dtoa_filters_match => streamlin::benchmarks::dtoa();
+}
+
+// ---- `init` blocks ------------------------------------------------------------
+
+/// The cells a filter's `init` starts from, rebuilt the way elaboration
+/// builds them: parameters and captured constants as the instance holds
+/// them, then each field in declaration order — dimensions evaluated,
+/// zero-filled, scalar initializer applied.
+fn pre_init_cells(inst: &FilterInst, decl: &FilterDecl) -> HashMap<String, Cell> {
+    let mut cells: HashMap<String, Cell> = inst
+        .param_names
+        .iter()
+        .map(|n| (n.clone(), inst.state[n].clone()))
+        .collect();
+    for field in &decl.fields {
+        let dims = field
+            .ty
+            .dims
+            .iter()
+            .map(|d| const_eval_expr(&mut cells, d).unwrap().as_index().unwrap())
+            .collect();
+        let mut cell = Cell::zero_of(field.ty.base, dims);
+        if let (Some(init), Cell::Scalar(ty, slot)) = (&field.init, &mut cell) {
+            *slot = const_eval_expr(&mut cells, init)
+                .unwrap()
+                .coerce_to(*ty)
+                .unwrap();
+        }
+        cells.insert(field.name.clone(), cell);
+    }
+    cells
+}
+
+/// Runs an `init` block through the name-based reference interpreter.
+fn reference_init(
+    cells: &mut HashMap<String, Cell>,
+    init: &Block,
+    fuel: u64,
+) -> Result<(), EvalError> {
+    let mut host = PureHost;
+    let mut interp = Interp::new(&mut host, fuel);
+    interp.exec_block(&mut Env::new(cells), init).map(|_| ())
+}
+
+/// For every filter instance of the nine benchmarks, the cells left by
+/// the lowered/bytecode `init` — both re-run here and as elaboration
+/// stored them on the instance — equal the reference interpreter's, cell
+/// for cell.
+#[test]
+fn init_blocks_leave_the_reference_state() {
+    let mut with_init = 0;
+    for bench in streamlin::benchmarks::all_default() {
+        let mut filters = Vec::new();
+        bench
+            .graph()
+            .for_each_filter(&mut |f| filters.push(f.clone()));
+        for inst in &filters {
+            let ctx = format!("{} :: {}", bench.name(), inst.name);
+            let decl = bench
+                .program()
+                .find(&inst.decl_name)
+                .unwrap_or_else(|| panic!("{ctx}: no declaration"));
+            let StreamKind::Filter(decl) = &decl.kind else {
+                panic!("{ctx}: not a filter declaration");
+            };
+            let mut reference = pre_init_cells(inst, decl);
+            let mut lowered = reference.clone();
+            if let Some(init) = &decl.init {
+                with_init += 1;
+                reference_init(&mut reference, init, DEFAULT_FUEL)
+                    .unwrap_or_else(|e| panic!("{ctx} (reference): {}", e.message));
+                run_init(&mut lowered, init, DEFAULT_FUEL)
+                    .unwrap_or_else(|e| panic!("{ctx} (bytecode): {e}"));
+            }
+            assert_eq!(lowered, reference, "{ctx}: post-init cells diverge");
+            assert_eq!(inst.state, reference, "{ctx}: elaborated state diverges");
+        }
+    }
+    assert!(with_init >= 20, "only {with_init} filters had an `init`");
+}
+
+/// Every way an `init` can fail at run time reads the same on both
+/// engines, and elaboration reports it as ``while running `init`: …``.
+#[test]
+fn failing_init_blocks_report_the_reference_message() {
+    // (init body, fuel): the last one can only run out of fuel.
+    let cases = [
+        ("t[4] = 1.0;", DEFAULT_FUEL),
+        ("z = 1 / (z - z);", DEFAULT_FUEL),
+        ("push(1.0);", DEFAULT_FUEL),
+        ("t[0] = peek(0);", DEFAULT_FUEL),
+        (
+            "for (int i = 0; i < 8; i++) { if (i == 5) { t[i] = 1; } }",
+            DEFAULT_FUEL,
+        ),
+        ("while (z == 0) { t[0] = t[0] + 1; }", 10_000),
+    ];
+    for (body, fuel) in cases {
+        let src = format!(
+            "void->void pipeline Main {{ add S(); }}
+             void->float filter S {{
+                 float[4] t;
+                 int z;
+                 init {{ {body} }}
+                 work push 1 {{ push(t[0] + z); }}
+             }}"
+        );
+        let program = streamlin::lang::parse(&src).unwrap();
+        let StreamKind::Filter(decl) = &program.find("S").unwrap().kind else {
+            unreachable!()
+        };
+        let init = decl.init.as_ref().unwrap();
+        let mut cells = HashMap::from([
+            ("t".to_string(), Cell::zero_of(DataType::Float, vec![4])),
+            ("z".to_string(), Cell::zero_of(DataType::Int, vec![])),
+        ]);
+        let want = reference_init(&mut cells.clone(), init, fuel)
+            .expect_err("the reference fails")
+            .message;
+        let got = run_init(&mut cells, init, fuel).expect_err("the bytecode path fails");
+        assert_eq!(
+            got.message,
+            format!("while running `init`: {want}"),
+            "`{body}`"
+        );
+        if fuel == DEFAULT_FUEL {
+            let err = elaborate(&program).expect_err("elaboration fails");
+            assert_eq!(err.message, got.message, "`{body}`");
+            assert_eq!(err.context, ["Main", "S"], "`{body}`");
+        }
+    }
+}
+
+/// A name error in `init` is caught when the block is lowered, before
+/// anything runs, and carries its source position — all of them at once.
+#[test]
+fn name_errors_in_init_are_spanned_lowering_errors() {
+    let program = streamlin::lang::parse(
+        "void->void pipeline Main { add S(); }
+         void->float filter S {
+             float x;
+             init {
+                 x = nope + 1;
+                 x = frob(x);
+             }
+             work push 1 { push(x); }
+         }",
+    )
+    .unwrap();
+    let err = elaborate(&program).expect_err("elaboration fails");
+    assert_eq!(
+        err.message,
+        "in `init`: at 5:18: undefined variable `nope`; at 6:18: unknown function `frob`"
+    );
 }
 
 /// Program level: the fully interpreted configuration of every benchmark

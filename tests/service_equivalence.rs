@@ -324,6 +324,64 @@ fn interleaved_streams_stay_bit_identical() {
     assert_eq!(workers.get("in_use").and_then(Json::as_num), Some(0.0));
 }
 
+/// A resident stream retains only the overshoot of its last read, however
+/// much it has delivered: across 1 000 reads on each engine family (static
+/// plan, data-driven, two-stage pipeline) the buffer of undelivered values
+/// never grows, and what is delivered stays bit-identical to one-shot.
+#[test]
+fn resident_streams_do_not_retain_delivered_output() {
+    use streamlin::runtime::parallel::resolve_quantum;
+    use streamlin::service::cache::{fnv1a64, PlanCache, PlanKey};
+    use streamlin::service::session::build_exec;
+
+    const READS: usize = 1000;
+    const N: usize = 64;
+    let cache = PlanCache::new();
+    let cases = [
+        ("static plan", streamlin::benchmarks::fir(64), None),
+        ("data-driven", streamlin::benchmarks::dtoa(), None),
+        ("pipeline", streamlin::benchmarks::fir(64), Some(2)),
+    ];
+    for (family, bench, threads) in cases {
+        let key = PlanKey {
+            src_hash: fnv1a64(bench.source().as_bytes()),
+            config: "autosel".into(),
+            sched: Scheduler::Auto,
+            matmul: ExecMode::Fast.default_strategy(),
+            threads,
+            fission: format!("{:?}", Fission::Off),
+            quantum: resolve_quantum(0),
+        };
+        let (art, _) = cache
+            .get_or_compile(&key, bench.source(), Fission::Off)
+            .unwrap_or_else(|e| panic!("{family}: {e}"));
+        let mut exec = build_exec(&art, ExecMode::Fast, false, None, None)
+            .unwrap_or_else(|e| panic!("{family}: {e}"));
+        let mut got = Vec::with_capacity(READS * N);
+        let mut early = 0;
+        for read in 0..READS {
+            let out = exec.read(N).unwrap_or_else(|e| panic!("{family}: {e}"));
+            got.extend(out.values);
+            if read < READS / 10 {
+                early = early.max(exec.buffered());
+            } else {
+                assert!(
+                    exec.buffered() <= early,
+                    "{family}: {} values buffered after {} reads (at most {early} in the first {})",
+                    exec.buffered(),
+                    read + 1,
+                    READS / 10
+                );
+            }
+        }
+        assert_eq!(exec.delivered(), READS * N, "{family}");
+        assert!(early < 16 * N, "{family}: {early} values buffered early on");
+        let want = reference(&bench, READS * N, ExecMode::Fast, threads);
+        assert_bits_equal(family, &got, &want);
+        exec.close();
+    }
+}
+
 /// The per-stream fault drill: a seeded `die@s0` kills one stream's
 /// stage-0 worker mid-run. That stream degrades onto the canonical
 /// single-threaded plan — same values, bit for bit — while its neighbor
