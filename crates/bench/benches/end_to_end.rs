@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use streamlin_bench::{configure, Config};
-use streamlin_runtime::measure::{profile_mode, profile_threads, ExecMode, Scheduler};
+use streamlin_runtime::{ExecMode, RunSpec, Scheduler};
 
 fn bench_suite(c: &mut Criterion) {
     let mut group = c.benchmark_group("end_to_end");
@@ -36,13 +36,12 @@ fn bench_suite(c: &mut Criterion) {
                         |b, &n| {
                             b.iter(|| {
                                 black_box(
-                                    profile_mode(
-                                        black_box(&opt),
-                                        n,
-                                        mode.default_strategy(),
+                                    RunSpec {
                                         sched,
                                         mode,
-                                    )
+                                        ..RunSpec::from_env()
+                                    }
+                                    .run(black_box(&opt), n)
                                     .unwrap(),
                                 )
                             })
@@ -79,13 +78,12 @@ fn bench_kernel_paths(c: &mut Criterion) {
                     |b, &n| {
                         b.iter(|| {
                             black_box(
-                                profile_mode(
-                                    black_box(&opt),
-                                    n,
-                                    mode.default_strategy(),
+                                RunSpec {
                                     sched,
                                     mode,
-                                )
+                                    ..RunSpec::from_env()
+                                }
+                                .run(black_box(&opt), n)
                                 .unwrap(),
                             )
                         })
@@ -118,27 +116,15 @@ fn bench_pipeline_threads(c: &mut Criterion) {
                 &outputs,
                 |b, &n| {
                     b.iter(|| {
-                        let mode = ExecMode::Fast;
-                        black_box(if threads > 1 {
-                            profile_threads(
-                                black_box(&opt),
-                                n,
-                                mode.default_strategy(),
-                                Scheduler::Auto,
-                                mode,
-                                threads,
-                            )
-                            .unwrap()
-                        } else {
-                            profile_mode(
-                                black_box(&opt),
-                                n,
-                                mode.default_strategy(),
-                                Scheduler::Auto,
-                                mode,
-                            )
-                            .unwrap()
-                        })
+                        black_box(
+                            RunSpec {
+                                mode: ExecMode::Fast,
+                                threads: (threads > 1).then_some(threads),
+                                ..RunSpec::from_env()
+                            }
+                            .run(black_box(&opt), n)
+                            .unwrap(),
+                        )
                     })
                 },
             );
@@ -154,7 +140,6 @@ fn bench_pipeline_threads(c: &mut Criterion) {
 /// the threads group, single-core hosts measure protocol overhead.
 fn bench_fission(c: &mut Criterion) {
     use streamlin_runtime::fission::Fission;
-    use streamlin_runtime::measure::profile_fission;
     let mut group = c.benchmark_group("fission");
     group.sample_size(10);
     for (bench, config) in [
@@ -178,17 +163,14 @@ fn bench_fission(c: &mut Criterion) {
                 &outputs,
                 |b, &n| {
                     b.iter(|| {
-                        let mode = ExecMode::Fast;
                         black_box(
-                            profile_fission(
-                                black_box(&opt),
-                                n,
-                                mode.default_strategy(),
-                                Scheduler::Auto,
-                                mode,
-                                4,
+                            RunSpec {
+                                mode: ExecMode::Fast,
+                                threads: Some(4),
                                 fission,
-                            )
+                                ..RunSpec::from_env()
+                            }
+                            .run(black_box(&opt), n)
                             .unwrap(),
                         )
                     })

@@ -8,13 +8,10 @@
 
 use streamlin_benchmarks::Benchmark;
 use streamlin_core::combine::{analyze_graph, replace, ReplaceOptions, ReplaceTarget};
-use streamlin_core::cost::CostModel;
 use streamlin_core::frequency::FreqStrategy;
 use streamlin_core::opt::OptStream;
-use streamlin_core::select::{select, SelectOptions};
 use streamlin_fft::FftKind;
-use streamlin_runtime::measure::{profile, Profile};
-use streamlin_runtime::MatMulStrategy;
+use streamlin_runtime::{MatMulStrategy, Profile, RunSpec};
 
 /// The measured configurations of §5.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,40 +60,34 @@ impl Config {
 /// Panics if selection fails (benchmark graphs always schedule).
 pub fn configure(bench: &Benchmark, config: Config) -> OptStream {
     let analysis = analyze_graph(bench.graph());
-    let freq = |combine: bool| ReplaceOptions {
-        combine,
-        target: ReplaceTarget::Freq {
-            strategy: FreqStrategy::Optimized,
-            kind: FftKind::Tuned,
-            unit_pop_only: false,
-        },
-    };
-    match config {
-        Config::Interp => OptStream::from_graph(bench.graph()),
-        Config::Baseline => replace(bench.graph(), &analysis, &ReplaceOptions::per_filter()),
-        Config::Linear => replace(bench.graph(), &analysis, &ReplaceOptions::maximal_linear()),
-        Config::Freq => replace(bench.graph(), &analysis, &freq(true)),
-        Config::FreqNc => replace(bench.graph(), &analysis, &freq(false)),
-        Config::LinearNc => replace(bench.graph(), &analysis, &ReplaceOptions::per_filter()),
-        Config::Redund => replace(
-            bench.graph(),
-            &analysis,
-            &ReplaceOptions {
-                combine: true,
-                target: ReplaceTarget::Redund,
-            },
-        ),
-        Config::AutoSel => {
-            select(
-                bench.graph(),
-                &analysis,
-                &CostModel::default(),
-                &SelectOptions::default(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
-            .opt
+    // The five configurations every front end offers are built by the one
+    // `core::Config::apply`; the harness adds the fully interpreted row
+    // and Figure 5-4's two no-combination rows.
+    let shared = match config {
+        Config::Baseline => streamlin_core::Config::Baseline,
+        Config::Linear => streamlin_core::Config::Linear,
+        Config::Freq => streamlin_core::Config::Freq,
+        Config::Redund => streamlin_core::Config::Redund,
+        Config::AutoSel => streamlin_core::Config::AutoSel,
+        Config::Interp => return OptStream::from_graph(bench.graph()),
+        Config::LinearNc => {
+            return replace(bench.graph(), &analysis, &ReplaceOptions::per_filter())
         }
-    }
+        Config::FreqNc => {
+            let per_filter_freq = ReplaceOptions {
+                combine: false,
+                target: ReplaceTarget::Freq {
+                    strategy: FreqStrategy::Optimized,
+                    kind: FftKind::Tuned,
+                    unit_pop_only: false,
+                },
+            };
+            return replace(bench.graph(), &analysis, &per_filter_freq);
+        }
+    };
+    shared
+        .apply(bench.graph(), &analysis)
+        .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
 }
 
 /// Profiles a benchmark under a configuration.
@@ -120,8 +111,12 @@ pub fn run_with_strategy(
     strategy: MatMulStrategy,
 ) -> Profile {
     let opt = configure(bench, config);
-    profile(&opt, outputs, strategy)
-        .unwrap_or_else(|e| panic!("{} [{}]: {e}", bench.name(), config.label()))
+    RunSpec {
+        matmul: Some(strategy),
+        ..RunSpec::from_env()
+    }
+    .run(&opt, outputs)
+    .unwrap_or_else(|e| panic!("{} [{}]: {e}", bench.name(), config.label()))
 }
 
 /// Percentage removed: `(1 − after/before)·100` (negative = increase),

@@ -21,7 +21,8 @@
 //! [`combine`] drives whole-graph replacement (maximal linear replacement,
 //! per-filter "(nc)" replacement, maximal frequency replacement), producing
 //! an optimized stream ([`opt::OptStream`]) that `streamlin-runtime`
-//! executes. [`reference`] holds a small channel-accurate simulator of
+//! executes; [`config::Config`] names the five configurations every front
+//! end offers. [`reference`] holds a small channel-accurate simulator of
 //! linear-node structures used as the correctness oracle in tests.
 //!
 //! # Examples
@@ -43,6 +44,7 @@
 //! ```
 
 pub mod combine;
+pub mod config;
 pub mod cost;
 pub mod expand;
 pub mod extract;
@@ -57,5 +59,6 @@ pub mod splitjoin;
 pub mod state_space;
 
 pub use combine::{analyze_graph, LinearAnalysis};
+pub use config::Config;
 pub use node::LinearNode;
 pub use opt::OptStream;

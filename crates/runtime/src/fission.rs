@@ -93,14 +93,13 @@
 use streamlin_core::cost::CostModel;
 use streamlin_core::frequency::{FreqExec, FreqStrategy};
 use streamlin_graph::StateEffect;
-use streamlin_support::FaultPlan;
 
 use crate::flat::{FlatGraph, FlatNode, InterpState, NodeKind};
 use crate::linear_exec::LinearExec;
 use crate::plan::ExecPlan;
 
-/// How much fission the profiler applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How much fission a run applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Fission {
     /// No fission (the default).
     #[default]
@@ -418,11 +417,10 @@ fn choose_width(requested: usize, q: u64, quantum: u64) -> Option<(usize, u64)> 
 /// graph. Returns the rewritten graph (recompile its plan before
 /// executing) and a description of the decision.
 ///
-/// Generic over a [`FaultPlan`] so the supervisor's fault matrix can
-/// exercise the "fission refused" path deterministically: an armed plan
-/// with a `nofission` directive aborts the pass up front (the graph then
-/// runs unfissed, exactly like any organic refusal). Production callers
-/// pass [`streamlin_support::NoFault`] and the check compiles away.
+/// The fault matrix's `nofission` drill never reaches this pass: a run
+/// spec whose fault plan carries the directive normalises to
+/// [`Fission::Off`] (see [`crate::spec::RunSpec::plan`]), so the graph
+/// runs unfissed exactly like any organic refusal.
 ///
 /// # Errors
 ///
@@ -430,20 +428,14 @@ fn choose_width(requested: usize, q: u64, quantum: u64) -> Option<(usize, u64)> 
 /// dominant node is not duplicable ([`fissability`]), no feasible width
 /// exists, or (in [`Fission::Auto`]) the cost model says splitting would
 /// not help the requested thread count.
-pub fn fiss_bottleneck<F: FaultPlan>(
+pub fn fiss_bottleneck(
     flat: &FlatGraph,
     plan: &ExecPlan,
     mode: Fission,
     threads: usize,
     model: &CostModel,
-    fault: &F,
     quantum: u64,
 ) -> Result<(FlatGraph, FissionInfo), String> {
-    if F::ARMED {
-        if let Some(reason) = fault.fission_abort() {
-            return Err(reason);
-        }
-    }
     let requested = match mode {
         Fission::Off => return Err("fission off".into()),
         Fission::Width(w) if w <= 1 => return Err("fission width 1 is a no-op".into()),
@@ -754,7 +746,6 @@ mod tests {
             Fission::Width(2),
             2,
             &CostModel::default(),
-            &streamlin_support::NoFault,
             crate::parallel::CYCLE_QUANTUM,
         )
         .unwrap();

@@ -1,6 +1,5 @@
 //! Lowering an optimized stream to a flat node/channel graph.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use streamlin_core::frequency::FreqExec;
@@ -29,41 +28,21 @@ impl std::fmt::Display for FlattenError {
 
 impl std::error::Error for FlattenError {}
 
-/// Process-wide switch for certified tape-check elision (default on;
-/// the `STREAMLIN_NO_CERT` environment variable or [`set_cert_elision`]
-/// turns it off). Read once per [`InterpState`] construction, so a node
-/// never changes discipline mid-run.
-static CERT_ELISION: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the certified unchecked-tape fast path for
-/// subsequently built interpreter nodes. Benchmarks use this to measure
-/// the cost of per-access checking in-process; results are bit-identical
-/// either way (that is what the certificate proves).
-pub fn set_cert_elision(on: bool) {
-    CERT_ELISION.store(on, Ordering::Relaxed);
-}
-
-fn cert_elision_enabled() -> bool {
-    CERT_ELISION.load(Ordering::Relaxed) && std::env::var_os("STREAMLIN_NO_CERT").is_none()
-}
-
-/// Process-wide switch for the linear bytecode execution tier (default
-/// on; the `STREAMLIN_NO_BYTECODE` environment variable or
-/// [`set_bytecode_tier`] turns it off, dropping interpreted firings back
-/// to the tree-walking reference). Read once per [`InterpState`]
-/// construction, so a node never changes tier mid-run.
-static BYTECODE_TIER: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables the bytecode tier for subsequently built
-/// interpreter nodes. The differential suites and benchmarks use this to
-/// compare against the tree-walker in-process; outputs, prints and
-/// operation tallies are bit-identical either way.
-pub fn set_bytecode_tier(on: bool) {
-    BYTECODE_TIER.store(on, Ordering::Relaxed);
-}
-
-fn bytecode_enabled() -> bool {
-    BYTECODE_TIER.load(Ordering::Relaxed) && std::env::var_os("STREAMLIN_NO_BYTECODE").is_none()
+/// Which evaluator runs interpreted work functions.
+///
+/// Both tiers execute the same slot-resolved filter and are pinned
+/// bit-identical (outputs, prints, operation tallies) by
+/// `tests/interp_differential.rs`; the choice is a field of the run's
+/// [`crate::spec::PlanSpec`], sampled into every [`InterpState`] when the
+/// graph is built, so a node never changes tier mid-run and two graphs in
+/// one process can run on different tiers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Tier {
+    /// The compiled linear bytecode (`lowered.*.code`). The default.
+    #[default]
+    Bytecode,
+    /// The tree-walking reference evaluator over the resolved body.
+    TreeWalk,
 }
 
 /// Mutable interpreter state of an original filter instance. Storage is
@@ -86,22 +65,23 @@ pub struct InterpState {
     /// True until the first firing has happened (selects `initWork`).
     pub first: bool,
     /// The work phase holds a [`streamlin_graph::analyze::RateCert`] and
-    /// elision is enabled: firings skip per-access tape checks and
+    /// the run asked for elision: firings skip per-access tape checks and
     /// post-firing rate validation.
     pub work_certified: bool,
     /// Same for the first-firing phase.
     pub init_certified: bool,
     /// Firings execute the compiled bytecode (`lowered.*.code`) instead
-    /// of tree-walking the resolved body. Sampled once at construction
-    /// from [`set_bytecode_tier`] / `STREAMLIN_NO_BYTECODE`.
+    /// of tree-walking the resolved body ([`Tier::Bytecode`]).
     pub use_bytecode: bool,
 }
 
 impl InterpState {
     /// Instantiates runtime storage for a filter from its elaborated
     /// initial state (one deep copy per instantiation — the graph hands
-    /// out `Rc`s, the runtime needs thread-shareable nodes).
-    pub fn new(inst: &FilterInst) -> Self {
+    /// out `Rc`s, the runtime needs thread-shareable nodes). `cert`
+    /// enables the certified unchecked-tape path for phases that hold a
+    /// certificate; without it every access is checked.
+    pub fn new(inst: &FilterInst, tier: Tier, cert: bool) -> Self {
         let globals = inst
             .lowered
             .globals
@@ -114,10 +94,9 @@ impl InterpState {
             })
             .collect();
         let frame = vec![Cell::Scalar(DataType::Int, Value::Int(0)); inst.lowered.frame_slots()];
-        let elide = cert_elision_enabled();
         InterpState {
-            work_certified: elide && inst.facts.work.cert.is_some(),
-            init_certified: elide
+            work_certified: cert && inst.facts.work.cert.is_some(),
+            init_certified: cert
                 && inst
                     .facts
                     .init_work
@@ -127,7 +106,7 @@ impl InterpState {
             globals,
             frame,
             first: true,
-            use_bytecode: bytecode_enabled(),
+            use_bytecode: tier == Tier::Bytecode,
         }
     }
 }
@@ -220,19 +199,37 @@ pub struct FlatGraph {
     pub initial: Vec<(usize, Vec<f64>)>,
 }
 
-/// Flattens an optimized stream.
+/// Flattens an optimized stream on the default interpreter tier
+/// ([`Tier::Bytecode`], certified tape elision on).
+///
+/// # Errors
+///
+/// As [`flatten_with`].
+pub fn flatten(opt: &OptStream, strategy: MatMulStrategy) -> Result<FlatGraph, FlattenError> {
+    flatten_with(opt, strategy, Tier::default(), true)
+}
+
+/// Flattens an optimized stream, building every interpreted node on
+/// `tier` with certified tape elision per `cert`.
 ///
 /// # Errors
 ///
 /// Fails if the stream is not closed (the top level must consume and
 /// produce nothing, like StreamIt's `void->void` programs) or if the
 /// structure is malformed.
-pub fn flatten(opt: &OptStream, strategy: MatMulStrategy) -> Result<FlatGraph, FlattenError> {
+pub fn flatten_with(
+    opt: &OptStream,
+    strategy: MatMulStrategy,
+    tier: Tier,
+    cert: bool,
+) -> Result<FlatGraph, FlattenError> {
     let mut b = Builder {
         nodes: Vec::new(),
         num_channels: 0,
         initial: Vec::new(),
         strategy,
+        tier,
+        cert,
     };
     let out = b.build(opt, None)?;
     if out.is_some() {
@@ -253,6 +250,8 @@ struct Builder {
     num_channels: usize,
     initial: Vec<(usize, Vec<f64>)>,
     strategy: MatMulStrategy,
+    tier: Tier,
+    cert: bool,
 }
 
 impl Builder {
@@ -296,8 +295,9 @@ impl Builder {
                 let out = (inst.work.push > 0
                     || inst.init_work.as_ref().is_some_and(|w| w.push > 0))
                 .then(|| self.chan());
-                let kind = compile_peephole(inst)
-                    .unwrap_or_else(|| NodeKind::Interp(InterpState::new(inst)));
+                let kind = compile_peephole(inst).unwrap_or_else(|| {
+                    NodeKind::Interp(InterpState::new(inst, self.tier, self.cert))
+                });
                 self.add_node(
                     inst.name.clone(),
                     kind,

@@ -40,7 +40,7 @@
 //!   loops.
 //!
 //! On top of the static plan sits the **pipeline-parallel executor**
-//! ([`measure::profile_threads`], `streamlinc --threads N`): [`partition`]
+//! ([`spec::RunSpec::threads`], `streamlinc --threads N`): [`partition`]
 //! cuts the planned graph into cost-balanced contiguous stages and
 //! [`parallel`] runs each stage's slice of the schedule on its own
 //! pooled worker thread ([`pool`] keeps the threads across runs), handing
@@ -51,7 +51,7 @@
 //!
 //! When the cost model's dominant node is stateless or a linear/frequency
 //! kernel, **data-parallel fission** ([`fission`],
-//! [`measure::profile_fission`], `streamlinc --fission auto|off|N`)
+//! [`spec::RunSpec::fission`], `streamlinc --fission auto|off|N`)
 //! rewrites the flat graph to `W` round-robin duplicates behind a
 //! synthesized splitter/joiner pair before partitioning, so a graph
 //! dominated by one node can still use every stage — with the same
@@ -65,7 +65,7 @@
 //! [`streamlin_support::Probe`] on the same zero-cost pattern as the
 //! tally: production runs instantiate [`streamlin_support::NoProbe`]
 //! (every record site compiles away — bit-identical outputs, unchanged
-//! throughput), while [`measure::profile_recorded`] instantiates
+//! throughput), while [`spec::RunSpec::run_recorded`] instantiates
 //! [`streamlin_support::Recorder`] and captures compile-phase spans,
 //! per-stage busy/stall time, ring occupancy high-water marks and
 //! full/empty stall counts, coordinator quantum waits, and per-node
@@ -73,11 +73,17 @@
 //! (`streamlinc --metrics`) or a Chrome trace-event timeline
 //! (`--trace-out`, validated by [`telemetry::validate_trace`]).
 //!
+//! One value, [`spec::RunSpec`], says how a program is compiled and run;
+//! [`session`] is the spine it drives: [`session::compile`] (flatten →
+//! plan → fission → partition) sees only the spec's [`spec::PlanSpec`],
+//! [`session::open`] starts a resident [`session::Session`] on the
+//! result, and a one-shot run is *open, read n, close*.
+//!
 //! # Examples
 //!
 //! ```
 //! use streamlin_core::opt::OptStream;
-//! use streamlin_runtime::measure::profile;
+//! use streamlin_runtime::RunSpec;
 //!
 //! let p = streamlin_lang::parse(
 //!     "void->void pipeline Main { add S(); add K(); }
@@ -87,7 +93,7 @@
 //! .unwrap();
 //! let g = streamlin_graph::elaborate(&p).unwrap();
 //! let opt = OptStream::from_graph(&g);
-//! let prof = profile(&opt, 5, Default::default()).unwrap();
+//! let prof = RunSpec::default().run(&opt, 5).unwrap();
 //! assert_eq!(prof.outputs, vec![0.0, 2.0, 4.0, 6.0, 8.0]);
 //! ```
 
@@ -101,21 +107,17 @@ pub mod partition;
 pub mod plan;
 pub mod pool;
 pub mod ring;
+pub mod session;
+pub mod spec;
 pub mod telemetry;
 
 pub use engine::{Engine, RunError};
 pub use fission::{fiss_bottleneck, fissability, Fission, FissionInfo};
-pub use flat::{set_bytecode_tier, set_cert_elision};
 pub use linear_exec::MatMulStrategy;
-pub use measure::{
-    profile, profile_fission, profile_mode, profile_recorded, profile_sched, profile_supervised,
-    profile_threads, ExecMode, Profile, Scheduler, Supervision,
-};
-pub use parallel::{
-    parse_quantum, resolve_quantum, resolve_quantum_checked, run_pipeline, run_pipeline_probed,
-    run_pipeline_quantized, run_pipeline_supervised, PipelineOutcome, PipelineSession,
-    CYCLE_QUANTUM,
-};
+pub use measure::{ExecMode, Profile, ProfileError, Scheduler};
+pub use parallel::{PipelineOutcome, PipelineSession, CYCLE_QUANTUM};
 pub use partition::{partition, Partition};
 pub use plan::{ExecPlan, PlanEngine, PlanError};
+pub use session::{compile, compile_source, front_end, open, Compiled, Session};
+pub use spec::{ExecSpec, PlanSpec, RunSpec, Tier, KNOBS};
 pub use telemetry::{validate_trace, TraceShape};

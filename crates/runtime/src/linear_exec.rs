@@ -51,6 +51,14 @@ pub enum MatMulStrategy {
 }
 
 impl MatMulStrategy {
+    /// Every strategy.
+    pub const ALL: [MatMulStrategy; 4] = [
+        MatMulStrategy::Unrolled,
+        MatMulStrategy::Diagonal,
+        MatMulStrategy::Blocked,
+        MatMulStrategy::Simd,
+    ];
+
     /// Short label used in tables, bench ids and the CLI.
     pub fn label(self) -> &'static str {
         match self {

@@ -1,22 +1,18 @@
-//! Profiling: one call from an optimized stream to measured results.
+//! Measured results of a run ([`crate::spec::RunSpec::run`]).
 //!
 //! Mirrors the paper's measurement methodology (§5.1): programs run for a
 //! fixed number of outputs; floating-point operations and multiplications
 //! are counted over the whole run and normalized per output, and wall-clock
 //! time is recorded alongside.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use streamlin_core::opt::OptStream;
-use streamlin_support::{
-    FaultPlan, InjectFaults, NoCount, NoFault, NoProbe, OpCounter, Probe, Recorder, Tally,
-};
+use streamlin_support::OpCounter;
 
-use crate::engine::{Engine, RunError};
-use crate::fission::{self, Fission};
-use crate::flat::{flatten, FlatGraph, FlattenError};
+use crate::engine::RunError;
+use crate::flat::FlattenError;
 use crate::linear_exec::MatMulStrategy;
-use crate::plan::{self, ExecPlan, PlanEngine, PlanError};
+use crate::plan::PlanError;
 
 /// Which scheduler executes the flattened graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -32,6 +28,9 @@ pub enum Scheduler {
 }
 
 impl Scheduler {
+    /// Every scheduler choice.
+    pub const ALL: [Scheduler; 3] = [Scheduler::Auto, Scheduler::Static, Scheduler::Dynamic];
+
     /// Short label used in tables and CLI output.
     pub fn label(self) -> &'static str {
         match self {
@@ -47,7 +46,8 @@ impl Scheduler {
 /// The paper's experiments (§5.1) count every floating-point instruction;
 /// our runtime reproduces that with [`OpCounter`]. Production execution
 /// should not carry that tax, so the kernels are generic over
-/// [`Tally`] and the profiler monomorphizes the whole engine twice:
+/// [`streamlin_support::Tally`] and a session monomorphizes the whole
+/// engine twice:
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// Count every floating-point operation ([`streamlin_support::CountOps`]).
@@ -62,6 +62,9 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
+    /// Both modes.
+    pub const ALL: [ExecMode; 2] = [ExecMode::Measured, ExecMode::Fast];
+
     /// Short label used in tables and CLI output.
     pub fn label(self) -> &'static str {
         match self {
@@ -106,9 +109,9 @@ pub struct Profile {
     /// Data-parallel fission width that was applied to the dominant node
     /// (1 = the graph ran unfissed; see [`crate::fission`]).
     pub fission: usize,
-    /// `Some(reason)` when the supervised pipeline run failed with a
-    /// degradable error ([`RunError::is_degradable`]) and the results
-    /// came from the graceful single-threaded replay instead; `None` for
+    /// `Some(reason)` when the pipeline run failed with a degradable
+    /// error ([`RunError::is_degradable`]) and the results came from the
+    /// session's single-threaded replay instead; `None` for
     /// a run that completed on its intended executor. The outputs of a
     /// degraded run are bit-identical to the undegraded ones — the replay
     /// runs the canonical static plan, which every executor is pinned
@@ -176,624 +179,6 @@ impl From<PlanError> for ProfileError {
     }
 }
 
-/// Runs an optimized stream until it produces `outputs` values and
-/// returns the measurements, under the default scheduler
-/// ([`Scheduler::Auto`]: the compiled static plan, with the data-driven
-/// engine as fallback for unplannable graphs).
-///
-/// # Errors
-///
-/// Propagates flattening and execution errors.
-pub fn profile(
-    opt: &OptStream,
-    outputs: usize,
-    strategy: MatMulStrategy,
-) -> Result<Profile, ProfileError> {
-    profile_sched(opt, outputs, strategy, Scheduler::Auto)
-}
-
-/// [`profile`] with an explicit scheduler choice.
-///
-/// # Errors
-///
-/// Propagates flattening and execution errors; additionally
-/// [`ProfileError::Plan`] when [`Scheduler::Static`] is requested for a
-/// graph with no static schedule (e.g. a feedback loop).
-pub fn profile_sched(
-    opt: &OptStream,
-    outputs: usize,
-    strategy: MatMulStrategy,
-    sched: Scheduler,
-) -> Result<Profile, ProfileError> {
-    profile_mode(opt, outputs, strategy, sched, ExecMode::Measured)
-}
-
-/// [`profile_sched`] with an explicit execution mode: [`ExecMode::Fast`]
-/// runs the identical schedule and kernels monomorphized over the
-/// zero-sized [`NoCount`] tally — same outputs bit for bit, no
-/// instruction accounting, vectorizable hot loops.
-///
-/// # Errors
-///
-/// As [`profile_sched`].
-pub fn profile_mode(
-    opt: &OptStream,
-    outputs: usize,
-    strategy: MatMulStrategy,
-    sched: Scheduler,
-    mode: ExecMode,
-) -> Result<Profile, ProfileError> {
-    match mode {
-        ExecMode::Measured => profile_with::<OpCounter, NoProbe, NoFault>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            None,
-            Fission::Off,
-            NoFault,
-            &Supervision::disabled(),
-            &mut NoProbe,
-        ),
-        ExecMode::Fast => profile_with::<NoCount, NoProbe, NoFault>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            None,
-            Fission::Off,
-            NoFault,
-            &Supervision::disabled(),
-            &mut NoProbe,
-        ),
-    }
-}
-
-/// [`profile_mode`] on the **pipeline-parallel executor**: the static
-/// plan is cut into at most `threads` cost-balanced stages
-/// ([`crate::partition`]) and each stage runs its slice of the schedule on
-/// its own worker thread ([`crate::parallel`]). Printed outputs are
-/// bit-identical to the single-threaded static plan for every thread
-/// count; tallies and firing counts are identical across thread counts
-/// (runs are quantized to whole steady cycles — `threads == 1` uses the
-/// same quantization, so the thread sweep is exactly comparable).
-///
-/// Graphs without a static plan (feedback loops) fall back to the
-/// single-threaded data-driven engine under [`Scheduler::Auto`], exactly
-/// like [`profile_mode`].
-///
-/// # Errors
-///
-/// As [`profile_sched`].
-pub fn profile_threads(
-    opt: &OptStream,
-    outputs: usize,
-    strategy: MatMulStrategy,
-    sched: Scheduler,
-    mode: ExecMode,
-    threads: usize,
-) -> Result<Profile, ProfileError> {
-    profile_fission(opt, outputs, strategy, sched, mode, threads, Fission::Off)
-}
-
-/// [`profile_threads`] with **data-parallel fission** of the dominant
-/// node ([`crate::fission`]): when the cost model's most expensive node
-/// is stateless or a linear/frequency kernel, the flat graph is rewritten
-/// to `W` round-robin duplicates behind a synthesized splitter/joiner
-/// pair, the plan is recompiled, and the partitioned pipeline runs the
-/// fissed graph. Printed outputs stay bit-identical to the unfissed
-/// static plan and tallies/firing counts are invariant across fission
-/// widths (including width 1 — see the fission module's determinism
-/// contract). Graphs whose dominant node is not safely duplicable run
-/// unfissed; `Profile::fission` records what actually happened.
-///
-/// # Errors
-///
-/// As [`profile_sched`].
-pub fn profile_fission(
-    opt: &OptStream,
-    outputs: usize,
-    strategy: MatMulStrategy,
-    sched: Scheduler,
-    mode: ExecMode,
-    threads: usize,
-    fission: Fission,
-) -> Result<Profile, ProfileError> {
-    match mode {
-        ExecMode::Measured => profile_with::<OpCounter, NoProbe, NoFault>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            Some(threads),
-            fission,
-            NoFault,
-            &Supervision::disabled(),
-            &mut NoProbe,
-        ),
-        ExecMode::Fast => profile_with::<NoCount, NoProbe, NoFault>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            Some(threads),
-            fission,
-            NoFault,
-            &Supervision::disabled(),
-            &mut NoProbe,
-        ),
-    }
-}
-
-/// The **instrumented** profiler: the same execution as the other
-/// `profile_*` entry points (same schedules, same kernels, bit-identical
-/// outputs — pinned by `tests/telemetry_equivalence.rs`), with every
-/// compile phase, firing batch, stall and ring-occupancy sample recorded
-/// into `rec`. `threads: None` selects the classic single-threaded
-/// engine, exactly like [`profile_mode`]; `Some(n)` the pipeline
-/// executor, exactly like [`profile_fission`].
-///
-/// The recorder also collects the run's *decision notes* — fission
-/// engagement or refusal reason, partition shape, schedule summary, pool
-/// acquisition — which the CLI prints under `--emit-graph` and exports
-/// as trace instants under `--trace-out`.
-///
-/// # Errors
-///
-/// As [`profile_sched`].
-#[allow(clippy::too_many_arguments)]
-pub fn profile_recorded(
-    opt: &OptStream,
-    outputs: usize,
-    strategy: MatMulStrategy,
-    sched: Scheduler,
-    mode: ExecMode,
-    threads: Option<usize>,
-    fission: Fission,
-    rec: &mut Recorder,
-) -> Result<Profile, ProfileError> {
-    match mode {
-        ExecMode::Measured => profile_with::<OpCounter, Recorder, NoFault>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            threads,
-            fission,
-            NoFault,
-            &Supervision::disabled(),
-            rec,
-        ),
-        ExecMode::Fast => profile_with::<NoCount, Recorder, NoFault>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            threads,
-            fission,
-            NoFault,
-            &Supervision::disabled(),
-            rec,
-        ),
-    }
-}
-
-/// Supervisor configuration for [`profile_supervised`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Supervision {
-    /// Wall-clock no-progress deadline for the pipeline watchdog. `None`
-    /// leaves the blocking coordinator in place (armed fault plans still
-    /// get a built-in deadline so injection can never hang a run).
-    pub watchdog: Option<Duration>,
-    /// When a supervised pipeline run fails with a *degradable* error
-    /// ([`RunError::is_degradable`]: a stall or a lost worker — never a
-    /// program error, which would just recur), re-execute on the
-    /// single-threaded static plan and report success with
-    /// [`Profile::degraded`] set.
-    pub fallback: bool,
-    /// Cycle quantum of the pipeline pacing protocol, in original steady
-    /// cycles. `0` (the default) resolves through
-    /// [`crate::parallel::resolve_quantum`]: the
-    /// `STREAMLIN_CYCLE_QUANTUM` environment variable when set, else
-    /// [`crate::parallel::CYCLE_QUANTUM`]. Also bounds fission's cycle
-    /// expansion (the scale must divide the quantum).
-    pub quantum: u64,
-}
-
-impl Supervision {
-    /// No watchdog, no fallback, default quantum: the exact behavior of
-    /// the unsupervised entry points.
-    pub const fn disabled() -> Self {
-        Supervision {
-            watchdog: None,
-            fallback: false,
-            quantum: 0,
-        }
-    }
-}
-
-/// The **supervised** profiler: [`profile_recorded`]'s execution matrix
-/// (tally × probe), extended with a fault-injection plan and a
-/// supervisor policy. This is the entry `streamlinc` routes every run
-/// through: with `fault: None` and `sup` disabled it monomorphizes to
-/// exactly the unsupervised profiler ([`NoFault`]'s injection sites and
-/// the supervision branches compile away).
-///
-/// An armed `fault` drives the deterministic injection sites threaded
-/// through the pipeline executor, the worker pool and the fission pass
-/// (see [`streamlin_support::fault`] for the spec grammar); `sup`
-/// controls the watchdog deadline and whether degradable failures are
-/// replayed on the single-threaded static plan. Fault sites live in the
-/// parallel executor — single-threaded runs (no static plan, or
-/// `threads: None`) execute unfaulted.
-///
-/// # Errors
-///
-/// As [`profile_sched`]; additionally surfaces
-/// [`RunError::Stalled`]/[`RunError::WorkerLost`] from the supervisor
-/// when fallback is off (or the fallback itself fails).
-#[allow(clippy::too_many_arguments)]
-pub fn profile_supervised(
-    opt: &OptStream,
-    outputs: usize,
-    strategy: MatMulStrategy,
-    sched: Scheduler,
-    mode: ExecMode,
-    threads: Option<usize>,
-    fission: Fission,
-    sup: &Supervision,
-    fault: Option<&InjectFaults>,
-    rec: Option<&mut Recorder>,
-) -> Result<Profile, ProfileError> {
-    // 2 tallies × 2 probes × 2 fault plans, monomorphized: the fork of
-    // an `InjectFaults` shares its refusal budget with the caller's copy.
-    match (mode, rec, fault) {
-        (ExecMode::Measured, Some(rec), Some(f)) => profile_with::<OpCounter, Recorder, _>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            threads,
-            fission,
-            f.fork(),
-            sup,
-            rec,
-        ),
-        (ExecMode::Measured, Some(rec), None) => profile_with::<OpCounter, Recorder, NoFault>(
-            opt, outputs, strategy, sched, mode, threads, fission, NoFault, sup, rec,
-        ),
-        (ExecMode::Measured, None, Some(f)) => profile_with::<OpCounter, NoProbe, _>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            threads,
-            fission,
-            f.fork(),
-            sup,
-            &mut NoProbe,
-        ),
-        (ExecMode::Measured, None, None) => profile_with::<OpCounter, NoProbe, NoFault>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            threads,
-            fission,
-            NoFault,
-            sup,
-            &mut NoProbe,
-        ),
-        (ExecMode::Fast, Some(rec), Some(f)) => profile_with::<NoCount, Recorder, _>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            threads,
-            fission,
-            f.fork(),
-            sup,
-            rec,
-        ),
-        (ExecMode::Fast, Some(rec), None) => profile_with::<NoCount, Recorder, NoFault>(
-            opt, outputs, strategy, sched, mode, threads, fission, NoFault, sup, rec,
-        ),
-        (ExecMode::Fast, None, Some(f)) => profile_with::<NoCount, NoProbe, _>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            threads,
-            fission,
-            f.fork(),
-            sup,
-            &mut NoProbe,
-        ),
-        (ExecMode::Fast, None, None) => profile_with::<NoCount, NoProbe, NoFault>(
-            opt,
-            outputs,
-            strategy,
-            sched,
-            mode,
-            threads,
-            fission,
-            NoFault,
-            sup,
-            &mut NoProbe,
-        ),
-    }
-}
-
-/// Applies the fission pass to a planned graph, recompiling the plan.
-/// Returns the graph to execute, its plan, the cycle scale and the width.
-/// The decision — engagement summary or refusal reason — is recorded as a
-/// `fission` note on the probe, so instrumented runs surface *why* the
-/// pass did or did not fire.
-fn apply_fission<P: Probe, F: FaultPlan>(
-    flat: FlatGraph,
-    plan: ExecPlan,
-    fission: Fission,
-    threads: usize,
-    probe: &mut P,
-    fault: &F,
-    quantum: u64,
-) -> (FlatGraph, ExecPlan, u64, usize) {
-    if fission == Fission::Off {
-        probe.note("fission", "off");
-        return (flat, plan, 1, 1);
-    }
-    let t0 = probe.now();
-    let model = streamlin_core::cost::CostModel::default();
-    match fission::fiss_bottleneck(&flat, &plan, fission, threads, &model, fault, quantum) {
-        Ok((fissed, info)) => match plan::compile(&fissed) {
-            Ok(p2) => {
-                if P::ENABLED {
-                    probe.phase("fission", t0);
-                    probe.note("fission", &info.summary());
-                }
-                (fissed, p2, info.scale, info.width)
-            }
-            // A fissed graph that exceeds plan bounds falls back whole.
-            Err(e) => {
-                if P::ENABLED {
-                    probe.note(
-                        "fission",
-                        &format!(
-                            "none ({} planned, but its schedule failed: {e})",
-                            info.summary()
-                        ),
-                    );
-                }
-                (flat, plan, 1, 1)
-            }
-        },
-        Err(reason) => {
-            if P::ENABLED {
-                probe.note("fission", &format!("none ({reason})"));
-            }
-            (flat, plan, 1, 1)
-        }
-    }
-}
-
-/// The profiler body, monomorphized per tally and probe. `threads:
-/// Some(n)` selects the pipeline executor over the planned graph; `None`
-/// the classic single-threaded [`PlanEngine`]. With [`NoProbe`] every
-/// record site compiles away; an enabled probe collects compile-phase
-/// spans (flatten/plan/fission/partition), node names and cost-model
-/// predictions for the graph that actually executes, and the engines'
-/// runtime telemetry.
-#[allow(clippy::too_many_arguments)]
-fn profile_with<T: Tally + Default + Send + 'static, P: Probe + Send + 'static, F: FaultPlan>(
-    opt: &OptStream,
-    outputs: usize,
-    strategy: MatMulStrategy,
-    sched: Scheduler,
-    mode: ExecMode,
-    threads: Option<usize>,
-    fission: Fission,
-    fault: F,
-    sup: &Supervision,
-    probe: &mut P,
-) -> Result<Profile, ProfileError> {
-    let t0 = probe.now();
-    let flat = flatten(opt, strategy)?;
-    if P::ENABLED {
-        probe.phase("flatten", t0);
-    }
-    let t0 = probe.now();
-    let compiled = match sched {
-        Scheduler::Dynamic => None,
-        Scheduler::Static => Some(plan::compile(&flat)?),
-        // `has_feedback` is a cheap structural pre-check; the compiler
-        // still validates everything else (rates, bounds).
-        Scheduler::Auto if opt.has_feedback() => None,
-        Scheduler::Auto => plan::compile(&flat).ok(),
-    };
-    if P::ENABLED {
-        probe.phase("plan", t0);
-    }
-    // Canonical single-threaded source for graceful degradation: the
-    // pre-fission graph and plan, retained only when a supervised
-    // pipeline run could need to replay on them.
-    let fallback_src: Option<(FlatGraph, ExecPlan)> = match (&compiled, threads) {
-        (Some(p), Some(_)) if sup.fallback => Some((flat.clone(), p.clone())),
-        _ => None,
-    };
-    // Fission rewrites the flat graph; under `Scheduler::Dynamic` the
-    // plan is still compiled (when possible) purely to drive the fission
-    // decision, and the fissed graph then runs data-driven — the fuzz
-    // suite differentially checks that path too.
-    let quantum = crate::parallel::resolve_quantum(sup.quantum);
-    let (flat, compiled, scale, width) = match (compiled, sched) {
-        (Some(plan), _) => {
-            let (f, p, s, w) = apply_fission(
-                flat,
-                plan,
-                fission,
-                threads.unwrap_or(1),
-                probe,
-                &fault,
-                quantum,
-            );
-            (f, Some(p), s, w)
-        }
-        (None, Scheduler::Dynamic) if fission != Fission::Off => match plan::compile(&flat) {
-            Ok(plan) => {
-                let (f, _, s, w) = apply_fission(
-                    flat,
-                    plan,
-                    fission,
-                    threads.unwrap_or(1),
-                    probe,
-                    &fault,
-                    quantum,
-                );
-                (f, None, s, w)
-            }
-            Err(_) => (flat, None, 1, 1),
-        },
-        (None, _) => (flat, None, 1, 1),
-    };
-    if P::ENABLED {
-        // Name the nodes of the graph that actually executes (including
-        // fission duplicates) and record the cost model's per-firing
-        // predictions, so the metrics report can show measured-vs-
-        // predicted per node.
-        let model = streamlin_core::cost::CostModel::default();
-        for (i, node) in flat.nodes.iter().enumerate() {
-            probe.node_name(i, &node.name);
-            probe.node_cost(i, crate::partition::firing_cost(node, &model));
-        }
-        match &compiled {
-            Some(p) => probe.note("schedule", &p.summary()),
-            None => probe.note("schedule", "data-driven (no static plan)"),
-        }
-    }
-    let mut prof = match (compiled, threads) {
-        (Some(plan), Some(threads)) => {
-            let t0 = probe.now();
-            let part = crate::partition::partition(
-                &flat,
-                &plan,
-                threads,
-                &streamlin_core::cost::CostModel::default(),
-            );
-            if P::ENABLED {
-                probe.phase("partition", t0);
-                probe.note("pipeline", &part.summary());
-            }
-            let start = Instant::now();
-            match crate::parallel::run_pipeline_quantized::<T, P, F>(
-                flat,
-                &plan,
-                &part,
-                outputs,
-                scale,
-                quantum,
-                probe,
-                fault,
-                sup.watchdog,
-            ) {
-                Ok(out) => Profile {
-                    wall: start.elapsed(),
-                    outputs: out.printed,
-                    ops: out.ops,
-                    firings: out.firings,
-                    sched: Scheduler::Static,
-                    mode,
-                    threads: out.stages,
-                    fission: width,
-                    degraded: None,
-                },
-                // Graceful degradation: infrastructure failures (a stall
-                // or a lost worker — never program errors, which would
-                // just recur) replay on the canonical single-threaded
-                // static plan. Bit-identical output is guaranteed by the
-                // determinism contract every executor is pinned against.
-                Err(e) if sup.fallback && e.is_degradable() => {
-                    let Some((fb_flat, fb_plan)) = fallback_src else {
-                        return Err(e.into());
-                    };
-                    if P::ENABLED {
-                        probe.note(
-                            "supervisor",
-                            &format!("degraded: {e}; replaying on the single-threaded static plan"),
-                        );
-                        probe.lane_name(1, "engine (fallback)");
-                    }
-                    let mut engine = PlanEngine::<T>::new(fb_flat, fb_plan);
-                    let start = Instant::now();
-                    engine.run_probed(outputs, probe)?;
-                    Profile {
-                        wall: start.elapsed(),
-                        outputs: engine.printed().to_vec(),
-                        ops: engine.ops().counts(),
-                        firings: engine.firings(),
-                        sched: Scheduler::Static,
-                        mode,
-                        threads: 1,
-                        fission: 1,
-                        degraded: Some(e.to_string()),
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-        (Some(plan), None) => {
-            if P::ENABLED {
-                probe.lane_name(1, "engine");
-            }
-            let mut engine = PlanEngine::<T>::new(flat, plan);
-            let start = Instant::now();
-            engine.run_probed(outputs, probe)?;
-            Profile {
-                wall: start.elapsed(),
-                outputs: engine.printed().to_vec(),
-                ops: engine.ops().counts(),
-                firings: engine.firings(),
-                sched: Scheduler::Static,
-                mode,
-                threads: 1,
-                fission: width,
-                degraded: None,
-            }
-        }
-        (None, _) => {
-            if P::ENABLED {
-                probe.lane_name(1, "engine (dynamic)");
-            }
-            let mut engine = Engine::<T>::new(flat);
-            let start = Instant::now();
-            engine.run_probed(outputs, probe)?;
-            Profile {
-                wall: start.elapsed(),
-                outputs: engine.printed().to_vec(),
-                ops: engine.ops().counts(),
-                firings: engine.firings(),
-                sched: Scheduler::Dynamic,
-                mode,
-                threads: 1,
-                fission: width,
-                degraded: None,
-            }
-        }
-    };
-    prof.outputs.truncate(outputs);
-    Ok(prof)
-}
-
 /// Asserts two program outputs agree (element-wise, with tolerance
 /// suitable for frequency-domain round-trips); returns the first
 /// mismatch if any.
@@ -805,7 +190,10 @@ pub fn first_mismatch(a: &[f64], b: &[f64], atol: f64, rtol: f64) -> Option<usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamlin_core::combine::{analyze_graph, replace, ReplaceOptions};
+    use crate::spec::RunSpec;
+    use streamlin_core::combine::analyze_graph;
+    use streamlin_core::opt::OptStream;
+    use streamlin_core::Config;
 
     const PROGRAM: &str = "
         void->void pipeline Main { add S(); add F(8); add F(6); add K(); }
@@ -822,65 +210,40 @@ mod tests {
         float->void filter K { work pop 1 { println(pop()); } }
     ";
 
-    #[test]
-    fn every_configuration_produces_identical_output() {
+    /// Runs `PROGRAM` for `n` outputs: fully interpreted when `config`
+    /// is `None`, else under that configuration.
+    fn run(config: Option<Config>, n: usize) -> Profile {
         let p = streamlin_lang::parse(PROGRAM).unwrap();
         let g = streamlin_graph::elaborate(&p).unwrap();
-        let analysis = analyze_graph(&g);
+        let opt = match config {
+            None => OptStream::from_graph(&g),
+            Some(c) => c.apply(&g, &analyze_graph(&g)).unwrap(),
+        };
+        RunSpec::from_env().run(&opt, n).unwrap()
+    }
+
+    #[test]
+    fn every_configuration_produces_identical_output() {
         let n = 300;
-
-        let baseline = profile(
-            &replace(&g, &analysis, &ReplaceOptions::per_filter()),
-            n,
-            MatMulStrategy::Unrolled,
-        )
-        .unwrap();
-        let interp = profile(&OptStream::from_graph(&g), n, MatMulStrategy::Unrolled).unwrap();
-        let linear = profile(
-            &replace(&g, &analysis, &ReplaceOptions::maximal_linear()),
-            n,
-            MatMulStrategy::Unrolled,
-        )
-        .unwrap();
-        let freq = profile(
-            &replace(&g, &analysis, &ReplaceOptions::maximal_freq()),
-            n,
-            MatMulStrategy::Unrolled,
-        )
-        .unwrap();
-
-        assert_eq!(
-            first_mismatch(&baseline.outputs, &interp.outputs, 1e-9, 1e-9),
-            None
-        );
-        assert_eq!(
-            first_mismatch(&baseline.outputs, &linear.outputs, 1e-9, 1e-9),
-            None
-        );
-        assert_eq!(
-            first_mismatch(&baseline.outputs, &freq.outputs, 1e-6, 1e-6),
-            None
-        );
+        let baseline = run(Some(Config::Baseline), n);
+        for (other, tol) in [
+            (None, 1e-9),
+            (Some(Config::Linear), 1e-9),
+            (Some(Config::Freq), 1e-6),
+        ] {
+            let got = run(other, n);
+            assert_eq!(
+                first_mismatch(&baseline.outputs, &got.outputs, tol, tol),
+                None,
+                "{other:?}"
+            );
+        }
     }
 
     #[test]
     fn combination_reduces_multiplications() {
-        let p = streamlin_lang::parse(PROGRAM).unwrap();
-        let g = streamlin_graph::elaborate(&p).unwrap();
-        let analysis = analyze_graph(&g);
-        let n = 500;
-        let baseline = profile(
-            &replace(&g, &analysis, &ReplaceOptions::per_filter()),
-            n,
-            MatMulStrategy::Unrolled,
-        )
-        .unwrap();
-        let linear = profile(
-            &replace(&g, &analysis, &ReplaceOptions::maximal_linear()),
-            n,
-            MatMulStrategy::Unrolled,
-        )
-        .unwrap();
+        let baseline = run(Some(Config::Baseline), 500);
+        let linear = run(Some(Config::Linear), 500);
         // 8 + 6 mults/output separately vs 13 combined.
         assert!(
             linear.mults_per_output() < baseline.mults_per_output(),
@@ -895,19 +258,8 @@ mod tests {
         // The work-function interpreter and the per-filter linear executor
         // perform the same arithmetic — the substitution argument of
         // DESIGN.md, checked.
-        let p = streamlin_lang::parse(PROGRAM).unwrap();
-        let g = streamlin_graph::elaborate(&p).unwrap();
-        let analysis = analyze_graph(&g);
-        let n = 200;
-        let interp = profile(&OptStream::from_graph(&g), n, MatMulStrategy::Unrolled).unwrap();
-        let node_based = profile(
-            &replace(&g, &analysis, &ReplaceOptions::per_filter()),
-            n,
-            MatMulStrategy::Unrolled,
-        )
-        .unwrap();
-        let a = interp.mults_per_output();
-        let b = node_based.mults_per_output();
+        let a = run(None, 200).mults_per_output();
+        let b = run(Some(Config::Baseline), 200).mults_per_output();
         assert!(
             (a - b).abs() / a < 0.05,
             "interp {a} vs node {b} mults/output"

@@ -31,10 +31,10 @@
 //!
 //! # Supervision
 //!
-//! [`run_pipeline_supervised`] layers fault tolerance on the same
-//! protocol without touching the deterministic core. The executor is
-//! generic over a [`FaultPlan`] ([`NoFault`] in production — every
-//! injection site is guarded by `const ARMED` and monomorphizes away;
+//! [`PipelineSession`] layers fault tolerance on the same protocol
+//! without touching the deterministic core. The executor is generic
+//! over a [`FaultPlan`] ([`streamlin_support::NoFault`] in production —
+//! every injection site is guarded by `const ARMED` and monomorphizes away;
 //! [`streamlin_support::InjectFaults`] for seeded, reproducible worker
 //! panics, stage wedges, ring delays and pool refusals). When a wall-
 //! clock watchdog is requested (or any fault plan is armed), the
@@ -48,7 +48,7 @@
 //! mid-job retires the whole thread complement to the pool's self-
 //! healing path instead of re-parking threads in unknown states. Both
 //! error classes are [`RunError::is_degradable`]: the caller
-//! ([`crate::measure`]) replays them on the single-threaded static plan,
+//! ([`crate::session`]) replays them on the single-threaded static plan,
 //! which is *correct* because every execution family is pinned
 //! bit-identical.
 
@@ -59,9 +59,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use streamlin_support::{
-    FaultAction, FaultPlan, NoFault, NoProbe, OpCounter, Probe, StallKind, Tally,
-};
+use streamlin_support::{FaultAction, FaultPlan, OpCounter, Probe, StallKind, Tally};
 
 use crate::engine::RunError;
 use crate::flat::{FlatGraph, FlatNode, NodeKind};
@@ -79,72 +77,14 @@ use crate::ring::{Backoff, RingSet, SharedRings};
 /// fission widths, including width 1. Fission constrains its cycle
 /// expansion to divisors of the effective quantum.
 ///
-/// The quantum is overridable per run ([`resolve_quantum`]): explicit
-/// knob (`streamlinc --quantum`, a per-stream `streamlind` option, or
-/// [`crate::measure::Supervision::quantum`]) first, then the
+/// The quantum is a field of the run's spec
+/// ([`crate::spec::RunSpec::quantum`]): an explicit knob (`streamlinc
+/// --quantum`, a per-stream `streamlind` member) first, then the
 /// `STREAMLIN_CYCLE_QUANTUM` environment variable, then this default.
 /// Larger quanta amortize coordinator round trips on long-running
 /// streams; quantum 1 removes the up-to-4× sub-cycle overshoot on short
 /// ones (at the cost of restricting fission's cycle expansion to 1).
 pub const CYCLE_QUANTUM: u64 = 4;
-
-/// Parses a `STREAMLIN_CYCLE_QUANTUM` value: a positive integer.
-///
-/// # Errors
-///
-/// A human-readable description of why the value is unusable.
-pub fn parse_quantum(raw: &str) -> Result<u64, String> {
-    match raw.trim().parse::<u64>() {
-        Ok(0) => Err("STREAMLIN_CYCLE_QUANTUM must be >= 1, got `0`".into()),
-        Ok(q) => Ok(q),
-        Err(_) => Err(format!(
-            "STREAMLIN_CYCLE_QUANTUM must be a positive integer, got `{}`",
-            raw.trim()
-        )),
-    }
-}
-
-/// Resolves the effective cycle quantum for a run, rejecting a bad
-/// environment override: a nonzero `explicit` request wins, else
-/// `STREAMLIN_CYCLE_QUANTUM` (which must parse to a positive integer),
-/// else [`CYCLE_QUANTUM`].
-///
-/// # Errors
-///
-/// When `STREAMLIN_CYCLE_QUANTUM` is set but unusable (not unicode, not
-/// a positive integer) and no explicit quantum overrides it. Callers
-/// with a structured failure channel (the daemon's `open`) surface
-/// this; [`resolve_quantum`] instead warns once and falls back.
-pub fn resolve_quantum_checked(explicit: u64) -> Result<u64, String> {
-    if explicit != 0 {
-        return Ok(explicit);
-    }
-    match std::env::var("STREAMLIN_CYCLE_QUANTUM") {
-        Err(std::env::VarError::NotPresent) => Ok(CYCLE_QUANTUM),
-        Err(std::env::VarError::NotUnicode(_)) => {
-            Err("STREAMLIN_CYCLE_QUANTUM is not valid unicode".into())
-        }
-        Ok(raw) => parse_quantum(&raw),
-    }
-}
-
-/// Resolves the effective cycle quantum for a run: a nonzero `explicit`
-/// request wins, else `STREAMLIN_CYCLE_QUANTUM` (when it parses to a
-/// positive integer), else [`CYCLE_QUANTUM`]. An invalid environment
-/// value is **not** silently swallowed: the first one encountered warns
-/// on stderr (once per process) before falling back to the default.
-pub fn resolve_quantum(explicit: u64) -> u64 {
-    match resolve_quantum_checked(explicit) {
-        Ok(q) => q,
-        Err(why) => {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!("warning: ignoring invalid quantum override: {why}");
-            });
-            CYCLE_QUANTUM
-        }
-    }
-}
 
 /// Outcome of a pipeline run: the merged view a profiler needs.
 #[derive(Debug, Clone)]
@@ -575,71 +515,6 @@ fn diagnose_stall(
     d
 }
 
-/// Runs a partitioned plan on one pooled worker thread per stage until at
-/// least `outputs` values have been printed, quantized to whole multiples
-/// of [`CYCLE_QUANTUM`] original steady cycles.
-///
-/// `scale` is the number of original steady cycles one cycle of this
-/// graph spans: 1 for ordinary graphs, the fission pass's cycle expansion
-/// (a divisor of [`CYCLE_QUANTUM`]) for fissed graphs — the quantization
-/// is what keeps run lengths, tallies and firing counts identical across
-/// fission widths.
-///
-/// # Errors
-///
-/// Propagates evaluation/rate errors from work functions; reports a
-/// deadlock when [`MAX_SILENT_CYCLES`] consecutive cycles print nothing.
-///
-/// # Panics
-///
-/// Panics if `scale` does not divide [`CYCLE_QUANTUM`].
-pub fn run_pipeline<T: Tally + Default + Send>(
-    flat: FlatGraph,
-    plan: &ExecPlan,
-    part: &Partition,
-    outputs: usize,
-    scale: u64,
-) -> Result<PipelineOutcome, RunError> {
-    run_pipeline_supervised::<T, NoProbe, NoFault>(
-        flat,
-        plan,
-        part,
-        outputs,
-        scale,
-        &mut NoProbe,
-        NoFault,
-        None,
-    )
-}
-
-/// [`run_pipeline`] with a telemetry [`Probe`]: each stage worker records
-/// into a [`Probe::fork`]ed probe on its own lane (stage *k* → lane
-/// *k* + 1; lane 0 is the coordinator), absorbed back when the run
-/// finishes. Recorded per stage: firing-batch spans and busy time,
-/// empty-input and full-output stall time, between-round idle; per
-/// boundary ring: occupancy samples with high-water marks and full/empty
-/// stall counts; on the coordinator: quantum-wait spans and a pool
-/// acquisition note. Monomorphized over [`NoProbe`] this is exactly the
-/// uninstrumented executor.
-///
-/// # Errors
-///
-/// As [`run_pipeline`].
-///
-/// # Panics
-///
-/// As [`run_pipeline`].
-pub fn run_pipeline_probed<T: Tally + Default + Send, P: Probe + Send + 'static>(
-    flat: FlatGraph,
-    plan: &ExecPlan,
-    part: &Partition,
-    outputs: usize,
-    scale: u64,
-    probe: &mut P,
-) -> Result<PipelineOutcome, RunError> {
-    run_pipeline_supervised::<T, P, NoFault>(flat, plan, part, outputs, scale, probe, NoFault, None)
-}
-
 /// Per-stage payload prepared during setup, handed to the stage's worker.
 struct StageSeed {
     nodes: Vec<FlatNode>,
@@ -650,95 +525,12 @@ struct StageSeed {
     steady_steps: Vec<LocalStep>,
 }
 
-/// [`run_pipeline_probed`] under a supervisor: generic over a
-/// [`FaultPlan`] (injection sites compile away under [`NoFault`]) and,
-/// when `watchdog` is set or the plan is armed, guarded by a wall-clock
-/// no-progress watchdog (armed plans get a default deadline so injection
-/// can never hang a run).
-///
-/// On a watchdog trip the run is torn down cleanly — poison flag, stall
-/// diagnosis from boundary-ring state, a grace window for stragglers —
-/// and reported as [`RunError::Stalled`]; a worker whose pool thread died
-/// (or a refused pool acquisition) is [`RunError::WorkerLost`]. Both are
-/// [`RunError::is_degradable`], which [`crate::measure`] uses to replay
-/// the run on the single-threaded static plan. Workers abandoned mid-job
-/// are retired from the pool rather than re-parked.
-///
-/// # Errors
-///
-/// As [`run_pipeline`], plus `Stalled`/`WorkerLost` as above.
-///
-/// # Panics
-///
-/// As [`run_pipeline`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_supervised<
-    T: Tally + Default + Send,
-    P: Probe + Send + 'static,
-    F: FaultPlan,
->(
-    flat: FlatGraph,
-    plan: &ExecPlan,
-    part: &Partition,
-    outputs: usize,
-    scale: u64,
-    probe: &mut P,
-    fault: F,
-    watchdog: Option<Duration>,
-) -> Result<PipelineOutcome, RunError> {
-    run_pipeline_quantized::<T, P, F>(
-        flat,
-        plan,
-        part,
-        outputs,
-        scale,
-        resolve_quantum(0),
-        probe,
-        fault,
-        watchdog,
-    )
-}
-
-/// [`run_pipeline_supervised`] with an explicit cycle quantum (in
-/// original steady cycles) instead of the env/default resolution —
-/// one-shot wrapper over a [`PipelineSession`]: start, run to `outputs`,
-/// finish.
-///
-/// # Errors
-///
-/// As [`run_pipeline_supervised`].
-///
-/// # Panics
-///
-/// Panics if `scale` does not divide `quantum`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_pipeline_quantized<
-    T: Tally + Default + Send,
-    P: Probe + Send + 'static,
-    F: FaultPlan,
->(
-    flat: FlatGraph,
-    plan: &ExecPlan,
-    part: &Partition,
-    outputs: usize,
-    scale: u64,
-    quantum: u64,
-    probe: &mut P,
-    fault: F,
-    watchdog: Option<Duration>,
-) -> Result<PipelineOutcome, RunError> {
-    let mut session =
-        PipelineSession::start::<T, F>(flat, plan, part, scale, quantum, probe, fault, watchdog)?;
-    let _ = session.run_until(outputs);
-    session.finish(probe)
-}
-
 /// A **resident** pipeline run: the stage workers stay parked on their
 /// pooled threads between reads, all engine state (ring occupancy, node
 /// state, cycle position) persists, and the caller pulls ordered output
-/// incrementally. This is the persistence backbone of the `streamlind`
-/// service — a per-stream session lives across many protocol round
-/// trips, and [`run_pipeline_quantized`] is the one-shot degenerate case
+/// incrementally. This is the pipeline family behind
+/// [`crate::session::Session`] — a daemon stream lives across many
+/// protocol round trips, and a one-shot run is the degenerate case
 /// (start → one read → finish), so every equivalence suite that pins the
 /// one-shot executor pins the resident one too.
 ///
@@ -786,7 +578,11 @@ pub struct PipelineSession<P: Probe> {
 
 impl<P: Probe> PipelineSession<P> {
     /// Sets up stage workers on pooled threads and runs nothing yet.
-    /// `quantum` is in original steady cycles (see [`resolve_quantum`]).
+    /// `quantum` is in original steady cycles (see [`CYCLE_QUANTUM`]);
+    /// `scale` is how many of them one cycle of this graph spans (1
+    /// unless fissed). An armed `fault` or a `watchdog` deadline makes the
+    /// coordinator poll under supervision (armed plans get a default
+    /// deadline so injection can never hang a run).
     ///
     /// # Errors
     ///
@@ -1102,7 +898,11 @@ impl<P: Probe> PipelineSession<P> {
     ///
     /// # Errors
     ///
-    /// As [`run_pipeline_supervised`]; once a session has failed, every
+    /// Evaluation and rate errors from work functions; a deadlock when
+    /// `MAX_SILENT_CYCLES` consecutive cycles print nothing;
+    /// [`RunError::Stalled`] on a watchdog trip and
+    /// [`RunError::WorkerLost`] for a dead or refused pool thread (both
+    /// [`RunError::is_degradable`]). Once a session has failed, every
     /// subsequent read reports the same error.
     pub fn read(&mut self, n: usize) -> Result<Vec<f64>, RunError> {
         let end = self.delivered + n;
@@ -1440,7 +1240,7 @@ mod tests {
     use crate::plan::{compile, PlanEngine};
     use streamlin_core::cost::CostModel;
     use streamlin_core::opt::OptStream;
-    use streamlin_support::{InjectFaults, NoCount};
+    use streamlin_support::{InjectFaults, NoCount, NoFault, NoProbe};
 
     fn planned(src: &str) -> (FlatGraph, ExecPlan) {
         let p = streamlin_lang::parse(src).unwrap();
@@ -1450,10 +1250,32 @@ mod tests {
         (flat, plan)
     }
 
-    fn run_threads(src: &str, threads: usize, outputs: usize) -> PipelineOutcome {
-        let (flat, plan) = planned(src);
+    /// One-shot use of a session: start, run to `outputs`, finish.
+    fn run<T: Tally + Default + Send, F: FaultPlan>(
+        (flat, plan): (FlatGraph, ExecPlan),
+        threads: usize,
+        outputs: usize,
+        fault: F,
+        watchdog: Option<Duration>,
+    ) -> Result<PipelineOutcome, RunError> {
         let part = partition(&flat, &plan, threads, &CostModel::default());
-        run_pipeline::<OpCounter>(flat, &plan, &part, outputs, 1).unwrap()
+        let probe = &mut NoProbe;
+        let mut session = PipelineSession::start::<T, F>(
+            flat,
+            &plan,
+            &part,
+            1,
+            CYCLE_QUANTUM,
+            probe,
+            fault,
+            watchdog,
+        )?;
+        let _ = session.run_until(outputs);
+        session.finish(probe)
+    }
+
+    fn run_threads(src: &str, threads: usize, outputs: usize) -> PipelineOutcome {
+        run::<OpCounter, _>(planned(src), threads, outputs, NoFault, None).unwrap()
     }
 
     const CHAIN: &str = "void->void pipeline Main { add S(); add G(); add H(); add K(); }
@@ -1525,9 +1347,7 @@ mod tests {
 
     #[test]
     fn uncounted_mode_prints_identical_bits() {
-        let (flat, plan) = planned(CHAIN);
-        let part = partition(&flat, &plan, 2, &CostModel::default());
-        let fast = run_pipeline::<NoCount>(flat, &plan, &part, 50, 1).unwrap();
+        let fast = run::<NoCount, _>(planned(CHAIN), 2, 50, NoFault, None).unwrap();
         let counted = run_threads(CHAIN, 2, 50);
         assert_eq!(fast.printed.len(), counted.printed.len());
         for (a, b) in fast.printed.iter().zip(&counted.printed) {
@@ -1541,9 +1361,7 @@ mod tests {
         const BAD: &str = "void->void pipeline Main { add S(); add K(); }
              void->float filter S { float x; work push 2 { push(x); if (x > 0.5) push(x); x = x + 1; } }
              float->void filter K { work pop 1 { println(pop()); } }";
-        let (flat, plan) = planned(BAD);
-        let part = partition(&flat, &plan, 2, &CostModel::default());
-        let err = run_pipeline::<OpCounter>(flat, &plan, &part, 5, 1).unwrap_err();
+        let err = run::<OpCounter, _>(planned(BAD), 2, 5, NoFault, None).unwrap_err();
         assert!(matches!(err, RunError::RateViolation(_)), "{err}");
     }
 
@@ -1564,20 +1382,8 @@ mod tests {
 
     #[test]
     fn injected_panic_is_a_structured_worker_loss() {
-        let (flat, plan) = planned(CHAIN);
-        let part = partition(&flat, &plan, 2, &CostModel::default());
         let fault = InjectFaults::parse("11:panic@s1").unwrap();
-        let err = run_pipeline_supervised::<OpCounter, NoProbe, _>(
-            flat,
-            &plan,
-            &part,
-            40,
-            1,
-            &mut NoProbe,
-            fault,
-            None,
-        )
-        .unwrap_err();
+        let err = run::<OpCounter, _>(planned(CHAIN), 2, 40, fault, None).unwrap_err();
         assert!(matches!(err, RunError::WorkerLost { .. }), "{err}");
         assert!(err.to_string().contains("injected fault"), "{err}");
         assert!(err.is_degradable());
@@ -1585,21 +1391,10 @@ mod tests {
 
     #[test]
     fn watchdog_trips_on_a_wedged_stage() {
-        let (flat, plan) = planned(CHAIN);
-        let part = partition(&flat, &plan, 2, &CostModel::default());
         let fault = InjectFaults::parse("3:wedge@s0").unwrap();
         let t0 = Instant::now();
-        let err = run_pipeline_supervised::<OpCounter, NoProbe, _>(
-            flat,
-            &plan,
-            &part,
-            40,
-            1,
-            &mut NoProbe,
-            fault,
-            Some(Duration::from_millis(250)),
-        )
-        .unwrap_err();
+        let deadline = Some(Duration::from_millis(250));
+        let err = run::<OpCounter, _>(planned(CHAIN), 2, 40, fault, deadline).unwrap_err();
         assert!(matches!(err, RunError::Stalled { .. }), "{err}");
         assert!(err.to_string().contains("watchdog"), "{err}");
         // Trip + teardown must be prompt: deadline, grace, slack — not a
@@ -1610,43 +1405,10 @@ mod tests {
     #[test]
     fn output_preserving_faults_keep_bits_identical() {
         let clean = run_threads(CHAIN, 2, 40);
-        let (flat, plan) = planned(CHAIN);
-        let part = partition(&flat, &plan, 2, &CostModel::default());
         let fault = InjectFaults::parse("5:slow@s0=40,delay=20").unwrap();
-        let out = run_pipeline_supervised::<OpCounter, NoProbe, _>(
-            flat,
-            &plan,
-            &part,
-            40,
-            1,
-            &mut NoProbe,
-            fault,
-            None,
-        )
-        .unwrap();
+        let out = run::<OpCounter, _>(planned(CHAIN), 2, 40, fault, None).unwrap();
         assert_eq!(out.printed, clean.printed);
         assert_eq!(out.ops, clean.ops);
         assert_eq!(out.firings, clean.firings);
-    }
-
-    #[test]
-    fn quantum_values_parse_or_explain() {
-        assert_eq!(parse_quantum("8"), Ok(8));
-        assert_eq!(parse_quantum("  1\n"), Ok(1));
-        for bad in ["0", "-3", "4.5", "four", ""] {
-            let why = parse_quantum(bad).unwrap_err();
-            assert!(
-                why.contains("STREAMLIN_CYCLE_QUANTUM"),
-                "error should name the variable: {why}"
-            );
-        }
-    }
-
-    #[test]
-    fn explicit_quantum_bypasses_environment() {
-        // Explicit requests never consult the environment, so this is
-        // deterministic regardless of the test runner's env.
-        assert_eq!(resolve_quantum_checked(7), Ok(7));
-        assert_eq!(resolve_quantum(7), 7);
     }
 }

@@ -23,7 +23,7 @@
 //!
 //! Graphs the compiler cannot schedule — feedback loops (cyclic, never
 //! collapsed per §3.3/§7.1), zero-rate channels, or inconsistent rates —
-//! are reported as [`PlanError`]s; [`crate::measure::profile`] falls back
+//! are reported as [`PlanError`]s; [`crate::session::compile`] falls back
 //! to the data-driven [`crate::engine::Engine`] for those.
 //!
 //! The firing *semantics* are shared with the dynamic engine (same

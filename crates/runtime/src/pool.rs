@@ -219,9 +219,9 @@ pub(crate) fn retire_global(threads: Vec<PoolThread>) {
         .retire(threads);
 }
 
-/// Threads ever spawned by the process-wide pool. Repeated
-/// [`crate::measure::profile_threads`] runs reuse them, so this is stable
-/// across back-to-back runs of the same shape.
+/// Threads ever spawned by the process-wide pool. Repeated pipeline
+/// runs reuse them, so this is stable across back-to-back runs of the
+/// same shape.
 pub fn global_spawned() -> usize {
     global().lock().expect("pipeline pool poisoned").spawned()
 }

@@ -1,0 +1,589 @@
+//! The run spine: source → [`front_end`] → [`compile`] → [`Session`].
+//!
+//! A deterministic stream program satisfies `read(m); read(n) =
+//! read(m + n)`, so a one-shot run needs no executor of its own:
+//! [`RunSpec::run`] is *compile, open, read n, close*, and the daemon's
+//! `open`/`read`/`close` are the same three calls spread over requests.
+//! Everything that depends on the run's knobs happens in two places —
+//! [`compile`] sees the [`PlanSpec`] and nothing else, [`open`] sees the
+//! [`ExecSpec`] — and every phase is recorded on the [`Probe`] it is
+//! handed, so the CLI and an instrumented daemon stream report the same
+//! spans (`parse, elaborate, analyze, select, flatten, plan, fission?,
+//! partition?`).
+//!
+//! Behind a [`Session`] sits one of three engine families: the
+//! **pipeline** ([`PipelineSession`]: stage workers parked on the pool
+//! between reads), the single-threaded **static plan** ([`PlanEngine`]),
+//! or the **data-driven** fallback ([`Engine`]) for unplannable graphs.
+//! Degradation is the session's behaviour, not a caller's option: a
+//! degradable failure ([`RunError::is_degradable`] — a stall or a lost
+//! worker, never a program error, which would just recur) tears down
+//! that session's pipeline, rebuilds the canonical pre-fission plan
+//! engine, fast-forwards it past the values already delivered, and keeps
+//! serving bit-identical values.
+
+use std::time::Instant;
+
+use streamlin_core::combine::analyze_graph;
+use streamlin_core::cost::CostModel;
+use streamlin_core::opt::OptStream;
+use streamlin_graph::ir::Stream;
+use streamlin_support::{FaultPlan, NoCount, NoFault, NoProbe, OpCounter, Probe, Recorder, Tally};
+
+use crate::engine::{Engine, RunError};
+use crate::fission::{fiss_bottleneck, Fission, FissionInfo};
+use crate::flat::{flatten_with, FlatGraph};
+use crate::measure::{ExecMode, Profile, ProfileError, Scheduler};
+use crate::parallel::PipelineSession;
+use crate::partition::{firing_cost, partition, Partition};
+use crate::plan::{self, ExecPlan, PlanEngine};
+use crate::spec::{ExecSpec, PlanSpec, RunSpec};
+
+/// What the front end learned about a program, for drivers that report it.
+pub struct Front {
+    /// Top-level declarations in the source.
+    pub decls: usize,
+    /// The elaborated graph.
+    pub graph: Stream,
+    /// How many of its filters are linear.
+    pub linear: usize,
+    /// The stream the requested configuration built.
+    pub opt: OptStream,
+}
+
+/// Parse → elaborate → linear analysis → configuration, each a phase on
+/// `probe`.
+///
+/// # Errors
+///
+/// The first front-end diagnostic, rendered.
+pub fn front_end<P: Probe>(src: &str, spec: &PlanSpec, probe: &mut P) -> Result<Front, String> {
+    let t0 = probe.now();
+    let program = streamlin_lang::parse(src).map_err(|e| e.to_string())?;
+    probe.phase("parse", t0);
+    let t0 = probe.now();
+    let graph = streamlin_graph::elaborate(&program).map_err(|e| e.to_string())?;
+    probe.phase("elaborate", t0);
+    let t0 = probe.now();
+    let analysis = analyze_graph(&graph);
+    probe.phase("analyze", t0);
+    let t0 = probe.now();
+    let opt = spec
+        .config
+        .apply(&graph, &analysis)
+        .map_err(|e| e.to_string())?;
+    probe.phase("select", t0);
+    Ok(Front {
+        decls: program.decls.len(),
+        linear: analysis.linear_count(),
+        graph,
+        opt,
+    })
+}
+
+/// A compiled program, ready to open sessions on.
+#[derive(Debug, Clone)]
+pub struct Compiled {
+    /// The graph to execute: post-fission when the pass engaged.
+    pub flat: FlatGraph,
+    /// The static schedule; `None` = data-driven execution (feedback
+    /// loops under `auto`, or `sched: dynamic`).
+    pub plan: Option<ExecPlan>,
+    /// The pipeline partition, present when the spec has a stage budget
+    /// and a plan exists.
+    pub part: Option<Partition>,
+    /// The *pre-fission* graph and plan a degraded session replays on,
+    /// kept whenever a partition is.
+    pub canonical: Option<(FlatGraph, ExecPlan)>,
+    /// Original steady cycles one post-fission cycle spans.
+    pub scale: u64,
+    /// Fission width actually applied (1 = unfissed).
+    pub width: usize,
+    /// The spec's cycle quantum.
+    pub quantum: u64,
+}
+
+impl Compiled {
+    /// Worker threads a session of this artifact occupies: the
+    /// partition's stage count (which may be below the budget), else 1.
+    pub fn workers_needed(&self) -> usize {
+        self.part.as_ref().map_or(1, |p| p.num_stages)
+    }
+}
+
+/// Flatten → plan → fission → partition, each a phase on `probe`, with
+/// the decisions (fission engagement or refusal reason, schedule shape,
+/// partition) as notes and the executing graph's node names and
+/// cost-model predictions for the metrics report.
+///
+/// # Errors
+///
+/// Flattening failures, and [`ProfileError::Plan`] when
+/// [`Scheduler::Static`] is asked of a graph with no static schedule.
+pub fn compile<P: Probe>(
+    opt: &OptStream,
+    spec: &PlanSpec,
+    probe: &mut P,
+) -> Result<Compiled, ProfileError> {
+    let t0 = probe.now();
+    let flat = flatten_with(opt, spec.matmul, spec.tier, spec.cert)?;
+    probe.phase("flatten", t0);
+    let t0 = probe.now();
+    let plan = match spec.sched {
+        Scheduler::Dynamic => None,
+        Scheduler::Static => Some(plan::compile(&flat)?),
+        // `has_feedback` is a cheap structural pre-check; the compiler
+        // still validates everything else (rates, bounds).
+        Scheduler::Auto if opt.has_feedback() => None,
+        Scheduler::Auto => plan::compile(&flat).ok(),
+    };
+    probe.phase("plan", t0);
+    let canonical = match (&plan, spec.threads) {
+        (Some(p), Some(_)) => Some((flat.clone(), p.clone())),
+        _ => None,
+    };
+    let mut art = Compiled {
+        flat,
+        plan,
+        part: None,
+        canonical,
+        scale: 1,
+        width: 1,
+        quantum: spec.quantum,
+    };
+    let model = CostModel::default();
+    if spec.fission == Fission::Off {
+        probe.note("fission", "off");
+    } else {
+        // Under `Scheduler::Dynamic` a plan is still compiled (when one
+        // exists) purely to drive the fission decision; the fissed graph
+        // then runs data-driven — the fuzz suite checks that path too.
+        let planned = art.plan.is_some();
+        let driver = match art.plan.take() {
+            None if spec.sched == Scheduler::Dynamic => plan::compile(&art.flat).ok(),
+            plan => plan,
+        };
+        if let Some(driver) = driver {
+            let t0 = probe.now();
+            match fiss(&art.flat, &driver, spec, &model) {
+                Ok((graph, plan, info)) => {
+                    probe.phase("fission", t0);
+                    probe.note("fission", &info.summary());
+                    art.flat = graph;
+                    art.plan = planned.then_some(plan);
+                    art.scale = info.scale;
+                    art.width = info.width;
+                }
+                Err(why) => {
+                    probe.note("fission", &format!("none ({why})"));
+                    art.plan = planned.then_some(driver);
+                }
+            }
+        }
+    }
+    if P::ENABLED {
+        for (i, node) in art.flat.nodes.iter().enumerate() {
+            probe.node_name(i, &node.name);
+            probe.node_cost(i, firing_cost(node, &model));
+        }
+        match &art.plan {
+            Some(p) => probe.note("schedule", &p.summary()),
+            None => probe.note("schedule", "data-driven (no static plan)"),
+        }
+    }
+    if let (Some(plan), Some(threads)) = (&art.plan, spec.threads) {
+        let t0 = probe.now();
+        let part = partition(&art.flat, plan, threads, &model);
+        probe.phase("partition", t0);
+        probe.note("pipeline", &part.summary());
+        art.part = Some(part);
+    }
+    Ok(art)
+}
+
+/// The fission pass plus the fissed graph's plan, or why the graph runs
+/// unfissed.
+fn fiss(
+    flat: &FlatGraph,
+    driver: &ExecPlan,
+    spec: &PlanSpec,
+    model: &CostModel,
+) -> Result<(FlatGraph, ExecPlan, FissionInfo), String> {
+    let threads = spec.threads.unwrap_or(1);
+    let (graph, info) = fiss_bottleneck(flat, driver, spec.fission, threads, model, spec.quantum)?;
+    // A fissed graph that exceeds plan bounds falls back whole.
+    let plan = plan::compile(&graph).map_err(|e| {
+        let planned = info.summary();
+        format!("{planned} planned, but its schedule failed: {e}")
+    })?;
+    Ok((graph, plan, info))
+}
+
+/// The whole compiler, source text to artifact: [`front_end`] then
+/// [`compile`]. What the daemon's plan cache runs on a miss.
+///
+/// # Errors
+///
+/// Any front-end or compile failure, rendered.
+pub fn compile_source<P: Probe>(
+    src: &str,
+    spec: &PlanSpec,
+    probe: &mut P,
+) -> Result<Compiled, String> {
+    let front = front_end(src, spec, probe)?;
+    compile(&front.opt, spec, probe).map_err(|e| e.to_string())
+}
+
+/// Final accounting of a closed session.
+pub struct Report {
+    /// Values delivered over the session's lifetime.
+    pub delivered: usize,
+    /// Operation tallies (all-zero under [`ExecMode::Fast`]).
+    pub ops: OpCounter,
+    /// Total node firings.
+    pub firings: u64,
+    /// The scheduler that ran ([`Scheduler::Static`] or
+    /// [`Scheduler::Dynamic`], never `Auto`).
+    pub sched: Scheduler,
+    /// Worker threads the session ended on (1 unless the pipeline ran).
+    pub threads: usize,
+    /// Fission width the session ended on.
+    pub width: usize,
+    /// Why the session fell back to the single-threaded plan, if it did.
+    pub degraded: Option<String>,
+    /// The session's recorder, when it was opened with one.
+    pub probe: Option<Recorder>,
+}
+
+/// A resident run: engine state persists between reads, and the value
+/// sequence is a deterministic prefix of the program's output however the
+/// reads are batched.
+pub trait Session: Send {
+    /// Produces the next `n` values, in order.
+    ///
+    /// # Errors
+    ///
+    /// Non-degradable engine failures; the session is then dead.
+    fn read(&mut self, n: usize) -> Result<Vec<f64>, RunError>;
+    /// Values delivered so far.
+    fn delivered(&self) -> usize;
+    /// Values produced but not yet delivered: all a session retains of its
+    /// output (the overshoot of its last read), however long it lives.
+    fn buffered(&self) -> usize;
+    /// Why the session runs on the single-threaded fallback, if it does.
+    fn degraded(&self) -> Option<&str>;
+    /// Tears the engine down and reports.
+    fn close(self: Box<Self>) -> Report;
+}
+
+/// Opens a session on a compiled artifact. `rec` instruments it (the
+/// recorder comes back in the [`Report`]); the fault plan and watchdog of
+/// `exec` act on the pipeline executor only — the single-threaded engines
+/// have no injection sites. This is the one place the `Tally` × `Probe` ×
+/// `FaultPlan` monomorphisations are chosen.
+///
+/// # Errors
+///
+/// Pipeline setup failures that cannot degrade.
+pub fn open(
+    art: Compiled,
+    exec: &ExecSpec,
+    rec: Option<Recorder>,
+) -> Result<Box<dyn Session>, RunError> {
+    let wd = exec.watchdog;
+    match (exec.mode, rec, &exec.fault) {
+        (ExecMode::Measured, Some(r), Some(f)) => Live::<OpCounter, _>::start(art, r, f.fork(), wd),
+        (ExecMode::Measured, Some(r), None) => Live::<OpCounter, _>::start(art, r, NoFault, wd),
+        (ExecMode::Measured, None, Some(f)) => {
+            Live::<OpCounter, _>::start(art, NoProbe, f.fork(), wd)
+        }
+        (ExecMode::Measured, None, None) => Live::<OpCounter, _>::start(art, NoProbe, NoFault, wd),
+        (ExecMode::Fast, Some(r), Some(f)) => Live::<NoCount, _>::start(art, r, f.fork(), wd),
+        (ExecMode::Fast, Some(r), None) => Live::<NoCount, _>::start(art, r, NoFault, wd),
+        (ExecMode::Fast, None, Some(f)) => Live::<NoCount, _>::start(art, NoProbe, f.fork(), wd),
+        (ExecMode::Fast, None, None) => Live::<NoCount, _>::start(art, NoProbe, NoFault, wd),
+    }
+}
+
+/// A probe that can hand itself back at close.
+trait Reportable: Probe + Send + 'static {
+    fn into_recorder(self) -> Option<Recorder>;
+}
+
+impl Reportable for NoProbe {
+    fn into_recorder(self) -> Option<Recorder> {
+        None
+    }
+}
+
+impl Reportable for Recorder {
+    fn into_recorder(self) -> Option<Recorder> {
+        Some(self)
+    }
+}
+
+enum Family<T: Tally, P: Probe> {
+    Pipeline(PipelineSession<P>),
+    Plan(PlanEngine<T>),
+    Dynamic(Engine<T>),
+}
+
+/// Values a degrading session replays (and discards) per step of its
+/// fast-forward, bounding what the replay holds at once.
+const FAST_FORWARD_PIECE: usize = 1 << 16;
+
+struct Live<T: Tally, P: Probe> {
+    engine: Family<T, P>,
+    probe: P,
+    /// The replay source, while the pipeline is still up.
+    canonical: Option<(FlatGraph, ExecPlan)>,
+    delivered: usize,
+    degraded: Option<String>,
+    threads: usize,
+    width: usize,
+}
+
+/// Announces a fallback on the probe and builds the engine it runs on.
+fn fallback_engine<T: Tally + Default, P: Probe>(
+    probe: &mut P,
+    (flat, plan): (FlatGraph, ExecPlan),
+    cause: &RunError,
+) -> PlanEngine<T> {
+    if P::ENABLED {
+        let text = format!("degraded: {cause}; replaying on the single-threaded static plan");
+        probe.note("supervisor", &text);
+        probe.lane_name(1, "engine (fallback)");
+    }
+    PlanEngine::new(flat, plan)
+}
+
+impl<T: Tally + Default + Send + 'static, P: Reportable> Live<T, P> {
+    fn start<F: FaultPlan>(
+        art: Compiled,
+        mut probe: P,
+        fault: F,
+        watchdog: Option<std::time::Duration>,
+    ) -> Result<Box<dyn Session>, RunError> {
+        let (mut threads, mut width, mut degraded) = (1, art.width, None);
+        let mut canonical = art.canonical;
+        let engine: Family<T, P> = match (art.part, art.plan) {
+            (Some(part), Some(plan)) => {
+                match PipelineSession::start::<T, F>(
+                    art.flat,
+                    &plan,
+                    &part,
+                    art.scale,
+                    art.quantum,
+                    &mut probe,
+                    fault,
+                    watchdog,
+                ) {
+                    Ok(session) => {
+                        threads = part.num_stages;
+                        Family::Pipeline(session)
+                    }
+                    // Setup-time degradable failure (e.g. the pool refused
+                    // threads): the session starts life on the fallback
+                    // instead of failing the open.
+                    Err(e) if e.is_degradable() && canonical.is_some() => {
+                        let pair = canonical.take().expect("guarded");
+                        (width, degraded) = (1, Some(e.to_string()));
+                        Family::Plan(fallback_engine(&mut probe, pair, &e))
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            (None, Some(plan)) => {
+                probe.lane_name(1, "engine");
+                Family::Plan(PlanEngine::new(art.flat, plan))
+            }
+            (_, None) => {
+                probe.lane_name(1, "engine (dynamic)");
+                Family::Dynamic(Engine::new(art.flat))
+            }
+        };
+        Ok(Box::new(Live {
+            engine,
+            probe,
+            canonical,
+            delivered: 0,
+            degraded,
+            threads,
+            width,
+        }))
+    }
+
+    /// One read on whichever engine is live.
+    fn step(&mut self, n: usize) -> Result<Vec<f64>, RunError> {
+        match &mut self.engine {
+            Family::Pipeline(session) => session.read(n),
+            Family::Plan(engine) => {
+                engine.run_probed(n, &mut self.probe)?;
+                Ok(engine.take_printed(n))
+            }
+            Family::Dynamic(engine) => {
+                engine.run_probed(n, &mut self.probe)?;
+                Ok(engine.take_printed(n))
+            }
+        }
+    }
+
+    /// Replaces the dead pipeline with the canonical plan engine,
+    /// fast-forwarded past everything already delivered. Bit-identity of
+    /// the continuation is the executors' shared determinism contract.
+    fn degrade(&mut self, cause: &RunError) -> Result<(), RunError> {
+        let pair = self
+            .canonical
+            .take()
+            .expect("degrade needs the canonical pair");
+        let mut engine = fallback_engine::<T, P>(&mut self.probe, pair, cause);
+        // Replay in bounded pieces: the engine stops at the exact firing
+        // that crosses each goal and resumes mid-cycle, so the firing
+        // sequence is the same as one long run.
+        let mut skip = self.delivered;
+        while skip > 0 {
+            let piece = skip.min(FAST_FORWARD_PIECE);
+            engine.run_probed(piece, &mut self.probe)?;
+            drop(engine.take_printed(piece));
+            skip -= piece;
+        }
+        if let Family::Pipeline(dead) = std::mem::replace(&mut self.engine, Family::Plan(engine)) {
+            // Absorb the dead session's telemetry; its stored failure is
+            // expected here, so the result is dropped deliberately.
+            let _ = dead.finish(&mut self.probe);
+        }
+        (self.threads, self.width) = (1, 1);
+        self.degraded = Some(cause.to_string());
+        Ok(())
+    }
+}
+
+impl<T: Tally + Default + Send + 'static, P: Reportable> Session for Live<T, P> {
+    fn read(&mut self, n: usize) -> Result<Vec<f64>, RunError> {
+        let values = match self.step(n) {
+            Err(e) if e.is_degradable() && self.canonical.is_some() => {
+                self.degrade(&e)?;
+                self.step(n)?
+            }
+            other => other?,
+        };
+        self.delivered += n;
+        Ok(values)
+    }
+
+    fn delivered(&self) -> usize {
+        self.delivered
+    }
+
+    fn buffered(&self) -> usize {
+        match &self.engine {
+            Family::Pipeline(session) => session.available() - session.delivered(),
+            Family::Plan(engine) => engine.printed().len(),
+            Family::Dynamic(engine) => engine.printed().len(),
+        }
+    }
+
+    fn degraded(&self) -> Option<&str> {
+        self.degraded.as_deref()
+    }
+
+    fn close(self: Box<Self>) -> Report {
+        let mut this = *self;
+        let (ops, firings, sched) = match this.engine {
+            // A failed pipeline that could not degrade has nothing to add.
+            Family::Pipeline(session) => match session.finish(&mut this.probe) {
+                Ok(out) => (out.ops, out.firings, Scheduler::Static),
+                Err(_) => (OpCounter::default(), 0, Scheduler::Static),
+            },
+            Family::Plan(engine) => (engine.ops().counts(), engine.firings(), Scheduler::Static),
+            Family::Dynamic(engine) => {
+                (engine.ops().counts(), engine.firings(), Scheduler::Dynamic)
+            }
+        };
+        Report {
+            delivered: this.delivered,
+            ops,
+            firings,
+            sched,
+            threads: this.threads,
+            width: this.width,
+            degraded: this.degraded,
+            probe: this.probe.into_recorder(),
+        }
+    }
+}
+
+impl RunSpec {
+    /// Compiles `opt` under this spec's [`PlanSpec`].
+    ///
+    /// # Errors
+    ///
+    /// As [`compile`].
+    pub fn compile(&self, opt: &OptStream) -> Result<Compiled, ProfileError> {
+        compile(opt, &self.plan(), &mut NoProbe)
+    }
+
+    /// Runs an optimized stream until it has produced `n` values and
+    /// returns the measurements: *compile, open, read n, close*.
+    ///
+    /// # Errors
+    ///
+    /// As [`compile`], plus whatever the run fails with.
+    pub fn run(&self, opt: &OptStream, n: usize) -> Result<Profile, ProfileError> {
+        self.run_compiled(self.compile(opt)?, n)
+    }
+
+    /// [`RunSpec::run`] on an artifact already compiled (and possibly
+    /// inspected) by [`RunSpec::compile`].
+    ///
+    /// # Errors
+    ///
+    /// Whatever the run fails with.
+    pub fn run_compiled(&self, art: Compiled, n: usize) -> Result<Profile, ProfileError> {
+        Ok(self.finish(art, n, None)?.0)
+    }
+
+    /// [`RunSpec::run`] with every compile phase, firing batch, stall and
+    /// decision note recorded into `rec` — the same execution, bit for
+    /// bit (pinned by `tests/telemetry_equivalence.rs`).
+    ///
+    /// # Errors
+    ///
+    /// As [`RunSpec::run`].
+    pub fn run_recorded(
+        &self,
+        opt: &OptStream,
+        n: usize,
+        rec: &mut Recorder,
+    ) -> Result<Profile, ProfileError> {
+        let art = compile(opt, &self.plan(), rec)?;
+        let (profile, run) = self.finish(art, n, Some(rec.fork(0)))?;
+        rec.absorb(run.expect("the session was opened with a recorder"));
+        Ok(profile)
+    }
+
+    fn finish(
+        &self,
+        art: Compiled,
+        n: usize,
+        rec: Option<Recorder>,
+    ) -> Result<(Profile, Option<Recorder>), ProfileError> {
+        let mut session = open(art, &self.exec(), rec)?;
+        let start = Instant::now();
+        let outputs = session.read(n)?;
+        let wall = start.elapsed();
+        let report = session.close();
+        let profile = Profile {
+            outputs,
+            ops: report.ops,
+            wall,
+            firings: report.firings,
+            sched: report.sched,
+            mode: self.mode,
+            threads: report.threads,
+            fission: report.width,
+            degraded: report.degraded,
+        };
+        Ok((profile, report.probe))
+    }
+}

@@ -1,18 +1,17 @@
-//! The plan cache: compile once per distinct (program, configuration).
+//! The plan cache: compile once per distinct (program, plan spec).
 //!
-//! One-shot `streamlinc` pays the whole front end — parse, elaborate,
+//! One-shot `streamlinc` pays the whole compiler — parse, elaborate,
 //! linear analysis, replacement selection, lowering, schedule
 //! compilation, fission, partitioning — on every invocation. The daemon
 //! pays it once: [`PlanCache::get_or_compile`] keys on the program's
-//! content hash (FNV-1a 64 over the source text) crossed with every knob
-//! that changes the compiled artifact (config, scheduler, matmul
-//! strategy, thread budget, fission request, cycle quantum), and stores
-//! the fully elaborated artifact — the lowered [`FlatGraph`] (with each
+//! content hash (FNV-1a 64 over the source text) plus the request's
+//! normalised [`PlanSpec`], and stores what
+//! [`streamlin_runtime::compile_source`] built — the lowered graph (each
 //! filter's `FilterFacts` intact, per the facts-not-AST convention), the
-//! compiled [`ExecPlan`], the fission rewrite, and the [`Partition`] —
-//! behind an [`Arc`]. Opening a stream for a cached key clones graph and
-//! plan out of the artifact (cheap relative to compilation) and fires up
-//! an engine; the front end never runs again.
+//! static plan, the fission rewrite and the partition — behind an
+//! [`Arc`]. Opening a stream for a cached key clones the artifact (cheap
+//! relative to compilation) and opens a session on it; the compiler never
+//! runs again.
 //!
 //! Hits and misses are counted; the `stats` protocol op exposes them, and
 //! `tests/service_equivalence.rs` pins that a re-opened program is a hit
@@ -23,19 +22,11 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use streamlin_core::combine::{analyze_graph, replace, ReplaceOptions, ReplaceTarget};
-use streamlin_core::cost::CostModel;
-use streamlin_core::select::{select, SelectOptions};
-use streamlin_runtime::fission::Fission;
-use streamlin_runtime::flat::{flatten, FlatGraph};
-use streamlin_runtime::measure::Scheduler;
-use streamlin_runtime::plan::{self, ExecPlan};
-use streamlin_runtime::{MatMulStrategy, Partition};
-use streamlin_support::NoFault;
+use streamlin_runtime::{compile_source, Compiled, PlanSpec};
+use streamlin_support::Probe;
 
 /// FNV-1a 64-bit content hash — the program identity in cache keys. Not
-/// cryptographic; collision risk is irrelevant at plan-cache scale and
-/// the full key still includes every compilation knob.
+/// cryptographic; collision risk is irrelevant at plan-cache scale.
 pub fn fnv1a64(data: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in data {
@@ -45,67 +36,28 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
     h
 }
 
-/// Everything that selects a distinct compiled artifact.
-///
-/// The execution mode is deliberately **not** part of the key: it only
-/// selects the engine's `Tally` at build time, and its one compile-time
-/// effect — the default matmul strategy — is already captured by the
-/// resolved `matmul` field. Fast and Measured streams of the same
-/// program share one artifact.
+/// What selects a distinct compiled artifact: the source hash and the
+/// [`PlanSpec`] — which is, by type, everything the compiler can see, so
+/// a knob cannot be left out of the key. The execution mode is not in it:
+/// it only selects a session's `Tally`, and its one compile-time effect
+/// (the default matmul kernel) is already resolved into the spec, so Fast
+/// and Measured streams of one program share one artifact.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PlanKey {
-    /// FNV-1a 64 of the source text.
-    pub src_hash: u64,
-    /// Replacement configuration (`baseline`/`linear`/`freq`/`redund`/
-    /// `autosel`).
-    pub config: String,
-    pub sched: Scheduler,
-    pub matmul: MatMulStrategy,
-    /// Pipeline stage budget; `None` = the classic single-threaded
-    /// engines.
-    pub threads: Option<usize>,
-    /// Fission request, canonicalized to a label (`Fission` itself does
-    /// not implement `Hash`).
-    pub fission: String,
-    /// Resolved cycle quantum (the pacing protocol's run-length unit —
-    /// fission's cycle expansion must divide it, so it shapes the
-    /// artifact).
-    pub quantum: u64,
+pub struct PlanKey(pub u64, pub PlanSpec);
+
+impl PlanKey {
+    pub fn of(src: &str, spec: PlanSpec) -> Self {
+        PlanKey(fnv1a64(src.as_bytes()), spec)
+    }
 }
 
-/// A fully compiled program, ready to instantiate engines from.
+/// A cache entry.
 #[derive(Debug)]
 pub struct CachedArtifact {
-    /// The graph to execute: post-fission when the pass engaged.
-    pub flat: FlatGraph,
-    /// The compiled static schedule; `None` = data-driven execution
-    /// (feedback loops under `auto`, or `--sched dynamic`).
-    pub plan: Option<ExecPlan>,
-    /// The pipeline partition, present when a thread budget was given
-    /// and a plan exists.
-    pub part: Option<Partition>,
-    /// The canonical *pre-fission* graph and plan: the single-threaded
-    /// replay source for per-stream graceful degradation (PR 7
-    /// contract), retained whenever a pipeline artifact exists.
-    pub canonical: Option<(FlatGraph, ExecPlan)>,
-    /// Original steady cycles one post-fission cycle spans.
-    pub scale: u64,
-    /// Fission width that was actually applied (1 = unfissed).
-    pub width: usize,
-    /// Resolved cycle quantum baked into this artifact.
-    pub quantum: u64,
-    /// Wall-clock cost of the full front end (parse through partition),
-    /// in milliseconds — the price a cache hit avoids.
+    pub compiled: Compiled,
+    /// Wall-clock cost of the compile (parse through partition), in
+    /// milliseconds — the price a cache hit avoids.
     pub compile_ms: f64,
-}
-
-impl CachedArtifact {
-    /// Worker threads a pipeline stream of this artifact occupies (the
-    /// partition's actual stage count, which may be below the requested
-    /// budget); 1 for single-threaded execution.
-    pub fn workers_needed(&self) -> usize {
-        self.part.as_ref().map_or(1, |p| p.num_stages)
-    }
 }
 
 /// Cache statistics, exposed by the `stats` protocol op.
@@ -144,159 +96,68 @@ impl PlanCache {
         }
     }
 
-    /// Looks up the artifact for `key`, compiling `src` through the full
-    /// front end on a miss. Returns the artifact and whether this was a
-    /// hit. Compilation runs outside the cache lock would be nicer for
-    /// concurrent opens of *different* programs, but correctness first:
-    /// the lock also deduplicates concurrent compiles of the *same*
-    /// program, which is the case the daemon actually sees.
+    /// Looks up the artifact for (`src`, `spec`), compiling on a miss with
+    /// every phase recorded on `probe`. Returns the artifact and whether
+    /// this was a hit. Compilation runs outside the cache lock would be
+    /// nicer for concurrent opens of *different* programs, but
+    /// correctness first: the lock also deduplicates concurrent compiles
+    /// of the *same* program, which is the case the daemon actually sees.
     ///
     /// # Errors
     ///
-    /// Any front-end failure (parse, elaborate, plan, …) as a displayable
+    /// Any compile failure (parse, elaborate, plan, …) as a displayable
     /// message; errors are not cached.
-    pub fn get_or_compile(
+    pub fn get_or_compile<P: Probe>(
         &self,
-        key: &PlanKey,
         src: &str,
-        fission: Fission,
+        spec: PlanSpec,
+        probe: &mut P,
     ) -> Result<(Arc<CachedArtifact>, bool), String> {
+        let key = PlanKey::of(src, spec);
         let mut g = self.inner.lock().unwrap();
-        if let Some(a) = g.map.get(key).map(Arc::clone) {
+        if let Some(a) = g.map.get(&key).map(Arc::clone) {
             g.hits += 1;
             return Ok((a, true));
         }
-        let artifact = Arc::new(compile_artifact(
-            src,
-            &key.config,
-            key.sched,
-            key.matmul,
-            key.threads,
-            fission,
-            key.quantum,
-        )?);
+        let t0 = Instant::now();
+        let compiled = compile_source(src, &key.1, probe)?;
+        let artifact = Arc::new(CachedArtifact {
+            compiled,
+            compile_ms: t0.elapsed().as_secs_f64() * 1e3,
+        });
         g.misses += 1;
-        g.map.insert(key.clone(), Arc::clone(&artifact));
+        g.map.insert(key, Arc::clone(&artifact));
         Ok((artifact, false))
     }
-}
-
-/// The full front end, mirroring `streamlinc`'s one-shot path so cached
-/// execution is bit-identical to the CLI: parse → elaborate → analyze →
-/// replace/select → flatten → plan → fission → partition.
-fn compile_artifact(
-    src: &str,
-    config: &str,
-    sched: Scheduler,
-    matmul: MatMulStrategy,
-    threads: Option<usize>,
-    fission: Fission,
-    quantum: u64,
-) -> Result<CachedArtifact, String> {
-    let t0 = Instant::now();
-    let program = streamlin_lang::parse(src).map_err(|e| e.to_string())?;
-    let graph = streamlin_graph::elaborate(&program).map_err(|e| e.to_string())?;
-    let analysis = analyze_graph(&graph);
-    let opt = match config {
-        "baseline" => replace(&graph, &analysis, &ReplaceOptions::per_filter()),
-        "linear" => replace(&graph, &analysis, &ReplaceOptions::maximal_linear()),
-        "freq" => replace(&graph, &analysis, &ReplaceOptions::maximal_freq()),
-        "redund" => replace(
-            &graph,
-            &analysis,
-            &ReplaceOptions {
-                combine: true,
-                target: ReplaceTarget::Redund,
-            },
-        ),
-        "autosel" => {
-            select(
-                &graph,
-                &analysis,
-                &CostModel::default(),
-                &SelectOptions::default(),
-            )
-            .map_err(|e| e.to_string())?
-            .opt
-        }
-        other => return Err(format!("unknown config `{other}`")),
-    };
-    let flat = flatten(&opt, matmul).map_err(|e| e.to_string())?;
-    let compiled = match sched {
-        Scheduler::Dynamic => None,
-        Scheduler::Static => Some(plan::compile(&flat).map_err(|e| e.to_string())?),
-        Scheduler::Auto if opt.has_feedback() => None,
-        Scheduler::Auto => plan::compile(&flat).ok(),
-    };
-    // Canonical single-threaded pair, kept for per-stream degradation
-    // whenever this artifact will run on the pipeline executor.
-    let canonical = match (&compiled, threads) {
-        (Some(p), Some(_)) => Some((flat.clone(), p.clone())),
-        _ => None,
-    };
-    // Fission (pipeline artifacts only — the single-threaded engines run
-    // the canonical graph): refusals fall back to the unfissed pair,
-    // exactly like the one-shot profiler.
-    let model = CostModel::default();
-    let (flat, compiled, scale, width) = match (compiled, threads) {
-        (Some(p), Some(t)) if fission != Fission::Off => {
-            match streamlin_runtime::fiss_bottleneck(
-                &flat, &p, fission, t, &model, &NoFault, quantum,
-            ) {
-                Ok((fissed, info)) => match plan::compile(&fissed) {
-                    Ok(p2) => (fissed, Some(p2), info.scale, info.width),
-                    Err(_) => (flat, Some(p), 1, 1),
-                },
-                Err(_) => (flat, Some(p), 1, 1),
-            }
-        }
-        (c, _) => (flat, c, 1, 1),
-    };
-    let part = match (&compiled, threads) {
-        (Some(p), Some(t)) => Some(streamlin_runtime::partition(&flat, p, t, &model)),
-        _ => None,
-    };
-    Ok(CachedArtifact {
-        flat,
-        plan: compiled,
-        part,
-        canonical,
-        scale,
-        width,
-        quantum,
-        compile_ms: t0.elapsed().as_secs_f64() * 1e3,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use streamlin_runtime::RunSpec;
+    use streamlin_support::NoProbe;
 
     const PROGRAM: &str = "void->void pipeline Main { add S(); add K(); }
          void->float filter S { float x; work push 1 { push(x++); } }
          float->void filter K { work pop 1 { println(2 * pop()); } }";
 
-    fn key(threads: Option<usize>) -> PlanKey {
-        PlanKey {
-            src_hash: fnv1a64(PROGRAM.as_bytes()),
-            config: "autosel".into(),
-            sched: Scheduler::Auto,
-            matmul: MatMulStrategy::Simd,
+    fn spec(threads: Option<usize>) -> PlanSpec {
+        RunSpec {
             threads,
-            fission: "off".into(),
-            quantum: 4,
+            ..RunSpec::default()
         }
+        .plan()
     }
 
     #[test]
     fn second_lookup_is_a_hit_and_shares_the_artifact() {
         let cache = PlanCache::new();
         let (a, hit) = cache
-            .get_or_compile(&key(None), PROGRAM, Fission::Off)
+            .get_or_compile(PROGRAM, spec(None), &mut NoProbe)
             .unwrap();
         assert!(!hit);
         let (b, hit) = cache
-            .get_or_compile(&key(None), PROGRAM, Fission::Off)
+            .get_or_compile(PROGRAM, spec(None), &mut NoProbe)
             .unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&a, &b));
@@ -308,15 +169,18 @@ mod tests {
     fn distinct_knobs_are_distinct_entries() {
         let cache = PlanCache::new();
         cache
-            .get_or_compile(&key(None), PROGRAM, Fission::Off)
+            .get_or_compile(PROGRAM, spec(None), &mut NoProbe)
             .unwrap();
         let (a, hit) = cache
-            .get_or_compile(&key(Some(2)), PROGRAM, Fission::Off)
+            .get_or_compile(PROGRAM, spec(Some(2)), &mut NoProbe)
             .unwrap();
         assert!(!hit);
-        assert!(a.part.is_some(), "pipeline key carries a partition");
         assert!(
-            a.canonical.is_some(),
+            a.compiled.part.is_some(),
+            "pipeline key carries a partition"
+        );
+        assert!(
+            a.compiled.canonical.is_some(),
             "pipeline key retains the canonical pair"
         );
         assert_eq!(cache.stats().entries, 2);
@@ -325,10 +189,8 @@ mod tests {
     #[test]
     fn compile_errors_are_not_cached() {
         let cache = PlanCache::new();
-        let mut k = key(None);
-        k.src_hash = 1;
         assert!(cache
-            .get_or_compile(&k, "not a program", Fission::Off)
+            .get_or_compile("not a program", spec(None), &mut NoProbe)
             .is_err());
         assert_eq!(cache.stats().entries, 0);
         assert_eq!(cache.stats().misses, 0);

@@ -6,13 +6,14 @@
 //! re-partitions before firing a single item, and tears the worker pool
 //! back down afterwards. This crate keeps everything resident:
 //!
-//! * a **plan cache** ([`cache`]) keyed by program content-hash ×
-//!   configuration × runtime knobs, holding the fully compiled artifact
+//! * a **plan cache** ([`cache`]) keyed by program content-hash × the
+//!   request's normalised `PlanSpec`, holding the fully compiled artifact
 //!   (`FilterFacts` intact) so compile cost is paid once per distinct
 //!   program;
-//! * **named streams** ([`session`]): per-stream engine state persists
-//!   across requests — a stream is a long-lived stateful process whose
-//!   output is consumed in ordered batches;
+//! * **named streams**: each holds a resident
+//!   [`streamlin_runtime::Session`] — the same session a one-shot
+//!   `streamlinc` run opens, reads once and closes — whose engine state
+//!   persists across requests;
 //! * a **line-delimited JSON protocol** ([`proto`]) over stdio or TCP,
 //!   built on `streamlin_support::json` (no serialization dependency);
 //! * **admission control** ([`admission`]): streams multiplex onto the
@@ -35,21 +36,19 @@ pub mod admission;
 pub mod cache;
 pub mod proto;
 pub mod server;
-pub mod session;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use streamlin_runtime::{pool, resolve_quantum_checked};
+use streamlin_runtime::{pool, RunSpec, Session};
 use streamlin_support::json::Json;
-use streamlin_support::InjectFaults;
+use streamlin_support::{NoProbe, Recorder};
 
 use admission::Ledger;
-use cache::{fnv1a64, PlanCache, PlanKey};
+use cache::PlanCache;
 use proto::{err_response, ok_response, OpenReq, Request};
-use session::{build_exec, StreamExec};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -97,7 +96,7 @@ struct StreamEntry {
     /// The resident engine; `None` once the stream has been torn down
     /// (whoever takes the engine out owns releasing the ledger claim and
     /// closing it, so teardown happens exactly once).
-    exec: Option<Box<dyn StreamExec>>,
+    exec: Option<Box<dyn Session>>,
     /// Current ledger claim (drops to 1 when the stream degrades).
     workers: usize,
 }
@@ -111,6 +110,12 @@ type StreamSlot = Arc<Mutex<StreamEntry>>;
 /// request dispatcher. Transport-free — [`server`] owns the I/O loops.
 pub struct Service {
     opts: ServiceOpts,
+    /// What every `open` is parsed over: the environment's defaults (read
+    /// once, here) overlaid with the daemon's own. `quantum` is 0 when the
+    /// environment's override is unusable and the daemon has none of its
+    /// own — such opens must bring a quantum or be refused.
+    base: RunSpec,
+    env_complaint: Option<String>,
     cache: PlanCache,
     ledger: Ledger,
     /// The stream table. Guards only membership: entries carry their own
@@ -137,8 +142,17 @@ fn valid_stream_id(id: &str) -> bool {
 impl Service {
     pub fn new(opts: ServiceOpts) -> Self {
         let ledger = Ledger::new(opts.workers);
+        let (mut base, env_complaint) = RunSpec::from_env_checked();
+        if opts.quantum != 0 {
+            base.quantum = opts.quantum;
+        } else if env_complaint.is_some() {
+            base.quantum = 0;
+        }
+        base.watchdog = opts.watchdog_ms.map(Duration::from_millis);
         Service {
             opts,
+            base,
+            env_complaint,
             cache: PlanCache::new(),
             ledger,
             streams: Mutex::new(HashMap::new()),
@@ -156,7 +170,7 @@ impl Service {
     /// malformed input; failures are structured `{"ok":false,...}`
     /// responses.
     pub fn handle(&self, line: &str) -> String {
-        match proto::parse_request(line) {
+        match proto::parse_request_over(line, Some(&self.base)) {
             Err(detail) => err_response("bad_request", &detail, vec![]),
             Ok(Request::Ping) => ok_response("pong", vec![]),
             Ok(Request::Stats) => self.handle_stats(),
@@ -189,44 +203,30 @@ impl Service {
                 return resp;
             }
         }
-        let fault = match &req.fault {
-            None => None,
-            Some(spec) => match InjectFaults::parse(spec) {
-                Ok(f) => Some(f),
-                Err(e) => {
-                    return err_response("bad_request", &format!("bad fault spec: {e}"), vec![])
-                }
-            },
+        // An invalid STREAMLIN_CYCLE_QUANTUM in the daemon's environment
+        // is a structured refusal, not a silent fallback the client can't
+        // see — unless the request (or the daemon) names a quantum.
+        if req.spec.quantum == 0 {
+            let why = self.env_complaint.as_deref().unwrap_or("no cycle quantum");
+            return err_response("bad_request", why, vec![]);
+        }
+        // A cache miss compiles on the stream's own recorder, so an
+        // instrumented stream's close report carries its compile phases.
+        let mut rec = self.opts.instrument.then(Recorder::new);
+        let plan = req.spec.plan();
+        let looked_up = match rec.as_mut() {
+            Some(rec) => self.cache.get_or_compile(&req.program, plan, rec),
+            None => self.cache.get_or_compile(&req.program, plan, &mut NoProbe),
         };
-        // Checked resolution: an invalid STREAMLIN_CYCLE_QUANTUM in the
-        // daemon's environment is a structured refusal, not a silent
-        // fallback the client can't see.
-        let quantum = match resolve_quantum_checked(if req.quantum != 0 {
-            req.quantum
-        } else {
-            self.opts.quantum
-        }) {
-            Ok(q) => q,
-            Err(why) => return err_response("bad_request", &why, vec![]),
-        };
-        let matmul = req.matmul.unwrap_or_else(|| req.mode.default_strategy());
-        let key = PlanKey {
-            src_hash: fnv1a64(req.program.as_bytes()),
-            config: req.config.clone(),
-            sched: req.sched,
-            matmul,
-            threads: req.threads,
-            fission: format!("{:?}", req.fission),
-            quantum,
-        };
-        let (artifact, cached) = match self.cache.get_or_compile(&key, &req.program, req.fission) {
+        let (artifact, cached) = match looked_up {
             Ok(pair) => pair,
             Err(detail) => return err_response("compile_error", &detail, vec![]),
         };
+        let compiled = &artifact.compiled;
         // Admission: claim the stream's worker complement before any
         // pool thread is taken; saturation is a structured refusal (or a
         // bounded wait), never a hang.
-        let need = artifact.workers_needed();
+        let need = compiled.workers_needed();
         let wait = req.wait_ms.map(Duration::from_millis);
         if let Err(e) = self.ledger.claim(need, wait) {
             let (code, pairs) = match &e {
@@ -252,11 +252,7 @@ impl Service {
             };
             return err_response(code, &e.to_string(), pairs);
         }
-        let watchdog = req
-            .watchdog_ms
-            .or(self.opts.watchdog_ms)
-            .map(Duration::from_millis);
-        let exec = match build_exec(&artifact, req.mode, self.opts.instrument, fault, watchdog) {
+        let exec = match streamlin_runtime::open(compiled.clone(), &req.spec.exec(), rec) {
             Ok(exec) => exec,
             Err(e) => {
                 self.ledger.release(need);
@@ -296,11 +292,11 @@ impl Service {
             ("cached".to_string(), Json::Bool(cached)),
             ("compile_ms".to_string(), Json::Num(artifact.compile_ms)),
             ("workers".to_string(), Json::Num(workers as f64)),
-            ("width".to_string(), Json::Num(artifact.width as f64)),
+            ("width".to_string(), Json::Num(compiled.width as f64)),
             (
                 "sched".to_string(),
                 Json::Str(
-                    if artifact.plan.is_some() {
+                    if compiled.plan.is_some() {
                         "static"
                     } else {
                         "dynamic"
@@ -352,24 +348,23 @@ impl Service {
             return err_response("unknown_stream", &format!("no stream `{id}`"), vec![]);
         };
         match exec.read(n) {
-            Ok(out) => {
-                if out.just_degraded.is_some() && entry.workers > 1 {
+            Ok(values) => {
+                let delivered = exec.delivered();
+                let degraded = exec.degraded().map(str::to_string);
+                if degraded.is_some() && entry.workers > 1 {
                     // This stream fell back to the single-threaded plan;
                     // its surplus workers return to the budget. Neighbor
                     // streams are untouched.
                     self.ledger.release(entry.workers - 1);
                     entry.workers = 1;
                 }
-                let exec = entry.exec.as_ref().expect("present above");
-                let delivered = exec.delivered();
-                let degraded = exec.degraded().map(str::to_string);
                 let mut pairs = vec![
                     ("id".to_string(), Json::Str(id.into())),
                     (
                         "values".to_string(),
                         // Sentinel-encoded: JSON would turn NaN/Inf
                         // samples into `null` (see `proto::encode_sample`).
-                        Json::arr(out.values.into_iter().map(proto::encode_sample)),
+                        Json::arr(values.into_iter().map(proto::encode_sample)),
                     ),
                     ("delivered".to_string(), Json::Num(delivered as f64)),
                 ];
@@ -424,20 +419,20 @@ impl Service {
         let mut pairs = vec![
             ("id".to_string(), Json::Str(id.into())),
             ("delivered".to_string(), Json::Num(report.delivered as f64)),
-            ("flops".to_string(), Json::Num(report.flops as f64)),
-            ("mults".to_string(), Json::Num(report.mults as f64)),
+            ("flops".to_string(), Json::Num(report.ops.flops() as f64)),
+            ("mults".to_string(), Json::Num(report.ops.mults() as f64)),
             ("firings".to_string(), Json::Num(report.firings as f64)),
         ];
         if let Some(d) = &report.degraded {
             pairs.push(("degraded".to_string(), Json::Str(d.clone())));
         }
-        if let Some((summary, trace)) = &report.probe {
+        if let Some(rec) = &report.probe {
             if self.opts.metrics {
-                eprintln!("--- stream {id} ---\n{summary}");
+                eprintln!("--- stream {id} ---\n{}", rec.summary());
             }
             if let Some(dir) = &self.opts.trace_dir {
                 let path = format!("{dir}/{id}.trace.json");
-                match std::fs::write(&path, trace) {
+                match std::fs::write(&path, rec.chrome_trace()) {
                     Ok(()) => pairs.push(("trace".to_string(), Json::Str(path))),
                     Err(e) => eprintln!("streamlind: cannot write {path}: {e}"),
                 }

@@ -26,13 +26,17 @@
 //! {"op":"shutdown"}
 //! ```
 //!
+//! Beside `id`, `program` and `wait_ms`, the members of `open` are exactly
+//! the rows of the run-spec knob table ([`streamlin_runtime::KNOBS`], the
+//! same table `streamlinc` feeds its flags): each row's `key`, as a
+//! string or a number, validated by the row.
+//!
 //! Responses always carry `"ok"`; failures are structured —
 //! `{"ok":false,"error":"saturated","need":2,"in_use":4,"budget":4,...}`
 //! is the admission-control refusal, never a hang.
 
-use streamlin_runtime::fission::Fission;
-use streamlin_runtime::measure::{ExecMode, Scheduler};
-use streamlin_runtime::MatMulStrategy;
+use streamlin_runtime::spec::count;
+use streamlin_runtime::{RunSpec, KNOBS};
 use streamlin_support::json::{self, Json};
 
 /// A parsed `open` request.
@@ -40,17 +44,9 @@ use streamlin_support::json::{self, Json};
 pub struct OpenReq {
     pub id: String,
     pub program: String,
-    pub config: String,
-    pub sched: Scheduler,
-    pub mode: ExecMode,
-    pub matmul: Option<MatMulStrategy>,
-    pub threads: Option<usize>,
-    pub fission: Fission,
-    /// `0` defers to the daemon default (then env, then built-in).
-    pub quantum: u64,
-    /// Per-stream fault-injection spec (the `--fault-inject` grammar).
-    pub fault: Option<String>,
-    pub watchdog_ms: Option<u64>,
+    /// The defaults the request was parsed over, with its knob members
+    /// applied.
+    pub spec: RunSpec,
     /// How long `open` may wait for admission before a structured
     /// refusal; absent = refuse immediately.
     pub wait_ms: Option<u64>,
@@ -71,79 +67,69 @@ fn str_field(v: &Json, key: &str) -> Option<String> {
     v.get(key).and_then(Json::as_str).map(str::to_string)
 }
 
-fn num_field(v: &Json, key: &str) -> Option<f64> {
-    v.get(key).and_then(Json::as_num)
+/// A member that feeds a validator: strings as they are, numbers in
+/// Rust's shortest round-trip spelling (`2` for `2.0`, `0.5`, `-5`, `inf`),
+/// so the validators the CLI uses see what the client wrote.
+fn text_field(v: &Json, key: &str) -> Result<Option<String>, String> {
+    match v.get(key) {
+        None => Ok(None),
+        Some(Json::Str(s)) => Ok(Some(s.clone())),
+        Some(Json::Num(n)) => Ok(Some(n.to_string())),
+        Some(_) => Err(format!("bad `{key}`: must be a string or a number")),
+    }
 }
 
-/// Parses one request line.
+/// Parses one request line, an `open` over [`RunSpec::from_env`].
 ///
 /// # Errors
 ///
-/// A human-readable description of what is malformed (the server wraps
-/// it into a `bad_request` response).
+/// As [`parse_request_over`].
 pub fn parse_request(line: &str) -> Result<Request, String> {
+    parse_request_over(line, None)
+}
+
+/// Parses one request line; an `open`'s knob members are applied over
+/// `base` (the daemon's defaults; `None` = [`RunSpec::from_env`]).
+///
+/// # Errors
+///
+/// A human-readable description of what is malformed, naming the member
+/// (the server wraps it into a `bad_request` response).
+pub fn parse_request_over(line: &str, base: Option<&RunSpec>) -> Result<Request, String> {
     let v = json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
     let op = str_field(&v, "op").ok_or("missing \"op\"")?;
     match op.as_str() {
         "open" => {
             let id = str_field(&v, "id").ok_or("open: missing \"id\"")?;
             let program = str_field(&v, "program").ok_or("open: missing \"program\"")?;
-            let sched = match str_field(&v, "sched").as_deref() {
-                None | Some("auto") => Scheduler::Auto,
-                Some("static") => Scheduler::Static,
-                Some("dynamic") => Scheduler::Dynamic,
-                Some(other) => return Err(format!("open: unknown sched `{other}`")),
-            };
-            let mode = match str_field(&v, "mode").as_deref() {
-                None | Some("measured") => ExecMode::Measured,
-                Some("fast") => ExecMode::Fast,
-                Some(other) => return Err(format!("open: unknown mode `{other}`")),
-            };
-            let matmul = match str_field(&v, "matmul").as_deref() {
+            let mut spec = base.cloned().unwrap_or_else(RunSpec::from_env);
+            for knob in KNOBS {
+                if let Some(raw) = text_field(&v, knob.key).map_err(|e| format!("open: {e}"))? {
+                    knob.apply(&mut spec, &raw)
+                        .map_err(|why| format!("open: bad `{}`: {why}", knob.key))?;
+                }
+            }
+            let wait_ms = match text_field(&v, "wait_ms").map_err(|e| format!("open: {e}"))? {
                 None => None,
-                Some("unrolled") => Some(MatMulStrategy::Unrolled),
-                Some("diagonal") => Some(MatMulStrategy::Diagonal),
-                Some("blocked") => Some(MatMulStrategy::Blocked),
-                Some("simd") => Some(MatMulStrategy::Simd),
-                Some(other) => return Err(format!("open: unknown matmul `{other}`")),
-            };
-            let fission = match v.get("fission") {
-                None => Fission::Off,
-                Some(Json::Str(s)) if s == "auto" => Fission::Auto,
-                Some(Json::Str(s)) if s == "off" => Fission::Off,
-                Some(Json::Num(n)) if *n >= 1.0 && n.fract() == 0.0 => Fission::Width(*n as usize),
-                Some(other) => return Err(format!("open: bad fission `{other:?}`")),
-            };
-            let threads = match num_field(&v, "threads") {
-                None => None,
-                Some(n) if n >= 1.0 && n.fract() == 0.0 => Some(n as usize),
-                Some(n) => return Err(format!("open: bad threads `{n}`")),
-            };
-            let quantum = match num_field(&v, "quantum") {
-                None => 0,
-                Some(q) if q >= 1.0 && q.fract() == 0.0 => q as u64,
-                Some(q) => return Err(format!("open: bad quantum `{q}`")),
+                Some(raw) => {
+                    Some(count(&raw, 0).map_err(|why| format!("open: bad `wait_ms`: {why}"))?)
+                }
             };
             Ok(Request::Open(Box::new(OpenReq {
                 id,
                 program,
-                config: str_field(&v, "config").unwrap_or_else(|| "autosel".into()),
-                sched,
-                mode,
-                matmul,
-                threads,
-                fission,
-                quantum,
-                fault: str_field(&v, "fault"),
-                watchdog_ms: num_field(&v, "watchdog_ms").map(|n| n as u64),
-                wait_ms: num_field(&v, "wait_ms").map(|n| n as u64),
+                spec,
+                wait_ms,
             })))
         }
         "read" => {
             let id = str_field(&v, "id").ok_or("read: missing \"id\"")?;
-            let n = match num_field(&v, "n") {
+            // Checked as the number it is: `read` is the hot request, and
+            // stringifying `n` for the knob validator would cost it an
+            // allocation.
+            let n = match v.get("n").and_then(Json::as_num) {
                 Some(n) if n >= 0.0 && n.fract() == 0.0 => n as usize,
-                _ => return Err("read: missing or bad \"n\"".into()),
+                _ => return Err("read: missing or bad `n`".into()),
             };
             Ok(Request::Read { id, n })
         }
@@ -213,38 +199,38 @@ pub fn err_response(code: &str, detail: &str, pairs: Vec<(String, Json)>) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+    use streamlin_runtime::fission::Fission;
+    use streamlin_runtime::ExecMode;
+
+    fn open(extra: &str) -> Result<OpenReq, String> {
+        let line = format!(r#"{{"op":"open","id":"a","program":"p"{extra}}}"#);
+        match parse_request_over(&line, Some(&RunSpec::default()))? {
+            Request::Open(o) => Ok(*o),
+            other => panic!("not open: {other:?}"),
+        }
+    }
 
     #[test]
     fn open_defaults_mirror_streamlinc() {
-        let r = parse_request(r#"{"op":"open","id":"a","program":"p"}"#).unwrap();
-        let Request::Open(o) = r else {
-            panic!("not open")
-        };
-        assert_eq!(o.config, "autosel");
-        assert_eq!(o.sched, Scheduler::Auto);
-        assert_eq!(o.mode, ExecMode::Measured);
-        assert_eq!(o.matmul, None);
-        assert_eq!(o.threads, None);
-        assert_eq!(o.fission, Fission::Off);
-        assert_eq!(o.quantum, 0);
+        let o = open("").unwrap();
+        assert_eq!(o.spec, RunSpec::default());
+        assert_eq!(o.wait_ms, None);
     }
 
     #[test]
     fn knobs_parse() {
-        let r = parse_request(
-            r#"{"op":"open","id":"a","program":"p","mode":"fast","threads":4,
-                "fission":2,"quantum":8,"fault":"7:die@s0","watchdog_ms":500,"wait_ms":10}"#,
+        let o = open(
+            r#","mode":"fast","threads":4,"fission":2,"quantum":8,"fault":"7:die@s0",
+                "watchdog_ms":500,"wait_ms":10,"unknown":[1]"#,
         )
         .unwrap();
-        let Request::Open(o) = r else {
-            panic!("not open")
-        };
-        assert_eq!(o.mode, ExecMode::Fast);
-        assert_eq!(o.threads, Some(4));
-        assert_eq!(o.fission, Fission::Width(2));
-        assert_eq!(o.quantum, 8);
-        assert_eq!(o.fault.as_deref(), Some("7:die@s0"));
-        assert_eq!(o.watchdog_ms, Some(500));
+        assert_eq!(o.spec.mode, ExecMode::Fast);
+        assert_eq!(o.spec.threads, Some(4));
+        assert_eq!(o.spec.fission, Fission::Width(2));
+        assert_eq!(o.spec.quantum, 8);
+        assert!(o.spec.fault.is_some());
+        assert_eq!(o.spec.watchdog, Some(Duration::from_millis(500)));
         assert_eq!(o.wait_ms, Some(10));
     }
 
@@ -255,6 +241,35 @@ mod tests {
         assert!(parse_request(r#"{"op":"read","id":"a"}"#).is_err());
         assert!(parse_request(r#"{"op":"warp"}"#).is_err());
         assert!(parse_request(r#"{"op":"open","id":"a","program":"p","sched":"hyper"}"#).is_err());
+        // Every numeric member goes through the CLI's validator: negative,
+        // fractional, zero (where the CLI refuses it) and non-finite values
+        // are refused by name, as are unknown enumeration values.
+        for (key, bad) in [
+            ("watchdog_ms", "-5"),
+            ("watchdog_ms", "0.5"),
+            ("watchdog_ms", "0"),
+            ("wait_ms", "-1"),
+            ("wait_ms", "1.5"),
+            ("quantum", "0"),
+            ("quantum", "2.5"),
+            ("quantum", "1e999"),
+            ("threads", "0"),
+            ("threads", "-2"),
+            ("threads", "true"),
+            ("fission", "1.5"),
+            ("config", "\"bogus\""),
+            ("mode", "\"turbo\""),
+            ("matmul", "\"fused\""),
+            ("tier", "\"jit\""),
+            ("cert", "\"maybe\""),
+            ("fault", "\"7:bogus\""),
+        ] {
+            let why = open(&format!(r#","{key}":{bad}"#)).expect_err(key);
+            assert!(why.contains(&format!("`{key}`")), "{key}={bad}: {why}");
+        }
+        let why = parse_request(r#"{"op":"read","id":"a","n":-1}"#).unwrap_err();
+        assert!(why.contains("`n`"), "{why}");
+        assert!(open(r#","wait_ms":0"#).is_ok(), "a zero wait is a refusal");
     }
 
     #[test]

@@ -187,6 +187,14 @@ pub struct InjectFaults {
     shared: Arc<Shared>,
 }
 
+/// Two plans are the same plan when they were parsed from the same text;
+/// how much of a refusal budget either has already spent is not compared.
+impl PartialEq for InjectFaults {
+    fn eq(&self, other: &Self) -> bool {
+        self.seed == other.seed && self.spec == other.spec
+    }
+}
+
 /// SplitMix64: the standard 64-bit finalizer used as the deterministic
 /// seed → site mapping.
 fn splitmix64(mut x: u64) -> u64 {

@@ -5,9 +5,6 @@
 //!
 //! Run with: `cargo run --release --example auto_selection`
 
-use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions};
-use streamlin::core::cost::CostModel;
-use streamlin::core::select::{select, SelectOptions};
 use streamlin::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,23 +13,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let analysis = analyze_graph(graph);
 
     let n = 128;
-    let base = profile(
-        &replace(graph, &analysis, &ReplaceOptions::per_filter()),
-        n,
-        MatMulStrategy::Unrolled,
-    )?;
-    let maximal = profile(
-        &replace(graph, &analysis, &ReplaceOptions::maximal_linear()),
-        n,
-        MatMulStrategy::Unrolled,
-    )?;
+    let spec = RunSpec::default();
+    let base = spec.run(&Config::Baseline.apply(graph, &analysis)?, n)?;
+    let maximal = spec.run(&Config::Linear.apply(graph, &analysis)?, n)?;
     let sel = select(
         graph,
         &analysis,
         &CostModel::default(),
         &SelectOptions::default(),
     )?;
-    let auto = profile(&sel.opt, n, MatMulStrategy::Unrolled)?;
+    let auto = spec.run(&sel.opt, n)?;
 
     println!("Radar(12 channels, 4 beams), multiplications per output:");
     println!("  baseline          : {:>10.1}", base.mults_per_output());

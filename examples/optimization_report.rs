@@ -5,9 +5,6 @@
 //!
 //! Run with: `cargo run --release --example optimization_report`
 
-use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions};
-use streamlin::core::cost::CostModel;
-use streamlin::core::select::{select, SelectOptions};
 use streamlin::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,36 +22,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  non-linear filter #{id}: {reason}");
     }
 
-    let configs = [
-        (
-            "baseline",
-            replace(graph, &analysis, &ReplaceOptions::per_filter()),
-        ),
-        (
-            "linear",
-            replace(graph, &analysis, &ReplaceOptions::maximal_linear()),
-        ),
-        (
-            "freq",
-            replace(graph, &analysis, &ReplaceOptions::maximal_freq()),
-        ),
-        (
-            "autosel",
-            select(
-                graph,
-                &analysis,
-                &CostModel::default(),
-                &SelectOptions::default(),
-            )?
-            .opt,
-        ),
-    ];
-
     let n = 512;
     let mut baseline_mults = None;
-    for (name, opt) in configs {
+    for config in [
+        Config::Baseline,
+        Config::Linear,
+        Config::Freq,
+        Config::AutoSel,
+    ] {
+        let name = config.label();
+        let opt = config.apply(graph, &analysis)?;
         let stats = opt.stats();
-        let prof = profile(&opt, n, MatMulStrategy::Unrolled)?;
+        let prof = RunSpec::default().run(&opt, n)?;
         let base = *baseline_mults.get_or_insert(prof.mults_per_output());
         println!(
             "{name:>9}: {:>2} nodes ({} linear, {} freq) | {:>8.1} mults/out ({:>6.1}% removed) | {:>7.1} us/out",

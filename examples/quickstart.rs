@@ -44,8 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("optimized structure:  {}", optimized.describe());
 
     let n = 1000;
-    let base = profile(&baseline, n, MatMulStrategy::Unrolled)?;
-    let opt = profile(&optimized, n, MatMulStrategy::Unrolled)?;
+    let spec = RunSpec::default();
+    let base = spec.run(&baseline, n)?;
+    let opt = spec.run(&optimized, n)?;
 
     assert_eq!(base.outputs.len(), opt.outputs.len());
     for (a, b) in base.outputs.iter().zip(&opt.outputs) {

@@ -15,7 +15,7 @@
 //! | [`lang`] | `streamlin-lang` | lexer, parser, AST |
 //! | [`graph`] | `streamlin-graph` | elaboration, stream IR, steady-state rates |
 //! | [`core`] | `streamlin-core` | extraction, combination, frequency, redundancy, selection |
-//! | [`runtime`] | `streamlin-runtime` | flattening, execution engine, profiling |
+//! | [`runtime`] | `streamlin-runtime` | flattening, execution engines, the run spec and session |
 //! | [`service`] | `streamlin-service` | the `streamlind` daemon: plan cache, streams, admission |
 //! | [`benchmarks`] | `streamlin-benchmarks` | the nine paper benchmarks |
 //! | [`matrix`], [`fft`], [`support`] | substrates | linear algebra, FFT, op counting |
@@ -42,8 +42,9 @@
 //! assert_eq!(optimized.stats().linear, 1); // F and G fused: y = 2x + 1
 //!
 //! // 3. Execute both and compare.
-//! let base = profile(&OptStream::from_graph(&graph), 10, MatMulStrategy::Unrolled)?;
-//! let opt = profile(&optimized, 10, MatMulStrategy::Unrolled)?;
+//! let spec = RunSpec::default();
+//! let base = spec.run(&OptStream::from_graph(&graph), 10)?;
+//! let opt = spec.run(&optimized, 10)?;
 //! assert_eq!(base.outputs, opt.outputs);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -66,12 +67,11 @@ pub mod prelude {
     pub use streamlin_core::node::LinearNode;
     pub use streamlin_core::opt::OptStream;
     pub use streamlin_core::select::{select, SelectOptions};
+    pub use streamlin_core::Config;
     pub use streamlin_graph::elaborate::{elaborate, elaborate_named};
     pub use streamlin_graph::ir::Stream;
     pub use streamlin_lang::parse;
-    pub use streamlin_runtime::measure::{
-        profile, profile_mode, profile_sched, ExecMode, Scheduler,
-    };
-    pub use streamlin_runtime::MatMulStrategy;
+    pub use streamlin_runtime::fission::Fission;
+    pub use streamlin_runtime::{ExecMode, MatMulStrategy, RunSpec, Scheduler, Tier};
     pub use streamlin_support::OpCounter;
 }

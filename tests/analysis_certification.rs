@@ -13,9 +13,8 @@ use streamlin::core::state_space::extract_stateful;
 use streamlin::graph::{elaborate, StateEffect};
 use streamlin::lang::parse;
 use streamlin::runtime::fission::{fissability, Fission};
-use streamlin::runtime::flat::flatten;
-use streamlin::runtime::measure::{profile_fission, profile_mode, ExecMode, Scheduler};
-use streamlin::runtime::{set_cert_elision, MatMulStrategy};
+use streamlin::runtime::flat::{flatten, NodeKind};
+use streamlin::runtime::{ExecMode, MatMulStrategy, RunSpec, Scheduler};
 
 /// Expected state-effect class per (benchmark, filter declaration).
 /// Everything not listed here must analyze as `Pure`.
@@ -96,14 +95,27 @@ fn cert_elision_is_bit_identical_across_modes_and_schedulers() {
         // back to the data-driven engine (DToA has a feedback loop).
         for sched in [Scheduler::Auto, Scheduler::Dynamic] {
             for mode in [ExecMode::Measured, ExecMode::Fast] {
-                let strategy = mode.default_strategy();
-                set_cert_elision(true);
-                let fast = profile_mode(&opt, n, strategy, sched, mode)
-                    .unwrap_or_else(|e| panic!("{} {sched:?} {mode:?}: {e}", b.name()));
-                set_cert_elision(false);
-                let checked = profile_mode(&opt, n, strategy, sched, mode)
-                    .unwrap_or_else(|e| panic!("{} {sched:?} {mode:?}: {e}", b.name()));
-                set_cert_elision(true);
+                // Elision is a field of each run's spec, and the built
+                // graph is asked which tape discipline its nodes took:
+                // every benchmark phase certifies, so `cert` alone decides.
+                let run = |cert: bool| {
+                    let spec = RunSpec {
+                        sched,
+                        mode,
+                        cert,
+                        ..RunSpec::from_env()
+                    };
+                    let art = spec.compile(&opt).unwrap();
+                    for node in &art.flat.nodes {
+                        if let NodeKind::Interp(state) = &node.kind {
+                            assert_eq!(state.work_certified, cert, "{} {}", b.name(), node.name);
+                        }
+                    }
+                    spec.run_compiled(art, n)
+                        .unwrap_or_else(|e| panic!("{} {sched:?} {mode:?}: {e}", b.name()))
+                };
+                let fast = run(true);
+                let checked = run(false);
                 assert_eq!(
                     fast.outputs.len(),
                     checked.outputs.len(),
@@ -144,13 +156,11 @@ fn uncertifiable_filter_runs_checked_and_correct() {
     );
 
     let opt = OptStream::from_graph(&g);
-    let prof = profile_mode(
-        &opt,
-        16,
-        MatMulStrategy::Unrolled,
-        Scheduler::Static,
-        ExecMode::Measured,
-    )
+    let prof = RunSpec {
+        sched: Scheduler::Static,
+        ..RunSpec::from_env()
+    }
+    .run(&opt, 16)
     .unwrap();
     // Within this horizon `x < 10000.0` always holds, so the filter is
     // the identity — and the checked engine verified every firing.
@@ -204,24 +214,18 @@ fn fission_admits_dead_branch_writers() {
         .expect("Heavy survives flattening");
     assert!(fissability(heavy).is_ok(), "{:?}", fissability(heavy));
 
-    let base = profile_mode(
-        &opt,
-        32,
-        MatMulStrategy::Unrolled,
-        Scheduler::Static,
-        ExecMode::Measured,
-    )
+    let base = RunSpec {
+        sched: Scheduler::Static,
+        ..RunSpec::from_env()
+    };
+    let fissed = RunSpec {
+        threads: Some(2),
+        fission: Fission::Width(2),
+        ..base.clone()
+    }
+    .run(&opt, 32)
     .unwrap();
-    let fissed = profile_fission(
-        &opt,
-        32,
-        MatMulStrategy::Unrolled,
-        Scheduler::Static,
-        ExecMode::Measured,
-        2,
-        Fission::Width(2),
-    )
-    .unwrap();
+    let base = base.run(&opt, 32).unwrap();
     assert_eq!(base.outputs.len(), fissed.outputs.len());
     for (a, b) in base.outputs.iter().zip(&fissed.outputs) {
         assert_eq!(a.to_bits(), b.to_bits());

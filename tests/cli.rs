@@ -133,6 +133,42 @@ fn rejects_unknown_config() {
         .output()
         .expect("binary runs");
     assert!(!out.status.success());
+    // A usage error, caught by the knob table before the program is read.
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("bad --config"), "{stderr}");
+    assert!(!stderr.contains("declarations"), "{stderr}");
+}
+
+/// Every enumerated or numeric knob is validated the same way, whatever
+/// the flag: unknown names and zero, negative or fractional counts are
+/// usage errors before anything is parsed.
+#[test]
+fn rejects_bad_knob_values_before_parsing() {
+    for (flag, bad) in [
+        ("--mode", "turbo"),
+        ("--matmul", "fused"),
+        ("--tier", "jit"),
+        ("--cert", "maybe"),
+        ("--threads", "0"),
+        ("--threads", "1.5"),
+        ("--fission", "-2"),
+        ("--quantum", "0"),
+        ("--watchdog-ms", "0"),
+        ("--watchdog-ms", "-5"),
+    ] {
+        let out = streamlinc()
+            .args(["assets/fir.str", flag, bad])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {bad}: {stderr}");
+        assert!(
+            stderr.contains(&format!("bad {flag}")),
+            "{flag} {bad}: {stderr}"
+        );
+        assert!(!stderr.contains("declarations"), "{flag} {bad}: {stderr}");
+    }
 }
 
 #[test]
@@ -358,4 +394,31 @@ fn provable_rate_violation_is_a_spanned_compile_error() {
         "{stderr}"
     );
     assert!(stderr.contains("at 2:"), "span missing: {stderr}");
+}
+
+/// `--metrics` reports the compile phases the shared compiler recorded,
+/// front end included (`analyze` used to run untimed).
+#[test]
+fn metrics_lists_every_compile_phase_in_order() {
+    let out = streamlinc()
+        .args(["assets/fir.str", "--threads", "2", "--metrics", "-n", "32"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let mut at = 0;
+    for phase in [
+        "parse",
+        "elaborate",
+        "analyze",
+        "select",
+        "flatten",
+        "plan",
+        "partition",
+    ] {
+        let found = stderr[at..]
+            .find(&format!("\n  {phase} "))
+            .unwrap_or_else(|| panic!("phase `{phase}` missing or out of order:\n{stderr}"));
+        at += found + 1;
+    }
 }

@@ -5,16 +5,15 @@
 use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions};
 use streamlin::core::cost::CostModel;
 use streamlin::core::select::{select, SelectOptions};
-use streamlin::runtime::measure::profile;
-use streamlin::runtime::MatMulStrategy;
+use streamlin::runtime::RunSpec;
 
 #[test]
 fn operation_counts_are_reproducible() {
     let b = streamlin::benchmarks::fm_radio();
     let analysis = analyze_graph(b.graph());
     let opt = replace(b.graph(), &analysis, &ReplaceOptions::maximal_freq());
-    let p1 = profile(&opt, 200, MatMulStrategy::Unrolled).unwrap();
-    let p2 = profile(&opt, 200, MatMulStrategy::Unrolled).unwrap();
+    let p1 = RunSpec::from_env().run(&opt, 200).unwrap();
+    let p2 = RunSpec::from_env().run(&opt, 200).unwrap();
     assert_eq!(p1.ops, p2.ops);
     assert_eq!(p1.outputs, p2.outputs);
     assert_eq!(p1.firings, p2.firings);

@@ -17,12 +17,8 @@ use streamlin::graph::elaborate;
 use streamlin::lang::parse;
 use streamlin::runtime::engine::RunError;
 use streamlin::runtime::fission::Fission;
-use streamlin::runtime::measure::{
-    profile, profile_fission, profile_supervised, profile_threads, ExecMode, ProfileError,
-    Scheduler, Supervision,
-};
-use streamlin::runtime::MatMulStrategy;
-use streamlin::support::InjectFaults;
+use streamlin::runtime::{PipelineSession, Profile, ProfileError, RunSpec};
+use streamlin::support::{InjectFaults, NoProbe, OpCounter};
 
 #[test]
 fn parse_errors_carry_positions() {
@@ -78,7 +74,9 @@ fn runtime_rate_violation_is_caught() {
     )
     .unwrap();
     let g = elaborate(&p).unwrap();
-    let err = profile(&OptStream::from_graph(&g), 100, MatMulStrategy::Unrolled).unwrap_err();
+    let err = RunSpec::from_env()
+        .run(&OptStream::from_graph(&g), 100)
+        .unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("push"), "{msg}");
 }
@@ -100,11 +98,10 @@ fn feedback_without_enqueue_deadlocks_cleanly() {
     )
     .unwrap();
     let g = elaborate(&p).unwrap();
-    let err = profile(&OptStream::from_graph(&g), 10, MatMulStrategy::Unrolled).unwrap_err();
-    assert!(matches!(
-        err,
-        streamlin::runtime::measure::ProfileError::Run(RunError::Deadlock { .. })
-    ));
+    let err = RunSpec::from_env()
+        .run(&OptStream::from_graph(&g), 10)
+        .unwrap_err();
+    assert!(matches!(err, ProfileError::Run(RunError::Deadlock { .. })));
 }
 
 #[test]
@@ -162,38 +159,53 @@ fn chain_opt() -> OptStream {
     OptStream::from_graph(&g)
 }
 
-/// The unfaulted pipeline run every drilled run is compared against.
-fn reference() -> streamlin::runtime::measure::Profile {
-    profile_threads(
-        &chain_opt(),
-        N,
-        MatMulStrategy::Unrolled,
-        Scheduler::Auto,
-        ExecMode::Measured,
-        THREADS,
-    )
-    .expect("clean pipeline run")
+const WATCHDOG: Duration = Duration::from_millis(400);
+
+/// The chain on the pipeline executor, unfaulted.
+fn pipeline(fission: Fission) -> RunSpec {
+    RunSpec {
+        threads: Some(THREADS),
+        fission,
+        ..RunSpec::from_env()
+    }
 }
 
-/// Runs the chain under supervision with `spec` injected.
-fn drill(
-    spec: &str,
-    sup: &Supervision,
-    fission: Fission,
-) -> Result<streamlin::runtime::measure::Profile, ProfileError> {
+/// The unfaulted pipeline run every drilled run is compared against.
+fn reference() -> Profile {
+    pipeline(Fission::Off)
+        .run(&chain_opt(), N)
+        .expect("clean pipeline run")
+}
+
+/// Runs the chain through a session with `spec` injected: a degradable
+/// failure must complete on the single-threaded fallback.
+fn drill(spec: &str, fission: Fission) -> Result<Profile, ProfileError> {
+    RunSpec {
+        watchdog: Some(WATCHDOG),
+        fault: Some(InjectFaults::parse(spec).expect("valid fault spec")),
+        ..pipeline(fission)
+    }
+    .run(&chain_opt(), N)
+}
+
+/// Runs the chain on a bare `PipelineSession` with `spec` injected — below
+/// the session that would degrade, so the raw structured error shows.
+fn drill_raw(spec: &str) -> RunError {
+    let art = pipeline(Fission::Off).compile(&chain_opt()).unwrap();
+    let (plan, part) = (art.plan.unwrap(), art.part.unwrap());
     let fault = InjectFaults::parse(spec).expect("valid fault spec");
-    profile_supervised(
-        &chain_opt(),
-        N,
-        MatMulStrategy::Unrolled,
-        Scheduler::Auto,
-        ExecMode::Measured,
-        Some(THREADS),
-        fission,
-        sup,
-        Some(&fault),
-        None,
+    PipelineSession::start::<OpCounter, _>(
+        art.flat,
+        &plan,
+        &part,
+        art.scale,
+        art.quantum,
+        &mut NoProbe,
+        fault,
+        Some(WATCHDOG),
     )
+    .and_then(|mut session| session.read(N))
+    .expect_err("the fault must surface")
 }
 
 fn assert_bits_equal(a: &[f64], b: &[f64]) {
@@ -203,26 +215,10 @@ fn assert_bits_equal(a: &[f64], b: &[f64]) {
     }
 }
 
-fn fallback_on() -> Supervision {
-    Supervision {
-        watchdog: Some(Duration::from_millis(400)),
-        fallback: true,
-        quantum: 0,
-    }
-}
-
-fn fallback_off() -> Supervision {
-    Supervision {
-        watchdog: Some(Duration::from_millis(400)),
-        fallback: false,
-        quantum: 0,
-    }
-}
-
 #[test]
 fn injected_worker_panic_degrades_to_identical_bits() {
     let clean = reference();
-    let prof = drill("7:panic@s1", &fallback_on(), Fission::Off).expect("fallback must complete");
+    let prof = drill("7:panic@s1", Fission::Off).expect("fallback must complete");
     let reason = prof
         .degraded
         .as_deref()
@@ -234,10 +230,7 @@ fn injected_worker_panic_degrades_to_identical_bits() {
 
 #[test]
 fn injected_worker_panic_without_fallback_is_structured() {
-    let err = drill("7:panic@s1", &fallback_off(), Fission::Off).unwrap_err();
-    let ProfileError::Run(e) = &err else {
-        panic!("expected a run error, got {err}");
-    };
+    let e = drill_raw("7:panic@s1");
     assert!(matches!(e, RunError::WorkerLost { .. }), "{e}");
     assert!(e.to_string().contains("injected fault"), "{e}");
 }
@@ -245,10 +238,7 @@ fn injected_worker_panic_without_fallback_is_structured() {
 #[test]
 fn wedged_stage_trips_the_watchdog_instead_of_hanging() {
     let t0 = Instant::now();
-    let err = drill("3:wedge@s0", &fallback_off(), Fission::Off).unwrap_err();
-    let ProfileError::Run(e) = &err else {
-        panic!("expected a run error, got {err}");
-    };
+    let e = drill_raw("3:wedge@s0");
     assert!(matches!(e, RunError::Stalled { .. }), "{e}");
     assert!(e.to_string().contains("watchdog"), "{e}");
     // Deadline + teardown grace + slack — the old executor hung forever.
@@ -258,7 +248,7 @@ fn wedged_stage_trips_the_watchdog_instead_of_hanging() {
 #[test]
 fn wedged_stage_with_fallback_completes_bit_identical() {
     let clean = reference();
-    let prof = drill("3:wedge@s1", &fallback_on(), Fission::Off).expect("fallback must complete");
+    let prof = drill("3:wedge@s1", Fission::Off).expect("fallback must complete");
     assert!(prof.degraded.is_some());
     assert_bits_equal(&clean.outputs, &prof.outputs);
 }
@@ -268,7 +258,7 @@ fn dead_worker_thread_degrades_to_identical_bits() {
     let clean = reference();
     // `die` kills the pool thread itself at job start; liveness detection
     // must catch it and the pool must respawn a replacement later.
-    let prof = drill("5:die@s1", &fallback_on(), Fission::Off).expect("fallback must complete");
+    let prof = drill("5:die@s1", Fission::Off).expect("fallback must complete");
     let reason = prof
         .degraded
         .as_deref()
@@ -280,7 +270,7 @@ fn dead_worker_thread_degrades_to_identical_bits() {
 #[test]
 fn refused_pool_acquisition_degrades_to_identical_bits() {
     let clean = reference();
-    let prof = drill("9:refuse#1", &fallback_on(), Fission::Off).expect("fallback must complete");
+    let prof = drill("9:refuse#1", Fission::Off).expect("fallback must complete");
     let reason = prof
         .degraded
         .as_deref()
@@ -291,10 +281,7 @@ fn refused_pool_acquisition_degrades_to_identical_bits() {
 
 #[test]
 fn refused_pool_acquisition_without_fallback_is_structured() {
-    let err = drill("9:refuse#1", &fallback_off(), Fission::Off).unwrap_err();
-    let ProfileError::Run(e) = &err else {
-        panic!("expected a run error, got {err}");
-    };
+    let e = drill_raw("9:refuse#1");
     assert!(matches!(e, RunError::WorkerLost { .. }), "{e}");
 }
 
@@ -304,8 +291,8 @@ fn timing_faults_never_change_output() {
     // completes on the pipeline (no degradation) with identical bits,
     // tallies and firing counts.
     let clean = reference();
-    let prof = drill("5:slow@s0=40,delay=20", &fallback_on(), Fission::Off)
-        .expect("timing faults must not fail the run");
+    let prof =
+        drill("5:slow@s0=40,delay=20", Fission::Off).expect("timing faults must not fail the run");
     assert!(prof.degraded.is_none(), "{:?}", prof.degraded);
     assert_bits_equal(&clean.outputs, &prof.outputs);
     assert_eq!(clean.ops, prof.ops);
@@ -314,26 +301,18 @@ fn timing_faults_never_change_output() {
 
 #[test]
 fn fission_panic_degrades_to_identical_bits() {
-    let clean = profile_fission(
-        &chain_opt(),
-        N,
-        MatMulStrategy::Unrolled,
-        Scheduler::Auto,
-        ExecMode::Measured,
-        THREADS,
-        Fission::Width(2),
-    )
-    .expect("clean fissed run");
-    let prof =
-        drill("13:panic", &fallback_on(), Fission::Width(2)).expect("fallback must complete");
+    let clean = pipeline(Fission::Width(2))
+        .run(&chain_opt(), N)
+        .expect("clean fissed run");
+    let prof = drill("13:panic", Fission::Width(2)).expect("fallback must complete");
     assert_bits_equal(&clean.outputs, &prof.outputs);
 }
 
 #[test]
 fn nofission_directive_forces_a_clean_unfissed_run() {
     let clean = reference();
-    let prof = drill("1:nofission", &fallback_on(), Fission::Width(2))
-        .expect("a refused fission pass is a clean no-op");
+    let prof =
+        drill("1:nofission", Fission::Width(2)).expect("a refused fission pass is a clean no-op");
     assert_eq!(prof.fission, 1, "fission must have been refused");
     assert!(prof.degraded.is_none());
     assert_bits_equal(&clean.outputs, &prof.outputs);

@@ -15,13 +15,10 @@
 //! match. Direct refusal unit tests for stateful filters and feedback
 //! loops live at the bottom.
 
-use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions};
-use streamlin::core::cost::CostModel;
-use streamlin::core::select::{select, SelectOptions};
-use streamlin::core::OptStream;
+use streamlin::core::combine::analyze_graph;
+use streamlin::core::{Config, OptStream};
 use streamlin::runtime::fission::{fissability, Fission};
-use streamlin::runtime::measure::{profile_fission, ExecMode, Scheduler};
-use streamlin::runtime::MatMulStrategy;
+use streamlin::runtime::{ExecMode, MatMulStrategy, RunSpec, Scheduler};
 
 /// `STREAMLIN_TEST_THREADS=n` sets the pipeline stage budget the fissed
 /// graphs run under (CI exercises 2); the default also uses 2 so the
@@ -33,56 +30,34 @@ fn test_threads() -> usize {
         .unwrap_or(2)
 }
 
-fn configs(bench: &streamlin::benchmarks::Benchmark) -> Vec<(&'static str, OptStream)> {
-    let analysis = analyze_graph(bench.graph());
-    vec![
-        (
-            "baseline",
-            replace(bench.graph(), &analysis, &ReplaceOptions::per_filter()),
-        ),
-        (
-            "autosel",
-            select(
-                bench.graph(),
-                &analysis,
-                &CostModel::default(),
-                &SelectOptions::default(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
-            .opt,
-        ),
-    ]
-}
-
 /// Runs the width sweep for one benchmark; returns true if fission
 /// actually engaged for at least one (config, width) combination.
 fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) -> bool {
-    let threads = test_threads();
     let mut engaged = false;
-    for (label, opt) in configs(bench) {
+    let analysis = analyze_graph(bench.graph());
+    for config in [Config::Baseline, Config::AutoSel] {
+        let label = config.label();
+        let opt = config
+            .apply(bench.graph(), &analysis)
+            .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
         for mode in [ExecMode::Measured, ExecMode::Fast] {
-            let reference = profile_fission(
-                &opt,
-                outputs,
-                MatMulStrategy::Unrolled,
-                Scheduler::Auto,
+            let unfissed = RunSpec {
                 mode,
-                threads,
-                Fission::Off,
-            )
-            .unwrap_or_else(|e| panic!("{} {label} unfissed: {e}", bench.name()));
+                matmul: Some(MatMulStrategy::Unrolled),
+                threads: Some(test_threads()),
+                ..RunSpec::from_env()
+            };
+            let reference = unfissed
+                .run(&opt, outputs)
+                .unwrap_or_else(|e| panic!("{} {label} unfissed: {e}", bench.name()));
             assert_eq!(reference.fission, 1);
 
             for width in [2usize, 4] {
-                let prof = profile_fission(
-                    &opt,
-                    outputs,
-                    MatMulStrategy::Unrolled,
-                    Scheduler::Auto,
-                    mode,
-                    threads,
-                    Fission::Width(width),
-                )
+                let prof = RunSpec {
+                    fission: Fission::Width(width),
+                    ..unfissed.clone()
+                }
+                .run(&opt, outputs)
                 .unwrap_or_else(|e| panic!("{} {label} fission={width}: {e}", bench.name()));
                 engaged |= prof.fission > 1;
                 assert_eq!(
@@ -260,15 +235,12 @@ fn feedback_loops_are_refused_fission() {
         OptStream::from_graph(&g)
     };
     for width in [2usize, 4] {
-        let prof = profile_fission(
-            &opt,
-            16,
-            MatMulStrategy::Unrolled,
-            Scheduler::Auto,
-            ExecMode::Measured,
-            2,
-            Fission::Width(width),
-        )
+        let prof = RunSpec {
+            threads: Some(2),
+            fission: Fission::Width(width),
+            ..RunSpec::from_env()
+        }
+        .run(&opt, 16)
         .unwrap();
         assert_eq!(prof.fission, 1, "feedback graph must stay unfissed");
         assert_eq!(prof.sched, Scheduler::Dynamic);

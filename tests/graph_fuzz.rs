@@ -19,9 +19,10 @@
 //!   pipeline, or via the watchdog-guarded single-threaded fallback)
 //!   with the same bits,
 //! * plus a **bytecode ablation**: the single-threaded static plan run
-//!   again with the bytecode tier disabled (`STREAMLIN_NO_BYTECODE`
-//!   semantics via `set_bytecode_tier(false)`), pinning the flattened
-//!   instruction dispatch against the tree-walking reference.
+//!   again with `tier: Tier::TreeWalk` in that run's spec (and an
+//!   assertion on the built graph that every interpreted node really is
+//!   on the tree-walker), pinning the flattened instruction dispatch
+//!   against the reference.
 //!
 //! The differential property: all of them print **bit-identical**
 //! outputs, and — within the cycle-quantized pipeline family, where the
@@ -38,14 +39,10 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use streamlin::core::combine::analyze_graph;
-use streamlin::core::cost::CostModel;
-use streamlin::core::select::{select, SelectOptions};
-use streamlin::core::OptStream;
+use streamlin::core::{Config, OptStream};
 use streamlin::runtime::fission::Fission;
-use streamlin::runtime::measure::{
-    profile_fission, profile_mode, profile_supervised, ExecMode, Scheduler, Supervision,
-};
-use streamlin::runtime::{set_bytecode_tier, MatMulStrategy};
+use streamlin::runtime::flat::NodeKind;
+use streamlin::runtime::{RunSpec, Scheduler, Tier};
 use streamlin::support::InjectFaults;
 
 /// FNV-1a over the rendered program: a deterministic per-case fault seed,
@@ -316,51 +313,45 @@ fn check_spec(spec: &Spec) -> bool {
         ("interp", OptStream::from_graph(&graph)),
         (
             "autosel",
-            select(
-                &graph,
-                &analysis,
-                &CostModel::default(),
-                &SelectOptions::default(),
-            )
-            .unwrap_or_else(|e| panic!("{e}\n{src}"))
-            .opt,
+            Config::AutoSel
+                .apply(&graph, &analysis)
+                .unwrap_or_else(|e| panic!("{e}\n{src}")),
         ),
     ];
     let outputs = 48;
-    let threads = test_threads();
+    let base = RunSpec::from_env();
     for (label, opt) in configs {
-        let dynamic = profile_mode(
-            &opt,
-            outputs,
-            MatMulStrategy::Unrolled,
-            Scheduler::Dynamic,
-            ExecMode::Measured,
-        )
-        .unwrap_or_else(|e| panic!("{label} dynamic: {e}\n{src}"));
-        let static1 = profile_mode(
-            &opt,
-            outputs,
-            MatMulStrategy::Unrolled,
-            Scheduler::Static,
-            ExecMode::Measured,
-        )
-        .unwrap_or_else(|e| panic!("{label} static: {e}\n{src}"));
+        let run = |what: &str, spec: RunSpec| {
+            spec.run(&opt, outputs)
+                .unwrap_or_else(|e| panic!("{label} {what}: {e}\n{src}"))
+        };
+        let on = |sched| RunSpec {
+            sched,
+            ..base.clone()
+        };
+        let dynamic = run("dynamic", on(Scheduler::Dynamic));
+        let static1 = run("static", on(Scheduler::Static));
         assert_bits_equal(label, &dynamic.outputs, &static1.outputs);
 
         // The bytecode ablation family: the same plan with interpreted
-        // work functions forced back onto the tree-walker must print the
-        // same bits. (Restore the tier before unwrapping so an engine
-        // error can't leave it disabled for concurrent tests.)
-        set_bytecode_tier(false);
-        let treewalk = profile_mode(
-            &opt,
-            outputs,
-            MatMulStrategy::Unrolled,
-            Scheduler::Static,
-            ExecMode::Measured,
-        );
-        set_bytecode_tier(true);
-        let treewalk = treewalk.unwrap_or_else(|e| panic!("{label} tree-walk: {e}\n{src}"));
+        // work functions on the tree-walker must print the same bits. The
+        // tier is a field of this run's spec, so nothing a sibling test
+        // does can change what runs here — and the built graph says so.
+        let treewalk = RunSpec {
+            tier: Tier::TreeWalk,
+            ..on(Scheduler::Static)
+        };
+        let art = treewalk
+            .compile(&opt)
+            .unwrap_or_else(|e| panic!("{label} tree-walk: {e}\n{src}"));
+        for node in &art.flat.nodes {
+            if let NodeKind::Interp(state) = &node.kind {
+                assert!(!state.use_bytecode, "{label}: {} is on bytecode", node.name);
+            }
+        }
+        let treewalk = treewalk
+            .run_compiled(art, outputs)
+            .unwrap_or_else(|e| panic!("{label} tree-walk: {e}\n{src}"));
         assert_bits_equal(label, &dynamic.outputs, &treewalk.outputs);
         assert_eq!(
             static1.ops, treewalk.ops,
@@ -369,28 +360,15 @@ fn check_spec(spec: &Spec) -> bool {
 
         // The cycle-quantized pipeline family: tallies and firing counts
         // must match across fission widths, including width 1.
-        let unfissed = profile_fission(
-            &opt,
-            outputs,
-            MatMulStrategy::Unrolled,
-            Scheduler::Auto,
-            ExecMode::Measured,
-            threads,
-            Fission::Off,
-        )
-        .unwrap_or_else(|e| panic!("{label} pipeline: {e}\n{src}"));
+        let pipeline = |fission| RunSpec {
+            threads: Some(test_threads()),
+            fission,
+            ..base.clone()
+        };
+        let unfissed = run("pipeline", pipeline(Fission::Off));
         assert_bits_equal(label, &dynamic.outputs, &unfissed.outputs);
         for width in [2usize, 4] {
-            let fissed = profile_fission(
-                &opt,
-                outputs,
-                MatMulStrategy::Unrolled,
-                Scheduler::Auto,
-                ExecMode::Measured,
-                threads,
-                Fission::Width(width),
-            )
-            .unwrap_or_else(|e| panic!("{label} fission={width}: {e}\n{src}"));
+            let fissed = run(&format!("fission={width}"), pipeline(Fission::Width(width)));
             engaged |= fissed.fission > 1;
             assert_bits_equal(label, &dynamic.outputs, &fissed.outputs);
             assert_eq!(
@@ -410,38 +388,25 @@ fn check_spec(spec: &Spec) -> bool {
         // or via the single-threaded fallback, and prints the same bits.
         let fault =
             InjectFaults::parse(&format!("{}:panic", fault_seed(&src))).expect("valid fault spec");
-        let sup = Supervision {
-            watchdog: Some(Duration::from_secs(5)),
-            fallback: true,
-            quantum: 0,
-        };
-        let drilled = profile_supervised(
-            &opt,
-            outputs,
-            MatMulStrategy::Unrolled,
-            Scheduler::Auto,
-            ExecMode::Measured,
-            Some(threads),
-            Fission::Off,
-            &sup,
-            Some(&fault),
-            None,
-        )
-        .unwrap_or_else(|e| panic!("{label} fault drill: {e}\n{src}"));
+        let drilled = run(
+            "fault drill",
+            RunSpec {
+                watchdog: Some(Duration::from_secs(5)),
+                fault: Some(fault),
+                ..pipeline(Fission::Off)
+            },
+        );
         assert_bits_equal(label, &dynamic.outputs, &drilled.outputs);
 
         // The fissed graph under the *dynamic* scheduler: the synthesized
         // split/worker/join nodes must behave identically data-driven.
-        let fissed_dynamic = profile_fission(
-            &opt,
-            outputs,
-            MatMulStrategy::Unrolled,
-            Scheduler::Dynamic,
-            ExecMode::Measured,
-            1,
-            Fission::Width(2),
-        )
-        .unwrap_or_else(|e| panic!("{label} fissed dynamic: {e}\n{src}"));
+        let fissed_dynamic = run(
+            "fissed dynamic",
+            RunSpec {
+                fission: Fission::Width(2),
+                ..on(Scheduler::Dynamic)
+            },
+        );
         assert_bits_equal(label, &dynamic.outputs, &fissed_dynamic.outputs);
     }
     engaged

@@ -31,8 +31,9 @@ use streamlin::graph::ir::FilterInst;
 use streamlin::graph::lower::{SlotInterp, SlotStore};
 use streamlin::graph::value::{Cell, EvalError, Value};
 use streamlin::lang::ast::{Block, DataType, FilterDecl, StreamKind};
-use streamlin::runtime::measure::{profile_mode, ExecMode, Scheduler};
+use streamlin::runtime::flat::NodeKind;
 use streamlin::runtime::MatMulStrategy;
+use streamlin::runtime::{ExecMode, RunSpec, Tier};
 
 /// Fuel per firing, matching the runtime engine's budget.
 const FIRING_FUEL: u64 = 50_000_000;
@@ -491,28 +492,31 @@ fn name_errors_in_init_are_spanned_lowering_errors() {
 /// Program level: the fully interpreted configuration of every benchmark
 /// prints bit-identical outputs under `Measured` and `Fast` (same
 /// schedule, same slot-resolved interpreter, different tally
-/// monomorphization).
+/// monomorphization) and on both interpreter tiers — each selected by the
+/// `tier` field of that run's spec, and confirmed on the built graph.
 #[test]
 fn interpreted_programs_match_across_modes() {
     for bench in streamlin::benchmarks::all_default() {
         let opt = OptStream::from_graph(bench.graph());
         let n = bench.default_outputs().min(200);
-        let measured = profile_mode(
-            &opt,
-            n,
-            MatMulStrategy::Unrolled,
-            Scheduler::Auto,
-            ExecMode::Measured,
-        )
-        .unwrap_or_else(|e| panic!("{} measured: {e}", bench.name()));
-        let fast = profile_mode(
-            &opt,
-            n,
-            MatMulStrategy::Unrolled,
-            Scheduler::Auto,
-            ExecMode::Fast,
-        )
-        .unwrap_or_else(|e| panic!("{} fast: {e}", bench.name()));
+        let run = |mode, tier| {
+            let spec = RunSpec {
+                mode,
+                tier,
+                matmul: Some(MatMulStrategy::Unrolled),
+                ..RunSpec::from_env()
+            };
+            let art = spec.compile(&opt).unwrap();
+            for node in &art.flat.nodes {
+                if let NodeKind::Interp(state) = &node.kind {
+                    assert_eq!(state.use_bytecode, tier == Tier::Bytecode, "{}", node.name);
+                }
+            }
+            spec.run_compiled(art, n)
+                .unwrap_or_else(|e| panic!("{} {mode:?} {tier:?}: {e}", bench.name()))
+        };
+        let measured = run(ExecMode::Measured, Tier::Bytecode);
+        let fast = run(ExecMode::Fast, Tier::Bytecode);
         assert_eq!(
             bits(&measured.outputs),
             bits(&fast.outputs),
@@ -523,6 +527,19 @@ fn interpreted_programs_match_across_modes() {
         assert!(
             measured.ops.flops() > 0,
             "{}: Measured mode tallied nothing",
+            bench.name()
+        );
+        let reference = run(ExecMode::Measured, Tier::TreeWalk);
+        assert_eq!(
+            bits(&measured.outputs),
+            bits(&reference.outputs),
+            "{}: interpreted outputs differ between tiers",
+            bench.name()
+        );
+        assert_eq!(
+            measured.ops,
+            reference.ops,
+            "{}: tallies differ between tiers",
             bench.name()
         );
     }

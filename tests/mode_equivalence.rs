@@ -12,9 +12,9 @@
 //!
 //! [`NoCount`]: streamlin::support::NoCount
 
-use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions};
-use streamlin::runtime::measure::{profile_mode, ExecMode, Scheduler};
-use streamlin::runtime::MatMulStrategy;
+use streamlin::core::combine::analyze_graph;
+use streamlin::core::Config;
+use streamlin::runtime::{ExecMode, MatMulStrategy, RunSpec};
 
 fn outputs_for(name: &str) -> usize {
     match name {
@@ -29,16 +29,19 @@ fn fast_mode_is_bit_identical_to_measured() {
     for bench in streamlin::benchmarks::all_default() {
         let analysis = analyze_graph(bench.graph());
         let n = outputs_for(bench.name());
-        for opts in [
-            ReplaceOptions::per_filter(),
-            ReplaceOptions::maximal_linear(),
-        ] {
-            let opt = replace(bench.graph(), &analysis, &opts);
-            let strategy = MatMulStrategy::Unrolled;
-            let measured = profile_mode(&opt, n, strategy, Scheduler::Auto, ExecMode::Measured)
-                .unwrap_or_else(|e| panic!("{} measured: {e}", bench.name()));
-            let fast = profile_mode(&opt, n, strategy, Scheduler::Auto, ExecMode::Fast)
-                .unwrap_or_else(|e| panic!("{} fast: {e}", bench.name()));
+        for config in [Config::Baseline, Config::Linear] {
+            let opt = config.apply(bench.graph(), &analysis).unwrap();
+            let run = |mode| {
+                RunSpec {
+                    mode,
+                    matmul: Some(MatMulStrategy::Unrolled),
+                    ..RunSpec::from_env()
+                }
+                .run(&opt, n)
+                .unwrap_or_else(|e| panic!("{} {mode:?}: {e}", bench.name()))
+            };
+            let measured = run(ExecMode::Measured);
+            let fast = run(ExecMode::Fast);
             assert_eq!(
                 measured.outputs.len(),
                 fast.outputs.len(),
@@ -65,23 +68,18 @@ fn simd_strategy_agrees_with_unrolled_on_every_benchmark() {
     for bench in streamlin::benchmarks::all_default() {
         let analysis = analyze_graph(bench.graph());
         let n = outputs_for(bench.name());
-        let opt = replace(bench.graph(), &analysis, &ReplaceOptions::maximal_linear());
-        let unrolled = profile_mode(
-            &opt,
-            n,
-            MatMulStrategy::Unrolled,
-            Scheduler::Auto,
-            ExecMode::Fast,
-        )
-        .unwrap_or_else(|e| panic!("{} unrolled: {e}", bench.name()));
-        let simd = profile_mode(
-            &opt,
-            n,
-            MatMulStrategy::Simd,
-            Scheduler::Auto,
-            ExecMode::Fast,
-        )
-        .unwrap_or_else(|e| panic!("{} simd: {e}", bench.name()));
+        let opt = Config::Linear.apply(bench.graph(), &analysis).unwrap();
+        let run = |matmul: MatMulStrategy| {
+            RunSpec {
+                mode: ExecMode::Fast,
+                matmul: Some(matmul),
+                ..RunSpec::from_env()
+            }
+            .run(&opt, n)
+            .unwrap_or_else(|e| panic!("{} {}: {e}", bench.name(), matmul.label()))
+        };
+        let unrolled = run(MatMulStrategy::Unrolled);
+        let simd = run(MatMulStrategy::Simd);
         assert_eq!(
             unrolled.outputs.len(),
             simd.outputs.len(),

@@ -3,58 +3,34 @@
 //! and the ATLAS-substitute matmul — produces program output identical to
 //! the unoptimized baseline, on every benchmark.
 
-use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions, ReplaceTarget};
-use streamlin::core::cost::CostModel;
-use streamlin::core::select::{select, SelectOptions};
-use streamlin::runtime::measure::{first_mismatch, profile};
-use streamlin::runtime::MatMulStrategy;
+use streamlin::core::combine::analyze_graph;
+use streamlin::core::Config;
+use streamlin::runtime::measure::first_mismatch;
+use streamlin::runtime::{MatMulStrategy, RunSpec};
 
 fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
     let analysis = analyze_graph(bench.graph());
-    let baseline = profile(
-        &replace(bench.graph(), &analysis, &ReplaceOptions::per_filter()),
-        outputs,
-        MatMulStrategy::Unrolled,
-    )
-    .unwrap_or_else(|e| panic!("{} baseline: {e}", bench.name()));
+    let run = |label: &str, config: Config, matmul: MatMulStrategy| {
+        let opt = config
+            .apply(bench.graph(), &analysis)
+            .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
+        RunSpec {
+            matmul: Some(matmul),
+            ..RunSpec::from_env()
+        }
+        .run(&opt, outputs)
+        .unwrap_or_else(|e| panic!("{} {label}: {e}", bench.name()))
+    };
+    let baseline = run("baseline", Config::Baseline, MatMulStrategy::Unrolled);
 
-    let autosel = select(
-        bench.graph(),
-        &analysis,
-        &CostModel::default(),
-        &SelectOptions::default(),
-    )
-    .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
-    .opt;
-
-    let configs: Vec<(&str, streamlin::core::OptStream, MatMulStrategy)> = vec![
-        ("autosel", autosel, MatMulStrategy::Unrolled),
-        (
-            "redund",
-            replace(
-                bench.graph(),
-                &analysis,
-                &ReplaceOptions {
-                    combine: true,
-                    target: ReplaceTarget::Redund,
-                },
-            ),
-            MatMulStrategy::Unrolled,
-        ),
-        (
-            "atlas",
-            replace(bench.graph(), &analysis, &ReplaceOptions::maximal_linear()),
-            MatMulStrategy::Blocked,
-        ),
-        (
-            "diagonal",
-            replace(bench.graph(), &analysis, &ReplaceOptions::maximal_linear()),
-            MatMulStrategy::Diagonal,
-        ),
+    let configs = [
+        ("autosel", Config::AutoSel, MatMulStrategy::Unrolled),
+        ("redund", Config::Redund, MatMulStrategy::Unrolled),
+        ("atlas", Config::Linear, MatMulStrategy::Blocked),
+        ("diagonal", Config::Linear, MatMulStrategy::Diagonal),
     ];
-    for (label, opt, strategy) in configs {
-        let prof = profile(&opt, outputs, strategy)
-            .unwrap_or_else(|e| panic!("{} {label}: {e}", bench.name()));
+    for (label, config, strategy) in configs {
+        let prof = run(label, config, strategy);
         if let Some(i) = first_mismatch(&baseline.outputs, &prof.outputs, 1e-5, 1e-5) {
             panic!(
                 "{} {label}: output {i} differs: {} vs {}",

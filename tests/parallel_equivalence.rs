@@ -8,61 +8,40 @@
 //! The pipeline executor runs each stage's slice of the compiled schedule
 //! verbatim (same batch sizes, same kernels, same interpreter), so output
 //! equality here is exact: `f64::to_bits`, not a tolerance. Feedback
-//! programs (dtoa) have no static plan; `profile_threads` must fall back
+//! programs (dtoa) have no static plan; a `threads` run must fall back
 //! to the single-threaded data-driven engine and still match.
 
-use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions};
-use streamlin::core::cost::CostModel;
-use streamlin::core::select::{select, SelectOptions};
-use streamlin::core::OptStream;
-use streamlin::runtime::measure::{profile_mode, profile_threads, ExecMode, Scheduler};
-use streamlin::runtime::MatMulStrategy;
-
-fn configs(bench: &streamlin::benchmarks::Benchmark) -> Vec<(&'static str, OptStream)> {
-    let analysis = analyze_graph(bench.graph());
-    vec![
-        (
-            "baseline",
-            replace(bench.graph(), &analysis, &ReplaceOptions::per_filter()),
-        ),
-        (
-            "autosel",
-            select(
-                bench.graph(),
-                &analysis,
-                &CostModel::default(),
-                &SelectOptions::default(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
-            .opt,
-        ),
-    ]
-}
+use streamlin::core::combine::analyze_graph;
+use streamlin::core::Config;
+use streamlin::runtime::{ExecMode, MatMulStrategy, RunSpec, Scheduler};
 
 fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
-    for (label, opt) in configs(bench) {
+    let analysis = analyze_graph(bench.graph());
+    for config in [Config::Baseline, Config::AutoSel] {
+        let label = config.label();
+        let opt = config
+            .apply(bench.graph(), &analysis)
+            .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
         for mode in [ExecMode::Measured, ExecMode::Fast] {
             // The single-threaded static plan is the output reference
             // (dynamic fallback for feedback programs, via Auto).
-            let reference = profile_mode(
-                &opt,
-                outputs,
-                MatMulStrategy::Unrolled,
-                Scheduler::Auto,
+            let base = RunSpec {
                 mode,
-            )
-            .unwrap_or_else(|e| panic!("{} {label} reference: {e}", bench.name()));
+                matmul: Some(MatMulStrategy::Unrolled),
+                sched: Scheduler::Auto,
+                ..RunSpec::from_env()
+            };
+            let reference = base
+                .run(&opt, outputs)
+                .unwrap_or_else(|e| panic!("{} {label} reference: {e}", bench.name()));
 
             let mut sweep = Vec::new();
             for threads in [1usize, 2, 4] {
-                let prof = profile_threads(
-                    &opt,
-                    outputs,
-                    MatMulStrategy::Unrolled,
-                    Scheduler::Auto,
-                    mode,
-                    threads,
-                )
+                let prof = RunSpec {
+                    threads: Some(threads),
+                    ..base.clone()
+                }
+                .run(&opt, outputs)
                 .unwrap_or_else(|e| panic!("{} {label} threads={threads}: {e}", bench.name()));
                 assert_eq!(
                     prof.sched,
@@ -156,7 +135,7 @@ fn oversampler_pipeline_is_deterministic() {
 #[test]
 fn dtoa_pipeline_falls_back_identically() {
     // dtoa has a noise-shaping feedback loop: no static plan exists, and
-    // `profile_threads` must run the dynamic fallback for every thread
+    // a `threads` run must take the dynamic fallback for every thread
     // count with identical results.
     check(&streamlin::benchmarks::dtoa(), 256);
 }

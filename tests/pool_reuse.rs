@@ -3,7 +3,7 @@
 //! draws stage workers from a persistent process-wide pool
 //! (`streamlin_runtime::pool`); this suite pins both halves of the fix:
 //!
-//! * two back-to-back `profile_threads` runs produce identical output
+//! * two back-to-back pipeline runs produce identical output
 //!   (pooling changes scheduling only, never data), and
 //! * the second run spawns **zero** new threads — the pool's spawn
 //!   counter is flat across repetitions.
@@ -14,33 +14,27 @@
 
 use std::time::Duration;
 
-use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions};
-use streamlin::core::OptStream;
-use streamlin::runtime::fission::Fission;
-use streamlin::runtime::measure::{
-    profile_supervised, profile_threads, ExecMode, Scheduler, Supervision,
-};
-use streamlin::runtime::MatMulStrategy;
+use streamlin::core::combine::analyze_graph;
+use streamlin::core::{Config, OptStream};
+use streamlin::runtime::RunSpec;
 use streamlin::support::InjectFaults;
 
 fn opt() -> OptStream {
     let bench = streamlin::benchmarks::fir(32);
-    let analysis = analyze_graph(bench.graph());
-    replace(bench.graph(), &analysis, &ReplaceOptions::per_filter())
+    Config::Baseline
+        .apply(bench.graph(), &analyze_graph(bench.graph()))
+        .unwrap()
 }
 
 #[test]
 fn repeated_runs_reuse_the_worker_pool_and_match_bit_for_bit() {
     let opt = opt();
     let run = |threads: usize| {
-        profile_threads(
-            &opt,
-            256,
-            MatMulStrategy::Unrolled,
-            Scheduler::Auto,
-            ExecMode::Measured,
-            threads,
-        )
+        RunSpec {
+            threads: Some(threads),
+            ..RunSpec::from_env()
+        }
+        .run(&opt, 256)
         .expect("pipeline run")
     };
 
@@ -82,24 +76,13 @@ fn repeated_runs_reuse_the_worker_pool_and_match_bit_for_bit() {
     // fallback (bit-identical output), the pool retires the corpse, and
     // the next acquisition of the same shape spawns a replacement.
     let retired_before = streamlin::runtime::pool::global_retired();
-    let sup = Supervision {
+    let degraded = RunSpec {
+        threads: Some(3),
         watchdog: Some(Duration::from_millis(500)),
-        fallback: true,
-        quantum: 0,
-    };
-    let fault = InjectFaults::parse("5:die@s1").expect("valid fault spec");
-    let degraded = profile_supervised(
-        &opt,
-        256,
-        MatMulStrategy::Unrolled,
-        Scheduler::Auto,
-        ExecMode::Measured,
-        Some(3),
-        Fission::Off,
-        &sup,
-        Some(&fault),
-        None,
-    )
+        fault: Some(InjectFaults::parse("5:die@s1").expect("valid fault spec")),
+        ..RunSpec::from_env()
+    }
+    .run(&opt, 256)
     .expect("a killed worker must degrade, not fail");
     assert!(
         degraded.degraded.is_some(),

@@ -8,8 +8,7 @@ use streamlin::core::combine::analyze_graph;
 use streamlin::core::opt::OptStream;
 use streamlin::graph::elaborate;
 use streamlin::lang::parse;
-use streamlin::runtime::measure::profile;
-use streamlin::runtime::MatMulStrategy;
+use streamlin::runtime::RunSpec;
 
 /// A random affine work function: for each output, a sum of
 /// `coeff * peek(i)` terms plus a constant.
@@ -79,17 +78,10 @@ proptest! {
         // find it (source and sink are the non-linear ones).
         prop_assert_eq!(analysis.linear_count(), 1);
 
-        let interp = profile(&OptStream::from_graph(&graph), 64, MatMulStrategy::Unrolled).unwrap();
-        let node_based = profile(
-            &streamlin::core::combine::replace(
-                &graph,
-                &analysis,
-                &streamlin::core::combine::ReplaceOptions::per_filter(),
-            ),
-            64,
-            MatMulStrategy::Unrolled,
-        )
-        .unwrap();
+        let spec = RunSpec::from_env();
+        let interp = spec.run(&OptStream::from_graph(&graph), 64).unwrap();
+        let per_filter = streamlin::core::Config::Baseline.apply(&graph, &analysis).unwrap();
+        let node_based = spec.run(&per_filter, 64).unwrap();
         prop_assert_eq!(interp.outputs.len(), node_based.outputs.len());
         for (a, b) in interp.outputs.iter().zip(&node_based.outputs) {
             prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}");

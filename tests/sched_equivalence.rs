@@ -5,12 +5,10 @@
 //! accumulation order in the batched linear path), so equality here is
 //! exact — `f64::to_bits`, not a tolerance.
 
-use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions, ReplaceTarget};
-use streamlin::core::cost::CostModel;
-use streamlin::core::select::{select, SelectOptions};
-use streamlin::core::OptStream;
-use streamlin::runtime::measure::{profile_mode, ExecMode, Scheduler};
-use streamlin::runtime::MatMulStrategy;
+use streamlin::core::combine::analyze_graph;
+use streamlin::core::Config;
+use streamlin::runtime::fission::Fission;
+use streamlin::runtime::{ExecMode, RunSpec, Scheduler};
 
 /// CI runs this suite once per execution mode: `STREAMLIN_TEST_MODE=fast`
 /// selects the uncounted production path, which must print the same bits
@@ -35,66 +33,32 @@ fn test_threads() -> Option<usize> {
 /// `STREAMLIN_TEST_FISSION=w` additionally fisses the dominant node at
 /// width `w` on the static side (a no-op where the pass refuses) — the
 /// dynamic scheduler must still see identical bits.
-fn test_fission() -> streamlin::runtime::fission::Fission {
+fn test_fission() -> Fission {
     match std::env::var("STREAMLIN_TEST_FISSION")
         .ok()
         .and_then(|v| v.parse().ok())
     {
-        Some(w) if w > 1 => streamlin::runtime::fission::Fission::Width(w),
-        _ => streamlin::runtime::fission::Fission::Off,
+        Some(w) if w > 1 => Fission::Width(w),
+        _ => Fission::Off,
     }
 }
 
-fn configs(bench: &streamlin::benchmarks::Benchmark) -> Vec<(&'static str, OptStream)> {
-    let analysis = analyze_graph(bench.graph());
-    vec![
-        (
-            "baseline",
-            replace(bench.graph(), &analysis, &ReplaceOptions::per_filter()),
-        ),
-        (
-            "linear",
-            replace(bench.graph(), &analysis, &ReplaceOptions::maximal_linear()),
-        ),
-        (
-            "freq",
-            replace(bench.graph(), &analysis, &ReplaceOptions::maximal_freq()),
-        ),
-        (
-            "redund",
-            replace(
-                bench.graph(),
-                &analysis,
-                &ReplaceOptions {
-                    combine: true,
-                    target: ReplaceTarget::Redund,
-                },
-            ),
-        ),
-        (
-            "autosel",
-            select(
-                bench.graph(),
-                &analysis,
-                &CostModel::default(),
-                &SelectOptions::default(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
-            .opt,
-        ),
-    ]
-}
-
 fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
-    for (label, opt) in configs(bench) {
-        let mode = test_mode();
-        let dynamic = profile_mode(
-            &opt,
-            outputs,
-            MatMulStrategy::Unrolled,
-            Scheduler::Dynamic,
-            mode,
-        )
+    let analysis = analyze_graph(bench.graph());
+    for config in Config::ALL {
+        let label = config.label();
+        let opt = config
+            .apply(bench.graph(), &analysis)
+            .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
+        let base = RunSpec {
+            mode: test_mode(),
+            ..RunSpec::from_env()
+        };
+        let dynamic = RunSpec {
+            sched: Scheduler::Dynamic,
+            ..base.clone()
+        }
+        .run(&opt, outputs)
         .unwrap_or_else(|e| panic!("{} {label} dynamic: {e}", bench.name()));
         // Feedback programs have no static plan; `Auto` must still run
         // them (via the fallback) with identical output.
@@ -103,20 +67,13 @@ fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
         } else {
             Scheduler::Static
         };
-        let staticp = match (test_threads(), test_fission()) {
-            (None, streamlin::runtime::fission::Fission::Off) => {
-                profile_mode(&opt, outputs, MatMulStrategy::Unrolled, sched, mode)
-            }
-            (threads, fission) => streamlin::runtime::measure::profile_fission(
-                &opt,
-                outputs,
-                MatMulStrategy::Unrolled,
-                sched,
-                mode,
-                threads.unwrap_or(1),
-                fission,
-            ),
+        let staticp = RunSpec {
+            sched,
+            threads: test_threads(),
+            fission: test_fission(),
+            ..base
         }
+        .run(&opt, outputs)
         .unwrap_or_else(|e| panic!("{} {label} static: {e}", bench.name()));
         if !opt.has_feedback() {
             assert_eq!(
@@ -193,15 +150,14 @@ fn dtoa_static_plan_is_bit_identical() {
 #[test]
 fn every_feedback_free_benchmark_compiles_a_plan() {
     for b in streamlin::benchmarks::all_default() {
-        let analysis = analyze_graph(b.graph());
-        let opt = replace(b.graph(), &analysis, &ReplaceOptions::per_filter());
-        let prof = profile_mode(
-            &opt,
-            64,
-            MatMulStrategy::Unrolled,
-            Scheduler::Auto,
-            test_mode(),
-        )
+        let opt = Config::Baseline
+            .apply(b.graph(), &analyze_graph(b.graph()))
+            .unwrap();
+        let prof = RunSpec {
+            mode: test_mode(),
+            ..RunSpec::from_env()
+        }
+        .run(&opt, 64)
         .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
         let expected = if opt.has_feedback() {
             Scheduler::Dynamic

@@ -17,14 +17,11 @@
 
 use std::io::{BufRead, BufReader, Write};
 
-use streamlin::core::combine::analyze_graph;
-use streamlin::core::cost::CostModel;
-use streamlin::core::select::{select, SelectOptions};
-use streamlin::runtime::fission::Fission;
-use streamlin::runtime::measure::{profile_fission, profile_mode};
-use streamlin::runtime::{ExecMode, Scheduler};
+use streamlin::runtime::{front_end, ExecMode, Profile, RunSpec};
+use streamlin::service::proto::{parse_request, Request};
 use streamlin::service::{Service, ServiceOpts};
 use streamlin::support::json::{self, Json};
+use streamlin::support::NoProbe;
 
 /// A service with a roomy admission budget (tests that exercise
 /// saturation build their own tight one).
@@ -78,6 +75,15 @@ fn assert_bits_equal(name: &str, got: &[f64], want: &[f64]) {
     }
 }
 
+/// What one-shot `streamlinc` does with `spec`: front end, then
+/// `RunSpec::run` — compile, open, read `n`, close.
+fn one_shot(src: &str, spec: &RunSpec, n: usize) -> Profile {
+    let front = front_end(src, &spec.plan(), &mut NoProbe).expect("front end");
+    let prof = spec.run(&front.opt, n).expect("one-shot run");
+    assert_eq!(prof.outputs.len(), n, "short reference");
+    prof
+}
+
 /// One-shot reference with the same knobs the daemon resolves.
 fn reference(
     bench: &streamlin::benchmarks::Benchmark,
@@ -85,30 +91,12 @@ fn reference(
     mode: ExecMode,
     threads: Option<usize>,
 ) -> Vec<f64> {
-    let analysis = analyze_graph(bench.graph());
-    let opt = select(
-        bench.graph(),
-        &analysis,
-        &CostModel::default(),
-        &SelectOptions::default(),
-    )
-    .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
-    .opt;
-    let prof = match threads {
-        Some(t) => profile_fission(
-            &opt,
-            n,
-            mode.default_strategy(),
-            Scheduler::Auto,
-            mode,
-            t,
-            Fission::Off,
-        ),
-        None => profile_mode(&opt, n, mode.default_strategy(), Scheduler::Auto, mode),
-    }
-    .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
-    assert_eq!(prof.outputs.len(), n, "{}: short reference", bench.name());
-    prof.outputs
+    let spec = RunSpec {
+        mode,
+        threads,
+        ..RunSpec::from_env()
+    };
+    one_shot(bench.source(), &spec, n).outputs
 }
 
 /// Non-finite samples must survive the wire. JSON has no spelling for
@@ -133,26 +121,11 @@ fn non_finite_samples_survive_the_wire() {
     let n = 8;
 
     // One-shot reference through the same selection the daemon runs.
-    let parsed = streamlin::lang::parse(program).expect("parses");
-    let graph = streamlin::graph::elaborate(&parsed).expect("elaborates");
-    let analysis = analyze_graph(&graph);
-    let opt = select(
-        &graph,
-        &analysis,
-        &CostModel::default(),
-        &SelectOptions::default(),
-    )
-    .expect("selects")
-    .opt;
-    let want = profile_mode(
-        &opt,
-        n,
-        ExecMode::Fast.default_strategy(),
-        Scheduler::Auto,
-        ExecMode::Fast,
-    )
-    .expect("profiles")
-    .outputs;
+    let fast = RunSpec {
+        mode: ExecMode::Fast,
+        ..RunSpec::from_env()
+    };
+    let want = one_shot(program, &fast, n).outputs;
     assert!(
         want.iter().any(|v| v.is_infinite()) && want.iter().any(|v| v.is_nan()),
         "the program must actually produce non-finite samples: {want:?}"
@@ -330,55 +303,44 @@ fn interleaved_streams_stay_bit_identical() {
 /// never grows, and what is delivered stays bit-identical to one-shot.
 #[test]
 fn resident_streams_do_not_retain_delivered_output() {
-    use streamlin::runtime::parallel::resolve_quantum;
-    use streamlin::service::cache::{fnv1a64, PlanCache, PlanKey};
-    use streamlin::service::session::build_exec;
-
     const READS: usize = 1000;
     const N: usize = 64;
-    let cache = PlanCache::new();
     let cases = [
         ("static plan", streamlin::benchmarks::fir(64), None),
         ("data-driven", streamlin::benchmarks::dtoa(), None),
         ("pipeline", streamlin::benchmarks::fir(64), Some(2)),
     ];
     for (family, bench, threads) in cases {
-        let key = PlanKey {
-            src_hash: fnv1a64(bench.source().as_bytes()),
-            config: "autosel".into(),
-            sched: Scheduler::Auto,
-            matmul: ExecMode::Fast.default_strategy(),
+        let spec = RunSpec {
+            mode: ExecMode::Fast,
             threads,
-            fission: format!("{:?}", Fission::Off),
-            quantum: resolve_quantum(0),
+            ..RunSpec::from_env()
         };
-        let (art, _) = cache
-            .get_or_compile(&key, bench.source(), Fission::Off)
+        let art = streamlin::runtime::compile_source(bench.source(), &spec.plan(), &mut NoProbe)
             .unwrap_or_else(|e| panic!("{family}: {e}"));
-        let mut exec = build_exec(&art, ExecMode::Fast, false, None, None)
+        let mut session = streamlin::runtime::open(art, &spec.exec(), None)
             .unwrap_or_else(|e| panic!("{family}: {e}"));
         let mut got = Vec::with_capacity(READS * N);
         let mut early = 0;
         for read in 0..READS {
-            let out = exec.read(N).unwrap_or_else(|e| panic!("{family}: {e}"));
-            got.extend(out.values);
+            got.extend(session.read(N).unwrap_or_else(|e| panic!("{family}: {e}")));
             if read < READS / 10 {
-                early = early.max(exec.buffered());
+                early = early.max(session.buffered());
             } else {
                 assert!(
-                    exec.buffered() <= early,
+                    session.buffered() <= early,
                     "{family}: {} values buffered after {} reads (at most {early} in the first {})",
-                    exec.buffered(),
+                    session.buffered(),
                     read + 1,
                     READS / 10
                 );
             }
         }
-        assert_eq!(exec.delivered(), READS * N, "{family}");
+        assert_eq!(session.delivered(), READS * N, "{family}");
         assert!(early < 16 * N, "{family}: {early} values buffered early on");
         let want = reference(&bench, READS * N, ExecMode::Fast, threads);
         assert_bits_equal(family, &got, &want);
-        exec.close();
+        session.close();
     }
 }
 
@@ -686,6 +648,152 @@ fn fast_and_measured_share_one_cached_artifact() {
     for id in ["fast", "measured"] {
         request_ok(&svc, &format!("{{\"op\":\"close\",\"id\":\"{id}\"}}"));
     }
+}
+
+/// The daemon and the CLI parse one knob table into one `RunSpec` and
+/// compile it with one function, so knob combinations that used to take
+/// different paths in the two cannot any more: a lone `"fission"` runs the
+/// pass on a 1-stage pipeline exactly as `streamlinc --fission` does, and
+/// `sched: dynamic` + fission runs the fissed graph data-driven. Each
+/// case is compared — reported width, value bits, cache entries — against
+/// a one-shot run of the very `RunSpec` the daemon parsed.
+#[test]
+fn knob_combinations_agree_with_one_shot_of_the_same_spec() {
+    let svc = roomy();
+    let fir = streamlin::benchmarks::fir(64);
+    let n = 96;
+    let cases: [&[(&str, Json)]; 3] = [
+        &[("fission", Json::Num(2.0))],
+        &[
+            ("sched", Json::Str("dynamic".into())),
+            ("fission", Json::Num(2.0)),
+        ],
+        &[],
+    ];
+    for (i, members) in cases.iter().enumerate() {
+        let id = format!("case-{i}");
+        let line = open_line(&id, fir.source(), members);
+        let Request::Open(req) = parse_request(&line).expect("open parses") else {
+            panic!("not an open");
+        };
+        let want = one_shot(fir.source(), &req.spec, n);
+        let open = request_ok(&svc, &line);
+        assert_eq!(
+            open.get("width").and_then(Json::as_num),
+            Some(want.fission as f64),
+            "{members:?}: the daemon and the one-shot run fissed differently"
+        );
+        assert_eq!(
+            open.get("sched").and_then(Json::as_str),
+            Some(want.sched.label()),
+            "{members:?}"
+        );
+        let mut got = Vec::new();
+        read_into(&svc, &id, n, &mut got);
+        assert_bits_equal(&id, &got, &want.outputs);
+        let close = request_ok(&svc, &format!("{{\"op\":\"close\",\"id\":\"{id}\"}}"));
+        assert_eq!(
+            close.get("firings").and_then(Json::as_num),
+            Some(want.firings as f64),
+            "{members:?}"
+        );
+        let stats = request_ok(&svc, "{\"op\":\"stats\"}");
+        assert_eq!(
+            stats
+                .get("cache")
+                .and_then(|c| c.get("entries"))
+                .and_then(Json::as_num),
+            Some((i + 1) as f64),
+            "{members:?}: each distinct plan spec is exactly one entry"
+        );
+    }
+    assert_eq!(
+        one_shot(fir.source(), &RunSpec::from_env(), 8).fission,
+        1,
+        "the unfissed case really is unfissed"
+    );
+}
+
+/// Two requests that normalise to the same `PlanSpec` are one cache entry
+/// and the second is a hit: a lone `fission` implies the 1-stage budget
+/// `"threads":1` spells out, and `fast` mode implies the `simd` kernel.
+#[test]
+fn requests_that_normalise_alike_share_one_cache_entry() {
+    let svc = roomy();
+    let fir = streamlin::benchmarks::fir(64);
+    let pairs: [[&[(&str, Json)]; 2]; 2] = [
+        [
+            &[("fission", Json::Num(2.0))],
+            &[("fission", Json::Num(2.0)), ("threads", Json::Num(1.0))],
+        ],
+        [
+            &[("mode", Json::Str("fast".into()))],
+            &[
+                ("mode", Json::Str("fast".into())),
+                ("matmul", Json::Str("simd".into())),
+            ],
+        ],
+    ];
+    for (i, [short, spelled]) in pairs.iter().enumerate() {
+        let first = request_ok(&svc, &open_line("short", fir.source(), short));
+        assert_eq!(first.get("cached"), Some(&Json::Bool(false)), "{short:?}");
+        let second = request_ok(&svc, &open_line("spelled", fir.source(), spelled));
+        assert_eq!(second.get("cached"), Some(&Json::Bool(true)), "{spelled:?}");
+        assert_eq!(first.get("width"), second.get("width"));
+        let stats = request_ok(&svc, "{\"op\":\"stats\"}");
+        assert_eq!(
+            stats
+                .get("cache")
+                .and_then(|c| c.get("entries"))
+                .and_then(Json::as_num),
+            Some((i + 1) as f64)
+        );
+        for id in ["short", "spelled"] {
+            request_ok(&svc, &format!("{{\"op\":\"close\",\"id\":\"{id}\"}}"));
+        }
+    }
+}
+
+/// A degraded one-shot run and a degraded daemon stream of the same spec
+/// report the same reason, values, tallies and firing count. (A step-keyed
+/// `panic` fault: what a `die`d thread is caught doing depends on timing.)
+#[test]
+fn degraded_stream_and_degraded_one_shot_report_alike() {
+    let svc = roomy();
+    let fir = streamlin::benchmarks::fir(64);
+    let n = 150;
+    let line = open_line(
+        "victim",
+        fir.source(),
+        &[
+            ("threads", Json::Num(2.0)),
+            ("fault", Json::Str("7:panic@s1".into())),
+            ("watchdog_ms", Json::Num(1500.0)),
+        ],
+    );
+    let Request::Open(req) = parse_request(&line).expect("open parses") else {
+        panic!("not an open");
+    };
+    let want = one_shot(fir.source(), &req.spec, n);
+    let reason = want.degraded.as_deref().expect("the one-shot run degrades");
+    request_ok(&svc, &line);
+    let mut got = Vec::new();
+    read_into(&svc, "victim", n, &mut got);
+    assert_bits_equal("degraded stream", &got, &want.outputs);
+    let close = request_ok(&svc, "{\"op\":\"close\",\"id\":\"victim\"}");
+    assert_eq!(close.get("degraded").and_then(Json::as_str), Some(reason));
+    assert_eq!(
+        close.get("firings").and_then(Json::as_num),
+        Some(want.firings as f64)
+    );
+    assert_eq!(
+        close.get("flops").and_then(Json::as_num),
+        Some(want.ops.flops() as f64)
+    );
+    assert_eq!(
+        close.get("mults").and_then(Json::as_num),
+        Some(want.ops.mults() as f64)
+    );
 }
 
 /// Lifecycle smoke of the actual binary over stdio: open → batched reads

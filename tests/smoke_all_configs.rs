@@ -3,31 +3,28 @@
 
 use streamlin_benchmarks as benchmarks;
 use streamlin_core::combine::{analyze_graph, replace, ReplaceOptions};
-use streamlin_runtime::measure::{first_mismatch, profile};
-use streamlin_runtime::MatMulStrategy;
+use streamlin_runtime::measure::first_mismatch;
+use streamlin_runtime::RunSpec;
 
 #[test]
 fn all_benchmarks_all_configs_agree_with_baseline() {
     for b in benchmarks::all_default() {
         let n = (b.default_outputs() / 4).max(64);
         let analysis = analyze_graph(b.graph());
-        let baseline = profile(
-            &replace(b.graph(), &analysis, &ReplaceOptions::per_filter()),
-            n,
-            MatMulStrategy::Unrolled,
-        )
-        .unwrap_or_else(|e| panic!("{} baseline: {e}", b.name()));
+        let baseline = RunSpec::from_env()
+            .run(
+                &replace(b.graph(), &analysis, &ReplaceOptions::per_filter()),
+                n,
+            )
+            .unwrap_or_else(|e| panic!("{} baseline: {e}", b.name()));
 
         for (label, opts) in [
             ("linear", ReplaceOptions::maximal_linear()),
             ("freq", ReplaceOptions::maximal_freq()),
         ] {
-            let prof = profile(
-                &replace(b.graph(), &analysis, &opts),
-                n,
-                MatMulStrategy::Unrolled,
-            )
-            .unwrap_or_else(|e| panic!("{} {label}: {e}", b.name()));
+            let prof = RunSpec::from_env()
+                .run(&replace(b.graph(), &analysis, &opts), n)
+                .unwrap_or_else(|e| panic!("{} {label}: {e}", b.name()));
             if let Some(i) = first_mismatch(&baseline.outputs, &prof.outputs, 1e-5, 1e-5) {
                 panic!(
                     "{} {label}: output {i} differs: {} vs {}",

@@ -1,7 +1,7 @@
 //! The zero-cost telemetry contract: instrumenting a run with a
 //! [`Recorder`] probe must not change what the run computes. For every
 //! benchmark program, every execution mode, pipeline budget and fission
-//! width, `profile_recorded` (probe on) must produce printed output
+//! width, `RunSpec::run_recorded` (probe on) must produce printed output
 //! **bit-identical** to the NoProbe-monomorphized engines (probe off),
 //! with identical operation tallies and firing counts — the probe
 //! observes the run, it never participates in it.
@@ -12,35 +12,18 @@
 //! per worker plus the coordinator, and the recorder's firing totals
 //! agree with the profile's own counters.
 
-use streamlin::core::combine::{analyze_graph, replace, ReplaceOptions};
-use streamlin::core::cost::CostModel;
-use streamlin::core::select::{select, SelectOptions};
-use streamlin::core::OptStream;
+use streamlin::core::combine::analyze_graph;
+use streamlin::core::{Config, OptStream};
 use streamlin::runtime::fission::Fission;
-use streamlin::runtime::measure::{profile_fission, profile_mode, profile_recorded};
 use streamlin::runtime::telemetry::validate_trace;
-use streamlin::runtime::{ExecMode, Scheduler};
+use streamlin::runtime::{ExecMode, RunSpec, Scheduler};
+use streamlin::support::probe::Event;
 use streamlin::support::Recorder;
 
-fn configs(bench: &streamlin::benchmarks::Benchmark) -> Vec<(&'static str, OptStream)> {
-    let analysis = analyze_graph(bench.graph());
-    vec![
-        (
-            "baseline",
-            replace(bench.graph(), &analysis, &ReplaceOptions::per_filter()),
-        ),
-        (
-            "autosel",
-            select(
-                bench.graph(),
-                &analysis,
-                &CostModel::default(),
-                &SelectOptions::default(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
-            .opt,
-        ),
-    ]
+fn configured(bench: &streamlin::benchmarks::Benchmark, config: Config) -> OptStream {
+    config
+        .apply(bench.graph(), &analyze_graph(bench.graph()))
+        .unwrap_or_else(|e| panic!("{}: {e}", bench.name()))
 }
 
 /// Asserts one probe-on run against its probe-off reference.
@@ -84,54 +67,41 @@ fn assert_identical(
 /// {off, 2}, probe on vs probe off, plus the classic (non-pipeline)
 /// engines under both schedulers.
 fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
-    for (label, opt) in configs(bench) {
+    for config in [Config::Baseline, Config::AutoSel] {
+        let label = config.label();
+        let opt = configured(bench, config);
         for mode in [ExecMode::Measured, ExecMode::Fast] {
-            let strategy = mode.default_strategy();
-            // The classic engines: threads = None routes profile_recorded
-            // through the same plan/dynamic executors as profile_mode.
-            for sched in [Scheduler::Auto, Scheduler::Dynamic] {
-                let reference = profile_mode(&opt, outputs, strategy, sched, mode)
+            // Probe off, then probe on, for one spec.
+            let both = |spec: RunSpec| {
+                let reference = spec
+                    .run(&opt, outputs)
                     .unwrap_or_else(|e| panic!("{} {label}: {e}", bench.name()));
-                let mut rec = Recorder::new();
-                let probed = profile_recorded(
-                    &opt,
-                    outputs,
-                    strategy,
+                let probed = spec
+                    .run_recorded(&opt, outputs, &mut Recorder::new())
+                    .unwrap_or_else(|e| panic!("{} {label} probed: {e}", bench.name()));
+                (reference, probed)
+            };
+            let base = RunSpec {
+                mode,
+                ..RunSpec::from_env()
+            };
+            // The classic single-threaded engines under both schedulers.
+            for sched in [Scheduler::Auto, Scheduler::Dynamic] {
+                let (reference, probed) = both(RunSpec {
                     sched,
-                    mode,
-                    None,
-                    Fission::Off,
-                    &mut rec,
-                )
-                .unwrap_or_else(|e| panic!("{} {label} probed: {e}", bench.name()));
+                    ..base.clone()
+                });
                 let what = format!("{} {}", sched.label(), mode.label());
                 assert_identical(bench.name(), label, &what, mode, &reference, &probed);
             }
             // The pipeline executor across stage budgets and fission widths.
             for threads in [1usize, 2] {
                 for fission in [Fission::Off, Fission::Width(2)] {
-                    let reference = profile_fission(
-                        &opt,
-                        outputs,
-                        strategy,
-                        Scheduler::Auto,
-                        mode,
-                        threads,
+                    let (reference, probed) = both(RunSpec {
+                        threads: Some(threads),
                         fission,
-                    )
-                    .unwrap_or_else(|e| panic!("{} {label}: {e}", bench.name()));
-                    let mut rec = Recorder::new();
-                    let probed = profile_recorded(
-                        &opt,
-                        outputs,
-                        strategy,
-                        Scheduler::Auto,
-                        mode,
-                        Some(threads),
-                        fission,
-                        &mut rec,
-                    )
-                    .unwrap_or_else(|e| panic!("{} {label} probed: {e}", bench.name()));
+                        ..base.clone()
+                    });
                     let what = format!("{} t{threads} fiss={:?}", mode.label(), probed.fission);
                     assert_identical(bench.name(), label, &what, mode, &reference, &probed);
                     assert_eq!(
@@ -198,18 +168,15 @@ fn dtoa_probe_is_invisible_on_the_dynamic_fallback() {
 #[test]
 fn recorded_trace_has_viewer_shape_and_consistent_totals() {
     let bench = streamlin::benchmarks::fir(64);
-    let opt = configs(&bench).pop().unwrap().1;
+    let opt = configured(&bench, Config::AutoSel);
     let mut rec = Recorder::new();
-    let prof = profile_recorded(
-        &opt,
-        512,
-        ExecMode::Fast.default_strategy(),
-        Scheduler::Auto,
-        ExecMode::Fast,
-        Some(2),
-        Fission::Width(2),
-        &mut rec,
-    )
+    let prof = RunSpec {
+        mode: ExecMode::Fast,
+        threads: Some(2),
+        fission: Fission::Width(2),
+        ..RunSpec::from_env()
+    }
+    .run_recorded(&opt, 512, &mut rec)
     .expect("instrumented pipeline run");
 
     let trace = rec.chrome_trace();
@@ -254,20 +221,106 @@ fn recorded_trace_has_viewer_shape_and_consistent_totals() {
 #[test]
 fn single_threaded_trace_validates_too() {
     let bench = streamlin::benchmarks::rate_convert();
-    let opt = configs(&bench).remove(0).1;
+    let opt = configured(&bench, Config::Baseline);
     let mut rec = Recorder::new();
-    profile_recorded(
-        &opt,
-        256,
-        ExecMode::Measured.default_strategy(),
-        Scheduler::Auto,
-        ExecMode::Measured,
-        None,
-        Fission::Off,
-        &mut rec,
-    )
-    .expect("instrumented classic run");
+    RunSpec::from_env()
+        .run_recorded(&opt, 256, &mut rec)
+        .expect("instrumented classic run");
     let shape = validate_trace(&rec.chrome_trace()).expect("valid trace");
     assert!(shape.spans > 0);
     assert!(shape.named_lanes >= 1, "the engine lane is named");
+}
+
+// ---- compile phases ---------------------------------------------------------
+
+fn phases(rec: &Recorder) -> Vec<&'static str> {
+    rec.events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Phase { name, .. } => Some(*name),
+            _ => None,
+        })
+        .collect()
+}
+
+/// One function compiles for every caller, so every caller's recorder
+/// holds the same phase list, in order: `parse, elaborate, analyze,
+/// select, flatten, plan`, then `fission` when the pass engaged and
+/// `partition` when the run has a stage budget.
+#[test]
+fn compile_phases_are_the_pinned_list() {
+    let bench = streamlin::benchmarks::fir(64);
+    let front = ["parse", "elaborate", "analyze", "select"];
+    for (spec, back) in [
+        (RunSpec::from_env(), vec!["flatten", "plan"]),
+        (
+            RunSpec {
+                threads: Some(2),
+                ..RunSpec::from_env()
+            },
+            vec!["flatten", "plan", "partition"],
+        ),
+        (
+            RunSpec {
+                threads: Some(2),
+                fission: Fission::Width(2),
+                ..RunSpec::from_env()
+            },
+            vec!["flatten", "plan", "fission", "partition"],
+        ),
+    ] {
+        let mut rec = Recorder::new();
+        streamlin::runtime::compile_source(bench.source(), &spec.plan(), &mut rec).unwrap();
+        let want: Vec<&str> = front.iter().copied().chain(back.iter().copied()).collect();
+        assert_eq!(phases(&rec), want, "{spec:?}");
+
+        // A one-shot run of an already-built stream records the back half.
+        let mut rec = Recorder::new();
+        spec.run_recorded(&configured(&bench, spec.config), 64, &mut rec)
+            .unwrap();
+        assert_eq!(phases(&rec), back, "{spec:?}");
+    }
+}
+
+/// An instrumented daemon stream's close report carries the compile
+/// phases of its cache-miss `open`; a cache-hit stream compiled nothing.
+#[test]
+fn daemon_streams_report_the_compile_phases_of_their_cache_miss() {
+    use streamlin::service::{Service, ServiceOpts};
+    use streamlin::support::json::{self, Json};
+
+    let dir = std::env::temp_dir().join(format!("streamlin-phases-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let svc = Service::new(ServiceOpts {
+        instrument: true,
+        trace_dir: Some(dir.to_str().unwrap().to_string()),
+        ..ServiceOpts::default()
+    });
+    let program = Json::Str(streamlin::benchmarks::fir(64).source().into()).dump();
+    let mut phase_names = Vec::new();
+    for id in ["miss", "hit"] {
+        let open = svc.handle(&format!(
+            r#"{{"op":"open","id":"{id}","program":{program}}}"#
+        ));
+        assert!(open.contains(r#""ok":true"#), "{open}");
+        svc.handle(&format!(r#"{{"op":"read","id":"{id}","n":16}}"#));
+        let close = json::parse(&svc.handle(&format!(r#"{{"op":"close","id":"{id}"}}"#))).unwrap();
+        let path = close
+            .get("trace")
+            .and_then(Json::as_str)
+            .expect("trace path");
+        let trace = std::fs::read_to_string(path).unwrap();
+        validate_trace(&trace).expect("valid trace");
+        let names: Vec<&str> = ["parse", "elaborate", "analyze", "select", "flatten", "plan"]
+            .into_iter()
+            .filter(|name| trace.contains(&format!("\"name\":\"{name}\"")))
+            .collect();
+        phase_names.push(names);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        phase_names[0],
+        ["parse", "elaborate", "analyze", "select", "flatten", "plan"]
+    );
+    assert!(phase_names[1].is_empty(), "{:?}", phase_names[1]);
 }
