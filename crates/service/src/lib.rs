@@ -78,6 +78,12 @@ pub struct ServiceOpts {
     pub watchdog_ms: Option<u64>,
 }
 
+/// The most values one `read` may ask for; a larger `n` is refused as
+/// `too_large` before the stream is touched. A reply is built whole in
+/// memory (about 20 bytes a value), so this bounds what one request line
+/// can make the daemon compute and hold.
+pub const MAX_READ_N: usize = 1 << 20;
+
 impl Default for ServiceOpts {
     fn default() -> Self {
         ServiceOpts {
@@ -336,6 +342,19 @@ impl Service {
     }
 
     fn handle_read(&self, id: &str, n: usize) -> String {
+        // Refused before the stream is looked up, locked or fired, and
+        // before anything is sized from `n`: an absurd `n` must cost the
+        // daemon nothing.
+        if n > MAX_READ_N {
+            return err_response(
+                "too_large",
+                &format!("read of {n} values exceeds the limit of {MAX_READ_N}"),
+                vec![
+                    ("n".to_string(), Json::Num(n as f64)),
+                    ("limit".to_string(), Json::Num(MAX_READ_N as f64)),
+                ],
+            );
+        }
         // Table lock only for the lookup; the (possibly long) execution
         // runs under the stream's own lock, so neighbors, `stats`, opens
         // and closes proceed while this stream computes.
@@ -349,8 +368,8 @@ impl Service {
         };
         match exec.read(n) {
             Ok(values) => {
-                let delivered = exec.delivered();
-                let degraded = exec.degraded().map(str::to_string);
+                let degraded = exec.degraded();
+                let response = proto::read_response(id, &values, exec.delivered(), degraded);
                 if degraded.is_some() && entry.workers > 1 {
                     // This stream fell back to the single-threaded plan;
                     // its surplus workers return to the budget. Neighbor
@@ -358,20 +377,7 @@ impl Service {
                     self.ledger.release(entry.workers - 1);
                     entry.workers = 1;
                 }
-                let mut pairs = vec![
-                    ("id".to_string(), Json::Str(id.into())),
-                    (
-                        "values".to_string(),
-                        // Sentinel-encoded: JSON would turn NaN/Inf
-                        // samples into `null` (see `proto::encode_sample`).
-                        Json::arr(values.into_iter().map(proto::encode_sample)),
-                    ),
-                    ("delivered".to_string(), Json::Num(delivered as f64)),
-                ];
-                if let Some(d) = degraded {
-                    pairs.push(("degraded".to_string(), Json::Str(d)));
-                }
-                ok_response("read", pairs)
+                response
             }
             Err(e) => {
                 // Non-degradable failure: the program itself is broken

@@ -3,14 +3,14 @@
 //! One request per line, one response line per request, over stdio or a
 //! TCP connection — built entirely on [`streamlin_support::json`] (the
 //! workspace carries no serialization dependency). Values travel as JSON
-//! numbers printed with Rust's shortest-round-trip `{}` formatting, so a
-//! finite `f64` parsed back from the wire is **bit-identical** to the
-//! engine's output — the service equivalence suite leans on this. JSON
-//! has no spelling for non-finite numbers (the writer would degrade
-//! them to `null`), so samples that overflow or divide to NaN travel as
-//! the string sentinels `"inf"`/`"-inf"`/`"nan"` instead
-//! ([`encode_sample`]/[`decode_sample`]), keeping every program
-//! observable through the service.
+//! numbers in the shortest round-trip spelling (`support::fmt_f64`, byte
+//! for byte what Rust's `{}` prints), so a finite `f64` parsed back from
+//! the wire is **bit-identical** to the engine's output — the service
+//! equivalence suite leans on this. JSON has no spelling for non-finite
+//! numbers (the writer would degrade them to `null`), so samples that
+//! overflow or divide to NaN travel as the string sentinels
+//! `"inf"`/`"-inf"`/`"nan"` instead ([`write_sample`]/[`decode_sample`]),
+//! keeping every program observable through the service.
 //!
 //! Requests (`op` selects the verb; unknown fields are ignored):
 //!
@@ -37,6 +37,7 @@
 
 use streamlin_runtime::spec::count;
 use streamlin_runtime::{RunSpec, KNOBS};
+use streamlin_support::fmt_f64;
 use streamlin_support::json::{self, Json};
 
 /// A parsed `open` request.
@@ -143,24 +144,25 @@ pub fn parse_request_over(line: &str, base: Option<&RunSpec>) -> Result<Request,
     }
 }
 
-/// Encodes one output sample for the wire: finite values as JSON
-/// numbers (shortest-round-trip, bit-identical on parse-back),
+/// Appends one output sample as it travels on the wire: finite values as
+/// JSON numbers (shortest round-trip, bit-identical on parse-back),
 /// non-finite values as the string sentinels `"inf"`/`"-inf"`/`"nan"`
-/// — the JSON writer would otherwise flatten them to `null`, silently
-/// corrupting any program whose arithmetic overflows.
-pub fn encode_sample(v: f64) -> Json {
+/// — the JSON number writer would otherwise flatten them to `null`,
+/// silently corrupting any program whose arithmetic overflows. This is
+/// the only place the sentinels are spelled.
+pub fn write_sample(out: &mut String, v: f64) {
     if v.is_finite() {
-        Json::Num(v)
+        fmt_f64::write(out, v);
     } else if v.is_nan() {
-        Json::Str("nan".into())
+        out.push_str("\"nan\"");
     } else if v > 0.0 {
-        Json::Str("inf".into())
+        out.push_str("\"inf\"");
     } else {
-        Json::Str("-inf".into())
+        out.push_str("\"-inf\"");
     }
 }
 
-/// Decodes one wire sample produced by [`encode_sample`]. `None` for
+/// Decodes one wire sample written by [`write_sample`]. `None` for
 /// anything that is neither a number nor a recognized sentinel.
 pub fn decode_sample(v: &Json) -> Option<f64> {
     match v {
@@ -183,6 +185,36 @@ pub fn ok_response(op: &str, pairs: Vec<(String, Json)>) -> String {
     ];
     all.extend(pairs);
     Json::obj(all).dump()
+}
+
+/// The successful `read` response, written straight into one buffer
+/// sized for the batch: byte for byte what [`ok_response`] would dump for
+/// the same members (an object's keys sort), without a `Json` node and a
+/// map entry per sample to build, walk and drop.
+pub fn read_response(id: &str, values: &[f64], delivered: usize, degraded: Option<&str>) -> String {
+    // A sample is typically a sign, 17 digits and a point, plus its comma;
+    // a batch of longer ones grows the buffer once.
+    let mut out =
+        String::with_capacity(96 + id.len() + degraded.map_or(0, str::len) + values.len() * 20);
+    out.push('{');
+    if let Some(reason) = degraded {
+        out.push_str("\"degraded\":");
+        json::write_string(&mut out, reason);
+        out.push(',');
+    }
+    out.push_str("\"delivered\":");
+    json::write_num(&mut out, delivered as f64);
+    out.push_str(",\"id\":");
+    json::write_string(&mut out, id);
+    out.push_str(",\"ok\":true,\"op\":\"read\",\"values\":[");
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_sample(&mut out, *v);
+    }
+    out.push_str("]}");
+    out
 }
 
 /// A failure response: `{"ok":false,"error":<code>,"detail":..., ...}`.
@@ -270,6 +302,86 @@ mod tests {
         let why = parse_request(r#"{"op":"read","id":"a","n":-1}"#).unwrap_err();
         assert!(why.contains("`n`"), "{why}");
         assert!(open(r#","wait_ms":0"#).is_ok(), "a zero wait is a refusal");
+    }
+
+    #[test]
+    fn samples_round_trip_through_the_wire_spelling() {
+        for v in [
+            0.0,
+            -0.0,
+            0.1 + 0.2,
+            -1.0 / 3.0,
+            5e-324,
+            f64::MAX,
+            1e23,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let mut text = String::new();
+            write_sample(&mut text, v);
+            let back = decode_sample(&json::parse(&text).expect("a JSON value"))
+                .unwrap_or_else(|| panic!("{text} does not decode"));
+            if v.is_nan() {
+                assert!(back.is_nan(), "{text}");
+            } else {
+                assert_eq!(back.to_bits(), v.to_bits(), "{text}");
+            }
+        }
+    }
+
+    /// The `read` reply as it was built before it was written directly:
+    /// a `Json` tree dumped with sorted keys.
+    fn read_response_through_the_tree(
+        id: &str,
+        values: &[f64],
+        delivered: usize,
+        degraded: Option<&str>,
+    ) -> String {
+        let sample = |v: &f64| match *v {
+            v if v.is_finite() => Json::Num(v),
+            v if v.is_nan() => Json::from("nan"),
+            v if v > 0.0 => Json::from("inf"),
+            _ => Json::from("-inf"),
+        };
+        let mut pairs = vec![
+            ("id".to_string(), Json::from(id)),
+            ("values".to_string(), Json::arr(values.iter().map(sample))),
+            ("delivered".to_string(), Json::from(delivered)),
+        ];
+        if let Some(reason) = degraded {
+            pairs.push(("degraded".to_string(), Json::from(reason)));
+        }
+        ok_response("read", pairs)
+    }
+
+    #[test]
+    fn read_response_is_byte_equal_to_the_dumped_tree() {
+        let plain: Vec<f64> = (0..64).map(|i| (i as f64 * 0.731).sin() * 1e3).collect();
+        let odd = [
+            1.5,
+            f64::NAN,
+            f64::INFINITY,
+            -0.0,
+            f64::NEG_INFINITY,
+            5e-324,
+        ];
+        for (id, values, delivered, degraded) in [
+            ("s1", &plain[..], 64, None),
+            (
+                "a.b_c-9",
+                &plain[..7],
+                1 << 40,
+                Some("worker lost: \"stage 1\"\n"),
+            ),
+            ("empty", &[][..], 0, None),
+            ("odd", &odd[..], 6, None),
+        ] {
+            assert_eq!(
+                read_response(id, values, delivered, degraded),
+                read_response_through_the_tree(id, values, delivered, degraded),
+            );
+        }
     }
 
     #[test]

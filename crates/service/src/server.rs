@@ -14,36 +14,49 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::proto::err_response;
 use crate::Service;
 
 /// Serves requests from `input` to `output` until EOF or shutdown.
 ///
 /// # Errors
 ///
-/// I/O failures on the transport (protocol-level failures are structured
-/// responses, not errors).
+/// I/O failures on the transport (protocol-level failures — a line that
+/// is not UTF-8 included — are structured responses, not errors).
 pub fn serve_lines(
     svc: &Service,
     input: impl std::io::Read,
     mut output: impl Write,
 ) -> std::io::Result<()> {
-    let reader = BufReader::new(input);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        write_response(&mut output, svc.handle(&line))?;
-        if svc.is_shutdown() {
+    let mut reader = BufReader::new(input);
+    // One buffer for every request line of the connection.
+    let mut line = Vec::new();
+    while !svc.is_shutdown() {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
             break;
         }
+        respond(svc, &line, &mut output)?;
     }
     Ok(())
 }
 
-/// Sends one response line as a single write: split in two, the newline
-/// of a small response waits on a TCP socket for the peer's delayed ACK.
-fn write_response(out: &mut impl Write, mut response: String) -> std::io::Result<()> {
+/// Serves one request line as it came off the transport (blank lines are
+/// skipped). Bytes that are not UTF-8 cannot be a request: they get a
+/// `bad_request` like any other malformed line, and the next line is
+/// served as usual.
+fn respond(svc: &Service, line: &[u8], out: &mut impl Write) -> std::io::Result<()> {
+    let mut response = match std::str::from_utf8(line).map(str::trim) {
+        Ok("") => return Ok(()),
+        Ok(line) => svc.handle(line),
+        Err(e) => err_response(
+            "bad_request",
+            &format!("request line is not valid UTF-8: {e}"),
+            vec![],
+        ),
+    };
+    // One write for the line and its newline: split in two, the newline
+    // of a small response waits on a TCP socket for the peer's delayed ACK.
     response.push('\n');
     out.write_all(response.as_bytes())?;
     out.flush()
@@ -121,24 +134,19 @@ fn serve_conn(svc: &Service, mut conn: TcpStream) {
         Ok(c) => BufReader::new(c),
         Err(_) => return,
     };
-    // Request bytes accumulate here across timeouts: `read_until` (under
-    // `read_line`) guarantees bytes read before an error are in the
-    // buffer, so a line split by a timeout is finished on a later pass.
-    let mut buf = String::new();
+    // Request bytes accumulate here across timeouts: `read_until`
+    // guarantees bytes read before an error are in the buffer, so a line
+    // split by a timeout is finished on a later pass.
+    let mut buf = Vec::new();
     while !svc.is_shutdown() {
-        match reader.read_line(&mut buf) {
-            // EOF; serve whatever an unterminated final line carried.
-            Ok(0) => {
-                let _ = respond(svc, &buf, &mut conn);
-                break;
-            }
-            Ok(_) if buf.ends_with('\n') => {
+        match reader.read_until(b'\n', &mut buf) {
+            Ok(_) if buf.ends_with(b"\n") => {
                 if respond(svc, &buf, &mut conn).is_err() {
                     break;
                 }
                 buf.clear();
             }
-            // Ok without a newline is EOF mid-line.
+            // EOF; serve whatever an unterminated final line carried.
             Ok(_) => {
                 let _ = respond(svc, &buf, &mut conn);
                 break;
@@ -155,15 +163,6 @@ fn serve_conn(svc: &Service, mut conn: TcpStream) {
             Err(_) => break,
         }
     }
-}
-
-/// Serves one buffered request line (blank lines are skipped).
-fn respond(svc: &Service, line: &str, out: &mut TcpStream) -> std::io::Result<()> {
-    let line = line.trim();
-    if line.is_empty() {
-        return Ok(());
-    }
-    write_response(out, svc.handle(line))
 }
 
 #[cfg(test)]
@@ -185,6 +184,92 @@ mod tests {
         assert!(lines[0].contains("\"pong\""));
         assert!(lines[1].contains("\"shutdown\""));
         assert!(svc.is_shutdown());
+    }
+
+    const COUNTER: &str = "void->void pipeline Main { add S(); add K(); } \
+        void->float filter S { float x; work push 1 { push(x++); } } \
+        float->void filter K { work pop 1 { println(pop()); } }";
+
+    fn served(svc: &Service, input: &[u8]) -> Vec<String> {
+        let mut out = Vec::new();
+        serve_lines(svc, input, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        text.lines().map(str::to_string).collect()
+    }
+
+    /// An absurd `n` costs one refusal line: the stream is not touched
+    /// (its next read starts where it would have), and the daemon goes on
+    /// answering.
+    #[test]
+    fn oversized_read_is_refused_and_the_stream_reads_on() {
+        let svc = Service::new(ServiceOpts::default());
+        let over = crate::MAX_READ_N + 1;
+        let input = format!(
+            "{{\"op\":\"open\",\"id\":\"s1\",\"program\":\"{COUNTER}\"}}\n\
+             {{\"op\":\"read\",\"id\":\"s1\",\"n\":1e18}}\n\
+             {{\"op\":\"read\",\"id\":\"s1\",\"n\":{over}}}\n\
+             {{\"op\":\"read\",\"id\":\"s1\",\"n\":3}}\n\
+             {{\"op\":\"ping\"}}\n"
+        );
+        let lines = served(&svc, input.as_bytes());
+        assert_eq!(lines.len(), 5, "{lines:?}");
+        assert!(lines[0].contains("\"ok\":true"), "{}", lines[0]);
+        let limit = format!("\"limit\":{}", crate::MAX_READ_N);
+        for (line, n) in [
+            (&lines[1], "1000000000000000000".to_string()),
+            (&lines[2], over.to_string()),
+        ] {
+            assert!(line.contains("\"ok\":false"), "{line}");
+            assert!(line.contains("\"error\":\"too_large\""), "{line}");
+            assert!(line.contains(&format!("\"n\":{n}")), "{line}");
+            assert!(line.contains(&limit), "{line}");
+        }
+        assert!(lines[3].contains("\"values\":[0,1,2]"), "{}", lines[3]);
+        assert!(lines[4].contains("\"pong\""), "{}", lines[4]);
+    }
+
+    /// Bytes that are not UTF-8 are a malformed request like any other:
+    /// one `bad_request` line, and the next request is served.
+    #[test]
+    fn non_utf8_line_is_a_bad_request_over_stdio() {
+        let svc = Service::new(ServiceOpts::default());
+        let lines = served(&svc, b"{\"op\":\"ping\"}\n\xff\xfe\n{\"op\":\"ping\"}\n");
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert!(lines[0].contains("\"pong\""));
+        assert!(
+            lines[1].contains("\"error\":\"bad_request\""),
+            "{}",
+            lines[1]
+        );
+        assert!(lines[1].contains("UTF-8"), "{}", lines[1]);
+        assert!(lines[2].contains("\"pong\""));
+    }
+
+    #[test]
+    fn non_utf8_line_is_a_bad_request_over_tcp() {
+        let svc = Arc::new(Service::new(ServiceOpts::default()));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = {
+            let svc = Arc::clone(&svc);
+            std::thread::spawn(move || serve_listener(svc, listener))
+        };
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(conn.try_clone().unwrap());
+        let mut line = String::new();
+        for (request, expect) in [
+            (&b"\xff\xfe\n"[..], "\"error\":\"bad_request\""),
+            (b"{\"op\":\"ping\"}\n", "\"pong\""),
+            (b"{\"op\":\"shutdown\"}\n", "\"shutdown\""),
+        ] {
+            conn.write_all(request).unwrap();
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.contains(expect), "{line}");
+        }
+        server.join().expect("server thread").unwrap();
     }
 
     /// A shutdown on one connection terminates the whole daemon even

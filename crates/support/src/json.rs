@@ -5,13 +5,21 @@
 //! RFC 8259 to parse what we emit plus anything Chrome/Perfetto would
 //! accept, used by the trace validator (`streamlin-runtime::telemetry`)
 //! and the trace-shape tests — and the matching writer, used by the
-//! `streamlind` wire protocol and `bench_json`. Trailing garbage,
-//! unterminated strings and malformed numbers are parse errors, not
-//! best-effort results; everything [`Json::dump`] emits parses back to
-//! an equal value (finite numbers round-trip bit-exactly).
+//! `streamlind` wire protocol. Trailing garbage, unterminated strings
+//! and malformed numbers are parse errors, not best-effort results;
+//! everything [`Json::dump`] emits parses back to an equal value (finite
+//! numbers round-trip bit-exactly).
+//!
+//! Numbers are written by [`crate::fmt_f64`], not by `std::fmt`. Its
+//! contract is byte identity with `format!("{v}")` — the shortest digits
+//! that parse back to the same bits, never an exponent — so which of the
+//! two printed a number cannot be told from the output, and the writer's
+//! own tests hold it to that over millions of values.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+use crate::fmt_f64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,12 +182,13 @@ pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Appends a number. Finite values use Rust's shortest round-trip
-/// `Display` form (so `parse` recovers the exact bits); JSON has no
-/// NaN/Infinity, so non-finite values serialize as `null`.
+/// Appends a number. Finite values go through [`fmt_f64::write`]: the
+/// bytes `format!("{v}")` would produce (so `parse` recovers the exact
+/// bits) without the `std::fmt` machinery; JSON has no NaN/Infinity, so
+/// non-finite values serialize as `null`.
 pub fn write_num(out: &mut String, v: f64) {
     if v.is_finite() {
-        let _ = write!(out, "{v}");
+        fmt_f64::write(out, v);
     } else {
         out.push_str("null");
     }

@@ -25,8 +25,11 @@
 //!   panics, ring delays, pool refusals, stage wedges) so the
 //!   supervisor's teardown and fallback paths can be exercised
 //!   reproducibly.
-//! * [`json`] — a minimal JSON reader for validating the hand-written
-//!   artifacts (traces, bench files) without a serialization dependency.
+//! * [`json`] — a minimal JSON reader and writer (traces, the `streamlind`
+//!   wire protocol) without a serialization dependency.
+//! * [`fmt_f64`] — the shortest round-trip `f64` writer behind every
+//!   number the workspace prints, byte-identical to `format!("{v}")`
+//!   without going through `std::fmt`.
 //! * [`ratio`] — exact rational arithmetic used by the steady-state scheduler.
 //! * [`num`] — gcd/lcm, powers of two and approximate float comparison.
 //!
@@ -45,6 +48,7 @@
 
 pub mod fault;
 pub mod flops;
+pub mod fmt_f64;
 pub mod json;
 pub mod num;
 pub mod probe;

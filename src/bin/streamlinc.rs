@@ -28,7 +28,7 @@ use std::process::ExitCode;
 use streamlin::prelude::*;
 use streamlin::runtime::spec::{count, usage_flags};
 use streamlin::runtime::{front_end, KNOBS};
-use streamlin::support::{NoProbe, Recorder};
+use streamlin::support::{fmt_f64, NoProbe, Recorder};
 
 /// What to run (`spec`, filled from the knob table) and how to present it.
 struct Args {
@@ -138,13 +138,21 @@ fn main() -> ExitCode {
 }
 
 /// Writes the program's outputs, one per line, through a single buffered
-/// lock on stdout. A reader that has gone away (`streamlinc … | head -1`)
-/// ends the run quietly: the outputs it wanted were delivered.
+/// lock on stdout and the workspace's one number writer (the text `{}`
+/// would give, without `std::fmt`). A reader that has gone away
+/// (`streamlinc … | head -1`) ends the run quietly: the outputs it wanted
+/// were delivered.
 fn print_outputs(values: &[f64]) -> Result<(), String> {
     let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+    let mut line = String::new();
     let written = values
         .iter()
-        .try_for_each(|v| writeln!(out, "{v}"))
+        .try_for_each(|v| {
+            line.clear();
+            fmt_f64::write(&mut line, *v);
+            line.push('\n');
+            out.write_all(line.as_bytes())
+        })
         .and_then(|()| out.flush());
     match written {
         Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {

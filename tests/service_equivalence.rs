@@ -101,7 +101,7 @@ fn reference(
 
 /// Non-finite samples must survive the wire. JSON has no spelling for
 /// `inf`/`-inf`/`nan` — the writer degrades them to `null` — so the
-/// protocol carries them as string sentinels (`proto::encode_sample`).
+/// protocol carries them as string sentinels (`proto::write_sample`).
 /// This pins the full round trip: a program whose arithmetic produces
 /// every non-finite class, driven through the daemon, decodes back to
 /// the one-shot profile (bit-identical for everything representable;
