@@ -9,12 +9,40 @@
 //! operator ⊔. If, at the end, the declared number of items was popped and
 //! every pushed value is a linear form, the filter *is* linear and its
 //! [`LinearNode`] is returned.
+//!
+//! **What it walks.** The slot-resolved body the runtime executes
+//! (`inst.lowered.work.body`, [`RStmt`]/[`RExpr`]) — never the surface
+//! AST. Names, scopes, shadowing and intrinsics were resolved once, by
+//! `streamlin_graph::lower`; the extractor is the reference interpreter
+//! ([`streamlin_graph::lower::SlotInterp`]) with the value domain swapped:
+//! a `Vec` of symbolic cells in `lowered.globals` order plus a
+//! `frame_slots`-sized frame, the same declared-type coercion on every
+//! store, and the constants folded by the very same `bin_op`/`un_op`/
+//! `MathFn::call`. Which globals `work` can write — the ones that are ⊤ (or
+//! state symbols) on entry — is `streamlin_graph::analyze::written_slots`,
+//! the one write-set walker over that IR.
+//!
+//! **Short-circuit rule.** `&&`/`||` follow [`RExpr::Binary`]'s contract:
+//! a constant left operand that decides the result means the right
+//! operand is *not* evaluated (its side effects do not happen); a constant
+//! left operand that does not decide evaluates the right; an undecided
+//! left operand evaluates the right on a cloned state and joins — exactly
+//! the rule for an input-dependent `if`.
+//!
+//! **Frame-join rule.** A join is slot-wise over globals and frame. Frame
+//! slots are reused by sibling scopes, so at a join a slot may hold a
+//! different (already out-of-scope) local on each path: such a dead slot
+//! joins to ⊤, never to an error — every local is re-declared before it
+//! is read.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
+use streamlin_graph::analyze::written_slots;
+use streamlin_graph::exec::Flow;
 use streamlin_graph::ir::FilterInst;
-use streamlin_graph::value::{bin_op, math_call, un_op, Cell, Value};
-use streamlin_lang::ast::{BinOp, Block, Expr, LValue, Stmt, Type, UnOp};
+use streamlin_graph::lower::{RExpr, RLValue, RStmt, Slot};
+use streamlin_graph::value::{bin_op, flat_offset, un_op, Cell, Value};
+use streamlin_lang::ast::{BinOp, DataType, UnOp};
 
 use crate::node::LinearNode;
 
@@ -130,8 +158,8 @@ pub fn extract(inst: &FilterInst) -> Result<LinearNode, NonLinear> {
         return Err(NonLinear::Prints);
     }
     // Standard extraction is the stateless case of the shared engine:
-    // with no state indices, every mutated field is ⊤.
-    let outputs = extract_symbolic(inst, &HashMap::new())?.outputs;
+    // with no state slots, every global `work` writes is ⊤.
+    let outputs = extract_symbolic(inst, &[])?.outputs;
     let offsets: Vec<f64> = outputs.iter().map(|(_, konst)| *konst).collect();
     Ok(LinearNode::from_coeffs(
         inst.work.peek,
@@ -148,43 +176,66 @@ pub fn extract(inst: &FilterInst) -> Result<LinearNode, NonLinear> {
     ))
 }
 
-/// The affine pieces of an extraction: one coefficient map + constant per
-/// output, and one per state component (its end-of-firing value; none in
-/// standard extraction).
+/// One affine form taken apart: its coefficient map and its constant.
+pub(crate) type Piece = (BTreeMap<SymKey, f64>, f64);
+
+/// The affine pieces of an extraction: one per output, and one per state
+/// component (its end-of-firing value; none in standard extraction).
 #[derive(Debug, Clone)]
 pub(crate) struct StatefulPieces {
-    pub(crate) outputs: Vec<(BTreeMap<SymKey, f64>, f64)>,
-    pub(crate) next_state: Vec<(BTreeMap<SymKey, f64>, f64)>,
+    pub(crate) outputs: Vec<Piece>,
+    pub(crate) next_state: Vec<Piece>,
 }
 
-/// Symbolically executes `work` once — mutated fields bound to the given
-/// state indices (⊤ when absent) — checks the executed pop and push
-/// counts against the declared rates, and returns the affine pieces. The
-/// engine behind both extraction entry points.
+/// The global slots `work` can write, ascending: the filter's mutable
+/// state, as far as one firing to the next is concerned.
+pub(crate) fn written_globals(inst: &FilterInst) -> Vec<u32> {
+    let mut slots: Vec<u32> = written_slots(&inst.lowered.work.body)
+        .into_iter()
+        .filter_map(|s| match s {
+            Slot::Global(g) => Some(g),
+            Slot::Frame(_) => None,
+        })
+        .collect();
+    slots.sort_unstable();
+    slots
+}
+
+/// Symbolically executes `work` once — global slot `state_slots[k]` bound
+/// to state component `k`, every other written global ⊤, the rest their
+/// elaboration-time constants — checks the executed pop and push counts
+/// against the declared rates, and returns the affine pieces. The engine
+/// behind both extraction entry points.
 pub(crate) fn extract_symbolic(
     inst: &FilterInst,
-    state_index: &HashMap<String, usize>,
+    state_slots: &[u32],
 ) -> Result<StatefulPieces, NonLinear> {
-    let written = written_names(&inst.work.body);
-    let mut env: HashMap<String, SymCell> = HashMap::new();
-    for (name, cell) in &inst.state {
-        let is_mutated_field = inst.field_names.contains(name) && written.contains(name.as_str());
-        let idx = state_index.get(name).copied();
-        env.insert(
-            name.clone(),
-            SymCell::from_cell(cell, is_mutated_field, idx),
-        );
-    }
+    let lowered = &inst.lowered;
+    let written = written_globals(inst);
+    let globals = lowered
+        .globals
+        .iter()
+        .zip(0u32..)
+        .map(|(name, g)| {
+            SymCell::from_cell(
+                &inst.state[name],
+                written.binary_search(&g).is_ok(),
+                state_slots.iter().position(|s| *s == g),
+            )
+        })
+        .collect();
     let mut exec = SymExec {
         declared_peek: inst.work.peek,
         fuel: 50_000_000,
     };
     let mut st = SymState {
-        env,
+        globals,
+        // Dead until declared: a frame slot is never read before its `Decl`.
+        frame: vec![SymCell::Scalar(DataType::Int, Sym::Top); lowered.work.frame_slots],
         popcount: 0,
         pushes: Vec::new(),
     };
-    exec.exec_block(&mut st, &inst.work.body)?;
+    exec.exec_stmts(&mut st, &lowered.work.body)?;
     if st.popcount != inst.work.pop {
         return Err(NonLinear::PopCountMismatch {
             declared: inst.work.pop,
@@ -197,49 +248,40 @@ pub(crate) fn extract_symbolic(
             actual: st.pushes.len(),
         });
     }
-    let SymState {
-        mut env, pushes, ..
-    } = st;
     let peek = inst.work.peek;
-    let take_form = |sym: Sym, what: &str| -> Result<(BTreeMap<SymKey, f64>, f64), NonLinear> {
+    // A form's coefficient map and float constant, or `not_affine`.
+    let take_form = |sym: Sym, not_affine: NonLinear| {
         let Sym::Lin(form) = sym else {
-            return Err(NonLinear::Unsupported(format!(
-                "{what} is not an affine function of inputs and state"
-            )));
+            return Err(not_affine);
         };
-        if let Some(pos) = form.max_peek() {
-            if pos >= peek {
-                return Err(NonLinear::PeekOutOfRange { pos, peek });
-            }
+        if let Some(pos) = form.max_peek().filter(|pos| *pos >= peek) {
+            return Err(NonLinear::PeekOutOfRange { pos, peek });
         }
-        let konst = form
-            .konst
-            .as_f64()
-            .map_err(|e| NonLinear::Unsupported(e.message))?;
-        Ok((form.coeffs, konst))
+        match form.konst.as_f64() {
+            Ok(konst) => Ok((form.coeffs, konst)),
+            Err(_) => Err(not_affine),
+        }
     };
-    let mut outputs = Vec::with_capacity(pushes.len());
-    for (j, sym) in pushes.into_iter().enumerate() {
-        outputs.push(take_form(sym, &format!("push #{j}")).map_err(|e| match e {
-            NonLinear::Unsupported(_) => NonLinear::PushedNonAffine { index: j },
-            other => other,
-        })?);
+    let mut outputs = Vec::with_capacity(st.pushes.len());
+    for (index, sym) in st.pushes.into_iter().enumerate() {
+        outputs.push(take_form(sym, NonLinear::PushedNonAffine { index })?);
     }
-    // Final field values, in state-index order.
-    let mut names_by_index: Vec<&String> = state_index.keys().collect();
-    names_by_index.sort_by_key(|n| state_index[*n]);
-    let mut next_state = Vec::with_capacity(names_by_index.len());
-    for name in names_by_index {
-        match env.remove(name.as_str()) {
-            Some(SymCell::Scalar(sym)) => {
-                next_state.push(take_form(sym, &format!("final value of field `{name}`"))?)
-            }
-            _ => {
-                return Err(NonLinear::Unsupported(format!(
-                    "state field `{name}` vanished during analysis"
-                )))
-            }
-        }
+    // Final values of the state slots, in state-component order.
+    let mut next_state = Vec::with_capacity(state_slots.len());
+    for &g in state_slots {
+        let SymCell::Scalar(_, sym) = std::mem::replace(
+            &mut st.globals[g as usize],
+            SymCell::Scalar(DataType::Int, Sym::Top),
+        ) else {
+            unreachable!("state slots are scalar globals, and a global never changes shape")
+        };
+        let name = &lowered.globals[g as usize];
+        next_state.push(take_form(
+            sym,
+            NonLinear::Unsupported(format!(
+                "final value of field `{name}` is not an affine function of inputs and state"
+            )),
+        )?);
     }
     Ok(StatefulPieces {
         outputs,
@@ -355,24 +397,25 @@ impl Sym {
         }
     }
 
-    fn join(&self, other: &Sym) -> Sym {
-        if self == other {
-            self.clone()
-        } else {
-            Sym::Top
+    /// `self ← self ⊔ other`.
+    fn join(&mut self, other: &Sym) {
+        if self != other {
+            *self = Sym::Top;
         }
     }
 }
 
-/// A symbolic storage cell.
+/// A symbolic storage cell, typed like the concrete [`Cell`] it stands
+/// for so stores coerce as the interpreter's do.
 #[derive(Debug, Clone, PartialEq)]
 enum SymCell {
-    Scalar(Sym),
+    Scalar(DataType, Sym),
     Array(SymArray),
 }
 
 #[derive(Debug, Clone, PartialEq)]
 struct SymArray {
+    elem: DataType,
     dims: Vec<usize>,
     data: Vec<Sym>,
     /// Set once any store used a non-constant index; all reads become ⊤.
@@ -381,30 +424,29 @@ struct SymArray {
 
 impl SymCell {
     /// Converts a concrete cell (field initial value or parameter) into a
-    /// symbolic one. In standard extraction, mutated fields are ⊤
+    /// symbolic one. In standard extraction, globals `work` writes are ⊤
     /// throughout: "if a filter has persistent state, all accesses to that
     /// state are marked as ⊤". Stateful extraction instead passes a state
     /// index so the field reads as a state symbol.
-    fn from_cell(cell: &Cell, mutated_field: bool, state_index: Option<usize>) -> SymCell {
-        if mutated_field {
-            if let Some(k) = state_index {
-                return SymCell::Scalar(Sym::Lin(LinForm::unit(SymKey::State(k))));
-            }
-            return match cell {
-                Cell::Scalar(..) => SymCell::Scalar(Sym::Top),
-                Cell::Array(a) => SymCell::Array(SymArray {
-                    dims: a.dims.clone(),
-                    data: vec![Sym::Top; a.data.len()],
-                    tainted: true,
-                }),
-            };
-        }
+    fn from_cell(cell: &Cell, mutated: bool, state_index: Option<usize>) -> SymCell {
         match cell {
-            Cell::Scalar(_, v) => SymCell::Scalar(Sym::constant(*v)),
+            Cell::Scalar(ty, v) => SymCell::Scalar(
+                *ty,
+                match state_index {
+                    Some(k) => Sym::Lin(LinForm::unit(SymKey::State(k))),
+                    None if mutated => Sym::Top,
+                    None => Sym::constant(*v),
+                },
+            ),
             Cell::Array(a) => SymCell::Array(SymArray {
+                elem: a.elem,
                 dims: a.dims.clone(),
-                data: a.data.iter().map(|v| Sym::constant(*v)).collect(),
-                tainted: false,
+                data: if mutated {
+                    vec![Sym::Top; a.data.len()]
+                } else {
+                    a.data.iter().map(|v| Sym::constant(*v)).collect()
+                },
+                tainted: mutated,
             }),
         }
     }
@@ -508,19 +550,26 @@ fn sym_un(op: UnOp, a: Sym) -> Sym {
 
 #[derive(Debug, Clone, PartialEq)]
 struct SymState {
-    env: HashMap<String, SymCell>,
+    /// Persistent cells, in `lowered.globals` order.
+    globals: Vec<SymCell>,
+    /// Frame cells, `frame_slots` of them.
+    frame: Vec<SymCell>,
     popcount: usize,
     pushes: Vec<Sym>,
+}
+
+impl SymState {
+    fn cell_mut(&mut self, slot: Slot) -> &mut SymCell {
+        match slot {
+            Slot::Global(i) => &mut self.globals[i as usize],
+            Slot::Frame(i) => &mut self.frame[i as usize],
+        }
+    }
 }
 
 struct SymExec {
     declared_peek: usize,
     fuel: u64,
-}
-
-enum Flow {
-    Normal,
-    Return,
 }
 
 impl SymExec {
@@ -532,46 +581,68 @@ impl SymExec {
         Ok(())
     }
 
-    fn exec_block(&mut self, st: &mut SymState, block: &Block) -> Result<Flow, NonLinear> {
-        for s in &block.stmts {
-            if let Flow::Return = self.exec_stmt(st, s)? {
+    fn exec_stmts(&mut self, st: &mut SymState, stmts: &[RStmt]) -> Result<Flow, NonLinear> {
+        for s in stmts {
+            if self.exec_stmt(st, s)? == Flow::Return {
                 return Ok(Flow::Return);
             }
         }
         Ok(Flow::Normal)
     }
 
-    fn exec_stmt(&mut self, st: &mut SymState, stmt: &Stmt) -> Result<Flow, NonLinear> {
+    fn exec_stmt(&mut self, st: &mut SymState, stmt: &RStmt) -> Result<Flow, NonLinear> {
         self.spend()?;
         match stmt {
-            Stmt::Decl { ty, name, init } => {
-                let cell = self.make_cell(st, ty)?;
-                st.env.insert(name.clone(), cell);
+            RStmt::Decl {
+                slot,
+                base,
+                dims,
+                init,
+                ..
+            } => {
+                let zero = Sym::constant(Value::zero_of(*base));
+                let mut sizes = Vec::with_capacity(dims.len());
+                for d in dims {
+                    sizes.push(self.const_index(st, d)?);
+                }
+                st.frame[*slot as usize] = if sizes.is_empty() {
+                    SymCell::Scalar(*base, zero)
+                } else {
+                    SymCell::Array(SymArray {
+                        elem: *base,
+                        data: vec![zero; sizes.iter().product()],
+                        dims: sizes,
+                        tainted: false,
+                    })
+                };
                 if let Some(e) = init {
                     let v = self.eval(st, e)?;
-                    self.update(st, name, &[], |_| v)?;
+                    self.update(st, Slot::Frame(*slot), &[], |_| v)?;
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::Assign { target, op, value } => {
+            RStmt::Assign {
+                target, op, value, ..
+            } => {
                 let rhs = self.eval(st, value)?;
-                let (name, idx) = lvalue_parts(target);
+                let (slot, idx) = target_parts(target);
                 match op {
-                    None => self.update(st, name, idx, |_| rhs)?,
-                    Some(op) => self.update(st, name, idx, |cur| sym_bin(*op, cur, rhs))?,
+                    None => self.update(st, slot, idx, |_| rhs)?,
+                    Some(op) => self.update(st, slot, idx, |cur| sym_bin(*op, cur, rhs))?,
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::If {
+            RStmt::If {
                 cond,
                 then_blk,
                 else_blk,
+                ..
             } => {
                 let c = self.eval(st, cond)?;
                 match c.as_const() {
-                    Some(Value::Bool(true)) => self.exec_block(st, then_blk),
+                    Some(Value::Bool(true)) => self.exec_stmts(st, then_blk),
                     Some(Value::Bool(false)) => match else_blk {
-                        Some(e) => self.exec_block(st, e),
+                        Some(e) => self.exec_stmts(st, e),
                         None => Ok(Flow::Normal),
                     },
                     Some(_) => Err(NonLinear::Unsupported(
@@ -581,30 +652,30 @@ impl SymExec {
                         // Input-dependent condition: execute both sides and
                         // join under ⊔ (Algorithm 2's branch case).
                         let mut then_st = st.clone();
-                        let t_flow = self.exec_block(&mut then_st, then_blk)?;
-                        let mut else_st = st.clone();
+                        let t_flow = self.exec_stmts(&mut then_st, then_blk)?;
                         let e_flow = match else_blk {
-                            Some(e) => self.exec_block(&mut else_st, e)?,
+                            Some(e) => self.exec_stmts(st, e)?,
                             None => Flow::Normal,
                         };
-                        if matches!(t_flow, Flow::Return) != matches!(e_flow, Flow::Return) {
+                        if t_flow != e_flow {
                             return Err(NonLinear::BranchMismatch(
                                 "one branch returns, the other falls through".into(),
                             ));
                         }
-                        *st = join_states(then_st, else_st)?;
+                        join_states(st, then_st)?;
                         Ok(t_flow)
                     }
                 }
             }
-            Stmt::For {
+            RStmt::For {
                 init,
                 cond,
                 step,
                 body,
+                ..
             } => {
                 if let Some(i) = init {
-                    if let Flow::Return = self.exec_stmt(st, i)? {
+                    if self.exec_stmt(st, i)? == Flow::Return {
                         return Ok(Flow::Return);
                     }
                 }
@@ -617,43 +688,28 @@ impl SymExec {
                     if !go {
                         break;
                     }
-                    if let Flow::Return = self.exec_block(st, body)? {
+                    if self.exec_stmts(st, body)? == Flow::Return {
                         return Ok(Flow::Return);
                     }
                     if let Some(s) = step {
-                        if let Flow::Return = self.exec_stmt(st, s)? {
+                        if self.exec_stmt(st, s)? == Flow::Return {
                             return Ok(Flow::Return);
                         }
                     }
                 }
                 Ok(Flow::Normal)
             }
-            Stmt::While { cond, body } => {
-                loop {
-                    self.spend()?;
-                    if !self.const_bool(st, cond)? {
-                        break;
-                    }
-                    if let Flow::Return = self.exec_block(st, body)? {
-                        return Ok(Flow::Return);
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            Stmt::Expr(e) => {
+            RStmt::Expr(e, _) => {
                 self.eval(st, e)?;
                 Ok(Flow::Normal)
             }
-            Stmt::Return => Ok(Flow::Return),
-            Stmt::Add(_) => Err(NonLinear::Unsupported(
-                "`add` inside a work function".into(),
-            )),
+            RStmt::Return => Ok(Flow::Return),
         }
     }
 
     /// Loop conditions must resolve to constants so the loop can be fully
     /// unrolled; otherwise the filter is disregarded (§3.2).
-    fn const_bool(&mut self, st: &mut SymState, e: &Expr) -> Result<bool, NonLinear> {
+    fn const_bool(&mut self, st: &mut SymState, e: &RExpr) -> Result<bool, NonLinear> {
         match self.eval(st, e)?.as_const() {
             Some(Value::Bool(b)) => Ok(b),
             _ => Err(NonLinear::Unresolved(
@@ -662,24 +718,7 @@ impl SymExec {
         }
     }
 
-    fn make_cell(&mut self, st: &mut SymState, ty: &Type) -> Result<SymCell, NonLinear> {
-        let mut dims = Vec::with_capacity(ty.dims.len());
-        for d in &ty.dims {
-            dims.push(self.const_index(st, d)?);
-        }
-        Ok(if dims.is_empty() {
-            SymCell::Scalar(Sym::constant(Value::zero_of(ty.base)))
-        } else {
-            let n = dims.iter().product();
-            SymCell::Array(SymArray {
-                dims,
-                data: vec![Sym::constant(Value::zero_of(ty.base)); n],
-                tainted: false,
-            })
-        })
-    }
-
-    fn const_index(&mut self, st: &mut SymState, e: &Expr) -> Result<usize, NonLinear> {
+    fn const_index(&mut self, st: &mut SymState, e: &RExpr) -> Result<usize, NonLinear> {
         match self.eval(st, e)?.as_const() {
             Some(v) => v.as_index().map_err(|e| NonLinear::Unsupported(e.message)),
             None => Err(NonLinear::Unresolved(
@@ -688,27 +727,11 @@ impl SymExec {
         }
     }
 
-    fn flat_offset(dims: &[usize], idx: &[usize]) -> Result<usize, NonLinear> {
-        if dims.len() != idx.len() {
-            return Err(NonLinear::Unsupported("array rank mismatch".into()));
-        }
-        let mut off = 0;
-        for (&i, &d) in idx.iter().zip(dims) {
-            if i >= d {
-                return Err(NonLinear::Unsupported(format!(
-                    "array index {i} out of bounds for dimension of size {d}"
-                )));
-            }
-            off = off * d + i;
-        }
-        Ok(off)
-    }
-
     /// Evaluates index expressions; `None` if any is input-dependent.
     fn eval_indices(
         &mut self,
         st: &mut SymState,
-        idx_exprs: &[Expr],
+        idx_exprs: &[RExpr],
     ) -> Result<Option<Vec<usize>>, NonLinear> {
         let mut idx = Vec::with_capacity(idx_exprs.len());
         for e in idx_exprs {
@@ -727,38 +750,39 @@ impl SymExec {
     fn read(
         &mut self,
         st: &mut SymState,
-        name: &str,
-        idx_exprs: &[Expr],
+        slot: Slot,
+        idx_exprs: &[RExpr],
     ) -> Result<Sym, NonLinear> {
         let idx = self.eval_indices(st, idx_exprs)?;
-        match st.env.get(name) {
-            Some(SymCell::Scalar(s)) if idx_exprs.is_empty() => Ok(s.clone()),
-            Some(SymCell::Array(a)) if !idx_exprs.is_empty() => match idx {
+        match st.cell_mut(slot) {
+            SymCell::Scalar(_, s) if idx_exprs.is_empty() => Ok(s.clone()),
+            SymCell::Array(a) if !idx_exprs.is_empty() => match idx {
                 _ if a.tainted => Ok(Sym::Top),
                 None => Ok(Sym::Top),
-                Some(idx) => Ok(a.data[Self::flat_offset(&a.dims, &idx)?].clone()),
+                Some(idx) => Ok(a.data[offset(&a.dims, &idx)?].clone()),
             },
-            other => Err(access_error(name, other, idx_exprs.is_empty())),
+            other => Err(access_error(other)),
         }
     }
 
     /// Replaces the value of a scalar (no index expressions) or an array
-    /// element with `f(current value)`. The current value is moved out of
-    /// its cell and the result moved back, so `f` can accumulate into it in
-    /// place; the index expressions are evaluated once.
+    /// element with `f(current value)`, coerced to the declared type as
+    /// every store is. The current value is moved out of its cell and the
+    /// result moved back, so `f` can accumulate into it in place; the index
+    /// expressions are evaluated once.
     fn update(
         &mut self,
         st: &mut SymState,
-        name: &str,
-        idx_exprs: &[Expr],
+        slot: Slot,
+        idx_exprs: &[RExpr],
         f: impl FnOnce(Sym) -> Sym,
     ) -> Result<(), NonLinear> {
         let idx = self.eval_indices(st, idx_exprs)?;
-        match st.env.get_mut(name) {
-            Some(SymCell::Scalar(slot)) if idx_exprs.is_empty() => {
-                *slot = f(std::mem::replace(slot, Sym::Top));
+        match st.cell_mut(slot) {
+            SymCell::Scalar(ty, cur) if idx_exprs.is_empty() => {
+                *cur = coerce(f(std::mem::replace(cur, Sym::Top)), *ty);
             }
-            Some(SymCell::Array(a)) if !idx_exprs.is_empty() => match idx {
+            SymCell::Array(a) if !idx_exprs.is_empty() => match idx {
                 None => {
                     // A store at an unknown position clobbers the whole
                     // array, conservatively.
@@ -766,81 +790,93 @@ impl SymExec {
                     a.data.fill(Sym::Top);
                 }
                 Some(idx) => {
-                    let slot = &mut a.data[Self::flat_offset(&a.dims, &idx)?];
-                    let cur = std::mem::replace(slot, Sym::Top);
-                    *slot = f(if a.tainted { Sym::Top } else { cur });
+                    let elem = &mut a.data[offset(&a.dims, &idx)?];
+                    let cur = std::mem::replace(elem, Sym::Top);
+                    *elem = coerce(f(if a.tainted { Sym::Top } else { cur }), a.elem);
                 }
             },
-            other => return Err(access_error(name, other.as_deref(), idx_exprs.is_empty())),
+            other => return Err(access_error(other)),
         }
         Ok(())
     }
 
-    fn eval(&mut self, st: &mut SymState, expr: &Expr) -> Result<Sym, NonLinear> {
+    /// `a && b` / `a || b`, under the short-circuit rule in the module
+    /// docs.
+    fn eval_logical(
+        &mut self,
+        st: &mut SymState,
+        op: BinOp,
+        a: &RExpr,
+        b: &RExpr,
+    ) -> Result<Sym, NonLinear> {
+        let x = self.eval(st, a)?;
+        match x.as_const() {
+            // `false && _`, `true || _`: the right operand does not run.
+            Some(Value::Bool(l)) if l == (op == BinOp::Or) => Ok(x),
+            Some(_) => {
+                let y = self.eval(st, b)?;
+                Ok(sym_bin(op, x, y))
+            }
+            None => {
+                let mut ran = st.clone();
+                self.eval(&mut ran, b)?;
+                join_states(st, ran)?;
+                Ok(Sym::Top)
+            }
+        }
+    }
+
+    fn eval(&mut self, st: &mut SymState, expr: &RExpr) -> Result<Sym, NonLinear> {
         match expr {
-            Expr::Int(v) => Ok(Sym::constant(Value::Int(*v))),
-            Expr::Float(v) => Ok(Sym::constant(Value::Float(*v))),
-            Expr::Bool(v) => Ok(Sym::constant(Value::Bool(*v))),
-            Expr::Pi => Ok(Sym::constant(Value::Float(std::f64::consts::PI))),
-            Expr::Var(name) => self.read(st, name, &[]),
-            Expr::Index(name, idx) => self.read(st, name, idx),
-            Expr::Unary(op, e) => {
+            RExpr::Int(v) => Ok(Sym::constant(Value::Int(*v))),
+            RExpr::Float(v) => Ok(Sym::constant(Value::Float(*v))),
+            RExpr::Bool(v) => Ok(Sym::constant(Value::Bool(*v))),
+            RExpr::Var(slot) => self.read(st, *slot, &[]),
+            RExpr::Index(slot, idx) => self.read(st, *slot, idx),
+            RExpr::Unary(op, e) => {
                 let v = self.eval(st, e)?;
                 Ok(sym_un(*op, v))
             }
-            Expr::Binary(op, a, b) => {
+            RExpr::Binary(op @ (BinOp::And | BinOp::Or), a, b) => self.eval_logical(st, *op, a, b),
+            RExpr::Binary(op, a, b) => {
                 let x = self.eval(st, a)?;
                 let y = self.eval(st, b)?;
                 Ok(sym_bin(*op, x, y))
             }
-            Expr::Peek(i) => {
+            RExpr::Peek(i) => {
                 let i = self.const_index(st, i)?;
-                let pos = st.popcount + i;
-                if pos >= self.declared_peek {
-                    return Err(NonLinear::PeekOutOfRange {
-                        pos,
-                        peek: self.declared_peek,
-                    });
-                }
-                Ok(Sym::Lin(LinForm::unit(SymKey::Peek(pos))))
+                self.tape(st.popcount + i)
             }
-            Expr::Pop => {
-                let pos = st.popcount;
-                if pos >= self.declared_peek {
-                    return Err(NonLinear::PeekOutOfRange {
-                        pos,
-                        peek: self.declared_peek,
-                    });
-                }
+            RExpr::Pop => {
+                let v = self.tape(st.popcount)?;
                 st.popcount += 1;
-                Ok(Sym::Lin(LinForm::unit(SymKey::Peek(pos))))
+                Ok(v)
             }
-            Expr::Push(e) => {
+            RExpr::Push(e) => {
                 let v = self.eval(st, e)?;
                 st.pushes.push(v);
                 Ok(Sym::constant(Value::Int(0)))
             }
-            Expr::Call(name, args) => {
-                if name == "print" || name == "println" {
-                    return Err(NonLinear::Prints);
-                }
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
+            RExpr::Math(f, args) => {
+                // Arity was validated at lowering and never exceeds 2.
+                let mut vals = [Value::Int(0); 2];
+                for (val, a) in vals.iter_mut().zip(args) {
                     match self.eval(st, a)?.as_const() {
-                        Some(v) => vals.push(v),
+                        Some(v) => *val = v,
                         None => return Ok(Sym::Top),
                     }
                 }
-                match math_call(name, &vals) {
+                match f.call(&vals[..args.len()]) {
                     Ok(v) => Ok(Sym::constant(v)),
                     Err(e) => Err(NonLinear::Unsupported(e.message)),
                 }
             }
-            Expr::PostIncDec { target, inc } => {
+            RExpr::Print { .. } => Err(NonLinear::Prints),
+            RExpr::PostIncDec { target, inc } => {
                 let op = if *inc { BinOp::Add } else { BinOp::Sub };
-                let (name, idx) = lvalue_parts(target);
+                let (slot, idx) = target_parts(target);
                 let mut old = Sym::Top;
-                self.update(st, name, idx, |cur| {
+                self.update(st, slot, idx, |cur| {
                     old = cur.clone();
                     sym_bin(op, cur, Sym::constant(Value::Int(1)))
                 })?;
@@ -848,20 +884,60 @@ impl SymExec {
             }
         }
     }
+
+    /// The form `1·peek(pos)`, if `pos` is inside the declared window.
+    fn tape(&self, pos: usize) -> Result<Sym, NonLinear> {
+        if pos >= self.declared_peek {
+            return Err(NonLinear::PeekOutOfRange {
+                pos,
+                peek: self.declared_peek,
+            });
+        }
+        Ok(Sym::Lin(LinForm::unit(SymKey::Peek(pos))))
+    }
 }
 
-/// The error for a name that is missing, a scalar that is indexed, or an
-/// array used as a scalar.
-fn access_error(name: &str, cell: Option<&SymCell>, scalar_access: bool) -> NonLinear {
-    NonLinear::Unsupported(match (cell, scalar_access) {
-        (Some(SymCell::Array(_)), _) => format!("`{name}` is an array"),
-        (Some(SymCell::Scalar(_)), _) => format!("`{name}` is a scalar"),
-        (None, true) => format!("undefined variable `{name}`"),
-        (None, false) => format!("undefined array `{name}`"),
-    })
+/// The interpreter's bounds-checked row-major offset.
+fn offset(dims: &[usize], idx: &[usize]) -> Result<usize, NonLinear> {
+    flat_offset(dims, idx).map_err(|e| NonLinear::Unsupported(e.message))
 }
 
-fn join_states(a: SymState, b: SymState) -> Result<SymState, NonLinear> {
+/// A target's slot and index expressions (none for a scalar).
+fn target_parts(lv: &RLValue) -> (Slot, &[RExpr]) {
+    match lv {
+        RLValue::Var(s) => (*s, &[]),
+        RLValue::Index(s, idx) => (*s, idx),
+    }
+}
+
+/// What a store of `v` leaves in a `ty` variable: the interpreter's
+/// [`Value::coerce_to`] on the constant part (an int promotes to float). A
+/// store the interpreter would refuse is ⊤.
+fn coerce(v: Sym, ty: DataType) -> Sym {
+    let Sym::Lin(mut f) = v else { return Sym::Top };
+    match f.konst.coerce_to(ty) {
+        Ok(k) if f.is_const() || ty == DataType::Float => {
+            f.konst = k;
+            Sym::Lin(f)
+        }
+        _ => Sym::Top,
+    }
+}
+
+/// The error for a scalar that is indexed or an array used as a scalar
+/// (the reference interpreter's wording).
+fn access_error(cell: &SymCell) -> NonLinear {
+    NonLinear::Unsupported(
+        match cell {
+            SymCell::Array(_) => "variable is an array; index it to read an element",
+            SymCell::Scalar(..) => "variable is a scalar, not an array",
+        }
+        .into(),
+    )
+}
+
+/// `a ← a ⊔ b`, slot-wise (see the frame-join rule in the module docs).
+fn join_states(a: &mut SymState, b: SymState) -> Result<(), NonLinear> {
     if a.popcount != b.popcount {
         return Err(NonLinear::BranchMismatch(format!(
             "branches pop different amounts ({} vs {})",
@@ -875,142 +951,34 @@ fn join_states(a: SymState, b: SymState) -> Result<SymState, NonLinear> {
             b.pushes.len()
         )));
     }
-    let pushes = a
-        .pushes
-        .iter()
-        .zip(&b.pushes)
-        .map(|(x, y)| x.join(y))
-        .collect();
-    let mut env = HashMap::new();
-    for (name, ca) in &a.env {
-        // Names declared in only one branch go out of scope at the join.
-        if let Some(cb) = b.env.get(name) {
-            env.insert(name.clone(), join_cells(ca, cb));
-        }
+    for (x, y) in a.pushes.iter_mut().zip(&b.pushes) {
+        x.join(y);
     }
-    Ok(SymState {
-        env,
-        popcount: a.popcount,
-        pushes,
-    })
+    let cells = a.globals.iter_mut().chain(&mut a.frame);
+    for (x, y) in cells.zip(b.globals.into_iter().chain(b.frame)) {
+        join_cells(x, y);
+    }
+    Ok(())
 }
 
-fn join_cells(a: &SymCell, b: &SymCell) -> SymCell {
+fn join_cells(a: &mut SymCell, b: SymCell) {
     match (a, b) {
-        (SymCell::Scalar(x), SymCell::Scalar(y)) => SymCell::Scalar(x.join(y)),
-        (SymCell::Array(x), SymCell::Array(y)) if x.dims == y.dims => {
-            let tainted = x.tainted || y.tainted;
-            let data = x
-                .data
-                .iter()
-                .zip(&y.data)
-                .map(|(p, q)| if tainted { Sym::Top } else { p.join(q) })
-                .collect();
-            SymCell::Array(SymArray {
-                dims: x.dims.clone(),
-                data,
-                tainted,
-            })
-        }
-        (SymCell::Array(x), _) => SymCell::Array(SymArray {
-            dims: x.dims.clone(),
-            data: vec![Sym::Top; x.data.len()],
-            tainted: true,
-        }),
-        (SymCell::Scalar(_), _) => SymCell::Scalar(Sym::Top),
-    }
-}
-
-/// Names assigned anywhere in a block (used to find mutated fields).
-pub(crate) fn written_names(block: &Block) -> HashSet<String> {
-    let mut out = HashSet::new();
-    collect_writes_block(block, &mut out);
-    out
-}
-
-fn collect_writes_block(block: &Block, out: &mut HashSet<String>) {
-    for s in &block.stmts {
-        collect_writes_stmt(s, out);
-    }
-}
-
-fn collect_writes_stmt(stmt: &Stmt, out: &mut HashSet<String>) {
-    match stmt {
-        Stmt::Assign { target, value, .. } => {
-            out.insert(lvalue_parts(target).0.to_string());
-            collect_writes_expr(value, out);
-        }
-        Stmt::Decl { init, .. } => {
-            if let Some(e) = init {
-                collect_writes_expr(e, out);
+        (SymCell::Scalar(ta, x), SymCell::Scalar(tb, y)) if *ta == tb => x.join(&y),
+        (SymCell::Array(x), SymCell::Array(y)) if x.elem == y.elem && x.dims == y.dims => {
+            x.tainted |= y.tainted;
+            if x.tainted {
+                x.data.fill(Sym::Top);
+            } else {
+                x.data.iter_mut().zip(&y.data).for_each(|(p, q)| p.join(q));
             }
         }
-        Stmt::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => {
-            collect_writes_expr(cond, out);
-            collect_writes_block(then_blk, out);
-            if let Some(e) = else_blk {
-                collect_writes_block(e, out);
-            }
+        // Two different locals shared the slot: whichever it was, it is
+        // out of scope on the joined path.
+        (SymCell::Array(x), _) => {
+            x.tainted = true;
+            x.data.fill(Sym::Top);
         }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(i) = init {
-                collect_writes_stmt(i, out);
-            }
-            if let Some(c) = cond {
-                collect_writes_expr(c, out);
-            }
-            if let Some(s) = step {
-                collect_writes_stmt(s, out);
-            }
-            collect_writes_block(body, out);
-        }
-        Stmt::While { cond, body } => {
-            collect_writes_expr(cond, out);
-            collect_writes_block(body, out);
-        }
-        Stmt::Expr(e) => collect_writes_expr(e, out),
-        Stmt::Return | Stmt::Add(_) => {}
-    }
-}
-
-fn collect_writes_expr(e: &Expr, out: &mut HashSet<String>) {
-    match e {
-        Expr::PostIncDec { target, .. } => {
-            out.insert(lvalue_parts(target).0.to_string());
-        }
-        Expr::Unary(_, a) | Expr::Peek(a) | Expr::Push(a) => collect_writes_expr(a, out),
-        Expr::Binary(_, a, b) => {
-            collect_writes_expr(a, out);
-            collect_writes_expr(b, out);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                collect_writes_expr(a, out);
-            }
-        }
-        Expr::Index(_, idx) => {
-            for i in idx {
-                collect_writes_expr(i, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// An lvalue's variable name and index expressions (none for a scalar).
-fn lvalue_parts(lv: &LValue) -> (&str, &[Expr]) {
-    match lv {
-        LValue::Var(n) => (n, &[]),
-        LValue::Index(n, idx) => (n, idx),
+        (SymCell::Scalar(_, x), _) => *x = Sym::Top,
     }
 }
 

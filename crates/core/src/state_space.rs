@@ -21,14 +21,12 @@
 //! output order; state vectors are plain component order — since no paper
 //! formula needs to be transcribed against them.
 
-use std::collections::HashMap;
-
 use streamlin_graph::ir::FilterInst;
 use streamlin_graph::value::{Cell, Value};
 use streamlin_matrix::{Matrix, Vector};
 use streamlin_support::OpCounter;
 
-use crate::extract::{extract_symbolic, NonLinear, StatefulPieces};
+use crate::extract::{extract_symbolic, written_globals, NonLinear, Piece, StatefulPieces, SymKey};
 use crate::node::LinearNode;
 
 /// A linear node with state: `y = x·A_x + s·A_s + b_x`,
@@ -300,21 +298,15 @@ pub fn extract_stateful(inst: &FilterInst) -> Result<StateSpaceNode, NonLinear> 
     if inst.prints {
         return Err(NonLinear::Prints);
     }
-    // Assign state indices to mutated scalar float fields, in a stable
+    // One state component per global `work` can write, in slot (= name)
     // order; reject mutated state we cannot represent.
-    let written = crate::extract::written_names(&inst.work.body);
-    let mut state_names: Vec<String> = Vec::new();
-    let mut state_index: HashMap<String, usize> = HashMap::new();
-    let mut init_state: Vec<f64> = Vec::new();
-    let mut fields: Vec<&String> = inst.field_names.iter().collect();
-    fields.sort();
-    for name in fields {
-        if !written.contains(name.as_str()) {
-            continue;
-        }
+    let state_slots = written_globals(inst);
+    let mut state_names: Vec<String> = Vec::with_capacity(state_slots.len());
+    let mut init_state: Vec<f64> = Vec::with_capacity(state_slots.len());
+    for &g in &state_slots {
+        let name = &inst.lowered.globals[g as usize];
         match inst.state.get(name) {
             Some(Cell::Scalar(_, Value::Float(v))) => {
-                state_index.insert(name.clone(), state_names.len());
                 state_names.push(name.clone());
                 init_state.push(*v);
             }
@@ -334,34 +326,29 @@ pub fn extract_stateful(inst: &FilterInst) -> Result<StateSpaceNode, NonLinear> 
         }
     }
 
-    let pieces: StatefulPieces = extract_symbolic(inst, &state_index)?;
+    let pieces: StatefulPieces = extract_symbolic(inst, &state_slots)?;
     let dim = state_names.len();
-    let (e, o, u) = (inst.work.peek, inst.work.pop, inst.work.push);
+    let (e, o) = (inst.work.peek, inst.work.pop);
 
-    let mut a_x = Matrix::zeros(e, u);
-    let mut a_s = Matrix::zeros(dim, u);
-    let mut b_x = Vector::zeros(u);
-    for (j, (coeffs, konst)) in pieces.outputs.iter().enumerate() {
-        b_x[j] = *konst;
-        for (key, c) in coeffs {
-            match key {
-                crate::extract::SymKey::Peek(p) => a_x[(*p, j)] = *c,
-                crate::extract::SymKey::State(k) => a_s[(*k, j)] = *c,
+    // One column per form: its tape coefficients into `on_x`, its state
+    // coefficients into `on_s`, its constant into `b`.
+    let scatter = |forms: &[Piece]| {
+        let mut on_x = Matrix::zeros(e, forms.len());
+        let mut on_s = Matrix::zeros(dim, forms.len());
+        let mut b = Vector::zeros(forms.len());
+        for (j, (coeffs, konst)) in forms.iter().enumerate() {
+            b[j] = *konst;
+            for (key, c) in coeffs {
+                match key {
+                    SymKey::Peek(p) => on_x[(*p, j)] = *c,
+                    SymKey::State(k) => on_s[(*k, j)] = *c,
+                }
             }
         }
-    }
-    let mut c_x = Matrix::zeros(e, dim);
-    let mut c_s = Matrix::zeros(dim, dim);
-    let mut b_s = Vector::zeros(dim);
-    for (k2, (coeffs, konst)) in pieces.next_state.iter().enumerate() {
-        b_s[k2] = *konst;
-        for (key, c) in coeffs {
-            match key {
-                crate::extract::SymKey::Peek(p) => c_x[(*p, k2)] = *c,
-                crate::extract::SymKey::State(k) => c_s[(*k, k2)] = *c,
-            }
-        }
-    }
+        (on_x, on_s, b)
+    };
+    let (a_x, a_s, b_x) = scatter(&pieces.outputs);
+    let (c_x, c_s, b_s) = scatter(&pieces.next_state);
     StateSpaceNode::new(
         a_x,
         a_s,

@@ -487,6 +487,17 @@ struct SynFx {
     peeks: bool,
 }
 
+/// Every slot a statement list can write — by assignment, `++`/`--` or
+/// declaration — on any path, taken or not. The one syntactic write-set
+/// walker over the slot IR: this module widens unresolved loops with it
+/// and decides which globals are mutable, and linear extraction asks it
+/// which fields `work` mutates.
+pub fn written_slots(stmts: &[RStmt]) -> HashSet<Slot> {
+    let mut fx = SynFx::default();
+    syn_stmts(stmts, &mut fx);
+    fx.writes
+}
+
 fn syn_stmts(stmts: &[RStmt], fx: &mut SynFx) {
     for s in stmts {
         syn_stmt(s, fx);
@@ -538,10 +549,6 @@ fn syn_stmt(s: &RStmt, fx: &mut SynFx) {
             if let Some(s) = step {
                 syn_stmt(s, fx);
             }
-            syn_stmts(body, fx);
-        }
-        RStmt::While { cond, body, .. } => {
-            syn_expr(cond, fx);
             syn_stmts(body, fx);
         }
         RStmt::Expr(e, _) => syn_expr(e, fx),
@@ -757,7 +764,6 @@ impl Analyzer<'_> {
                 };
                 self.exec_loop(st, cond.as_ref(), step.as_deref(), body)
             }
-            RStmt::While { cond, body, .. } => self.exec_loop(st, Some(cond), None, body),
             RStmt::Expr(e, _) => {
                 self.eval(&mut st, e);
                 Some(st)

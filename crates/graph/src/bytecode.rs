@@ -341,18 +341,6 @@ impl Compiler {
                     }
                 }
             }
-            RStmt::While { cond, body, .. } => {
-                let top = self.ops.len() as u32;
-                // One fuel unit per iteration check, before the condition.
-                self.emit(Op::Spend, 0, 0);
-                self.expr(cond);
-                let to_end = self.hole(Op::BranchFalse(0), 1, 0);
-                for s in body {
-                    self.stmt(s);
-                }
-                self.emit(Op::Jump(top), 0, 0);
-                self.patch(to_end);
-            }
             RStmt::For {
                 init,
                 cond,
@@ -364,6 +352,7 @@ impl Compiler {
                     self.stmt(i);
                 }
                 let top = self.ops.len() as u32;
+                // One fuel unit per iteration check, before the condition.
                 self.emit(Op::Spend, 0, 0);
                 let to_end = match cond {
                     Some(c) => {

@@ -7,16 +7,23 @@
 //! tables the linear analysis later treats as constants), and I/O rates are
 //! resolved to integers (§2.1: "these rates must be resolvable at compile
 //! time"). This module performs all of that, producing the [`Stream`] IR.
+//!
+//! Every constant context evaluates through [`crate::lower`]: the syntax
+//! is slot-resolved against the live environment and run by the reference
+//! interpreter under [`PureHost`]. What stays here is what only a container
+//! has: `add`, control flow around `add`s, and declarations that must
+//! outlive their statement.
 
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use streamlin_lang::ast::{
-    Block, DataType, Expr, LValue, Program, Stmt, StreamDecl, StreamKind, StreamRef, WorkDecl,
+    Block, Expr, LValue, Program, Stmt, StreamDecl, StreamKind, StreamRef, Type, WorkDecl,
 };
 
-use crate::exec::{const_eval_expr, const_exec_stmt_flat, PureHost, DEFAULT_FUEL};
+use crate::exec::{PureHost, DEFAULT_FUEL};
 use crate::ir::{FilterInst, Joiner, Splitter, Stream, WorkFn};
+use crate::lower::{const_eval_expr, const_exec_stmt, with_cells_as_store};
 use crate::value::{Cell, EvalError, Value};
 
 /// An elaboration error, with the stream-instantiation context in which it
@@ -207,16 +214,6 @@ impl<'a> Elaborator<'a> {
                     weights: self.eval_weights(jw, &mut env, 2)?,
                 };
                 let split = self.eval_splitter(&fb.split, &mut env, 2)?;
-                if matches!(split, Splitter::Duplicate) {
-                    // duplicate is fine for feedback splitters
-                } else if let Splitter::RoundRobin(w) = &split {
-                    if w.len() != 2 {
-                        return Err(ElabError::new("feedbackloop splitter must have 2 weights"));
-                    }
-                }
-                if join.weights.len() != 2 {
-                    return Err(ElabError::new("feedbackloop joiner must have 2 weights"));
-                }
                 let mut enqueue = Vec::with_capacity(fb.enqueue.len());
                 for e in &fb.enqueue {
                     enqueue.push(const_eval_expr(&mut env, e)?.as_f64()?);
@@ -242,7 +239,6 @@ impl<'a> Elaborator<'a> {
         let param_names: Vec<String> = env.keys().cloned().collect();
 
         // Field declarations (dims may reference parameters), then `init`.
-        let mut field_names = Vec::with_capacity(f.fields.len());
         for field in &f.fields {
             if env.contains_key(&field.name) {
                 return Err(ElabError::new(format!(
@@ -250,25 +246,7 @@ impl<'a> Elaborator<'a> {
                     field.name
                 )));
             }
-            let mut dims = Vec::with_capacity(field.ty.dims.len());
-            for d in &field.ty.dims {
-                dims.push(const_eval_expr(&mut env, d)?.as_index()?);
-            }
-            let mut cell = Cell::zero_of(field.ty.base, dims);
-            if let Some(init) = &field.init {
-                let v = const_eval_expr(&mut env, init)?;
-                match &mut cell {
-                    Cell::Scalar(ty, slot) => *slot = v.coerce_to(*ty)?,
-                    Cell::Array(_) => {
-                        return Err(ElabError::new(format!(
-                            "array field `{}` cannot have a scalar initializer",
-                            field.name
-                        )))
-                    }
-                }
-            }
-            field_names.push(field.name.clone());
-            env.insert(field.name.clone(), cell);
+            declare(&mut env, &field.ty, &field.name, field.init.as_ref())?;
         }
         if let Some(init) = &f.init {
             run_init(&mut env, init, DEFAULT_FUEL)?;
@@ -286,13 +264,13 @@ impl<'a> Elaborator<'a> {
         // elaboration instead of on the Nth firing — all of them in one
         // pass, each with its source position.
         let lowered =
-            crate::lower::lower_filter(&env, &work.body, init_work.as_ref().map(|w| &w.body))
+            crate::lower::lower_filter(&env, &f.work.body, f.init_work.as_ref().map(|w| &w.body))
                 .map_err(|errs| {
-                    spanned_error(
-                        "in a work function",
-                        errs.iter().map(|e| (e.span, e.message.as_str())),
-                    )
-                })?;
+                spanned_error(
+                    "in a work function",
+                    errs.iter().map(|e| (e.span, e.message.as_str())),
+                )
+            })?;
 
         // Run the abstract interpreter (see `crate::analyze`): state
         // effect, rate/bounds certification, lints. Provable rate or
@@ -314,9 +292,6 @@ impl<'a> Elaborator<'a> {
         }
         facts.lints.extend(unused_decl_lints(decl, f));
 
-        let prints = block_prints(&f.work.body)
-            || f.init_work.as_ref().is_some_and(|w| block_prints(&w.body));
-
         let id = self.next_id;
         self.next_id += 1;
         let name = if args.is_empty() {
@@ -333,10 +308,9 @@ impl<'a> Elaborator<'a> {
             output: decl.output,
             state: env,
             param_names,
-            field_names,
             work,
             init_work,
-            prints,
+            prints: lowered.prints,
             lowered,
             facts,
         })))
@@ -364,13 +338,14 @@ impl<'a> Elaborator<'a> {
             peek: peek.max(pop),
             pop,
             push,
-            body: w.body.clone(),
         })
     }
 
     /// Runs a container body, collecting `add`ed children. Control flow is
-    /// interpreted here (so `add` inside loops works); simple statements are
-    /// delegated to the constant evaluator in flat mode.
+    /// interpreted here (so `add` inside loops works) and declarations bind
+    /// straight into `env` — no scopes, so a loop variable stays visible to
+    /// interleaved `add`s and to anonymous-stream capture; assignments and
+    /// expression statements go to the constant evaluator.
     fn run_container_body(
         &mut self,
         body: &Block,
@@ -427,40 +402,35 @@ impl<'a> Elaborator<'a> {
                 if let Some(i) = init {
                     self.run_stmt(i, env, children)?;
                 }
-                let mut fuel: u64 = 1_000_000;
-                loop {
-                    let go = match cond {
-                        Some(c) => const_eval_expr(env, c)?.as_bool()?,
-                        None => true,
-                    };
-                    if !go {
-                        break;
-                    }
-                    self.run_stmts(&body.stmts, env, children)?;
-                    if let Some(s) = step {
-                        self.run_stmt(s, env, children)?;
-                    }
-                    fuel -= 1;
-                    if fuel == 0 {
-                        return Err(ElabError::new("container loop did not terminate"));
-                    }
-                }
-                Ok(())
+                self.run_loop(cond.as_ref(), step.as_deref(), body, env, children)
             }
-            Stmt::While { cond, body } => {
-                let mut fuel: u64 = 1_000_000;
-                while const_eval_expr(env, cond)?.as_bool()? {
-                    self.run_stmts(&body.stmts, env, children)?;
-                    fuel -= 1;
-                    if fuel == 0 {
-                        return Err(ElabError::new("container loop did not terminate"));
-                    }
-                }
-                Ok(())
-            }
+            Stmt::While { cond, body } => self.run_loop(Some(cond), None, body, env, children),
             Stmt::Return => Ok(()),
-            simple => const_exec_stmt_flat(env, simple).map_err(ElabError::from),
+            Stmt::Decl { ty, name, init } => declare(env, ty, name, init.as_ref()),
+            simple => const_exec_stmt(env, simple).map_err(ElabError::from),
         }
+    }
+
+    fn run_loop(
+        &mut self,
+        cond: Option<&Expr>,
+        step: Option<&Stmt>,
+        body: &Block,
+        env: &mut HashMap<String, Cell>,
+        children: &mut Vec<Stream>,
+    ) -> Result<(), ElabError> {
+        for _ in 0..1_000_000 {
+            if let Some(c) = cond {
+                if !const_eval_expr(env, c)?.as_bool()? {
+                    return Ok(());
+                }
+            }
+            self.run_stmts(&body.stmts, env, children)?;
+            if let Some(s) = step {
+                self.run_stmt(s, env, children)?;
+            }
+        }
+        Err(ElabError::new("container loop did not terminate"))
     }
 
     fn elaborate_ref(
@@ -555,18 +525,9 @@ pub fn run_init(
             errs.iter().map(|e| (e.span, e.message.as_str())),
         )
     })?;
-    let mut globals: Vec<Cell> = lowered
-        .globals
-        .iter()
-        .map(|n| state.remove(n).expect("global slots are the state's names"))
-        .collect();
-    let mut frame = vec![Cell::zero_of(DataType::Int, Vec::new()); lowered.work.frame_slots];
-    let mut store = crate::lower::SlotStore {
-        globals: &mut globals,
-        frame: &mut frame,
-    };
-    let run = crate::bytecode::exec(&lowered.work.code, &mut store, &mut PureHost, fuel);
-    state.extend(lowered.globals.into_iter().zip(globals));
+    let run = with_cells_as_store(state, &lowered.globals, lowered.work.frame_slots, |store| {
+        crate::bytecode::exec(&lowered.work.code, store, &mut PureHost, fuel)
+    });
     run.map(|_| ())
         .map_err(|e| ElabError::new(format!("while running `init`: {}", e.message)))
 }
@@ -582,51 +543,32 @@ fn spanned_error<'e>(
     ElabError::new(format!("{what}: {}", msgs.join("; ")))
 }
 
-/// True if the block contains a `print`/`println` call anywhere.
-fn block_prints(block: &Block) -> bool {
-    block.stmts.iter().any(stmt_prints)
-}
-
-fn stmt_prints(stmt: &Stmt) -> bool {
-    match stmt {
-        Stmt::Decl { init, .. } => init.as_ref().is_some_and(expr_prints),
-        Stmt::Assign { value, .. } => expr_prints(value),
-        Stmt::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => {
-            expr_prints(cond)
-                || block_prints(then_blk)
-                || else_blk.as_ref().is_some_and(block_prints)
-        }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            init.as_deref().is_some_and(stmt_prints)
-                || cond.as_ref().is_some_and(expr_prints)
-                || step.as_deref().is_some_and(stmt_prints)
-                || block_prints(body)
-        }
-        Stmt::While { cond, body } => expr_prints(cond) || block_prints(body),
-        Stmt::Expr(e) => expr_prints(e),
-        Stmt::Return | Stmt::Add(_) => false,
+/// Binds `name` in `env` to a zeroed cell of type `ty` (dimensions are
+/// evaluated before the name is visible), then stores the initializer,
+/// which already sees the new variable.
+fn declare(
+    env: &mut HashMap<String, Cell>,
+    ty: &Type,
+    name: &str,
+    init: Option<&Expr>,
+) -> Result<(), ElabError> {
+    let mut dims = Vec::with_capacity(ty.dims.len());
+    for d in &ty.dims {
+        dims.push(const_eval_expr(env, d)?.as_index()?);
     }
-}
-
-fn expr_prints(e: &Expr) -> bool {
-    match e {
-        Expr::Call(name, args) => {
-            name == "print" || name == "println" || args.iter().any(expr_prints)
+    env.insert(name.to_string(), Cell::zero_of(ty.base, dims));
+    if let Some(init) = init {
+        let v = const_eval_expr(env, init)?;
+        match env.get_mut(name) {
+            Some(Cell::Scalar(ty, slot)) => *slot = v.coerce_to(*ty)?,
+            _ => {
+                return Err(ElabError::new(format!(
+                    "array `{name}` cannot have a scalar initializer"
+                )))
+            }
         }
-        Expr::Unary(_, a) | Expr::Peek(a) | Expr::Push(a) => expr_prints(a),
-        Expr::Binary(_, a, b) => expr_prints(a) || expr_prints(b),
-        Expr::Index(_, idx) => idx.iter().any(expr_prints),
-        _ => false,
     }
+    Ok(())
 }
 
 /// Unused-declaration lints for a filter: parameters and fields whose
@@ -847,7 +789,6 @@ mod tests {
             panic!()
         };
         assert_eq!(h.get(&[3]).unwrap(), Value::Float(9.0));
-        assert_eq!(f.field_names, vec!["h"]);
         assert!(f.param_names.contains(&"N".to_string()));
     }
 
@@ -900,6 +841,53 @@ mod tests {
             panic!()
         };
         assert_eq!(leaf.name, "Leaf(10)");
+    }
+
+    #[test]
+    fn container_statements_bind_and_update_the_environment() {
+        // Declarations land in the container's environment (so later
+        // `add`s see them), assignments and `++` write through to it, and
+        // an initializer sees its own freshly zeroed variable.
+        let g = elab(
+            "void->void pipeline Main {
+                 int n = 2;
+                 n = n * 5;
+                 n++;
+                 int m = m + n;
+                 add Leaf(n);
+                 add Leaf(m);
+                 add K();
+             }
+             void->float filter Leaf(int v) { work push 1 { push(v); } }
+             float->void filter K { work pop 2 { pop(); pop(); } }",
+        );
+        let Stream::Pipeline(c) = &g else { panic!() };
+        assert_eq!(c[0].describe(), "Leaf(11)");
+        assert_eq!(c[1].describe(), "Leaf(11)");
+    }
+
+    #[test]
+    fn container_errors_name_the_culprit() {
+        for (stmt, want) in [
+            ("add Leaf(nope);", "undefined variable `nope`"),
+            ("nope = 1;", "undefined variable `nope`"),
+            (
+                "println(1);",
+                "printing is not allowed in a constant context",
+            ),
+            (
+                "int n = pop();",
+                "`pop` is not allowed in a constant context",
+            ),
+        ] {
+            let p = parse(&format!(
+                "void->void pipeline Main {{ {stmt} add Leaf(1); }}
+                 void->float filter Leaf(int v) {{ work push 1 {{ push(v); }} }}"
+            ))
+            .unwrap();
+            let err = elaborate(&p).unwrap_err();
+            assert_eq!(err.message, want, "`{stmt}`");
+        }
     }
 
     #[test]

@@ -9,13 +9,14 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use streamlin_lang::ast::{Block, DataType};
+use streamlin_lang::ast::DataType;
 
 use crate::analyze::FilterFacts;
 use crate::lower::LoweredFilter;
 use crate::value::Cell;
 
-/// Resolved I/O rates and body of one work phase.
+/// Resolved I/O rates of one work phase (its code is the matching
+/// [`crate::lower::LoweredWork`] of [`FilterInst::lowered`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkFn {
     /// Maximum peek index + 1 (always `>= pop`).
@@ -24,8 +25,6 @@ pub struct WorkFn {
     pub pop: usize,
     /// Items pushed per firing.
     pub push: usize,
-    /// The body.
-    pub body: Block,
 }
 
 /// A fully elaborated filter instance.
@@ -47,8 +46,6 @@ pub struct FilterInst {
     pub state: HashMap<String, Cell>,
     /// Names that are bound parameters (constants for the analysis).
     pub param_names: Vec<String>,
-    /// Names that are fields (mutable state).
-    pub field_names: Vec<String>,
     /// The steady-state work function.
     pub work: WorkFn,
     /// Optional first-firing work function.
@@ -56,10 +53,9 @@ pub struct FilterInst {
     /// True if any work body prints (a side effect that must never be
     /// collapsed away — printing filters are treated as non-linear).
     pub prints: bool,
-    /// The slot-resolved form of the work phases (see [`crate::lower`]):
-    /// what the runtime interpreter actually executes. The AST bodies in
-    /// [`Self::work`]/[`Self::init_work`] remain the input of the linear
-    /// extraction analysis and the pretty-printer.
+    /// The slot-resolved work phases (see [`crate::lower`]) — the only form
+    /// of the code an instance carries: the runtime tiers execute it, and
+    /// the abstract interpreter and linear extraction analyse it.
     pub lowered: LoweredFilter,
     /// What the abstract interpreter proved about this filter (state
     /// effect, rate/bounds certificates, lints — see [`crate::analyze`]).
@@ -207,12 +203,10 @@ mod tests {
             output: DataType::Float,
             state: HashMap::new(),
             param_names: vec![],
-            field_names: vec![],
             work: WorkFn {
                 peek: pop,
                 pop,
                 push,
-                body: Block::default(),
             },
             init_work: None,
             prints: false,

@@ -6,22 +6,24 @@
 //! * [`value`] — the dynamic values of the dialect (ints, floats, booleans,
 //!   arrays) and their operator semantics, shared by constant evaluation,
 //!   the work-function interpreter and the linear extraction analysis.
-//! * [`exec`] — a statement/expression interpreter over the AST,
-//!   parameterized by a [`exec::Host`] so the same engine serves both pure
-//!   constant evaluation (elaboration-time `init` blocks) and tape-connected
-//!   runtime execution.
+//! * [`exec`] — the [`exec::Host`] protocol (tape access, printing, FLOP
+//!   accounting) every evaluator drives, with [`exec::PureHost`] for the
+//!   constant contexts of elaboration.
 //! * [`ir`] — the elaborated hierarchical [`ir::Stream`] graph: concrete
 //!   filter instances (with evaluated field values and I/O rates) composed
 //!   by pipelines, splitjoins and feedbackloops, mirroring the StreamIt SIR
 //!   the paper's compiler operates on (§4.4).
-//! * [`lower`] — slot resolution of work-function bodies: every field,
-//!   parameter and lexical local is assigned a storage slot at elaboration
-//!   (shadowing resolved statically), and the runtime executes the
-//!   resolved tree over plain `Vec<Cell>` storage — no name hashing on the
-//!   firing path.
+//! * [`lower`] — slot resolution, the only place a name becomes storage:
+//!   every field, parameter and lexical local is assigned a slot at
+//!   elaboration (shadowing resolved statically), and everything after it
+//!   — the reference interpreter [`SlotInterp`], the [`bytecode`] tier, the
+//!   abstract interpreter in [`analyze`], linear extraction in
+//!   `streamlin-core`, and elaboration's own constant evaluation — walks
+//!   the resolved tree over plain `Vec<Cell>` storage.
 //! * [`elaborate`] — instantiation of parameterized stream declarations:
 //!   runs container bodies and filter `init` blocks under constant
-//!   evaluation, exactly like the StreamIt compiler resolves its graph at
+//!   evaluation ([`lower::const_eval_expr`], [`elaborate::run_init`]),
+//!   exactly like the StreamIt compiler resolves its graph at
 //!   compile time (§2.1: "these rates must be resolvable at compile time"),
 //!   and lowers each filter's work phases to their slot-resolved form.
 //! * [`steady`] — the steady-state schedule solver (SDF balance equations,

@@ -1,12 +1,8 @@
-//! Slot resolution: compiling work-function bodies for the runtime.
+//! Slot resolution: the one place a name becomes storage.
 //!
 //! The paper's compiler resolves every filter name at elaboration time
 //! (§2.1, §4.4): fields, parameters and locals are ordinary storage by the
-//! time code runs. The AST interpreter in [`crate::exec`] instead resolved
-//! names *per access* — a `HashMap<String, Cell>` probe for every variable
-//! read and a fresh scope map for every executed block — which put a
-//! hashing floor under every interpreted benchmark. This module removes
-//! that floor:
+//! time code runs. This module is that resolver, and the only one:
 //!
 //! * [`lower_filter`] walks each work body **once** at elaboration,
 //!   assigns every field/parameter a *global* slot and every lexical local
@@ -14,28 +10,33 @@
 //!   emits a resolved tree ([`RStmt`]/[`RExpr`]) in which `Expr::Var(name)`
 //!   has become [`RExpr::Var`]`(`[`Slot`]`)`. Unknown names, unknown
 //!   functions, wrong intrinsic arity and `add` statements are reported
-//!   here — at compile time — instead of on the Nth firing.
+//!   here — at compile time — instead of on the Nth firing. Everything
+//!   downstream walks this tree or the bytecode compiled from it: the
+//!   runtime tiers, the abstract interpreter ([`crate::analyze`]) and
+//!   linear extraction (`streamlin-core`).
 //! * [`SlotInterp`] executes the resolved tree over two plain `Vec<Cell>`
 //!   arrays (persistent globals + a reusable frame): no per-block scope
-//!   maps, no string hashing, no name cloning on the firing path. It
-//!   drives the same [`Host`] trait as the AST interpreter and performs
-//!   byte-for-byte the same arithmetic in the same order, so outputs and
-//!   operation tallies are identical — `tests/interp_differential.rs`
-//!   pins that down across the nine benchmarks.
+//!   maps, no string hashing, no name cloning on the firing path. It is
+//!   the tree-walking reference tier that `tests/interp_differential.rs`
+//!   holds the bytecode tier equal to, on the nine benchmarks.
+//! * [`const_eval_expr`] (and `const_exec_stmt`) are elaboration's constant
+//!   contexts (rates, dimensions, weights, `add` arguments, container
+//!   statements), whose environment is a live `HashMap<String, Cell>`:
+//!   the expression is lowered against the map — a name gets a global slot
+//!   the first time it is mentioned — only the mentioned cells are moved
+//!   into a [`SlotStore`] and back, and [`SlotInterp`] evaluates it under
+//!   [`PureHost`]. The cost follows the expression, not the environment.
 //!
-//! The name-based [`crate::exec::Interp`] remains the engine for constant
-//! contexts whose environment is genuinely dynamic (container bodies, rate
-//! and dimension expressions). A filter's `init` block is not one of them:
-//! its cells are fixed when it runs, so elaboration lowers and compiles it
-//! like a work body ([`crate::elaborate::run_init`]).
+//! A filter's `init` block is lowered and compiled like a work body
+//! ([`crate::elaborate::run_init`]).
 
 use std::collections::HashMap;
 
 use streamlin_lang::ast::{BinOp, Block, DataType, Expr, LValue, Stmt, UnOp};
 use streamlin_lang::token::Span;
 
-use crate::exec::{Flow, Host, IndexBuf};
-use crate::value::{bin_op, un_op, ArrayVal, Cell, EvalError, MathFn, Value};
+use crate::exec::{Flow, Host, IndexBuf, PureHost, DEFAULT_FUEL};
+use crate::value::{bin_op, un_op, Cell, EvalError, MathFn, Value};
 
 /// A static resolution error (undefined name, unknown function, `add` in a
 /// work body). Reported at elaboration time. [`lower_filter`] collects
@@ -177,7 +178,7 @@ pub enum RStmt {
         /// Source position.
         span: Span,
     },
-    /// C-style `for`.
+    /// A loop: C-style `for`, and `while` as a `for` with only a condition.
     For {
         /// Initialization statement.
         init: Option<Box<RStmt>>,
@@ -185,15 +186,6 @@ pub enum RStmt {
         cond: Option<RExpr>,
         /// Step statement.
         step: Option<Box<RStmt>>,
-        /// Body.
-        body: Vec<RStmt>,
-        /// Source position.
-        span: Span,
-    },
-    /// `while`.
-    While {
-        /// Condition.
-        cond: RExpr,
         /// Body.
         body: Vec<RStmt>,
         /// Source position.
@@ -213,7 +205,6 @@ impl RStmt {
             | RStmt::Assign { span, .. }
             | RStmt::If { span, .. }
             | RStmt::For { span, .. }
-            | RStmt::While { span, .. }
             | RStmt::Expr(_, span) => *span,
             RStmt::Return => Span::default(),
         }
@@ -252,7 +243,6 @@ impl LoweredWork {
                     } => {
                         1 + usize::from(init.is_some()) + usize::from(step.is_some()) + count(body)
                     }
-                    RStmt::While { body, .. } => 1 + count(body),
                     _ => 1,
                 })
                 .sum()
@@ -273,6 +263,8 @@ pub struct LoweredFilter {
     pub work: LoweredWork,
     /// The optional first-firing phase.
     pub init_work: Option<LoweredWork>,
+    /// True if either phase contains an [`RExpr::Print`].
+    pub prints: bool,
 }
 
 impl LoweredFilter {
@@ -302,43 +294,45 @@ pub fn lower_filter(
 ) -> Result<LoweredFilter, Vec<LowerError>> {
     let mut globals: Vec<String> = state.keys().cloned().collect();
     globals.sort();
-    let index: HashMap<&str, u32> = globals
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i as u32))
-        .collect();
-    let mut errors = Vec::new();
-    let lowered_work = lower_work(&index, work, &mut errors);
-    let lowered_init = init_work.map(|w| lower_work(&index, w, &mut errors));
+    let mut lo = Lowerer::new(Globals::Fixed(&globals));
+    let work = lo.lower_work(work);
+    let init_work = init_work.map(|w| lo.lower_work(w));
+    let Lowerer { errors, prints, .. } = lo;
     if !errors.is_empty() {
         return Err(errors);
     }
     Ok(LoweredFilter {
         globals,
-        work: lowered_work,
-        init_work: lowered_init,
+        work,
+        init_work,
+        prints,
     })
 }
 
-fn lower_work(
-    globals: &HashMap<&str, u32>,
-    body: &Block,
-    errors: &mut Vec<LowerError>,
-) -> LoweredWork {
-    let mut lo = Lowerer {
-        globals,
-        scopes: Vec::new(),
-        next_frame: 0,
-        max_frame: 0,
-        cur_span: Span::default(),
-        errors,
-    };
-    let body = lo.lower_block(body);
-    let code = crate::bytecode::compile(&body);
-    LoweredWork {
-        body,
-        frame_slots: lo.max_frame as usize,
-        code,
+/// How persistent names get their global slots.
+enum Globals<'ast, 'c> {
+    /// A filter's state: slot `i` is the `i`-th name in sorted order.
+    Fixed(&'c [String]),
+    /// A constant context's live cells: a name gets the next slot the
+    /// first time it is mentioned, so slot `i` is the `i`-th entry of the
+    /// list — and the list is all that has to be moved into a store.
+    Live(&'c HashMap<String, Cell>, Vec<&'ast str>),
+}
+
+impl<'ast> Globals<'ast, '_> {
+    fn slot(&mut self, name: &'ast str) -> Option<u32> {
+        let i = match self {
+            Globals::Fixed(sorted) => sorted.binary_search_by(|g| g.as_str().cmp(name)).ok(),
+            Globals::Live(cells, mentioned) => {
+                mentioned.iter().position(|m| *m == name).or_else(|| {
+                    cells.contains_key(name).then(|| {
+                        mentioned.push(name);
+                        mentioned.len() - 1
+                    })
+                })
+            }
+        };
+        i.map(|i| i as u32)
     }
 }
 
@@ -346,22 +340,49 @@ fn lower_work(
 /// with the persistent names underneath. Slot allocation is stack-shaped:
 /// leaving a scope releases its slots for reuse by sibling scopes, and
 /// `max_frame` records the high-water mark that sizes the runtime frame.
-struct Lowerer<'a> {
-    globals: &'a HashMap<&'a str, u32>,
-    scopes: Vec<(HashMap<String, u32>, u32)>,
+struct Lowerer<'ast, 'c> {
+    globals: Globals<'ast, 'c>,
+    scopes: Vec<(HashMap<&'ast str, u32>, u32)>,
     next_frame: u32,
     max_frame: u32,
     /// Span of the statement currently being lowered — the position
     /// expression-level errors are reported at.
     cur_span: Span,
+    /// Set once any `print`/`println` has been lowered.
+    prints: bool,
     /// Every error found so far, across statements.
-    errors: &'a mut Vec<LowerError>,
+    errors: Vec<LowerError>,
 }
 
-impl Lowerer<'_> {
+impl<'ast, 'c> Lowerer<'ast, 'c> {
+    fn new(globals: Globals<'ast, 'c>) -> Self {
+        Lowerer {
+            globals,
+            scopes: Vec::new(),
+            next_frame: 0,
+            max_frame: 0,
+            cur_span: Span::default(),
+            prints: false,
+            errors: Vec::new(),
+        }
+    }
+
+    /// Lowers one work phase (frame slots start over) and compiles it.
+    fn lower_work(&mut self, body: &'ast Block) -> LoweredWork {
+        (self.next_frame, self.max_frame) = (0, 0);
+        let body = self.lower_block(body);
+        let code = crate::bytecode::compile(&body);
+        LoweredWork {
+            body,
+            frame_slots: self.max_frame as usize,
+            code,
+        }
+    }
+
     fn err(&self, message: impl Into<String>) -> LowerError {
         LowerError::new(message, self.cur_span)
     }
+
     fn push_scope(&mut self) {
         self.scopes.push((HashMap::new(), self.next_frame));
     }
@@ -371,7 +392,7 @@ impl Lowerer<'_> {
         self.next_frame = watermark;
     }
 
-    fn declare(&mut self, name: &str) -> u32 {
+    fn declare(&mut self, name: &'ast str) -> u32 {
         let slot = self.next_frame;
         self.next_frame += 1;
         self.max_frame = self.max_frame.max(self.next_frame);
@@ -379,26 +400,26 @@ impl Lowerer<'_> {
             .last_mut()
             .expect("declarations only occur inside a scope")
             .0
-            .insert(name.to_string(), slot);
+            .insert(name, slot);
         slot
     }
 
-    fn resolve(&self, name: &str) -> Result<Slot, LowerError> {
+    fn resolve(&mut self, name: &'ast str) -> Result<Slot, LowerError> {
         for (scope, _) in self.scopes.iter().rev() {
             if let Some(&s) = scope.get(name) {
                 return Ok(Slot::Frame(s));
             }
         }
         self.globals
-            .get(name)
-            .map(|&i| Slot::Global(i))
+            .slot(name)
+            .map(Slot::Global)
             .ok_or_else(|| self.err(format!("undefined variable `{name}`")))
     }
 
     /// Lowers a block, recording (not propagating) per-statement errors:
     /// a statement that fails is dropped from the output and the walk
     /// continues with the next one, so one pass reports them all.
-    fn lower_block(&mut self, block: &Block) -> Vec<RStmt> {
+    fn lower_block(&mut self, block: &'ast Block) -> Vec<RStmt> {
         self.push_scope();
         let mut out = Vec::with_capacity(block.stmts.len());
         for (i, s) in block.stmts.iter().enumerate() {
@@ -418,13 +439,12 @@ impl Lowerer<'_> {
         out
     }
 
-    fn lower_stmt(&mut self, stmt: &Stmt, span: Span) -> Result<RStmt, LowerError> {
+    fn lower_stmt(&mut self, stmt: &'ast Stmt, span: Span) -> Result<RStmt, LowerError> {
         self.cur_span = span;
         Ok(match stmt {
             Stmt::Decl { ty, name, init } => {
                 // Dimensions are evaluated before the name becomes
-                // visible; the initializer sees the new (zeroed) variable,
-                // exactly as in the AST interpreter.
+                // visible; the initializer sees the new (zeroed) variable.
                 let dims = self.lower_exprs(&ty.dims)?;
                 let slot = self.declare(name);
                 let init = init.as_ref().map(|e| self.lower_expr(e)).transpose()?;
@@ -485,8 +505,10 @@ impl Lowerer<'_> {
                 self.pop_scope();
                 r?
             }
-            Stmt::While { cond, body } => RStmt::While {
-                cond: self.lower_expr(cond)?,
+            Stmt::While { cond, body } => RStmt::For {
+                init: None,
+                cond: Some(self.lower_expr(cond)?),
+                step: None,
                 body: self.lower_block(body),
                 span,
             },
@@ -498,18 +520,18 @@ impl Lowerer<'_> {
         })
     }
 
-    fn lower_lvalue(&mut self, lv: &LValue) -> Result<RLValue, LowerError> {
+    fn lower_lvalue(&mut self, lv: &'ast LValue) -> Result<RLValue, LowerError> {
         Ok(match lv {
             LValue::Var(name) => RLValue::Var(self.resolve(name)?),
             LValue::Index(name, idx) => RLValue::Index(self.resolve(name)?, self.lower_exprs(idx)?),
         })
     }
 
-    fn lower_exprs(&mut self, exprs: &[Expr]) -> Result<Vec<RExpr>, LowerError> {
+    fn lower_exprs(&mut self, exprs: &'ast [Expr]) -> Result<Vec<RExpr>, LowerError> {
         exprs.iter().map(|e| self.lower_expr(e)).collect()
     }
 
-    fn lower_expr(&mut self, expr: &Expr) -> Result<RExpr, LowerError> {
+    fn lower_expr(&mut self, expr: &'ast Expr) -> Result<RExpr, LowerError> {
         Ok(match expr {
             Expr::Int(v) => RExpr::Int(*v),
             Expr::Float(v) => RExpr::Float(*v),
@@ -531,6 +553,7 @@ impl Lowerer<'_> {
                     if args.len() != 1 {
                         return Err(self.err(format!("{name} expects 1 argument")));
                     }
+                    self.prints = true;
                     return Ok(RExpr::Print {
                         newline: name == "println",
                         arg: Box::new(self.lower_expr(&args[0])?),
@@ -578,10 +601,11 @@ impl SlotStore<'_> {
     }
 }
 
-/// The slot-resolved interpreter: same [`Host`] protocol, same fuel
-/// discipline and byte-for-byte the same arithmetic as
-/// [`crate::exec::Interp`], over direct vector indexing instead of name
-/// lookup.
+/// The slot-resolved tree-walking interpreter: the reference semantics of
+/// the dialect (the bytecode tier performs byte-for-byte the same
+/// arithmetic in the same order), over direct vector indexing. `fuel`
+/// bounds the number of executed statements so that accidental infinite
+/// loops in user programs surface as errors rather than hangs.
 #[derive(Debug)]
 pub struct SlotInterp<'h, H: Host> {
     host: &'h mut H,
@@ -605,20 +629,12 @@ impl<'h, H: Host> SlotInterp<'h, H> {
         Ok(())
     }
 
-    /// Executes a lowered work body.
+    /// Executes a lowered work body (or any statement list of one).
     ///
     /// # Errors
     ///
     /// Propagates any [`EvalError`] from the statements.
     pub fn exec_work(
-        &mut self,
-        store: &mut SlotStore<'_>,
-        body: &[RStmt],
-    ) -> Result<Flow, EvalError> {
-        self.exec_stmts(store, body)
-    }
-
-    fn exec_stmts(
         &mut self,
         store: &mut SlotStore<'_>,
         stmts: &[RStmt],
@@ -641,24 +657,14 @@ impl<'h, H: Host> SlotInterp<'h, H> {
                 init,
                 ..
             } => {
-                let cell = if dims.is_empty() {
-                    Cell::Scalar(*base, Value::zero_of(*base))
-                } else {
-                    let mut sizes = Vec::with_capacity(dims.len());
-                    for d in dims {
-                        sizes.push(self.eval(store, d)?.as_index()?);
-                    }
-                    Cell::Array(ArrayVal::zeros(*base, sizes))
-                };
-                store.frame[*slot as usize] = cell;
+                let mut sizes = Vec::with_capacity(dims.len());
+                for d in dims {
+                    sizes.push(self.eval(store, d)?.as_index()?);
+                }
+                store.frame[*slot as usize] = Cell::zero_of(*base, sizes);
                 if let Some(e) = init {
                     let v = self.eval(store, e)?;
-                    match &mut store.frame[*slot as usize] {
-                        Cell::Scalar(ty, cur) => *cur = v.coerce_to(*ty)?,
-                        Cell::Array(_) => {
-                            return Err(EvalError::new("cannot assign a scalar to an array"))
-                        }
-                    }
+                    self.assign(store, &RLValue::Var(Slot::Frame(*slot)), v)?;
                 }
                 Ok(Flow::Normal)
             }
@@ -682,24 +688,12 @@ impl<'h, H: Host> SlotInterp<'h, H> {
             } => {
                 let c = self.eval(store, cond)?.as_bool()?;
                 if c {
-                    self.exec_stmts(store, then_blk)
+                    self.exec_work(store, then_blk)
                 } else if let Some(e) = else_blk {
-                    self.exec_stmts(store, e)
+                    self.exec_work(store, e)
                 } else {
                     Ok(Flow::Normal)
                 }
-            }
-            RStmt::While { cond, body, .. } => {
-                loop {
-                    self.spend()?;
-                    if !self.eval(store, cond)?.as_bool()? {
-                        break;
-                    }
-                    if self.exec_stmts(store, body)? == Flow::Return {
-                        return Ok(Flow::Return);
-                    }
-                }
-                Ok(Flow::Normal)
             }
             RStmt::For {
                 init,
@@ -722,7 +716,7 @@ impl<'h, H: Host> SlotInterp<'h, H> {
                     if !go {
                         break;
                     }
-                    if self.exec_stmts(store, body)? == Flow::Return {
+                    if self.exec_work(store, body)? == Flow::Return {
                         return Ok(Flow::Return);
                     }
                     if let Some(s) = step {
@@ -788,9 +782,11 @@ impl<'h, H: Host> SlotInterp<'h, H> {
         }
     }
 
-    /// Read-modify-write of one location with a single index evaluation
-    /// (the same single-evaluation semantics as
-    /// [`crate::exec::Interp`]). Returns `(old, new)`.
+    /// Applies `op` between the current value of `target` and `rhs` and
+    /// writes the result back, returning `(old, new)`. Index expressions
+    /// are evaluated exactly **once**, so `a[i++] += x` bumps `i` a single
+    /// time and reads and writes the same element (compound assignment and
+    /// `++`/`--` are read-modify-write of one location, as in C).
     fn read_modify_write(
         &mut self,
         store: &mut SlotStore<'_>,
@@ -924,9 +920,109 @@ impl<'h, H: Host> SlotInterp<'h, H> {
     }
 }
 
+// ---- constant contexts --------------------------------------------------------
+
+/// Moves the named cells out of `cells` into a [`SlotStore`] — global slot
+/// `i` is `names[i]` — over a fresh frame, runs `f`, and moves them back
+/// whatever `f` returned. Cells are moved, never copied: a captured table
+/// costs the same as a scalar.
+pub(crate) fn with_cells_as_store<R>(
+    cells: &mut HashMap<String, Cell>,
+    names: &[impl AsRef<str>],
+    frame_slots: usize,
+    f: impl FnOnce(&mut SlotStore<'_>) -> R,
+) -> R {
+    let (keys, mut globals): (Vec<String>, Vec<Cell>) = names
+        .iter()
+        .map(|n| {
+            cells
+                .remove_entry(n.as_ref())
+                .expect("global slots were resolved against these cells")
+        })
+        .unzip();
+    let mut frame = vec![Cell::zero_of(DataType::Int, Vec::new()); frame_slots];
+    let r = f(&mut SlotStore {
+        globals: &mut globals,
+        frame: &mut frame,
+    });
+    cells.extend(keys.into_iter().zip(globals));
+    r
+}
+
+/// Lowers one piece of syntax against the live `cells`, then runs it with
+/// [`SlotInterp`] under [`PureHost`] over just the cells it mentions.
+fn const_run<'ast, L, R>(
+    cells: &mut HashMap<String, Cell>,
+    lower: impl FnOnce(&mut Lowerer<'ast, '_>) -> Result<L, LowerError>,
+    run: impl FnOnce(&mut SlotInterp<'_, PureHost>, &mut SlotStore<'_>, &L) -> Result<R, EvalError>,
+) -> Result<R, EvalError> {
+    let mut lo = Lowerer::new(Globals::Live(cells, Vec::new()));
+    lo.push_scope();
+    let lowered = lower(&mut lo);
+    let Globals::Live(_, mentioned) = lo.globals else {
+        unreachable!("constructed as `Live` above")
+    };
+    let lowered = lowered.map_err(|e| EvalError::new(e.message))?;
+    with_cells_as_store(cells, &mentioned, lo.max_frame as usize, |store| {
+        run(
+            &mut SlotInterp::new(&mut PureHost, DEFAULT_FUEL),
+            store,
+            &lowered,
+        )
+    })
+}
+
+/// Evaluates a single expression in a constant context over the given
+/// live cells.
+///
+/// # Errors
+///
+/// Fails if the expression uses tape operations, printing, or undefined
+/// names.
+///
+/// # Examples
+///
+/// ```
+/// use std::collections::HashMap;
+/// use streamlin_graph::lower::const_eval_expr;
+/// use streamlin_graph::value::Value;
+/// use streamlin_lang::ast::{BinOp, Expr};
+///
+/// let mut cells = HashMap::new();
+/// let e = Expr::Binary(BinOp::Mul, Box::new(Expr::Int(6)), Box::new(Expr::Int(7)));
+/// assert_eq!(const_eval_expr(&mut cells, &e).unwrap(), Value::Int(42));
+/// ```
+pub fn const_eval_expr(cells: &mut HashMap<String, Cell>, expr: &Expr) -> Result<Value, EvalError> {
+    const_run(
+        cells,
+        |lo| lo.lower_expr(expr),
+        |interp, store, e| interp.eval(store, e),
+    )
+}
+
+/// Executes one assignment or expression statement in a constant context
+/// over the given live cells (container-body elaboration, for statements
+/// interleaved with `add`s). A declaration executed here would be a frame
+/// local that vanishes with the call; elaboration binds those itself.
+///
+/// # Errors
+///
+/// Fails on tape operations, printing, `add`, or undefined names.
+pub(crate) fn const_exec_stmt(
+    cells: &mut HashMap<String, Cell>,
+    stmt: &Stmt,
+) -> Result<(), EvalError> {
+    const_run(
+        cells,
+        |lo| lo.lower_stmt(stmt, Span::default()),
+        |interp, store, s| interp.exec_work(store, std::slice::from_ref(s)).map(|_| ()),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::ArrayVal;
     use streamlin_lang::ast::StreamKind;
     use streamlin_lang::parse;
 
@@ -965,18 +1061,22 @@ mod tests {
         }
     }
 
-    fn run(src: &str) -> Vec<f64> {
-        let (lowered, state) = lowered_for(src);
-        let mut globals: Vec<Cell> = lowered.globals.iter().map(|n| state[n].clone()).collect();
-        let mut frame = vec![Cell::Scalar(DataType::Int, Value::Int(0)); lowered.frame_slots()];
+    /// One firing of `src`'s work body on a fuel budget; what it pushed
+    /// (and printed), or why it stopped.
+    fn run_with_fuel(src: &str, fuel: u64) -> Result<Vec<f64>, EvalError> {
+        let (lowered, mut state) = lowered_for(src);
         let mut host = TestHost::default();
-        let mut interp = SlotInterp::new(&mut host, 1_000_000);
-        let mut store = SlotStore {
-            globals: &mut globals,
-            frame: &mut frame,
-        };
-        interp.exec_work(&mut store, &lowered.work.body).unwrap();
-        host.pushed
+        with_cells_as_store(
+            &mut state,
+            &lowered.globals,
+            lowered.frame_slots(),
+            |store| SlotInterp::new(&mut host, fuel).exec_work(store, &lowered.work.body),
+        )?;
+        Ok(host.pushed)
+    }
+
+    fn run(src: &str) -> Vec<f64> {
+        run_with_fuel(src, 1_000_000).unwrap()
     }
 
     #[test]
@@ -1023,7 +1123,6 @@ mod tests {
 
     #[test]
     fn inner_scopes_shadow_and_restore() {
-        // Mirrors exec.rs's scoping_shadows_and_restores, through slots.
         let pushed = run("void->float filter F {
                 work push 2 {
                     int x = 1;
@@ -1052,7 +1151,7 @@ mod tests {
     #[test]
     fn declaration_initializer_sees_the_new_zeroed_variable() {
         // `int x = x + 1` reads the freshly declared x (0), not an outer
-        // binding — the AST interpreter's declare-then-assign order.
+        // binding: declare, then assign.
         let pushed = run("void->float filter F {
                 work push 2 {
                     int x = 40;
@@ -1066,13 +1165,18 @@ mod tests {
         assert_eq!(pushed, vec![1.0, 40.0]);
     }
 
+    /// The errors of lowering the work body of a filter without state.
+    fn lower_errs(src: &str) -> Vec<LowerError> {
+        let p = parse(src).unwrap();
+        let StreamKind::Filter(f) = &p.decls[0].kind else {
+            panic!("expected filter");
+        };
+        lower_filter(&HashMap::new(), &f.work.body, None).unwrap_err()
+    }
+
     #[test]
     fn undefined_variable_is_a_lowering_error() {
-        let p = parse("void->float filter F { work push 1 { push(nope); } }").unwrap();
-        let StreamKind::Filter(f) = &p.decls[0].kind else {
-            panic!()
-        };
-        let errs = lower_filter(&HashMap::new(), &f.work.body, None).unwrap_err();
+        let errs = lower_errs("void->float filter F { work push 1 { push(nope); } }");
         assert_eq!(errs.len(), 1);
         assert!(errs[0].message.contains("nope"), "{errs:?}");
         assert_ne!(errs[0].span, Span::default(), "error carries a position");
@@ -1080,18 +1184,14 @@ mod tests {
 
     #[test]
     fn unknown_function_is_a_lowering_error() {
-        let p = parse("void->float filter F { work push 1 { push(frob(1)); } }").unwrap();
-        let StreamKind::Filter(f) = &p.decls[0].kind else {
-            panic!()
-        };
-        let errs = lower_filter(&HashMap::new(), &f.work.body, None).unwrap_err();
+        let errs = lower_errs("void->float filter F { work push 1 { push(frob(1)); } }");
         assert_eq!(errs.len(), 1);
         assert!(errs[0].message.contains("frob"), "{errs:?}");
     }
 
     #[test]
     fn all_errors_reported_in_one_pass_with_spans() {
-        let p = parse(
+        let errs = lower_errs(
             "void->float filter F {
                 work push 2 {
                     push(nope);
@@ -1100,12 +1200,7 @@ mod tests {
                     push(alsonope);
                 }
             }",
-        )
-        .unwrap();
-        let StreamKind::Filter(f) = &p.decls[0].kind else {
-            panic!()
-        };
-        let errs = lower_filter(&HashMap::new(), &f.work.body, None).unwrap_err();
+        );
         let msgs: Vec<&str> = errs.iter().map(|e| e.message.as_str()).collect();
         assert_eq!(errs.len(), 3, "{msgs:?}");
         assert!(msgs[0].contains("nope"));
@@ -1120,19 +1215,14 @@ mod tests {
     fn failed_declaration_does_not_cascade() {
         // `int x = frob();` fails, but a later use of `x` must not produce
         // a second, spurious `undefined variable` error.
-        let p = parse(
+        let errs = lower_errs(
             "void->float filter F {
                 work push 1 {
                     int x = frob();
                     push(x);
                 }
             }",
-        )
-        .unwrap();
-        let StreamKind::Filter(f) = &p.decls[0].kind else {
-            panic!()
-        };
-        let errs = lower_filter(&HashMap::new(), &f.work.body, None).unwrap_err();
+        );
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(errs[0].message.contains("frob"));
     }
@@ -1180,6 +1270,114 @@ mod tests {
                 }
             }");
         assert_eq!(pushed, vec![10.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn side_effecting_index_evaluated_once_in_post_inc() {
+        // `a[i++]++` increments a[0] (the old i), not a[1], and leaves i=1.
+        let pushed = run("void->float filter F {
+                work push 3 {
+                    float[2] a;
+                    int i = 0;
+                    a[i++]++;
+                    push(a[0]);
+                    push(a[1]);
+                    push(i);
+                }
+            }");
+        assert_eq!(pushed, vec![1.0, 0.0, 1.0]);
+    }
+
+    #[test]
+    fn post_increment_yields_old_value() {
+        let pushed = run("void->float filter F {
+                work push 2 {
+                    float x = 5;
+                    push(x++);
+                    push(x);
+                }
+            }");
+        assert_eq!(pushed, vec![5.0, 6.0]);
+    }
+
+    #[test]
+    fn fuel_exhaustion_is_reported() {
+        let src = "float->float filter F { work push 1 pop 1 { while (true) { } } }";
+        let err = run_with_fuel(src, 1000).unwrap_err();
+        assert!(err.message.contains("fuel"), "{err}");
+    }
+
+    // ---- constant contexts ---------------------------------------------
+
+    fn int(v: i64) -> Cell {
+        Cell::Scalar(DataType::Int, Value::Int(v))
+    }
+
+    fn call(name: &str, arg: Expr) -> Expr {
+        Expr::Call(name.to_string(), vec![arg])
+    }
+
+    #[test]
+    fn const_context_rejects_tape_ops_and_printing() {
+        let mut cells = HashMap::new();
+        for e in [
+            Expr::Pop,
+            Expr::Peek(Box::new(Expr::Int(0))),
+            Expr::Push(Box::new(Expr::Int(0))),
+            call("println", Expr::Int(1)),
+        ] {
+            let err = const_eval_expr(&mut cells, &e).unwrap_err();
+            assert!(err.message.contains("constant context"), "{e:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn const_eval_moves_only_the_mentioned_cells_and_puts_them_back() {
+        let table = Cell::Array(ArrayVal::zeros(DataType::Float, vec![4096]));
+        let mut cells = HashMap::from([
+            ("n".to_string(), int(6)),
+            ("table".to_string(), table.clone()),
+        ]);
+        let e = Expr::Binary(
+            BinOp::Mul,
+            Box::new(Expr::Var("n".into())),
+            Box::new(Expr::Var("n".into())),
+        );
+        assert_eq!(const_eval_expr(&mut cells, &e).unwrap(), Value::Int(36));
+        // An evaluation error leaves the environment intact too.
+        let bad = Expr::Index("table".into(), vec![Expr::Var("n".into()), Expr::Int(0)]);
+        assert!(const_eval_expr(&mut cells, &bad).is_err());
+        assert_eq!(cells.len(), 2);
+        assert_eq!(cells["n"], int(6));
+        assert_eq!(cells["table"], table);
+    }
+
+    #[test]
+    fn const_eval_reports_undefined_names_and_functions_by_name() {
+        let mut cells = HashMap::from([("n".to_string(), int(1))]);
+        let err = const_eval_expr(&mut cells, &Expr::Var("nope".into())).unwrap_err();
+        assert_eq!(err.message, "undefined variable `nope`");
+        let err = const_eval_expr(&mut cells, &call("frob", Expr::Int(1))).unwrap_err();
+        assert_eq!(err.message, "unknown function `frob`");
+        assert_eq!(cells["n"], int(1));
+    }
+
+    #[test]
+    fn const_exec_stmt_writes_through_to_the_live_cells() {
+        let mut cells = HashMap::from([("i".to_string(), int(3))]);
+        let step = Stmt::Expr(Expr::PostIncDec {
+            target: LValue::Var("i".into()),
+            inc: true,
+        });
+        const_exec_stmt(&mut cells, &step).unwrap();
+        assert_eq!(cells["i"], int(4));
+        let assign = Stmt::Assign {
+            target: LValue::Var("i".into()),
+            op: Some(BinOp::Mul),
+            value: Expr::Var("i".into()),
+        };
+        const_exec_stmt(&mut cells, &assign).unwrap();
+        assert_eq!(cells["i"], int(16));
     }
 
     #[test]

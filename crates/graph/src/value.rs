@@ -379,23 +379,30 @@ impl MathFn {
     }
 }
 
-/// Applies a named math intrinsic.
-///
-/// Supported: `sin cos tan asin acos atan exp log log10 sqrt abs floor ceil
-/// round` (unary, float result) and `min max pow atan2` (binary).
+/// Flattens a multi-dimensional index into a row-major array of the given
+/// dimensions (shared with the symbolic arrays of linear extraction).
 ///
 /// # Errors
 ///
-/// Returns an [`EvalError`] for unknown names or wrong arity.
-pub fn math_call(name: &str, args: &[Value]) -> Result<Value, EvalError> {
-    MathFn::from_name(name)
-        .ok_or_else(|| EvalError::new(format!("unknown function `{name}`")))?
-        .call(args)
-}
-
-/// True if `name` is a math intrinsic handled by [`math_call`].
-pub fn is_math_fn(name: &str) -> bool {
-    MathFn::from_name(name).is_some()
+/// Returns an [`EvalError`] for rank mismatch or out-of-bounds access.
+pub fn flat_offset(dims: &[usize], idx: &[usize]) -> Result<usize, EvalError> {
+    if idx.len() != dims.len() {
+        return Err(EvalError::new(format!(
+            "array expects {} indices, got {}",
+            dims.len(),
+            idx.len()
+        )));
+    }
+    let mut off = 0;
+    for (i, (&ix, &dim)) in idx.iter().zip(dims).enumerate() {
+        if ix >= dim {
+            return Err(EvalError::new(format!(
+                "index {ix} out of bounds for dimension {i} of size {dim}"
+            )));
+        }
+        off = off * dim + ix;
+    }
+    Ok(off)
 }
 
 /// A dense array value with row-major storage.
@@ -424,25 +431,9 @@ impl ArrayVal {
     ///
     /// # Errors
     ///
-    /// Returns an [`EvalError`] for rank mismatch or out-of-bounds access.
+    /// See [`flat_offset`].
     pub fn offset(&self, idx: &[usize]) -> Result<usize, EvalError> {
-        if idx.len() != self.dims.len() {
-            return Err(EvalError::new(format!(
-                "array expects {} indices, got {}",
-                self.dims.len(),
-                idx.len()
-            )));
-        }
-        let mut off = 0;
-        for (i, (&ix, &dim)) in idx.iter().zip(&self.dims).enumerate() {
-            if ix >= dim {
-                return Err(EvalError::new(format!(
-                    "index {ix} out of bounds for dimension {i} of size {dim}"
-                )));
-            }
-            off = off * dim + ix;
-        }
-        Ok(off)
+        flat_offset(&self.dims, idx)
     }
 
     /// Reads an element.
@@ -571,22 +562,22 @@ mod tests {
 
     #[test]
     fn math_intrinsics() {
+        let call = |name: &str, args: &[Value]| MathFn::from_name(name).unwrap().call(args);
         assert_eq!(
-            math_call("sqrt", &[Value::Float(9.0)]).unwrap(),
+            call("sqrt", &[Value::Float(9.0)]).unwrap(),
             Value::Float(3.0)
         );
-        assert_eq!(math_call("abs", &[Value::Int(-4)]).unwrap(), Value::Int(4));
+        assert_eq!(call("abs", &[Value::Int(-4)]).unwrap(), Value::Int(4));
         assert_eq!(
-            math_call("max", &[Value::Int(3), Value::Int(7)]).unwrap(),
+            call("max", &[Value::Int(3), Value::Int(7)]).unwrap(),
             Value::Int(7)
         );
         assert_eq!(
-            math_call("pow", &[Value::Float(2.0), Value::Int(10)]).unwrap(),
+            call("pow", &[Value::Float(2.0), Value::Int(10)]).unwrap(),
             Value::Float(1024.0)
         );
-        assert!(math_call("nope", &[]).is_err());
-        assert!(is_math_fn("atan"));
-        assert!(!is_math_fn("println"));
+        assert!(MathFn::from_name("nope").is_none());
+        assert!(MathFn::from_name("println").is_none());
     }
 
     #[test]

@@ -1,34 +1,30 @@
-//! Differential suite: the slot-resolved work-function interpreter
-//! ([`streamlin::graph::lower`]) against the name-based AST interpreter
-//! ([`streamlin::graph::exec`]) it replaced on the firing path.
+//! Differential suite: the bytecode tier ([`streamlin::graph::bytecode`])
+//! against the slot-resolved tree-walking interpreter
+//! ([`streamlin::graph::lower::SlotInterp`]), the reference semantics.
 //!
-//! For **every filter instance of all nine benchmarks**, both interpreters
+//! For **every filter instance of all nine benchmarks**, both tiers
 //! execute the same firing sequence over the same synthetic tape; pushed
 //! values, printed values, pop counts, floating-point operation tallies
-//! and the final persistent state must agree exactly. A third run with
+//! and the final persistent state must agree exactly — the compiled form
+//! of every work phase, fused dot-product loops included. A run with
 //! counting hooks disabled (the `Fast`-mode analogue: identical code, the
-//! tally is a no-op) must produce bit-identical values, and a
+//! tally is a no-op) must produce bit-identical values on each tier, and a
 //! program-level check pins `Measured` vs `Fast` outputs across the full
 //! engines.
 //!
-//! The **bytecode tier** ([`streamlin::graph::bytecode`]) is a third
-//! compared family: the compiled form of every work phase (including its
-//! fused dot-product loops) runs the same firings and must match the
-//! tree-walkers on every dimension — values, pops, tallies, state.
-//!
 //! Filter **`init` blocks** run on the bytecode tier at elaboration
-//! ([`streamlin::graph::elaborate::run_init`]); the name-based interpreter
-//! is their reference too: same post-`init` cells for every filter of the
-//! nine benchmarks, same message text for every way an `init` can fail.
+//! ([`streamlin::graph::elaborate::run_init`]); the tree-walker is their
+//! reference too: same post-`init` cells for every filter of the nine
+//! benchmarks, same message text for every way an `init` can fail.
 
 use std::collections::HashMap;
 
 use streamlin::benchmarks::Benchmark;
 use streamlin::core::opt::OptStream;
 use streamlin::graph::elaborate::{elaborate, run_init};
-use streamlin::graph::exec::{const_eval_expr, Env, Host, Interp, PureHost, DEFAULT_FUEL};
+use streamlin::graph::exec::{Flow, Host, PureHost, DEFAULT_FUEL};
 use streamlin::graph::ir::FilterInst;
-use streamlin::graph::lower::{SlotInterp, SlotStore};
+use streamlin::graph::lower::{const_eval_expr, lower_filter, LoweredWork, SlotInterp, SlotStore};
 use streamlin::graph::value::{Cell, EvalError, Value};
 use streamlin::lang::ast::{Block, DataType, FilterDecl, StreamKind};
 use streamlin::runtime::flat::NodeKind;
@@ -113,36 +109,14 @@ struct RunResult {
     state: HashMap<String, Cell>,
 }
 
-/// Runs `FIRINGS` firings through the name-based AST interpreter.
-fn run_name_based(inst: &FilterInst, input: &[f64]) -> RunResult {
-    let mut state = inst.state.clone();
-    let mut host = TapeHost {
-        input: input.to_vec(),
-        count: true,
-        ..TapeHost::default()
-    };
-    for k in 0..FIRINGS {
-        let phase = match (&inst.init_work, k) {
-            (Some(iw), 0) => iw,
-            _ => &inst.work,
-        };
-        let mut interp = Interp::new(&mut host, FIRING_FUEL);
-        let mut env = Env::new(&mut state);
-        interp
-            .exec_block(&mut env, &phase.body)
-            .unwrap_or_else(|e| panic!("{} (name-based): {}", inst.name, e.message));
-    }
-    RunResult {
-        popped: host.cursor,
-        pushed: host.pushed,
-        printed: host.printed,
-        tallies: [host.adds, host.muls, host.divs, host.others],
-        state,
-    }
-}
-
-/// Runs `FIRINGS` firings through the slot-resolved interpreter.
-fn run_slot_based(inst: &FilterInst, input: &[f64], count: bool) -> RunResult {
+/// Runs `FIRINGS` firings of `inst` over `input`, each through `fire`.
+fn run_firings(
+    inst: &FilterInst,
+    input: &[f64],
+    count: bool,
+    tier: &str,
+    fire: impl Fn(&LoweredWork, &mut SlotStore<'_>, &mut TapeHost) -> Result<Flow, EvalError>,
+) -> RunResult {
     let lowered = &inst.lowered;
     let mut globals: Vec<Cell> = lowered
         .globals
@@ -160,14 +134,12 @@ fn run_slot_based(inst: &FilterInst, input: &[f64], count: bool) -> RunResult {
             (Some(iw), 0) => iw,
             _ => &lowered.work,
         };
-        let mut interp = SlotInterp::new(&mut host, FIRING_FUEL);
         let mut store = SlotStore {
             globals: &mut globals,
             frame: &mut frame,
         };
-        interp
-            .exec_work(&mut store, &code.body)
-            .unwrap_or_else(|e| panic!("{} (slot-based): {}", inst.name, e.message));
+        fire(code, &mut store, &mut host)
+            .unwrap_or_else(|e| panic!("{} ({tier}): {}", inst.name, e.message));
     }
     let state = lowered.globals.iter().cloned().zip(globals).collect();
     RunResult {
@@ -177,42 +149,20 @@ fn run_slot_based(inst: &FilterInst, input: &[f64], count: bool) -> RunResult {
         tallies: [host.adds, host.muls, host.divs, host.others],
         state,
     }
+}
+
+/// Runs `FIRINGS` firings through the slot-resolved tree-walker.
+fn run_slot_based(inst: &FilterInst, input: &[f64], count: bool) -> RunResult {
+    run_firings(inst, input, count, "slot-based", |code, store, host| {
+        SlotInterp::new(host, FIRING_FUEL).exec_work(store, &code.body)
+    })
 }
 
 /// Runs `FIRINGS` firings through the compiled bytecode tier.
 fn run_bytecode(inst: &FilterInst, input: &[f64], count: bool) -> RunResult {
-    let lowered = &inst.lowered;
-    let mut globals: Vec<Cell> = lowered
-        .globals
-        .iter()
-        .map(|n| inst.state[n].clone())
-        .collect();
-    let mut frame = vec![Cell::Scalar(DataType::Int, Value::Int(0)); lowered.frame_slots()];
-    let mut host = TapeHost {
-        input: input.to_vec(),
-        count,
-        ..TapeHost::default()
-    };
-    for k in 0..FIRINGS {
-        let code = match (&lowered.init_work, k) {
-            (Some(iw), 0) => iw,
-            _ => &lowered.work,
-        };
-        let mut store = SlotStore {
-            globals: &mut globals,
-            frame: &mut frame,
-        };
-        streamlin::graph::bytecode::exec(&code.code, &mut store, &mut host, FIRING_FUEL)
-            .unwrap_or_else(|e| panic!("{} (bytecode): {}", inst.name, e.message));
-    }
-    let state = lowered.globals.iter().cloned().zip(globals).collect();
-    RunResult {
-        popped: host.cursor,
-        pushed: host.pushed,
-        printed: host.printed,
-        tallies: [host.adds, host.muls, host.divs, host.others],
-        state,
-    }
+    run_firings(inst, input, count, "bytecode", |code, store, host| {
+        streamlin::graph::bytecode::exec(&code.code, store, host, FIRING_FUEL)
+    })
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -227,37 +177,11 @@ fn check_benchmark(bench: &Benchmark) {
     assert!(!filters.is_empty());
     for inst in &filters {
         let input = tape(tape_len(inst));
-        let name_based = run_name_based(inst, &input);
         let slot_counted = run_slot_based(inst, &input, true);
         let slot_uncounted = run_slot_based(inst, &input, false);
 
         let ctx = format!("{} :: {}", bench.name(), inst.name);
-        // Outputs are bit-identical between the interpreters…
-        assert_eq!(
-            bits(&name_based.pushed),
-            bits(&slot_counted.pushed),
-            "{ctx}: pushed values diverge"
-        );
-        assert_eq!(
-            bits(&name_based.printed),
-            bits(&slot_counted.printed),
-            "{ctx}: printed values diverge"
-        );
-        assert_eq!(
-            name_based.popped, slot_counted.popped,
-            "{ctx}: pop counts diverge"
-        );
-        // …the FLOP tallies agree…
-        assert_eq!(
-            name_based.tallies, slot_counted.tallies,
-            "{ctx}: operation tallies diverge (adds/muls/divs/others)"
-        );
-        // …the persistent state ends identical…
-        assert_eq!(
-            name_based.state, slot_counted.state,
-            "{ctx}: final filter state diverges"
-        );
-        // …and disabling the counting hooks (the Fast-mode analogue)
+        // Disabling the counting hooks (the Fast-mode analogue)
         // changes nothing about the values.
         assert_eq!(
             bits(&slot_counted.pushed),
@@ -275,7 +199,7 @@ fn check_benchmark(bench: &Benchmark) {
             "{ctx}: no-count tallied"
         );
 
-        // The bytecode tier agrees with the tree-walkers on every
+        // The bytecode tier agrees with the tree-walker on every
         // dimension, in both tally monomorphizations.
         let byte_counted = run_bytecode(inst, &input, true);
         let byte_uncounted = run_bytecode(inst, &input, false);
@@ -335,6 +259,60 @@ per_filter_differential! {
     dtoa_filters_match => streamlin::benchmarks::dtoa();
 }
 
+/// What a differential run cannot see is both tiers being wrong alike, so
+/// one filter's three firings are computed by hand: pushed and printed
+/// values, pops, the field carried between firings, control flow (`while`,
+/// `if`, an early `return`) and the paper's FLOP metric — integer
+/// arithmetic is free, an intrinsic is one "other" operation.
+#[test]
+fn both_tiers_match_a_hand_computed_run() {
+    let program = streamlin::lang::parse(
+        "float->float filter F {
+             float seen;
+             work peek 3 pop 1 push 2 {
+                 float sum = 0;
+                 for (int i = 0; i < 3; i++) sum += (i + 1) * peek(i);
+                 push(sum);
+                 int n = 0;
+                 int acc = 2 * 21 + 7 % 3;
+                 while (n < 10) { if (n % 2 == 0) { acc = acc + n; } n++; }
+                 push(acc + sqrt(4.0));
+                 println(seen++);
+                 pop();
+                 return;
+                 println(99);
+             }
+         }",
+    )
+    .unwrap();
+    let streamlin::graph::Stream::Filter(inst) =
+        streamlin::graph::elaborate::elaborate_named(&program, "F", &[]).unwrap()
+    else {
+        panic!("F is a filter");
+    };
+    let input: Vec<f64> = (0..6).map(|i| 10f64.powi(i)).collect();
+    for (tier, run) in [
+        ("slot-based", run_slot_based(&inst, &input, true)),
+        ("bytecode", run_bytecode(&inst, &input, true)),
+    ] {
+        // 1·t[k] + 2·t[k+1] + 3·t[k+2], then 43 + (0+2+4+6+8) + 2.
+        assert_eq!(
+            run.pushed,
+            [321.0, 65.0, 3210.0, 65.0, 32100.0, 65.0],
+            "{tier}"
+        );
+        assert_eq!(run.printed, [0.0, 1.0, 2.0], "{tier}");
+        assert_eq!(run.popped, FIRINGS, "{tier}");
+        assert_eq!(
+            run.state["seen"],
+            Cell::Scalar(DataType::Float, Value::Float(3.0)),
+            "{tier}"
+        );
+        // Per firing: 3 multiply-adds, `acc + 2.0`, `seen++`, one `sqrt`.
+        assert_eq!(run.tallies, [15, 9, 0, 3], "{tier}: adds/muls/divs/others");
+    }
+}
+
 // ---- `init` blocks ------------------------------------------------------------
 
 /// The cells a filter's `init` starts from, rebuilt the way elaboration
@@ -366,15 +344,22 @@ fn pre_init_cells(inst: &FilterInst, decl: &FilterDecl) -> HashMap<String, Cell>
     cells
 }
 
-/// Runs an `init` block through the name-based reference interpreter.
+/// Runs an `init` block through the tree-walking reference interpreter.
 fn reference_init(
     cells: &mut HashMap<String, Cell>,
     init: &Block,
     fuel: u64,
 ) -> Result<(), EvalError> {
-    let mut host = PureHost;
-    let mut interp = Interp::new(&mut host, fuel);
-    interp.exec_block(&mut Env::new(cells), init).map(|_| ())
+    let lowered = lower_filter(cells, init, None).expect("the block resolves");
+    let mut globals: Vec<Cell> = lowered.globals.iter().map(|n| cells[n].clone()).collect();
+    let mut frame = vec![Cell::zero_of(DataType::Int, Vec::new()); lowered.frame_slots()];
+    let mut store = SlotStore {
+        globals: &mut globals,
+        frame: &mut frame,
+    };
+    let run = SlotInterp::new(&mut PureHost, fuel).exec_work(&mut store, &lowered.work.body);
+    cells.extend(lowered.globals.into_iter().zip(globals));
+    run.map(|_| ())
 }
 
 /// For every filter instance of the nine benchmarks, the cells left by

@@ -1,41 +1,58 @@
 //! The central end-to-end correctness statement: every optimization
 //! configuration — including automatic selection, redundancy elimination
 //! and the ATLAS-substitute matmul — produces program output identical to
-//! the unoptimized baseline, on every benchmark.
+//! the unoptimized program, on every benchmark.
+//!
+//! The reference row is the *interpreted* graph (`OptStream::from_graph`):
+//! no linear node in it, so nothing extraction computes can leak into
+//! both sides of a comparison. `Config::Baseline` — per-filter linear
+//! replacement, which is already built from extraction — is one of the
+//! compared rows.
 
 use streamlin::core::combine::analyze_graph;
-use streamlin::core::Config;
+use streamlin::core::{Config, OptStream};
 use streamlin::runtime::measure::first_mismatch;
 use streamlin::runtime::{MatMulStrategy, RunSpec};
 
 fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
     let analysis = analyze_graph(bench.graph());
-    let run = |label: &str, config: Config, matmul: MatMulStrategy| {
-        let opt = config
-            .apply(bench.graph(), &analysis)
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
+    let run = |label: &str, opt: &OptStream, matmul: MatMulStrategy| {
         RunSpec {
             matmul: Some(matmul),
             ..RunSpec::from_env()
         }
-        .run(&opt, outputs)
+        .run(opt, outputs)
         .unwrap_or_else(|e| panic!("{} {label}: {e}", bench.name()))
     };
-    let baseline = run("baseline", Config::Baseline, MatMulStrategy::Unrolled);
+    let interpreted = run(
+        "interpreted",
+        &OptStream::from_graph(bench.graph()),
+        MatMulStrategy::Unrolled,
+    );
 
     let configs = [
+        ("baseline", Config::Baseline, MatMulStrategy::Unrolled),
         ("autosel", Config::AutoSel, MatMulStrategy::Unrolled),
         ("redund", Config::Redund, MatMulStrategy::Unrolled),
         ("atlas", Config::Linear, MatMulStrategy::Blocked),
         ("diagonal", Config::Linear, MatMulStrategy::Diagonal),
     ];
     for (label, config, strategy) in configs {
-        let prof = run(label, config, strategy);
-        if let Some(i) = first_mismatch(&baseline.outputs, &prof.outputs, 1e-5, 1e-5) {
+        let opt = config
+            .apply(bench.graph(), &analysis)
+            .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
+        let prof = run(label, &opt, strategy);
+        assert_eq!(
+            prof.outputs.len(),
+            interpreted.outputs.len(),
+            "{} {label}: output count",
+            bench.name()
+        );
+        if let Some(i) = first_mismatch(&interpreted.outputs, &prof.outputs, 1e-5, 1e-5) {
             panic!(
                 "{} {label}: output {i} differs: {} vs {}",
                 bench.name(),
-                baseline.outputs[i],
+                interpreted.outputs[i],
                 prof.outputs[i]
             );
         }

@@ -2,22 +2,35 @@
 //! linear work functions as *source text*, and check the extracted node's
 //! firing semantics against the runtime interpreter executing the same
 //! program — analysis and execution must agree item-for-item.
+//!
+//! The generated bodies are not straight-line: each output is computed in
+//! one of several shapes (loops that re-declare an outer local, compound
+//! assignment, `++`, decided and undecided branches, short-circuit
+//! operators with side effects) that stay affine by construction, so the
+//! extractor's scoping, coercion and control-flow rules are exercised
+//! against the interpreter's. Below the property sit the fixed programs
+//! on which the two once disagreed.
 
 use proptest::prelude::*;
 use streamlin::core::combine::analyze_graph;
 use streamlin::core::opt::OptStream;
+use streamlin::core::Config;
 use streamlin::graph::elaborate;
 use streamlin::lang::parse;
 use streamlin::runtime::RunSpec;
 
+/// How many shapes [`RandFilter::render_output`] knows.
+const SHAPES: u8 = 7;
+
 /// A random affine work function: for each output, a sum of
-/// `coeff * peek(i)` terms plus a constant.
+/// `coeff * peek(i)` terms plus a constant, computed in shape `shapes[j]`.
 #[derive(Debug, Clone)]
 struct RandFilter {
     peek: usize,
     pop: usize,
     terms: Vec<Vec<(usize, i32)>>,
     offsets: Vec<i32>,
+    shapes: Vec<u8>,
 }
 
 fn arb_filter() -> impl Strategy<Value = RandFilter> {
@@ -28,25 +41,72 @@ fn arb_filter() -> impl Strategy<Value = RandFilter> {
             push,
         );
         let offsets = proptest::collection::vec(-2..=2i32, push);
-        (Just(peek), pop, terms, offsets).prop_map(|(peek, pop, terms, offsets)| RandFilter {
-            peek,
-            pop,
-            terms,
-            offsets,
+        let shapes = proptest::collection::vec(0..SHAPES, push);
+        (Just(peek), pop, terms, offsets, shapes).prop_map(|(peek, pop, terms, offsets, shapes)| {
+            RandFilter {
+                peek,
+                pop,
+                terms,
+                offsets,
+                shapes,
+            }
         })
     })
 }
 
 impl RandFilter {
-    fn render(&self) -> String {
-        let mut body = String::new();
-        for (j, terms) in self.terms.iter().enumerate() {
-            let mut expr = format!("{}", self.offsets[j]);
-            for (pos, coeff) in terms {
-                expr.push_str(&format!(" + {coeff} * peek({pos})"));
-            }
-            body.push_str(&format!("push({expr});\n"));
+    /// The statements that compute and push output `j`.
+    fn render_output(&self, j: usize) -> String {
+        let off = self.offsets[j];
+        let sum: String = self.terms[j]
+            .iter()
+            .map(|(pos, coeff)| format!(" + {coeff} * peek({pos})"))
+            .collect();
+        // Locals are per output: the dialect has no bare block statement.
+        let (acc, t) = (format!("acc{j}"), format!("t{j}"));
+        let accumulate: String = self.terms[j]
+            .iter()
+            .map(|(pos, coeff)| format!("{acc} += {coeff} * peek({pos});\n"))
+            .collect();
+        match self.shapes[j] {
+            // Straight line.
+            0 => format!("push({off}{sum});\n"),
+            // Compound assignment and `++` on a local accumulator (an int
+            // initializer stored into a float).
+            1 => format!("float {acc} = {off} - 1; {acc}++;\n{accumulate}push({acc});\n"),
+            // A constant-trip `for` whose body re-declares the outer local.
+            2 => format!(
+                "float {acc} = {off};
+                 for (int i = 0; i < 2; i++) {{ float {acc} = 9; {acc} += peek(0); }}
+                 {accumulate}push({acc});\n"
+            ),
+            // A constant-condition `if`: the dead branch must not run.
+            3 => format!("if (1 > 2) {{ push(99 * peek(0)); }} else {{ push({off}{sum}); }}\n"),
+            // An input-dependent `if` whose branches push the same form.
+            4 => format!("if (peek(0) > 0) {{ push({off}{sum}); }} else {{ push({off}{sum}); }}\n"),
+            // `&&`/`||` with a side effect on the right: skipped when the
+            // left decides, run (once) when it does not.
+            5 => format!(
+                "int {t} = 0;
+                 if (1 > 2 && {t}++ > 0) {{ }}
+                 if (true || {t}++ > 0) {{ }}
+                 if (2 > 1 && {t}++ >= 0) {{ }}
+                 push({off}{sum} + {t} - 1);\n"
+            ),
+            // An undecided left operand: the right may or may not run, so
+            // the local is unknown afterwards — and unused.
+            _ => format!(
+                "int {t} = 0;
+                 if (peek(0) > 0 || {t}++ > 0) {{ }}
+                 push({off}{sum});\n"
+            ),
         }
+    }
+
+    fn render(&self) -> String {
+        let mut body: String = (0..self.terms.len())
+            .map(|j| self.render_output(j))
+            .collect();
         for _ in 0..self.pop {
             body.push_str("pop();\n");
         }
@@ -80,11 +140,88 @@ proptest! {
 
         let spec = RunSpec::from_env();
         let interp = spec.run(&OptStream::from_graph(&graph), 64).unwrap();
-        let per_filter = streamlin::core::Config::Baseline.apply(&graph, &analysis).unwrap();
+        let per_filter = Config::Baseline.apply(&graph, &analysis).unwrap();
         let node_based = spec.run(&per_filter, 64).unwrap();
         prop_assert_eq!(interp.outputs.len(), node_based.outputs.len());
         for (a, b) in interp.outputs.iter().zip(&node_based.outputs) {
             prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
     }
+}
+
+// ---- programs the extractor once got wrong ------------------------------------
+
+/// Runs `float->float filter F { <fields> work pop 1 push 1 { <body> } }`
+/// behind a source that pushes 0, 1, 2, …: the interpreted graph and
+/// `Config::Linear` must both print `coeff · i`, and the extracted node's
+/// one coefficient must be `coeff` itself.
+fn assert_scales_by(fields: &str, body: &str, coeff: f64) {
+    let program = parse(&format!(
+        "void->void pipeline Main {{ add Src(); add F(); add Sink(); }}
+         void->float filter Src {{ float x; work push 1 {{ push(x++); }} }}
+         float->float filter F {{ {fields} work pop 1 push 1 {{ {body} }} }}
+         float->void filter Sink {{ work pop 1 {{ println(pop()); }} }}"
+    ))
+    .unwrap();
+    let graph = elaborate(&program).unwrap();
+    let analysis = analyze_graph(&graph);
+    let mut node = None;
+    graph.for_each_filter(&mut |inst| {
+        if inst.name == "F" {
+            node = analysis.node_for(inst);
+        }
+    });
+    let node = node.unwrap_or_else(|| panic!("`{body}` did not extract"));
+    assert_eq!(node.coeff(0, 0), coeff, "`{body}`");
+    assert_eq!(node.offset(0), 0.0, "`{body}`");
+
+    let spec = RunSpec::from_env();
+    let interp = spec.run(&OptStream::from_graph(&graph), 8).unwrap();
+    let linear = spec
+        .run(&Config::Linear.apply(&graph, &analysis).unwrap(), 8)
+        .unwrap();
+    let want: Vec<f64> = (0..8).map(|i| coeff * f64::from(i)).collect();
+    assert_eq!(interp.outputs, want, "`{body}` interpreted");
+    assert_eq!(linear.outputs, want, "`{body}` under Config::Linear");
+}
+
+#[test]
+fn an_inner_declaration_does_not_overwrite_the_outer_binding() {
+    assert_scales_by(
+        "",
+        "float k = 2; for (int i = 0; i < 1; i++) { float k = 5; } push(k * pop());",
+        2.0,
+    );
+}
+
+#[test]
+fn a_block_local_shadowing_a_field_leaves_the_field_alone() {
+    assert_scales_by(
+        "float k; init { k = 2; }",
+        "for (int i = 0; i < 1; i++) { float k = 5; k = k + 1; } push(k * pop());",
+        2.0,
+    );
+}
+
+#[test]
+fn a_decided_and_skips_its_right_operand() {
+    assert_scales_by(
+        "",
+        "int x = 0; if (1 > 2 && x++ > 0) { } push(pop() * (x + 1));",
+        1.0,
+    );
+}
+
+#[test]
+fn a_decided_or_skips_its_right_operand() {
+    assert_scales_by(
+        "",
+        "int x = 0; if (true || x++ > 0) { } push(pop() * (x + 1));",
+        1.0,
+    );
+}
+
+#[test]
+fn an_int_stored_into_a_float_local_divides_as_a_float() {
+    assert_scales_by("", "float k = 2; push(k / 4 * pop());", 0.5);
 }

@@ -1,4 +1,4 @@
-//! Golden transcript of linear extraction and optimization selection.
+//! Golden transcripts of linear extraction and optimization selection.
 //!
 //! `tests/golden/selection.txt` was generated on the commit *before* the
 //! in-place extraction arithmetic and the bottom-up selection DP landed.
@@ -9,10 +9,17 @@
 //! change a decision or a coefficient silently. Never regenerate it to make
 //! a change pass; on a mismatch the actual transcript is written next to
 //! the test binary's temp dir for diffing.
+//!
+//! `tests/golden/extraction.txt` pins extraction itself, filter by filter:
+//! generated on the commit *before* the extractor moved from the surface
+//! AST onto the slot IR, one line per filter instance with both verdicts
+//! (`extract` and `extract_stateful`), coefficients hashed bit for bit.
 
 use streamlin::benchmarks::{self, Benchmark};
 use streamlin::core::cost::CostModel;
+use streamlin::core::extract::extract;
 use streamlin::core::select::{select, SelectOptions};
+use streamlin::core::state_space::extract_stateful;
 use streamlin::core::{analyze_graph, LinearNode, OptStream};
 
 /// FNV-1a over 64-bit words.
@@ -88,25 +95,80 @@ fn transcript_of(bench: &Benchmark) -> String {
     )
 }
 
-#[test]
-fn selection_matches_the_parent_commit_golden() {
+/// One line per filter instance: the `extract` verdict, then the
+/// `extract_stateful` verdict (its node hashed through `Debug`, which
+/// prints every matrix entry in shortest round-trip form).
+fn extraction_of(bench: &Benchmark) -> String {
+    let mut out = String::new();
+    bench.graph().for_each_filter(&mut |inst| {
+        let stateless = match extract(inst) {
+            Ok(n) => {
+                let mut h = Fnv::new();
+                h.node(&n);
+                format!(
+                    "linear {}/{}/{} nnz={} fnv64={:016x}",
+                    n.peek(),
+                    n.pop(),
+                    n.push(),
+                    n.nnz_a() + n.nnz_b(),
+                    h.0
+                )
+            }
+            Err(e) => format!("nonlinear: {e}"),
+        };
+        let stateful = match extract_stateful(inst) {
+            Ok(n) => {
+                let mut h = Fnv::new();
+                format!("{n:?}").bytes().for_each(|b| h.word(u64::from(b)));
+                format!("dim={} fnv64={:016x}", n.state_dim(), h.0)
+            }
+            Err(e) => e.to_string(),
+        };
+        out.push_str(&format!(
+            "{} · {} · {stateless} · stateful: {stateful}\n",
+            bench.name(),
+            inst.name
+        ));
+    });
+    out
+}
+
+/// The nine benchmarks plus `fir(1024)`.
+fn benches() -> Vec<Benchmark> {
     let mut benches = benchmarks::all_default();
     benches.push(benchmarks::fir(1024));
-    let actual: String = benches.iter().map(transcript_of).collect();
-    let golden = include_str!("golden/selection.txt");
+    benches
+}
+
+/// Compares `actual` with the checked-in golden; on a mismatch writes the
+/// actual transcript to the test temp dir and names the first bad line.
+fn assert_golden(name: &str, actual: &str, golden: &str) {
     if actual != golden {
-        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("selection.actual.txt");
-        std::fs::write(&path, &actual).expect("write actual transcript");
+        let path =
+            std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.actual.txt"));
+        std::fs::write(&path, actual).expect("write actual transcript");
         let line = actual
             .lines()
             .zip(golden.lines())
             .position(|(a, g)| a != g)
             .unwrap_or_else(|| actual.lines().count().min(golden.lines().count()));
         panic!(
-            "selection transcript differs from tests/golden/selection.txt at line {}; \
+            "{name} transcript differs from tests/golden/{name}.txt at line {}; \
              actual written to {}",
             line + 1,
             path.display()
         );
     }
+}
+
+#[test]
+fn selection_matches_the_parent_commit_golden() {
+    let actual: String = benches().iter().map(transcript_of).collect();
+    assert_golden("selection", &actual, include_str!("golden/selection.txt"));
+}
+
+#[test]
+fn extraction_matches_the_parent_commit_golden() {
+    let actual: String = benches().iter().map(extraction_of).collect();
+    assert_golden("extraction", &actual, include_str!("golden/extraction.txt"));
 }
