@@ -19,8 +19,9 @@ use std::rc::Rc;
 
 use streamlin_fft::FftKind;
 use streamlin_graph::ir::{FilterInst, Stream};
+use streamlin_lang::token::Span;
 
-use crate::extract::{extract, NonLinear};
+use crate::extract::{extract_at, NonLinear};
 use crate::frequency::{FreqSpec, FreqStrategy};
 use crate::node::LinearNode;
 use crate::opt::OptStream;
@@ -33,14 +34,22 @@ use crate::splitjoin::combine_splitjoin;
 pub struct LinearAnalysis {
     /// Filter-instance id → extracted node.
     pub nodes: HashMap<usize, LinearNode>,
-    /// Filter-instance id → why extraction failed.
-    pub reasons: HashMap<usize, NonLinear>,
+    /// Filter-instance id → why extraction failed, and the span of the
+    /// statement that decided it (the default span for a structural
+    /// precondition or a rate mismatch).
+    pub reasons: HashMap<usize, (NonLinear, Span)>,
 }
 
 impl LinearAnalysis {
     /// The node for a filter, if linear.
     pub fn node_for(&self, inst: &FilterInst) -> Option<&LinearNode> {
         self.nodes.get(&inst.id)
+    }
+
+    /// Why a filter is not linear, and where in its `work` body that was
+    /// decided.
+    pub fn reason_for(&self, inst: &FilterInst) -> Option<(&NonLinear, Span)> {
+        self.reasons.get(&inst.id).map(|(why, at)| (why, *at))
     }
 
     /// Number of linear filters found.
@@ -68,7 +77,7 @@ impl LinearAnalysis {
 /// ```
 pub fn analyze_graph(stream: &Stream) -> LinearAnalysis {
     let mut analysis = LinearAnalysis::default();
-    stream.for_each_filter(&mut |inst: &Rc<FilterInst>| match extract(inst) {
+    stream.for_each_filter(&mut |inst: &Rc<FilterInst>| match extract_at(inst) {
         Ok(node) => {
             analysis.nodes.insert(inst.id, node);
         }
@@ -345,6 +354,59 @@ mod tests {
         let a = analyze_graph(&g);
         assert_eq!(a.linear_count(), 2);
         assert_eq!(a.reasons.len(), 2); // source (state) and sink (prints)
+    }
+
+    /// A refusal carries the span of the statement that decided it: the
+    /// `if` at which two different pushes were joined to ⊤, the loop whose
+    /// bound could not be resolved, the `println` — and, for state that is
+    /// ⊤ from the start, the first statement of `work`.
+    #[test]
+    fn a_refusal_says_where() {
+        let bench = streamlin_benchmarks::target_detect();
+        let analysis = analyze_graph(bench.graph());
+        let line_of = |at: Span| bench.source().lines().nth(at.line as usize - 1).unwrap();
+        let mut seen = 0;
+        bench.graph().for_each_filter(&mut |inst| {
+            let at = match inst.decl_name.as_str() {
+                "ThresholdDetector" => (20, 9, "if (t > threshold) {"),
+                "FloatPrinter" => (212, 9, "println(pop());"),
+                "TargetSource" => (27, 9, "if (currentPosition < N) {"),
+                _ => return,
+            };
+            seen += 1;
+            let (why, span) = analysis.reason_for(inst).expect("not linear");
+            assert_eq!((span.line, span.col), (at.0, at.1), "{}: {why}", inst.name);
+            assert!(
+                line_of(span).trim_start().starts_with(at.2),
+                "{}",
+                inst.name
+            );
+        });
+        assert_eq!(seen, 6);
+
+        let g = graph(
+            "void->void pipeline Main { add Src(); add F(); add Sink(); }
+             void->float filter Src { work push 1 { push(1.0); } }
+             float->float filter F {
+                 work pop 1 push 1 {
+                     float v = pop();
+                     float acc = 0;
+                     int i = 0;
+                     while (i < v) { acc += 1; i++; }
+                     push(acc);
+                 }
+             }
+             float->void filter Sink { work pop 1 { pop(); } }",
+        );
+        let analysis = analyze_graph(&g);
+        g.for_each_filter(&mut |inst| match analysis.reason_for(inst) {
+            Some((why, at)) => {
+                assert_eq!(inst.name, "F");
+                assert!(matches!(why, NonLinear::Unresolved(_)), "{why}");
+                assert_eq!((at.line, at.col), (8, 22));
+            }
+            None => assert_ne!(inst.name, "F"),
+        });
     }
 
     #[test]

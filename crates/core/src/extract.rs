@@ -10,39 +10,32 @@
 //! every pushed value is a linear form, the filter *is* linear and its
 //! [`LinearNode`] is returned.
 //!
-//! **What it walks.** The slot-resolved body the runtime executes
-//! (`inst.lowered.work.body`, [`RStmt`]/[`RExpr`]) — never the surface
-//! AST. Names, scopes, shadowing and intrinsics were resolved once, by
-//! `streamlin_graph::lower`; the extractor is the reference interpreter
-//! ([`streamlin_graph::lower::SlotInterp`]) with the value domain swapped:
-//! a `Vec` of symbolic cells in `lowered.globals` order plus a
-//! `frame_slots`-sized frame, the same declared-type coercion on every
-//! store, and the constants folded by the very same `bin_op`/`un_op`/
-//! `MathFn::call`. Which globals `work` can write — the ones that are ⊤ (or
+//! **What is here** is a domain and two drivers. The walk itself — the
+//! slot-resolved body the runtime executes (`inst.lowered.work.body`),
+//! statement order, scoping, typed stores, indexing, the short-circuit and
+//! branch-join rules, unrolling, fuel — is `streamlin_graph::absint::walk`,
+//! the same engine the rate/effect analysis runs on, held to the reference
+//! interpreter by `tests/interp_differential.rs`. This file supplies
+//! `LinDomain`: the linear forms, their arithmetic (`sym_bin`, `sym_un`,
+//! `scale_form`: constants folded by the very same `bin_op`/`un_op`/
+//! `MathFn::call` the interpreters use), the confluence operator, a
+//! symbolic tape, and the refusals ([`NonLinear`]) — every one of them
+//! with the span of the statement that decided it. [`extract`] and
+//! `state_space::extract_stateful` are that one domain under two entry
+//! bindings: which globals `work` can write — the ones that are ⊤ (or
 //! state symbols) on entry — is `streamlin_graph::analyze::written_slots`,
-//! the one write-set walker over that IR.
-//!
-//! **Short-circuit rule.** `&&`/`||` follow [`RExpr::Binary`]'s contract:
-//! a constant left operand that decides the result means the right
-//! operand is *not* evaluated (its side effects do not happen); a constant
-//! left operand that does not decide evaluates the right; an undecided
-//! left operand evaluates the right on a cloned state and joins — exactly
-//! the rule for an input-dependent `if`.
-//!
-//! **Frame-join rule.** A join is slot-wise over globals and frame. Frame
-//! slots are reused by sibling scopes, so at a join a slot may hold a
-//! different (already out-of-scope) local on each path: such a dead slot
-//! joins to ⊤, never to an error — every local is re-declared before it
-//! is read.
+//! the one write-set walker over that IR; every other global is read in
+//! place from its elaboration-time cell.
 
 use std::collections::BTreeMap;
 
+use streamlin_graph::absint::{walk, ACell, Domain};
 use streamlin_graph::analyze::written_slots;
-use streamlin_graph::exec::Flow;
 use streamlin_graph::ir::FilterInst;
-use streamlin_graph::lower::{RExpr, RLValue, RStmt, Slot};
-use streamlin_graph::value::{bin_op, flat_offset, un_op, Cell, Value};
+use streamlin_graph::lower::Slot;
+use streamlin_graph::value::{bin_op, un_op, EvalError, MathFn, Value};
 use streamlin_lang::ast::{BinOp, DataType, UnOp};
+use streamlin_lang::token::Span;
 
 use crate::node::LinearNode;
 
@@ -151,13 +144,24 @@ impl std::error::Error for NonLinear {}
 /// assert_eq!(node.coeff(2, 0), 3.0);
 /// ```
 pub fn extract(inst: &FilterInst) -> Result<LinearNode, NonLinear> {
+    Ok(extract_at(inst)?)
+}
+
+/// A refusal without its place.
+impl From<(NonLinear, Span)> for NonLinear {
+    fn from((why, _): (NonLinear, Span)) -> NonLinear {
+        why
+    }
+}
+
+/// [`extract`], with where the refusal was decided: the statement at
+/// which the offending value first went ⊤, or at which the walk stopped
+/// (the default span for a structural precondition or a rate mismatch).
+pub(crate) fn extract_at(inst: &FilterInst) -> Result<LinearNode, (NonLinear, Span)> {
     if inst.init_work.is_some() {
-        return Err(NonLinear::HasInitWork);
+        return Err((NonLinear::HasInitWork, Span::default()));
     }
-    if inst.prints {
-        return Err(NonLinear::Prints);
-    }
-    // Standard extraction is the stateless case of the shared engine:
+    // Standard extraction is the stateless binding of the one domain:
     // with no state slots, every global `work` writes is ⊤.
     let outputs = extract_symbolic(inst, &[])?.outputs;
     let offsets: Vec<f64> = outputs.iter().map(|(_, konst)| *konst).collect();
@@ -204,80 +208,81 @@ pub(crate) fn written_globals(inst: &FilterInst) -> Vec<u32> {
 /// Symbolically executes `work` once — global slot `state_slots[k]` bound
 /// to state component `k`, every other written global ⊤, the rest their
 /// elaboration-time constants — checks the executed pop and push counts
-/// against the declared rates, and returns the affine pieces. The engine
-/// behind both extraction entry points.
+/// against the declared rates, and returns the affine pieces, or the
+/// refusal and its place. The driver behind both extraction entry points.
 pub(crate) fn extract_symbolic(
     inst: &FilterInst,
     state_slots: &[u32],
-) -> Result<StatefulPieces, NonLinear> {
+) -> Result<StatefulPieces, (NonLinear, Span)> {
     let lowered = &inst.lowered;
     let written = written_globals(inst);
-    let globals = lowered
-        .globals
-        .iter()
-        .zip(0u32..)
+    let mut dom = LinDomain {
+        declared_peek: inst.work.peek,
+        // Mutable state is ⊤ from the first statement on.
+        span: lowered
+            .work
+            .body
+            .first()
+            .map_or(Span::default(), |s| s.span()),
+    };
+    let globals = (lowered.globals.iter().zip(0u32..))
         .map(|(name, g)| {
-            SymCell::from_cell(
-                &inst.state[name],
-                written.binary_search(&g).is_ok(),
-                state_slots.iter().position(|s| *s == g),
-            )
+            // "If a filter has persistent state, all accesses to that
+            // state are marked as ⊤" — unless it is a state component.
+            let entry = match state_slots.iter().position(|s| *s == g) {
+                Some(k) => Sym::Lin(LinForm::unit(SymKey::State(k))),
+                None if written.binary_search(&g).is_ok() => dom.top(),
+                None => return ACell::Const(&inst.state[name]),
+            };
+            ACell::from_cell(&inst.state[name], |_, _| entry.clone())
         })
         .collect();
-    let mut exec = SymExec {
-        declared_peek: inst.work.peek,
-        fuel: 50_000_000,
-    };
-    let mut st = SymState {
+    let (frame, tape) = (lowered.work.frame_slots, SymTape::default());
+    let end = walk(
+        &mut dom,
+        50_000_000,
         globals,
-        // Dead until declared: a frame slot is never read before its `Decl`.
-        frame: vec![SymCell::Scalar(DataType::Int, Sym::Top); lowered.work.frame_slots],
-        popcount: 0,
-        pushes: Vec::new(),
-    };
-    exec.exec_stmts(&mut st, &lowered.work.body)?;
-    if st.popcount != inst.work.pop {
-        return Err(NonLinear::PopCountMismatch {
-            declared: inst.work.pop,
-            actual: st.popcount,
-        });
+        frame,
+        tape,
+        &lowered.work.body,
+    )
+    .map_err(|why| (why, dom.span))?;
+    if end.tape.popcount != inst.work.pop {
+        let (declared, actual) = (inst.work.pop, end.tape.popcount);
+        return Err((
+            NonLinear::PopCountMismatch { declared, actual },
+            Span::default(),
+        ));
     }
-    if st.pushes.len() != inst.work.push {
-        return Err(NonLinear::PushCountMismatch {
-            declared: inst.work.push,
-            actual: st.pushes.len(),
-        });
+    if end.tape.pushes.len() != inst.work.push {
+        let (declared, actual) = (inst.work.push, end.tape.pushes.len());
+        return Err((
+            NonLinear::PushCountMismatch { declared, actual },
+            Span::default(),
+        ));
     }
-    let peek = inst.work.peek;
-    // A form's coefficient map and float constant, or `not_affine`.
-    let take_form = |sym: Sym, not_affine: NonLinear| {
-        let Sym::Lin(form) = sym else {
-            return Err(not_affine);
-        };
-        if let Some(pos) = form.max_peek().filter(|pos| *pos >= peek) {
-            return Err(NonLinear::PeekOutOfRange { pos, peek });
-        }
-        match form.konst.as_f64() {
+    // A form's coefficient map and float constant, or `not_affine` at the
+    // place it stopped being one.
+    let take_form = |sym: Sym, not_affine: NonLinear| match sym {
+        Sym::Lin(form) => match form.konst.as_f64() {
             Ok(konst) => Ok((form.coeffs, konst)),
-            Err(_) => Err(not_affine),
-        }
+            Err(_) => Err((not_affine, Span::default())),
+        },
+        Sym::Top(at) => Err((not_affine, at)),
     };
-    let mut outputs = Vec::with_capacity(st.pushes.len());
-    for (index, sym) in st.pushes.into_iter().enumerate() {
+    let mut outputs = Vec::with_capacity(end.tape.pushes.len());
+    for (index, sym) in end.tape.pushes.into_iter().enumerate() {
         outputs.push(take_form(sym, NonLinear::PushedNonAffine { index })?);
     }
     // Final values of the state slots, in state-component order.
     let mut next_state = Vec::with_capacity(state_slots.len());
     for &g in state_slots {
-        let SymCell::Scalar(_, sym) = std::mem::replace(
-            &mut st.globals[g as usize],
-            SymCell::Scalar(DataType::Int, Sym::Top),
-        ) else {
-            unreachable!("state slots are scalar globals, and a global never changes shape")
+        let ACell::Scalar(_, sym) = &end.globals[g as usize] else {
+            unreachable!("state slots are written scalar globals")
         };
         let name = &lowered.globals[g as usize];
         next_state.push(take_form(
-            sym,
+            sym.clone(),
             NonLinear::Unsupported(format!(
                 "final value of field `{name}` is not an affine function of inputs and state"
             )),
@@ -357,17 +362,6 @@ impl LinForm {
         self.coeffs.is_empty()
     }
 
-    /// Largest referenced tape position, if any.
-    fn max_peek(&self) -> Option<usize> {
-        self.coeffs
-            .keys()
-            .filter_map(|k| match k {
-                SymKey::Peek(p) => Some(*p),
-                SymKey::State(_) => None,
-            })
-            .max()
-    }
-
     /// Applies `f` to every coefficient in place, dropping those it zeroes.
     fn map_coeffs(&mut self, f: impl Fn(f64) -> f64) {
         count_coeff_writes(self.coeffs.len());
@@ -378,11 +372,12 @@ impl LinForm {
     }
 }
 
-/// The value lattice: a linear form or ⊤.
+/// The value lattice: a linear form, or ⊤ with the span of the statement
+/// at which the value stopped being one (the default span: ⊤ on entry).
 #[derive(Debug, Clone, PartialEq)]
 enum Sym {
     Lin(LinForm),
-    Top,
+    Top(Span),
 }
 
 impl Sym {
@@ -396,77 +391,26 @@ impl Sym {
             _ => None,
         }
     }
-
-    /// `self ← self ⊔ other`.
-    fn join(&mut self, other: &Sym) {
-        if self != other {
-            *self = Sym::Top;
-        }
-    }
-}
-
-/// A symbolic storage cell, typed like the concrete [`Cell`] it stands
-/// for so stores coerce as the interpreter's do.
-#[derive(Debug, Clone, PartialEq)]
-enum SymCell {
-    Scalar(DataType, Sym),
-    Array(SymArray),
-}
-
-#[derive(Debug, Clone, PartialEq)]
-struct SymArray {
-    elem: DataType,
-    dims: Vec<usize>,
-    data: Vec<Sym>,
-    /// Set once any store used a non-constant index; all reads become ⊤.
-    tainted: bool,
-}
-
-impl SymCell {
-    /// Converts a concrete cell (field initial value or parameter) into a
-    /// symbolic one. In standard extraction, globals `work` writes are ⊤
-    /// throughout: "if a filter has persistent state, all accesses to that
-    /// state are marked as ⊤". Stateful extraction instead passes a state
-    /// index so the field reads as a state symbol.
-    fn from_cell(cell: &Cell, mutated: bool, state_index: Option<usize>) -> SymCell {
-        match cell {
-            Cell::Scalar(ty, v) => SymCell::Scalar(
-                *ty,
-                match state_index {
-                    Some(k) => Sym::Lin(LinForm::unit(SymKey::State(k))),
-                    None if mutated => Sym::Top,
-                    None => Sym::constant(*v),
-                },
-            ),
-            Cell::Array(a) => SymCell::Array(SymArray {
-                elem: a.elem,
-                dims: a.dims.clone(),
-                data: if mutated {
-                    vec![Sym::Top; a.data.len()]
-                } else {
-                    a.data.iter().map(|v| Sym::constant(*v)).collect()
-                },
-                tainted: mutated,
-            }),
-        }
-    }
 }
 
 // ---- linear-form arithmetic (Figure 3-2 / Algorithm 2 cases) --------------
 
-/// `a op b`. Both operands are consumed: sums and differences accumulate
-/// into `a`'s coefficient map entry by entry, so `sum += h[i] * peek(i)`
-/// costs one map operation per iteration, not a copy of `sum`.
-fn sym_bin(op: BinOp, a: Sym, b: Sym) -> Sym {
-    let (Sym::Lin(mut fa), Sym::Lin(fb)) = (a, b) else {
-        return Sym::Top;
-    };
+/// `a op b`; a result that is not affine is ⊤ `at` the statement in hand,
+/// a ⊤ operand stays where it was. Both operands are consumed: sums and
+/// differences accumulate into `a`'s coefficient map entry by entry, so
+/// `sum += h[i] * peek(i)` costs one map operation per iteration, not a
+/// copy of `sum`.
+fn sym_bin(op: BinOp, a: Sym, b: Sym, at: Span) -> Sym {
+    match (a, b) {
+        (Sym::Lin(fa), Sym::Lin(fb)) => lin_bin(op, fa, fb).map_or(Sym::Top(at), Sym::Lin),
+        (Sym::Top(at), _) | (_, Sym::Top(at)) => Sym::Top(at),
+    }
+}
+
+fn lin_bin(op: BinOp, mut fa: LinForm, fb: LinForm) -> Option<LinForm> {
     match op {
         BinOp::Add | BinOp::Sub => {
-            let Ok(konst) = bin_op(op, fa.konst, fb.konst) else {
-                return Sym::Top;
-            };
-            fa.konst = konst;
+            fa.konst = bin_op(op, fa.konst, fb.konst).ok()?;
             count_coeff_writes(fb.coeffs.len());
             for (p, c) in fb.coeffs {
                 let e = fa.coeffs.entry(p).or_insert(0.0);
@@ -479,412 +423,63 @@ fn sym_bin(op: BinOp, a: Sym, b: Sym) -> Sym {
                     fa.coeffs.remove(&p);
                 }
             }
-            Sym::Lin(fa)
+            Some(fa)
         }
-        BinOp::Mul => {
-            if fa.is_const() {
-                scale_form(fb, fa.konst, BinOp::Mul)
-            } else if fb.is_const() {
-                scale_form(fa, fb.konst, BinOp::Mul)
-            } else {
-                Sym::Top
-            }
+        BinOp::Mul if fa.is_const() => scale_form(fb, fa.konst, BinOp::Mul),
+        BinOp::Mul if fb.is_const() => scale_form(fa, fb.konst, BinOp::Mul),
+        // Only division *by* a non-zero constant is linear; a value
+        // divided by an input-dependent divisor is not (§3.2 footnote).
+        BinOp::Div if fb.is_const() && fb.konst.as_f64().is_ok_and(|d| d != 0.0) => {
+            scale_form(fa, fb.konst, BinOp::Div)
         }
-        BinOp::Div => {
-            // Only division *by* a non-zero constant is linear; a value
-            // divided by an input-dependent divisor is not (§3.2 footnote).
-            if fb.is_const() {
-                match fb.konst.as_f64() {
-                    Ok(d) if d != 0.0 => scale_form(fa, fb.konst, BinOp::Div),
-                    _ => Sym::Top,
-                }
-            } else {
-                Sym::Top
-            }
-        }
-        // Non-linear operators require both operands constant.
-        _ => match (fa.is_const(), fb.is_const()) {
-            (true, true) => match bin_op(op, fa.konst, fb.konst) {
-                Ok(v) => Sym::constant(v),
-                Err(_) => Sym::Top,
-            },
-            _ => Sym::Top,
-        },
+        // Every other operator is linear only on constants, which the
+        // engine folds.
+        _ => None,
     }
 }
 
 /// Scales a form by a constant (`op` is `Mul` or `Div`, constant on the
 /// right).
-fn scale_form(mut f: LinForm, k: Value, op: BinOp) -> Sym {
-    let Ok(konst) = bin_op(op, f.konst, k) else {
-        return Sym::Top;
-    };
-    let Ok(kf) = k.as_f64() else { return Sym::Top };
-    f.konst = konst;
+fn scale_form(mut f: LinForm, k: Value, op: BinOp) -> Option<LinForm> {
+    f.konst = bin_op(op, f.konst, k).ok()?;
+    let kf = k.as_f64().ok()?;
     f.map_coeffs(|c| if op == BinOp::Mul { c * kf } else { c / kf });
-    Sym::Lin(f)
+    Some(f)
 }
 
-fn sym_un(op: UnOp, a: Sym) -> Sym {
-    let Sym::Lin(mut f) = a else { return Sym::Top };
-    match op {
-        UnOp::Neg => {
-            let Ok(konst) = un_op(op, f.konst) else {
-                return Sym::Top;
-            };
+fn sym_un(op: UnOp, a: Sym, at: Span) -> Sym {
+    let Sym::Lin(mut f) = a else { return a };
+    let r = match op {
+        UnOp::Neg => un_op(op, f.konst).ok().map(|konst| {
             f.konst = konst;
             f.map_coeffs(|c| -c);
-            Sym::Lin(f)
-        }
-        UnOp::Not => match f.is_const() {
-            true => match un_op(op, f.konst) {
-                Ok(v) => Sym::constant(v),
-                Err(_) => Sym::Top,
-            },
-            false => Sym::Top,
-        },
-    }
+            f
+        }),
+        UnOp::Not => None,
+    };
+    r.map_or(Sym::Top(at), Sym::Lin)
 }
 
-// ---- the symbolic executor -------------------------------------------------
+// ---- the linear-form domain -------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-struct SymState {
-    /// Persistent cells, in `lowered.globals` order.
-    globals: Vec<SymCell>,
-    /// Frame cells, `frame_slots` of them.
-    frame: Vec<SymCell>,
+/// The symbolic tape: pops so far, and what was pushed.
+#[derive(Debug, Clone, Default)]
+struct SymTape {
     popcount: usize,
     pushes: Vec<Sym>,
 }
 
-impl SymState {
-    fn cell_mut(&mut self, slot: Slot) -> &mut SymCell {
-        match slot {
-            Slot::Global(i) => &mut self.globals[i as usize],
-            Slot::Frame(i) => &mut self.frame[i as usize],
-        }
-    }
-}
-
-struct SymExec {
+/// Algorithm 2's value domain for [`streamlin_graph::absint::walk`].
+/// Stateless and stateful extraction are this one domain under different
+/// entry bindings ([`extract_symbolic`]).
+struct LinDomain {
     declared_peek: usize,
-    fuel: u64,
+    /// Span of the statement in hand: where a fresh ⊤ is stamped, and
+    /// where a stopped walk stopped.
+    span: Span,
 }
 
-impl SymExec {
-    fn spend(&mut self) -> Result<(), NonLinear> {
-        if self.fuel == 0 {
-            return Err(NonLinear::Unresolved("analysis fuel exhausted".into()));
-        }
-        self.fuel -= 1;
-        Ok(())
-    }
-
-    fn exec_stmts(&mut self, st: &mut SymState, stmts: &[RStmt]) -> Result<Flow, NonLinear> {
-        for s in stmts {
-            if self.exec_stmt(st, s)? == Flow::Return {
-                return Ok(Flow::Return);
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    fn exec_stmt(&mut self, st: &mut SymState, stmt: &RStmt) -> Result<Flow, NonLinear> {
-        self.spend()?;
-        match stmt {
-            RStmt::Decl {
-                slot,
-                base,
-                dims,
-                init,
-                ..
-            } => {
-                let zero = Sym::constant(Value::zero_of(*base));
-                let mut sizes = Vec::with_capacity(dims.len());
-                for d in dims {
-                    sizes.push(self.const_index(st, d)?);
-                }
-                st.frame[*slot as usize] = if sizes.is_empty() {
-                    SymCell::Scalar(*base, zero)
-                } else {
-                    SymCell::Array(SymArray {
-                        elem: *base,
-                        data: vec![zero; sizes.iter().product()],
-                        dims: sizes,
-                        tainted: false,
-                    })
-                };
-                if let Some(e) = init {
-                    let v = self.eval(st, e)?;
-                    self.update(st, Slot::Frame(*slot), &[], |_| v)?;
-                }
-                Ok(Flow::Normal)
-            }
-            RStmt::Assign {
-                target, op, value, ..
-            } => {
-                let rhs = self.eval(st, value)?;
-                let (slot, idx) = target_parts(target);
-                match op {
-                    None => self.update(st, slot, idx, |_| rhs)?,
-                    Some(op) => self.update(st, slot, idx, |cur| sym_bin(*op, cur, rhs))?,
-                }
-                Ok(Flow::Normal)
-            }
-            RStmt::If {
-                cond,
-                then_blk,
-                else_blk,
-                ..
-            } => {
-                let c = self.eval(st, cond)?;
-                match c.as_const() {
-                    Some(Value::Bool(true)) => self.exec_stmts(st, then_blk),
-                    Some(Value::Bool(false)) => match else_blk {
-                        Some(e) => self.exec_stmts(st, e),
-                        None => Ok(Flow::Normal),
-                    },
-                    Some(_) => Err(NonLinear::Unsupported(
-                        "branch condition is not boolean".into(),
-                    )),
-                    None => {
-                        // Input-dependent condition: execute both sides and
-                        // join under ⊔ (Algorithm 2's branch case).
-                        let mut then_st = st.clone();
-                        let t_flow = self.exec_stmts(&mut then_st, then_blk)?;
-                        let e_flow = match else_blk {
-                            Some(e) => self.exec_stmts(st, e)?,
-                            None => Flow::Normal,
-                        };
-                        if t_flow != e_flow {
-                            return Err(NonLinear::BranchMismatch(
-                                "one branch returns, the other falls through".into(),
-                            ));
-                        }
-                        join_states(st, then_st)?;
-                        Ok(t_flow)
-                    }
-                }
-            }
-            RStmt::For {
-                init,
-                cond,
-                step,
-                body,
-                ..
-            } => {
-                if let Some(i) = init {
-                    if self.exec_stmt(st, i)? == Flow::Return {
-                        return Ok(Flow::Return);
-                    }
-                }
-                loop {
-                    self.spend()?;
-                    let go = match cond {
-                        None => true,
-                        Some(c) => self.const_bool(st, c)?,
-                    };
-                    if !go {
-                        break;
-                    }
-                    if self.exec_stmts(st, body)? == Flow::Return {
-                        return Ok(Flow::Return);
-                    }
-                    if let Some(s) = step {
-                        if self.exec_stmt(st, s)? == Flow::Return {
-                            return Ok(Flow::Return);
-                        }
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            RStmt::Expr(e, _) => {
-                self.eval(st, e)?;
-                Ok(Flow::Normal)
-            }
-            RStmt::Return => Ok(Flow::Return),
-        }
-    }
-
-    /// Loop conditions must resolve to constants so the loop can be fully
-    /// unrolled; otherwise the filter is disregarded (§3.2).
-    fn const_bool(&mut self, st: &mut SymState, e: &RExpr) -> Result<bool, NonLinear> {
-        match self.eval(st, e)?.as_const() {
-            Some(Value::Bool(b)) => Ok(b),
-            _ => Err(NonLinear::Unresolved(
-                "loop bound depends on the input or on ⊤ state".into(),
-            )),
-        }
-    }
-
-    fn const_index(&mut self, st: &mut SymState, e: &RExpr) -> Result<usize, NonLinear> {
-        match self.eval(st, e)?.as_const() {
-            Some(v) => v.as_index().map_err(|e| NonLinear::Unsupported(e.message)),
-            None => Err(NonLinear::Unresolved(
-                "array index or size depends on the input".into(),
-            )),
-        }
-    }
-
-    /// Evaluates index expressions; `None` if any is input-dependent.
-    fn eval_indices(
-        &mut self,
-        st: &mut SymState,
-        idx_exprs: &[RExpr],
-    ) -> Result<Option<Vec<usize>>, NonLinear> {
-        let mut idx = Vec::with_capacity(idx_exprs.len());
-        for e in idx_exprs {
-            match self.eval(st, e)?.as_const() {
-                Some(v) => idx.push(
-                    v.as_index()
-                        .map_err(|e| NonLinear::Unsupported(e.message))?,
-                ),
-                None => return Ok(None),
-            }
-        }
-        Ok(Some(idx))
-    }
-
-    /// Reads a scalar (no index expressions) or an array element.
-    fn read(
-        &mut self,
-        st: &mut SymState,
-        slot: Slot,
-        idx_exprs: &[RExpr],
-    ) -> Result<Sym, NonLinear> {
-        let idx = self.eval_indices(st, idx_exprs)?;
-        match st.cell_mut(slot) {
-            SymCell::Scalar(_, s) if idx_exprs.is_empty() => Ok(s.clone()),
-            SymCell::Array(a) if !idx_exprs.is_empty() => match idx {
-                _ if a.tainted => Ok(Sym::Top),
-                None => Ok(Sym::Top),
-                Some(idx) => Ok(a.data[offset(&a.dims, &idx)?].clone()),
-            },
-            other => Err(access_error(other)),
-        }
-    }
-
-    /// Replaces the value of a scalar (no index expressions) or an array
-    /// element with `f(current value)`, coerced to the declared type as
-    /// every store is. The current value is moved out of its cell and the
-    /// result moved back, so `f` can accumulate into it in place; the index
-    /// expressions are evaluated once.
-    fn update(
-        &mut self,
-        st: &mut SymState,
-        slot: Slot,
-        idx_exprs: &[RExpr],
-        f: impl FnOnce(Sym) -> Sym,
-    ) -> Result<(), NonLinear> {
-        let idx = self.eval_indices(st, idx_exprs)?;
-        match st.cell_mut(slot) {
-            SymCell::Scalar(ty, cur) if idx_exprs.is_empty() => {
-                *cur = coerce(f(std::mem::replace(cur, Sym::Top)), *ty);
-            }
-            SymCell::Array(a) if !idx_exprs.is_empty() => match idx {
-                None => {
-                    // A store at an unknown position clobbers the whole
-                    // array, conservatively.
-                    a.tainted = true;
-                    a.data.fill(Sym::Top);
-                }
-                Some(idx) => {
-                    let elem = &mut a.data[offset(&a.dims, &idx)?];
-                    let cur = std::mem::replace(elem, Sym::Top);
-                    *elem = coerce(f(if a.tainted { Sym::Top } else { cur }), a.elem);
-                }
-            },
-            other => return Err(access_error(other)),
-        }
-        Ok(())
-    }
-
-    /// `a && b` / `a || b`, under the short-circuit rule in the module
-    /// docs.
-    fn eval_logical(
-        &mut self,
-        st: &mut SymState,
-        op: BinOp,
-        a: &RExpr,
-        b: &RExpr,
-    ) -> Result<Sym, NonLinear> {
-        let x = self.eval(st, a)?;
-        match x.as_const() {
-            // `false && _`, `true || _`: the right operand does not run.
-            Some(Value::Bool(l)) if l == (op == BinOp::Or) => Ok(x),
-            Some(_) => {
-                let y = self.eval(st, b)?;
-                Ok(sym_bin(op, x, y))
-            }
-            None => {
-                let mut ran = st.clone();
-                self.eval(&mut ran, b)?;
-                join_states(st, ran)?;
-                Ok(Sym::Top)
-            }
-        }
-    }
-
-    fn eval(&mut self, st: &mut SymState, expr: &RExpr) -> Result<Sym, NonLinear> {
-        match expr {
-            RExpr::Int(v) => Ok(Sym::constant(Value::Int(*v))),
-            RExpr::Float(v) => Ok(Sym::constant(Value::Float(*v))),
-            RExpr::Bool(v) => Ok(Sym::constant(Value::Bool(*v))),
-            RExpr::Var(slot) => self.read(st, *slot, &[]),
-            RExpr::Index(slot, idx) => self.read(st, *slot, idx),
-            RExpr::Unary(op, e) => {
-                let v = self.eval(st, e)?;
-                Ok(sym_un(*op, v))
-            }
-            RExpr::Binary(op @ (BinOp::And | BinOp::Or), a, b) => self.eval_logical(st, *op, a, b),
-            RExpr::Binary(op, a, b) => {
-                let x = self.eval(st, a)?;
-                let y = self.eval(st, b)?;
-                Ok(sym_bin(*op, x, y))
-            }
-            RExpr::Peek(i) => {
-                let i = self.const_index(st, i)?;
-                self.tape(st.popcount + i)
-            }
-            RExpr::Pop => {
-                let v = self.tape(st.popcount)?;
-                st.popcount += 1;
-                Ok(v)
-            }
-            RExpr::Push(e) => {
-                let v = self.eval(st, e)?;
-                st.pushes.push(v);
-                Ok(Sym::constant(Value::Int(0)))
-            }
-            RExpr::Math(f, args) => {
-                // Arity was validated at lowering and never exceeds 2.
-                let mut vals = [Value::Int(0); 2];
-                for (val, a) in vals.iter_mut().zip(args) {
-                    match self.eval(st, a)?.as_const() {
-                        Some(v) => *val = v,
-                        None => return Ok(Sym::Top),
-                    }
-                }
-                match f.call(&vals[..args.len()]) {
-                    Ok(v) => Ok(Sym::constant(v)),
-                    Err(e) => Err(NonLinear::Unsupported(e.message)),
-                }
-            }
-            RExpr::Print { .. } => Err(NonLinear::Prints),
-            RExpr::PostIncDec { target, inc } => {
-                let op = if *inc { BinOp::Add } else { BinOp::Sub };
-                let (slot, idx) = target_parts(target);
-                let mut old = Sym::Top;
-                self.update(st, slot, idx, |cur| {
-                    old = cur.clone();
-                    sym_bin(op, cur, Sym::constant(Value::Int(1)))
-                })?;
-                Ok(old)
-            }
-        }
-    }
-
+impl LinDomain {
     /// The form `1·peek(pos)`, if `pos` is inside the declared window.
     fn tape(&self, pos: usize) -> Result<Sym, NonLinear> {
         if pos >= self.declared_peek {
@@ -897,88 +492,119 @@ impl SymExec {
     }
 }
 
-/// The interpreter's bounds-checked row-major offset.
-fn offset(dims: &[usize], idx: &[usize]) -> Result<usize, NonLinear> {
-    flat_offset(dims, idx).map_err(|e| NonLinear::Unsupported(e.message))
+fn unsupported(e: EvalError) -> NonLinear {
+    NonLinear::Unsupported(e.message)
 }
 
-/// A target's slot and index expressions (none for a scalar).
-fn target_parts(lv: &RLValue) -> (Slot, &[RExpr]) {
-    match lv {
-        RLValue::Var(s) => (*s, &[]),
-        RLValue::Index(s, idx) => (*s, idx),
+impl Domain for LinDomain {
+    type Value = Sym;
+    type Tape = SymTape;
+    type Stop = NonLinear;
+
+    fn at(&mut self, span: Span, _conditional: bool) {
+        self.span = span;
     }
-}
 
-/// What a store of `v` leaves in a `ty` variable: the interpreter's
-/// [`Value::coerce_to`] on the constant part (an int promotes to float). A
-/// store the interpreter would refuse is ⊤.
-fn coerce(v: Sym, ty: DataType) -> Sym {
-    let Sym::Lin(mut f) = v else { return Sym::Top };
-    match f.konst.coerce_to(ty) {
-        Ok(k) if f.is_const() || ty == DataType::Float => {
-            f.konst = k;
-            Sym::Lin(f)
+    fn literal(&mut self, v: Value) -> Sym {
+        Sym::constant(v)
+    }
+
+    fn top(&mut self) -> Sym {
+        Sym::Top(self.span)
+    }
+
+    fn concrete(&mut self, v: &Sym) -> Option<Value> {
+        v.as_const()
+    }
+
+    fn un_op(&mut self, op: UnOp, a: Sym) -> Sym {
+        sym_un(op, a, self.span)
+    }
+
+    fn bin_op(&mut self, op: BinOp, a: Sym, b: Sym) -> Sym {
+        sym_bin(op, a, b, self.span)
+    }
+
+    /// An intrinsic of anything but constants is ⊤.
+    fn math(&mut self, _f: MathFn, args: &[Sym]) -> Sym {
+        let was_top = args.iter().find(|a| matches!(a, Sym::Top(_)));
+        was_top.cloned().unwrap_or(Sym::Top(self.span))
+    }
+
+    /// The interpreter's [`Value::coerce_to`] on the constant part (an int
+    /// promotes to float). A store the interpreter would refuse is ⊤.
+    fn coerce(&mut self, v: Sym, ty: DataType) -> Sym {
+        let Sym::Lin(mut f) = v else { return v };
+        match f.konst.coerce_to(ty) {
+            Ok(k) if f.is_const() || ty == DataType::Float => {
+                f.konst = k;
+                Sym::Lin(f)
+            }
+            _ => Sym::Top(self.span),
         }
-        _ => Sym::Top,
     }
-}
 
-/// The error for a scalar that is indexed or an array used as a scalar
-/// (the reference interpreter's wording).
-fn access_error(cell: &SymCell) -> NonLinear {
-    NonLinear::Unsupported(
-        match cell {
-            SymCell::Array(_) => "variable is an array; index it to read an element",
-            SymCell::Scalar(..) => "variable is a scalar, not an array",
+    /// The confluence operator ⊔: equal forms stay, anything else is ⊤.
+    fn join(&mut self, a: &mut Sym, b: &Sym) {
+        match (&*a, b) {
+            (Sym::Top(_), _) => {}
+            (_, Sym::Top(_)) => *a = b.clone(),
+            (x, y) if x == y => {}
+            _ => *a = Sym::Top(self.span),
         }
-        .into(),
-    )
-}
+    }
 
-/// `a ← a ⊔ b`, slot-wise (see the frame-join rule in the module docs).
-fn join_states(a: &mut SymState, b: SymState) -> Result<(), NonLinear> {
-    if a.popcount != b.popcount {
-        return Err(NonLinear::BranchMismatch(format!(
-            "branches pop different amounts ({} vs {})",
-            a.popcount, b.popcount
-        )));
-    }
-    if a.pushes.len() != b.pushes.len() {
-        return Err(NonLinear::BranchMismatch(format!(
-            "branches push different amounts ({} vs {})",
-            a.pushes.len(),
-            b.pushes.len()
-        )));
-    }
-    for (x, y) in a.pushes.iter_mut().zip(&b.pushes) {
-        x.join(y);
-    }
-    let cells = a.globals.iter_mut().chain(&mut a.frame);
-    for (x, y) in cells.zip(b.globals.into_iter().chain(b.frame)) {
-        join_cells(x, y);
-    }
-    Ok(())
-}
-
-fn join_cells(a: &mut SymCell, b: SymCell) {
-    match (a, b) {
-        (SymCell::Scalar(ta, x), SymCell::Scalar(tb, y)) if *ta == tb => x.join(&y),
-        (SymCell::Array(x), SymCell::Array(y)) if x.elem == y.elem && x.dims == y.dims => {
-            x.tainted |= y.tainted;
-            if x.tainted {
-                x.data.fill(Sym::Top);
-            } else {
-                x.data.iter_mut().zip(&y.data).for_each(|(p, q)| p.join(q));
+    /// The two sides of a branch must agree structurally, or no single
+    /// linear node represents the filter.
+    fn join_tapes(&mut self, a: &mut SymTape, b: SymTape) -> Result<(), NonLinear> {
+        for (what, x, y) in [
+            ("pop", a.popcount, b.popcount),
+            ("push", a.pushes.len(), b.pushes.len()),
+        ] {
+            if x != y {
+                return Err(NonLinear::BranchMismatch(format!(
+                    "branches {what} different amounts ({x} vs {y})"
+                )));
             }
         }
-        // Two different locals shared the slot: whichever it was, it is
-        // out of scope on the joined path.
-        (SymCell::Array(x), _) => {
-            x.tainted = true;
-            x.data.fill(Sym::Top);
+        for (x, y) in a.pushes.iter_mut().zip(&b.pushes) {
+            self.join(x, y);
         }
-        (SymCell::Scalar(_, x), _) => *x = Sym::Top,
+        Ok(())
+    }
+
+    fn peek(&mut self, tape: &mut SymTape, i: Sym) -> Result<Sym, NonLinear> {
+        match i.as_const() {
+            Some(i) => self.tape(tape.popcount + i.as_index().map_err(unsupported)?),
+            None => Err(self.give_up("array index or size depends on the input")),
+        }
+    }
+
+    fn pop(&mut self, tape: &mut SymTape) -> Result<Sym, NonLinear> {
+        let v = self.tape(tape.popcount)?;
+        tape.popcount += 1;
+        Ok(v)
+    }
+
+    fn push(&mut self, tape: &mut SymTape, v: Sym) -> Result<(), NonLinear> {
+        tape.pushes.push(v);
+        Ok(())
+    }
+
+    /// A side effect that collapsing would erase.
+    fn print(&mut self, _v: Sym, _newline: bool) -> Result<(), NonLinear> {
+        Err(NonLinear::Prints)
+    }
+
+    fn fault(&mut self, e: EvalError) -> NonLinear {
+        unsupported(e)
+    }
+
+    /// Loop conditions must resolve to constants so the loop can be fully
+    /// unrolled, and so must sizes; otherwise the filter is disregarded
+    /// (§3.2).
+    fn give_up(&mut self, why: &'static str) -> NonLinear {
+        NonLinear::Unresolved(why.into())
     }
 }
 
@@ -1404,10 +1030,10 @@ mod tests {
     /// left map, merge the right into it, prune zeros.
     fn by_value(op: BinOp, a: &Sym, b: &Sym) -> Sym {
         let (Sym::Lin(fa), Sym::Lin(fb)) = (a, b) else {
-            return Sym::Top;
+            return Sym::Top(Span::default());
         };
         let Ok(konst) = bin_op(op, fa.konst, fb.konst) else {
-            return Sym::Top;
+            return Sym::Top(Span::default());
         };
         let mut coeffs = fa.coeffs.clone();
         for (&p, &c) in &fb.coeffs {
@@ -1438,7 +1064,7 @@ mod tests {
         /// bare int or float constant, sometimes ⊤.
         fn sym(&mut self) -> Sym {
             match self.next() % 10 {
-                0 => Sym::Top,
+                0 => Sym::Top(Span::default()),
                 1 => Sym::constant(Value::Int(self.next() as i64 % 5)),
                 2 => Sym::constant(Value::Float((self.next() % 7) as f64 - 3.0)),
                 _ => {
@@ -1467,7 +1093,7 @@ mod tests {
             let (a, b) = (rng.sym(), rng.sym());
             for op in [BinOp::Add, BinOp::Sub] {
                 assert_eq!(
-                    sym_bin(op, a.clone(), b.clone()),
+                    sym_bin(op, a.clone(), b.clone(), Span::default()),
                     by_value(op, &a, &b),
                     "{a:?} {op:?} {b:?}"
                 );
@@ -1475,10 +1101,10 @@ mod tests {
             // Self-aliasing operands: `s += s` doubles, `s -= s` cancels
             // every coefficient and leaves a constant.
             assert_eq!(
-                sym_bin(BinOp::Add, a.clone(), a.clone()),
+                sym_bin(BinOp::Add, a.clone(), a.clone(), Span::default()),
                 by_value(BinOp::Add, &a, &a)
             );
-            let diff = sym_bin(BinOp::Sub, a.clone(), a.clone());
+            let diff = sym_bin(BinOp::Sub, a.clone(), a.clone(), Span::default());
             assert_eq!(diff, by_value(BinOp::Sub, &a, &a));
             if let Sym::Lin(f) = diff {
                 assert!(f.coeffs.is_empty(), "x - x kept entries: {f:?}");

@@ -1,0 +1,688 @@
+//! The one abstract walker over the slot IR: work-body semantics, written
+//! once.
+//!
+//! The paper's extraction (§3.2) is symbolic execution of `work`, and the
+//! rate/effect analysis generalises the move; on these programs an
+//! analysis *is* evaluation in another value domain. So the control
+//! skeleton of a work body lives here, once, and an analysis is a
+//! [`Domain`]: [`crate::analyze`] (intervals × degree, tape counters,
+//! effects, lints) and `streamlin-core`'s linear extraction (linear forms)
+//! are the two instances. **A new analysis is a `Domain`, never a new
+//! match on [`RStmt`].** [`crate::lower::SlotInterp`] and the bytecode tier
+//! deliberately do *not* run on this engine: they are the referee it is
+//! held to (`tests/interp_differential.rs` runs a concrete domain through
+//! it beside both tiers).
+//!
+//! [`walk`] owns everything that is not a value. Each rule below was once
+//! written per walker; the PR named is the last that had to fix a copy.
+//!
+//! * **Order.** Statements in sequence; right-hand side before target;
+//!   index expressions and operands left to right.
+//! * **`Decl`** evaluates the dimensions, zero-fills the slot at its
+//!   declared type, *then* evaluates and stores the initialiser — `int b =
+//!   b + 5` reads 0, never what a sibling scope left in the shared frame
+//!   slot (interpreters PR 3, extraction PR 15, `analyze` PR 18).
+//! * **`op=` / `++` / `--`** are one read-modify-write through a single
+//!   index evaluation: the old value is moved out of its cell, the new one
+//!   moved in, so `a[i++] += v` bumps `i` once and `sum += …` accumulates
+//!   in place (interpreters PR 3, extraction PR 12, `analyze` PR 18).
+//! * **Typed cells**, globals and frame alike: every store goes through
+//!   [`Domain::coerce`] to the declared type, so an `int` stored into a
+//!   `float` divides as a float afterwards (extraction PR 15, `analyze`
+//!   PR 18). A global no walked phase writes is [`ACell::Const`]: read
+//!   straight from its elaboration-time cell, never copied.
+//! * **Arrays** are element-wise, row-major and bounds-checked through
+//!   [`flat_offset`] (one offset function since PR 15), a scalar as the
+//!   rank-0 case. An access at an undecided index is weak: a read is
+//!   [`Domain::any_element`], a store joins the value into every element.
+//! * **Constants.** An operation whose operands are all
+//!   [`Domain::concrete`] is folded here, by the interpreters' own
+//!   `un_op`/`bin_op`/`MathFn::call`; one that faults (`1 / 0`) is a
+//!   [`Domain::fault`], as at run time.
+//! * **Branches.** A decided `if`, `&&` or `||` takes one side — `false &&
+//!   x++` does not run `x++`; an undecided one runs both on cloned states
+//!   and joins (extraction PR 15). The join is slot-wise; a frame slot
+//!   holding a different, already out-of-scope local on each path is dead
+//!   and joins to ⊤, never to an error (extraction PR 15).
+//! * **Loops** unroll while the test is decided (and for at most
+//!   [`Domain::MAX_UNROLL`] trips); an undecided one is the domain's call
+//!   ([`Domain::undecided_loop`]): stop with a reason, or
+//!   name the slots to widen — the engine then sets those to ⊤ and walks
+//!   test, body and step once more on a scratch copy, so the domain still
+//!   sees every access the loop can make.
+//! * **`return`** joins the state into the walk's exit state; a walk ends
+//!   in the join of falling off the end and every `return`.
+//! * **Fuel** is spent per statement and per loop test, as the
+//!   interpreters spend it; **position** — the span of the statement in
+//!   hand, and whether undecided control surrounds it — is
+//!   [`Domain::at`].
+
+use std::collections::HashSet;
+
+use streamlin_lang::ast::{BinOp, DataType, UnOp};
+use streamlin_lang::token::Span;
+
+use crate::exec::IndexBuf;
+use crate::lower::{RExpr, RLValue, RStmt, Slot};
+use crate::value::{bin_op, flat_offset, un_op, Cell, EvalError, MathFn, Value};
+
+/// What differs between analyses: the values, the tape, and what to do
+/// when the walk cannot decide. Everything else is [`walk`].
+pub trait Domain {
+    /// An abstract scalar.
+    type Value: Clone;
+    /// The abstract tape (cloned and joined with the state around it).
+    type Tape: Clone;
+    /// Why a walk stopped early.
+    type Stop;
+    /// Trips a decided loop is unrolled before it counts as undecided.
+    const MAX_UNROLL: u64 = u64::MAX;
+
+    /// The walk is now at the statement at `span`; `conditional` if
+    /// undecided control flow surrounds it.
+    fn at(&mut self, span: Span, conditional: bool);
+
+    /// The abstraction of a concrete value.
+    fn literal(&mut self, v: Value) -> Self::Value;
+    /// ⊤: what a dead frame slot or a widened variable holds.
+    fn top(&mut self) -> Self::Value;
+    /// The concrete value, if `v` is the same one on every execution: what
+    /// decides a branch, a loop test, an index, an array size — and an
+    /// operation, which the engine folds with the interpreters' own
+    /// `un_op`/`bin_op`/`MathFn::call` when every operand is concrete. The
+    /// three transfer functions below see the other cases.
+    fn concrete(&mut self, v: &Self::Value) -> Option<Value>;
+    /// Transfer function of a unary operator.
+    fn un_op(&mut self, op: UnOp, a: Self::Value) -> Self::Value;
+    /// Transfer function of a binary operator (for `&&`/`||`, after the
+    /// engine applied the short-circuit rule).
+    fn bin_op(&mut self, op: BinOp, a: Self::Value, b: Self::Value) -> Self::Value;
+    /// Transfer function of an intrinsic.
+    fn math(&mut self, f: MathFn, args: &[Self::Value]) -> Self::Value;
+    /// What a store of `v` leaves in a variable declared `ty`.
+    fn coerce(&mut self, v: Self::Value, ty: DataType) -> Self::Value;
+    /// `a ← a ⊔ b`.
+    fn join(&mut self, a: &mut Self::Value, b: &Self::Value);
+    /// `a ← a ⊔ b` on tapes.
+    fn join_tapes(&mut self, a: &mut Self::Tape, b: Self::Tape) -> Result<(), Self::Stop>;
+    /// A read at the undecided index `idx` of a `ty` array (`constant`: of
+    /// a table no walked phase writes).
+    fn any_element(&mut self, _ty: DataType, _constant: bool, _idx: &[Self::Value]) -> Self::Value {
+        self.top()
+    }
+
+    /// `peek(i)`.
+    fn peek(&mut self, tape: &mut Self::Tape, i: Self::Value) -> Result<Self::Value, Self::Stop>;
+    /// `pop()`.
+    fn pop(&mut self, tape: &mut Self::Tape) -> Result<Self::Value, Self::Stop>;
+    /// `push(v)`.
+    fn push(&mut self, tape: &mut Self::Tape, v: Self::Value) -> Result<(), Self::Stop>;
+    /// `print(v)` / `println(v)`.
+    fn print(&mut self, _v: Self::Value, _newline: bool) -> Result<(), Self::Stop> {
+        Ok(())
+    }
+
+    /// The statement in hand fails at run time whenever it is reached (an
+    /// index out of bounds, a scalar indexed).
+    fn fault(&mut self, e: EvalError) -> Self::Stop;
+    /// The walk cannot go on: out of fuel, an undecided array size, an
+    /// undecided loop test.
+    fn give_up(&mut self, why: &'static str) -> Self::Stop;
+    /// `for_loop`'s test is undecided: stop, or widen `tape` and name the
+    /// slots the loop may write.
+    fn undecided_loop(
+        &mut self,
+        _tape: &mut Self::Tape,
+        _for_loop: &RStmt,
+    ) -> Result<HashSet<Slot>, Self::Stop> {
+        Err(self.give_up("loop bound depends on the input or on ⊤ state"))
+    }
+
+    /// An `if` condition was decided.
+    fn constant_condition(&mut self, _taken: bool) {}
+    /// `slot` (or an element of it) was read; `constant` if no walked
+    /// phase writes it.
+    fn read(&mut self, _slot: Slot, _constant: bool) {}
+    /// `v` was stored to `slot`, at `idx` (empty for a scalar).
+    fn wrote(&mut self, _slot: Slot, _idx: &[Self::Value], _v: &Self::Value) {}
+}
+
+/// A storage cell over abstract values, typed like the [`Cell`] it stands
+/// for.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ACell<'c, V> {
+    /// A global no walked phase writes, read in place.
+    Const(&'c Cell),
+    /// A scalar variable of the declared type.
+    Scalar(DataType, V),
+    /// An array variable: element type, dimensions, row-major elements.
+    Array(DataType, Vec<usize>, Vec<V>),
+}
+
+impl<V> ACell<'_, V> {
+    /// A variable shaped and typed like `cell`, each value mapped.
+    pub fn from_cell(cell: &Cell, mut f: impl FnMut(DataType, Value) -> V) -> Self {
+        match cell {
+            Cell::Scalar(ty, v) => ACell::Scalar(*ty, f(*ty, *v)),
+            Cell::Array(a) => {
+                let data = a.data.iter().map(|v| f(a.elem, *v)).collect();
+                ACell::Array(a.elem, a.dims.clone(), data)
+            }
+        }
+    }
+
+    /// The cell the way the engine sees every cell: element type,
+    /// dimensions (none for a scalar — the rank-0 case) and elements, the
+    /// variable's or (`Err`) the constant table's.
+    #[allow(clippy::type_complexity)]
+    fn view(&self) -> (DataType, &[usize], Result<&[V], &[Value]>) {
+        match self {
+            ACell::Const(Cell::Scalar(ty, v)) => (*ty, &[], Err(std::slice::from_ref(v))),
+            ACell::Const(Cell::Array(a)) => (a.elem, &a.dims, Err(&a.data)),
+            ACell::Scalar(ty, v) => (*ty, &[], Ok(std::slice::from_ref(v))),
+            ACell::Array(ty, dims, data) => (*ty, dims, Ok(data)),
+        }
+    }
+
+    /// [`ACell::view`] of a variable, to store through.
+    fn view_mut(&mut self) -> (DataType, &[usize], &mut [V]) {
+        match self {
+            ACell::Const(_) => unreachable!("a written slot is never bound `Const`"),
+            ACell::Scalar(ty, v) => (*ty, &[], std::slice::from_mut(v)),
+            ACell::Array(ty, dims, data) => (*ty, dims, data),
+        }
+    }
+}
+
+/// One abstract program state: a cell per storage slot plus the tape.
+#[derive(Debug, Clone)]
+pub struct State<'c, V, T> {
+    /// Persistent cells, in `LoweredFilter::globals` order.
+    pub globals: Vec<ACell<'c, V>>,
+    /// Frame cells.
+    pub frame: Vec<ACell<'c, V>>,
+    /// The domain's tape.
+    pub tape: T,
+}
+
+impl<'c, V, T> State<'c, V, T> {
+    fn cell_mut(&mut self, slot: Slot) -> &mut ACell<'c, V> {
+        match slot {
+            Slot::Global(i) => &mut self.globals[i as usize],
+            Slot::Frame(i) => &mut self.frame[i as usize],
+        }
+    }
+}
+
+type StateOf<'c, D> = State<'c, <D as Domain>::Value, <D as Domain>::Tape>;
+/// `false` once every path has returned (the state is then dead).
+type Live<D> = Result<bool, <D as Domain>::Stop>;
+
+/// Walks `body` from the entry `globals` and `tape` over a frame of
+/// `frame_slots` dead cells (a slot is never read before its `Decl`), and
+/// returns the state it ends in — the join of falling off the end and of
+/// every `return` — or why the domain stopped the walk (its last
+/// [`Domain::at`] says where).
+pub fn walk<'c, D: Domain>(
+    dom: &mut D,
+    fuel: u64,
+    globals: Vec<ACell<'c, D::Value>>,
+    frame_slots: usize,
+    tape: D::Tape,
+    body: &[RStmt],
+) -> Result<StateOf<'c, D>, D::Stop> {
+    let dead = ACell::Scalar(DataType::Int, dom.top());
+    let mut st = State {
+        globals,
+        frame: vec![dead; frame_slots],
+        tape,
+    };
+    let mut w = Walker {
+        dom,
+        fuel,
+        span: Span::default(),
+        undecided: 0,
+        exit: None,
+    };
+    let falls_off = w.block(&mut st, body)?;
+    match w.exit.take() {
+        Some(exit) if falls_off => w.join(&mut st, exit)?,
+        Some(exit) => st = exit,
+        None => {}
+    }
+    Ok(st)
+}
+
+struct Walker<'d, 'c, D: Domain> {
+    dom: &'d mut D,
+    fuel: u64,
+    /// Span of the statement in hand.
+    span: Span,
+    /// Depth of undecided control flow around the current point.
+    undecided: u32,
+    /// Joined state at the `return`s seen so far.
+    exit: Option<StateOf<'c, D>>,
+}
+
+impl<'c, D: Domain> Walker<'_, 'c, D> {
+    fn spend(&mut self) -> Result<(), D::Stop> {
+        if self.fuel == 0 {
+            return Err(self.dom.give_up("analysis fuel exhausted"));
+        }
+        self.fuel -= 1;
+        Ok(())
+    }
+
+    fn enter(&mut self, span: Span) {
+        self.span = span;
+        self.dom.at(span, self.undecided > 0);
+    }
+
+    /// Runs `f` one level deeper under undecided control.
+    fn conditionally<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        let span = self.span;
+        self.undecided += 1;
+        self.enter(span);
+        let r = f(self);
+        self.undecided -= 1;
+        self.enter(span);
+        r
+    }
+
+    /// `a ← a ⊔ b`, slot-wise.
+    fn join(&mut self, a: &mut StateOf<'c, D>, b: StateOf<'c, D>) -> Result<(), D::Stop> {
+        self.dom.join_tapes(&mut a.tape, b.tape)?;
+        let cells = a.globals.iter_mut().chain(&mut a.frame);
+        for (x, y) in cells.zip(b.globals.into_iter().chain(b.frame)) {
+            if matches!(x, ACell::Const(_)) {
+                continue;
+            }
+            let ((tx, dx, x), (ty, dy, Ok(y))) = (x.view_mut(), y.view()) else {
+                unreachable!("a slot is `Const` on every path or on none")
+            };
+            if (tx, dx) == (ty, dy) {
+                x.iter_mut().zip(y).for_each(|(p, q)| self.dom.join(p, q));
+            } else {
+                // Two different locals shared the slot: whichever it was,
+                // it is out of scope on the joined path.
+                x.fill_with(|| self.dom.top());
+            }
+        }
+        Ok(())
+    }
+
+    fn block(&mut self, st: &mut StateOf<'c, D>, stmts: &[RStmt]) -> Live<D> {
+        for s in stmts {
+            if !self.stmt(st, s)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    fn stmt(&mut self, st: &mut StateOf<'c, D>, s: &RStmt) -> Live<D> {
+        self.spend()?;
+        self.enter(s.span());
+        match s {
+            RStmt::Decl {
+                slot,
+                base,
+                dims,
+                init,
+                ..
+            } => {
+                let mut sizes = Vec::with_capacity(dims.len());
+                for v in self.eval_all(st, dims)?.iter() {
+                    match self.index(v) {
+                        Ok(Some(n)) => sizes.push(n),
+                        Ok(None) => {
+                            let why = "array index or size depends on the input";
+                            return Err(self.dom.give_up(why));
+                        }
+                        Err(e) => return Err(self.dom.fault(e)),
+                    }
+                }
+                let zero = self.dom.literal(Value::zero_of(*base));
+                st.frame[*slot as usize] = match dims.is_empty() {
+                    true => ACell::Scalar(*base, zero),
+                    false => {
+                        let zeros = vec![zero; sizes.iter().product()];
+                        ACell::Array(*base, sizes, zeros)
+                    }
+                };
+                if let Some(e) = init {
+                    let v = self.eval(st, e)?;
+                    self.update(st, Slot::Frame(*slot), &[], false, |_, _| Ok(v))?;
+                }
+            }
+            RStmt::Assign {
+                target, op, value, ..
+            } => {
+                let rhs = self.eval(st, value)?;
+                let (slot, idx) = target_parts(target);
+                match op {
+                    None => self.update(st, slot, idx, false, |_, _| Ok(rhs))?,
+                    Some(op) => {
+                        self.update(st, slot, idx, true, |d, cur| binary(d, *op, cur, rhs))?
+                    }
+                }
+            }
+            RStmt::If {
+                cond,
+                then_blk,
+                else_blk,
+                span,
+            } => {
+                let c = self.eval(st, cond)?;
+                let else_blk = else_blk.as_deref().unwrap_or(&[]);
+                let Some(taken) = self.truth(&c) else {
+                    let mut other = st.clone();
+                    let (t, e) = self.conditionally(|w| {
+                        Ok((w.block(st, then_blk)?, w.block(&mut other, else_blk)?))
+                    })?;
+                    self.enter(*span);
+                    match (t, e) {
+                        (true, true) => self.join(st, other)?,
+                        (false, true) => *st = other,
+                        _ => {}
+                    }
+                    return Ok(t || e);
+                };
+                self.dom.constant_condition(taken);
+                return self.block(st, if taken { then_blk } else { else_blk });
+            }
+            RStmt::For {
+                init,
+                cond,
+                step,
+                body,
+                span,
+            } => {
+                if let Some(i) = init {
+                    if !self.stmt(st, i)? {
+                        return Ok(false);
+                    }
+                }
+                let step = step.as_deref();
+                for trips in 0.. {
+                    self.spend()?;
+                    self.enter(*span);
+                    let go = match cond {
+                        _ if trips == D::MAX_UNROLL => None,
+                        None => Some(true),
+                        Some(c) => {
+                            let v = self.eval(st, c)?;
+                            self.truth(&v)
+                        }
+                    };
+                    match go {
+                        Some(false) => break,
+                        Some(true) => {
+                            if !self.trip(st, body, step)? {
+                                return Ok(false);
+                            }
+                        }
+                        None => {
+                            for slot in self.dom.undecided_loop(&mut st.tape, s)? {
+                                st.cell_mut(slot).view_mut().2.fill(self.dom.top());
+                            }
+                            // The accounting pass; its state is discarded
+                            // (the widening above covers every write).
+                            let mut scratch = st.clone();
+                            self.conditionally(|w| {
+                                if let Some(c) = cond {
+                                    w.eval(&mut scratch, c)?;
+                                }
+                                w.trip(&mut scratch, body, step)
+                            })?;
+                            break;
+                        }
+                    }
+                }
+            }
+            RStmt::Expr(e, _) => {
+                self.eval(st, e)?;
+            }
+            RStmt::Return => {
+                self.exit = Some(match self.exit.take() {
+                    Some(mut exit) => {
+                        self.join(&mut exit, st.clone())?;
+                        exit
+                    }
+                    None => st.clone(),
+                });
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// One trip of a loop: the body, then the step.
+    fn trip(&mut self, st: &mut StateOf<'c, D>, body: &[RStmt], step: Option<&RStmt>) -> Live<D> {
+        Ok(self.block(st, body)? && step.map_or(Ok(true), |s| self.stmt(st, s))?)
+    }
+
+    /// `Some` if `v` is the same boolean on every execution.
+    fn truth(&mut self, v: &D::Value) -> Option<bool> {
+        match self.dom.concrete(v) {
+            Some(Value::Bool(b)) => Some(b),
+            _ => None,
+        }
+    }
+
+    /// `Some` if `v` is the same index or size on every execution.
+    fn index(&mut self, v: &D::Value) -> Result<Option<usize>, EvalError> {
+        self.dom.concrete(v).map(|c| c.as_index()).transpose()
+    }
+
+    #[inline(always)]
+    fn eval_all(
+        &mut self,
+        st: &mut StateOf<'c, D>,
+        exprs: &[RExpr],
+    ) -> Result<Vec<D::Value>, D::Stop> {
+        let mut vals = Vec::with_capacity(exprs.len());
+        for e in exprs {
+            vals.push(self.eval(st, e)?);
+        }
+        Ok(vals)
+    }
+
+    /// The element an access with the evaluated indices `idx` lands on
+    /// (`None`: an index is undecided, so any), with the interpreters'
+    /// checks and wording.
+    #[inline(always)]
+    fn locate(&mut self, dims: &[usize], idx: &[D::Value]) -> Result<Option<usize>, EvalError> {
+        if dims.is_empty() && idx.is_empty() {
+            return Ok(Some(0));
+        } else if dims.is_empty() != idx.is_empty() {
+            return Err(EvalError::new(match dims.is_empty() {
+                true => "variable is a scalar, not an array",
+                false => "variable is an array; index it to read an element",
+            }));
+        }
+        let mut at = IndexBuf::default();
+        for v in idx {
+            match self.index(v)? {
+                Some(i) => at.push(i),
+                None => return Ok(None),
+            }
+        }
+        flat_offset(dims, at.as_slice()).map(Some)
+    }
+
+    /// Reads a scalar (no index expressions) or an array element.
+    fn read(
+        &mut self,
+        st: &mut StateOf<'c, D>,
+        slot: Slot,
+        idx_exprs: &[RExpr],
+    ) -> Result<D::Value, D::Stop> {
+        let idx = self.eval_all(st, idx_exprs)?;
+        let (ty, dims, elems) = st.cell_mut(slot).view();
+        self.dom.read(slot, elems.is_err());
+        Ok(match (self.locate(dims, &idx), elems) {
+            (Ok(Some(o)), Ok(data)) => data[o].clone(),
+            (Ok(Some(o)), Err(table)) => self.dom.literal(table[o]),
+            (Ok(None), _) => self.dom.any_element(ty, elems.is_err(), &idx),
+            (Err(e), _) => return Err(self.dom.fault(e)),
+        })
+    }
+
+    /// The one store. Replaces the value of a scalar (no index
+    /// expressions) or an array element with `f(current value)`, coerced
+    /// to the declared type. The index expressions are evaluated once; the
+    /// current value is moved out of its cell and the result moved back,
+    /// so `f` can accumulate into it in place. `reads` says whether `f`
+    /// looks at the current value (`op=`, `++`) or replaces it (`=`).
+    fn update(
+        &mut self,
+        st: &mut StateOf<'c, D>,
+        slot: Slot,
+        idx_exprs: &[RExpr],
+        reads: bool,
+        f: impl FnOnce(&mut D, D::Value) -> Result<D::Value, D::Stop>,
+    ) -> Result<(), D::Stop> {
+        let idx = self.eval_all(st, idx_exprs)?;
+        let (ty, dims, data) = st.cell_mut(slot).view_mut();
+        if reads {
+            self.dom.read(slot, false);
+        }
+        let at = self.locate(dims, &idx).map_err(|e| self.dom.fault(e))?;
+        let top = self.dom.top();
+        let old = match at {
+            Some(o) => std::mem::replace(&mut data[o], top),
+            None if reads => self.dom.any_element(ty, false, &idx),
+            None => top,
+        };
+        let new = f(self.dom, old)?;
+        let new = self.dom.coerce(new, ty);
+        self.dom.wrote(slot, &idx, &new);
+        match at {
+            Some(o) => data[o] = new,
+            // A store at an unknown position may have hit any element.
+            None => data.iter_mut().for_each(|e| self.dom.join(e, &new)),
+        }
+        Ok(())
+    }
+
+    /// `a && b` / `a || b`, under the short-circuit rule (kept out of
+    /// [`Walker::eval`]: its cloned state would be in every expression's
+    /// frame).
+    #[inline(never)]
+    fn logical(
+        &mut self,
+        st: &mut StateOf<'c, D>,
+        op: BinOp,
+        a: &RExpr,
+        b: &RExpr,
+    ) -> Result<D::Value, D::Stop> {
+        let x = self.eval(st, a)?;
+        let y = match self.truth(&x) {
+            // `false && _`, `true || _`: the right operand does not run.
+            Some(l) if l == (op == BinOp::Or) => return Ok(x),
+            Some(_) => self.eval(st, b)?,
+            None => {
+                let mut ran = st.clone();
+                let y = self.conditionally(|w| w.eval(&mut ran, b))?;
+                self.join(st, ran)?;
+                y
+            }
+        };
+        binary(self.dom, op, x, y)
+    }
+
+    fn eval(&mut self, st: &mut StateOf<'c, D>, e: &RExpr) -> Result<D::Value, D::Stop> {
+        match e {
+            RExpr::Int(v) => Ok(self.dom.literal(Value::Int(*v))),
+            RExpr::Float(v) => Ok(self.dom.literal(Value::Float(*v))),
+            RExpr::Bool(v) => Ok(self.dom.literal(Value::Bool(*v))),
+            RExpr::Var(slot) => match &*st.cell_mut(*slot) {
+                // The common case, off the general path.
+                ACell::Scalar(_, v) => {
+                    self.dom.read(*slot, false);
+                    Ok(v.clone())
+                }
+                _ => self.read(st, *slot, &[]),
+            },
+            RExpr::Index(slot, idx) => self.read(st, *slot, idx),
+            RExpr::Unary(op, a) => {
+                let v = self.eval(st, a)?;
+                match self.dom.concrete(&v) {
+                    Some(c) => fold(self.dom, un_op(*op, c)),
+                    None => Ok(self.dom.un_op(*op, v)),
+                }
+            }
+            RExpr::Binary(op @ (BinOp::And | BinOp::Or), a, b) => self.logical(st, *op, a, b),
+            RExpr::Binary(op, a, b) => {
+                let x = self.eval(st, a)?;
+                let y = self.eval(st, b)?;
+                binary(self.dom, *op, x, y)
+            }
+            RExpr::Peek(i) => {
+                let i = self.eval(st, i)?;
+                self.dom.peek(&mut st.tape, i)
+            }
+            RExpr::Pop => self.dom.pop(&mut st.tape),
+            RExpr::Push(v) => {
+                let v = self.eval(st, v)?;
+                self.dom.push(&mut st.tape, v)?;
+                Ok(self.dom.literal(Value::Int(0)))
+            }
+            RExpr::Math(f, args) => {
+                let vals = self.eval_all(st, args)?;
+                let concrete: Option<Vec<Value>> =
+                    vals.iter().map(|v| self.dom.concrete(v)).collect();
+                match concrete {
+                    Some(c) => fold(self.dom, f.call(&c)),
+                    None => Ok(self.dom.math(*f, &vals)),
+                }
+            }
+            RExpr::Print { newline, arg } => {
+                let v = self.eval(st, arg)?;
+                self.dom.print(v, *newline)?;
+                Ok(self.dom.literal(Value::Int(0)))
+            }
+            RExpr::PostIncDec { target, inc } => {
+                let op = if *inc { BinOp::Add } else { BinOp::Sub };
+                let (slot, idx) = target_parts(target);
+                let mut old = self.dom.top();
+                self.update(st, slot, idx, true, |d, cur| {
+                    old = cur.clone();
+                    let one = d.literal(Value::Int(1));
+                    binary(d, op, cur, one)
+                })?;
+                Ok(old)
+            }
+        }
+    }
+}
+
+/// The abstraction of a folded constant, or the fault folding it raised.
+fn fold<D: Domain>(dom: &mut D, r: Result<Value, EvalError>) -> Result<D::Value, D::Stop> {
+    match r {
+        Ok(v) => Ok(dom.literal(v)),
+        Err(e) => Err(dom.fault(e)),
+    }
+}
+
+/// `a op b`: folded when both are concrete, the domain's otherwise.
+fn binary<D: Domain>(
+    dom: &mut D,
+    op: BinOp,
+    a: D::Value,
+    b: D::Value,
+) -> Result<D::Value, D::Stop> {
+    match (dom.concrete(&a), dom.concrete(&b)) {
+        (Some(x), Some(y)) => fold(dom, bin_op(op, x, y)),
+        _ => Ok(dom.bin_op(op, a, b)),
+    }
+}
+
+/// A target's slot and index expressions (none for a scalar).
+fn target_parts(lv: &RLValue) -> (Slot, &[RExpr]) {
+    match lv {
+        RLValue::Var(s) => (*s, &[]),
+        RLValue::Index(s, idx) => (*s, idx),
+    }
+}

@@ -1,5 +1,5 @@
 //! Verified-filter dataflow framework: a flow-sensitive abstract
-//! interpreter over the lowered work bodies ([`crate::lower`]).
+//! interpretation of the lowered work bodies ([`crate::lower`]).
 //!
 //! The paper's compiler symbolically executes work functions to extract
 //! linear coefficients (§3.2). This module generalises that move into a
@@ -26,19 +26,27 @@
 //!    (Unused-field/-parameter lints are added at elaboration, which
 //!    still sees the source names.)
 //!
-//! The analysis is deliberately *checked against the concrete
-//! semantics*: constant folding calls the very same [`bin_op`]/[`un_op`]/
-//! [`MathFn::call`] the runtime interpreter uses, so a decided branch or
-//! loop trip count can never disagree with execution.
+//! **What is here** is a domain and a driver. Statement order, scoping,
+//! typed stores, indexing, branching, unrolling, fuel — and constant
+//! folding, by the runtime tiers' own `bin_op`/`un_op`/`MathFn::call` —
+//! are [`crate::absint::walk`]'s, the walk linear extraction runs on too:
+//! a certificate cannot disagree with execution about control flow or
+//! about a value. This file supplies `RateDomain` (`Num × Degree` values,
+//! interval tape counters, effect/lint/certificate accounting, widening
+//! of undecided loops by the syntactic write set `syn_*` — the only match
+//! on [`RStmt`] here, exported as [`written_slots`]) and
+//! [`analyze_filter`], which binds the entry state and checks the final
+//! counters against the declared rates.
 
 use std::collections::{HashMap, HashSet};
 
 use streamlin_lang::ast::{BinOp, DataType, UnOp};
 use streamlin_lang::token::Span;
 
+use crate::absint::{walk, ACell, Domain};
 use crate::ir::WorkFn;
 use crate::lower::{LoweredFilter, LoweredWork, RExpr, RLValue, RStmt, Slot};
-use crate::value::{bin_op, Cell, Value};
+use crate::value::{Cell, EvalError, MathFn, Value};
 
 /// Sentinel for "no static bound" in pop/push counters.
 const UNBOUNDED: i64 = i64::MAX;
@@ -46,10 +54,6 @@ const UNBOUNDED: i64 = i64::MAX;
 /// Abstract steps (statements evaluated) per phase before the analysis
 /// gives up and reports conservative facts.
 const ANALYSIS_FUEL: u64 = 2_000_000;
-
-/// Concrete iterations a single loop may be unrolled before the analysis
-/// falls back to widening.
-const MAX_UNROLL: u64 = 65_536;
 
 // ---------------------------------------------------------------------------
 // Public facts
@@ -195,13 +199,6 @@ struct AbsV {
 }
 
 impl AbsV {
-    fn known(v: Value) -> AbsV {
-        AbsV {
-            num: Num::Known(v),
-            deg: Degree::Const,
-        }
-    }
-
     /// A fresh tape item: an unknown float, linear by definition.
     fn input() -> AbsV {
         AbsV {
@@ -226,13 +223,6 @@ impl AbsV {
         }
     }
 
-    fn known_bool(&self) -> Option<bool> {
-        match self.num {
-            Num::Known(Value::Bool(b)) => Some(b),
-            _ => None,
-        }
-    }
-
     fn is_floatish(&self) -> bool {
         matches!(self.num, Num::Known(Value::Float(_)) | Num::FloatAny)
     }
@@ -251,6 +241,15 @@ impl AbsV {
             num,
             deg: a.deg.max(b.deg),
         }
+    }
+}
+
+/// The degree of a non-linear operation: constant only on constants.
+fn const_or_top(all_const: bool) -> Degree {
+    if all_const {
+        Degree::Const
+    } else {
+        Degree::Top
     }
 }
 
@@ -339,25 +338,8 @@ fn abin(op: BinOp, a: AbsV, b: AbsV) -> AbsV {
                 Degree::Top
             }
         }
-        _ => {
-            if a.deg == Degree::Const && b.deg == Degree::Const {
-                Degree::Const
-            } else {
-                Degree::Top
-            }
-        }
+        _ => const_or_top(a.deg == Degree::Const && b.deg == Degree::Const),
     };
-    if let (Num::Known(x), Num::Known(y)) = (a.num, b.num) {
-        if let Ok(v) = bin_op(op, x, y) {
-            return AbsV {
-                num: Num::Known(v),
-                deg,
-            };
-        }
-        // A constant evaluation error (e.g. division by zero) fails the
-        // same way at runtime under both execution paths; stay sound.
-        return AbsV { num: Num::Any, deg };
-    }
     let num = match op {
         Add | Sub | Mul | Div | Rem => {
             if a.is_floatish() || b.is_floatish() {
@@ -382,18 +364,6 @@ fn abin(op: BinOp, a: AbsV, b: AbsV) -> AbsV {
 
 /// Abstract unary operation.
 fn aun(op: UnOp, a: AbsV) -> AbsV {
-    if let Num::Known(x) = a.num {
-        if let Ok(v) = crate::value::un_op(op, x) {
-            return AbsV {
-                num: Num::Known(v),
-                deg: a.deg,
-            };
-        }
-        return AbsV {
-            num: Num::Any,
-            deg: a.deg,
-        };
-    }
     match (op, a.num) {
         (UnOp::Neg, Num::Int(lo, hi)) => AbsV {
             num: Num::Int(clamp128(-(hi as i128)), clamp128(-(lo as i128))),
@@ -405,30 +375,23 @@ fn aun(op: UnOp, a: AbsV) -> AbsV {
         },
         _ => AbsV {
             num: Num::Any,
-            deg: if a.deg == Degree::Const {
-                Degree::Const
-            } else {
-                Degree::Top
-            },
+            deg: const_or_top(a.deg == Degree::Const),
         },
     }
 }
 
 // ---------------------------------------------------------------------------
-// Abstract machine state
+// Tape counters, effects, the syntactic write set
 // ---------------------------------------------------------------------------
 
 /// Saturating pop/push counter interval.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct Ctr {
     lo: i64,
     hi: i64,
 }
 
 impl Ctr {
-    fn zero() -> Ctr {
-        Ctr { lo: 0, hi: 0 }
-    }
     fn bump(&mut self) {
         self.lo = self.lo.saturating_add(1);
         self.hi = self.hi.saturating_add(1);
@@ -441,40 +404,11 @@ impl Ctr {
     }
 }
 
-/// One abstract program state: a value per storage slot plus the tape
-/// counters. Array slots hold a single element summary (weak updates).
-#[derive(Clone, PartialEq)]
-struct AState {
-    globals: Vec<AbsV>,
-    frame: Vec<AbsV>,
+/// The abstract tape: how many items may have been popped and pushed.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct Tape {
     pops: Ctr,
     pushes: Ctr,
-}
-
-impl AState {
-    fn join(mut a: AState, b: &AState) -> AState {
-        for (x, y) in a.globals.iter_mut().zip(&b.globals) {
-            *x = AbsV::join(*x, *y);
-        }
-        for (x, y) in a.frame.iter_mut().zip(&b.frame) {
-            *x = AbsV::join(*x, *y);
-        }
-        a.pops = Ctr::join(a.pops, b.pops);
-        a.pushes = Ctr::join(a.pushes, b.pushes);
-        a
-    }
-}
-
-/// Effects accumulated across both phases of one filter.
-#[derive(Default)]
-struct Fx {
-    reads_state: bool,
-    writes_state: bool,
-    affine_ok: bool,
-    global_reads: Vec<bool>,
-    global_writes: Vec<Option<Span>>,
-    lints: Vec<Lint>,
-    errors: Vec<AnalysisError>,
 }
 
 /// Syntactic summary of a statement list, used to widen unresolved
@@ -603,32 +537,32 @@ fn syn_expr(e: &RExpr, fx: &mut SynFx) {
 }
 
 // ---------------------------------------------------------------------------
-// The walker
+// The domain
 // ---------------------------------------------------------------------------
 
-struct Analyzer<'a> {
+/// The `Num × Degree` values above, interval tape counters, and the
+/// effect, lint and certificate accounting of one filter.
+struct RateDomain<'a> {
     /// Declared rates of the phase under analysis.
     decl: &'a WorkFn,
-    /// Concrete cells of globals never written by any phase (`None` for
-    /// mutable globals, whose entry values are unknown).
-    consts: &'a [Option<&'a Cell>],
-    /// Scalar type of each global, for assignment coercion.
-    global_ty: &'a [Option<DataType>],
-    fx: &'a mut Fx,
-    fuel: u64,
-    poisoned: bool,
-    /// Depth of statically-undecided control flow around the current
-    /// point. Zero means the current statement executes on every firing,
-    /// which is what upgrades a possible violation to a provable one.
-    cond_depth: u32,
-    cur_span: Span,
-    /// Joined state at `return` statements.
-    exit: Option<AState>,
-    /// First reason certification failed, if any.
+    /// Span of the statement in hand.
+    span: Span,
+    /// False if the statement in hand executes on every firing, which is
+    /// what upgrades a possible violation to a provable one.
+    conditional: bool,
+    /// First reason certification of the phase failed, if any.
     uncert: Option<String>,
+    // Effects, accumulated across both phases.
+    reads_state: bool,
+    writes_state: bool,
+    affine_ok: bool,
+    global_reads: Vec<bool>,
+    global_writes: Vec<Option<Span>>,
+    lints: Vec<Lint>,
+    errors: Vec<AnalysisError>,
 }
 
-impl Analyzer<'_> {
+impl RateDomain<'_> {
     fn uncertify(&mut self, reason: impl Into<String>) {
         if self.uncert.is_none() {
             self.uncert = Some(reason.into());
@@ -636,466 +570,24 @@ impl Analyzer<'_> {
     }
 
     fn lint(&mut self, code: &'static str, message: String) {
-        let span = self.cur_span;
-        if !self
-            .fx
-            .lints
-            .iter()
-            .any(|l| l.code == code && l.span == span && l.message == message)
-        {
-            self.fx.lints.push(Lint {
-                code,
-                span,
-                message,
-            });
+        let lint = Lint {
+            code,
+            span: self.span,
+            message,
+        };
+        if !self.lints.contains(&lint) {
+            self.lints.push(lint);
         }
     }
 
     fn error(&mut self, message: String) {
-        self.fx.errors.push(AnalysisError {
-            span: self.cur_span,
+        self.errors.push(AnalysisError {
+            span: self.span,
             message,
         });
     }
 
-    fn exec_stmts(&mut self, mut st: Option<AState>, stmts: &[RStmt]) -> Option<AState> {
-        for s in stmts {
-            match st {
-                Some(state) => st = self.exec_stmt(state, s),
-                None => return None,
-            }
-        }
-        st
-    }
-
-    fn exec_stmt(&mut self, mut st: AState, s: &RStmt) -> Option<AState> {
-        if self.poisoned {
-            return Some(st);
-        }
-        if self.fuel == 0 {
-            self.poisoned = true;
-            return Some(st);
-        }
-        self.fuel -= 1;
-        self.cur_span = s.span();
-        match s {
-            RStmt::Decl {
-                slot,
-                base,
-                dims,
-                init,
-                ..
-            } => {
-                for d in dims {
-                    self.eval(&mut st, d);
-                }
-                let mut v = match init {
-                    Some(e) => self.eval(&mut st, e),
-                    None => AbsV::known(Value::zero_of(*base)),
-                };
-                if dims.is_empty() {
-                    v = coerce(v, Some(*base));
-                } else {
-                    // Array: summarise zero-fill joined with the
-                    // (scalar) initializer, if any.
-                    v = AbsV::join(v, AbsV::known(Value::zero_of(*base)));
-                }
-                st.frame[*slot as usize] = v;
-                Some(st)
-            }
-            RStmt::Assign {
-                target, op, value, ..
-            } => {
-                let rhs = self.eval(&mut st, value);
-                let new = match op {
-                    None => rhs,
-                    Some(op) => {
-                        let old = self.read_lvalue(&mut st, target);
-                        abin(*op, old, rhs)
-                    }
-                };
-                self.write_lvalue(&mut st, target, new);
-                Some(st)
-            }
-            RStmt::If {
-                cond,
-                then_blk,
-                else_blk,
-                ..
-            } => {
-                let c = self.eval(&mut st, cond);
-                if let Some(b) = c.known_bool() {
-                    self.lint(
-                        "constant-condition",
-                        format!("`if` condition is always {b}"),
-                    );
-                    return if b {
-                        self.exec_stmts(Some(st), then_blk)
-                    } else {
-                        match else_blk {
-                            Some(e) => self.exec_stmts(Some(st), e),
-                            None => Some(st),
-                        }
-                    };
-                }
-                self.cond_depth += 1;
-                let t = self.exec_stmts(Some(st.clone()), then_blk);
-                let e = match else_blk {
-                    Some(blk) => self.exec_stmts(Some(st), blk),
-                    None => Some(st),
-                };
-                self.cond_depth -= 1;
-                match (t, e) {
-                    (Some(a), Some(b)) => Some(AState::join(a, &b)),
-                    (Some(a), None) | (None, Some(a)) => Some(a),
-                    (None, None) => None,
-                }
-            }
-            RStmt::For {
-                init,
-                cond,
-                step,
-                body,
-                ..
-            } => {
-                let st = match init {
-                    Some(s) => self.exec_stmt(st, s)?,
-                    None => st,
-                };
-                self.exec_loop(st, cond.as_ref(), step.as_deref(), body)
-            }
-            RStmt::Expr(e, _) => {
-                self.eval(&mut st, e);
-                Some(st)
-            }
-            RStmt::Return => {
-                self.exit = Some(match self.exit.take() {
-                    Some(prev) => AState::join(prev, &st),
-                    None => st,
-                });
-                None
-            }
-        }
-    }
-
-    /// Shared `for`/`while` engine: unroll while the condition stays
-    /// statically decided, fall back to widening otherwise.
-    fn exec_loop(
-        &mut self,
-        mut st: AState,
-        cond: Option<&RExpr>,
-        step: Option<&RStmt>,
-        body: &[RStmt],
-    ) -> Option<AState> {
-        let loop_span = self.cur_span;
-        for _ in 0..MAX_UNROLL {
-            if self.poisoned {
-                return Some(st);
-            }
-            let decided = match cond {
-                None => Some(true),
-                Some(c) => self.eval(&mut st, c).known_bool(),
-            };
-            match decided {
-                Some(false) => return Some(st),
-                Some(true) => {
-                    let after = self.exec_stmts(Some(st), body)?;
-                    st = after;
-                    if let Some(s) = step {
-                        st = self.exec_stmt(st, s)?;
-                    }
-                }
-                None => return Some(self.widen_loop(st, cond, step, body, loop_span)),
-            }
-        }
-        Some(self.widen_loop(st, cond, step, body, loop_span))
-    }
-
-    /// A loop whose trip count could not be resolved: clobber everything
-    /// it can write, saturate the tape counters if it touches the tape,
-    /// then walk the body once (under `cond_depth`) so its reads, writes
-    /// and nested diagnostics are still accounted for.
-    fn widen_loop(
-        &mut self,
-        mut st: AState,
-        cond: Option<&RExpr>,
-        step: Option<&RStmt>,
-        body: &[RStmt],
-        loop_span: Span,
-    ) -> AState {
-        let mut syn = SynFx::default();
-        if let Some(c) = cond {
-            syn_expr(c, &mut syn);
-        }
-        if let Some(s) = step {
-            syn_stmt(s, &mut syn);
-        }
-        syn_stmts(body, &mut syn);
-        let widen = |st: &mut AState| {
-            for w in &syn.writes {
-                match w {
-                    Slot::Global(g) => st.globals[*g as usize] = AbsV::top(),
-                    Slot::Frame(f) => st.frame[*f as usize] = AbsV::top(),
-                }
-            }
-        };
-        widen(&mut st);
-        if syn.pops {
-            st.pops.hi = UNBOUNDED;
-        }
-        if syn.pushes {
-            st.pushes.hi = UNBOUNDED;
-        }
-        if syn.pops || syn.pushes || syn.peeks {
-            self.cur_span = loop_span;
-            self.uncertify(format!(
-                "a loop at {loop_span} with a statically unresolved trip count touches the tape"
-            ));
-        }
-        // One widened pass for effect accounting; its value state is
-        // discarded (the widening above already covers every write).
-        self.cond_depth += 1;
-        let mut probe = st.clone();
-        if let Some(c) = cond {
-            self.eval(&mut probe, c);
-        }
-        if let Some(after) = self.exec_stmts(Some(probe), body) {
-            if let Some(s) = step {
-                self.exec_stmt(after, s);
-            }
-        }
-        self.cond_depth -= 1;
-        widen(&mut st);
-        st
-    }
-
-    fn read_slot(&mut self, st: &AState, slot: Slot) -> AbsV {
-        match slot {
-            Slot::Global(g) => {
-                let g = g as usize;
-                self.fx.global_reads[g] = true;
-                match self.consts[g] {
-                    Some(Cell::Scalar(_, v)) => AbsV::known(*v),
-                    Some(Cell::Array(_)) => AbsV {
-                        num: Num::Any,
-                        deg: Degree::Const,
-                    },
-                    None => {
-                        self.fx.reads_state = true;
-                        st.globals[g]
-                    }
-                }
-            }
-            Slot::Frame(f) => st.frame[f as usize],
-        }
-    }
-
-    fn read_lvalue(&mut self, st: &mut AState, lv: &RLValue) -> AbsV {
-        match lv {
-            RLValue::Var(slot) => self.read_slot(st, *slot),
-            RLValue::Index(slot, idxs) => self.read_index(st, *slot, idxs),
-        }
-    }
-
-    fn read_index(&mut self, st: &mut AState, slot: Slot, idxs: &[RExpr]) -> AbsV {
-        let iv: Vec<AbsV> = idxs.iter().map(|i| self.eval(st, i)).collect();
-        let idx_const = iv.iter().all(|i| i.deg == Degree::Const);
-        match slot {
-            Slot::Global(g) => {
-                let gi = g as usize;
-                self.fx.global_reads[gi] = true;
-                if let Some(Cell::Array(av)) = self.consts[gi] {
-                    // Constant table: a fully known index reads the exact
-                    // element; a constant-degree index is still some fixed
-                    // element (degree const); anything else is a data-
-                    // dependent table lookup (non-affine).
-                    let concrete: Option<Vec<usize>> = iv
-                        .iter()
-                        .map(|i| match i.num {
-                            Num::Known(v) => v.as_index().ok(),
-                            _ => None,
-                        })
-                        .collect();
-                    if let Some(ix) = concrete {
-                        if let Ok(v) = av.get(&ix) {
-                            return AbsV::known(v);
-                        }
-                    }
-                    return AbsV {
-                        num: elem_num(av.elem),
-                        deg: if idx_const {
-                            Degree::Const
-                        } else {
-                            Degree::Top
-                        },
-                    };
-                }
-                self.fx.reads_state = true;
-                let summary = st.globals[gi];
-                AbsV {
-                    num: summary.num,
-                    deg: if idx_const { summary.deg } else { Degree::Top },
-                }
-            }
-            Slot::Frame(f) => {
-                let summary = st.frame[f as usize];
-                AbsV {
-                    num: summary.num,
-                    deg: if idx_const { summary.deg } else { Degree::Top },
-                }
-            }
-        }
-    }
-
-    fn write_lvalue(&mut self, st: &mut AState, lv: &RLValue, v: AbsV) {
-        match lv {
-            RLValue::Var(slot) => match slot {
-                Slot::Global(g) => {
-                    let gi = *g as usize;
-                    self.record_global_write(gi, v.deg <= Degree::Linear);
-                    st.globals[gi] = coerce(v, self.global_ty[gi]);
-                }
-                Slot::Frame(f) => st.frame[*f as usize] = v,
-            },
-            RLValue::Index(slot, idxs) => {
-                let iv: Vec<AbsV> = idxs.iter().map(|i| self.eval(st, i)).collect();
-                let idx_const = iv.iter().all(|i| i.deg == Degree::Const);
-                match slot {
-                    Slot::Global(g) => {
-                        let gi = *g as usize;
-                        // An array store is affine only when the element
-                        // it targets is fixed (constant indices) and the
-                        // stored value is affine.
-                        self.record_global_write(gi, idx_const && v.deg <= Degree::Linear);
-                        st.globals[gi] = AbsV::join(st.globals[gi], v);
-                    }
-                    Slot::Frame(f) => {
-                        let fi = *f as usize;
-                        st.frame[fi] = AbsV::join(st.frame[fi], v);
-                    }
-                }
-            }
-        }
-    }
-
-    fn record_global_write(&mut self, g: usize, affine: bool) {
-        self.fx.writes_state = true;
-        if !affine {
-            self.fx.affine_ok = false;
-        }
-        if self.fx.global_writes[g].is_none() {
-            self.fx.global_writes[g] = Some(self.cur_span);
-        }
-    }
-
-    fn eval(&mut self, st: &mut AState, e: &RExpr) -> AbsV {
-        match e {
-            RExpr::Int(v) => AbsV::known(Value::Int(*v)),
-            RExpr::Float(v) => AbsV::known(Value::Float(*v)),
-            RExpr::Bool(v) => AbsV::known(Value::Bool(*v)),
-            RExpr::Var(slot) => self.read_slot(st, *slot),
-            RExpr::Index(slot, idxs) => self.read_index(st, *slot, idxs),
-            RExpr::Unary(op, a) => {
-                let v = self.eval(st, a);
-                aun(*op, v)
-            }
-            RExpr::Binary(op @ (BinOp::And | BinOp::Or), a, b) => {
-                // Short-circuit: the right operand's side effects happen
-                // only on some paths.
-                let av = self.eval(st, a);
-                match av.known_bool() {
-                    Some(false) if *op == BinOp::And => AbsV::known(Value::Bool(false)),
-                    Some(true) if *op == BinOp::Or => AbsV::known(Value::Bool(true)),
-                    Some(_) => {
-                        let bv = self.eval(st, b);
-                        AbsV {
-                            num: match bv.known_bool() {
-                                Some(x) => Num::Known(Value::Bool(x)),
-                                None => Num::Any,
-                            },
-                            deg: if av.deg == Degree::Const && bv.deg == Degree::Const {
-                                Degree::Const
-                            } else {
-                                Degree::Top
-                            },
-                        }
-                    }
-                    None => {
-                        let before = st.clone();
-                        self.cond_depth += 1;
-                        let bv = self.eval(st, b);
-                        self.cond_depth -= 1;
-                        *st = AState::join(st.clone(), &before);
-                        AbsV {
-                            num: Num::Any,
-                            deg: if av.deg == Degree::Const && bv.deg == Degree::Const {
-                                Degree::Const
-                            } else {
-                                Degree::Top
-                            },
-                        }
-                    }
-                }
-            }
-            RExpr::Binary(op, a, b) => {
-                let av = self.eval(st, a);
-                let bv = self.eval(st, b);
-                abin(*op, av, bv)
-            }
-            RExpr::Peek(i) => {
-                let idx = self.eval(st, i);
-                self.check_peek(st, idx);
-                AbsV::input()
-            }
-            RExpr::Pop => {
-                self.check_pop(st);
-                st.pops.bump();
-                AbsV::input()
-            }
-            RExpr::Push(v) => {
-                let pushed = self.eval(st, v);
-                st.pushes.bump();
-                pushed
-            }
-            RExpr::Math(f, args) => {
-                let av: Vec<AbsV> = args.iter().map(|a| self.eval(st, a)).collect();
-                let known: Option<Vec<Value>> = av
-                    .iter()
-                    .map(|a| match a.num {
-                        Num::Known(v) => Some(v),
-                        _ => None,
-                    })
-                    .collect();
-                let deg = if av.iter().all(|a| a.deg == Degree::Const) {
-                    Degree::Const
-                } else {
-                    Degree::Top
-                };
-                if let Some(vals) = known {
-                    if let Ok(v) = f.call(&vals) {
-                        return AbsV {
-                            num: Num::Known(v),
-                            deg,
-                        };
-                    }
-                }
-                AbsV { num: Num::Any, deg }
-            }
-            RExpr::Print { arg, .. } => {
-                self.eval(st, arg);
-                AbsV::known(Value::Int(0))
-            }
-            RExpr::PostIncDec { target, inc } => {
-                let old = self.read_lvalue(st, target);
-                let op = if *inc { BinOp::Add } else { BinOp::Sub };
-                let new = abin(op, old, AbsV::known(Value::Int(1)));
-                self.write_lvalue(st, target, new);
-                old
-            }
-        }
-    }
-
-    fn check_peek(&mut self, st: &AState, idx: AbsV) {
+    fn check_peek(&mut self, tape: &Tape, idx: AbsV) {
         let peek = self.decl.peek as i64;
         let Some((il, ih)) = idx.int_range() else {
             self.uncertify("a peek index is not statically an integer constant or bounded range");
@@ -1106,7 +598,7 @@ impl Analyzer<'_> {
             return;
         };
         if il < 0 {
-            if ih < 0 && self.cond_depth == 0 {
+            if ih < 0 && !self.conditional {
                 self.error(format!("peek index is always negative ({il})"));
             } else {
                 self.lint("peek-range", format!("peek index may be negative ({il})"));
@@ -1114,12 +606,12 @@ impl Analyzer<'_> {
             self.uncertify("a peek index may be negative");
             return;
         }
-        let reach_lo = st.pops.lo.saturating_add(il);
-        let reach_hi = st.pops.hi.saturating_add(ih);
-        if reach_lo >= peek && self.cond_depth == 0 {
+        let reach_lo = tape.pops.lo.saturating_add(il);
+        let reach_hi = tape.pops.hi.saturating_add(ih);
+        if reach_lo >= peek && !self.conditional {
             self.error(format!(
                 "peek({il}) after {} pops reads past the declared peek window of {peek}",
-                st.pops.lo
+                tape.pops.lo
             ));
             self.uncertify("a peek provably reads past the declared window");
         } else if reach_hi >= peek {
@@ -1133,17 +625,166 @@ impl Analyzer<'_> {
         }
     }
 
-    fn check_pop(&mut self, st: &AState) {
+    fn check_pop(&mut self, tape: &Tape) {
         let peek = self.decl.peek as i64;
-        if st.pops.lo >= peek && self.cond_depth == 0 {
+        if tape.pops.lo >= peek && !self.conditional {
             self.error(format!(
                 "pop() after {} pops reads past the declared peek window of {peek}",
-                st.pops.lo
+                tape.pops.lo
             ));
             self.uncertify("a pop provably reads past the declared window");
-        } else if st.pops.hi >= peek {
+        } else if tape.pops.hi >= peek {
             self.uncertify("a pop may read past the declared window");
         }
+    }
+}
+
+impl Domain for RateDomain<'_> {
+    type Value = AbsV;
+    type Tape = Tape;
+    /// Why the analysis gave up on the filter.
+    type Stop = String;
+    /// Past this a loop is widened like one whose test is undecided.
+    const MAX_UNROLL: u64 = 65_536;
+
+    fn at(&mut self, span: Span, conditional: bool) {
+        (self.span, self.conditional) = (span, conditional);
+    }
+
+    fn literal(&mut self, v: Value) -> AbsV {
+        AbsV {
+            num: Num::Known(v),
+            deg: Degree::Const,
+        }
+    }
+
+    fn top(&mut self) -> AbsV {
+        AbsV::top()
+    }
+
+    fn concrete(&mut self, v: &AbsV) -> Option<Value> {
+        match v.num {
+            Num::Known(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    fn un_op(&mut self, op: UnOp, a: AbsV) -> AbsV {
+        aun(op, a)
+    }
+
+    fn bin_op(&mut self, op: BinOp, a: AbsV, b: AbsV) -> AbsV {
+        abin(op, a, b)
+    }
+
+    fn math(&mut self, _f: MathFn, args: &[AbsV]) -> AbsV {
+        AbsV {
+            num: Num::Any,
+            deg: const_or_top(args.iter().all(|a| a.deg == Degree::Const)),
+        }
+    }
+
+    /// The runtime's store-time coercion into the declared scalar type.
+    fn coerce(&mut self, v: AbsV, ty: DataType) -> AbsV {
+        let num = match (ty, v.num) {
+            (DataType::Float, Num::Known(Value::Int(i))) => Num::Known(Value::Float(i as f64)),
+            (DataType::Float, Num::Int(..)) => Num::FloatAny,
+            (_, num) => num,
+        };
+        AbsV { num, deg: v.deg }
+    }
+
+    fn join(&mut self, a: &mut AbsV, b: &AbsV) {
+        *a = AbsV::join(*a, *b);
+    }
+
+    fn join_tapes(&mut self, a: &mut Tape, b: Tape) -> Result<(), Self::Stop> {
+        a.pops = Ctr::join(a.pops, b.pops);
+        a.pushes = Ctr::join(a.pushes, b.pushes);
+        Ok(())
+    }
+
+    /// Some element of the array: of a constant table still a constant
+    /// if the index does not depend on data; any other lookup is not
+    /// affine.
+    fn any_element(&mut self, ty: DataType, constant: bool, idx: &[AbsV]) -> AbsV {
+        AbsV {
+            num: elem_num(ty),
+            deg: const_or_top(constant && idx.iter().all(|i| i.deg == Degree::Const)),
+        }
+    }
+
+    fn peek(&mut self, tape: &mut Tape, i: AbsV) -> Result<AbsV, Self::Stop> {
+        self.check_peek(tape, i);
+        Ok(AbsV::input())
+    }
+
+    fn pop(&mut self, tape: &mut Tape) -> Result<AbsV, Self::Stop> {
+        self.check_pop(tape);
+        tape.pops.bump();
+        Ok(AbsV::input())
+    }
+
+    fn push(&mut self, tape: &mut Tape, _v: AbsV) -> Result<(), Self::Stop> {
+        tape.pushes.bump();
+        Ok(())
+    }
+
+    /// The statement fails the same way at run time under both tiers, on
+    /// the checked tape path conservative facts leave it on.
+    fn fault(&mut self, e: EvalError) -> String {
+        e.message
+    }
+
+    /// Widening: the engine clobbers everything the loop can write; here
+    /// the tape counters saturate if it touches the tape.
+    fn undecided_loop(
+        &mut self,
+        tape: &mut Tape,
+        for_loop: &RStmt,
+    ) -> Result<HashSet<Slot>, Self::Stop> {
+        let mut syn = SynFx::default();
+        syn_stmt(for_loop, &mut syn);
+        if syn.pops {
+            tape.pops.hi = UNBOUNDED;
+        }
+        if syn.pushes {
+            tape.pushes.hi = UNBOUNDED;
+        }
+        if syn.pops || syn.pushes || syn.peeks {
+            self.uncertify(format!(
+                "a loop at {} with a statically unresolved trip count touches the tape",
+                self.span
+            ));
+        }
+        Ok(syn.writes)
+    }
+
+    fn give_up(&mut self, why: &'static str) -> String {
+        why.to_string()
+    }
+
+    fn constant_condition(&mut self, taken: bool) {
+        self.lint(
+            "constant-condition",
+            format!("`if` condition is always {taken}"),
+        );
+    }
+
+    fn read(&mut self, slot: Slot, constant: bool) {
+        if let Slot::Global(g) = slot {
+            self.global_reads[g as usize] = true;
+            self.reads_state |= !constant;
+        }
+    }
+
+    /// A store to state is affine only when the element it targets is
+    /// fixed (constant indices) and the stored value is affine.
+    fn wrote(&mut self, slot: Slot, idx: &[AbsV], v: &AbsV) {
+        let Slot::Global(g) = slot else { return };
+        self.writes_state = true;
+        self.affine_ok &= v.deg <= Degree::Linear && idx.iter().all(|i| i.deg == Degree::Const);
+        self.global_writes[g as usize].get_or_insert(self.span);
     }
 }
 
@@ -1155,25 +796,71 @@ fn elem_num(ty: DataType) -> Num {
     }
 }
 
-/// Models the runtime's store-time coercion into a declared scalar type.
-fn coerce(v: AbsV, ty: Option<DataType>) -> AbsV {
-    let Some(ty) = ty else { return v };
-    match (ty, v.num) {
-        (DataType::Float, Num::Known(Value::Int(i))) => AbsV {
-            num: Num::Known(Value::Float(i as f64)),
-            deg: v.deg,
-        },
-        (DataType::Float, Num::Int(..)) => AbsV {
-            num: Num::FloatAny,
-            deg: v.deg,
-        },
-        _ => v,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
+
+impl<'a> RateDomain<'a> {
+    /// Walks one phase and checks what it popped and pushed against
+    /// `decl`; `span` anchors the rate diagnostics to the phase header.
+    fn phase(
+        &mut self,
+        globals: Vec<ACell<'_, AbsV>>,
+        frame_slots: usize,
+        code: &LoweredWork,
+        decl: &'a WorkFn,
+        span: Span,
+    ) -> Result<PhaseFacts, String> {
+        (self.decl, self.uncert) = (decl, None);
+        let entry = Tape::default();
+        let end = walk(self, ANALYSIS_FUEL, globals, frame_slots, entry, &code.body)?;
+        let Tape { pops, pushes } = end.tape;
+        self.at(span, false);
+        let (dp, du) = (decl.pop as i64, decl.push as i64);
+        for (what, verb, ctr, want) in [("pop", "pops", pops, dp), ("push", "pushes", pushes, du)] {
+            if want < ctr.lo || want > ctr.hi {
+                let got = if ctr.lo == ctr.hi {
+                    format!("{}", ctr.lo)
+                } else if ctr.hi == UNBOUNDED {
+                    format!("at least {}", ctr.lo)
+                } else {
+                    format!("between {} and {}", ctr.lo, ctr.hi)
+                };
+                self.error(format!(
+                    "declared {what} rate is {want} but the body always {verb} {got}"
+                ));
+                self.uncertify(format!("provable {what} rate mismatch"));
+            } else if ctr.lo != ctr.hi {
+                let hi = if ctr.hi == UNBOUNDED {
+                    "unboundedly many".to_string()
+                } else {
+                    format!("{}", ctr.hi)
+                };
+                self.lint(
+                    "rate-mismatch",
+                    format!(
+                        "body may {what} between {} and {hi} items per firing; declared {what} rate is {want}",
+                        ctr.lo
+                    ),
+                );
+                self.uncertify(format!(
+                    "{what} count varies between paths ({} to {hi})",
+                    ctr.lo
+                ));
+            }
+        }
+        Ok(PhaseFacts {
+            cert: self.uncert.is_none().then_some(RateCert {
+                peek: decl.peek,
+                pop: decl.pop,
+                push: decl.push,
+            }),
+            uncertified: self.uncert.take(),
+            pop_range: (pops.lo, pops.hi),
+            push_range: (pushes.lo, pushes.hi),
+        })
+    }
+}
 
 /// Runs the framework over both phases of a filter.
 ///
@@ -1189,188 +876,71 @@ pub fn analyze_filter(
     init_span: Span,
 ) -> FilterFacts {
     let n = lowered.globals.len();
-    // A global is mutable iff any phase can write it syntactically;
+    // A global is mutable iff any phase can write it syntactically — its
+    // entry value is then unknown but, by definition, linear in the state;
     // everything else keeps its concrete elaboration-time value, which is
     // what makes loop trip counts and peek offsets decidable.
-    let mut syn = SynFx::default();
-    syn_stmts(&lowered.work.body, &mut syn);
+    let mut written = written_slots(&lowered.work.body);
     if let Some(iw) = &lowered.init_work {
-        syn_stmts(&iw.body, &mut syn);
+        written.extend(written_slots(&iw.body));
     }
-    let cells: Vec<Option<&Cell>> = lowered.globals.iter().map(|g| state.get(g)).collect();
-    let consts: Vec<Option<&Cell>> = cells
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            if syn.writes.contains(&Slot::Global(i as u32)) {
-                None
-            } else {
-                *c
-            }
-        })
-        .collect();
-    let global_ty: Vec<Option<DataType>> = cells
-        .iter()
-        .map(|c| match c {
-            Some(Cell::Scalar(ty, _)) => Some(*ty),
-            _ => None,
-        })
-        .collect();
-    let entry_globals: Vec<AbsV> = cells
-        .iter()
-        .map(|c| match c {
-            Some(Cell::Scalar(ty, _)) => AbsV {
-                num: elem_num(*ty),
+    let globals: Vec<ACell<'_, AbsV>> = (lowered.globals.iter().zip(0u32..))
+        .map(|(name, g)| match written.contains(&Slot::Global(g)) {
+            false => ACell::Const(&state[name]),
+            true => ACell::from_cell(&state[name], |ty, _| AbsV {
+                num: elem_num(ty),
                 deg: Degree::Linear,
-            },
-            Some(Cell::Array(av)) => AbsV {
-                num: elem_num(av.elem),
-                deg: Degree::Linear,
-            },
-            None => AbsV::top(),
+            }),
         })
         .collect();
-
-    let mut fx = Fx {
+    let frame = lowered.frame_slots();
+    let mut dom = RateDomain {
+        decl: work,
+        span: work_span,
+        conditional: false,
+        uncert: None,
+        reads_state: false,
+        writes_state: false,
         affine_ok: true,
         global_reads: vec![false; n],
         global_writes: vec![None; n],
-        ..Fx::default()
+        lints: Vec::new(),
+        errors: Vec::new(),
     };
-
-    let mut poisoned = false;
-    let run_phase = |fx: &mut Fx,
-                     code: &LoweredWork,
-                     decl: &WorkFn,
-                     span: Span,
-                     poisoned: &mut bool|
-     -> PhaseFacts {
-        let mut az = Analyzer {
-            decl,
-            consts: &consts,
-            global_ty: &global_ty,
-            fx,
-            fuel: ANALYSIS_FUEL,
-            poisoned: false,
-            cond_depth: 0,
-            cur_span: span,
-            exit: None,
-            uncert: None,
-        };
-        let entry = AState {
-            globals: entry_globals.clone(),
-            frame: vec![AbsV::top(); lowered.frame_slots()],
-            pops: Ctr::zero(),
-            pushes: Ctr::zero(),
-        };
-        let fall = az.exec_stmts(Some(entry), &code.body);
-        let exit = az.exit.take();
-        let final_st = match (fall, exit) {
-            (Some(a), Some(b)) => AState::join(a, &b),
-            (Some(a), None) | (None, Some(a)) => a,
-            (None, None) => unreachable!("a body either falls through or returns"),
-        };
-        if az.poisoned {
-            *poisoned = true;
-            return PhaseFacts {
+    let phases = dom
+        .phase(globals.clone(), frame, &lowered.work, work, work_span)
+        .and_then(|w| {
+            let init = match init_work.zip(lowered.init_work.as_ref()) {
+                Some((decl, code)) => Some(dom.phase(globals, frame, code, decl, init_span)?),
+                None => None,
+            };
+            Ok((w, init))
+        });
+    let (work_facts, init_facts) = match phases {
+        Ok(facts) => facts,
+        // The analysis gave up: conservative facts, no diagnostics
+        // (partial walks could misreport).
+        Err(why) => {
+            let gave_up = PhaseFacts {
                 cert: None,
-                uncertified: Some("analysis fuel exhausted".to_string()),
+                uncertified: Some(why),
                 pop_range: (0, UNBOUNDED),
                 push_range: (0, UNBOUNDED),
             };
-        }
-        let mut uncert = az.uncert.take();
-        let pops = final_st.pops;
-        let pushes = final_st.pushes;
-        az.cur_span = span;
-        let (dp, du) = (decl.pop as i64, decl.push as i64);
-        for (what, verb, ctr, want) in [("pop", "pops", pops, dp), ("push", "pushes", pushes, du)] {
-            if want < ctr.lo || want > ctr.hi {
-                let got = if ctr.lo == ctr.hi {
-                    format!("{}", ctr.lo)
-                } else if ctr.hi == UNBOUNDED {
-                    format!("at least {}", ctr.lo)
-                } else {
-                    format!("between {} and {}", ctr.lo, ctr.hi)
-                };
-                az.error(format!(
-                    "declared {what} rate is {want} but the body always {verb} {got}"
-                ));
-                if uncert.is_none() {
-                    uncert = Some(format!("provable {what} rate mismatch"));
-                }
-            } else if ctr.lo != ctr.hi {
-                let hi = if ctr.hi == UNBOUNDED {
-                    "unboundedly many".to_string()
-                } else {
-                    format!("{}", ctr.hi)
-                };
-                az.lint(
-                    "rate-mismatch",
-                    format!(
-                        "body may {what} between {} and {hi} items per firing; declared {what} rate is {want}",
-                        ctr.lo
-                    ),
-                );
-                if uncert.is_none() {
-                    uncert = Some(format!(
-                        "{what} count varies between paths ({} to {hi})",
-                        ctr.lo
-                    ));
-                }
-            }
-        }
-        let cert = if uncert.is_none() {
-            Some(RateCert {
-                peek: decl.peek,
-                pop: decl.pop,
-                push: decl.push,
-            })
-        } else {
-            None
-        };
-        PhaseFacts {
-            cert,
-            uncertified: uncert,
-            pop_range: (pops.lo, pops.hi),
-            push_range: (pushes.lo, pushes.hi),
+            return FilterFacts {
+                init_work: init_work.map(|_| gave_up.clone()),
+                work: gave_up,
+                ..FilterFacts::default()
+            };
         }
     };
-
-    let work_facts = run_phase(&mut fx, &lowered.work, work, work_span, &mut poisoned);
-    let init_facts = match (init_work, &lowered.init_work) {
-        (Some(decl), Some(code)) => Some(run_phase(&mut fx, code, decl, init_span, &mut poisoned)),
-        _ => None,
-    };
-
-    if poisoned {
-        // Analysis gave up: conservative facts, no diagnostics (partial
-        // walks could misreport).
-        return FilterFacts {
-            effect: StateEffect::OpaqueState,
-            work: PhaseFacts {
-                cert: None,
-                uncertified: Some("analysis fuel exhausted".to_string()),
-                pop_range: (0, UNBOUNDED),
-                push_range: (0, UNBOUNDED),
-            },
-            init_work: init_facts.map(|_| PhaseFacts {
-                cert: None,
-                uncertified: Some("analysis fuel exhausted".to_string()),
-                pop_range: (0, UNBOUNDED),
-                push_range: (0, UNBOUNDED),
-            }),
-            lints: Vec::new(),
-            errors: Vec::new(),
-        };
-    }
 
     // Dead stores: a global written on some executed path but read on
     // none (across both phases).
     for g in 0..n {
-        if let Some(span) = fx.global_writes[g] {
-            if !fx.global_reads[g] {
-                fx.lints.push(Lint {
+        if let Some(span) = dom.global_writes[g] {
+            if !dom.global_reads[g] {
+                dom.lints.push(Lint {
                     code: "dead-store",
                     span,
                     message: format!(
@@ -1382,13 +952,13 @@ pub fn analyze_filter(
         }
     }
 
-    let effect = if fx.writes_state {
-        if fx.affine_ok {
+    let effect = if dom.writes_state {
+        if dom.affine_ok {
             StateEffect::AffineState
         } else {
             StateEffect::OpaqueState
         }
-    } else if fx.reads_state {
+    } else if dom.reads_state {
         StateEffect::ReadsState
     } else {
         StateEffect::Pure
@@ -1398,8 +968,8 @@ pub fn analyze_filter(
         effect,
         work: work_facts,
         init_work: init_facts,
-        lints: fx.lints,
-        errors: fx.errors,
+        lints: dom.lints,
+        errors: dom.errors,
     }
 }
 
@@ -1586,6 +1156,23 @@ mod tests {
         let codes: Vec<&str> = inst.facts.lints.iter().map(|l| l.code).collect();
         assert!(codes.contains(&"unused-param"), "{codes:?}");
         assert!(codes.contains(&"unused-field"), "{codes:?}");
+    }
+
+    #[test]
+    fn a_long_decided_loop_is_widened_not_unrolled_to_exhaustion() {
+        // Ten million decided trips would burn the whole fuel budget and
+        // leave conservative facts; past `MAX_UNROLL` the loop is widened
+        // instead, and one that does not touch the tape costs no certificate.
+        let f = facts(
+            "float->float filter F { work pop 1 push 1 {
+                 float s = 0;
+                 for (int i = 0; i < 10000000; i++) s = s + 1;
+                 push(pop() + s);
+             } }",
+            "F",
+        );
+        assert!(f.work.cert.is_some(), "{:?}", f.work.uncertified);
+        assert_eq!(f.effect, StateEffect::Pure);
     }
 
     #[test]

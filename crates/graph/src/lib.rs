@@ -17,9 +17,13 @@
 //!   every field, parameter and lexical local is assigned a slot at
 //!   elaboration (shadowing resolved statically), and everything after it
 //!   — the reference interpreter [`SlotInterp`], the [`bytecode`] tier, the
-//!   abstract interpreter in [`analyze`], linear extraction in
-//!   `streamlin-core`, and elaboration's own constant evaluation — walks
-//!   the resolved tree over plain `Vec<Cell>` storage.
+//!   abstract walker [`absint`], and elaboration's own constant
+//!   evaluation — walks the resolved tree over plain `Vec<Cell>` storage.
+//! * [`absint`] — the one abstract walker over that tree: the control
+//!   skeleton of a work body, written once, with the values supplied by a
+//!   [`absint::Domain`]. [`analyze`] (rates, effects, lints — the
+//!   [`FilterFacts`] elaboration attaches to every filter) and linear
+//!   extraction in `streamlin-core` are its two domains.
 //! * [`elaborate`] — instantiation of parameterized stream declarations:
 //!   runs container bodies and filter `init` blocks under constant
 //!   evaluation ([`lower::const_eval_expr`], [`elaborate::run_init`]),
@@ -47,6 +51,7 @@
 //! assert_eq!(steady.io.push, 0);
 //! ```
 
+pub mod absint;
 pub mod analyze;
 pub mod bytecode;
 pub mod elaborate;

@@ -30,12 +30,26 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest nesting [`parse`] accepts, in expression levels. The parser is
+/// recursive descent, and so is every pass over the tree it builds
+/// (lowering, the abstract walker, the bytecode compiler, the
+/// pretty-printer, `Drop`): without a budget here, `((((…1…))))` is a
+/// stack overflow in whichever of them runs out first. A left-deep chain
+/// `a + b + c + …` nests the tree without nesting the parser, so its
+/// operators count too. Sized for an unoptimised build on a 2 MB thread,
+/// where one parenthesis costs the parser ~7 KB of stack.
+pub const MAX_NESTING: usize = 128;
+
+/// What a statement — and the anonymous stream an `add` may open — costs
+/// against [`MAX_NESTING`]: their frames are that much larger.
+const STMT_LEVELS: usize = 4;
+
 /// Parses a complete program.
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] describing the first lexical or syntactic
-/// problem encountered.
+/// problem encountered, or where nesting passed [`MAX_NESTING`].
 ///
 /// # Examples
 ///
@@ -50,13 +64,19 @@ impl From<LexError> for ParseError {
 /// ```
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let toks = tokenize(src)?;
-    let mut parser = Parser { toks, pos: 0 };
+    let mut parser = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     parser.program()
 }
 
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Statements and expressions open around `pos`.
+    depth: usize,
 }
 
 type PResult<T> = Result<T, ParseError>;
@@ -105,6 +125,17 @@ impl Parser {
             message: message.into(),
             span: self.cur_span(),
         }
+    }
+
+    /// Runs `f` `levels` nesting levels down.
+    fn nested<T>(&mut self, levels: usize, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.depth + levels > MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += levels;
+        let r = f(self);
+        self.depth -= levels;
+        r
     }
 
     fn ident(&mut self, what: &str) -> PResult<String> {
@@ -482,7 +513,9 @@ impl Parser {
             }
             // anonymous stream, optionally with explicit `T->T` types
             Token::KwPipeline | Token::KwSplitJoin | Token::KwFilter | Token::KwFeedbackLoop => {
-                let decl = self.stream_decl_tail(DataType::Float, DataType::Float)?;
+                let decl = self.nested(STMT_LEVELS, |p| {
+                    p.stream_decl_tail(DataType::Float, DataType::Float)
+                })?;
                 Ok(StreamRef::Anonymous(Box::new(decl)))
             }
             Token::KwVoid | Token::KwFloat | Token::KwInt | Token::KwBoolean
@@ -491,7 +524,7 @@ impl Parser {
                 let input = self.data_type()?;
                 self.expect(&Token::Arrow, "`->`")?;
                 let output = self.data_type()?;
-                let decl = self.stream_decl_tail(input, output)?;
+                let decl = self.nested(STMT_LEVELS, |p| p.stream_decl_tail(input, output))?;
                 Ok(StreamRef::Anonymous(Box::new(decl)))
             }
             other => Err(self.error(format!(
@@ -509,7 +542,7 @@ impl Parser {
         let mut spans = Vec::new();
         while !self.eat(&Token::RBrace) {
             spans.push(self.cur_span());
-            stmts.push(self.stmt()?);
+            stmts.push(self.nested(STMT_LEVELS, Self::stmt)?);
         }
         Ok(Block { stmts, spans })
     }
@@ -522,7 +555,7 @@ impl Parser {
         } else {
             let span = self.cur_span();
             Ok(Block {
-                stmts: vec![self.stmt()?],
+                stmts: vec![self.nested(STMT_LEVELS, Self::stmt)?],
                 spans: vec![span],
             })
         }
@@ -655,13 +688,16 @@ impl Parser {
 
     // ---- expressions -----------------------------------------------------
 
+    /// Every way an expression contains another — parentheses, arguments,
+    /// indices — comes back through here.
     fn expr(&mut self) -> PResult<Expr> {
-        self.binary_expr(0)
+        self.nested(1, |p| p.binary_expr(0))
     }
 
     /// Precedence-climbing over the C-like operator table.
     fn binary_expr(&mut self, min_prec: u8) -> PResult<Expr> {
         let mut lhs = self.unary_expr()?;
+        let mut chained = 0;
         loop {
             let (op, prec) = match self.cur() {
                 Token::OrOr => (BinOp::Or, 1),
@@ -688,24 +724,22 @@ impl Parser {
                 break;
             }
             self.bump();
-            let rhs = self.binary_expr(prec + 1)?;
+            chained += 1;
+            let rhs = self.nested(chained, |p| p.binary_expr(prec + 1))?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> PResult<Expr> {
-        match self.cur() {
-            Token::Minus => {
-                self.bump();
-                Ok(Expr::Unary(UnOp::Neg, Box::new(self.unary_expr()?)))
-            }
-            Token::Not => {
-                self.bump();
-                Ok(Expr::Unary(UnOp::Not, Box::new(self.unary_expr()?)))
-            }
-            _ => self.postfix_expr(),
-        }
+        let op = match self.cur() {
+            Token::Minus => UnOp::Neg,
+            Token::Not => UnOp::Not,
+            _ => return self.postfix_expr(),
+        };
+        self.bump();
+        let operand = self.nested(1, Self::unary_expr)?;
+        Ok(Expr::Unary(op, Box::new(operand)))
     }
 
     fn postfix_expr(&mut self) -> PResult<Expr> {
@@ -1017,6 +1051,51 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(p.decls[0].kind, StreamKind::Filter(_)));
+    }
+
+    #[test]
+    fn nesting_is_budgeted_not_a_stack_overflow() {
+        let program = |e: &str| format!("void->float filter F {{ work push 1 {{ push({e}); }} }}");
+        let too_deep = |src: &str| {
+            let err = parse(src).unwrap_err();
+            assert_eq!(err.message, "nesting deeper than 128 levels", "{err}");
+            err.span
+        };
+        // Parentheses: 100 levels parse, the 100 000 that used to abort
+        // `streamlinc` are an error at the parenthesis the budget ran out
+        // on (the nest starts at column 43, inside a statement and a call).
+        let parens = |n: usize| program(&format!("{}1{}", "(".repeat(n), ")".repeat(n)));
+        assert!(parse(&parens(100)).is_ok());
+        let at = too_deep(&parens(100_000));
+        assert_eq!((at.line, at.col), (1, 43 + 123));
+        // Calls, indices, unary chains and a left-deep operator chain nest
+        // the tree just the same.
+        too_deep(&program(&format!(
+            "{}1{}",
+            "abs(".repeat(150),
+            ")".repeat(150)
+        )));
+        too_deep(&program(&format!(
+            "{}0{}",
+            "a[".repeat(150),
+            "]".repeat(150)
+        )));
+        too_deep(&program(&format!("{}1", "- ".repeat(150))));
+        too_deep(&program(&format!("1{}", " + 1".repeat(150))));
+        assert!(parse(&program(&format!("1{}", " + 1".repeat(100)))).is_ok());
+        // Statements and anonymous streams, four levels each.
+        let ifs = |n: usize| {
+            let nest = format!("{}x = 1;{}", "if (x) { ".repeat(n), " }".repeat(n));
+            format!("void->float filter F {{ work push 1 {{ {nest} }} }}")
+        };
+        assert!(parse(&ifs(25)).is_ok());
+        too_deep(&ifs(40));
+        let pipes = |n: usize| {
+            let nest = format!("{}add S();{}", "add pipeline { ".repeat(n), " };".repeat(n));
+            format!("void->void pipeline Main {{ {nest} }}")
+        };
+        assert!(parse(&pipes(12)).is_ok());
+        too_deep(&pipes(20));
     }
 
     #[test]

@@ -18,8 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         graph.filter_count(),
         analysis.linear_count()
     );
-    for (id, reason) in &analysis.reasons {
-        println!("  non-linear filter #{id}: {reason}");
+    for (id, (reason, at)) in &analysis.reasons {
+        println!("  non-linear filter #{id}: {reason} (at {at})");
     }
 
     let n = 512;

@@ -6,6 +6,13 @@
 //! correct. Also cross-checks the effect lattice against the stateful
 //! linear extraction and pins that fission admissions are a superset of
 //! the old syntactic `writes_global` walk.
+//!
+//! Last come the programs on which the analysis once disagreed with the
+//! interpreters about *control* — a stale frame slot, an index evaluated
+//! twice, an uncoerced store — and issued a certificate the engines then
+//! indexed past the window with. The walk is `graph::absint`'s now, shared
+//! with extraction and refereed in `interp_differential`; these pin the
+//! symptoms.
 
 use streamlin::benchmarks::all_default;
 use streamlin::core::opt::OptStream;
@@ -14,7 +21,9 @@ use streamlin::graph::{elaborate, StateEffect};
 use streamlin::lang::parse;
 use streamlin::runtime::fission::{fissability, Fission};
 use streamlin::runtime::flat::{flatten, NodeKind};
-use streamlin::runtime::{ExecMode, MatMulStrategy, RunSpec, Scheduler};
+use streamlin::runtime::{ExecMode, MatMulStrategy, RunSpec, Scheduler, Tier};
+use streamlin::service::{Service, ServiceOpts};
+use streamlin::support::json::{self, Json};
 
 /// Expected state-effect class per (benchmark, filter declaration).
 /// Everything not listed here must analyze as `Pure`.
@@ -257,4 +266,142 @@ fn affine_classification_agrees_with_stateful_extraction() {
         });
     }
     assert!(checked > 0, "cross-check must cover at least one filter");
+}
+
+// ---- certificates the analysis once got wrong ---------------------------------
+
+/// `float->float filter F { work peek <peek> pop 1 push 1 { <body> pop(); } }`
+/// behind a source pushing 0, 1, 2, … and in front of a printing sink.
+fn windowed(peek: usize, body: &str) -> String {
+    format!(
+        "void->void pipeline Main {{ add Src(); add F(); add Sink(); }}
+         void->float filter Src {{ float x; work push 1 {{ push(x++); }} }}
+         float->float filter F {{ work peek {peek} pop 1 push 1 {{
+             {body}
+             pop();
+         }} }}
+         float->void filter Sink {{ work pop 1 {{ println(pop()); }} }}"
+    )
+}
+
+/// Elaboration must refuse the program: the violation is decided and
+/// unconditional, so it is a spanned error naming the offset the program
+/// really reads — never a certificate for an engine to trust.
+fn assert_reads_past_the_window(peek: usize, body: &str, offset: usize) {
+    let err = elaborate(&parse(&windowed(peek, body)).unwrap())
+        .expect_err("a decided read past the window must fail elaboration")
+        .to_string();
+    let want = format!("peek({offset}) after 0 pops reads past the declared peek window of {peek}");
+    assert!(err.contains(&want), "`{body}`: {err}");
+    assert!(err.contains(" at 4:"), "`{body}`: no source span in: {err}");
+}
+
+#[test]
+fn a_local_is_zeroed_before_its_initialiser_reads_it() {
+    // `b` shares frame slot 0 with the out-of-scope `a` (-3): both tiers
+    // zero it first, so `b` is 5 — not 2.
+    assert_reads_past_the_window(
+        3,
+        "if (true) { int a = -3; } if (true) { int b = b + 5; push(peek(b)); }",
+        5,
+    );
+}
+
+#[test]
+fn a_compound_assignment_evaluates_its_index_once() {
+    // `i` ends at 2, not 1.
+    assert_reads_past_the_window(2, "int i = 3; int[4] a; a[i--] += 1; push(peek(i));", 2);
+}
+
+#[test]
+fn a_post_increment_evaluates_its_index_once() {
+    assert_reads_past_the_window(2, "int i = 3; int[4] a; a[i--]++; push(peek(i));", 2);
+}
+
+#[test]
+fn an_int_stored_into_a_float_local_is_coerced() {
+    // `k / 4` is 0.5, not the integer 0: the `peek(5)` branch is the live
+    // one.
+    assert_reads_past_the_window(
+        2,
+        "float k = 0; k = 2; if (k / 4 > 0.25) { push(peek(5)); } else { push(peek(0)); }",
+        5,
+    );
+}
+
+/// The mirror image of the double evaluation is a *valid* program the
+/// analysis used to refuse: `i` ends at 1, inside the window.
+#[test]
+fn a_valid_side_effecting_index_elaborates_certifies_and_runs() {
+    let src = windowed(2, "int i = 0; int[4] a; a[i++] += 1; push(peek(i));");
+    let g = elaborate(&parse(&src).unwrap()).expect("the program is valid");
+    g.for_each_filter(&mut |inst| {
+        assert!(
+            inst.facts.work.cert.is_some(),
+            "{}: {:?}",
+            inst.name,
+            inst.facts.work.uncertified
+        );
+    });
+    let opt = OptStream::from_graph(&g);
+    for tier in [Tier::Bytecode, Tier::TreeWalk] {
+        for cert in [true, false] {
+            let spec = RunSpec {
+                tier,
+                cert,
+                ..RunSpec::from_env()
+            };
+            let outputs = spec.run(&opt, 3).unwrap().outputs;
+            assert_eq!(outputs, [1.0, 2.0, 3.0], "{tier:?}, cert {cert}");
+        }
+    }
+}
+
+/// Through the daemon the wrong certificate was a panic that took the
+/// process, and every healthy stream in it, down. It is a `compile_error`
+/// for the one `open`, and the neighbours never notice.
+#[test]
+fn an_unsound_program_is_a_compile_error_that_spares_its_neighbours() {
+    let svc = Service::new(ServiceOpts::default());
+    let request = |line: String| json::parse(&svc.handle(&line)).expect("response parses");
+    let open = |id: &str, program: &str| {
+        request(
+            Json::obj([
+                ("op", Json::from("open")),
+                ("id", Json::from(id)),
+                ("program", Json::from(program)),
+            ])
+            .dump(),
+        )
+    };
+    let fir = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/assets/fir.str"))
+        .expect("assets/fir.str is checked in");
+    assert_eq!(open("fir", &fir).get("ok"), Some(&Json::Bool(true)));
+    let want = request(r#"{"op":"read","id":"fir","n":4}"#.into());
+    assert_eq!(want.get("ok"), Some(&Json::Bool(true)), "{want:?}");
+
+    let bad = windowed(
+        3,
+        "if (true) { int a = -3; } if (true) { int b = b + 5; push(peek(b)); }",
+    );
+    let refused = open("bad", &bad);
+    assert_eq!(
+        refused.get("error").and_then(Json::as_str),
+        Some("compile_error"),
+        "{refused:?}"
+    );
+    let detail = refused.get("detail").and_then(Json::as_str).unwrap_or("");
+    assert!(detail.contains("peek(5) after 0 pops"), "{refused:?}");
+    // Nothing to read from the refused stream; the neighbour and the
+    // daemon carry on.
+    let gone = request(r#"{"op":"read","id":"bad","n":1}"#.into());
+    assert_eq!(gone.get("ok"), Some(&Json::Bool(false)), "{gone:?}");
+    let next = request(r#"{"op":"read","id":"fir","n":4}"#.into());
+    assert_eq!(next.get("ok"), Some(&Json::Bool(true)), "{next:?}");
+    assert_eq!(
+        next.get("values").and_then(Json::as_arr).map(<[Json]>::len),
+        Some(4)
+    );
+    let pong = request(r#"{"op":"ping"}"#.into());
+    assert_eq!(pong.get("op").and_then(Json::as_str), Some("pong"));
 }

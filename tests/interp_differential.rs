@@ -12,6 +12,16 @@
 //! program-level check pins `Measured` vs `Fast` outputs across the full
 //! engines.
 //!
+//! A third family runs beside them: the **abstract walker**
+//! ([`streamlin::graph::absint`]) that the rate analysis and linear
+//! extraction are domains of, instantiated here with a concrete domain —
+//! values are `Value`, every branch decided, the tape this suite's
+//! `TapeHost`. What it pushes, pops, prints and leaves in the fields must
+//! equal the reference tier's: the skeleton every certificate and every
+//! extracted node is computed on cannot drift from execution without
+//! failing here. (The two tiers stay off that engine on purpose — a
+//! referee must not share the rules it checks.)
+//!
 //! Filter **`init` blocks** run on the bytecode tier at elaboration
 //! ([`streamlin::graph::elaborate::run_init`]); the tree-walker is their
 //! reference too: same post-`init` cells for every filter of the nine
@@ -21,12 +31,17 @@ use std::collections::HashMap;
 
 use streamlin::benchmarks::Benchmark;
 use streamlin::core::opt::OptStream;
+use streamlin::graph::absint::{walk, ACell, Domain};
+use streamlin::graph::analyze::written_slots;
 use streamlin::graph::elaborate::{elaborate, run_init};
 use streamlin::graph::exec::{Flow, Host, PureHost, DEFAULT_FUEL};
 use streamlin::graph::ir::FilterInst;
-use streamlin::graph::lower::{const_eval_expr, lower_filter, LoweredWork, SlotInterp, SlotStore};
-use streamlin::graph::value::{Cell, EvalError, Value};
-use streamlin::lang::ast::{Block, DataType, FilterDecl, StreamKind};
+use streamlin::graph::lower::{
+    const_eval_expr, lower_filter, LoweredWork, Slot, SlotInterp, SlotStore,
+};
+use streamlin::graph::value::{ArrayVal, Cell, EvalError, MathFn, Value};
+use streamlin::lang::ast::{BinOp, Block, DataType, FilterDecl, StreamKind, UnOp};
+use streamlin::lang::token::Span;
 use streamlin::runtime::flat::NodeKind;
 use streamlin::runtime::MatMulStrategy;
 use streamlin::runtime::{ExecMode, RunSpec, Tier};
@@ -165,6 +180,106 @@ fn run_bytecode(inst: &FilterInst, input: &[f64], count: bool) -> RunResult {
     })
 }
 
+/// The concrete domain of the abstract walker: a value is itself, so the
+/// engine decides every branch and folds every operation with the
+/// interpreters' own `un_op`/`bin_op`/`MathFn::call`, and the tape is the
+/// suite's host. What is left of a firing is the engine's skeleton.
+struct Concrete<'h> {
+    host: &'h mut TapeHost,
+}
+
+impl Domain for Concrete<'_> {
+    type Value = Value;
+    /// The host is the tape; a concrete run never clones or joins one.
+    type Tape = ();
+    type Stop = EvalError;
+
+    fn at(&mut self, _span: Span, _conditional: bool) {}
+    fn literal(&mut self, v: Value) -> Value {
+        v
+    }
+    /// Only ever a placeholder: in a cell whose value is moved out for
+    /// the length of a store, and in a frame slot not yet declared.
+    fn top(&mut self) -> Value {
+        Value::Int(0)
+    }
+    fn concrete(&mut self, v: &Value) -> Option<Value> {
+        Some(*v)
+    }
+    fn un_op(&mut self, _: UnOp, _: Value) -> Value {
+        unreachable!("every operand is concrete")
+    }
+    fn bin_op(&mut self, _: BinOp, _: Value, _: Value) -> Value {
+        unreachable!("every operand is concrete")
+    }
+    fn math(&mut self, _: MathFn, _: &[Value]) -> Value {
+        unreachable!("every operand is concrete")
+    }
+    fn coerce(&mut self, v: Value, ty: DataType) -> Value {
+        v.coerce_to(ty).expect("benchmark stores are well typed")
+    }
+    fn join(&mut self, _: &mut Value, _: &Value) {
+        unreachable!("every branch is decided")
+    }
+    fn join_tapes(&mut self, _: &mut (), _: ()) -> Result<(), EvalError> {
+        unreachable!("every branch is decided")
+    }
+    fn peek(&mut self, _: &mut (), i: Value) -> Result<Value, EvalError> {
+        Ok(Value::Float(self.host.peek(i.as_index()?)?))
+    }
+    fn pop(&mut self, _: &mut ()) -> Result<Value, EvalError> {
+        Ok(Value::Float(self.host.pop()?))
+    }
+    fn push(&mut self, _: &mut (), v: Value) -> Result<(), EvalError> {
+        self.host.push(v.as_f64()?)
+    }
+    fn print(&mut self, v: Value, newline: bool) -> Result<(), EvalError> {
+        self.host.print(v, newline)
+    }
+    fn fault(&mut self, e: EvalError) -> EvalError {
+        e
+    }
+    fn give_up(&mut self, why: &'static str) -> EvalError {
+        EvalError::new(why)
+    }
+}
+
+/// Runs `FIRINGS` firings through the abstract walker under [`Concrete`]:
+/// the fields a phase writes are bound as variables, the rest read in
+/// place, and what the walk ends with is stored back.
+fn run_abstract_engine(inst: &FilterInst, input: &[f64]) -> RunResult {
+    run_firings(
+        inst,
+        input,
+        false,
+        "abstract engine",
+        |code, store, host| {
+            let written = written_slots(&code.body);
+            let globals = (store.globals.iter().zip(0u32..))
+                .map(|(cell, g)| match written.contains(&Slot::Global(g)) {
+                    true => ACell::from_cell(cell, |_, v| v),
+                    false => ACell::Const(cell),
+                })
+                .collect();
+            let dom = &mut Concrete { host };
+            let end = walk(dom, FIRING_FUEL, globals, code.frame_slots, (), &code.body)?;
+            let stored: Vec<Option<Cell>> = (end.globals.into_iter())
+                .map(|cell| match cell {
+                    ACell::Const(_) => None,
+                    ACell::Scalar(ty, v) => Some(Cell::Scalar(ty, v)),
+                    ACell::Array(elem, dims, data) => {
+                        Some(Cell::Array(ArrayVal { dims, elem, data }))
+                    }
+                })
+                .collect();
+            for (global, cell) in store.globals.iter_mut().zip(stored) {
+                *global = cell.unwrap_or_else(|| global.clone());
+            }
+            Ok(Flow::Normal)
+        },
+    )
+}
+
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -235,6 +350,28 @@ fn check_benchmark(bench: &Benchmark) {
             [0, 0, 0, 0],
             "{ctx}: bytecode no-count tallied"
         );
+
+        // The abstract walker's skeleton, run concretely, is the
+        // reference tier's: same tape traffic, same fields afterwards.
+        let engine = run_abstract_engine(inst, &input);
+        assert_eq!(
+            bits(&engine.pushed),
+            bits(&slot_counted.pushed),
+            "{ctx}: abstract engine pushed values diverge"
+        );
+        assert_eq!(
+            bits(&engine.printed),
+            bits(&slot_counted.printed),
+            "{ctx}: abstract engine printed values diverge"
+        );
+        assert_eq!(
+            engine.popped, slot_counted.popped,
+            "{ctx}: abstract engine pop counts diverge"
+        );
+        assert_eq!(
+            engine.state, slot_counted.state,
+            "{ctx}: abstract engine final filter state diverges"
+        );
     }
 }
 
@@ -294,6 +431,7 @@ fn both_tiers_match_a_hand_computed_run() {
     for (tier, run) in [
         ("slot-based", run_slot_based(&inst, &input, true)),
         ("bytecode", run_bytecode(&inst, &input, true)),
+        ("abstract engine", run_abstract_engine(&inst, &input)),
     ] {
         // 1·t[k] + 2·t[k+1] + 3·t[k+2], then 43 + (0+2+4+6+8) + 2.
         assert_eq!(
@@ -308,8 +446,45 @@ fn both_tiers_match_a_hand_computed_run() {
             Cell::Scalar(DataType::Float, Value::Float(3.0)),
             "{tier}"
         );
-        // Per firing: 3 multiply-adds, `acc + 2.0`, `seen++`, one `sqrt`.
-        assert_eq!(run.tallies, [15, 9, 0, 3], "{tier}: adds/muls/divs/others");
+        // Per firing: 3 multiply-adds, `acc + 2.0`, `seen++`, one `sqrt`
+        // (the tally is the tiers' business, not the walker's).
+        if tier != "abstract engine" {
+            assert_eq!(run.tallies, [15, 9, 0, 3], "{tier}: adds/muls/divs/others");
+        }
+    }
+}
+
+/// The parser's nesting budget is what protects every recursive pass
+/// behind it — lowering, the abstract walker under both analyses, the
+/// bytecode compiler, the tree-walker, the pretty-printer. The deepest
+/// expression it admits must get through all of them, unoptimised, on a
+/// test thread's 2 MB stack.
+#[test]
+fn the_deepest_admitted_expression_survives_every_pass() {
+    // A statement costs four levels, the `push` call and its argument one
+    // each.
+    let depth = streamlin::lang::parser::MAX_NESTING - 6;
+    let nest = format!("{}pop(){}", "(".repeat(depth), ")".repeat(depth));
+    let chain = vec!["peek(0)"; depth].join(" + ");
+    let src = format!(
+        "void->void pipeline Main {{ add S(); add F(); add K(); }}
+         void->float filter S {{ float x; work push 1 {{ push(x++); }} }}
+         float->float filter F {{ work pop 1 push 2 {{ push({chain}); push({nest}); }} }}
+         float->void filter K {{ work pop 1 {{ println(pop()); }} }}"
+    );
+    let program = streamlin::lang::parse(&src).expect("inside the budget");
+    assert!(streamlin::lang::pretty::program(&program).contains("peek(0) + peek(0)"));
+    let graph = elaborate(&program).expect("elaborates");
+    let analysis = streamlin::core::analyze_graph(&graph);
+    assert_eq!(analysis.linear_count(), 1, "F is `[n, 1]·x`");
+    let opt = OptStream::from_graph(&graph);
+    for tier in [Tier::Bytecode, Tier::TreeWalk] {
+        let spec = RunSpec {
+            tier,
+            ..RunSpec::from_env()
+        };
+        let outputs = spec.run(&opt, 4).unwrap().outputs;
+        assert_eq!(outputs, [0.0, 0.0, depth as f64, 1.0], "{tier:?}");
     }
 }
 

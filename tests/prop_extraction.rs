@@ -8,8 +8,13 @@
 //! assignment, `++`, decided and undecided branches, short-circuit
 //! operators with side effects) that stay affine by construction, so the
 //! extractor's scoping, coercion and control-flow rules are exercised
-//! against the interpreter's. Below the property sit the fixed programs
-//! on which the two once disagreed.
+//! against the interpreter's. Three of the shapes aim at the rate
+//! analysis instead — a stale frame slot, an index with a side effect, an
+//! `int` stored into a `float` — each steering a `peek` whose offset is
+//! only inside the window if the analysis walks the body the way the
+//! interpreters do; and the property holds every certificate it issues
+//! against the checked tape. Below the property sit the fixed programs on
+//! which extraction and interpretation once disagreed.
 
 use proptest::prelude::*;
 use streamlin::core::combine::analyze_graph;
@@ -17,10 +22,10 @@ use streamlin::core::opt::OptStream;
 use streamlin::core::Config;
 use streamlin::graph::elaborate;
 use streamlin::lang::parse;
-use streamlin::runtime::RunSpec;
+use streamlin::runtime::{Profile, RunSpec};
 
 /// How many shapes [`RandFilter::render_output`] knows.
-const SHAPES: u8 = 7;
+const SHAPES: u8 = 10;
 
 /// A random affine work function: for each output, a sum of
 /// `coeff * peek(i)` terms plus a constant, computed in shape `shapes[j]`.
@@ -95,10 +100,40 @@ impl RandFilter {
             ),
             // An undecided left operand: the right may or may not run, so
             // the local is unknown afterwards — and unused.
-            _ => format!(
+            6 => format!(
                 "int {t} = 0;
                  if (peek(0) > 0 || {t}++ > 0) {{ }}
                  push({off}{sum});\n"
+            ),
+            // A sibling-scope local whose initialiser mentions itself,
+            // after another local left 7 in the frame slot they share: it
+            // reads the fresh zero, so the peek is `peek(0)`, not `peek(7)`.
+            7 => format!(
+                "if (true) {{ int junk{j} = 7; }}
+                 if (true) {{
+                     int {t} = {t} + 1;
+                     push({off}{sum} + 0 * peek({t} - 1) + {t} - 1);
+                 }}\n"
+            ),
+            // `a[i±±] op= v` and `a[i±±]±±` evaluate the index once: `i`
+            // moves one step, and `peek` follows it.
+            8 if off % 2 == 0 => format!(
+                "int {t} = 0; float[2] {acc};
+                 {acc}[{t}++] += 3;
+                 push({off}{sum} + 0 * peek({t} - 1) + {acc}[0] - 3);\n"
+            ),
+            8 => format!(
+                "int {t} = 1; float[2] {acc};
+                 {acc}[{t}--]++;
+                 push({off}{sum} + 0 * peek({t}) + {acc}[1] - 1);\n"
+            ),
+            // An `int` stored into a `float` divides as a float: the live
+            // branch is the first, and the one past the window is dead.
+            _ => format!(
+                "float {acc} = 0; {acc} = 2;
+                 if ({acc} / 4 > 0.25) {{ push({off}{sum} + 0 * peek(0)); }}
+                 else {{ push({off}{sum} + 0 * peek({past})); }}\n",
+                past = self.peek
             ),
         }
     }
@@ -139,12 +174,27 @@ proptest! {
         prop_assert_eq!(analysis.linear_count(), 1);
 
         let spec = RunSpec::from_env();
-        let interp = spec.run(&OptStream::from_graph(&graph), 64).unwrap();
+        let interpreted = OptStream::from_graph(&graph);
+        let interp = spec.run(&interpreted, 64).unwrap();
         let per_filter = Config::Baseline.apply(&graph, &analysis).unwrap();
         let node_based = spec.run(&per_filter, 64).unwrap();
         prop_assert_eq!(interp.outputs.len(), node_based.outputs.len());
         for (a, b) in interp.outputs.iter().zip(&node_based.outputs) {
             prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}");
+        }
+
+        // A certificate is a promise the engines index the window by: the
+        // same program on the checked tape must complete, bit-identically.
+        let mut certified = false;
+        graph.for_each_filter(&mut |inst| {
+            certified |= inst.name == "F" && inst.facts.work.cert.is_some();
+        });
+        if certified {
+            let run = |cert| RunSpec { cert, ..spec.clone() }.run(&interpreted, 64);
+            let (trusted, checked) = (run(true), run(false));
+            prop_assert!(checked.is_ok(), "checked run of a certified filter: {checked:?}");
+            let bits = |p: Profile| p.outputs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(trusted.unwrap()), bits(checked.unwrap()));
         }
     }
 }
