@@ -7,7 +7,7 @@
 //! | [`rate_convert`] | audio down-sampler converting the rate by 2/3 |
 //! | [`target_detect`] | four matched filters in parallel with threshold detection |
 //! | [`fm_radio`] | FM software radio with a 10-band equalizer |
-//! | [`radar`] | PCA radar front end (reconstructed; see DESIGN.md) |
+//! | [`radar`] | PCA radar front end (reconstructed; see REPRODUCTION.md) |
 //! | [`filter_bank`] | multi-rate signal decomposition/reconstruction bank |
 //! | [`vocoder`] | channel voice coder with pitch detection |
 //! | [`oversampler`] | 16× audio oversampler |

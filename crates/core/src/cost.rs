@@ -9,7 +9,7 @@
 //! and a decimation penalty `dec(s) = (o−1)(185 + 4u)`.
 //!
 //! The printed frequency formula in the available copy of the thesis is
-//! partially corrupted, so — as DESIGN.md records — we keep the published
+//! partially corrupted, so — as REPRODUCTION.md records — we keep the published
 //! structure and derive the frequency constants from *our own* executors'
 //! operation counts (the paper explicitly invites this: "these cost
 //! functions can be tailored to a specific architecture and code

@@ -12,8 +12,9 @@
 //! Pipelines are cut horizontally and splitjoins vertically (with sliced
 //! splitter/joiner weights — a valid refactoring for both duplicate and
 //! round-robin splitters). The 2-D grid refactoring across
-//! splitjoins-of-pipelines is not implemented (DESIGN.md records this
-//! restriction; the nested DP covers every shape in the benchmark suite).
+//! splitjoins-of-pipelines is not implemented (REPRODUCTION.md's "Deviations
+//! from the paper" records this restriction; the nested DP covers every
+//! shape in the benchmark suite).
 //! Costs are scaled by firings per global steady state, obtained from the
 //! rate solver.
 

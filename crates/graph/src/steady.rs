@@ -65,35 +65,6 @@ pub fn steady_state(s: &Stream) -> Result<Steady, ScheduleError> {
     solve(s)
 }
 
-/// Macro-firings of each *immediate child* per macro-firing of the given
-/// container (all 1 for a filter). This is the scaling factor chain the
-/// optimization-selection cost model uses.
-///
-/// # Errors
-///
-/// Propagates solver errors.
-pub fn child_multipliers(s: &Stream) -> Result<Vec<u64>, ScheduleError> {
-    Ok(match s {
-        Stream::Filter(_) => Vec::new(),
-        Stream::Pipeline(children) => pipeline_multipliers(children)?.0,
-        Stream::SplitJoin {
-            split,
-            children,
-            join,
-        } => splitjoin_multipliers(split, children, join)?.0,
-        Stream::FeedbackLoop {
-            join,
-            body,
-            loop_stream,
-            split,
-            ..
-        } => {
-            let m = feedback_multipliers(join, body, loop_stream, split)?;
-            vec![m.body, m.loop_reps]
-        }
-    })
-}
-
 /// One directed channel of a flat SDF graph, with per-firing rates: node
 /// `from` pushes `push` items per firing, node `to` pops `pop` per firing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -601,19 +572,6 @@ mod tests {
         );
         let total: u64 = s.reps.values().sum();
         assert_eq!(total, 4, "reps: {:?}", s.reps); // S, B, L, K once each
-    }
-
-    #[test]
-    fn child_multiplier_chain() {
-        let p = parse(
-            "void->void pipeline Main { add S(); add C(); add K(); }
-             void->float filter S { work push 1 { push(0.0); } }
-             float->float filter C { work pop 4 push 1 { for (int i=0;i<4;i++) pop(); push(0.0); } }
-             float->void filter K { work pop 1 { pop(); } }",
-        )
-        .unwrap();
-        let g = elaborate(&p).unwrap();
-        assert_eq!(child_multipliers(&g).unwrap(), vec![4, 1, 1]);
     }
 
     #[test]

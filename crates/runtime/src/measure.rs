@@ -256,8 +256,8 @@ mod tests {
     #[test]
     fn interpreted_baseline_counts_the_same_multiplications() {
         // The work-function interpreter and the per-filter linear executor
-        // perform the same arithmetic — the substitution argument of
-        // DESIGN.md, checked.
+        // perform the same arithmetic — the baseline substitution of
+        // REPRODUCTION.md's "Deviations from the paper", checked.
         let a = run(None, 200).mults_per_output();
         let b = run(Some(Config::Baseline), 200).mults_per_output();
         assert!(

@@ -5,10 +5,12 @@
 //! Amarasinghe): a StreamIt-dialect frontend, the linear extraction
 //! analysis, the combination/frequency/redundancy transformations, the
 //! automatic optimization selector, an instrumented execution engine, the
-//! paper's nine-benchmark suite, and a harness that regenerates every table
-//! and figure of its evaluation.
+//! paper's nine-benchmark suite, and [`paper`]: the table of the paper's
+//! tables and figures from which the `reproduce` binary generates
+//! `REPRODUCTION.md`.
 //!
-//! This crate is a facade that re-exports the workspace members:
+//! This crate is a facade that re-exports the workspace members and adds
+//! one module of its own:
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
@@ -19,6 +21,7 @@
 //! | [`service`] | `streamlin-service` | the `streamlind` daemon: plan cache, streams, admission |
 //! | [`benchmarks`] | `streamlin-benchmarks` | the nine paper benchmarks |
 //! | [`matrix`], [`fft`], [`support`] | substrates | linear algebra, FFT, op counting |
+//! | [`paper`] | (this crate) | Chapter 5 as one generated, test-diffed report |
 //!
 //! # Quick start
 //!
@@ -58,6 +61,8 @@ pub use streamlin_matrix as matrix;
 pub use streamlin_runtime as runtime;
 pub use streamlin_service as service;
 pub use streamlin_support as support;
+
+pub mod paper;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
