@@ -31,6 +31,7 @@
 //! ([`crate::elaborate::run_init`]).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use streamlin_lang::ast::{BinOp, Block, DataType, Expr, LValue, Stmt, UnOp};
 use streamlin_lang::token::Span;
@@ -214,11 +215,12 @@ impl RStmt {
 /// One lowered work phase.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoweredWork {
-    /// The resolved body.
-    pub body: Vec<RStmt>,
+    /// The resolved body (shared with `code`, which keeps it for the
+    /// reference tier).
+    pub body: Arc<[RStmt]>,
     /// Frame slots this phase needs.
     pub frame_slots: usize,
-    /// The body flattened to the linear bytecode tier
+    /// The body typed and flattened to register bytecode
     /// ([`crate::bytecode`]), compiled once here so every consumer of the
     /// phase — both engines, the pipeline executor, fission workers, the
     /// streamlind plan cache — shares the same compiled form.
@@ -294,9 +296,11 @@ pub fn lower_filter(
 ) -> Result<LoweredFilter, Vec<LowerError>> {
     let mut globals: Vec<String> = state.keys().cloned().collect();
     globals.sort();
+    // The compiled signature: a body is typed against what its globals hold.
+    let sig: Vec<&Cell> = globals.iter().map(|g| &state[g]).collect();
     let mut lo = Lowerer::new(Globals::Fixed(&globals));
-    let work = lo.lower_work(work);
-    let init_work = init_work.map(|w| lo.lower_work(w));
+    let work = lo.lower_work(work, &sig);
+    let init_work = init_work.map(|w| lo.lower_work(w, &sig));
     let Lowerer { errors, prints, .. } = lo;
     if !errors.is_empty() {
         return Err(errors);
@@ -368,13 +372,14 @@ impl<'ast, 'c> Lowerer<'ast, 'c> {
     }
 
     /// Lowers one work phase (frame slots start over) and compiles it.
-    fn lower_work(&mut self, body: &'ast Block) -> LoweredWork {
+    fn lower_work(&mut self, body: &'ast Block, sig: &[&Cell]) -> LoweredWork {
         (self.next_frame, self.max_frame) = (0, 0);
-        let body = self.lower_block(body);
-        let code = crate::bytecode::compile(&body);
+        let body: Arc<[RStmt]> = self.lower_block(body).into();
+        let frame_slots = self.max_frame as usize;
+        let code = crate::bytecode::compile(Arc::clone(&body), sig, frame_slots);
         LoweredWork {
             body,
-            frame_slots: self.max_frame as usize,
+            frame_slots,
             code,
         }
     }

@@ -316,65 +316,73 @@ impl MathFn {
         }
     }
 
-    /// Applies the function.
+    /// The `f64` function behind a one-argument intrinsic — the single
+    /// definition both [`MathFn::call`] and the typed bytecode apply.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a two-argument intrinsic (arity is validated at lowering).
+    #[inline]
+    pub fn apply1(self, x: f64) -> f64 {
+        match self {
+            MathFn::Sin => x.sin(),
+            MathFn::Cos => x.cos(),
+            MathFn::Tan => x.tan(),
+            MathFn::Asin => x.asin(),
+            MathFn::Acos => x.acos(),
+            MathFn::Atan => x.atan(),
+            MathFn::Exp => x.exp(),
+            MathFn::Log => x.ln(),
+            MathFn::Log10 => x.log10(),
+            MathFn::Sqrt => x.sqrt(),
+            MathFn::Abs => x.abs(),
+            MathFn::Floor => x.floor(),
+            MathFn::Ceil => x.ceil(),
+            MathFn::Round => x.round(),
+            MathFn::Pow | MathFn::Atan2 | MathFn::Min | MathFn::Max => {
+                unreachable!("{} takes two arguments", self.name())
+            }
+        }
+    }
+
+    /// The `f64` function behind a two-argument intrinsic.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a one-argument intrinsic.
+    #[inline]
+    pub fn apply2(self, x: f64, y: f64) -> f64 {
+        match self {
+            MathFn::Pow => x.powf(y),
+            MathFn::Atan2 => x.atan2(y),
+            MathFn::Min => x.min(y),
+            MathFn::Max => x.max(y),
+            _ => unreachable!("{} takes one argument", self.name()),
+        }
+    }
+
+    /// Applies the function: `abs`, `min` and `max` stay integral on
+    /// integers, everything else promotes to float.
     ///
     /// # Errors
     ///
     /// Returns an [`EvalError`] for wrong arity or non-numeric arguments.
     pub fn call(self, args: &[Value]) -> Result<Value, EvalError> {
-        let name = self.name();
-        let unary = |f: fn(f64) -> f64| -> Result<Value, EvalError> {
-            if args.len() != 1 {
-                return Err(EvalError::new(format!("{name} expects 1 argument")));
+        match (self, args) {
+            (MathFn::Abs, [Value::Int(v)]) => Ok(Value::Int(v.abs())),
+            (MathFn::Min, [Value::Int(x), Value::Int(y)]) => Ok(Value::Int(*x.min(y))),
+            (MathFn::Max, [Value::Int(x), Value::Int(y)]) => Ok(Value::Int(*x.max(y))),
+            (f, [x]) if f.arity() == 1 => Ok(Value::Float(f.apply1(x.as_f64()?))),
+            (f, [x, y]) if f.arity() == 2 => {
+                let (x, y) = (x.as_f64()?, y.as_f64()?);
+                Ok(Value::Float(f.apply2(x, y)))
             }
-            Ok(Value::Float(f(args[0].as_f64()?)))
-        };
-        let binary = |f: fn(f64, f64) -> f64| -> Result<Value, EvalError> {
-            if args.len() != 2 {
-                return Err(EvalError::new(format!("{name} expects 2 arguments")));
-            }
-            Ok(Value::Float(f(args[0].as_f64()?, args[1].as_f64()?)))
-        };
-        match self {
-            MathFn::Sin => unary(f64::sin),
-            MathFn::Cos => unary(f64::cos),
-            MathFn::Tan => unary(f64::tan),
-            MathFn::Asin => unary(f64::asin),
-            MathFn::Acos => unary(f64::acos),
-            MathFn::Atan => unary(f64::atan),
-            MathFn::Exp => unary(f64::exp),
-            MathFn::Log => unary(f64::ln),
-            MathFn::Log10 => unary(f64::log10),
-            MathFn::Sqrt => unary(f64::sqrt),
-            MathFn::Abs => {
-                if args.len() != 1 {
-                    return Err(EvalError::new("abs expects 1 argument"));
-                }
-                match args[0] {
-                    Value::Int(v) => Ok(Value::Int(v.abs())),
-                    other => Ok(Value::Float(other.as_f64()?.abs())),
-                }
-            }
-            MathFn::Floor => unary(f64::floor),
-            MathFn::Ceil => unary(f64::ceil),
-            MathFn::Round => unary(f64::round),
-            MathFn::Pow => binary(f64::powf),
-            MathFn::Atan2 => binary(f64::atan2),
-            MathFn::Min | MathFn::Max => {
-                if args.len() != 2 {
-                    return Err(EvalError::new(format!("{name} expects 2 arguments")));
-                }
-                let is_min = self == MathFn::Min;
-                match (args[0], args[1]) {
-                    (Value::Int(x), Value::Int(y)) => {
-                        Ok(Value::Int(if is_min { x.min(y) } else { x.max(y) }))
-                    }
-                    (x, y) => {
-                        let (x, y) = (x.as_f64()?, y.as_f64()?);
-                        Ok(Value::Float(if is_min { x.min(y) } else { x.max(y) }))
-                    }
-                }
-            }
+            (f, _) => Err(EvalError::new(format!(
+                "{} expects {} argument{}",
+                f.name(),
+                f.arity(),
+                if f.arity() == 1 { "" } else { "s" }
+            ))),
         }
     }
 }
@@ -385,6 +393,7 @@ impl MathFn {
 /// # Errors
 ///
 /// Returns an [`EvalError`] for rank mismatch or out-of-bounds access.
+#[inline]
 pub fn flat_offset(dims: &[usize], idx: &[usize]) -> Result<usize, EvalError> {
     if idx.len() != dims.len() {
         return Err(EvalError::new(format!(

@@ -2,9 +2,8 @@
 
 use std::collections::VecDeque;
 
-use streamlin_graph::bytecode;
-use streamlin_graph::exec::{Flow, Host};
-use streamlin_graph::lower::{SlotInterp, SlotStore};
+use streamlin_graph::exec::Host;
+use streamlin_graph::lower::SlotStore;
 use streamlin_graph::value::{EvalError, Value};
 use streamlin_support::{NoProbe, OpCounter, Probe, Tally};
 
@@ -81,6 +80,10 @@ struct EngineState<T> {
     printed: Vec<f64>,
     ops: T,
     firings: u64,
+    /// Reusable snapshot of the firing node's peek window.
+    window: Vec<f64>,
+    /// Reusable staging buffer for an interpreted firing's pushes.
+    out_buf: Vec<f64>,
 }
 
 /// An executable program instance, generic over the [`Tally`] that its
@@ -89,6 +92,11 @@ struct EngineState<T> {
 #[derive(Debug)]
 pub struct Engine<T: Tally = OpCounter> {
     nodes: Vec<FlatNode>,
+    /// [`node_demands`] of every node's next firing, and whether it has
+    /// fired: rates differ only between a first firing and the rest, so
+    /// they are worked out again once, after it, not on every poll.
+    demands: Vec<(Vec<usize>, Vec<usize>)>,
+    fired: Vec<bool>,
     state: EngineState<T>,
 }
 
@@ -114,6 +122,8 @@ impl<T: Tally + Default> Engine<T> {
             caps[*chan] = caps[*chan].max(2 * items.len() + 16);
         }
         Engine {
+            demands: flat.nodes.iter().map(node_demands).collect(),
+            fired: vec![false; flat.nodes.len()],
             nodes: flat.nodes,
             state: EngineState {
                 channels,
@@ -121,6 +131,8 @@ impl<T: Tally + Default> Engine<T> {
                 printed: Vec::new(),
                 ops: T::default(),
                 firings: 0,
+                window: Vec::new(),
+                out_buf: Vec::new(),
             },
         }
     }
@@ -155,6 +167,11 @@ impl<T: Tally> Engine<T> {
         self.state.firings
     }
 
+    /// The nodes, with the state their firings have left in them.
+    pub fn nodes(&self) -> &[FlatNode] {
+        &self.nodes
+    }
+
     /// Runs until the program has printed at least `n` values.
     ///
     /// # Errors
@@ -183,6 +200,9 @@ impl<T: Tally> Engine<T> {
                 if self.readiness(i) == Readiness::Ready {
                     let t0 = probe.now();
                     fire(&mut self.nodes[i], &mut self.state)?;
+                    if !std::mem::replace(&mut self.fired[i], true) {
+                        self.demands[i] = node_demands(&self.nodes[i]);
+                    }
                     if P::ENABLED {
                         probe.batch(1, i, 1, t0);
                     }
@@ -212,13 +232,13 @@ impl<T: Tally> Engine<T> {
     /// What, if anything, prevents node `i` from firing.
     fn readiness(&self, i: usize) -> Readiness {
         let node = &self.nodes[i];
-        let (needed, pushed) = node_demands(node);
+        let (needed, pushed) = &self.demands[i];
         for (k, &chan) in node.inputs.iter().enumerate() {
             if self.state.channels[chan].len() < needed[k] {
                 return Readiness::NeedsInput;
             }
         }
-        for (&chan, &count) in node.outputs.iter().zip(&pushed) {
+        for (&chan, &count) in node.outputs.iter().zip(pushed) {
             if self.state.channels[chan].len() + count > self.state.caps[chan] {
                 return Readiness::OutputFull(chan);
             }
@@ -361,54 +381,66 @@ fn fire<T: Tally>(node: &mut FlatNode, state: &mut EngineState<T>) -> Result<(),
         _ => state.firings += 1,
     }
     match &mut node.kind {
-        NodeKind::Interp(interp) => fire_interp(interp, &node.inputs, &node.outputs, state),
+        NodeKind::Interp(interp) => {
+            let (peek, pop, _) = interp_phase_rates(interp);
+            read_window(state, node.inputs.first().copied(), peek);
+            let EngineState {
+                window,
+                out_buf,
+                printed,
+                ops,
+                ..
+            } = state;
+            out_buf.clear();
+            fire_interp(interp, window, 1, out_buf, printed, ops, usize::MAX)?;
+            consume(state, node.inputs.first().copied(), pop);
+            produce_staged(state, node.outputs.first().copied());
+            Ok(())
+        }
         NodeKind::Linear(exec) => {
             // Read the rates out before the mutable `fire` borrow — the
             // old `exec.node().clone()` copied the whole coefficient
             // matrix every firing.
             let (peek, pop) = (exec.node().peek(), exec.node().pop());
-            let window = read_window(state, node.inputs.first().copied(), peek);
-            let out = exec.fire(&window, &mut state.ops);
+            read_window(state, node.inputs.first().copied(), peek);
+            let out = exec.fire(&state.window, &mut state.ops);
             consume(state, node.inputs.first().copied(), pop);
             produce(state, node.outputs.first().copied(), &out);
             Ok(())
         }
         NodeKind::Redund(exec) => {
             let (peek, pop) = (exec.spec().node().peek(), exec.spec().node().pop());
-            let window = read_window(state, node.inputs.first().copied(), peek);
-            let out = exec.fire(&window, &mut state.ops);
+            read_window(state, node.inputs.first().copied(), peek);
+            let out = exec.fire(&state.window, &mut state.ops);
             consume(state, node.inputs.first().copied(), pop);
             produce(state, node.outputs.first().copied(), &out);
             Ok(())
         }
         NodeKind::Freq(exec) => {
             let (peek, pop, _push) = exec.current_rates();
-            let window = read_window(state, node.inputs.first().copied(), peek);
-            let out = exec.fire(&window, &mut state.ops);
+            read_window(state, node.inputs.first().copied(), peek);
+            let out = exec.fire(&state.window, &mut state.ops);
             consume(state, node.inputs.first().copied(), pop);
             produce(state, node.outputs.first().copied(), &out);
             Ok(())
         }
         NodeKind::Decimator { pop, push } => {
             let (pop, push) = (*pop, *push);
-            let chan = &mut state.channels[node.inputs[0]];
-            let mut kept = Vec::with_capacity(push);
-            for i in 0..pop {
-                let v = chan.pop_front().expect("fireable checked occupancy");
-                if i < push {
-                    kept.push(v);
-                }
+            read_window(state, node.inputs.first().copied(), push);
+            consume(state, node.inputs.first().copied(), pop);
+            if let Some(&c) = node.outputs.first() {
+                state.channels[c].extend(state.window.iter().copied());
             }
-            produce(state, node.outputs.first().copied(), &kept);
             Ok(())
         }
         NodeKind::FissSplit(sp) => {
             let first = std::mem::take(&mut sp.first);
             if first && sp.first_share > 0 {
                 let span = sp.first_share + sp.suffix;
-                let w = read_window(state, node.inputs.first().copied(), span);
+                read_window(state, node.inputs.first().copied(), span);
                 consume(state, node.inputs.first().copied(), sp.first_share);
-                produce(state, node.outputs.first().copied(), &w);
+                let w = &state.window;
+                state.channels[node.outputs[0]].extend(w.iter().copied());
                 if sp.prefix > 0 {
                     sp.carry.clear();
                     sp.carry.extend_from_slice(&w[sp.first_share - sp.prefix..]);
@@ -416,8 +448,9 @@ fn fire<T: Tally>(node: &mut FlatNode, state: &mut EngineState<T>) -> Result<(),
                 return Ok(());
             }
             let total = sp.steady_pop();
-            let w = read_window(state, node.inputs.first().copied(), total + sp.suffix);
+            read_window(state, node.inputs.first().copied(), total + sp.suffix);
             consume(state, node.inputs.first().copied(), total);
+            let w = &state.window;
             for (k, &out) in node.outputs.iter().enumerate() {
                 if sp.prefix > 0 {
                     let prefix: &[f64] = if k == 0 {
@@ -443,10 +476,17 @@ fn fire<T: Tally>(node: &mut FlatNode, state: &mut EngineState<T>) -> Result<(),
             } else {
                 (fw.chunk_len(), fw.prefix, fw.batch)
             };
-            let w = read_window(state, node.inputs.first().copied(), chunk);
-            let mut out = Vec::with_capacity(fires * fw.push);
+            read_window(state, node.inputs.first().copied(), chunk);
+            let EngineState {
+                window: w,
+                out_buf: out,
+                printed,
+                ops,
+                ..
+            } = state;
+            out.clear();
             match &mut fw.kernel {
-                FissKernel::Linear(exec) => exec.fire_batch(&w, fires, &mut out, &mut state.ops),
+                FissKernel::Linear(exec) => exec.fire_batch(w, fires, out, ops),
                 FissKernel::Freq(exec) => {
                     if prefix > 0 {
                         let _ = exec.fire(&w[..prefix], &mut streamlin_support::NoCount);
@@ -454,26 +494,17 @@ fn fire<T: Tally>(node: &mut FlatNode, state: &mut EngineState<T>) -> Result<(),
                     for f in 0..fires {
                         let base = prefix + f * fw.pop;
                         let peek = exec.current_rates().0;
-                        let o = exec.fire(&w[base..base + peek], &mut state.ops);
+                        let o = exec.fire(&w[base..base + peek], ops);
                         out.extend_from_slice(&o);
                     }
                 }
                 FissKernel::Interp(interp) => {
-                    for f in 0..fires {
-                        let base = f * fw.pop;
-                        let (_, pushed) = run_work_phase(
-                            interp,
-                            &w[base..base + fw.peek],
-                            &mut state.printed,
-                            &mut state.ops,
-                        )?;
-                        out.extend_from_slice(&pushed);
-                    }
+                    fire_interp(interp, w, fires as u32, out, printed, ops, usize::MAX)?;
                 }
             }
             state.firings += fires as u64;
             consume(state, node.inputs.first().copied(), chunk);
-            produce(state, node.outputs.first().copied(), &out);
+            produce_staged(state, node.outputs.first().copied());
             Ok(())
         }
         NodeKind::FissJoin(fj) => {
@@ -553,20 +584,21 @@ fn fire<T: Tally>(node: &mut FlatNode, state: &mut EngineState<T>) -> Result<(),
     }
 }
 
-fn read_window<T>(state: &EngineState<T>, chan: Option<usize>, peek: usize) -> Vec<f64> {
-    match chan {
-        None => Vec::new(),
-        Some(c) => state.channels[c].iter().take(peek).copied().collect(),
+/// Snapshots the oldest `peek` items of a channel into `state.window`
+/// (empty for a node without input).
+fn read_window<T>(state: &mut EngineState<T>, chan: Option<usize>, peek: usize) {
+    state.window.clear();
+    if let Some(c) = chan {
+        let (head, tail) = state.channels[c].as_slices();
+        let n = peek.min(head.len());
+        state.window.extend_from_slice(&head[..n]);
+        state.window.extend_from_slice(&tail[..peek - n]);
     }
 }
 
 fn consume<T>(state: &mut EngineState<T>, chan: Option<usize>, pop: usize) {
     if let Some(c) = chan {
-        for _ in 0..pop {
-            state.channels[c]
-                .pop_front()
-                .expect("fireable checked occupancy");
-        }
+        state.channels[c].drain(..pop);
     }
 }
 
@@ -576,20 +608,40 @@ fn produce<T>(state: &mut EngineState<T>, chan: Option<usize>, items: &[f64]) {
     }
 }
 
+/// [`produce`] of what a firing staged in `state.out_buf`.
+fn produce_staged<T>(state: &mut EngineState<T>, chan: Option<usize>) {
+    if let Some(c) = chan {
+        state.channels[c].extend(state.out_buf.iter().copied());
+    }
+}
+
 // ---- interpreted filters ----------------------------------------------------
 
 /// Tape host over a window snapshot: peeks/pops index into the window,
-/// pushes and prints are collected, float operations are tallied.
-struct WindowHost<'a, T> {
+/// pushes land in the caller's buffer, prints are collected, float
+/// operations are tallied.
+///
+/// `CERT` is the tape discipline. Unset, every access is checked and the
+/// caller validates the declared rates after the firing. Set, the phase
+/// holds a rate/bounds certificate (see [`streamlin_graph::analyze`]): the
+/// abstract interpreter proved every peek/pop stays inside the declared
+/// window, so accesses index it directly with no `Option` plumbing and no
+/// error formatting. Outputs are bit-identical — the certificate
+/// guarantees the checked path would never have taken an error branch.
+struct WindowHost<'a, T, const CERT: bool> {
     window: &'a [f64],
     cursor: usize,
-    pushed: Vec<f64>,
+    pushed: &'a mut Vec<f64>,
     printed: &'a mut Vec<f64>,
     ops: &'a mut T,
 }
 
-impl<T: Tally> Host for WindowHost<'_, T> {
+impl<T: Tally, const CERT: bool> Host for WindowHost<'_, T, CERT> {
+    #[inline]
     fn peek(&mut self, i: usize) -> Result<f64, EvalError> {
+        if CERT {
+            return Ok(self.window[self.cursor + i]);
+        }
         self.window.get(self.cursor + i).copied().ok_or_else(|| {
             EvalError::new(format!(
                 "peek({i}) after {} pops exceeds the declared peek window of {}",
@@ -598,11 +650,13 @@ impl<T: Tally> Host for WindowHost<'_, T> {
             ))
         })
     }
+    #[inline]
     fn pop(&mut self) -> Result<f64, EvalError> {
         let v = self.peek(0)?;
         self.cursor += 1;
         Ok(v)
     }
+    #[inline]
     fn push(&mut self, v: f64) -> Result<(), EvalError> {
         self.pushed.push(v);
         Ok(())
@@ -611,61 +665,19 @@ impl<T: Tally> Host for WindowHost<'_, T> {
         self.printed.push(v.as_f64()?);
         Ok(())
     }
+    #[inline]
     fn count_add(&mut self) {
         self.ops.add(0.0, 0.0);
     }
+    #[inline]
     fn count_mul(&mut self) {
         self.ops.mul(0.0, 0.0);
     }
+    #[inline]
     fn count_div(&mut self) {
         self.ops.div(1.0, 1.0);
     }
-    fn count_other(&mut self) {
-        self.ops.other(1);
-    }
-}
-
-/// Tape host for rate/bounds-certified phases (see
-/// [`streamlin_graph::analyze`]): the abstract interpreter proved every
-/// peek/pop stays inside the declared window, so accesses index the
-/// window directly with no `Option` plumbing and no error formatting,
-/// and the caller skips post-firing rate validation. Outputs are
-/// bit-identical to [`WindowHost`] — the certificate guarantees the
-/// checked path would never have taken an error branch.
-struct CertWindowHost<'a, T> {
-    window: &'a [f64],
-    cursor: usize,
-    pushed: Vec<f64>,
-    printed: &'a mut Vec<f64>,
-    ops: &'a mut T,
-}
-
-impl<T: Tally> Host for CertWindowHost<'_, T> {
-    fn peek(&mut self, i: usize) -> Result<f64, EvalError> {
-        Ok(self.window[self.cursor + i])
-    }
-    fn pop(&mut self) -> Result<f64, EvalError> {
-        let v = self.window[self.cursor];
-        self.cursor += 1;
-        Ok(v)
-    }
-    fn push(&mut self, v: f64) -> Result<(), EvalError> {
-        self.pushed.push(v);
-        Ok(())
-    }
-    fn print(&mut self, v: Value, _newline: bool) -> Result<(), EvalError> {
-        self.printed.push(v.as_f64()?);
-        Ok(())
-    }
-    fn count_add(&mut self) {
-        self.ops.add(0.0, 0.0);
-    }
-    fn count_mul(&mut self) {
-        self.ops.mul(0.0, 0.0);
-    }
-    fn count_div(&mut self) {
-        self.ops.div(1.0, 1.0);
-    }
+    #[inline]
     fn count_other(&mut self) {
         self.ops.other(1);
     }
@@ -678,133 +690,120 @@ const FIRING_FUEL: u64 = 50_000_000;
 /// `(peek, pop, push)` of an interpreted filter's *next* firing (the init
 /// phase on the first firing when declared, the work phase afterwards).
 pub(crate) fn interp_phase_rates(interp: &InterpState) -> (usize, usize, usize) {
-    let w = match (interp.first, interp.inst.init_work.as_ref()) {
-        (true, Some(init)) => init,
+    let w = match &interp.inst.init_work {
+        Some(init) if interp.first => init,
         _ => &interp.inst.work,
     };
     (w.peek, w.pop, w.push)
 }
 
-/// Runs one firing of an interpreted filter over a window snapshot,
-/// validating the declared rates. Returns `(popped, pushed)`; the caller
-/// owns channel consumption/production. Shared by the data-driven engine
-/// and the static-plan engine so both execute byte-for-byte the same
-/// work-function semantics. Execution defaults to the linear bytecode
-/// tier ([`streamlin_graph::bytecode`]) over the filter's `Vec<Cell>`
-/// storage — no recursion, no `Box` chasing on the firing path — with
-/// the slot-resolved tree-walker ([`streamlin_graph::lower`]) kept as
-/// the differential reference (`STREAMLIN_NO_BYTECODE`).
-pub(crate) fn run_work_phase<T: Tally>(
-    interp: &mut InterpState,
-    window: &[f64],
-    printed: &mut Vec<f64>,
-    ops: &mut T,
-) -> Result<(usize, Vec<f64>), RunError> {
-    let use_init = interp.first && interp.inst.init_work.is_some();
-    let (phase, code, certified) = if use_init {
-        (
-            interp.inst.init_work.as_ref().expect("checked"),
-            interp
-                .inst
-                .lowered
-                .init_work
-                .as_ref()
-                .expect("lowered alongside init_work"),
-            interp.init_certified,
-        )
-    } else {
-        (
-            &interp.inst.work,
-            &interp.inst.lowered.work,
-            interp.work_certified,
-        )
-    };
-    interp.first = false;
-
-    let mut store = SlotStore {
-        globals: &mut interp.globals,
-        frame: &mut interp.frame,
-    };
-    if certified {
-        // Rate/bounds-certified phase: unchecked tape accesses, and the
-        // declared rates need no post-firing validation.
-        let mut host = CertWindowHost {
-            window,
-            cursor: 0,
-            pushed: Vec::with_capacity(phase.push),
-            printed,
-            ops,
-        };
-        let flow = if interp.use_bytecode {
-            bytecode::exec(&code.code, &mut store, &mut host, FIRING_FUEL)
-        } else {
-            SlotInterp::new(&mut host, FIRING_FUEL).exec_work(&mut store, &code.body)
-        };
-        match flow {
-            Ok(Flow::Normal) | Ok(Flow::Return) => {}
-            Err(e) => {
-                return Err(RunError::Eval(format!(
-                    "{}: {}",
-                    interp.inst.name, e.message
-                )))
-            }
-        }
-        return Ok((phase.pop, host.pushed));
-    }
-
-    let (cursor, pushed) = {
-        let mut host = WindowHost {
-            window,
-            cursor: 0,
-            pushed: Vec::with_capacity(phase.push),
-            printed,
-            ops,
-        };
-        let flow = if interp.use_bytecode {
-            bytecode::exec(&code.code, &mut store, &mut host, FIRING_FUEL)
-        } else {
-            SlotInterp::new(&mut host, FIRING_FUEL).exec_work(&mut store, &code.body)
-        };
-        match flow {
-            Ok(Flow::Normal) | Ok(Flow::Return) => {}
-            Err(e) => {
-                return Err(RunError::Eval(format!(
-                    "{}: {}",
-                    interp.inst.name, e.message
-                )))
-            }
-        }
-        (host.cursor, host.pushed)
-    };
-    if cursor != phase.pop {
-        return Err(RunError::RateViolation(format!(
-            "{} declared pop {} but popped {}",
-            interp.inst.name, phase.pop, cursor
-        )));
-    }
-    if pushed.len() != phase.push {
-        return Err(RunError::RateViolation(format!(
-            "{} declared push {} but pushed {}",
-            interp.inst.name,
-            phase.push,
-            pushed.len()
-        )));
-    }
-    Ok((phase.pop, pushed))
+/// The filter's next firing is its `initWork` phase, which runs alone.
+pub(crate) fn init_pending(interp: &InterpState) -> bool {
+    interp.first && interp.inst.init_work.is_some()
 }
 
-fn fire_interp<T: Tally>(
+/// Runs up to `times` consecutive firings of an interpreted filter — all of
+/// the phase the next firing is in, so a pending `initWork` runs alone —
+/// over one window: firing `k` sees `window[k * pop..][..peek]`. Pushes are
+/// appended to `out`; the caller owns channel consumption and production.
+/// Returns how many firings ran: fewer than asked only for the lone init
+/// firing, or when the filter prints and `stop_at` outputs exist.
+///
+/// Shared by the data-driven engine, the static-plan engine and fission
+/// workers, so all execute byte-for-byte the same work-function semantics.
+/// What does not change between the firings of a batch is decided once:
+/// the phase, the tape discipline (certified phases skip per-access checks
+/// and post-firing rate validation), the tier, and whether the print
+/// target needs testing at all. Execution defaults to the typed register
+/// bytecode ([`streamlin_graph::bytecode`]) over registers the filter
+/// keeps between firings — a steady-state firing allocates nothing — with
+/// the slot-resolved tree-walker ([`streamlin_graph::lower`]) kept as the
+/// differential reference (`--tier treewalk`).
+pub(crate) fn fire_interp<T: Tally>(
     interp: &mut InterpState,
-    inputs: &[usize],
-    outputs: &[usize],
-    state: &mut EngineState<T>,
-) -> Result<(), RunError> {
-    let (peek, _, _) = interp_phase_rates(interp);
-    let window = read_window(state, inputs.first().copied(), peek);
-    let (popped, pushed) = run_work_phase(interp, &window, &mut state.printed, &mut state.ops)?;
-    consume(state, inputs.first().copied(), popped);
-    produce(state, outputs.first().copied(), &pushed);
-    Ok(())
+    window: &[f64],
+    times: u32,
+    out: &mut Vec<f64>,
+    printed: &mut Vec<f64>,
+    ops: &mut T,
+    stop_at: usize,
+) -> Result<u32, RunError> {
+    let use_init = init_pending(interp);
+    interp.first = false;
+    let certified = match use_init {
+        true => interp.init_certified,
+        false => interp.work_certified,
+    };
+    let times = if use_init { 1 } else { times };
+    let fire = match certified {
+        true => fire_phase::<T, true>,
+        false => fire_phase::<T, false>,
+    };
+    fire(interp, use_init, window, times, out, printed, ops, stop_at)
+}
+
+#[allow(clippy::too_many_arguments)]
+fn fire_phase<T: Tally, const CERT: bool>(
+    interp: &mut InterpState,
+    use_init: bool,
+    window: &[f64],
+    times: u32,
+    out: &mut Vec<f64>,
+    printed: &mut Vec<f64>,
+    ops: &mut T,
+    stop_at: usize,
+) -> Result<u32, RunError> {
+    let InterpState {
+        inst,
+        globals,
+        frame,
+        regs,
+        use_bytecode,
+        ..
+    } = interp;
+    let (phase, code) = match (use_init, &inst.init_work, &inst.lowered.init_work) {
+        (true, Some(phase), Some(code)) => (phase, code),
+        _ => (&inst.work, &inst.lowered.work),
+    };
+    let prints = inst.lowered.prints;
+    let mut store = SlotStore { globals, frame };
+    // Bound once per batch: scalar globals stay in registers between the
+    // firings and are stored back when the binding goes.
+    let mut bound = code.code.bind(&mut store, regs, *use_bytecode);
+    for done in 0..times {
+        if prints && printed.len() >= stop_at {
+            return Ok(done);
+        }
+        let base = done as usize * phase.pop;
+        let pushed_before = out.len();
+        let mut host = WindowHost::<T, CERT> {
+            window: &window[base..base + phase.peek],
+            cursor: 0,
+            pushed: out,
+            printed,
+            ops,
+        };
+        if let Err(e) = bound.fire(&mut host, FIRING_FUEL) {
+            return Err(RunError::Eval(format!("{}: {}", inst.name, e.message)));
+        }
+        if CERT {
+            continue; // the certificate is the rate check
+        }
+        let (popped, pushed) = (host.cursor, out.len() - pushed_before);
+        if popped != phase.pop {
+            return Err(RunError::RateViolation(format!(
+                "{} declared pop {} but popped {popped}",
+                inst.name, phase.pop
+            )));
+        }
+        if pushed != phase.push {
+            return Err(RunError::RateViolation(format!(
+                "{} declared push {} but pushed {pushed}",
+                inst.name, phase.push
+            )));
+        }
+    }
+    Ok(times)
 }
 
 #[cfg(test)]

@@ -5,12 +5,14 @@ use std::sync::Arc;
 use streamlin_core::frequency::FreqExec;
 use streamlin_core::opt::OptStream;
 use streamlin_core::redundancy::RedundExec;
+use streamlin_graph::bytecode::Regs;
 use streamlin_graph::ir::{FilterInst, Splitter};
 use streamlin_graph::lower::{RExpr, RLValue, RStmt, Slot};
 use streamlin_graph::value::{Cell, Value};
 use streamlin_lang::ast::{BinOp, DataType};
+use streamlin_support::Probe;
 
-use crate::fission::{FissJoin, FissSplit, FissWorker};
+use crate::fission::{FissJoin, FissKernel, FissSplit, FissWorker};
 use crate::linear_exec::{LinearExec, MatMulStrategy};
 
 /// Errors from flattening.
@@ -38,7 +40,7 @@ impl std::error::Error for FlattenError {}
 /// one process can run on different tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Tier {
-    /// The compiled linear bytecode (`lowered.*.code`). The default.
+    /// The typed register bytecode (`lowered.*.code`). The default.
     #[default]
     Bytecode,
     /// The tree-walking reference evaluator over the resolved body.
@@ -47,9 +49,10 @@ pub enum Tier {
 
 /// Mutable interpreter state of an original filter instance. Storage is
 /// slot-resolved (see [`streamlin_graph::lower`]): persistent cells live
-/// in a `Vec` ordered by the lowered filter's global-slot table, and the
-/// local frame is a scratch `Vec` reused across firings — no `HashMap` on
-/// the firing path.
+/// in a `Vec` ordered by the lowered filter's global-slot table; scalar
+/// locals live in the bytecode's registers, local arrays (and everything
+/// the tree-walker declares) in a frame `Vec` — all reused across firings,
+/// no `HashMap` and no allocation on the firing path.
 #[derive(Debug, Clone)]
 pub struct InterpState {
     /// The elaborated filter. `Arc` (not the graph's `Rc`) so flat nodes
@@ -73,6 +76,9 @@ pub struct InterpState {
     /// Firings execute the compiled bytecode (`lowered.*.code`) instead
     /// of tree-walking the resolved body ([`Tier::Bytecode`]).
     pub use_bytecode: bool,
+    /// The bytecode's register files, kept between firings so a firing
+    /// allocates nothing, and its fused-loop counters.
+    pub regs: Regs,
 }
 
 impl InterpState {
@@ -107,6 +113,7 @@ impl InterpState {
             frame,
             first: true,
             use_bytecode: tier == Tier::Bytecode,
+            regs: Regs::default(),
         }
     }
 }
@@ -186,6 +193,63 @@ pub struct FlatNode {
     pub inputs: Vec<usize>,
     /// Output channel ids.
     pub outputs: Vec<usize>,
+}
+
+impl FlatNode {
+    /// The interpreter state of a node that runs a work function: an
+    /// interpreted filter, or a fission worker over one.
+    pub fn interp(&self) -> Option<&InterpState> {
+        match &self.kind {
+            NodeKind::Interp(state) => Some(state),
+            NodeKind::FissWorker(worker) => match &worker.kernel {
+                FissKernel::Interp(state) => Some(state),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+}
+
+/// Says which tier runs each interpreted filter: an `interp` note per
+/// filter — `typed`, or `treewalk` when the run asked for the reference
+/// tier or the typer refused the steady phase — and a `typer` note per
+/// refused phase with the reason, so a body that silently fell off the
+/// fast tier shows in `--emit-graph`, `--metrics` and the trace.
+pub(crate) fn note_tiers<P: Probe>(nodes: &[FlatNode], probe: &mut P) {
+    if !P::ENABLED {
+        return;
+    }
+    for (node, state) in nodes.iter().filter_map(|n| Some((n, n.interp()?))) {
+        let lowered = &state.inst.lowered;
+        let phases = [
+            ("work", Some(&lowered.work)),
+            ("initWork", lowered.init_work.as_ref()),
+        ];
+        for (phase, work) in phases {
+            if let Some(why) = work.and_then(|w| w.code.refusal()) {
+                probe.note("typer", &format!("{} {phase} refused: {why}", node.name));
+            }
+        }
+        let typed = state.use_bytecode && lowered.work.code.refusal().is_none();
+        let tier = if typed { "typed" } else { "treewalk" };
+        probe.note("interp", &format!("{}: {tier}", node.name));
+    }
+}
+
+/// A `fused` note per filter that entered a fused dot-product loop: how
+/// often one ran natively against how often its entry check bailed to the
+/// typed code of the same loop. Nothing under a disabled probe.
+pub(crate) fn note_fused_loops<P: Probe>(nodes: &[FlatNode], probe: &mut P) {
+    if !P::ENABLED {
+        return;
+    }
+    for (node, state) in nodes.iter().filter_map(|n| Some((n, n.interp()?))) {
+        let (runs, bails) = (state.regs.dot_runs, state.regs.dot_bails);
+        if runs + bails > 0 {
+            let text = format!("{}: {} entries, {bails} bails", node.name, runs + bails);
+            probe.note("fused", &text);
+        }
+    }
 }
 
 /// A flattened program.

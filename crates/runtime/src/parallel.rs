@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 use streamlin_support::{FaultAction, FaultPlan, OpCounter, Probe, StallKind, Tally};
 
 use crate::engine::RunError;
-use crate::flat::{FlatGraph, FlatNode, NodeKind};
+use crate::flat::{note_fused_loops, FlatGraph, FlatNode, NodeKind};
 use crate::partition::Partition;
 use crate::plan::{batch_need, exec_batch, node_rates, ExecPlan, PlanState, Rates};
 use crate::pool;
@@ -451,6 +451,7 @@ fn worker_main<T: Tally, P: Probe, F: FaultPlan>(
             Cmd::Finish => break,
         }
     }
+    note_fused_loops(&w.nodes, &mut w.probe);
     StageResult {
         stage: w.stage,
         printed: std::mem::take(&mut w.state.printed),
@@ -1042,20 +1043,28 @@ impl<P: Probe> PipelineSession<P> {
                     break;
                 }
                 Err(RecvTimeoutError::Timeout) => {
+                    let dead = self.threads.iter().position(|t| !t.is_alive());
+                    let worker_died = |stage: usize| RunError::WorkerLost {
+                        detail: format!("stage {stage} worker thread died mid-run"),
+                    };
                     if let Some(t0) = tripped_at {
+                        // On a starved host the stall deadline can run out
+                        // before a dying thread has been scheduled to die:
+                        // a worker found dead inside the grace window is
+                        // the cause of the stall, not a bystander, so the
+                        // verdict is corrected rather than first-come.
+                        if let (Some(stage), Some(RunError::Stalled { .. })) = (dead, &self.failed)
+                        {
+                            self.failed = Some(worker_died(stage));
+                        }
                         if t0.elapsed() >= TEARDOWN_GRACE {
                             break;
                         }
                         continue;
                     }
-                    if let Some(dead) = self.threads.iter().position(|t| !t.is_alive()) {
+                    if let Some(stage) = dead {
                         self.poisoned.store(true, Ordering::Relaxed);
-                        absorb_err(
-                            &mut self.failed,
-                            RunError::WorkerLost {
-                                detail: format!("stage {dead} worker thread died mid-run"),
-                            },
-                        );
+                        absorb_err(&mut self.failed, worker_died(stage));
                         tripped_at = Some(Instant::now());
                         continue;
                     }

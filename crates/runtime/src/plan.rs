@@ -28,7 +28,7 @@
 //!
 //! The firing *semantics* are shared with the dynamic engine (same
 //! slot-resolved work-function interpreter via
-//! [`crate::engine::run_work_phase`], same kernels, same operation
+//! [`crate::engine::fire_interp`], same kernels, same operation
 //! counting), so a program's printed output is bit-identical under either
 //! scheduler; the equivalence suite in `tests/sched_equivalence.rs` pins
 //! that down for every benchmark.
@@ -36,7 +36,7 @@
 use streamlin_graph::steady::{balance, RateEdge};
 use streamlin_support::{NoProbe, OpCounter, Probe, Tally};
 
-use crate::engine::{interp_phase_rates, run_work_phase, RunError};
+use crate::engine::{fire_interp, init_pending, interp_phase_rates, RunError};
 use crate::fission::FissKernel;
 use crate::flat::{FlatGraph, FlatNode, NodeKind};
 use crate::ring::RingSet;
@@ -713,6 +713,11 @@ impl<T: Tally> PlanEngine<T> {
         &self.plan
     }
 
+    /// The nodes, with the state their firings have left in them.
+    pub fn nodes(&self) -> &[FlatNode] {
+        &self.nodes
+    }
+
     /// Values printed so far (the program's output stream), less any
     /// removed by [`Self::take_printed`].
     pub fn printed(&self) -> &[f64] {
@@ -852,26 +857,42 @@ pub(crate) fn exec_batch<T: Tally>(
     let output = node.outputs.first().copied();
     match &mut node.kind {
         NodeKind::Interp(interp) => {
-            for done in 0..times {
-                if state.printed.len() >= stop_at {
-                    return Ok(done);
-                }
-                let (peek, _, _) = interp_phase_rates(interp);
+            let PlanState {
+                rings,
+                printed,
+                ops,
+                firings,
+                out_buf,
+            } = state;
+            let mut done = 0;
+            // One window per run of same-phase firings (a pending
+            // `initWork` is a run of its own).
+            while done < times {
+                let (peek, pop, _) = interp_phase_rates(interp);
+                let want = if init_pending(interp) {
+                    1
+                } else {
+                    times - done
+                };
                 let window: &[f64] = match input {
-                    Some(c) => state.rings.window(c, peek),
+                    Some(c) => rings.window(c, (want as usize - 1) * pop + peek),
                     None => &[],
                 };
-                let (popped, pushed) =
-                    run_work_phase(interp, window, &mut state.printed, &mut state.ops)?;
-                state.firings += 1;
+                out_buf.clear();
+                let ran = fire_interp(interp, window, want, out_buf, printed, ops, stop_at)?;
+                if ran == 0 {
+                    break; // a printing filter, and the target is reached
+                }
+                *firings += ran as u64;
                 if let Some(c) = input {
-                    state.rings.consume(c, popped);
+                    rings.consume(c, ran as usize * pop);
                 }
                 if let Some(c) = output {
-                    state.rings.produce(c, &pushed);
+                    rings.produce(c, out_buf);
                 }
+                done += ran;
             }
-            Ok(times)
+            Ok(done)
         }
         NodeKind::Linear(exec) => {
             state.firings += times as u64;
@@ -1073,16 +1094,15 @@ pub(crate) fn exec_batch<T: Tally>(
                         }
                     }
                     FissKernel::Interp(interp) => {
-                        for f in 0..fires {
-                            let base = f * fw.pop;
-                            let (_, pushed) = run_work_phase(
-                                interp,
-                                &window[base..base + fw.peek],
-                                printed,
-                                ops,
-                            )?;
-                            out_buf.extend_from_slice(&pushed);
-                        }
+                        fire_interp(
+                            interp,
+                            window,
+                            fires as u32,
+                            out_buf,
+                            printed,
+                            ops,
+                            usize::MAX,
+                        )?;
                     }
                 }
                 *firings += fires as u64;

@@ -32,7 +32,7 @@ use streamlin_support::{FaultPlan, NoCount, NoFault, NoProbe, OpCounter, Probe, 
 
 use crate::engine::{Engine, RunError};
 use crate::fission::{fiss_bottleneck, Fission, FissionInfo};
-use crate::flat::{flatten_with, FlatGraph};
+use crate::flat::{flatten_with, note_fused_loops, note_tiers, FlatGraph};
 use crate::measure::{ExecMode, Profile, ProfileError, Scheduler};
 use crate::parallel::PipelineSession;
 use crate::partition::{firing_cost, partition, Partition};
@@ -190,6 +190,7 @@ pub fn compile<P: Probe>(
             Some(p) => probe.note("schedule", &p.summary()),
             None => probe.note("schedule", "data-driven (no static plan)"),
         }
+        note_tiers(&art.flat.nodes, probe);
     }
     if let (Some(plan), Some(threads)) = (&art.plan, spec.threads) {
         let t0 = probe.now();
@@ -495,8 +496,12 @@ impl<T: Tally + Default + Send + 'static, P: Reportable> Session for Live<T, P> 
                 Ok(out) => (out.ops, out.firings, Scheduler::Static),
                 Err(_) => (OpCounter::default(), 0, Scheduler::Static),
             },
-            Family::Plan(engine) => (engine.ops().counts(), engine.firings(), Scheduler::Static),
+            Family::Plan(engine) => {
+                note_fused_loops(engine.nodes(), &mut this.probe);
+                (engine.ops().counts(), engine.firings(), Scheduler::Static)
+            }
             Family::Dynamic(engine) => {
+                note_fused_loops(engine.nodes(), &mut this.probe);
                 (engine.ops().counts(), engine.firings(), Scheduler::Dynamic)
             }
         };

@@ -323,7 +323,7 @@ pub const KNOBS: &[Knob] = &[
         "tier",
         "bytecode|treewalk",
         true,
-        "interpreter tier (default: treewalk if STREAMLIN_NO_BYTECODE is set)",
+        "interpreter tier: typed register bytecode, or the tree-walking reference (default: treewalk if STREAMLIN_NO_BYTECODE is set)",
         |s, v| one_of(v, &[("bytecode", Tier::Bytecode), ("treewalk", Tier::TreeWalk)]).map(|t| s.tier = t),
     ),
     knob(

@@ -422,3 +422,77 @@ fn metrics_lists_every_compile_phase_in_order() {
         at += found + 1;
     }
 }
+
+/// Which tier ran is part of the decision dump: an `interp` label per
+/// interpreted filter, a `typer` note for every phase the typer refused
+/// (with the reason), and per filter the fused-loop entries against the
+/// entry checks that bailed. `Corr`'s second loop never iterates but
+/// indexes the tape at −1, which its entry check cannot vouch for: a bail
+/// on every firing, and no error. `Clip` stores a float into an int in a
+/// branch no run takes, so it can only run on the reference tier.
+#[test]
+fn emit_graph_says_which_tier_ran_and_how_fused_loops_fared() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("which_tier.str");
+    let program = "
+        void->void pipeline Main { add Ramp(); add Corr(); add Clip(); add Printer(); }
+        void->float filter Ramp { float x; work push 1 { push(x++); } }
+        float->float filter Corr {
+            float[4] h;
+            init { for (int i = 0; i < 4; i++) h[i] = i + 1; }
+            work peek 4 pop 1 push 1 {
+                float acc = 0;
+                int past = -1;
+                for (int i = 0; i < 4; i++) acc += h[i] * peek(i);
+                for (int i = 0; i < 0; i++) acc += peek(past) * peek(i);
+                push(acc * acc); pop();
+            }
+        }
+        float->float filter Clip {
+            int seen;
+            work pop 1 push 1 {
+                float t = pop();
+                if (seen < 0) { seen = 0.5; }
+                seen++;
+                if (t > 1000) { push(1000); } else { push(t); }
+            }
+        }
+        float->void filter Printer { work pop 1 { println(pop()); } }";
+    std::fs::write(&path, program).unwrap();
+    let notes = |extra: &[&str]| {
+        let out = streamlinc()
+            .arg(&path)
+            .args(["-n", "5", "--emit-graph"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{stderr}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            "400\n900\n1000\n1000\n1000\n"
+        );
+        let keys = ["interp: ", "typer: ", "fused: "];
+        let kept: Vec<&str> = (stderr.lines())
+            .filter(|l| keys.iter().any(|k| l.starts_with(k)))
+            .collect();
+        kept.join("\n")
+    };
+    assert_eq!(
+        notes(&[]),
+        "interp: Ramp: typed\n\
+         interp: Corr: typed\n\
+         typer: Clip work refused: store of a value the variable's type cannot hold\n\
+         interp: Clip: treewalk\n\
+         fused: Corr: 10 entries, 5 bails"
+    );
+    assert_eq!(
+        notes(&["--tier", "treewalk"]),
+        "interp: Ramp: treewalk\n\
+         interp: Corr: treewalk\n\
+         typer: Clip work refused: store of a value the variable's type cannot hold\n\
+         interp: Clip: treewalk"
+    );
+    // The pipeline's workers report their own filters' loops (how many
+    // depends on how far past five outputs its cycles run).
+    assert!(notes(&["--threads", "2"]).contains("\nfused: Corr: "));
+}
