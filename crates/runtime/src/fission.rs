@@ -73,7 +73,7 @@
 //! # Determinism contract
 //!
 //! Fission preserves the contract PRs 1–4 established, and
-//! `tests/fission_equivalence.rs` pins it across all nine benchmarks:
+//! the `fission` row of `tests/equivalence.rs` pins it on all nine benchmarks:
 //!
 //! * printed output is **bit-identical** to the unfissed static plan for
 //!   every width;

@@ -219,7 +219,7 @@ mod tests {
             None => OptStream::from_graph(&g),
             Some(c) => c.apply(&g, &analyze_graph(&g)).unwrap(),
         };
-        RunSpec::from_env().run(&opt, n).unwrap()
+        RunSpec::default().run(&opt, n).unwrap()
     }
 
     #[test]

@@ -79,8 +79,7 @@ use crate::ring::{Backoff, RingSet, SharedRings};
 ///
 /// The quantum is a field of the run's spec
 /// ([`crate::spec::RunSpec::quantum`]): an explicit knob (`streamlinc
-/// --quantum`, a per-stream `streamlind` member) first, then the
-/// `STREAMLIN_CYCLE_QUANTUM` environment variable, then this default.
+/// --quantum`, a per-stream `streamlind` member), else this default.
 /// Larger quanta amortize coordinator round trips on long-running
 /// streams; quantum 1 removes the up-to-4× sub-cycle overshoot on short
 /// ones (at the cost of restricting fission's cycle expansion to 1).

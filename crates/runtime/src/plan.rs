@@ -30,8 +30,8 @@
 //! slot-resolved work-function interpreter via
 //! [`crate::engine::fire_interp`], same kernels, same operation
 //! counting), so a program's printed output is bit-identical under either
-//! scheduler; the equivalence suite in `tests/sched_equivalence.rs` pins
-//! that down for every benchmark.
+//! scheduler; the `sched` row of `tests/equivalence.rs` pins that down
+//! for every benchmark.
 
 use streamlin_graph::steady::{balance, RateEdge};
 use streamlin_support::{NoProbe, OpCounter, Probe, Tally};

@@ -4,7 +4,8 @@
 //! A [`RunSpec`] holds the eleven independently settable run values.
 //! `streamlinc` feeds [`KNOBS`] `--flag value` pairs, the daemon's `open`
 //! feeds it JSON members (numbers stringified), and tests write struct
-//! literals over [`RunSpec::from_env`]; there is no other parser. The spec
+//! literals over [`RunSpec::default`]; there is no other parser and no
+//! second spelling — nothing here reads the environment. The spec
 //! splits by type: [`RunSpec::plan`] is the normalised, hashable
 //! [`PlanSpec`] — everything the compiled artifact depends on, and the
 //! whole of the daemon's cache key beside the source hash — and
@@ -23,8 +24,7 @@ use crate::linear_exec::MatMulStrategy;
 use crate::measure::{ExecMode, Scheduler};
 use crate::parallel::CYCLE_QUANTUM;
 
-/// How one program is compiled and run. `Default` is the built-in
-/// configuration; [`RunSpec::from_env`] overlays the environment.
+/// How one program is compiled and run. `Default` is the only default.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// Which optimization configuration builds the stream.
@@ -130,57 +130,6 @@ impl RunSpec {
             fault: self.fault.clone(),
         }
     }
-
-    /// The built-in defaults overlaid with the environment — the only
-    /// place `STREAMLIN_CYCLE_QUANTUM` (quantum), `STREAMLIN_NO_BYTECODE`
-    /// (tier) and `STREAMLIN_NO_CERT` (cert) are read. An unusable quantum
-    /// value is returned as a complaint beside a spec that kept the
-    /// built-in quantum, so callers with a failure channel can refuse.
-    pub fn from_env_checked() -> (RunSpec, Option<String>) {
-        let mut spec = RunSpec::default();
-        if std::env::var_os("STREAMLIN_NO_BYTECODE").is_some() {
-            spec.tier = Tier::TreeWalk;
-        }
-        if std::env::var_os("STREAMLIN_NO_CERT").is_some() {
-            spec.cert = false;
-        }
-        let complaint = match std::env::var("STREAMLIN_CYCLE_QUANTUM") {
-            Err(std::env::VarError::NotPresent) => None,
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Some("STREAMLIN_CYCLE_QUANTUM is not valid unicode".to_string())
-            }
-            Ok(raw) => match parse_quantum(&raw) {
-                Ok(q) => {
-                    spec.quantum = q;
-                    None
-                }
-                Err(why) => Some(why),
-            },
-        };
-        (spec, complaint)
-    }
-
-    /// [`RunSpec::from_env_checked`] for callers without a failure
-    /// channel: an unusable quantum override is not silently swallowed —
-    /// the first one warns on stderr (once per process) — and the built-in
-    /// quantum stands.
-    pub fn from_env() -> RunSpec {
-        let (spec, complaint) = Self::from_env_checked();
-        if let Some(why) = complaint {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| eprintln!("warning: ignoring invalid quantum override: {why}"));
-        }
-        spec
-    }
-}
-
-/// Parses a `STREAMLIN_CYCLE_QUANTUM` value: a positive integer.
-///
-/// # Errors
-///
-/// Why the value is unusable, naming the variable.
-fn parse_quantum(raw: &str) -> Result<u64, String> {
-    count(raw.trim(), 1).map_err(|why| format!("STREAMLIN_CYCLE_QUANTUM {why}"))
 }
 
 /// The one numeric validator: a decimal integer `>= min`. Negative,
@@ -207,6 +156,35 @@ fn one_of<T: Copy>(raw: &str, options: &[(&str, T)]) -> Result<T, String> {
     }
 }
 
+/// What a value of a knob may do to a program's printed output, against
+/// the interpreted graph on the reference engine. `tests/equivalence.rs`
+/// holds every row to it, for every value in `samples`, on every benchmark.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Contract {
+    /// The output is bit-identical to the reference.
+    Bits,
+    /// [`Contract::Bits`], and tallies and firing counts are equal across
+    /// the samples (pipeline runs quantize to the same steady cycles).
+    BitsAndCounts,
+    /// The output agrees with the reference within this absolute and
+    /// relative tolerance (the arithmetic is reassociated).
+    Tolerance(f64),
+    /// The knob is not about output; its drills are `tests/failure_modes.rs`.
+    NotOutput,
+}
+
+impl Contract {
+    /// The contract as the README's knob table prints it.
+    pub fn label(self) -> String {
+        match self {
+            Contract::Bits => "bits".into(),
+            Contract::BitsAndCounts => "bits, counts".into(),
+            Contract::Tolerance(eps) => format!("within {eps:e}"),
+            Contract::NotOutput => "not output".into(),
+        }
+    }
+}
+
 /// One row of the knob table.
 pub struct Knob {
     /// The JSON member of an `open` request.
@@ -217,6 +195,10 @@ pub struct Knob {
     pub values: &'static str,
     /// Whether the value is part of [`PlanSpec`] (else of [`ExecSpec`]).
     pub compile_time: bool,
+    /// What a value of this knob may do to the output.
+    pub contract: Contract,
+    /// The values the equivalence matrix runs (and the parity tests parse).
+    pub samples: &'static [&'static str],
     /// One line for `--help` and the README.
     pub help: &'static str,
     set: fn(&mut RunSpec, &str) -> Result<(), String>,
@@ -233,75 +215,71 @@ impl Knob {
     }
 }
 
-const fn knob(
-    key: &'static str,
-    flag: &'static str,
-    values: &'static str,
-    compile_time: bool,
-    help: &'static str,
-    set: fn(&mut RunSpec, &str) -> Result<(), String>,
-) -> Knob {
-    Knob {
-        key,
-        flag,
-        values,
-        compile_time,
-        help,
-        set,
-    }
-}
-
-/// Every run value, how it is spelled and how it is validated. Adding a
-/// knob is adding a row (and a field): the CLI, the wire protocol, the
-/// usage text and `tests/run_spec.rs` all iterate this table.
+/// Every run value: its spelling, its validation and its output contract.
+/// Adding a knob is adding a row (and a field): the CLI, the wire protocol,
+/// the usage text, `tests/run_spec.rs` and the equivalence matrix iterate it.
 pub const KNOBS: &[Knob] = &[
-    knob(
-        "config",
-        "config",
-        "baseline|linear|freq|redund|autosel",
-        true,
-        "optimization configuration (§5.2)",
-        |s, v| one_of(v, &Config::ALL.map(|c| (c.label(), c))).map(|c| s.config = c),
-    ),
-    knob(
-        "sched",
-        "sched",
-        "auto|static|dynamic",
-        true,
-        "compiled static plan, or the data-driven engine",
-        |s, v| one_of(v, &Scheduler::ALL.map(|x| (x.label(), x))).map(|x| s.sched = x),
-    ),
-    knob(
-        "mode",
-        "mode",
-        "measured|fast",
-        false,
-        "count every floating-point operation, or bare arithmetic",
-        |s, v| one_of(v, &ExecMode::ALL.map(|x| (x.label(), x))).map(|x| s.mode = x),
-    ),
-    knob(
-        "matmul",
-        "matmul",
-        "unrolled|diagonal|blocked|simd",
-        true,
-        "linear-node kernel (default: unrolled when measured, simd when fast)",
-        |s, v| one_of(v, &MatMulStrategy::ALL.map(|x| (x.label(), x))).map(|x| s.matmul = Some(x)),
-    ),
-    knob(
-        "threads",
-        "threads",
-        "<n>",
-        true,
-        "run the pipeline-parallel executor over at most n stages",
-        |s, v| count(v, 1).map(|n| s.threads = Some(n as usize)),
-    ),
-    knob(
-        "fission",
-        "fission",
-        "auto|off|<w>",
-        true,
-        "split the dominant node w ways (alone: a 1-stage pipeline)",
-        |s, v| {
+    Knob {
+        key: "config",
+        flag: "config",
+        values: "baseline|linear|freq|redund|autosel",
+        compile_time: true,
+        contract: Contract::Tolerance(1e-5),
+        samples: &["baseline", "linear", "freq", "redund", "autosel"],
+        help: "optimization configuration (§5.2)",
+        set: |s, v| one_of(v, &Config::ALL.map(|c| (c.label(), c))).map(|c| s.config = c),
+    },
+    Knob {
+        key: "sched",
+        flag: "sched",
+        values: "auto|static|dynamic",
+        compile_time: true,
+        contract: Contract::Bits,
+        samples: &["auto", "static", "dynamic"],
+        help: "compiled static plan, or the data-driven engine",
+        set: |s, v| one_of(v, &Scheduler::ALL.map(|x| (x.label(), x))).map(|x| s.sched = x),
+    },
+    Knob {
+        key: "mode",
+        flag: "mode",
+        values: "measured|fast",
+        compile_time: false,
+        contract: Contract::Bits,
+        samples: &["measured", "fast"],
+        help: "count every floating-point operation, or bare arithmetic",
+        set: |s, v| one_of(v, &ExecMode::ALL.map(|x| (x.label(), x))).map(|x| s.mode = x),
+    },
+    Knob {
+        key: "matmul",
+        flag: "matmul",
+        values: "unrolled|diagonal|blocked|simd",
+        compile_time: true,
+        contract: Contract::Tolerance(1e-9),
+        samples: &["unrolled", "diagonal", "blocked", "simd"],
+        help: "linear-node kernel (default: unrolled when measured, simd when fast)",
+        set: |s, v| {
+            one_of(v, &MatMulStrategy::ALL.map(|x| (x.label(), x))).map(|x| s.matmul = Some(x))
+        },
+    },
+    Knob {
+        key: "threads",
+        flag: "threads",
+        values: "<n>",
+        compile_time: true,
+        contract: Contract::BitsAndCounts,
+        samples: &["1", "2", "4"],
+        help: "run the pipeline-parallel executor over at most n stages",
+        set: |s, v| count(v, 1).map(|n| s.threads = Some(n as usize)),
+    },
+    Knob {
+        key: "fission",
+        flag: "fission",
+        values: "auto|off|<w>",
+        compile_time: true,
+        contract: Contract::BitsAndCounts,
+        samples: &["1", "2", "4", "auto"],
+        help: "split the dominant node w ways (alone: a 1-stage pipeline)",
+        set: |s, v| {
             let parsed = match v {
                 "auto" => Ok(Fission::Auto),
                 "off" => Ok(Fission::Off),
@@ -309,47 +287,60 @@ pub const KNOBS: &[Knob] = &[
             };
             parsed.map(|f| s.fission = f)
         },
-    ),
-    knob(
-        "quantum",
-        "quantum",
-        "<n>",
-        true,
-        "pipeline pacing quantum in steady cycles (default: STREAMLIN_CYCLE_QUANTUM, else 4)",
-        |s, v| count(v, 1).map(|q| s.quantum = q),
-    ),
-    knob(
-        "tier",
-        "tier",
-        "bytecode|treewalk",
-        true,
-        "interpreter tier: typed register bytecode, or the tree-walking reference (default: treewalk if STREAMLIN_NO_BYTECODE is set)",
-        |s, v| one_of(v, &[("bytecode", Tier::Bytecode), ("treewalk", Tier::TreeWalk)]).map(|t| s.tier = t),
-    ),
-    knob(
-        "cert",
-        "cert",
-        "on|off",
-        true,
-        "certified phases skip tape checks (default: off if STREAMLIN_NO_CERT is set)",
-        |s, v| one_of(v, &[("on", true), ("off", false)]).map(|on| s.cert = on),
-    ),
-    knob(
-        "watchdog_ms",
-        "watchdog-ms",
-        "<ms>",
-        false,
-        "no-progress deadline of the pipeline watchdog",
-        |s, v| count(v, 1).map(|ms| s.watchdog = Some(Duration::from_millis(ms))),
-    ),
-    knob(
-        "fault",
-        "fault-inject",
-        "<seed>:<spec>[,<spec>...]",
-        false,
-        "deterministic fault drill (panic@s1, wedge, die, slow=50, delay@c2=100, refuse#1, nofission)",
-        |s, v| InjectFaults::parse(v).map(|f| s.fault = Some(f)),
-    ),
+    },
+    Knob {
+        key: "quantum",
+        flag: "quantum",
+        values: "<n>",
+        compile_time: true,
+        contract: Contract::Bits,
+        samples: &["1", "2", "8"],
+        help: "pipeline pacing quantum in steady cycles (default: 4)",
+        set: |s, v| count(v, 1).map(|q| s.quantum = q),
+    },
+    Knob {
+        key: "tier",
+        flag: "tier",
+        values: "bytecode|treewalk",
+        compile_time: true,
+        contract: Contract::Bits,
+        samples: &["bytecode", "treewalk"],
+        help: "interpreter tier: typed register bytecode, or the tree-walking reference",
+        set: |s, v| {
+            one_of(v, &[("bytecode", Tier::Bytecode), ("treewalk", Tier::TreeWalk)])
+                .map(|t| s.tier = t)
+        },
+    },
+    Knob {
+        key: "cert",
+        flag: "cert",
+        values: "on|off",
+        compile_time: true,
+        contract: Contract::Bits,
+        samples: &["on", "off"],
+        help: "certified phases skip tape checks",
+        set: |s, v| one_of(v, &[("on", true), ("off", false)]).map(|on| s.cert = on),
+    },
+    Knob {
+        key: "watchdog_ms",
+        flag: "watchdog-ms",
+        values: "<ms>",
+        compile_time: false,
+        contract: Contract::NotOutput,
+        samples: &["1", "2000"],
+        help: "no-progress deadline of the pipeline watchdog",
+        set: |s, v| count(v, 1).map(|ms| s.watchdog = Some(Duration::from_millis(ms))),
+    },
+    Knob {
+        key: "fault",
+        flag: "fault-inject",
+        values: "<seed>:<spec>[,<spec>...]",
+        compile_time: false,
+        contract: Contract::NotOutput,
+        samples: &["7:die@s0", "3:wedge,refuse#1"],
+        help: "deterministic fault drill (panic@s1, wedge, die, slow=50, delay@c2=100, refuse#1, nofission)",
+        set: |s, v| InjectFaults::parse(v).map(|f| s.fault = Some(f)),
+    },
 ];
 
 /// The `[--flag values]` line of every knob, for a usage message.
@@ -364,33 +355,18 @@ pub fn usage_flags(indent: &str) -> String {
 /// the README carries exactly this text).
 pub fn markdown_table() -> String {
     let mut out =
-        String::from("| flag | `open` member | values | half | meaning |\n|---|---|---|---|---|\n");
+        String::from("| flag | `open` member | values | half | contract | meaning |\n|---|---|---|---|---|---|\n");
     for k in KNOBS {
         let half = if k.compile_time { "plan" } else { "exec" };
         // A table cell cannot hold a bare `|`, even in a code span.
         let values = k.values.replace('|', "\\|");
         out.push_str(&format!(
-            "| `--{}` | `\"{}\"` | `{values}` | {half} | {} |\n",
-            k.flag, k.key, k.help
+            "| `--{}` | `\"{}\"` | `{values}` | {half} | {} | {} |\n",
+            k.flag,
+            k.key,
+            k.contract.label(),
+            k.help
         ));
     }
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quantum_values_parse_or_explain() {
-        assert_eq!(parse_quantum("8"), Ok(8));
-        assert_eq!(parse_quantum("  1\n"), Ok(1));
-        for bad in ["0", "-3", "4.5", "four", ""] {
-            let why = parse_quantum(bad).unwrap_err();
-            assert!(
-                why.contains("STREAMLIN_CYCLE_QUANTUM"),
-                "error should name the variable: {why}"
-            );
-        }
-    }
 }

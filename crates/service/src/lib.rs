@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use streamlin_runtime::{pool, RunSpec, Session};
+use streamlin_runtime::{pool, RunSpec, Session, CYCLE_QUANTUM};
 use streamlin_support::json::Json;
 use streamlin_support::{NoProbe, Recorder};
 
@@ -68,8 +68,7 @@ pub struct ServiceOpts {
     pub metrics: bool,
     /// Directory for per-stream Chrome traces (`<dir>/<id>.trace.json`).
     pub trace_dir: Option<String>,
-    /// Default cycle quantum for streams that don't pick one (`0`:
-    /// `STREAMLIN_CYCLE_QUANTUM`, then the built-in default).
+    /// Default cycle quantum for streams that don't pick one.
     pub quantum: u64,
     /// Default stall watchdog for pipeline streams whose `open` doesn't
     /// set `watchdog_ms`. `None` leaves unsupervised streams unarmed
@@ -84,6 +83,11 @@ pub struct ServiceOpts {
 /// can make the daemon compute and hold.
 pub const MAX_READ_N: usize = 1 << 20;
 
+/// The longest request line (newline excluded) the transports accept and
+/// the most of one they hold; a longer one is one `too_large`, and the line
+/// after it is served. An `open` carries its program inline: this bounds it.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 impl Default for ServiceOpts {
     fn default() -> Self {
         ServiceOpts {
@@ -92,7 +96,7 @@ impl Default for ServiceOpts {
             instrument: false,
             metrics: false,
             trace_dir: None,
-            quantum: 0,
+            quantum: CYCLE_QUANTUM,
             watchdog_ms: None,
         }
     }
@@ -116,12 +120,9 @@ type StreamSlot = Arc<Mutex<StreamEntry>>;
 /// request dispatcher. Transport-free — [`server`] owns the I/O loops.
 pub struct Service {
     opts: ServiceOpts,
-    /// What every `open` is parsed over: the environment's defaults (read
-    /// once, here) overlaid with the daemon's own. `quantum` is 0 when the
-    /// environment's override is unusable and the daemon has none of its
-    /// own — such opens must bring a quantum or be refused.
+    /// What every `open` is parsed over: the built-in defaults overlaid
+    /// with the daemon's own.
     base: RunSpec,
-    env_complaint: Option<String>,
     cache: PlanCache,
     ledger: Ledger,
     /// The stream table. Guards only membership: entries carry their own
@@ -148,17 +149,14 @@ fn valid_stream_id(id: &str) -> bool {
 impl Service {
     pub fn new(opts: ServiceOpts) -> Self {
         let ledger = Ledger::new(opts.workers);
-        let (mut base, env_complaint) = RunSpec::from_env_checked();
-        if opts.quantum != 0 {
-            base.quantum = opts.quantum;
-        } else if env_complaint.is_some() {
-            base.quantum = 0;
-        }
-        base.watchdog = opts.watchdog_ms.map(Duration::from_millis);
+        let base = RunSpec {
+            quantum: opts.quantum,
+            watchdog: opts.watchdog_ms.map(Duration::from_millis),
+            ..RunSpec::default()
+        };
         Service {
             opts,
             base,
-            env_complaint,
             cache: PlanCache::new(),
             ledger,
             streams: Mutex::new(HashMap::new()),
@@ -176,7 +174,7 @@ impl Service {
     /// malformed input; failures are structured `{"ok":false,...}`
     /// responses.
     pub fn handle(&self, line: &str) -> String {
-        match proto::parse_request_over(line, Some(&self.base)) {
+        match proto::parse_request_over(line, &self.base) {
             Err(detail) => err_response("bad_request", &detail, vec![]),
             Ok(Request::Ping) => ok_response("pong", vec![]),
             Ok(Request::Stats) => self.handle_stats(),
@@ -208,13 +206,6 @@ impl Service {
             if let Some(resp) = Self::refuse_open(&streams, &req.id, self.opts.max_streams) {
                 return resp;
             }
-        }
-        // An invalid STREAMLIN_CYCLE_QUANTUM in the daemon's environment
-        // is a structured refusal, not a silent fallback the client can't
-        // see — unless the request (or the daemon) names a quantum.
-        if req.spec.quantum == 0 {
-            let why = self.env_complaint.as_deref().unwrap_or("no cycle quantum");
-            return err_response("bad_request", why, vec![]);
         }
         // A cache miss compiles on the stream's own recorder, so an
         // instrumented stream's close report carries its compile phases.

@@ -80,30 +80,30 @@ fn text_field(v: &Json, key: &str) -> Result<Option<String>, String> {
     }
 }
 
-/// Parses one request line, an `open` over [`RunSpec::from_env`].
+/// Parses one request line, an `open` over [`RunSpec::default`].
 ///
 /// # Errors
 ///
 /// As [`parse_request_over`].
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    parse_request_over(line, None)
+    parse_request_over(line, &RunSpec::default())
 }
 
 /// Parses one request line; an `open`'s knob members are applied over
-/// `base` (the daemon's defaults; `None` = [`RunSpec::from_env`]).
+/// `base` (the daemon's defaults).
 ///
 /// # Errors
 ///
 /// A human-readable description of what is malformed, naming the member
 /// (the server wraps it into a `bad_request` response).
-pub fn parse_request_over(line: &str, base: Option<&RunSpec>) -> Result<Request, String> {
+pub fn parse_request_over(line: &str, base: &RunSpec) -> Result<Request, String> {
     let v = json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
     let op = str_field(&v, "op").ok_or("missing \"op\"")?;
     match op.as_str() {
         "open" => {
             let id = str_field(&v, "id").ok_or("open: missing \"id\"")?;
             let program = str_field(&v, "program").ok_or("open: missing \"program\"")?;
-            let mut spec = base.cloned().unwrap_or_else(RunSpec::from_env);
+            let mut spec = base.clone();
             for knob in KNOBS {
                 if let Some(raw) = text_field(&v, knob.key).map_err(|e| format!("open: {e}"))? {
                     knob.apply(&mut spec, &raw)
@@ -237,7 +237,7 @@ mod tests {
 
     fn open(extra: &str) -> Result<OpenReq, String> {
         let line = format!(r#"{{"op":"open","id":"a","program":"p"{extra}}}"#);
-        match parse_request_over(&line, Some(&RunSpec::default()))? {
+        match parse_request(&line)? {
             Request::Open(o) => Ok(*o),
             other => panic!("not open: {other:?}"),
         }

@@ -9,34 +9,62 @@
 //! different connections can even share a stream, and the dispatcher's
 //! locking keeps every request/response pair atomic.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{stdin, stdout, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::proto::err_response;
-use crate::Service;
+use streamlin_support::json::Json;
 
-/// Serves requests from `input` to `output` until EOF or shutdown.
+use crate::proto::err_response;
+use crate::{Service, MAX_LINE_BYTES};
+
+/// Serves requests from `input` to `output` until EOF or shutdown: the one
+/// request loop of both transports. With `polled`, a read timeout on
+/// `input` is not an error but a chance to re-check the shutdown flag;
+/// bytes read before it stay in the line buffer, so a line split by a
+/// timeout is finished on a later pass.
 ///
 /// # Errors
 ///
 /// I/O failures on the transport (protocol-level failures — a line that
-/// is not UTF-8 included — are structured responses, not errors).
+/// is not UTF-8 or longer than [`MAX_LINE_BYTES`] included — are
+/// structured responses, not errors).
 pub fn serve_lines(
     svc: &Service,
     input: impl std::io::Read,
     mut output: impl Write,
+    polled: bool,
 ) -> std::io::Result<()> {
     let mut reader = BufReader::new(input);
-    // One buffer for every request line of the connection.
+    // One buffer for every request line of the connection, never longer
+    // than the cap and a newline; `oversized` from the refusal of a longer
+    // line until its newline has gone by, a buffer at a time.
     let mut line = Vec::new();
+    let mut oversized = false;
     while !svc.is_shutdown() {
-        line.clear();
-        if reader.read_until(b'\n', &mut line)? == 0 {
-            break;
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
+            Err(e) if polled && matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                continue;
+            }
+            Err(e) => return Err(e),
+            Ok(_) if line.is_empty() => break,
+            Ok(_) => {}
         }
-        respond(svc, &line, &mut output)?;
+        let ended = line.ends_with(b"\n");
+        if oversized {
+            oversized = !ended;
+        } else if ended || line.len() <= MAX_LINE_BYTES {
+            // A whole line, or the unterminated last one before EOF.
+            respond(svc, &line, &mut output)?;
+        } else {
+            oversized = true;
+            let detail = format!("request line exceeds the limit of {MAX_LINE_BYTES} bytes");
+            let limit = ("limit".to_string(), Json::Num(MAX_LINE_BYTES as f64));
+            send(err_response("too_large", &detail, vec![limit]), &mut output)?;
+        }
+        line.clear();
     }
     Ok(())
 }
@@ -46,7 +74,7 @@ pub fn serve_lines(
 /// `bad_request` like any other malformed line, and the next line is
 /// served as usual.
 fn respond(svc: &Service, line: &[u8], out: &mut impl Write) -> std::io::Result<()> {
-    let mut response = match std::str::from_utf8(line).map(str::trim) {
+    let response = match std::str::from_utf8(line).map(str::trim) {
         Ok("") => return Ok(()),
         Ok(line) => svc.handle(line),
         Err(e) => err_response(
@@ -55,8 +83,12 @@ fn respond(svc: &Service, line: &[u8], out: &mut impl Write) -> std::io::Result<
             vec![],
         ),
     };
-    // One write for the line and its newline: split in two, the newline
-    // of a small response waits on a TCP socket for the peer's delayed ACK.
+    send(response, out)
+}
+
+/// One write for the line and its newline: split in two, the newline of a
+/// small response waits on a TCP socket for the peer's delayed ACK.
+fn send(mut response: String, out: &mut impl Write) -> std::io::Result<()> {
     response.push('\n');
     out.write_all(response.as_bytes())?;
     out.flush()
@@ -70,7 +102,7 @@ fn respond(svc: &Service, line: &[u8], out: &mut impl Write) -> std::io::Result<
 ///
 /// As [`serve_lines`].
 pub fn serve_stdio(svc: &Service) -> std::io::Result<()> {
-    serve_lines(svc, std::io::stdin().lock(), std::io::stdout().lock())
+    serve_lines(svc, stdin().lock(), stdout().lock(), false)
 }
 
 /// The TCP daemon: binds `addr`, prints the bound address to stderr
@@ -104,7 +136,7 @@ pub fn serve_listener(svc: Arc<Service>, listener: TcpListener) -> std::io::Resu
                 let svc = Arc::clone(&svc);
                 handles.push(std::thread::spawn(move || serve_conn(&svc, conn)));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
             }
             Err(e) => return Err(e),
@@ -119,49 +151,19 @@ pub fn serve_listener(svc: Arc<Service>, listener: TcpListener) -> std::io::Resu
 /// How often an idle connection re-checks the shutdown flag.
 const CONN_POLL: Duration = Duration::from_millis(100);
 
-/// One TCP connection. Unlike [`serve_lines`], the socket gets a finite
-/// read timeout so a connection idling between requests still observes a
-/// shutdown dispatched on *another* connection within [`CONN_POLL`] —
-/// otherwise `shutdown` would not terminate the daemon until every
-/// client disconnected on its own.
-fn serve_conn(svc: &Service, mut conn: TcpStream) {
+/// One TCP connection: [`serve_lines`] with a finite read timeout, so a
+/// connection idling between requests still observes a shutdown
+/// dispatched on *another* connection within [`CONN_POLL`] — otherwise
+/// `shutdown` would not terminate the daemon until every client
+/// disconnected on its own. An I/O error only ends this connection.
+fn serve_conn(svc: &Service, conn: TcpStream) {
     // Responses are complete lines a client is waiting on: never hold one
     // back to coalesce it with the next.
     if conn.set_read_timeout(Some(CONN_POLL)).is_err() || conn.set_nodelay(true).is_err() {
         return;
     }
-    let mut reader = match conn.try_clone() {
-        Ok(c) => BufReader::new(c),
-        Err(_) => return,
-    };
-    // Request bytes accumulate here across timeouts: `read_until`
-    // guarantees bytes read before an error are in the buffer, so a line
-    // split by a timeout is finished on a later pass.
-    let mut buf = Vec::new();
-    while !svc.is_shutdown() {
-        match reader.read_until(b'\n', &mut buf) {
-            Ok(_) if buf.ends_with(b"\n") => {
-                if respond(svc, &buf, &mut conn).is_err() {
-                    break;
-                }
-                buf.clear();
-            }
-            // EOF; serve whatever an unterminated final line carried.
-            Ok(_) => {
-                let _ = respond(svc, &buf, &mut conn);
-                break;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Idle (or mid-line) timeout: loop around and re-check
-                // the shutdown flag; partial data stays in `buf`.
-            }
-            Err(_) => break,
-        }
+    if let Ok(input) = conn.try_clone() {
+        let _ = serve_lines(svc, input, conn, true);
     }
 }
 
@@ -175,7 +177,7 @@ mod tests {
         let svc = Service::new(ServiceOpts::default());
         let input = b"{\"op\":\"ping\"}\n\n{\"op\":\"shutdown\"}\n{\"op\":\"ping\"}\n" as &[u8];
         let mut out = Vec::new();
-        serve_lines(&svc, input, &mut out).unwrap();
+        serve_lines(&svc, input, &mut out, false).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         // Blank line skipped; loop exits after shutdown, so the trailing
@@ -192,7 +194,7 @@ mod tests {
 
     fn served(svc: &Service, input: &[u8]) -> Vec<String> {
         let mut out = Vec::new();
-        serve_lines(svc, input, &mut out).unwrap();
+        serve_lines(svc, input, &mut out, false).unwrap();
         let text = String::from_utf8(out).unwrap();
         text.lines().map(str::to_string).collect()
     }
@@ -245,8 +247,28 @@ mod tests {
         assert!(lines[2].contains("\"pong\""));
     }
 
+    /// A line past the cap costs one `too_large` however long it runs on
+    /// (nothing of it is held), a line exactly at the cap is served, and
+    /// the requests behind both are answered.
     #[test]
-    fn non_utf8_line_is_a_bad_request_over_tcp() {
+    fn oversized_line_is_refused_once_and_the_next_line_is_served() {
+        let svc = Service::new(ServiceOpts::default());
+        let mut input = b"{\"op\":\"ping\"}\n".to_vec();
+        input.extend(std::iter::repeat_n(b'x', 3 * MAX_LINE_BYTES));
+        input.extend(b"\n{\"op\":\"ping\"}");
+        input.extend(std::iter::repeat_n(b' ', MAX_LINE_BYTES - 13));
+        input.extend(b"\n{\"op\":\"ping\"}\n");
+        let lines = served(&svc, &input);
+        assert_eq!(lines.len(), 4, "{lines:?}");
+        let refusal = format!("\"error\":\"too_large\",\"limit\":{MAX_LINE_BYTES}");
+        assert!(lines[1].contains(&refusal), "{}", lines[1]);
+        for i in [0, 2, 3] {
+            assert!(lines[i].contains("\"pong\""), "{}", lines[i]);
+        }
+    }
+
+    #[test]
+    fn malformed_lines_are_structured_refusals_over_tcp() {
         let svc = Arc::new(Service::new(ServiceOpts::default()));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -259,8 +281,11 @@ mod tests {
             .unwrap();
         let mut reader = BufReader::new(conn.try_clone().unwrap());
         let mut line = String::new();
+        let mut oversized = vec![b'x'; MAX_LINE_BYTES + 1];
+        oversized.push(b'\n');
         for (request, expect) in [
             (&b"\xff\xfe\n"[..], "\"error\":\"bad_request\""),
+            (&oversized[..], "\"error\":\"too_large\""),
             (b"{\"op\":\"ping\"}\n", "\"pong\""),
             (b"{\"op\":\"shutdown\"}\n", "\"shutdown\""),
         ] {

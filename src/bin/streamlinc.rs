@@ -76,7 +76,7 @@ fn usage(why: Option<String>) -> ! {
 fn parse_args() -> Args {
     let mut args = Args {
         path: String::new(),
-        spec: RunSpec::from_env(),
+        spec: RunSpec::default(),
         outputs: 1000,
         emit_graph: false,
         metrics: false,

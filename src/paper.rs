@@ -476,14 +476,22 @@ pub fn figures(lab: &mut Lab) -> Vec<Figure> {
             rows: ("strategy: taps \\ N", fft_rows),
             exact: FFT_SIZES.map(fft_column).to_vec(),
             verdict: Some(|g| {
+                // A block advances m = N − 2e + 1 inputs naively and m + e − 1
+                // optimized: 1.5× at N = 4e (3e against 2e + 1), tending to 1
+                // as N grows. Column t is N = 4e for the t-th FIR size.
+                let at_4e = range((0..5).map(|t| g[10 + t][t] / g[5 + t][t]));
                 // Each FIR size at its best N, one strategy against the one before it.
                 let best = |row: usize| g[row].iter().copied().fold(f64::NAN, f64::max);
                 let gain = |s: usize| range((0..5).map(move |t| best(s + t) / best(s - 5 + t)));
                 let (optimized, tuned) = (gain(10), gain(15));
-                let first = format!("optimized/naive {:.2}× to {:.2}×", optimized.0, optimized.1);
-                let second = format!("tuned/simple FFT {:.2}× to {:.2}×", tuned.0, tuned.1);
-                let found = format!("with each FIR size at its best N, {first}, {second}");
-                (optimized.0 >= 1.4 && tuned.0 >= 2.0, found)
+                let first = format!("optimized/naive {:.2}× to {:.2}×", at_4e.0, at_4e.1);
+                let second = format!("optimized/naive {:.2}× to {:.2}×", optimized.0, optimized.1);
+                let third = format!("tuned/simple FFT {:.2}× to {:.2}×", tuned.0, tuned.1);
+                let found = format!(
+                    "at N = 4e (four times the FIR size), {first}. \
+                     With each FIR size at its best N, {second}, {third}"
+                );
+                (at_4e.0 >= 1.4 && tuned.0 >= 2.0, found)
             }),
             ..Figure::default()
         },

@@ -112,7 +112,7 @@ fn cert_elision_is_bit_identical_across_modes_and_schedulers() {
                         sched,
                         mode,
                         cert,
-                        ..RunSpec::from_env()
+                        ..RunSpec::default()
                     };
                     let art = spec.compile(&opt).unwrap();
                     for node in &art.flat.nodes {
@@ -165,16 +165,25 @@ fn uncertifiable_filter_runs_checked_and_correct() {
     );
 
     let opt = OptStream::from_graph(&g);
-    let prof = RunSpec {
-        sched: Scheduler::Static,
-        ..RunSpec::from_env()
-    }
-    .run(&opt, 16)
-    .unwrap();
     // Within this horizon `x < 10000.0` always holds, so the filter is
-    // the identity — and the checked engine verified every firing.
+    // the identity — and the checked engine verified every firing,
+    // whether or not its certified neighbours skip their checks.
     let want: Vec<f64> = (0..16).map(f64::from).collect();
-    assert_eq!(prof.outputs, want);
+    for cert in [true, false] {
+        let spec = RunSpec {
+            sched: Scheduler::Static,
+            cert,
+            ..RunSpec::default()
+        };
+        let art = spec.compile(&opt).unwrap();
+        for node in &art.flat.nodes {
+            if let NodeKind::Interp(state) = &node.kind {
+                let unchecked = cert && !node.name.starts_with("Gate");
+                assert_eq!(state.work_certified, unchecked, "{}", node.name);
+            }
+        }
+        assert_eq!(spec.run_compiled(art, 16).unwrap().outputs, want);
+    }
 }
 
 /// A provable rate violation in a filter the analysis can decide is a
@@ -225,7 +234,7 @@ fn fission_admits_dead_branch_writers() {
 
     let base = RunSpec {
         sched: Scheduler::Static,
-        ..RunSpec::from_env()
+        ..RunSpec::default()
     };
     let fissed = RunSpec {
         threads: Some(2),
@@ -349,7 +358,7 @@ fn a_valid_side_effecting_index_elaborates_certifies_and_runs() {
             let spec = RunSpec {
                 tier,
                 cert,
-                ..RunSpec::from_env()
+                ..RunSpec::default()
             };
             let outputs = spec.run(&opt, 3).unwrap().outputs;
             assert_eq!(outputs, [1.0, 2.0, 3.0], "{tier:?}, cert {cert}");

@@ -12,8 +12,8 @@ fn operation_counts_are_reproducible() {
     let b = streamlin::benchmarks::fm_radio();
     let analysis = analyze_graph(b.graph());
     let opt = replace(b.graph(), &analysis, &ReplaceOptions::maximal_freq());
-    let p1 = RunSpec::from_env().run(&opt, 200).unwrap();
-    let p2 = RunSpec::from_env().run(&opt, 200).unwrap();
+    let p1 = RunSpec::default().run(&opt, 200).unwrap();
+    let p2 = RunSpec::default().run(&opt, 200).unwrap();
     assert_eq!(p1.ops, p2.ops);
     assert_eq!(p1.outputs, p2.outputs);
     assert_eq!(p1.firings, p2.firings);

@@ -74,7 +74,7 @@ fn runtime_rate_violation_is_caught() {
     )
     .unwrap();
     let g = elaborate(&p).unwrap();
-    let err = RunSpec::from_env()
+    let err = RunSpec::default()
         .run(&OptStream::from_graph(&g), 100)
         .unwrap_err();
     let msg = err.to_string();
@@ -98,7 +98,7 @@ fn feedback_without_enqueue_deadlocks_cleanly() {
     )
     .unwrap();
     let g = elaborate(&p).unwrap();
-    let err = RunSpec::from_env()
+    let err = RunSpec::default()
         .run(&OptStream::from_graph(&g), 10)
         .unwrap_err();
     assert!(matches!(err, ProfileError::Run(RunError::Deadlock { .. })));
@@ -166,7 +166,7 @@ fn pipeline(fission: Fission) -> RunSpec {
     RunSpec {
         threads: Some(THREADS),
         fission,
-        ..RunSpec::from_env()
+        ..RunSpec::default()
     }
 }
 

@@ -1,156 +1,60 @@
-//! Data-parallel fission determinism: for every benchmark program,
-//! running with `--fission {off, 2, 4}` produces printed output
-//! **bit-identical** to the unfissed static plan, and — because the
-//! synthesized splitter/joiner move items without arithmetic, priming
-//! firings run uncounted, the workers perform exactly the original
-//! node's firings, and the pipeline coordinator quantizes every run to
-//! the same number of original steady cycles — identical operation
-//! tallies and firing counts across every fission width, including
-//! width 1 (no fission).
-//!
-//! Programs whose dominant node is not safely duplicable (stateful
-//! filters, printers) simply run unfissed — the assertions then pin that
-//! the pass is a clean no-op. Feedback programs (dtoa) have no static
-//! plan at all; fission must refuse and the dynamic fallback must still
-//! match. Direct refusal unit tests for stateful filters and feedback
-//! loops live at the bottom.
+//! The `fission` row of the equivalence matrix under the default
+//! configuration, benchmark by benchmark, kept for the names of the
+//! hand-written suite (`tests/equivalence.rs` runs the row in every
+//! configuration): fissing the dominant node 1, 2, 4 or `auto` ways prints
+//! output bit-identical to the reference with equal tallies and firing
+//! counts. A dominant node that is not safely duplicable (stateful filters,
+//! printers) runs unfissed — the pass is then a clean no-op; the direct
+//! refusal unit tests live at the bottom.
 
 use streamlin::core::combine::analyze_graph;
 use streamlin::core::{Config, OptStream};
 use streamlin::runtime::fission::{fissability, Fission};
-use streamlin::runtime::{ExecMode, MatMulStrategy, RunSpec, Scheduler};
+use streamlin::runtime::{MatMulStrategy, RunSpec, Scheduler};
 
-/// `STREAMLIN_TEST_THREADS=n` sets the pipeline stage budget the fissed
-/// graphs run under (CI exercises 2); the default also uses 2 so the
-/// fission workers actually land in different stages.
-fn test_threads() -> usize {
-    std::env::var("STREAMLIN_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
-}
+#[macro_use]
+mod matrix;
 
-/// Runs the width sweep for one benchmark; returns true if fission
-/// actually engaged for at least one (config, width) combination.
-fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) -> bool {
-    let mut engaged = false;
+matrix_tests!(Some("fission");
+    rate_convert_fission_is_deterministic => "RateConvert",
+    target_detect_fission_is_deterministic => "TargetDetect",
+    fm_radio_fission_is_deterministic => "FMRadio",
+    radar_fission_is_deterministic => "Radar",
+    filter_bank_fission_is_deterministic => "FilterBank",
+    vocoder_fission_is_deterministic => "Vocoder",
+    oversampler_fission_is_deterministic => "Oversampler",
+);
+
+/// The width `--threads 2 --fission 2` engaged at, per configuration.
+fn engaged(bench: &streamlin::benchmarks::Benchmark) -> [usize; 2] {
     let analysis = analyze_graph(bench.graph());
-    for config in [Config::Baseline, Config::AutoSel] {
-        let label = config.label();
-        let opt = config
-            .apply(bench.graph(), &analysis)
-            .unwrap_or_else(|e| panic!("{}: {e}", bench.name()));
-        for mode in [ExecMode::Measured, ExecMode::Fast] {
-            let unfissed = RunSpec {
-                mode,
-                matmul: Some(MatMulStrategy::Unrolled),
-                threads: Some(test_threads()),
-                ..RunSpec::from_env()
-            };
-            let reference = unfissed
-                .run(&opt, outputs)
-                .unwrap_or_else(|e| panic!("{} {label} unfissed: {e}", bench.name()));
-            assert_eq!(reference.fission, 1);
-
-            for width in [2usize, 4] {
-                let prof = RunSpec {
-                    fission: Fission::Width(width),
-                    ..unfissed.clone()
-                }
-                .run(&opt, outputs)
-                .unwrap_or_else(|e| panic!("{} {label} fission={width}: {e}", bench.name()));
-                engaged |= prof.fission > 1;
-                assert_eq!(
-                    prof.sched,
-                    reference.sched,
-                    "{} {label} fission={width}: scheduler drifted",
-                    bench.name()
-                );
-                assert_eq!(
-                    prof.outputs.len(),
-                    reference.outputs.len(),
-                    "{} {label} fission={width}: output counts differ",
-                    bench.name()
-                );
-                for (i, (a, b)) in reference.outputs.iter().zip(&prof.outputs).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{} {label} {} fission={width}: output {i} differs: {a} vs {b}",
-                        bench.name(),
-                        mode.label()
-                    );
-                }
-                assert_eq!(
-                    reference.firings,
-                    prof.firings,
-                    "{} {label} {}: firings differ at fission={width}",
-                    bench.name(),
-                    mode.label()
-                );
-                if mode == ExecMode::Measured {
-                    assert_eq!(
-                        reference.ops,
-                        prof.ops,
-                        "{} {label}: tallies differ at fission={width}",
-                        bench.name()
-                    );
-                }
-            }
-        }
-    }
-    engaged
+    [Config::Baseline, Config::AutoSel].map(|config| {
+        let spec = RunSpec {
+            threads: Some(2),
+            fission: Fission::Width(2),
+            ..RunSpec::default()
+        };
+        let opt = config.apply(bench.graph(), &analysis).unwrap();
+        spec.run(&opt, 64).unwrap().fission
+    })
 }
 
+/// FIR's dominant node is duplicable in every configuration (the direct
+/// linear kernel under baseline, the optimized frequency stage under
+/// autosel), so fission must actually fire here.
 #[test]
 fn fir_fission_is_deterministic_and_engages() {
-    // FIR's dominant node is duplicable in every configuration (the
-    // direct linear kernel under baseline, the optimized frequency stage
-    // under autosel), so fission must actually fire here.
-    assert!(check(&streamlin::benchmarks::fir(64), 512));
+    matrix::check("FIR", Some("fission"));
+    assert_eq!(engaged(&streamlin::benchmarks::fir(64)), [2, 2]);
 }
 
-#[test]
-fn rate_convert_fission_is_deterministic() {
-    check(&streamlin::benchmarks::rate_convert(), 256);
-}
-
-#[test]
-fn target_detect_fission_is_deterministic() {
-    check(&streamlin::benchmarks::target_detect(), 256);
-}
-
-#[test]
-fn fm_radio_fission_is_deterministic() {
-    check(&streamlin::benchmarks::fm_radio(), 128);
-}
-
-#[test]
-fn radar_fission_is_deterministic() {
-    check(&streamlin::benchmarks::radar(8, 2), 64);
-}
-
-#[test]
-fn filter_bank_fission_is_deterministic() {
-    check(&streamlin::benchmarks::filter_bank(), 128);
-}
-
-#[test]
-fn vocoder_fission_is_deterministic() {
-    check(&streamlin::benchmarks::vocoder(), 64);
-}
-
-#[test]
-fn oversampler_fission_is_deterministic() {
-    check(&streamlin::benchmarks::oversampler(), 512);
-}
-
+/// dtoa has a noise-shaping feedback loop: no static plan exists, so
+/// fission must refuse (no plan to read firings from) and every width
+/// must run the identical single-threaded dynamic fallback.
 #[test]
 fn dtoa_fission_refuses_feedback_and_falls_back_identically() {
-    // dtoa has a noise-shaping feedback loop: no static plan exists, so
-    // fission must refuse (no plan to read firings from) and every
-    // width must run the identical single-threaded dynamic fallback.
-    assert!(!check(&streamlin::benchmarks::dtoa(), 256));
+    matrix::check("DToA", Some("fission"));
+    assert_eq!(engaged(&streamlin::benchmarks::dtoa()), [1, 1]);
 }
 
 // ---- refusal unit tests -----------------------------------------------------
@@ -238,7 +142,7 @@ fn feedback_loops_are_refused_fission() {
         let prof = RunSpec {
             threads: Some(2),
             fission: Fission::Width(width),
-            ..RunSpec::from_env()
+            ..RunSpec::default()
         }
         .run(&opt, 16)
         .unwrap();

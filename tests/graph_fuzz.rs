@@ -8,7 +8,7 @@
 //!
 //! * the data-driven dynamic engine,
 //! * the single-threaded static plan,
-//! * the pipeline-parallel executor (`STREAMLIN_TEST_THREADS` stages),
+//! * the pipeline-parallel executor ([`THREADS`] stages),
 //! * the pipeline executor with the dominant node fissed at widths 2
 //!   and 4 (when the node is duplicable; the pass refusing is part of
 //!   the property — the run must then be a clean no-op),
@@ -19,10 +19,13 @@
 //!   pipeline, or via the watchdog-guarded single-threaded fallback)
 //!   with the same bits,
 //! * plus a **bytecode ablation**: the single-threaded static plan run
-//!   again with `tier: Tier::TreeWalk` in that run's spec (and an
-//!   assertion on the built graph that every interpreted node really is
-//!   on the tree-walker), pinning the flattened instruction dispatch
-//!   against the reference.
+//!   again with `tier: Tier::TreeWalk` in that run's spec, pinning the
+//!   flattened instruction dispatch against the reference.
+//!
+//! Every run that does not name them takes its interpreter tier and its
+//! tape discipline (`cert`) from the case's own seed, so the pipeline,
+//! fission and fault families see both values of both knobs over the
+//! cases — and every built graph is asked whether its nodes took them.
 //!
 //! The differential property: all of them print **bit-identical**
 //! outputs, and — within the cycle-quantized pipeline family, where the
@@ -56,12 +59,9 @@ fn fault_seed(src: &str) -> u64 {
     h
 }
 
-fn test_threads() -> usize {
-    std::env::var("STREAMLIN_TEST_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
-}
+/// Stage budget of the pipeline runs: 2, so fission workers land in
+/// different stages.
+const THREADS: usize = 2;
 
 // ---- program generator ------------------------------------------------------
 
@@ -319,10 +319,28 @@ fn check_spec(spec: &Spec) -> bool {
         ),
     ];
     let outputs = 48;
-    let base = RunSpec::from_env();
+    let seed = fault_seed(&src);
+    let base = RunSpec {
+        tier: [Tier::Bytecode, Tier::TreeWalk][(seed & 1) as usize],
+        cert: seed & 2 == 0,
+        ..RunSpec::default()
+    };
     for (label, opt) in configs {
+        // The tier and the tape discipline are fields of each run's spec,
+        // so nothing a sibling test does can change what runs here — and
+        // the built graph says so.
         let run = |what: &str, spec: RunSpec| {
-            spec.run(&opt, outputs)
+            let art = spec
+                .compile(&opt)
+                .unwrap_or_else(|e| panic!("{label} {what}: {e}\n{src}"));
+            for node in &art.flat.nodes {
+                if let NodeKind::Interp(state) = &node.kind {
+                    let at = format!("{label} {what}: {}", node.name);
+                    assert_eq!(state.use_bytecode, spec.tier == Tier::Bytecode, "{at}");
+                    assert!(spec.cert || !state.work_certified, "{at}");
+                }
+            }
+            spec.run_compiled(art, outputs)
                 .unwrap_or_else(|e| panic!("{label} {what}: {e}\n{src}"))
         };
         let on = |sched| RunSpec {
@@ -330,38 +348,28 @@ fn check_spec(spec: &Spec) -> bool {
             ..base.clone()
         };
         let dynamic = run("dynamic", on(Scheduler::Dynamic));
-        let static1 = run("static", on(Scheduler::Static));
-        assert_bits_equal(label, &dynamic.outputs, &static1.outputs);
 
-        // The bytecode ablation family: the same plan with interpreted
-        // work functions on the tree-walker must print the same bits. The
-        // tier is a field of this run's spec, so nothing a sibling test
-        // does can change what runs here — and the built graph says so.
-        let treewalk = RunSpec {
-            tier: Tier::TreeWalk,
-            ..on(Scheduler::Static)
-        };
-        let art = treewalk
-            .compile(&opt)
-            .unwrap_or_else(|e| panic!("{label} tree-walk: {e}\n{src}"));
-        for node in &art.flat.nodes {
-            if let NodeKind::Interp(state) = &node.kind {
-                assert!(!state.use_bytecode, "{label}: {} is on bytecode", node.name);
-            }
+        // The bytecode ablation family: the same plan on each tier must
+        // print the same bits and count the same operations.
+        let tiers = [Tier::Bytecode, Tier::TreeWalk].map(|tier| {
+            let spec = RunSpec {
+                tier,
+                ..on(Scheduler::Static)
+            };
+            run(&format!("{tier:?}"), spec)
+        });
+        for on_tier in &tiers {
+            assert_bits_equal(label, &dynamic.outputs, &on_tier.outputs);
         }
-        let treewalk = treewalk
-            .run_compiled(art, outputs)
-            .unwrap_or_else(|e| panic!("{label} tree-walk: {e}\n{src}"));
-        assert_bits_equal(label, &dynamic.outputs, &treewalk.outputs);
         assert_eq!(
-            static1.ops, treewalk.ops,
-            "{label}: tallies differ with bytecode disabled\n{src}"
+            tiers[0].ops, tiers[1].ops,
+            "{label}: tallies differ between the tiers\n{src}"
         );
 
         // The cycle-quantized pipeline family: tallies and firing counts
         // must match across fission widths, including width 1.
         let pipeline = |fission| RunSpec {
-            threads: Some(test_threads()),
+            threads: Some(THREADS),
             fission,
             ..base.clone()
         };

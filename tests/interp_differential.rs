@@ -481,7 +481,7 @@ fn the_deepest_admitted_expression_survives_every_pass() {
     for tier in [Tier::Bytecode, Tier::TreeWalk] {
         let spec = RunSpec {
             tier,
-            ..RunSpec::from_env()
+            ..RunSpec::default()
         };
         let outputs = spec.run(&opt, 4).unwrap().outputs;
         assert_eq!(outputs, [0.0, 0.0, depth as f64, 1.0], "{tier:?}");
@@ -664,7 +664,7 @@ fn interpreted_programs_match_across_modes() {
                 mode,
                 tier,
                 matmul: Some(MatMulStrategy::Unrolled),
-                ..RunSpec::from_env()
+                ..RunSpec::default()
             };
             let art = spec.compile(&opt).unwrap();
             for node in &art.flat.nodes {

@@ -32,7 +32,7 @@ fn repeated_runs_reuse_the_worker_pool_and_match_bit_for_bit() {
     let run = |threads: usize| {
         RunSpec {
             threads: Some(threads),
-            ..RunSpec::from_env()
+            ..RunSpec::default()
         }
         .run(&opt, 256)
         .expect("pipeline run")
@@ -80,7 +80,7 @@ fn repeated_runs_reuse_the_worker_pool_and_match_bit_for_bit() {
         threads: Some(3),
         watchdog: Some(Duration::from_millis(500)),
         fault: Some(InjectFaults::parse("5:die@s1").expect("valid fault spec")),
-        ..RunSpec::from_env()
+        ..RunSpec::default()
     }
     .run(&opt, 256)
     .expect("a killed worker must degrade, not fail");

@@ -22,6 +22,7 @@ use streamlin::core::opt::OptStream;
 use streamlin::core::Config;
 use streamlin::graph::elaborate;
 use streamlin::lang::parse;
+use streamlin::runtime::flat::NodeKind;
 use streamlin::runtime::{Profile, RunSpec};
 
 /// How many shapes [`RandFilter::render_output`] knows.
@@ -173,7 +174,7 @@ proptest! {
         // find it (source and sink are the non-linear ones).
         prop_assert_eq!(analysis.linear_count(), 1);
 
-        let spec = RunSpec::from_env();
+        let spec = RunSpec::default();
         let interpreted = OptStream::from_graph(&graph);
         let interp = spec.run(&interpreted, 64).unwrap();
         let per_filter = Config::Baseline.apply(&graph, &analysis).unwrap();
@@ -190,7 +191,16 @@ proptest! {
             certified |= inst.name == "F" && inst.facts.work.cert.is_some();
         });
         if certified {
-            let run = |cert| RunSpec { cert, ..spec.clone() }.run(&interpreted, 64);
+            let run = |cert| {
+                let spec = RunSpec { cert, ..spec.clone() };
+                let art = spec.compile(&interpreted).unwrap();
+                // The built graph took the tape discipline this run names.
+                let unchecked = art.flat.nodes.iter().any(|n| {
+                    matches!(&n.kind, NodeKind::Interp(state) if state.work_certified)
+                });
+                assert_eq!(unchecked, cert);
+                spec.run_compiled(art, 64)
+            };
             let (trusted, checked) = (run(true), run(false));
             prop_assert!(checked.is_ok(), "checked run of a certified filter: {checked:?}");
             let bits = |p: Profile| p.outputs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -225,14 +235,19 @@ fn assert_scales_by(fields: &str, body: &str, coeff: f64) {
     assert_eq!(node.coeff(0, 0), coeff, "`{body}`");
     assert_eq!(node.offset(0), 0.0, "`{body}`");
 
-    let spec = RunSpec::from_env();
-    let interp = spec.run(&OptStream::from_graph(&graph), 8).unwrap();
-    let linear = spec
-        .run(&Config::Linear.apply(&graph, &analysis).unwrap(), 8)
-        .unwrap();
     let want: Vec<f64> = (0..8).map(|i| coeff * f64::from(i)).collect();
-    assert_eq!(interp.outputs, want, "`{body}` interpreted");
-    assert_eq!(linear.outputs, want, "`{body}` under Config::Linear");
+    for cert in [true, false] {
+        let spec = RunSpec {
+            cert,
+            ..RunSpec::default()
+        };
+        let interp = spec.run(&OptStream::from_graph(&graph), 8).unwrap();
+        let linear = spec
+            .run(&Config::Linear.apply(&graph, &analysis).unwrap(), 8)
+            .unwrap();
+        assert_eq!(interp.outputs, want, "`{body}` interpreted, cert {cert}");
+        assert_eq!(linear.outputs, want, "`{body}` under Config::Linear");
+    }
 }
 
 #[test]

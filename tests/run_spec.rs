@@ -2,38 +2,19 @@
 //! [`KNOBS`], so a row added to the table is covered without editing
 //! this file:
 //!
-//! * the argv spelling (`streamlinc --flag value`) and the JSON spelling
-//!   (an `open` member) of every row parse to equal [`RunSpec`]s, and
-//!   each refuses the same bad values;
+//! * every `samples` entry of every row is accepted in the argv spelling
+//!   (`streamlinc --flag value`) and the JSON spelling (an `open` member),
+//!   the two parse to equal [`RunSpec`]s, and each refuses the same bad
+//!   values;
 //! * a row of the exec half never changes the plan-cache key, a row of
 //!   the plan half always does;
-//! * `RunSpec::from_env` honours the three environment variables (seen
-//!   through a `Command::env` subprocess, never by mutating this
-//!   process);
 //! * the README's knob table is the text the table generates.
-
-use std::process::Command;
 
 use streamlin::runtime::spec::{markdown_table, Knob};
 use streamlin::runtime::{MatMulStrategy, RunSpec, KNOBS};
 use streamlin::service::cache::PlanKey;
 use streamlin::service::proto::{parse_request, Request};
 use streamlin::support::json::Json;
-
-/// Acceptable values of a row, derived from the row's own usage text:
-/// every literal alternative, and a sample for every `<placeholder>`.
-fn good_values(knob: &Knob) -> Vec<String> {
-    if knob.values.starts_with("<seed>") {
-        return vec!["7:die@s0".into(), "3:wedge,refuse#1".into()];
-    }
-    knob.values
-        .split('|')
-        .flat_map(|alt| match alt.starts_with('<') {
-            true => vec!["1".to_string(), "2".to_string(), "7".to_string()],
-            false => vec![alt.to_string()],
-        })
-        .collect()
-}
 
 /// Values no row accepts: not a name, not a count (zero, negative,
 /// fractional, non-finite, overflowing), not a fault spec.
@@ -78,10 +59,10 @@ fn via_json(knob: &Knob, value: &str) -> Result<RunSpec, String> {
 fn argv_and_json_spellings_parse_to_equal_specs() {
     for knob in KNOBS {
         let mut sets_something = false;
-        for value in good_values(knob) {
-            let argv = via_argv(knob, &value)
+        for &value in knob.samples {
+            let argv = via_argv(knob, value)
                 .unwrap_or_else(|why| panic!("--{} {value}: {why}", knob.flag));
-            let json = via_json(knob, &value)
+            let json = via_json(knob, value)
                 .unwrap_or_else(|why| panic!("\"{}\": {value}: {why}", knob.key));
             assert_eq!(argv, json, "{} = {value}", knob.key);
             sets_something |= argv != RunSpec::default();
@@ -120,9 +101,9 @@ fn the_cache_key_is_exactly_the_plan_half() {
     let key = |spec: &RunSpec| PlanKey::of("program text", spec.plan());
     for knob in KNOBS {
         let mut distinct = 0;
-        for value in good_values(knob) {
+        for &value in knob.samples {
             let mut changed = base.clone();
-            knob.apply(&mut changed, &value).unwrap();
+            knob.apply(&mut changed, value).unwrap();
             if changed == base {
                 continue; // the sampled value is the default
             }
@@ -221,110 +202,6 @@ fn every_run_value_has_exactly_one_row() {
     flags.sort_unstable();
     flags.dedup();
     assert_eq!(flags.len(), KNOBS.len(), "flags find their row uniquely");
-}
-
-/// Stderr of `streamlinc --metrics` on the FIR asset (2 threads, 8
-/// outputs) under `env`.
-fn metrics_under(env: &[(&str, &str)], extra: &[&str]) -> String {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_streamlinc"));
-    cmd.args(["assets/fir.str", "-n", "8", "--threads", "2", "--metrics"])
-        .args(extra);
-    for (k, v) in env {
-        cmd.env(k, v);
-    }
-    let out = cmd.output().expect("binary runs");
-    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(out.status.success(), "{stderr}");
-    stderr
-}
-
-#[test]
-fn from_env_honours_the_three_variables() {
-    // The quantum shows in the pacing: one steady cycle of FIR prints far
-    // more than 8 values, so a 2-thread run for 8 outputs performs exactly
-    // one quantum of cycles — 4 by default, 1 under the variable — and an
-    // explicit flag wins over the variable.
-    let printer_firings = |stderr: &str| -> u64 {
-        let line = stderr
-            .lines()
-            .find(|l| l.trim_start().starts_with("FloatPrinter"))
-            .unwrap_or_else(|| panic!("no FloatPrinter row:\n{stderr}"));
-        line.split_whitespace().nth(1).unwrap().parse().unwrap()
-    };
-    let default = printer_firings(&metrics_under(&[], &[]));
-    let one = printer_firings(&metrics_under(&[("STREAMLIN_CYCLE_QUANTUM", "1")], &[]));
-    assert_eq!(default, 4 * one, "the variable sets the quantum");
-    let flag = printer_firings(&metrics_under(
-        &[("STREAMLIN_CYCLE_QUANTUM", "1")],
-        &["--quantum", "4"],
-    ));
-    assert_eq!(flag, default, "an explicit knob beats the environment");
-
-    // Tier and cert do not change what a run prints (that is the point),
-    // so they are observed where they land: on the built graph, through
-    // a subprocess of this test binary that prints what `from_env` saw.
-    let seen = |env: &[(&str, &str)]| -> String {
-        let mut cmd = Command::new(std::env::current_exe().unwrap());
-        cmd.args(["--exact", "print_from_env", "--nocapture", "--ignored"]);
-        for (k, v) in env {
-            cmd.env(k, v);
-        }
-        let out = cmd.output().expect("test binary runs");
-        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-        let line = stdout.lines().find(|l| l.contains("from_env:"));
-        line.unwrap_or_else(|| panic!("no from_env line:\n{stdout}"))
-            .to_string()
-    };
-    let plain = seen(&[]);
-    assert!(
-        plain.contains("tier=Bytecode cert=true quantum=4"),
-        "{plain}"
-    );
-    let ablated = seen(&[
-        ("STREAMLIN_NO_BYTECODE", "1"),
-        ("STREAMLIN_NO_CERT", "1"),
-        ("STREAMLIN_CYCLE_QUANTUM", "8"),
-    ]);
-    assert!(
-        ablated.contains("tier=TreeWalk cert=false quantum=8"),
-        "{ablated}"
-    );
-    assert!(
-        ablated.contains("bytecode_nodes=0 certified_nodes=0"),
-        "{ablated}"
-    );
-}
-
-/// Not a test of its own: the subprocess half of
-/// `from_env_honours_the_three_variables`. Prints what `RunSpec::from_env`
-/// resolved in this process's environment, and what a graph built from
-/// it looks like.
-#[test]
-#[ignore = "helper for from_env_honours_the_three_variables"]
-fn print_from_env() {
-    use streamlin::runtime::flat::NodeKind;
-    let spec = RunSpec::from_env();
-    let bench = streamlin::benchmarks::fm_radio();
-    let opt = streamlin::core::OptStream::from_graph(bench.graph());
-    let art = spec.compile(&opt).unwrap();
-    let interp: Vec<_> = art
-        .flat
-        .nodes
-        .iter()
-        .filter_map(|n| match &n.kind {
-            NodeKind::Interp(state) => Some(state),
-            _ => None,
-        })
-        .collect();
-    assert!(!interp.is_empty());
-    println!(
-        "from_env: tier={:?} cert={} quantum={} bytecode_nodes={} certified_nodes={}",
-        spec.tier,
-        spec.cert,
-        spec.quantum,
-        interp.iter().filter(|s| s.use_bytecode).count(),
-        interp.iter().filter(|s| s.work_certified).count(),
-    );
 }
 
 #[test]

@@ -59,7 +59,7 @@ fn autosel_mults_never_worse_than_maximal() {
         let n = bench.default_outputs();
         let analysis = analyze_graph(bench.graph());
         let run = |opt: &streamlin::core::OptStream| {
-            RunSpec::from_env().run(opt, n).unwrap().mults_per_output()
+            RunSpec::default().run(opt, n).unwrap().mults_per_output()
         };
         let auto = run(&autosel(&bench));
         let linear = run(&replace(
@@ -91,7 +91,7 @@ fn fm_radio_autosel_beats_both_maximal_options() {
     let analysis = analyze_graph(bench.graph());
     let n = 256;
     let run = |opt: &streamlin::core::OptStream| {
-        RunSpec::from_env().run(opt, n).unwrap().mults_per_output()
+        RunSpec::default().run(opt, n).unwrap().mults_per_output()
     };
     let auto = run(&autosel(&bench));
     let linear = run(&replace(

@@ -94,7 +94,7 @@ fn reference(
     let spec = RunSpec {
         mode,
         threads,
-        ..RunSpec::from_env()
+        ..RunSpec::default()
     };
     one_shot(bench.source(), &spec, n).outputs
 }
@@ -123,7 +123,7 @@ fn non_finite_samples_survive_the_wire() {
     // One-shot reference through the same selection the daemon runs.
     let fast = RunSpec {
         mode: ExecMode::Fast,
-        ..RunSpec::from_env()
+        ..RunSpec::default()
     };
     let want = one_shot(program, &fast, n).outputs;
     assert!(
@@ -314,7 +314,7 @@ fn resident_streams_do_not_retain_delivered_output() {
         let spec = RunSpec {
             mode: ExecMode::Fast,
             threads,
-            ..RunSpec::from_env()
+            ..RunSpec::default()
         };
         let art = streamlin::runtime::compile_source(bench.source(), &spec.plan(), &mut NoProbe)
             .unwrap_or_else(|e| panic!("{family}: {e}"));
@@ -708,7 +708,7 @@ fn knob_combinations_agree_with_one_shot_of_the_same_spec() {
         );
     }
     assert_eq!(
-        one_shot(fir.source(), &RunSpec::from_env(), 8).fission,
+        one_shot(fir.source(), &RunSpec::default(), 8).fission,
         1,
         "the unfissed case really is unfissed"
     );

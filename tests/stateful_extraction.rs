@@ -22,7 +22,7 @@ fn assert_interp_matches_state_space(filter_src: &str, n: usize) {
     );
     let program = parse(&program_src).unwrap();
     let graph = elaborate(&program).unwrap();
-    let interp = RunSpec::from_env()
+    let interp = RunSpec::default()
         .run(&OptStream::from_graph(&graph), n)
         .unwrap();
 

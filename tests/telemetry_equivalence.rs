@@ -83,7 +83,7 @@ fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
             };
             let base = RunSpec {
                 mode,
-                ..RunSpec::from_env()
+                ..RunSpec::default()
             };
             // The classic single-threaded engines under both schedulers.
             for sched in [Scheduler::Auto, Scheduler::Dynamic] {
@@ -174,7 +174,7 @@ fn recorded_trace_has_viewer_shape_and_consistent_totals() {
         mode: ExecMode::Fast,
         threads: Some(2),
         fission: Fission::Width(2),
-        ..RunSpec::from_env()
+        ..RunSpec::default()
     }
     .run_recorded(&opt, 512, &mut rec)
     .expect("instrumented pipeline run");
@@ -223,7 +223,7 @@ fn single_threaded_trace_validates_too() {
     let bench = streamlin::benchmarks::rate_convert();
     let opt = configured(&bench, Config::Baseline);
     let mut rec = Recorder::new();
-    RunSpec::from_env()
+    RunSpec::default()
         .run_recorded(&opt, 256, &mut rec)
         .expect("instrumented classic run");
     let shape = validate_trace(&rec.chrome_trace()).expect("valid trace");
@@ -252,11 +252,11 @@ fn compile_phases_are_the_pinned_list() {
     let bench = streamlin::benchmarks::fir(64);
     let front = ["parse", "elaborate", "analyze", "select"];
     for (spec, back) in [
-        (RunSpec::from_env(), vec!["flatten", "plan"]),
+        (RunSpec::default(), vec!["flatten", "plan"]),
         (
             RunSpec {
                 threads: Some(2),
-                ..RunSpec::from_env()
+                ..RunSpec::default()
             },
             vec!["flatten", "plan", "partition"],
         ),
@@ -264,7 +264,7 @@ fn compile_phases_are_the_pinned_list() {
             RunSpec {
                 threads: Some(2),
                 fission: Fission::Width(2),
-                ..RunSpec::from_env()
+                ..RunSpec::default()
             },
             vec!["flatten", "plan", "fission", "partition"],
         ),
