@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use streamlin_graph::exec::Host;
 use streamlin_graph::lower::SlotStore;
 use streamlin_graph::value::{EvalError, Value};
-use streamlin_support::{NoProbe, OpCounter, Probe, Tally};
+use streamlin_support::{OpCounter, Recorder, Tally};
 
 use crate::fission::FissKernel;
 use crate::flat::{FlatGraph, FlatNode, InterpState, NodeKind};
@@ -179,18 +179,22 @@ impl<T: Tally> Engine<T> {
     /// Returns [`RunError::Deadlock`] if no progress is possible, or any
     /// evaluation/rate error from a work function.
     pub fn run_until_outputs(&mut self, n: usize) -> Result<(), RunError> {
-        self.run_probed(n, &mut NoProbe)
+        self.run(n, None)
     }
 
-    /// [`Self::run_until_outputs`] with a telemetry [`Probe`]: each firing
-    /// becomes a span on lane 1 (the data-driven engine is single-
-    /// threaded). Monomorphized over [`NoProbe`] this is exactly the
-    /// uninstrumented loop.
+    /// [`Self::run_until_outputs`] recorded: each firing becomes a span on
+    /// lane 1 (the data-driven engine is single-threaded).
     ///
     /// # Errors
     ///
     /// As [`Self::run_until_outputs`].
-    pub fn run_probed<P: Probe>(&mut self, n: usize, probe: &mut P) -> Result<(), RunError> {
+    pub fn run_probed(&mut self, n: usize, rec: &mut Recorder) -> Result<(), RunError> {
+        self.run(n, Some(rec))
+    }
+
+    /// The one firing loop behind both entry points; an unrecorded run
+    /// reads no clock.
+    pub(crate) fn run(&mut self, n: usize, mut rec: Option<&mut Recorder>) -> Result<(), RunError> {
         while self.state.printed.len() < n {
             let mut fired = false;
             for i in 0..self.nodes.len() {
@@ -198,13 +202,13 @@ impl<T: Tally> Engine<T> {
                     return Ok(());
                 }
                 if self.readiness(i) == Readiness::Ready {
-                    let t0 = probe.now();
+                    let t0 = rec.as_deref().map_or(0, Recorder::now);
                     fire(&mut self.nodes[i], &mut self.state)?;
                     if !std::mem::replace(&mut self.fired[i], true) {
                         self.demands[i] = node_demands(&self.nodes[i]);
                     }
-                    if P::ENABLED {
-                        probe.batch(1, i, 1, t0);
+                    if let Some(rec) = &mut rec {
+                        rec.batch(1, i, 1, t0);
                     }
                     fired = true;
                 }

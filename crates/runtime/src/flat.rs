@@ -10,7 +10,7 @@ use streamlin_graph::ir::{FilterInst, Splitter};
 use streamlin_graph::lower::{RExpr, RLValue, RStmt, Slot};
 use streamlin_graph::value::{Cell, Value};
 use streamlin_lang::ast::{BinOp, DataType};
-use streamlin_support::Probe;
+use streamlin_support::Recorder;
 
 use crate::fission::{FissJoin, FissKernel, FissSplit, FissWorker};
 use crate::linear_exec::{LinearExec, MatMulStrategy};
@@ -215,10 +215,7 @@ impl FlatNode {
 /// tier or the typer refused the steady phase — and a `typer` note per
 /// refused phase with the reason, so a body that silently fell off the
 /// fast tier shows in `--emit-graph`, `--metrics` and the trace.
-pub(crate) fn note_tiers<P: Probe>(nodes: &[FlatNode], probe: &mut P) {
-    if !P::ENABLED {
-        return;
-    }
+pub(crate) fn note_tiers(nodes: &[FlatNode], rec: &mut Recorder) {
     for (node, state) in nodes.iter().filter_map(|n| Some((n, n.interp()?))) {
         let lowered = &state.inst.lowered;
         let phases = [
@@ -227,27 +224,25 @@ pub(crate) fn note_tiers<P: Probe>(nodes: &[FlatNode], probe: &mut P) {
         ];
         for (phase, work) in phases {
             if let Some(why) = work.and_then(|w| w.code.refusal()) {
-                probe.note("typer", &format!("{} {phase} refused: {why}", node.name));
+                rec.note("typer", &format!("{} {phase} refused: {why}", node.name));
             }
         }
         let typed = state.use_bytecode && lowered.work.code.refusal().is_none();
         let tier = if typed { "typed" } else { "treewalk" };
-        probe.note("interp", &format!("{}: {tier}", node.name));
+        rec.note("interp", &format!("{}: {tier}", node.name));
     }
 }
 
 /// A `fused` note per filter that entered a fused dot-product loop: how
 /// often one ran natively against how often its entry check bailed to the
-/// typed code of the same loop. Nothing under a disabled probe.
-pub(crate) fn note_fused_loops<P: Probe>(nodes: &[FlatNode], probe: &mut P) {
-    if !P::ENABLED {
-        return;
-    }
+/// typed code of the same loop. Nothing on an unrecorded run.
+pub(crate) fn note_fused_loops(nodes: &[FlatNode], probe: Option<&mut Recorder>) {
+    let Some(rec) = probe else { return };
     for (node, state) in nodes.iter().filter_map(|n| Some((n, n.interp()?))) {
         let (runs, bails) = (state.regs.dot_runs, state.regs.dot_bails);
         if runs + bails > 0 {
             let text = format!("{}: {} entries, {bails} bails", node.name, runs + bails);
-            probe.note("fused", &text);
+            rec.note("fused", &text);
         }
     }
 }

@@ -61,12 +61,13 @@
 //! `print`/`println` values) has been produced. Both schedulers execute
 //! identical firing semantics, so their printed output is bit-identical.
 //!
-//! Everything above is additionally generic over a telemetry
-//! [`streamlin_support::Probe`] on the same zero-cost pattern as the
-//! tally: production runs instantiate [`streamlin_support::NoProbe`]
-//! (every record site compiles away — bit-identical outputs, unchanged
-//! throughput), while [`spec::RunSpec::run_recorded`] instantiates
-//! [`streamlin_support::Recorder`] and captures compile-phase spans,
+//! Telemetry and fault drills are opt-in *values*, not type parameters:
+//! everything above takes an `Option<&mut Recorder>` and the pipeline
+//! executor the spec's `Option<InjectFaults>`, consulted once per plan
+//! step or per stall behind `if let Some`. Production runs pass `None`
+//! (no clock read — bit-identical outputs, unchanged throughput), while
+//! [`spec::RunSpec::run_recorded`] hands down a
+//! [`streamlin_support::Recorder`] that captures compile-phase spans,
 //! per-stage busy/stall time, ring occupancy high-water marks and
 //! full/empty stall counts, coordinator quantum waits, and per-node
 //! firing costs against the cost model — exported as a human summary

@@ -32,13 +32,14 @@
 //! # Supervision
 //!
 //! [`PipelineSession`] layers fault tolerance on the same protocol
-//! without touching the deterministic core. The executor is generic
-//! over a [`FaultPlan`] ([`streamlin_support::NoFault`] in production —
-//! every injection site is guarded by `const ARMED` and monomorphizes away;
-//! [`streamlin_support::InjectFaults`] for seeded, reproducible worker
-//! panics, stage wedges, ring delays and pool refusals). When a wall-
-//! clock watchdog is requested (or any fault plan is armed), the
-//! coordinator polls instead of blocking: per-stage progress counters
+//! without touching the deterministic core. The executor takes the
+//! spec's `Option<InjectFaults>` (`None` in production — every injection
+//! site is behind `if let Some`; a plan gives seeded, reproducible worker
+//! panics, stage wedges, ring delays and pool refusals) and, like every
+//! executor, an `Option<&mut Recorder>`. When a wall-clock watchdog is
+//! requested (or a fault plan is present), the coordinator polls instead
+//! of blocking; otherwise it blocks on the report channel, unsupervised.
+//! Under supervision per-stage progress counters
 //! are snapshotted between report waits, and a deadline with no counter
 //! movement trips a clean teardown — poison the run, diagnose the stuck
 //! stage from boundary-ring occupancy, collect what reports remain
@@ -59,7 +60,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use streamlin_support::{FaultAction, FaultPlan, OpCounter, Probe, StallKind, Tally};
+use streamlin_support::{FaultAction, InjectFaults, OpCounter, Recorder, StallKind, Tally};
 
 use crate::engine::RunError;
 use crate::flat::{note_fused_loops, FlatGraph, FlatNode, NodeKind};
@@ -106,7 +107,7 @@ pub struct PipelineOutcome {
 /// divided by its scale so the bound fires after the same work.
 const MAX_SILENT_CYCLES: u64 = 1 << 16;
 
-/// Watchdog deadline used when a fault plan is armed but the caller gave
+/// Watchdog deadline used when a fault plan is present but the caller gave
 /// no explicit deadline: injection must never convert a test run into a
 /// hang, so supervision always has *some* wall-clock bound.
 const DEFAULT_ARMED_WATCHDOG: Duration = Duration::from_secs(5);
@@ -194,22 +195,24 @@ struct Report {
 }
 
 /// Final per-worker results, returned through the join handle.
-struct StageResult<P: Probe> {
+struct StageResult {
     stage: usize,
     printed: Vec<f64>,
     ops: OpCounter,
     firings: u64,
-    /// The worker's forked telemetry probe, absorbed by the coordinator.
-    probe: P,
+    /// The worker's forked recorder, absorbed by the coordinator.
+    probe: Option<Recorder>,
 }
 
 /// A stage's executable state, moved onto its (pooled) worker thread.
-struct StageWorker<T: Tally, P: Probe, F: FaultPlan> {
+struct StageWorker<T: Tally> {
     stage: usize,
-    /// Forked telemetry probe; lane `stage + 1` (lane 0 = coordinator).
-    probe: P,
-    /// Forked fault plan ([`NoFault`] in production — inert, zero-size).
-    fault: F,
+    /// Telemetry lane of this worker: `stage + 1` (lane 0 = coordinator).
+    lane: u32,
+    /// Forked recorder, recording into `lane`.
+    probe: Option<Recorder>,
+    /// This worker's clone of the run's fault plan (`None` in production).
+    fault: Option<InjectFaults>,
     /// Executed schedule steps, the key for batch-site fault injection.
     steps: u64,
     /// Per-stage progress counters read by the supervisor's watchdog.
@@ -234,18 +237,13 @@ struct StageWorker<T: Tally, P: Probe, F: FaultPlan> {
     init_done: bool,
 }
 
-impl<T: Tally, P: Probe, F: FaultPlan> StageWorker<T, P, F> {
+impl<T: Tally> StageWorker<T> {
     fn poison_check(&self) -> Result<(), RunError> {
         if self.poisoned.load(Ordering::Relaxed) {
             Err(peer_failure())
         } else {
             Ok(())
         }
-    }
-
-    /// Telemetry lane of this worker (lane 0 is the coordinator).
-    fn lane(&self) -> u32 {
-        self.stage as u32 + 1
     }
 
     /// Moves available items of a boundary-in channel from the SPSC ring
@@ -277,15 +275,13 @@ impl<T: Tally, P: Probe, F: FaultPlan> StageWorker<T, P, F> {
             let window = self.state.rings.window(chan, remaining);
             let pushed = shared.produce(chan, window);
             if pushed == 0 {
-                if P::ENABLED && stall_t0 == 0 {
-                    stall_t0 = self.probe.now();
-                    self.probe.ring_stall(chan, true);
+                if let (Some(rec), 0) = (&mut self.probe, stall_t0) {
+                    stall_t0 = rec.now();
+                    rec.ring_stall(chan, true);
                 }
                 self.poison_check()?;
-                if F::ARMED {
-                    if let Some(d) = self.fault.ring_wait(chan, true) {
-                        std::thread::sleep(d);
-                    }
+                if let Some(d) = self.fault.as_ref().and_then(|f| f.ring_wait(chan, true)) {
+                    std::thread::sleep(d);
                 }
                 backoff.wait();
             } else {
@@ -294,22 +290,21 @@ impl<T: Tally, P: Probe, F: FaultPlan> StageWorker<T, P, F> {
                 backoff.reset();
             }
         }
-        if P::ENABLED {
-            let lane = self.lane();
+        if let Some(rec) = &mut self.probe {
             if stall_t0 != 0 {
-                self.probe.stall(lane, StallKind::SendFull, stall_t0);
+                rec.stall(self.lane, StallKind::SendFull, stall_t0);
             }
-            let ts = self.probe.now();
-            self.probe.ring_depth(chan, self.shared.occupancy(chan), ts);
+            let ts = rec.now();
+            rec.ring_depth(chan, self.shared.occupancy(chan), ts);
         }
         Ok(())
     }
 
     fn exec_step(&mut self, step: &LocalStep) -> Result<(), RunError> {
-        if F::ARMED {
+        if let Some(fault) = &self.fault {
             let idx = self.steps;
             self.steps += 1;
-            match self.fault.batch_action(self.stage, idx) {
+            match fault.batch_action(self.stage, idx) {
                 FaultAction::None => {}
                 FaultAction::Panic(msg) => panic!("{msg}"),
                 FaultAction::Sleep(d) => std::thread::sleep(d),
@@ -328,36 +323,34 @@ impl<T: Tally, P: Probe, F: FaultPlan> StageWorker<T, P, F> {
             let mut stall_t0 = 0u64;
             while self.state.rings.len(chan) < need {
                 if self.drain(chan) == 0 {
-                    if P::ENABLED && stall_t0 == 0 {
-                        stall_t0 = self.probe.now();
-                        self.probe.ring_stall(chan, false);
+                    if let (Some(rec), 0) = (&mut self.probe, stall_t0) {
+                        stall_t0 = rec.now();
+                        rec.ring_stall(chan, false);
                     }
                     self.poison_check()?;
-                    if F::ARMED {
-                        if let Some(d) = self.fault.ring_wait(chan, false) {
-                            std::thread::sleep(d);
-                        }
+                    if let Some(d) = self.fault.as_ref().and_then(|f| f.ring_wait(chan, false)) {
+                        std::thread::sleep(d);
                     }
                     backoff.wait();
                 } else {
                     backoff.reset();
                 }
             }
-            if P::ENABLED && stall_t0 != 0 {
-                let lane = self.lane();
-                self.probe.stall(lane, StallKind::RecvEmpty, stall_t0);
+            if stall_t0 != 0 {
+                if let Some(rec) = &mut self.probe {
+                    rec.stall(self.lane, StallKind::RecvEmpty, stall_t0);
+                }
             }
         }
-        let t0 = self.probe.now();
+        let t0 = self.probe.as_ref().map_or(0, Recorder::now);
         exec_batch(
             &mut self.nodes[step.node],
             step.times,
             &mut self.state,
             usize::MAX,
         )?;
-        if P::ENABLED {
-            let lane = self.lane();
-            self.probe.batch(lane, step.gnode, step.times, t0);
+        if let Some(rec) = &mut self.probe {
+            rec.batch(self.lane, step.gnode, step.times, t0);
         }
         self.fresh[step.node] = false;
         for &chan in &step.send {
@@ -402,20 +395,19 @@ impl<T: Tally, P: Probe, F: FaultPlan> StageWorker<T, P, F> {
 }
 
 /// The worker thread body: serve `Run` rounds until `Finish`.
-fn worker_main<T: Tally, P: Probe, F: FaultPlan>(
-    mut w: StageWorker<T, P, F>,
+fn worker_main<T: Tally>(
+    mut w: StageWorker<T>,
     rx: Receiver<Cmd>,
     tx: Sender<Report>,
-) -> StageResult<P> {
+) -> StageResult {
     let mut failed = false;
     loop {
         // Time between rounds is the worker sitting idle, waiting for the
         // coordinator's next target.
-        let idle_t0 = w.probe.now();
+        let idle_t0 = w.probe.as_ref().map_or(0, Recorder::now);
         let Ok(cmd) = rx.recv() else { break };
-        if P::ENABLED {
-            let lane = w.lane();
-            w.probe.stall(lane, StallKind::Idle, idle_t0);
+        if let Some(rec) = &mut w.probe {
+            rec.stall(w.lane, StallKind::Idle, idle_t0);
         }
         match cmd {
             Cmd::Run(target) => {
@@ -450,7 +442,7 @@ fn worker_main<T: Tally, P: Probe, F: FaultPlan>(
             Cmd::Finish => break,
         }
     }
-    note_fused_loops(&w.nodes, &mut w.probe);
+    note_fused_loops(&w.nodes, w.probe.as_mut());
     StageResult {
         stage: w.stage,
         printed: std::mem::take(&mut w.state.printed),
@@ -544,10 +536,10 @@ struct StageSeed {
 /// workers are told to finish and collected within the usual grace
 /// rules; threads are released back to the pool (or retired when
 /// abandoned mid-job).
-pub struct PipelineSession<P: Probe> {
+pub struct PipelineSession {
     cmd_txs: Vec<Sender<Cmd>>,
     report_rx: Receiver<Report>,
-    result_rx: Receiver<StageResult<P>>,
+    result_rx: Receiver<StageResult>,
     threads: Vec<pool::PoolThread>,
     progress: Arc<Vec<AtomicU64>>,
     poisoned: Arc<AtomicBool>,
@@ -572,17 +564,19 @@ pub struct PipelineSession<P: Probe> {
     tripped: bool,
     failed: Option<RunError>,
     done: bool,
-    /// Coordinator-lane probe (forked at start, absorbed at finish).
-    coord: P,
+    /// Coordinator-lane recorder (forked at start, absorbed at finish);
+    /// boxed so an unrecorded session does not carry its footprint.
+    coord: Option<Box<Recorder>>,
 }
 
-impl<P: Probe> PipelineSession<P> {
+impl PipelineSession {
     /// Sets up stage workers on pooled threads and runs nothing yet.
     /// `quantum` is in original steady cycles (see [`CYCLE_QUANTUM`]);
     /// `scale` is how many of them one cycle of this graph spans (1
-    /// unless fissed). An armed `fault` or a `watchdog` deadline makes the
-    /// coordinator poll under supervision (armed plans get a default
-    /// deadline so injection can never hang a run).
+    /// unless fissed). A `fault` plan or a `watchdog` deadline makes the
+    /// coordinator poll under supervision (a plan without a deadline gets
+    /// a default one, so injection can never hang a run); with neither the
+    /// coordinator blocks on the report channel, unsupervised.
     ///
     /// # Errors
     ///
@@ -593,21 +587,16 @@ impl<P: Probe> PipelineSession<P> {
     ///
     /// Panics if `scale` does not divide `quantum`.
     #[allow(clippy::too_many_arguments)]
-    pub fn start<T, F>(
+    pub fn start<T: Tally + Default + Send>(
         flat: FlatGraph,
         plan: &ExecPlan,
         part: &Partition,
         scale: u64,
         quantum: u64,
-        probe: &mut P,
-        fault: F,
+        mut probe: Option<&mut Recorder>,
+        fault: Option<InjectFaults>,
         watchdog: Option<Duration>,
-    ) -> Result<Self, RunError>
-    where
-        T: Tally + Default + Send,
-        F: FaultPlan,
-        P: Send + 'static,
-    {
+    ) -> Result<Self, RunError> {
         assert!(
             scale >= 1 && quantum >= 1 && quantum.is_multiple_of(scale),
             "cycle scale {scale} must divide the quantum {quantum}"
@@ -748,31 +737,27 @@ impl<P: Probe> PipelineSession<P> {
         let poisoned = Arc::new(AtomicBool::new(false));
         let solo = std::thread::available_parallelism().is_ok_and(|n| n.get() == 1);
         let (report_tx, report_rx) = channel::<Report>();
-        let (result_tx, result_rx) = channel::<StageResult<P>>();
+        let (result_tx, result_rx) = channel::<StageResult>();
 
         // Supervision: poll instead of block whenever a watchdog was asked
-        // for or any fault plan is armed (injected faults must never turn a
-        // run into a hang, so an armed plan always gets a deadline).
-        let supervised = F::ARMED || watchdog.is_some();
+        // for or the run carries a fault plan (injected faults must never
+        // turn a run into a hang, so a drilled run always gets a deadline).
+        let supervised = fault.is_some() || watchdog.is_some();
         let deadline = watchdog.unwrap_or(DEFAULT_ARMED_WATCHDOG);
         let progress: Arc<Vec<AtomicU64>> =
             Arc::new((0..num_stages).map(|_| AtomicU64::new(0)).collect());
-        if F::ARMED {
+        if let Some(fault) = &fault {
             fault.arm(num_stages, num_channels);
-            if P::ENABLED {
-                probe.note("fault", &fault.describe());
+            if let Some(rec) = &mut probe {
+                rec.note("fault", &fault.describe());
             }
         }
 
         // Stage workers come from the persistent process-wide pool (acquired
         // atomically so concurrent runs never starve each other) instead of
         // being spawned per run — repeated profiling runs reuse the threads.
-        let spawned_before = if P::ENABLED {
-            pool::global_spawned()
-        } else {
-            0
-        };
-        let threads = match pool::acquire_global_faulted(num_stages, &fault) {
+        let spawned_before = probe.as_ref().map_or(0, |_| pool::global_spawned());
+        let threads = match pool::acquire_global_faulted(num_stages, fault.as_ref()) {
             Ok(t) => t,
             Err(reason) => {
                 return Err(RunError::WorkerLost {
@@ -780,13 +765,13 @@ impl<P: Probe> PipelineSession<P> {
                 })
             }
         };
-        if P::ENABLED {
-            probe.lane_name(0, "coordinator");
+        if let Some(rec) = &mut probe {
+            rec.lane_name(0, "coordinator");
             for b in &part.boundaries {
-                probe.ring_cap(b.chan, b.capacity);
+                rec.ring_cap(b.chan, b.capacity);
             }
             let fresh = pool::global_spawned() - spawned_before;
-            probe.note(
+            rec.note(
                 "pool",
                 &format!(
                     "acquired {num_stages} workers ({} reused, {fresh} newly spawned; \
@@ -806,14 +791,14 @@ impl<P: Probe> PipelineSession<P> {
             let shared = Arc::clone(&shared);
             let poisoned = Arc::clone(&poisoned);
             let wprogress = Arc::clone(&progress);
-            let wfault = fault.fork();
+            let wfault = fault.clone();
             let lane = stage as u32 + 1;
-            if P::ENABLED {
-                probe.lane_name(lane, &format!("stage {stage}"));
-            }
-            let wprobe = probe.fork(lane);
+            let wprobe = probe.as_deref_mut().map(|rec| {
+                rec.lane_name(lane, &format!("stage {stage}"));
+                rec.fork(lane)
+            });
             threads[stage].run(Box::new(move || {
-                if F::ARMED && wfault.spawn_abort(stage) {
+                if wfault.as_ref().is_some_and(|f| f.spawn_abort(stage)) {
                     // Deliberately *outside* worker_main's containment: this
                     // unwinds into the pool thread's loop and kills the
                     // thread itself, exercising liveness detection and pool
@@ -823,6 +808,7 @@ impl<P: Probe> PipelineSession<P> {
                 let fresh = vec![true; seed.nodes.len()];
                 let worker = StageWorker {
                     stage,
+                    lane,
                     probe: wprobe,
                     fault: wfault,
                     steps: 0,
@@ -854,7 +840,7 @@ impl<P: Probe> PipelineSession<P> {
         drop(report_tx);
         drop(result_tx);
 
-        let coord = probe.fork(0);
+        let coord = probe.map(|rec| Box::new(rec.fork(0)));
         Ok(PipelineSession {
             cmd_txs,
             report_rx,
@@ -954,14 +940,14 @@ impl<P: Probe> PipelineSession<P> {
                 }
             }
             let before = self.values.len();
-            let wait_t0 = self.coord.now();
+            let wait_t0 = self.coord.as_deref().map_or(0, Recorder::now);
             if self.supervised {
                 self.collect_round_supervised();
             } else {
                 self.collect_round();
             }
-            if P::ENABLED {
-                self.coord.stall(0, StallKind::Quantum, wait_t0);
+            if let Some(rec) = &mut self.coord {
+                rec.stall(0, StallKind::Quantum, wait_t0);
             }
             if self.values.len() > before {
                 self.progress_at = self.target;
@@ -1092,10 +1078,8 @@ impl<P: Probe> PipelineSession<P> {
         }
         if tripped_at.is_some() {
             self.tripped = true;
-            if P::ENABLED {
-                if let Some(e) = self.failed.clone() {
-                    self.coord.note("supervisor", &format!("tripped: {e}"));
-                }
+            if let (Some(rec), Some(e)) = (&mut self.coord, &self.failed) {
+                rec.note("supervisor", &format!("tripped: {e}"));
             }
         }
     }
@@ -1105,12 +1089,12 @@ impl<P: Probe> PipelineSession<P> {
     /// the whole complement when any worker had to be abandoned mid-job
     /// — never re-park a thread that might still be executing an
     /// abandoned job). Collection errors land in `self.failed`.
-    fn shutdown(&mut self) -> Vec<StageResult<P>> {
+    fn shutdown(&mut self) -> Vec<StageResult> {
         self.done = true;
         for tx in &self.cmd_txs {
             let _ = tx.send(Cmd::Finish);
         }
-        let mut results: Vec<StageResult<P>> = Vec::with_capacity(self.num_stages);
+        let mut results: Vec<StageResult> = Vec::with_capacity(self.num_stages);
         let mut abandoned = false;
         if !self.supervised {
             for _ in 0..self.num_stages {
@@ -1175,8 +1159,8 @@ impl<P: Probe> PipelineSession<P> {
         }
         let threads = std::mem::take(&mut self.threads);
         if abandoned {
-            if P::ENABLED {
-                self.coord.note(
+            if let Some(rec) = &mut self.coord {
+                rec.note(
                     "supervisor",
                     &format!(
                         "retired {} pool workers after an abandoned run",
@@ -1194,8 +1178,8 @@ impl<P: Probe> PipelineSession<P> {
         results
     }
 
-    /// Finishes the run: tears the workers down, absorbs the coordinator
-    /// and worker probes into `probe`, and merges the outcome. The
+    /// Finishes the run: tears the workers down, absorbs the coordinator's
+    /// and the workers' recorders into `probe`, and merges the outcome. The
     /// outcome's `printed` holds what [`Self::read`] has not handed out —
     /// everything, for a one-shot run.
     ///
@@ -1203,10 +1187,11 @@ impl<P: Probe> PipelineSession<P> {
     ///
     /// Reports the session's stored failure (or one discovered during
     /// teardown) instead of an outcome.
-    pub fn finish(mut self, probe: &mut P) -> Result<PipelineOutcome, RunError> {
+    pub fn finish(mut self, mut probe: Option<&mut Recorder>) -> Result<PipelineOutcome, RunError> {
         let mut results = self.shutdown();
-        let coord = std::mem::replace(&mut self.coord, probe.fork(0));
-        probe.absorb(coord);
+        if let (Some(rec), Some(coord)) = (&mut probe, self.coord.take()) {
+            rec.absorb(*coord);
+        }
         if let Some(e) = self.failed.take() {
             return Err(e);
         }
@@ -1225,13 +1210,15 @@ impl<P: Probe> PipelineSession<P> {
             outcome.printed.extend(r.printed);
             outcome.ops.merge(&r.ops);
             outcome.firings += r.firings;
-            probe.absorb(r.probe);
+            if let (Some(rec), Some(worker)) = (&mut probe, r.probe) {
+                rec.absorb(worker);
+            }
         }
         Ok(outcome)
     }
 }
 
-impl<P: Probe> Drop for PipelineSession<P> {
+impl Drop for PipelineSession {
     fn drop(&mut self) {
         if !self.done {
             let _ = self.shutdown();
@@ -1248,7 +1235,7 @@ mod tests {
     use crate::plan::{compile, PlanEngine};
     use streamlin_core::cost::CostModel;
     use streamlin_core::opt::OptStream;
-    use streamlin_support::{InjectFaults, NoCount, NoFault, NoProbe};
+    use streamlin_support::NoCount;
 
     fn planned(src: &str) -> (FlatGraph, ExecPlan) {
         let p = streamlin_lang::parse(src).unwrap();
@@ -1258,32 +1245,34 @@ mod tests {
         (flat, plan)
     }
 
-    /// One-shot use of a session: start, run to `outputs`, finish.
-    fn run<T: Tally + Default + Send, F: FaultPlan>(
+    /// An unrecorded session on `threads` stages, drilled with `fault`.
+    fn start<T: Tally + Default + Send>(
         (flat, plan): (FlatGraph, ExecPlan),
         threads: usize,
+        fault: Option<&str>,
+        watchdog: Option<Duration>,
+    ) -> Result<PipelineSession, RunError> {
+        let part = partition(&flat, &plan, threads, &CostModel::default());
+        let fault = fault.map(|spec| InjectFaults::parse(spec).unwrap());
+        let quantum = CYCLE_QUANTUM;
+        PipelineSession::start::<T>(flat, &plan, &part, 1, quantum, None, fault, watchdog)
+    }
+
+    /// One-shot use of a session: start, run to `outputs`, finish.
+    fn run<T: Tally + Default + Send>(
+        graph: (FlatGraph, ExecPlan),
+        threads: usize,
         outputs: usize,
-        fault: F,
+        fault: Option<&str>,
         watchdog: Option<Duration>,
     ) -> Result<PipelineOutcome, RunError> {
-        let part = partition(&flat, &plan, threads, &CostModel::default());
-        let probe = &mut NoProbe;
-        let mut session = PipelineSession::start::<T, F>(
-            flat,
-            &plan,
-            &part,
-            1,
-            CYCLE_QUANTUM,
-            probe,
-            fault,
-            watchdog,
-        )?;
+        let mut session = start::<T>(graph, threads, fault, watchdog)?;
         let _ = session.run_until(outputs);
-        session.finish(probe)
+        session.finish(None)
     }
 
     fn run_threads(src: &str, threads: usize, outputs: usize) -> PipelineOutcome {
-        run::<OpCounter, _>(planned(src), threads, outputs, NoFault, None).unwrap()
+        run::<OpCounter>(planned(src), threads, outputs, None, None).unwrap()
     }
 
     const CHAIN: &str = "void->void pipeline Main { add S(); add G(); add H(); add K(); }
@@ -1355,7 +1344,7 @@ mod tests {
 
     #[test]
     fn uncounted_mode_prints_identical_bits() {
-        let fast = run::<NoCount, _>(planned(CHAIN), 2, 50, NoFault, None).unwrap();
+        let fast = run::<NoCount>(planned(CHAIN), 2, 50, None, None).unwrap();
         let counted = run_threads(CHAIN, 2, 50);
         assert_eq!(fast.printed.len(), counted.printed.len());
         for (a, b) in fast.printed.iter().zip(&counted.printed) {
@@ -1369,7 +1358,7 @@ mod tests {
         const BAD: &str = "void->void pipeline Main { add S(); add K(); }
              void->float filter S { float x; work push 2 { push(x); if (x > 0.5) push(x); x = x + 1; } }
              float->void filter K { work pop 1 { println(pop()); } }";
-        let err = run::<OpCounter, _>(planned(BAD), 2, 5, NoFault, None).unwrap_err();
+        let err = run::<OpCounter>(planned(BAD), 2, 5, None, None).unwrap_err();
         assert!(matches!(err, RunError::RateViolation(_)), "{err}");
     }
 
@@ -1388,10 +1377,32 @@ mod tests {
         assert_eq!(&out.printed[..3], &[2.0, 5.0, 8.0]);
     }
 
+    /// Supervision is opt-in by value: with no fault plan and no watchdog
+    /// the coordinator blocks in `collect_round` and the workers keep no
+    /// progress counters; either one switches to the polling path.
+    #[test]
+    fn an_undrilled_unwatched_run_is_unsupervised() {
+        let supervised_and_counting = |fault, watchdog| {
+            let mut session = start::<OpCounter>(planned(CHAIN), 2, fault, watchdog).unwrap();
+            session.run_until(40).unwrap();
+            let counted = session
+                .progress
+                .iter()
+                .any(|c| c.load(Ordering::Relaxed) > 0);
+            (session.supervised, counted)
+        };
+        assert_eq!(supervised_and_counting(None, None), (false, false));
+        assert_eq!(
+            supervised_and_counting(Some("5:slow=1"), None),
+            (true, true)
+        );
+        let watchdog = Some(Duration::from_secs(5));
+        assert_eq!(supervised_and_counting(None, watchdog), (true, true));
+    }
+
     #[test]
     fn injected_panic_is_a_structured_worker_loss() {
-        let fault = InjectFaults::parse("11:panic@s1").unwrap();
-        let err = run::<OpCounter, _>(planned(CHAIN), 2, 40, fault, None).unwrap_err();
+        let err = run::<OpCounter>(planned(CHAIN), 2, 40, Some("11:panic@s1"), None).unwrap_err();
         assert!(matches!(err, RunError::WorkerLost { .. }), "{err}");
         assert!(err.to_string().contains("injected fault"), "{err}");
         assert!(err.is_degradable());
@@ -1399,10 +1410,10 @@ mod tests {
 
     #[test]
     fn watchdog_trips_on_a_wedged_stage() {
-        let fault = InjectFaults::parse("3:wedge@s0").unwrap();
         let t0 = Instant::now();
         let deadline = Some(Duration::from_millis(250));
-        let err = run::<OpCounter, _>(planned(CHAIN), 2, 40, fault, deadline).unwrap_err();
+        let err =
+            run::<OpCounter>(planned(CHAIN), 2, 40, Some("3:wedge@s0"), deadline).unwrap_err();
         assert!(matches!(err, RunError::Stalled { .. }), "{err}");
         assert!(err.to_string().contains("watchdog"), "{err}");
         // Trip + teardown must be prompt: deadline, grace, slack — not a
@@ -1413,8 +1424,8 @@ mod tests {
     #[test]
     fn output_preserving_faults_keep_bits_identical() {
         let clean = run_threads(CHAIN, 2, 40);
-        let fault = InjectFaults::parse("5:slow@s0=40,delay=20").unwrap();
-        let out = run::<OpCounter, _>(planned(CHAIN), 2, 40, fault, None).unwrap();
+        let out =
+            run::<OpCounter>(planned(CHAIN), 2, 40, Some("5:slow@s0=40,delay=20"), None).unwrap();
         assert_eq!(out.printed, clean.printed);
         assert_eq!(out.ops, clean.ops);
         assert_eq!(out.firings, clean.firings);

@@ -34,7 +34,7 @@
 //! for every benchmark.
 
 use streamlin_graph::steady::{balance, RateEdge};
-use streamlin_support::{NoProbe, OpCounter, Probe, Tally};
+use streamlin_support::{OpCounter, Recorder, Tally};
 
 use crate::engine::{fire_interp, init_pending, interp_phase_rates, RunError};
 use crate::fission::FissKernel;
@@ -770,32 +770,35 @@ impl<T: Tally> PlanEngine<T> {
     /// a deadlock if [`Self::MAX_SILENT_CYCLES`] consecutive steady cycles
     /// produce no output (the program can never reach `n`).
     pub fn run_until_outputs(&mut self, n: usize) -> Result<(), RunError> {
-        self.run_probed(n, &mut NoProbe)
+        self.run(n, None)
     }
 
-    /// [`Self::run_until_outputs`] with a telemetry [`Probe`]: every
-    /// firing batch becomes a span on lane 1 and local ring occupancy is
-    /// sampled after each batch. Monomorphized over [`NoProbe`] this is
-    /// exactly the uninstrumented loop — every record site is behind the
-    /// compile-time-false `P::ENABLED` guard.
+    /// [`Self::run_until_outputs`] recorded: every firing batch becomes a
+    /// span on lane 1 and local ring occupancy is sampled after each batch.
     ///
     /// # Errors
     ///
     /// As [`Self::run_until_outputs`].
-    pub fn run_probed<P: Probe>(&mut self, n: usize, probe: &mut P) -> Result<(), RunError> {
+    pub fn run_probed(&mut self, n: usize, rec: &mut Recorder) -> Result<(), RunError> {
+        self.run(n, Some(rec))
+    }
+
+    /// The one schedule loop behind both entry points: every record site
+    /// is behind `if let Some`, so an unrecorded run reads no clock.
+    pub(crate) fn run(&mut self, n: usize, mut rec: Option<&mut Recorder>) -> Result<(), RunError> {
         if !self.init_done {
             self.init_done = true;
             for si in 0..self.plan.init.len() {
                 let step = self.plan.init[si];
-                let t0 = probe.now();
+                let t0 = rec.as_deref().map_or(0, Recorder::now);
                 exec_batch(
                     &mut self.nodes[step.node],
                     step.times,
                     &mut self.state,
                     usize::MAX,
                 )?;
-                if P::ENABLED {
-                    probe.batch(1, step.node, step.times, t0);
+                if let Some(rec) = &mut rec {
+                    rec.batch(1, step.node, step.times, t0);
                 }
             }
             self.printed_at_wrap = self.state.printed.len();
@@ -804,14 +807,14 @@ impl<T: Tally> PlanEngine<T> {
         while self.state.printed.len() < n {
             let step = self.plan.steady[self.cursor];
             let remaining = step.times - self.partial;
-            let t0 = probe.now();
+            let t0 = rec.as_deref().map_or(0, Recorder::now);
             let done = exec_batch(&mut self.nodes[step.node], remaining, &mut self.state, n)?;
-            if P::ENABLED {
-                probe.batch(1, step.node, done, t0);
-                let ts = probe.now();
+            if let Some(rec) = &mut rec {
+                rec.batch(1, step.node, done, t0);
+                let ts = rec.now();
                 for &c in &self.nodes[step.node].outputs {
-                    probe.ring_depth(c, self.state.rings.len(c), ts);
-                    probe.ring_cap(c, self.plan.caps[c]);
+                    rec.ring_depth(c, self.state.rings.len(c), ts);
+                    rec.ring_cap(c, self.plan.caps[c]);
                 }
             }
             if done < remaining {

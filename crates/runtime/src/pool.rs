@@ -40,7 +40,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use streamlin_support::FaultPlan;
+use streamlin_support::InjectFaults;
 
 /// A unit of work shipped to a pooled thread.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -182,24 +182,17 @@ fn global() -> &'static Mutex<PipelinePool> {
     POOL.get_or_init(|| Mutex::new(PipelinePool::new()))
 }
 
-/// Acquires `n` workers from the process-wide pool.
-pub(crate) fn acquire_global(n: usize) -> Vec<PoolThread> {
-    global().lock().expect("pipeline pool poisoned").acquire(n)
-}
-
-/// Fault-checked acquisition: an armed [`FaultPlan`] may refuse the whole
-/// run (exercising the supervisor's pool-exhaustion fallback); the
-/// production plan compiles down to plain [`acquire_global`].
-pub(crate) fn acquire_global_faulted<F: FaultPlan>(
+/// Acquires `n` workers from the process-wide pool, unless the run's
+/// fault plan refuses the whole acquisition (exercising the supervisor's
+/// pool-exhaustion fallback).
+pub(crate) fn acquire_global_faulted(
     n: usize,
-    fault: &F,
+    fault: Option<&InjectFaults>,
 ) -> Result<Vec<PoolThread>, String> {
-    if F::ARMED {
-        if let Some(reason) = fault.pool_refuse() {
-            return Err(reason);
-        }
+    match fault.and_then(InjectFaults::pool_refuse) {
+        Some(reason) => Err(reason),
+        None => Ok(global().lock().expect("pipeline pool poisoned").acquire(n)),
     }
-    Ok(acquire_global(n))
 }
 
 /// Returns workers to the process-wide pool.

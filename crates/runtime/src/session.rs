@@ -6,10 +6,10 @@
 //! `open`/`read`/`close` are the same three calls spread over requests.
 //! Everything that depends on the run's knobs happens in two places —
 //! [`compile`] sees the [`PlanSpec`] and nothing else, [`open`] sees the
-//! [`ExecSpec`] — and every phase is recorded on the [`Probe`] it is
-//! handed, so the CLI and an instrumented daemon stream report the same
-//! spans (`parse, elaborate, analyze, select, flatten, plan, fission?,
-//! partition?`).
+//! [`ExecSpec`] — and every phase is recorded on the [`Recorder`] it is
+//! handed (an `Option`: `None` is an unrecorded run), so the CLI and an
+//! instrumented daemon stream report the same spans (`parse, elaborate,
+//! analyze, select, flatten, plan, fission?, partition?`).
 //!
 //! Behind a [`Session`] sits one of three engine families: the
 //! **pipeline** ([`PipelineSession`]: stage workers parked on the pool
@@ -28,7 +28,7 @@ use streamlin_core::combine::analyze_graph;
 use streamlin_core::cost::CostModel;
 use streamlin_core::opt::OptStream;
 use streamlin_graph::ir::Stream;
-use streamlin_support::{FaultPlan, NoCount, NoFault, NoProbe, OpCounter, Probe, Recorder, Tally};
+use streamlin_support::{InjectFaults, NoCount, OpCounter, Recorder, Tally};
 
 use crate::engine::{Engine, RunError};
 use crate::fission::{fiss_bottleneck, Fission, FissionInfo};
@@ -51,28 +51,36 @@ pub struct Front {
     pub opt: OptStream,
 }
 
+/// Runs `f` as the compile phase `name`: a span on `probe` when there is
+/// one, no clock read when there is not.
+fn phase<R>(probe: &mut Option<&mut Recorder>, name: &'static str, f: impl FnOnce() -> R) -> R {
+    let t0 = probe.as_deref().map_or(0, Recorder::now);
+    let out = f();
+    if let Some(rec) = probe {
+        rec.phase(name, t0);
+    }
+    out
+}
+
 /// Parse → elaborate → linear analysis → configuration, each a phase on
 /// `probe`.
 ///
 /// # Errors
 ///
 /// The first front-end diagnostic, rendered.
-pub fn front_end<P: Probe>(src: &str, spec: &PlanSpec, probe: &mut P) -> Result<Front, String> {
-    let t0 = probe.now();
-    let program = streamlin_lang::parse(src).map_err(|e| e.to_string())?;
-    probe.phase("parse", t0);
-    let t0 = probe.now();
-    let graph = streamlin_graph::elaborate(&program).map_err(|e| e.to_string())?;
-    probe.phase("elaborate", t0);
-    let t0 = probe.now();
-    let analysis = analyze_graph(&graph);
-    probe.phase("analyze", t0);
-    let t0 = probe.now();
-    let opt = spec
-        .config
-        .apply(&graph, &analysis)
+pub fn front_end(
+    src: &str,
+    spec: &PlanSpec,
+    mut probe: Option<&mut Recorder>,
+) -> Result<Front, String> {
+    let probe = &mut probe;
+    let program =
+        phase(probe, "parse", || streamlin_lang::parse(src)).map_err(|e| e.to_string())?;
+    let graph = phase(probe, "elaborate", || streamlin_graph::elaborate(&program))
         .map_err(|e| e.to_string())?;
-    probe.phase("select", t0);
+    let analysis = phase(probe, "analyze", || analyze_graph(&graph));
+    let opt = phase(probe, "select", || spec.config.apply(&graph, &analysis))
+        .map_err(|e| e.to_string())?;
     Ok(Front {
         decls: program.decls.len(),
         linear: analysis.linear_count(),
@@ -120,24 +128,23 @@ impl Compiled {
 ///
 /// Flattening failures, and [`ProfileError::Plan`] when
 /// [`Scheduler::Static`] is asked of a graph with no static schedule.
-pub fn compile<P: Probe>(
+pub fn compile(
     opt: &OptStream,
     spec: &PlanSpec,
-    probe: &mut P,
+    mut probe: Option<&mut Recorder>,
 ) -> Result<Compiled, ProfileError> {
-    let t0 = probe.now();
-    let flat = flatten_with(opt, spec.matmul, spec.tier, spec.cert)?;
-    probe.phase("flatten", t0);
-    let t0 = probe.now();
-    let plan = match spec.sched {
-        Scheduler::Dynamic => None,
-        Scheduler::Static => Some(plan::compile(&flat)?),
+    let probe = &mut probe;
+    let flat = phase(probe, "flatten", || {
+        flatten_with(opt, spec.matmul, spec.tier, spec.cert)
+    })?;
+    let plan = phase(probe, "plan", || match spec.sched {
+        Scheduler::Dynamic => Ok(None),
+        Scheduler::Static => plan::compile(&flat).map(Some),
         // `has_feedback` is a cheap structural pre-check; the compiler
         // still validates everything else (rates, bounds).
-        Scheduler::Auto if opt.has_feedback() => None,
-        Scheduler::Auto => plan::compile(&flat).ok(),
-    };
-    probe.phase("plan", t0);
+        Scheduler::Auto if opt.has_feedback() => Ok(None),
+        Scheduler::Auto => Ok(plan::compile(&flat).ok()),
+    })?;
     let canonical = match (&plan, spec.threads) {
         (Some(p), Some(_)) => Some((flat.clone(), p.clone())),
         _ => None,
@@ -153,7 +160,9 @@ pub fn compile<P: Probe>(
     };
     let model = CostModel::default();
     if spec.fission == Fission::Off {
-        probe.note("fission", "off");
+        if let Some(rec) = probe {
+            rec.note("fission", "off");
+        }
     } else {
         // Under `Scheduler::Dynamic` a plan is still compiled (when one
         // exists) purely to drive the fission decision; the fissed graph
@@ -164,39 +173,45 @@ pub fn compile<P: Probe>(
             plan => plan,
         };
         if let Some(driver) = driver {
-            let t0 = probe.now();
+            let t0 = probe.as_deref().map_or(0, Recorder::now);
             match fiss(&art.flat, &driver, spec, &model) {
                 Ok((graph, plan, info)) => {
-                    probe.phase("fission", t0);
-                    probe.note("fission", &info.summary());
+                    if let Some(rec) = probe {
+                        rec.phase("fission", t0);
+                        rec.note("fission", &info.summary());
+                    }
                     art.flat = graph;
                     art.plan = planned.then_some(plan);
                     art.scale = info.scale;
                     art.width = info.width;
                 }
                 Err(why) => {
-                    probe.note("fission", &format!("none ({why})"));
+                    if let Some(rec) = probe {
+                        rec.note("fission", &format!("none ({why})"));
+                    }
                     art.plan = planned.then_some(driver);
                 }
             }
         }
     }
-    if P::ENABLED {
+    if let Some(rec) = probe {
         for (i, node) in art.flat.nodes.iter().enumerate() {
-            probe.node_name(i, &node.name);
-            probe.node_cost(i, firing_cost(node, &model));
+            rec.node_name(i, &node.name);
+            rec.node_cost(i, firing_cost(node, &model));
         }
         match &art.plan {
-            Some(p) => probe.note("schedule", &p.summary()),
-            None => probe.note("schedule", "data-driven (no static plan)"),
+            Some(p) => rec.note("schedule", &p.summary()),
+            None => rec.note("schedule", "data-driven (no static plan)"),
         }
-        note_tiers(&art.flat.nodes, probe);
+        note_tiers(&art.flat.nodes, rec);
     }
     if let (Some(plan), Some(threads)) = (&art.plan, spec.threads) {
-        let t0 = probe.now();
-        let part = partition(&art.flat, plan, threads, &model);
-        probe.phase("partition", t0);
-        probe.note("pipeline", &part.summary());
+        let part = phase(probe, "partition", || {
+            partition(&art.flat, plan, threads, &model)
+        });
+        if let Some(rec) = probe {
+            rec.note("pipeline", &part.summary());
+        }
         art.part = Some(part);
     }
     Ok(art)
@@ -226,12 +241,12 @@ fn fiss(
 /// # Errors
 ///
 /// Any front-end or compile failure, rendered.
-pub fn compile_source<P: Probe>(
+pub fn compile_source(
     src: &str,
     spec: &PlanSpec,
-    probe: &mut P,
+    mut probe: Option<&mut Recorder>,
 ) -> Result<Compiled, String> {
-    let front = front_end(src, spec, probe)?;
+    let front = front_end(src, spec, probe.as_deref_mut())?;
     compile(&front.opt, spec, probe).map_err(|e| e.to_string())
 }
 
@@ -280,8 +295,9 @@ pub trait Session: Send {
 /// Opens a session on a compiled artifact. `rec` instruments it (the
 /// recorder comes back in the [`Report`]); the fault plan and watchdog of
 /// `exec` act on the pipeline executor only — the single-threaded engines
-/// have no injection sites. This is the one place the `Tally` × `Probe` ×
-/// `FaultPlan` monomorphisations are chosen.
+/// have no injection sites, so a drill that opens on one of them is noted
+/// as inert. Telemetry and drills are values threaded through; the one
+/// monomorphisation chosen here is the `Tally`.
 ///
 /// # Errors
 ///
@@ -291,40 +307,14 @@ pub fn open(
     exec: &ExecSpec,
     rec: Option<Recorder>,
 ) -> Result<Box<dyn Session>, RunError> {
-    let wd = exec.watchdog;
-    match (exec.mode, rec, &exec.fault) {
-        (ExecMode::Measured, Some(r), Some(f)) => Live::<OpCounter, _>::start(art, r, f.fork(), wd),
-        (ExecMode::Measured, Some(r), None) => Live::<OpCounter, _>::start(art, r, NoFault, wd),
-        (ExecMode::Measured, None, Some(f)) => {
-            Live::<OpCounter, _>::start(art, NoProbe, f.fork(), wd)
-        }
-        (ExecMode::Measured, None, None) => Live::<OpCounter, _>::start(art, NoProbe, NoFault, wd),
-        (ExecMode::Fast, Some(r), Some(f)) => Live::<NoCount, _>::start(art, r, f.fork(), wd),
-        (ExecMode::Fast, Some(r), None) => Live::<NoCount, _>::start(art, r, NoFault, wd),
-        (ExecMode::Fast, None, Some(f)) => Live::<NoCount, _>::start(art, NoProbe, f.fork(), wd),
-        (ExecMode::Fast, None, None) => Live::<NoCount, _>::start(art, NoProbe, NoFault, wd),
+    match exec.mode {
+        ExecMode::Measured => Live::<OpCounter>::start(art, exec, rec),
+        ExecMode::Fast => Live::<NoCount>::start(art, exec, rec),
     }
 }
 
-/// A probe that can hand itself back at close.
-trait Reportable: Probe + Send + 'static {
-    fn into_recorder(self) -> Option<Recorder>;
-}
-
-impl Reportable for NoProbe {
-    fn into_recorder(self) -> Option<Recorder> {
-        None
-    }
-}
-
-impl Reportable for Recorder {
-    fn into_recorder(self) -> Option<Recorder> {
-        Some(self)
-    }
-}
-
-enum Family<T: Tally, P: Probe> {
-    Pipeline(PipelineSession<P>),
+enum Family<T: Tally> {
+    Pipeline(PipelineSession),
     Plan(PlanEngine<T>),
     Dynamic(Engine<T>),
 }
@@ -333,9 +323,9 @@ enum Family<T: Tally, P: Probe> {
 /// fast-forward, bounding what the replay holds at once.
 const FAST_FORWARD_PIECE: usize = 1 << 16;
 
-struct Live<T: Tally, P: Probe> {
-    engine: Family<T, P>,
-    probe: P,
+struct Live<T: Tally> {
+    engine: Family<T>,
+    probe: Option<Recorder>,
     /// The replay source, while the pipeline is still up.
     canonical: Option<(FlatGraph, ExecPlan)>,
     delivered: usize,
@@ -344,40 +334,53 @@ struct Live<T: Tally, P: Probe> {
     width: usize,
 }
 
-/// Announces a fallback on the probe and builds the engine it runs on.
-fn fallback_engine<T: Tally + Default, P: Probe>(
-    probe: &mut P,
+/// Announces a fallback on the recorder and builds the engine it runs on.
+fn fallback_engine<T: Tally + Default>(
+    probe: Option<&mut Recorder>,
     (flat, plan): (FlatGraph, ExecPlan),
     cause: &RunError,
 ) -> PlanEngine<T> {
-    if P::ENABLED {
+    if let Some(rec) = probe {
         let text = format!("degraded: {cause}; replaying on the single-threaded static plan");
-        probe.note("supervisor", &text);
-        probe.lane_name(1, "engine (fallback)");
+        rec.note("supervisor", &text);
+        rec.lane_name(1, "engine (fallback)");
     }
     PlanEngine::new(flat, plan)
 }
 
-impl<T: Tally + Default + Send + 'static, P: Reportable> Live<T, P> {
-    fn start<F: FaultPlan>(
+/// Names the single-threaded engine's lane, and says so when the run's
+/// drill has nothing to act on: fault plans have injection sites in the
+/// pipeline executor only.
+fn note_single_threaded(probe: Option<&mut Recorder>, lane: &str, fault: Option<&InjectFaults>) {
+    if let Some(rec) = probe {
+        rec.lane_name(1, lane);
+        if let Some(fault) = fault {
+            let text = format!("inert: no pipeline executor ({})", fault.describe());
+            rec.note("fault", &text);
+        }
+    }
+}
+
+impl<T: Tally + Default + Send + 'static> Live<T> {
+    fn start(
         art: Compiled,
-        mut probe: P,
-        fault: F,
-        watchdog: Option<std::time::Duration>,
+        exec: &ExecSpec,
+        mut probe: Option<Recorder>,
     ) -> Result<Box<dyn Session>, RunError> {
+        let fault = exec.fault.as_ref();
         let (mut threads, mut width, mut degraded) = (1, art.width, None);
         let mut canonical = art.canonical;
-        let engine: Family<T, P> = match (art.part, art.plan) {
+        let engine: Family<T> = match (art.part, art.plan) {
             (Some(part), Some(plan)) => {
-                match PipelineSession::start::<T, F>(
+                match PipelineSession::start::<T>(
                     art.flat,
                     &plan,
                     &part,
                     art.scale,
                     art.quantum,
-                    &mut probe,
-                    fault,
-                    watchdog,
+                    probe.as_mut(),
+                    fault.cloned(),
+                    exec.watchdog,
                 ) {
                     Ok(session) => {
                         threads = part.num_stages;
@@ -389,17 +392,17 @@ impl<T: Tally + Default + Send + 'static, P: Reportable> Live<T, P> {
                     Err(e) if e.is_degradable() && canonical.is_some() => {
                         let pair = canonical.take().expect("guarded");
                         (width, degraded) = (1, Some(e.to_string()));
-                        Family::Plan(fallback_engine(&mut probe, pair, &e))
+                        Family::Plan(fallback_engine(probe.as_mut(), pair, &e))
                     }
                     Err(e) => return Err(e),
                 }
             }
             (None, Some(plan)) => {
-                probe.lane_name(1, "engine");
+                note_single_threaded(probe.as_mut(), "engine", fault);
                 Family::Plan(PlanEngine::new(art.flat, plan))
             }
             (_, None) => {
-                probe.lane_name(1, "engine (dynamic)");
+                note_single_threaded(probe.as_mut(), "engine (dynamic)", fault);
                 Family::Dynamic(Engine::new(art.flat))
             }
         };
@@ -419,11 +422,11 @@ impl<T: Tally + Default + Send + 'static, P: Reportable> Live<T, P> {
         match &mut self.engine {
             Family::Pipeline(session) => session.read(n),
             Family::Plan(engine) => {
-                engine.run_probed(n, &mut self.probe)?;
+                engine.run(n, self.probe.as_mut())?;
                 Ok(engine.take_printed(n))
             }
             Family::Dynamic(engine) => {
-                engine.run_probed(n, &mut self.probe)?;
+                engine.run(n, self.probe.as_mut())?;
                 Ok(engine.take_printed(n))
             }
         }
@@ -437,21 +440,21 @@ impl<T: Tally + Default + Send + 'static, P: Reportable> Live<T, P> {
             .canonical
             .take()
             .expect("degrade needs the canonical pair");
-        let mut engine = fallback_engine::<T, P>(&mut self.probe, pair, cause);
+        let mut engine = fallback_engine::<T>(self.probe.as_mut(), pair, cause);
         // Replay in bounded pieces: the engine stops at the exact firing
         // that crosses each goal and resumes mid-cycle, so the firing
         // sequence is the same as one long run.
         let mut skip = self.delivered;
         while skip > 0 {
             let piece = skip.min(FAST_FORWARD_PIECE);
-            engine.run_probed(piece, &mut self.probe)?;
+            engine.run(piece, self.probe.as_mut())?;
             drop(engine.take_printed(piece));
             skip -= piece;
         }
         if let Family::Pipeline(dead) = std::mem::replace(&mut self.engine, Family::Plan(engine)) {
             // Absorb the dead session's telemetry; its stored failure is
             // expected here, so the result is dropped deliberately.
-            let _ = dead.finish(&mut self.probe);
+            let _ = dead.finish(self.probe.as_mut());
         }
         (self.threads, self.width) = (1, 1);
         self.degraded = Some(cause.to_string());
@@ -459,7 +462,7 @@ impl<T: Tally + Default + Send + 'static, P: Reportable> Live<T, P> {
     }
 }
 
-impl<T: Tally + Default + Send + 'static, P: Reportable> Session for Live<T, P> {
+impl<T: Tally + Default + Send + 'static> Session for Live<T> {
     fn read(&mut self, n: usize) -> Result<Vec<f64>, RunError> {
         let values = match self.step(n) {
             Err(e) if e.is_degradable() && self.canonical.is_some() => {
@@ -492,16 +495,16 @@ impl<T: Tally + Default + Send + 'static, P: Reportable> Session for Live<T, P> 
         let mut this = *self;
         let (ops, firings, sched) = match this.engine {
             // A failed pipeline that could not degrade has nothing to add.
-            Family::Pipeline(session) => match session.finish(&mut this.probe) {
+            Family::Pipeline(session) => match session.finish(this.probe.as_mut()) {
                 Ok(out) => (out.ops, out.firings, Scheduler::Static),
                 Err(_) => (OpCounter::default(), 0, Scheduler::Static),
             },
             Family::Plan(engine) => {
-                note_fused_loops(engine.nodes(), &mut this.probe);
+                note_fused_loops(engine.nodes(), this.probe.as_mut());
                 (engine.ops().counts(), engine.firings(), Scheduler::Static)
             }
             Family::Dynamic(engine) => {
-                note_fused_loops(engine.nodes(), &mut this.probe);
+                note_fused_loops(engine.nodes(), this.probe.as_mut());
                 (engine.ops().counts(), engine.firings(), Scheduler::Dynamic)
             }
         };
@@ -513,7 +516,7 @@ impl<T: Tally + Default + Send + 'static, P: Reportable> Session for Live<T, P> 
             threads: this.threads,
             width: this.width,
             degraded: this.degraded,
-            probe: this.probe.into_recorder(),
+            probe: this.probe,
         }
     }
 }
@@ -525,7 +528,7 @@ impl RunSpec {
     ///
     /// As [`compile`].
     pub fn compile(&self, opt: &OptStream) -> Result<Compiled, ProfileError> {
-        compile(opt, &self.plan(), &mut NoProbe)
+        compile(opt, &self.plan(), None)
     }
 
     /// Runs an optimized stream until it has produced `n` values and
@@ -535,7 +538,7 @@ impl RunSpec {
     ///
     /// As [`compile`], plus whatever the run fails with.
     pub fn run(&self, opt: &OptStream, n: usize) -> Result<Profile, ProfileError> {
-        self.run_compiled(self.compile(opt)?, n)
+        self.run_with(opt, n, None)
     }
 
     /// [`RunSpec::run`] on an artifact already compiled (and possibly
@@ -545,7 +548,7 @@ impl RunSpec {
     ///
     /// Whatever the run fails with.
     pub fn run_compiled(&self, art: Compiled, n: usize) -> Result<Profile, ProfileError> {
-        Ok(self.finish(art, n, None)?.0)
+        self.finish(art, n, None)
     }
 
     /// [`RunSpec::run`] with every compile phase, firing batch, stall and
@@ -561,24 +564,43 @@ impl RunSpec {
         n: usize,
         rec: &mut Recorder,
     ) -> Result<Profile, ProfileError> {
-        let art = compile(opt, &self.plan(), rec)?;
-        let (profile, run) = self.finish(art, n, Some(rec.fork(0)))?;
-        rec.absorb(run.expect("the session was opened with a recorder"));
-        Ok(profile)
+        self.run_with(opt, n, Some(rec))
     }
 
+    /// The run behind [`RunSpec::run`] (`None`) and
+    /// [`RunSpec::run_recorded`] (`Some`), for a caller that holds the
+    /// option.
+    ///
+    /// # Errors
+    ///
+    /// As [`RunSpec::run`].
+    pub fn run_with(
+        &self,
+        opt: &OptStream,
+        n: usize,
+        mut rec: Option<&mut Recorder>,
+    ) -> Result<Profile, ProfileError> {
+        let art = compile(opt, &self.plan(), rec.as_deref_mut())?;
+        self.finish(art, n, rec)
+    }
+
+    /// Open, read `n`, close; the session records on a fork of `rec`,
+    /// absorbed when it closes.
     fn finish(
         &self,
         art: Compiled,
         n: usize,
-        rec: Option<Recorder>,
-    ) -> Result<(Profile, Option<Recorder>), ProfileError> {
-        let mut session = open(art, &self.exec(), rec)?;
+        rec: Option<&mut Recorder>,
+    ) -> Result<Profile, ProfileError> {
+        let mut session = open(art, &self.exec(), rec.as_deref().map(|r| r.fork(0)))?;
         let start = Instant::now();
         let outputs = session.read(n)?;
         let wall = start.elapsed();
         let report = session.close();
-        let profile = Profile {
+        if let (Some(rec), Some(run)) = (rec, report.probe) {
+            rec.absorb(run);
+        }
+        Ok(Profile {
             outputs,
             ops: report.ops,
             wall,
@@ -588,7 +610,6 @@ impl RunSpec {
             threads: report.threads,
             fission: report.width,
             degraded: report.degraded,
-        };
-        Ok((profile, report.probe))
+        })
     }
 }

@@ -16,7 +16,7 @@
 use std::time::Duration;
 
 use streamlin_core::Config;
-use streamlin_support::{FaultPlan, InjectFaults};
+use streamlin_support::InjectFaults;
 
 use crate::fission::Fission;
 pub use crate::flat::Tier;

@@ -115,7 +115,7 @@ pub fn validate_trace(text: &str) -> Result<TraceShape, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamlin_support::{Probe, Recorder, StallKind};
+    use streamlin_support::{Recorder, StallKind};
 
     #[test]
     fn a_recorded_trace_validates() {

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use streamlin_runtime::{compile_source, Compiled, PlanSpec};
-use streamlin_support::Probe;
+use streamlin_support::Recorder;
 
 /// FNV-1a 64-bit content hash — the program identity in cache keys. Not
 /// cryptographic; collision risk is irrelevant at plan-cache scale.
@@ -107,11 +107,11 @@ impl PlanCache {
     ///
     /// Any compile failure (parse, elaborate, plan, …) as a displayable
     /// message; errors are not cached.
-    pub fn get_or_compile<P: Probe>(
+    pub fn get_or_compile(
         &self,
         src: &str,
         spec: PlanSpec,
-        probe: &mut P,
+        probe: Option<&mut Recorder>,
     ) -> Result<(Arc<CachedArtifact>, bool), String> {
         let key = PlanKey::of(src, spec);
         let mut g = self.inner.lock().unwrap();
@@ -135,7 +135,6 @@ impl PlanCache {
 mod tests {
     use super::*;
     use streamlin_runtime::RunSpec;
-    use streamlin_support::NoProbe;
 
     const PROGRAM: &str = "void->void pipeline Main { add S(); add K(); }
          void->float filter S { float x; work push 1 { push(x++); } }
@@ -152,13 +151,9 @@ mod tests {
     #[test]
     fn second_lookup_is_a_hit_and_shares_the_artifact() {
         let cache = PlanCache::new();
-        let (a, hit) = cache
-            .get_or_compile(PROGRAM, spec(None), &mut NoProbe)
-            .unwrap();
+        let (a, hit) = cache.get_or_compile(PROGRAM, spec(None), None).unwrap();
         assert!(!hit);
-        let (b, hit) = cache
-            .get_or_compile(PROGRAM, spec(None), &mut NoProbe)
-            .unwrap();
+        let (b, hit) = cache.get_or_compile(PROGRAM, spec(None), None).unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&a, &b));
         let s = cache.stats();
@@ -168,12 +163,8 @@ mod tests {
     #[test]
     fn distinct_knobs_are_distinct_entries() {
         let cache = PlanCache::new();
-        cache
-            .get_or_compile(PROGRAM, spec(None), &mut NoProbe)
-            .unwrap();
-        let (a, hit) = cache
-            .get_or_compile(PROGRAM, spec(Some(2)), &mut NoProbe)
-            .unwrap();
+        cache.get_or_compile(PROGRAM, spec(None), None).unwrap();
+        let (a, hit) = cache.get_or_compile(PROGRAM, spec(Some(2)), None).unwrap();
         assert!(!hit);
         assert!(
             a.compiled.part.is_some(),
@@ -190,7 +181,7 @@ mod tests {
     fn compile_errors_are_not_cached() {
         let cache = PlanCache::new();
         assert!(cache
-            .get_or_compile("not a program", spec(None), &mut NoProbe)
+            .get_or_compile("not a program", spec(None), None)
             .is_err());
         assert_eq!(cache.stats().entries, 0);
         assert_eq!(cache.stats().misses, 0);

@@ -44,7 +44,7 @@ use std::time::Duration;
 
 use streamlin_runtime::{pool, RunSpec, Session, CYCLE_QUANTUM};
 use streamlin_support::json::Json;
-use streamlin_support::{NoProbe, Recorder};
+use streamlin_support::Recorder;
 
 use admission::Ledger;
 use cache::PlanCache;
@@ -211,11 +211,7 @@ impl Service {
         // instrumented stream's close report carries its compile phases.
         let mut rec = self.opts.instrument.then(Recorder::new);
         let plan = req.spec.plan();
-        let looked_up = match rec.as_mut() {
-            Some(rec) => self.cache.get_or_compile(&req.program, plan, rec),
-            None => self.cache.get_or_compile(&req.program, plan, &mut NoProbe),
-        };
-        let (artifact, cached) = match looked_up {
+        let (artifact, cached) = match self.cache.get_or_compile(&req.program, plan, rec.as_mut()) {
             Ok(pair) => pair,
             Err(detail) => return err_response("compile_error", &detail, vec![]),
         };

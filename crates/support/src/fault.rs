@@ -1,12 +1,13 @@
-//! Deterministic fault injection on the zero-cost opt-in pattern.
+//! Deterministic fault injection: an opt-in *value*, not a type.
 //!
-//! `FaultPlan` is the third trait in the family started by [`Tally`] and
-//! continued by [`Probe`]: execution engines are generic over a plan, the
-//! production instantiation is a ZST whose hooks are empty
-//! `#[inline(always)]` bodies guarded by `const ARMED`, and the opt-in
-//! instantiation ([`InjectFaults`]) perturbs keyed sites deterministically
-//! from a seed. The parallel runtime consults the plan at four site
-//! families:
+//! A fault drill is an observer of a run, consulted once per schedule
+//! step or per blocked ring retry, so — like telemetry
+//! ([`crate::probe`]) and unlike the per-operation [`Tally`] — it is not a
+//! type parameter: the run's spec carries an `Option<InjectFaults>`,
+//! `None` in production, and every injection site is behind
+//! `if let Some(fault)`. An [`InjectFaults`] perturbs keyed sites
+//! deterministically from a seed. The parallel runtime consults the plan
+//! at four site families:
 //!
 //! - **batch sites** — before a stage worker executes a schedule step
 //!   (`batch_action`: panic, wedge, or slow down the worker);
@@ -36,13 +37,12 @@
 //! | `nofission` | the fission pass aborts with an injected refusal reason |
 //!
 //! [`Tally`]: crate::Tally
-//! [`Probe`]: crate::Probe
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What an armed plan wants a stage worker to do at a batch site.
+/// What a fault plan wants a stage worker to do at a batch site.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultAction {
     /// Proceed normally.
@@ -58,103 +58,6 @@ pub enum FaultAction {
     Wedge,
 }
 
-/// Compile-time fault-injection policy. See the module docs.
-pub trait FaultPlan: Sized + Send + 'static {
-    /// `false` for the production plan: every call site is guarded by
-    /// `if F::ARMED`, so the hooks below are never reached and the whole
-    /// layer monomorphizes away.
-    const ARMED: bool;
-
-    /// Called once per pipeline run with the resolved topology, letting
-    /// the plan pin "any stage"/"any channel" directives to concrete
-    /// seed-derived targets.
-    fn arm(&self, stages: usize, chans: usize) {
-        let _ = (stages, chans);
-    }
-
-    /// Fault decision for schedule step `index` of stage `stage`.
-    fn batch_action(&self, stage: usize, index: u64) -> FaultAction {
-        let _ = (stage, index);
-        FaultAction::None
-    }
-
-    /// Extra sleep for one retry of a blocked boundary-ring operation
-    /// (`send = true` for a full producer, `false` for an empty consumer).
-    fn ring_wait(&self, chan: usize, send: bool) -> Option<Duration> {
-        let _ = (chan, send);
-        None
-    }
-
-    /// If `Some(reason)`, the worker pool refuses this acquisition.
-    fn pool_refuse(&self) -> Option<String> {
-        None
-    }
-
-    /// If `true`, the stage's pool thread dies at job start with an
-    /// uncontained panic (exercises pool self-healing).
-    fn spawn_abort(&self, stage: usize) -> bool {
-        let _ = stage;
-        false
-    }
-
-    /// If `Some(reason)`, the fission pass aborts with that reason
-    /// (exercises the clean run-unfissed path).
-    fn fission_abort(&self) -> Option<String> {
-        None
-    }
-
-    /// One-line description for recorder notes and diagnostics.
-    fn describe(&self) -> String {
-        "none".into()
-    }
-
-    /// A handle for a worker thread; clones share countdown state so a
-    /// run-wide budget (e.g. `refuse#2`) stays a single budget.
-    fn fork(&self) -> Self;
-}
-
-/// The production plan: a ZST that injects nothing and compiles to
-/// nothing. Bit-identical outputs are pinned by the equivalence suites.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoFault;
-
-impl FaultPlan for NoFault {
-    const ARMED: bool = false;
-
-    #[inline(always)]
-    fn arm(&self, _stages: usize, _chans: usize) {}
-
-    #[inline(always)]
-    fn batch_action(&self, _stage: usize, _index: u64) -> FaultAction {
-        FaultAction::None
-    }
-
-    #[inline(always)]
-    fn ring_wait(&self, _chan: usize, _send: bool) -> Option<Duration> {
-        None
-    }
-
-    #[inline(always)]
-    fn pool_refuse(&self) -> Option<String> {
-        None
-    }
-
-    #[inline(always)]
-    fn spawn_abort(&self, _stage: usize) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn fission_abort(&self) -> Option<String> {
-        None
-    }
-
-    #[inline(always)]
-    fn fork(&self) -> Self {
-        NoFault
-    }
-}
-
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Directive {
     Panic { stage: Option<usize> },
@@ -166,9 +69,9 @@ enum Directive {
     NoFission,
 }
 
-/// State shared across forks of one parsed plan: the refusal budget is
+/// State shared across clones of one parsed plan: the refusal budget is
 /// run-wide, and "any stage"/"any channel" targets are resolved once per
-/// run by `arm` so every fork agrees on them.
+/// run by `arm` so every clone agrees on them.
 #[derive(Debug)]
 struct Shared {
     refusals: AtomicU32,
@@ -177,6 +80,8 @@ struct Shared {
 }
 
 /// Seeded deterministic fault injection; parsed from `"<seed>:<spec>"`.
+/// Each worker thread gets a clone; clones share countdown state, so a
+/// run-wide budget (e.g. `refuse#2`) stays a single budget.
 #[derive(Debug, Clone)]
 pub struct InjectFaults {
     seed: u64,
@@ -322,19 +227,19 @@ impl InjectFaults {
             None => self.shared.stage_any.load(Ordering::Relaxed) == stage,
         }
     }
-}
 
-impl FaultPlan for InjectFaults {
-    const ARMED: bool = true;
-
-    fn arm(&self, stages: usize, chans: usize) {
+    /// Called once per pipeline run with the resolved topology: pins
+    /// "any stage"/"any channel" directives to concrete seed-derived
+    /// targets.
+    pub fn arm(&self, stages: usize, chans: usize) {
         let s = (splitmix64(self.seed) % stages.max(1) as u64) as usize;
         let c = (splitmix64(self.seed ^ 0xC4A2) % chans.max(1) as u64) as usize;
         self.shared.stage_any.store(s, Ordering::Relaxed);
         self.shared.chan_any.store(c, Ordering::Relaxed);
     }
 
-    fn batch_action(&self, stage: usize, index: u64) -> FaultAction {
+    /// Fault decision for schedule step `index` of stage `stage`.
+    pub fn batch_action(&self, stage: usize, index: u64) -> FaultAction {
         let mut sleep_us: u64 = 0;
         for d in &self.directives {
             match *d {
@@ -370,7 +275,9 @@ impl FaultPlan for InjectFaults {
         }
     }
 
-    fn ring_wait(&self, chan: usize, _send: bool) -> Option<Duration> {
+    /// Extra sleep for one retry of a blocked boundary-ring operation
+    /// (`send = true` for a full producer, `false` for an empty consumer).
+    pub fn ring_wait(&self, chan: usize, _send: bool) -> Option<Duration> {
         let mut sleep_us: u64 = 0;
         for d in &self.directives {
             if let Directive::Delay { chan: want, micros } = *d {
@@ -382,8 +289,9 @@ impl FaultPlan for InjectFaults {
         (sleep_us > 0).then(|| Duration::from_micros(sleep_us))
     }
 
-    fn pool_refuse(&self) -> Option<String> {
-        // Run-wide countdown shared across forks: consume one refusal if
+    /// If `Some(reason)`, the worker pool refuses this acquisition.
+    pub fn pool_refuse(&self) -> Option<String> {
+        // Run-wide countdown shared across clones: consume one refusal if
         // any remain.
         self.shared
             .refusals
@@ -392,45 +300,32 @@ impl FaultPlan for InjectFaults {
             .map(|left| format!("injected pool refusal ({} more queued)", left - 1))
     }
 
-    fn spawn_abort(&self, stage: usize) -> bool {
+    /// If `true`, the stage's pool thread dies at job start with an
+    /// uncontained panic (exercises pool self-healing).
+    pub fn spawn_abort(&self, stage: usize) -> bool {
         self.directives.iter().any(|d| match *d {
             Directive::Die { stage: want } => self.stage_matches(want, stage),
             _ => false,
         })
     }
 
-    fn fission_abort(&self) -> Option<String> {
+    /// If `Some(reason)`, the fission pass aborts with that reason
+    /// (exercises the clean run-unfissed path).
+    pub fn fission_abort(&self) -> Option<String> {
         self.directives
             .contains(&Directive::NoFission)
             .then(|| format!("injected fission abort (seed {})", self.seed))
     }
 
-    fn describe(&self) -> String {
+    /// One-line description for recorder notes and diagnostics.
+    pub fn describe(&self) -> String {
         format!("seed={} spec={}", self.seed, self.spec)
-    }
-
-    fn fork(&self) -> Self {
-        self.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nofault_is_a_zst_and_inert() {
-        assert_eq!(std::mem::size_of::<NoFault>(), 0);
-        fn armed<F: FaultPlan>(_: &F) -> bool {
-            F::ARMED
-        }
-        assert!(!armed(&NoFault));
-        assert_eq!(NoFault.batch_action(0, 0), FaultAction::None);
-        assert_eq!(NoFault.ring_wait(3, true), None);
-        assert_eq!(NoFault.pool_refuse(), None);
-        assert!(!NoFault.spawn_abort(0));
-        assert_eq!(NoFault.fission_abort(), None);
-    }
 
     #[test]
     fn parse_accepts_the_documented_grammar() {
@@ -480,9 +375,9 @@ mod tests {
             .collect();
         assert_eq!(hits.len(), 1, "exactly one panic site");
         assert!(hits[0] < TRIGGER_SPAN);
-        // Other stages untouched; forks agree.
+        // Other stages untouched; clones agree.
         assert!((0..64).all(|i| f.batch_action(0, i) == FaultAction::None));
-        let g = f.fork();
+        let g = f.clone();
         assert!(matches!(g.batch_action(1, hits[0]), FaultAction::Panic(_)));
         // Same spec, fresh parse: same site.
         let h = InjectFaults::parse("42:panic@s1").unwrap();
@@ -501,9 +396,9 @@ mod tests {
     }
 
     #[test]
-    fn refusal_budget_is_shared_across_forks() {
+    fn refusal_budget_is_shared_across_clones() {
         let f = InjectFaults::parse("1:refuse#2").unwrap();
-        let g = f.fork();
+        let g = f.clone();
         assert!(f.pool_refuse().is_some());
         assert!(g.pool_refuse().is_some());
         assert!(f.pool_refuse().is_none());

@@ -12,16 +12,15 @@
 //!   are tallied at the exact point they happen; instantiated with
 //!   [`flops::NoCount`] the same kernels monomorphize to bare, vectorizable
 //!   arithmetic with bit-identical results.
-//! * [`probe`] — runtime telemetry on the same zero-cost pattern: engines
-//!   are generic over [`probe::Probe`]; [`probe::NoProbe`] monomorphizes
-//!   every record site away (bit-identical outputs, no clocks), while
+//! * [`probe`] — runtime telemetry as an opt-in value: the compile pipeline
+//!   and the engines take an `Option<&mut probe::Recorder>`; `None` skips
+//!   every record site (bit-identical outputs, no clocks), while a
 //!   [`probe::Recorder`] captures compile-phase spans, per-stage
 //!   busy/stall time, ring occupancy and per-node firing costs, and
 //!   exports a Chrome trace-event JSON timeline.
-//! * [`fault`] — deterministic fault injection on the same pattern:
-//!   engines are generic over [`fault::FaultPlan`]; [`fault::NoFault`]
-//!   monomorphizes every injection site away (production, bit-identical),
-//!   while [`fault::InjectFaults`] perturbs seeded, keyed sites (worker
+//! * [`fault`] — deterministic fault injection, the same way: a run's spec
+//!   carries an `Option<fault::InjectFaults>`; `None` is production, while
+//!   an [`fault::InjectFaults`] perturbs seeded, keyed sites (worker
 //!   panics, ring delays, pool refusals, stage wedges) so the
 //!   supervisor's teardown and fallback paths can be exercised
 //!   reproducibly.
@@ -54,7 +53,7 @@ pub mod num;
 pub mod probe;
 pub mod ratio;
 
-pub use fault::{FaultAction, FaultPlan, InjectFaults, NoFault};
+pub use fault::{FaultAction, InjectFaults};
 pub use flops::{CountOps, NoCount, OpCounter, Tally};
-pub use probe::{NoProbe, Probe, Recorder, StallKind};
+pub use probe::{Recorder, StallKind};
 pub use ratio::Ratio;

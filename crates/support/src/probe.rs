@@ -1,22 +1,20 @@
-//! Runtime telemetry, following the [`crate::flops::Tally`] convention.
+//! Runtime telemetry: an opt-in *value*, not a type.
 //!
 //! The paper's methodology is measurement-driven: every experiment in
-//! Chapter 5 is an *observed* count, not an estimate. The workspace
-//! reproduces arithmetic counting with `Tally`; this module applies the
-//! same zero-cost pattern to **time**: the compile pipeline and both
-//! runtime engines are generic over a [`Probe`], and the profiler
-//! monomorphizes them twice —
+//! Chapter 5 is an *observed* count, not an estimate. Arithmetic is counted
+//! per operation, so [`crate::flops::Tally`] is a type parameter; **time**
+//! is observed once per plan step or per stall, so the compile pipeline and
+//! the engines take an `Option<&mut Recorder>` (and keep an owned
+//! `Option<Recorder>` where a worker or a session holds one):
 //!
-//! * [`NoProbe`] is a zero-sized type whose methods are `#[inline(always)]`
-//!   empty bodies. Instrumented code guards every record site with
-//!   `if P::ENABLED { … }` (a compile-time constant), so production runs
-//!   carry **no clocks, no branches, no allocation** — bit-identical
-//!   outputs and unchanged throughput.
-//! * [`Recorder`] timestamps spans against a shared epoch, keeps bounded
+//! * `None` is production. Every record site is behind `if let Some(rec)`,
+//!   so an unrecorded run reads no clock and allocates nothing — one
+//!   predictable branch per batch, bit-identical outputs.
+//! * A [`Recorder`] timestamps spans against a shared epoch, keeps bounded
 //!   raw events for the Chrome-trace export and unbounded aggregates for
-//!   the summary table. Worker threads record into [`Probe::fork`]ed
+//!   the summary table. Worker threads record into [`Recorder::fork`]ed
 //!   recorders (same epoch, their own lane) that the coordinator
-//!   [`Probe::absorb`]s when the run finishes, so no record site ever
+//!   [`Recorder::absorb`]s when the run finishes, so no record site ever
 //!   takes a lock.
 //!
 //! What gets recorded (see the runtime crate for the call sites):
@@ -65,104 +63,6 @@ impl StallKind {
             StallKind::Idle => "idle",
         }
     }
-}
-
-/// The telemetry sink the compile pipeline and engines are generic over.
-///
-/// All durations are nanoseconds relative to the recorder's epoch; a
-/// record site reads [`Probe::now`] once before the region and hands the
-/// start back when closing it, so disabled probes never touch a clock.
-/// Implementations must keep every method cheap and lock-free: the hot
-/// paths call them between firings.
-pub trait Probe: Sized {
-    /// `false` statically removes every record site (the [`NoProbe`]
-    /// instantiation): guard allocation or formatting work with
-    /// `if P::ENABLED`.
-    const ENABLED: bool;
-
-    /// Nanoseconds since the recorder epoch (0 when disabled).
-    fn now(&self) -> u64;
-
-    /// Closes a compile-phase span (flatten, plan, fission, …) opened at
-    /// `start_ns`.
-    fn phase(&mut self, name: &'static str, start_ns: u64);
-
-    /// Closes a firing-batch span: `times` firings of node `node` on
-    /// `lane`, opened at `start_ns`. Also accumulates lane busy time and
-    /// per-node firing counts/busy time.
-    fn batch(&mut self, lane: u32, node: usize, times: u32, start_ns: u64);
-
-    /// Closes a stall span of `kind` on `lane`, opened at `start_ns`.
-    fn stall(&mut self, lane: u32, kind: StallKind, start_ns: u64);
-
-    /// Samples a ring's occupancy (high-water tracking + trace counter).
-    fn ring_depth(&mut self, chan: usize, depth: usize, ts_ns: u64);
-
-    /// Counts one blocked episode on a ring: `full` for a producer that
-    /// found it full, otherwise a consumer that found it empty.
-    fn ring_stall(&mut self, chan: usize, full: bool);
-
-    /// Registers a ring's capacity (for `high-water / capacity` reports).
-    fn ring_cap(&mut self, chan: usize, cap: usize);
-
-    /// Names a node (summary tables and trace span names).
-    fn node_name(&mut self, node: usize, name: &str);
-
-    /// Records the cost model's predicted per-firing cost of a node.
-    fn node_cost(&mut self, node: usize, cost: f64);
-
-    /// Names a lane (`coordinator`, `stage 0`, …).
-    fn lane_name(&mut self, lane: u32, name: &str);
-
-    /// Records a free-form decision note (`fission`, `pipeline`, `pool`).
-    fn note(&mut self, key: &'static str, text: &str);
-
-    /// A probe for a worker thread: same epoch, recording into `lane`.
-    fn fork(&self, lane: u32) -> Self;
-
-    /// Merges a forked probe's recordings back.
-    fn absorb(&mut self, other: Self);
-}
-
-/// The production probe: a zero-sized no-op. Engines monomorphized over
-/// `NoProbe` compile to exactly the uninstrumented code — the telemetry
-/// equivalence suite pins bit-identical outputs and tallies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoProbe;
-
-impl Probe for NoProbe {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn now(&self) -> u64 {
-        0
-    }
-    #[inline(always)]
-    fn phase(&mut self, _name: &'static str, _start_ns: u64) {}
-    #[inline(always)]
-    fn batch(&mut self, _lane: u32, _node: usize, _times: u32, _start_ns: u64) {}
-    #[inline(always)]
-    fn stall(&mut self, _lane: u32, _kind: StallKind, _start_ns: u64) {}
-    #[inline(always)]
-    fn ring_depth(&mut self, _chan: usize, _depth: usize, _ts_ns: u64) {}
-    #[inline(always)]
-    fn ring_stall(&mut self, _chan: usize, _full: bool) {}
-    #[inline(always)]
-    fn ring_cap(&mut self, _chan: usize, _cap: usize) {}
-    #[inline(always)]
-    fn node_name(&mut self, _node: usize, _name: &str) {}
-    #[inline(always)]
-    fn node_cost(&mut self, _node: usize, _cost: f64) {}
-    #[inline(always)]
-    fn lane_name(&mut self, _lane: u32, _name: &str) {}
-    #[inline(always)]
-    fn note(&mut self, _key: &'static str, _text: &str) {}
-    #[inline(always)]
-    fn fork(&self, _lane: u32) -> Self {
-        NoProbe
-    }
-    #[inline(always)]
-    fn absorb(&mut self, _other: Self) {}
 }
 
 /// A raw timeline event kept for the Chrome-trace export.
@@ -277,7 +177,12 @@ pub struct NodeStats {
 /// runaway trace stays in the tens of megabytes.
 const EVENT_CAP: usize = 1 << 18;
 
-/// The instrumented probe: bounded raw events + exact aggregates.
+/// The telemetry sink: bounded raw events + exact aggregates.
+///
+/// All durations are nanoseconds relative to the recorder's epoch; a
+/// record site reads [`Recorder::now`] once before the region and hands
+/// the start back when closing it. Every method is cheap and lock-free:
+/// the hot paths call them between firings.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     epoch: Instant,
@@ -602,22 +507,15 @@ impl Recorder {
         out.push_str("\n]}\n");
         out
     }
-}
 
-impl Default for Recorder {
-    fn default() -> Self {
-        Recorder::new()
-    }
-}
-
-impl Probe for Recorder {
-    const ENABLED: bool = true;
-
-    fn now(&self) -> u64 {
+    /// Nanoseconds since the recorder epoch.
+    pub fn now(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    fn phase(&mut self, name: &'static str, start_ns: u64) {
+    /// Closes a compile-phase span (flatten, plan, fission, …) opened at
+    /// `start_ns`.
+    pub fn phase(&mut self, name: &'static str, start_ns: u64) {
         let dur_ns = self.now().saturating_sub(start_ns);
         self.push(Event::Phase {
             name,
@@ -626,7 +524,10 @@ impl Probe for Recorder {
         });
     }
 
-    fn batch(&mut self, lane: u32, node: usize, times: u32, start_ns: u64) {
+    /// Closes a firing-batch span: `times` firings of node `node` on
+    /// `lane`, opened at `start_ns`. Also accumulates lane busy time and
+    /// per-node firing counts/busy time.
+    pub fn batch(&mut self, lane: u32, node: usize, times: u32, start_ns: u64) {
         let dur_ns = self.now().saturating_sub(start_ns);
         let l = self.lanes.entry(lane).or_default();
         l.busy_ns += dur_ns;
@@ -643,7 +544,8 @@ impl Probe for Recorder {
         });
     }
 
-    fn stall(&mut self, lane: u32, kind: StallKind, start_ns: u64) {
+    /// Closes a stall span of `kind` on `lane`, opened at `start_ns`.
+    pub fn stall(&mut self, lane: u32, kind: StallKind, start_ns: u64) {
         let dur_ns = self.now().saturating_sub(start_ns);
         let l = self.lanes.entry(lane).or_default();
         l.stall_ns[kind.index()] += dur_ns;
@@ -656,7 +558,8 @@ impl Probe for Recorder {
         });
     }
 
-    fn ring_depth(&mut self, chan: usize, depth: usize, ts_ns: u64) {
+    /// Samples a ring's occupancy (high-water tracking + trace counter).
+    pub fn ring_depth(&mut self, chan: usize, depth: usize, ts_ns: u64) {
         let r = self.rings.entry(chan).or_default();
         r.high_water = r.high_water.max(depth);
         r.samples += 1;
@@ -670,7 +573,9 @@ impl Probe for Recorder {
         }
     }
 
-    fn ring_stall(&mut self, chan: usize, full: bool) {
+    /// Counts one blocked episode on a ring: `full` for a producer that
+    /// found it full, otherwise a consumer that found it empty.
+    pub fn ring_stall(&mut self, chan: usize, full: bool) {
         let r = self.rings.entry(chan).or_default();
         if full {
             r.full_stalls += 1;
@@ -679,41 +584,42 @@ impl Probe for Recorder {
         }
     }
 
-    fn ring_cap(&mut self, chan: usize, cap: usize) {
+    /// Registers a ring's capacity (for `high-water / capacity` reports).
+    pub fn ring_cap(&mut self, chan: usize, cap: usize) {
         self.rings.entry(chan).or_default().cap = cap;
     }
 
-    fn node_name(&mut self, node: usize, name: &str) {
+    /// Names a node (summary tables and trace span names).
+    pub fn node_name(&mut self, node: usize, name: &str) {
         self.nodes.entry(node).or_default().name = name.to_string();
     }
 
-    fn node_cost(&mut self, node: usize, cost: f64) {
+    /// Records the cost model's predicted per-firing cost of a node.
+    pub fn node_cost(&mut self, node: usize, cost: f64) {
         self.nodes.entry(node).or_default().predicted = cost;
     }
 
-    fn lane_name(&mut self, lane: u32, name: &str) {
+    /// Names a lane (`coordinator`, `stage 0`, …).
+    pub fn lane_name(&mut self, lane: u32, name: &str) {
         self.lane_names.insert(lane, name.to_string());
     }
 
-    fn note(&mut self, key: &'static str, text: &str) {
+    /// Records a free-form decision note (`fission`, `pipeline`, `pool`).
+    pub fn note(&mut self, key: &'static str, text: &str) {
         self.notes.push((key, text.to_string()));
     }
 
-    fn fork(&self, lane: u32) -> Self {
+    /// A recorder for a worker thread: same epoch, recording into `lane`.
+    pub fn fork(&self, lane: u32) -> Self {
         Recorder {
             epoch: self.epoch,
             lane,
-            events: Vec::new(),
-            dropped: 0,
-            lanes: BTreeMap::new(),
-            rings: BTreeMap::new(),
-            nodes: BTreeMap::new(),
-            lane_names: BTreeMap::new(),
-            notes: Vec::new(),
+            ..Recorder::new()
         }
     }
 
-    fn absorb(&mut self, other: Self) {
+    /// Merges a forked recorder's recordings back.
+    pub fn absorb(&mut self, other: Self) {
         for e in other.events {
             self.push(e);
         }
@@ -753,6 +659,12 @@ impl Probe for Recorder {
     }
 }
 
+impl Default for Recorder {
+    fn default() -> Self {
+        Recorder::new()
+    }
+}
+
 /// Escapes a string as a JSON string literal (with quotes).
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -763,13 +675,6 @@ pub fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noprobe_is_zero_sized_and_disabled() {
-        assert_eq!(std::mem::size_of::<NoProbe>(), 0);
-        const { assert!(!NoProbe::ENABLED) }
-        assert_eq!(NoProbe.now(), 0);
-    }
 
     #[test]
     fn recorder_accumulates_lane_and_node_stats() {

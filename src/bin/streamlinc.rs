@@ -28,7 +28,7 @@ use std::process::ExitCode;
 use streamlin::prelude::*;
 use streamlin::runtime::spec::{count, usage_flags};
 use streamlin::runtime::{front_end, KNOBS};
-use streamlin::support::{fmt_f64, NoProbe, Recorder};
+use streamlin::support::{fmt_f64, Recorder};
 
 /// What to run (`spec`, filled from the knob table) and how to present it.
 struct Args {
@@ -52,9 +52,11 @@ struct Args {
 
 impl Args {
     /// Whether the run needs a `Recorder`: any of the telemetry outputs,
-    /// or `--emit-graph` (whose decision dump is the recorder's notes).
+    /// `--emit-graph` (whose decision dump is the recorder's notes), or a
+    /// fault drill (whose `fault` note says whether it found an executor
+    /// to act on).
     fn instrumented(&self) -> bool {
-        self.metrics || self.trace_out.is_some() || self.emit_graph
+        self.metrics || self.trace_out.is_some() || self.emit_graph || self.spec.fault.is_some()
     }
 }
 
@@ -66,8 +68,7 @@ fn usage(why: Option<String>) -> ! {
     }
     eprintln!(
         "usage: streamlinc <program.str> [-n <outputs>] [--emit-graph] [--metrics]\n\
-         \x20                [--trace-out <file>] [--quiet] [--lint] [--deny-lints]\n\
-         \x20                [--no-bytecode]\n{}",
+         \x20                [--trace-out <file>] [--quiet] [--lint] [--deny-lints]\n{}",
         usage_flags("                 ")
     );
     std::process::exit(2);
@@ -103,8 +104,6 @@ fn parse_args() -> Args {
                     Err(why) => usage(Some(format!("bad -n spec: {why}"))),
                 }
             }
-            // The flag spelling of `--tier treewalk`.
-            "--no-bytecode" => args.spec.tier = streamlin::runtime::Tier::TreeWalk,
             "--lint" => args.lint = true,
             "--deny-lints" => {
                 args.lint = true;
@@ -204,17 +203,14 @@ fn run(args: &Args) -> Result<(), String> {
     }
     // The recorder's creation instant is the trace epoch, so it exists
     // before the first compile phase; uninstrumented runs never build one
-    // and execute the NoProbe-monomorphized engines. Either way the run is
-    // the one spine every caller uses: front end, compile, open, read,
-    // close — a fault or watchdog in the spec supervises it, and an
-    // infrastructure failure degrades to the single-threaded static plan
-    // instead of hanging or dying.
+    // and hand `None` down the same code. Either way the run is the one
+    // spine every caller uses: front end, compile, open, read, close — a
+    // fault or watchdog in the spec supervises it, and an infrastructure
+    // failure degrades to the single-threaded static plan instead of
+    // hanging or dying.
     let mut rec = args.instrumented().then(Recorder::new);
     let plan = args.spec.plan();
-    let front = match rec.as_mut() {
-        Some(rec) => front_end(&source, &plan, rec),
-        None => front_end(&source, &plan, &mut NoProbe),
-    }?;
+    let front = front_end(&source, &plan, rec.as_mut())?;
     if !args.quiet {
         eprintln!(
             "parsed {} declarations; {} filters ({} linear)",
@@ -227,14 +223,19 @@ fn run(args: &Args) -> Result<(), String> {
     if args.emit_graph {
         eprintln!("structure: {}", opt.describe());
     }
-    let prof = match rec.as_mut() {
-        Some(rec) => args.spec.run_recorded(opt, args.outputs, rec),
-        None => args.spec.run(opt, args.outputs),
-    }
-    .map_err(|e| e.to_string())?;
-    if let Some(reason) = &prof.degraded {
-        if !args.quiet {
+    let prof = args
+        .spec
+        .run_with(opt, args.outputs, rec.as_mut())
+        .map_err(|e| e.to_string())?;
+    if !args.quiet {
+        if let Some(reason) = &prof.degraded {
             eprintln!("streamlinc: degraded to the single-threaded static plan ({reason})");
+        }
+        // A drill that opened on a single-threaded engine injected nothing:
+        // say so, or its clean output reads as a passed drill.
+        let mut notes = rec.iter().flat_map(|r| &r.notes);
+        if let Some((_, why)) = notes.find(|(k, why)| *k == "fault" && why.starts_with("inert")) {
+            eprintln!("streamlinc: --fault-inject is {why}");
         }
     }
 

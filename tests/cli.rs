@@ -281,6 +281,40 @@ fn fault_injection_flag_degrades_to_identical_output() {
     );
 }
 
+/// A fault plan acts inside the pipeline executor only: without
+/// `--threads` the drill injects nothing, and says so instead of passing
+/// silently. Output and exit status are the undrilled run's.
+#[test]
+fn an_inert_fault_drill_says_so() {
+    let run = |extra: &[&str]| {
+        let out = streamlinc()
+            .args(["assets/fir.str", "-n", "4"])
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{stderr}");
+        (out.stdout, stderr)
+    };
+    let inert = "--fault-inject is inert: no pipeline executor";
+    let (clean, stderr) = run(&["--quiet"]);
+    assert!(stderr.is_empty(), "{stderr}");
+
+    let (drilled, stderr) = run(&["--fault-inject", "7:panic@s1"]);
+    assert_eq!(stderr.matches(inert).count(), 1, "{stderr}");
+    assert!(!stderr.contains("degraded"), "{stderr}");
+    assert!(!drilled.is_empty());
+
+    let (quiet, stderr) = run(&["--fault-inject", "7:panic@s1", "--quiet"]);
+    assert!(stderr.is_empty(), "--quiet prints no notice: {stderr}");
+    assert_eq!(quiet, clean, "an inert drill changes no output bit");
+
+    // The same plan on the pipeline executor is armed, not inert.
+    let (_, stderr) = run(&["--fault-inject", "7:panic@s1", "--threads", "2"]);
+    assert!(!stderr.contains(inert), "{stderr}");
+    assert!(stderr.contains("degraded"), "{stderr}");
+}
+
 #[test]
 fn rejects_malformed_fault_specs() {
     let out = streamlinc()

@@ -18,7 +18,7 @@ use streamlin::lang::parse;
 use streamlin::runtime::engine::RunError;
 use streamlin::runtime::fission::Fission;
 use streamlin::runtime::{PipelineSession, Profile, ProfileError, RunSpec};
-use streamlin::support::{InjectFaults, NoProbe, OpCounter};
+use streamlin::support::{InjectFaults, OpCounter};
 
 #[test]
 fn parse_errors_carry_positions() {
@@ -194,14 +194,14 @@ fn drill_raw(spec: &str) -> RunError {
     let art = pipeline(Fission::Off).compile(&chain_opt()).unwrap();
     let (plan, part) = (art.plan.unwrap(), art.part.unwrap());
     let fault = InjectFaults::parse(spec).expect("valid fault spec");
-    PipelineSession::start::<OpCounter, _>(
+    PipelineSession::start::<OpCounter>(
         art.flat,
         &plan,
         &part,
         art.scale,
         art.quantum,
-        &mut NoProbe,
-        fault,
+        None,
+        Some(fault),
         Some(WATCHDOG),
     )
     .and_then(|mut session| session.read(N))

@@ -21,7 +21,6 @@ use streamlin::runtime::{front_end, ExecMode, Profile, RunSpec};
 use streamlin::service::proto::{parse_request, Request};
 use streamlin::service::{Service, ServiceOpts};
 use streamlin::support::json::{self, Json};
-use streamlin::support::NoProbe;
 
 /// A service with a roomy admission budget (tests that exercise
 /// saturation build their own tight one).
@@ -78,7 +77,7 @@ fn assert_bits_equal(name: &str, got: &[f64], want: &[f64]) {
 /// What one-shot `streamlinc` does with `spec`: front end, then
 /// `RunSpec::run` — compile, open, read `n`, close.
 fn one_shot(src: &str, spec: &RunSpec, n: usize) -> Profile {
-    let front = front_end(src, &spec.plan(), &mut NoProbe).expect("front end");
+    let front = front_end(src, &spec.plan(), None).expect("front end");
     let prof = spec.run(&front.opt, n).expect("one-shot run");
     assert_eq!(prof.outputs.len(), n, "short reference");
     prof
@@ -316,7 +315,7 @@ fn resident_streams_do_not_retain_delivered_output() {
             threads,
             ..RunSpec::default()
         };
-        let art = streamlin::runtime::compile_source(bench.source(), &spec.plan(), &mut NoProbe)
+        let art = streamlin::runtime::compile_source(bench.source(), &spec.plan(), None)
             .unwrap_or_else(|e| panic!("{family}: {e}"));
         let mut session = streamlin::runtime::open(art, &spec.exec(), None)
             .unwrap_or_else(|e| panic!("{family}: {e}"));

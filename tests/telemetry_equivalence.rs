@@ -1,10 +1,11 @@
-//! The zero-cost telemetry contract: instrumenting a run with a
-//! [`Recorder`] probe must not change what the run computes. For every
-//! benchmark program, every execution mode, pipeline budget and fission
-//! width, `RunSpec::run_recorded` (probe on) must produce printed output
-//! **bit-identical** to the NoProbe-monomorphized engines (probe off),
+//! The telemetry contract: instrumenting a run with a [`Recorder`] must
+//! not change what the run computes. For every benchmark program, every
+//! execution mode, pipeline budget and fission width,
+//! `RunSpec::run_recorded` (probe on) must produce printed output
+//! **bit-identical** to the same engines handed no recorder (probe off),
 //! with identical operation tallies and firing counts — the probe
-//! observes the run, it never participates in it.
+//! observes the run, it never participates in it. One case holds the
+//! recorded *and* drilled run to the same bits.
 //!
 //! A second group pins the *shape* of what was observed: the Chrome
 //! trace export parses under the workspace's own JSON reader, satisfies
@@ -18,7 +19,7 @@ use streamlin::runtime::fission::Fission;
 use streamlin::runtime::telemetry::validate_trace;
 use streamlin::runtime::{ExecMode, RunSpec, Scheduler};
 use streamlin::support::probe::Event;
-use streamlin::support::Recorder;
+use streamlin::support::{InjectFaults, Recorder};
 
 fn configured(bench: &streamlin::benchmarks::Benchmark, config: Config) -> OptStream {
     config
@@ -163,6 +164,49 @@ fn dtoa_probe_is_invisible_on_the_dynamic_fallback() {
     check(&streamlin::benchmarks::dtoa(), 256);
 }
 
+/// The pair no other suite runs: a recorder *and* a fault plan. The
+/// recorded drill degrades like the unrecorded one, prints its bits (which
+/// are the clean run's), and the recorder tells the story: the armed plan,
+/// the supervisor's verdict, the fallback engine's lane.
+#[test]
+fn a_recorded_drill_degrades_to_identical_bits_and_says_why() {
+    let bench = streamlin::benchmarks::fir(64);
+    let opt = configured(&bench, Config::AutoSel);
+    let clean = RunSpec {
+        threads: Some(2),
+        ..RunSpec::default()
+    };
+    let drilled = RunSpec {
+        fault: Some(InjectFaults::parse("7:panic@s1").unwrap()),
+        ..clean.clone()
+    };
+    let reference = clean.run(&opt, 256).expect("clean run");
+    let unrecorded = drilled.run(&opt, 256).expect("drilled run");
+    let mut rec = Recorder::new();
+    let recorded = drilled
+        .run_recorded(&opt, 256, &mut rec)
+        .expect("recorded drilled run");
+
+    assert_eq!(reference.degraded, None);
+    for prof in [&unrecorded, &recorded] {
+        let why = prof.degraded.as_deref().expect("the drill must degrade");
+        assert!(why.contains("injected fault"), "{why}");
+        assert_eq!(prof.threads, 1);
+        assert_eq!(prof.outputs.len(), reference.outputs.len());
+        for (i, (a, b)) in reference.outputs.iter().zip(&prof.outputs).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "output {i} differs");
+        }
+    }
+    let note = |key: &str, prefix: &str| {
+        rec.notes
+            .iter()
+            .any(|(k, text)| *k == key && text.starts_with(prefix))
+    };
+    assert!(note("fault", "seed=7 spec=panic@s1"), "{:?}", rec.notes);
+    assert!(note("supervisor", "degraded:"), "{:?}", rec.notes);
+    assert_eq!(rec.lane_names[&1], "engine (fallback)");
+}
+
 // ---- trace shape ------------------------------------------------------------
 
 #[test]
@@ -270,7 +314,7 @@ fn compile_phases_are_the_pinned_list() {
         ),
     ] {
         let mut rec = Recorder::new();
-        streamlin::runtime::compile_source(bench.source(), &spec.plan(), &mut rec).unwrap();
+        streamlin::runtime::compile_source(bench.source(), &spec.plan(), Some(&mut rec)).unwrap();
         let want: Vec<&str> = front.iter().copied().chain(back.iter().copied()).collect();
         assert_eq!(phases(&rec), want, "{spec:?}");
 
