@@ -15,11 +15,24 @@
 //!   whose rates differ from the steady phase, e.g. `initWork`), then
 //!   symbolically executes init + one steady cycle to compute **exact
 //!   per-channel capacities** — yielding an [`ExecPlan`].
+//! * The steady cycle is linearised **twice**. [`ExecPlan::steady`], the
+//!   *stepped* order, pulls each sink one firing at a time and defines
+//!   where a run stops: at the firing that crosses the requested output
+//!   count. [`ExecPlan::cycle`] fires every node once with all its
+//!   repetitions in one batch. Cutting a deterministic node's firings into
+//!   different batches changes nothing it computes, so the two orders
+//!   leave every ring, every node and the firing count identical at the
+//!   cycle boundary; only a stop *inside* the cycle could tell them apart.
 //! * [`PlanEngine`] executes a plan over [`crate::ring::RingSet`] ring
 //!   buffers in one contiguous slab: no readiness polling, no `VecDeque`
 //!   shuffling, no per-firing window allocation. Consecutive firings of a
 //!   linear node become one blocked multiply
-//!   ([`crate::linear_exec::LinearExec::fire_batch`]).
+//!   ([`crate::linear_exec::LinearExec::fire_batch`]), of a splitter or
+//!   joiner one slice move per channel. At a cycle boundary it takes the
+//!   cycle order while `printed + prints_per_cycle < n` — the cycle cannot
+//!   contain the stop — and the stepped order otherwise, so firing counts,
+//!   tallies and overshoot at every stop are the stepped order's. There is
+//!   nothing to tune: the engine decides from `n` and the plan.
 //!
 //! Graphs the compiler cannot schedule — feedback loops (cyclic, never
 //! collapsed per §3.3/§7.1), zero-rate channels, or inconsistent rates —
@@ -84,15 +97,26 @@ pub struct Step {
     pub times: u32,
 }
 
-/// A compiled schedule: run `init` once, then repeat `steady` forever.
+/// A compiled schedule: run `init` once, then repeat one steady cycle
+/// forever, in either of its two orders.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecPlan {
     /// Initialization firings (peek prologues, `initWork` phases).
     pub init: Vec<Step>,
-    /// One steady-state cycle, in topological order.
+    /// One steady-state cycle in the stepped order: sinks pulled one
+    /// firing at a time. Where a run stops is defined on this order.
     pub steady: Vec<Step>,
+    /// The same cycle with every node once, all its firings in one batch,
+    /// in topological order. Empty when there is none: a filter prints
+    /// (`prints_per_cycle` is `None`) or the order exceeds the buffer
+    /// bounds.
+    pub cycle: Vec<Step>,
+    /// Values one cycle prints; `None` when an interpreted filter prints,
+    /// whose output per cycle depends on the data.
+    pub prints_per_cycle: Option<usize>,
     /// Exact per-channel capacity (the maximum occupancy over init plus
-    /// one steady cycle — and therefore over the whole run).
+    /// one steady cycle in either order — and therefore over the whole
+    /// run).
     pub caps: Vec<usize>,
 }
 
@@ -112,16 +136,36 @@ impl ExecPlan {
         self.caps.iter().sum()
     }
 
-    /// One-line description for logs and the CLI.
-    pub fn summary(&self) -> String {
+    /// One-line description for logs and the CLI; `nodes` are the planned
+    /// graph's, to name the filter that rules the cycle order out.
+    pub fn summary(&self, nodes: &[FlatNode]) -> String {
+        let cycle = match self.prints_per_cycle {
+            Some(prints) if !self.cycle.is_empty() => {
+                format!("{} steps, {prints} outputs", self.cycle.len())
+            }
+            Some(_) => "none (exceeds slab bound)".to_string(),
+            None => {
+                let printer = nodes
+                    .iter()
+                    .find(|n| prints(n))
+                    .map_or("a filter", |n| &n.name);
+                format!("none ({printer} prints)")
+            }
+        };
         format!(
-            "{} init + {} steady firings/cycle over {} channels ({} buffer slots)",
+            "{} init + {} steady firings/cycle over {} channels ({} buffer slots); \
+             cycle order: {cycle}",
             self.init_firings(),
             self.steady_firings(),
             self.caps.len(),
             self.buffer_slots()
         )
     }
+}
+
+/// Whether a node prints a data-dependent number of values per firing.
+fn prints(node: &FlatNode) -> bool {
+    node.interp().is_some_and(|s| s.inst.prints)
 }
 
 /// `(peek, pop)` per input channel and pushes per output channel for one
@@ -480,14 +524,16 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
     // schedule and records each channel's exact maximum occupancy.
     //
     // The init phase runs topo-batched (a one-time cost). The steady cycle
-    // is generated *demand-driven*: sinks are pulled one firing at a time,
-    // each pull recursively firing producers in the largest batch that
-    // covers the remaining demand. That keeps contiguous runs (so linear
-    // nodes still batch) while giving the schedule the same fine
-    // interleaving the data-driven engine discovers at run time — which is
-    // what lets the plan engine stop a few steps past the requested output
-    // count instead of overshooting by a whole cycle (frequency-heavy
-    // graphs can emit thousands of outputs per cycle).
+    // is linearised twice. The *stepped* order is demand-driven: sinks are
+    // pulled one firing at a time, each pull recursively firing producers
+    // in the largest batch that covers the remaining demand — the fine
+    // interleaving the data-driven engine discovers at run time. It is the
+    // stop rule: a run ends at the firing of this order that crosses the
+    // requested output count, never a whole cycle past it (frequency-heavy
+    // graphs emit thousands of outputs per cycle). The *cycle* order fires
+    // every node once, all its repetitions in one batch; it is the
+    // throughput path, and the engine takes it only for a cycle that
+    // cannot contain the stop (see [`PlanEngine::run`]).
     let mut sim = Sim {
         flat,
         rates: &rates,
@@ -550,9 +596,35 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
             "total buffering exceeds the slab bound".into(),
         ));
     }
+    let steady = std::mem::take(&mut sim.seq);
+
+    // The cycle order, from the same post-init state (every node whose
+    // first firing differs has fired by then, so `fired` stands as it is).
+    // It costs buffer space (a producer's whole cycle is in flight at
+    // once), so a graph it would push past the bounds keeps the stepped
+    // order alone.
+    let prints_per_cycle = (!flat.nodes.iter().any(prints)).then(|| {
+        let printed = |(node, &q): (&FlatNode, &u64)| match node.kind {
+            NodeKind::PrintSink { pop } => q as usize * pop,
+            _ => 0,
+        };
+        flat.nodes.iter().zip(&reps).map(printed).sum()
+    });
+    let stepped_occ = sim.max_occ.clone();
+    sim.budget.copy_from_slice(&reps);
+    let whole = prints_per_cycle.is_some()
+        && topo.iter().all(|&i| sim.fire_batch(i, reps[i]).is_ok())
+        && sim.occ == post_init
+        && sim.max_occ.iter().sum::<u64>() <= SLAB_LIMIT;
+    if !whole {
+        sim.seq.clear();
+        sim.max_occ = stepped_occ;
+    }
     Ok(ExecPlan {
         init,
-        steady: sim.seq,
+        steady,
+        cycle: sim.seq,
+        prints_per_cycle,
         caps: sim.max_occ.into_iter().map(|v| v as usize).collect(),
     })
 }
@@ -683,6 +755,8 @@ pub struct PlanEngine<T: Tally = OpCounter> {
     partial: u32,
     /// Output count when the cursor last wrapped (progress detection).
     printed_at_wrap: usize,
+    /// Steady cycles begun so far: `[whole, stepped]`.
+    cycles: [u64; 2],
 }
 
 impl<T: Tally + Default> PlanEngine<T> {
@@ -703,6 +777,7 @@ impl<T: Tally + Default> PlanEngine<T> {
             cursor: 0,
             partial: 0,
             printed_at_wrap: 0,
+            cycles: [0; 2],
         }
     }
 }
@@ -752,6 +827,12 @@ impl<T: Tally> PlanEngine<T> {
         self.state.firings
     }
 
+    /// Steady cycles begun so far: `[whole, stepped]`, by the order each
+    /// ran in.
+    pub fn cycles(&self) -> [u64; 2] {
+        self.cycles
+    }
+
     /// Guard against programs that never print: how many consecutive
     /// output-less steady cycles to tolerate before giving up. A filter
     /// may legitimately print only every k-th cycle (conditional
@@ -761,8 +842,8 @@ impl<T: Tally> PlanEngine<T> {
 
     /// Runs the steady schedule (after the one-time init phase) until the
     /// program has printed at least `n` values, stopping at the exact
-    /// firing that crosses the threshold — the cycle position is kept so a
-    /// later call resumes mid-cycle.
+    /// firing of the stepped order that crosses the threshold — the cycle
+    /// position is kept so a later call resumes mid-cycle.
     ///
     /// # Errors
     ///
@@ -783,62 +864,91 @@ impl<T: Tally> PlanEngine<T> {
         self.run(n, Some(rec))
     }
 
-    /// The one schedule loop behind both entry points: every record site
-    /// is behind `if let Some`, so an unrecorded run reads no clock.
+    /// Fires up to `times` firings of `node`, stopping at `stop_at`
+    /// outputs, and returns how many ran. Every record site is behind
+    /// `if let Some`, so an unrecorded run reads no clock.
+    fn fire(
+        &mut self,
+        node: usize,
+        times: u32,
+        stop_at: usize,
+        rec: &mut Option<&mut Recorder>,
+    ) -> Result<u32, RunError> {
+        let t0 = rec.as_deref().map_or(0, Recorder::now);
+        let done = exec_batch(&mut self.nodes[node], times, &mut self.state, stop_at)?;
+        if let Some(rec) = rec {
+            rec.batch(1, node, done, t0);
+            let ts = rec.now();
+            for &c in &self.nodes[node].outputs {
+                rec.ring_depth(c, self.state.rings.len(c), ts);
+                rec.ring_cap(c, self.plan.caps[c]);
+            }
+        }
+        Ok(done)
+    }
+
+    /// The one schedule loop behind both entry points.
+    ///
+    /// At a cycle boundary, a cycle whose prints all fall short of `n`
+    /// runs in the cycle order: both orders leave every ring, every node
+    /// and the firing count in the same state at the next boundary, so the
+    /// stop is where the stepped order alone would have put it. The
+    /// comparison is strict: a cycle that reaches `n` exactly ends, in the
+    /// stepped order, before the replenishing firings that follow its last
+    /// print.
     pub(crate) fn run(&mut self, n: usize, mut rec: Option<&mut Recorder>) -> Result<(), RunError> {
         if !self.init_done {
             self.init_done = true;
             for si in 0..self.plan.init.len() {
                 let step = self.plan.init[si];
-                let t0 = rec.as_deref().map_or(0, Recorder::now);
-                exec_batch(
-                    &mut self.nodes[step.node],
-                    step.times,
-                    &mut self.state,
-                    usize::MAX,
-                )?;
-                if let Some(rec) = &mut rec {
-                    rec.batch(1, step.node, step.times, t0);
-                }
+                self.fire(step.node, step.times, usize::MAX, &mut rec)?;
             }
             self.printed_at_wrap = self.state.printed.len();
         }
         let mut silent_cycles = 0u32;
         while self.state.printed.len() < n {
-            let step = self.plan.steady[self.cursor];
-            let remaining = step.times - self.partial;
-            let t0 = rec.as_deref().map_or(0, Recorder::now);
-            let done = exec_batch(&mut self.nodes[step.node], remaining, &mut self.state, n)?;
-            if let Some(rec) = &mut rec {
-                rec.batch(1, step.node, done, t0);
-                let ts = rec.now();
-                for &c in &self.nodes[step.node].outputs {
-                    rec.ring_depth(c, self.state.rings.len(c), ts);
-                    rec.ring_cap(c, self.plan.caps[c]);
-                }
+            let boundary = self.cursor == 0 && self.partial == 0;
+            let whole = boundary
+                && !self.plan.cycle.is_empty()
+                && (self.plan.prints_per_cycle)
+                    .is_some_and(|prints| self.state.printed.len() + prints < n);
+            if boundary {
+                self.cycles[usize::from(!whole)] += 1;
             }
-            if done < remaining {
-                self.partial += done; // the print target interrupted the batch
+            if whole {
+                for si in 0..self.plan.cycle.len() {
+                    let step = self.plan.cycle[si];
+                    self.fire(step.node, step.times, usize::MAX, &mut rec)?;
+                }
             } else {
+                let step = self.plan.steady[self.cursor];
+                let remaining = step.times - self.partial;
+                let done = self.fire(step.node, remaining, n, &mut rec)?;
+                if done < remaining {
+                    self.partial += done; // the print target interrupted the batch
+                    continue;
+                }
                 self.partial = 0;
                 self.cursor += 1;
-                if self.cursor == self.plan.steady.len() {
-                    self.cursor = 0;
-                    if self.state.printed.len() == self.printed_at_wrap {
-                        silent_cycles += 1;
-                        if silent_cycles >= Self::MAX_SILENT_CYCLES {
-                            return Err(RunError::Deadlock {
-                                detail: format!(
-                                    "{silent_cycles} consecutive steady cycles produced no \
-                                     program output"
-                                ),
-                            });
-                        }
-                    } else {
-                        silent_cycles = 0;
-                        self.printed_at_wrap = self.state.printed.len();
-                    }
+                if self.cursor < self.plan.steady.len() {
+                    continue;
                 }
+                self.cursor = 0;
+            }
+            // A cycle just ended.
+            if self.state.printed.len() == self.printed_at_wrap {
+                silent_cycles += 1;
+                if silent_cycles >= Self::MAX_SILENT_CYCLES {
+                    return Err(RunError::Deadlock {
+                        detail: format!(
+                            "{silent_cycles} consecutive steady cycles produced no \
+                             program output"
+                        ),
+                    });
+                }
+            } else {
+                silent_cycles = 0;
+                self.printed_at_wrap = self.state.printed.len();
             }
         }
         Ok(())
@@ -956,14 +1066,14 @@ pub(crate) fn exec_batch<T: Tally>(
             state.firings += times as u64;
             let (pop, push) = (*pop, *push);
             let c_in = input.expect("decimators always have an input");
-            for _ in 0..times {
-                let window = state.rings.window(c_in, pop);
-                state.out_buf.clear();
-                state.out_buf.extend_from_slice(&window[..push]);
-                state.rings.consume(c_in, pop);
-                if let Some(c) = output {
-                    state.rings.produce(c, &state.out_buf);
-                }
+            let PlanState { rings, out_buf, .. } = state;
+            out_buf.clear();
+            for firing in rings.window(c_in, times as usize * pop).chunks_exact(pop) {
+                out_buf.extend_from_slice(&firing[..push]);
+            }
+            rings.consume(c_in, times as usize * pop);
+            if let Some(c) = output {
+                rings.produce(c, out_buf);
             }
             Ok(times)
         }
@@ -1141,41 +1251,60 @@ pub(crate) fn exec_batch<T: Tally>(
             }
             Ok(times)
         }
+        // Splitters and joiners move all `times` firings as slices: one
+        // window and one consume per input, a gather or scatter through
+        // the staging buffer, one produce per output.
         NodeKind::Duplicate => {
             state.firings += times as u64;
             let c_in = input.expect("splitters always have an input");
-            for _ in 0..times {
-                let v = state.rings.pop_one(c_in);
-                for &o in &node.outputs {
-                    state.rings.push_one(o, v);
-                }
+            let PlanState { rings, out_buf, .. } = state;
+            out_buf.clear();
+            out_buf.extend_from_slice(rings.window(c_in, times as usize));
+            rings.consume(c_in, times as usize);
+            for &o in &node.outputs {
+                rings.produce(o, out_buf);
             }
             Ok(times)
         }
         NodeKind::SplitRR(w) => {
             state.firings += times as u64;
             let c_in = input.expect("splitters always have an input");
-            for _ in 0..times {
-                for (k, &count) in w.iter().enumerate() {
-                    for _ in 0..count {
-                        let v = state.rings.pop_one(c_in);
-                        state.rings.push_one(node.outputs[k], v);
-                    }
+            let PlanState { rings, out_buf, .. } = state;
+            let (k, round) = (times as usize, w.iter().sum::<usize>());
+            // Gathered output by output: `k * w[j]` items for output `j`.
+            let window = rings.window(c_in, k * round);
+            out_buf.clear();
+            let mut at = 0;
+            for &count in w.iter() {
+                for firing in window.chunks_exact(round) {
+                    out_buf.extend_from_slice(&firing[at..at + count]);
                 }
+                at += count;
+            }
+            rings.consume(c_in, k * round);
+            let mut at = 0;
+            for (&o, &count) in node.outputs.iter().zip(w.iter()) {
+                rings.produce(o, &out_buf[at..at + k * count]);
+                at += k * count;
             }
             Ok(times)
         }
         NodeKind::JoinRR(w) => {
             state.firings += times as u64;
             let c_out = output.expect("joiners always have an output");
-            for _ in 0..times {
-                for (k, &count) in w.iter().enumerate() {
-                    for _ in 0..count {
-                        let v = state.rings.pop_one(node.inputs[k]);
-                        state.rings.push_one(c_out, v);
-                    }
+            let PlanState { rings, out_buf, .. } = state;
+            let (k, round) = (times as usize, w.iter().sum::<usize>());
+            out_buf.resize(k * round, 0.0); // every slot is overwritten below
+            let mut at = 0;
+            for (&c_in, &count) in node.inputs.iter().zip(w.iter()) {
+                let window = rings.window(c_in, k * count);
+                for (firing, items) in out_buf.chunks_exact_mut(round).zip(window.chunks(count)) {
+                    firing[at..at + count].copy_from_slice(items);
                 }
+                rings.consume(c_in, k * count);
+                at += count;
             }
+            rings.produce(c_out, out_buf);
             Ok(times)
         }
     }
@@ -1328,9 +1457,158 @@ mod tests {
              }",
         );
         let plan = compile(&flat).unwrap();
+        // How many values a cycle prints depends on the data, so no cycle
+        // can be shown to fall short of a stop: the stepped order alone.
+        assert_eq!(plan.prints_per_cycle, None);
+        assert!(plan.cycle.is_empty());
+        assert!(plan
+            .summary(&flat.nodes)
+            .ends_with("cycle order: none (K prints)"));
         let mut e = PlanEngine::<OpCounter>::new(flat, plan);
         e.run_until_outputs(3).unwrap();
         assert_eq!(&e.printed()[..3], &[2.0, 5.0, 8.0]);
+        assert_eq!(e.cycles()[0], 0);
+    }
+
+    const PROLOGUE: &str = "void->void pipeline Main { add S(); add P(); add K(); }
+         void->float filter S { float x; work push 1 { push(x++); } }
+         float->float filter P {
+             initWork pop 2 push 1 { push(pop() + pop()); }
+             work pop 1 push 1 { push(pop()); }
+         }
+         float->void filter K { work pop 1 { println(pop()); } }";
+
+    const SPLITJOIN: &str = "void->void pipeline Main { add S(); add SJ(); add D(); add K(); }
+         void->float filter S { float x; work push 1 { push(x++); } }
+         float->float splitjoin SJ {
+             split roundrobin(2, 1);
+             add G(10.0); add G(100.0);
+             join roundrobin(2, 1);
+         }
+         float->float filter G(float k) { work pop 1 push 2 { push(k * pop()); push(k); } }
+         float->float filter D { work peek 5 pop 2 push 1 { push(peek(4) - peek(0)); pop(); pop(); } }
+         float->void filter K { work pop 1 { println(pop()); } }";
+
+    /// Replays `steps` over channel occupancies; returns each channel's peak.
+    fn replay(flat: &FlatGraph, steps: &[Step], occ: &mut [u64], fired: &mut [bool]) -> Vec<u64> {
+        let mut peak = occ.to_vec();
+        for step in steps {
+            let node = &flat.nodes[step.node];
+            let (rates, first, k) = (node_rates(node), !fired[step.node], step.times as u64);
+            for (s, &c) in node.inputs.iter().enumerate() {
+                assert!(
+                    occ[c] >= batch_need(&rates, first, k, s),
+                    "{step:?} starves"
+                );
+                occ[c] -= batch_pop(&rates, first, k, s);
+            }
+            for (s, &c) in node.outputs.iter().enumerate() {
+                occ[c] += batch_push(&rates, first, k, s);
+                peak[c] = peak[c].max(occ[c]);
+            }
+            fired[step.node] = true;
+        }
+        peak
+    }
+
+    #[test]
+    fn both_orders_are_the_same_cycle() {
+        for src in [RAMP, PROLOGUE, SPLITJOIN] {
+            let flat = flat_for(src);
+            let plan = compile(&flat).unwrap();
+            let per_node = |steps: &[Step]| {
+                let mut fires = vec![0u64; flat.nodes.len()];
+                steps.iter().for_each(|s| fires[s.node] += s.times as u64);
+                fires
+            };
+            assert_eq!(plan.cycle.len(), flat.nodes.len(), "one step per node");
+            assert_eq!(per_node(&plan.cycle), per_node(&plan.steady));
+
+            let mut occ = vec![0u64; flat.num_channels];
+            let mut fired = vec![false; flat.nodes.len()];
+            let mut peak = replay(&flat, &plan.init, &mut occ, &mut fired);
+            let post_init = occ.clone();
+            for order in [&plan.steady, &plan.cycle] {
+                let reached = replay(&flat, order, &mut occ, &mut fired.clone());
+                assert_eq!(occ, post_init, "a cycle restores the occupancies");
+                peak.iter_mut()
+                    .zip(reached)
+                    .for_each(|(p, r)| *p = (*p).max(r));
+            }
+            let caps: Vec<u64> = plan.caps.iter().map(|&c| c as u64).collect();
+            assert_eq!(caps, peak, "capacities cover both orders, exactly");
+        }
+    }
+
+    /// Runs `src` to each `n` on a fresh engine, with the cycle order and
+    /// with it cleared, and holds the two to the same firing.
+    fn assert_stops_like_stepped(src: &str, ns: std::ops::RangeInclusive<usize>) {
+        let flat = flat_for(src);
+        let plan = compile(&flat).unwrap();
+        let stepped = ExecPlan {
+            cycle: Vec::new(),
+            ..plan.clone()
+        };
+        for n in ns {
+            let mut both = PlanEngine::<OpCounter>::new(flat.clone(), plan.clone());
+            let mut only = PlanEngine::<OpCounter>::new(flat.clone(), stepped.clone());
+            both.run_until_outputs(n).unwrap();
+            only.run_until_outputs(n).unwrap();
+            assert_eq!(both.printed(), only.printed(), "n = {n}");
+            assert_eq!(both.firings(), only.firings(), "n = {n}");
+            assert_eq!(both.ops(), only.ops(), "n = {n}");
+            assert_eq!(only.cycles()[0], 0);
+            // Whole cycles while their prints fall short of `n`, strictly.
+            let prints = plan.prints_per_cycle.unwrap();
+            assert_eq!(both.cycles()[0], ((n - 1) / prints) as u64, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn a_cycle_that_reaches_the_target_exactly_is_stepped() {
+        // The sink's first firing of a cycle draws on what `initWork` left
+        // buffered, and the firings that replenish it follow the print: a
+        // run to `printed + prints_per_cycle` stops before them.
+        let flat = flat_for(PROLOGUE);
+        let plan = compile(&flat).unwrap();
+        assert_eq!(plan.prints_per_cycle, Some(1));
+        let first = &flat.nodes[plan.steady[0].node];
+        assert!(matches!(first.kind, NodeKind::PrintSink { .. }), "{plan:?}");
+        assert_stops_like_stepped(PROLOGUE, 1..=6);
+        assert_stops_like_stepped(SPLITJOIN, 1..=40);
+    }
+
+    #[test]
+    fn a_cycle_order_past_the_bounds_leaves_the_stepped_plan() {
+        // U's whole cycle is 4096 firings of 4099 pushes: more than
+        // `CAP_LIMIT` in flight on one channel, where the stepped order
+        // holds two firings' worth.
+        let flat = flat_for(
+            "void->void pipeline Main { add S(); add U(); add D(); add K(); }
+             void->float filter S { float x; work push 1 { push(x++); } }
+             float->float filter U {
+                 work pop 1 push 4099 { float x = pop(); for (int i = 0; i < 4099; i++) push(x); }
+             }
+             float->float filter D {
+                 work pop 4096 push 1 {
+                     float s = 0;
+                     for (int i = 0; i < 4096; i++) s += pop();
+                     push(s);
+                 }
+             }
+             float->void filter K { work pop 1 { println(pop()); } }",
+        );
+        let plan = compile(&flat).unwrap();
+        assert!(plan.cycle.is_empty());
+        assert_eq!(plan.prints_per_cycle, Some(4099));
+        assert!(plan.caps.iter().all(|&c| c < 3 * 4099), "{:?}", plan.caps);
+        assert!(plan
+            .summary(&flat.nodes)
+            .ends_with("cycle order: none (exceeds slab bound)"));
+        let mut e = PlanEngine::<OpCounter>::new(flat, plan);
+        e.run_until_outputs(2).unwrap();
+        assert_eq!(e.printed(), &[0.0, 4093.0]);
+        assert_eq!(e.cycles(), [0, 1]);
     }
 
     #[test]

@@ -45,6 +45,9 @@ pub struct RingSet {
     scratch: Vec<Vec<f64>>,
 }
 
+// `window`, `consume` and `produce` are `#[inline]`: every arm of
+// `plan::exec_batch` calls them, and left to the size heuristic they stop
+// being inlined there, which costs each single-firing step three calls.
 impl RingSet {
     /// Allocates rings with the given exact capacities and preloads the
     /// initial items (feedback `enqueue`s).
@@ -93,6 +96,7 @@ impl RingSet {
     /// # Panics
     ///
     /// Panics if fewer than `n` items are buffered.
+    #[inline]
     pub fn window(&mut self, chan: usize, n: usize) -> &[f64] {
         let c = self.chans[chan];
         assert!(n <= c.len, "window({n}) exceeds occupancy {}", c.len);
@@ -115,6 +119,7 @@ impl RingSet {
     /// # Panics
     ///
     /// Panics if fewer than `n` items are buffered.
+    #[inline]
     pub fn consume(&mut self, chan: usize, n: usize) {
         let c = &mut self.chans[chan];
         assert!(n <= c.len, "consume({n}) exceeds occupancy {}", c.len);
@@ -131,6 +136,7 @@ impl RingSet {
     ///
     /// Panics if the items would exceed the channel's capacity (the plan
     /// sizes rings exactly, so this indicates a scheduling bug).
+    #[inline]
     pub fn produce(&mut self, chan: usize, items: &[f64]) {
         let c = self.chans[chan];
         assert!(
@@ -148,28 +154,6 @@ impl RingSet {
         self.slab[c.off + tail..c.off + tail + first].copy_from_slice(&items[..first]);
         self.slab[c.off..c.off + items.len() - first].copy_from_slice(&items[first..]);
         self.chans[chan].len += items.len();
-    }
-
-    /// Pops the oldest item.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel is empty.
-    pub fn pop_one(&mut self, chan: usize) -> f64 {
-        let c = self.chans[chan];
-        assert!(c.len > 0, "pop_one on empty channel");
-        let v = self.slab[c.off + c.head];
-        self.consume(chan, 1);
-        v
-    }
-
-    /// Appends one item.
-    ///
-    /// # Panics
-    ///
-    /// Panics on overflow, like [`RingSet::produce`].
-    pub fn push_one(&mut self, chan: usize, v: f64) {
-        self.produce(chan, &[v]);
     }
 }
 
@@ -420,8 +404,9 @@ mod tests {
     fn initial_items_are_preloaded() {
         let mut r = RingSet::new(&[2, 3], &[(1, vec![9.0, 8.0])]);
         assert!(r.is_empty(0));
-        assert_eq!(r.pop_one(1), 9.0);
-        assert_eq!(r.pop_one(1), 8.0);
+        assert_eq!(r.window(1, 2), &[9.0, 8.0]);
+        r.consume(1, 2);
+        assert!(r.is_empty(1));
     }
 
     #[test]
@@ -434,10 +419,12 @@ mod tests {
     #[test]
     fn many_channels_share_the_slab() {
         let mut r = RingSet::new(&[1, 2, 3], &[]);
-        r.push_one(0, 1.0);
+        r.produce(0, &[1.0]);
         r.produce(1, &[2.0, 3.0]);
         r.produce(2, &[4.0, 5.0, 6.0]);
-        assert_eq!(r.pop_one(0), 1.0);
+        assert_eq!(r.window(0, 1), &[1.0]);
+        r.consume(0, 1);
+        assert!(r.is_empty(0));
         assert_eq!(r.window(1, 2), &[2.0, 3.0]);
         assert_eq!(r.window(2, 3), &[4.0, 5.0, 6.0]);
     }

@@ -200,7 +200,7 @@ pub fn compile(
             rec.node_cost(i, firing_cost(node, &model));
         }
         match &art.plan {
-            Some(p) => rec.note("schedule", &p.summary()),
+            Some(p) => rec.note("schedule", &p.summary(&art.flat.nodes)),
             None => rec.note("schedule", "data-driven (no static plan)"),
         }
         note_tiers(&art.flat.nodes, rec);
@@ -501,6 +501,10 @@ impl<T: Tally + Default + Send + 'static> Session for Live<T> {
             },
             Family::Plan(engine) => {
                 note_fused_loops(engine.nodes(), this.probe.as_mut());
+                if let Some(rec) = &mut this.probe {
+                    let [whole, stepped] = engine.cycles();
+                    rec.note("cycles", &format!("{whole} whole, {stepped} stepped"));
+                }
                 (engine.ops().counts(), engine.firings(), Scheduler::Static)
             }
             Family::Dynamic(engine) => {

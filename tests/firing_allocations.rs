@@ -7,7 +7,10 @@
 //! global allocator shows it on the two filters the benchmarks fire most:
 //! FMRadio's `FloatOneSource` and TargetDetect's `ThresholdDetector`,
 //! taken from the benchmark sources and wired into one pipeline on the
-//! plan engine. (One test per binary: the counter is process-wide.)
+//! plan engine, followed by a `duplicate` splitter and a weighted
+//! `roundrobin` joiner so the plumbing's slice moves (staged in the same
+//! engine-owned buffer, whole cycles at a time) are held to it too. (One
+//! test per binary: the counter is process-wide.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,7 +72,15 @@ fn steady_interpreted_firings_allocate_nothing() {
     let target_detect = streamlin::benchmarks::target_detect();
     let src = format!(
         "void->void pipeline Main {{
-             add FloatOneSource(); add ThresholdDetector(3, 8.0); add FloatPrinter();
+             add FloatOneSource(); add ThresholdDetector(3, 8.0); add Fan(); add FloatPrinter();
+         }}
+         float->float splitjoin Fan {{
+             split duplicate;
+             add Repeat(2); add Repeat(1);
+             join roundrobin(2, 1);
+         }}
+         float->float filter Repeat(int n) {{
+             work pop 1 push n {{ float x = pop(); for (int i = 0; i < n; i++) push(x); }}
          }}
          {}\n{}\n{}",
         declaration(fm_radio.source(), "FloatOneSource"),
@@ -83,22 +94,37 @@ fn steady_interpreted_firings_allocate_nothing() {
         .filter(|n| matches!(n.kind, NodeKind::Interp(_)))
         .map(|n| n.name.as_str())
         .collect();
-    assert_eq!(interpreted, ["FloatOneSource", "ThresholdDetector(3, 8)"]);
+    assert_eq!(
+        interpreted,
+        [
+            "FloatOneSource",
+            "ThresholdDetector(3, 8)",
+            "Repeat(2)",
+            "Repeat(1)"
+        ]
+    );
+    let plumbing = |n: &&streamlin::runtime::flat::FlatNode| {
+        matches!(n.kind, NodeKind::Duplicate | NodeKind::JoinRR(_))
+    };
+    assert_eq!(flat.nodes.iter().filter(plumbing).count(), 2);
     let plan = plan::compile(&flat).unwrap();
+    assert_eq!(plan.prints_per_cycle, Some(3));
     let mut engine = PlanEngine::<NoCount>::new(flat, plan);
 
     // Warm up: registers, staging buffers and the output buffer grow to
     // their steady sizes; handing the output out keeps its capacity.
-    engine.run_until_outputs(4096).unwrap();
-    drop(engine.take_printed(4096));
-    let firings = engine.firings();
+    engine.run_until_outputs(4098).unwrap();
+    drop(engine.take_printed(4098));
+    let (firings, [whole, stepped]) = (engine.firings(), engine.cycles());
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    engine.run_until_outputs(1000).unwrap();
+    engine.run_until_outputs(3000).unwrap();
     let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
-    // Three nodes fire per output: 1 000 firings each of the two filters.
-    assert_eq!(engine.firings() - firings, 3000);
+    // A cycle is one firing of the six nodes ahead of the printer and
+    // three of the printer; all but the cycle that holds the stop ran whole.
+    assert_eq!(engine.firings() - firings, 9000);
+    assert_eq!(engine.cycles(), [whole + 999, stepped + 1]);
     assert_eq!(
         &engine.printed()[..3],
         &[3.0, 3.0, 3.0],

@@ -35,7 +35,7 @@ const SEED: u64 = 0x2003_0609;
 /// maximal frequency replacement one cycle of Radar or Vocoder is 10^5
 /// firings: seconds per run unoptimised. A debug build leaves the pipeline
 /// runs of a longer cycle than this to CI's `--release` run of this matrix.
-const HEAVY_CYCLE: u64 = 50_000;
+pub const HEAVY_CYCLE: u64 = 50_000;
 
 /// Knobs moved off the default: `(row of KNOBS, sample)`.
 type Deviation = Vec<(usize, &'static str)>;

@@ -164,6 +164,50 @@ fn dtoa_probe_is_invisible_on_the_dynamic_fallback() {
     check(&streamlin::benchmarks::dtoa(), 256);
 }
 
+/// Reads long enough to run whole steady cycles (`runtime::plan`'s cycle
+/// order; the counts above stay inside one cycle of most programs): the
+/// probe is as invisible there, every ring is sampled under the capacity
+/// both orders need, and the notes say which order ran how often.
+#[test]
+fn whole_cycles_are_recorded_and_invisible() {
+    let bench = streamlin::benchmarks::rate_convert();
+    for config in [Config::Baseline, Config::AutoSel] {
+        let opt = configured(&bench, config);
+        let spec = RunSpec {
+            mode: ExecMode::Measured,
+            ..RunSpec::default()
+        };
+        let reference = spec.run(&opt, 4000).unwrap();
+        let mut rec = Recorder::new();
+        let probed = spec.run_recorded(&opt, 4000, &mut rec).unwrap();
+        let what = "whole cycles";
+        let (name, label) = (bench.name(), config.label());
+        assert_identical(name, label, what, spec.mode, &reference, &probed);
+
+        let note = |key: &str| {
+            let found = rec.notes.iter().find(|(k, _)| *k == key);
+            found.map(|(_, text)| text.as_str()).unwrap_or_default()
+        };
+        let schedule = note("schedule");
+        assert!(
+            schedule.contains(" steps, ") && schedule.ends_with(" outputs"),
+            "{schedule}"
+        );
+        let (whole, rest) = note("cycles")
+            .split_once(" whole, ")
+            .expect("a cycles note");
+        assert!(whole.parse::<u64>().unwrap() >= 4, "{label}: {whole} whole");
+        assert_eq!(rest, "1 stepped", "{label}: the cycle that holds the stop");
+        assert!(rec.rings.len() >= 3, "{label}: every ring is sampled");
+        for (chan, ring) in &rec.rings {
+            assert!(
+                ring.samples > 0 && ring.high_water <= ring.cap,
+                "{chan}: {ring:?}"
+            );
+        }
+    }
+}
+
 /// The pair no other suite runs: a recorder *and* a fault plan. The
 /// recorded drill degrades like the unrecorded one, prints its bits (which
 /// are the clean run's), and the recorder tells the story: the armed plan,
