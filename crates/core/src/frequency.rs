@@ -166,11 +166,6 @@ impl FreqSpec {
         self.strategy
     }
 
-    /// Which FFT tier this plan uses.
-    pub fn fft_kind(&self) -> FftKind {
-        self.kind
-    }
-
     /// `(peek, pop, push)` of the steady-state work phase of the FFT
     /// stage (before decimation).
     pub fn work_rates(&self) -> (usize, usize, usize) {

@@ -30,9 +30,12 @@
 //!   exactly like the StreamIt compiler resolves its graph at
 //!   compile time (§2.1: "these rates must be resolvable at compile time"),
 //!   and lowers each filter's work phases to their slot-resolved form.
-//! * [`steady`] — the steady-state schedule solver (SDF balance equations,
-//!   solved hierarchically with exact rationals), providing the repetition
-//!   counts used by the cost model of the optimization-selection pass.
+//! * [`steady`] — the steady-state schedule solver: a stream becomes a flat
+//!   SDF edge list (filters, splitters, joiners, feedback back edges) and
+//!   one solver, [`steady::balance`], solves its balance equations with
+//!   exact rationals — the same solver the runtime's schedule compiler
+//!   calls — providing the repetition counts used by the cost model of the
+//!   optimization-selection pass.
 //! * [`stats`] — structural statistics for Table 5.2.
 //!
 //! # Examples

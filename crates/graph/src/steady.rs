@@ -3,16 +3,24 @@
 //! StreamIt programs admit a *steady-state schedule*: an assignment of
 //! repetition counts to filters such that every channel returns to its
 //! initial occupancy (§3.3.1 of the paper, after Karczmarek's scheduling
-//! work). This module solves the SDF balance equations hierarchically with
-//! exact rationals and normalizes to the minimal integral repetition
-//! vector. The optimization-selection cost model scales per-firing costs by
-//! these repetition counts, and Table 5.2's statistics derive from them.
+//! work). This module writes the SDF balance equations once, over a flat
+//! edge list, and [`balance`] solves them with exact rationals, normalizing
+//! each connected component to its minimal integral repetition vector.
+//! Both consumers hand it their graph as edges: [`steady_state`] builds the
+//! list from the hierarchical [`Stream`] (one node per filter and per
+//! splitter and joiner, feedback back edges included), and the runtime's
+//! schedule compiler from its flattened node/channel graph. The
+//! optimization-selection cost model scales per-firing costs by these
+//! repetition counts, and Table 5.2's statistics derive from them.
+//!
+//! A refusal names nodes by index ([`Unbalanced`]); the caller, which
+//! knows what the nodes are, renders their names.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use streamlin_support::ratio::{common_denominator, Ratio};
 
-use crate::ir::{Splitter, Stream};
+use crate::ir::{FilterInst, Stream};
 
 /// Items consumed/produced by one macro-firing of a stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,16 +43,8 @@ pub struct Steady {
 /// Errors from the balance-equation solver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleError {
-    /// Explanation of the inconsistency.
+    /// Explanation of the inconsistency, naming the nodes involved.
     pub message: String,
-}
-
-impl ScheduleError {
-    fn new(message: impl Into<String>) -> Self {
-        ScheduleError {
-            message: message.into(),
-        }
-    }
 }
 
 impl std::fmt::Display for ScheduleError {
@@ -62,7 +62,132 @@ impl std::error::Error for ScheduleError {}
 /// Returns a [`ScheduleError`] when the balance equations are inconsistent
 /// (e.g. a splitjoin whose branches cannot agree on a splitter rate).
 pub fn steady_state(s: &Stream) -> Result<Steady, ScheduleError> {
-    solve(s)
+    let mut g = SdfGraph::default();
+    let ((input, pop), (output, push)) = g.add(s);
+    let reps = balance(g.nodes.len(), &g.edges).map_err(|e| ScheduleError {
+        message: e.render(|i| g.name(i)),
+    })?;
+    let io = SteadyIo {
+        pop: reps[input] * pop,
+        push: reps[output] * push,
+    };
+    let filters = g
+        .nodes
+        .iter()
+        .zip(&reps)
+        .filter_map(|(node, &q)| match node {
+            SdfNode::Filter(f) => Some((f.id, q)),
+            _ => None,
+        });
+    Ok(Steady {
+        io,
+        reps: filters.collect(),
+    })
+}
+
+/// A node of the flat SDF graph a [`Stream`] denotes: a filter, or the
+/// splitter or joiner of the container it names.
+enum SdfNode<'a> {
+    Filter(&'a FilterInst),
+    Split(&'a Stream),
+    Join(&'a Stream),
+}
+
+/// Where a stream meets its neighbour: a node and its per-firing rate
+/// (pops at the input, pushes at the output).
+type Port = (usize, u64);
+
+#[derive(Default)]
+struct SdfGraph<'a> {
+    nodes: Vec<SdfNode<'a>>,
+    edges: Vec<RateEdge>,
+}
+
+impl<'a> SdfGraph<'a> {
+    fn node(&mut self, node: SdfNode<'a>) -> usize {
+        self.nodes.push(node);
+        self.nodes.len() - 1
+    }
+
+    fn edge(&mut self, (from, push): Port, (to, pop): Port) {
+        self.edges.push(RateEdge {
+            from,
+            to,
+            push,
+            pop,
+        });
+    }
+
+    fn name(&self, i: usize) -> String {
+        match self.nodes[i] {
+            SdfNode::Filter(f) => f.name.clone(),
+            SdfNode::Split(s) => format!("split of {}", s.describe()),
+            SdfNode::Join(s) => format!("join of {}", s.describe()),
+        }
+    }
+
+    /// Adds the nodes and channels of `s`; returns its input and output
+    /// ports.
+    fn add(&mut self, s: &'a Stream) -> (Port, Port) {
+        match s {
+            Stream::Filter(f) => {
+                let i = self.node(SdfNode::Filter(f));
+                ((i, f.work.pop as u64), (i, f.work.push as u64))
+            }
+            Stream::Pipeline(children) => {
+                let (input, mut output) = self.add(&children[0]);
+                for child in &children[1..] {
+                    let (next_in, next_out) = self.add(child);
+                    self.edge(output, next_in);
+                    output = next_out;
+                }
+                (input, output)
+            }
+            Stream::SplitJoin {
+                split,
+                children,
+                join,
+            } => {
+                let (splitter, joiner) =
+                    (self.node(SdfNode::Split(s)), self.node(SdfNode::Join(s)));
+                let ports: Vec<(Port, Port)> = children.iter().map(|c| self.add(c)).collect();
+                // With nothing for any child to consume, the splitter never
+                // fires: connecting it would demand input the children refuse.
+                let splits = ports.iter().any(|&((_, pop), _)| pop > 0);
+                for (k, (input, output)) in ports.into_iter().enumerate() {
+                    if splits {
+                        self.edge((splitter, split.weight(k) as u64), input);
+                    }
+                    self.edge(output, (joiner, join.weights[k] as u64));
+                }
+                let pop = if splits { split.items_per_cycle() } else { 0 };
+                (
+                    (splitter, pop as u64),
+                    (joiner, join.items_per_cycle() as u64),
+                )
+            }
+            Stream::FeedbackLoop {
+                join,
+                body,
+                loop_stream,
+                split,
+                ..
+            } => {
+                let (joiner, splitter) =
+                    (self.node(SdfNode::Join(s)), self.node(SdfNode::Split(s)));
+                let (body_in, body_out) = self.add(body);
+                let (loop_in, loop_out) = self.add(loop_stream);
+                self.edge((joiner, join.items_per_cycle() as u64), body_in);
+                self.edge(body_out, (splitter, split.items_per_cycle() as u64));
+                self.edge((splitter, split.weight(1) as u64), loop_in);
+                self.edge(loop_out, (joiner, join.weights[1] as u64));
+                (
+                    (joiner, join.weights[0] as u64),
+                    (splitter, split.weight(0) as u64),
+                )
+            }
+        }
+    }
 }
 
 /// One directed channel of a flat SDF graph, with per-firing rates: node
@@ -79,31 +204,69 @@ pub struct RateEdge {
     pub pop: u64,
 }
 
+/// Why a flat graph's balance equations have no solution, by node index.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Unbalanced {
+    /// A channel with a zero rate on one side only: data piles up or
+    /// starves forever.
+    OneSided(RateEdge),
+    /// Two paths from node `from` imply different rates for node `node`.
+    Disagree {
+        /// The node whose edge implied the second rate.
+        from: usize,
+        /// The node with two rates.
+        node: usize,
+        /// The rate it already had.
+        existing: Ratio,
+        /// The rate the edge from `from` implies.
+        implied: Ratio,
+    },
+}
+
+impl Unbalanced {
+    /// The refusal in words, with each node named by `name`.
+    pub fn render(&self, name: impl Fn(usize) -> String) -> String {
+        match self {
+            Unbalanced::OneSided(e) => format!(
+                "channel `{}` -> `{}` has a zero rate on one side only ({} vs {})",
+                name(e.from),
+                name(e.to),
+                e.push,
+                e.pop
+            ),
+            Unbalanced::Disagree {
+                from,
+                node,
+                existing,
+                implied,
+            } => format!(
+                "`{}` and `{}` disagree on rates ({existing} vs {implied}); \
+                 the graph is not schedulable",
+                name(*from),
+                name(*node)
+            ),
+        }
+    }
+}
+
 /// Solves the balance equations of a *flat* SDF graph: returns the minimal
 /// repetition vector `q` such that `q[from] * push == q[to] * pop` holds on
-/// every edge. This is the entry point the runtime's schedule compiler uses
-/// on the flattened node/channel graph (where splitters, joiners, and
-/// decimators are materialized nodes the hierarchical solver never sees).
+/// every edge. An edge with a zero rate on both sides constrains nothing.
 ///
 /// Disconnected components are normalized independently, each to its own
 /// minimal positive vector.
 ///
 /// # Errors
 ///
-/// Returns a [`ScheduleError`] if an edge has a zero rate on one side only
-/// (data piles up or starves forever) or if two paths between the same
-/// nodes imply inconsistent rates.
-pub fn balance(num_nodes: usize, edges: &[RateEdge]) -> Result<Vec<u64>, ScheduleError> {
-    for e in edges {
-        if e.from >= num_nodes || e.to >= num_nodes {
-            return Err(ScheduleError::new("edge endpoint out of range"));
-        }
-        if (e.push == 0) != (e.pop == 0) {
-            return Err(ScheduleError::new(format!(
-                "channel {} -> {} has a zero rate on one side only ({} vs {})",
-                e.from, e.to, e.push, e.pop
-            )));
-        }
+/// Returns [`Unbalanced`] if an edge has a zero rate on one side only or if
+/// two paths between the same nodes imply inconsistent rates.
+///
+/// # Panics
+///
+/// Panics if an edge names a node at or past `num_nodes`.
+pub fn balance(num_nodes: usize, edges: &[RateEdge]) -> Result<Vec<u64>, Unbalanced> {
+    if let Some(e) = edges.iter().find(|e| (e.push == 0) != (e.pop == 0)) {
+        return Err(Unbalanced::OneSided(*e));
     }
     // Undirected adjacency for rate propagation.
     let mut adj: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
@@ -120,7 +283,7 @@ pub fn balance(num_nodes: usize, edges: &[RateEdge]) -> Result<Vec<u64>, Schedul
         // BFS this component with root rate 1.
         rates[root] = Some(Ratio::one());
         let mut component = vec![root];
-        let mut queue = std::collections::VecDeque::from([root]);
+        let mut queue = VecDeque::from([root]);
         while let Some(n) = queue.pop_front() {
             let rn = rates[n].expect("queued nodes have rates");
             for &ei in &adj[n] {
@@ -141,311 +304,33 @@ pub fn balance(num_nodes: usize, edges: &[RateEdge]) -> Result<Vec<u64>, Schedul
                     }
                     Some(existing) if existing == implied => {}
                     Some(existing) => {
-                        return Err(ScheduleError::new(format!(
-                            "nodes {n} and {other} disagree on rates ({existing} vs {implied}); \
-                             the graph is not schedulable"
-                        )))
+                        return Err(Unbalanced::Disagree {
+                            from: n,
+                            node: other,
+                            existing,
+                            implied,
+                        })
                     }
                 }
             }
         }
+        // Every rate is a product of positive ratios: scale by the common
+        // denominator, then divide out the common factor.
         let ms: Vec<Ratio> = component
             .iter()
             .map(|&n| rates[n].expect("component solved"))
             .collect();
-        let ints = normalize(&ms)?;
+        let l = Ratio::from_int(common_denominator(&ms));
+        let ints: Vec<u64> = ms
+            .iter()
+            .map(|&m| (m * l).to_integer().expect("cleared denominators") as u64)
+            .collect();
+        let g = ints.iter().copied().fold(0, streamlin_support::num::gcd);
         for (&n, &q) in component.iter().zip(&ints) {
-            reps[n] = q;
+            reps[n] = q / g;
         }
     }
     Ok(reps)
-}
-
-fn solve(s: &Stream) -> Result<Steady, ScheduleError> {
-    match s {
-        Stream::Filter(f) => {
-            let mut reps = HashMap::new();
-            reps.insert(f.id, 1);
-            Ok(Steady {
-                io: SteadyIo {
-                    pop: f.work.pop as u64,
-                    push: f.work.push as u64,
-                },
-                reps,
-            })
-        }
-        Stream::Pipeline(children) => {
-            let (mults, sols) = pipeline_multipliers(children)?;
-            let io = SteadyIo {
-                pop: mults[0] * sols[0].io.pop,
-                push: mults[mults.len() - 1] * sols[sols.len() - 1].io.push,
-            };
-            Ok(Steady {
-                io,
-                reps: merge_reps(&sols, &mults),
-            })
-        }
-        Stream::SplitJoin {
-            split,
-            children,
-            join,
-        } => {
-            let (mults, sols, s_cycles, j_cycles) = splitjoin_multipliers(split, children, join)?;
-            let pop = s_cycles * split.items_per_cycle() as u64;
-            let push = j_cycles * join.items_per_cycle() as u64;
-            Ok(Steady {
-                io: SteadyIo { pop, push },
-                reps: merge_reps(&sols, &mults),
-            })
-        }
-        Stream::FeedbackLoop {
-            join,
-            body,
-            loop_stream,
-            split,
-            ..
-        } => {
-            let m = feedback_multipliers(join, body, loop_stream, split)?;
-            let body_sol = solve(body)?;
-            let loop_sol = solve(loop_stream)?;
-            let reps = merge_reps(&[body_sol, loop_sol], &[m.body, m.loop_reps]);
-            Ok(Steady {
-                io: SteadyIo {
-                    pop: m.pop,
-                    push: m.push,
-                },
-                reps,
-            })
-        }
-    }
-}
-
-fn merge_reps(sols: &[Steady], mults: &[u64]) -> HashMap<usize, u64> {
-    let mut reps = HashMap::new();
-    for (sol, &m) in sols.iter().zip(mults) {
-        for (&id, &r) in &sol.reps {
-            reps.insert(id, r * m);
-        }
-    }
-    reps
-}
-
-fn gcd(a: u64, b: u64) -> u64 {
-    streamlin_support::num::gcd(a, b)
-}
-
-/// Normalizes rational multipliers to the minimal positive integers with
-/// the same ratios.
-fn normalize(ms: &[Ratio]) -> Result<Vec<u64>, ScheduleError> {
-    let l = common_denominator(ms.iter());
-    let mut ints = Vec::with_capacity(ms.len());
-    for m in ms {
-        let v = (*m * Ratio::from_int(l))
-            .to_integer()
-            .expect("common denominator clears all fractions");
-        if v <= 0 {
-            return Err(ScheduleError::new("non-positive repetition count"));
-        }
-        ints.push(v as u64);
-    }
-    let g = ints.iter().copied().fold(0, gcd).max(1);
-    Ok(ints.iter().map(|v| v / g).collect())
-}
-
-fn pipeline_multipliers(children: &[Stream]) -> Result<(Vec<u64>, Vec<Steady>), ScheduleError> {
-    let sols: Vec<Steady> = children.iter().map(solve).collect::<Result<_, _>>()?;
-    let mut ms = vec![Ratio::one()];
-    for i in 0..sols.len() - 1 {
-        let up = sols[i].io.push;
-        let down = sols[i + 1].io.pop;
-        let next = match (up, down) {
-            (0, 0) => Ratio::one(),
-            (0, _) => {
-                return Err(ScheduleError::new(format!(
-                    "pipeline stage {} produces nothing but stage {} consumes",
-                    i,
-                    i + 1
-                )))
-            }
-            (_, 0) => {
-                return Err(ScheduleError::new(format!(
-                    "pipeline stage {} produces data but stage {} consumes nothing",
-                    i,
-                    i + 1
-                )))
-            }
-            (u, d) => ms[i] * Ratio::new(u as i128, d as i128),
-        };
-        ms.push(next);
-    }
-    let mults = normalize(&ms)?;
-    Ok((mults, sols))
-}
-
-#[allow(clippy::type_complexity)]
-fn splitjoin_multipliers(
-    split: &Splitter,
-    children: &[Stream],
-    join: &crate::ir::Joiner,
-) -> Result<(Vec<u64>, Vec<Steady>, u64, u64), ScheduleError> {
-    let sols: Vec<Steady> = children.iter().map(solve).collect::<Result<_, _>>()?;
-    if join.weights.len() != children.len() {
-        return Err(ScheduleError::new("joiner weight count mismatch"));
-    }
-    let n = children.len();
-    // Work with joiner cycles J = 1.
-    let mut r: Vec<Option<Ratio>> = vec![None; n];
-    for k in 0..n {
-        let q = sols[k].io.push;
-        let w = join.weights[k] as u64;
-        match (q, w) {
-            (0, 0) => {}
-            (0, _) => {
-                return Err(ScheduleError::new(format!(
-                    "splitjoin child {k} pushes nothing but the joiner expects items from it"
-                )))
-            }
-            (_, 0) => {
-                return Err(ScheduleError::new(format!(
-                    "splitjoin child {k} pushes data but its joiner weight is zero"
-                )))
-            }
-            (q, w) => r[k] = Some(Ratio::new(w as i128, q as i128)),
-        }
-    }
-    // Determine splitter cycles S from any child constrained on both sides.
-    let mut s_cycles: Option<Ratio> = None;
-    for k in 0..n {
-        let p = sols[k].io.pop;
-        let v = split.weight(k) as u64;
-        if let (Some(rk), true, true) = (r[k], p > 0, v > 0) {
-            let cand = rk * Ratio::new(p as i128, v as i128);
-            match s_cycles {
-                None => s_cycles = Some(cand),
-                Some(existing) if existing == cand => {}
-                Some(existing) => {
-                    return Err(ScheduleError::new(format!(
-                        "splitjoin branches disagree on the splitter rate ({existing} vs {cand}); \
-                         the graph is not schedulable"
-                    )))
-                }
-            }
-        }
-    }
-    let s_cycles = match s_cycles {
-        Some(s) => s,
-        None => {
-            // No child consumes input: a splitjoin of sources.
-            if sols.iter().any(|s| s.io.pop > 0) {
-                return Err(ScheduleError::new(
-                    "splitjoin mixes source children with consuming children",
-                ));
-            }
-            Ratio::zero()
-        }
-    };
-    // Children unconstrained by the joiner get their rate from the splitter.
-    for k in 0..n {
-        if r[k].is_none() {
-            let p = sols[k].io.pop;
-            let v = split.weight(k) as u64;
-            if p == 0 {
-                return Err(ScheduleError::new(format!(
-                    "splitjoin child {k} neither consumes nor produces data"
-                )));
-            }
-            r[k] = Some(s_cycles * Ratio::new(v as i128, p as i128));
-        }
-    }
-    // Consistency: every child must drain exactly what the splitter sends.
-    for k in 0..n {
-        let p = sols[k].io.pop;
-        let v = split.weight(k) as u64;
-        let rk = r[k].expect("all rates resolved above");
-        if rk * Ratio::from_int(p as i128) != s_cycles * Ratio::from_int(v as i128) {
-            return Err(ScheduleError::new(format!(
-                "splitjoin child {k} cannot keep up with the splitter; not schedulable"
-            )));
-        }
-    }
-    // Normalize r ∪ {S, J}.
-    let mut all: Vec<Ratio> = r.iter().map(|x| x.expect("resolved")).collect();
-    all.push(Ratio::one()); // J
-    let with_s = s_cycles != Ratio::zero();
-    if with_s {
-        all.push(s_cycles);
-    }
-    let ints = normalize(&all)?;
-    let mults = ints[..n].to_vec();
-    let j_cycles = ints[n];
-    let s_int = if with_s { ints[n + 1] } else { 0 };
-    Ok((mults, sols, s_int, j_cycles))
-}
-
-struct FeedbackRates {
-    body: u64,
-    loop_reps: u64,
-    pop: u64,
-    push: u64,
-}
-
-fn feedback_multipliers(
-    join: &crate::ir::Joiner,
-    body: &Stream,
-    loop_stream: &Stream,
-    split: &Splitter,
-) -> Result<FeedbackRates, ScheduleError> {
-    let body_sol = solve(body)?;
-    let loop_sol = solve(loop_stream)?;
-    let (w_in, w_fb) = (join.weights[0] as i128, join.weights[1] as i128);
-    let (pb, qb) = (body_sol.io.pop as i128, body_sol.io.push as i128);
-    let (pl, ql) = (loop_sol.io.pop as i128, loop_sol.io.push as i128);
-    if pb == 0 || qb == 0 || pl == 0 || ql == 0 {
-        return Err(ScheduleError::new(
-            "feedbackloop body and loop streams must both consume and produce data",
-        ));
-    }
-    // J = 1 joiner cycles.
-    let rb = Ratio::new(w_in + w_fb, pb);
-    let (s_cycles, loop_in, push_per_s) = match split {
-        Splitter::Duplicate => {
-            let s = rb * Ratio::from_int(qb);
-            (s, s, Ratio::one())
-        }
-        Splitter::RoundRobin(v) => {
-            if v.len() != 2 {
-                return Err(ScheduleError::new("feedback splitter must have 2 weights"));
-            }
-            let (v_out, v_fb) = (v[0] as i128, v[1] as i128);
-            let s = rb * Ratio::from_int(qb) / Ratio::from_int(v_out + v_fb);
-            (s, s * Ratio::from_int(v_fb), Ratio::from_int(v_out))
-        }
-    };
-    let rl = loop_in / Ratio::from_int(pl);
-    // Consistency: the loop must feed the joiner exactly w_fb per cycle.
-    if rl * Ratio::from_int(ql) != Ratio::from_int(w_fb) {
-        return Err(ScheduleError::new(
-            "feedbackloop rates are inconsistent: the loop path does not balance",
-        ));
-    }
-    let push_total = s_cycles * push_per_s;
-    let all = [rb, rl, Ratio::one(), push_total, Ratio::from_int(w_in)];
-    let nonzero: Vec<Ratio> = all.iter().filter(|r| !r.is_zero()).copied().collect();
-    let l = common_denominator(nonzero.iter());
-    let scale =
-        |r: Ratio| -> u64 { (r * Ratio::from_int(l)).to_integer().expect("cleared") as u64 };
-    let mut ints = vec![scale(rb), scale(rl), scale(Ratio::one())];
-    let push_i = scale(push_total);
-    let pop_i = scale(Ratio::from_int(w_in));
-    ints.push(push_i);
-    ints.push(pop_i);
-    let g = ints.iter().copied().filter(|&v| v > 0).fold(0, gcd).max(1);
-    Ok(FeedbackRates {
-        body: scale(rb) / g,
-        loop_reps: scale(rl) / g,
-        pop: pop_i / g,
-        push: push_i / g,
-    })
 }
 
 #[cfg(test)]
@@ -572,6 +457,97 @@ mod tests {
         );
         let total: u64 = s.reps.values().sum();
         assert_eq!(total, 4, "reps: {:?}", s.reps); // S, B, L, K once each
+    }
+
+    /// Repetition counts in filter-id order.
+    fn reps_by_id(s: &Steady) -> Vec<u64> {
+        let mut v: Vec<_> = s.reps.iter().collect();
+        v.sort();
+        v.into_iter().map(|(_, &r)| r).collect()
+    }
+
+    fn refused(src: &str) -> ScheduleError {
+        steady_state(&elaborate(&parse(src).unwrap()).unwrap()).unwrap_err()
+    }
+
+    #[test]
+    fn a_duplicate_splitjoin_of_sources_balances() {
+        // Radar's shape: there is nothing to split, so the splitter never
+        // fires and the joiner alone sets the children's rates.
+        let s = steady(
+            "void->void pipeline Main { add SJ(); add K(); }
+             void->float splitjoin SJ {
+                 split duplicate;
+                 add A(); add B();
+                 join roundrobin(1, 2);
+             }
+             void->float filter A { work push 1 { push(1.0); } }
+             void->float filter B { work push 1 { push(2.0); } }
+             float->void filter K { work pop 3 { pop(); pop(); pop(); } }",
+        );
+        assert_eq!(reps_by_id(&s), vec![1, 2, 1]);
+        assert_eq!((s.io.pop, s.io.push), (0, 0));
+    }
+
+    #[test]
+    fn a_splitjoin_mixing_sources_and_consumers_is_refused() {
+        refused(
+            "void->void pipeline Main { add S(); add SJ(); add K(); }
+             void->float filter S { work push 1 { push(0.0); } }
+             float->float splitjoin SJ {
+                 split duplicate;
+                 add A(); add B();
+                 join roundrobin;
+             }
+             void->float filter A { work push 1 { push(1.0); } }
+             float->float filter B { work pop 1 push 1 { push(pop()); } }
+             float->void filter K { work pop 2 { pop(); pop(); } }",
+        );
+    }
+
+    #[test]
+    fn a_zero_weight_branch_that_consumes_is_refused() {
+        refused(
+            "void->void pipeline Main { add S(); add SJ(); add K(); }
+             void->float filter S { work push 1 { push(0.0); } }
+             float->float splitjoin SJ {
+                 split roundrobin(1, 0);
+                 add A(); add B();
+                 join roundrobin(1, 1);
+             }
+             float->float filter A { work pop 1 push 1 { push(pop()); } }
+             float->float filter B { work pop 1 push 1 { push(pop()); } }
+             float->void filter K { work pop 2 { pop(); pop(); } }",
+        );
+    }
+
+    #[test]
+    fn a_feedback_loop_around_a_splitjoin_balances() {
+        // The body pops 1 and pushes 2 per cycle of its own; the loop's
+        // splitter sends 3 of every 4 items downstream.
+        let s = steady(
+            "void->void pipeline Main { add S(); add FB(); add K(); }
+             void->float filter S { work push 1 { push(1.0); } }
+             float->void filter K { work pop 3 { pop(); pop(); pop(); } }
+             float->float feedbackloop FB {
+                 join roundrobin(1, 1);
+                 body SJ();
+                 loop L();
+                 split roundrobin(3, 1);
+                 enqueue 0;
+             }
+             float->float splitjoin SJ {
+                 split duplicate;
+                 add A(); add B();
+                 join roundrobin(1, 1);
+             }
+             float->float filter A { work pop 1 push 1 { push(pop()); } }
+             float->float filter B { work pop 1 push 1 { push(pop()); } }
+             float->float filter L { work pop 1 push 1 { push(pop()); } }",
+        );
+        // S, A, B, L, K.
+        assert_eq!(reps_by_id(&s), vec![1, 2, 2, 1, 1]);
+        assert_eq!((s.io.pop, s.io.push), (0, 0));
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl Vector {
         &self.data
     }
 
-    /// Mutable borrow of the underlying storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Row-vector × matrix product.
     ///
     /// # Panics

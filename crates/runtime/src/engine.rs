@@ -1,4 +1,13 @@
 //! The data-driven execution engine.
+//!
+//! It polls the nodes in order and fires any whose inputs hold a firing's
+//! worth and whose outputs have room, one firing at a time. What a firing
+//! needs and pushes comes from the one rate table, `plan::node_rates`, the
+//! schedule compiler's own: the first phase until a node has fired, the
+//! steady phase after. Channel bounds start at a few firings and double
+//! while the graph is otherwise stuck, up to the plan's `CAP_LIMIT`. `fire`
+//! is the firing half of the reference every equivalence suite compares
+//! against.
 
 use std::collections::VecDeque;
 
@@ -9,6 +18,7 @@ use streamlin_support::{OpCounter, Recorder, Tally};
 
 use crate::fission::FissKernel;
 use crate::flat::{FlatGraph, FlatNode, InterpState, NodeKind};
+use crate::plan::{node_rates, Rates, CAP_LIMIT};
 
 /// Errors during execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,9 +72,6 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Hard upper bound on any channel (safety net against runaway growth).
-const CHANNEL_CAP_MAX: usize = 1 << 24;
-
 /// Shared mutable execution state (kept apart from the nodes so a firing
 /// can borrow both).
 #[derive(Debug)]
@@ -92,10 +99,9 @@ struct EngineState<T> {
 #[derive(Debug)]
 pub struct Engine<T: Tally = OpCounter> {
     nodes: Vec<FlatNode>,
-    /// [`node_demands`] of every node's next firing, and whether it has
-    /// fired: rates differ only between a first firing and the rest, so
-    /// they are worked out again once, after it, not on every poll.
-    demands: Vec<(Vec<usize>, Vec<usize>)>,
+    /// Every node's [`node_rates`], and whether it has fired: a node's
+    /// next firing is its first phase until it has.
+    rates: Vec<Rates>,
     fired: Vec<bool>,
     state: EngineState<T>,
 }
@@ -107,22 +113,23 @@ impl<T: Tally + Default> Engine<T> {
         for (chan, items) in &flat.initial {
             channels[*chan].extend(items.iter().copied());
         }
-        // Initial caps: room for a couple of firings at each endpoint.
+        // Initial caps: room for a couple of first firings at each endpoint.
+        let rates: Vec<Rates> = flat.nodes.iter().map(node_rates).collect();
         let mut caps = vec![64usize; flat.num_channels];
-        for node in &flat.nodes {
-            let (needed, pushed) = node_demands(node);
-            for (&c, &n) in node.inputs.iter().zip(&needed) {
-                caps[c] = caps[c].max(4 * n + 16);
+        for (node, r) in flat.nodes.iter().zip(&rates) {
+            let first = r.phase(true);
+            for (&c, &need) in node.inputs.iter().zip(&first.in_peek) {
+                caps[c] = caps[c].max(4 * need as usize + 16);
             }
-            for (&c, &p) in node.outputs.iter().zip(&pushed) {
-                caps[c] = caps[c].max(4 * p + 16);
+            for (&c, &push) in node.outputs.iter().zip(&first.out_push) {
+                caps[c] = caps[c].max(4 * push as usize + 16);
             }
         }
         for (chan, items) in &flat.initial {
             caps[*chan] = caps[*chan].max(2 * items.len() + 16);
         }
         Engine {
-            demands: flat.nodes.iter().map(node_demands).collect(),
+            rates,
             fired: vec![false; flat.nodes.len()],
             nodes: flat.nodes,
             state: EngineState {
@@ -204,9 +211,7 @@ impl<T: Tally> Engine<T> {
                 if self.readiness(i) == Readiness::Ready {
                     let t0 = rec.as_deref().map_or(0, Recorder::now);
                     fire(&mut self.nodes[i], &mut self.state)?;
-                    if !std::mem::replace(&mut self.fired[i], true) {
-                        self.demands[i] = node_demands(&self.nodes[i]);
-                    }
+                    self.fired[i] = true;
                     if let Some(rec) = &mut rec {
                         rec.batch(1, i, 1, t0);
                     }
@@ -236,14 +241,14 @@ impl<T: Tally> Engine<T> {
     /// What, if anything, prevents node `i` from firing.
     fn readiness(&self, i: usize) -> Readiness {
         let node = &self.nodes[i];
-        let (needed, pushed) = &self.demands[i];
-        for (k, &chan) in node.inputs.iter().enumerate() {
-            if self.state.channels[chan].len() < needed[k] {
+        let phase = self.rates[i].phase(!self.fired[i]);
+        for (&chan, &need) in node.inputs.iter().zip(&phase.in_peek) {
+            if (self.state.channels[chan].len() as u64) < need {
                 return Readiness::NeedsInput;
             }
         }
-        for (&chan, &count) in node.outputs.iter().zip(pushed) {
-            if self.state.channels[chan].len() + count > self.state.caps[chan] {
+        for (&chan, &push) in node.outputs.iter().zip(&phase.out_push) {
+            if self.state.channels[chan].len() + push as usize > self.state.caps[chan] {
                 return Readiness::OutputFull(chan);
             }
         }
@@ -259,15 +264,15 @@ impl<T: Tally> Engine<T> {
         for i in 0..self.nodes.len() {
             if let Readiness::OutputFull(chan) = self.readiness(i) {
                 let cap = &mut self.state.caps[chan];
-                if *cap >= CHANNEL_CAP_MAX {
+                if *cap as u64 >= CAP_LIMIT {
                     return Err(RunError::Deadlock {
                         detail: format!(
-                            "channel of {} exceeded the {CHANNEL_CAP_MAX}-item bound",
+                            "channel of {} exceeded the {CAP_LIMIT}-item bound",
                             self.nodes[i].name
                         ),
                     });
                 }
-                *cap = (*cap * 2).min(CHANNEL_CAP_MAX);
+                *cap = (*cap * 2).min(CAP_LIMIT as usize);
                 raised = true;
             }
         }
@@ -281,98 +286,6 @@ enum Readiness {
     Ready,
     NeedsInput,
     OutputFull(usize),
-}
-
-/// Items needed per input channel and produced per output channel for the
-/// node's *next* firing.
-fn node_demands(node: &FlatNode) -> (Vec<usize>, Vec<usize>) {
-    match &node.kind {
-        NodeKind::Interp(s) => {
-            let w = match (s.first, s.inst.init_work.as_ref()) {
-                (true, Some(init)) => init,
-                _ => &s.inst.work,
-            };
-            (
-                if node.inputs.is_empty() {
-                    vec![]
-                } else {
-                    vec![w.peek]
-                },
-                if node.outputs.is_empty() {
-                    vec![]
-                } else {
-                    vec![w.push]
-                },
-            )
-        }
-        NodeKind::Linear(exec) => {
-            let n = exec.node();
-            (
-                if node.inputs.is_empty() {
-                    vec![]
-                } else {
-                    vec![n.peek()]
-                },
-                if node.outputs.is_empty() {
-                    vec![]
-                } else {
-                    vec![n.push()]
-                },
-            )
-        }
-        NodeKind::Redund(exec) => {
-            let n = exec.spec().node();
-            (
-                vec![n.peek()],
-                if node.outputs.is_empty() {
-                    vec![]
-                } else {
-                    vec![n.push()]
-                },
-            )
-        }
-        NodeKind::Freq(exec) => {
-            let (peek, _pop, push) = exec.current_rates();
-            (vec![peek], vec![push])
-        }
-        NodeKind::Decimator { pop, push } => (vec![*pop], vec![*push]),
-        NodeKind::FissSplit(sp) => {
-            if sp.first && sp.first_share > 0 {
-                let mut pushed = vec![0; node.outputs.len()];
-                pushed[0] = sp.first_share + sp.suffix;
-                (vec![sp.first_share + sp.suffix], pushed)
-            } else {
-                (
-                    vec![sp.steady_pop() + sp.suffix],
-                    vec![sp.chunk_len(); node.outputs.len()],
-                )
-            }
-        }
-        NodeKind::FissWorker(fw) => {
-            if fw.first && fw.first_fires > 0 {
-                (vec![fw.first_chunk_len()], vec![fw.first_pushes()])
-            } else {
-                (vec![fw.chunk_len()], vec![fw.batch * fw.push])
-            }
-        }
-        NodeKind::FissJoin(fj) => {
-            if fj.first && fj.first_take > 0 {
-                let mut needed = vec![0; node.inputs.len()];
-                needed[0] = fj.first_take;
-                (needed, vec![fj.first_take])
-            } else {
-                (
-                    vec![fj.weight; node.inputs.len()],
-                    vec![fj.width * fj.weight],
-                )
-            }
-        }
-        NodeKind::Periodic { .. } => (vec![], vec![1]),
-        NodeKind::PrintSink { pop } | NodeKind::DiscardSink { pop } => (vec![*pop], vec![]),
-        NodeKind::Duplicate => (vec![1], vec![1; node.outputs.len()]),
-        NodeKind::SplitRR(w) => (vec![w.iter().sum()], w.clone()),
-        NodeKind::JoinRR(w) => (w.clone(), vec![w.iter().sum()]),
-    }
 }
 
 fn fire<T: Tally>(node: &mut FlatNode, state: &mut EngineState<T>) -> Result<(), RunError> {

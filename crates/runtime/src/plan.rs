@@ -39,6 +39,13 @@
 //! are reported as [`PlanError`]s; [`crate::session::compile`] falls back
 //! to the data-driven [`crate::engine::Engine`] for those.
 //!
+//! What one firing of each node kind peeks, pops and pushes is written
+//! once, in `node_rates` (a steady phase, plus a distinct first phase for
+//! `initWork`, frequency priming and fission's first round). It is the one
+//! rate table: the balance equations, the init derivation and the symbolic
+//! execution here read it, and so do partitioning, the pipeline executor
+//! and the data-driven engine's readiness test.
+//!
 //! The firing *semantics* are shared with the dynamic engine (same
 //! slot-resolved work-function interpreter via
 //! [`crate::engine::fire_interp`], same kernels, same operation
@@ -54,8 +61,8 @@ use crate::fission::FissKernel;
 use crate::flat::{FlatGraph, FlatNode, NodeKind};
 use crate::ring::RingSet;
 
-/// Per-channel capacity bound (matches the dynamic engine's safety net).
-const CAP_LIMIT: u64 = 1 << 24;
+/// Per-channel capacity bound, for plans and the data-driven engine alike.
+pub(crate) const CAP_LIMIT: u64 = 1 << 24;
 /// Bound on the whole slab, across all channels.
 const SLAB_LIMIT: u64 = 1 << 26;
 /// Bound on firings per steady cycle (keeps plans and runs tractable).
@@ -186,7 +193,9 @@ pub(crate) struct Rates {
 }
 
 impl Rates {
-    /// The phase of firing `idx` (0-based since node creation).
+    /// The phase of the node's next firing, given whether that is its
+    /// first (the data-driven engine's readiness test reads it per poll).
+    #[inline]
     pub(crate) fn phase(&self, first_firing: bool) -> &Phase {
         match (&self.first, first_firing) {
             (Some(f), true) => f,
@@ -219,6 +228,9 @@ fn phase_for(node: &FlatNode, peek: u64, pop: u64, push: u64) -> Phase {
     }
 }
 
+/// What one firing of `node` peeks, pops and pushes on each slot, in its
+/// steady phase and in its first phase while that is still to come: the
+/// one rate table (see the module docs).
 pub(crate) fn node_rates(node: &FlatNode) -> Rates {
     match &node.kind {
         NodeKind::Interp(s) => {
@@ -440,17 +452,17 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
         });
         endpoints.push(((p, ps), (q, qs)));
     }
-    for e in &edges {
-        if e.push == 0 || e.pop == 0 {
-            return Err(PlanError::Unschedulable(format!(
-                "channel {} -> {} has a zero steady rate",
-                e.from, e.to
-            )));
-        }
+    let name = |i: usize| flat.nodes[i].name.clone();
+    if let Some(e) = edges.iter().find(|e| e.push == 0 || e.pop == 0) {
+        return Err(PlanError::Unschedulable(format!(
+            "channel `{}` -> `{}` has a zero steady rate",
+            name(e.from),
+            name(e.to)
+        )));
     }
 
     // Repetition vector.
-    let reps = balance(n, &edges).map_err(|e| PlanError::Unschedulable(e.message))?;
+    let reps = balance(n, &edges).map_err(|e| PlanError::Unschedulable(e.render(name)))?;
     let total: u64 = reps.iter().sum();
     if total > FIRINGS_LIMIT || reps.iter().any(|&q| q > u32::MAX as u64) {
         return Err(PlanError::TooLarge(format!(
@@ -1438,6 +1450,23 @@ mod tests {
              float->float filter Id { work pop 1 push 1 { push(pop()); } }",
         );
         assert_eq!(compile(&flat).unwrap_err(), PlanError::Cyclic);
+    }
+
+    #[test]
+    fn a_zero_rate_channel_is_refused_by_name() {
+        let flat = flat_for(
+            "void->void pipeline Main { add S(); add SJ(); add K(); }
+             void->float filter S { float x; work push 1 { push(x++); } }
+             float->float splitjoin SJ {
+                 split roundrobin(1, 0);
+                 add G(); add G();
+                 join roundrobin(1, 1);
+             }
+             float->float filter G { work pop 1 push 1 { push(pop()); } }
+             float->void filter K { work pop 2 { println(pop()); println(pop()); } }",
+        );
+        let why = "channel `split` -> `G` has a zero steady rate";
+        assert_eq!(compile(&flat), Err(PlanError::Unschedulable(why.into())));
     }
 
     #[test]

@@ -244,22 +244,6 @@ impl Recorder {
             .sum()
     }
 
-    /// Fraction of worker time spent blocked on ring boundaries
-    /// (recv-empty + send-full over busy + those stalls), across all
-    /// lanes. 0.0 when nothing was recorded.
-    pub fn stall_fraction(&self) -> f64 {
-        let (mut busy, mut stalled) = (0u64, 0u64);
-        for l in self.lanes.values() {
-            busy += l.busy_ns;
-            stalled += l.contention_ns();
-        }
-        if busy + stalled == 0 {
-            0.0
-        } else {
-            stalled as f64 / (busy + stalled) as f64
-        }
-    }
-
     fn lane_label(&self, lane: u32) -> String {
         self.lane_names
             .get(&lane)

@@ -69,11 +69,6 @@ impl Ratio {
         Ratio::from_int(1)
     }
 
-    /// Numerator of the reduced form.
-    pub fn numer(&self) -> i128 {
-        self.num
-    }
-
     /// Denominator of the reduced form (always positive).
     pub fn denom(&self) -> i128 {
         self.den

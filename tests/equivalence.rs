@@ -5,6 +5,10 @@
 //! engine is `tests/matrix/mod.rs`; a failure names benchmark,
 //! configuration, knob, sample and (for a drawn tuple) the seed.
 
+use streamlin::core::combine::analyze_graph;
+use streamlin::core::Config;
+use streamlin::runtime::{RunSpec, Scheduler};
+
 #[macro_use]
 mod matrix;
 
@@ -19,3 +23,16 @@ matrix_tests!(None;
     oversampler => "Oversampler",
     dtoa => "DToA",
 );
+
+#[test]
+fn every_feedback_free_benchmark_compiles_a_plan() {
+    for b in streamlin::benchmarks::all_default() {
+        let analysis = analyze_graph(b.graph());
+        let opt = Config::Baseline.apply(b.graph(), &analysis).unwrap();
+        let prof = RunSpec::default()
+            .run(&opt, 64)
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
+        let fallback = prof.sched == Scheduler::Dynamic;
+        assert_eq!(fallback, opt.has_feedback(), "{}", b.name());
+    }
+}

@@ -59,7 +59,13 @@ fn unschedulable_splitjoin_fails_scheduling() {
     )
     .unwrap();
     let g = elaborate(&p).unwrap();
-    assert!(streamlin::graph::steady::steady_state(&g).is_err());
+    let err = streamlin::graph::steady::steady_state(&g).unwrap_err();
+    // Named, not numbered: a branch of the splitjoin and the joiner it feeds.
+    assert!(
+        err.message
+            .contains("`B` and `join of splitjoin[2]` disagree on rates"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -14,6 +14,14 @@
 //! generated on the commit *before* the extractor moved from the surface
 //! AST onto the slot IR, one line per filter instance with both verdicts
 //! (`extract` and `extract_stateful`), coefficients hashed bit for bit.
+//!
+//! `tests/golden/steady.txt` pins the balance equations: generated by the
+//! hierarchical solver `graph::steady` had before it became an edge list
+//! handed to the flat solver, one line per filter instance with its
+//! repetition count, and the whole stream's I/O per steady cycle, for the
+//! nine benchmarks at their default sizes and `fir(1024)`, then FIR and
+//! Radar at the equivalence matrix's sizes (the other seven are the same
+//! programs at both).
 
 use streamlin::benchmarks::{self, Benchmark};
 use streamlin::core::cost::CostModel;
@@ -21,6 +29,7 @@ use streamlin::core::extract::extract;
 use streamlin::core::select::{select, SelectOptions};
 use streamlin::core::state_space::extract_stateful;
 use streamlin::core::{analyze_graph, LinearNode, OptStream};
+use streamlin::graph::steady::steady_state;
 
 /// FNV-1a over 64-bit words.
 struct Fnv(u64);
@@ -133,6 +142,22 @@ fn extraction_of(bench: &Benchmark) -> String {
     out
 }
 
+/// The whole stream's I/O per steady cycle, then one line per filter
+/// instance: its id, its name and its firings per steady cycle.
+fn repetitions_of(label: &str, bench: &Benchmark) -> String {
+    let steady = steady_state(bench.graph()).unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_eq!(steady.reps.len(), bench.graph().filter_count(), "{label}");
+    let mut out = format!(
+        "== {label}\nio: pop={} push={}\n",
+        steady.io.pop, steady.io.push
+    );
+    bench.graph().for_each_filter(&mut |inst| {
+        let reps = steady.reps[&inst.id];
+        out.push_str(&format!("{} · {} · reps={reps}\n", inst.id, inst.name));
+    });
+    out
+}
+
 /// The nine benchmarks plus `fir(1024)`.
 fn benches() -> Vec<Benchmark> {
     let mut benches = benchmarks::all_default();
@@ -171,4 +196,20 @@ fn selection_matches_the_parent_commit_golden() {
 fn extraction_matches_the_parent_commit_golden() {
     let actual: String = benches().iter().map(extraction_of).collect();
     assert_golden("extraction", &actual, include_str!("golden/extraction.txt"));
+}
+
+#[test]
+fn repetitions_match_the_parent_commit_golden() {
+    let mut actual: String = benchmarks::all_default()
+        .iter()
+        .map(|b| repetitions_of(b.name(), b))
+        .collect();
+    for (label, bench) in [
+        ("FIR at fir(1024)", benchmarks::fir(1024)),
+        ("FIR at fir(64)", benchmarks::fir(64)),
+        ("Radar at radar(2, 2)", benchmarks::radar(2, 2)),
+    ] {
+        actual.push_str(&repetitions_of(label, &bench));
+    }
+    assert_golden("steady", &actual, include_str!("golden/steady.txt"));
 }
