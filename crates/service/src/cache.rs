@@ -1,22 +1,30 @@
-//! The plan cache: compile once per distinct (program, plan spec).
+//! The plan cache: compile once per distinct (program, plan spec) while
+//! its plan is among the `max_streams` most recently used.
 //!
 //! One-shot `streamlinc` pays the whole compiler — parse, elaborate,
 //! linear analysis, replacement selection, lowering, schedule
 //! compilation, fission, partitioning — on every invocation. The daemon
-//! pays it once: [`PlanCache::get_or_compile`] keys on the program's
-//! content hash (FNV-1a 64 over the source text) plus the request's
-//! normalised [`PlanSpec`], and stores what
+//! pays it once per plan it keeps: [`PlanCache::get_or_compile`] keys on
+//! the program's content hash (FNV-1a 64 over the source text) plus the
+//! request's normalised [`PlanSpec`], and stores what
 //! [`streamlin_runtime::compile_source`] built — the lowered graph (each
 //! filter's `FilterFacts` intact, per the facts-not-AST convention), the
 //! static plan, the fission rewrite and the partition — behind an
 //! [`Arc`]. Opening a stream for a cached key clones the artifact (cheap
 //! relative to compilation) and opens a session on it; the compiler never
-//! runs again.
+//! runs again while the key stays cached.
 //!
-//! Hits and misses are counted; the `stats` protocol op exposes them, and
-//! `tests/service_equivalence.rs` pins that a re-opened program is a hit
-//! (the equivalence suite's proof that elaborate/lower/analyze/plan were
-//! skipped).
+//! The cache holds at most `capacity` plans (the daemon passes
+//! `ServiceOpts::max_streams`: it keeps as many plans as it may have
+//! streams open). A miss that finds it full evicts the least recently used
+//! entry. Eviction is safe by construction: a session owns a clone of the
+//! compiled artifact, and an open that still holds the [`Arc`] keeps an
+//! evicted artifact alive until it returns.
+//!
+//! Hits, misses and evictions are counted; the `stats` protocol op exposes
+//! them, and `tests/service_equivalence.rs` pins that a re-opened program
+//! is a hit (the equivalence suite's proof that elaborate/lower/analyze/plan
+//! were skipped) and that the cache stays at its bound under churn.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -65,25 +73,41 @@ pub struct CachedArtifact {
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
+    pub evictions: u64,
     pub entries: usize,
+    pub capacity: usize,
 }
 
-/// The cache proper: a keyed map of [`Arc`]'d artifacts plus counters.
-#[derive(Default)]
+/// The cache proper: a bounded keyed map of [`Arc`]'d artifacts plus
+/// counters.
 pub struct PlanCache {
+    capacity: usize,
     inner: Mutex<CacheInner>,
 }
 
 #[derive(Default)]
 struct CacheInner {
-    map: HashMap<PlanKey, Arc<CachedArtifact>>,
+    map: HashMap<PlanKey, Slot>,
+    /// The recency clock, bumped by every lookup.
+    tick: u64,
     hits: u64,
     misses: u64,
+    evictions: u64,
+}
+
+struct Slot {
+    artifact: Arc<CachedArtifact>,
+    /// The `tick` of the last lookup that found or inserted this entry.
+    used: u64,
 }
 
 impl PlanCache {
-    pub fn new() -> Self {
-        Self::default()
+    /// A cache of at most `capacity` plans (floored at 1).
+    pub fn new(capacity: usize) -> Self {
+        PlanCache {
+            capacity: capacity.max(1),
+            inner: Mutex::default(),
+        }
     }
 
     /// Current counters.
@@ -92,7 +116,9 @@ impl PlanCache {
         CacheStats {
             hits: g.hits,
             misses: g.misses,
+            evictions: g.evictions,
             entries: g.map.len(),
+            capacity: self.capacity,
         }
     }
 
@@ -103,10 +129,15 @@ impl PlanCache {
     /// correctness first: the lock also deduplicates concurrent compiles
     /// of the *same* program, which is the case the daemon actually sees.
     ///
+    /// A miss that finds the cache full evicts the least recently used
+    /// entry (a scan of `capacity` ticks, beside a compile); the evicted
+    /// artifact is dropped after the lock is released, so freeing it never
+    /// blocks another open.
+    ///
     /// # Errors
     ///
     /// Any compile failure (parse, elaborate, plan, …) as a displayable
-    /// message; errors are not cached.
+    /// message; errors are neither cached nor evict anything.
     pub fn get_or_compile(
         &self,
         src: &str,
@@ -114,10 +145,13 @@ impl PlanCache {
         probe: Option<&mut Recorder>,
     ) -> Result<(Arc<CachedArtifact>, bool), String> {
         let key = PlanKey::of(src, spec);
-        let mut g = self.inner.lock().unwrap();
-        if let Some(a) = g.map.get(&key).map(Arc::clone) {
+        let mut guard = self.inner.lock().expect("plan cache poisoned");
+        let g = &mut *guard;
+        g.tick += 1;
+        if let Some(slot) = g.map.get_mut(&key) {
+            slot.used = g.tick;
             g.hits += 1;
-            return Ok((a, true));
+            return Ok((Arc::clone(&slot.artifact), true));
         }
         let t0 = Instant::now();
         let compiled = compile_source(src, &key.1, probe)?;
@@ -126,7 +160,27 @@ impl PlanCache {
             compile_ms: t0.elapsed().as_secs_f64() * 1e3,
         });
         g.misses += 1;
-        g.map.insert(key, Arc::clone(&artifact));
+        let evicted = if g.map.len() >= self.capacity {
+            g.evictions += 1;
+            let lru = g
+                .map
+                .iter()
+                .min_by_key(|(_, s)| s.used)
+                .map(|(k, _)| k.clone())
+                .expect("a full cache has an entry");
+            g.map.remove(&lru)
+        } else {
+            None
+        };
+        g.map.insert(
+            key,
+            Slot {
+                artifact: Arc::clone(&artifact),
+                used: g.tick,
+            },
+        );
+        drop(guard);
+        drop(evicted);
         Ok((artifact, false))
     }
 }
@@ -148,9 +202,22 @@ mod tests {
         .plan()
     }
 
+    /// `PROGRAM` with its sink's factor replaced by `k`: one distinct key
+    /// per `k`.
+    fn program(k: u32) -> String {
+        PROGRAM.replace("2 * pop()", &format!("{k} * pop()"))
+    }
+
+    fn lookup(cache: &PlanCache, k: u32) -> bool {
+        cache
+            .get_or_compile(&program(k), spec(None), None)
+            .unwrap()
+            .1
+    }
+
     #[test]
     fn second_lookup_is_a_hit_and_shares_the_artifact() {
-        let cache = PlanCache::new();
+        let cache = PlanCache::new(64);
         let (a, hit) = cache.get_or_compile(PROGRAM, spec(None), None).unwrap();
         assert!(!hit);
         let (b, hit) = cache.get_or_compile(PROGRAM, spec(None), None).unwrap();
@@ -162,7 +229,7 @@ mod tests {
 
     #[test]
     fn distinct_knobs_are_distinct_entries() {
-        let cache = PlanCache::new();
+        let cache = PlanCache::new(64);
         cache.get_or_compile(PROGRAM, spec(None), None).unwrap();
         let (a, hit) = cache.get_or_compile(PROGRAM, spec(Some(2)), None).unwrap();
         assert!(!hit);
@@ -179,12 +246,81 @@ mod tests {
 
     #[test]
     fn compile_errors_are_not_cached() {
-        let cache = PlanCache::new();
+        let cache = PlanCache::new(64);
         assert!(cache
             .get_or_compile("not a program", spec(None), None)
             .is_err());
         assert_eq!(cache.stats().entries, 0);
         assert_eq!(cache.stats().misses, 0);
+    }
+
+    #[test]
+    fn a_hit_refreshes_recency_and_the_least_recently_used_is_evicted() {
+        let cache = PlanCache::new(2);
+        assert!(!lookup(&cache, 1));
+        assert!(!lookup(&cache, 2));
+        // 1 is now more recent than 2, so 3 evicts 2.
+        assert!(lookup(&cache, 1));
+        assert!(!lookup(&cache, 3));
+        assert_eq!(cache.stats().evictions, 1);
+        assert!(lookup(&cache, 1), "the refreshed entry survived");
+        assert!(lookup(&cache, 3));
+        assert!(!lookup(&cache, 2), "the stale entry was evicted");
+        let s = cache.stats();
+        assert_eq!((s.entries, s.evictions), (2, 2));
+    }
+
+    #[test]
+    fn an_artifact_taken_before_eviction_still_runs() {
+        let cache = PlanCache::new(1);
+        let (held, _) = cache.get_or_compile(&program(3), spec(None), None).unwrap();
+        assert!(!lookup(&cache, 4));
+        assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(Arc::strong_count(&held), 1, "the cache let go of it");
+        let mut session =
+            streamlin_runtime::open(held.compiled.clone(), &RunSpec::default().exec(), None)
+                .unwrap();
+        assert_eq!(session.read(3).unwrap(), vec![0.0, 3.0, 6.0]);
+        session.close();
+    }
+
+    #[test]
+    fn a_compile_error_neither_inserts_nor_evicts() {
+        let cache = PlanCache::new(1);
+        assert!(!lookup(&cache, 1));
+        assert!(cache
+            .get_or_compile("not a program", spec(None), None)
+            .is_err());
+        let s = cache.stats();
+        assert_eq!((s.misses, s.entries, s.evictions), (1, 1, 0));
+        assert!(lookup(&cache, 1), "the resident entry is untouched");
+    }
+
+    #[test]
+    fn zero_max_streams_gives_capacity_one() {
+        let svc = crate::Service::new(crate::ServiceOpts {
+            max_streams: 0,
+            ..crate::ServiceOpts::default()
+        });
+        let cache = &svc.cache;
+        assert_eq!(cache.stats().capacity, 1);
+        assert!(!lookup(cache, 1));
+        assert!(lookup(cache, 1));
+        assert!(!lookup(cache, 2));
+        let s = cache.stats();
+        assert_eq!((s.entries, s.evictions), (1, 1));
+    }
+
+    #[test]
+    fn a_full_cache_evicts_once_per_further_miss() {
+        let capacity = 3;
+        let cache = PlanCache::new(capacity);
+        for k in 1..=8 {
+            assert!(!lookup(&cache, k));
+            let s = cache.stats();
+            assert_eq!(s.entries, (k as usize).min(capacity));
+            assert_eq!(s.evictions, s.misses.saturating_sub(capacity as u64));
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * a **plan cache** ([`cache`]) keyed by program content-hash × the
 //!   request's normalised `PlanSpec`, holding the fully compiled artifact
 //!   (`FilterFacts` intact) so compile cost is paid once per distinct
-//!   program;
+//!   program while its plan is among the `max_streams` most recently
+//!   used (the least recently used entry is evicted);
 //! * **named streams**: each holds a resident
 //!   [`streamlin_runtime::Session`] — the same session a one-shot
 //!   `streamlinc` run opens, reads once and closes — whose engine state
@@ -57,7 +58,8 @@ pub struct ServiceOpts {
     /// total (a pipeline stream claims its partition's stage count, a
     /// single-threaded stream claims 1).
     pub workers: usize,
-    /// Maximum concurrently open streams.
+    /// Maximum concurrently open streams, and the plan cache's capacity
+    /// (floored at 1).
     pub max_streams: usize,
     /// Instrument every stream with its own `Recorder` (per-stream
     /// lanes); close responses then carry telemetry, `--metrics` prints
@@ -149,6 +151,7 @@ fn valid_stream_id(id: &str) -> bool {
 impl Service {
     pub fn new(opts: ServiceOpts) -> Self {
         let ledger = Ledger::new(opts.workers);
+        let cache = PlanCache::new(opts.max_streams);
         let base = RunSpec {
             quantum: opts.quantum,
             watchdog: opts.watchdog_ms.map(Duration::from_millis),
@@ -157,7 +160,7 @@ impl Service {
         Service {
             opts,
             base,
-            cache: PlanCache::new(),
+            cache,
             ledger,
             streams: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
@@ -445,7 +448,9 @@ impl Service {
                     Json::obj(vec![
                         ("hits", Json::Num(c.hits as f64)),
                         ("misses", Json::Num(c.misses as f64)),
+                        ("evictions", Json::Num(c.evictions as f64)),
                         ("entries", Json::Num(c.entries as f64)),
+                        ("capacity", Json::Num(c.capacity as f64)),
                     ]),
                 ),
                 ("streams".to_string(), Json::Num(open as f64)),

@@ -8,7 +8,7 @@
 //! ```console
 //! $ streamlind                              # stdio: one request per line
 //! $ streamlind --listen 127.0.0.1:0         # TCP; prints the bound address
-//! $ streamlind --workers 8 --max-streams 32 # admission budget and stream cap
+//! $ streamlind --workers 8 --max-streams 32 # admission budget; stream and plan cap
 //! $ streamlind --metrics --trace-out traces # per-stream telemetry lanes
 //! $ streamlind --quantum 8                  # default cycle quantum
 //! $ streamlind --watchdog 2000              # default stall watchdog (ms)

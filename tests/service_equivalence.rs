@@ -12,11 +12,13 @@
 //! rerun (counters prove elaborate/lower/analyze/plan were skipped), the
 //! per-stream fault drill (one stream's worker dies; only that stream
 //! degrades, neighbors stay healthy and bit-identical), admission
-//! saturation as a structured refusal (never a hang), and a subprocess
-//! lifecycle smoke of the actual binary over stdio.
+//! saturation as a structured refusal (never a hang), the bounded plan
+//! cache under the benchmark's churn pattern (hot plans stay hits), and a
+//! subprocess lifecycle smoke of the actual binary over stdio.
 
 use std::io::{BufRead, BufReader, Write};
 
+use proptest::test_runner::TestRng;
 use streamlin::runtime::{front_end, ExecMode, Profile, RunSpec};
 use streamlin::service::proto::{parse_request, Request};
 use streamlin::service::{Service, ServiceOpts};
@@ -793,6 +795,80 @@ fn degraded_stream_and_degraded_one_shot_report_alike() {
         close.get("mults").and_then(Json::as_num),
         Some(want.ops.mults() as f64)
     );
+}
+
+/// A two-filter program that prints `0, k, 2k, …`: one plan-cache key per
+/// `k`.
+fn scaled_counter(k: u32) -> String {
+    format!(
+        "void->void pipeline Main {{ add S(); add K(); }} \
+         void->float filter S {{ float x; work push 1 {{ push(x++); }} }} \
+         float->void filter K {{ work pop 1 {{ println({k} * pop()); }} }}"
+    )
+}
+
+/// The benchmark's churn pattern under a bounded plan cache. Each round,
+/// in a seeded order, every program opens once with a comment no earlier
+/// open carried (a miss) and once as its plain text, which must hit.
+/// Between two plain opens of one program, the other eight plain texts and
+/// at most 17 nonce'd texts are looked up: 25 distinct keys. So a least
+/// recently used cache of 26 plans keeps every plain text however a round
+/// is shuffled, while the nonce'd texts are evicted.
+#[test]
+fn churn_keeps_hot_plans_cached_within_the_bound() {
+    const PROGRAMS: u32 = 9;
+    const ROUNDS: u32 = 8;
+    const CAPACITY: usize = 26;
+    let svc = Service::new(ServiceOpts {
+        max_streams: CAPACITY,
+        ..ServiceOpts::default()
+    });
+    let cache_field = |name: &str| {
+        let stats = request_ok(&svc, "{\"op\":\"stats\"}");
+        stats
+            .get("cache")
+            .and_then(|c| c.get(name))
+            .and_then(Json::as_num)
+            .expect("cache counter")
+    };
+    // Open, read, close; whether the open hit the cache.
+    let cycle = |text: &str, k: u32| -> bool {
+        let open = request_ok(&svc, &open_line("churn", text, &[]));
+        let mut got = Vec::new();
+        read_into(&svc, "churn", 4, &mut got);
+        let want = [0.0, 1.0, 2.0, 3.0].map(|i| i * f64::from(k));
+        assert_bits_equal(&format!("program {k}"), &got, &want);
+        request_ok(&svc, "{\"op\":\"close\",\"id\":\"churn\"}");
+        open.get("cached") == Some(&Json::Bool(true))
+    };
+
+    for k in 1..=PROGRAMS {
+        assert!(!cycle(&scaled_counter(k), k), "program {k}: first open");
+    }
+    let mut rng = TestRng::new(26);
+    let mut order: Vec<u32> = (1..=PROGRAMS).collect();
+    let mut nonce = 0;
+    for round in 0..ROUNDS {
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.usize_below(i + 1));
+        }
+        for &k in &order {
+            nonce += 1;
+            let cold = format!("{}\n// nonce {nonce}\n", scaled_counter(k));
+            assert!(!cycle(&cold, k), "round {round}: nonce'd open of {k} hit");
+            assert!(
+                cycle(&scaled_counter(k), k),
+                "round {round}: plain re-open of program {k} missed the cache"
+            );
+            assert!(cache_field("entries") <= CAPACITY as f64);
+        }
+    }
+    let misses = f64::from(PROGRAMS * (ROUNDS + 1));
+    assert_eq!(cache_field("misses"), misses);
+    assert_eq!(cache_field("hits"), f64::from(PROGRAMS * ROUNDS));
+    assert_eq!(cache_field("evictions"), misses - CAPACITY as f64);
+    assert_eq!(cache_field("entries"), CAPACITY as f64);
+    assert_eq!(cache_field("capacity"), CAPACITY as f64);
 }
 
 /// Lifecycle smoke of the actual binary over stdio: open → batched reads
