@@ -193,10 +193,8 @@ impl OptStream {
     }
 
     /// True when the stream contains a feedback loop anywhere. Feedback
-    /// cycles are never collapsed by the optimizations (§3.3, §7.1) and
-    /// have no static steady-state plan, so the runtime uses this to route
-    /// such programs to the data-driven scheduler without attempting
-    /// schedule compilation.
+    /// cycles are never collapsed by the optimizations (§3.3, §7.1); the
+    /// schedule compiler plans them from their enqueued items.
     pub fn has_feedback(&self) -> bool {
         match self {
             OptStream::Original(_)

@@ -5,9 +5,12 @@
 //! needs and pushes comes from the one rate table, `plan::node_rates`, the
 //! schedule compiler's own: the first phase until a node has fired, the
 //! steady phase after. Channel bounds start at a few firings and double
-//! while the graph is otherwise stuck, up to the plan's `CAP_LIMIT`. `fire`
-//! is the firing half of the reference every equivalence suite compares
-//! against.
+//! while the graph is otherwise stuck, up to the plan's `CAP_LIMIT`.
+//!
+//! No session runs on it: every program runs on its static plan. It is the
+//! reference every equivalence suite holds the plan to, since it finds a
+//! valid schedule with no plan at all, and a deterministic stream program
+//! prints the same values under every valid schedule.
 
 use std::collections::VecDeque;
 
@@ -146,21 +149,9 @@ impl<T: Tally + Default> Engine<T> {
 }
 
 impl<T: Tally> Engine<T> {
-    /// Values printed so far (the program's output stream), less any
-    /// removed by [`Self::take_printed`].
+    /// Values printed so far (the program's output stream).
     pub fn printed(&self) -> &[f64] {
         &self.state.printed
-    }
-
-    /// Removes and returns the first `n` printed values, keeping any
-    /// overshoot for the next call (see
-    /// [`crate::plan::PlanEngine::take_printed`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than `n` values have been printed.
-    pub fn take_printed(&mut self, n: usize) -> Vec<f64> {
-        self.state.printed.drain(..n).collect()
     }
 
     /// The tally so far (use [`Tally::counts`] for the numbers; a
@@ -172,11 +163,6 @@ impl<T: Tally> Engine<T> {
     /// Total node firings so far.
     pub fn firings(&self) -> u64 {
         self.state.firings
-    }
-
-    /// The nodes, with the state their firings have left in them.
-    pub fn nodes(&self) -> &[FlatNode] {
-        &self.nodes
     }
 
     /// Runs until the program has printed at least `n` values.
@@ -721,6 +707,15 @@ fn fire_phase<T: Tally, const CERT: bool>(
         }
     }
     Ok(times)
+}
+
+/// The first `n` values `flat` prints on the data-driven engine: what the
+/// schedule compiler's unit tests hold a plan to.
+#[cfg(test)]
+pub(crate) fn reference_outputs(flat: FlatGraph, n: usize) -> Vec<f64> {
+    let mut engine = Engine::<OpCounter>::new(flat);
+    engine.run_until_outputs(n).unwrap();
+    engine.printed()[..n].to_vec()
 }
 
 #[cfg(test)]

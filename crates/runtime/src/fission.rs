@@ -27,9 +27,11 @@
 //!
 //! Everything else — printing filters, filters with mutated fields or an
 //! `initWork` phase, redundancy nodes (their caches carry values across
-//! firings), plumbing nodes, nodes inside feedback loops (no static plan
-//! exists, so fission never sees them) — is refused, with a reason the
-//! CLI surfaces under `--emit-graph`.
+//! firings), plumbing nodes — is refused, with a reason the CLI surfaces
+//! under `--emit-graph`. A node on a feedback loop passes these checks but
+//! rarely runs fissed: a fissed round needs more items in flight than the
+//! loop enqueues, so the fissed graph's schedule is refused (a
+//! [`crate::plan::PlanError::Shortfall`]) and the graph runs unfissed.
 //!
 //! # The rewrite
 //!
@@ -445,7 +447,7 @@ pub fn fiss_bottleneck(
 
     // Per-cycle firings and costs, as the partitioner sees them.
     let mut firings = vec![0u64; flat.nodes.len()];
-    for step in &plan.steady {
+    for step in plan.stepped() {
         firings[step.node] += step.times as u64;
     }
     let mut init_fires = vec![0u64; flat.nodes.len()];

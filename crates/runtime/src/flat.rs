@@ -254,7 +254,9 @@ pub struct FlatGraph {
     pub nodes: Vec<FlatNode>,
     /// Number of channels.
     pub num_channels: usize,
-    /// Initial channel contents (feedback `enqueue`s).
+    /// Initial channel contents: one entry per feedback loop, its back
+    /// edge and the items it `enqueue`s (none, for a loop that enqueues
+    /// nothing).
     pub initial: Vec<(usize, Vec<f64>)>,
 }
 
@@ -485,9 +487,8 @@ impl Builder {
                 let loop_out = self
                     .build(loop_stream, Some(loop_in))?
                     .ok_or_else(|| Self::err("feedback loop stream produces no output"))?;
-                if !enqueue.is_empty() {
-                    self.initial.push((loop_out, enqueue.clone()));
-                }
+                // Listed even when empty: it marks the loop's back edge.
+                self.initial.push((loop_out, enqueue.clone()));
                 let body_in = self.chan();
                 self.add_node(
                     "fb-join".into(),

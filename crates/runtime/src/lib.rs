@@ -26,18 +26,19 @@
 //!   `streamlin-core` (plus the decimator stage for `pop > 1`);
 //! * **splitters/joiners** move items according to their weights.
 //!
-//! Two schedulers execute the flat graph:
+//! Every program runs under a static schedule, as in the paper (§2.1):
+//! [`plan`] compiles the steady-state solution of the balance equations
+//! into a fixed firing sequence — an init phase for peek prologues and
+//! `initWork`, then one repeated steady cycle — with exactly-sized
+//! [`ring`] buffers in a single slab, batching consecutive linear-node
+//! firings into blocked multiplies. A feedback loop is scheduled from the
+//! items it enqueues; one that enqueues too few is a compile error.
 //!
-//! * the **static plan engine** (the default): [`plan`] compiles the
-//!   steady-state solution of the balance equations into a fixed firing
-//!   sequence — an init phase for peek prologues and `initWork`, then one
-//!   repeated steady cycle — with exactly-sized [`ring`] buffers in a
-//!   single slab, batching consecutive linear-node firings into blocked
-//!   multiplies;
-//! * the **data-driven engine** (the fallback, and `Scheduler::Dynamic`):
-//!   any node with enough input (and bounded output backlog) may fire —
-//!   this is what runs graphs the plan compiler rejects, e.g. feedback
-//!   loops.
+//! The **data-driven engine** ([`engine::Engine`]: any node with enough
+//! input and bounded output backlog may fire) runs no program on its own.
+//! It is the reference every equivalence suite holds the plan to: a
+//! deterministic stream program prints the same values under every valid
+//! schedule.
 //!
 //! On top of the static plan sits the **pipeline-parallel executor**
 //! ([`spec::RunSpec::threads`], `streamlinc --threads N`): [`partition`]
@@ -58,8 +59,8 @@
 //! bit-identity and tally/firing invariance contract across widths.
 //!
 //! Execution stops when the requested number of program outputs (captured
-//! `print`/`println` values) has been produced. Both schedulers execute
-//! identical firing semantics, so their printed output is bit-identical.
+//! `print`/`println` values) has been produced. Every executor shares the
+//! reference's firing semantics, so their printed output is bit-identical.
 //!
 //! Telemetry and fault drills are opt-in *values*, not type parameters:
 //! everything above takes an `Option<&mut Recorder>` and the pipeline
@@ -115,7 +116,7 @@ pub mod telemetry;
 pub use engine::{Engine, RunError};
 pub use fission::{fiss_bottleneck, fissability, Fission, FissionInfo};
 pub use linear_exec::MatMulStrategy;
-pub use measure::{ExecMode, Profile, ProfileError, Scheduler};
+pub use measure::{ExecMode, Profile, ProfileError};
 pub use parallel::{PipelineOutcome, PipelineSession, CYCLE_QUANTUM};
 pub use partition::{partition, Partition};
 pub use plan::{ExecPlan, PlanEngine, PlanError};

@@ -3,7 +3,9 @@
 //! Mirrors the paper's measurement methodology (§5.1): programs run for a
 //! fixed number of outputs; floating-point operations and multiplications
 //! are counted over the whole run and normalized per output, and wall-clock
-//! time is recorded alongside.
+//! time is recorded alongside. Every run executes a static plan, so a
+//! counted run stops on the plan's stepped order: its tallies are the
+//! firings that order needs for the outputs asked, no more.
 
 use std::time::Duration;
 
@@ -13,33 +15,6 @@ use crate::engine::RunError;
 use crate::flat::FlattenError;
 use crate::linear_exec::MatMulStrategy;
 use crate::plan::PlanError;
-
-/// Which scheduler executes the flattened graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Scheduler {
-    /// Compile a static plan; fall back to the data-driven engine when the
-    /// graph has no plan (feedback loops). The default.
-    #[default]
-    Auto,
-    /// Require the compiled static plan; error if none exists.
-    Static,
-    /// Always use the data-driven engine.
-    Dynamic,
-}
-
-impl Scheduler {
-    /// Every scheduler choice.
-    pub const ALL: [Scheduler; 3] = [Scheduler::Auto, Scheduler::Static, Scheduler::Dynamic];
-
-    /// Short label used in tables and CLI output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Scheduler::Auto => "auto",
-            Scheduler::Static => "static",
-            Scheduler::Dynamic => "dynamic",
-        }
-    }
-}
 
 /// Whether execution pays for instruction accounting.
 ///
@@ -88,7 +63,7 @@ impl ExecMode {
 #[derive(Debug, Clone)]
 pub struct Profile {
     /// The captured program output (printed values), in order — truncated
-    /// to exactly the requested count so different schedulers (which may
+    /// to exactly the requested count so different executors (which may
     /// overshoot by different amounts) are directly comparable.
     pub outputs: Vec<f64>,
     /// Operation counts over the whole run.
@@ -97,14 +72,8 @@ pub struct Profile {
     pub wall: Duration,
     /// Total node firings.
     pub firings: u64,
-    /// The scheduler that actually ran ([`Scheduler::Static`] or
-    /// [`Scheduler::Dynamic`], never `Auto`).
-    pub sched: Scheduler,
-    /// The execution mode that ran ([`ExecMode::Fast`] leaves `ops` at
-    /// zero).
-    pub mode: ExecMode,
     /// Worker threads that executed the run (1 unless the pipeline
-    /// executor ran; the dynamic fallback is always single-threaded).
+    /// executor ran).
     pub threads: usize,
     /// Data-parallel fission width that was applied to the dominant node
     /// (1 = the graph ran unfissed; see [`crate::fission`]).
@@ -144,8 +113,7 @@ pub enum ProfileError {
     Flatten(FlattenError),
     /// The run failed.
     Run(RunError),
-    /// A static plan was required ([`Scheduler::Static`]) but the graph
-    /// has none.
+    /// The graph has no static schedule.
     Plan(PlanError),
 }
 

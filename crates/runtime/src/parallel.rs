@@ -621,7 +621,7 @@ impl PipelineSession {
         // fallback floor is one print per *original* cycle — `scale` per
         // cycle of this graph — so the estimate stays scale-invariant.
         let mut est_per_cycle = 0u64;
-        for step in &plan.steady {
+        for step in plan.stepped() {
             if let NodeKind::PrintSink { pop } = &flat.nodes[step.node].kind {
                 est_per_cycle += step.times as u64 * *pop as u64;
             }
@@ -702,7 +702,7 @@ impl PipelineSession {
             per_stage
         };
         let mut init_slices = slice_steps(&plan.init);
-        let mut steady_slices = slice_steps(&plan.steady);
+        let mut steady_slices = slice_steps(&plan.stepped().collect::<Vec<_>>());
 
         // Bundle every stage's payload *before* touching the worker pool, so
         // all fallible setup completes while nothing is held. Built in

@@ -13,7 +13,9 @@
 //! single-threaded plan:
 //!
 //! * channels must only cross stage boundaries *forward* — guaranteed by
-//!   cutting a topological order into contiguous segments;
+//!   cutting the plan's topological order ([`ExecPlan::order`]) into
+//!   contiguous segments, with no cut between a feedback loop's joiner and
+//!   the producer of its back edge, so a loop runs in one stage;
 //! * every node that can print (`PrintSink`s and interpreted filters whose
 //!   work body prints) must land in **one** stage, so the program's output
 //!   stream is produced by a single worker in schedule order. Cuts inside
@@ -140,41 +142,6 @@ pub(crate) fn firing_cost(node: &FlatNode, model: &CostModel) -> f64 {
     }
 }
 
-/// Deterministic topological order of the flat graph (the plan compiler
-/// already proved it acyclic).
-fn topo_order(flat: &FlatGraph) -> Vec<usize> {
-    let n = flat.nodes.len();
-    let mut producer_of = vec![usize::MAX; flat.num_channels];
-    for (i, node) in flat.nodes.iter().enumerate() {
-        for &c in &node.outputs {
-            producer_of[c] = i;
-        }
-    }
-    let mut indeg = vec![0usize; n];
-    let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, node) in flat.nodes.iter().enumerate() {
-        for &c in &node.inputs {
-            let p = producer_of[c];
-            debug_assert_ne!(p, usize::MAX, "planned graphs have no dangling channels");
-            indeg[i] += 1;
-            out_edges[p].push(i);
-        }
-    }
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut topo = Vec::with_capacity(n);
-    while let Some(i) = ready.pop() {
-        topo.push(i);
-        for &t in &out_edges[i] {
-            indeg[t] -= 1;
-            if indeg[t] == 0 {
-                ready.push(t);
-            }
-        }
-    }
-    debug_assert_eq!(topo.len(), n, "plan compiler rejects cyclic graphs");
-    topo
-}
-
 /// Partitions a planned flat graph into at most `threads` pipeline stages.
 ///
 /// Always succeeds: the trivial single-stage partition is returned for
@@ -186,11 +153,15 @@ pub fn partition(
     model: &CostModel,
 ) -> Partition {
     let n = flat.nodes.len();
-    let topo = topo_order(flat);
+    let topo = &plan.order;
+    let mut position = vec![0usize; n];
+    for (p, &i) in topo.iter().enumerate() {
+        position[i] = p;
+    }
 
     // Per-cycle firings of every node, read off the steady schedule.
     let mut firings = vec![0u64; n];
-    for step in &plan.steady {
+    for step in plan.stepped() {
         firings[step.node] += step.times as u64;
     }
 
@@ -206,6 +177,19 @@ pub fn partition(
         .collect();
     if let (Some(&first), Some(&last)) = (printer_positions.first(), printer_positions.last()) {
         for ok in &mut cut_ok[first + 1..=last] {
+            *ok = false;
+        }
+    }
+    // A feedback loop stays in one stage: no cut between a back edge's
+    // consumer (its joiner) and its producer, so no boundary ring lies on
+    // a cycle.
+    let node_on = |c: usize, side: fn(&FlatNode) -> &Vec<usize>| {
+        let node = flat.nodes.iter().position(|m| side(m).contains(&c));
+        node.expect("planned graphs have no dangling channels")
+    };
+    for &(c, _) in &flat.initial {
+        let (joiner, producer) = (node_on(c, |m| &m.inputs), node_on(c, |m| &m.outputs));
+        for ok in &mut cut_ok[position[joiner] + 1..=position[producer]] {
             *ok = false;
         }
     }
@@ -231,11 +215,7 @@ pub fn partition(
     for (i, node) in flat.nodes.iter().enumerate() {
         let rates = node_rates(node);
         for (s, &c) in node.outputs.iter().enumerate() {
-            let consumer = flat
-                .nodes
-                .iter()
-                .position(|m| m.inputs.contains(&c))
-                .expect("planned graphs have no dangling channels");
+            let consumer = node_on(c, |m| &m.inputs);
             let (from_stage, to_stage) = (stage_of[i], stage_of[consumer]);
             if from_stage == to_stage {
                 continue;
@@ -389,6 +369,34 @@ mod tests {
             printer_stages.windows(2).all(|w| w[0] == w[1]),
             "{printer_stages:?}"
         );
+    }
+
+    #[test]
+    fn dtoa_keeps_its_feedback_loop_in_one_stage() {
+        let bench = streamlin_benchmarks::dtoa();
+        let flat = flatten(
+            &OptStream::from_graph(bench.graph()),
+            MatMulStrategy::Unrolled,
+        )
+        .unwrap();
+        let plan = compile(&flat).unwrap();
+        let on_loop = ["fb-", "AdderFilter", "QuantizerAndError", "Delay"];
+        let loop_nodes: Vec<usize> = (0..flat.nodes.len())
+            .filter(|&i| on_loop.iter().any(|p| flat.nodes[i].name.starts_with(p)))
+            .collect();
+        assert_eq!(loop_nodes.len(), 5, "joiner, body of two, splitter, delay");
+        for threads in [2, 4] {
+            let part = partition(&flat, &plan, threads, &CostModel::default());
+            assert!(part.num_stages > 1, "threads {threads}: {part:?}");
+            let stage = part.stage_of[loop_nodes[0]];
+            for &i in &loop_nodes {
+                assert_eq!(
+                    part.stage_of[i], stage,
+                    "threads {threads}: {}",
+                    flat.nodes[i].name
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,15 @@
 //!   whose rates differ from the steady phase, e.g. `initWork`), then
 //!   symbolically executes init + one steady cycle to compute **exact
 //!   per-channel capacities** — yielding an [`ExecPlan`].
+//! * **Feedback loops** are scheduled from their enqueued items, as
+//!   StreamIt does. The channel a loop's `enqueue`s seed (flattening lists
+//!   it in [`FlatGraph::initial`] even when a loop enqueues nothing) is its
+//!   back edge, and the topological order ignores it. A graph with a back
+//!   edge derives its init phase demand-driven too, and fires the nodes on
+//!   a loop one at a time, so a loop's items circulate: DToA's low-pass
+//!   filter below its loop needs 255 items of slack, 255 trips around the
+//!   loop on one enqueued item. A loop whose items cannot keep it supplied
+//!   is [`PlanError::Shortfall`], naming its joiner and the missing items.
 //! * The steady cycle is linearised **twice**. [`ExecPlan::steady`], the
 //!   *stepped* order, pulls each sink one firing at a time and defines
 //!   where a run stops: at the firing that crosses the requested output
@@ -34,10 +43,9 @@
 //!   tallies and overshoot at every stop are the stepped order's. There is
 //!   nothing to tune: the engine decides from `n` and the plan.
 //!
-//! Graphs the compiler cannot schedule — feedback loops (cyclic, never
-//! collapsed per §3.3/§7.1), zero-rate channels, or inconsistent rates —
-//! are reported as [`PlanError`]s; [`crate::session::compile`] falls back
-//! to the data-driven [`crate::engine::Engine`] for those.
+//! Graphs the compiler cannot schedule — an under-supplied loop, zero-rate
+//! channels, or inconsistent rates — are [`PlanError`]s, which every
+//! caller reports as a compile error.
 //!
 //! What one firing of each node kind peeks, pops and pushes is written
 //! once, in `node_rates` (a steady phase, plus a distinct first phase for
@@ -46,12 +54,11 @@
 //! execution here read it, and so do partitioning, the pipeline executor
 //! and the data-driven engine's readiness test.
 //!
-//! The firing *semantics* are shared with the dynamic engine (same
-//! slot-resolved work-function interpreter via
-//! [`crate::engine::fire_interp`], same kernels, same operation
-//! counting), so a program's printed output is bit-identical under either
-//! scheduler; the `sched` row of `tests/equivalence.rs` pins that down
-//! for every benchmark.
+//! The firing *semantics* are shared with the data-driven reference
+//! [`crate::engine::Engine`] (same slot-resolved work-function interpreter
+//! via [`crate::engine::fire_interp`], same kernels, same operation
+//! counting), so a program prints the same bits under either; every
+//! equivalence suite holds the plan to that reference.
 
 use streamlin_graph::steady::{balance, RateEdge};
 use streamlin_support::{OpCounter, Recorder, Tally};
@@ -68,12 +75,12 @@ const SLAB_LIMIT: u64 = 1 << 26;
 /// Bound on firings per steady cycle (keeps plans and runs tractable).
 const FIRINGS_LIMIT: u64 = 1 << 26;
 
-/// Why a graph has no static plan (the caller falls back to the
-/// data-driven scheduler).
+/// Why a graph has no static plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
-    /// The graph contains a cycle (feedback loops stay data-driven).
-    Cyclic,
+    /// A feedback loop's enqueued items cannot keep it supplied: which
+    /// joiner ran dry, and how many items it needed enqueued.
+    Shortfall(String),
     /// The balance equations have no consistent solution.
     Unschedulable(String),
     /// The plan exists but exceeds implementation bounds.
@@ -85,7 +92,7 @@ pub enum PlanError {
 impl std::fmt::Display for PlanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PlanError::Cyclic => write!(f, "graph has a feedback cycle"),
+            PlanError::Shortfall(m) => write!(f, "feedback loop {m}"),
             PlanError::Unschedulable(m) => write!(f, "not statically schedulable: {m}"),
             PlanError::TooLarge(m) => write!(f, "plan exceeds bounds: {m}"),
             PlanError::Malformed(m) => write!(f, "malformed flat graph: {m}"),
@@ -104,6 +111,14 @@ pub struct Step {
     pub times: u32,
 }
 
+/// `steady[start..start + len]`, run `times` times in a row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Repeat {
+    pub start: usize,
+    pub len: usize,
+    pub times: u32,
+}
+
 /// A compiled schedule: run `init` once, then repeat one steady cycle
 /// forever, in either of its two orders.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,8 +126,14 @@ pub struct ExecPlan {
     /// Initialization firings (peek prologues, `initWork` phases).
     pub init: Vec<Step>,
     /// One steady-state cycle in the stepped order: sinks pulled one
-    /// firing at a time. Where a run stops is defined on this order.
+    /// firing at a time. Where a run stops is defined on this order,
+    /// with each of `repeats` unrolled ([`ExecPlan::stepped`]).
     pub steady: Vec<Step>,
+    /// Blocks of `steady` that run several times in a row, sorted and
+    /// disjoint. A loop fires one trip at a time, so its stepped order is
+    /// one short block thousands of times over (DToA: 17 151 trips a
+    /// cycle under `autosel`); an acyclic plan has none.
+    pub repeats: Vec<Repeat>,
     /// The same cycle with every node once, all its firings in one batch,
     /// in topological order. Empty when there is none: a filter prints
     /// (`prints_per_cycle` is `None`) or the order exceeds the buffer
@@ -125,12 +146,31 @@ pub struct ExecPlan {
     /// one steady cycle in either order — and therefore over the whole
     /// run).
     pub caps: Vec<usize>,
+    /// Every node once, in the topological order the compiler computed
+    /// (feedback back edges ignored): the order `cycle` follows and
+    /// pipeline partitioning cuts.
+    pub order: Vec<usize>,
 }
 
 impl ExecPlan {
+    /// The stepped order, step by step, with every repeat unrolled.
+    pub fn stepped(&self) -> impl Iterator<Item = Step> + '_ {
+        let mut runs = Vec::with_capacity(2 * self.repeats.len() + 1);
+        let mut at = 0;
+        for r in &self.repeats {
+            runs.push((at..r.start, 1));
+            runs.push((r.start..r.start + r.len, r.times));
+            at = r.start + r.len;
+        }
+        runs.push((at..self.steady.len(), 1));
+        runs.into_iter().flat_map(move |(steps, times)| {
+            (0..times).flat_map(move |_| self.steady[steps.clone()].iter().copied())
+        })
+    }
+
     /// Firings per steady cycle.
     pub fn steady_firings(&self) -> u64 {
-        self.steady.iter().map(|s| s.times as u64).sum()
+        self.stepped().map(|s| s.times as u64).sum()
     }
 
     /// Firings in the init phase.
@@ -143,16 +183,19 @@ impl ExecPlan {
         self.caps.iter().sum()
     }
 
-    /// One-line description for logs and the CLI; `nodes` are the planned
-    /// graph's, to name the filter that rules the cycle order out.
-    pub fn summary(&self, nodes: &[FlatNode]) -> String {
+    /// One-line description for logs and the CLI; `flat` is the planned
+    /// graph, to say what rules the cycle order out.
+    pub fn summary(&self, flat: &FlatGraph) -> String {
         let cycle = match self.prints_per_cycle {
             Some(prints) if !self.cycle.is_empty() => {
                 format!("{} steps, {prints} outputs", self.cycle.len())
             }
+            // A loop's items bound how many of its firings can run at once.
+            Some(_) if !flat.initial.is_empty() => "none (feedback loop)".to_string(),
             Some(_) => "none (exceeds slab bound)".to_string(),
             None => {
-                let printer = nodes
+                let printer = flat
+                    .nodes
                     .iter()
                     .find(|n| prints(n))
                     .map_or("a filter", |n| &n.name);
@@ -210,21 +253,9 @@ impl Rates {
 
 fn phase_for(node: &FlatNode, peek: u64, pop: u64, push: u64) -> Phase {
     Phase {
-        in_peek: if node.inputs.is_empty() {
-            vec![]
-        } else {
-            vec![peek.max(pop)]
-        },
-        in_pop: if node.inputs.is_empty() {
-            vec![]
-        } else {
-            vec![pop]
-        },
-        out_push: if node.outputs.is_empty() {
-            vec![]
-        } else {
-            vec![push]
-        },
+        in_peek: node.inputs.iter().map(|_| peek.max(pop)).collect(),
+        in_pop: node.inputs.iter().map(|_| pop).collect(),
+        out_push: node.outputs.iter().map(|_| push).collect(),
     }
 }
 
@@ -412,8 +443,7 @@ fn fires_to_cover(rates: &Rates, fired: bool, s: usize, deficit: u64) -> Option<
 ///
 /// # Errors
 ///
-/// See [`PlanError`]; the caller is expected to fall back to the dynamic
-/// engine on failure.
+/// See [`PlanError`].
 pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
     let n = flat.nodes.len();
     let rates: Vec<Rates> = flat.nodes.iter().map(node_rates).collect();
@@ -470,10 +500,19 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
         )));
     }
 
-    // Topological order (Kahn); a leftover node means a cycle.
+    // Feedback back edges: the channels a loop's enqueued items seed.
+    let mut back = vec![false; flat.num_channels];
+    let mut initial_items = vec![0u64; flat.num_channels];
+    for (c, items) in &flat.initial {
+        back[*c] = true;
+        initial_items[*c] = items.len() as u64;
+    }
+
+    // Topological order (Kahn) with back edges ignored; a leftover node is
+    // on a cycle that no back edge breaks.
     let mut indeg = vec![0usize; n];
-    for e in &edges {
-        indeg[e.to] += 1;
+    for (ei, e) in edges.iter().enumerate() {
+        indeg[e.to] += usize::from(!back[ei]);
     }
     let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
     let mut topo = Vec::with_capacity(n);
@@ -483,7 +522,7 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
     }
     while let Some(i) = ready.pop() {
         topo.push(i);
-        for &ei in &out_edges[i] {
+        for &ei in out_edges[i].iter().filter(|&&ei| !back[ei]) {
             let t = edges[ei].to;
             indeg[t] -= 1;
             if indeg[t] == 0 {
@@ -492,53 +531,18 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
         }
     }
     if topo.len() != n {
-        return Err(PlanError::Cyclic);
-    }
-
-    // Init repetition counts, consumers before producers: every node whose
-    // first firing has distinct rates must fire during init; a producer
-    // fires enough extra times to cover its consumers' init consumption
-    // plus their steady lookahead slack (peek − pop).
-    let mut init_fires = vec![0u64; n];
-    let mut initial_items = vec![0u64; flat.num_channels];
-    for (c, items) in &flat.initial {
-        initial_items[*c] = items.len() as u64;
-    }
-    for &j in topo.iter().rev() {
-        let mut k = u64::from(rates[j].has_distinct_first());
-        for &ei in &out_edges[j] {
-            let ((_, ps), (q, qs)) = endpoints[ei];
-            let c = flat.nodes[j].outputs[ps];
-            let slack = rates[q].steady.in_peek[qs] - rates[q].steady.in_pop[qs];
-            let consumed = batch_pop(&rates[q], true, init_fires[q], qs);
-            let needed_on_chan = batch_need(&rates[q], true, init_fires[q], qs)
-                .max(consumed + slack)
-                .saturating_sub(initial_items[c]);
-            if needed_on_chan == 0 {
-                continue;
-            }
-            // Minimal fires of j so its (first + steady) pushes cover it.
-            let fires = fires_to_cover(&rates[j], false, ps, needed_on_chan).ok_or_else(|| {
-                PlanError::Unschedulable(format!(
-                    "node {} cannot supply its consumer's init prologue",
-                    flat.nodes[j].name
-                ))
-            })?;
-            k = k.max(fires);
-        }
-        if k > u32::MAX as u64 {
-            return Err(PlanError::TooLarge("init phase too long".into()));
-        }
-        init_fires[j] = k;
+        return Err(PlanError::Malformed("a cycle has no back edge".into()));
     }
 
     // Symbolic execution of init + one steady cycle: validates the
     // schedule and records each channel's exact maximum occupancy.
     //
-    // The init phase runs topo-batched (a one-time cost). The steady cycle
-    // is linearised twice. The *stepped* order is demand-driven: sinks are
-    // pulled one firing at a time, each pull recursively firing producers
-    // in the largest batch that covers the remaining demand — the fine
+    // An acyclic graph's init phase runs topo-batched (a one-time cost);
+    // a graph with a loop derives it demand-driven (see [`Sim::prime`]).
+    // The steady cycle is linearised twice. The *stepped* order is
+    // demand-driven: sinks are pulled one firing at a time, each pull
+    // recursively firing producers in the largest batch that covers the
+    // remaining demand (one firing at a time on a loop) — the fine
     // interleaving the data-driven engine discovers at run time. It is the
     // stop rule: a run ends at the firing of this order that crosses the
     // requested output count, never a whole cycle past it (frequency-heavy
@@ -550,17 +554,56 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
         flat,
         rates: &rates,
         prod: &prod,
+        back: &back,
+        on_loop: on_loops(flat, &endpoints, &back),
         occ: initial_items.clone(),
         max_occ: initial_items,
         fired: vec![false; n],
-        budget: init_fires.clone(),
+        active: vec![false; n],
+        frames: Vec::new(),
+        budget: vec![0; n],
         seq: Vec::new(),
-        depth: 0,
     };
-    for &i in &topo {
-        if init_fires[i] > 0 {
-            sim.fire_batch(i, init_fires[i])?;
+    if flat.initial.is_empty() {
+        // Init repetition counts, consumers before producers: every node
+        // whose first firing has distinct rates must fire during init; a
+        // producer fires enough extra times to cover its consumers' init
+        // consumption plus their steady lookahead slack (peek − pop).
+        for &j in topo.iter().rev() {
+            let mut k = u64::from(rates[j].has_distinct_first());
+            for &ei in &out_edges[j] {
+                let ((_, ps), (q, qs)) = endpoints[ei];
+                let init_fires = sim.budget[q];
+                let slack = rates[q].steady.in_peek[qs] - rates[q].steady.in_pop[qs];
+                let consumed = batch_pop(&rates[q], true, init_fires, qs);
+                let needed_on_chan =
+                    batch_need(&rates[q], true, init_fires, qs).max(consumed + slack);
+                if needed_on_chan == 0 {
+                    continue;
+                }
+                // Minimal fires of j so its (first + steady) pushes cover it.
+                let fires =
+                    fires_to_cover(&rates[j], false, ps, needed_on_chan).ok_or_else(|| {
+                        PlanError::Unschedulable(format!(
+                            "node {} cannot supply its consumer's init prologue",
+                            flat.nodes[j].name
+                        ))
+                    })?;
+                k = k.max(fires);
+            }
+            if k > u32::MAX as u64 {
+                return Err(PlanError::TooLarge("init phase too long".into()));
+            }
+            sim.budget[j] = k;
         }
+        for &i in &topo {
+            let k = sim.budget[i];
+            if k > 0 {
+                sim.fire_batch(i, k)?;
+            }
+        }
+    } else {
+        sim.prime(&topo)?;
     }
     let init = std::mem::take(&mut sim.seq);
     let post_init = sim.occ.clone();
@@ -587,9 +630,9 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
     // the init phase) still owe firings this cycle: replenish in topo
     // order so every channel returns to its periodic occupancy.
     for &i in &topo {
-        let owed = sim.budget[i];
-        if owed > 0 {
-            sim.pull(i, owed)?;
+        while sim.budget[i] > 0 {
+            let k = if sim.on_loop[i] { 1 } else { sim.budget[i] };
+            sim.pull(i, k)?;
         }
     }
     if let Some(i) = (0..n).find(|&i| sim.budget[i] > 0) {
@@ -609,6 +652,10 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
         ));
     }
     let steady = std::mem::take(&mut sim.seq);
+    let (steady, repeats) = match flat.initial.is_empty() {
+        true => (steady, Vec::new()),
+        false => fold_repeats(steady),
+    };
 
     // The cycle order, from the same post-init state (every node whose
     // first firing differs has fired by then, so `fired` stands as it is).
@@ -635,10 +682,64 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
     Ok(ExecPlan {
         init,
         steady,
+        repeats,
         cycle: sim.seq,
         prints_per_cycle,
         caps: sim.max_occ.into_iter().map(|v| v as usize).collect(),
+        order: topo,
     })
+}
+
+/// Folds every run of identical consecutive blocks of `steps` (of the
+/// shortest length, at most 32 steps, that repeats there) into one block
+/// and a [`Repeat`]; unrolling the repeats gives `steps` back.
+fn fold_repeats(steps: Vec<Step>) -> (Vec<Step>, Vec<Repeat>) {
+    let (mut kept, mut repeats) = (Vec::new(), Vec::new());
+    let mut rest = &steps[..];
+    while !rest.is_empty() {
+        let copies = |len| {
+            rest.chunks_exact(len)
+                .take_while(|c| *c == &rest[..len])
+                .count()
+        };
+        let len = (1..=32.min(rest.len()))
+            .find(|&len| copies(len) > 1)
+            .unwrap_or(1);
+        let times = copies(len);
+        if times > 1 {
+            let (start, times) = (kept.len(), times as u32);
+            repeats.push(Repeat { start, len, times });
+        }
+        kept.extend_from_slice(&rest[..len]);
+        rest = &rest[len * times..];
+    }
+    (kept, repeats)
+}
+
+/// `((producer, output slot), (consumer, input slot))` of one channel.
+type Endpoints = ((usize, usize), (usize, usize));
+
+/// Which nodes lie on a feedback loop: those a back edge's consumer
+/// reaches that reach its producer.
+fn on_loops(flat: &FlatGraph, endpoints: &[Endpoints], back: &[bool]) -> Vec<bool> {
+    let reach = |from: usize| {
+        let mut seen = vec![false; flat.nodes.len()];
+        let mut stack = vec![from];
+        while let Some(i) = stack.pop() {
+            if !std::mem::replace(&mut seen[i], true) {
+                stack.extend(flat.nodes[i].outputs.iter().map(|&c| endpoints[c].1 .0));
+            }
+        }
+        seen
+    };
+    let mut on = vec![false; flat.nodes.len()];
+    for c in (0..back.len()).filter(|&c| back[c]) {
+        let ((p, _), (q, _)) = endpoints[c];
+        for (i, ahead) in reach(q).into_iter().enumerate() {
+            on[i] |= ahead && reach(i)[p];
+        }
+    }
+    on
 }
 
 /// Symbolic executor used by [`compile`]: tracks occupancies, firing
@@ -648,15 +749,45 @@ struct Sim<'a> {
     rates: &'a [Rates],
     /// Per channel: `(producer node, output slot)`.
     prod: &'a [Option<(usize, usize)>],
+    /// Per channel: whether it is a feedback loop's back edge.
+    back: &'a [bool],
+    /// Per node: whether it lies on a loop, and so is pulled one firing at
+    /// a time (a batch would ask the loop for items it has yet to
+    /// circulate).
+    on_loop: Vec<bool>,
     occ: Vec<u64>,
     max_occ: Vec<u64>,
     fired: Vec<bool>,
+    /// Per node: waiting for its inputs, so a demand reaching it again has
+    /// gone around a loop.
+    active: Vec<bool>,
+    /// The pulls in progress, innermost last: `(node, input channel,
+    /// items needed there)`.
+    frames: Vec<(usize, usize, u64)>,
     budget: Vec<u64>,
     seq: Vec<Step>,
-    depth: usize,
 }
 
 impl Sim<'_> {
+    /// The init phase of a graph with a feedback loop, demand-driven:
+    /// consumers before producers, each node fires its distinct first
+    /// firing (if any) and has its inputs filled to their lookahead slack
+    /// (`peek − pop`). A firing needs `peek` items and leaves `peek − pop`,
+    /// so no later pull takes a channel below its slack: one pass fills
+    /// them all, and how often each node fires falls out of the demand.
+    fn prime(&mut self, topo: &[usize]) -> Result<(), PlanError> {
+        self.budget.fill(u64::MAX);
+        let rates = self.rates;
+        for &q in topo.iter().rev() {
+            if rates[q].has_distinct_first() && !self.fired[q] {
+                self.pull(q, 1)?;
+            }
+            let steady = &rates[q].steady;
+            self.supply(q, |s| steady.in_peek[s] - steady.in_pop[s])?;
+        }
+        Ok(())
+    }
+
     /// Fires node `i` exactly `k` consecutive times, assuming its inputs
     /// are already buffered (the init phase, and the leaf of a pull).
     fn fire_batch(&mut self, i: usize, k: u64) -> Result<(), PlanError> {
@@ -705,34 +836,54 @@ impl Sim<'_> {
     /// Fires node `i` in a batch of `k`, first recursively pulling every
     /// producer whose channel lacks the items the batch needs.
     fn pull(&mut self, i: usize, k: u64) -> Result<(), PlanError> {
-        self.depth += 1;
-        if self.depth > 100_000 {
+        if self.active[i] {
+            // The demand went around a loop and back to `i`, still waiting
+            // for its inputs: the innermost back edge on the way ran dry.
+            let dry = self.frames.iter().rev().find(|&&(_, c, _)| self.back[c]);
+            let &(joiner, c, need) = dry.expect("a cycle has a back edge");
+            let has = self.flat.initial.iter().find(|(b, _)| *b == c);
+            let has = has.map_or(0, |(_, items)| items.len() as u64);
+            let (at, needs) = (&self.flat.nodes[joiner].name, has + need - self.occ[c]);
+            let why =
+                format!("at `{at}` (node {joiner}) needs {needs} enqueued item(s), has {has}");
+            return Err(PlanError::Shortfall(why));
+        }
+        if self.frames.len() > 100_000 {
             return Err(PlanError::TooLarge("pull recursion too deep".into()));
         }
+        let (rates, first) = (self.rates, !self.fired[i]);
+        self.supply(i, |s| batch_need(&rates[i], first, k, s))?;
+        self.fire_batch(i, k)
+    }
+
+    /// Pulls producers until every input slot `s` of node `i` holds
+    /// `need(s)` items; meanwhile `i` is active, so it cannot fire and
+    /// what it needs stays put.
+    fn supply(&mut self, i: usize, need: impl Fn(usize) -> u64) -> Result<(), PlanError> {
+        self.active[i] = true;
         for s in 0..self.flat.nodes[i].inputs.len() {
-            let c = self.flat.nodes[i].inputs[s];
-            // Recompute after each upstream pull; the loop is bounded
-            // because every pull strictly raises the channel's occupancy.
-            loop {
-                let need = batch_need(&self.rates[i], !self.fired[i], k, s);
-                if self.occ[c] >= need {
-                    break;
-                }
+            let (c, need) = (self.flat.nodes[i].inputs[s], need(s));
+            // The loop is bounded because every pull raises the channel's
+            // occupancy (or spends a producer's first firing).
+            while self.occ[c] < need {
                 let deficit = need - self.occ[c];
                 let (p, ps) = self.prod[c].expect("validated above");
-                let t = fires_to_cover(&self.rates[p], self.fired[p], ps, deficit).ok_or_else(
-                    || {
-                        PlanError::Unschedulable(format!(
-                            "node {} cannot supply {}",
-                            self.flat.nodes[p].name, self.flat.nodes[i].name
-                        ))
-                    },
-                )?;
+                let t = match self.on_loop[p] {
+                    true => Some(1),
+                    false => fires_to_cover(&self.rates[p], self.fired[p], ps, deficit),
+                };
+                let t = t.ok_or_else(|| {
+                    PlanError::Unschedulable(format!(
+                        "node {} cannot supply {}",
+                        self.flat.nodes[p].name, self.flat.nodes[i].name
+                    ))
+                })?;
+                self.frames.push((i, c, need));
                 self.pull(p, t)?;
+                self.frames.pop();
             }
         }
-        self.fire_batch(i, k)?;
-        self.depth -= 1;
+        self.active[i] = false;
         Ok(())
     }
 }
@@ -765,6 +916,9 @@ pub struct PlanEngine<T: Tally = OpCounter> {
     cursor: usize,
     /// Firings of `steady[cursor]` already executed.
     partial: u32,
+    /// The repeat the cursor is in or before, and its runs completed.
+    region: usize,
+    runs: u32,
     /// Output count when the cursor last wrapped (progress detection).
     printed_at_wrap: usize,
     /// Steady cycles begun so far: `[whole, stepped]`.
@@ -788,6 +942,8 @@ impl<T: Tally + Default> PlanEngine<T> {
             init_done: false,
             cursor: 0,
             partial: 0,
+            region: 0,
+            runs: 0,
             printed_at_wrap: 0,
             cycles: [0; 2],
         }
@@ -795,11 +951,6 @@ impl<T: Tally + Default> PlanEngine<T> {
 }
 
 impl<T: Tally> PlanEngine<T> {
-    /// The compiled plan this engine runs.
-    pub fn plan(&self) -> &ExecPlan {
-        &self.plan
-    }
-
     /// The nodes, with the state their firings have left in them.
     pub fn nodes(&self) -> &[FlatNode] {
         &self.nodes
@@ -919,7 +1070,7 @@ impl<T: Tally> PlanEngine<T> {
         }
         let mut silent_cycles = 0u32;
         while self.state.printed.len() < n {
-            let boundary = self.cursor == 0 && self.partial == 0;
+            let boundary = self.cursor == 0 && self.partial == 0 && self.runs == 0;
             let whole = boundary
                 && !self.plan.cycle.is_empty()
                 && (self.plan.prints_per_cycle)
@@ -942,10 +1093,19 @@ impl<T: Tally> PlanEngine<T> {
                 }
                 self.partial = 0;
                 self.cursor += 1;
+                let repeat = self.plan.repeats.get(self.region);
+                if let Some(&r) = repeat.filter(|r| self.cursor == r.start + r.len) {
+                    self.runs = (self.runs + 1) % r.times;
+                    if self.runs > 0 {
+                        self.cursor = r.start;
+                    } else {
+                        self.region += 1;
+                    }
+                }
                 if self.cursor < self.plan.steady.len() {
                     continue;
                 }
-                self.cursor = 0;
+                (self.cursor, self.region) = (0, 0);
             }
             // A cycle just ended.
             if self.state.printed.len() == self.printed_at_wrap {
@@ -1433,23 +1593,130 @@ mod tests {
         assert_eq!(&e.printed()[..4], &[0.0, 0.0, 10.0, 100.0]);
     }
 
-    #[test]
-    fn feedback_loops_are_rejected_as_cyclic() {
-        let flat = flat_for(
-            "void->void pipeline Main { add S(); add FB(); add K(); }
-             void->float filter S { float x; work push 1 { push(x++); } }
-             float->void filter K { work pop 1 { println(pop()); } }
-             float->float feedbackloop FB {
+    /// A running sum through a feedback loop, then `tail`, then a printer;
+    /// `body` is the loop's body and `enqueue` its enqueue statements.
+    fn looped(body: &str, enqueue: &str, tail: &str) -> String {
+        format!(
+            "void->void pipeline Main {{ add S(); add FB(); add T(); add K(); }}
+             void->float filter S {{ float x; work push 1 {{ x = x + 1; push(x); }} }}
+             float->void filter K {{ work pop 1 {{ println(pop()); }} }}
+             float->float feedbackloop FB {{
                  join roundrobin(1, 1);
-                 body Adder();
+                 body B();
                  loop Id();
                  split duplicate;
-                 enqueue 0;
-             }
-             float->float filter Adder { work pop 2 push 1 { push(pop() + pop()); } }
-             float->float filter Id { work pop 1 push 1 { push(pop()); } }",
+                 {enqueue}
+             }}
+             float->float filter B {{ {body} }}
+             float->float filter Id {{ work pop 1 push 1 {{ push(pop()); }} }}
+             float->float filter T {{ {tail} }}"
+        )
+    }
+
+    const ADDER: &str = "work pop 2 push 1 { push(pop() + pop()); }";
+    const COPY: &str = "work pop 1 push 1 { push(pop()); }";
+
+    /// Runs `flat` to `n` outputs on its plan and on the data-driven
+    /// engine, and holds the two to the same bits.
+    fn plan_agrees_with_engine(flat: FlatGraph, n: usize) -> Vec<f64> {
+        let plan = compile(&flat).unwrap();
+        let mut planned = PlanEngine::<OpCounter>::new(flat.clone(), plan);
+        planned.run_until_outputs(n).unwrap();
+        let reference = crate::engine::reference_outputs(flat, n);
+        let bits = |v: &[f64]| v[..n].iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(planned.printed()), bits(&reference));
+        planned.printed()[..n].to_vec()
+    }
+
+    #[test]
+    fn feedback_loops_plan_from_their_enqueued_items() {
+        let flat = flat_for(&looped(ADDER, "enqueue 0;", COPY));
+        let printed = plan_agrees_with_engine(flat, 40);
+        // x = 1, 2, 3, 4 -> running sums 1, 3, 6, 10.
+        assert_eq!(&printed[..4], &[1.0, 3.0, 6.0, 10.0]);
+    }
+
+    #[test]
+    fn a_loop_circulates_its_items_to_fill_the_slack_below_it() {
+        // T peeks 8: the init phase needs 7 items below the loop, seven
+        // trips around it on its one enqueued item.
+        let tail = "work peek 8 pop 1 push 1 { push(peek(7) - peek(0)); pop(); }";
+        let flat = flat_for(&looped(ADDER, "enqueue 0;", tail));
+        let plan = compile(&flat).unwrap();
+        let on_loop = |step: &Step| {
+            ["fb-join", "B", "fb-split", "Id"].contains(&&*flat.nodes[step.node].name)
+        };
+        let trips = plan
+            .init
+            .iter()
+            .filter(|s| flat.nodes[s.node].name == "fb-join");
+        assert_eq!(trips.map(|s| s.times).sum::<u32>(), 7, "{plan:?}");
+        let steps: Vec<Step> = plan.init.iter().copied().chain(plan.stepped()).collect();
+        assert!(steps.iter().filter(|s| on_loop(s)).all(|s| s.times == 1));
+        // A cycle order needs a batch per node, more than one item allows.
+        assert!(plan.cycle.is_empty());
+        assert!(plan
+            .summary(&flat)
+            .ends_with("cycle order: none (feedback loop)"));
+        plan_agrees_with_engine(flat, 64);
+    }
+
+    #[test]
+    fn a_loops_repeated_trips_stop_where_the_unrolled_order_does() {
+        // T pops 4: a cycle is four trips around the loop, three of them
+        // alike (the fourth ends in T's and K's firings).
+        let tail = "work pop 4 push 1 { push(pop() - pop() + pop() * pop()); }";
+        let flat = flat_for(&looped(ADDER, "enqueue 0;", tail));
+        let plan = compile(&flat).unwrap();
+        let trip = Repeat {
+            start: 1,
+            len: 5,
+            times: 3,
+        };
+        assert_eq!(plan.repeats, [trip], "{plan:?}");
+        let unrolled = ExecPlan {
+            steady: plan.stepped().collect(),
+            repeats: Vec::new(),
+            ..plan.clone()
+        };
+        assert_eq!(unrolled.steady.len(), plan.steady.len() + 2 * trip.len);
+        for n in 1..=24 {
+            let mut folded = PlanEngine::<OpCounter>::new(flat.clone(), plan.clone());
+            let mut plain = PlanEngine::<OpCounter>::new(flat.clone(), unrolled.clone());
+            // Two reads, so the second resumes inside a repeat.
+            for goal in [n, n + 5] {
+                folded.run_until_outputs(goal).unwrap();
+                plain.run_until_outputs(goal).unwrap();
+                assert_eq!(folded.printed(), plain.printed(), "n = {n}");
+                assert_eq!(folded.firings(), plain.firings(), "n = {n}");
+                assert_eq!(folded.ops(), plain.ops(), "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_loop_that_enqueues_nothing_is_refused_by_its_joiner() {
+        let flat = flat_for(&looped(ADDER, "", COPY));
+        let joiner = flat.nodes.iter().position(|n| n.name == "fb-join").unwrap();
+        let why = format!("at `fb-join` (node {joiner}) needs 1 enqueued item(s), has 0");
+        assert_eq!(compile(&flat), Err(PlanError::Shortfall(why.clone())));
+        assert_eq!(
+            compile(&flat).unwrap_err().to_string(),
+            format!("feedback loop {why}")
         );
-        assert_eq!(compile(&flat).unwrap_err(), PlanError::Cyclic);
+    }
+
+    #[test]
+    fn a_loop_short_of_its_own_lookahead_is_refused() {
+        // B peeks one item past the pair it pops: two joiner firings, so
+        // two items around the loop, must be in flight before it fires.
+        let body = "work peek 3 pop 2 push 1 { push(pop() + pop() + peek(0)); }";
+        let err = compile(&flat_for(&looped(body, "enqueue 0;", COPY))).unwrap_err();
+        assert!(
+            err.to_string().ends_with("needs 2 enqueued item(s), has 1"),
+            "{err}"
+        );
+        plan_agrees_with_engine(flat_for(&looped(body, "enqueue 0; enqueue 0.5;", COPY)), 32);
     }
 
     #[test]
@@ -1491,7 +1758,7 @@ mod tests {
         assert_eq!(plan.prints_per_cycle, None);
         assert!(plan.cycle.is_empty());
         assert!(plan
-            .summary(&flat.nodes)
+            .summary(&flat)
             .ends_with("cycle order: none (K prints)"));
         let mut e = PlanEngine::<OpCounter>::new(flat, plan);
         e.run_until_outputs(3).unwrap();
@@ -1632,7 +1899,7 @@ mod tests {
         assert_eq!(plan.prints_per_cycle, Some(4099));
         assert!(plan.caps.iter().all(|&c| c < 3 * 4099), "{:?}", plan.caps);
         assert!(plan
-            .summary(&flat.nodes)
+            .summary(&flat)
             .ends_with("cycle order: none (exceeds slab bound)"));
         let mut e = PlanEngine::<OpCounter>::new(flat, plan);
         e.run_until_outputs(2).unwrap();

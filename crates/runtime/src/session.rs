@@ -11,11 +11,13 @@
 //! instrumented daemon stream report the same spans (`parse, elaborate,
 //! analyze, select, flatten, plan, fission?, partition?`).
 //!
-//! Behind a [`Session`] sits one of three engine families: the
-//! **pipeline** ([`PipelineSession`]: stage workers parked on the pool
-//! between reads), the single-threaded **static plan** ([`PlanEngine`]),
-//! or the **data-driven** fallback ([`Engine`]) for unplannable graphs.
-//! Degradation is the session's behaviour, not a caller's option: a
+//! Every program that compiles has a static plan — a feedback loop's is
+//! derived from its enqueued items — so behind a [`Session`] sits one of
+//! two engine families: the **pipeline** ([`PipelineSession`]: stage
+//! workers parked on the pool between reads) or the single-threaded
+//! **static plan** ([`PlanEngine`]). The data-driven
+//! [`crate::engine::Engine`] is the reference they are both held to, not
+//! a family. Degradation is the session's behaviour, not a caller's option: a
 //! degradable failure ([`RunError::is_degradable`] — a stall or a lost
 //! worker, never a program error, which would just recur) tears down
 //! that session's pipeline, rebuilds the canonical pre-fission plan
@@ -28,12 +30,12 @@ use streamlin_core::combine::analyze_graph;
 use streamlin_core::cost::CostModel;
 use streamlin_core::opt::OptStream;
 use streamlin_graph::ir::Stream;
-use streamlin_support::{InjectFaults, NoCount, OpCounter, Recorder, Tally};
+use streamlin_support::{NoCount, OpCounter, Recorder, Tally};
 
-use crate::engine::{Engine, RunError};
+use crate::engine::RunError;
 use crate::fission::{fiss_bottleneck, Fission, FissionInfo};
 use crate::flat::{flatten_with, note_fused_loops, note_tiers, FlatGraph};
-use crate::measure::{ExecMode, Profile, ProfileError, Scheduler};
+use crate::measure::{ExecMode, Profile, ProfileError};
 use crate::parallel::PipelineSession;
 use crate::partition::{firing_cost, partition, Partition};
 use crate::plan::{self, ExecPlan, PlanEngine};
@@ -94,11 +96,9 @@ pub fn front_end(
 pub struct Compiled {
     /// The graph to execute: post-fission when the pass engaged.
     pub flat: FlatGraph,
-    /// The static schedule; `None` = data-driven execution (feedback
-    /// loops under `auto`, or `sched: dynamic`).
-    pub plan: Option<ExecPlan>,
-    /// The pipeline partition, present when the spec has a stage budget
-    /// and a plan exists.
+    /// The static schedule of `flat`.
+    pub plan: ExecPlan,
+    /// The pipeline partition, present when the spec has a stage budget.
     pub part: Option<Partition>,
     /// The *pre-fission* graph and plan a degraded session replays on,
     /// kept whenever a partition is.
@@ -126,8 +126,8 @@ impl Compiled {
 ///
 /// # Errors
 ///
-/// Flattening failures, and [`ProfileError::Plan`] when
-/// [`Scheduler::Static`] is asked of a graph with no static schedule.
+/// Flattening failures, and [`ProfileError::Plan`] for a graph with no
+/// static schedule (an under-supplied feedback loop, inconsistent rates).
 pub fn compile(
     opt: &OptStream,
     spec: &PlanSpec,
@@ -137,18 +137,8 @@ pub fn compile(
     let flat = phase(probe, "flatten", || {
         flatten_with(opt, spec.matmul, spec.tier, spec.cert)
     })?;
-    let plan = phase(probe, "plan", || match spec.sched {
-        Scheduler::Dynamic => Ok(None),
-        Scheduler::Static => plan::compile(&flat).map(Some),
-        // `has_feedback` is a cheap structural pre-check; the compiler
-        // still validates everything else (rates, bounds).
-        Scheduler::Auto if opt.has_feedback() => Ok(None),
-        Scheduler::Auto => Ok(plan::compile(&flat).ok()),
-    })?;
-    let canonical = match (&plan, spec.threads) {
-        (Some(p), Some(_)) => Some((flat.clone(), p.clone())),
-        _ => None,
-    };
+    let plan = phase(probe, "plan", || plan::compile(&flat))?;
+    let canonical = spec.threads.map(|_| (flat.clone(), plan.clone()));
     let mut art = Compiled {
         flat,
         plan,
@@ -164,32 +154,21 @@ pub fn compile(
             rec.note("fission", "off");
         }
     } else {
-        // Under `Scheduler::Dynamic` a plan is still compiled (when one
-        // exists) purely to drive the fission decision; the fissed graph
-        // then runs data-driven — the fuzz suite checks that path too.
-        let planned = art.plan.is_some();
-        let driver = match art.plan.take() {
-            None if spec.sched == Scheduler::Dynamic => plan::compile(&art.flat).ok(),
-            plan => plan,
-        };
-        if let Some(driver) = driver {
-            let t0 = probe.as_deref().map_or(0, Recorder::now);
-            match fiss(&art.flat, &driver, spec, &model) {
-                Ok((graph, plan, info)) => {
-                    if let Some(rec) = probe {
-                        rec.phase("fission", t0);
-                        rec.note("fission", &info.summary());
-                    }
-                    art.flat = graph;
-                    art.plan = planned.then_some(plan);
-                    art.scale = info.scale;
-                    art.width = info.width;
+        let t0 = probe.as_deref().map_or(0, Recorder::now);
+        match fiss(&art.flat, &art.plan, spec, &model) {
+            Ok((graph, plan, info)) => {
+                if let Some(rec) = probe {
+                    rec.phase("fission", t0);
+                    rec.note("fission", &info.summary());
                 }
-                Err(why) => {
-                    if let Some(rec) = probe {
-                        rec.note("fission", &format!("none ({why})"));
-                    }
-                    art.plan = planned.then_some(driver);
+                art.flat = graph;
+                art.plan = plan;
+                art.scale = info.scale;
+                art.width = info.width;
+            }
+            Err(why) => {
+                if let Some(rec) = probe {
+                    rec.note("fission", &format!("none ({why})"));
                 }
             }
         }
@@ -199,15 +178,12 @@ pub fn compile(
             rec.node_name(i, &node.name);
             rec.node_cost(i, firing_cost(node, &model));
         }
-        match &art.plan {
-            Some(p) => rec.note("schedule", &p.summary(&art.flat.nodes)),
-            None => rec.note("schedule", "data-driven (no static plan)"),
-        }
+        rec.note("schedule", &art.plan.summary(&art.flat));
         note_tiers(&art.flat.nodes, rec);
     }
-    if let (Some(plan), Some(threads)) = (&art.plan, spec.threads) {
+    if let Some(threads) = spec.threads {
         let part = phase(probe, "partition", || {
-            partition(&art.flat, plan, threads, &model)
+            partition(&art.flat, &art.plan, threads, &model)
         });
         if let Some(rec) = probe {
             rec.note("pipeline", &part.summary());
@@ -258,9 +234,6 @@ pub struct Report {
     pub ops: OpCounter,
     /// Total node firings.
     pub firings: u64,
-    /// The scheduler that ran ([`Scheduler::Static`] or
-    /// [`Scheduler::Dynamic`], never `Auto`).
-    pub sched: Scheduler,
     /// Worker threads the session ended on (1 unless the pipeline ran).
     pub threads: usize,
     /// Fission width the session ended on.
@@ -294,9 +267,9 @@ pub trait Session: Send {
 
 /// Opens a session on a compiled artifact. `rec` instruments it (the
 /// recorder comes back in the [`Report`]); the fault plan and watchdog of
-/// `exec` act on the pipeline executor only — the single-threaded engines
-/// have no injection sites, so a drill that opens on one of them is noted
-/// as inert. Telemetry and drills are values threaded through; the one
+/// `exec` act on the pipeline executor only — the single-threaded plan
+/// engine has no injection sites, so a drill that opens on it is noted as
+/// inert. Telemetry and drills are values threaded through; the one
 /// monomorphisation chosen here is the `Tally`.
 ///
 /// # Errors
@@ -316,7 +289,6 @@ pub fn open(
 enum Family<T: Tally> {
     Pipeline(PipelineSession),
     Plan(PlanEngine<T>),
-    Dynamic(Engine<T>),
 }
 
 /// Values a degrading session replays (and discards) per step of its
@@ -348,19 +320,6 @@ fn fallback_engine<T: Tally + Default>(
     PlanEngine::new(flat, plan)
 }
 
-/// Names the single-threaded engine's lane, and says so when the run's
-/// drill has nothing to act on: fault plans have injection sites in the
-/// pipeline executor only.
-fn note_single_threaded(probe: Option<&mut Recorder>, lane: &str, fault: Option<&InjectFaults>) {
-    if let Some(rec) = probe {
-        rec.lane_name(1, lane);
-        if let Some(fault) = fault {
-            let text = format!("inert: no pipeline executor ({})", fault.describe());
-            rec.note("fault", &text);
-        }
-    }
-}
-
 impl<T: Tally + Default + Send + 'static> Live<T> {
     fn start(
         art: Compiled,
@@ -370,11 +329,11 @@ impl<T: Tally + Default + Send + 'static> Live<T> {
         let fault = exec.fault.as_ref();
         let (mut threads, mut width, mut degraded) = (1, art.width, None);
         let mut canonical = art.canonical;
-        let engine: Family<T> = match (art.part, art.plan) {
-            (Some(part), Some(plan)) => {
+        let engine: Family<T> = match art.part {
+            Some(part) => {
                 match PipelineSession::start::<T>(
                     art.flat,
-                    &plan,
+                    &art.plan,
                     &part,
                     art.scale,
                     art.quantum,
@@ -397,13 +356,17 @@ impl<T: Tally + Default + Send + 'static> Live<T> {
                     Err(e) => return Err(e),
                 }
             }
-            (None, Some(plan)) => {
-                note_single_threaded(probe.as_mut(), "engine", fault);
-                Family::Plan(PlanEngine::new(art.flat, plan))
-            }
-            (_, None) => {
-                note_single_threaded(probe.as_mut(), "engine (dynamic)", fault);
-                Family::Dynamic(Engine::new(art.flat))
+            None => {
+                // A drill on the plan engine has nothing to act on: fault
+                // plans have injection sites in the pipeline executor only.
+                if let Some(rec) = probe.as_mut() {
+                    rec.lane_name(1, "engine");
+                    if let Some(fault) = fault {
+                        let text = format!("inert: no pipeline executor ({})", fault.describe());
+                        rec.note("fault", &text);
+                    }
+                }
+                Family::Plan(PlanEngine::new(art.flat, art.plan))
             }
         };
         Ok(Box::new(Live {
@@ -422,10 +385,6 @@ impl<T: Tally + Default + Send + 'static> Live<T> {
         match &mut self.engine {
             Family::Pipeline(session) => session.read(n),
             Family::Plan(engine) => {
-                engine.run(n, self.probe.as_mut())?;
-                Ok(engine.take_printed(n))
-            }
-            Family::Dynamic(engine) => {
                 engine.run(n, self.probe.as_mut())?;
                 Ok(engine.take_printed(n))
             }
@@ -483,7 +442,6 @@ impl<T: Tally + Default + Send + 'static> Session for Live<T> {
         match &self.engine {
             Family::Pipeline(session) => session.available() - session.delivered(),
             Family::Plan(engine) => engine.printed().len(),
-            Family::Dynamic(engine) => engine.printed().len(),
         }
     }
 
@@ -493,11 +451,11 @@ impl<T: Tally + Default + Send + 'static> Session for Live<T> {
 
     fn close(self: Box<Self>) -> Report {
         let mut this = *self;
-        let (ops, firings, sched) = match this.engine {
+        let (ops, firings) = match this.engine {
             // A failed pipeline that could not degrade has nothing to add.
             Family::Pipeline(session) => match session.finish(this.probe.as_mut()) {
-                Ok(out) => (out.ops, out.firings, Scheduler::Static),
-                Err(_) => (OpCounter::default(), 0, Scheduler::Static),
+                Ok(out) => (out.ops, out.firings),
+                Err(_) => (OpCounter::default(), 0),
             },
             Family::Plan(engine) => {
                 note_fused_loops(engine.nodes(), this.probe.as_mut());
@@ -505,18 +463,13 @@ impl<T: Tally + Default + Send + 'static> Session for Live<T> {
                     let [whole, stepped] = engine.cycles();
                     rec.note("cycles", &format!("{whole} whole, {stepped} stepped"));
                 }
-                (engine.ops().counts(), engine.firings(), Scheduler::Static)
-            }
-            Family::Dynamic(engine) => {
-                note_fused_loops(engine.nodes(), this.probe.as_mut());
-                (engine.ops().counts(), engine.firings(), Scheduler::Dynamic)
+                (engine.ops().counts(), engine.firings())
             }
         };
         Report {
             delivered: this.delivered,
             ops,
             firings,
-            sched,
             threads: this.threads,
             width: this.width,
             degraded: this.degraded,
@@ -609,8 +562,6 @@ impl RunSpec {
             ops: report.ops,
             wall,
             firings: report.firings,
-            sched: report.sched,
-            mode: self.mode,
             threads: report.threads,
             fission: report.width,
             degraded: report.degraded,

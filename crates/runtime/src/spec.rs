@@ -1,7 +1,7 @@
 //! The run specification: one value that says how a program is compiled
 //! and executed, and the one table that fills it.
 //!
-//! A [`RunSpec`] holds the eleven independently settable run values.
+//! A [`RunSpec`] holds the ten independently settable run values.
 //! `streamlinc` feeds [`KNOBS`] `--flag value` pairs, the daemon's `open`
 //! feeds it JSON members (numbers stringified), and tests write struct
 //! literals over [`RunSpec::default`]; there is no other parser and no
@@ -21,7 +21,7 @@ use streamlin_support::InjectFaults;
 use crate::fission::Fission;
 pub use crate::flat::Tier;
 use crate::linear_exec::MatMulStrategy;
-use crate::measure::{ExecMode, Scheduler};
+use crate::measure::ExecMode;
 use crate::parallel::CYCLE_QUANTUM;
 
 /// How one program is compiled and run. `Default` is the only default.
@@ -29,8 +29,6 @@ use crate::parallel::CYCLE_QUANTUM;
 pub struct RunSpec {
     /// Which optimization configuration builds the stream.
     pub config: Config,
-    /// Which scheduler executes the flattened graph.
-    pub sched: Scheduler,
     /// Whether execution pays for instruction accounting.
     pub mode: ExecMode,
     /// Matrix-multiply kernel; `None` takes the mode's default.
@@ -57,7 +55,6 @@ impl Default for RunSpec {
     fn default() -> Self {
         RunSpec {
             config: Config::default(),
-            sched: Scheduler::default(),
             mode: ExecMode::default(),
             matmul: None,
             threads: None,
@@ -77,7 +74,6 @@ impl Default for RunSpec {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanSpec {
     pub config: Config,
-    pub sched: Scheduler,
     /// Resolved: an unset `matmul` took the mode's default, which is the
     /// mode's only compile-time effect.
     pub matmul: MatMulStrategy,
@@ -109,7 +105,6 @@ impl RunSpec {
         };
         PlanSpec {
             config: self.config,
-            sched: self.sched,
             matmul: self.matmul.unwrap_or(self.mode.default_strategy()),
             threads: match (self.threads, self.fission) {
                 (None, Fission::Off) => None,
@@ -228,16 +223,6 @@ pub const KNOBS: &[Knob] = &[
         samples: &["baseline", "linear", "freq", "redund", "autosel"],
         help: "optimization configuration (§5.2)",
         set: |s, v| one_of(v, &Config::ALL.map(|c| (c.label(), c))).map(|c| s.config = c),
-    },
-    Knob {
-        key: "sched",
-        flag: "sched",
-        values: "auto|static|dynamic",
-        compile_time: true,
-        contract: Contract::Bits,
-        samples: &["auto", "static", "dynamic"],
-        help: "compiled static plan, or the data-driven engine",
-        set: |s, v| one_of(v, &Scheduler::ALL.map(|x| (x.label(), x))).map(|x| s.sched = x),
     },
     Knob {
         key: "mode",

@@ -289,17 +289,6 @@ impl Service {
             ("compile_ms".to_string(), Json::Num(artifact.compile_ms)),
             ("workers".to_string(), Json::Num(workers as f64)),
             ("width".to_string(), Json::Num(compiled.width as f64)),
-            (
-                "sched".to_string(),
-                Json::Str(
-                    if compiled.plan.is_some() {
-                        "static"
-                    } else {
-                        "dynamic"
-                    }
-                    .into(),
-                ),
-            ),
         ];
         if let Some(d) = degraded {
             pairs.push(("degraded".to_string(), Json::Str(d)));

@@ -16,7 +16,7 @@
 //!
 //! ```json
 //! {"op":"open","id":"s1","program":"...","config":"autosel",
-//!  "sched":"auto","mode":"measured","matmul":"unrolled","threads":2,
+//!  "mode":"measured","matmul":"unrolled","threads":2,
 //!  "fission":"auto","quantum":4,"fault":"7:die@s0","watchdog_ms":2000,
 //!  "wait_ms":100}
 //! {"op":"read","id":"s1","n":64}
@@ -272,7 +272,7 @@ mod tests {
         assert!(parse_request("{}").is_err());
         assert!(parse_request(r#"{"op":"read","id":"a"}"#).is_err());
         assert!(parse_request(r#"{"op":"warp"}"#).is_err());
-        assert!(parse_request(r#"{"op":"open","id":"a","program":"p","sched":"hyper"}"#).is_err());
+        assert!(parse_request(r#"{"op":"open","id":"a","program":"p","mode":"hyper"}"#).is_err());
         // Every numeric member goes through the CLI's validator: negative,
         // fractional, zero (where the CLI refuses it) and non-finite values
         // are refused by name, as are unknown enumeration values.

@@ -7,7 +7,6 @@
 //! ```console
 //! $ streamlinc program.str                        # autosel, 1000 outputs
 //! $ streamlinc program.str --config freq -n 5000
-//! $ streamlinc program.str --sched dynamic        # data-driven engine
 //! $ streamlinc program.str --mode fast            # uncounted, SIMD kernels
 //! $ streamlinc program.str --threads 4            # pipeline-parallel stages
 //! $ streamlinc program.str --threads 4 --fission auto   # split the bottleneck
@@ -272,24 +271,20 @@ fn run(args: &Args) -> Result<(), String> {
             "nodes: {} ({} interpreted, {} linear, {} freq, {} redund)",
             stats.filters, stats.originals, stats.linear, stats.freq, stats.redund
         );
-        let mut sched_desc = if prof.threads > 1 {
-            format!("{} scheduler, {} threads", prof.sched.label(), prof.threads)
-        } else {
-            format!("{} scheduler", prof.sched.label())
-        };
+        let mut how = format!("threads: {}", prof.threads);
         if prof.fission > 1 {
-            sched_desc.push_str(&format!(", fission x{}", prof.fission));
+            how.push_str(&format!(", fission x{}", prof.fission));
         }
         match args.spec.mode {
             ExecMode::Measured => eprintln!(
-                "{} outputs in {:?} [{sched_desc}]: {:.1} flops/output, {:.1} mults/output",
+                "{} outputs in {:?} [{how}]: {:.1} flops/output, {:.1} mults/output",
                 prof.outputs.len(),
                 prof.wall,
                 prof.flops_per_output(),
                 prof.mults_per_output()
             ),
             ExecMode::Fast => eprintln!(
-                "{} outputs in {:?} [{sched_desc}, fast/{}]: {:.0} outputs/sec (uncounted)",
+                "{} outputs in {:?} [{how}, fast/{}]: {:.0} outputs/sec (uncounted)",
                 prof.outputs.len(),
                 prof.wall,
                 plan.matmul.label(),

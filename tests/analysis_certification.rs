@@ -1,7 +1,8 @@
 //! The verified-filter dataflow framework across the nine paper
 //! benchmarks: every filter must rate/bounds-certify with the expected
 //! state-effect class, the certified unchecked tape path must be
-//! bit-identical to the checked path across modes and schedulers, and
+//! bit-identical to the checked path across modes, on the static plan and
+//! on the data-driven reference engine, and
 //! adversarial uncertifiable filters must still run (checked) and stay
 //! correct. Also cross-checks the effect lattice against the stateful
 //! linear extraction and pins that fission admissions are a superset of
@@ -21,9 +22,12 @@ use streamlin::graph::{elaborate, StateEffect};
 use streamlin::lang::parse;
 use streamlin::runtime::fission::{fissability, Fission};
 use streamlin::runtime::flat::{flatten, NodeKind};
-use streamlin::runtime::{ExecMode, MatMulStrategy, RunSpec, Scheduler, Tier};
+use streamlin::runtime::{ExecMode, MatMulStrategy, RunSpec, Tier};
 use streamlin::service::{Service, ServiceOpts};
 use streamlin::support::json::{self, Json};
+use streamlin::support::{NoCount, OpCounter};
+
+mod reference;
 
 /// Expected state-effect class per (benchmark, filter declaration).
 /// Everything not listed here must analyze as `Pure`.
@@ -93,23 +97,25 @@ fn all_benchmark_filters_certify_with_expected_effects() {
 }
 
 /// The certified unchecked tape path must be bit-identical to the fully
-/// checked path on every benchmark, across execution modes and
-/// schedulers, including operation tallies.
+/// checked path on every benchmark, across execution modes and on both
+/// the static plan and the reference engine, including operation tallies.
 #[test]
 fn cert_elision_is_bit_identical_across_modes_and_schedulers() {
     for b in all_default() {
         let opt = OptStream::from_graph(b.graph());
         let n = b.default_outputs().min(128);
-        // `Auto` statically schedules everything schedulable and falls
-        // back to the data-driven engine (DToA has a feedback loop).
-        for sched in [Scheduler::Auto, Scheduler::Dynamic] {
+        for on_plan in [true, false] {
             for mode in [ExecMode::Measured, ExecMode::Fast] {
+                let what = format!(
+                    "{} {} {mode:?}",
+                    b.name(),
+                    ["reference", "plan"][usize::from(on_plan)]
+                );
                 // Elision is a field of each run's spec, and the built
                 // graph is asked which tape discipline its nodes took:
                 // every benchmark phase certifies, so `cert` alone decides.
                 let run = |cert: bool| {
                     let spec = RunSpec {
-                        sched,
                         mode,
                         cert,
                         ..RunSpec::default()
@@ -117,24 +123,28 @@ fn cert_elision_is_bit_identical_across_modes_and_schedulers() {
                     let art = spec.compile(&opt).unwrap();
                     for node in &art.flat.nodes {
                         if let NodeKind::Interp(state) = &node.kind {
-                            assert_eq!(state.work_certified, cert, "{} {}", b.name(), node.name);
+                            assert_eq!(state.work_certified, cert, "{what} {}", node.name);
                         }
                     }
-                    spec.run_compiled(art, n)
-                        .unwrap_or_else(|e| panic!("{} {sched:?} {mode:?}: {e}", b.name()))
+                    if on_plan {
+                        let prof = spec.run_compiled(art, n);
+                        let prof = prof.unwrap_or_else(|e| panic!("{what}: {e}"));
+                        return (prof.outputs, prof.ops);
+                    }
+                    let run = match mode {
+                        ExecMode::Measured => reference::run_flat::<OpCounter>(art.flat, n, None),
+                        ExecMode::Fast => reference::run_flat::<NoCount>(art.flat, n, None),
+                    };
+                    let run = run.unwrap_or_else(|e| panic!("{what}: {e}"));
+                    (run.outputs, run.ops)
                 };
                 let fast = run(true);
                 let checked = run(false);
-                assert_eq!(
-                    fast.outputs.len(),
-                    checked.outputs.len(),
-                    "{} {sched:?} {mode:?}",
-                    b.name()
-                );
-                for (a, c) in fast.outputs.iter().zip(&checked.outputs) {
-                    assert_eq!(a.to_bits(), c.to_bits(), "{} {sched:?} {mode:?}", b.name());
+                assert_eq!(fast.0.len(), checked.0.len(), "{what}");
+                for (a, c) in fast.0.iter().zip(&checked.0) {
+                    assert_eq!(a.to_bits(), c.to_bits(), "{what}");
                 }
-                assert_eq!(fast.ops, checked.ops, "{} {sched:?} {mode:?}", b.name());
+                assert_eq!(fast.1, checked.1, "{what}");
             }
         }
     }
@@ -171,7 +181,6 @@ fn uncertifiable_filter_runs_checked_and_correct() {
     let want: Vec<f64> = (0..16).map(f64::from).collect();
     for cert in [true, false] {
         let spec = RunSpec {
-            sched: Scheduler::Static,
             cert,
             ..RunSpec::default()
         };
@@ -232,10 +241,7 @@ fn fission_admits_dead_branch_writers() {
         .expect("Heavy survives flattening");
     assert!(fissability(heavy).is_ok(), "{:?}", fissability(heavy));
 
-    let base = RunSpec {
-        sched: Scheduler::Static,
-        ..RunSpec::default()
-    };
+    let base = RunSpec::default();
     let fissed = RunSpec {
         threads: Some(2),
         fission: Fission::Width(2),

@@ -3,6 +3,10 @@
 
 use std::process::Command;
 
+use streamlin::runtime::{front_end, RunSpec, Tier};
+
+mod reference;
+
 fn streamlinc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_streamlinc"))
 }
@@ -80,38 +84,41 @@ fn all_configs_agree_on_rate_convert_asset() {
     }
 }
 
+/// The CLI runs the static plan; the data-driven reference engine runs the
+/// same program and must print the same text, which for printed floats is
+/// the same bits.
 #[test]
 fn schedulers_agree_on_the_fir_asset() {
-    let run = |sched: &str| -> Vec<String> {
-        let out = streamlinc()
-            .args(["assets/fir.str", "--sched", sched, "-n", "64", "--quiet"])
-            .output()
-            .expect("binary runs");
-        assert!(
-            out.status.success(),
-            "{sched}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        std::str::from_utf8(&out.stdout)
-            .unwrap()
-            .lines()
-            .map(str::to_string)
-            .collect()
-    };
-    let stat = run("static");
-    let dyn_ = run("dynamic");
-    assert_eq!(stat.len(), 64);
-    // Textual equality is bit-level equality of the printed floats.
-    assert_eq!(stat, dyn_);
+    let out = streamlinc()
+        .args(["assets/fir.str", "-n", "64", "--quiet"])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let planned: Vec<String> = std::str::from_utf8(&out.stdout)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect();
+    let src = std::fs::read_to_string("assets/fir.str").unwrap();
+    let front = front_end(&src, &RunSpec::default().plan(), None).unwrap();
+    let reference = reference::run(&front.opt, 64, Tier::default(), true).unwrap();
+    let want: Vec<String> = reference.outputs.iter().map(|v| format!("{v}")).collect();
+    assert_eq!(planned, want);
 }
 
+/// `--sched` went with the data-driven session family: it is an unknown
+/// flag now, a usage error like any other.
 #[test]
 fn rejects_unknown_scheduler() {
     let out = streamlinc()
         .args(["assets/fir.str", "--sched", "nope"])
         .output()
         .expect("binary runs");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
 }
 
 #[test]

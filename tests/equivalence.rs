@@ -7,7 +7,7 @@
 
 use streamlin::core::combine::analyze_graph;
 use streamlin::core::Config;
-use streamlin::runtime::{RunSpec, Scheduler};
+use streamlin::runtime::RunSpec;
 
 #[macro_use]
 mod matrix;
@@ -24,15 +24,20 @@ matrix_tests!(None;
     dtoa => "DToA",
 );
 
+/// Every benchmark compiles a static plan in every configuration — DToA's
+/// feedback loop too, scheduled from the one item it enqueues.
 #[test]
 fn every_feedback_free_benchmark_compiles_a_plan() {
     for b in streamlin::benchmarks::all_default() {
         let analysis = analyze_graph(b.graph());
-        let opt = Config::Baseline.apply(b.graph(), &analysis).unwrap();
-        let prof = RunSpec::default()
-            .run(&opt, 64)
-            .unwrap_or_else(|e| panic!("{}: {e}", b.name()));
-        let fallback = prof.sched == Scheduler::Dynamic;
-        assert_eq!(fallback, opt.has_feedback(), "{}", b.name());
+        for config in Config::ALL {
+            let what = format!("{} {}", b.name(), config.label());
+            let opt = config.apply(b.graph(), &analysis).unwrap();
+            let art = RunSpec::default()
+                .compile(&opt)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert!(art.plan.steady_firings() > 0, "{what}");
+            assert_eq!(art.flat.initial.is_empty(), !opt.has_feedback(), "{what}");
+        }
     }
 }

@@ -17,7 +17,7 @@ use streamlin::graph::elaborate;
 use streamlin::lang::parse;
 use streamlin::runtime::engine::RunError;
 use streamlin::runtime::fission::Fission;
-use streamlin::runtime::{PipelineSession, Profile, ProfileError, RunSpec};
+use streamlin::runtime::{PipelineSession, PlanError, Profile, ProfileError, RunSpec};
 use streamlin::support::{InjectFaults, OpCounter};
 
 #[test]
@@ -104,10 +104,18 @@ fn feedback_without_enqueue_deadlocks_cleanly() {
     )
     .unwrap();
     let g = elaborate(&p).unwrap();
+    // The loop is refused when it compiles: its joiner needs one item on
+    // the back edge before anything circulates, and none is enqueued.
     let err = RunSpec::default()
-        .run(&OptStream::from_graph(&g), 10)
+        .compile(&OptStream::from_graph(&g))
         .unwrap_err();
-    assert!(matches!(err, ProfileError::Run(RunError::Deadlock { .. })));
+    assert!(
+        matches!(err, ProfileError::Plan(PlanError::Shortfall(_))),
+        "{err}"
+    );
+    let msg = err.to_string();
+    assert!(msg.contains("feedback loop at `fb-join`"), "{msg}");
+    assert!(msg.contains("needs 1 enqueued item(s), has 0"), "{msg}");
 }
 
 #[test]
@@ -198,7 +206,7 @@ fn drill(spec: &str, fission: Fission) -> Result<Profile, ProfileError> {
 /// the session that would degrade, so the raw structured error shows.
 fn drill_raw(spec: &str) -> RunError {
     let art = pipeline(Fission::Off).compile(&chain_opt()).unwrap();
-    let (plan, part) = (art.plan.unwrap(), art.part.unwrap());
+    let (plan, part) = (art.plan, art.part.unwrap());
     let fault = InjectFaults::parse(spec).expect("valid fault spec");
     PipelineSession::start::<OpCounter>(
         art.flat,

@@ -2,17 +2,17 @@
 //!
 //! A property-based generator (built on the offline `proptest` stand-in
 //! in `tools/proptest`) produces well-formed `void->void` programs —
-//! pipelines and splitjoins of stateless, linear-extractable (FIR-like)
-//! and stateful filters with random rates — and every generated program
-//! is executed five ways:
+//! pipelines, splitjoins and feedback loops of stateless,
+//! linear-extractable (FIR-like) and stateful filters with random rates —
+//! and every generated program is held to the data-driven reference
+//! engine (`tests/reference`) on:
 //!
-//! * the data-driven dynamic engine,
 //! * the single-threaded static plan,
 //! * the pipeline-parallel executor ([`THREADS`] stages),
 //! * the pipeline executor with the dominant node fissed at widths 2
 //!   and 4 (when the node is duplicable; the pass refusing is part of
 //!   the property — the run must then be a clean no-op),
-//! * the dynamic engine over the *fissed* graph (the synthesized
+//! * the reference engine over the *fissed* graph (the synthesized
 //!   splitter/worker/joiner nodes under data-driven scheduling),
 //! * and the pipeline executor once more under **supervision with a
 //!   seeded injected worker panic** — the run must complete (on the
@@ -21,6 +21,12 @@
 //! * plus a **bytecode ablation**: the single-threaded static plan run
 //!   again with `tier: Tier::TreeWalk` in that run's spec, pinning the
 //!   flattened instruction dispatch against the reference.
+//!
+//! A generated feedback loop is seeded by construction: its joiner
+//! weights, its body's lookahead or `initWork` phase, its loop filter's
+//! rates and its enqueue count vary, but it always enqueues enough items
+//! to run. Under-seeded loops are refused when they compile; the unit
+//! tests of `runtime::plan` pin that refusal.
 //!
 //! Every run that does not name them takes its interpreter tier and its
 //! tape discipline (`cert`) from the case's own seed, so the pipeline,
@@ -31,7 +37,7 @@
 //! outputs, and — within the cycle-quantized pipeline family, where the
 //! determinism contract promises it — operation tallies and firing
 //! counts are identical across fission widths including width 1. (The
-//! dynamic and single-threaded static engines stop at the exact output
+//! reference and the single-threaded static plan stop at the exact output
 //! target rather than on cycle boundaries, so their tallies measure a
 //! different run length by design; their printed output is the pinned
 //! surface.) Both optimization configs run: `interp` (no replacement —
@@ -45,8 +51,10 @@ use streamlin::core::combine::analyze_graph;
 use streamlin::core::{Config, OptStream};
 use streamlin::runtime::fission::Fission;
 use streamlin::runtime::flat::NodeKind;
-use streamlin::runtime::{RunSpec, Scheduler, Tier};
-use streamlin::support::InjectFaults;
+use streamlin::runtime::{RunSpec, Tier};
+use streamlin::support::{InjectFaults, OpCounter};
+
+mod reference;
 
 /// FNV-1a over the rendered program: a deterministic per-case fault seed,
 /// so every fuzz case drills a *different* (but reproducible) fault site.
@@ -93,6 +101,30 @@ enum Stage {
     /// and the engines must keep it on the checked tape path — where it
     /// behaves exactly at the declared rate.
     Wobbly { pop: usize, push: usize, coeff: i32 },
+    /// Feedback loop: `join roundrobin(win, wback)`; a body that pops one
+    /// joiner round of `win + wback`, peeks `peek_extra` past it, and
+    /// pushes `down + back` (with an `initWork` phase that does not peek
+    /// past, when `init_work`); `split roundrobin(down, back)`; a loop
+    /// filter turning `back` items into `wback`. It enqueues what its body
+    /// needs before it can fire, plus `extra` items.
+    Loop {
+        win: usize,
+        wback: usize,
+        down: usize,
+        back: usize,
+        peek_extra: usize,
+        init_work: bool,
+        extra: usize,
+        coeff: i32,
+    },
+}
+
+impl Stage {
+    /// Items a loop stage enqueues: enough for the joiner rounds its body
+    /// peeks at, each `wback` items from the back edge, plus `extra`.
+    fn enqueued(win: usize, wback: usize, peek_extra: usize, extra: usize) -> usize {
+        wback * (1 + peek_extra.div_ceil(win + wback)) + extra
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -205,6 +237,63 @@ fn render(spec: &Spec) -> String {
                     "float->float filter F{i} {{ float t; work pop {pop} push {push} {{ {body} }} }}"
                 );
             }
+            &Stage::Loop {
+                win,
+                wback,
+                down,
+                back,
+                peek_extra,
+                init_work,
+                extra,
+                coeff,
+            } => {
+                let mut enqueue = String::new();
+                for k in 0..Stage::enqueued(win, wback, peek_extra, extra) {
+                    let _ = write!(enqueue, " enqueue {k}.25;");
+                }
+                let _ = write!(
+                    decls,
+                    "float->float feedbackloop F{i} {{
+                         join roundrobin({win}, {wback});
+                         body F{i}b();
+                         loop F{i}l();
+                         split roundrobin({down}, {back});
+                        {enqueue}
+                     }}\n"
+                );
+                let (pop, push) = (win + wback, down + back);
+                let phase = |peek: usize| {
+                    let mut body = String::new();
+                    for j in 0..push {
+                        let (a, b) = ((2 * j + 1) % peek, j % peek);
+                        let _ = write!(
+                            body,
+                            "push({coeff}.0 * 0.25 * peek({a}) + 0.5 * peek({b}) + {j}.5); "
+                        );
+                    }
+                    body.push_str(&"pop(); ".repeat(pop));
+                    body
+                };
+                let first = match init_work {
+                    true => format!("initWork pop {pop} push {push} {{ {} }}", phase(pop)),
+                    false => String::new(),
+                };
+                let peek = pop + peek_extra;
+                let _ = writeln!(
+                    decls,
+                    "float->float filter F{i}b {{ {first} work peek {peek} pop {pop} push {push} {{ {} }} }}",
+                    phase(peek)
+                );
+                let mut body = String::from("float s = 0; ");
+                body.push_str(&"s += pop(); ".repeat(back));
+                for j in 0..wback {
+                    let _ = write!(body, "push(s * 0.5 + {j}.0); ");
+                }
+                let _ = writeln!(
+                    decls,
+                    "float->float filter F{i}l {{ work pop {back} push {wback} {{ {body} }} }}"
+                );
+            }
         }
     }
     let mut src = String::new();
@@ -260,6 +349,22 @@ fn stage_strategy() -> impl Strategy<Value = Stage> {
             push,
             coeff
         }),
+        (
+            (1usize..3, 1usize..3, 1usize..3, 1usize..3),
+            (0usize..4, 0usize..2, 0usize..4, -2i32..=2)
+        )
+            .prop_map(
+                |((win, wback, down, back), (peek_extra, init_work, extra, coeff))| Stage::Loop {
+                    win,
+                    wback,
+                    down,
+                    back,
+                    peek_extra,
+                    init_work: init_work == 1,
+                    extra,
+                    coeff,
+                }
+            ),
     ]
 }
 
@@ -329,7 +434,7 @@ fn check_spec(spec: &Spec) -> bool {
         // The tier and the tape discipline are fields of each run's spec,
         // so nothing a sibling test does can change what runs here — and
         // the built graph says so.
-        let run = |what: &str, spec: RunSpec| {
+        let build = |what: &str, spec: &RunSpec| {
             let art = spec
                 .compile(&opt)
                 .unwrap_or_else(|e| panic!("{label} {what}: {e}\n{src}"));
@@ -340,26 +445,26 @@ fn check_spec(spec: &Spec) -> bool {
                     assert!(spec.cert || !state.work_certified, "{at}");
                 }
             }
-            spec.run_compiled(art, outputs)
+            art
+        };
+        let run = |what: &str, spec: RunSpec| {
+            spec.run_compiled(build(what, &spec), outputs)
                 .unwrap_or_else(|e| panic!("{label} {what}: {e}\n{src}"))
         };
-        let on = |sched| RunSpec {
-            sched,
-            ..base.clone()
-        };
-        let dynamic = run("dynamic", on(Scheduler::Dynamic));
+        let reference = reference::run(&opt, outputs, base.tier, base.cert)
+            .unwrap_or_else(|e| panic!("{label} reference: {e}\n{src}"));
 
         // The bytecode ablation family: the same plan on each tier must
         // print the same bits and count the same operations.
         let tiers = [Tier::Bytecode, Tier::TreeWalk].map(|tier| {
             let spec = RunSpec {
                 tier,
-                ..on(Scheduler::Static)
+                ..base.clone()
             };
             run(&format!("{tier:?}"), spec)
         });
         for on_tier in &tiers {
-            assert_bits_equal(label, &dynamic.outputs, &on_tier.outputs);
+            assert_bits_equal(label, &reference.outputs, &on_tier.outputs);
         }
         assert_eq!(
             tiers[0].ops, tiers[1].ops,
@@ -374,11 +479,11 @@ fn check_spec(spec: &Spec) -> bool {
             ..base.clone()
         };
         let unfissed = run("pipeline", pipeline(Fission::Off));
-        assert_bits_equal(label, &dynamic.outputs, &unfissed.outputs);
+        assert_bits_equal(label, &reference.outputs, &unfissed.outputs);
         for width in [2usize, 4] {
             let fissed = run(&format!("fission={width}"), pipeline(Fission::Width(width)));
             engaged |= fissed.fission > 1;
-            assert_bits_equal(label, &dynamic.outputs, &fissed.outputs);
+            assert_bits_equal(label, &reference.outputs, &fissed.outputs);
             assert_eq!(
                 unfissed.firings, fissed.firings,
                 "{label}: firings differ at fission={width}\n{src}"
@@ -404,18 +509,20 @@ fn check_spec(spec: &Spec) -> bool {
                 ..pipeline(Fission::Off)
             },
         );
-        assert_bits_equal(label, &dynamic.outputs, &drilled.outputs);
+        assert_bits_equal(label, &reference.outputs, &drilled.outputs);
 
-        // The fissed graph under the *dynamic* scheduler: the synthesized
+        // The fissed graph on the reference engine: the synthesized
         // split/worker/join nodes must behave identically data-driven.
-        let fissed_dynamic = run(
-            "fissed dynamic",
-            RunSpec {
+        let fissed = build(
+            "fissed reference",
+            &RunSpec {
                 fission: Fission::Width(2),
-                ..on(Scheduler::Dynamic)
+                ..base.clone()
             },
         );
-        assert_bits_equal(label, &dynamic.outputs, &fissed_dynamic.outputs);
+        let fissed_reference = reference::run_flat::<OpCounter>(fissed.flat, outputs, None)
+            .unwrap_or_else(|e| panic!("{label} fissed reference: {e}\n{src}"));
+        assert_bits_equal(label, &reference.outputs, &fissed_reference.outputs);
     }
     engaged
 }
@@ -450,6 +557,32 @@ fn pinned_mixed_graph_agrees_and_fission_engages() {
         src_push: 2,
     });
     assert!(engaged, "the heavy sliding-window filter must be fissed");
+}
+
+/// A pinned feedback loop whose body peeks past its round and has an
+/// `initWork` phase, whose loop filter turns two items into one, and below
+/// which a heavy filter needs lookahead the loop must circulate to supply.
+#[test]
+fn pinned_feedback_loop_agrees_across_engines() {
+    check_spec(&Spec {
+        stages: vec![
+            Stage::Loop {
+                win: 1,
+                wback: 1,
+                down: 1,
+                back: 2,
+                peek_extra: 3,
+                init_work: true,
+                extra: 1,
+                coeff: -1,
+            },
+            Stage::Heavy {
+                peek: 10,
+                scale_q: 2,
+            },
+        ],
+        src_push: 1,
+    });
 }
 
 /// A pinned case with an uncertifiable stage in the middle: the checked

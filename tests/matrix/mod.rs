@@ -2,8 +2,8 @@
 //!
 //! For one benchmark, the oracle is the interpreted graph
 //! (`OptStream::from_graph`: nothing extraction computes is in it) on the
-//! *reference* engine: tree-walker, data-driven, measured, one thread,
-//! every tape access checked. For each sample of the `config` row,
+//! *reference* engine ([`reference`]): tree-walker, data-driven, measured,
+//! one thread, every tape access checked. For each sample of the `config` row,
 //! [`check`] runs the reference once, holds it to the oracle by `config`'s
 //! contract, and then holds every other run to the reference by the
 //! contracts of the knobs that run moved off `RunSpec::default()`: each
@@ -24,9 +24,10 @@ use streamlin::core::combine::analyze_graph;
 use streamlin::core::OptStream;
 use streamlin::runtime::measure::first_mismatch;
 use streamlin::runtime::spec::Contract;
-use streamlin::runtime::{
-    ExecMode, MatMulStrategy, Profile, ProfileError, RunSpec, Scheduler, Tier, KNOBS,
-};
+use streamlin::runtime::{ExecMode, MatMulStrategy, Profile, RunSpec, Tier, KNOBS};
+
+#[path = "../reference/mod.rs"]
+pub mod reference;
 
 /// Pairs, then triples, drawn per benchmark × structure.
 const DRAWS: [usize; 6] = [2, 2, 2, 2, 3, 3];
@@ -90,39 +91,31 @@ struct Cell<'a> {
     n: usize,
     /// See [`HEAVY_CYCLE`].
     heavy: bool,
-    runs: HashMap<String, Option<Rc<Profile>>>,
+    runs: HashMap<String, Rc<Profile>>,
 }
 
 impl Cell<'_> {
-    /// Runs `spec`, once. `None` is the one refusal the table allows:
-    /// `sched=static` has no plan for a feedback loop.
-    fn run(&mut self, spec: &RunSpec, what: &str) -> Option<Rc<Profile>> {
+    /// Runs `spec`, once.
+    fn run(&mut self, spec: &RunSpec, what: &str) -> Rc<Profile> {
         let key = format!("{spec:?}");
         if let Some(ran) = self.runs.get(&key) {
             return ran.clone();
         }
-        let feedback = self.opt.has_feedback();
-        let ran = match spec.run(self.opt, self.n) {
-            Ok(prof) => {
-                if !feedback && spec.sched != Scheduler::Dynamic {
-                    assert_eq!(prof.sched, Scheduler::Static, "{what}: no compiled plan");
-                }
-                if spec.mode == ExecMode::Fast {
-                    assert_eq!(prof.ops.flops(), 0, "{what}: fast mode tallied");
-                }
-                Some(Rc::new(prof))
-            }
-            Err(ProfileError::Plan(_)) if feedback && spec.sched == Scheduler::Static => None,
-            Err(e) => panic!("{what}: {e}"),
-        };
+        let prof = spec
+            .run(self.opt, self.n)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        if spec.mode == ExecMode::Fast {
+            assert_eq!(prof.ops.flops(), 0, "{what}: fast mode tallied");
+        }
+        let ran = Rc::new(prof);
         self.runs.insert(key, ran.clone());
         ran
     }
 
-    /// Holds the run `dev` describes to `base` by the weakest contract
-    /// among its knobs, and to the counts of its neighbours along every
-    /// `BitsAndCounts` knob it moves.
-    fn hold(&mut self, dev: &Deviation, base: &Profile, seed: Option<u64>) {
+    /// Holds the run `dev` describes to the reference's outputs `base` by
+    /// the weakest contract among its knobs, and to the counts of its
+    /// neighbours along every `BitsAndCounts` knob it moves.
+    fn hold(&mut self, dev: &Deviation, base: &[f64], seed: Option<u64>) {
         let moved = dev.iter().map(|&(k, s)| format!("{}={s}", KNOBS[k].key));
         let seed = seed.map_or(String::new(), |s| format!(" (seed {s:#x})"));
         let what = format!(
@@ -134,22 +127,20 @@ impl Cell<'_> {
         if self.heavy && spec.plan().threads.is_some() {
             return;
         }
-        let Some(prof) = self.run(&spec, &what) else {
-            return;
-        };
+        let prof = self.run(&spec, &what);
         let eps = dev.iter().map(|&(k, _)| match KNOBS[k].contract {
             Contract::Tolerance(eps) => eps,
             _ => 0.0,
         });
         let eps = eps.fold(0.0, f64::max);
-        hold_outputs(&what, &base.outputs, &prof.outputs, eps);
+        hold_outputs(&what, base, &prof.outputs, eps);
         for (i, &(k, sample)) in dev.iter().enumerate() {
             let first = KNOBS[k].samples[0];
             if KNOBS[k].contract == Contract::BitsAndCounts && sample != first {
                 let mut anchor = dev.clone();
                 anchor[i].1 = first;
                 let at = format!("{what} against {}={first}", KNOBS[k].key);
-                let anchor = self.run(&spec_of(&anchor), &at).unwrap();
+                let anchor = self.run(&spec_of(&anchor), &at);
                 assert_eq!(anchor.firings, prof.firings, "{at}: firings differ");
                 assert_eq!(anchor.ops, prof.ops, "{at}: tallies differ");
             }
@@ -165,11 +156,9 @@ pub fn check(name: &str, only: Option<&str>) {
     let &(_, bench, n) = BENCHMARKS.iter().find(|b| b.0 == name).unwrap();
     let bench = bench();
     let analysis = analyze_graph(bench.graph());
-    let reference = RunSpec {
-        sched: Scheduler::Dynamic,
-        tier: Tier::TreeWalk,
-        cert: false,
-        ..spec_of(&vec![])
+    let reference = |opt: &OptStream, what: &str| {
+        let reference = reference::run(opt, n, Tier::TreeWalk, false);
+        reference.unwrap_or_else(|e| panic!("{what}: {e}")).outputs
     };
     let config = KNOBS.iter().find(|k| k.key == "config").unwrap();
     let Contract::Tolerance(config_eps) = config.contract else {
@@ -182,8 +171,8 @@ pub fn check(name: &str, only: Option<&str>) {
 
     let sliced = only.is_some_and(|row| row != "config");
     let oracle = (!sliced).then(|| {
-        let interpreted = reference.run(&OptStream::from_graph(bench.graph()), n);
-        interpreted.unwrap_or_else(|e| panic!("{name} interpreted: {e}"))
+        let interpreted = OptStream::from_graph(bench.graph());
+        reference(&interpreted, &format!("{name} interpreted"))
     });
     for &structure in config.samples {
         if sliced && structure != RunSpec::default().config.label() {
@@ -193,19 +182,18 @@ pub fn check(name: &str, only: Option<&str>) {
         config.apply(&mut spec, structure).unwrap();
         let opt = spec.config.apply(bench.graph(), &analysis);
         let opt = opt.unwrap_or_else(|e| panic!("{name} {structure}: {e}"));
-        let plan = || spec_of(&vec![]).compile(&opt).ok().and_then(|art| art.plan);
+        let plan = || spec_of(&vec![]).compile(&opt).map(|art| art.plan);
         let mut cell = Cell {
             name: format!("{name} {structure}"),
             opt: &opt,
             n,
-            heavy: cfg!(debug_assertions)
-                && plan().is_some_and(|p| p.steady_firings() > HEAVY_CYCLE),
+            heavy: cfg!(debug_assertions) && plan().is_ok_and(|p| p.steady_firings() > HEAVY_CYCLE),
             runs: HashMap::new(),
         };
         let what = format!("{} [reference]", cell.name);
-        let base = cell.run(&reference, &what).expect("dynamic always runs");
+        let base = reference(&opt, &what);
         if let Some(oracle) = &oracle {
-            hold_outputs(&what, &oracle.outputs, &base.outputs, config_eps);
+            hold_outputs(&what, oracle, &base, config_eps);
         }
 
         for &k in &knobs {

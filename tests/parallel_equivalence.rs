@@ -2,8 +2,8 @@
 //! configuration, benchmark by benchmark, kept for the names of the
 //! hand-written pipeline suite (`tests/equivalence.rs` runs the row in
 //! every configuration): 1, 2 and 4 stages print output bit-identical to
-//! the reference with equal tallies and firing counts; DToA has no static
-//! plan, so every thread count takes the same fallback.
+//! the reference with equal tallies and firing counts. DToA's feedback
+//! loop stays in one stage.
 
 #[macro_use]
 mod matrix;
@@ -17,5 +17,5 @@ matrix_tests!(Some("threads");
     filter_bank_pipeline_is_deterministic => "FilterBank",
     vocoder_pipeline_is_deterministic => "Vocoder",
     oversampler_pipeline_is_deterministic => "Oversampler",
-    dtoa_pipeline_falls_back_identically => "DToA",
+    dtoa_pipeline_is_deterministic => "DToA",
 );

@@ -7,15 +7,16 @@
 //! cycles; the same count delivered in small reads stays on the stepped
 //! order until late. Both must deliver the same bits and close on the same
 //! firing count and tallies — for every benchmark and configuration — and
-//! the data-driven scheduler must print the same bits. It is a law about
-//! `read`, not a knob, so it is not a row of the equivalence matrix.
+//! the data-driven reference engine must print the same bits. It is a law
+//! about `read`, not a knob, so it is not a row of the equivalence matrix.
 
 mod matrix;
 
+use matrix::reference;
 use streamlin::core::combine::analyze_graph;
 use streamlin::core::Config;
 use streamlin::runtime::session::Report;
-use streamlin::runtime::{open, Compiled, ExecMode, RunSpec, Scheduler};
+use streamlin::runtime::{open, Compiled, ExecMode, RunSpec};
 
 /// Delivers `reads` in order from a session on `art`: the values and the
 /// closing report.
@@ -44,15 +45,12 @@ fn check(name: &str, bench: &streamlin::benchmarks::Benchmark) {
             ..RunSpec::default()
         };
         let art = spec.compile(&opt).unwrap();
-        let plan = art.plan.as_ref();
         // CI's `--release` run of this file covers these.
-        let firings = plan.map_or(0, |p| p.steady_firings());
-        if cfg!(debug_assertions) && firings > matrix::HEAVY_CYCLE {
+        if cfg!(debug_assertions) && art.plan.steady_firings() > matrix::HEAVY_CYCLE {
             continue;
         }
-        // What a cycle prints (a stand-in where no cycle order exists:
-        // DToA's feedback loop has no plan at all).
-        let p = plan.and_then(|p| p.prints_per_cycle).unwrap_or(16).max(2);
+        // What a cycle prints (a stand-in where a filter prints).
+        let p = art.plan.prints_per_cycle.unwrap_or(16).max(2);
         let pieces = [1, 7, p - 1, p, p + 1, 2 * p + 1];
         let n = pieces.iter().sum();
 
@@ -64,12 +62,12 @@ fn check(name: &str, bench: &streamlin::benchmarks::Benchmark) {
         assert_eq!(at_once.firings, in_pieces.firings, "{what}: firings");
         assert_eq!(at_once.ops, in_pieces.ops, "{what}: tallies");
 
-        let dynamic = RunSpec {
-            sched: Scheduler::Dynamic,
-            ..spec
-        };
-        let (data_driven, _) = deliver(&dynamic, dynamic.compile(&opt).unwrap(), &[n]);
-        assert_eq!(bits(&whole), bits(&data_driven), "{what}: sched dynamic");
+        let data_driven = reference::run(&opt, n, spec.tier, spec.cert).unwrap();
+        assert_eq!(
+            bits(&whole),
+            bits(&data_driven.outputs),
+            "{what}: reference"
+        );
     }
 }
 
@@ -115,7 +113,7 @@ fn stepped_orders_are_the_parents() {
             .apply(bench.graph(), &analyze_graph(bench.graph()))
             .unwrap();
         let art = RunSpec::default().compile(&opt).unwrap();
-        let plan = art.plan.expect("a static plan");
+        let plan = &art.plan;
         assert_eq!(plan.steady.len(), *steps, "{}", bench.name());
         assert_eq!(plan.cycle.len(), art.flat.nodes.len(), "{}", bench.name());
     }

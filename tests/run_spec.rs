@@ -191,12 +191,11 @@ fn every_run_value_has_exactly_one_row() {
             "matmul",
             "mode",
             "quantum",
-            "sched",
             "threads",
             "tier",
             "watchdog_ms"
         ],
-        "the independently settable run values are these eleven"
+        "the independently settable run values are these ten"
     );
     let mut flags: Vec<&str> = KNOBS.iter().map(|k| k.flag).collect();
     flags.sort_unstable();

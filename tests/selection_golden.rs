@@ -22,14 +22,24 @@
 //! nine benchmarks at their default sizes and `fir(1024)`, then FIR and
 //! Radar at the equivalence matrix's sizes (the other seven are the same
 //! programs at both).
+//!
+//! `tests/golden/plans.txt` pins the schedule compiler: generated on the
+//! commit before feedback loops got static plans, one line per benchmark ×
+//! configuration with the lengths of the plan's `init`, `steady` and
+//! `cycle` step lists, its buffer slots, its prints per cycle and a hash of
+//! each step list. DToA's lines were `none` there; they are the only lines
+//! that changed when its loop was planned.
 
 use streamlin::benchmarks::{self, Benchmark};
 use streamlin::core::cost::CostModel;
 use streamlin::core::extract::extract;
 use streamlin::core::select::{select, SelectOptions};
 use streamlin::core::state_space::extract_stateful;
-use streamlin::core::{analyze_graph, LinearNode, OptStream};
+use streamlin::core::{analyze_graph, Config, LinearNode, OptStream};
 use streamlin::graph::steady::steady_state;
+use streamlin::runtime::flat::flatten;
+use streamlin::runtime::plan::{self, Step};
+use streamlin::runtime::MatMulStrategy;
 
 /// FNV-1a over 64-bit words.
 struct Fnv(u64);
@@ -158,6 +168,48 @@ fn repetitions_of(label: &str, bench: &Benchmark) -> String {
     out
 }
 
+/// FNV-1a over a step list's `(node, times)` pairs.
+fn hash_steps(steps: &[Step]) -> u64 {
+    let mut h = Fnv::new();
+    for step in steps {
+        h.word(step.node as u64);
+        h.word(u64::from(step.times));
+    }
+    h.0
+}
+
+/// One line per configuration: the plan's shape and step-list hashes, or
+/// `none` where the schedule compiler refuses the graph.
+fn plans_of(bench: &Benchmark) -> String {
+    let analysis = analyze_graph(bench.graph());
+    let mut out = String::new();
+    for config in Config::ALL {
+        let opt = config.apply(bench.graph(), &analysis);
+        let opt = opt.unwrap_or_else(|e| panic!("{} {}: {e}", bench.name(), config.label()));
+        let flat = flatten(&opt, MatMulStrategy::Unrolled).expect("benchmarks flatten");
+        let line = match plan::compile(&flat) {
+            Ok(p) => {
+                // The stepped order unrolled: what runs, however it is held.
+                let steady: Vec<Step> = p.stepped().collect();
+                format!(
+                    "init={} steady={} cycle={} slots={} prints={:?} fnv64={:016x}/{:016x}/{:016x}",
+                    p.init.len(),
+                    steady.len(),
+                    p.cycle.len(),
+                    p.buffer_slots(),
+                    p.prints_per_cycle,
+                    hash_steps(&p.init),
+                    hash_steps(&steady),
+                    hash_steps(&p.cycle),
+                )
+            }
+            Err(_) => "none".into(),
+        };
+        out.push_str(&format!("{} · {} · {line}\n", bench.name(), config.label()));
+    }
+    out
+}
+
 /// The nine benchmarks plus `fir(1024)`.
 fn benches() -> Vec<Benchmark> {
     let mut benches = benchmarks::all_default();
@@ -212,4 +264,10 @@ fn repetitions_match_the_parent_commit_golden() {
         actual.push_str(&repetitions_of(label, &bench));
     }
     assert_golden("steady", &actual, include_str!("golden/steady.txt"));
+}
+
+#[test]
+fn plans_match_the_parent_commit_golden() {
+    let actual: String = benchmarks::all_default().iter().map(plans_of).collect();
+    assert_golden("plans", &actual, include_str!("golden/plans.txt"));
 }

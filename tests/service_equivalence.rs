@@ -159,7 +159,7 @@ fn non_finite_samples_survive_the_wire() {
 /// All nine paper benchmarks, single stream each, read in uneven batches
 /// — bit-identical to the one-shot profiler — then reopened to pin the
 /// plan-cache-hit rerun on every program (including DToA's feedback
-/// loop, which runs data-driven).
+/// loop, which runs on the plan its enqueued item schedules).
 #[test]
 fn nine_benchmarks_single_stream_bit_identical_and_cache_hits() {
     let svc = roomy();
@@ -300,15 +300,16 @@ fn interleaved_streams_stay_bit_identical() {
 
 /// A resident stream retains only the overshoot of its last read, however
 /// much it has delivered: across 1 000 reads on each engine family (static
-/// plan, data-driven, two-stage pipeline) the buffer of undelivered values
-/// never grows, and what is delivered stays bit-identical to one-shot.
+/// plan, with and without a feedback loop, and two-stage pipeline) the
+/// buffer of undelivered values never grows, and what is delivered stays
+/// bit-identical to one-shot.
 #[test]
 fn resident_streams_do_not_retain_delivered_output() {
     const READS: usize = 1000;
     const N: usize = 64;
     let cases = [
         ("static plan", streamlin::benchmarks::fir(64), None),
-        ("data-driven", streamlin::benchmarks::dtoa(), None),
+        ("feedback loop", streamlin::benchmarks::dtoa(), None),
         ("pipeline", streamlin::benchmarks::fir(64), Some(2)),
     ];
     for (family, bench, threads) in cases {
@@ -480,6 +481,20 @@ fn protocol_failures_are_structured() {
         err(&open_line("bad", "void->void pipeline Main {", &[])),
         "compile_error"
     );
+    // A feedback loop that enqueues nothing has no schedule: refused when
+    // it compiles, not searched for a deadlock on a worker.
+    let unseeded = "void->void pipeline Main { add S(); add FB(); add K(); }
+         void->float filter S { float x; work push 1 { push(x++); } }
+         float->void filter K { work pop 1 { println(pop()); } }
+         float->float feedbackloop FB {
+             join roundrobin(1, 1);
+             body A();
+             loop I();
+             split roundrobin(1, 1);
+         }
+         float->float filter A { work pop 2 push 2 { push(pop() + peek(0)); push(pop()); } }
+         float->float filter I { work pop 1 push 1 { push(pop()); } }";
+    assert_eq!(err(&open_line("loop", unseeded, &[])), "compile_error");
     let fir = streamlin::benchmarks::fir(16);
     request_ok(&svc, &open_line("dup", fir.source(), &[]));
     assert_eq!(
@@ -655,9 +670,9 @@ fn fast_and_measured_share_one_cached_artifact() {
 /// compile it with one function, so knob combinations that used to take
 /// different paths in the two cannot any more: a lone `"fission"` runs the
 /// pass on a 1-stage pipeline exactly as `streamlinc --fission` does, and
-/// `sched: dynamic` + fission runs the fissed graph data-driven. Each
-/// case is compared — reported width, value bits, cache entries — against
-/// a one-shot run of the very `RunSpec` the daemon parsed.
+/// beside `"threads"` on a real pipeline. Each case is compared — reported
+/// width, value bits, cache entries — against a one-shot run of the very
+/// `RunSpec` the daemon parsed.
 #[test]
 fn knob_combinations_agree_with_one_shot_of_the_same_spec() {
     let svc = roomy();
@@ -665,10 +680,7 @@ fn knob_combinations_agree_with_one_shot_of_the_same_spec() {
     let n = 96;
     let cases: [&[(&str, Json)]; 3] = [
         &[("fission", Json::Num(2.0))],
-        &[
-            ("sched", Json::Str("dynamic".into())),
-            ("fission", Json::Num(2.0)),
-        ],
+        &[("threads", Json::Num(2.0)), ("fission", Json::Num(2.0))],
         &[],
     ];
     for (i, members) in cases.iter().enumerate() {
@@ -683,11 +695,6 @@ fn knob_combinations_agree_with_one_shot_of_the_same_spec() {
             open.get("width").and_then(Json::as_num),
             Some(want.fission as f64),
             "{members:?}: the daemon and the one-shot run fissed differently"
-        );
-        assert_eq!(
-            open.get("sched").and_then(Json::as_str),
-            Some(want.sched.label()),
-            "{members:?}"
         );
         let mut got = Vec::new();
         read_into(&svc, &id, n, &mut got);

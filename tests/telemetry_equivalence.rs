@@ -16,10 +16,13 @@
 use streamlin::core::combine::analyze_graph;
 use streamlin::core::{Config, OptStream};
 use streamlin::runtime::fission::Fission;
+use streamlin::runtime::flat::flatten;
 use streamlin::runtime::telemetry::validate_trace;
-use streamlin::runtime::{ExecMode, RunSpec, Scheduler};
+use streamlin::runtime::{ExecMode, RunSpec};
 use streamlin::support::probe::Event;
-use streamlin::support::{InjectFaults, Recorder};
+use streamlin::support::{InjectFaults, NoCount, OpCounter, Recorder};
+
+mod reference;
 
 fn configured(bench: &streamlin::benchmarks::Benchmark, config: Config) -> OptStream {
     config
@@ -36,10 +39,6 @@ fn assert_identical(
     reference: &streamlin::runtime::Profile,
     probed: &streamlin::runtime::Profile,
 ) {
-    assert_eq!(
-        probed.sched, reference.sched,
-        "{name} {label} {what}: scheduler drifted under the probe"
-    );
     assert_eq!(
         probed.outputs.len(),
         reference.outputs.len(),
@@ -65,8 +64,8 @@ fn assert_identical(
 }
 
 /// The full matrix for one benchmark: modes × threads {1, 2} × fission
-/// {off, 2}, probe on vs probe off, plus the classic (non-pipeline)
-/// engines under both schedulers.
+/// {off, 2}, probe on vs probe off, plus the single-threaded plan and the
+/// data-driven reference engine.
 fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
     for config in [Config::Baseline, Config::AutoSel] {
         let label = config.label();
@@ -86,15 +85,33 @@ fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
                 mode,
                 ..RunSpec::default()
             };
-            // The classic single-threaded engines under both schedulers.
-            for sched in [Scheduler::Auto, Scheduler::Dynamic] {
-                let (reference, probed) = both(RunSpec {
-                    sched,
-                    ..base.clone()
-                });
-                let what = format!("{} {}", sched.label(), mode.label());
-                assert_identical(bench.name(), label, &what, mode, &reference, &probed);
-            }
+            // The single-threaded plan.
+            let (reference, probed) = both(base.clone());
+            assert_identical(bench.name(), label, mode.label(), mode, &reference, &probed);
+            // The reference engine, which records a span per firing.
+            let on_reference = |rec: Option<&mut Recorder>| {
+                let flat = flatten(&opt, base.plan().matmul).unwrap();
+                let run = match mode {
+                    ExecMode::Measured => reference::run_flat::<OpCounter>(flat, outputs, rec),
+                    ExecMode::Fast => reference::run_flat::<NoCount>(flat, outputs, rec),
+                };
+                run.unwrap_or_else(|e| panic!("{} {label} reference: {e}", bench.name()))
+            };
+            let (off, on) = (on_reference(None), on_reference(Some(&mut Recorder::new())));
+            let bits = |r: &reference::Reference| {
+                r.outputs.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            let what = format!("{} {label} reference {}", bench.name(), mode.label());
+            assert_eq!(
+                bits(&off),
+                bits(&on),
+                "{what}: outputs differ under the probe"
+            );
+            assert_eq!(
+                (off.firings, off.ops),
+                (on.firings, on.ops),
+                "{what}: counts differ"
+            );
             // The pipeline executor across stage budgets and fission widths.
             for threads in [1usize, 2] {
                 for fission in [Fission::Off, Fission::Width(2)] {
@@ -158,9 +175,7 @@ fn oversampler_probe_is_invisible() {
 }
 
 #[test]
-fn dtoa_probe_is_invisible_on_the_dynamic_fallback() {
-    // dtoa's feedback loop has no static plan: every configuration runs
-    // the dynamic engine, and the probe must be invisible there too.
+fn dtoa_probe_is_invisible() {
     check(&streamlin::benchmarks::dtoa(), 256);
 }
 
