@@ -21,6 +21,8 @@
 //! Nodes with `pop > 1` get a separate *decimator* stage that keeps the
 //! first `u` of every `u·o` outputs (the paper's `Decimator(o, u)`).
 
+use std::sync::Arc;
+
 use streamlin_fft::{halfcomplex_mul_into, FftKind, RealFft, RealFftScratch};
 use streamlin_support::num::next_pow2;
 use streamlin_support::{OpCounter, Tally};
@@ -64,19 +66,29 @@ pub enum FreqStrategy {
     Optimized,
 }
 
-/// A frequency-domain implementation plan for a linear node.
+/// A frequency-domain implementation plan for a linear node. The node,
+/// the coefficient spectra and the transform's twiddles are one immutable
+/// table behind an [`Arc`]: cloning a plan, or a [`FreqExec`] over it,
+/// shares them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FreqSpec {
-    node: LinearNode,
     strategy: FreqStrategy,
-    kind: FftKind,
     n: usize,
     m: usize,
+    table: Arc<FreqTable>,
+}
+
+/// What every executor of one plan reads and none writes.
+#[derive(Debug, PartialEq)]
+struct FreqTable {
+    node: LinearNode,
     /// Half-complex spectra of the coefficient columns, one per output
     /// (index = output order `j`). Computed at construction — the analogue
     /// of the paper's `init { H[*,j] ← FFT(N, A[*, u−1−j]) }`, uncounted
     /// like FFTW planning.
     h: Vec<Vec<f64>>,
+    /// The `N`-point transform the spectra were taken with.
+    fft: RealFft,
 }
 
 #[cfg(test)]
@@ -137,18 +149,30 @@ impl FreqSpec {
             h.push(fft.forward(&kernel, &mut plan_ops));
         }
         Ok(FreqSpec {
-            node: node.clone(),
             strategy,
-            kind,
             n,
             m,
-            h,
+            table: Arc::new(FreqTable {
+                node: node.clone(),
+                h,
+                fft,
+            }),
         })
     }
 
     /// The underlying linear node.
     pub fn node(&self) -> &LinearNode {
-        &self.node
+        &self.table.node
+    }
+
+    /// The shared table — identity and bytes (coefficients, spectra and
+    /// twiddles, counted from their lengths) — that every clone of this
+    /// plan holds.
+    pub fn table(&self) -> (*const (), usize) {
+        let t = &*self.table;
+        let spectra: usize = t.h.iter().map(Vec::len).sum();
+        let bytes = t.node.table_bytes() + 8 * spectra + t.fft.table_bytes();
+        (Arc::as_ptr(&self.table).cast(), bytes)
     }
 
     /// The FFT size `N`.
@@ -169,7 +193,7 @@ impl FreqSpec {
     /// `(peek, pop, push)` of the steady-state work phase of the FFT
     /// stage (before decimation).
     pub fn work_rates(&self) -> (usize, usize, usize) {
-        let (e, u) = (self.node.peek(), self.node.push());
+        let (e, u) = (self.node().peek(), self.node().push());
         let r = self.m + e - 1;
         match self.strategy {
             FreqStrategy::Naive => (r, self.m, u * self.m),
@@ -183,7 +207,7 @@ impl FreqSpec {
         match self.strategy {
             FreqStrategy::Naive => None,
             FreqStrategy::Optimized => {
-                let (e, u) = (self.node.peek(), self.node.push());
+                let (e, u) = (self.node().peek(), self.node().push());
                 let r = self.m + e - 1;
                 Some((r, r, u * self.m))
             }
@@ -193,7 +217,7 @@ impl FreqSpec {
     /// `(pop, push)` of the decimator stage, or `None` when `pop == 1`
     /// (no decimation needed).
     pub fn decimator_rates(&self) -> Option<(usize, usize)> {
-        let (o, u) = (self.node.pop(), self.node.push());
+        let (o, u) = (self.node().pop(), self.node().push());
         (o > 1).then_some((u * o, u))
     }
 }
@@ -223,7 +247,6 @@ impl FreqSpec {
 #[derive(Debug, Clone)]
 pub struct FreqExec {
     spec: FreqSpec,
-    fft: RealFft,
     /// Edge partials per output column (Optimized only), length `e − 1`.
     partials: Vec<Vec<f64>>,
     first: bool,
@@ -241,22 +264,20 @@ pub struct FreqExec {
 }
 
 impl FreqExec {
-    /// Creates an executor over a plan. All per-firing buffers live here —
-    /// a firing performs no allocation beyond its returned output vector.
+    /// Creates an executor over a plan. It shares the plan's table; its
+    /// own buffers are allocated by the first firing and reused after, so
+    /// a later firing performs no allocation beyond its returned output
+    /// vector, and a clone of an executor that has not fired copies none.
     pub fn new(spec: FreqSpec) -> Self {
-        let fft = RealFft::new(spec.kind, spec.n).expect("spec holds a valid size");
-        let u = spec.node.push();
-        let e = spec.node.peek();
         FreqExec {
-            fft,
-            partials: vec![vec![0.0; e.saturating_sub(1)]; u],
+            spec,
+            partials: Vec::new(),
             first: true,
-            block: vec![0.0; spec.n],
+            block: Vec::new(),
             spectrum: Vec::new(),
             product: Vec::new(),
-            columns: vec![Vec::new(); u],
+            columns: Vec::new(),
             scratch: RealFftScratch::default(),
-            spec,
         }
     }
 
@@ -290,28 +311,33 @@ impl FreqExec {
             peek,
             "window must match the current peek rate"
         );
-        let e = self.spec.node.peek();
-        let u = self.spec.node.push();
+        let table = &*self.spec.table;
+        let e = table.node.peek();
+        let u = table.node.push();
         let m = self.spec.m;
+        if self.first {
+            self.block = vec![0.0; self.spec.n];
+            self.columns = vec![Vec::new(); u];
+            self.partials = vec![vec![0.0; e - 1]; u];
+        }
 
         // x ← window zero-padded to N; X ← FFT(N, x). The block buffer is
         // owned by the executor: its tail past the (constant) peek window
-        // is zero from construction, so only the window is copied.
+        // is zero from the first firing on, so only the window is copied.
         self.block[..window.len()].copy_from_slice(window);
-        self.fft
-            .forward_into(&self.block, &mut self.spectrum, &mut self.scratch, ops);
+        let fft = &table.fft;
+        fft.forward_into(&self.block, &mut self.spectrum, &mut self.scratch, ops);
 
         // Per column: Y = X .* H_j ; y = IFFT(Y) — into the executor's
         // reused column buffers.
         for j in 0..u {
-            halfcomplex_mul_into(&self.spectrum, &self.spec.h[j], &mut self.product, ops);
-            self.fft
-                .inverse_into(&self.product, &mut self.columns[j], &mut self.scratch, ops);
+            halfcomplex_mul_into(&self.spectrum, &table.h[j], &mut self.product, ops);
+            fft.inverse_into(&self.product, &mut self.columns[j], &mut self.scratch, ops);
         }
         let columns = &self.columns;
 
         let mut out = Vec::with_capacity(push);
-        let node = &self.spec.node;
+        let node = &table.node;
         let push_val = |out: &mut Vec<f64>, ops: &mut T, j: usize, v: f64| {
             let b = node.offset(j);
             if b != 0.0 {
@@ -358,8 +384,8 @@ impl FreqExec {
     /// `pop > 1`) over an input tape, mirroring channel semantics. Used by
     /// tests and by the measurement harness for node-level experiments.
     pub fn run_over<T: Tally>(&mut self, input: &[f64], ops: &mut T) -> Vec<f64> {
-        let u = self.spec.node.push();
-        let o = self.spec.node.pop();
+        let u = self.spec.node().push();
+        let o = self.spec.node().pop();
         let mut raw = Vec::new();
         let mut pos = 0;
         loop {

@@ -205,6 +205,12 @@ impl LinearNode {
         self.b.nnz(0.0)
     }
 
+    /// Bytes its coefficients occupy: `A` and `b`, counted from their
+    /// lengths.
+    pub fn table_bytes(&self) -> usize {
+        8 * (self.a.rows() * self.a.cols() + self.b.len())
+    }
+
     /// Fires the node once on a window (`window[i] = peek(i)`,
     /// `window.len() == peek`), returning outputs in push order.
     ///

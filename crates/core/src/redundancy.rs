@@ -10,6 +10,7 @@
 //! program down*, a result our runtime reproduces.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use streamlin_support::Tally;
 
@@ -47,9 +48,16 @@ pub enum TermSource {
     },
 }
 
-/// The redundancy-elimination plan for a linear node.
+/// The redundancy-elimination plan for a linear node: one immutable table
+/// behind an [`Arc`], which every clone of the plan and every
+/// [`RedundExec`] over it shares.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RedundSpec {
+    table: Arc<RedundTable>,
+}
+
+#[derive(Debug, PartialEq)]
+struct RedundTable {
     node: LinearNode,
     reused: Vec<ReusedTuple>,
     /// Per output (in push order): the terms of its sum.
@@ -145,33 +153,47 @@ impl RedundSpec {
             terms.push(list);
         }
         RedundSpec {
-            node: node.clone(),
-            reused,
-            terms,
+            table: Arc::new(RedundTable {
+                node: node.clone(),
+                reused,
+                terms,
+            }),
         }
     }
 
     /// The underlying node.
     pub fn node(&self) -> &LinearNode {
-        &self.node
+        &self.table.node
     }
 
     /// The cached tuples.
     pub fn reused(&self) -> &[ReusedTuple] {
-        &self.reused
+        &self.table.reused
     }
 
     /// Term plans, one per output in push order.
     pub fn terms(&self) -> &[Vec<TermSource>] {
-        &self.terms
+        &self.table.terms
+    }
+
+    /// The shared table — identity and bytes (coefficients, tuples and
+    /// term plans, counted from their lengths) — that every clone of this
+    /// plan holds.
+    pub fn table(&self) -> (*const (), usize) {
+        let t = &*self.table;
+        let terms: usize = t.terms.iter().map(Vec::len).sum();
+        let bytes = t.node.table_bytes()
+            + t.reused.len() * std::mem::size_of::<ReusedTuple>()
+            + terms * std::mem::size_of::<TermSource>();
+        (Arc::as_ptr(&self.table).cast(), bytes)
     }
 
     /// Multiplications per firing under this plan: one per cached-tuple
     /// store plus one per direct term.
     pub fn mults_per_firing(&self) -> usize {
-        self.reused.len()
+        self.reused().len()
             + self
-                .terms
+                .terms()
                 .iter()
                 .flatten()
                 .filter(|t| matches!(t, TermSource::Direct { .. }))
@@ -180,7 +202,7 @@ impl RedundSpec {
 
     /// Multiplications per firing of the plain direct implementation.
     pub fn direct_mults_per_firing(&self) -> usize {
-        self.node.nnz_a()
+        self.node().nnz_a()
     }
 }
 
@@ -206,24 +228,20 @@ impl RedundSpec {
 #[derive(Debug, Clone)]
 pub struct RedundExec {
     spec: RedundSpec,
+    /// One circular buffer per reused tuple, allocated by the first
+    /// firing, so a clone of an executor that has not fired copies none.
     bufs: Vec<Vec<f64>>,
     idx: Vec<usize>,
     first: bool,
 }
 
 impl RedundExec {
-    /// Creates an executor with empty caches.
+    /// Creates an executor over a plan; it shares the plan's table.
     pub fn new(spec: RedundSpec) -> Self {
-        let bufs = spec
-            .reused
-            .iter()
-            .map(|r| vec![0.0; r.max_use + 1])
-            .collect();
-        let idx = vec![0; spec.reused.len()];
         RedundExec {
             spec,
-            bufs,
-            idx,
+            bufs: Vec::new(),
+            idx: Vec::new(),
             first: true,
         }
     }
@@ -240,7 +258,8 @@ impl RedundExec {
     ///
     /// Panics if the window length differs from the node's peek rate.
     pub fn fire<T: Tally>(&mut self, window: &[f64], ops: &mut T) -> Vec<f64> {
-        let node = &self.spec.node;
+        let table = &*self.spec.table;
+        let node = &table.node;
         assert_eq!(window.len(), node.peek(), "window must equal the peek rate");
         let o = node.pop();
 
@@ -250,7 +269,11 @@ impl RedundExec {
             // is coeff·peek(t.pos − k·o) in this window's coordinates;
             // slots whose position falls before the window are never read
             // before being overwritten.
-            for (r, tuple) in self.spec.reused.iter().enumerate() {
+            self.bufs = (table.reused.iter())
+                .map(|r| vec![0.0; r.max_use + 1])
+                .collect();
+            self.idx = vec![0; table.reused.len()];
+            for (r, tuple) in table.reused.iter().enumerate() {
                 let len = self.bufs[r].len();
                 for k in 1..=tuple.max_use {
                     if tuple.pos >= k * o {
@@ -262,14 +285,14 @@ impl RedundExec {
         }
 
         // Store this firing's reusable tuples.
-        for (r, tuple) in self.spec.reused.iter().enumerate() {
+        for (r, tuple) in table.reused.iter().enumerate() {
             let slot = self.idx[r];
             self.bufs[r][slot] = ops.mul(tuple.coeff, window[tuple.pos]);
         }
 
         // Assemble the outputs.
         let mut out = Vec::with_capacity(node.push());
-        for (j, terms) in self.spec.terms.iter().enumerate() {
+        for (j, terms) in table.terms.iter().enumerate() {
             let b = node.offset(j);
             let mut acc = b;
             let mut have = b != 0.0;
@@ -301,12 +324,12 @@ impl RedundExec {
 
     /// Convenience: runs over an input tape with channel semantics.
     pub fn run_over<T: Tally>(&mut self, input: &[f64], ops: &mut T) -> Vec<f64> {
-        let node = self.spec.node.clone();
+        let (peek, pop) = (self.spec.node().peek(), self.spec.node().pop());
         let mut out = Vec::new();
         let mut pos = 0;
-        while pos + node.peek() <= input.len() {
-            out.extend(self.fire(&input[pos..pos + node.peek()], ops));
-            pos += node.pop();
+        while pos + peek <= input.len() {
+            out.extend(self.fire(&input[pos..pos + peek], ops));
+            pos += pop;
         }
         out
     }

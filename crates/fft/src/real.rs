@@ -112,6 +112,13 @@ impl RealFft {
         self.kind
     }
 
+    /// Bytes of its precomputed tables (twiddles, bit reversal), counted
+    /// from their lengths.
+    pub fn table_bytes(&self) -> usize {
+        let plan = self.half_plan.as_ref().map_or(0, FftPlan::table_bytes);
+        plan + self.unpack_tw.len() * std::mem::size_of::<Complex>()
+    }
+
     /// Forward transform of `n` real samples into a half-complex spectrum.
     ///
     /// # Panics

@@ -86,6 +86,12 @@ impl FftPlan {
         self.n == 0
     }
 
+    /// Bytes of its twiddle and bit-reversal tables, counted from their
+    /// lengths.
+    pub fn table_bytes(&self) -> usize {
+        self.twiddle.len() * std::mem::size_of::<Complex>() + self.bitrev.len() * 4
+    }
+
     /// In-place forward DFT.
     ///
     /// # Panics

@@ -451,7 +451,7 @@ pub fn fiss_bottleneck(
         firings[step.node] += step.times as u64;
     }
     let mut init_fires = vec![0u64; flat.nodes.len()];
-    for step in &plan.init {
+    for step in plan.init.iter() {
         init_fires[step.node] += step.times as u64;
     }
     let costs: Vec<f64> = flat

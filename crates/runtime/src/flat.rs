@@ -144,8 +144,8 @@ pub enum NodeKind {
     /// firing semantics (values, rates, zero FP tallies) are identical.
     Periodic {
         /// The cycle (the first `m` array elements, starting phase
-        /// applied).
-        values: Vec<f64>,
+        /// applied), shared by every clone of the node.
+        values: Arc<[f64]>,
         /// Next position in the cycle.
         pos: usize,
     },
@@ -193,6 +193,27 @@ pub struct FlatNode {
     pub inputs: Vec<usize>,
     /// Output channel ids.
     pub outputs: Vec<usize>,
+}
+
+impl NodeKind {
+    /// The immutable table a kernel node shares with every clone of it,
+    /// as identity and bytes: what a compiled artifact retains for the
+    /// node beyond its per-session state. `None` for interpreted filters
+    /// and plumbing.
+    pub fn table(&self) -> Option<(*const (), usize)> {
+        match self {
+            NodeKind::Linear(exec) => Some(exec.table()),
+            NodeKind::Freq(exec) => Some(exec.spec().table()),
+            NodeKind::Redund(exec) => Some(exec.spec().table()),
+            NodeKind::Periodic { values, .. } => Some((values.as_ptr().cast(), 8 * values.len())),
+            NodeKind::FissWorker(worker) => match &worker.kernel {
+                FissKernel::Linear(exec) => Some(exec.table()),
+                FissKernel::Freq(exec) => Some(exec.spec().table()),
+                FissKernel::Interp(_) => None,
+            },
+            _ => None,
+        }
+    }
 }
 
 impl FlatNode {
@@ -247,7 +268,11 @@ pub(crate) fn note_fused_loops(nodes: &[FlatNode], probe: Option<&mut Recorder>)
     }
 }
 
-/// A flattened program.
+/// A flattened program. A clone shares every kernel's immutable table
+/// ([`NodeKind::table`]: coefficients, spectra, twiddles, redundancy
+/// tuples, periodic values) and copies only what a session mutates: the
+/// wiring, interpreted filters' globals, and kernel scratch, which stays
+/// empty until a node first fires.
 #[derive(Debug, Clone)]
 pub struct FlatGraph {
     /// All nodes.
@@ -613,7 +638,10 @@ fn compile_periodic(inst: &FilterInst, stmts: &[RStmt]) -> Option<NodeKind> {
         let Value::Float(f) = v else { return None };
         values.push(*f);
     }
-    Some(NodeKind::Periodic { values, pos })
+    Some(NodeKind::Periodic {
+        values: values.into(),
+        pos,
+    })
 }
 
 #[cfg(test)]

@@ -29,6 +29,8 @@
 //! monomorphize to bare arithmetic (the shipped kernel). The numerical
 //! results are bit-identical either way.
 
+use std::sync::Arc;
+
 use streamlin_matrix::Matrix;
 use streamlin_support::Tally;
 
@@ -165,69 +167,151 @@ unsafe fn avx_dot(row: &[f64], w: &[f64]) -> f64 {
     s
 }
 
-/// A compiled linear node: the node plus strategy-specific precomputation.
+/// A compiled linear node: one immutable table (the node and the one
+/// coefficient layout its strategy reads) behind an [`Arc`], plus the
+/// blocked kernel's copy-in buffer. Cloning an executor shares the table.
 #[derive(Debug, Clone)]
 pub struct LinearExec {
+    table: Arc<LinearTable>,
+    /// The blocked kernel's copy-in buffer, allocated by its first
+    /// single firing.
+    buffer: Vec<f64>,
+}
+
+#[derive(Debug)]
+struct LinearTable {
     node: LinearNode,
     strategy: MatMulStrategy,
-    /// Per output `j` (natural order): the non-zero terms `(pos, coeff)`.
-    unrolled: Vec<Vec<(usize, f64)>>,
-    /// Per output `j`: the `firstNonZero..=lastNonZero` window positions.
-    col_ranges: Vec<Option<(usize, usize)>>,
-    /// Row-major `push × peek` copy: row `j` holds output `j`'s
-    /// coefficients by window position (the "transposed" dense layout).
-    dense: Matrix,
-    /// Reusable aligned input buffer for the blocked kernel.
-    buffer: Vec<f64>,
+    layout: Layout,
     /// Runtime AVX support (checked once; used by the `Simd` kernel).
     use_avx: bool,
+}
+
+/// The coefficients as a strategy reads them; each strategy's is built
+/// and kept alone.
+#[derive(Debug)]
+enum Layout {
+    /// [`MatMulStrategy::Unrolled`]: output `j`'s non-zero terms
+    /// `(pos, coeff)` are `terms[bounds[j]..bounds[j + 1]]`.
+    Terms {
+        terms: Vec<(usize, f64)>,
+        bounds: Vec<usize>,
+    },
+    /// [`MatMulStrategy::Diagonal`]: the dense rows plus each output's
+    /// `firstNonZero..=lastNonZero` window positions.
+    Banded {
+        dense: Matrix,
+        ranges: Vec<Option<(usize, usize)>>,
+    },
+    /// [`MatMulStrategy::Blocked`] and [`MatMulStrategy::Simd`]: the
+    /// row-major `push × peek` copy, row `j` holding output `j`'s
+    /// coefficients by window position (the "transposed" dense layout).
+    Dense(Matrix),
+}
+
+impl Layout {
+    fn new(node: &LinearNode, strategy: MatMulStrategy) -> Self {
+        let (e, u) = (node.peek(), node.push());
+        let dense = || Matrix::from_fn(u, e, |j, pos| node.coeff(pos, j));
+        match strategy {
+            MatMulStrategy::Unrolled => {
+                let mut terms = Vec::new();
+                let mut bounds = Vec::with_capacity(u + 1);
+                bounds.push(0);
+                for j in 0..u {
+                    let column = (0..e).map(|pos| (pos, node.coeff(pos, j)));
+                    terms.extend(column.filter(|&(_, c)| c != 0.0));
+                    bounds.push(terms.len());
+                }
+                terms.shrink_to_fit();
+                Layout::Terms { terms, bounds }
+            }
+            MatMulStrategy::Diagonal => {
+                let ranges = (0..u)
+                    .map(|j| {
+                        let nonzero = |pos: &usize| node.coeff(*pos, j) != 0.0;
+                        Some(((0..e).find(nonzero)?, (0..e).rfind(nonzero)?))
+                    })
+                    .collect();
+                Layout::Banded {
+                    dense: dense(),
+                    ranges,
+                }
+            }
+            MatMulStrategy::Blocked | MatMulStrategy::Simd => Layout::Dense(dense()),
+        }
+    }
+
+    /// Output `j`'s non-zero terms (the `Unrolled` layout).
+    #[inline]
+    fn terms(&self, j: usize) -> &[(usize, f64)] {
+        let Layout::Terms { terms, bounds } = self else {
+            unreachable!("the Unrolled kernel reads the term layout")
+        };
+        &terms[bounds[j]..bounds[j + 1]]
+    }
+
+    /// The part of output `j`'s dense coefficient row the kernel sweeps,
+    /// and the window position it starts at: `firstNonZero..=lastNonZero`
+    /// for `Diagonal`, the whole row for the dense layout.
+    #[inline]
+    fn sweep(&self, j: usize) -> (&[f64], usize) {
+        match self {
+            Layout::Banded { dense, ranges } => match ranges[j] {
+                Some((first, last)) => (&dense.row(j)[first..=last], first),
+                None => (&[], 0),
+            },
+            Layout::Dense(dense) => (dense.row(j), 0),
+            Layout::Terms { .. } => unreachable!("the term layout has no dense rows"),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        match self {
+            Layout::Terms { terms, bounds } => size_of_val(&terms[..]) + size_of_val(&bounds[..]),
+            Layout::Banded { dense, ranges } => {
+                size_of_val(dense.as_slice()) + size_of_val(&ranges[..])
+            }
+            Layout::Dense(dense) => size_of_val(dense.as_slice()),
+        }
+    }
 }
 
 impl LinearExec {
     /// Prepares a node for execution.
     pub fn new(node: LinearNode, strategy: MatMulStrategy) -> Self {
-        let (e, u) = (node.peek(), node.push());
-        let mut unrolled = Vec::with_capacity(u);
-        let mut col_ranges = Vec::with_capacity(u);
-        for j in 0..u {
-            let mut terms = Vec::new();
-            let mut first = None;
-            let mut last = None;
-            for pos in 0..e {
-                let c = node.coeff(pos, j);
-                if c != 0.0 {
-                    terms.push((pos, c));
-                    first.get_or_insert(pos);
-                    last = Some(pos);
-                }
-            }
-            unrolled.push(terms);
-            col_ranges.push(first.zip(last));
-        }
-        let dense = Matrix::from_fn(u, e, |j, pos| node.coeff(pos, j));
         #[cfg(target_arch = "x86_64")]
         let use_avx = std::arch::is_x86_feature_detected!("avx");
         #[cfg(not(target_arch = "x86_64"))]
         let use_avx = false;
         LinearExec {
-            buffer: vec![0.0; e],
-            node,
-            strategy,
-            unrolled,
-            col_ranges,
-            dense,
-            use_avx,
+            table: Arc::new(LinearTable {
+                layout: Layout::new(&node, strategy),
+                node,
+                strategy,
+                use_avx,
+            }),
+            buffer: Vec::new(),
         }
     }
 
     /// The node being executed.
     pub fn node(&self) -> &LinearNode {
-        &self.node
+        &self.table.node
     }
 
     /// The selected strategy.
     pub fn strategy(&self) -> MatMulStrategy {
-        self.strategy
+        self.table.strategy
+    }
+
+    /// The shared table — identity and bytes (the node's coefficients
+    /// plus the strategy's layout, counted from their lengths) — that
+    /// every clone of this executor holds.
+    pub fn table(&self) -> (*const (), usize) {
+        let bytes = self.table.node.table_bytes() + self.table.layout.bytes();
+        (Arc::as_ptr(&self.table).cast(), bytes)
     }
 
     /// Fires once on a window (`window[i] = peek(i)`), returning outputs
@@ -240,52 +324,18 @@ impl LinearExec {
     pub fn fire<T: Tally>(&mut self, window: &[f64], ops: &mut T) -> Vec<f64> {
         assert_eq!(
             window.len(),
-            self.node.peek(),
+            self.node().peek(),
             "window must equal the peek rate"
         );
-        let u = self.node.push();
-        let mut out = Vec::with_capacity(u);
-        match self.strategy {
-            MatMulStrategy::Unrolled => {
-                for j in 0..u {
-                    let mut acc = self.node.offset(j);
-                    for &(pos, c) in &self.unrolled[j] {
-                        acc = ops.fma(acc, c, window[pos]);
-                    }
-                    out.push(acc);
-                }
-            }
-            MatMulStrategy::Diagonal => {
-                for j in 0..u {
-                    let mut acc = self.node.offset(j);
-                    if let Some((first, last)) = self.col_ranges[j] {
-                        let row = self.dense.row(j);
-                        for pos in first..=last {
-                            acc = ops.fma(acc, row[pos], window[pos]);
-                        }
-                    }
-                    out.push(acc);
-                }
-            }
-            MatMulStrategy::Blocked => {
-                // Copy-in (the ATLAS interface overhead the paper blames
-                // for its mixed results), then a dense row-major sweep.
-                self.buffer.copy_from_slice(window);
-                for j in 0..u {
-                    let row = self.dense.row(j);
-                    let mut acc = self.node.offset(j);
-                    for (x, c) in self.buffer.iter().zip(row) {
-                        acc = ops.fma(acc, *c, *x);
-                    }
-                    out.push(acc);
-                }
-            }
-            MatMulStrategy::Simd => {
-                for j in 0..u {
-                    let v = simd_dot(self.dense.row(j), window, ops, self.use_avx);
-                    out.push(finish_output(v, self.node.offset(j), ops));
-                }
-            }
+        let mut out = Vec::with_capacity(self.node().push());
+        if self.strategy() == MatMulStrategy::Blocked {
+            // Copy-in (the ATLAS interface overhead the paper blames for
+            // its mixed results), then the dense sweep over the copy.
+            self.buffer.clear();
+            self.buffer.extend_from_slice(window);
+            self.fire_batch(&self.buffer, 1, &mut out, ops);
+        } else {
+            self.fire_batch(window, 1, &mut out, ops);
         }
         out
     }
@@ -309,7 +359,13 @@ impl LinearExec {
     ///
     /// Panics if `input` is shorter than `(k − 1)·pop + peek`.
     pub fn fire_batch<T: Tally>(&self, input: &[f64], k: usize, out: &mut Vec<f64>, ops: &mut T) {
-        let (e, o, u) = (self.node.peek(), self.node.pop(), self.node.push());
+        let LinearTable {
+            node,
+            strategy,
+            layout,
+            use_avx,
+        } = &*self.table;
+        let (e, o, u) = (node.peek(), node.pop(), node.push());
         if k == 0 {
             return;
         }
@@ -323,47 +379,34 @@ impl LinearExec {
         // Firing-major sweep over overlapping windows of one contiguous
         // slice: consecutive windows share `e − o` items, so the input
         // region stays cache-resident across firings without explicit
-        // tiling. Accumulation order per output matches `fire` exactly,
-        // which is what makes the results (and `ops` tallies) bit-equal.
-        match self.strategy {
+        // tiling. Accumulation order per output is fixed by the strategy
+        // alone, which is what makes the results (and `ops` tallies) of
+        // any batching bit-equal.
+        match strategy {
             MatMulStrategy::Unrolled => {
                 for f in 0..k {
                     let w = &input[f * o..f * o + e];
                     for j in 0..u {
-                        let mut acc = self.node.offset(j);
-                        for &(pos, c) in &self.unrolled[j] {
+                        let mut acc = node.offset(j);
+                        for &(pos, c) in layout.terms(j) {
                             acc = ops.fma(acc, c, w[pos]);
                         }
                         out.push(acc);
                     }
                 }
             }
-            MatMulStrategy::Diagonal => {
+            // Diagonal sweeps each row's non-zero range, Blocked the whole
+            // row (the full dense multiply, no zero skipping). The dense
+            // sweep reads the window in place; the copy-in of `fire` exists
+            // only to model the ATLAS interface cost and performs no
+            // counted ops, so results and tallies are the same without it.
+            MatMulStrategy::Diagonal | MatMulStrategy::Blocked => {
                 for f in 0..k {
                     let w = &input[f * o..f * o + e];
                     for j in 0..u {
-                        let mut acc = self.node.offset(j);
-                        if let Some((first, last)) = self.col_ranges[j] {
-                            let row = self.dense.row(j);
-                            for pos in first..=last {
-                                acc = ops.fma(acc, row[pos], w[pos]);
-                            }
-                        }
-                        out.push(acc);
-                    }
-                }
-            }
-            MatMulStrategy::Blocked => {
-                // The dense sweep reads the window in place; the
-                // copy-in of `fire` exists only to model the ATLAS
-                // interface cost and performs no counted ops, so
-                // results and tallies stay identical without it.
-                for f in 0..k {
-                    let w = &input[f * o..f * o + e];
-                    for j in 0..u {
-                        let row = self.dense.row(j);
-                        let mut acc = self.node.offset(j);
-                        for (x, c) in w.iter().zip(row) {
+                        let (coeffs, first) = layout.sweep(j);
+                        let mut acc = node.offset(j);
+                        for (c, x) in coeffs.iter().zip(&w[first..]) {
                             acc = ops.fma(acc, *c, *x);
                         }
                         out.push(acc);
@@ -371,6 +414,7 @@ impl LinearExec {
                 }
             }
             MatMulStrategy::Simd => {
+                let avx = *use_avx;
                 let base = out.len();
                 out.resize(base + k * u, 0.0);
                 let dst = &mut out[base..];
@@ -378,16 +422,15 @@ impl LinearExec {
                 // Register-blocked: each coefficient row is swept once
                 // for four stacked windows before moving to the next
                 // output. Per-firing accumulation is `simd_dot`, so the
-                // values (and tallies) match `fire` bit for bit.
+                // values (and tallies) match a single firing bit for bit.
                 while f + 4 <= k {
                     let w0 = &input[f * o..f * o + e];
                     let w1 = &input[(f + 1) * o..(f + 1) * o + e];
                     let w2 = &input[(f + 2) * o..(f + 2) * o + e];
                     let w3 = &input[(f + 3) * o..(f + 3) * o + e];
                     for j in 0..u {
-                        let row = self.dense.row(j);
-                        let b = self.node.offset(j);
-                        let avx = self.use_avx;
+                        let row = layout.sweep(j).0;
+                        let b = node.offset(j);
                         dst[f * u + j] = finish_output(simd_dot(row, w0, ops, avx), b, ops);
                         dst[(f + 1) * u + j] = finish_output(simd_dot(row, w1, ops, avx), b, ops);
                         dst[(f + 2) * u + j] = finish_output(simd_dot(row, w2, ops, avx), b, ops);
@@ -398,8 +441,8 @@ impl LinearExec {
                 while f < k {
                     let w = &input[f * o..f * o + e];
                     for j in 0..u {
-                        let v = simd_dot(self.dense.row(j), w, ops, self.use_avx);
-                        dst[f * u + j] = finish_output(v, self.node.offset(j), ops);
+                        let v = simd_dot(layout.sweep(j).0, w, ops, avx);
+                        dst[f * u + j] = finish_output(v, node.offset(j), ops);
                     }
                     f += 1;
                 }
@@ -409,7 +452,7 @@ impl LinearExec {
 
     /// Runs over an input tape with channel semantics (testing helper).
     pub fn run_over<T: Tally>(&mut self, input: &[f64], ops: &mut T) -> Vec<f64> {
-        let (e, o) = (self.node.peek(), self.node.pop());
+        let (e, o) = (self.node().peek(), self.node().pop());
         assert!(o > 0, "run_over requires pop > 0");
         let mut out = Vec::new();
         let mut pos = 0;
@@ -566,6 +609,39 @@ mod tests {
             for (a, b) in got.iter().zip(&want) {
                 assert!((a - b).abs() < 1e-12, "peek {e}");
             }
+        }
+    }
+
+    #[test]
+    fn each_strategy_holds_only_the_layout_it_reads() {
+        let node = sparse_node(); // peek 5, push 1: 2.0 at 1, -1.0 at 3
+        let coeffs = node.table_bytes();
+        assert_eq!(coeffs, 8 * (5 + 1));
+        for strategy in ALL_STRATEGIES {
+            let exec = LinearExec::new(node.clone(), strategy);
+            let layout_bytes = match (&exec.table.layout, strategy) {
+                (Layout::Terms { terms, bounds }, MatMulStrategy::Unrolled) => {
+                    assert_eq!(terms, &[(1, 2.0), (3, -1.0)]);
+                    assert_eq!(bounds, &[0, 2]);
+                    2 * 16 + 2 * 8
+                }
+                (Layout::Banded { dense, ranges }, MatMulStrategy::Diagonal) => {
+                    assert_eq!(dense.row(0), &[0.0, 2.0, 0.0, -1.0, 0.0]);
+                    assert_eq!(ranges, &[Some((1, 3))]);
+                    5 * 8 + 24
+                }
+                (Layout::Dense(dense), MatMulStrategy::Blocked | MatMulStrategy::Simd) => {
+                    assert_eq!(dense.row(0), &[0.0, 2.0, 0.0, -1.0, 0.0]);
+                    5 * 8
+                }
+                (layout, _) => panic!("{strategy:?} holds {layout:?}"),
+            };
+            let (id, bytes) = exec.table();
+            assert_eq!(bytes, coeffs + layout_bytes, "{strategy:?}");
+            // A clone shares the table and copies no scratch.
+            let copy = exec.clone();
+            assert_eq!(copy.table().0, id, "{strategy:?}");
+            assert_eq!(copy.buffer.capacity(), 0, "{strategy:?}");
         }
     }
 

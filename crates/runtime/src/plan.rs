@@ -60,6 +60,8 @@
 //! counting), so a program prints the same bits under either; every
 //! equivalence suite holds the plan to that reference.
 
+use std::sync::Arc;
+
 use streamlin_graph::steady::{balance, RateEdge};
 use streamlin_support::{OpCounter, Recorder, Tally};
 
@@ -120,25 +122,28 @@ pub struct Repeat {
 }
 
 /// A compiled schedule: run `init` once, then repeat one steady cycle
-/// forever, in either of its two orders.
+/// forever, in either of its two orders. The step lists are immutable and
+/// behind [`Arc`]s, so a clone — one per session opened on a compiled
+/// artifact — shares them; where a session is in the schedule is the
+/// engine's, not the plan's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecPlan {
     /// Initialization firings (peek prologues, `initWork` phases).
-    pub init: Vec<Step>,
+    pub init: Arc<[Step]>,
     /// One steady-state cycle in the stepped order: sinks pulled one
     /// firing at a time. Where a run stops is defined on this order,
     /// with each of `repeats` unrolled ([`ExecPlan::stepped`]).
-    pub steady: Vec<Step>,
+    pub steady: Arc<[Step]>,
     /// Blocks of `steady` that run several times in a row, sorted and
     /// disjoint. A loop fires one trip at a time, so its stepped order is
     /// one short block thousands of times over (DToA: 17 151 trips a
     /// cycle under `autosel`); an acyclic plan has none.
-    pub repeats: Vec<Repeat>,
+    pub repeats: Arc<[Repeat]>,
     /// The same cycle with every node once, all its firings in one batch,
     /// in topological order. Empty when there is none: a filter prints
     /// (`prints_per_cycle` is `None`) or the order exceeds the buffer
     /// bounds.
-    pub cycle: Vec<Step>,
+    pub cycle: Arc<[Step]>,
     /// Values one cycle prints; `None` when an interpreted filter prints,
     /// whose output per cycle depends on the data.
     pub prints_per_cycle: Option<usize>,
@@ -157,7 +162,7 @@ impl ExecPlan {
     pub fn stepped(&self) -> impl Iterator<Item = Step> + '_ {
         let mut runs = Vec::with_capacity(2 * self.repeats.len() + 1);
         let mut at = 0;
-        for r in &self.repeats {
+        for r in self.repeats.iter() {
             runs.push((at..r.start, 1));
             runs.push((r.start..r.start + r.len, r.times));
             at = r.start + r.len;
@@ -181,6 +186,20 @@ impl ExecPlan {
     /// Total buffer slots across all channels.
     pub fn buffer_slots(&self) -> usize {
         self.caps.iter().sum()
+    }
+
+    /// The step lists every clone of the plan shares, as identity and
+    /// bytes.
+    pub fn tables(&self) -> [(*const (), usize); 4] {
+        fn table<T>(list: &Arc<[T]>) -> (*const (), usize) {
+            (list.as_ptr().cast(), std::mem::size_of_val(&**list))
+        }
+        [
+            table(&self.init),
+            table(&self.steady),
+            table(&self.repeats),
+            table(&self.cycle),
+        ]
     }
 
     /// One-line description for logs and the CLI; `flat` is the planned
@@ -680,10 +699,10 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
         sim.max_occ = stepped_occ;
     }
     Ok(ExecPlan {
-        init,
-        steady,
-        repeats,
-        cycle: sim.seq,
+        init: init.into(),
+        steady: steady.into(),
+        repeats: repeats.into(),
+        cycle: sim.seq.into(),
         prints_per_cycle,
         caps: sim.max_occ.into_iter().map(|v| v as usize).collect(),
         order: topo,
@@ -1673,10 +1692,10 @@ mod tests {
             len: 5,
             times: 3,
         };
-        assert_eq!(plan.repeats, [trip], "{plan:?}");
+        assert_eq!(*plan.repeats, [trip], "{plan:?}");
         let unrolled = ExecPlan {
             steady: plan.stepped().collect(),
-            repeats: Vec::new(),
+            repeats: [].into(),
             ..plan.clone()
         };
         assert_eq!(unrolled.steady.len(), plan.steady.len() + 2 * trip.len);
@@ -1842,7 +1861,7 @@ mod tests {
         let flat = flat_for(src);
         let plan = compile(&flat).unwrap();
         let stepped = ExecPlan {
-            cycle: Vec::new(),
+            cycle: [].into(),
             ..plan.clone()
         };
         for n in ns {

@@ -24,6 +24,7 @@
 //! engine, fast-forwards it past the values already delivered, and keeps
 //! serving bit-identical values.
 
+use std::collections::HashSet;
 use std::time::Instant;
 
 use streamlin_core::combine::analyze_graph;
@@ -91,7 +92,14 @@ pub fn front_end(
     })
 }
 
-/// A compiled program, ready to open sessions on.
+/// A compiled program, ready to open sessions on. Its immutable tables —
+/// every kernel's coefficients, spectra, twiddles, redundancy tuples and
+/// periodic values, and the plans' step lists — are behind [`Arc`]s, so
+/// a clone (what [`open`] takes, one per session) shares them and copies
+/// only what a session mutates: node wiring, interpreted filters'
+/// globals, empty kernel scratch and the channel capacities.
+///
+/// [`Arc`]: std::sync::Arc
 #[derive(Debug, Clone)]
 pub struct Compiled {
     /// The graph to execute: post-fission when the pass engaged.
@@ -116,6 +124,23 @@ impl Compiled {
     /// partition's stage count (which may be below the budget), else 1.
     pub fn workers_needed(&self) -> usize {
         self.part.as_ref().map_or(1, |p| p.num_stages)
+    }
+
+    /// Bytes of the tables the artifact holds, each counted once however
+    /// many of its nodes and graphs (fission's workers, the canonical
+    /// pair) share it: what keeping the artifact costs beyond its wiring.
+    pub fn table_bytes(&self) -> usize {
+        let mut seen = HashSet::new();
+        let graphs = std::iter::once((&self.flat, &self.plan))
+            .chain(self.canonical.iter().map(|(flat, plan)| (flat, plan)));
+        graphs
+            .flat_map(|(flat, plan)| {
+                let nodes = flat.nodes.iter().filter_map(|n| n.kind.table());
+                nodes.chain(plan.tables())
+            })
+            .filter(|&(id, _)| seen.insert(id))
+            .map(|(_, bytes)| bytes)
+            .sum()
     }
 }
 

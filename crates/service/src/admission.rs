@@ -17,8 +17,10 @@
 //! degraded stream keeps serving single-threaded, so its surplus claim
 //! returns to the budget immediately).
 
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
+
+use crate::lock;
 
 /// Refusal detail for a claim that could not be admitted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,7 +81,7 @@ impl Ledger {
 
     /// Workers currently claimed.
     pub fn in_use(&self) -> usize {
-        *self.state.lock().unwrap()
+        *lock(&self.state)
     }
 
     /// Claims `need` workers, waiting up to `wait` for capacity when the
@@ -99,13 +101,13 @@ impl Ledger {
                 budget: self.budget,
             });
         }
-        let mut in_use = self.state.lock().unwrap();
+        let mut in_use = lock(&self.state);
         if *in_use + need > self.budget {
             if let Some(wait) = wait {
                 let (guard, timeout) = self
                     .freed
                     .wait_timeout_while(in_use, wait, |u| *u + need > self.budget)
-                    .unwrap();
+                    .unwrap_or_else(PoisonError::into_inner);
                 in_use = guard;
                 if timeout.timed_out() && *in_use + need > self.budget {
                     return Err(AdmitError::Saturated {
@@ -128,7 +130,7 @@ impl Ledger {
 
     /// Returns `count` workers to the budget and wakes bounded waiters.
     pub fn release(&self, count: usize) {
-        let mut in_use = self.state.lock().unwrap();
+        let mut in_use = lock(&self.state);
         *in_use = in_use.saturating_sub(count);
         drop(in_use);
         self.freed.notify_all();

@@ -10,9 +10,14 @@
 //! [`streamlin_runtime::compile_source`] built — the lowered graph (each
 //! filter's `FilterFacts` intact, per the facts-not-AST convention), the
 //! static plan, the fission rewrite and the partition — behind an
-//! [`Arc`]. Opening a stream for a cached key clones the artifact (cheap
-//! relative to compilation) and opens a session on it; the compiler never
-//! runs again while the key stays cached.
+//! [`Arc`]. Opening a stream for a cached key clones the artifact and
+//! opens a session on the clone; the compiler never runs again while the
+//! key stays cached. The clone shares every immutable table of the
+//! artifact (kernel coefficients, spectra, twiddles, redundancy tuples,
+//! periodic values, plan step lists) and copies only what the session
+//! mutates — wiring, interpreted filters' globals, empty kernel scratch —
+//! so a hit `open` costs the session's state, not the program's tables.
+//! `stats` reports the tables the cache holds as `cache.bytes`.
 //!
 //! The cache holds at most `capacity` plans (the daemon passes
 //! `ServiceOpts::max_streams`: it keeps as many plans as it may have
@@ -32,6 +37,8 @@ use std::time::Instant;
 
 use streamlin_runtime::{compile_source, Compiled, PlanSpec};
 use streamlin_support::Recorder;
+
+use crate::lock;
 
 /// FNV-1a 64-bit content hash — the program identity in cache keys. Not
 /// cryptographic; collision risk is irrelevant at plan-cache scale.
@@ -76,6 +83,10 @@ pub struct CacheStats {
     pub evictions: u64,
     pub entries: usize,
     pub capacity: usize,
+    /// Table bytes of the cached artifacts
+    /// ([`Compiled::table_bytes`]), added when an entry is inserted and
+    /// subtracted when it is evicted.
+    pub bytes: usize,
 }
 
 /// The cache proper: a bounded keyed map of [`Arc`]'d artifacts plus
@@ -93,12 +104,16 @@ struct CacheInner {
     hits: u64,
     misses: u64,
     evictions: u64,
+    /// The sum of the entries' `bytes`.
+    bytes: usize,
 }
 
 struct Slot {
     artifact: Arc<CachedArtifact>,
     /// The `tick` of the last lookup that found or inserted this entry.
     used: u64,
+    /// The artifact's table bytes.
+    bytes: usize,
 }
 
 impl PlanCache {
@@ -112,13 +127,14 @@ impl PlanCache {
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let g = self.inner.lock().unwrap();
+        let g = lock(&self.inner);
         CacheStats {
             hits: g.hits,
             misses: g.misses,
             evictions: g.evictions,
             entries: g.map.len(),
             capacity: self.capacity,
+            bytes: g.bytes,
         }
     }
 
@@ -134,6 +150,11 @@ impl PlanCache {
     /// artifact is dropped after the lock is released, so freeing it never
     /// blocks another open.
     ///
+    /// A thread that panicked while holding the lock leaves it poisoned;
+    /// the next lookup takes the guard over. The map is still consistent,
+    /// because a compile runs under the lock but inserts only after it
+    /// returns.
+    ///
     /// # Errors
     ///
     /// Any compile failure (parse, elaborate, plan, …) as a displayable
@@ -145,7 +166,7 @@ impl PlanCache {
         probe: Option<&mut Recorder>,
     ) -> Result<(Arc<CachedArtifact>, bool), String> {
         let key = PlanKey::of(src, spec);
-        let mut guard = self.inner.lock().expect("plan cache poisoned");
+        let mut guard = lock(&self.inner);
         let g = &mut *guard;
         g.tick += 1;
         if let Some(slot) = g.map.get_mut(&key) {
@@ -161,22 +182,24 @@ impl PlanCache {
         });
         g.misses += 1;
         let evicted = if g.map.len() >= self.capacity {
-            g.evictions += 1;
-            let lru = g
-                .map
-                .iter()
-                .min_by_key(|(_, s)| s.used)
-                .map(|(k, _)| k.clone())
-                .expect("a full cache has an entry");
-            g.map.remove(&lru)
+            let lru = g.map.iter().min_by_key(|(_, s)| s.used);
+            let lru = lru.map(|(k, _)| k.clone());
+            lru.and_then(|k| g.map.remove(&k))
         } else {
             None
         };
+        if let Some(slot) = &evicted {
+            g.evictions += 1;
+            g.bytes -= slot.bytes;
+        }
+        let bytes = artifact.compiled.table_bytes();
+        g.bytes += bytes;
         g.map.insert(
             key,
             Slot {
                 artifact: Arc::clone(&artifact),
                 used: g.tick,
+                bytes,
             },
         );
         drop(guard);
@@ -321,6 +344,44 @@ mod tests {
             assert_eq!(s.entries, (k as usize).min(capacity));
             assert_eq!(s.evictions, s.misses.saturating_sub(capacity as u64));
         }
+    }
+
+    #[test]
+    fn bytes_count_the_cached_tables_and_fall_on_eviction() {
+        let cache = PlanCache::new(1);
+        assert_eq!(cache.stats().bytes, 0);
+        let fir = "void->void pipeline Main { add S(); add F(); add K(); }
+             void->float filter S { float x; work push 1 { push(x++); } }
+             float->float filter F { work peek 64 pop 1 push 1 {
+                 float s = 0; for (int i = 0; i < 64; i++) s += (i + 1) * peek(i);
+                 push(s); pop(); } }
+             float->void filter K { work pop 1 { println(pop()); } }";
+        let (big, _) = cache.get_or_compile(fir, spec(None), None).unwrap();
+        let held = cache.stats().bytes;
+        assert_eq!(held, big.compiled.table_bytes());
+        assert!(held >= 64 * 8, "the 64 coefficients are tables: {held}");
+        assert!(!lookup(&cache, 1));
+        let s = cache.stats();
+        assert_eq!(s.evictions, 1);
+        assert!(s.bytes < held, "{} after evicting {held}", s.bytes);
+    }
+
+    #[test]
+    fn a_panic_under_the_cache_lock_leaves_the_cache_answering() {
+        let cache = Arc::new(PlanCache::new(4));
+        assert!(!lookup(&cache, 1));
+        let holder = Arc::clone(&cache);
+        let died = std::thread::spawn(move || {
+            let _guard = holder.inner.lock().unwrap();
+            panic!("a bug while the plan cache lock is held");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(cache.inner.is_poisoned());
+        assert!(lookup(&cache, 1), "the entry survived");
+        assert!(!lookup(&cache, 2));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 2, 2));
     }
 
     #[test]

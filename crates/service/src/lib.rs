@@ -40,7 +40,7 @@ pub mod server;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use streamlin_runtime::{pool, RunSpec, Session, CYCLE_QUANTUM};
@@ -117,6 +117,15 @@ struct StreamEntry {
 /// the global table. Lock order is strict — the table lock is always
 /// released before an entry lock is taken.
 type StreamSlot = Arc<Mutex<StreamEntry>>;
+
+/// Locks `mutex`, taking the guard over if a thread panicked while it held
+/// it. For the daemon's shared state — the stream table, the plan cache,
+/// the admission ledger — every critical section leaves the state
+/// consistent at each point a panic could unwind from, so one request's
+/// bug does not turn every later request into a panic.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The daemon core: plan cache, stream table, admission ledger, and the
 /// request dispatcher. Transport-free — [`server`] owns the I/O loops.
@@ -205,7 +214,7 @@ impl Service {
         // acquisition that inserts, so concurrent opens cannot race past
         // it.
         {
-            let streams = self.streams.lock().unwrap();
+            let streams = lock(&self.streams);
             if let Some(resp) = Self::refuse_open(&streams, &req.id, self.opts.max_streams) {
                 return resp;
             }
@@ -268,7 +277,7 @@ impl Service {
             // and limit under the same lock acquisition that inserts. A
             // concurrent open of the same id may have won while we were
             // compiling; the loser backs out its ledger claim.
-            let mut streams = self.streams.lock().unwrap();
+            let mut streams = lock(&self.streams);
             if let Some(resp) = Self::refuse_open(&streams, &req.id, self.opts.max_streams) {
                 drop(streams);
                 self.ledger.release(workers);
@@ -337,10 +346,18 @@ impl Service {
         // Table lock only for the lookup; the (possibly long) execution
         // runs under the stream's own lock, so neighbors, `stats`, opens
         // and closes proceed while this stream computes.
-        let Some(slot) = self.streams.lock().unwrap().get(id).map(Arc::clone) else {
+        let Some(slot) = lock(&self.streams).get(id).map(Arc::clone) else {
             return err_response("unknown_stream", &format!("no stream `{id}`"), vec![]);
         };
-        let mut entry = slot.lock().unwrap();
+        let mut entry = match slot.lock() {
+            Ok(entry) => entry,
+            // A read of this stream panicked mid-firing: its engine state
+            // is unknown, so the stream is torn down like a failed read.
+            Err(poisoned) => {
+                let entry = poisoned.into_inner();
+                return self.tear_down(id, &slot, entry, "an earlier read of this stream panicked");
+            }
+        };
         let Some(exec) = entry.exec.as_mut() else {
             // Torn down by a concurrent failed read or close.
             return err_response("unknown_stream", &format!("no stream `{id}`"), vec![]);
@@ -358,40 +375,53 @@ impl Service {
                 }
                 response
             }
-            Err(e) => {
-                // Non-degradable failure: the program itself is broken
-                // (it would fail identically on any executor). The
-                // stream is torn down and its claim released.
-                let exec = entry.exec.take().expect("present above");
-                let workers = entry.workers;
-                drop(entry);
-                {
-                    // Drop the table slot too — but only if it is still
-                    // ours (a concurrent close may already have removed
-                    // it, and the id may even have been reopened).
-                    let mut streams = self.streams.lock().unwrap();
-                    if streams.get(id).is_some_and(|s| Arc::ptr_eq(s, &slot)) {
-                        streams.remove(id);
-                    }
-                }
-                self.ledger.release(workers);
-                let _ = exec.close();
-                err_response(
-                    "run_error",
-                    &e.to_string(),
-                    vec![("id".to_string(), Json::Str(id.into()))],
-                )
-            }
+            // Non-degradable failure: the program itself is broken (it
+            // would fail identically on any executor).
+            Err(e) => self.tear_down(id, &slot, entry, &e.to_string()),
         }
     }
 
+    /// Removes a stream whose read failed — the table slot (if it is still
+    /// this one), its ledger claim and its engine — and answers
+    /// `run_error` with `detail`.
+    fn tear_down(
+        &self,
+        id: &str,
+        slot: &StreamSlot,
+        mut entry: MutexGuard<'_, StreamEntry>,
+        detail: &str,
+    ) -> String {
+        let exec = entry.exec.take();
+        let workers = entry.workers;
+        drop(entry);
+        {
+            // Drop the table slot too — but only if it is still ours (a
+            // concurrent close may already have removed it, and the id
+            // may even have been reopened).
+            let mut streams = lock(&self.streams);
+            if streams.get(id).is_some_and(|s| Arc::ptr_eq(s, slot)) {
+                streams.remove(id);
+            }
+        }
+        if let Some(exec) = exec {
+            self.ledger.release(workers);
+            let _ = exec.close();
+        }
+        err_response(
+            "run_error",
+            detail,
+            vec![("id".to_string(), Json::Str(id.into()))],
+        )
+    }
+
     fn handle_close(&self, id: &str) -> String {
-        let Some(slot) = self.streams.lock().unwrap().remove(id) else {
+        let Some(slot) = lock(&self.streams).remove(id) else {
             return err_response("unknown_stream", &format!("no stream `{id}`"), vec![]);
         };
         // Waits for an in-flight read on this stream to finish; the
-        // table lock is already released, so neighbors are unaffected.
-        let mut entry = slot.lock().unwrap();
+        // table lock is already released, so neighbors are unaffected. A
+        // read that panicked left the engine to be closed, nothing more.
+        let mut entry = lock(&slot);
         let Some(exec) = entry.exec.take() else {
             // A concurrently failing read already tore the stream down
             // (and released its claim).
@@ -428,7 +458,7 @@ impl Service {
 
     fn handle_stats(&self) -> String {
         let c = self.cache.stats();
-        let open = self.streams.lock().unwrap().len();
+        let open = lock(&self.streams).len();
         ok_response(
             "stats",
             vec![
@@ -440,6 +470,7 @@ impl Service {
                         ("evictions", Json::Num(c.evictions as f64)),
                         ("entries", Json::Num(c.entries as f64)),
                         ("capacity", Json::Num(c.capacity as f64)),
+                        ("bytes", Json::Num(c.bytes as f64)),
                     ]),
                 ),
                 ("streams".to_string(), Json::Num(open as f64)),
@@ -469,7 +500,7 @@ impl Service {
     /// anyway.
     fn close_all(&self) {
         let slots: Vec<StreamSlot> = {
-            let mut streams = self.streams.lock().unwrap();
+            let mut streams = lock(&self.streams);
             streams.drain().map(|(_, s)| s).collect()
         };
         for slot in slots {
