@@ -52,8 +52,11 @@ pub fn expand(
     let (e, o, u) = (node.peek(), node.pop(), node.push());
     if push2 == 0 {
         // A sink expansion: no outputs, only a (possibly taller) window.
-        let a = Matrix::zeros(peek2, 0);
-        return LinearNode::new(a, Vector::zeros(0), pop2);
+        return Ok(LinearNode::from_rows(
+            Matrix::zeros(0, peek2),
+            Vector::zeros(0),
+            pop2,
+        ));
     }
     if u == 0 {
         return Err(LinearError::NotCombinable(
@@ -73,20 +76,19 @@ pub fn expand(
             cols: push2,
         });
     }
-    let mut a = Matrix::zeros(peek2, push2);
-    for m in 0..copies {
-        let row_off = peek2 as isize - e as isize - (m * o) as isize;
-        let col_off = push2 as isize - u as isize - (m * u) as isize;
-        a.add_shifted(node.a(), row_off, col_off);
+    // Output `m·u + j` is copy `m` of output `j`, its window shifted by
+    // `m·o`. The copy is added onto zeros, as the paper's sum of shifted
+    // copies is, so a `-0.0` coefficient lands as `+0.0`.
+    let mut rows = Matrix::zeros(push2, peek2);
+    for out in 0..push2 {
+        let (m, j) = (out / u, out % u);
+        let dst = &mut rows.row_mut(out)[m * o..m * o + e];
+        for (d, &c) in dst.iter_mut().zip(node.row(j)) {
+            *d += c;
+        }
     }
-    let b: Vector = (0..push2)
-        .map(|j| {
-            // b'[j] = b[u - 1 - ((push' - 1 - j) mod u)]
-            let p = (push2 - 1 - j) % u;
-            node.b()[u - 1 - p]
-        })
-        .collect();
-    LinearNode::new(a, b, pop2)
+    let offsets: Vector = (0..push2).map(|out| node.offset(out % u)).collect();
+    Ok(LinearNode::from_rows(rows, offsets, pop2))
 }
 
 #[cfg(test)]

@@ -1,4 +1,10 @@
 //! The linear node representation (paper §3.1, Definition 1).
+//!
+//! A [`LinearNode`] holds each coefficient once, in the layout the direct
+//! kernels sweep: one row per output, indexed by window position, and the
+//! offsets in push order. The paper's `A` (`peek × push`, both axes
+//! reversed) and `b` are derived from it on demand; the combination rules
+//! (`expand`, `pipeline`, `splitjoin`) work on the stored rows directly.
 
 use streamlin_matrix::{Matrix, Vector};
 
@@ -48,13 +54,19 @@ pub const MAX_MATRIX_ELEMS: usize = 1 << 24;
 
 /// A linear node `Λ = {A, b, peek, pop, push}` (Definition 1).
 ///
-/// `A` is a `peek × push` matrix and `b` a `push`-element row vector such
-/// that one firing computes `y = x·A + b`, where `x[i] = peek(peek-1-i)`
-/// and `y[push-1-j]` is the `j`-th value pushed. We store `A`/`b` in
-/// exactly the paper's orientation — row `peek−1−i` corresponds to
-/// `peek(i)`, column `push−1−j` to output `j` — so every transformation
-/// formula transcribes literally; use [`coeff`](Self::coeff) /
-/// [`offset`](Self::offset) for the natural orientation.
+/// In the paper `A` is a `peek × push` matrix and `b` a `push`-element row
+/// vector such that one firing computes `y = x·A + b`, where
+/// `x[i] = peek(peek-1-i)` and `y[push-1-j]` is the `j`-th value pushed:
+/// row `peek−1−i` of `A` holds the weights of `peek(i)`, column `push−1−j`
+/// those of output `j`.
+///
+/// The node stores its coefficients once, in the layout the kernels read:
+/// a row-major `push × peek` matrix whose row `j` holds output `j`'s
+/// coefficients by window position (`row(j)[i]` is
+/// [`coeff(i, j)`](Self::coeff)), and the offsets in push order. `A` and
+/// `b` are *derived*: [`a`](Self::a) and [`b`](Self::b) build them on
+/// demand, bit for bit what [`new`](Self::new) was given, for code and
+/// tests that read the paper's formulas literally.
 ///
 /// # Examples
 ///
@@ -76,18 +88,26 @@ pub const MAX_MATRIX_ELEMS: usize = 1 << 24;
 ///     },
 ///     &[0.0, 6.0],
 /// );
+/// // The stored rows: output j's weights by window position.
+/// assert_eq!(node.row(0), &[0.0, 5.0, 3.0]);
+/// assert_eq!(node.row(1), &[1.0, 0.0, 2.0]);
+/// assert_eq!(node.offsets(), &[0.0, 6.0]);
 /// // The paper's matrix: row peek−1−i ↔ peek(i), column push−1−j ↔ push j,
 /// // so output 0 lives in the rightmost column.
-/// assert_eq!(node.a().row(0), &[2.0, 3.0]); // peek(2) weights
-/// assert_eq!(node.a().row(1), &[0.0, 5.0]); // peek(1) weights
-/// assert_eq!(node.a().row(2), &[1.0, 0.0]); // peek(0) weights
+/// let a = node.a();
+/// assert_eq!(a.row(0), &[2.0, 3.0]); // peek(2) weights
+/// assert_eq!(a.row(1), &[0.0, 5.0]); // peek(1) weights
+/// assert_eq!(a.row(2), &[1.0, 0.0]); // peek(0) weights
 /// assert_eq!(node.b().as_slice(), &[6.0, 0.0]);
 /// assert_eq!(node.fire(&[10.0, 100.0, 1000.0]), vec![3500.0, 2016.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinearNode {
-    a: Matrix,
-    b: Vector,
+    /// `push × peek`: row `j` is output `j`'s coefficients by window
+    /// position.
+    rows: Matrix,
+    /// Output `j`'s additive constant at index `j`.
+    offsets: Vector,
     pop: usize,
 }
 
@@ -105,7 +125,26 @@ impl LinearNode {
                 offsets: b.len(),
             });
         }
-        Ok(LinearNode { a, b, pop })
+        let (e, u) = (a.rows(), a.cols());
+        let rows = Matrix::from_fn(u, e, |j, i| a[(e - 1 - i, u - 1 - j)]);
+        let offsets = (0..u).map(|j| b[u - 1 - j]).collect();
+        Ok(LinearNode { rows, offsets, pop })
+    }
+
+    /// Creates a node from its stored layout: `rows` is `push × peek` with
+    /// row `j` holding output `j`'s coefficients by window position, and
+    /// `offsets[j]` is output `j`'s constant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offsets.len() != rows.rows()`.
+    pub(crate) fn from_rows(rows: Matrix, offsets: Vector, pop: usize) -> Self {
+        assert_eq!(
+            offsets.len(),
+            rows.rows(),
+            "offsets must have one entry per output"
+        );
+        LinearNode { rows, offsets, pop }
     }
 
     /// Builds a node from naturally-oriented coefficients:
@@ -127,12 +166,8 @@ impl LinearNode {
             push,
             "offsets must have one entry per output"
         );
-        let a = Matrix::from_fn(peek, push, |r, c| {
-            // row r ↔ peek(peek-1-r), column c ↔ output push-1-c
-            coeff(peek - 1 - r, push - 1 - c)
-        });
-        let b: Vector = (0..push).map(|c| offsets[push - 1 - c]).collect();
-        LinearNode { a, b, pop }
+        let rows = Matrix::from_fn(push, peek, |j, i| coeff(i, j));
+        LinearNode::from_rows(rows, Vector::from(offsets.to_vec()), pop)
     }
 
     /// An FIR filter node: `push(Σ weights[i]·peek(i)); pop();`
@@ -154,7 +189,7 @@ impl LinearNode {
 
     /// Peek rate (rows of `A`).
     pub fn peek(&self) -> usize {
-        self.a.rows()
+        self.rows.cols()
     }
 
     /// Pop rate.
@@ -164,17 +199,33 @@ impl LinearNode {
 
     /// Push rate (columns of `A`).
     pub fn push(&self) -> usize {
-        self.a.cols()
+        self.rows.rows()
     }
 
-    /// The paper-oriented matrix.
-    pub fn a(&self) -> &Matrix {
-        &self.a
+    /// The paper-oriented matrix `A`, built from the stored rows.
+    pub fn a(&self) -> Matrix {
+        let (e, u) = (self.peek(), self.push());
+        Matrix::from_fn(e, u, |r, c| self.rows[(u - 1 - c, e - 1 - r)])
     }
 
-    /// The paper-oriented offset vector.
-    pub fn b(&self) -> &Vector {
-        &self.b
+    /// The paper-oriented offset vector `b`, built from the stored offsets.
+    pub fn b(&self) -> Vector {
+        self.offsets.as_slice().iter().rev().copied().collect()
+    }
+
+    /// Output `out_idx`'s coefficients by window position: `row(j)[i]` is
+    /// the weight of `peek(i)` in output `j`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out_idx` is out of range.
+    pub fn row(&self, out_idx: usize) -> &[f64] {
+        self.rows.row(out_idx)
+    }
+
+    /// The additive constants in push order.
+    pub fn offsets(&self) -> &[f64] {
+        self.offsets.as_slice()
     }
 
     /// Weight of `peek(peek_idx)` in output `out_idx` (natural orientation).
@@ -183,7 +234,7 @@ impl LinearNode {
     ///
     /// Panics if either index is out of range.
     pub fn coeff(&self, peek_idx: usize, out_idx: usize) -> f64 {
-        self.a[(self.peek() - 1 - peek_idx, self.push() - 1 - out_idx)]
+        self.rows[(out_idx, peek_idx)]
     }
 
     /// Additive constant of output `out_idx` (natural orientation).
@@ -192,23 +243,23 @@ impl LinearNode {
     ///
     /// Panics if `out_idx` is out of range.
     pub fn offset(&self, out_idx: usize) -> f64 {
-        self.b[self.push() - 1 - out_idx]
+        self.offsets[out_idx]
     }
 
     /// Number of non-zero entries of `A` (used by the cost model).
     pub fn nnz_a(&self) -> usize {
-        self.a.nnz(0.0)
+        self.rows.nnz(0.0)
     }
 
     /// Number of non-zero entries of `b`.
     pub fn nnz_b(&self) -> usize {
-        self.b.nnz(0.0)
+        self.offsets.nnz(0.0)
     }
 
-    /// Bytes its coefficients occupy: `A` and `b`, counted from their
-    /// lengths.
+    /// Bytes its coefficients occupy: the rows and the offsets, counted
+    /// from their lengths.
     pub fn table_bytes(&self) -> usize {
-        8 * (self.a.rows() * self.a.cols() + self.b.len())
+        8 * (self.rows.as_slice().len() + self.offsets.len())
     }
 
     /// Fires the node once on a window (`window[i] = peek(i)`,
@@ -219,16 +270,15 @@ impl LinearNode {
     /// Panics if the window length differs from the peek rate.
     pub fn fire(&self, window: &[f64]) -> Vec<f64> {
         assert_eq!(window.len(), self.peek(), "window must equal the peek rate");
-        let (e, u) = (self.peek(), self.push());
-        let mut out = Vec::with_capacity(u);
-        for j in 0..u {
-            let mut acc = self.b[u - 1 - j];
-            for (i, &x) in window.iter().enumerate() {
-                acc += self.a[(e - 1 - i, u - 1 - j)] * x;
-            }
-            out.push(acc);
-        }
-        out
+        (0..self.push())
+            .map(|j| {
+                let mut acc = self.offsets[j];
+                for (&c, &x) in self.row(j).iter().zip(window) {
+                    acc += c * x;
+                }
+                acc
+            })
+            .collect()
     }
 
     /// Fires repeatedly over an input tape (advancing by `pop` each firing)
@@ -254,8 +304,8 @@ impl LinearNode {
     /// other node's and the rates match.
     pub fn approx_eq(&self, other: &LinearNode, atol: f64, rtol: f64) -> bool {
         self.pop == other.pop
-            && self.a.approx_eq(&other.a, atol, rtol)
-            && self.b.approx_eq(&other.b, atol, rtol)
+            && self.rows.approx_eq(&other.rows, atol, rtol)
+            && self.offsets.approx_eq(&other.offsets, atol, rtol)
     }
 }
 

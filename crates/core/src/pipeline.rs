@@ -1,5 +1,6 @@
 //! Pipeline combination (paper §3.3.2, Transformation 2).
 
+use streamlin_matrix::{Matrix, Vector};
 use streamlin_support::num::lcm;
 
 use crate::expand::expand;
@@ -74,9 +75,45 @@ pub fn combine_pipeline(a1: &LinearNode, a2: &LinearNode) -> Result<LinearNode, 
     let a1e = expand(a1, e1x, o1x, chan_peek)?;
     let a2e = expand(a2, chan_peek, chan_pop, u2x)?;
 
-    let a = a1e.a().mul(a2e.a());
-    let b = a1e.b().mul_matrix(a2e.a()).add(a2e.b());
-    LinearNode::new(a, b, o1x)
+    Ok(compose(&a1e, &a2e, o1x))
+}
+
+/// `A′ = A₁ᵉ·A₂ᵉ`, `b′ = b₁ᵉ·A₂ᵉ + b₂ᵉ` on the stored rows.
+///
+/// Every entry is summed in the order the paper-layout product sums it:
+/// over the channel index `k` of `A₁ᵉ[r, k]·A₂ᵉ[k, c]` from 0 up — channel
+/// item `chanPeek−1−k` from the last down — starting from `+0.0` and
+/// skipping the terms whose left factor is zero. So the combined
+/// coefficients are the bits `A₁ᵉ·A₂ᵉ` would give.
+fn compose(up: &LinearNode, down: &LinearNode, pop: usize) -> LinearNode {
+    let (e, chan, u) = (up.peek(), up.push(), down.push());
+    debug_assert_eq!(chan, down.peek());
+    let mut rows = Matrix::zeros(u, e);
+    let mut offsets = vec![0.0; u];
+    for q in (0..chan).rev() {
+        // An expanded row is zero outside one shifted copy: sweep only
+        // its non-zero span.
+        let row = up.row(q);
+        let first = row.iter().position(|&a| a != 0.0).unwrap_or(row.len());
+        let last = row.iter().rposition(|&a| a != 0.0).map_or(first, |l| l + 1);
+        let offset = up.offset(q);
+        for (j, acc) in offsets.iter_mut().enumerate() {
+            let w = down.coeff(q, j);
+            if offset != 0.0 {
+                *acc += offset * w;
+            }
+            let dst = &mut rows.row_mut(j)[first..last];
+            for (d, &a) in dst.iter_mut().zip(&row[first..last]) {
+                if a != 0.0 {
+                    *d += a * w;
+                }
+            }
+        }
+    }
+    for (acc, &b) in offsets.iter_mut().zip(down.offsets()) {
+        *acc += b;
+    }
+    LinearNode::from_rows(rows, Vector::from(offsets), pop)
 }
 
 /// Folds [`combine_pipeline`] over a whole sequence of linear nodes.

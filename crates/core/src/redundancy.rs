@@ -68,11 +68,12 @@ impl RedundSpec {
     /// Runs Algorithm 3 (`Redundant(Λ)`) and builds the execution plan.
     ///
     /// The analysis slides the matrix over `⌈e/o⌉` future firings: tuple
-    /// `(A[row, col], cur·o + e − 1 − row)` (position relative to the
-    /// first firing's window) is recorded for every firing `cur` in which
-    /// it is still visible. Tuples computed in firing 0 and used later
-    /// (`minUse = 0 ∧ maxUse > 0`) are cached; `compMap` then rewrites
-    /// each current-firing term to the cached value that equals it.
+    /// `(coeff(i, j), cur·o + i)` (position relative to the first firing's
+    /// window) is recorded for every firing `cur` in which it is still
+    /// visible. Tuples computed in firing 0 and used later
+    /// (`minUse = 0 ∧ maxUse > 0`) are candidates; `compMap` then rewrites
+    /// each current-firing term to the equal value cached the most
+    /// firings ago, and only the candidates some term reads are cached.
     ///
     /// # Panics
     ///
@@ -87,14 +88,14 @@ impl RedundSpec {
         let key = |coeff: f64, pos: usize| (pos, coeff.to_bits());
         let mut map: BTreeMap<(usize, u64), BTreeSet<usize>> = BTreeMap::new();
         for cur in 0..firings {
-            for row in cur * o..e {
-                for col in 0..u {
-                    let c = node.a().get(row, col).expect("in range");
+            for j in 0..u {
+                // Window position i of firing `cur` is position cur·o + i
+                // of the first firing's window.
+                for (i, &c) in node.row(j)[..e - cur * o].iter().enumerate() {
                     if c == 0.0 {
                         continue; // zero terms are never computed
                     }
-                    let pos = cur * o + e - 1 - row;
-                    map.entry(key(c, pos)).or_default().insert(cur);
+                    map.entry(key(c, cur * o + i)).or_default().insert(cur);
                 }
             }
         }
@@ -152,10 +153,34 @@ impl RedundSpec {
             }
             terms.push(list);
         }
+
+        // In a chain of one coefficient, compMap points every later
+        // member's term at the first member's tuple, so the later members'
+        // own tuples are read by no term. Keep only the tuples some term
+        // reads, renumbered in order.
+        let mut read = vec![false; reused.len()];
+        for t in terms.iter().flatten() {
+            if let TermSource::Cached { reused: r, .. } = *t {
+                read[r] = true;
+            }
+        }
+        let mut renumber = Vec::with_capacity(reused.len());
+        let mut kept = Vec::new();
+        for (tuple, read) in reused.into_iter().zip(read) {
+            renumber.push(kept.len());
+            if read {
+                kept.push(tuple);
+            }
+        }
+        for t in terms.iter_mut().flatten() {
+            if let TermSource::Cached { reused: r, .. } = t {
+                *r = renumber[*r];
+            }
+        }
         RedundSpec {
             table: Arc::new(RedundTable {
                 node: node.clone(),
-                reused,
+                reused: kept,
                 terms,
             }),
         }

@@ -1,6 +1,7 @@
 //! Splitjoin combination (paper §3.3.3, Transformations 3 and 4).
 
 use streamlin_graph::ir::Splitter;
+use streamlin_matrix::{Matrix, Vector};
 use streamlin_support::num::{lcm, lcm_all};
 
 use crate::expand::expand;
@@ -138,8 +139,8 @@ pub fn combine_duplicate(
         });
     }
 
-    let mut a = streamlin_matrix::Matrix::zeros(max_peek, push2);
-    let mut b = streamlin_matrix::Vector::zeros(push2);
+    let mut rows = Matrix::zeros(push2, max_peek);
+    let mut offsets = Vector::zeros(push2);
     let mut w_sum = 0usize;
     for (k, child) in children.iter().enumerate() {
         let expanded = expand(child, max_peek, pops[k], child.push() * reps[k])?;
@@ -149,14 +150,12 @@ pub fn combine_duplicate(
             // The q-th item pushed by the expanded child lands at output
             // position (q / w_k)·wTot + wSum_k + (q mod w_k).
             let loc = (q / w_k) * w_tot + w_sum + (q % w_k);
-            let dst = push2 - 1 - loc;
-            let src = u_k_tot - 1 - q;
-            a.set_col_from(dst, expanded.a(), src);
-            b[dst] = expanded.b()[src];
+            rows.row_mut(loc).copy_from_slice(expanded.row(q));
+            offsets[loc] = expanded.offset(q);
         }
         w_sum += w_k;
     }
-    LinearNode::new(a, b, pop)
+    Ok(LinearNode::from_rows(rows, offsets, pop))
 }
 
 /// Transformation 4: rewrites the children of a round-robin splitjoin so a

@@ -1,24 +1,23 @@
-//! Dense matrix and vector algebra for the `streamlin` linear analysis.
+//! Dense matrix and vector storage for the `streamlin` linear analysis.
 //!
 //! The paper represents every linear filter as a matrix `A` and offset
-//! vector `b` (Definition 1) and implements its combination rules
-//! (Transformations 1–4) as matrix algebra. This crate is that substrate:
-//! a small, dependency-free, row-major dense [`Matrix`] and row [`Vector`],
-//! with exactly the operations the analysis needs (products, block
-//! placement for linear expansion, sparsity counts for the cost model).
+//! vector `b` (Definition 1). This crate is the storage under that
+//! representation: a small, dependency-free, row-major dense [`Matrix`]
+//! and row [`Vector`], with row access for the kernels and the combination
+//! rules, and sparsity counts for the cost model.
 //!
-//! Degenerate shapes are first-class: a sink filter pushes nothing and has a
-//! `peek × 0` matrix; a source pops nothing and has a `0 × push` matrix.
+//! Degenerate shapes are first-class: a sink filter pushes nothing and a
+//! source pops nothing, so either axis may be empty.
 //!
 //! # Examples
 //!
 //! ```
-//! use streamlin_matrix::{Matrix, Vector};
+//! use streamlin_matrix::Matrix;
 //!
-//! let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-//! let x = Vector::from(vec![1.0, 1.0]);
-//! let y = x.mul_matrix(&a); // row-vector times matrix, as in y = x·A + b
-//! assert_eq!(y.as_slice(), &[4.0, 6.0]);
+//! let mut a = Matrix::zeros(2, 3);
+//! a.row_mut(1).copy_from_slice(&[1.0, 0.0, 4.0]);
+//! assert_eq!(a.row(1), &[1.0, 0.0, 4.0]);
+//! assert_eq!(a.nnz(0.0), 2);
 //! ```
 
 mod matrix;

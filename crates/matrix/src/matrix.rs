@@ -97,6 +97,16 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// A mutable view of row `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` is out of bounds.
+    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
+        assert!(r < self.rows, "row {r} out of bounds ({} rows)", self.rows);
+        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
     /// Column `c` collected into a vector.
     ///
     /// # Panics
@@ -110,40 +120,6 @@ impl Matrix {
     /// The underlying row-major storage.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Matrix product `self · rhs`.
-    ///
-    /// Runs in i-k-j order so both the output row and the `rhs` row are
-    /// swept contiguously (no column-strided access anywhere), with the
-    /// output row borrowed once per `i` and zero entries of `self`
-    /// skipping their whole `rhs` row — this is the inner loop of every
-    /// pipeline/splitjoin combination in `streamlin-core`, where the
-    /// shifted-copy structure makes the left factor mostly zeros.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn mul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matrix product shape mismatch: {}x{} · {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for (r, out_row) in out.data.chunks_exact_mut(rhs.cols.max(1)).enumerate() {
-            let lhs_row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for (k, &a) in lhs_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let rhs_row = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
     }
 
     /// Element-wise sum.
@@ -176,47 +152,6 @@ impl Matrix {
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
-    }
-
-    /// Adds `src` into this matrix with its top-left corner at
-    /// `(row_off, col_off)`, clipping any part that falls outside.
-    ///
-    /// This is the `shift(r, c)` placement primitive of linear expansion
-    /// (paper Transformation 1): the expanded matrix is a sum of shifted
-    /// copies of the original, and copies whose final columns exceed the new
-    /// width are clipped.
-    ///
-    /// Negative offsets clip on the top/left edge.
-    pub fn add_shifted(&mut self, src: &Matrix, row_off: isize, col_off: isize) {
-        for r in 0..src.rows {
-            let dr = r as isize + row_off;
-            if dr < 0 || dr as usize >= self.rows {
-                continue;
-            }
-            for c in 0..src.cols {
-                let dc = c as isize + col_off;
-                if dc < 0 || dc as usize >= self.cols {
-                    continue;
-                }
-                self[(dr as usize, dc as usize)] += src[(r, c)];
-            }
-        }
-    }
-
-    /// Copies column `src_col` of `src` into column `dst_col` of `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row counts differ or either column is out of bounds.
-    pub fn set_col_from(&mut self, dst_col: usize, src: &Matrix, src_col: usize) {
-        assert_eq!(self.rows, src.rows, "column copy row mismatch");
-        assert!(
-            dst_col < self.cols && src_col < src.cols,
-            "column copy out of bounds"
-        );
-        for r in 0..self.rows {
-            self[(r, dst_col)] = src[(r, src_col)];
-        }
     }
 
     /// Number of entries with `|x| > eps`.
@@ -293,30 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn product_matches_hand_computation() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.mul(&b);
-        assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
-    }
-
-    #[test]
-    fn identity_is_neutral_for_product() {
-        let a = Matrix::from_fn(3, 4, |r, c| (r * 4 + c) as f64);
-        assert_eq!(Matrix::identity(3).mul(&a), a);
-        assert_eq!(a.mul(&Matrix::identity(4)), a);
-    }
-
-    #[test]
-    fn degenerate_shapes_multiply() {
-        let a = Matrix::zeros(3, 0);
-        let b = Matrix::zeros(0, 2);
-        let c = a.mul(&b);
-        assert_eq!((c.rows(), c.cols()), (3, 2));
-        assert_eq!(c.nnz(0.0), 0);
-    }
-
-    #[test]
     fn transpose_involution() {
         let a = Matrix::from_fn(2, 5, |r, c| (r + 10 * c) as f64);
         assert_eq!(a.transpose().transpose(), a);
@@ -332,41 +243,13 @@ mod tests {
     }
 
     #[test]
-    fn add_shifted_places_and_clips() {
-        let src = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let mut dst = Matrix::zeros(3, 3);
-        dst.add_shifted(&src, 1, 1);
-        assert_eq!(dst[(1, 1)], 1.0);
-        assert_eq!(dst[(2, 2)], 4.0);
-        // clipping beyond the right/bottom edge
-        let mut dst2 = Matrix::zeros(2, 2);
-        dst2.add_shifted(&src, 1, 1);
-        assert_eq!(dst2[(1, 1)], 1.0);
-        assert_eq!(dst2.nnz(0.0), 1);
-        // negative offsets clip on the top-left
-        let mut dst3 = Matrix::zeros(2, 2);
-        dst3.add_shifted(&src, -1, -1);
-        assert_eq!(dst3[(0, 0)], 4.0);
-        assert_eq!(dst3.nnz(0.0), 1);
-    }
-
-    #[test]
-    fn add_shifted_accumulates_overlap() {
-        let src = Matrix::from_rows(&[&[1.0]]);
-        let mut dst = Matrix::zeros(1, 1);
-        dst.add_shifted(&src, 0, 0);
-        dst.add_shifted(&src, 0, 0);
-        assert_eq!(dst[(0, 0)], 2.0);
-    }
-
-    #[test]
     fn column_accessors() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(a.col(1), vec![2.0, 4.0]);
         assert_eq!(a.row(1), &[3.0, 4.0]);
         let mut b = Matrix::zeros(2, 2);
-        b.set_col_from(0, &a, 1);
-        assert_eq!(b.col(0), vec![2.0, 4.0]);
+        b.row_mut(0).copy_from_slice(a.row(1));
+        assert_eq!(b.col(0), vec![3.0, 0.0]);
     }
 
     #[test]

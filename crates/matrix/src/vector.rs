@@ -1,20 +1,18 @@
-//! Row vector companion to [`Matrix`].
+//! Row vector companion to [`Matrix`](crate::Matrix).
 
-use crate::Matrix;
 use streamlin_support::num::approx_eq;
 
-/// A row vector of `f64`, used for the offset `b` of a linear node and for
-/// row-vector × matrix products (`y = x·A + b`, Definition 1 of the paper).
+/// A row vector of `f64`, used for the offsets of a linear node (the `b`
+/// of `y = x·A + b`, Definition 1 of the paper).
 ///
 /// # Examples
 ///
 /// ```
-/// use streamlin_matrix::{Matrix, Vector};
+/// use streamlin_matrix::Vector;
 /// let b = Vector::zeros(2);
 /// assert_eq!(b.len(), 2);
 /// let x = Vector::from(vec![1.0, 2.0]);
-/// let a = Matrix::identity(2);
-/// assert_eq!(x.mul_matrix(&a).add(&b).as_slice(), &[1.0, 2.0]);
+/// assert_eq!(x.add(&b).as_slice(), &[1.0, 2.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Vector {
@@ -45,32 +43,6 @@ impl Vector {
     /// Borrow of the underlying storage.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Row-vector × matrix product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.len() != m.rows()`.
-    pub fn mul_matrix(&self, m: &Matrix) -> Vector {
-        assert_eq!(
-            self.len(),
-            m.rows(),
-            "vector-matrix product shape mismatch: 1x{} · {}x{}",
-            self.len(),
-            m.rows(),
-            m.cols()
-        );
-        let mut out = vec![0.0; m.cols()];
-        for (k, &a) in self.data.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            for (o, &b) in out.iter_mut().zip(m.row(k)) {
-                *o += a * b;
-            }
-        }
-        Vector { data: out }
     }
 
     /// Element-wise sum.
@@ -174,21 +146,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn vector_matrix_product() {
-        let x = Vector::from(vec![1.0, 2.0]);
-        let a = Matrix::from_rows(&[&[1.0, 0.0, 2.0], &[0.0, 3.0, 1.0]]);
-        assert_eq!(x.mul_matrix(&a).as_slice(), &[1.0, 6.0, 4.0]);
-    }
-
-    #[test]
-    fn empty_vector_times_empty_matrix() {
-        let x = Vector::zeros(0);
-        let a = Matrix::zeros(0, 3);
-        assert_eq!(x.mul_matrix(&a).as_slice(), &[0.0, 0.0, 0.0]);
-        assert!(x.is_empty());
-    }
-
-    #[test]
     fn add_scale_dot() {
         let a = Vector::from(vec![1.0, 2.0]);
         let b = Vector::from(vec![3.0, -1.0]);
@@ -208,11 +165,5 @@ mod tests {
     fn collect_from_iterator() {
         let v: Vector = (0..3).map(|i| i as f64).collect();
         assert_eq!(v.as_slice(), &[0.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn mismatched_product_panics() {
-        let _ = Vector::zeros(2).mul_matrix(&Matrix::zeros(3, 1));
     }
 }

@@ -1,9 +1,7 @@
-//! Property tests for the matrix crate: algebra laws that the combination
-//! rules of `streamlin-core` depend on (associativity of the product,
-//! distributivity over the shifted-copy sum, transpose duality).
+//! Property tests for the matrix crate.
 
 use proptest::prelude::*;
-use streamlin_matrix::{Matrix, Vector};
+use streamlin_matrix::Matrix;
 
 fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(-8i32..=8, rows * cols)
@@ -11,71 +9,6 @@ fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
 }
 
 proptest! {
-    #[test]
-    fn product_is_associative(
-        a in arb_matrix(3, 4),
-        b in arb_matrix(4, 2),
-        c in arb_matrix(2, 5),
-    ) {
-        let left = a.mul(&b).mul(&c);
-        let right = a.mul(&b.mul(&c));
-        prop_assert!(left.approx_eq(&right, 1e-9, 1e-9));
-    }
-
-    #[test]
-    fn product_distributes_over_sum(
-        a in arb_matrix(3, 4),
-        b in arb_matrix(4, 2),
-        c in arb_matrix(4, 2),
-    ) {
-        let left = a.mul(&b.add(&c));
-        let right = a.mul(&b).add(&a.mul(&c));
-        prop_assert!(left.approx_eq(&right, 1e-9, 1e-9));
-    }
-
-    #[test]
-    fn transpose_reverses_products(a in arb_matrix(3, 4), b in arb_matrix(4, 2)) {
-        let left = a.mul(&b).transpose();
-        let right = b.transpose().mul(&a.transpose());
-        prop_assert!(left.approx_eq(&right, 1e-9, 1e-9));
-    }
-
-    #[test]
-    fn identity_is_neutral(a in arb_matrix(4, 3)) {
-        prop_assert!(Matrix::identity(4).mul(&a).approx_eq(&a, 0.0, 0.0));
-        prop_assert!(a.mul(&Matrix::identity(3)).approx_eq(&a, 0.0, 0.0));
-    }
-
-    #[test]
-    fn vector_product_matches_matrix_product(
-        x in proptest::collection::vec(-8i32..=8, 4),
-        b in arb_matrix(4, 3),
-    ) {
-        // Row vector times matrix == 1xN matrix times matrix.
-        let v: Vector = x.iter().map(|&i| i as f64).collect();
-        let as_matrix = Matrix::from_fn(1, 4, |_, c| x[c] as f64);
-        let via_vec = v.mul_matrix(&b);
-        let via_mat = as_matrix.mul(&b);
-        for j in 0..3 {
-            prop_assert!((via_vec[j] - via_mat[(0, j)]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn shifted_copies_accumulate_linearly(
-        a in arb_matrix(2, 2),
-        r1 in -2isize..=2,
-        c1 in -2isize..=2,
-    ) {
-        // add_shifted twice at the same offset == scaling the copy by 2.
-        let mut once = Matrix::zeros(4, 4);
-        once.add_shifted(&a.scale(2.0), r1, c1);
-        let mut twice = Matrix::zeros(4, 4);
-        twice.add_shifted(&a, r1, c1);
-        twice.add_shifted(&a, r1, c1);
-        prop_assert!(once.approx_eq(&twice, 1e-12, 0.0));
-    }
-
     #[test]
     fn nnz_bounds(a in arb_matrix(3, 5)) {
         prop_assert!(a.nnz(0.0) <= 15);

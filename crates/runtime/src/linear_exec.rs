@@ -2,26 +2,31 @@
 //!
 //! Four kernels execute a linear node; the first three reproduce the
 //! code-generation strategies the paper measures, the fourth is the
-//! production tier:
+//! production tier. Each reads the node's own coefficient rows
+//! ([`LinearNode::row`]: output `j`'s coefficients by window position,
+//! contiguous) plus at most a small index of its own — no kernel keeps a
+//! second copy of the coefficients:
 //!
 //! * [`MatMulStrategy::Unrolled`] — the default for small nodes: "an
 //!   unrolled arithmetic expression" per output that multiplies only the
-//!   non-zero coefficients (§5.2).
+//!   non-zero coefficients (§5.2). It reads its own term list, each
+//!   output's non-zero `(position, coefficient)` pairs.
 //! * [`MatMulStrategy::Diagonal`] — the indexed loop of Figure 5-7 used
-//!   for large nodes: per column, the leading and trailing zero runs are
-//!   skipped but interior zeros are still multiplied.
+//!   for large nodes: per output, the leading and trailing zero runs are
+//!   skipped but interior zeros are still multiplied. It reads each row's
+//!   `firstNonZero..=lastNonZero` range, which is all it keeps.
 //! * [`MatMulStrategy::Blocked`] — the ATLAS stand-in (§5.4): a dense
-//!   kernel over a transposed, contiguous copy of the matrix with an
-//!   explicit copy-in of the window. Like the real ATLAS experiment, it
-//!   trades interface overhead for a better inner loop and performs the
-//!   *full* dense multiply (no zero skipping).
-//! * [`MatMulStrategy::Simd`] — the vectorized tier: the dense sweep with
-//!   eight independent accumulators per output over `f64` chunks, which
-//!   breaks the serial dependency chain of the scalar kernels; uncounted
-//!   execution dispatches to an explicit AVX kernel with the identical
-//!   accumulation structure when the CPU supports it. Batched execution
-//!   additionally register-blocks four firings at a time over the stacked
-//!   windows so each coefficient row is swept once per block.
+//!   kernel over the whole rows with an explicit copy-in of the window.
+//!   Like the real ATLAS experiment, it trades interface overhead for a
+//!   better inner loop and performs the *full* dense multiply (no zero
+//!   skipping).
+//! * [`MatMulStrategy::Simd`] — the vectorized tier: the dense sweep over
+//!   the whole rows with eight independent accumulators per output over
+//!   `f64` chunks, which breaks the serial dependency chain of the scalar
+//!   kernels; uncounted execution dispatches to an explicit AVX kernel
+//!   with the identical accumulation structure when the CPU supports it.
+//!   Batched execution additionally takes four firings at a time over the
+//!   stacked windows, so each coefficient row is loaded once per block.
 //!
 //! All kernels are generic over [`Tally`]: instantiated with
 //! [`streamlin_support::CountOps`] they tally every operation (the
@@ -31,7 +36,6 @@
 
 use std::sync::Arc;
 
-use streamlin_matrix::Matrix;
 use streamlin_support::Tally;
 
 use streamlin_core::node::LinearNode;
@@ -44,7 +48,8 @@ pub enum MatMulStrategy {
     Unrolled,
     /// Figure 5-7's loop: per-column `firstNonZero..=lastNonZero`.
     Diagonal,
-    /// Dense transposed kernel with copy-in — the ATLAS substitute.
+    /// Dense kernel over the whole rows with copy-in — the ATLAS
+    /// substitute.
     Blocked,
     /// Dense vectorized kernel: 8 accumulators per output (AVX when the
     /// CPU has it), 4 firings per batch block. The production tier of
@@ -167,8 +172,8 @@ unsafe fn avx_dot(row: &[f64], w: &[f64]) -> f64 {
     s
 }
 
-/// A compiled linear node: one immutable table (the node and the one
-/// coefficient layout its strategy reads) behind an [`Arc`], plus the
+/// A compiled linear node: one immutable table (the node, plus whatever
+/// index its strategy adds to the node's rows) behind an [`Arc`], plus the
 /// blocked kernel's copy-in buffer. Cloning an executor shares the table.
 #[derive(Debug, Clone)]
 pub struct LinearExec {
@@ -187,7 +192,8 @@ struct LinearTable {
     use_avx: bool,
 }
 
-/// The coefficients as a strategy reads them; each strategy's is built
+/// What a strategy reads besides the node's own rows ([`LinearNode::row`]:
+/// output `j`'s coefficients by window position); each strategy's is built
 /// and kept alone.
 #[derive(Debug)]
 enum Layout {
@@ -197,48 +203,38 @@ enum Layout {
         terms: Vec<(usize, f64)>,
         bounds: Vec<usize>,
     },
-    /// [`MatMulStrategy::Diagonal`]: the dense rows plus each output's
-    /// `firstNonZero..=lastNonZero` window positions.
-    Banded {
-        dense: Matrix,
-        ranges: Vec<Option<(usize, usize)>>,
-    },
-    /// [`MatMulStrategy::Blocked`] and [`MatMulStrategy::Simd`]: the
-    /// row-major `push × peek` copy, row `j` holding output `j`'s
-    /// coefficients by window position (the "transposed" dense layout).
-    Dense(Matrix),
+    /// [`MatMulStrategy::Diagonal`]: each output's
+    /// `firstNonZero..=lastNonZero` window positions in its row.
+    Ranges(Vec<Option<(usize, usize)>>),
+    /// [`MatMulStrategy::Blocked`] and [`MatMulStrategy::Simd`]: nothing;
+    /// they sweep the node's rows whole.
+    Rows,
 }
 
 impl Layout {
     fn new(node: &LinearNode, strategy: MatMulStrategy) -> Self {
-        let (e, u) = (node.peek(), node.push());
-        let dense = || Matrix::from_fn(u, e, |j, pos| node.coeff(pos, j));
+        let rows = (0..node.push()).map(|j| node.row(j));
         match strategy {
             MatMulStrategy::Unrolled => {
                 let mut terms = Vec::new();
-                let mut bounds = Vec::with_capacity(u + 1);
+                let mut bounds = Vec::with_capacity(node.push() + 1);
                 bounds.push(0);
-                for j in 0..u {
-                    let column = (0..e).map(|pos| (pos, node.coeff(pos, j)));
-                    terms.extend(column.filter(|&(_, c)| c != 0.0));
+                for row in rows {
+                    let nonzero = row.iter().enumerate().filter(|(_, &c)| c != 0.0);
+                    terms.extend(nonzero.map(|(pos, &c)| (pos, c)));
                     bounds.push(terms.len());
                 }
                 terms.shrink_to_fit();
                 Layout::Terms { terms, bounds }
             }
-            MatMulStrategy::Diagonal => {
-                let ranges = (0..u)
-                    .map(|j| {
-                        let nonzero = |pos: &usize| node.coeff(*pos, j) != 0.0;
-                        Some(((0..e).find(nonzero)?, (0..e).rfind(nonzero)?))
-                    })
-                    .collect();
-                Layout::Banded {
-                    dense: dense(),
-                    ranges,
-                }
-            }
-            MatMulStrategy::Blocked | MatMulStrategy::Simd => Layout::Dense(dense()),
+            MatMulStrategy::Diagonal => Layout::Ranges(
+                rows.map(|row| {
+                    let first = row.iter().position(|&c| c != 0.0)?;
+                    Some((first, row.iter().rposition(|&c| c != 0.0)?))
+                })
+                .collect(),
+            ),
+            MatMulStrategy::Blocked | MatMulStrategy::Simd => Layout::Rows,
         }
     }
 
@@ -251,18 +247,18 @@ impl Layout {
         &terms[bounds[j]..bounds[j + 1]]
     }
 
-    /// The part of output `j`'s dense coefficient row the kernel sweeps,
-    /// and the window position it starts at: `firstNonZero..=lastNonZero`
-    /// for `Diagonal`, the whole row for the dense layout.
+    /// The part of output `j`'s row the kernel sweeps, and the window
+    /// position it starts at: `firstNonZero..=lastNonZero` for `Diagonal`,
+    /// the whole row for `Blocked` and `Simd`.
     #[inline]
-    fn sweep(&self, j: usize) -> (&[f64], usize) {
+    fn sweep<'a>(&self, node: &'a LinearNode, j: usize) -> (&'a [f64], usize) {
         match self {
-            Layout::Banded { dense, ranges } => match ranges[j] {
-                Some((first, last)) => (&dense.row(j)[first..=last], first),
+            Layout::Ranges(ranges) => match ranges[j] {
+                Some((first, last)) => (&node.row(j)[first..=last], first),
                 None => (&[], 0),
             },
-            Layout::Dense(dense) => (dense.row(j), 0),
-            Layout::Terms { .. } => unreachable!("the term layout has no dense rows"),
+            Layout::Rows => (node.row(j), 0),
+            Layout::Terms { .. } => unreachable!("the Unrolled kernel reads its terms"),
         }
     }
 
@@ -270,10 +266,8 @@ impl Layout {
         use std::mem::size_of_val;
         match self {
             Layout::Terms { terms, bounds } => size_of_val(&terms[..]) + size_of_val(&bounds[..]),
-            Layout::Banded { dense, ranges } => {
-                size_of_val(dense.as_slice()) + size_of_val(&ranges[..])
-            }
-            Layout::Dense(dense) => size_of_val(dense.as_slice()),
+            Layout::Ranges(ranges) => size_of_val(&ranges[..]),
+            Layout::Rows => 0,
         }
     }
 }
@@ -307,7 +301,7 @@ impl LinearExec {
     }
 
     /// The shared table — identity and bytes (the node's coefficients
-    /// plus the strategy's layout, counted from their lengths) — that
+    /// plus the strategy's own index, counted from their lengths) — that
     /// every clone of this executor holds.
     pub fn table(&self) -> (*const (), usize) {
         let bytes = self.table.node.table_bytes() + self.table.layout.bytes();
@@ -351,9 +345,9 @@ impl LinearExec {
     /// plan fires them `k` times back to back: the ring buffer hands over
     /// one `(k−1)·pop + peek` slice and no per-firing window is ever
     /// materialized. Under [`MatMulStrategy::Simd`] the sweep is
-    /// additionally register-blocked: four firings at a time share each
-    /// coefficient row, and each firing's dot product runs the 4-lane
-    /// kernel, so the block keeps 4 × 4 partial products in flight.
+    /// additionally blocked: four firings at a time share each coefficient
+    /// row while it is in cache, and the block's four dot products run one
+    /// after another, each on the eight-lane kernel.
     ///
     /// # Panics
     ///
@@ -404,7 +398,7 @@ impl LinearExec {
                 for f in 0..k {
                     let w = &input[f * o..f * o + e];
                     for j in 0..u {
-                        let (coeffs, first) = layout.sweep(j);
+                        let (coeffs, first) = layout.sweep(node, j);
                         let mut acc = node.offset(j);
                         for (c, x) in coeffs.iter().zip(&w[first..]) {
                             acc = ops.fma(acc, *c, *x);
@@ -419,8 +413,8 @@ impl LinearExec {
                 out.resize(base + k * u, 0.0);
                 let dst = &mut out[base..];
                 let mut f = 0;
-                // Register-blocked: each coefficient row is swept once
-                // for four stacked windows before moving to the next
+                // Blocked: each coefficient row is swept for four stacked
+                // windows, one after another, before moving to the next
                 // output. Per-firing accumulation is `simd_dot`, so the
                 // values (and tallies) match a single firing bit for bit.
                 while f + 4 <= k {
@@ -429,7 +423,7 @@ impl LinearExec {
                     let w2 = &input[(f + 2) * o..(f + 2) * o + e];
                     let w3 = &input[(f + 3) * o..(f + 3) * o + e];
                     for j in 0..u {
-                        let row = layout.sweep(j).0;
+                        let row = node.row(j);
                         let b = node.offset(j);
                         dst[f * u + j] = finish_output(simd_dot(row, w0, ops, avx), b, ops);
                         dst[(f + 1) * u + j] = finish_output(simd_dot(row, w1, ops, avx), b, ops);
@@ -441,7 +435,7 @@ impl LinearExec {
                 while f < k {
                     let w = &input[f * o..f * o + e];
                     for j in 0..u {
-                        let v = simd_dot(layout.sweep(j).0, w, ops, avx);
+                        let v = simd_dot(node.row(j), w, ops, avx);
                         dst[f * u + j] = finish_output(v, node.offset(j), ops);
                     }
                     f += 1;
@@ -617,27 +611,25 @@ mod tests {
         let node = sparse_node(); // peek 5, push 1: 2.0 at 1, -1.0 at 3
         let coeffs = node.table_bytes();
         assert_eq!(coeffs, 8 * (5 + 1));
+        assert_eq!(node.row(0), &[0.0, 2.0, 0.0, -1.0, 0.0]);
         for strategy in ALL_STRATEGIES {
             let exec = LinearExec::new(node.clone(), strategy);
-            let layout_bytes = match (&exec.table.layout, strategy) {
+            // Beside the node's rows, a strategy holds at most its index.
+            let index_bytes = match (&exec.table.layout, strategy) {
                 (Layout::Terms { terms, bounds }, MatMulStrategy::Unrolled) => {
                     assert_eq!(terms, &[(1, 2.0), (3, -1.0)]);
                     assert_eq!(bounds, &[0, 2]);
                     2 * 16 + 2 * 8
                 }
-                (Layout::Banded { dense, ranges }, MatMulStrategy::Diagonal) => {
-                    assert_eq!(dense.row(0), &[0.0, 2.0, 0.0, -1.0, 0.0]);
+                (Layout::Ranges(ranges), MatMulStrategy::Diagonal) => {
                     assert_eq!(ranges, &[Some((1, 3))]);
-                    5 * 8 + 24
+                    24
                 }
-                (Layout::Dense(dense), MatMulStrategy::Blocked | MatMulStrategy::Simd) => {
-                    assert_eq!(dense.row(0), &[0.0, 2.0, 0.0, -1.0, 0.0]);
-                    5 * 8
-                }
+                (Layout::Rows, MatMulStrategy::Blocked | MatMulStrategy::Simd) => 0,
                 (layout, _) => panic!("{strategy:?} holds {layout:?}"),
             };
             let (id, bytes) = exec.table();
-            assert_eq!(bytes, coeffs + layout_bytes, "{strategy:?}");
+            assert_eq!(bytes, coeffs + index_bytes, "{strategy:?}");
             // A clone shares the table and copies no scratch.
             let copy = exec.clone();
             assert_eq!(copy.table().0, id, "{strategy:?}");

@@ -12,6 +12,7 @@ use streamlin::core::reference::{run_reference, RefStream};
 use streamlin::core::splitjoin::combine_splitjoin;
 use streamlin::fft::FftKind;
 use streamlin::graph::ir::Splitter;
+use streamlin::matrix::{Matrix, Vector};
 use streamlin::support::OpCounter;
 
 /// A random linear node with bounded rates and small integer-ish entries.
@@ -198,3 +199,199 @@ proptest! {
         assert_prefix_close(&lo, &ro, 1e-9)?;
     }
 }
+
+/// A paper-oriented `(A, b)` of a random shape, empty axes included, with
+/// fractional entries, zeros and negative zeros.
+fn arb_paper_matrix() -> impl Strategy<Value = (Matrix, Vector)> {
+    (0usize..=6, 0usize..=5).prop_flat_map(|(peek, push)| {
+        let entries = proptest::collection::vec(-9..=9i32, peek * push);
+        let offsets = proptest::collection::vec(-9..=9i32, push);
+        (Just(peek), Just(push), entries, offsets).prop_map(|(peek, push, entries, offsets)| {
+            let a = Matrix::from_fn(peek, push, |r, c| entry(entries[r * push + c]));
+            (a, offsets.into_iter().map(entry).collect())
+        })
+    })
+}
+
+fn entry(v: i32) -> f64 {
+    match v {
+        0 => 0.0,
+        1 => -0.0,
+        v => f64::from(v) / 7.0,
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A node stores its coefficients output-major, but hands back the
+    /// paper's `A` and `b` bit for bit, and `coeff`/`offset`/`row` agree
+    /// with the paper's indexing: row `peek−1−i` ↔ `peek(i)`, column
+    /// `push−1−j` ↔ output `j`.
+    #[test]
+    fn the_stored_layout_round_trips_the_paper_matrix(
+        (a, b) in arb_paper_matrix(),
+        pop in 0usize..=3,
+    ) {
+        let (e, u) = (a.rows(), a.cols());
+        let node = LinearNode::new(a.clone(), b.clone(), pop).unwrap();
+        prop_assert_eq!((node.peek(), node.pop(), node.push()), (e, pop, u));
+        prop_assert_eq!(node.a().rows(), e);
+        prop_assert_eq!(node.a().cols(), u);
+        prop_assert_eq!(bits(node.a().as_slice()), bits(a.as_slice()));
+        prop_assert_eq!(bits(node.b().as_slice()), bits(b.as_slice()));
+        for j in 0..u {
+            prop_assert_eq!(node.offset(j).to_bits(), b[u - 1 - j].to_bits());
+            prop_assert_eq!(node.offsets()[j].to_bits(), b[u - 1 - j].to_bits());
+            for i in 0..e {
+                let paper = a[(e - 1 - i, u - 1 - j)].to_bits();
+                prop_assert_eq!(node.coeff(i, j).to_bits(), paper);
+                prop_assert_eq!(node.row(j)[i].to_bits(), paper);
+            }
+        }
+    }
+}
+
+/// FNV-1a over the rates and the bits of the paper-layout `A` and `b`.
+fn paper_hash(node: &LinearNode) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let dims = [node.peek(), node.pop(), node.push()].map(|d| d as u64);
+    let (a, b) = (node.a(), node.b());
+    let values = a.as_slice().iter().chain(b.as_slice()).map(|v| v.to_bits());
+    for word in dims.into_iter().chain(values) {
+        for byte in word.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Splitmix64: the fixed-seed stream the combinations below are drawn from.
+struct Draw(u64);
+
+impl Draw {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    /// A node with the given rates whose coefficients mix magnitudes, so
+    /// that a change in summation order changes the rounded result.
+    fn node(&mut self, peek: usize, pop: usize, push: usize) -> LinearNode {
+        let mut coeff = || match self.below(8) {
+            0 | 1 => 0.0,
+            2 => -0.0,
+            _ => (self.below(2001) as f64 - 1000.0) / 7.0 * [1e-3, 1.0, 1e3][self.below(3)],
+        };
+        let rows: Vec<f64> = (0..peek * push).map(|_| coeff()).collect();
+        let offsets: Vec<f64> = (0..push).map(|_| coeff()).collect();
+        LinearNode::from_coeffs(peek, pop, push, |i, j| rows[j * peek + i], &offsets)
+    }
+
+    fn any_node(&mut self) -> LinearNode {
+        let peek = 1 + self.below(7);
+        let pop = 1 + self.below(peek);
+        let push = 1 + self.below(4);
+        self.node(peek, pop, push)
+    }
+}
+
+/// The combination rules work on the stored rows; every combined
+/// coefficient must be the bits the paper-layout products gave. The
+/// hashes were recorded from the paper-layout implementation (`A₁ᵉ·A₂ᵉ`
+/// as a matrix product, expansion as a sum of shifted copies).
+#[test]
+fn combinations_keep_the_paper_layouts_bits() {
+    let mut draw = Draw(0x5eed);
+    let mut got = Vec::new();
+    for _ in 0..24 {
+        let (a, b) = (draw.any_node(), draw.any_node());
+        got.push(combine_pipeline(&a, &b).map_or(0, |c| paper_hash(&c)));
+    }
+    for _ in 0..12 {
+        let (pop, push) = (1 + draw.below(3), 1 + draw.below(3));
+        let n = 2 + draw.below(2);
+        let children: Vec<LinearNode> = (0..n)
+            .map(|_| {
+                let peek = pop + draw.below(4);
+                draw.node(peek, pop, push)
+            })
+            .collect();
+        let weights = vec![push; n];
+        let c = combine_splitjoin(&Splitter::Duplicate, &children, &weights);
+        got.push(c.map_or(0, |c| paper_hash(&c)));
+    }
+    for _ in 0..12 {
+        let (a, b) = (draw.any_node(), draw.any_node());
+        let (va, vb) = (a.pop() * (1 + draw.below(2)), b.pop() * (1 + draw.below(2)));
+        let weights = vec![va / a.pop() * a.push(), vb / b.pop() * b.push()];
+        let split = Splitter::RoundRobin(vec![va, vb]);
+        let c = combine_splitjoin(&split, &[a, b], &weights);
+        got.push(c.map_or(0, |c| paper_hash(&c)));
+    }
+    let combined = got.iter().filter(|&&h| h != 0).count();
+    assert!(combined >= 36, "only {combined} of {} combined", got.len());
+    assert_eq!(got, PAPER_LAYOUT_HASHES, "actual: {got:#x?}");
+}
+
+const PAPER_LAYOUT_HASHES: [u64; 48] = [
+    0x9a62d2c6b9be700f,
+    0xb5f0de77534b8bb1,
+    0x83c8873227838c9d,
+    0xa1128b1623c0f649,
+    0x6a5ee52d39dad4b1,
+    0x5fdc814b84b26edb,
+    0x23620a42ae49e05e,
+    0x6ea66c3a87144c3a,
+    0xaeca777147656188,
+    0xf02d6bd2665d9c65,
+    0xf99c7f3af7badca6,
+    0x42bd020f51c4185e,
+    0xe44520f5781cbd09,
+    0x70c9d50f6348ad6d,
+    0x4398373d71f898d1,
+    0x2edb61945e2829ff,
+    0xa5a48ce1b743b8b8,
+    0xa473f9d6b0b3682a,
+    0x564dac788a697e64,
+    0x999c71a524797a7d,
+    0x4aa8e84b39253b98,
+    0x9e65279cce59c5b9,
+    0x96420c3746792a39,
+    0x79f2a56621192814,
+    0xe15e95c31fbbfb5e,
+    0xf94b6db15496f999,
+    0x0a4c0bb795bbbce5,
+    0x67a9b6c8d920e634,
+    0xef42ceb2bdb9ff58,
+    0xd6c46037e83c5be1,
+    0x6b49f919cc34a9c3,
+    0x5ef447e14c3f79b5,
+    0xf1fe2e5194b743a8,
+    0x21c750526d2595bb,
+    0x13a2aea0da59597f,
+    0x8218928fc602a94c,
+    0x32270ba800c58b65,
+    0x3da9073c8fa87565,
+    0xc386fd7490927fd7,
+    0x143c772f99a6cfe6,
+    0x52b20ab458317fc9,
+    0x5f99a96e26b00ecb,
+    0xdb1259ed7ad596b4,
+    0x090b2d594d2a5bc3,
+    0x492f26fda08d8c63,
+    0x08ac0686e27c593f,
+    0x4582052dbe3e3d5d,
+    0xfc957fb183205124,
+];

@@ -110,7 +110,8 @@ fn autosel_averages_are_the_benchmarks_exact_counts() {
 /// The cells the first `REPRODUCTION.md` was compared on with the deleted
 /// binaries' transcripts (measured at 4787acc). DToA's cell moved from
 /// 63.6 when its counted runs moved from the data-driven engine to its
-/// static plan.
+/// static plan; Figure 5-10's from 57.9 when the redundancy plan stopped
+/// caching tuples that no term reads.
 #[test]
 fn anchors_of_the_transferred_oracle() {
     let report = exact();
@@ -142,7 +143,7 @@ fn anchors_of_the_transferred_oracle() {
     }
     assert_eq!(
         cell(report, "Figure 5-10", "128", "mults% remaining"),
-        "57.9"
+        "46.7"
     );
     assert_eq!(
         cell(report, "Figure 5-11", "12 × 8", "mult% removed"),
