@@ -17,10 +17,9 @@
 //! 2. **State-effect lattice** — [`StateEffect`]: `Pure ⊏ ReadsState ⊏
 //!    AffineState ⊏ OpaqueState`. `AffineState` means every executed
 //!    write to persistent state stores a value that is affine in fields
-//!    and inputs (degree ≤ linear in the abstract domain). Fission
-//!    consults this instead of a syntactic `writes_global` walk, so a
-//!    store that only happens in a provably-dead branch no longer blocks
-//!    data parallelism.
+//!    and inputs (degree ≤ linear in the abstract domain). The walk is
+//!    flow-sensitive, so a store that only happens in a provably-dead
+//!    branch leaves a filter `Pure`.
 //! 3. **Lints** — [`Lint`]s with spans: dead field stores, constant
 //!    conditions, possibly-out-of-range peeks, possible rate mismatches.
 //!    (Unused-field/-parameter lints are added at elaboration, which
@@ -1054,7 +1053,7 @@ mod tests {
     fn dead_branch_write_is_pruned_from_effects() {
         // The old syntactic walk saw the write under `if (false)` and
         // called this filter stateful; flow-sensitive analysis prunes the
-        // dead branch, so fission admissions are a strict superset.
+        // dead branch.
         let f = facts(
             "float->float filter F { float s; work pop 1 push 1 {
                  if (false) s = 1.0;

@@ -222,8 +222,8 @@ pub struct LoweredWork {
     pub frame_slots: usize,
     /// The body typed and flattened to register bytecode
     /// ([`crate::bytecode`]), compiled once here so every consumer of the
-    /// phase — both engines, the pipeline executor, fission workers, the
-    /// streamlind plan cache — shares the same compiled form.
+    /// phase — both engines, the pipeline executor, the streamlind plan
+    /// cache — shares the same compiled form.
     pub code: crate::bytecode::ByteCode,
 }
 

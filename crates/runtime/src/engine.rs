@@ -19,7 +19,6 @@ use streamlin_graph::lower::SlotStore;
 use streamlin_graph::value::{EvalError, Value};
 use streamlin_support::{OpCounter, Recorder, Tally};
 
-use crate::fission::FissKernel;
 use crate::flat::{FlatGraph, FlatNode, InterpState, NodeKind};
 use crate::plan::{node_rates, Rates, CAP_LIMIT};
 
@@ -275,14 +274,7 @@ enum Readiness {
 }
 
 fn fire<T: Tally>(node: &mut FlatNode, state: &mut EngineState<T>) -> Result<(), RunError> {
-    // Synthesized fission plumbing counts no firings and a fission worker
-    // counts its kernel firings (see [`crate::fission`]) — so fission
-    // widths leave the program's firing totals invariant. Everything else
-    // counts one firing per fire.
-    match &node.kind {
-        NodeKind::FissSplit(_) | NodeKind::FissWorker(_) | NodeKind::FissJoin(_) => {}
-        _ => state.firings += 1,
-    }
+    state.firings += 1;
     match &mut node.kind {
         NodeKind::Interp(interp) => {
             let (peek, pop, _) = interp_phase_rates(interp);
@@ -333,101 +325,6 @@ fn fire<T: Tally>(node: &mut FlatNode, state: &mut EngineState<T>) -> Result<(),
             consume(state, node.inputs.first().copied(), pop);
             if let Some(&c) = node.outputs.first() {
                 state.channels[c].extend(state.window.iter().copied());
-            }
-            Ok(())
-        }
-        NodeKind::FissSplit(sp) => {
-            let first = std::mem::take(&mut sp.first);
-            if first && sp.first_share > 0 {
-                let span = sp.first_share + sp.suffix;
-                read_window(state, node.inputs.first().copied(), span);
-                consume(state, node.inputs.first().copied(), sp.first_share);
-                let w = &state.window;
-                state.channels[node.outputs[0]].extend(w.iter().copied());
-                if sp.prefix > 0 {
-                    sp.carry.clear();
-                    sp.carry.extend_from_slice(&w[sp.first_share - sp.prefix..]);
-                }
-                return Ok(());
-            }
-            let total = sp.steady_pop();
-            read_window(state, node.inputs.first().copied(), total + sp.suffix);
-            consume(state, node.inputs.first().copied(), total);
-            let w = &state.window;
-            for (k, &out) in node.outputs.iter().enumerate() {
-                if sp.prefix > 0 {
-                    let prefix: &[f64] = if k == 0 {
-                        &sp.carry
-                    } else {
-                        &w[k * sp.share - sp.prefix..k * sp.share]
-                    };
-                    state.channels[out].extend(prefix.iter().copied());
-                }
-                let start = k * sp.share;
-                state.channels[out].extend(w[start..start + sp.share + sp.suffix].iter().copied());
-            }
-            if sp.prefix > 0 {
-                sp.carry.clear();
-                sp.carry.extend_from_slice(&w[total - sp.prefix..total]);
-            }
-            Ok(())
-        }
-        NodeKind::FissWorker(fw) => {
-            let first = std::mem::take(&mut fw.first) && fw.first_fires > 0;
-            let (chunk, prefix, fires) = if first {
-                (fw.first_chunk_len(), 0, fw.first_fires)
-            } else {
-                (fw.chunk_len(), fw.prefix, fw.batch)
-            };
-            read_window(state, node.inputs.first().copied(), chunk);
-            let EngineState {
-                window: w,
-                out_buf: out,
-                printed,
-                ops,
-                ..
-            } = state;
-            out.clear();
-            match &mut fw.kernel {
-                FissKernel::Linear(exec) => exec.fire_batch(w, fires, out, ops),
-                FissKernel::Freq(exec) => {
-                    if prefix > 0 {
-                        let _ = exec.fire(&w[..prefix], &mut streamlin_support::NoCount);
-                    }
-                    for f in 0..fires {
-                        let base = prefix + f * fw.pop;
-                        let peek = exec.current_rates().0;
-                        let o = exec.fire(&w[base..base + peek], ops);
-                        out.extend_from_slice(&o);
-                    }
-                }
-                FissKernel::Interp(interp) => {
-                    fire_interp(interp, w, fires as u32, out, printed, ops, usize::MAX)?;
-                }
-            }
-            state.firings += fires as u64;
-            consume(state, node.inputs.first().copied(), chunk);
-            produce_staged(state, node.outputs.first().copied());
-            Ok(())
-        }
-        NodeKind::FissJoin(fj) => {
-            let first = std::mem::take(&mut fj.first);
-            if first && fj.first_take > 0 {
-                for _ in 0..fj.first_take {
-                    let v = state.channels[node.inputs[0]]
-                        .pop_front()
-                        .expect("fireable checked occupancy");
-                    state.channels[node.outputs[0]].push_back(v);
-                }
-                return Ok(());
-            }
-            for &cin in &node.inputs {
-                for _ in 0..fj.weight {
-                    let v = state.channels[cin]
-                        .pop_front()
-                        .expect("fireable checked occupancy");
-                    state.channels[node.outputs[0]].push_back(v);
-                }
             }
             Ok(())
         }
@@ -612,8 +509,8 @@ pub(crate) fn init_pending(interp: &InterpState) -> bool {
 /// Returns how many firings ran: fewer than asked only for the lone init
 /// firing, or when the filter prints and `stop_at` outputs exist.
 ///
-/// Shared by the data-driven engine, the static-plan engine and fission
-/// workers, so all execute byte-for-byte the same work-function semantics.
+/// Shared by the data-driven engine and the static-plan engine, so both
+/// execute byte-for-byte the same work-function semantics.
 /// What does not change between the firings of a batch is decided once:
 /// the phase, the tape discipline (certified phases skip per-access checks
 /// and post-firing rate validation), the tier, and whether the print

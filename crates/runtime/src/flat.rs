@@ -12,7 +12,6 @@ use streamlin_graph::value::{Cell, Value};
 use streamlin_lang::ast::{BinOp, DataType};
 use streamlin_support::Recorder;
 
-use crate::fission::{FissJoin, FissKernel, FissSplit, FissWorker};
 use crate::linear_exec::{LinearExec, MatMulStrategy};
 
 /// Errors from flattening.
@@ -162,18 +161,6 @@ pub enum NodeKind {
         /// Items consumed per firing.
         pop: usize,
     },
-    /// Synthesized data-parallel fission splitter: hands each worker its
-    /// round-robin chunk with the sliding-window overlap duplicated (see
-    /// [`crate::fission`]). Pure plumbing — moves items, counts no
-    /// firings, tallies nothing.
-    FissSplit(FissSplit),
-    /// One duplicate of a fissed node: runs `batch` kernel firings per
-    /// round over sliding sub-windows of its chunk, counting exactly
-    /// those firings (so fission leaves firing counts invariant).
-    FissWorker(FissWorker),
-    /// Synthesized fission joiner: interleaves worker blocks round robin,
-    /// reconstructing the original push order. Pure plumbing.
-    FissJoin(FissJoin),
     /// Duplicate splitter (1 in, one copy to each output).
     Duplicate,
     /// Weighted round-robin splitter.
@@ -206,26 +193,16 @@ impl NodeKind {
             NodeKind::Freq(exec) => Some(exec.spec().table()),
             NodeKind::Redund(exec) => Some(exec.spec().table()),
             NodeKind::Periodic { values, .. } => Some((values.as_ptr().cast(), 8 * values.len())),
-            NodeKind::FissWorker(worker) => match &worker.kernel {
-                FissKernel::Linear(exec) => Some(exec.table()),
-                FissKernel::Freq(exec) => Some(exec.spec().table()),
-                FissKernel::Interp(_) => None,
-            },
             _ => None,
         }
     }
 }
 
 impl FlatNode {
-    /// The interpreter state of a node that runs a work function: an
-    /// interpreted filter, or a fission worker over one.
+    /// The interpreter state of a node that runs a work function.
     pub fn interp(&self) -> Option<&InterpState> {
         match &self.kind {
             NodeKind::Interp(state) => Some(state),
-            NodeKind::FissWorker(worker) => match &worker.kernel {
-                FissKernel::Interp(state) => Some(state),
-                _ => None,
-            },
             _ => None,
         }
     }

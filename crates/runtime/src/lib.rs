@@ -50,14 +50,6 @@
 //! single-threaded plan for every thread count, and tallies/firing
 //! counts are identical across thread counts.
 //!
-//! When the cost model's dominant node is stateless or a linear/frequency
-//! kernel, **data-parallel fission** ([`fission`],
-//! [`spec::RunSpec::fission`], `streamlinc --fission auto|off|N`)
-//! rewrites the flat graph to `W` round-robin duplicates behind a
-//! synthesized splitter/joiner pair before partitioning, so a graph
-//! dominated by one node can still use every stage — with the same
-//! bit-identity and tally/firing invariance contract across widths.
-//!
 //! Execution stops when the requested number of program outputs (captured
 //! `print`/`println` values) has been produced. Every executor shares the
 //! reference's firing semantics, so their printed output is bit-identical.
@@ -77,7 +69,7 @@
 //!
 //! One value, [`spec::RunSpec`], says how a program is compiled and run;
 //! [`session`] is the spine it drives: [`session::compile`] (flatten →
-//! plan → fission → partition) sees only the spec's [`spec::PlanSpec`],
+//! plan → partition) sees only the spec's [`spec::PlanSpec`],
 //! [`session::open`] starts a resident [`session::Session`] on the
 //! result, and a one-shot run is *open, read n, close*.
 //!
@@ -100,7 +92,6 @@
 //! ```
 
 pub mod engine;
-pub mod fission;
 pub mod flat;
 pub mod linear_exec;
 pub mod measure;
@@ -114,7 +105,6 @@ pub mod spec;
 pub mod telemetry;
 
 pub use engine::{Engine, RunError};
-pub use fission::{fiss_bottleneck, fissability, Fission, FissionInfo};
 pub use linear_exec::MatMulStrategy;
 pub use measure::{ExecMode, Profile, ProfileError};
 pub use parallel::{PipelineOutcome, PipelineSession, CYCLE_QUANTUM};

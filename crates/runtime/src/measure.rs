@@ -75,16 +75,12 @@ pub struct Profile {
     /// Worker threads that executed the run (1 unless the pipeline
     /// executor ran).
     pub threads: usize,
-    /// Data-parallel fission width that was applied to the dominant node
-    /// (1 = the graph ran unfissed; see [`crate::fission`]).
-    pub fission: usize,
     /// `Some(reason)` when the pipeline run failed with a degradable
     /// error ([`RunError::is_degradable`]) and the results came from the
     /// session's single-threaded replay instead; `None` for
     /// a run that completed on its intended executor. The outputs of a
     /// degraded run are bit-identical to the undegraded ones — the replay
-    /// runs the canonical static plan, which every executor is pinned
-    /// against.
+    /// runs the static plan, which every executor is pinned against.
     pub degraded: Option<String>,
 }
 

@@ -69,21 +69,17 @@ use crate::plan::{batch_need, exec_batch, node_rates, ExecPlan, PlanState, Rates
 use crate::pool;
 use crate::ring::{Backoff, RingSet, SharedRings};
 
-/// Default cycle-count quantum of the pacing protocol, in **original**
-/// steady cycles: the coordinator only ever runs whole multiples of this
-/// many cycles. A fissed graph whose steady cycle spans `scale` original
-/// cycles (see [`crate::fission`]) quantizes to `quantum / scale` of its
-/// own cycles — the same amount of work — which is what makes run
-/// lengths (and with them tallies and firing counts) identical across
-/// fission widths, including width 1. Fission constrains its cycle
-/// expansion to divisors of the effective quantum.
+/// Default cycle-count quantum of the pacing protocol, in steady cycles:
+/// the coordinator only ever runs whole multiples of this many cycles,
+/// which is what makes run lengths (and with them tallies and firing
+/// counts) identical across worker counts.
 ///
 /// The quantum is a field of the run's spec
 /// ([`crate::spec::RunSpec::quantum`]): an explicit knob (`streamlinc
 /// --quantum`, a per-stream `streamlind` member), else this default.
 /// Larger quanta amortize coordinator round trips on long-running
 /// streams; quantum 1 removes the up-to-4× sub-cycle overshoot on short
-/// ones (at the cost of restricting fission's cycle expansion to 1).
+/// ones.
 pub const CYCLE_QUANTUM: u64 = 4;
 
 /// Outcome of a pipeline run: the merged view a profiler needs.
@@ -102,9 +98,7 @@ pub struct PipelineOutcome {
 }
 
 /// Consecutive output-less steady cycles tolerated before the run is
-/// declared dead (mirrors `PlanEngine::MAX_SILENT_CYCLES`). Expressed in
-/// **original** cycles, like [`CYCLE_QUANTUM`]: a fissed run's budget is
-/// divided by its scale so the bound fires after the same work.
+/// declared dead (mirrors `PlanEngine::MAX_SILENT_CYCLES`).
 const MAX_SILENT_CYCLES: u64 = 1 << 16;
 
 /// Watchdog deadline used when a fault plan is present but the caller gave
@@ -548,9 +542,8 @@ pub struct PipelineSession {
     num_stages: usize,
     supervised: bool,
     deadline: Duration,
-    /// Pacing quantum in cycles *of this graph* (original quantum/scale).
+    /// Pacing quantum in steady cycles.
     quantum: u64,
-    scale: u64,
     est_per_cycle: u64,
     /// Cumulative cycle target announced to the workers.
     target: u64,
@@ -571,9 +564,8 @@ pub struct PipelineSession {
 
 impl PipelineSession {
     /// Sets up stage workers on pooled threads and runs nothing yet.
-    /// `quantum` is in original steady cycles (see [`CYCLE_QUANTUM`]);
-    /// `scale` is how many of them one cycle of this graph spans (1
-    /// unless fissed). A `fault` plan or a `watchdog` deadline makes the
+    /// `quantum` is in steady cycles (see [`CYCLE_QUANTUM`]). A `fault`
+    /// plan or a `watchdog` deadline makes the
     /// coordinator poll under supervision (a plan without a deadline gets
     /// a default one, so injection can never hang a run); with neither the
     /// coordinator blocks on the report channel, unsupervised.
@@ -585,23 +577,17 @@ impl PipelineSession {
     ///
     /// # Panics
     ///
-    /// Panics if `scale` does not divide `quantum`.
-    #[allow(clippy::too_many_arguments)]
+    /// Panics if `quantum` is 0.
     pub fn start<T: Tally + Default + Send>(
         flat: FlatGraph,
         plan: &ExecPlan,
         part: &Partition,
-        scale: u64,
         quantum: u64,
         mut probe: Option<&mut Recorder>,
         fault: Option<InjectFaults>,
         watchdog: Option<Duration>,
     ) -> Result<Self, RunError> {
-        assert!(
-            scale >= 1 && quantum >= 1 && quantum.is_multiple_of(scale),
-            "cycle scale {scale} must divide the quantum {quantum}"
-        );
-        let quantum = quantum / scale;
+        assert!(quantum >= 1, "the cycle quantum must be at least 1");
         let num_stages = part.num_stages;
         let num_channels = flat.num_channels;
         let rates: Vec<Rates> = flat.nodes.iter().map(node_rates).collect();
@@ -617,16 +603,15 @@ impl PipelineSession {
         }
 
         // Expected prints per steady cycle (sinks only; interpreted printers
-        // are data-dependent and contribute nothing to the estimate). The
-        // fallback floor is one print per *original* cycle — `scale` per
-        // cycle of this graph — so the estimate stays scale-invariant.
+        // are data-dependent and contribute nothing to the estimate), with
+        // a floor of one print per cycle.
         let mut est_per_cycle = 0u64;
         for step in plan.stepped() {
             if let NodeKind::PrintSink { pop } = &flat.nodes[step.node].kind {
                 est_per_cycle += step.times as u64 * *pop as u64;
             }
         }
-        let est_per_cycle = est_per_cycle.max(scale);
+        let est_per_cycle = est_per_cycle.max(1);
 
         // Distribute nodes, rates, ring capacities and schedule slices.
         let mut local_idx = vec![usize::MAX; flat.nodes.len()];
@@ -854,7 +839,6 @@ impl PipelineSession {
             supervised,
             deadline,
             quantum,
-            scale,
             est_per_cycle,
             target: 0,
             progress_at: 0,
@@ -902,8 +886,8 @@ impl PipelineSession {
     /// is a deterministic function of printed counts at round
     /// boundaries, and targets are quantized to whole multiples of
     /// `quantum` cycles, so the total cycle count — and with it tallies
-    /// and firing counts — is independent of the worker count, the
-    /// fission width, and how a session's reads are batched.
+    /// and firing counts — is independent of the worker count and of how
+    /// a session's reads are batched.
     ///
     /// # Errors
     ///
@@ -918,15 +902,8 @@ impl PipelineSession {
             } else {
                 remaining.div_ceil(self.est_per_cycle)
             };
-            // The silent-cycle budget is defined in *original* cycles
-            // (like the quantum), so the clamp binds at the same amount
-            // of work for every fission scale — otherwise a scale-s run
-            // could overshoot s× further in one round and break the
-            // width-invariance of tallies on runs long enough to hit the
-            // clamp.
-            let max_silent = MAX_SILENT_CYCLES / self.scale;
             let silent = self.target - self.progress_at;
-            let add = add.clamp(1, max_silent.saturating_sub(silent).max(1));
+            let add = add.clamp(1, MAX_SILENT_CYCLES.saturating_sub(silent).max(1));
             let add = add.div_ceil(self.quantum) * self.quantum;
             self.target += add;
             for tx in &self.cmd_txs {
@@ -951,13 +928,11 @@ impl PipelineSession {
             }
             if self.values.len() > before {
                 self.progress_at = self.target;
-            } else if self.target - self.progress_at >= MAX_SILENT_CYCLES / self.scale
-                && self.failed.is_none()
-            {
+            } else if self.target - self.progress_at >= MAX_SILENT_CYCLES && self.failed.is_none() {
                 self.failed = Some(RunError::Deadlock {
                     detail: format!(
                         "{} consecutive steady cycles produced no program output",
-                        (self.target - self.progress_at) * self.scale
+                        self.target - self.progress_at
                     ),
                 });
             }
@@ -1255,7 +1230,7 @@ mod tests {
         let part = partition(&flat, &plan, threads, &CostModel::default());
         let fault = fault.map(|spec| InjectFaults::parse(spec).unwrap());
         let quantum = CYCLE_QUANTUM;
-        PipelineSession::start::<T>(flat, &plan, &part, 1, quantum, None, fault, watchdog)
+        PipelineSession::start::<T>(flat, &plan, &part, quantum, None, fault, watchdog)
     }
 
     /// One-shot use of a session: start, run to `outputs`, finish.

@@ -96,8 +96,6 @@ fn can_print(node: &FlatNode) -> bool {
 
 /// Estimated cost of one firing of a node under the paper's cost model
 /// (heuristic stand-ins for the node kinds the model does not cover).
-/// Shared with the fission pass ([`crate::fission`]), which uses it to
-/// find the dominant node and size the split.
 pub(crate) fn firing_cost(node: &FlatNode, model: &CostModel) -> f64 {
     match &node.kind {
         NodeKind::Linear(exec) => model.direct_per_firing(exec.node()),
@@ -113,32 +111,11 @@ pub(crate) fn firing_cost(node: &FlatNode, model: &CostModel) -> f64 {
             s.inst.work.push,
         ),
         NodeKind::Decimator { push, .. } => model.overhead + model.decim_per_item * *push as f64,
-        // A fission worker runs `batch` kernel firings per round (plus,
-        // for prefix kernels, one uncounted priming firing).
-        NodeKind::FissWorker(fw) => {
-            let kernel = match &fw.kernel {
-                crate::fission::FissKernel::Linear(exec) => model.direct_per_firing(exec.node()),
-                crate::fission::FissKernel::Freq(exec) => {
-                    let spec = exec.spec();
-                    let (_, _, push) = spec.work_rates();
-                    model.freq_firing(spec.n(), spec.node().push(), push)
-                }
-                crate::fission::FissKernel::Interp(s) => model.interp_firing(
-                    s.inst.lowered.work.stmt_count(),
-                    s.inst.work.peek,
-                    s.inst.work.push,
-                ),
-            };
-            let primes = if fw.prefix > 0 { 1.0 } else { 0.0 };
-            (fw.batch as f64 + primes) * kernel
-        }
         // Plumbing nodes move items without arithmetic: charge the moves.
         NodeKind::Periodic { .. } => 4.0,
         NodeKind::PrintSink { pop } | NodeKind::DiscardSink { pop } => 2.0 * *pop as f64,
         NodeKind::Duplicate => 2.0 * node.outputs.len() as f64,
         NodeKind::SplitRR(w) | NodeKind::JoinRR(w) => 2.0 * w.iter().sum::<usize>() as f64,
-        NodeKind::FissSplit(sp) => 2.0 * (sp.width * sp.chunk_len()) as f64,
-        NodeKind::FissJoin(fj) => 2.0 * (fj.width * fj.weight) as f64,
     }
 }
 

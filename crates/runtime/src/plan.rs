@@ -49,7 +49,7 @@
 //!
 //! What one firing of each node kind peeks, pops and pushes is written
 //! once, in `node_rates` (a steady phase, plus a distinct first phase for
-//! `initWork`, frequency priming and fission's first round). It is the one
+//! `initWork` and frequency priming). It is the one
 //! rate table: the balance equations, the init derivation and the symbolic
 //! execution here read it, and so do partitioning, the pipeline executor
 //! and the data-driven engine's readiness test.
@@ -66,7 +66,6 @@ use streamlin_graph::steady::{balance, RateEdge};
 use streamlin_support::{OpCounter, Recorder, Tally};
 
 use crate::engine::{fire_interp, init_pending, interp_phase_rates, RunError};
-use crate::fission::FissKernel;
 use crate::flat::{FlatGraph, FlatNode, NodeKind};
 use crate::ring::RingSet;
 
@@ -329,57 +328,6 @@ pub(crate) fn node_rates(node: &FlatNode) -> Rates {
             steady: phase_for(node, *pop as u64, *pop as u64, 0),
             first: None,
         },
-        NodeKind::FissSplit(sp) => {
-            let steady = Phase {
-                in_peek: vec![(sp.steady_pop() + sp.suffix) as u64],
-                in_pop: vec![sp.steady_pop() as u64],
-                out_push: vec![sp.chunk_len() as u64; node.outputs.len()],
-            };
-            let first = (sp.first_share > 0 && sp.first).then(|| {
-                let mut out_push = vec![0u64; node.outputs.len()];
-                out_push[0] = (sp.first_share + sp.suffix) as u64;
-                Phase {
-                    in_peek: vec![(sp.first_share + sp.suffix) as u64],
-                    in_pop: vec![sp.first_share as u64],
-                    out_push,
-                }
-            });
-            Rates { steady, first }
-        }
-        NodeKind::FissWorker(fw) => {
-            let steady = phase_for(
-                node,
-                fw.chunk_len() as u64,
-                fw.chunk_len() as u64,
-                (fw.batch * fw.push) as u64,
-            );
-            let first = (fw.first_fires > 0 && fw.first).then(|| {
-                phase_for(
-                    node,
-                    fw.first_chunk_len() as u64,
-                    fw.first_chunk_len() as u64,
-                    fw.first_pushes() as u64,
-                )
-            });
-            Rates { steady, first }
-        }
-        NodeKind::FissJoin(fj) => {
-            let steady = Phase {
-                in_peek: vec![fj.weight as u64; node.inputs.len()],
-                in_pop: vec![fj.weight as u64; node.inputs.len()],
-                out_push: vec![(fj.width * fj.weight) as u64],
-            };
-            let first = (fj.first_take > 0 && fj.first).then(|| {
-                let mut in_pop = vec![0u64; node.inputs.len()];
-                in_pop[0] = fj.first_take as u64;
-                Phase {
-                    in_peek: in_pop.clone(),
-                    in_pop,
-                    out_push: vec![fj.first_take as u64],
-                }
-            });
-            Rates { steady, first }
-        }
         NodeKind::Duplicate => Rates {
             steady: Phase {
                 in_peek: vec![1],
@@ -1302,144 +1250,6 @@ pub(crate) fn exec_batch<T: Tally>(
             state.firings += times as u64;
             let c_in = input.expect("sinks always have an input");
             state.rings.consume(c_in, *pop * times as usize);
-            Ok(times)
-        }
-        // The synthesized fission plumbing moves items without arithmetic
-        // and deliberately does NOT count as firings: the workers count
-        // the original node's firings, so fission leaves the program's
-        // firing totals (and tallies) invariant across widths.
-        NodeKind::FissSplit(sp) => {
-            let c_in = input.expect("splitters always have an input");
-            for _ in 0..times {
-                if std::mem::take(&mut sp.first) && sp.first_share > 0 {
-                    // Distinct first firing: the windows of the unfissed
-                    // plan's init firings go to worker 0 alone; their
-                    // tail doubles as the first carried priming prefix.
-                    let span = sp.first_share + sp.suffix;
-                    let window = state.rings.window(c_in, span);
-                    sp.scratch.clear();
-                    sp.scratch.extend_from_slice(window);
-                    state.rings.consume(c_in, sp.first_share);
-                    state.rings.produce(node.outputs[0], &sp.scratch);
-                    if sp.prefix > 0 {
-                        sp.carry.clear();
-                        sp.carry
-                            .extend_from_slice(&sp.scratch[sp.first_share - sp.prefix..]);
-                    }
-                    continue;
-                }
-                let total = sp.steady_pop();
-                {
-                    let window = state.rings.window(c_in, total + sp.suffix);
-                    sp.scratch.clear();
-                    sp.scratch.extend_from_slice(window);
-                }
-                state.rings.consume(c_in, total);
-                for (k, &out) in node.outputs.iter().enumerate() {
-                    if sp.prefix > 0 {
-                        if k == 0 {
-                            state.rings.produce(out, &sp.carry);
-                        } else {
-                            let start = k * sp.share - sp.prefix;
-                            state.rings.produce(out, &sp.scratch[start..k * sp.share]);
-                        }
-                    }
-                    let start = k * sp.share;
-                    state
-                        .rings
-                        .produce(out, &sp.scratch[start..start + sp.share + sp.suffix]);
-                }
-                if sp.prefix > 0 {
-                    sp.carry.clear();
-                    let tail = total - sp.prefix;
-                    sp.carry.extend_from_slice(&sp.scratch[tail..total]);
-                }
-            }
-            Ok(times)
-        }
-        NodeKind::FissWorker(fw) => {
-            let c_in = input.expect("fission workers always have an input");
-            for _ in 0..times {
-                // The distinct first firing replays the unfissed init
-                // batch (no priming prefix — the kernel's own first-firing
-                // path runs naturally, and its internal state carries
-                // across the contiguous batch); steady rounds prime from
-                // the duplicated prefix when the kernel needs it.
-                let first = std::mem::take(&mut fw.first) && fw.first_fires > 0;
-                let (chunk, prefix, fires) = if first {
-                    (fw.first_chunk_len(), 0, fw.first_fires)
-                } else {
-                    (fw.chunk_len(), fw.prefix, fw.batch)
-                };
-                let PlanState {
-                    rings,
-                    printed,
-                    ops,
-                    firings,
-                    out_buf,
-                } = state;
-                let window = rings.window(c_in, chunk);
-                out_buf.clear();
-                match &mut fw.kernel {
-                    FissKernel::Linear(exec) => exec.fire_batch(window, fires, out_buf, ops),
-                    FissKernel::Freq(exec) => {
-                        if prefix > 0 {
-                            // Recompute the previous firing's edge
-                            // partials from the duplicated prefix window —
-                            // uncounted, like the unfissed node never
-                            // performing this work at all.
-                            let _ = exec.fire(&window[..prefix], &mut streamlin_support::NoCount);
-                        }
-                        for f in 0..fires {
-                            let base = prefix + f * fw.pop;
-                            let peek = exec.current_rates().0;
-                            let out = exec.fire(&window[base..base + peek], ops);
-                            out_buf.extend_from_slice(&out);
-                        }
-                    }
-                    FissKernel::Interp(interp) => {
-                        fire_interp(
-                            interp,
-                            window,
-                            fires as u32,
-                            out_buf,
-                            printed,
-                            ops,
-                            usize::MAX,
-                        )?;
-                    }
-                }
-                *firings += fires as u64;
-                rings.consume(c_in, chunk);
-                if let Some(c) = output {
-                    rings.produce(c, out_buf);
-                }
-            }
-            Ok(times)
-        }
-        NodeKind::FissJoin(fj) => {
-            let c_out = output.expect("joiners always have an output");
-            for _ in 0..times {
-                if std::mem::take(&mut fj.first) && fj.first_take > 0 {
-                    state.out_buf.clear();
-                    {
-                        let window = state.rings.window(node.inputs[0], fj.first_take);
-                        state.out_buf.extend_from_slice(window);
-                    }
-                    state.rings.consume(node.inputs[0], fj.first_take);
-                    state.rings.produce(c_out, &state.out_buf);
-                    continue;
-                }
-                for &cin in &node.inputs {
-                    state.out_buf.clear();
-                    {
-                        let window = state.rings.window(cin, fj.weight);
-                        state.out_buf.extend_from_slice(window);
-                    }
-                    state.rings.consume(cin, fj.weight);
-                    state.rings.produce(c_out, &state.out_buf);
-                }
-            }
             Ok(times)
         }
         // Splitters and joiners move all `times` firings as slices: one

@@ -9,7 +9,7 @@
 //! [`ExecSpec`] — and every phase is recorded on the [`Recorder`] it is
 //! handed (an `Option`: `None` is an unrecorded run), so the CLI and an
 //! instrumented daemon stream report the same spans (`parse, elaborate,
-//! analyze, select, flatten, plan, fission?, partition?`).
+//! analyze, select, flatten, plan, partition?`).
 //!
 //! Every program that compiles has a static plan — a feedback loop's is
 //! derived from its enqueued items — so behind a [`Session`] sits one of
@@ -20,9 +20,9 @@
 //! a family. Degradation is the session's behaviour, not a caller's option: a
 //! degradable failure ([`RunError::is_degradable`] — a stall or a lost
 //! worker, never a program error, which would just recur) tears down
-//! that session's pipeline, rebuilds the canonical pre-fission plan
-//! engine, fast-forwards it past the values already delivered, and keeps
-//! serving bit-identical values.
+//! that session's pipeline, starts a plan engine on the session's own
+//! copy of the graph and plan, fast-forwards it past the values already
+//! delivered, and keeps serving bit-identical values.
 
 use std::collections::HashSet;
 use std::time::Instant;
@@ -34,7 +34,6 @@ use streamlin_graph::ir::Stream;
 use streamlin_support::{NoCount, OpCounter, Recorder, Tally};
 
 use crate::engine::RunError;
-use crate::fission::{fiss_bottleneck, Fission, FissionInfo};
 use crate::flat::{flatten_with, note_fused_loops, note_tiers, FlatGraph};
 use crate::measure::{ExecMode, Profile, ProfileError};
 use crate::parallel::PipelineSession;
@@ -102,19 +101,12 @@ pub fn front_end(
 /// [`Arc`]: std::sync::Arc
 #[derive(Debug, Clone)]
 pub struct Compiled {
-    /// The graph to execute: post-fission when the pass engaged.
+    /// The graph to execute.
     pub flat: FlatGraph,
     /// The static schedule of `flat`.
     pub plan: ExecPlan,
     /// The pipeline partition, present when the spec has a stage budget.
     pub part: Option<Partition>,
-    /// The *pre-fission* graph and plan a degraded session replays on,
-    /// kept whenever a partition is.
-    pub canonical: Option<(FlatGraph, ExecPlan)>,
-    /// Original steady cycles one post-fission cycle spans.
-    pub scale: u64,
-    /// Fission width actually applied (1 = unfissed).
-    pub width: usize,
     /// The spec's cycle quantum.
     pub quantum: u64,
 }
@@ -127,27 +119,22 @@ impl Compiled {
     }
 
     /// Bytes of the tables the artifact holds, each counted once however
-    /// many of its nodes and graphs (fission's workers, the canonical
-    /// pair) share it: what keeping the artifact costs beyond its wiring.
+    /// many of its nodes share it: what keeping the artifact costs beyond
+    /// its wiring.
     pub fn table_bytes(&self) -> usize {
         let mut seen = HashSet::new();
-        let graphs = std::iter::once((&self.flat, &self.plan))
-            .chain(self.canonical.iter().map(|(flat, plan)| (flat, plan)));
-        graphs
-            .flat_map(|(flat, plan)| {
-                let nodes = flat.nodes.iter().filter_map(|n| n.kind.table());
-                nodes.chain(plan.tables())
-            })
+        let nodes = self.flat.nodes.iter().filter_map(|n| n.kind.table());
+        nodes
+            .chain(self.plan.tables())
             .filter(|&(id, _)| seen.insert(id))
             .map(|(_, bytes)| bytes)
             .sum()
     }
 }
 
-/// Flatten → plan → fission → partition, each a phase on `probe`, with
-/// the decisions (fission engagement or refusal reason, schedule shape,
-/// partition) as notes and the executing graph's node names and
-/// cost-model predictions for the metrics report.
+/// Flatten → plan → partition, each a phase on `probe`, with the
+/// decisions (schedule shape, partition) as notes and the graph's node
+/// names and cost-model predictions for the metrics report.
 ///
 /// # Errors
 ///
@@ -163,77 +150,30 @@ pub fn compile(
         flatten_with(opt, spec.matmul, spec.tier, spec.cert)
     })?;
     let plan = phase(probe, "plan", || plan::compile(&flat))?;
-    let canonical = spec.threads.map(|_| (flat.clone(), plan.clone()));
-    let mut art = Compiled {
-        flat,
-        plan,
-        part: None,
-        canonical,
-        scale: 1,
-        width: 1,
-        quantum: spec.quantum,
-    };
     let model = CostModel::default();
-    if spec.fission == Fission::Off {
-        if let Some(rec) = probe {
-            rec.note("fission", "off");
-        }
-    } else {
-        let t0 = probe.as_deref().map_or(0, Recorder::now);
-        match fiss(&art.flat, &art.plan, spec, &model) {
-            Ok((graph, plan, info)) => {
-                if let Some(rec) = probe {
-                    rec.phase("fission", t0);
-                    rec.note("fission", &info.summary());
-                }
-                art.flat = graph;
-                art.plan = plan;
-                art.scale = info.scale;
-                art.width = info.width;
-            }
-            Err(why) => {
-                if let Some(rec) = probe {
-                    rec.note("fission", &format!("none ({why})"));
-                }
-            }
-        }
-    }
     if let Some(rec) = probe {
-        for (i, node) in art.flat.nodes.iter().enumerate() {
+        for (i, node) in flat.nodes.iter().enumerate() {
             rec.node_name(i, &node.name);
             rec.node_cost(i, firing_cost(node, &model));
         }
-        rec.note("schedule", &art.plan.summary(&art.flat));
-        note_tiers(&art.flat.nodes, rec);
+        rec.note("schedule", &plan.summary(&flat));
+        note_tiers(&flat.nodes, rec);
     }
-    if let Some(threads) = spec.threads {
+    let part = spec.threads.map(|threads| {
         let part = phase(probe, "partition", || {
-            partition(&art.flat, &art.plan, threads, &model)
+            partition(&flat, &plan, threads, &model)
         });
         if let Some(rec) = probe {
             rec.note("pipeline", &part.summary());
         }
-        art.part = Some(part);
-    }
-    Ok(art)
-}
-
-/// The fission pass plus the fissed graph's plan, or why the graph runs
-/// unfissed.
-fn fiss(
-    flat: &FlatGraph,
-    driver: &ExecPlan,
-    spec: &PlanSpec,
-    model: &CostModel,
-) -> Result<(FlatGraph, ExecPlan, FissionInfo), String> {
-    let threads = spec.threads.unwrap_or(1);
-    let (graph, info) = fiss_bottleneck(flat, driver, spec.fission, threads, model, spec.quantum)?;
-    // A fissed graph that exceeds plan bounds falls back whole.
-    let plan = plan::compile(&graph).map_err(|e| {
-        let planned = info.summary();
-        format!("{planned} planned, but its schedule failed: {e}")
-    })?;
-    Ok((graph, plan, info))
+        part
+    });
+    Ok(Compiled {
+        flat,
+        plan,
+        part,
+        quantum: spec.quantum,
+    })
 }
 
 /// The whole compiler, source text to artifact: [`front_end`] then
@@ -261,8 +201,6 @@ pub struct Report {
     pub firings: u64,
     /// Worker threads the session ended on (1 unless the pipeline ran).
     pub threads: usize,
-    /// Fission width the session ended on.
-    pub width: usize,
     /// Why the session fell back to the single-threaded plan, if it did.
     pub degraded: Option<String>,
     /// The session's recorder, when it was opened with one.
@@ -323,12 +261,12 @@ const FAST_FORWARD_PIECE: usize = 1 << 16;
 struct Live<T: Tally> {
     engine: Family<T>,
     probe: Option<Recorder>,
-    /// The replay source, while the pipeline is still up.
-    canonical: Option<(FlatGraph, ExecPlan)>,
+    /// The graph and plan a degrading session replays on, while the
+    /// pipeline is still up.
+    replay: Option<(FlatGraph, ExecPlan)>,
     delivered: usize,
     degraded: Option<String>,
     threads: usize,
-    width: usize,
 }
 
 /// Announces a fallback on the recorder and builds the engine it runs on.
@@ -352,30 +290,30 @@ impl<T: Tally + Default + Send + 'static> Live<T> {
         mut probe: Option<Recorder>,
     ) -> Result<Box<dyn Session>, RunError> {
         let fault = exec.fault.as_ref();
-        let (mut threads, mut width, mut degraded) = (1, art.width, None);
-        let mut canonical = art.canonical;
+        let (mut threads, mut degraded, mut replay) = (1, None, None);
         let engine: Family<T> = match art.part {
             Some(part) => {
+                // The pipeline consumes its graph; a degradation replays
+                // on this untouched copy.
+                let pair = (art.flat.clone(), art.plan.clone());
                 match PipelineSession::start::<T>(
                     art.flat,
                     &art.plan,
                     &part,
-                    art.scale,
                     art.quantum,
                     probe.as_mut(),
                     fault.cloned(),
                     exec.watchdog,
                 ) {
                     Ok(session) => {
-                        threads = part.num_stages;
+                        (threads, replay) = (part.num_stages, Some(pair));
                         Family::Pipeline(session)
                     }
                     // Setup-time degradable failure (e.g. the pool refused
                     // threads): the session starts life on the fallback
                     // instead of failing the open.
-                    Err(e) if e.is_degradable() && canonical.is_some() => {
-                        let pair = canonical.take().expect("guarded");
-                        (width, degraded) = (1, Some(e.to_string()));
+                    Err(e) if e.is_degradable() => {
+                        degraded = Some(e.to_string());
                         Family::Plan(fallback_engine(probe.as_mut(), pair, &e))
                     }
                     Err(e) => return Err(e),
@@ -397,11 +335,10 @@ impl<T: Tally + Default + Send + 'static> Live<T> {
         Ok(Box::new(Live {
             engine,
             probe,
-            canonical,
+            replay,
             delivered: 0,
             degraded,
             threads,
-            width,
         }))
     }
 
@@ -416,14 +353,11 @@ impl<T: Tally + Default + Send + 'static> Live<T> {
         }
     }
 
-    /// Replaces the dead pipeline with the canonical plan engine,
-    /// fast-forwarded past everything already delivered. Bit-identity of
-    /// the continuation is the executors' shared determinism contract.
+    /// Replaces the dead pipeline with a plan engine, fast-forwarded past
+    /// everything already delivered. Bit-identity of the continuation is
+    /// the executors' shared determinism contract.
     fn degrade(&mut self, cause: &RunError) -> Result<(), RunError> {
-        let pair = self
-            .canonical
-            .take()
-            .expect("degrade needs the canonical pair");
+        let pair = self.replay.take().expect("degrade needs the replay pair");
         let mut engine = fallback_engine::<T>(self.probe.as_mut(), pair, cause);
         // Replay in bounded pieces: the engine stops at the exact firing
         // that crosses each goal and resumes mid-cycle, so the firing
@@ -440,7 +374,7 @@ impl<T: Tally + Default + Send + 'static> Live<T> {
             // expected here, so the result is dropped deliberately.
             let _ = dead.finish(self.probe.as_mut());
         }
-        (self.threads, self.width) = (1, 1);
+        self.threads = 1;
         self.degraded = Some(cause.to_string());
         Ok(())
     }
@@ -449,7 +383,7 @@ impl<T: Tally + Default + Send + 'static> Live<T> {
 impl<T: Tally + Default + Send + 'static> Session for Live<T> {
     fn read(&mut self, n: usize) -> Result<Vec<f64>, RunError> {
         let values = match self.step(n) {
-            Err(e) if e.is_degradable() && self.canonical.is_some() => {
+            Err(e) if e.is_degradable() && self.replay.is_some() => {
                 self.degrade(&e)?;
                 self.step(n)?
             }
@@ -496,7 +430,6 @@ impl<T: Tally + Default + Send + 'static> Session for Live<T> {
             ops,
             firings,
             threads: this.threads,
-            width: this.width,
             degraded: this.degraded,
             probe: this.probe,
         }
@@ -588,7 +521,6 @@ impl RunSpec {
             wall,
             firings: report.firings,
             threads: report.threads,
-            fission: report.width,
             degraded: report.degraded,
         })
     }

@@ -1,7 +1,7 @@
 //! The run specification: one value that says how a program is compiled
 //! and executed, and the one table that fills it.
 //!
-//! A [`RunSpec`] holds the ten independently settable run values.
+//! A [`RunSpec`] holds the nine independently settable run values.
 //! `streamlinc` feeds [`KNOBS`] `--flag value` pairs, the daemon's `open`
 //! feeds it JSON members (numbers stringified), and tests write struct
 //! literals over [`RunSpec::default`]; there is no other parser and no
@@ -18,7 +18,6 @@ use std::time::Duration;
 use streamlin_core::Config;
 use streamlin_support::InjectFaults;
 
-use crate::fission::Fission;
 pub use crate::flat::Tier;
 use crate::linear_exec::MatMulStrategy;
 use crate::measure::ExecMode;
@@ -33,13 +32,10 @@ pub struct RunSpec {
     pub mode: ExecMode,
     /// Matrix-multiply kernel; `None` takes the mode's default.
     pub matmul: Option<MatMulStrategy>,
-    /// Pipeline stage budget; `None` runs the single-threaded engines
-    /// (unless `fission` asks for the pipeline executor).
+    /// Pipeline stage budget; `None` runs the single-threaded plan engine.
     pub threads: Option<usize>,
-    /// Data-parallel fission of the dominant node.
-    pub fission: Fission,
-    /// Cycle quantum of the pipeline pacing protocol, in original steady
-    /// cycles (>= 1). Fission's cycle expansion must divide it.
+    /// Cycle quantum of the pipeline pacing protocol, in steady cycles
+    /// (>= 1).
     pub quantum: u64,
     /// Which evaluator runs interpreted work functions.
     pub tier: Tier,
@@ -58,7 +54,6 @@ impl Default for RunSpec {
             mode: ExecMode::default(),
             matmul: None,
             threads: None,
-            fission: Fission::Off,
             quantum: CYCLE_QUANTUM,
             tier: Tier::default(),
             cert: true,
@@ -77,11 +72,8 @@ pub struct PlanSpec {
     /// Resolved: an unset `matmul` took the mode's default, which is the
     /// mode's only compile-time effect.
     pub matmul: MatMulStrategy,
-    /// Pipeline stage budget. A lone `fission` request implies a 1-stage
-    /// budget, since the fission pass runs on the pipeline executor.
+    /// Pipeline stage budget.
     pub threads: Option<usize>,
-    /// Resolved: a fault plan's `nofission` directive turns the pass off.
-    pub fission: Fission,
     pub quantum: u64,
     pub tier: Tier,
     pub cert: bool,
@@ -99,18 +91,10 @@ pub struct ExecSpec {
 impl RunSpec {
     /// The normalised compile half.
     pub fn plan(&self) -> PlanSpec {
-        let fission = match self.fault.as_ref().and_then(|f| f.fission_abort()) {
-            Some(_) => Fission::Off,
-            None => self.fission,
-        };
         PlanSpec {
             config: self.config,
             matmul: self.matmul.unwrap_or(self.mode.default_strategy()),
-            threads: match (self.threads, self.fission) {
-                (None, Fission::Off) => None,
-                (threads, _) => Some(threads.unwrap_or(1)),
-            },
-            fission,
+            threads: self.threads,
             quantum: self.quantum,
             tier: self.tier,
             cert: self.cert,
@@ -257,23 +241,6 @@ pub const KNOBS: &[Knob] = &[
         set: |s, v| count(v, 1).map(|n| s.threads = Some(n as usize)),
     },
     Knob {
-        key: "fission",
-        flag: "fission",
-        values: "auto|off|<w>",
-        compile_time: true,
-        contract: Contract::BitsAndCounts,
-        samples: &["1", "2", "4", "auto"],
-        help: "split the dominant node w ways (alone: a 1-stage pipeline)",
-        set: |s, v| {
-            let parsed = match v {
-                "auto" => Ok(Fission::Auto),
-                "off" => Ok(Fission::Off),
-                w => count(w, 1).map(|w| Fission::Width(w as usize)),
-            };
-            parsed.map(|f| s.fission = f)
-        },
-    },
-    Knob {
         key: "quantum",
         flag: "quantum",
         values: "<n>",
@@ -292,8 +259,11 @@ pub const KNOBS: &[Knob] = &[
         samples: &["bytecode", "treewalk"],
         help: "interpreter tier: typed register bytecode, or the tree-walking reference",
         set: |s, v| {
-            one_of(v, &[("bytecode", Tier::Bytecode), ("treewalk", Tier::TreeWalk)])
-                .map(|t| s.tier = t)
+            one_of(
+                v,
+                &[("bytecode", Tier::Bytecode), ("treewalk", Tier::TreeWalk)],
+            )
+            .map(|t| s.tier = t)
         },
     },
     Knob {
@@ -323,7 +293,7 @@ pub const KNOBS: &[Knob] = &[
         compile_time: false,
         contract: Contract::NotOutput,
         samples: &["7:die@s0", "3:wedge,refuse#1"],
-        help: "deterministic fault drill (panic@s1, wedge, die, slow=50, delay@c2=100, refuse#1, nofission)",
+        help: "deterministic fault drill (panic@s1, wedge, die, slow=50, delay@c2=100, refuse#1)",
         set: |s, v| InjectFaults::parse(v).map(|f| s.fault = Some(f)),
     },
 ];

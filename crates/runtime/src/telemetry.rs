@@ -126,7 +126,7 @@ mod tests {
         rec.batch(1, 0, 8, t0);
         rec.stall(1, StallKind::RecvEmpty, rec.now());
         rec.ring_depth(2, 5, rec.now());
-        rec.note("fission", "off");
+        rec.note("pipeline", "1 stage");
         let shape = validate_trace(&rec.chrome_trace()).expect("valid");
         assert_eq!(shape.spans, 2);
         assert_eq!(shape.counters, 1);

@@ -3,13 +3,13 @@
 //!
 //! One-shot `streamlinc` pays the whole compiler — parse, elaborate,
 //! linear analysis, replacement selection, lowering, schedule
-//! compilation, fission, partitioning — on every invocation. The daemon
+//! compilation, partitioning — on every invocation. The daemon
 //! pays it once per plan it keeps: [`PlanCache::get_or_compile`] keys on
 //! the program's content hash (FNV-1a 64 over the source text) plus the
 //! request's normalised [`PlanSpec`], and stores what
 //! [`streamlin_runtime::compile_source`] built — the lowered graph (each
 //! filter's `FilterFacts` intact, per the facts-not-AST convention), the
-//! static plan, the fission rewrite and the partition — behind an
+//! static plan and the partition — behind an
 //! [`Arc`]. Opening a stream for a cached key clones the artifact and
 //! opens a session on the clone; the compiler never runs again while the
 //! key stays cached. The clone shares every immutable table of the
@@ -259,10 +259,6 @@ mod tests {
         assert!(
             a.compiled.part.is_some(),
             "pipeline key carries a partition"
-        );
-        assert!(
-            a.compiled.canonical.is_some(),
-            "pipeline key retains the canonical pair"
         );
         assert_eq!(cache.stats().entries, 2);
     }

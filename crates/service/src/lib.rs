@@ -297,7 +297,6 @@ impl Service {
             ("cached".to_string(), Json::Bool(cached)),
             ("compile_ms".to_string(), Json::Num(artifact.compile_ms)),
             ("workers".to_string(), Json::Num(workers as f64)),
-            ("width".to_string(), Json::Num(compiled.width as f64)),
         ];
         if let Some(d) = degraded {
             pairs.push(("degraded".to_string(), Json::Str(d)));

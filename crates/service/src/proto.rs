@@ -12,13 +12,12 @@
 //! `"inf"`/`"-inf"`/`"nan"` instead ([`write_sample`]/[`decode_sample`]),
 //! keeping every program observable through the service.
 //!
-//! Requests (`op` selects the verb; unknown fields are ignored):
+//! Requests (`op` selects the verb):
 //!
 //! ```json
 //! {"op":"open","id":"s1","program":"...","config":"autosel",
-//!  "mode":"measured","matmul":"unrolled","threads":2,
-//!  "fission":"auto","quantum":4,"fault":"7:die@s0","watchdog_ms":2000,
-//!  "wait_ms":100}
+//!  "mode":"measured","matmul":"unrolled","threads":2,"quantum":4,
+//!  "fault":"7:die@s0","watchdog_ms":2000,"wait_ms":100}
 //! {"op":"read","id":"s1","n":64}
 //! {"op":"close","id":"s1"}
 //! {"op":"stats"}
@@ -26,10 +25,13 @@
 //! {"op":"shutdown"}
 //! ```
 //!
-//! Beside `id`, `program` and `wait_ms`, the members of `open` are exactly
-//! the rows of the run-spec knob table ([`streamlin_runtime::KNOBS`], the
-//! same table `streamlinc` feeds its flags): each row's `key`, as a
-//! string or a number, validated by the row.
+//! Beside `op`, `id`, `program` and `wait_ms`, the members of `open` are
+//! exactly the rows of the run-spec knob table
+//! ([`streamlin_runtime::KNOBS`], the same table `streamlinc` feeds its
+//! flags): each row's `key`, as a string or a number, validated by the
+//! row. An `open` naming any other member is refused, as `streamlinc`
+//! refuses an unknown flag; the other ops ignore members they do not
+//! read.
 //!
 //! Responses always carry `"ok"`; failures are structured —
 //! `{"ok":false,"error":"saturated","need":2,"in_use":4,"budget":4,...}`
@@ -80,6 +82,9 @@ fn text_field(v: &Json, key: &str) -> Result<Option<String>, String> {
     }
 }
 
+/// The members of an `open` that are not knobs.
+const OPEN_MEMBERS: [&str; 4] = ["op", "id", "program", "wait_ms"];
+
 /// Parses one request line, an `open` over [`RunSpec::default`].
 ///
 /// # Errors
@@ -103,6 +108,12 @@ pub fn parse_request_over(line: &str, base: &RunSpec) -> Result<Request, String>
         "open" => {
             let id = str_field(&v, "id").ok_or("open: missing \"id\"")?;
             let program = str_field(&v, "program").ok_or("open: missing \"program\"")?;
+            if let Json::Obj(members) = &v {
+                let known = |m: &str| OPEN_MEMBERS.contains(&m) || KNOBS.iter().any(|k| k.key == m);
+                if let Some(m) = members.keys().find(|m| !known(m)) {
+                    return Err(format!("open: unknown member `{m}`"));
+                }
+            }
             let mut spec = base.clone();
             for knob in KNOBS {
                 if let Some(raw) = text_field(&v, knob.key).map_err(|e| format!("open: {e}"))? {
@@ -232,7 +243,6 @@ pub fn err_response(code: &str, detail: &str, pairs: Vec<(String, Json)>) -> Str
 mod tests {
     use super::*;
     use std::time::Duration;
-    use streamlin_runtime::fission::Fission;
     use streamlin_runtime::ExecMode;
 
     fn open(extra: &str) -> Result<OpenReq, String> {
@@ -253,13 +263,12 @@ mod tests {
     #[test]
     fn knobs_parse() {
         let o = open(
-            r#","mode":"fast","threads":4,"fission":2,"quantum":8,"fault":"7:die@s0",
-                "watchdog_ms":500,"wait_ms":10,"unknown":[1]"#,
+            r#","mode":"fast","threads":4,"quantum":8,"fault":"7:die@s0",
+                "watchdog_ms":500,"wait_ms":10"#,
         )
         .unwrap();
         assert_eq!(o.spec.mode, ExecMode::Fast);
         assert_eq!(o.spec.threads, Some(4));
-        assert_eq!(o.spec.fission, Fission::Width(2));
         assert_eq!(o.spec.quantum, 8);
         assert!(o.spec.fault.is_some());
         assert_eq!(o.spec.watchdog, Some(Duration::from_millis(500)));
@@ -288,7 +297,7 @@ mod tests {
             ("threads", "0"),
             ("threads", "-2"),
             ("threads", "true"),
-            ("fission", "1.5"),
+            ("quantum", "-1"),
             ("config", "\"bogus\""),
             ("mode", "\"turbo\""),
             ("matmul", "\"fused\""),
@@ -298,6 +307,12 @@ mod tests {
         ] {
             let why = open(&format!(r#","{key}":{bad}"#)).expect_err(key);
             assert!(why.contains(&format!("`{key}`")), "{key}={bad}: {why}");
+        }
+        // A member no row or `open` field names is refused by name, as an
+        // unknown flag is by `streamlinc`.
+        for (key, value) in [("fission", "2"), ("bogus", "1"), ("unknown", "[1]")] {
+            let why = open(&format!(r#","{key}":{value}"#)).expect_err(key);
+            assert!(why.contains(&format!("unknown member `{key}`")), "{why}");
         }
         let why = parse_request(r#"{"op":"read","id":"a","n":-1}"#).unwrap_err();
         assert!(why.contains("`n`"), "{why}");

@@ -12,6 +12,7 @@
 use std::io::{stdin, stdout, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use streamlin_support::json::Json;
@@ -126,15 +127,32 @@ pub fn serve_tcp(svc: Arc<Service>, addr: &str) -> std::io::Result<()> {
 ///
 /// Accept failures other than the polling timeout.
 pub fn serve_listener(svc: Arc<Service>, listener: TcpListener) -> std::io::Result<()> {
+    accept_loop(svc, listener, |_| {})
+}
+
+/// [`serve_listener`], telling `held` how many connection threads the
+/// loop holds after each accept.
+fn accept_loop(
+    svc: Arc<Service>,
+    listener: TcpListener,
+    mut held: impl FnMut(usize),
+) -> std::io::Result<()> {
     // Poll accept so the listener notices shutdown requested on another
     // connection within a bounded delay.
     listener.set_nonblocking(true)?;
-    let mut handles = Vec::new();
+    let mut handles: Vec<JoinHandle<()>> = Vec::new();
     while !svc.is_shutdown() {
         match listener.accept() {
             Ok((conn, _)) => {
+                // Join the connections that have ended (at once: they are
+                // finished), so the loop holds the live ones only, however
+                // many have come and gone.
+                for done in handles.extract_if(.., |h| h.is_finished()) {
+                    let _ = done.join();
+                }
                 let svc = Arc::clone(&svc);
                 handles.push(std::thread::spawn(move || serve_conn(&svc, conn)));
+                held(handles.len());
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(20));
@@ -295,6 +313,54 @@ mod tests {
             assert!(line.contains(expect), "{line}");
         }
         server.join().expect("server thread").unwrap();
+    }
+
+    /// A thousand short connections leave the accept loop holding only
+    /// the ones still being served, not one handle per connection ever
+    /// made.
+    #[test]
+    fn listener_forgets_finished_connections() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const CONNS: usize = 1000;
+        const BATCH: usize = 25;
+        let svc = Arc::new(Service::new(ServiceOpts::default()));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (accepted, most) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let server = {
+            let (svc, accepted, most) =
+                (Arc::clone(&svc), Arc::clone(&accepted), Arc::clone(&most));
+            std::thread::spawn(move || {
+                accept_loop(svc, listener, |held| {
+                    accepted.fetch_add(1, Ordering::Relaxed);
+                    most.fetch_max(held, Ordering::Relaxed);
+                })
+            })
+        };
+        let round_trip = |conn: &mut TcpStream, request: &[u8]| {
+            conn.write_all(request).unwrap();
+            let mut line = String::new();
+            BufReader::new(conn.try_clone().unwrap())
+                .read_line(&mut line)
+                .unwrap();
+            line
+        };
+        // Connections that close at once, in batches whose last one waits
+        // for its answer — so the listener's backlog never overflows.
+        for _ in 0..CONNS / BATCH {
+            for _ in 1..BATCH {
+                let mut conn = TcpStream::connect(addr).unwrap();
+                conn.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+            }
+            let mut last = TcpStream::connect(addr).unwrap();
+            assert!(round_trip(&mut last, b"{\"op\":\"ping\"}\n").contains("\"pong\""));
+        }
+        let mut ctl = TcpStream::connect(addr).unwrap();
+        assert!(round_trip(&mut ctl, b"{\"op\":\"shutdown\"}\n").contains("\"shutdown\""));
+        server.join().expect("server thread").unwrap();
+        assert_eq!(accepted.load(Ordering::Relaxed), CONNS + 1);
+        let most = most.load(Ordering::Relaxed);
+        assert!(most <= 4 * BATCH, "the loop held {most} handles at once");
     }
 
     /// A shutdown on one connection terminates the whole daemon even

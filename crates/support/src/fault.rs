@@ -7,7 +7,7 @@
 //! `None` in production, and every injection site is behind
 //! `if let Some(fault)`. An [`InjectFaults`] perturbs keyed sites
 //! deterministically from a seed. The parallel runtime consults the plan
-//! at four site families:
+//! at three site families:
 //!
 //! - **batch sites** — before a stage worker executes a schedule step
 //!   (`batch_action`: panic, wedge, or slow down the worker);
@@ -15,9 +15,7 @@
 //!   (`ring_wait`: extra sleep, output-preserving);
 //! - **pool acquisition** — whole-run worker acquisition
 //!   (`pool_refuse`), and per-worker job start (`spawn_abort`, which
-//!   kills the pool thread itself rather than the contained job);
-//! - **fission planning** — the rewrite pass (`fission_abort`, which
-//!   exercises the clean run-unfissed refusal path).
+//!   kills the pool thread itself rather than the contained job).
 //!
 //! Every decision is a pure function of the seed, the spec, and the site
 //! key, so a faulted run is reproducible: same seed + spec + program +
@@ -34,7 +32,6 @@
 //! | `slow[@sK]=MICROS` | per-step sleep on one stage (`@sK`) or every stage |
 //! | `delay[@cK]=MICROS` | extra sleep per blocked ring retry on channel `K` or all |
 //! | `refuse[#N]` | the worker pool refuses the next `N` acquisitions (default 1) |
-//! | `nofission` | the fission pass aborts with an injected refusal reason |
 //!
 //! [`Tally`]: crate::Tally
 
@@ -66,7 +63,6 @@ enum Directive {
     Slow { stage: Option<usize>, micros: u64 },
     Delay { chan: Option<usize>, micros: u64 },
     Refuse { count: u32 },
-    NoFission,
 }
 
 /// State shared across clones of one parsed plan: the refusal budget is
@@ -211,7 +207,6 @@ impl InjectFaults {
                 micros,
             }),
             ("refuse", None) if target.is_none() => Ok(Directive::Refuse { count: 1 }),
-            ("nofission", None) if target.is_none() => Ok(Directive::NoFission),
             _ => Err(bad()),
         }
     }
@@ -309,14 +304,6 @@ impl InjectFaults {
         })
     }
 
-    /// If `Some(reason)`, the fission pass aborts with that reason
-    /// (exercises the clean run-unfissed path).
-    pub fn fission_abort(&self) -> Option<String> {
-        self.directives
-            .contains(&Directive::NoFission)
-            .then(|| format!("injected fission abort (seed {})", self.seed))
-    }
-
     /// One-line description for recorder notes and diagnostics.
     pub fn describe(&self) -> String {
         format!("seed={} spec={}", self.seed, self.spec)
@@ -341,7 +328,6 @@ mod tests {
             "9:delay@c2=10",
             "10:refuse",
             "11:refuse#3",
-            "12:nofission",
             "0x2a:panic,delay=5,refuse#2",
         ] {
             InjectFaults::parse(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));
@@ -351,16 +337,16 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_specs() {
         for spec in [
-            "panic",          // missing seed
-            "1:",             // empty spec
-            "x:panic",        // bad seed
-            "1:explode",      // unknown directive
-            "1:panic@c1",     // channel target on a stage directive
-            "1:slow",         // missing value
-            "1:delay@s1=5",   // stage target on a channel directive
-            "1:refuse#x",     // bad count
-            "1:nofission@s1", // target on an untargeted directive
-            "1:panic=3",      // value on a valueless directive
+            "panic",        // missing seed
+            "1:",           // empty spec
+            "x:panic",      // bad seed
+            "1:explode",    // unknown directive
+            "1:panic@c1",   // channel target on a stage directive
+            "1:slow",       // missing value
+            "1:delay@s1=5", // stage target on a channel directive
+            "1:refuse#x",   // bad count
+            "1:refuse@s1",  // target on an untargeted directive
+            "1:panic=3",    // value on a valueless directive
         ] {
             assert!(InjectFaults::parse(spec).is_err(), "accepted `{spec}`");
         }

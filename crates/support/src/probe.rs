@@ -18,13 +18,13 @@
 //!   takes a lock.
 //!
 //! What gets recorded (see the runtime crate for the call sites):
-//! compile-phase spans (parse/elaborate/flatten/plan/fission/partition),
+//! compile-phase spans (parse/elaborate/flatten/plan/partition),
 //! per-lane firing-batch spans and busy time, stall time by kind
 //! (empty-input waits, full-output waits, coordinator quantum waits,
 //! between-round idle), ring occupancy samples with high-water marks and
 //! full/empty stall counts, per-node firing counts and busy time against
 //! the cost model's predicted per-firing cost, and free-form decision
-//! notes (fission engagement/refusal, partition shape, pool acquisition).
+//! notes (schedule shape, partition shape, pool acquisition).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -349,24 +349,6 @@ impl Recorder {
                     ratio
                 );
             }
-            // Data-parallel fission duplicates are named `fiss[k/w] …`;
-            // their busy spread is the worker-imbalance report.
-            let fiss: Vec<&NodeStats> = self
-                .nodes
-                .values()
-                .filter(|s| s.name.starts_with("fiss[") && s.firings > 0)
-                .collect();
-            if fiss.len() > 1 {
-                let max = fiss.iter().map(|s| s.busy_ns).max().unwrap_or(0);
-                let min = fiss.iter().map(|s| s.busy_ns).min().unwrap_or(0);
-                let _ = writeln!(
-                    out,
-                    "  fission imbalance: busiest/laziest worker = {:.2} ({:.3} ms vs {:.3} ms)",
-                    max as f64 / min.max(1) as f64,
-                    ms(max),
-                    ms(min)
-                );
-            }
         }
         if !self.notes.is_empty() {
             let _ = writeln!(out, "== decisions ==");
@@ -497,7 +479,7 @@ impl Recorder {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Closes a compile-phase span (flatten, plan, fission, …) opened at
+    /// Closes a compile-phase span (flatten, plan, partition, …) opened at
     /// `start_ns`.
     pub fn phase(&mut self, name: &'static str, start_ns: u64) {
         let dur_ns = self.now().saturating_sub(start_ns);
@@ -588,7 +570,7 @@ impl Recorder {
         self.lane_names.insert(lane, name.to_string());
     }
 
-    /// Records a free-form decision note (`fission`, `pipeline`, `pool`).
+    /// Records a free-form decision note (`schedule`, `pipeline`, `pool`).
     pub fn note(&mut self, key: &'static str, text: &str) {
         self.notes.push((key, text.to_string()));
     }
@@ -705,12 +687,12 @@ mod tests {
         r.node_name(0, "src \"quoted\"");
         let t0 = r.now();
         r.batch(1, 0, 2, t0);
-        r.note("fission", "off");
+        r.note("pipeline", "1 stage");
         let trace = r.chrome_trace();
         assert!(trace.contains("\"traceEvents\""));
         assert!(trace.contains("thread_name"));
         assert!(trace.contains("\\\"quoted\\\""));
-        assert!(trace.contains("fission: off"));
+        assert!(trace.contains("pipeline: 1 stage"));
     }
 
     #[test]

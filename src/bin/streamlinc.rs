@@ -9,8 +9,6 @@
 //! $ streamlinc program.str --config freq -n 5000
 //! $ streamlinc program.str --mode fast            # uncounted, SIMD kernels
 //! $ streamlinc program.str --threads 4            # pipeline-parallel stages
-//! $ streamlinc program.str --threads 4 --fission auto   # split the bottleneck
-//! $ streamlinc program.str --fission 2            # force a fission width
 //! $ streamlinc program.str --emit-graph           # print the structures
 //! $ streamlinc program.str --metrics              # telemetry summary table
 //! $ streamlinc program.str --trace-out t.json     # Chrome trace-event file
@@ -135,29 +133,31 @@ fn main() -> ExitCode {
     }
 }
 
-/// Writes the program's outputs, one per line, through a single buffered
-/// lock on stdout and the workspace's one number writer (the text `{}`
-/// would give, without `std::fmt`). A reader that has gone away
-/// (`streamlinc … | head -1`) ends the run quietly: the outputs it wanted
-/// were delivered.
-fn print_outputs(values: &[f64]) -> Result<(), String> {
+type Stdout = std::io::BufWriter<std::io::StdoutLock<'static>>;
+
+/// Runs `write` on a single buffered lock of stdout: the one way
+/// `streamlinc` prints. A reader that has gone away (`streamlinc … | head
+/// -1`) ends the run quietly: the lines it wanted were delivered.
+fn print(write: impl FnOnce(&mut Stdout) -> std::io::Result<()>) -> Result<(), String> {
     let mut out = std::io::BufWriter::new(std::io::stdout().lock());
-    let mut line = String::new();
-    let written = values
-        .iter()
-        .try_for_each(|v| {
-            line.clear();
-            fmt_f64::write(&mut line, *v);
-            line.push('\n');
-            out.write_all(line.as_bytes())
-        })
-        .and_then(|()| out.flush());
-    match written {
+    match write(&mut out).and_then(|()| out.flush()) {
         Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
             Err(format!("cannot write to stdout: {e}"))
         }
         _ => Ok(()),
     }
+}
+
+/// Writes values one per line with the workspace's one number writer (the
+/// text `{}` would give, without `std::fmt`).
+fn write_values(out: &mut Stdout, values: &[f64]) -> std::io::Result<()> {
+    let mut line = String::new();
+    values.iter().try_for_each(|v| {
+        line.clear();
+        fmt_f64::write(&mut line, *v);
+        line.push('\n');
+        out.write_all(line.as_bytes())
+    })
 }
 
 /// `--lint`: one line per distinct (position, code, message, declaration)
@@ -179,12 +179,15 @@ fn lint(args: &Args, source: &str) -> Result<(), String> {
     });
     lints.sort();
     lints.dedup();
-    for (line, col, code, msg, decl) in &lints {
-        println!(
-            "{}:{line}:{col}: warning[{code}]: {msg} (in filter {decl})",
-            args.path
-        );
-    }
+    print(|out| {
+        lints.iter().try_for_each(|(line, col, code, msg, decl)| {
+            writeln!(
+                out,
+                "{}:{line}:{col}: warning[{code}]: {msg} (in filter {decl})",
+                args.path
+            )
+        })
+    })?;
     if !args.quiet {
         eprintln!("{} lint(s)", lints.len());
     }
@@ -239,8 +242,7 @@ fn run(args: &Args) -> Result<(), String> {
     }
 
     if args.emit_graph {
-        // The decision dump: fission engagement/refusal, schedule shape,
-        // partition and pool — straight from the telemetry notes the
+        // The decision dump: schedule shape, partition and pool — straight from the telemetry notes the
         // profiler recorded, so the text dump and the exported trace
         // describe the same run.
         for (key, text) in &rec.as_ref().expect("emit-graph runs instrumented").notes {
@@ -264,17 +266,14 @@ fn run(args: &Args) -> Result<(), String> {
         }
     }
     if args.quiet {
-        print_outputs(&prof.outputs)?;
+        print(|out| write_values(out, &prof.outputs))?;
     } else {
         let stats = opt.stats();
         eprintln!(
             "nodes: {} ({} interpreted, {} linear, {} freq, {} redund)",
             stats.filters, stats.originals, stats.linear, stats.freq, stats.redund
         );
-        let mut how = format!("threads: {}", prof.threads);
-        if prof.fission > 1 {
-            how.push_str(&format!(", fission x{}", prof.fission));
-        }
+        let how = format!("threads: {}", prof.threads);
         match args.spec.mode {
             ExecMode::Measured => eprintln!(
                 "{} outputs in {:?} [{how}]: {:.1} flops/output, {:.1} mults/output",
@@ -291,12 +290,14 @@ fn run(args: &Args) -> Result<(), String> {
                 prof.outputs.len() as f64 / prof.wall.as_secs_f64().max(1e-9),
             ),
         }
-        for v in prof.outputs.iter().take(10) {
-            println!("{v}");
-        }
-        if prof.outputs.len() > 10 {
-            println!("... ({} more)", prof.outputs.len() - 10);
-        }
+        print(|out| {
+            let shown = prof.outputs.len().min(10);
+            write_values(out, &prof.outputs[..shown])?;
+            match prof.outputs.len() - shown {
+                0 => Ok(()),
+                more => writeln!(out, "... ({more} more)"),
+            }
+        })?;
     }
     Ok(())
 }

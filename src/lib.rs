@@ -76,7 +76,6 @@ pub mod prelude {
     pub use streamlin_graph::elaborate::{elaborate, elaborate_named};
     pub use streamlin_graph::ir::Stream;
     pub use streamlin_lang::parse;
-    pub use streamlin_runtime::fission::Fission;
     pub use streamlin_runtime::{ExecMode, MatMulStrategy, RunSpec, Tier};
     pub use streamlin_support::OpCounter;
 }

@@ -5,8 +5,7 @@
 //! on the data-driven reference engine, and
 //! adversarial uncertifiable filters must still run (checked) and stay
 //! correct. Also cross-checks the effect lattice against the stateful
-//! linear extraction and pins that fission admissions are a superset of
-//! the old syntactic `writes_global` walk.
+//! linear extraction.
 //!
 //! Last come the programs on which the analysis once disagreed with the
 //! interpreters about *control* — a stale frame slot, an index evaluated
@@ -20,9 +19,8 @@ use streamlin::core::opt::OptStream;
 use streamlin::core::state_space::extract_stateful;
 use streamlin::graph::{elaborate, StateEffect};
 use streamlin::lang::parse;
-use streamlin::runtime::fission::{fissability, Fission};
-use streamlin::runtime::flat::{flatten, NodeKind};
-use streamlin::runtime::{ExecMode, MatMulStrategy, RunSpec, Tier};
+use streamlin::runtime::flat::NodeKind;
+use streamlin::runtime::{ExecMode, RunSpec, Tier};
 use streamlin::service::{Service, ServiceOpts};
 use streamlin::support::json::{self, Json};
 use streamlin::support::{NoCount, OpCounter};
@@ -207,53 +205,6 @@ fn provable_violation_fails_elaboration() {
         err.contains("declared push rate is 2 but the body always pushes 1"),
         "{err}"
     );
-}
-
-/// Fission admissions are a strict superset of the old syntactic
-/// `writes_global` walk: a write on a constant-false path no longer
-/// disqualifies a filter, and the fissioned graph stays bit-identical.
-#[test]
-fn fission_admits_dead_branch_writers() {
-    let src = "void->void pipeline Main { add Src(); add Heavy(); add Sink(); }
-         void->float filter Src { float x; work push 1 { push(x); x = x + 1; } }
-         float->float filter Heavy { float junk; work pop 1 push 1 {
-             if (false) junk = 1.0;
-             push(pop() * 0.5);
-         } }
-         float->void filter Sink { work pop 1 { println(pop()); } }";
-    let g = elaborate(&parse(src).unwrap()).unwrap();
-    let mut effect = StateEffect::OpaqueState;
-    g.for_each_filter(&mut |inst| {
-        if inst.decl_name == "Heavy" {
-            effect = inst.facts.effect;
-        }
-    });
-    // The old syntactic walk called this stateful; the flow-sensitive
-    // lattice prunes the dead branch.
-    assert_eq!(effect, StateEffect::Pure);
-
-    let opt = OptStream::from_graph(&g);
-    let flat = flatten(&opt, MatMulStrategy::Unrolled).unwrap();
-    let heavy = flat
-        .nodes
-        .iter()
-        .find(|n| n.name.contains("Heavy"))
-        .expect("Heavy survives flattening");
-    assert!(fissability(heavy).is_ok(), "{:?}", fissability(heavy));
-
-    let base = RunSpec::default();
-    let fissed = RunSpec {
-        threads: Some(2),
-        fission: Fission::Width(2),
-        ..base.clone()
-    }
-    .run(&opt, 32)
-    .unwrap();
-    let base = base.run(&opt, 32).unwrap();
-    assert_eq!(base.outputs.len(), fissed.outputs.len());
-    for (a, b) in base.outputs.iter().zip(&fissed.outputs) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
 }
 
 /// Cross-check the effect lattice against the stateful linear

@@ -48,6 +48,31 @@ fn a_closed_stdout_pipe_is_a_quiet_exit() {
     assert!(!stderr.contains("Broken pipe"), "{stderr}");
 }
 
+/// The `streamlinc … | head -2` shape for the other two things
+/// `streamlinc` prints: the first-ten preview of a run without `--quiet`
+/// and the `--lint` findings. The reader is gone before either is
+/// written; the run still ends with its own exit code and no panic.
+#[test]
+fn a_closed_stdout_pipe_ends_the_preview_and_the_lints_quietly() {
+    for args in [
+        &["assets/rateconvert.str", "-n", "50"][..],
+        &["assets/lintbait.str", "--lint"][..],
+    ] {
+        let mut child = streamlinc()
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("Broken pipe"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn all_configs_agree_on_rate_convert_asset() {
     let mut outputs = Vec::new();
@@ -121,6 +146,18 @@ fn rejects_unknown_scheduler() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// `--fission` went with data-parallel fission: an unknown flag, a usage
+/// error before the program is read.
+#[test]
+fn rejects_the_fission_flag() {
+    let out = streamlinc()
+        .args(["assets/fir.str", "--fission", "2"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("declarations"));
+}
+
 #[test]
 fn reports_errors_for_bad_programs() {
     let dir = std::env::temp_dir().join("streamlinc_bad.str");
@@ -159,7 +196,7 @@ fn rejects_bad_knob_values_before_parsing() {
         ("--cert", "maybe"),
         ("--threads", "0"),
         ("--threads", "1.5"),
-        ("--fission", "-2"),
+        ("--quantum", "-2"),
         ("--quantum", "0"),
         ("--watchdog-ms", "0"),
         ("--watchdog-ms", "-5"),
@@ -175,55 +212,6 @@ fn rejects_bad_knob_values_before_parsing() {
             "{flag} {bad}: {stderr}"
         );
         assert!(!stderr.contains("declarations"), "{flag} {bad}: {stderr}");
-    }
-}
-
-#[test]
-fn fission_flag_prints_identical_output_and_reports_the_decision() {
-    // The unfissed run is the byte-exact reference for every width; the
-    // emit-graph run must name the fissed node (FIR freq's dominant node
-    // is duplicable, so `--fission 2` must engage, not silently no-op).
-    let reference = streamlinc()
-        .args([
-            "assets/fir.str",
-            "--config",
-            "freq",
-            "--threads",
-            "2",
-            "-n",
-            "96",
-            "--quiet",
-        ])
-        .output()
-        .expect("binary runs");
-    assert!(reference.status.success());
-    for width in ["2", "4", "auto"] {
-        let out = streamlinc()
-            .args([
-                "assets/fir.str",
-                "--config",
-                "freq",
-                "--threads",
-                "2",
-                "--fission",
-                width,
-                "--emit-graph",
-                "-n",
-                "96",
-                "--quiet",
-            ])
-            .output()
-            .expect("binary runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "--fission {width}: {stderr}");
-        assert_eq!(
-            out.stdout, reference.stdout,
-            "--fission {width}: output bytes differ from the unfissed run"
-        );
-        assert!(
-            stderr.contains("fission: freq"),
-            "--fission {width}: decision missing from --emit-graph: {stderr}"
-        );
     }
 }
 

@@ -16,7 +16,6 @@ use streamlin::core::opt::OptStream;
 use streamlin::graph::elaborate;
 use streamlin::lang::parse;
 use streamlin::runtime::engine::RunError;
-use streamlin::runtime::fission::Fission;
 use streamlin::runtime::{PipelineSession, PlanError, Profile, ProfileError, RunSpec};
 use streamlin::support::{InjectFaults, OpCounter};
 
@@ -150,8 +149,7 @@ fn array_out_of_bounds_is_reported() {
 
 // ---- supervised runtime: injected faults ------------------------------------
 
-/// A four-filter chain that partitions into multiple pipeline stages and
-/// whose middle filter is fissable — one program covers both executors.
+/// A four-filter chain that partitions into multiple pipeline stages.
 const CHAIN: &str = "void->void pipeline Main { add S(); add G(); add H(); add K(); }
      void->float filter S { float x; work push 1 { push(x++); } }
      float->float filter G { work pop 1 push 1 { push(3 * pop()); } }
@@ -176,28 +174,25 @@ fn chain_opt() -> OptStream {
 const WATCHDOG: Duration = Duration::from_millis(400);
 
 /// The chain on the pipeline executor, unfaulted.
-fn pipeline(fission: Fission) -> RunSpec {
+fn pipeline() -> RunSpec {
     RunSpec {
         threads: Some(THREADS),
-        fission,
         ..RunSpec::default()
     }
 }
 
 /// The unfaulted pipeline run every drilled run is compared against.
 fn reference() -> Profile {
-    pipeline(Fission::Off)
-        .run(&chain_opt(), N)
-        .expect("clean pipeline run")
+    pipeline().run(&chain_opt(), N).expect("clean pipeline run")
 }
 
 /// Runs the chain through a session with `spec` injected: a degradable
 /// failure must complete on the single-threaded fallback.
-fn drill(spec: &str, fission: Fission) -> Result<Profile, ProfileError> {
+fn drill(spec: &str) -> Result<Profile, ProfileError> {
     RunSpec {
         watchdog: Some(WATCHDOG),
         fault: Some(InjectFaults::parse(spec).expect("valid fault spec")),
-        ..pipeline(fission)
+        ..pipeline()
     }
     .run(&chain_opt(), N)
 }
@@ -205,14 +200,13 @@ fn drill(spec: &str, fission: Fission) -> Result<Profile, ProfileError> {
 /// Runs the chain on a bare `PipelineSession` with `spec` injected — below
 /// the session that would degrade, so the raw structured error shows.
 fn drill_raw(spec: &str) -> RunError {
-    let art = pipeline(Fission::Off).compile(&chain_opt()).unwrap();
+    let art = pipeline().compile(&chain_opt()).unwrap();
     let (plan, part) = (art.plan, art.part.unwrap());
     let fault = InjectFaults::parse(spec).expect("valid fault spec");
     PipelineSession::start::<OpCounter>(
         art.flat,
         &plan,
         &part,
-        art.scale,
         art.quantum,
         None,
         Some(fault),
@@ -232,7 +226,7 @@ fn assert_bits_equal(a: &[f64], b: &[f64]) {
 #[test]
 fn injected_worker_panic_degrades_to_identical_bits() {
     let clean = reference();
-    let prof = drill("7:panic@s1", Fission::Off).expect("fallback must complete");
+    let prof = drill("7:panic@s1").expect("fallback must complete");
     let reason = prof
         .degraded
         .as_deref()
@@ -262,7 +256,7 @@ fn wedged_stage_trips_the_watchdog_instead_of_hanging() {
 #[test]
 fn wedged_stage_with_fallback_completes_bit_identical() {
     let clean = reference();
-    let prof = drill("3:wedge@s1", Fission::Off).expect("fallback must complete");
+    let prof = drill("3:wedge@s1").expect("fallback must complete");
     assert!(prof.degraded.is_some());
     assert_bits_equal(&clean.outputs, &prof.outputs);
 }
@@ -272,7 +266,7 @@ fn dead_worker_thread_degrades_to_identical_bits() {
     let clean = reference();
     // `die` kills the pool thread itself at job start; liveness detection
     // must catch it and the pool must respawn a replacement later.
-    let prof = drill("5:die@s1", Fission::Off).expect("fallback must complete");
+    let prof = drill("5:die@s1").expect("fallback must complete");
     let reason = prof
         .degraded
         .as_deref()
@@ -284,7 +278,7 @@ fn dead_worker_thread_degrades_to_identical_bits() {
 #[test]
 fn refused_pool_acquisition_degrades_to_identical_bits() {
     let clean = reference();
-    let prof = drill("9:refuse#1", Fission::Off).expect("fallback must complete");
+    let prof = drill("9:refuse#1").expect("fallback must complete");
     let reason = prof
         .degraded
         .as_deref()
@@ -305,31 +299,11 @@ fn timing_faults_never_change_output() {
     // completes on the pipeline (no degradation) with identical bits,
     // tallies and firing counts.
     let clean = reference();
-    let prof =
-        drill("5:slow@s0=40,delay=20", Fission::Off).expect("timing faults must not fail the run");
+    let prof = drill("5:slow@s0=40,delay=20").expect("timing faults must not fail the run");
     assert!(prof.degraded.is_none(), "{:?}", prof.degraded);
     assert_bits_equal(&clean.outputs, &prof.outputs);
     assert_eq!(clean.ops, prof.ops);
     assert_eq!(clean.firings, prof.firings);
-}
-
-#[test]
-fn fission_panic_degrades_to_identical_bits() {
-    let clean = pipeline(Fission::Width(2))
-        .run(&chain_opt(), N)
-        .expect("clean fissed run");
-    let prof = drill("13:panic", Fission::Width(2)).expect("fallback must complete");
-    assert_bits_equal(&clean.outputs, &prof.outputs);
-}
-
-#[test]
-fn nofission_directive_forces_a_clean_unfissed_run() {
-    let clean = reference();
-    let prof =
-        drill("1:nofission", Fission::Width(2)).expect("a refused fission pass is a clean no-op");
-    assert_eq!(prof.fission, 1, "fission must have been refused");
-    assert!(prof.degraded.is_none());
-    assert_bits_equal(&clean.outputs, &prof.outputs);
 }
 
 #[test]

@@ -8,12 +8,8 @@
 //! engine (`tests/reference`) on:
 //!
 //! * the single-threaded static plan,
-//! * the pipeline-parallel executor ([`THREADS`] stages),
-//! * the pipeline executor with the dominant node fissed at widths 2
-//!   and 4 (when the node is duplicable; the pass refusing is part of
-//!   the property — the run must then be a clean no-op),
-//! * the reference engine over the *fissed* graph (the synthesized
-//!   splitter/worker/joiner nodes under data-driven scheduling),
+//! * the pipeline-parallel executor at stage budgets 1, [`THREADS`]
+//!   and 4,
 //! * and the pipeline executor once more under **supervision with a
 //!   seeded injected worker panic** — the run must complete (on the
 //!   pipeline, or via the watchdog-guarded single-threaded fallback)
@@ -29,30 +25,28 @@
 //! tests of `runtime::plan` pin that refusal.
 //!
 //! Every run that does not name them takes its interpreter tier and its
-//! tape discipline (`cert`) from the case's own seed, so the pipeline,
-//! fission and fault families see both values of both knobs over the
-//! cases — and every built graph is asked whether its nodes took them.
+//! tape discipline (`cert`) from the case's own seed, so the pipeline
+//! and fault families see both values of both knobs over the cases — and every built graph is asked whether its nodes took them.
 //!
 //! The differential property: all of them print **bit-identical**
 //! outputs, and — within the cycle-quantized pipeline family, where the
 //! determinism contract promises it — operation tallies and firing
-//! counts are identical across fission widths including width 1. (The
+//! counts are identical across stage budgets. (The
 //! reference and the single-threaded static plan stop at the exact output
 //! target rather than on cycle boundaries, so their tallies measure a
 //! different run length by design; their printed output is the pinned
-//! surface.) Both optimization configs run: `interp` (no replacement —
-//! the fission targets are stateless interpreted filters) and `autosel`
-//! (linear extraction may turn them into linear/frequency kernels).
+//! surface.) Both optimization configs run: `interp` (no replacement:
+//! every filter is interpreted) and `autosel` (linear extraction may turn
+//! the stateless ones into linear/frequency kernels).
 
 use std::time::Duration;
 
 use proptest::prelude::*;
 use streamlin::core::combine::analyze_graph;
 use streamlin::core::{Config, OptStream};
-use streamlin::runtime::fission::Fission;
 use streamlin::runtime::flat::NodeKind;
 use streamlin::runtime::{RunSpec, Tier};
-use streamlin::support::{InjectFaults, OpCounter};
+use streamlin::support::InjectFaults;
 
 mod reference;
 
@@ -67,8 +61,7 @@ fn fault_seed(src: &str) -> u64 {
     h
 }
 
-/// Stage budget of the pipeline runs: 2, so fission workers land in
-/// different stages.
+/// Stage budget of the main pipeline run.
 const THREADS: usize = 2;
 
 // ---- program generator ------------------------------------------------------
@@ -83,7 +76,7 @@ enum Stage {
         push: usize,
         coeffs: Vec<i32>,
     },
-    /// Stateful accumulator (must never be fissed).
+    /// Stateful accumulator.
     Stateful { pop: usize, push: usize },
     /// Heavy sliding-window filter (a loop over the whole peek window) —
     /// expensive enough to become the dominant node, and
@@ -386,10 +379,8 @@ fn assert_bits_equal(label: &str, reference: &[f64], got: &[f64]) {
     }
 }
 
-/// Runs the differential property; returns true if fission engaged for
-/// at least one (config, width) combination.
-fn check_spec(spec: &Spec) -> bool {
-    let mut engaged = false;
+/// Runs the differential property.
+fn check_spec(spec: &Spec) {
     let src = render(spec);
     let program = streamlin::lang::parse(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
     let graph = streamlin::graph::elaborate(&program).unwrap_or_else(|e| panic!("{e}\n{src}"));
@@ -472,25 +463,23 @@ fn check_spec(spec: &Spec) -> bool {
         );
 
         // The cycle-quantized pipeline family: tallies and firing counts
-        // must match across fission widths, including width 1.
-        let pipeline = |fission| RunSpec {
-            threads: Some(THREADS),
-            fission,
+        // must match across stage budgets.
+        let pipeline = |threads| RunSpec {
+            threads: Some(threads),
             ..base.clone()
         };
-        let unfissed = run("pipeline", pipeline(Fission::Off));
-        assert_bits_equal(label, &reference.outputs, &unfissed.outputs);
-        for width in [2usize, 4] {
-            let fissed = run(&format!("fission={width}"), pipeline(Fission::Width(width)));
-            engaged |= fissed.fission > 1;
-            assert_bits_equal(label, &reference.outputs, &fissed.outputs);
+        let staged = run("pipeline", pipeline(THREADS));
+        assert_bits_equal(label, &reference.outputs, &staged.outputs);
+        for threads in [1, 4] {
+            let other = run(&format!("threads={threads}"), pipeline(threads));
+            assert_bits_equal(label, &reference.outputs, &other.outputs);
             assert_eq!(
-                unfissed.firings, fissed.firings,
-                "{label}: firings differ at fission={width}\n{src}"
+                staged.firings, other.firings,
+                "{label}: firings differ at threads={threads}\n{src}"
             );
             assert_eq!(
-                unfissed.ops, fissed.ops,
-                "{label}: tallies differ at fission={width}\n{src}"
+                staged.ops, other.ops,
+                "{label}: tallies differ at threads={threads}\n{src}"
             );
         }
 
@@ -506,25 +495,11 @@ fn check_spec(spec: &Spec) -> bool {
             RunSpec {
                 watchdog: Some(Duration::from_secs(5)),
                 fault: Some(fault),
-                ..pipeline(Fission::Off)
+                ..pipeline(THREADS)
             },
         );
         assert_bits_equal(label, &reference.outputs, &drilled.outputs);
-
-        // The fissed graph on the reference engine: the synthesized
-        // split/worker/join nodes must behave identically data-driven.
-        let fissed = build(
-            "fissed reference",
-            &RunSpec {
-                fission: Fission::Width(2),
-                ..base.clone()
-            },
-        );
-        let fissed_reference = reference::run_flat::<OpCounter>(fissed.flat, outputs, None)
-            .unwrap_or_else(|e| panic!("{label} fissed reference: {e}\n{src}"));
-        assert_bits_equal(label, &reference.outputs, &fissed_reference.outputs);
     }
-    engaged
 }
 
 proptest! {
@@ -536,12 +511,11 @@ proptest! {
     }
 }
 
-/// A pinned regression case: heavy dominant filter behind a splitjoin,
-/// stateful neighbor — exercises refusal, fission and both overlap kinds
-/// in one program.
+/// A pinned regression case: a heavy filter behind a splitjoin, with a
+/// stateful neighbour.
 #[test]
-fn pinned_mixed_graph_agrees_and_fission_engages() {
-    let engaged = check_spec(&Spec {
+fn pinned_mixed_graph_agrees_across_engines() {
+    check_spec(&Spec {
         stages: vec![
             Stage::SplitJoin {
                 pops: [2, 1],
@@ -556,7 +530,6 @@ fn pinned_mixed_graph_agrees_and_fission_engages() {
         ],
         src_push: 2,
     });
-    assert!(engaged, "the heavy sliding-window filter must be fissed");
 }
 
 /// A pinned feedback loop whose body peeks past its round and has an

@@ -2,8 +2,8 @@
 //! any node whose inputs hold a firing's worth. No program runs on it in
 //! production; every suite that holds an executor to it builds it here.
 //! A deterministic stream program prints the same values under every valid
-//! schedule, so the static plan, the pipeline and fission must print what
-//! this engine prints.
+//! schedule, so the static plan and the pipeline must print what this
+//! engine prints.
 
 // Each test file that includes this module uses a part of it.
 #![allow(dead_code)]

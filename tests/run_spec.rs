@@ -141,20 +141,10 @@ fn the_cache_key_is_exactly_the_plan_half() {
 /// to the same artifact are equal there.
 #[test]
 fn normalisation_makes_equivalent_requests_equal() {
-    use streamlin::runtime::fission::Fission;
+    use std::time::Duration;
     use streamlin::runtime::ExecMode;
     use streamlin::support::InjectFaults;
     let base = RunSpec::default();
-    let lone = RunSpec {
-        fission: Fission::Width(2),
-        ..base.clone()
-    };
-    let spelled = RunSpec {
-        threads: Some(1),
-        ..lone.clone()
-    };
-    assert_eq!(lone.plan(), spelled.plan());
-    assert_eq!(lone.plan().threads, Some(1));
     let fast = RunSpec {
         mode: ExecMode::Fast,
         ..base.clone()
@@ -169,12 +159,39 @@ fn normalisation_makes_equivalent_requests_equal() {
         base.plan(),
         "the default kernel differs by mode"
     );
-    let vetoed = RunSpec {
-        fault: Some(InjectFaults::parse("1:nofission").unwrap()),
-        ..spelled
+    let measured_simd = RunSpec {
+        matmul: Some(MatMulStrategy::Simd),
+        ..base.clone()
     };
-    assert_eq!(vetoed.plan().fission, Fission::Off);
-    assert_eq!(vetoed.plan().threads, Some(1));
+    assert_eq!(
+        measured_simd.plan(),
+        fast.plan(),
+        "the kernel is the mode's only compile-time effect"
+    );
+    let staged = RunSpec {
+        threads: Some(2),
+        quantum: 8,
+        ..base.clone()
+    };
+    assert_eq!(staged.plan().threads, Some(2));
+    assert_ne!(
+        staged.plan(),
+        RunSpec {
+            quantum: 4,
+            ..staged.clone()
+        }
+        .plan()
+    );
+    let drilled = RunSpec {
+        fault: Some(InjectFaults::parse("1:panic").unwrap()),
+        watchdog: Some(Duration::from_millis(5)),
+        ..staged.clone()
+    };
+    assert_eq!(
+        drilled.plan(),
+        staged.plan(),
+        "a drill and a watchdog act on the session, not the artifact"
+    );
 }
 
 #[test]
@@ -187,7 +204,6 @@ fn every_run_value_has_exactly_one_row() {
             "cert",
             "config",
             "fault",
-            "fission",
             "matmul",
             "mode",
             "quantum",
@@ -195,7 +211,7 @@ fn every_run_value_has_exactly_one_row() {
             "tier",
             "watchdog_ms"
         ],
-        "the independently settable run values are these ten"
+        "the independently settable run values are these nine"
     );
     let mut flags: Vec<&str> = KNOBS.iter().map(|k| k.flag).collect();
     flags.sort_unstable();

@@ -347,7 +347,7 @@ fn resident_streams_do_not_retain_delivered_output() {
 }
 
 /// The per-stream fault drill: a seeded `die@s0` kills one stream's
-/// stage-0 worker mid-run. That stream degrades onto the canonical
+/// stage-0 worker mid-run. That stream degrades onto the
 /// single-threaded plan — same values, bit for bit — while its neighbor
 /// pipeline stream never notices, and the dead stream's surplus worker
 /// claim returns to the admission budget.
@@ -502,6 +502,32 @@ fn protocol_failures_are_structured() {
         "duplicate_stream"
     );
     request_ok(&svc, "{\"op\":\"close\",\"id\":\"dup\"}");
+}
+
+/// An `open` naming a member that is neither a knob nor one of its own
+/// fields is refused by name, as `streamlinc` refuses an unknown flag: a
+/// misspelt or retired knob never runs silently on its default.
+#[test]
+fn open_refuses_members_it_does_not_know() {
+    let svc = roomy();
+    let fir = streamlin::benchmarks::fir(16);
+    for member in ["fission", "bogus", "thread"] {
+        let line = open_line("s", fir.source(), &[(member, Json::Num(2.0))]);
+        let resp = json::parse(&svc.handle(&line)).expect("response parses");
+        assert_eq!(
+            resp.get("error").and_then(Json::as_str),
+            Some("bad_request"),
+            "{member}: {resp:?}"
+        );
+        let detail = resp.get("detail").and_then(Json::as_str).unwrap_or("");
+        assert!(
+            detail.contains(&format!("`{member}`")),
+            "{member}: {detail}"
+        );
+    }
+    // Nothing was opened: the id is still free.
+    request_ok(&svc, &open_line("s", fir.source(), &[]));
+    request_ok(&svc, "{\"op\":\"close\",\"id\":\"s\"}");
 }
 
 /// Stream ids name filesystem artifacts under `--trace-out`, so they are
@@ -667,20 +693,23 @@ fn fast_and_measured_share_one_cached_artifact() {
 }
 
 /// The daemon and the CLI parse one knob table into one `RunSpec` and
-/// compile it with one function, so knob combinations that used to take
-/// different paths in the two cannot any more: a lone `"fission"` runs the
-/// pass on a 1-stage pipeline exactly as `streamlinc --fission` does, and
-/// beside `"threads"` on a real pipeline. Each case is compared — reported
-/// width, value bits, cache entries — against a one-shot run of the very
-/// `RunSpec` the daemon parsed.
+/// compile it with one function, so knob combinations cannot take
+/// different paths in the two: a pipeline, a pipeline with its own pacing
+/// quantum, a kernel chosen beside the mode, and the defaults. Each case
+/// is compared — reported workers, value bits, firings, cache entries —
+/// against a one-shot run of the very `RunSpec` the daemon parsed.
 #[test]
 fn knob_combinations_agree_with_one_shot_of_the_same_spec() {
     let svc = roomy();
     let fir = streamlin::benchmarks::fir(64);
     let n = 96;
-    let cases: [&[(&str, Json)]; 3] = [
-        &[("fission", Json::Num(2.0))],
-        &[("threads", Json::Num(2.0)), ("fission", Json::Num(2.0))],
+    let cases: [&[(&str, Json)]; 4] = [
+        &[("threads", Json::Num(2.0))],
+        &[("threads", Json::Num(2.0)), ("quantum", Json::Num(8.0))],
+        &[
+            ("mode", Json::Str("fast".into())),
+            ("matmul", Json::Str("blocked".into())),
+        ],
         &[],
     ];
     for (i, members) in cases.iter().enumerate() {
@@ -692,9 +721,9 @@ fn knob_combinations_agree_with_one_shot_of_the_same_spec() {
         let want = one_shot(fir.source(), &req.spec, n);
         let open = request_ok(&svc, &line);
         assert_eq!(
-            open.get("width").and_then(Json::as_num),
-            Some(want.fission as f64),
-            "{members:?}: the daemon and the one-shot run fissed differently"
+            open.get("workers").and_then(Json::as_num),
+            Some(want.threads as f64),
+            "{members:?}: the daemon and the one-shot run staged differently"
         );
         let mut got = Vec::new();
         read_into(&svc, &id, n, &mut got);
@@ -715,24 +744,31 @@ fn knob_combinations_agree_with_one_shot_of_the_same_spec() {
             "{members:?}: each distinct plan spec is exactly one entry"
         );
     }
+    let staged = RunSpec {
+        threads: Some(2),
+        ..RunSpec::default()
+    };
     assert_eq!(
-        one_shot(fir.source(), &RunSpec::default(), 8).fission,
-        1,
-        "the unfissed case really is unfissed"
+        one_shot(fir.source(), &staged, 8).threads,
+        2,
+        "the pipeline cases really run two stages"
     );
 }
 
 /// Two requests that normalise to the same `PlanSpec` are one cache entry
-/// and the second is a hit: a lone `fission` implies the 1-stage budget
-/// `"threads":1` spells out, and `fast` mode implies the `simd` kernel.
+/// and the second is a hit: the defaults imply the `measured` mode and
+/// its `unrolled` kernel, and `fast` mode implies the `simd` kernel.
 #[test]
 fn requests_that_normalise_alike_share_one_cache_entry() {
     let svc = roomy();
     let fir = streamlin::benchmarks::fir(64);
     let pairs: [[&[(&str, Json)]; 2]; 2] = [
         [
-            &[("fission", Json::Num(2.0))],
-            &[("fission", Json::Num(2.0)), ("threads", Json::Num(1.0))],
+            &[],
+            &[
+                ("mode", Json::Str("measured".into())),
+                ("matmul", Json::Str("unrolled".into())),
+            ],
         ],
         [
             &[("mode", Json::Str("fast".into()))],
@@ -747,7 +783,6 @@ fn requests_that_normalise_alike_share_one_cache_entry() {
         assert_eq!(first.get("cached"), Some(&Json::Bool(false)), "{short:?}");
         let second = request_ok(&svc, &open_line("spelled", fir.source(), spelled));
         assert_eq!(second.get("cached"), Some(&Json::Bool(true)), "{spelled:?}");
-        assert_eq!(first.get("width"), second.get("width"));
         let stats = request_ok(&svc, "{\"op\":\"stats\"}");
         assert_eq!(
             stats

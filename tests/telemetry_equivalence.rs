@@ -1,6 +1,6 @@
 //! The telemetry contract: instrumenting a run with a [`Recorder`] must
 //! not change what the run computes. For every benchmark program, every
-//! execution mode, pipeline budget and fission width,
+//! execution mode and pipeline budget,
 //! `RunSpec::run_recorded` (probe on) must produce printed output
 //! **bit-identical** to the same engines handed no recorder (probe off),
 //! with identical operation tallies and firing counts — the probe
@@ -15,7 +15,6 @@
 
 use streamlin::core::combine::analyze_graph;
 use streamlin::core::{Config, OptStream};
-use streamlin::runtime::fission::Fission;
 use streamlin::runtime::flat::flatten;
 use streamlin::runtime::telemetry::validate_trace;
 use streamlin::runtime::{ExecMode, RunSpec};
@@ -63,9 +62,9 @@ fn assert_identical(
     }
 }
 
-/// The full matrix for one benchmark: modes × threads {1, 2} × fission
-/// {off, 2}, probe on vs probe off, plus the single-threaded plan and the
-/// data-driven reference engine.
+/// The full matrix for one benchmark: modes × threads {1, 2}, probe on vs
+/// probe off, plus the single-threaded plan and the data-driven reference
+/// engine.
 fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
     for config in [Config::Baseline, Config::AutoSel] {
         let label = config.label();
@@ -112,23 +111,14 @@ fn check(bench: &streamlin::benchmarks::Benchmark, outputs: usize) {
                 (on.firings, on.ops),
                 "{what}: counts differ"
             );
-            // The pipeline executor across stage budgets and fission widths.
+            // The pipeline executor across stage budgets.
             for threads in [1usize, 2] {
-                for fission in [Fission::Off, Fission::Width(2)] {
-                    let (reference, probed) = both(RunSpec {
-                        threads: Some(threads),
-                        fission,
-                        ..base.clone()
-                    });
-                    let what = format!("{} t{threads} fiss={:?}", mode.label(), probed.fission);
-                    assert_identical(bench.name(), label, &what, mode, &reference, &probed);
-                    assert_eq!(
-                        probed.fission,
-                        reference.fission,
-                        "{} {label} {what}: fission decision drifted under the probe",
-                        bench.name()
-                    );
-                }
+                let (reference, probed) = both(RunSpec {
+                    threads: Some(threads),
+                    ..base.clone()
+                });
+                let what = format!("{} t{threads}", mode.label());
+                assert_identical(bench.name(), label, &what, mode, &reference, &probed);
             }
         }
     }
@@ -276,7 +266,6 @@ fn recorded_trace_has_viewer_shape_and_consistent_totals() {
     let prof = RunSpec {
         mode: ExecMode::Fast,
         threads: Some(2),
-        fission: Fission::Width(2),
         ..RunSpec::default()
     }
     .run_recorded(&opt, 512, &mut rec)
@@ -298,22 +287,11 @@ fn recorded_trace_has_viewer_shape_and_consistent_totals() {
     assert!(shape.counters > 0, "ring occupancy must be sampled");
 
     // The recorder's firing total is the profile's firing total: the
-    // probe saw every firing the engines performed. The synthesized
-    // fission splitter/joiner are recorded (they occupy trace lanes) but
-    // deliberately excluded from the engine's firing counter — that
-    // counter must stay invariant across fission widths — so subtract
-    // their batches before comparing.
+    // probe saw every firing the engines performed.
     let recorded: u64 = rec.lanes.values().map(|l| l.firings).sum();
-    let plumbing: u64 = rec
-        .nodes
-        .values()
-        .filter(|n| n.name.starts_with("fiss-split") || n.name.starts_with("fiss-join"))
-        .map(|n| n.firings)
-        .sum();
     assert_eq!(
-        recorded - plumbing,
-        prof.firings,
-        "recorded firings (minus fission plumbing) == performed firings"
+        recorded, prof.firings,
+        "recorded firings == performed firings"
     );
 
     // Phase spans cover the lowering pipeline.
@@ -348,8 +326,8 @@ fn phases(rec: &Recorder) -> Vec<&'static str> {
 
 /// One function compiles for every caller, so every caller's recorder
 /// holds the same phase list, in order: `parse, elaborate, analyze,
-/// select, flatten, plan`, then `fission` when the pass engaged and
-/// `partition` when the run has a stage budget.
+/// select, flatten, plan`, then `partition` when the run has a stage
+/// budget.
 #[test]
 fn compile_phases_are_the_pinned_list() {
     let bench = streamlin::benchmarks::fir(64);
@@ -362,14 +340,6 @@ fn compile_phases_are_the_pinned_list() {
                 ..RunSpec::default()
             },
             vec!["flatten", "plan", "partition"],
-        ),
-        (
-            RunSpec {
-                threads: Some(2),
-                fission: Fission::Width(2),
-                ..RunSpec::default()
-            },
-            vec!["flatten", "plan", "fission", "partition"],
         ),
     ] {
         let mut rec = Recorder::new();
