@@ -23,14 +23,13 @@
 //! with the span of the statement that decided it. [`extract`] and
 //! `state_space::extract_stateful` are that one domain under two entry
 //! bindings: which globals `work` can write — the ones that are ⊤ (or
-//! state symbols) on entry — is `streamlin_graph::analyze::written_slots`,
-//! the one write-set walker over that IR; every other global is read in
-//! place from its elaboration-time cell.
+//! state symbols) on entry — is the write set the lowerer recorded
+//! (`inst.lowered.work.fx.writes`); every other global is read in place
+//! from its elaboration-time cell.
 
 use std::collections::BTreeMap;
 
 use streamlin_graph::absint::{walk, ACell, Domain};
-use streamlin_graph::analyze::written_slots;
 use streamlin_graph::ir::FilterInst;
 use streamlin_graph::lower::Slot;
 use streamlin_graph::value::{bin_op, un_op, EvalError, MathFn, Value};
@@ -194,15 +193,13 @@ pub(crate) struct StatefulPieces {
 /// The global slots `work` can write, ascending: the filter's mutable
 /// state, as far as one firing to the next is concerned.
 pub(crate) fn written_globals(inst: &FilterInst) -> Vec<u32> {
-    let mut slots: Vec<u32> = written_slots(&inst.lowered.work.body)
-        .into_iter()
-        .filter_map(|s| match s {
-            Slot::Global(g) => Some(g),
+    // Sorted, globals first.
+    (inst.lowered.work.fx.writes.iter())
+        .map_while(|s| match s {
+            Slot::Global(g) => Some(*g),
             Slot::Frame(_) => None,
         })
-        .collect();
-    slots.sort_unstable();
-    slots
+        .collect()
 }
 
 /// Symbolically executes `work` once — global slot `state_slots[k]` bound

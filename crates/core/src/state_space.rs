@@ -295,7 +295,7 @@ pub fn extract_stateful(inst: &FilterInst) -> Result<StateSpaceNode, NonLinear> 
     if inst.init_work.is_some() {
         return Err(NonLinear::HasInitWork);
     }
-    if inst.prints {
+    if inst.lowered.prints {
         return Err(NonLinear::Prints);
     }
     // One state component per global `work` can write, in slot (= name)

@@ -46,10 +46,11 @@
 //!   and joins to ⊤, never to an error (extraction PR 15).
 //! * **Loops** unroll while the test is decided (and for at most
 //!   [`Domain::MAX_UNROLL`] trips); an undecided one is the domain's call
-//!   ([`Domain::undecided_loop`]): stop with a reason, or
-//!   name the slots to widen — the engine then sets those to ⊤ and walks
-//!   test, body and step once more on a scratch copy, so the domain still
-//!   sees every access the loop can make.
+//!   ([`Domain::undecided_loop`]): stop with a reason, or widen its tape
+//!   — the engine then sets every slot the loop can write (its
+//!   [`Effects`], recorded at lowering) to ⊤ and walks test, body and step
+//!   once more on a scratch copy, so the domain still sees every access
+//!   the loop can make.
 //! * **`return`** joins the state into the walk's exit state; a walk ends
 //!   in the join of falling off the end and every `return`.
 //! * **Fuel** is spent per statement and per loop test, as the
@@ -57,13 +58,11 @@
 //!   hand, and whether undecided control surrounds it — is
 //!   [`Domain::at`].
 
-use std::collections::HashSet;
-
 use streamlin_lang::ast::{BinOp, DataType, UnOp};
 use streamlin_lang::token::Span;
 
 use crate::exec::IndexBuf;
-use crate::lower::{RExpr, RLValue, RStmt, Slot};
+use crate::lower::{Effects, RExpr, RLValue, RStmt, Slot};
 use crate::value::{bin_op, flat_offset, un_op, Cell, EvalError, MathFn, Value};
 
 /// What differs between analyses: the values, the tape, and what to do
@@ -128,13 +127,9 @@ pub trait Domain {
     /// The walk cannot go on: out of fuel, an undecided array size, an
     /// undecided loop test.
     fn give_up(&mut self, why: &'static str) -> Self::Stop;
-    /// `for_loop`'s test is undecided: stop, or widen `tape` and name the
-    /// slots the loop may write.
-    fn undecided_loop(
-        &mut self,
-        _tape: &mut Self::Tape,
-        _for_loop: &RStmt,
-    ) -> Result<HashSet<Slot>, Self::Stop> {
+    /// The test of a loop that can do `fx` is undecided: stop, or widen
+    /// `tape` (the engine widens the slots in `fx.writes`).
+    fn undecided_loop(&mut self, _tape: &mut Self::Tape, _fx: &Effects) -> Result<(), Self::Stop> {
         Err(self.give_up("loop bound depends on the input or on ⊤ state"))
     }
 
@@ -396,6 +391,7 @@ impl<'c, D: Domain> Walker<'_, 'c, D> {
                 cond,
                 step,
                 body,
+                fx,
                 span,
             } => {
                 if let Some(i) = init {
@@ -423,7 +419,8 @@ impl<'c, D: Domain> Walker<'_, 'c, D> {
                             }
                         }
                         None => {
-                            for slot in self.dom.undecided_loop(&mut st.tape, s)? {
+                            self.dom.undecided_loop(&mut st.tape, fx)?;
+                            for &slot in &fx.writes {
                                 st.cell_mut(slot).view_mut().2.fill(self.dom.top());
                             }
                             // The accounting pass; its state is discarded

@@ -31,20 +31,21 @@
 //! are [`crate::absint::walk`]'s, the walk linear extraction runs on too:
 //! a certificate cannot disagree with execution about control flow or
 //! about a value. This file supplies `RateDomain` (`Num × Degree` values,
-//! interval tape counters, effect/lint/certificate accounting, widening
-//! of undecided loops by the syntactic write set `syn_*` — the only match
-//! on [`RStmt`] here, exported as [`written_slots`]) and
+//! interval tape counters, effect/lint/certificate accounting, saturating
+//! the counters of an undecided loop that touches the tape) and
 //! [`analyze_filter`], which binds the entry state and checks the final
-//! counters against the declared rates.
+//! counters against the declared rates. It matches no node of the slot IR:
+//! which slots a phase or a loop can write is the [`Effects`] the lowerer
+//! recorded.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use streamlin_lang::ast::{BinOp, DataType, UnOp};
 use streamlin_lang::token::Span;
 
 use crate::absint::{walk, ACell, Domain};
 use crate::ir::WorkFn;
-use crate::lower::{LoweredFilter, LoweredWork, RExpr, RLValue, RStmt, Slot};
+use crate::lower::{Effects, LoweredFilter, LoweredWork, Slot};
 use crate::value::{Cell, EvalError, MathFn, Value};
 
 /// Sentinel for "no static bound" in pop/push counters.
@@ -380,7 +381,7 @@ fn aun(op: UnOp, a: AbsV) -> AbsV {
 }
 
 // ---------------------------------------------------------------------------
-// Tape counters, effects, the syntactic write set
+// Tape counters
 // ---------------------------------------------------------------------------
 
 /// Saturating pop/push counter interval.
@@ -408,131 +409,6 @@ impl Ctr {
 struct Tape {
     pops: Ctr,
     pushes: Ctr,
-}
-
-/// Syntactic summary of a statement list, used to widen unresolved
-/// loops: which slots it can write, and whether it touches the tape.
-#[derive(Default)]
-struct SynFx {
-    writes: HashSet<Slot>,
-    pops: bool,
-    pushes: bool,
-    peeks: bool,
-}
-
-/// Every slot a statement list can write — by assignment, `++`/`--` or
-/// declaration — on any path, taken or not. The one syntactic write-set
-/// walker over the slot IR: this module widens unresolved loops with it
-/// and decides which globals are mutable, and linear extraction asks it
-/// which fields `work` mutates.
-pub fn written_slots(stmts: &[RStmt]) -> HashSet<Slot> {
-    let mut fx = SynFx::default();
-    syn_stmts(stmts, &mut fx);
-    fx.writes
-}
-
-fn syn_stmts(stmts: &[RStmt], fx: &mut SynFx) {
-    for s in stmts {
-        syn_stmt(s, fx);
-    }
-}
-
-fn syn_stmt(s: &RStmt, fx: &mut SynFx) {
-    match s {
-        RStmt::Decl {
-            slot, dims, init, ..
-        } => {
-            fx.writes.insert(Slot::Frame(*slot));
-            for d in dims {
-                syn_expr(d, fx);
-            }
-            if let Some(e) = init {
-                syn_expr(e, fx);
-            }
-        }
-        RStmt::Assign { target, value, .. } => {
-            syn_lvalue(target, fx);
-            syn_expr(value, fx);
-        }
-        RStmt::If {
-            cond,
-            then_blk,
-            else_blk,
-            ..
-        } => {
-            syn_expr(cond, fx);
-            syn_stmts(then_blk, fx);
-            if let Some(e) = else_blk {
-                syn_stmts(e, fx);
-            }
-        }
-        RStmt::For {
-            init,
-            cond,
-            step,
-            body,
-            ..
-        } => {
-            if let Some(s) = init {
-                syn_stmt(s, fx);
-            }
-            if let Some(c) = cond {
-                syn_expr(c, fx);
-            }
-            if let Some(s) = step {
-                syn_stmt(s, fx);
-            }
-            syn_stmts(body, fx);
-        }
-        RStmt::Expr(e, _) => syn_expr(e, fx),
-        RStmt::Return => {}
-    }
-}
-
-fn syn_lvalue(lv: &RLValue, fx: &mut SynFx) {
-    match lv {
-        RLValue::Var(slot) => {
-            fx.writes.insert(*slot);
-        }
-        RLValue::Index(slot, idxs) => {
-            fx.writes.insert(*slot);
-            for i in idxs {
-                syn_expr(i, fx);
-            }
-        }
-    }
-}
-
-fn syn_expr(e: &RExpr, fx: &mut SynFx) {
-    match e {
-        RExpr::Int(_) | RExpr::Float(_) | RExpr::Bool(_) | RExpr::Var(_) => {}
-        RExpr::Index(_, idxs) => {
-            for i in idxs {
-                syn_expr(i, fx);
-            }
-        }
-        RExpr::Unary(_, a) => syn_expr(a, fx),
-        RExpr::Binary(_, a, b) => {
-            syn_expr(a, fx);
-            syn_expr(b, fx);
-        }
-        RExpr::Peek(i) => {
-            fx.peeks = true;
-            syn_expr(i, fx);
-        }
-        RExpr::Pop => fx.pops = true,
-        RExpr::Push(v) => {
-            fx.pushes = true;
-            syn_expr(v, fx);
-        }
-        RExpr::Math(_, args) => {
-            for a in args {
-                syn_expr(a, fx);
-            }
-        }
-        RExpr::Print { arg, .. } => syn_expr(arg, fx),
-        RExpr::PostIncDec { target, .. } => syn_lvalue(target, fx),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -737,26 +613,20 @@ impl Domain for RateDomain<'_> {
 
     /// Widening: the engine clobbers everything the loop can write; here
     /// the tape counters saturate if it touches the tape.
-    fn undecided_loop(
-        &mut self,
-        tape: &mut Tape,
-        for_loop: &RStmt,
-    ) -> Result<HashSet<Slot>, Self::Stop> {
-        let mut syn = SynFx::default();
-        syn_stmt(for_loop, &mut syn);
-        if syn.pops {
+    fn undecided_loop(&mut self, tape: &mut Tape, fx: &Effects) -> Result<(), Self::Stop> {
+        if fx.pops {
             tape.pops.hi = UNBOUNDED;
         }
-        if syn.pushes {
+        if fx.pushes {
             tape.pushes.hi = UNBOUNDED;
         }
-        if syn.pops || syn.pushes || syn.peeks {
+        if fx.pops || fx.pushes || fx.peeks {
             self.uncertify(format!(
                 "a loop at {} with a statically unresolved trip count touches the tape",
                 self.span
             ));
         }
-        Ok(syn.writes)
+        Ok(())
     }
 
     fn give_up(&mut self, why: &'static str) -> String {
@@ -879,12 +749,8 @@ pub fn analyze_filter(
     // entry value is then unknown but, by definition, linear in the state;
     // everything else keeps its concrete elaboration-time value, which is
     // what makes loop trip counts and peek offsets decidable.
-    let mut written = written_slots(&lowered.work.body);
-    if let Some(iw) = &lowered.init_work {
-        written.extend(written_slots(&iw.body));
-    }
     let globals: Vec<ACell<'_, AbsV>> = (lowered.globals.iter().zip(0u32..))
-        .map(|(name, g)| match written.contains(&Slot::Global(g)) {
+        .map(|(name, g)| match lowered.may_write(Slot::Global(g)) {
             false => ACell::Const(&state[name]),
             true => ACell::from_cell(&state[name], |ty, _| AbsV {
                 num: elem_num(ty),

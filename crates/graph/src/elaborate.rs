@@ -310,7 +310,6 @@ impl<'a> Elaborator<'a> {
             param_names,
             work,
             init_work,
-            prints: lowered.prints,
             lowered,
             facts,
         })))
@@ -751,12 +750,12 @@ mod tests {
             panic!()
         };
         assert!(src.is_source());
-        assert!(!src.prints);
+        assert!(!src.lowered.prints);
         let Stream::Filter(sink) = &children[1] else {
             panic!()
         };
         assert!(sink.is_sink());
-        assert!(sink.prints);
+        assert!(sink.lowered.prints);
     }
 
     #[test]

@@ -50,9 +50,6 @@ pub struct FilterInst {
     pub work: WorkFn,
     /// Optional first-firing work function.
     pub init_work: Option<WorkFn>,
-    /// True if any work body prints (a side effect that must never be
-    /// collapsed away — printing filters are treated as non-linear).
-    pub prints: bool,
     /// The slot-resolved work phases (see [`crate::lower`]) — the only form
     /// of the code an instance carries: the runtime tiers execute it, and
     /// the abstract interpreter and linear extraction analyse it.
@@ -209,7 +206,6 @@ mod tests {
                 push,
             },
             init_work: None,
-            prints: false,
             lowered: LoweredFilter::default(),
             facts: FilterFacts::default(),
         }))

@@ -14,6 +14,10 @@
 //!   downstream walks this tree or the bytecode compiled from it: the
 //!   runtime tiers, the abstract interpreter ([`crate::analyze`]) and
 //!   linear extraction (`streamlin-core`).
+//! * While it resolves a body it records what the body can do
+//!   ([`Effects`]: the slots it can write, taken or not, and whether it
+//!   touches the tape), per phase on [`LoweredWork`] and per loop on
+//!   [`RStmt::For`], so no analysis walks a body to rediscover them.
 //! * [`SlotInterp`] executes the resolved tree over two plain `Vec<Cell>`
 //!   arrays (persistent globals + a reusable frame): no per-block scope
 //!   maps, no string hashing, no name cloning on the firing path. It is
@@ -72,8 +76,8 @@ impl std::fmt::Display for LowerError {
 
 impl std::error::Error for LowerError {}
 
-/// A resolved storage location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// A resolved storage location. Globals order before frame slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Slot {
     /// Persistent cell (field, stream parameter or captured constant):
     /// index into the instance's global vector, fixed by
@@ -189,6 +193,8 @@ pub enum RStmt {
         step: Option<Box<RStmt>>,
         /// Body.
         body: Vec<RStmt>,
+        /// What the header and body can do (what an undecided walk widens).
+        fx: Effects,
         /// Source position.
         span: Span,
     },
@@ -212,6 +218,34 @@ impl RStmt {
     }
 }
 
+/// What a statement list can do, recorded while it is lowered: every slot
+/// it can write — by declaration, assignment or `++`/`--` — on any path,
+/// taken or not, and whether it touches the tape.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Effects {
+    /// The written slots, sorted and deduplicated.
+    pub writes: Vec<Slot>,
+    /// Some `peek(i)`.
+    pub peeks: bool,
+    /// Some `pop()`.
+    pub pops: bool,
+    /// Some `push(v)`.
+    pub pushes: bool,
+}
+
+impl Effects {
+    /// True if `slot` is among the written slots.
+    pub fn may_write(&self, slot: Slot) -> bool {
+        self.writes.binary_search(&slot).is_ok()
+    }
+
+    /// Sorts and deduplicates the written slots.
+    fn seal(&mut self) {
+        self.writes.sort_unstable();
+        self.writes.dedup();
+    }
+}
+
 /// One lowered work phase.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoweredWork {
@@ -220,6 +254,11 @@ pub struct LoweredWork {
     pub body: Arc<[RStmt]>,
     /// Frame slots this phase needs.
     pub frame_slots: usize,
+    /// What the phase can do: the slots it can write decide which globals
+    /// an analysis binds as variables.
+    pub fx: Effects,
+    /// Statements in the body, counted through `if`/`for`/`while` blocks.
+    stmts: usize,
     /// The body typed and flattened to register bytecode
     /// ([`crate::bytecode`]), compiled once here so every consumer of the
     /// phase — both engines, the pipeline executor, the streamlind plan
@@ -229,27 +268,11 @@ pub struct LoweredWork {
 
 impl LoweredWork {
     /// Number of statements in the body, counted recursively through
-    /// `if`/`for`/`while` blocks (each loop body once — a *static* size,
-    /// used by cost heuristics such as pipeline stage balancing, not a
-    /// dynamic execution count).
+    /// `if`/`for`/`while` blocks (each loop body once, a `for`'s header
+    /// statements included — a *static* size, used by cost heuristics such
+    /// as pipeline stage balancing, not a dynamic execution count).
     pub fn stmt_count(&self) -> usize {
-        fn count(stmts: &[RStmt]) -> usize {
-            stmts
-                .iter()
-                .map(|s| match s {
-                    RStmt::If {
-                        then_blk, else_blk, ..
-                    } => 1 + count(then_blk) + else_blk.as_deref().map_or(0, count),
-                    RStmt::For {
-                        init, step, body, ..
-                    } => {
-                        1 + usize::from(init.is_some()) + usize::from(step.is_some()) + count(body)
-                    }
-                    _ => 1,
-                })
-                .sum()
-        }
-        count(&self.body)
+        self.stmts
     }
 }
 
@@ -265,7 +288,9 @@ pub struct LoweredFilter {
     pub work: LoweredWork,
     /// The optional first-firing phase.
     pub init_work: Option<LoweredWork>,
-    /// True if either phase contains an [`RExpr::Print`].
+    /// True if either phase contains an [`RExpr::Print`]: a side effect
+    /// that must never be collapsed away (a printing filter is treated as
+    /// non-linear).
     pub prints: bool,
 }
 
@@ -275,6 +300,12 @@ impl LoweredFilter {
         self.work
             .frame_slots
             .max(self.init_work.as_ref().map_or(0, |w| w.frame_slots))
+    }
+
+    /// True if some phase can write `slot`.
+    pub fn may_write(&self, slot: Slot) -> bool {
+        let mut phases = std::iter::once(&self.work).chain(&self.init_work);
+        phases.any(|w| w.fx.may_write(slot))
     }
 }
 
@@ -354,6 +385,10 @@ struct Lowerer<'ast, 'c> {
     cur_span: Span,
     /// Set once any `print`/`println` has been lowered.
     prints: bool,
+    /// What the innermost loop (or else the phase) lowered so far can do.
+    fx: Effects,
+    /// Statements lowered in the phase so far.
+    stmts: usize,
     /// Every error found so far, across statements.
     errors: Vec<LowerError>,
 }
@@ -367,19 +402,25 @@ impl<'ast, 'c> Lowerer<'ast, 'c> {
             max_frame: 0,
             cur_span: Span::default(),
             prints: false,
+            fx: Effects::default(),
+            stmts: 0,
             errors: Vec::new(),
         }
     }
 
     /// Lowers one work phase (frame slots start over) and compiles it.
     fn lower_work(&mut self, body: &'ast Block, sig: &[&Cell]) -> LoweredWork {
-        (self.next_frame, self.max_frame) = (0, 0);
+        (self.next_frame, self.max_frame, self.stmts) = (0, 0, 0);
         let body: Arc<[RStmt]> = self.lower_block(body).into();
+        let mut fx = std::mem::take(&mut self.fx);
+        fx.seal();
         let frame_slots = self.max_frame as usize;
         let code = crate::bytecode::compile(Arc::clone(&body), sig, frame_slots);
         LoweredWork {
             body,
             frame_slots,
+            fx,
+            stmts: self.stmts,
             code,
         }
     }
@@ -399,6 +440,7 @@ impl<'ast, 'c> Lowerer<'ast, 'c> {
 
     fn declare(&mut self, name: &'ast str) -> u32 {
         let slot = self.next_frame;
+        self.fx.writes.push(Slot::Frame(slot));
         self.next_frame += 1;
         self.max_frame = self.max_frame.max(self.next_frame);
         self.scopes
@@ -446,6 +488,7 @@ impl<'ast, 'c> Lowerer<'ast, 'c> {
 
     fn lower_stmt(&mut self, stmt: &'ast Stmt, span: Span) -> Result<RStmt, LowerError> {
         self.cur_span = span;
+        self.stmts += 1;
         Ok(match stmt {
             Stmt::Decl { ty, name, init } => {
                 // Dimensions are evaluated before the name becomes
@@ -482,41 +525,8 @@ impl<'ast, 'c> Lowerer<'ast, 'c> {
                 cond,
                 step,
                 body,
-            } => {
-                // The init declaration lives in its own scope that also
-                // encloses the condition, step and body. The header
-                // statements have no spans of their own and inherit the
-                // `for`'s.
-                self.push_scope();
-                let r = (|| {
-                    let init = init
-                        .as_deref()
-                        .map(|s| self.lower_stmt(s, span).map(Box::new))
-                        .transpose()?;
-                    self.cur_span = span;
-                    let cond = cond.as_ref().map(|e| self.lower_expr(e)).transpose()?;
-                    let step = step
-                        .as_deref()
-                        .map(|s| self.lower_stmt(s, span).map(Box::new))
-                        .transpose()?;
-                    Ok(RStmt::For {
-                        init,
-                        cond,
-                        step,
-                        body: self.lower_block(body),
-                        span,
-                    })
-                })();
-                self.pop_scope();
-                r?
-            }
-            Stmt::While { cond, body } => RStmt::For {
-                init: None,
-                cond: Some(self.lower_expr(cond)?),
-                step: None,
-                body: self.lower_block(body),
-                span,
-            },
+            } => self.lower_loop(init.as_deref(), cond.as_ref(), step.as_deref(), body, span)?,
+            Stmt::While { cond, body } => self.lower_loop(None, Some(cond), None, body, span)?,
             Stmt::Expr(e) => RStmt::Expr(self.lower_expr(e)?, span),
             Stmt::Return => RStmt::Return,
             Stmt::Add(_) => {
@@ -525,11 +535,58 @@ impl<'ast, 'c> Lowerer<'ast, 'c> {
         })
     }
 
+    /// Lowers a loop — a `while` is a `for` with only a condition — and
+    /// keeps what its header and body can do, which the enclosing summary
+    /// gets too. The init declaration lives in its own scope that also
+    /// encloses the condition, step and body. The header statements have
+    /// no spans of their own and inherit the loop's.
+    fn lower_loop(
+        &mut self,
+        init: Option<&'ast Stmt>,
+        cond: Option<&'ast Expr>,
+        step: Option<&'ast Stmt>,
+        body: &'ast Block,
+        span: Span,
+    ) -> Result<RStmt, LowerError> {
+        let outer = std::mem::take(&mut self.fx);
+        self.push_scope();
+        let r = (|| {
+            let init = init
+                .map(|s| self.lower_stmt(s, span).map(Box::new))
+                .transpose()?;
+            self.cur_span = span;
+            let cond = cond.map(|e| self.lower_expr(e)).transpose()?;
+            let step = step
+                .map(|s| self.lower_stmt(s, span).map(Box::new))
+                .transpose()?;
+            Ok((init, cond, step, self.lower_block(body)))
+        })();
+        self.pop_scope();
+        let mut fx = std::mem::replace(&mut self.fx, outer);
+        fx.seal();
+        self.fx.writes.extend_from_slice(&fx.writes);
+        self.fx.peeks |= fx.peeks;
+        self.fx.pops |= fx.pops;
+        self.fx.pushes |= fx.pushes;
+        let (init, cond, step, body) = r?;
+        Ok(RStmt::For {
+            init,
+            cond,
+            step,
+            body,
+            fx,
+            span,
+        })
+    }
+
     fn lower_lvalue(&mut self, lv: &'ast LValue) -> Result<RLValue, LowerError> {
-        Ok(match lv {
+        let lv = match lv {
             LValue::Var(name) => RLValue::Var(self.resolve(name)?),
             LValue::Index(name, idx) => RLValue::Index(self.resolve(name)?, self.lower_exprs(idx)?),
-        })
+        };
+        let (RLValue::Var(slot) | RLValue::Index(slot, _)) = &lv;
+        self.fx.writes.push(*slot);
+        Ok(lv)
     }
 
     fn lower_exprs(&mut self, exprs: &'ast [Expr]) -> Result<Vec<RExpr>, LowerError> {
@@ -537,6 +594,12 @@ impl<'ast, 'c> Lowerer<'ast, 'c> {
     }
 
     fn lower_expr(&mut self, expr: &'ast Expr) -> Result<RExpr, LowerError> {
+        match expr {
+            Expr::Peek(_) => self.fx.peeks = true,
+            Expr::Pop => self.fx.pops = true,
+            Expr::Push(_) => self.fx.pushes = true,
+            _ => {}
+        }
         Ok(match expr {
             Expr::Int(v) => RExpr::Int(*v),
             Expr::Float(v) => RExpr::Float(*v),
@@ -1310,6 +1373,79 @@ mod tests {
         let src = "float->float filter F { work push 1 pop 1 { while (true) { } } }";
         let err = run_with_fuel(src, 1000).unwrap_err();
         assert!(err.message.contains("fuel"), "{err}");
+    }
+
+    /// The effects a `for`/`while` statement kept.
+    fn loop_fx(s: &RStmt) -> &Effects {
+        let RStmt::For { fx, .. } = s else {
+            panic!("not a loop: {s:?}")
+        };
+        fx
+    }
+
+    #[test]
+    fn lowering_records_what_each_body_and_loop_can_do() {
+        let (lowered, _) = lowered_for(
+            "float->float filter F {
+                float g; float h; float[4] a; int i;
+                work peek 2 pop 1 push 1 {
+                    if (false) g = 1.0;
+                    for (int j = 0; j < 2; j++) {
+                        float s = peek(j);
+                        for (int k = 0; k < 2; k++) h += s;
+                    }
+                    a[i++] = pop();
+                    push(h);
+                }
+            }",
+        );
+        assert_eq!(lowered.globals, ["a", "g", "h", "i"]);
+        let [a, g, h, i] = [0, 1, 2, 3].map(Slot::Global);
+        let [j, s, k] = [0, 1, 2].map(Slot::Frame);
+        let work = &lowered.work;
+        // `g` is listed although its store is dead: taken or not. `a[i++]`
+        // writes both `a` and `i`.
+        assert_eq!(work.fx.writes, [a, g, h, i, j, s, k]);
+        assert!(work.fx.peeks && work.fx.pops && work.fx.pushes);
+        let outer = loop_fx(&work.body[1]);
+        // The local declared inside the loop is the loop's write too.
+        assert_eq!(outer.writes, [h, j, s, k]);
+        assert!(outer.peeks && !outer.pops && !outer.pushes);
+        let RStmt::For { body, .. } = &work.body[1] else {
+            unreachable!()
+        };
+        let inner = loop_fx(&body[1]);
+        assert_eq!(inner.writes, [h, k]);
+        assert!(!inner.peeks && !inner.pops && !inner.pushes);
+        for (sub, sup) in [(inner, outer), (outer, &work.fx)] {
+            assert!(sub.writes.iter().all(|&w| sup.may_write(w)));
+        }
+        // if 1 + assign 1, for 1 + init 1 + step 1, decl 1, inner for 1 +
+        // init 1 + step 1 + body 1, assign 1, push 1.
+        assert_eq!(work.stmt_count(), 12);
+    }
+
+    #[test]
+    fn a_while_records_what_the_equivalent_for_does() {
+        let while_loop = lowered_for(
+            "void->float filter F { work push 3 {
+                int n = 0; while (n < 3) { push(n); n++; }
+            } }",
+        )
+        .0;
+        let for_loop = lowered_for(
+            "void->float filter F { work push 3 {
+                int n = 0; for (; n < 3; n++) push(n);
+            } }",
+        )
+        .0;
+        let fx = loop_fx(&while_loop.work.body[1]);
+        assert_eq!(fx, loop_fx(&for_loop.work.body[1]));
+        assert_eq!(fx.writes, [Slot::Frame(0)]);
+        assert!(!fx.peeks && !fx.pops && fx.pushes);
+        assert_eq!(while_loop.work.fx, for_loop.work.fx);
+        assert_eq!(while_loop.work.stmt_count(), 4);
+        assert_eq!(for_loop.work.stmt_count(), 4);
     }
 
     // ---- constant contexts ---------------------------------------------

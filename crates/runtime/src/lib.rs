@@ -19,9 +19,9 @@
 //!   host): storage resolved to `Vec<Cell>` slots at elaboration, no name
 //!   hashing on the firing path;
 //! * **linear nodes** run as direct matrix-vector products with a choice of
-//!   [`linear_exec::MatMulStrategy`] — the default zero-skipping column
-//!   loops of the paper's code generator (Figure 5-7) or the cache-blocked
-//!   dense kernel standing in for ATLAS (§5.4);
+//!   [`linear_exec::MatMulStrategy`] — the default zero-skipping unrolled
+//!   expressions of the paper's code generator (§5.2), the cache-blocked
+//!   dense kernel standing in for ATLAS (§5.4) or the vectorized tier;
 //! * **frequency nodes** and **redundancy nodes** wrap the executors from
 //!   `streamlin-core` (plus the decimator stage for `pop > 1`);
 //! * **splitters/joiners** move items according to their weights.

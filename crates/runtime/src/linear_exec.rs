@@ -1,7 +1,7 @@
 //! Direct (time-domain) execution of linear nodes.
 //!
-//! Four kernels execute a linear node; the first three reproduce the
-//! code-generation strategies the paper measures, the fourth is the
+//! Three kernels execute a linear node; the first two reproduce the
+//! code-generation strategies the paper measures, the third is the
 //! production tier. Each reads the node's own coefficient rows
 //! ([`LinearNode::row`]: output `j`'s coefficients by window position,
 //! contiguous) plus at most a small index of its own — no kernel keeps a
@@ -11,10 +11,6 @@
 //!   unrolled arithmetic expression" per output that multiplies only the
 //!   non-zero coefficients (§5.2). It reads its own term list, each
 //!   output's non-zero `(position, coefficient)` pairs.
-//! * [`MatMulStrategy::Diagonal`] — the indexed loop of Figure 5-7 used
-//!   for large nodes: per output, the leading and trailing zero runs are
-//!   skipped but interior zeros are still multiplied. It reads each row's
-//!   `firstNonZero..=lastNonZero` range, which is all it keeps.
 //! * [`MatMulStrategy::Blocked`] — the ATLAS stand-in (§5.4): a dense
 //!   kernel over the whole rows with an explicit copy-in of the window.
 //!   Like the real ATLAS experiment, it trades interface overhead for a
@@ -46,8 +42,6 @@ pub enum MatMulStrategy {
     /// Zero-skipping unrolled expressions (the paper's default).
     #[default]
     Unrolled,
-    /// Figure 5-7's loop: per-column `firstNonZero..=lastNonZero`.
-    Diagonal,
     /// Dense kernel over the whole rows with copy-in — the ATLAS
     /// substitute.
     Blocked,
@@ -59,9 +53,8 @@ pub enum MatMulStrategy {
 
 impl MatMulStrategy {
     /// Every strategy.
-    pub const ALL: [MatMulStrategy; 4] = [
+    pub const ALL: [MatMulStrategy; 3] = [
         MatMulStrategy::Unrolled,
-        MatMulStrategy::Diagonal,
         MatMulStrategy::Blocked,
         MatMulStrategy::Simd,
     ];
@@ -70,7 +63,6 @@ impl MatMulStrategy {
     pub fn label(self) -> &'static str {
         match self {
             MatMulStrategy::Unrolled => "unrolled",
-            MatMulStrategy::Diagonal => "diagonal",
             MatMulStrategy::Blocked => "blocked",
             MatMulStrategy::Simd => "simd",
         }
@@ -203,9 +195,6 @@ enum Layout {
         terms: Vec<(usize, f64)>,
         bounds: Vec<usize>,
     },
-    /// [`MatMulStrategy::Diagonal`]: each output's
-    /// `firstNonZero..=lastNonZero` window positions in its row.
-    Ranges(Vec<Option<(usize, usize)>>),
     /// [`MatMulStrategy::Blocked`] and [`MatMulStrategy::Simd`]: nothing;
     /// they sweep the node's rows whole.
     Rows,
@@ -227,13 +216,6 @@ impl Layout {
                 terms.shrink_to_fit();
                 Layout::Terms { terms, bounds }
             }
-            MatMulStrategy::Diagonal => Layout::Ranges(
-                rows.map(|row| {
-                    let first = row.iter().position(|&c| c != 0.0)?;
-                    Some((first, row.iter().rposition(|&c| c != 0.0)?))
-                })
-                .collect(),
-            ),
             MatMulStrategy::Blocked | MatMulStrategy::Simd => Layout::Rows,
         }
     }
@@ -247,26 +229,10 @@ impl Layout {
         &terms[bounds[j]..bounds[j + 1]]
     }
 
-    /// The part of output `j`'s row the kernel sweeps, and the window
-    /// position it starts at: `firstNonZero..=lastNonZero` for `Diagonal`,
-    /// the whole row for `Blocked` and `Simd`.
-    #[inline]
-    fn sweep<'a>(&self, node: &'a LinearNode, j: usize) -> (&'a [f64], usize) {
-        match self {
-            Layout::Ranges(ranges) => match ranges[j] {
-                Some((first, last)) => (&node.row(j)[first..=last], first),
-                None => (&[], 0),
-            },
-            Layout::Rows => (node.row(j), 0),
-            Layout::Terms { .. } => unreachable!("the Unrolled kernel reads its terms"),
-        }
-    }
-
     fn bytes(&self) -> usize {
         use std::mem::size_of_val;
         match self {
             Layout::Terms { terms, bounds } => size_of_val(&terms[..]) + size_of_val(&bounds[..]),
-            Layout::Ranges(ranges) => size_of_val(&ranges[..]),
             Layout::Rows => 0,
         }
     }
@@ -389,18 +355,17 @@ impl LinearExec {
                     }
                 }
             }
-            // Diagonal sweeps each row's non-zero range, Blocked the whole
-            // row (the full dense multiply, no zero skipping). The dense
-            // sweep reads the window in place; the copy-in of `fire` exists
-            // only to model the ATLAS interface cost and performs no
-            // counted ops, so results and tallies are the same without it.
-            MatMulStrategy::Diagonal | MatMulStrategy::Blocked => {
+            // Blocked sweeps the whole row (the full dense multiply, no
+            // zero skipping). The dense sweep reads the window in place;
+            // the copy-in of `fire` exists only to model the ATLAS
+            // interface cost and performs no counted ops, so results and
+            // tallies are the same without it.
+            MatMulStrategy::Blocked => {
                 for f in 0..k {
                     let w = &input[f * o..f * o + e];
                     for j in 0..u {
-                        let (coeffs, first) = layout.sweep(node, j);
                         let mut acc = node.offset(j);
-                        for (c, x) in coeffs.iter().zip(&w[first..]) {
+                        for (c, x) in node.row(j).iter().zip(w) {
                             acc = ops.fma(acc, *c, *x);
                         }
                         out.push(acc);
@@ -475,13 +440,6 @@ mod tests {
     use super::*;
     use streamlin_support::{NoCount, OpCounter};
 
-    const ALL_STRATEGIES: [MatMulStrategy; 4] = [
-        MatMulStrategy::Unrolled,
-        MatMulStrategy::Diagonal,
-        MatMulStrategy::Blocked,
-        MatMulStrategy::Simd,
-    ];
-
     fn sparse_node() -> LinearNode {
         // Coefficients: only positions 1 and 3 are non-zero.
         LinearNode::from_coeffs(
@@ -502,7 +460,7 @@ mod tests {
         let node = sparse_node();
         let input: Vec<f64> = (0..40).map(|i| (i as f64).sin()).collect();
         let want = node.fire_sequence(&input);
-        for strategy in ALL_STRATEGIES {
+        for strategy in MatMulStrategy::ALL {
             let mut exec = LinearExec::new(node.clone(), strategy);
             let mut ops = OpCounter::new();
             let got = exec.run_over(&input, &mut ops);
@@ -515,7 +473,7 @@ mod tests {
 
     #[test]
     fn strategies_differ_in_multiplication_counts() {
-        let node = sparse_node(); // nnz 2, range 1..=3 (3 wide), dense 5
+        let node = sparse_node(); // nnz 2, dense 5
         let window = [1.0, 2.0, 3.0, 4.0, 5.0];
         let count = |strategy| {
             let mut exec = LinearExec::new(node.clone(), strategy);
@@ -524,7 +482,6 @@ mod tests {
             ops.mults()
         };
         assert_eq!(count(MatMulStrategy::Unrolled), 2);
-        assert_eq!(count(MatMulStrategy::Diagonal), 3);
         assert_eq!(count(MatMulStrategy::Blocked), 5);
         assert_eq!(count(MatMulStrategy::Simd), 5); // dense, like Blocked
     }
@@ -543,7 +500,7 @@ mod tests {
             ),
         ] {
             let input: Vec<f64> = (0..200).map(|i| (i as f64 * 0.7).sin() * 3.0).collect();
-            for strategy in ALL_STRATEGIES {
+            for strategy in MatMulStrategy::ALL {
                 let mut exec = LinearExec::new(node.clone(), strategy);
                 let k = (input.len() - node.peek()) / node.pop() + 1;
                 let mut want = Vec::new();
@@ -575,7 +532,7 @@ mod tests {
             &[0.125, -3.5],
         );
         let input: Vec<f64> = (0..150).map(|i| (i as f64 * 1.1).cos() * 5.0).collect();
-        for strategy in ALL_STRATEGIES {
+        for strategy in MatMulStrategy::ALL {
             let mut counted_exec = LinearExec::new(node.clone(), strategy);
             let mut free_exec = LinearExec::new(node.clone(), strategy);
             let mut counted = OpCounter::new();
@@ -612,7 +569,7 @@ mod tests {
         let coeffs = node.table_bytes();
         assert_eq!(coeffs, 8 * (5 + 1));
         assert_eq!(node.row(0), &[0.0, 2.0, 0.0, -1.0, 0.0]);
-        for strategy in ALL_STRATEGIES {
+        for strategy in MatMulStrategy::ALL {
             let exec = LinearExec::new(node.clone(), strategy);
             // Beside the node's rows, a strategy holds at most its index.
             let index_bytes = match (&exec.table.layout, strategy) {
@@ -620,10 +577,6 @@ mod tests {
                     assert_eq!(terms, &[(1, 2.0), (3, -1.0)]);
                     assert_eq!(bounds, &[0, 2]);
                     2 * 16 + 2 * 8
-                }
-                (Layout::Ranges(ranges), MatMulStrategy::Diagonal) => {
-                    assert_eq!(ranges, &[Some((1, 3))]);
-                    24
                 }
                 (Layout::Rows, MatMulStrategy::Blocked | MatMulStrategy::Simd) => 0,
                 (layout, _) => panic!("{strategy:?} holds {layout:?}"),
@@ -655,7 +608,7 @@ mod tests {
     #[test]
     fn zero_column_outputs_just_the_offset() {
         let node = LinearNode::from_coeffs(3, 1, 1, |_, _| 0.0, &[7.0]);
-        for strategy in ALL_STRATEGIES {
+        for strategy in MatMulStrategy::ALL {
             let mut exec = LinearExec::new(node.clone(), strategy);
             let mut ops = OpCounter::new();
             assert_eq!(exec.fire(&[1.0, 2.0, 3.0], &mut ops), vec![7.0]);

@@ -89,7 +89,7 @@ impl Partition {
 fn can_print(node: &FlatNode) -> bool {
     match &node.kind {
         NodeKind::PrintSink { .. } => true,
-        NodeKind::Interp(s) => s.inst.prints,
+        NodeKind::Interp(s) => s.inst.lowered.prints,
         _ => false,
     }
 }

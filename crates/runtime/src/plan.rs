@@ -233,7 +233,7 @@ impl ExecPlan {
 
 /// Whether a node prints a data-dependent number of values per firing.
 fn prints(node: &FlatNode) -> bool {
-    node.interp().is_some_and(|s| s.inst.prints)
+    node.interp().is_some_and(|s| s.inst.lowered.prints)
 }
 
 /// `(peek, pop)` per input channel and pushes per output channel for one

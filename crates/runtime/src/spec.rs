@@ -221,10 +221,10 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         key: "matmul",
         flag: "matmul",
-        values: "unrolled|diagonal|blocked|simd",
+        values: "unrolled|blocked|simd",
         compile_time: true,
         contract: Contract::Tolerance(1e-9),
-        samples: &["unrolled", "diagonal", "blocked", "simd"],
+        samples: &["unrolled", "blocked", "simd"],
         help: "linear-node kernel (default: unrolled when measured, simd when fast)",
         set: |s, v| {
             one_of(v, &MatMulStrategy::ALL.map(|x| (x.label(), x))).map(|x| s.matmul = Some(x))

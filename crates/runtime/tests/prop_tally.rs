@@ -11,13 +11,6 @@ use streamlin_core::node::LinearNode;
 use streamlin_runtime::linear_exec::{LinearExec, MatMulStrategy};
 use streamlin_support::{CountOps, NoCount, OpCounter, Tally};
 
-const ALL_STRATEGIES: [MatMulStrategy; 4] = [
-    MatMulStrategy::Unrolled,
-    MatMulStrategy::Diagonal,
-    MatMulStrategy::Blocked,
-    MatMulStrategy::Simd,
-];
-
 /// A random linear node: peek 1..=24, pop 1..=peek+2, push 1..=3, sparse
 /// small-rational coefficients (zeros exercise the skipping kernels),
 /// plus offsets.
@@ -36,7 +29,7 @@ fn arb_node() -> impl Strategy<Value = LinearNode> {
                     push,
                     |i, j| {
                         let c = coeffs[i * push + j];
-                        // ~1/3 zeros so Unrolled/Diagonal skip real work.
+                        // ~1/3 zeros so Unrolled skips real work.
                         if c.rem_euclid(3) == 0 {
                             0.0
                         } else {
@@ -59,7 +52,7 @@ proptest! {
 
     #[test]
     fn nocount_is_bit_identical_to_countops(node in arb_node(), input in arb_input()) {
-        for strategy in ALL_STRATEGIES {
+        for strategy in MatMulStrategy::ALL {
             let mut counted_exec = LinearExec::new(node.clone(), strategy);
             let mut free_exec = LinearExec::new(node.clone(), strategy);
             let mut counted = CountOps::new();
@@ -83,7 +76,7 @@ proptest! {
             return Ok(());
         }
         let k = (input.len() - e) / o + 1;
-        for strategy in ALL_STRATEGIES {
+        for strategy in MatMulStrategy::ALL {
             let exec = LinearExec::new(node.clone(), strategy);
             let mut a = Vec::new();
             let mut counted = CountOps::new();

@@ -192,6 +192,7 @@ fn rejects_bad_knob_values_before_parsing() {
     for (flag, bad) in [
         ("--mode", "turbo"),
         ("--matmul", "fused"),
+        ("--matmul", "diagonal"),
         ("--tier", "jit"),
         ("--cert", "maybe"),
         ("--threads", "0"),

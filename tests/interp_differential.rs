@@ -22,6 +22,11 @@
 //! failing here. (The two tiers stay off that engine on purpose — a
 //! referee must not share the rules it checks.)
 //!
+//! The walker binds as variables only the fields a phase can write, as the
+//! lowerer recorded them (`LoweredWork::fx`); every other field is read in
+//! place. So the recorded write sets are checked against execution too:
+//! every field whose cell the firings changed is written by some phase.
+//!
 //! Filter **`init` blocks** run on the bytecode tier at elaboration
 //! ([`streamlin::graph::elaborate::run_init`]); the tree-walker is their
 //! reference too: same post-`init` cells for every filter of the nine
@@ -32,7 +37,6 @@ use std::collections::HashMap;
 use streamlin::benchmarks::Benchmark;
 use streamlin::core::opt::OptStream;
 use streamlin::graph::absint::{walk, ACell, Domain};
-use streamlin::graph::analyze::written_slots;
 use streamlin::graph::elaborate::{elaborate, run_init};
 use streamlin::graph::exec::{Flow, Host, PureHost, DEFAULT_FUEL};
 use streamlin::graph::ir::FilterInst;
@@ -254,9 +258,8 @@ fn run_abstract_engine(inst: &FilterInst, input: &[f64]) -> RunResult {
         false,
         "abstract engine",
         |code, store, host| {
-            let written = written_slots(&code.body);
             let globals = (store.globals.iter().zip(0u32..))
-                .map(|(cell, g)| match written.contains(&Slot::Global(g)) {
+                .map(|(cell, g)| match code.fx.may_write(Slot::Global(g)) {
                     true => ACell::from_cell(cell, |_, v| v),
                     false => ACell::Const(cell),
                 })
@@ -296,6 +299,15 @@ fn check_benchmark(bench: &Benchmark) {
         let slot_uncounted = run_slot_based(inst, &input, false);
 
         let ctx = format!("{} :: {}", bench.name(), inst.name);
+        // The write sets the lowerer recorded are sound: every field the
+        // firings changed is written by some phase.
+        for (name, g) in inst.lowered.globals.iter().zip(0u32..) {
+            assert!(
+                slot_counted.state[name] == inst.state[name]
+                    || inst.lowered.may_write(Slot::Global(g)),
+                "{ctx}: field `{name}` changed but no phase records a write to it"
+            );
+        }
         // Disabling the counting hooks (the Fast-mode analogue)
         // changes nothing about the values.
         assert_eq!(
