@@ -18,12 +18,12 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use streamlin_lang::ast::{
-    Block, Expr, LValue, Program, Stmt, StreamDecl, StreamKind, StreamRef, Type, WorkDecl,
+    Block, Expr, FilterDecl, Program, Stmt, StreamDecl, StreamKind, StreamRef, Type, WorkDecl,
 };
 
 use crate::exec::{PureHost, DEFAULT_FUEL};
 use crate::ir::{FilterInst, Joiner, Splitter, Stream, WorkFn};
-use crate::lower::{const_eval_expr, const_exec_stmt, with_cells_as_store};
+use crate::lower::{const_eval_expr, const_eval_noting, const_exec_stmt, with_cells_as_store};
 use crate::value::{Cell, EvalError, Value};
 
 /// An elaboration error, with the stream-instantiation context in which it
@@ -232,11 +232,14 @@ impl<'a> Elaborator<'a> {
     fn instantiate_filter(
         &mut self,
         decl: &StreamDecl,
-        f: &streamlin_lang::ast::FilterDecl,
+        f: &FilterDecl,
         mut env: HashMap<String, Cell>,
         args: &[Value],
     ) -> Result<Stream, ElabError> {
         let param_names: Vec<String> = env.keys().cloned().collect();
+        // Every persistent name the declaration resolves, wherever it is
+        // resolved: what it never reaches is what the unused lints report.
+        let mut uses = HashSet::new();
 
         // Field declarations (dims may reference parameters), then `init`.
         for field in &f.fields {
@@ -246,31 +249,37 @@ impl<'a> Elaborator<'a> {
                     field.name
                 )));
             }
-            declare(&mut env, &field.ty, &field.name, field.init.as_ref())?;
+            declare(
+                &mut env,
+                &field.ty,
+                &field.name,
+                field.init.as_ref(),
+                &mut uses,
+            )?;
         }
         if let Some(init) = &f.init {
-            run_init(&mut env, init, DEFAULT_FUEL)?;
+            run_init_noting(&mut env, init, DEFAULT_FUEL, &mut uses)?;
         }
 
-        let work = self.resolve_work(&f.work, &mut env)?;
+        let work = resolve_work(&f.work, &mut env, &mut uses)?;
         let init_work = f
             .init_work
             .as_ref()
-            .map(|w| self.resolve_work(w, &mut env))
+            .map(|w| resolve_work(w, &mut env, &mut uses))
             .transpose()?;
 
         // Slot-resolve the work phases against the now-complete state:
         // the runtime executes this form, and name errors surface here at
         // elaboration instead of on the Nth firing — all of them in one
         // pass, each with its source position.
-        let lowered =
-            crate::lower::lower_filter(&env, &f.work.body, f.init_work.as_ref().map(|w| &w.body))
-                .map_err(|errs| {
-                spanned_error(
-                    "in a work function",
-                    errs.iter().map(|e| (e.span, e.message.as_str())),
-                )
-            })?;
+        let init_body = f.init_work.as_ref().map(|w| &w.body);
+        let lowered = crate::lower::lower_filter_noting(&env, &f.work.body, init_body, &mut uses)
+            .map_err(|errs| {
+            spanned_error(
+                "in a work function",
+                errs.iter().map(|e| (e.span, e.message.as_str())),
+            )
+        })?;
 
         // Run the abstract interpreter (see `crate::analyze`): state
         // effect, rate/bounds certification, lints. Provable rate or
@@ -290,7 +299,7 @@ impl<'a> Elaborator<'a> {
                 facts.errors.iter().map(|e| (e.span, e.message.as_str())),
             ));
         }
-        facts.lints.extend(unused_decl_lints(decl, f));
+        facts.lints.extend(unused_decl_lints(decl, f, &uses));
 
         let id = self.next_id;
         self.next_id += 1;
@@ -313,31 +322,6 @@ impl<'a> Elaborator<'a> {
             lowered,
             facts,
         })))
-    }
-
-    fn resolve_work(
-        &mut self,
-        w: &WorkDecl,
-        env: &mut HashMap<String, Cell>,
-    ) -> Result<WorkFn, ElabError> {
-        let eval_rate =
-            |env: &mut HashMap<String, Cell>, e: &Option<Expr>| -> Result<usize, ElabError> {
-                match e {
-                    None => Ok(0),
-                    Some(e) => Ok(const_eval_expr(env, e)?.as_index()?),
-                }
-            };
-        let push = eval_rate(env, &w.push)?;
-        let pop = eval_rate(env, &w.pop)?;
-        let peek = match &w.peek {
-            None => pop,
-            Some(e) => const_eval_expr(env, e)?.as_index()?,
-        };
-        Ok(WorkFn {
-            peek: peek.max(pop),
-            pop,
-            push,
-        })
     }
 
     /// Runs a container body, collecting `add`ed children. Control flow is
@@ -405,7 +389,9 @@ impl<'a> Elaborator<'a> {
             }
             Stmt::While { cond, body } => self.run_loop(Some(cond), None, body, env, children),
             Stmt::Return => Ok(()),
-            Stmt::Decl { ty, name, init } => declare(env, ty, name, init.as_ref()),
+            Stmt::Decl { ty, name, init } => {
+                declare(env, ty, name, init.as_ref(), &mut HashSet::new())
+            }
             simple => const_exec_stmt(env, simple).map_err(ElabError::from),
         }
     }
@@ -502,6 +488,27 @@ impl<'a> Elaborator<'a> {
     }
 }
 
+/// Resolves a work declaration's rates, adding the names they resolve to
+/// `uses`.
+fn resolve_work<'ast>(
+    w: &'ast WorkDecl,
+    env: &mut HashMap<String, Cell>,
+    uses: &mut HashSet<&'ast str>,
+) -> Result<WorkFn, ElabError> {
+    let mut rate = |e: &'ast Option<Expr>| -> Result<Option<usize>, ElabError> {
+        let Some(e) = e else { return Ok(None) };
+        Ok(Some(const_eval_noting(env, e, uses)?.as_index()?))
+    };
+    let push = rate(&w.push)?.unwrap_or(0);
+    let pop = rate(&w.pop)?.unwrap_or(0);
+    let peek = rate(&w.peek)?.unwrap_or(pop);
+    Ok(WorkFn {
+        peek: peek.max(pop),
+        pop,
+        push,
+    })
+}
+
 /// Runs a filter's `init` block over its cells (parameters, captured
 /// constants, zeroed fields) the way a firing runs: slot-resolved against
 /// the cells by [`crate::lower`], compiled to bytecode and executed under
@@ -518,7 +525,18 @@ pub fn run_init(
     init: &Block,
     fuel: u64,
 ) -> Result<(), ElabError> {
-    let lowered = crate::lower::lower_filter(state, init, None).map_err(|errs| {
+    run_init_noting(state, init, fuel, &mut HashSet::new())
+}
+
+/// [`run_init`], adding to `uses` every persistent name the block
+/// resolves.
+fn run_init_noting<'ast>(
+    state: &mut HashMap<String, Cell>,
+    init: &'ast Block,
+    fuel: u64,
+    uses: &mut HashSet<&'ast str>,
+) -> Result<(), ElabError> {
+    let lowered = crate::lower::lower_filter_noting(state, init, None, uses).map_err(|errs| {
         spanned_error(
             "in `init`",
             errs.iter().map(|e| (e.span, e.message.as_str())),
@@ -544,20 +562,22 @@ fn spanned_error<'e>(
 
 /// Binds `name` in `env` to a zeroed cell of type `ty` (dimensions are
 /// evaluated before the name is visible), then stores the initializer,
-/// which already sees the new variable.
-fn declare(
+/// which already sees the new variable. The names both resolve are added
+/// to `uses`.
+fn declare<'ast>(
     env: &mut HashMap<String, Cell>,
-    ty: &Type,
+    ty: &'ast Type,
     name: &str,
-    init: Option<&Expr>,
+    init: Option<&'ast Expr>,
+    uses: &mut HashSet<&'ast str>,
 ) -> Result<(), ElabError> {
     let mut dims = Vec::with_capacity(ty.dims.len());
     for d in &ty.dims {
-        dims.push(const_eval_expr(env, d)?.as_index()?);
+        dims.push(const_eval_noting(env, d, uses)?.as_index()?);
     }
     env.insert(name.to_string(), Cell::zero_of(ty.base, dims));
     if let Some(init) = init {
-        let v = const_eval_expr(env, init)?;
+        let v = const_eval_noting(env, init, uses)?;
         match env.get_mut(name) {
             Some(Cell::Scalar(ty, slot)) => *slot = v.coerce_to(*ty)?,
             _ => {
@@ -570,160 +590,28 @@ fn declare(
     Ok(())
 }
 
-/// Unused-declaration lints for a filter: parameters and fields whose
-/// names appear nowhere in the declaration — not in field dimensions or
-/// initializers, the `init` block, the declared rates, or either work
-/// body. Runs on the AST (before name resolution erases names), so a
-/// local shadowing the name still counts as a use — a false negative,
-/// never a false positive.
+/// Unused-declaration lints for a filter: the parameters and fields no
+/// resolution reached — not a field dimension or initializer, a declared
+/// rate, `init`, or either work body. `uses` holds what [`crate::lower`]
+/// resolved to persistent storage, so a name reached only through a
+/// shadowing local is reported; resolution is static, so a name in a
+/// branch that never runs is a use.
 fn unused_decl_lints(
     decl: &StreamDecl,
-    f: &streamlin_lang::ast::FilterDecl,
+    f: &FilterDecl,
+    uses: &HashSet<&str>,
 ) -> Vec<crate::analyze::Lint> {
-    let mut used: HashSet<String> = HashSet::new();
-    for field in &f.fields {
-        for d in &field.ty.dims {
-            used_in_expr(d, &mut used);
-        }
-        if let Some(init) = &field.init {
-            used_in_expr(init, &mut used);
-        }
-    }
-    if let Some(init) = &f.init {
-        used_in_block(init, &mut used);
-    }
-    for w in [Some(&f.work), f.init_work.as_ref()].into_iter().flatten() {
-        for rate in [&w.push, &w.pop, &w.peek].into_iter().flatten() {
-            used_in_expr(rate, &mut used);
-        }
-        used_in_block(&w.body, &mut used);
-    }
-    let mut lints = Vec::new();
-    for p in &decl.params {
-        if !used.contains(&p.name) {
-            lints.push(crate::analyze::Lint {
-                code: "unused-param",
-                span: p.span,
-                message: format!("parameter `{}` is never used", p.name),
-            });
-        }
-    }
-    for field in &f.fields {
-        if !used.contains(&field.name) {
-            lints.push(crate::analyze::Lint {
-                code: "unused-field",
-                span: field.span,
-                message: format!("field `{}` is never used", field.name),
-            });
-        }
-    }
-    lints
-}
-
-fn used_in_block(block: &Block, used: &mut HashSet<String>) {
-    for s in &block.stmts {
-        used_in_stmt(s, used);
-    }
-}
-
-fn used_in_stmt(stmt: &Stmt, used: &mut HashSet<String>) {
-    match stmt {
-        Stmt::Decl { ty, init, .. } => {
-            for d in &ty.dims {
-                used_in_expr(d, used);
-            }
-            if let Some(e) = init {
-                used_in_expr(e, used);
-            }
-        }
-        Stmt::Assign { target, value, .. } => {
-            used_in_lvalue(target, used);
-            used_in_expr(value, used);
-        }
-        Stmt::If {
-            cond,
-            then_blk,
-            else_blk,
-        } => {
-            used_in_expr(cond, used);
-            used_in_block(then_blk, used);
-            if let Some(e) = else_blk {
-                used_in_block(e, used);
-            }
-        }
-        Stmt::For {
-            init,
-            cond,
-            step,
-            body,
-        } => {
-            if let Some(s) = init {
-                used_in_stmt(s, used);
-            }
-            if let Some(c) = cond {
-                used_in_expr(c, used);
-            }
-            if let Some(s) = step {
-                used_in_stmt(s, used);
-            }
-            used_in_block(body, used);
-        }
-        Stmt::While { cond, body } => {
-            used_in_expr(cond, used);
-            used_in_block(body, used);
-        }
-        Stmt::Expr(e) => used_in_expr(e, used),
-        Stmt::Return => {}
-        Stmt::Add(r) => {
-            // Arguments of `add` keep captured names alive (containers
-            // only; filter bodies reject `add` at lowering).
-            if let StreamRef::Named { args, .. } = r {
-                for a in args {
-                    used_in_expr(a, used);
-                }
-            }
-        }
-    }
-}
-
-fn used_in_lvalue(lv: &LValue, used: &mut HashSet<String>) {
-    match lv {
-        LValue::Var(name) => {
-            used.insert(name.clone());
-        }
-        LValue::Index(name, idxs) => {
-            used.insert(name.clone());
-            for i in idxs {
-                used_in_expr(i, used);
-            }
-        }
-    }
-}
-
-fn used_in_expr(e: &Expr, used: &mut HashSet<String>) {
-    match e {
-        Expr::Var(name) => {
-            used.insert(name.clone());
-        }
-        Expr::Index(name, idxs) => {
-            used.insert(name.clone());
-            for i in idxs {
-                used_in_expr(i, used);
-            }
-        }
-        Expr::Unary(_, a) | Expr::Peek(a) | Expr::Push(a) => used_in_expr(a, used),
-        Expr::Binary(_, a, b) => {
-            used_in_expr(a, used);
-            used_in_expr(b, used);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                used_in_expr(a, used);
-            }
-        }
-        Expr::PostIncDec { target, .. } => used_in_lvalue(target, used),
-        Expr::Int(_) | Expr::Float(_) | Expr::Bool(_) | Expr::Pi | Expr::Pop => {}
-    }
+    let params = (decl.params.iter()).map(|p| ("unused-param", "parameter", &p.name, p.span));
+    let fields = (f.fields.iter()).map(|x| ("unused-field", "field", &x.name, x.span));
+    params
+        .chain(fields)
+        .filter(|(_, _, name, _)| !uses.contains(name.as_str()))
+        .map(|(code, what, name, span)| crate::analyze::Lint {
+            code,
+            span,
+            message: format!("{what} `{name}` is never used"),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -970,6 +858,53 @@ mod tests {
         )
         .unwrap();
         assert!(elaborate(&p).is_err());
+    }
+
+    /// The unused-declaration lints of filter `F` instantiated with
+    /// every parameter set to 1.
+    fn unused_lints(src: &str) -> Vec<String> {
+        let p = parse(src).unwrap();
+        let args = vec![Value::Int(1); p.find("F").unwrap().params.len()];
+        let Stream::Filter(f) = elaborate_named(&p, "F", &args).unwrap() else {
+            panic!()
+        };
+        let lints = f.facts.lints.iter();
+        let unused = lints.filter(|l| l.code.starts_with("unused-"));
+        unused.map(|l| l.message.clone()).collect()
+    }
+
+    #[test]
+    fn a_name_resolved_anywhere_in_the_declaration_is_used() {
+        // Each parameter and field is reached from one place only: a
+        // field dimension, a field initializer, a rate, `init`,
+        // `initWork`, or a branch that never runs. Only `x` is unused.
+        let lints = unused_lints(
+            "float->float filter F(int a, int b, int c, int d, int e, int g, int x) {
+                 float[a] t;
+                 int m = b;
+                 float h;
+                 float w = h;
+                 float z;
+                 init { t[0] = d; }
+                 initWork push 1 pop 1 { push(w * e + pop()); }
+                 work push 1 pop m peek c { if (false) { push(g + z); } else { push(pop()); } }
+             }",
+        );
+        assert_eq!(lints, ["parameter `x` is never used"]);
+    }
+
+    #[test]
+    fn a_name_reached_only_through_a_shadowing_local_is_unused() {
+        let lints = unused_lints(
+            "float->float filter F(int n) {
+                 float g;
+                 work push 1 pop 1 { int n = 3; float g = 1; push(pop() * n * g); }
+             }",
+        );
+        assert_eq!(
+            lints,
+            ["parameter `n` is never used", "field `g` is never used"]
+        );
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! * While it resolves a body it records what the body can do
 //!   ([`Effects`]: the slots it can write, taken or not, and whether it
 //!   touches the tape), per phase on [`LoweredWork`] and per loop on
-//!   [`RStmt::For`], so no analysis walks a body to rediscover them.
+//!   [`RStmt::For`], so no analysis walks a body to rediscover them. It
+//!   records the persistent names it resolves too — in a work phase,
+//!   `init`, a rate or a field declaration alike — and elaboration
+//!   reports as unused every field and parameter none of them reached.
 //! * [`SlotInterp`] executes the resolved tree over two plain `Vec<Cell>`
 //!   arrays (persistent globals + a reusable frame): no per-block scope
 //!   maps, no string hashing, no name cloning on the firing path. It is
@@ -34,7 +37,7 @@
 //! A filter's `init` block is lowered and compiled like a work body
 //! ([`crate::elaborate::run_init`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use streamlin_lang::ast::{BinOp, Block, DataType, Expr, LValue, Stmt, UnOp};
@@ -325,6 +328,17 @@ pub fn lower_filter(
     work: &Block,
     init_work: Option<&Block>,
 ) -> Result<LoweredFilter, Vec<LowerError>> {
+    lower_filter_noting(state, work, init_work, &mut HashSet::new())
+}
+
+/// [`lower_filter`], adding to `uses` every persistent name either phase
+/// resolves.
+pub(crate) fn lower_filter_noting<'ast>(
+    state: &HashMap<String, Cell>,
+    work: &'ast Block,
+    init_work: Option<&'ast Block>,
+    uses: &mut HashSet<&'ast str>,
+) -> Result<LoweredFilter, Vec<LowerError>> {
     let mut globals: Vec<String> = state.keys().cloned().collect();
     globals.sort();
     // The compiled signature: a body is typed against what its globals hold.
@@ -332,7 +346,13 @@ pub fn lower_filter(
     let mut lo = Lowerer::new(Globals::Fixed(&globals));
     let work = lo.lower_work(work, &sig);
     let init_work = init_work.map(|w| lo.lower_work(w, &sig));
-    let Lowerer { errors, prints, .. } = lo;
+    let Lowerer {
+        errors,
+        prints,
+        resolved,
+        ..
+    } = lo;
+    uses.extend(resolved);
     if !errors.is_empty() {
         return Err(errors);
     }
@@ -345,30 +365,14 @@ pub fn lower_filter(
 }
 
 /// How persistent names get their global slots.
-enum Globals<'ast, 'c> {
+enum Globals<'c> {
     /// A filter's state: slot `i` is the `i`-th name in sorted order.
     Fixed(&'c [String]),
     /// A constant context's live cells: a name gets the next slot the
-    /// first time it is mentioned, so slot `i` is the `i`-th entry of the
-    /// list — and the list is all that has to be moved into a store.
-    Live(&'c HashMap<String, Cell>, Vec<&'ast str>),
-}
-
-impl<'ast> Globals<'ast, '_> {
-    fn slot(&mut self, name: &'ast str) -> Option<u32> {
-        let i = match self {
-            Globals::Fixed(sorted) => sorted.binary_search_by(|g| g.as_str().cmp(name)).ok(),
-            Globals::Live(cells, mentioned) => {
-                mentioned.iter().position(|m| *m == name).or_else(|| {
-                    cells.contains_key(name).then(|| {
-                        mentioned.push(name);
-                        mentioned.len() - 1
-                    })
-                })
-            }
-        };
-        i.map(|i| i as u32)
-    }
+    /// first time it is resolved, so slot `i` is the `i`-th entry of
+    /// [`Lowerer::resolved`] — and that list is all that has to be moved
+    /// into a store.
+    Live(&'c HashMap<String, Cell>),
 }
 
 /// The lowering pass: a lexical scope stack mapping names to frame slots,
@@ -376,7 +380,11 @@ impl<'ast> Globals<'ast, '_> {
 /// leaving a scope releases its slots for reuse by sibling scopes, and
 /// `max_frame` records the high-water mark that sizes the runtime frame.
 struct Lowerer<'ast, 'c> {
-    globals: Globals<'ast, 'c>,
+    globals: Globals<'c>,
+    /// Every persistent name resolved so far, once each, in the order
+    /// first resolved: the uses the unused-declaration lints are built
+    /// from.
+    resolved: Vec<&'ast str>,
     scopes: Vec<(HashMap<&'ast str, u32>, u32)>,
     next_frame: u32,
     max_frame: u32,
@@ -394,9 +402,10 @@ struct Lowerer<'ast, 'c> {
 }
 
 impl<'ast, 'c> Lowerer<'ast, 'c> {
-    fn new(globals: Globals<'ast, 'c>) -> Self {
+    fn new(globals: Globals<'c>) -> Self {
         Lowerer {
             globals,
+            resolved: Vec::new(),
             scopes: Vec::new(),
             next_frame: 0,
             max_frame: 0,
@@ -457,10 +466,18 @@ impl<'ast, 'c> Lowerer<'ast, 'c> {
                 return Ok(Slot::Frame(s));
             }
         }
-        self.globals
-            .slot(name)
-            .map(Slot::Global)
-            .ok_or_else(|| self.err(format!("undefined variable `{name}`")))
+        let seen = self.resolved.iter().position(|r| *r == name);
+        let slot = match self.globals {
+            Globals::Fixed(sorted) => sorted.binary_search_by(|g| g.as_str().cmp(name)).ok(),
+            Globals::Live(cells) => {
+                seen.or_else(|| cells.contains_key(name).then_some(self.resolved.len()))
+            }
+        };
+        let slot = slot.ok_or_else(|| self.err(format!("undefined variable `{name}`")))?;
+        if seen.is_none() {
+            self.resolved.push(name);
+        }
+        Ok(Slot::Global(slot as u32))
     }
 
     /// Lowers a block, recording (not propagating) per-statement errors:
@@ -1018,20 +1035,21 @@ pub(crate) fn with_cells_as_store<R>(
 }
 
 /// Lowers one piece of syntax against the live `cells`, then runs it with
-/// [`SlotInterp`] under [`PureHost`] over just the cells it mentions.
+/// [`SlotInterp`] under [`PureHost`] over just the cells it mentions,
+/// which it adds to `uses`.
 fn const_run<'ast, L, R>(
     cells: &mut HashMap<String, Cell>,
+    uses: &mut HashSet<&'ast str>,
     lower: impl FnOnce(&mut Lowerer<'ast, '_>) -> Result<L, LowerError>,
     run: impl FnOnce(&mut SlotInterp<'_, PureHost>, &mut SlotStore<'_>, &L) -> Result<R, EvalError>,
 ) -> Result<R, EvalError> {
-    let mut lo = Lowerer::new(Globals::Live(cells, Vec::new()));
+    let mut lo = Lowerer::new(Globals::Live(cells));
     lo.push_scope();
     let lowered = lower(&mut lo);
-    let Globals::Live(_, mentioned) = lo.globals else {
-        unreachable!("constructed as `Live` above")
-    };
+    let (mentioned, frame_slots) = (lo.resolved, lo.max_frame as usize);
+    uses.extend(&mentioned);
     let lowered = lowered.map_err(|e| EvalError::new(e.message))?;
-    with_cells_as_store(cells, &mentioned, lo.max_frame as usize, |store| {
+    with_cells_as_store(cells, &mentioned, frame_slots, |store| {
         run(
             &mut SlotInterp::new(&mut PureHost, DEFAULT_FUEL),
             store,
@@ -1061,8 +1079,18 @@ fn const_run<'ast, L, R>(
 /// assert_eq!(const_eval_expr(&mut cells, &e).unwrap(), Value::Int(42));
 /// ```
 pub fn const_eval_expr(cells: &mut HashMap<String, Cell>, expr: &Expr) -> Result<Value, EvalError> {
+    const_eval_noting(cells, expr, &mut HashSet::new())
+}
+
+/// [`const_eval_expr`], adding to `uses` every name `expr` resolves.
+pub(crate) fn const_eval_noting<'ast>(
+    cells: &mut HashMap<String, Cell>,
+    expr: &'ast Expr,
+    uses: &mut HashSet<&'ast str>,
+) -> Result<Value, EvalError> {
     const_run(
         cells,
+        uses,
         |lo| lo.lower_expr(expr),
         |interp, store, e| interp.eval(store, e),
     )
@@ -1082,6 +1110,7 @@ pub(crate) fn const_exec_stmt(
 ) -> Result<(), EvalError> {
     const_run(
         cells,
+        &mut HashSet::new(),
         |lo| lo.lower_stmt(stmt, Span::default()),
         |interp, store, s| interp.exec_work(store, std::slice::from_ref(s)).map(|_| ()),
     )

@@ -10,8 +10,9 @@
 //! Source positions: blocks carry one [`Span`] per statement (parallel to
 //! `stmts`), and declarations that diagnostics point at ([`FieldDecl`],
 //! [`Param`], [`WorkDecl`]) carry their own span. Spans are *position
-//! metadata*, not syntax: the `PartialEq` impls below ignore them, so a
-//! pretty-printed and re-parsed program still compares equal.
+//! metadata*, not syntax: the `PartialEq` impls below ignore them, so
+//! equality is structural — the same program laid out differently, or a
+//! tree built by hand with default spans, compares equal.
 
 use crate::token::Span;
 

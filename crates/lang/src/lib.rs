@@ -12,10 +12,11 @@
 //! `initWork`/`prework` phases, and feedback loops with `enqueue`.
 //!
 //! The grammar is parsed by a hand-written recursive-descent parser (no
-//! parser-generator dependency) into the [`ast`] types, which are consumed
-//! by the elaborator in `streamlin-graph`, the linear-extraction analysis in
-//! `streamlin-core`, and the work-function interpreter in
-//! `streamlin-runtime`.
+//! parser-generator dependency) into the [`ast`] types. One crate reads
+//! them: `streamlin-graph`, whose elaborator runs container bodies and
+//! whose lowerer resolves every filter name to storage once; every later
+//! pass (analysis, linear extraction in `streamlin-core`, the runtime
+//! tiers) works on the lowered form, not on this tree.
 //!
 //! # Examples
 //!
@@ -33,7 +34,6 @@
 pub mod ast;
 pub mod lexer;
 pub mod parser;
-pub mod pretty;
 pub mod token;
 
 pub use ast::Program;

@@ -32,8 +32,8 @@ impl From<LexError> for ParseError {
 
 /// Deepest nesting [`parse`] accepts, in expression levels. The parser is
 /// recursive descent, and so is every pass over the tree it builds
-/// (lowering, the abstract walker, the bytecode compiler, the
-/// pretty-printer, `Drop`): without a budget here, `((((…1…))))` is a
+/// (elaboration, lowering, the abstract walker, the bytecode compiler, the
+/// tree-walker, `Drop`): without a budget here, `((((…1…))))` is a
 /// stack overflow in whichever of them runs out first. A left-deep chain
 /// `a + b + c + …` nests the tree without nesting the parser, so its
 /// operators count too. Sized for an unoptimised build on a 2 MB thread,

@@ -11,7 +11,9 @@
 //! neighbor to close or is refused **with a structured error** — the
 //! protocol turns [`AdmitError::Saturated`] into `{"ok":false,
 //! "error":"saturated", ...}`, never a hang, and the client decides
-//! whether to retry, queue, or shed load.
+//! whether to retry, queue, or shed load. A claim above the whole budget
+//! is [`AdmitError::TooLarge`] (`"too_large"`) at once, however long the
+//! caller would wait: no retry can admit it.
 //!
 //! Releases happen on stream close and on per-stream degradation (a
 //! degraded stream keeps serving single-threaded, so its surplus claim

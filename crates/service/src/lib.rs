@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use streamlin_runtime::{pool, RunSpec, Session, CYCLE_QUANTUM};
+use streamlin_runtime::{pool, RunSpec, Session};
 use streamlin_support::json::Json;
 use streamlin_support::Recorder;
 
@@ -61,17 +61,10 @@ pub struct ServiceOpts {
     /// Maximum concurrently open streams, and the plan cache's capacity
     /// (floored at 1).
     pub max_streams: usize,
-    /// Instrument every stream with its own `Recorder` (per-stream
-    /// lanes); close responses then carry telemetry, `--metrics` prints
-    /// the summary, `--trace-out <dir>` writes one Chrome trace per
-    /// stream.
-    pub instrument: bool,
     /// Print each closed stream's telemetry summary to stderr.
     pub metrics: bool,
     /// Directory for per-stream Chrome traces (`<dir>/<id>.trace.json`).
     pub trace_dir: Option<String>,
-    /// Default cycle quantum for streams that don't pick one.
-    pub quantum: u64,
     /// Default stall watchdog for pipeline streams whose `open` doesn't
     /// set `watchdog_ms`. `None` leaves unsupervised streams unarmed
     /// (matching one-shot `streamlinc`); daemons that must never wedge a
@@ -95,10 +88,8 @@ impl Default for ServiceOpts {
         ServiceOpts {
             workers: std::thread::available_parallelism().map_or(8, |n| n.get()),
             max_streams: 64,
-            instrument: false,
             metrics: false,
             trace_dir: None,
-            quantum: CYCLE_QUANTUM,
             watchdog_ms: None,
         }
     }
@@ -162,7 +153,6 @@ impl Service {
         let ledger = Ledger::new(opts.workers);
         let cache = PlanCache::new(opts.max_streams);
         let base = RunSpec {
-            quantum: opts.quantum,
             watchdog: opts.watchdog_ms.map(Duration::from_millis),
             ..RunSpec::default()
         };
@@ -219,9 +209,11 @@ impl Service {
                 return resp;
             }
         }
-        // A cache miss compiles on the stream's own recorder, so an
-        // instrumented stream's close report carries its compile phases.
-        let mut rec = self.opts.instrument.then(Recorder::new);
+        // Each stream has its own recorder when something reads it
+        // (`metrics`, `trace_dir`). A cache miss compiles on it, so the
+        // stream's close report carries its compile phases.
+        let instrument = self.opts.metrics || self.opts.trace_dir.is_some();
+        let mut rec = instrument.then(Recorder::new);
         let plan = req.spec.plan();
         let (artifact, cached) = match self.cache.get_or_compile(&req.program, plan, rec.as_mut()) {
             Ok(pair) => pair,
@@ -248,7 +240,7 @@ impl Service {
                     ],
                 ),
                 admission::AdmitError::TooLarge { need, budget } => (
-                    "saturated",
+                    "too_large",
                     vec![
                         ("need".to_string(), Json::Num(*need as f64)),
                         ("budget".to_string(), Json::Num(*budget as f64)),

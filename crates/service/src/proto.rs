@@ -35,7 +35,9 @@
 //!
 //! Responses always carry `"ok"`; failures are structured —
 //! `{"ok":false,"error":"saturated","need":2,"in_use":4,"budget":4,...}`
-//! is the admission-control refusal, never a hang.
+//! is the admission-control refusal, never a hang, and worth retrying;
+//! `{"ok":false,"error":"too_large","need":3,"budget":2,...}` is a stream
+//! that needs more workers than the whole budget and never fits.
 
 use streamlin_runtime::spec::count;
 use streamlin_runtime::{RunSpec, KNOBS};

@@ -275,6 +275,11 @@ fn run(args: &Args) -> Result<(), String> {
         );
         let how = format!("threads: {}", prof.threads);
         match args.spec.mode {
+            // No outputs, no per-output rates: the init firings' counts
+            // divided by nothing are not a rate.
+            ExecMode::Measured if prof.outputs.is_empty() => {
+                eprintln!("0 outputs in {:?} [{how}]", prof.wall)
+            }
             ExecMode::Measured => eprintln!(
                 "{} outputs in {:?} [{how}]: {:.1} flops/output, {:.1} mults/output",
                 prof.outputs.len(),

@@ -10,7 +10,6 @@
 //! $ streamlind --listen 127.0.0.1:0         # TCP; prints the bound address
 //! $ streamlind --workers 8 --max-streams 32 # admission budget; stream and plan cap
 //! $ streamlind --metrics --trace-out traces # per-stream telemetry lanes
-//! $ streamlind --quantum 8                  # default cycle quantum
 //! $ streamlind --watchdog 2000              # default stall watchdog (ms)
 //! ```
 //!
@@ -38,8 +37,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: streamlind [--listen <addr>] [--workers <n>] [--max-streams <n>]\n\
-         \x20                [--metrics] [--trace-out <dir>] [--quantum <n>]\n\
-         \x20                [--watchdog <ms>]"
+         \x20                [--metrics] [--trace-out <dir>] [--watchdog <ms>]"
     );
     std::process::exit(2);
 }
@@ -67,21 +65,8 @@ fn parse_args() -> Args {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage())
             }
-            "--metrics" => {
-                args.opts.instrument = true;
-                args.opts.metrics = true;
-            }
-            "--trace-out" => {
-                args.opts.instrument = true;
-                args.opts.trace_dir = Some(it.next().unwrap_or_else(|| usage()));
-            }
-            "--quantum" => {
-                args.opts.quantum = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&q| q >= 1)
-                    .unwrap_or_else(|| usage())
-            }
+            "--metrics" => args.opts.metrics = true,
+            "--trace-out" => args.opts.trace_dir = Some(it.next().unwrap_or_else(|| usage())),
             "--watchdog" => {
                 args.opts.watchdog_ms = Some(
                     it.next()

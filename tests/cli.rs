@@ -29,6 +29,24 @@ fn compiles_and_runs_the_fir_asset() {
     }
 }
 
+/// A measured run of zero outputs reports no per-output rates (the init
+/// firings divided by no outputs are not one).
+#[test]
+fn zero_outputs_report_no_per_output_rates() {
+    let out = streamlinc()
+        .args(["assets/fir.str", "-n", "0"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let report = stderr
+        .lines()
+        .find(|l| l.starts_with("0 outputs in "))
+        .unwrap_or_else(|| panic!("no output report in {stderr}"));
+    assert!(!report.contains("/output"), "{report}");
+    assert!(out.stdout.is_empty());
+}
+
 /// The `streamlinc … | head -1` shape: the reader is gone before the
 /// outputs are written. The run ends quietly with exit 0 — no panic, no
 /// "Broken pipe" on stderr.

@@ -457,6 +457,32 @@ fn saturation_is_a_structured_refusal_never_a_hang() {
     }
 }
 
+/// A stream that needs more workers than the whole budget can never be
+/// admitted: it is refused `too_large` with its need and the budget, not
+/// the retryable `saturated`, and at once even when the `open` would wait.
+#[test]
+fn a_stream_that_can_never_fit_is_too_large() {
+    let svc = Service::new(ServiceOpts {
+        workers: 2,
+        ..ServiceOpts::default()
+    });
+    let fir = include_str!("../assets/fir.str");
+    for wait in [None, Some(600_000.0)] {
+        let mut knobs = vec![("threads", Json::Num(4.0))];
+        knobs.extend(wait.map(|ms| ("wait_ms", Json::Num(ms))));
+        let t0 = std::time::Instant::now();
+        let resp = json::parse(&svc.handle(&open_line("big", fir, &knobs))).unwrap();
+        assert!(t0.elapsed().as_secs() < 60, "waited {:?}", t0.elapsed());
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(resp.get("error").and_then(Json::as_str), Some("too_large"));
+        assert_eq!(resp.get("need").and_then(Json::as_num), Some(3.0));
+        assert_eq!(resp.get("budget").and_then(Json::as_num), Some(2.0));
+    }
+    // Nothing was claimed: a stream that fits is admitted.
+    request_ok(&svc, &open_line("small", fir, &[]));
+    request_ok(&svc, "{\"op\":\"close\",\"id\":\"small\"}");
+}
+
 /// Protocol robustness: malformed lines, unknown streams, duplicate
 /// opens and compile errors are structured failures — the dispatcher
 /// answers every line and never falls over.
@@ -970,4 +996,20 @@ fn daemon_binary_stdio_lifecycle() {
     drop(stdin);
     let status = child.wait().expect("daemon exits");
     assert!(status.success(), "daemon exit status: {status:?}");
+}
+
+/// The daemon's flags are its deployment settings; a per-stream knob such
+/// as `quantum` is an `open` member, not a daemon flag. Such a flag, a bad
+/// value and an unknown flag are each a usage error (exit 2).
+#[test]
+fn daemon_binary_refuses_unknown_flags() {
+    for args in [&["--quantum", "4"][..], &["--workers", "0"], &["--bogus"]] {
+        let status = std::process::Command::new(env!("CARGO_BIN_EXE_streamlind"))
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .status()
+            .expect("run streamlind");
+        assert_eq!(status.code(), Some(2), "{args:?}");
+    }
 }

@@ -365,7 +365,6 @@ fn daemon_streams_report_the_compile_phases_of_their_cache_miss() {
     let dir = std::env::temp_dir().join(format!("streamlin-phases-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let svc = Service::new(ServiceOpts {
-        instrument: true,
         trace_dir: Some(dir.to_str().unwrap().to_string()),
         ..ServiceOpts::default()
     });
