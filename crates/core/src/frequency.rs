@@ -266,8 +266,7 @@ pub struct FreqExec {
 impl FreqExec {
     /// Creates an executor over a plan. It shares the plan's table; its
     /// own buffers are allocated by the first firing and reused after, so
-    /// a later firing performs no allocation beyond its returned output
-    /// vector, and a clone of an executor that has not fired copies none.
+    /// a later firing performs no allocation, and a clone of an executor that has not fired copies none.
     pub fn new(spec: FreqSpec) -> Self {
         FreqExec {
             spec,
@@ -298,13 +297,13 @@ impl FreqExec {
     }
 
     /// Fires once: `window` holds `peek` items (of the current phase);
-    /// returns the pushed values. The caller advances its tape by the
-    /// phase's pop rate.
+    /// appends the pushed values to `out`. The caller advances its tape by
+    /// the phase's pop rate.
     ///
     /// # Panics
     ///
     /// Panics if the window length does not match the current peek rate.
-    pub fn fire<T: Tally>(&mut self, window: &[f64], ops: &mut T) -> Vec<f64> {
+    pub fn fire<T: Tally>(&mut self, window: &[f64], out: &mut Vec<f64>, ops: &mut T) {
         let (peek, _pop, push) = self.current_rates();
         assert_eq!(
             window.len(),
@@ -336,7 +335,7 @@ impl FreqExec {
         }
         let columns = &self.columns;
 
-        let mut out = Vec::with_capacity(push);
+        out.reserve(push);
         let node = &table.node;
         let push_val = |out: &mut Vec<f64>, ops: &mut T, j: usize, v: f64| {
             let b = node.offset(j);
@@ -350,7 +349,7 @@ impl FreqExec {
             FreqStrategy::Naive => {
                 for i in 0..m {
                     for (j, col) in columns.iter().enumerate() {
-                        push_val(&mut out, ops, j, col[i + e - 1]);
+                        push_val(out, ops, j, col[i + e - 1]);
                     }
                 }
             }
@@ -360,13 +359,13 @@ impl FreqExec {
                     for i in 0..e - 1 {
                         for (j, col) in columns.iter().enumerate() {
                             let v = ops.add(col[i], self.partials[j][i]);
-                            push_val(&mut out, ops, j, v);
+                            push_val(out, ops, j, v);
                         }
                     }
                 }
                 for i in 0..m {
                     for (j, col) in columns.iter().enumerate() {
-                        push_val(&mut out, ops, j, col[i + e - 1]);
+                        push_val(out, ops, j, col[i + e - 1]);
                     }
                 }
                 for (j, col) in columns.iter().enumerate() {
@@ -377,7 +376,6 @@ impl FreqExec {
             }
         }
         self.first = false;
-        out
     }
 
     /// Convenience: runs the full stage (including decimation for
@@ -393,7 +391,7 @@ impl FreqExec {
             if pos + peek > input.len() {
                 break;
             }
-            raw.extend(self.fire(&input[pos..pos + peek], ops));
+            self.fire(&input[pos..pos + peek], &mut raw, ops);
             pos += pop;
         }
         if o <= 1 {

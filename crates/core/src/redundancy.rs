@@ -276,13 +276,13 @@ impl RedundExec {
         &self.spec
     }
 
-    /// Fires once on a window of `peek` items; the caller advances its
-    /// tape by `pop`.
+    /// Fires once on a window of `peek` items, appending the pushed values
+    /// to `out`; the caller advances its tape by `pop`.
     ///
     /// # Panics
     ///
     /// Panics if the window length differs from the node's peek rate.
-    pub fn fire<T: Tally>(&mut self, window: &[f64], ops: &mut T) -> Vec<f64> {
+    pub fn fire<T: Tally>(&mut self, window: &[f64], out: &mut Vec<f64>, ops: &mut T) {
         let table = &*self.spec.table;
         let node = &table.node;
         assert_eq!(window.len(), node.peek(), "window must equal the peek rate");
@@ -316,7 +316,7 @@ impl RedundExec {
         }
 
         // Assemble the outputs.
-        let mut out = Vec::with_capacity(node.push());
+        out.reserve(node.push());
         for (j, terms) in table.terms.iter().enumerate() {
             let b = node.offset(j);
             let mut acc = b;
@@ -344,7 +344,6 @@ impl RedundExec {
             let len = self.bufs[r].len();
             *i = (*i + len - 1) % len;
         }
-        out
     }
 
     /// Convenience: runs over an input tape with channel semantics.
@@ -353,7 +352,7 @@ impl RedundExec {
         let mut out = Vec::new();
         let mut pos = 0;
         while pos + peek <= input.len() {
-            out.extend(self.fire(&input[pos..pos + peek], ops));
+            self.fire(&input[pos..pos + peek], &mut out, ops);
             pos += pop;
         }
         out
@@ -472,10 +471,11 @@ mod tests {
         let mut exec = RedundExec::new(spec);
         let mut ops = OpCounter::new();
         let x = [1.0, 2.0, 3.0, 4.0];
-        let first = exec.fire(&x[0..3], &mut ops);
-        assert_eq!(first, vec![3.0 * 1.0 + 2.0 + 3.0 * 3.0]);
-        let second = exec.fire(&x[1..4], &mut ops);
-        assert_eq!(second, vec![3.0 * 2.0 + 3.0 + 3.0 * 4.0]);
+        let mut out = Vec::new();
+        exec.fire(&x[0..3], &mut out, &mut ops);
+        assert_eq!(out, vec![3.0 * 1.0 + 2.0 + 3.0 * 3.0]);
+        exec.fire(&x[1..4], &mut out, &mut ops);
+        assert_eq!(out[1..], [3.0 * 2.0 + 3.0 + 3.0 * 4.0]);
     }
 
     #[test]

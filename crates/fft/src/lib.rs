@@ -22,6 +22,21 @@
 //! counts x86 FP instructions. Plan construction (like FFTW planning) is not
 //! counted.
 //!
+//! The packed real transforms move no data they do not need to: the
+//! forward transform writes `z[bitrev[k]] = x[2k] + i·x[2k+1]`, and the
+//! inverse writes each packed bin, conjugated, at its bit-reversed index
+//! and applies the closing conjugate-and-scale while it writes the real
+//! samples, so neither runs a permutation or a conjugate pass before the
+//! butterflies. The counted path (any tally that counts) runs the scalar
+//! butterflies, stage by stage; it is the reference. The uncounted path
+//! ([`streamlin_support::NoCount`]) takes AVX kernels where the CPU has
+//! them: stages 1–2 fused into one pass over 4-point blocks, the later
+//! stages two per pass over `2·len`-point blocks. They evaluate every
+//! butterfly with the reference's operations in the reference's order
+//! (separate multiplies, no fusion, the `j == 0` multiply skipped), so
+//! both paths produce the same bits, and the counts do not depend on the
+//! path.
+//!
 //! # Examples
 //!
 //! ```

@@ -221,10 +221,13 @@ impl RealFft {
             .half_plan
             .as_ref()
             .expect("tuned plan present for n >= 2");
+        // z[k] = x[2k] + i·x[2k+1], written where the butterflies want it.
         let z = &mut scratch.z;
-        z.clear();
-        z.extend((0..m).map(|k| Complex::new(x[2 * k], x[2 * k + 1])));
-        plan.forward(z, ops);
+        z.resize(m, Complex::zero());
+        for (k, &at) in plan.bitrev().iter().enumerate() {
+            z[at as usize] = Complex::new(x[2 * k], x[2 * k + 1]);
+        }
+        plan.forward_bitreversed(z, ops);
         out.resize(n, 0.0);
         #[cfg(target_arch = "x86_64")]
         if !T::COUNTING && self.use_avx && m >= 2 {
@@ -297,7 +300,11 @@ impl RealFft {
         }
     }
 
-    /// Packed real-input inverse transform.
+    /// Packed real-input inverse transform: the `n/2`-point complex
+    /// inverse of the packed spectrum, as the conjugate of the forward
+    /// transform of its conjugate. Each packed bin is written conjugated
+    /// at its bit-reversed index, and the closing conjugate-and-scale is
+    /// applied while the samples are written out.
     fn inverse_packed<T: Tally>(
         &self,
         hc: &[f64],
@@ -312,7 +319,6 @@ impl RealFft {
             .as_ref()
             .expect("tuned plan present for n >= 2");
         let z = &mut scratch.z;
-        z.clear();
         z.resize(m, Complex::zero());
         #[cfg(target_arch = "x86_64")]
         let packed_by_avx = !T::COUNTING && self.use_avx && m >= 2;
@@ -326,23 +332,26 @@ impl RealFft {
                 self.pack_inverse_avx(hc, z)
             };
         } else {
-            for (k, zk) in z.iter_mut().enumerate() {
-                *zk = pack_inv_k(hc, &self.unpack_tw, n, k, ops);
+            for (k, &at) in plan.bitrev().iter().enumerate() {
+                z[at as usize] = pack_inv_k(hc, &self.unpack_tw, n, k, ops).conj();
             }
         }
-        plan.inverse(z, ops);
+        plan.forward_bitreversed(z, ops);
+        let inv_m = 1.0 / m as f64;
         out.resize(n, 0.0);
-        for (k, zk) in z.iter().enumerate() {
-            out[2 * k] = zk.re;
-            out[2 * k + 1] = zk.im;
+        for (pair, zk) in out.chunks_exact_mut(2).zip(z.iter()) {
+            let zk = zk.conj().scale_counted(inv_m, ops);
+            pair[0] = zk.re;
+            pair[1] = zk.im;
         }
     }
 
     /// The AVX spectrum-pack pass of the packed inverse transform (the
     /// mirror of [`RealFft::unpack_forward_avx`]): gathers two half-complex
-    /// bins per iteration into the `n/2`-point complex buffer with exactly
-    /// the scalar helper's arithmetic. Uncounted path only; edges and the
-    /// odd tail run the shared scalar helper.
+    /// bins per iteration with exactly the scalar helper's arithmetic and
+    /// writes each, conjugated, at its bit-reversed index of the
+    /// `n/2`-point complex buffer. Uncounted path only; edges and the odd
+    /// tail run the shared scalar helper.
     ///
     /// # Safety
     ///
@@ -353,12 +362,15 @@ impl RealFft {
         use std::arch::x86_64::*;
         let n = self.n;
         let m = n / 2;
-        z[0] = pack_inv_k(hc, &self.unpack_tw, n, 0, &mut NoCount);
+        let bitrev = self.half_plan.as_ref().expect("tuned plan").bitrev();
+        let put = |z: &mut [Complex], k: usize| {
+            z[bitrev[k] as usize] = pack_inv_k(hc, &self.unpack_tw, n, k, &mut NoCount).conj();
+        };
+        put(z, 0);
         let half = _mm256_set1_pd(0.5);
         let conj = _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
         let hp = hc.as_ptr();
         let twp = self.unpack_tw.as_ptr() as *const f64;
-        let zp = z.as_mut_ptr() as *mut f64;
         let mut k = 1;
         while k + 2 <= m {
             // X[k] = (hc[k], hc[n-k]) for the pair (k, k+1).
@@ -385,13 +397,20 @@ impl RealFft {
             let d_im = _mm256_permute_pd(diffh, 0b1111);
             let t_sw = _mm256_permute_pd(t, 0b0101);
             let fo = _mm256_addsub_pd(_mm256_mul_pd(d_re, t), _mm256_mul_pd(d_im, t_sw));
-            // z[k] = (fe.re - fo.im, fe.im + fo.re).
+            // z[k] = (fe.re - fo.im, fe.im + fo.re), conjugated.
             let fo_sw = _mm256_permute_pd(fo, 0b0101);
-            _mm256_storeu_pd(zp.add(2 * k), _mm256_addsub_pd(fe, fo_sw));
+            let zk = _mm256_xor_pd(_mm256_addsub_pd(fe, fo_sw), conj);
+            // `bitrev` permutes `0..m`: each value lands inside `z`.
+            let zp = z.as_mut_ptr() as *mut f64;
+            _mm_storeu_pd(zp.add(2 * bitrev[k] as usize), _mm256_castpd256_pd128(zk));
+            _mm_storeu_pd(
+                zp.add(2 * bitrev[k + 1] as usize),
+                _mm256_extractf128_pd(zk, 1),
+            );
             k += 2;
         }
         while k < m {
-            z[k] = pack_inv_k(hc, &self.unpack_tw, n, k, &mut NoCount);
+            put(z, k);
             k += 1;
         }
     }
@@ -731,8 +750,10 @@ mod tests {
     fn uncounted_transforms_are_bit_identical_to_counted() {
         use streamlin_support::NoCount;
         // Covers the AVX unpack/pack passes (edges, pair loop, odd tails)
-        // on machines that have AVX, and the shared scalar path elsewhere.
-        for log_n in 1..11 {
+        // and the fused butterfly passes (an odd and an even number of
+        // stages after the first two) on machines that have AVX, and the
+        // shared scalar path elsewhere: n = 2 … 4096.
+        for log_n in 1..=12 {
             let n = 1usize << log_n;
             let x = real_signal(n);
             let fft = RealFft::new(FftKind::Tuned, n).unwrap();
@@ -746,6 +767,28 @@ mod tests {
             for (k, (a, b)) in counted_inv.iter().zip(&free_inv).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "n {n} inv sample {k}");
             }
+        }
+    }
+
+    #[test]
+    fn packed_transform_tallies_are_pinned() {
+        // `(mults, adds, others)` of one forward and one inverse transform,
+        // read before the packing moved to bit-reversed order: writing
+        // the input where the butterflies want it moves no operation.
+        let pinned = [
+            (8, (44, 58, 0), (44, 42, 8)),
+            (128, (1036, 1546, 0), (1156, 1410, 128)),
+            (512, (5132, 7690, 0), (5636, 7170, 512)),
+        ];
+        for (n, forward, inverse) in pinned {
+            let fft = RealFft::new(FftKind::Tuned, n).unwrap();
+            let counts = |ops: &OpCounter| (ops.mults(), ops.adds(), ops.others());
+            let (mut fwd, mut inv) = (OpCounter::new(), OpCounter::new());
+            let spec = fft.forward(&real_signal(n), &mut fwd);
+            fft.inverse(&spec, &mut inv);
+            assert_eq!(counts(&fwd), forward, "n {n} forward");
+            assert_eq!(counts(&inv), inverse, "n {n} inverse");
+            assert_eq!(fwd.divs() + inv.divs(), 0);
         }
     }
 

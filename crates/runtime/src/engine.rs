@@ -306,17 +306,19 @@ fn fire<T: Tally>(node: &mut FlatNode, state: &mut EngineState<T>) -> Result<(),
         NodeKind::Redund(exec) => {
             let (peek, pop) = (exec.spec().node().peek(), exec.spec().node().pop());
             read_window(state, node.inputs.first().copied(), peek);
-            let out = exec.fire(&state.window, &mut state.ops);
+            state.out_buf.clear();
+            exec.fire(&state.window, &mut state.out_buf, &mut state.ops);
             consume(state, node.inputs.first().copied(), pop);
-            produce(state, node.outputs.first().copied(), &out);
+            produce_staged(state, node.outputs.first().copied());
             Ok(())
         }
         NodeKind::Freq(exec) => {
             let (peek, pop, _push) = exec.current_rates();
             read_window(state, node.inputs.first().copied(), peek);
-            let out = exec.fire(&state.window, &mut state.ops);
+            state.out_buf.clear();
+            exec.fire(&state.window, &mut state.out_buf, &mut state.ops);
             consume(state, node.inputs.first().copied(), pop);
-            produce(state, node.outputs.first().copied(), &out);
+            produce_staged(state, node.outputs.first().copied());
             Ok(())
         }
         NodeKind::Decimator { pop, push } => {

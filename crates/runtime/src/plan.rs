@@ -40,8 +40,14 @@
 //!   joiner one slice move per channel. At a cycle boundary it takes the
 //!   cycle order while `printed + prints_per_cycle < n` — the cycle cannot
 //!   contain the stop — and the stepped order otherwise, so firing counts,
-//!   tallies and overshoot at every stop are the stepped order's. There is
-//!   nothing to tune: the engine decides from `n` and the plan.
+//!   tallies and overshoot at every stop are the stepped order's.
+//! * A **pass** runs [`ExecPlan::passes`] cycles in the cycle order at
+//!   once, every step's firings multiplied, so a single-rate kernel fires
+//!   a batch of many cycles instead of one. The engine takes a pass while
+//!   all its prints fall short of `n`, by the same strict rule, before
+//!   single cycles; its high-water marks are part of the capacities. There
+//!   is nothing to tune: the plan fixes the pass, and the engine decides
+//!   from `n`.
 //!
 //! Graphs the compiler cannot schedule — an under-supplied loop, zero-rate
 //! channels, or inconsistent rates — are [`PlanError`]s, which every
@@ -75,6 +81,11 @@ pub(crate) const CAP_LIMIT: u64 = 1 << 24;
 const SLAB_LIMIT: u64 = 1 << 26;
 /// Bound on firings per steady cycle (keeps plans and runs tractable).
 const FIRINGS_LIMIT: u64 = 1 << 26;
+/// Values a pass of the cycle order aims to print: a plan runs the
+/// smallest power of two of cycles per pass that prints at least this many.
+const PASS_PRINTS: usize = 64;
+/// Buffer slots a pass may add to what one cycle in either order needs.
+const PASS_SLOTS: u64 = 1 << 16;
 
 /// Why a graph has no static plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,9 +157,15 @@ pub struct ExecPlan {
     /// Values one cycle prints; `None` when an interpreted filter prints,
     /// whose output per cycle depends on the data.
     pub prints_per_cycle: Option<usize>,
+    /// Cycles one *pass* runs: the cycle order with every step's firings
+    /// multiplied by this, so a node fires `passes` cycles' worth in one
+    /// batch. The smallest power of two whose pass prints at least 64
+    /// values, halved while the pass would add more than 65 536 buffer
+    /// slots or exceed a bound; 1 without a cycle order.
+    pub passes: u32,
     /// Exact per-channel capacity (the maximum occupancy over init plus
-    /// one steady cycle in either order — and therefore over the whole
-    /// run).
+    /// one steady cycle in either order plus one pass — and therefore over
+    /// the whole run).
     pub caps: Vec<usize>,
     /// Every node once, in the topological order the compiler computed
     /// (feedback back edges ignored): the order `cycle` follows and
@@ -206,7 +223,9 @@ impl ExecPlan {
     pub fn summary(&self, flat: &FlatGraph) -> String {
         let cycle = match self.prints_per_cycle {
             Some(prints) if !self.cycle.is_empty() => {
-                format!("{} steps, {prints} outputs", self.cycle.len())
+                let (steps, k) = (self.cycle.len(), self.passes);
+                let cycles = if k == 1 { "cycle" } else { "cycles" };
+                format!("{steps} steps, {prints} outputs, {k} {cycles} per pass")
             }
             // A loop's items bound how many of its firings can run at once.
             Some(_) if !flat.initial.is_empty() => "none (feedback loop)".to_string(),
@@ -646,12 +665,18 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
         sim.seq.clear();
         sim.max_occ = stepped_occ;
     }
+    let cycle = std::mem::take(&mut sim.seq);
+    let passes = match prints_per_cycle {
+        Some(prints) if whole => sim.passes(&cycle, prints, total),
+        _ => 1,
+    };
     Ok(ExecPlan {
         init: init.into(),
         steady: steady.into(),
         repeats: repeats.into(),
-        cycle: sim.seq.into(),
+        cycle: cycle.into(),
         prints_per_cycle,
+        passes,
         caps: sim.max_occ.into_iter().map(|v| v as usize).collect(),
         order: topo,
     })
@@ -753,6 +778,39 @@ impl Sim<'_> {
             self.supply(q, |s| steady.in_peek[s] - steady.in_pop[s])?;
         }
         Ok(())
+    }
+
+    /// Cycles per pass for a plan whose cycle order is `cycle` and prints
+    /// `prints` values a cycle, with `total` firings a cycle (see
+    /// [`ExecPlan::passes`]). Starts from the post-init state (where the
+    /// cycle order leaves it) and leaves the chosen pass's high-water
+    /// marks folded into `max_occ`; a pass, like a cycle, restores every
+    /// occupancy.
+    fn passes(&mut self, cycle: &[Step], prints: usize, total: u64) -> u32 {
+        if prints == 0 {
+            return 1; // no pass prints anything: one cycle at a time
+        }
+        let (occ, max_occ) = (self.occ.clone(), self.max_occ.clone());
+        let slots = max_occ.iter().sum::<u64>();
+        self.budget.fill(u64::MAX);
+        let mut k = PASS_PRINTS.div_ceil(prints).next_power_of_two() as u64;
+        while k > 1 {
+            let fits = k * total <= FIRINGS_LIMIT
+                && cycle.iter().all(|s| s.times as u64 * k <= u32::MAX as u64)
+                && cycle
+                    .iter()
+                    .all(|s| self.fire_batch(s.node, s.times as u64 * k).is_ok())
+                && self.occ == occ
+                && self.max_occ.iter().sum::<u64>() <= SLAB_LIMIT.min(slots + PASS_SLOTS);
+            self.seq.clear();
+            if fits {
+                return k as u32;
+            }
+            self.occ.clone_from(&occ);
+            self.max_occ.clone_from(&max_occ);
+            k /= 2;
+        }
+        1
     }
 
     /// Fires node `i` exactly `k` consecutive times, assuming its inputs
@@ -890,6 +948,8 @@ pub struct PlanEngine<T: Tally = OpCounter> {
     printed_at_wrap: usize,
     /// Steady cycles begun so far: `[whole, stepped]`.
     cycles: [u64; 2],
+    /// Passes run so far (each `plan.passes` of the whole cycles).
+    passes: u64,
 }
 
 impl<T: Tally + Default> PlanEngine<T> {
@@ -913,6 +973,7 @@ impl<T: Tally + Default> PlanEngine<T> {
             runs: 0,
             printed_at_wrap: 0,
             cycles: [0; 2],
+            passes: 0,
         }
     }
 }
@@ -961,6 +1022,12 @@ impl<T: Tally> PlanEngine<T> {
     /// ran in.
     pub fn cycles(&self) -> [u64; 2] {
         self.cycles
+    }
+
+    /// Passes run so far: runs of the cycle order `plan.passes` cycles at
+    /// a time, counted among the whole cycles of [`Self::cycles`].
+    pub fn passes(&self) -> u64 {
+        self.passes
     }
 
     /// Guard against programs that never print: how many consecutive
@@ -1019,13 +1086,15 @@ impl<T: Tally> PlanEngine<T> {
 
     /// The one schedule loop behind both entry points.
     ///
-    /// At a cycle boundary, a cycle whose prints all fall short of `n`
-    /// runs in the cycle order: both orders leave every ring, every node
-    /// and the firing count in the same state at the next boundary, so the
-    /// stop is where the stepped order alone would have put it. The
-    /// comparison is strict: a cycle that reaches `n` exactly ends, in the
-    /// stepped order, before the replenishing firings that follow its last
-    /// print.
+    /// At a cycle boundary, a pass whose prints all fall short of `n` runs
+    /// `plan.passes` cycles in the cycle order at once; failing that, a
+    /// cycle whose prints all fall short of `n` runs in the cycle order;
+    /// otherwise the stepped order runs. Every order leaves every ring,
+    /// every node and the firing count in the same state at the next
+    /// boundary, so the stop is where the stepped order alone would have
+    /// put it. The comparison is strict: a cycle that reaches `n` exactly
+    /// ends, in the stepped order, before the replenishing firings that
+    /// follow its last print.
     pub(crate) fn run(&mut self, n: usize, mut rec: Option<&mut Recorder>) -> Result<(), RunError> {
         if !self.init_done {
             self.init_done = true;
@@ -1038,17 +1107,25 @@ impl<T: Tally> PlanEngine<T> {
         let mut silent_cycles = 0u32;
         while self.state.printed.len() < n {
             let boundary = self.cursor == 0 && self.partial == 0 && self.runs == 0;
-            let whole = boundary
-                && !self.plan.cycle.is_empty()
-                && (self.plan.prints_per_cycle)
-                    .is_some_and(|prints| self.state.printed.len() + prints < n);
+            let (printed, passes) = (self.state.printed.len(), self.plan.passes);
+            let falls_short = |k: u32| {
+                !self.plan.cycle.is_empty()
+                    && (self.plan.prints_per_cycle)
+                        .is_some_and(|prints| printed + k as usize * prints < n)
+            };
+            let whole = match boundary {
+                true => [passes, 1].into_iter().find(|&k| falls_short(k)),
+                false => None,
+            };
             if boundary {
-                self.cycles[usize::from(!whole)] += 1;
+                let cycles = whole.map_or(1, u64::from);
+                self.cycles[usize::from(whole.is_none())] += cycles;
+                self.passes += u64::from(whole == Some(passes));
             }
-            if whole {
+            if let Some(k) = whole {
                 for si in 0..self.plan.cycle.len() {
                     let step = self.plan.cycle[si];
-                    self.fire(step.node, step.times, usize::MAX, &mut rec)?;
+                    self.fire(step.node, step.times * k, usize::MAX, &mut rec)?;
                 }
             } else {
                 let step = self.plan.steady[self.cursor];
@@ -1165,39 +1242,55 @@ pub(crate) fn exec_batch<T: Tally>(
             }
             Ok(times)
         }
+        // Frequency and redundancy firings append to the staging buffer one
+        // window at a time, and the batch is produced at once.
         NodeKind::Redund(exec) => {
             state.firings += times as u64;
             let (peek, pop) = (exec.spec().node().peek(), exec.spec().node().pop());
+            let PlanState {
+                rings,
+                ops,
+                out_buf,
+                ..
+            } = state;
+            out_buf.clear();
             for _ in 0..times {
                 let window: &[f64] = match input {
-                    Some(c) => state.rings.window(c, peek),
+                    Some(c) => rings.window(c, peek),
                     None => &[],
                 };
-                let out = exec.fire(window, &mut state.ops);
+                exec.fire(window, out_buf, ops);
                 if let Some(c) = input {
-                    state.rings.consume(c, pop);
+                    rings.consume(c, pop);
                 }
-                if let Some(c) = output {
-                    state.rings.produce(c, &out);
-                }
+            }
+            if let Some(c) = output {
+                rings.produce(c, out_buf);
             }
             Ok(times)
         }
         NodeKind::Freq(exec) => {
             state.firings += times as u64;
+            let PlanState {
+                rings,
+                ops,
+                out_buf,
+                ..
+            } = state;
+            out_buf.clear();
             for _ in 0..times {
                 let (peek, pop, _push) = exec.current_rates();
                 let window: &[f64] = match input {
-                    Some(c) => state.rings.window(c, peek),
+                    Some(c) => rings.window(c, peek),
                     None => &[],
                 };
-                let out = exec.fire(window, &mut state.ops);
+                exec.fire(window, out_buf, ops);
                 if let Some(c) = input {
-                    state.rings.consume(c, pop);
+                    rings.consume(c, pop);
                 }
-                if let Some(c) = output {
-                    state.rings.produce(c, &out);
-                }
+            }
+            if let Some(c) = output {
+                rings.produce(c, out_buf);
             }
             Ok(times)
         }
@@ -1334,7 +1427,9 @@ mod tests {
         let plan = compile(&flat_for(RAMP)).unwrap();
         assert!(plan.init.is_empty(), "{plan:?}");
         assert_eq!(plan.steady_firings(), 3);
-        assert_eq!(plan.caps, vec![1, 1]);
+        // One print a cycle: a pass is 64 cycles, each firing 64 at once.
+        assert_eq!(plan.passes, 64);
+        assert_eq!(plan.caps, vec![64, 64]);
     }
 
     #[test]
@@ -1360,8 +1455,8 @@ mod tests {
         );
         let plan = compile(&flat).unwrap();
         assert_eq!(plan.init_firings(), 2, "{plan:?}");
-        // Channel S->D holds the 2-item prologue plus the in-cycle item.
-        assert_eq!(plan.caps[0], 3);
+        // Channel S->D holds the 2-item prologue plus a pass's 64 items.
+        assert_eq!(plan.caps[0], 66);
         let mut e = PlanEngine::<OpCounter>::new(flat, plan);
         e.run_until_outputs(3).unwrap();
         assert_eq!(&e.printed()[..3], &[2.0, 2.0, 2.0]);
@@ -1653,7 +1748,13 @@ mod tests {
             let mut fired = vec![false; flat.nodes.len()];
             let mut peak = replay(&flat, &plan.init, &mut occ, &mut fired);
             let post_init = occ.clone();
-            for order in [&plan.steady, &plan.cycle] {
+            let pass: Vec<Step> = (plan.cycle.iter())
+                .map(|s| Step {
+                    times: s.times * plan.passes,
+                    ..*s
+                })
+                .collect();
+            for order in [&plan.steady[..], &plan.cycle, &pass] {
                 let reached = replay(&flat, order, &mut occ, &mut fired.clone());
                 assert_eq!(occ, post_init, "a cycle restores the occupancies");
                 peak.iter_mut()
@@ -1661,13 +1762,13 @@ mod tests {
                     .for_each(|(p, r)| *p = (*p).max(r));
             }
             let caps: Vec<u64> = plan.caps.iter().map(|&c| c as u64).collect();
-            assert_eq!(caps, peak, "capacities cover both orders, exactly");
+            assert_eq!(caps, peak, "caps cover steady, cycle and pass, exactly");
         }
     }
 
     /// Runs `src` to each `n` on a fresh engine, with the cycle order and
     /// with it cleared, and holds the two to the same firing.
-    fn assert_stops_like_stepped(src: &str, ns: std::ops::RangeInclusive<usize>) {
+    fn assert_stops_like_stepped(src: &str, ns: impl IntoIterator<Item = usize>) {
         let flat = flat_for(src);
         let plan = compile(&flat).unwrap();
         let stepped = ExecPlan {
@@ -1682,10 +1783,14 @@ mod tests {
             assert_eq!(both.printed(), only.printed(), "n = {n}");
             assert_eq!(both.firings(), only.firings(), "n = {n}");
             assert_eq!(both.ops(), only.ops(), "n = {n}");
-            assert_eq!(only.cycles()[0], 0);
-            // Whole cycles while their prints fall short of `n`, strictly.
+            assert_eq!((only.cycles()[0], only.passes()), (0, 0));
+            // Whole cycles while their prints fall short of `n`, strictly;
+            // passes of them while a pass's prints do.
             let prints = plan.prints_per_cycle.unwrap();
-            assert_eq!(both.cycles()[0], ((n - 1) / prints) as u64, "n = {n}");
+            let whole = (n - 1) / prints;
+            assert_eq!(both.cycles()[0], whole as u64, "n = {n}");
+            let pass = plan.passes as usize;
+            assert_eq!(both.passes(), (whole / pass) as u64, "n = {n}");
         }
     }
 
@@ -1701,6 +1806,36 @@ mod tests {
         assert!(matches!(first.kind, NodeKind::PrintSink { .. }), "{plan:?}");
         assert_stops_like_stepped(PROLOGUE, 1..=6);
         assert_stops_like_stepped(SPLITJOIN, 1..=40);
+    }
+
+    #[test]
+    fn a_pass_stops_where_single_cycles_do() {
+        // RAMP prints one value a cycle, so a pass is 64 cycles: `n` on
+        // either side of one and two passes' prints.
+        let plan = compile(&flat_for(RAMP)).unwrap();
+        assert_eq!((plan.prints_per_cycle, plan.passes), (Some(1), 64));
+        assert_stops_like_stepped(RAMP, [1, 2, 63, 64, 65, 127, 128, 129, 200]);
+        assert_stops_like_stepped(PROLOGUE, [63, 64, 65, 127, 128, 129]);
+
+        // A read sequence that straddles a pass: the first read stops
+        // inside the second pass's cycles, the next ones resume there.
+        let flat = flat_for(RAMP);
+        let stepped = ExecPlan {
+            cycle: [].into(),
+            ..plan.clone()
+        };
+        let mut both = PlanEngine::<OpCounter>::new(flat.clone(), plan);
+        let mut only = PlanEngine::<OpCounter>::new(flat, stepped);
+        for goal in [100, 101, 190, 300] {
+            both.run_until_outputs(goal).unwrap();
+            only.run_until_outputs(goal).unwrap();
+            assert_eq!(both.printed(), only.printed(), "goal = {goal}");
+            assert_eq!(both.firings(), only.firings(), "goal = {goal}");
+            assert_eq!(both.ops(), only.ops(), "goal = {goal}");
+        }
+        // 99 = 64 + 35 whole to 100; 64 + 24 to 190; 64 + 45 to 300.
+        assert_eq!((both.cycles(), both.passes()), ([296, 4], 3));
+        assert_eq!(only.cycles(), [0, 300]);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! occupancy at compile time, so channels need no growth path: all of them
 //! live side by side in a single `Vec<f64>` allocated once per program
 //! ([`RingSet`]). Peeked windows are served as contiguous slices — directly
-//! from the slab in the common case, via a copy into a per-channel scratch
-//! buffer in the rare case where a window wraps around its ring's end.
+//! from the slab in the common case, via a copy into the set's wrap buffer
+//! in the rare case where a window wraps around its ring's end.
 //! This replaces the dynamic engine's per-channel `VecDeque`s (and its
 //! per-firing window allocation) on the hot path.
 //!
@@ -30,19 +30,19 @@ struct Chan {
     len: usize,
 }
 
-/// All channels of a program: one slab, per-channel wrap scratch.
+/// All channels of a program: one slab, and one wrap buffer that any
+/// channel's wrapped window is assembled in.
 ///
-/// Scratch buffers are per channel (allocated lazily, only for channels
-/// whose windows ever wrap) so that two channels served by the same
-/// `RingSet` — or a channel whose window is still borrowed while another
-/// is assembled — can never alias a single shared scratch buffer. The
-/// pipeline partitioner relies on this when it splits a graph's channels
-/// across stage-local ring sets.
-#[derive(Debug, Clone)]
+/// The wrap buffer's capacity is the largest channel's, reserved with the
+/// slab, so no window — the first to wrap included — allocates during a
+/// run, and an `open` pays for no zeroing of it. One buffer serves every
+/// channel because a window borrows the whole set: the borrow checker
+/// already forbids two live windows of one set.
+#[derive(Debug)]
 pub struct RingSet {
     slab: Vec<f64>,
     chans: Vec<Chan>,
-    scratch: Vec<Vec<f64>>,
+    wrap: Vec<f64>,
 }
 
 // `window`, `consume` and `produce` are `#[inline]`: every arm of
@@ -70,7 +70,7 @@ impl RingSet {
         let mut set = RingSet {
             slab: vec![0.0; off],
             chans,
-            scratch: vec![Vec::new(); caps.len()],
+            wrap: Vec::with_capacity(caps.iter().copied().max().unwrap_or(0)),
         };
         for (chan, items) in initial {
             set.produce(*chan, items);
@@ -89,8 +89,7 @@ impl RingSet {
     }
 
     /// The oldest `n` items of a channel as one contiguous slice (borrowed
-    /// from the slab, or assembled in the channel's own scratch buffer on
-    /// wrap). The items are *not* consumed; follow with
+    /// from the slab, or assembled in the wrap buffer on wrap). The items are *not* consumed; follow with
     /// [`RingSet::consume`].
     ///
     /// # Panics
@@ -103,14 +102,14 @@ impl RingSet {
         if c.head + n <= c.cap {
             &self.slab[c.off + c.head..c.off + c.head + n]
         } else {
-            let scratch = &mut self.scratch[chan];
-            if scratch.len() < c.cap {
-                scratch.resize(c.cap, 0.0);
-            }
             let first = c.cap - c.head;
-            scratch[..first].copy_from_slice(&self.slab[c.off + c.head..c.off + c.cap]);
-            scratch[first..n].copy_from_slice(&self.slab[c.off..c.off + n - first]);
-            &scratch[..n]
+            // Within the reserved capacity: `n <= c.len <= c.cap`.
+            self.wrap.clear();
+            self.wrap
+                .extend_from_slice(&self.slab[c.off + c.head..c.off + c.cap]);
+            self.wrap
+                .extend_from_slice(&self.slab[c.off..c.off + n - first]);
+            &self.wrap
         }
     }
 
@@ -392,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn wrapped_windows_are_assembled_in_scratch() {
+    fn wrapped_windows_are_assembled_in_the_wrap_buffer() {
         let mut r = RingSet::new(&[4], &[]);
         r.produce(0, &[1.0, 2.0, 3.0, 4.0]);
         r.consume(0, 3);

@@ -419,8 +419,9 @@ impl<T: Tally + Default + Send + 'static> Session for Live<T> {
             Family::Plan(engine) => {
                 note_fused_loops(engine.nodes(), this.probe.as_mut());
                 if let Some(rec) = &mut this.probe {
-                    let [whole, stepped] = engine.cycles();
-                    rec.note("cycles", &format!("{whole} whole, {stepped} stepped"));
+                    let ([whole, stepped], passes) = (engine.cycles(), engine.passes());
+                    let text = format!("{whole} whole in {passes} passes, {stepped} stepped");
+                    rec.note("cycles", &text);
                 }
                 (engine.ops().counts(), engine.firings())
             }

@@ -471,6 +471,33 @@ fn metrics_lists_every_compile_phase_in_order() {
     }
 }
 
+/// The multi-cycle pass is visible: `fir.str` under `linear` prints one
+/// value a cycle, so a pass is 64 cycles. A read of 1000 runs 15 passes
+/// (960 values), 39 single whole cycles and the stepped cycle that holds
+/// the stop.
+#[test]
+fn metrics_show_the_cycles_per_pass() {
+    let out = streamlinc()
+        .args(["assets/fir.str", "--config", "linear", "--metrics"])
+        .args(["-n", "1000", "--quiet"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let line = |key: &str| {
+        let found = stderr.lines().find(|l| l.trim_start().starts_with(key));
+        found.unwrap_or_else(|| panic!("no `{key}` line in {stderr}"))
+    };
+    assert!(
+        line("schedule:").ends_with("cycle order: 3 steps, 1 outputs, 64 cycles per pass"),
+        "{stderr}"
+    );
+    assert_eq!(
+        line("cycles:").trim(),
+        "cycles: 999 whole in 15 passes, 1 stepped"
+    );
+}
+
 /// Which tier ran is part of the decision dump: an `interp` label per
 /// interpreted filter, a `typer` note for every phase the typer refused
 /// (with the reason), and per filter the fused-loop entries against the

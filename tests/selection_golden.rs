@@ -28,7 +28,10 @@
 //! configuration with the lengths of the plan's `init`, `steady` and
 //! `cycle` step lists, its buffer slots, its prints per cycle and a hash of
 //! each step list. DToA's lines were `none` there; they are the only lines
-//! that changed when its loop was planned.
+//! that changed when its loop was planned. The multi-cycle pass moved
+//! `slots=` alone, on the 21 lines whose plan runs more than one cycle a
+//! pass (every `baseline`, `linear` and `redund` line but Radar's and
+//! DToA's): its high-water marks are part of the capacities.
 
 use streamlin::benchmarks::{self, Benchmark};
 use streamlin::core::cost::CostModel;

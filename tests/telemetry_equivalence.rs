@@ -195,13 +195,18 @@ fn whole_cycles_are_recorded_and_invisible() {
         };
         let schedule = note("schedule");
         assert!(
-            schedule.contains(" steps, ") && schedule.ends_with(" outputs"),
+            schedule.contains(" steps, ") && schedule.ends_with(" per pass"),
             "{schedule}"
         );
         let (whole, rest) = note("cycles")
-            .split_once(" whole, ")
+            .split_once(" whole in ")
             .expect("a cycles note");
         assert!(whole.parse::<u64>().unwrap() >= 4, "{label}: {whole} whole");
+        let (passes, rest) = rest.split_once(" passes, ").expect("a pass count");
+        assert!(
+            passes.parse::<u64>().unwrap() >= 1,
+            "{label}: {passes} passes"
+        );
         assert_eq!(rest, "1 stepped", "{label}: the cycle that holds the stop");
         assert!(rec.rings.len() >= 3, "{label}: every ring is sampled");
         for (chan, ring) in &rec.rings {
