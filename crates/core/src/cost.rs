@@ -17,7 +17,7 @@
 //! the measured FFT flops within a factor of two.
 
 use crate::frequency::FreqStrategy;
-use crate::node::LinearNode;
+use crate::node::Form;
 
 /// Tunable cost constants. The defaults reproduce the paper's qualitative
 /// selection decisions (FIR → frequency, Radar → partial combination
@@ -77,7 +77,7 @@ impl CostModel {
 
     /// Cost of one firing of a direct (time-domain) linear node:
     /// `185 + 2u + |{i: bᵢ≠0}| + 3·|{(i,j): Aᵢⱼ≠0}|`.
-    pub fn direct_per_firing(&self, node: &LinearNode) -> f64 {
+    pub fn direct_per_firing(&self, node: &impl Form) -> f64 {
         self.overhead
             + self.push_cost * node.push() as f64
             + self.nnz_b_cost * node.nnz_b() as f64
@@ -85,7 +85,7 @@ impl CostModel {
     }
 
     /// Total direct cost for `firings` firings.
-    pub fn direct_total(&self, node: &LinearNode, firings: f64) -> f64 {
+    pub fn direct_total(&self, node: &impl Form, firings: f64) -> f64 {
         firings * self.direct_per_firing(node)
     }
 
@@ -95,7 +95,7 @@ impl CostModel {
     /// of the pop rate — the decimator then throws `1 − 1/o` of the output
     /// away, which is exactly why frequency replacement sours as `o` grows
     /// (the Radar effect, §5.2).
-    pub fn freq_total(&self, node: &LinearNode, inflow: f64, strategy: FreqStrategy) -> f64 {
+    pub fn freq_total(&self, node: &impl Form, inflow: f64, strategy: FreqStrategy) -> f64 {
         let (e, o, u) = (node.peek(), node.pop(), node.push());
         if e == 0 || u == 0 || o == 0 {
             return f64::INFINITY;
@@ -151,6 +151,7 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::LinearNode;
     use streamlin_fft::{FftKind, RealFft};
     use streamlin_support::OpCounter;
 

@@ -1,10 +1,12 @@
-//! Linear expansion (paper §3.3.1, Transformation 1).
+//! Linear expansion (paper §3.3.1, Transformation 1), on exact nodes and
+//! on shapes.
 
 use streamlin_matrix::{Matrix, Vector};
 
-use crate::node::{LinearError, LinearNode, MAX_MATRIX_ELEMS};
+use crate::node::{Form, LinearError, LinearNode, MAX_MATRIX_ELEMS};
+use crate::shape::Shape;
 
-/// Expands a linear node to rates `(peek', pop', push')`.
+/// Expands a linear node (or its shape) to rates `(peek', pop', push')`.
 ///
 /// The expanded matrix contains copies of `A` along the diagonal starting
 /// from the bottom right, each copy offset by `pop` rows (one firing's
@@ -43,20 +45,16 @@ use crate::node::{LinearError, LinearNode, MAX_MATRIX_ELEMS};
 /// assert_eq!(e.coeff(1, 1), 1.0);
 /// assert_eq!(e.coeff(2, 1), 2.0);
 /// ```
-pub fn expand(
-    node: &LinearNode,
+pub fn expand<F: Form>(
+    node: &F,
     peek2: usize,
     pop2: usize,
     push2: usize,
-) -> Result<LinearNode, LinearError> {
+) -> Result<F, LinearError> {
     let (e, o, u) = (node.peek(), node.pop(), node.push());
     if push2 == 0 {
         // A sink expansion: no outputs, only a (possibly taller) window.
-        return Ok(LinearNode::from_rows(
-            Matrix::zeros(0, peek2),
-            Vector::zeros(0),
-            pop2,
-        ));
+        return Ok(node.shifted_copies(peek2, pop2, 0));
     }
     if u == 0 {
         return Err(LinearError::NotCombinable(
@@ -76,9 +74,19 @@ pub fn expand(
             cols: push2,
         });
     }
-    // Output `m·u + j` is copy `m` of output `j`, its window shifted by
-    // `m·o`. The copy is added onto zeros, as the paper's sum of shifted
-    // copies is, so a `-0.0` coefficient lands as `+0.0`.
+    Ok(node.shifted_copies(peek2, pop2, push2))
+}
+
+/// Expansion's rows: output `m·u + j` is copy `m` of output `j`, its window
+/// shifted by `m·o`. The copy is added onto zeros, as the paper's sum of
+/// shifted copies is, so a `-0.0` coefficient lands as `+0.0`.
+pub(crate) fn shifted_copies(
+    node: &LinearNode,
+    peek2: usize,
+    pop2: usize,
+    push2: usize,
+) -> LinearNode {
+    let (e, o, u) = (node.peek(), node.pop(), node.push());
     let mut rows = Matrix::zeros(push2, peek2);
     for out in 0..push2 {
         let (m, j) = (out / u, out % u);
@@ -88,7 +96,18 @@ pub fn expand(
         }
     }
     let offsets: Vector = (0..push2).map(|out| node.offset(out % u)).collect();
-    Ok(LinearNode::from_rows(rows, offsets, pop2))
+    LinearNode::from_rows(rows, offsets, pop2)
+}
+
+/// [`shifted_copies`] on a shape: each copy's support, shifted.
+pub(crate) fn shifted_shape(shape: &Shape, peek2: usize, pop2: usize, push2: usize) -> Shape {
+    let (o, u) = (shape.pop(), shape.push());
+    let mut out = Shape::new(peek2, pop2);
+    for r in 0..push2 {
+        let (m, j) = (r / u, r % u);
+        out.push_shifted(shape.row(j), m * o, shape.offset(j));
+    }
+    out
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! | §3.3.3 splitjoin combination (Transformations 3–4) | [`splitjoin`] |
 //! | §4.1 frequency replacement (Transformations 5–6) | [`frequency`] |
 //! | §4.2 redundancy elimination (Algorithm 3, Transformation 7) | [`redundancy`] |
-//! | §4.3 optimization selection (Figures 4-3…4-6) | [`select`], [`cost`] |
+//! | §4.3 optimization selection (Figures 4-3…4-6) | [`select`], [`cost`], [`shape`] |
 //!
 //! [`combine`] drives whole-graph replacement (maximal linear replacement,
 //! per-filter "(nc)" replacement, maximal frequency replacement), producing
@@ -55,6 +55,7 @@ pub mod pipeline;
 pub mod redundancy;
 pub mod reference;
 pub mod select;
+pub mod shape;
 pub mod splitjoin;
 pub mod state_space;
 

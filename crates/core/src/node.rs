@@ -309,6 +309,70 @@ impl LinearNode {
     }
 }
 
+/// What the combination rules ([`crate::expand`], [`crate::pipeline`],
+/// [`crate::splitjoin`]) run on: a node's exact coefficients
+/// ([`LinearNode`]) or only where they can be nonzero
+/// ([`Shape`](crate::shape::Shape)). Each rule checks rates and sizes once,
+/// for both forms, so both refuse the same combinations; a form supplies
+/// only the rows the rule moves.
+pub trait Form: Sized {
+    /// Peek rate.
+    fn peek(&self) -> usize;
+    /// Pop rate.
+    fn pop(&self) -> usize;
+    /// Push rate.
+    fn push(&self) -> usize;
+    /// Nonzero coefficients (an upper bound for a shape).
+    fn nnz_a(&self) -> usize;
+    /// Nonzero offsets (an upper bound for a shape).
+    fn nnz_b(&self) -> usize;
+    /// The body of [`expand`](crate::expand::expand), its checks passed:
+    /// output `m·push + j` is output `j` with its window shifted by
+    /// `m·pop`, on a window of `peek2`.
+    fn shifted_copies(&self, peek2: usize, pop2: usize, push2: usize) -> Self;
+    /// The body of pipeline combination: `down` expanded to peek at the
+    /// whole channel, composed with `up` as if it were expanded to a
+    /// window of `peek` and `down.peek()` outputs.
+    fn compose(up: &Self, peek: usize, down: &Self, pop: usize) -> Self;
+    /// Output `r` is output `q` of `parts[k]` for `(k, q) = order[r]`; every
+    /// part has the window `peek`. The body of duplicate splitjoin
+    /// combination.
+    fn gather(parts: &[Self], order: &[(usize, usize)], peek: usize, pop: usize) -> Self;
+    /// The round-robin decimator that keeps items `first..first + v_k` of
+    /// every `v_tot`.
+    fn decimator(v_tot: usize, first: usize, v_k: usize) -> Self;
+}
+
+impl Form for LinearNode {
+    fn peek(&self) -> usize {
+        LinearNode::peek(self)
+    }
+    fn pop(&self) -> usize {
+        LinearNode::pop(self)
+    }
+    fn push(&self) -> usize {
+        LinearNode::push(self)
+    }
+    fn nnz_a(&self) -> usize {
+        LinearNode::nnz_a(self)
+    }
+    fn nnz_b(&self) -> usize {
+        LinearNode::nnz_b(self)
+    }
+    fn shifted_copies(&self, peek2: usize, pop2: usize, push2: usize) -> Self {
+        crate::expand::shifted_copies(self, peek2, pop2, push2)
+    }
+    fn compose(up: &Self, peek: usize, down: &Self, pop: usize) -> Self {
+        crate::pipeline::compose(up, peek, down, pop)
+    }
+    fn gather(parts: &[Self], order: &[(usize, usize)], peek: usize, pop: usize) -> Self {
+        crate::splitjoin::gather(parts, order, peek, pop)
+    }
+    fn decimator(v_tot: usize, first: usize, v_k: usize) -> Self {
+        crate::splitjoin::decimator(v_tot, first, v_k)
+    }
+}
+
 impl std::fmt::Display for LinearNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

@@ -4,9 +4,11 @@ use streamlin_matrix::{Matrix, Vector};
 use streamlin_support::num::lcm;
 
 use crate::expand::expand;
-use crate::node::{LinearError, LinearNode, MAX_MATRIX_ELEMS};
+use crate::node::{Form, LinearError, LinearNode, MAX_MATRIX_ELEMS};
+use crate::shape::Shape;
 
-/// Collapses two adjacent linear nodes in a pipeline into one.
+/// Collapses two adjacent linear nodes (or their shapes) in a pipeline into
+/// one.
 ///
 /// Following Transformation 2, both nodes are expanded so that the upstream
 /// push matches the downstream window:
@@ -44,7 +46,7 @@ use crate::node::{LinearError, LinearNode, MAX_MATRIX_ELEMS};
 /// let c = combine_pipeline(&f1, &f2).unwrap();
 /// assert_eq!((c.peek(), c.pop(), c.push()), (4, 1, 1));
 /// ```
-pub fn combine_pipeline(a1: &LinearNode, a2: &LinearNode) -> Result<LinearNode, LinearError> {
+pub fn combine_pipeline<F: Form>(a1: &F, a2: &F) -> Result<F, LinearError> {
     let (e1, o1, u1) = (a1.peek(), a1.pop(), a1.push());
     let (e2, o2, u2) = (a2.peek(), a2.pop(), a2.push());
     if u1 == 0 {
@@ -72,38 +74,47 @@ pub fn combine_pipeline(a1: &LinearNode, a2: &LinearNode) -> Result<LinearNode, 
         }
     }
 
-    let a1e = expand(a1, e1x, o1x, chan_peek)?;
+    // Λ₁ᵉ is never built: its row `q` is copy `q / u₁` of `A₁`'s row
+    // `q mod u₁`, shifted by that many pops, and `compose` reads it there.
     let a2e = expand(a2, chan_peek, chan_pop, u2x)?;
-
-    Ok(compose(&a1e, &a2e, o1x))
+    Ok(F::compose(a1, e1x, &a2e, o1x))
 }
 
-/// `A′ = A₁ᵉ·A₂ᵉ`, `b′ = b₁ᵉ·A₂ᵉ + b₂ᵉ` on the stored rows.
+/// `A′ = A₁ᵉ·A₂ᵉ`, `b′ = b₁ᵉ·A₂ᵉ + b₂ᵉ` on the stored rows, where `down`
+/// is `Λ₂ᵉ` and `Λ₁ᵉ` is `up` expanded to a window of `peek` and
+/// `down.peek()` outputs.
 ///
 /// Every entry is summed in the order the paper-layout product sums it:
 /// over the channel index `k` of `A₁ᵉ[r, k]·A₂ᵉ[k, c]` from 0 up — channel
 /// item `chanPeek−1−k` from the last down — starting from `+0.0` and
 /// skipping the terms whose left factor is zero. So the combined
 /// coefficients are the bits `A₁ᵉ·A₂ᵉ` would give.
-fn compose(up: &LinearNode, down: &LinearNode, pop: usize) -> LinearNode {
-    let (e, chan, u) = (up.peek(), up.push(), down.push());
-    debug_assert_eq!(chan, down.peek());
-    let mut rows = Matrix::zeros(u, e);
-    let mut offsets = vec![0.0; u];
-    for q in (0..chan).rev() {
-        // An expanded row is zero outside one shifted copy: sweep only
-        // its non-zero span.
-        let row = up.row(q);
-        let first = row.iter().position(|&a| a != 0.0).unwrap_or(row.len());
-        let last = row.iter().rposition(|&a| a != 0.0).map_or(first, |l| l + 1);
-        let offset = up.offset(q);
+pub(crate) fn compose(up: &LinearNode, peek: usize, down: &LinearNode, pop: usize) -> LinearNode {
+    let (o, u, outs) = (up.pop(), up.push(), down.push());
+    // Each upstream row is zero outside one span: sweep only that.
+    let spans: Vec<(usize, usize)> = (0..u)
+        .map(|j| {
+            let row = up.row(j);
+            let first = row.iter().position(|&a| a != 0.0).unwrap_or(row.len());
+            let last = row.iter().rposition(|&a| a != 0.0).map_or(first, |l| l + 1);
+            (first, last)
+        })
+        .collect();
+    let mut rows = Matrix::zeros(outs, peek);
+    let mut offsets = vec![0.0; outs];
+    for q in (0..down.peek()).rev() {
+        // Channel item `q` is copy `q / u` of upstream output `q mod u`.
+        let (shift, j1) = ((q / u) * o, q % u);
+        let (first, last) = spans[j1];
+        let row = &up.row(j1)[first..last];
+        let offset = up.offset(j1);
         for (j, acc) in offsets.iter_mut().enumerate() {
             let w = down.coeff(q, j);
             if offset != 0.0 {
                 *acc += offset * w;
             }
-            let dst = &mut rows.row_mut(j)[first..last];
-            for (d, &a) in dst.iter_mut().zip(&row[first..last]) {
+            let dst = &mut rows.row_mut(j)[shift + first..shift + last];
+            for (d, &a) in dst.iter_mut().zip(row) {
                 if a != 0.0 {
                     *d += a * w;
                 }
@@ -114,6 +125,26 @@ fn compose(up: &LinearNode, down: &LinearNode, pop: usize) -> LinearNode {
         *acc += b;
     }
     LinearNode::from_rows(rows, Vector::from(offsets), pop)
+}
+
+/// [`compose`] on shapes: output `j` can be nonzero wherever an upstream
+/// row it weighs with a nonzero can, and so can its offset.
+pub(crate) fn compose_shape(up: &Shape, peek: usize, down: &Shape, pop: usize) -> Shape {
+    let (o, u) = (up.pop(), up.push());
+    let mut out = Shape::new(peek, pop);
+    let mut spans = Vec::new();
+    for j in 0..down.push() {
+        let mut offset = down.offset(j);
+        for &(a, b) in down.row(j) {
+            for q in a..b {
+                let (shift, j1) = ((q / u) * o, q % u);
+                spans.extend(up.row(j1).iter().map(|&(x, y)| (x + shift, y + shift)));
+                offset |= up.offset(j1);
+            }
+        }
+        out.push_union(&mut spans, offset);
+    }
+    out
 }
 
 /// Folds [`combine_pipeline`] over a whole sequence of linear nodes.

@@ -17,7 +17,20 @@
 //! shape in the benchmark suite).
 //! Costs are scaled by firings per global steady state, obtained from the
 //! rate solver.
+//!
+//! The cost of a collapsed region reads only its rates and its counts of
+//! nonzero coefficients, so the DP prices a range from its [`Shape`]
+//! unless its product is small (`SMALL_PRODUCT`), and forms the large
+//! products only for the regions it keeps: `Dp::materialize` folds each
+//! kept region's exact node the way the shapes were folded, and prices it
+//! again exactly. A shape's counts bound the exact ones from above and
+//! differ only where a floating-point sum cancels to exactly `0.0`; so a
+//! large product whose coefficients cancel is priced too high, and the DP
+//! may then choose differently than exact pricing would. That decisions
+//! match exact pricing is checked only on the golden benchmarks and the
+//! 200 generated programs of `tests/selection_pricing.rs`, not proven.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -28,9 +41,10 @@ use streamlin_graph::steady::steady_state;
 use crate::combine::LinearAnalysis;
 use crate::cost::CostModel;
 use crate::frequency::{FreqSpec, FreqStrategy};
-use crate::node::LinearNode;
+use crate::node::{Form, LinearError, LinearNode};
 use crate::opt::OptStream;
 use crate::pipeline::combine_pipeline;
+use crate::shape::Shape;
 use crate::splitjoin::combine_splitjoin;
 
 /// Options controlling what the selector may choose.
@@ -60,8 +74,9 @@ impl Default for SelectOptions {
 pub struct Selection {
     /// The optimized stream.
     pub opt: OptStream,
-    /// Estimated cost (model units per steady state; non-linear filters
-    /// contribute zero, as in the paper's `getNodeCost`).
+    /// Estimated cost of `opt` (model units per steady state; non-linear
+    /// filters contribute zero, as in the paper's `getNodeCost`), each
+    /// collapsed region priced from its exact node.
     pub cost: f64,
 }
 
@@ -125,9 +140,10 @@ pub fn select(
         reps: &reps,
     };
     let best = dp.solve(stream, false).best;
+    let (opt, cost) = dp.materialize(&best);
     Ok(Selection {
-        opt: dp.materialize(&best).flatten_pipelines(),
-        cost: best.cost,
+        opt: opt.flatten_pipelines(),
+        cost,
     })
 }
 
@@ -145,8 +161,13 @@ enum Plan<'a> {
     /// A non-linear filter, left to the interpreter.
     Original(&'a Rc<FilterInst>),
     /// A region collapsed to one linear node, run in the time domain or
-    /// (`freq`) the frequency domain.
-    Collapsed { node: Rc<LinearNode>, freq: bool },
+    /// (`freq`) the frequency domain, with what it was priced on.
+    Collapsed {
+        exact: Rc<Exact<'a>>,
+        freq: bool,
+        firings: f64,
+        inflow: f64,
+    },
     /// A pipeline range cut horizontally in two.
     PipeCut([Rc<Choice<'a>>; 2]),
     /// Children `lo..=hi` of a splitjoin cut vertically after `pivot`.
@@ -168,13 +189,138 @@ enum Plan<'a> {
     },
 }
 
-/// A region collapsed into one linear node, with the items flowing into
-/// and out of it per global steady state.
+/// A region that can collapse into one linear node: how to form its exact
+/// node, its shape, and the items flowing into and out of it per global
+/// steady state.
 #[derive(Clone)]
-struct Whole {
-    node: Rc<LinearNode>,
+struct Whole<'a> {
+    exact: Rc<Exact<'a>>,
+    /// Combined from the factors' shapes when the region's product is
+    /// large; read off its formed node on first use when it is small.
+    shape: OnceCell<Rc<Shape>>,
+    /// `(peek, pop, push)`.
+    rates: [usize; 3],
+    /// Nonzero coefficients: exact where the node is formed.
+    nnz: usize,
     inflow: f64,
     outflow: f64,
+}
+
+impl<'a> Whole<'a> {
+    /// A region whose exact node is formed.
+    fn formed(exact: Rc<Exact<'a>>, inflow: f64, outflow: f64) -> Self {
+        let node = exact.node.get().expect("a formed region");
+        Whole {
+            rates: [node.peek(), node.pop(), node.push()],
+            nnz: node.nnz_a(),
+            exact,
+            shape: OnceCell::new(),
+            inflow,
+            outflow,
+        }
+    }
+
+    /// A region known by its shape.
+    fn shaped(exact: Rc<Exact<'a>>, shape: Shape, inflow: f64, outflow: f64) -> Self {
+        Whole {
+            rates: [shape.peek(), shape.pop(), shape.push()],
+            nnz: shape.nnz_a(),
+            exact,
+            shape: OnceCell::from(Rc::new(shape)),
+            inflow,
+            outflow,
+        }
+    }
+
+    fn shape(&self) -> &Shape {
+        self.shape.get_or_init(|| {
+            let node = self
+                .exact
+                .node
+                .get()
+                .expect("a region without a shape is formed");
+            Rc::new(Shape::of(node))
+        })
+    }
+}
+
+/// A region's exact node, formed once and kept. A large region's node is
+/// formed on first use, and only [`Dp::materialize`] asks: so of the large
+/// ranges only kept ones are formed, and a child container's node once
+/// however many kept regions hold it. A small one is formed as the DP
+/// prices it (see [`SMALL_PRODUCT`]).
+struct Exact<'a> {
+    node: OnceCell<Rc<LinearNode>>,
+    recipe: Recipe<'a>,
+}
+
+enum Recipe<'a> {
+    /// Formed when made: a linear filter's extracted node.
+    Formed,
+    /// Children `lo..=hi` of a container, folded as the DP folds their
+    /// shapes: a pipeline left to right, a splitjoin all at once.
+    Range {
+        kind: Container<'a>,
+        parts: Rc<[Option<Rc<Exact<'a>>>]>,
+        lo: usize,
+        hi: usize,
+    },
+}
+
+impl<'a> Exact<'a> {
+    fn new(recipe: Recipe<'a>) -> Rc<Self> {
+        Rc::new(Exact {
+            node: OnceCell::new(),
+            recipe,
+        })
+    }
+
+    fn formed(node: LinearNode) -> Rc<Self> {
+        Rc::new(Exact {
+            node: OnceCell::from(Rc::new(node)),
+            recipe: Recipe::Formed,
+        })
+    }
+
+    fn node(&self) -> Rc<LinearNode> {
+        let formed = self.node.get_or_init(|| match &self.recipe {
+            Recipe::Formed => unreachable!("formed when made"),
+            Recipe::Range {
+                kind,
+                parts,
+                lo,
+                hi,
+            } => {
+                let part = |k: usize| parts[k].as_ref().expect("collapsed ranges are linear");
+                let combined = "a range whose shape combined combines";
+                match kind {
+                    Container::Pipe => (lo + 1..=*hi).fold(part(*lo).node(), |acc, k| {
+                        #[cfg(test)]
+                        COMBINATIONS.with(|c| c.set(c.get() + 1));
+                        let node = kind.rule(*lo, k, &[&*acc, &*part(k).node()]);
+                        Rc::new(node.expect(combined))
+                    }),
+                    Container::Split(..) => {
+                        #[cfg(test)]
+                        COMBINATIONS.with(|c| c.set(c.get() + 1));
+                        let nodes: Vec<Rc<LinearNode>> =
+                            (*lo..=*hi).map(|k| part(k).node()).collect();
+                        let nodes: Vec<&LinearNode> = nodes.iter().map(|n| &**n).collect();
+                        Rc::new(kind.rule(*lo, *hi, &nodes).expect(combined))
+                    }
+                }
+            }
+        });
+        Rc::clone(formed)
+    }
+}
+
+/// The splitter feeding children `lo..=hi` alone.
+fn sliced(split: &Splitter, lo: usize, hi: usize) -> Splitter {
+    match split {
+        Splitter::Duplicate => Splitter::Duplicate,
+        Splitter::RoundRobin(v) => Splitter::RoundRobin(v[lo..=hi].to_vec()),
+    }
 }
 
 /// What the DP hands up from a solved subtree.
@@ -183,7 +329,7 @@ struct Solved<'a> {
     best: Rc<Choice<'a>>,
     /// The fully combined subtree, when it exists — what the parent
     /// container folds into its own ranges.
-    whole: Option<Whole>,
+    whole: Option<Whole<'a>>,
 }
 
 /// The two container kinds whose child ranges the DP cuts.
@@ -195,8 +341,10 @@ enum Container<'a> {
 
 #[cfg(test)]
 thread_local! {
-    /// Range combinations formed by this thread's selections.
+    /// Exact coefficient products formed by this thread's selections.
     static COMBINATIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Ranges this thread's selections priced from combined shapes.
+    static SHAPES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 struct Dp<'a> {
@@ -266,11 +414,11 @@ impl<'a> Dp<'a> {
             };
         };
         let firings = self.reps[&inst.id] as f64;
-        let whole = Whole {
-            node: Rc::new(lin.clone()),
-            inflow: firings * inst.work.pop as f64,
-            outflow: firings * inst.work.push as f64,
-        };
+        let whole = Whole::formed(
+            Exact::formed(lin.clone()),
+            firings * inst.work.pop as f64,
+            firings * inst.work.push as f64,
+        );
         Solved {
             best: Rc::new(self.collapsed(&whole, firings, in_feedback)),
             whole: Some(whole),
@@ -278,37 +426,48 @@ impl<'a> Dp<'a> {
     }
 
     /// Prices a collapsed region, direct vs frequency, from the cost model
-    /// alone.
-    fn collapsed(&self, region: &Whole, firings: f64, in_feedback: bool) -> Choice<'a> {
-        let node = &region.node;
-        let direct = self.model.direct_total(node, firings);
-        let freq_ok = !in_feedback
-            && node.peek() >= 1
-            && node.push() >= 1
-            && node.pop() >= 1
-            && !(self.opts.unit_pop_only && node.pop() != 1);
-        let freq = freq_ok
-            .then(|| {
-                self.model
-                    .freq_total(node, region.inflow, self.opts.strategy)
-            })
-            .filter(|&cost| cost < direct);
+    /// and the region's exact node where it is formed, its shape where not.
+    fn collapsed(&self, region: &Whole<'a>, firings: f64, in_feedback: bool) -> Choice<'a> {
+        let (direct, freq) = match region.exact.node.get() {
+            Some(node) => self.prices(&**node, firings, region.inflow, in_feedback),
+            None => self.prices(region.shape(), firings, region.inflow, in_feedback),
+        };
+        let freq = freq.filter(|&cost| cost < direct);
         Choice {
             cost: freq.unwrap_or(direct),
             plan: Plan::Collapsed {
-                node: Rc::clone(node),
+                exact: Rc::clone(&region.exact),
                 freq: freq.is_some(),
+                firings,
+                inflow: region.inflow,
             },
         }
+    }
+
+    /// A collapsed region's direct price, and its frequency price where
+    /// frequency translation may run it.
+    fn prices(
+        &self,
+        form: &impl Form,
+        firings: f64,
+        inflow: f64,
+        in_feedback: bool,
+    ) -> (f64, Option<f64>) {
+        let freq_ok = !in_feedback
+            && form.peek() >= 1
+            && form.push() >= 1
+            && form.pop() >= 1
+            && !(self.opts.unit_pop_only && form.pop() != 1);
+        let freq = freq_ok.then(|| self.model.freq_total(form, inflow, self.opts.strategy));
+        (self.model.direct_total(form, firings), freq)
     }
 
     /// `getContainerCost` for every child range of one container, solved
     /// smallest-first: `lo` descends and `hi` ascends, so both halves of
     /// every cut of `lo..=hi` are already in the table. A pipeline's
-    /// combined node for `lo..=hi` is the one for `lo..=hi-1` times child
-    /// `hi`, carried along the row — each range product is formed once,
-    /// and none outlives its step unless its collapse is that range's best
-    /// choice.
+    /// combined shape for `lo..=hi` is the one for `lo..=hi-1` composed
+    /// with child `hi`'s, carried along the row, so each range's shape is
+    /// formed once.
     fn container(
         &self,
         kind: Container<'a>,
@@ -316,11 +475,15 @@ impl<'a> Dp<'a> {
         in_feedback: bool,
     ) -> Solved<'a> {
         let n = children.len();
+        let parts: Rc<[_]> = children
+            .iter()
+            .map(|c| c.whole.as_ref().map(|w| Rc::clone(&w.exact)))
+            .collect();
         if n == 1 {
             // A single child is priced as itself: there is no range to cut.
             let whole = match kind {
                 Container::Pipe => children[0].whole.clone(),
-                Container::Split(..) => combine(kind, &children, 0, 0, None),
+                Container::Split(..) => combine(kind, &children, &parts, 0, 0, None),
             };
             let best = Rc::clone(&children[0].best);
             return Solved { best, whole };
@@ -333,15 +496,15 @@ impl<'a> Dp<'a> {
         for lo in (0..n - 1).rev() {
             let mut carried = children[lo].whole.clone();
             for hi in lo + 1..n {
-                carried = combine(kind, &children, lo, hi, carried);
+                carried = combine(kind, &children, &parts, lo, hi, carried);
 
                 // Option 1/2: collapse the whole range (LINEAR / FREQ).
                 let mut best = carried.as_ref().map(|region| {
-                    let node = &region.node;
-                    let firings = if node.push() > 0 {
-                        region.outflow / node.push() as f64
-                    } else if node.pop() > 0 {
-                        region.inflow / node.pop() as f64
+                    let [_, pop, push] = region.rates;
+                    let firings = if push > 0 {
+                        region.outflow / push as f64
+                    } else if pop > 0 {
+                        region.inflow / pop as f64
                     } else {
                         0.0
                     };
@@ -388,18 +551,34 @@ impl<'a> Dp<'a> {
         }
     }
 
-    /// Builds the chosen structure: the only place a [`FreqSpec`] (an FFT
-    /// plan plus one kernel transform per output) is constructed.
-    fn materialize(&self, choice: &Choice<'a>) -> OptStream {
+    /// Builds the chosen structure and its cost: the only place a
+    /// collapsed region's coefficients are formed, and a [`FreqSpec`] (an
+    /// FFT plan plus one kernel transform per output) is constructed. Each
+    /// collapsed region is priced again from its exact node; costs add up
+    /// in the order the DP added them.
+    fn materialize(&self, choice: &Choice<'a>) -> (OptStream, f64) {
         match &choice.plan {
-            Plan::Original(inst) => OptStream::Original(Rc::clone(inst)),
-            Plan::Collapsed { node, freq: false } => OptStream::Linear(LinearNode::clone(node)),
-            Plan::Collapsed { node, freq: true } => OptStream::Freq(
-                FreqSpec::new(node, self.opts.strategy, self.opts.kind, None)
-                    .expect("frequency candidates have peek, pop and push of at least 1"),
-            ),
+            Plan::Original(inst) => (OptStream::Original(Rc::clone(inst)), choice.cost),
+            Plan::Collapsed {
+                exact,
+                freq,
+                firings,
+                inflow,
+            } => {
+                let node = exact.node();
+                if *freq {
+                    let spec = FreqSpec::new(&node, self.opts.strategy, self.opts.kind, None)
+                        .expect("frequency candidates have peek, pop and push of at least 1");
+                    let cost = self.model.freq_total(&*node, *inflow, self.opts.strategy);
+                    (OptStream::Freq(spec), cost)
+                } else {
+                    let cost = self.model.direct_total(&*node, *firings);
+                    (OptStream::Linear(LinearNode::clone(&node)), cost)
+                }
+            }
             Plan::PipeCut(halves) => {
-                OptStream::Pipeline(halves.iter().map(|h| self.materialize(h)).collect())
+                let (streams, cost) = self.halves(halves);
+                (OptStream::Pipeline(streams), cost)
             }
             Plan::SplitCut {
                 split,
@@ -414,7 +593,8 @@ impl<'a> Dp<'a> {
                 // node or a nested cut, so it is already a stream.
                 let (left, right) = (*lo..=*pivot, *pivot + 1..=*hi);
                 let sum = |w: &[usize]| w.iter().sum();
-                OptStream::SplitJoin {
+                let (children, cost) = self.halves(halves);
+                let stream = OptStream::SplitJoin {
                     split: match split {
                         Splitter::Duplicate => Splitter::Duplicate,
                         Splitter::RoundRobin(v) => Splitter::RoundRobin(vec![
@@ -422,11 +602,12 @@ impl<'a> Dp<'a> {
                             sum(&v[right.clone()]),
                         ]),
                     },
-                    children: halves.iter().map(|h| self.materialize(h)).collect(),
+                    children,
                     join: Joiner {
                         weights: vec![sum(&join.weights[left]), sum(&join.weights[right])],
                     },
-                }
+                };
+                (stream, cost)
             }
             Plan::Feedback {
                 join,
@@ -434,59 +615,113 @@ impl<'a> Dp<'a> {
                 enqueue,
                 body,
                 loop_stream,
-            } => OptStream::FeedbackLoop {
-                join: Joiner::clone(join),
-                body: Box::new(self.materialize(body)),
-                loop_stream: Box::new(self.materialize(loop_stream)),
-                split: Splitter::clone(split),
-                enqueue: enqueue.to_vec(),
-            },
+            } => {
+                let (body, body_cost) = self.materialize(body);
+                let (loop_stream, loop_cost) = self.materialize(loop_stream);
+                let stream = OptStream::FeedbackLoop {
+                    join: Joiner::clone(join),
+                    body: Box::new(body),
+                    loop_stream: Box::new(loop_stream),
+                    split: Splitter::clone(split),
+                    enqueue: enqueue.to_vec(),
+                };
+                (stream, body_cost + loop_cost)
+            }
         }
+    }
+
+    /// Both halves of a cut, materialized, and their summed cost.
+    fn halves(&self, halves: &[Rc<Choice<'a>>; 2]) -> (Vec<OptStream>, f64) {
+        let (left, left_cost) = self.materialize(&halves[0]);
+        let (right, right_cost) = self.materialize(&halves[1]);
+        (vec![left, right], left_cost + right_cost)
     }
 }
 
-/// The combined node of children `lo..=hi` with its flows, or `None` when
-/// a child is not linear or the combination is refused. For a pipeline
-/// `carried` is the combination of `lo..=hi-1`.
-fn combine(
-    kind: Container<'_>,
-    children: &[Solved<'_>],
+/// Products at most this large — multiply-adds, estimated as the product
+/// of the factors' nonzeros (for a splitjoin, their sum) — are formed as
+/// the DP prices them, and priced exactly. Small integer coefficients
+/// cancel often, which a shape cannot see, and such products cost little
+/// to form; the products that dominate selection's time (long chains,
+/// wide blocks) are far larger. Above it a range's nonzeros are the
+/// structural ones, an upper bound that cancellation can make too high.
+const SMALL_PRODUCT: usize = 1 << 14;
+
+/// The combined region of children `lo..=hi`, or `None` when a child is
+/// not linear or the combination is refused. For a pipeline `carried` is
+/// the combination of `lo..=hi-1`. `parts` are the children's exact nodes,
+/// for the range's recipe. A small product of formed factors is formed
+/// now; otherwise the factors' shapes combine.
+fn combine<'a>(
+    kind: Container<'a>,
+    children: &[Solved<'a>],
+    parts: &Rc<[Option<Rc<Exact<'a>>>]>,
     lo: usize,
     hi: usize,
-    carried: Option<Whole>,
-) -> Option<Whole> {
-    #[cfg(test)]
-    COMBINATIONS.with(|c| c.set(c.get() + 1));
-    match kind {
+    carried: Option<Whole<'a>>,
+) -> Option<Whole<'a>> {
+    let (factors, inflow, outflow, work): (Vec<&Whole>, f64, f64, usize) = match kind {
         Container::Pipe => {
-            let (first, last) = (carried?, children[hi].whole.as_ref()?);
-            Some(Whole {
-                node: Rc::new(combine_pipeline(&first.node, &last.node).ok()?),
-                inflow: first.inflow,
-                outflow: last.outflow,
-            })
+            let (first, last) = (carried.as_ref()?, children[hi].whole.as_ref()?);
+            let work = first.nnz.saturating_mul(last.nnz);
+            (vec![first, last], first.inflow, last.outflow, work)
         }
-        Container::Split(split, join) => {
+        Container::Split(split, _) => {
             let wholes: Vec<&Whole> = children[lo..=hi]
                 .iter()
                 .map(|c| c.whole.as_ref())
                 .collect::<Option<_>>()?;
-            let nodes: Vec<LinearNode> =
-                wholes.iter().map(|w| LinearNode::clone(&w.node)).collect();
-            let sliced = match split {
-                Splitter::Duplicate => Splitter::Duplicate,
-                Splitter::RoundRobin(v) => Splitter::RoundRobin(v[lo..=hi].to_vec()),
+            let inflow = match split {
+                // Every duplicate branch sees the same stream.
+                Splitter::Duplicate => wholes[0].inflow,
+                Splitter::RoundRobin(_) => wholes.iter().map(|w| w.inflow).sum(),
             };
-            let node = combine_splitjoin(&sliced, &nodes, &join.weights[lo..=hi]).ok()?;
-            Some(Whole {
-                node: Rc::new(node),
-                inflow: match split {
-                    // Every duplicate branch sees the same stream.
-                    Splitter::Duplicate => wholes[0].inflow,
-                    Splitter::RoundRobin(_) => wholes.iter().map(|w| w.inflow).sum(),
-                },
-                outflow: wholes.iter().map(|w| w.outflow).sum(),
-            })
+            let outflow = wholes.iter().map(|w| w.outflow).sum();
+            let work = wholes.iter().map(|w| w.nnz).sum();
+            (wholes, inflow, outflow, work)
+        }
+    };
+    let exact = Exact::new(Recipe::Range {
+        kind,
+        parts: Rc::clone(parts),
+        lo,
+        hi,
+    });
+    let nodes = (work <= SMALL_PRODUCT)
+        .then(|| {
+            (factors.iter())
+                .map(|w| w.exact.node.get().map(|n| &**n))
+                .collect::<Option<Vec<_>>>()
+        })
+        .flatten();
+    Some(match nodes {
+        Some(nodes) => {
+            #[cfg(test)]
+            COMBINATIONS.with(|c| c.set(c.get() + 1));
+            let node = kind.rule(lo, hi, &nodes).ok()?;
+            let _ = exact.node.set(Rc::new(node));
+            Whole::formed(exact, inflow, outflow)
+        }
+        None => {
+            #[cfg(test)]
+            SHAPES.with(|c| c.set(c.get() + 1));
+            let shapes: Vec<&Shape> = factors.iter().map(|w| w.shape()).collect();
+            Whole::shaped(exact, kind.rule(lo, hi, &shapes).ok()?, inflow, outflow)
+        }
+    })
+}
+
+impl Container<'_> {
+    /// The combination rule of children `lo..=hi`, on their exact nodes or
+    /// their shapes: for a pipeline, `factors` are the range so far and
+    /// child `hi`.
+    fn rule<F: Form + Clone>(self, lo: usize, hi: usize, factors: &[&F]) -> Result<F, LinearError> {
+        match self {
+            Container::Pipe => combine_pipeline(factors[0], factors[1]),
+            Container::Split(split, join) => {
+                let factors: Vec<F> = factors.iter().map(|&f| f.clone()).collect();
+                combine_splitjoin(&sliced(split, lo, hi), &factors, &join.weights[lo..=hi])
+            }
         }
     }
 }
@@ -659,33 +894,108 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fm_radio_plans_only_what_it_chooses_and_combines_each_range_once() {
-        let bench = streamlin_benchmarks::fm_radio();
-        let analysis = analyze_graph(bench.graph());
+    /// Runs `select` on a graph, counting the `FreqSpec`s planned, the
+    /// shapes the DP combined and the exact products formed.
+    fn counted_select(g: &Stream) -> (Selection, [usize; 3]) {
+        let analysis = analyze_graph(g);
         crate::frequency::SPECS_BUILT.with(|c| c.set(0));
+        SHAPES.with(|c| c.set(0));
         COMBINATIONS.with(|c| c.set(0));
         let sel = select(
-            bench.graph(),
+            g,
             &analysis,
             &CostModel::default(),
             &SelectOptions::default(),
         )
         .unwrap();
+        let counts = [
+            crate::frequency::SPECS_BUILT.with(|c| c.get()),
+            SHAPES.with(|c| c.get()),
+            COMBINATIONS.with(|c| c.get()),
+        ];
+        (sel, counts)
+    }
+
+    #[test]
+    fn fm_radio_plans_only_what_it_chooses_and_combines_each_range_once() {
+        let bench = streamlin_benchmarks::fm_radio();
+        let (sel, [specs, shapes, products]) = counted_select(bench.graph());
         let freq_chosen = sel.opt.stats().freq;
         assert!(freq_chosen >= 1, "{}", sel.opt.describe());
         assert_eq!(
-            crate::frequency::SPECS_BUILT.with(|c| c.get()),
-            freq_chosen,
+            specs, freq_chosen,
             "a FreqSpec was planned for a region selection did not keep"
         );
-        let formed = COMBINATIONS.with(|c| c.get());
-        assert!(formed > 0);
+        // Every range combines once, as a small product or as shapes; the
+        // kept regions are among the small products.
+        let ranges = range_count(bench.graph());
+        assert!(products > 0);
         assert!(
-            formed <= range_count(bench.graph()),
-            "{formed} combinations for {} child ranges",
-            range_count(bench.graph())
+            shapes + products <= ranges,
+            "{shapes} shapes and {products} products for {ranges} child ranges"
         );
+    }
+
+    #[test]
+    fn a_chain_forms_only_the_products_of_the_region_it_keeps() {
+        let k = 12;
+        let src = format!(
+            "void->void pipeline Main {{ add Src(); add Chain({k}); add Sink(); }}
+             float->float pipeline Chain(int k) {{
+                 for (int i = 0; i < k; i++) add F(256);
+             }}
+             void->float filter Src {{ float x; work push 1 {{ push(x++); }} }}
+             float->float filter F(int N) {{
+                 float[N] h;
+                 init {{ for (int i=0;i<N;i++) h[i] = 1.0 / (i + 1); }}
+                 work peek N pop 1 push 1 {{
+                     float s = 0;
+                     for (int i=0;i<N;i++) s += h[i]*peek(i);
+                     push(s); pop();
+                 }}
+             }}
+             float->void filter Sink {{ work pop 1 {{ println(pop()); }} }}"
+        );
+        let g = elaborate(&streamlin_lang::parse(&src).unwrap()).unwrap();
+        let (sel, [specs, shapes, products]) = counted_select(&g);
+        // The whole chain collapses into one frequency node: its k - 1
+        // products are the only ones formed, where every one of the
+        // k(k-1)/2 ranges used to form one.
+        let st = sel.opt.stats();
+        assert_eq!((st.freq, st.filters), (1, 3), "{}", sel.opt.describe());
+        assert_eq!((specs, products), (1, k - 1));
+        // The DP prices each range from one shape combination: O(k²).
+        assert_eq!(shapes, k * (k - 1) / 2);
+    }
+
+    #[test]
+    fn a_small_product_whose_coefficients_cancel_is_priced_exactly() {
+        // Box filter, difference, box filter: the combined node keeps 4 of
+        // its 48 coefficients. Priced by its shape, all 48 count and the
+        // frequency domain looks cheaper; priced exactly, the direct node
+        // wins, as it did when every range's product was formed.
+        let sel = run_select(
+            "void->void pipeline Main { add Src(); add A(); add D(); add B(); add Snk(); }
+             void->float filter Src { float x; work push 1 { push(x * 0.75 - 0.25); x = x + 1.0; } }
+             float->void filter Snk { work pop 1 { println(pop()); } }
+             float->float filter A { work peek 17 pop 1 push 1 {
+                 float s = 0; for (int k = 0; k < 17; k++) s += 0.125 * peek(k); push(s); pop();
+             } }
+             float->float filter D { work peek 2 pop 1 push 2 {
+                 push(0.25 * peek(0) - 0.25 * peek(1) + 0.5);
+                 push(0.25 * peek(1) - 0.25 * peek(0) + 1.5); pop();
+             } }
+             float->float filter B { work peek 13 pop 1 push 1 {
+                 float s = 0; for (int k = 0; k < 13; k++) s += 0.375 * peek(k); push(s); pop();
+             } }",
+        );
+        let OptStream::Pipeline(stages) = &sel.opt else {
+            panic!("{}", sel.opt.describe())
+        };
+        let OptStream::Linear(node) = &stages[1] else {
+            panic!("{}", sel.opt.describe())
+        };
+        assert_eq!((node.peek(), node.push(), node.nnz_a()), (24, 2, 4));
     }
 
     #[test]

@@ -5,10 +5,12 @@ use streamlin_matrix::{Matrix, Vector};
 use streamlin_support::num::{lcm, lcm_all};
 
 use crate::expand::expand;
-use crate::node::{LinearError, LinearNode, MAX_MATRIX_ELEMS};
+use crate::node::{Form, LinearError, LinearNode, MAX_MATRIX_ELEMS};
 use crate::pipeline::combine_pipeline;
+use crate::shape::Shape;
 
-/// Collapses a splitjoin of linear children into a single linear node.
+/// Collapses a splitjoin of linear children (or of their shapes) into a
+/// single linear node.
 ///
 /// Duplicate splitters use Transformation 3 directly; round-robin splitters
 /// are first rewritten to duplicate splitters by composing each child with
@@ -52,11 +54,11 @@ use crate::pipeline::combine_pipeline;
 /// assert_eq!(c.a().row(1), &[0., 5., 6., 9., 7., 8.]);
 /// assert_eq!(c.b().as_slice(), &[10., 0., 0., 10., 0., 0.]);
 /// ```
-pub fn combine_splitjoin(
+pub fn combine_splitjoin<F: Form>(
     split: &Splitter,
-    children: &[LinearNode],
+    children: &[F],
     join_weights: &[usize],
-) -> Result<LinearNode, LinearError> {
+) -> Result<F, LinearError> {
     match split {
         Splitter::Duplicate => combine_duplicate(children, join_weights),
         Splitter::RoundRobin(v) => {
@@ -67,10 +69,10 @@ pub fn combine_splitjoin(
 }
 
 /// Transformation 3: collapses a duplicate splitjoin.
-pub fn combine_duplicate(
-    children: &[LinearNode],
+pub fn combine_duplicate<F: Form>(
+    children: &[F],
     join_weights: &[usize],
-) -> Result<LinearNode, LinearError> {
+) -> Result<F, LinearError> {
     let n = children.len();
     if n == 0 {
         return Err(LinearError::NotCombinable(
@@ -139,23 +141,52 @@ pub fn combine_duplicate(
         });
     }
 
-    let mut rows = Matrix::zeros(push2, max_peek);
-    let mut offsets = Vector::zeros(push2);
+    let mut expanded = Vec::with_capacity(n);
+    let mut order = vec![(0, 0); push2];
     let mut w_sum = 0usize;
     for (k, child) in children.iter().enumerate() {
-        let expanded = expand(child, max_peek, pops[k], child.push() * reps[k])?;
+        expanded.push(expand(child, max_peek, pops[k], child.push() * reps[k])?);
         let w_k = join_weights[k];
         let u_k_tot = child.push() * reps[k]; // == w_k * join_rep
         for q in 0..u_k_tot {
             // The q-th item pushed by the expanded child lands at output
             // position (q / w_k)·wTot + wSum_k + (q mod w_k).
-            let loc = (q / w_k) * w_tot + w_sum + (q % w_k);
-            rows.row_mut(loc).copy_from_slice(expanded.row(q));
-            offsets[loc] = expanded.offset(q);
+            order[(q / w_k) * w_tot + w_sum + (q % w_k)] = (k, q);
         }
         w_sum += w_k;
     }
-    Ok(LinearNode::from_rows(rows, offsets, pop))
+    Ok(F::gather(&expanded, &order, max_peek, pop))
+}
+
+/// The joined rows: output `r` is row `q` of `parts[k]` for
+/// `(k, q) = order[r]`.
+pub(crate) fn gather(
+    parts: &[LinearNode],
+    order: &[(usize, usize)],
+    peek: usize,
+    pop: usize,
+) -> LinearNode {
+    let mut rows = Matrix::zeros(order.len(), peek);
+    let mut offsets = Vector::zeros(order.len());
+    for (r, &(k, q)) in order.iter().enumerate() {
+        rows.row_mut(r).copy_from_slice(parts[k].row(q));
+        offsets[r] = parts[k].offset(q);
+    }
+    LinearNode::from_rows(rows, offsets, pop)
+}
+
+/// [`gather`] on shapes.
+pub(crate) fn gather_shape(
+    parts: &[Shape],
+    order: &[(usize, usize)],
+    peek: usize,
+    pop: usize,
+) -> Shape {
+    let mut out = Shape::new(peek, pop);
+    for &(k, q) in order {
+        out.push_shifted(parts[k].row(q), 0, parts[k].offset(q));
+    }
+    out
 }
 
 /// Transformation 4: rewrites the children of a round-robin splitjoin so a
@@ -167,10 +198,10 @@ pub fn combine_duplicate(
 ///
 /// Fails if any splitter weight is zero or a pipeline combination with the
 /// decimator fails.
-pub fn rr_to_duplicate(
-    children: &[LinearNode],
+pub fn rr_to_duplicate<F: Form>(
+    children: &[F],
     split_weights: &[usize],
-) -> Result<Vec<LinearNode>, LinearError> {
+) -> Result<Vec<F>, LinearError> {
     if split_weights.len() != children.len() {
         return Err(LinearError::NotCombinable(format!(
             "{} children but {} splitter weights",
@@ -188,23 +219,38 @@ pub fn rr_to_duplicate(
                 "splitter weight of child {k} is zero"
             )));
         }
-        let decimator = LinearNode::from_coeffs(
-            v_tot,
-            v_tot,
-            v_k,
-            |peek_idx, out_idx| {
-                if peek_idx == v_sum + out_idx {
-                    1.0
-                } else {
-                    0.0
-                }
-            },
-            &vec![0.0; v_k],
-        );
+        let decimator = F::decimator(v_tot, v_sum, v_k);
         out.push(combine_pipeline(&decimator, child)?);
         v_sum += v_k;
     }
     Ok(out)
+}
+
+/// The `v_tot × v_k` selection matrix keeping items `first..first + v_k`
+/// of every `v_tot`.
+pub(crate) fn decimator(v_tot: usize, first: usize, v_k: usize) -> LinearNode {
+    LinearNode::from_coeffs(
+        v_tot,
+        v_tot,
+        v_k,
+        |peek_idx, out_idx| {
+            if peek_idx == first + out_idx {
+                1.0
+            } else {
+                0.0
+            }
+        },
+        &vec![0.0; v_k],
+    )
+}
+
+/// [`decimator`] as a shape.
+pub(crate) fn decimator_shape(v_tot: usize, first: usize, v_k: usize) -> Shape {
+    let mut out = Shape::new(v_tot, v_tot);
+    for j in 0..v_k {
+        out.push_shifted(&[(first + j, first + j + 1)], 0, false);
+    }
+    out
 }
 
 #[cfg(test)]

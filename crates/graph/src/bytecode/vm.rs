@@ -353,6 +353,21 @@ fn dot_read<H: Host>(src: &DotSrc<'_>, k: i64, host: &mut H) -> Result<f64, Eval
     }
 }
 
+/// The `n` reads a tape operand makes from counter `lo` on, as a slice of
+/// `tape` and a stride (1 for `peek(k)`, 0 for a fixed `peek(j)`), when
+/// every one is inside it. `None` for an array operand.
+fn on_tape<'t>(src: &DotSrc<'_>, lo: i64, n: u64, tape: &'t [f64]) -> Option<(&'t [f64], usize)> {
+    let n = usize::try_from(n).ok()?;
+    match *src {
+        DotSrc::Arr(_) => None,
+        DotSrc::PeekIv => tape
+            .get(usize::try_from(lo).ok()?..)?
+            .get(..n)
+            .map(|s| (s, 1)),
+        DotSrc::PeekAt(j) => tape.get(j..=j).map(|s| (s, 0)),
+    }
+}
+
 /// Runs a fused dot-product loop. `Ok(Some(fuel))` means it ran to
 /// completion (counter and accumulator written, fuel charged exactly as
 /// the typed loop would); `Ok(None)` means an entry check failed and
@@ -385,6 +400,23 @@ fn run_dot<H: Host>(
         return Ok(None);
     }
     let mut acc = f[spec.acc as usize];
+    // Both operands on the host's tape and every read inside it: sweep the
+    // slice. The terms are summed and counted as the loop below does them.
+    if let Some((xs, ys)) = host
+        .tape()
+        .and_then(|t| Some((on_tape(&a, lo, n, t)?, on_tape(&b, lo, n, t)?)))
+    {
+        for t in 0..n as usize {
+            acc += xs.0[t * xs.1] * ys.0[t * ys.1];
+        }
+        for _ in 0..n {
+            host.count_mul();
+            host.count_add();
+        }
+        f[spec.acc as usize] = acc;
+        i[spec.iv as usize] = lo + n as i64;
+        return Ok(Some(fuel - need));
+    }
     let mut k = lo;
     let end = loop {
         if k >= hi {

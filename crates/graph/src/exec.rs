@@ -23,6 +23,12 @@ pub trait Host {
     fn push(&mut self, v: f64) -> Result<(), EvalError>;
     /// `print(v)` / `println(v)`.
     fn print(&mut self, v: Value, newline: bool) -> Result<(), EvalError>;
+    /// The items `peek` can read, when they are one slice: `peek(i)` is
+    /// `tape()[i]` for every `i` inside it. `None` (the default) sends
+    /// every read through [`Host::peek`].
+    fn tape(&self) -> Option<&[f64]> {
+        None
+    }
     /// A float add/sub was executed.
     fn count_add(&mut self) {}
     /// A float multiply was executed.

@@ -468,6 +468,10 @@ impl<T: Tally, const CERT: bool> Host for WindowHost<'_, T, CERT> {
         Ok(())
     }
     #[inline]
+    fn tape(&self) -> Option<&[f64]> {
+        self.window.get(self.cursor..)
+    }
+    #[inline]
     fn count_add(&mut self) {
         self.ops.add(0.0, 0.0);
     }

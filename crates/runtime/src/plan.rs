@@ -527,8 +527,8 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
     // a graph with a loop derives it demand-driven (see [`Sim::prime`]).
     // The steady cycle is linearised twice. The *stepped* order is
     // demand-driven: sinks are pulled one firing at a time, each pull
-    // recursively firing producers in the largest batch that covers the
-    // remaining demand (one firing at a time on a loop) — the fine
+    // firing producers in the largest batch that covers the remaining
+    // demand (one firing at a time on a loop) — the fine
     // interleaving the data-driven engine discovers at run time. It is the
     // stop rule: a run ends at the firing of this order that crosses the
     // requested output count, never a whole cycle past it (frequency-heavy
@@ -549,6 +549,12 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
         frames: Vec::new(),
         budget: vec![0; n],
         seq: Vec::new(),
+        replays: !flat.initial.is_empty(),
+        log: Vec::new(),
+        logged: 0,
+        delta: vec![0; flat.num_channels],
+        peak: vec![None; flat.num_channels],
+        fires: vec![0; n],
     };
     if flat.initial.is_empty() {
         // Init repetition counts, consumers before producers: every node
@@ -600,11 +606,12 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
     if sinks.is_empty() {
         return Err(PlanError::Unschedulable("graph has no sink".into()));
     }
+    let mut again = None;
     loop {
         let mut any = false;
         for &s in &sinks {
             if sim.budget[s] > 0 {
-                sim.pull(s, 1)?;
+                sim.pull(s, 1, &mut again)?;
                 any = true;
             }
         }
@@ -618,7 +625,7 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
     for &i in &topo {
         while sim.budget[i] > 0 {
             let k = if sim.on_loop[i] { 1 } else { sim.budget[i] };
-            sim.pull(i, k)?;
+            sim.pull(i, k, &mut again)?;
         }
     }
     if let Some(i) = (0..n).find(|&i| sim.budget[i] > 0) {
@@ -665,16 +672,16 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
         sim.seq.clear();
         sim.max_occ = stepped_occ;
     }
-    let cycle = std::mem::take(&mut sim.seq);
+    let cycle = steps(std::mem::take(&mut sim.seq));
     let passes = match prints_per_cycle {
         Some(prints) if whole => sim.passes(&cycle, prints, total),
         _ => 1,
     };
     Ok(ExecPlan {
-        init: init.into(),
-        steady: steady.into(),
+        init: steps(init),
+        steady: steps(steady),
         repeats: repeats.into(),
-        cycle: cycle.into(),
+        cycle,
         prints_per_cycle,
         passes,
         caps: sim.max_occ.into_iter().map(|v| v as usize).collect(),
@@ -682,22 +689,33 @@ pub fn compile(flat: &FlatGraph) -> Result<ExecPlan, PlanError> {
     })
 }
 
+/// The recorded `(node, times)` pairs as [`Step`]s.
+fn steps(seq: Vec<(u32, u32)>) -> Arc<[Step]> {
+    let step = |(node, times): (u32, u32)| Step {
+        node: node as usize,
+        times,
+    };
+    seq.into_iter().map(step).collect()
+}
+
 /// Folds every run of identical consecutive blocks of `steps` (of the
 /// shortest length, at most 32 steps, that repeats there) into one block
 /// and a [`Repeat`]; unrolling the repeats gives `steps` back.
-fn fold_repeats(steps: Vec<Step>) -> (Vec<Step>, Vec<Repeat>) {
+fn fold_repeats<T: Copy + PartialEq>(steps: Vec<T>) -> (Vec<T>, Vec<Repeat>) {
     let (mut kept, mut repeats) = (Vec::new(), Vec::new());
     let mut rest = &steps[..];
     while !rest.is_empty() {
         let copies = |len| {
-            rest.chunks_exact(len)
-                .take_while(|c| *c == &rest[..len])
+            let block = &rest[..len];
+            1 + rest[len..]
+                .chunks_exact(len)
+                .take_while(|c| *c == block)
                 .count()
         };
-        let len = (1..=32.min(rest.len()))
-            .find(|&len| copies(len) > 1)
-            .unwrap_or(1);
-        let times = copies(len);
+        let (len, times) = (1..=32.min(rest.len()))
+            .map(|len| (len, copies(len)))
+            .find(|&(_, times)| times > 1)
+            .unwrap_or((1, 1));
         if times > 1 {
             let (start, times) = (kept.len(), times as u32);
             repeats.push(Repeat { start, len, times });
@@ -734,8 +752,32 @@ fn on_loops(flat: &FlatGraph, endpoints: &[Endpoints], back: &[bool]) -> Vec<boo
     on
 }
 
+/// Bound on the pulls in progress at once (the simulator's stack depth).
+const DEPTH_LIMIT: usize = 100_000;
+/// Events a block may hold and still be replayed.
+const BLOCK_LIMIT: usize = 256;
+
 /// Symbolic executor used by [`compile`]: tracks occupancies, firing
 /// budgets and high-water marks while recording the firing sequence.
+///
+/// A pull is demand-driven: the pulled node waits until each input holds
+/// what its batch needs, pulling producers in turn, then fires. The pulls
+/// in progress are an explicit stack (`frames`), so how deep demand runs
+/// is bounded by [`DEPTH_LIMIT`], not by the thread's stack.
+///
+/// In a graph with a feedback loop, whose nodes fire one at a time, a
+/// pull's every decision — comparisons of channel levels with needs, and
+/// budgets — is logged with the firings it led to.
+/// When a node pulls the same producer again — or the top level the same
+/// node — the simulator holds the last pull's block of events against
+/// the state it is in now: a channel the block moves by a net `Δ` reads `Δ`
+/// higher at each repetition, so each logged comparison stays true for a
+/// computable number of repetitions. That many are appended as they are,
+/// with their net occupancy, budget and high-water changes applied at once;
+/// the first repetition some comparison would decide differently runs as
+/// an ordinary pull. A repeated pull of a deterministic schedule is the
+/// same function of the same state, so the firing sequence, capacities and
+/// errors are exactly the unreplayed ones.
 struct Sim<'a> {
     flat: &'a FlatGraph,
     rates: &'a [Rates],
@@ -753,11 +795,94 @@ struct Sim<'a> {
     /// Per node: waiting for its inputs, so a demand reaching it again has
     /// gone around a loop.
     active: Vec<bool>,
-    /// The pulls in progress, innermost last: `(node, input channel,
-    /// items needed there)`.
-    frames: Vec<(usize, usize, u64)>,
+    /// The pulls in progress, innermost last.
+    frames: Vec<Frame>,
     budget: Vec<u64>,
-    seq: Vec<Step>,
+    /// The firings recorded so far, as `(node, times)`: a [`Step`] in half
+    /// its bytes. A loop's stepped order runs to tens of thousands of steps
+    /// before it is folded (DToA: 85 927), and held as `Step`s it raised
+    /// `daemon_churn`'s peak RSS by 3 % (x86-64 Linux, glibc). Every node
+    /// fires in a cycle, so [`FIRINGS_LIMIT`] bounds the node count far
+    /// below `u32::MAX`.
+    seq: Vec<(u32, u32)>,
+    /// Whether pulls are logged and replayed: in a graph with a feedback
+    /// loop, whose nodes a pull fires one at a time. Elsewhere a pull fires
+    /// each producer in the batch that covers its deficit, so pulls seldom
+    /// repeat, and logging them costs more than replaying saves.
+    replays: bool,
+    /// The latest events, `log[0]` being event number `logged`: at least
+    /// the last [`BLOCK_LIMIT`], unless a replay cleared them.
+    log: Vec<Event>,
+    logged: usize,
+    /// Scratch for [`Sim::replay`], all zero between calls: net change
+    /// per channel and per node firings over a block, and the channels'
+    /// highest level after a push relative to the block's start.
+    delta: Vec<i64>,
+    peak: Vec<Option<i64>>,
+    fires: Vec<u64>,
+}
+
+/// A pull in progress: `node` is waiting until input `slot` holds what
+/// `need` asks of it, slot by slot.
+#[derive(Clone, Copy)]
+struct Frame {
+    node: usize,
+    slot: usize,
+    need: Need,
+    /// Where, in events, the pull this frame is waiting on began.
+    began: usize,
+    /// The events of the pull this frame just finished, which its next
+    /// pull may repeat.
+    again: Option<Block>,
+}
+
+/// What a frame asks of its inputs.
+#[derive(Clone, Copy)]
+enum Need {
+    /// Enough for a batch of `k` firings (`first`: the first of them is
+    /// the node's first), which follows.
+    Batch { k: u64, first: bool },
+    /// Its lookahead slack, `peek − pop` (the init phase of a loop).
+    Slack,
+}
+
+impl Need {
+    fn on(self, rates: &Rates, s: usize) -> u64 {
+        match self {
+            Need::Batch { k, first } => batch_need(rates, first, k, s),
+            Need::Slack => rates.steady.in_peek[s] - rates.steady.in_pop[s],
+        }
+    }
+}
+
+/// Event numbers `start..end`.
+type Block = (usize, usize);
+
+/// What the simulator logs: each comparison a pull is decided on, and each
+/// firing.
+#[derive(Clone, Copy)]
+enum Event {
+    /// `chan` held `level` where `need` was wanted, which `pulled` its
+    /// producer, or not.
+    Decide {
+        chan: usize,
+        level: u64,
+        need: u64,
+        pulled: Pulled,
+    },
+    /// `node` fired `k` times; `first`: the first was its first.
+    Fire { node: usize, k: u64, first: bool },
+}
+
+#[derive(Clone, Copy)]
+enum Pulled {
+    /// The level sufficed.
+    No,
+    /// One firing of a producer on a loop, whatever the deficit.
+    One,
+    /// `times` firings of a producer pushing `push` a firing: as many as
+    /// cover the deficit.
+    Cover { times: u64, push: u64 },
 }
 
 impl Sim<'_> {
@@ -769,13 +894,12 @@ impl Sim<'_> {
     /// them all, and how often each node fires falls out of the demand.
     fn prime(&mut self, topo: &[usize]) -> Result<(), PlanError> {
         self.budget.fill(u64::MAX);
-        let rates = self.rates;
         for &q in topo.iter().rev() {
-            if rates[q].has_distinct_first() && !self.fired[q] {
-                self.pull(q, 1)?;
+            if self.rates[q].has_distinct_first() && !self.fired[q] {
+                self.pull(q, 1, &mut None)?;
             }
-            let steady = &rates[q].steady;
-            self.supply(q, |s| steady.in_peek[s] - steady.in_pop[s])?;
+            self.push_frame(q, Need::Slack);
+            self.drive()?;
         }
         Ok(())
     }
@@ -814,7 +938,7 @@ impl Sim<'_> {
     }
 
     /// Fires node `i` exactly `k` consecutive times, assuming its inputs
-    /// are already buffered (the init phase, and the leaf of a pull).
+    /// are already buffered (the init phase, and the end of a pull).
     fn fire_batch(&mut self, i: usize, k: u64) -> Result<(), PlanError> {
         let first = !self.fired[i];
         let node = &self.flat.nodes[i];
@@ -846,70 +970,357 @@ impl Sim<'_> {
         }
         self.budget[i] -= k;
         self.fired[i] = true;
-        match self.seq.last_mut() {
-            Some(last) if last.node == i && (last.times as u64 + k) <= u32::MAX as u64 => {
-                last.times += k as u32;
-            }
-            _ => self.seq.push(Step {
-                node: i,
-                times: k as u32,
-            }),
-        }
+        self.record(i, k);
+        self.log(Event::Fire { node: i, k, first });
         Ok(())
     }
 
-    /// Fires node `i` in a batch of `k`, first recursively pulling every
-    /// producer whose channel lacks the items the batch needs.
-    fn pull(&mut self, i: usize, k: u64) -> Result<(), PlanError> {
-        if self.active[i] {
-            // The demand went around a loop and back to `i`, still waiting
-            // for its inputs: the innermost back edge on the way ran dry.
-            let dry = self.frames.iter().rev().find(|&&(_, c, _)| self.back[c]);
-            let &(joiner, c, need) = dry.expect("a cycle has a back edge");
-            let has = self.flat.initial.iter().find(|(b, _)| *b == c);
-            let has = has.map_or(0, |(_, items)| items.len() as u64);
-            let (at, needs) = (&self.flat.nodes[joiner].name, has + need - self.occ[c]);
-            let why =
-                format!("at `{at}` (node {joiner}) needs {needs} enqueued item(s), has {has}");
-            return Err(PlanError::Shortfall(why));
+    /// Appends `k` firings of node `i` to the sequence.
+    fn record(&mut self, i: usize, k: u64) {
+        match self.seq.last_mut() {
+            Some((node, times))
+                if *node as usize == i && (*times as u64 + k) <= u32::MAX as u64 =>
+            {
+                *times += k as u32;
+            }
+            _ => self.seq.push((i as u32, k as u32)),
         }
-        if self.frames.len() > 100_000 {
+    }
+
+    /// Fires node `i` in a batch of `k` from the top level, first pulling
+    /// every producer whose channel lacks the items the batch needs.
+    /// `again` holds the block of the top-level pull just before: when it
+    /// was this same pull, its repetitions are replayed first, and the
+    /// pull itself runs only if `i` has budget left.
+    fn pull(
+        &mut self,
+        i: usize,
+        k: u64,
+        again: &mut Option<(usize, u64, Block)>,
+    ) -> Result<(), PlanError> {
+        if let Some((_, _, block)) = again.take().filter(|a| (a.0, a.1) == (i, k)) {
+            if self.replay(block) && self.budget[i] == 0 {
+                return Ok(());
+            }
+        }
+        let began = self.events();
+        self.enter(i, k)?;
+        self.drive()?;
+        *again = self.block_from(began).map(|block| (i, k, block));
+        Ok(())
+    }
+
+    /// Starts a pull of node `i` for a batch of `k`.
+    fn enter(&mut self, i: usize, k: u64) -> Result<(), PlanError> {
+        if self.active[i] {
+            return Err(self.shortfall());
+        }
+        if self.frames.len() > DEPTH_LIMIT {
             return Err(PlanError::TooLarge("pull recursion too deep".into()));
         }
-        let (rates, first) = (self.rates, !self.fired[i]);
-        self.supply(i, |s| batch_need(&rates[i], first, k, s))?;
-        self.fire_batch(i, k)
+        let first = !self.fired[i];
+        self.push_frame(i, Need::Batch { k, first });
+        Ok(())
     }
 
-    /// Pulls producers until every input slot `s` of node `i` holds
-    /// `need(s)` items; meanwhile `i` is active, so it cannot fire and
-    /// what it needs stays put.
-    fn supply(&mut self, i: usize, need: impl Fn(usize) -> u64) -> Result<(), PlanError> {
+    /// A demand went around a loop and back to a node still waiting for its
+    /// inputs: the innermost back edge on the way ran dry.
+    fn shortfall(&self) -> PlanError {
+        let dry = self.frames.iter().rev().find_map(|f| {
+            let c = self.flat.nodes[f.node].inputs[f.slot];
+            self.back[c].then_some((f.node, c, f.need.on(&self.rates[f.node], f.slot)))
+        });
+        let (joiner, c, need) = dry.expect("a cycle has a back edge");
+        let has = self.flat.initial.iter().find(|(b, _)| *b == c);
+        let has = has.map_or(0, |(_, items)| items.len() as u64);
+        let (at, needs) = (&self.flat.nodes[joiner].name, has + need - self.occ[c]);
+        let why = format!("at `{at}` (node {joiner}) needs {needs} enqueued item(s), has {has}");
+        PlanError::Shortfall(why)
+    }
+
+    /// Makes node `i` wait for its inputs, from its first.
+    fn push_frame(&mut self, i: usize, need: Need) {
         self.active[i] = true;
-        for s in 0..self.flat.nodes[i].inputs.len() {
-            let (c, need) = (self.flat.nodes[i].inputs[s], need(s));
-            // The loop is bounded because every pull raises the channel's
-            // occupancy (or spends a producer's first firing).
-            while self.occ[c] < need {
-                let deficit = need - self.occ[c];
-                let (p, ps) = self.prod[c].expect("validated above");
-                let t = match self.on_loop[p] {
-                    true => Some(1),
-                    false => fires_to_cover(&self.rates[p], self.fired[p], ps, deficit),
-                };
-                let t = t.ok_or_else(|| {
-                    PlanError::Unschedulable(format!(
-                        "node {} cannot supply {}",
-                        self.flat.nodes[p].name, self.flat.nodes[i].name
-                    ))
-                })?;
-                self.frames.push((i, c, need));
-                self.pull(p, t)?;
+        self.frames.push(Frame {
+            node: i,
+            slot: 0,
+            need,
+            began: 0,
+            again: None,
+        });
+    }
+
+    /// Runs the pulls on the stack to completion. The top frame either
+    /// has every input supplied — it fires, and its parent may repeat the
+    /// block that took — or replays its last pull's repetitions, or finds
+    /// its current input short and pulls the producer, in the largest
+    /// batch that covers the deficit (one firing on a loop). While a node
+    /// waits it is active, so it cannot fire, and what it needs stays put;
+    /// every pull raises the channel's occupancy (or spends a producer's
+    /// first firing), so the stack empties.
+    fn drive(&mut self) -> Result<(), PlanError> {
+        while let Some(top) = self.frames.len().checked_sub(1) {
+            let Frame {
+                node: i,
+                slot: s,
+                need,
+                ..
+            } = self.frames[top];
+            let Some(&c) = self.flat.nodes[i].inputs.get(s) else {
                 self.frames.pop();
+                self.active[i] = false;
+                if let Need::Batch { k, .. } = need {
+                    self.fire_batch(i, k)?;
+                }
+                if let (true, Some(parent)) = (self.replays, self.frames.last()) {
+                    let block = self.block_from(parent.began);
+                    self.frames[top - 1].again = block;
+                }
+                continue;
+            };
+            if let Some(block) = self.frames[top].again.take() {
+                if self.replay(block) {
+                    continue;
+                }
+            }
+            let (level, want) = (self.occ[c], need.on(&self.rates[i], s));
+            if level >= want {
+                let pulled = Pulled::No;
+                self.log(Event::Decide {
+                    chan: c,
+                    level,
+                    need: want,
+                    pulled,
+                });
+                self.frames[top].slot = s + 1;
+                continue;
+            }
+            let (p, ps) = self.prod[c].expect("validated above");
+            let (t, pulled) = match self.on_loop[p] {
+                true => (1, Pulled::One),
+                false => {
+                    let t = fires_to_cover(&self.rates[p], self.fired[p], ps, want - level);
+                    let t = t.ok_or_else(|| {
+                        PlanError::Unschedulable(format!(
+                            "node {} cannot supply {}",
+                            self.flat.nodes[p].name, self.flat.nodes[i].name
+                        ))
+                    })?;
+                    let push = self.rates[p].steady.out_push[ps];
+                    (t, Pulled::Cover { times: t, push })
+                }
+            };
+            self.frames[top].began = self.events();
+            self.log(Event::Decide {
+                chan: c,
+                level,
+                need: want,
+                pulled,
+            });
+            self.enter(p, t)?;
+        }
+        Ok(())
+    }
+
+    /// Events logged so far.
+    fn events(&self) -> usize {
+        self.logged + self.log.len()
+    }
+
+    fn log(&mut self, event: Event) {
+        if !self.replays {
+            return;
+        }
+        if self.log.len() == 2 * BLOCK_LIMIT {
+            self.log.drain(..BLOCK_LIMIT);
+            self.logged += BLOCK_LIMIT;
+        }
+        self.log.push(event);
+    }
+
+    /// The events since `began`, if all are still logged and few enough to
+    /// replay.
+    fn block_from(&self, began: usize) -> Option<Block> {
+        let end = self.events();
+        (self.replays && began >= self.logged && end - began <= BLOCK_LIMIT).then_some((began, end))
+    }
+
+    /// Replays `block` as many more times as it would run as it did from
+    /// the current state — every comparison in it decided alike, every
+    /// node in it with the budget, no channel past its cap — and says
+    /// whether it ran at all (never, if it fired a node's distinct first
+    /// phase). The events logged before are dropped: a block that holds a
+    /// replay is too long to replay.
+    fn replay(&mut self, (start, end): Block) -> bool {
+        #[cfg(test)]
+        if tests::NO_REPLAY.with(|c| c.get()) {
+            return false;
+        }
+        let log = std::mem::take(&mut self.log);
+        let block = &log[start - self.logged..end - self.logged];
+        // A block opens with a comparison on the current state, the one a
+        // repetition most often decides differently.
+        let opens = match block[0] {
+            Event::Decide {
+                chan, need, pulled, ..
+            } => pulled.holds(need, self.occ[chan].into()),
+            Event::Fire { .. } => true,
+        };
+        let times = if opens { self.repetitions(block) } else { 0 };
+        if times > 0 {
+            self.append(block, times);
+        }
+        if opens {
+            self.apply(block, times);
+        }
+        self.log = log;
+        if times > 0 {
+            self.logged += self.log.len();
+            self.log.clear();
+        }
+        times > 0
+    }
+
+    /// How many repetitions of `block` would run as it did, leaving its
+    /// net change per channel, firings per node and each channel's
+    /// highest level after a push (from the block's start) in the
+    /// scratch.
+    fn repetitions(&mut self, block: &[Event]) -> u64 {
+        let mut times = u64::MAX;
+        for &event in block {
+            let Event::Fire { node, k, first } = event else {
+                continue;
+            };
+            if first && self.rates[node].has_distinct_first() {
+                times = 0;
+            }
+            let (n, rates) = (&self.flat.nodes[node], &self.rates[node]);
+            self.fires[node] += k;
+            for (s, &c) in n.inputs.iter().enumerate() {
+                self.delta[c] -= batch_pop(rates, false, k, s) as i64;
+            }
+            for (s, &c) in n.outputs.iter().enumerate() {
+                self.delta[c] += batch_push(rates, false, k, s) as i64;
+                self.peak[c] = Some(self.peak[c].map_or(self.delta[c], |p| p.max(self.delta[c])));
             }
         }
-        self.active[i] = false;
-        Ok(())
+        // Repetition `j` (the logged run is 0) reads `level + j·Δ` where
+        // the logged run read `level`: the comparison is decided alike
+        // while that stays in its range.
+        let most = |room: i128, step: i128| u64::try_from((room / step).max(0)).unwrap_or(u64::MAX);
+        for &event in block {
+            match event {
+                Event::Decide {
+                    chan,
+                    level,
+                    need,
+                    pulled,
+                } => {
+                    let (lo, hi) = pulled.range(need);
+                    let level = i128::from(level);
+                    times = times.min(match i128::from(self.delta[chan]) {
+                        0 => u64::MAX,
+                        d if d > 0 => most(hi.saturating_sub(level + 1), d),
+                        d => most(level.saturating_sub(lo), -d),
+                    });
+                }
+                Event::Fire { node, .. } => {
+                    times = times.min(self.budget[node] / self.fires[node]);
+                    for &c in &self.flat.nodes[node].outputs {
+                        // Repetition `j`'s high-water mark is `peak + (j−1)·Δ`
+                        // above the current level.
+                        let peak = self.peak[c].expect("a push sets a peak");
+                        let room =
+                            i128::from(CAP_LIMIT) - i128::from(self.occ[c]) - i128::from(peak);
+                        times = times.min(match self.delta[c] {
+                            _ if room < 0 => 0,
+                            d if d > 0 => most(room, d.into()).saturating_add(1),
+                            _ => u64::MAX,
+                        });
+                    }
+                }
+            }
+        }
+        times
+    }
+
+    /// Appends `times` repetitions of `block`'s firings to the sequence.
+    fn append(&mut self, block: &[Event], times: u64) {
+        let fired = || {
+            block.iter().filter_map(|&event| match event {
+                Event::Fire { node, k, .. } => Some((node, k)),
+                Event::Decide { .. } => None,
+            })
+        };
+        let (first, last) = (fired().next(), fired().next_back());
+        let from = self.seq.len();
+        for (node, k) in fired() {
+            self.record(node, k);
+        }
+        match (first, last) {
+            // A repetition cannot merge into the one before: each appends
+            // the steps the first did.
+            (Some((a, _)), Some((b, _))) if a != b => {
+                let (len, mut have) = (self.seq.len() - from, 1);
+                while have < times {
+                    let more = have.min(times - have);
+                    self.seq
+                        .extend_from_within(from..from + more as usize * len);
+                    have += more;
+                }
+            }
+            _ => {
+                for _ in 1..times {
+                    for (node, k) in fired() {
+                        self.record(node, k);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Applies `times` repetitions of `block` to occupancies, high-water
+    /// marks and budgets, and clears the scratch [`Sim::repetitions`]
+    /// left.
+    fn apply(&mut self, block: &[Event], times: u64) {
+        for &event in block {
+            let Event::Fire { node, .. } = event else {
+                continue;
+            };
+            self.budget[node] -= times * std::mem::take(&mut self.fires[node]);
+            let n = &self.flat.nodes[node];
+            for &c in n.inputs.iter().chain(&n.outputs) {
+                let delta = i128::from(std::mem::take(&mut self.delta[c]));
+                let (start, times) = (i128::from(self.occ[c]), i128::from(times));
+                self.occ[c] = (start + times * delta) as u64;
+                if let Some(peak) = self.peak[c].take().filter(|_| times > 0) {
+                    let top = start + i128::from(peak) + delta.max(0) * (times - 1);
+                    self.max_occ[c] = self.max_occ[c].max(top as u64);
+                }
+            }
+        }
+    }
+}
+
+impl Pulled {
+    /// The levels at which a comparison with `need` is decided like this.
+    fn range(self, need: u64) -> (i128, i128) {
+        let need = i128::from(need);
+        match self {
+            Pulled::No => (need, i128::MAX),
+            Pulled::One => (i128::MIN, need),
+            // `times` firings cover a deficit in `(times−1)·push + 1 ..=
+            // times·push`.
+            Pulled::Cover { times, push } => {
+                let (t, u) = (i128::from(times), i128::from(push));
+                (need - t * u, need - (t - 1) * u)
+            }
+        }
+    }
+
+    fn holds(self, need: u64, level: i128) -> bool {
+        let (lo, hi) = self.range(need);
+        (lo..hi).contains(&level)
     }
 }
 
@@ -1408,6 +1819,12 @@ pub(crate) fn exec_batch<T: Tally>(
 mod tests {
     use super::*;
     use crate::flat::flatten;
+
+    thread_local! {
+        /// Plans every pull of this thread's compiles: no block is
+        /// replayed.
+        pub(super) static NO_REPLAY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
     use crate::linear_exec::MatMulStrategy;
     use streamlin_core::opt::OptStream;
 
@@ -1869,6 +2286,139 @@ mod tests {
         e.run_until_outputs(2).unwrap();
         assert_eq!(e.printed(), &[0.0, 4093.0]);
         assert_eq!(e.cycles(), [0, 1]);
+    }
+
+    /// Compiles `flat` twice: replaying repeated pulls, and pulling every
+    /// time.
+    fn compile_both(flat: &FlatGraph) -> [Result<ExecPlan, PlanError>; 2] {
+        let replayed = compile(flat);
+        NO_REPLAY.with(|c| c.set(true));
+        let pulled = compile(flat);
+        NO_REPLAY.with(|c| c.set(false));
+        [replayed, pulled]
+    }
+
+    #[test]
+    fn replaying_a_repeated_pull_plans_what_pulling_it_again_does() {
+        let mut graphs = Vec::new();
+        for bench in streamlin_benchmarks::all_default() {
+            let analysis = streamlin_core::analyze_graph(bench.graph());
+            for config in streamlin_core::Config::ALL {
+                let opt = config.apply(bench.graph(), &analysis).unwrap();
+                graphs.push((bench.name().to_string(), config.label(), opt));
+            }
+        }
+        for (name, config, opt) in &graphs {
+            let flat = flatten(opt, MatMulStrategy::Unrolled).unwrap();
+            let [replayed, pulled] = compile_both(&flat);
+            assert_eq!(replayed, pulled, "{name} under {config}");
+        }
+        // Loops that circulate, batch below themselves, peek past their
+        // items, and run short of them.
+        let peeks = "work peek 8 pop 1 push 1 { push(peek(7) - peek(0)); pop(); }";
+        let pops = "work pop 4 push 1 { push(pop() - pop() + pop() * pop()); }";
+        let lookahead = "work peek 3 pop 2 push 1 { push(pop() + pop() + peek(0)); }";
+        for (body, enqueue, tail) in [
+            (ADDER, "enqueue 0;", COPY),
+            (ADDER, "enqueue 0;", peeks),
+            (ADDER, "enqueue 0;", pops),
+            (ADDER, "enqueue 0; enqueue 1; enqueue 2;", pops),
+            (ADDER, "", COPY),
+            (lookahead, "enqueue 0;", COPY),
+            (lookahead, "enqueue 0; enqueue 0.5;", peeks),
+        ] {
+            let [replayed, pulled] = compile_both(&flat_for(&looped(body, enqueue, tail)));
+            assert_eq!(replayed, pulled, "{body} / {enqueue} / {tail}");
+        }
+        // Loops of every small shape: joiner and splitter weights, the
+        // body's lookahead, and more or fewer items than it needs.
+        for shape in 0..2 * 2 * 2 * 2 * 3 * 3 {
+            let w = |k: usize| 1 + (shape >> k & 1);
+            let (win, back, down, around) = (w(0), w(1), w(2), w(3));
+            let (ahead, enqueued) = (shape / 16 % 3, shape / 48);
+            let (pop, push) = (win + back, down + around);
+            let src = format!(
+                "void->void pipeline Main {{ add S(); add FB(); add T(); add K(); }}
+                 void->float filter S {{ float x; work push 1 {{ x = x + 1; push(x); }} }}
+                 float->void filter K {{ work pop 1 {{ println(pop()); }} }}
+                 float->float feedbackloop FB {{
+                     join roundrobin({win}, {back});
+                     body B();
+                     loop L();
+                     split roundrobin({down}, {around});
+                     {}
+                 }}
+                 float->float filter B {{
+                     work peek {} pop {pop} push {push} {{
+                         float s = peek({});
+                         for (int i = 0; i < {push}; i++) push(s + i);
+                         for (int i = 0; i < {pop}; i++) s += pop();
+                     }}
+                 }}
+                 float->float filter L {{
+                     work pop {around} push {back} {{
+                         float t = 0;
+                         for (int i = 0; i < {around}; i++) t += pop();
+                         for (int i = 0; i < {back}; i++) push(t * 0.5);
+                     }}
+                 }}
+                 float->float filter T {{ work pop 3 push 1 {{ push(pop() - pop() + pop()); }} }}",
+                "enqueue 0.25; ".repeat(back * (1 + ahead) + enqueued),
+                pop + ahead,
+                pop + ahead - 1,
+            );
+            let [replayed, pulled] = compile_both(&flat_for(&src));
+            assert_eq!(replayed, pulled, "{src}");
+        }
+    }
+
+    #[test]
+    fn a_fifty_thousand_node_chain_plans_on_a_small_stack() {
+        // A source, a chain of pass-through nodes and a sink: the sink's
+        // first pull runs demand down the whole chain at once.
+        let chain = |n: usize| {
+            let node = |name: String, kind, inputs, outputs| FlatNode {
+                name,
+                kind,
+                inputs,
+                outputs,
+            };
+            let values = vec![1.0].into();
+            let mut nodes = vec![node(
+                "src".into(),
+                NodeKind::Periodic { values, pos: 0 },
+                vec![],
+                vec![0],
+            )];
+            nodes.extend((0..n).map(|c| {
+                let kind = NodeKind::Decimator { pop: 1, push: 1 };
+                node(format!("d{c}"), kind, vec![c], vec![c + 1])
+            }));
+            nodes.push(node(
+                "sink".into(),
+                NodeKind::DiscardSink { pop: 1 },
+                vec![n],
+                vec![],
+            ));
+            FlatGraph {
+                nodes,
+                num_channels: n + 1,
+                initial: Vec::new(),
+            }
+        };
+        let plan = |flat: FlatGraph| {
+            std::thread::Builder::new()
+                .stack_size(256 << 10)
+                .spawn(move || compile(&flat))
+                .unwrap()
+                .join()
+                .expect("planning a chain needs no deep stack")
+        };
+        let n = 50_000;
+        assert_eq!(plan(chain(n)).unwrap().steady_firings(), n as u64 + 2);
+        // Past the bound on pulls in progress, the plan is refused.
+        let err = plan(chain(DEPTH_LIMIT + 2)).unwrap_err();
+        assert_eq!(err, PlanError::TooLarge("pull recursion too deep".into()));
     }
 
     #[test]

@@ -1013,3 +1013,52 @@ fn daemon_binary_refuses_unknown_flags() {
         assert_eq!(status.code(), Some(2), "{args:?}");
     }
 }
+
+/// One `open` of a 10 000-filter chain over TCP, whose connection thread
+/// has the default stack: it gets a structured answer, and the daemon
+/// still answers a `ping` on a second connection. (Planning once pulled
+/// demand down the chain recursively, one stack frame per filter, and the
+/// overflow took the whole process down.)
+#[test]
+fn a_ten_thousand_filter_chain_opens_over_tcp() {
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    let chain = "void->void pipeline Main { add S(); add Chain(10000); add K(); }
+         void->float filter S { float x; work push 1 { push(x++); } }
+         float->float pipeline Chain(int n) { for (int i = 0; i < n; i++) add Id(); }
+         float->float filter Id { work pop 1 push 1 { push(pop() + 1); } }
+         float->void filter K { work pop 1 { println(pop()); } }";
+    let svc = Arc::new(Service::new(ServiceOpts::default()));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server =
+        std::thread::spawn(move || streamlin::service::server::serve_listener(svc, listener));
+    let roundtrip = |conn: &mut TcpStream, req: &str| -> Json {
+        conn.set_read_timeout(Some(Duration::from_secs(120)))
+            .unwrap();
+        writeln!(conn, "{req}").unwrap();
+        let mut line = String::new();
+        BufReader::new(conn.try_clone().unwrap())
+            .read_line(&mut line)
+            .unwrap();
+        json::parse(&line).unwrap_or_else(|e| panic!("{e:?}: {line}"))
+    };
+    let mut first = TcpStream::connect(addr).unwrap();
+    let open = roundtrip(
+        &mut first,
+        &open_line("chain", chain, &[("config", Json::Str("baseline".into()))]),
+    );
+    assert_eq!(open.get("ok"), Some(&Json::Bool(true)), "{open:?}");
+    let read = roundtrip(&mut first, "{\"op\":\"read\",\"id\":\"chain\",\"n\":2}");
+    let values = read.get("values").and_then(Json::as_arr).expect("values");
+    assert_eq!(values, &[Json::Num(10000.0), Json::Num(10001.0)]);
+    let mut second = TcpStream::connect(addr).unwrap();
+    let pong = roundtrip(&mut second, "{\"op\":\"ping\"}");
+    assert_eq!(pong.get("op").and_then(Json::as_str), Some("pong"));
+    let bye = roundtrip(&mut second, "{\"op\":\"shutdown\"}");
+    assert_eq!(bye.get("ok"), Some(&Json::Bool(true)), "{bye:?}");
+    drop((first, second));
+    server.join().expect("server thread").unwrap();
+}

@@ -13,6 +13,10 @@
 //! `Ok`/`Err`, the message, what was pushed and printed before the stop,
 //! the four tallies, the pops and the final globals.
 //!
+//! Every typed run is repeated on a host that lends its tape as a slice,
+//! which fused dot loops then read directly: outputs, state and tallies
+//! must not move.
+//!
 //! A second table holds **faults**: every way a body can fail at run time,
 //! including the ones the typer refuses to compile (the phase then runs on
 //! the reference tier, which is pinned here too). A third runs typed code
@@ -31,10 +35,13 @@ use streamlin::lang::ast::{DataType, StreamKind};
 
 /// Test host over a synthetic tape, counting every tally family. With a
 /// `window`, accesses past it fail the way the runtime's checked host does.
+/// `sliced`, it also lends the readable tape as a slice, as the runtime's
+/// host does, so fused dot loops read it directly.
 #[derive(Default)]
 struct TapeHost {
     input: Vec<f64>,
     window: Option<usize>,
+    sliced: bool,
     cursor: usize,
     pushed: Vec<f64>,
     printed: Vec<String>,
@@ -68,6 +75,12 @@ impl Host for TapeHost {
         v.as_f64()?;
         self.printed.push(format!("{v:?}/{newline}"));
         Ok(())
+    }
+    fn tape(&self) -> Option<&[f64]> {
+        let end = self
+            .window
+            .map_or(self.input.len(), |w| w.min(self.input.len()));
+        self.input.get(self.cursor..end).filter(|_| self.sliced)
     }
     fn count_add(&mut self) {
         self.tallies[0] += 1;
@@ -124,6 +137,7 @@ impl Case<'_> {
     /// completed, or why one did not.
     fn observe(
         &self,
+        sliced: bool,
         fire: impl FnOnce(&mut SlotStore<'_>, &mut TapeHost) -> Result<usize, String>,
     ) -> Outcome {
         let mut globals = self.globals.to_vec();
@@ -131,6 +145,7 @@ impl Case<'_> {
         let mut host = TapeHost {
             input: self.input.to_vec(),
             window: self.window,
+            sliced,
             ..TapeHost::default()
         };
         let mut store = SlotStore {
@@ -152,7 +167,13 @@ impl Case<'_> {
     /// through one binding: scalar globals stay in registers in between,
     /// as in the runtime's batches.
     fn run(&self, tier: Tier, firings: usize, fuel: u64) -> Outcome {
-        self.observe(|store, host| {
+        self.run_on(false, tier, firings, fuel)
+    }
+
+    /// [`Case::run`] on a host that lends its tape as a slice (`sliced`)
+    /// or only answers `peek`.
+    fn run_on(&self, sliced: bool, tier: Tier, firings: usize, fuel: u64) -> Outcome {
+        self.observe(sliced, |store, host| {
             let mut regs = Regs::default();
             let mut bound = self.work.code.bind(store, &mut regs, tier == Tier::Typed);
             for _ in 0..firings {
@@ -165,7 +186,7 @@ impl Case<'_> {
     /// The reference tier through its own entry point, not through the
     /// bytecode module: what `bind(.., false)` must be equal to.
     fn run_reference(&self, fuel: u64) -> Outcome {
-        self.observe(|store, host| {
+        self.observe(false, |store, host| {
             let flow = SlotInterp::new(host, fuel).exec_work(store, &self.work.body);
             flow.map(|_| 1).map_err(|e| e.message)
         })
@@ -180,6 +201,10 @@ impl Case<'_> {
             let want = self.run_reference(fuel);
             let got = self.run(Tier::Typed, 1, fuel);
             assert_eq!(got, want, "{ctx}: typed tier diverges at fuel {fuel}");
+            // A fused loop over the lent slice reads, sums and counts
+            // what one that peeks term by term does.
+            let sliced = self.run_on(true, Tier::Typed, 1, fuel);
+            assert_eq!(sliced, got, "{ctx}: the tape slice diverges at fuel {fuel}");
             if !matches!(&want.result, Err(message) if message.contains("fuel")) {
                 return fuel;
             }
@@ -380,6 +405,11 @@ fn hand_written_bodies_agree_at_every_fuel_value() {
         // scalar globals they hold carry over as the cells would.
         let typed = case.run(Tier::Typed, 3, fuel);
         assert_eq!(typed, case.run(Tier::TreeWalk, 3, fuel), "{name}: batch");
+        assert_eq!(
+            typed,
+            case.run_on(true, Tier::Typed, 3, fuel),
+            "{name}: sliced"
+        );
         assert_eq!(typed.result, Ok(3), "{name}");
     }
 }
