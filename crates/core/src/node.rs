@@ -188,16 +188,19 @@ impl LinearNode {
     }
 
     /// Peek rate (rows of `A`).
+    #[inline]
     pub fn peek(&self) -> usize {
         self.rows.cols()
     }
 
     /// Pop rate.
+    #[inline]
     pub fn pop(&self) -> usize {
         self.pop
     }
 
     /// Push rate (columns of `A`).
+    #[inline]
     pub fn push(&self) -> usize {
         self.rows.rows()
     }
@@ -219,11 +222,13 @@ impl LinearNode {
     /// # Panics
     ///
     /// Panics if `out_idx` is out of range.
+    #[inline]
     pub fn row(&self, out_idx: usize) -> &[f64] {
         self.rows.row(out_idx)
     }
 
     /// The additive constants in push order.
+    #[inline]
     pub fn offsets(&self) -> &[f64] {
         self.offsets.as_slice()
     }
@@ -242,6 +247,7 @@ impl LinearNode {
     /// # Panics
     ///
     /// Panics if `out_idx` is out of range.
+    #[inline]
     pub fn offset(&self, out_idx: usize) -> f64 {
         self.offsets[out_idx]
     }

@@ -73,11 +73,13 @@ impl Matrix {
     }
 
     /// Number of rows.
+    #[inline]
     pub fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
+    #[inline]
     pub fn cols(&self) -> usize {
         self.cols
     }
@@ -92,6 +94,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `r` is out of bounds.
+    #[inline]
     pub fn row(&self, r: usize) -> &[f64] {
         assert!(r < self.rows, "row {r} out of bounds ({} rows)", self.rows);
         &self.data[r * self.cols..(r + 1) * self.cols]

@@ -41,6 +41,7 @@ impl Vector {
     }
 
     /// Borrow of the underlying storage.
+    #[inline]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
@@ -117,6 +118,7 @@ impl FromIterator<f64> for Vector {
 
 impl std::ops::Index<usize> for Vector {
     type Output = f64;
+    #[inline]
     fn index(&self, i: usize) -> &f64 {
         &self.data[i]
     }

@@ -19,10 +19,12 @@
 //! * [`MatMulStrategy::Simd`] — the vectorized tier: the dense sweep over
 //!   the whole rows with eight independent accumulators per output over
 //!   `f64` chunks, which breaks the serial dependency chain of the scalar
-//!   kernels; uncounted execution dispatches to an explicit AVX kernel
-//!   with the identical accumulation structure when the CPU supports it.
-//!   Batched execution additionally takes four firings at a time over the
-//!   stacked windows, so each coefficient row is loaded once per block.
+//!   kernels. Batched execution takes four firings at a time over the
+//!   stacked windows, so each coefficient row is swept once per block.
+//!   Uncounted execution on a CPU with AVX runs that block as one
+//!   register-blocked micro-kernel: four dot products over one row and
+//!   four windows, on eight independent vector accumulators, with the
+//!   identical per-output accumulation structure.
 //!
 //! All kernels are generic over [`Tally`]: instantiated with
 //! [`streamlin_support::CountOps`] they tally every operation (the
@@ -45,9 +47,9 @@ pub enum MatMulStrategy {
     /// Dense kernel over the whole rows with copy-in — the ATLAS
     /// substitute.
     Blocked,
-    /// Dense vectorized kernel: 8 accumulators per output (AVX when the
-    /// CPU has it), 4 firings per batch block. The production tier of
-    /// `ExecMode::Fast`.
+    /// Dense vectorized kernel: 8 accumulators per output, 4 firings per
+    /// batch block (four dot products per pass on AVX when the CPU has
+    /// it). The production tier of `ExecMode::Fast`.
     Simd,
 }
 
@@ -70,33 +72,20 @@ impl MatMulStrategy {
 }
 
 /// Dot product with eight independent accumulators over 8-wide chunks —
-/// the [`MatMulStrategy::Simd`] inner kernel. The independent partial
-/// sums break the serial add chain; under [`CountOps`] every
-/// multiply-add pair and every combining add is tallied exactly as the
-/// generated SIMD code executes them. The accumulation structure is
-/// fixed — lane `l` sums positions `8i + l`, lanes combine as
+/// the scalar form of the [`MatMulStrategy::Simd`] kernel, which counted
+/// execution (and uncounted execution without AVX) runs. The
+/// independent partial sums break the serial add chain; under
+/// [`CountOps`] every multiply-add pair and every combining add is tallied
+/// exactly as the generated SIMD code executes them. The accumulation
+/// structure is fixed — lane `l` sums positions `8i + l`, lanes combine as
 /// `b[l] = acc[l] + acc[l+4]` then `(b0+b1) + (b2+b3)`, then the scalar
 /// tail — which is what makes single-firing, batched, scalar and
-/// [`avx_dot`] execution all bit-identical.
+/// [`avx_dots`] execution all bit-identical.
 ///
-/// Uncounted tallies (`!T::COUNTING`) dispatch to [`avx_dot`] when the
-/// CPU supports AVX: the identical computation on 4-wide registers (two
-/// vector accumulators = the eight scalar lanes, unfused multiply-add,
-/// same combine order), detected once at [`LinearExec::new`].
-///
-/// [`NoCount`]: streamlin_support::NoCount
 /// [`CountOps`]: streamlin_support::CountOps
 #[inline]
-fn simd_dot<T: Tally>(row: &[f64], w: &[f64], ops: &mut T, use_avx: bool) -> f64 {
+fn simd_dot<T: Tally>(row: &[f64], w: &[f64], ops: &mut T) -> f64 {
     debug_assert_eq!(row.len(), w.len());
-    #[cfg(target_arch = "x86_64")]
-    if !T::COUNTING && use_avx {
-        // SAFETY: `use_avx` is only set when runtime detection confirmed
-        // the `avx` target feature (see `LinearExec::new`).
-        return unsafe { avx_dot(row, w) };
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = use_avx;
     let split = row.len() - row.len() % 8;
     let (row8, row_tail) = row.split_at(split);
     let (w8, w_tail) = w.split_at(split);
@@ -123,45 +112,85 @@ fn simd_dot<T: Tally>(row: &[f64], w: &[f64], ops: &mut T, use_avx: bool) -> f64
     s
 }
 
-/// The AVX twin of [`simd_dot`]'s scalar loop: two 4-wide vector
-/// accumulators hold the eight lanes, multiplies and adds are separate
-/// (unfused — Rust never enables floating-point contraction) and the
-/// combine order matches the scalar path, so the result is bit-identical.
+/// [`simd_dot`] of one coefficient row with each of `N` windows, on AVX
+/// registers: output `q` is the dot product of `row` and `windows[q]`.
+/// Each output keeps two 4-wide accumulators (its eight lanes), multiplies
+/// and adds are separate (unfused — Rust never enables floating-point
+/// contraction) and the lanes combine in [`simd_dot`]'s order, so every
+/// output is bit-identical to it.
+///
+/// With `N = 4` the eight add chains are independent and each load of
+/// the row feeds four products: the register-blocked kernel of
+/// [`LinearExec::fire_batch`]. `N = 1` is the single dot product.
 ///
 /// # Safety
 ///
-/// The caller must have verified AVX support at runtime.
+/// The caller must have verified AVX support at runtime, and every
+/// window must be as long as `row`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn avx_dot(row: &[f64], w: &[f64]) -> f64 {
+unsafe fn avx_dots<const N: usize>(row: &[f64], windows: [&[f64]; N]) -> [f64; N] {
     use std::arch::x86_64::*;
-    let split = row.len() - row.len() % 8;
-    let mut acc0 = _mm256_setzero_pd();
-    let mut acc1 = _mm256_setzero_pd();
+    let len = row.len();
+    debug_assert!(windows.iter().all(|w| w.len() == len));
+    let split = len - len % 8;
+    let r = row.as_ptr();
+    let mut lo = [_mm256_setzero_pd(); N];
+    let mut hi = [_mm256_setzero_pd(); N];
+    // Every read is below `len` in its operand: chunks end at
+    // `i + 8 <= split <= len`, the tail at `t < len`.
     let mut i = 0;
     while i < split {
-        let r0 = _mm256_loadu_pd(row.as_ptr().add(i));
-        let x0 = _mm256_loadu_pd(w.as_ptr().add(i));
-        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(r0, x0));
-        let r1 = _mm256_loadu_pd(row.as_ptr().add(i + 4));
-        let x1 = _mm256_loadu_pd(w.as_ptr().add(i + 4));
-        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(r1, x1));
+        let r0 = _mm256_loadu_pd(r.add(i));
+        let r1 = _mm256_loadu_pd(r.add(i + 4));
+        for q in 0..N {
+            let x = windows[q].as_ptr();
+            lo[q] = _mm256_add_pd(lo[q], _mm256_mul_pd(r0, _mm256_loadu_pd(x.add(i))));
+            hi[q] = _mm256_add_pd(hi[q], _mm256_mul_pd(r1, _mm256_loadu_pd(x.add(i + 4))));
+        }
         i += 8;
     }
-    let mut s = if split == 0 {
-        0.0
-    } else {
-        // b[l] = acc[l] + acc[l+4], then (b0+b1) + (b2+b3) — the scalar
-        // combine order, executed on the same values.
-        let b = _mm256_add_pd(acc0, acc1);
-        let mut lanes = [0.0f64; 4];
-        _mm256_storeu_pd(lanes.as_mut_ptr(), b);
-        (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
-    };
-    for k in split..row.len() {
-        s += row[k] * w[k];
+    let mut sums = [0.0f64; N];
+    for q in 0..N {
+        if split > 0 {
+            // b[l] = acc[l] + acc[l+4], then (b0+b1) + (b2+b3) — the
+            // scalar combine order, executed on the same values.
+            let mut b = [0.0f64; 4];
+            _mm256_storeu_pd(b.as_mut_ptr(), _mm256_add_pd(lo[q], hi[q]));
+            sums[q] = (b[0] + b[1]) + (b[2] + b[3]);
+        }
+        for t in split..len {
+            sums[q] += *r.add(t) * *windows[q].as_ptr().add(t);
+        }
     }
-    s
+    sums
+}
+
+/// [`simd_dot`] of `row` with each of `N` windows. Uncounted on a CPU with
+/// AVX (`avx`, from runtime detection) that is one [`avx_dots`] pass;
+/// otherwise the eight-lane dots run one after another, tallied. The
+/// values are the same bits either way.
+#[inline]
+fn simd_dots<T: Tally, const N: usize>(
+    avx: bool,
+    row: &[f64],
+    windows: [&[f64]; N],
+    ops: &mut T,
+) -> [f64; N] {
+    #[cfg(target_arch = "x86_64")]
+    if avx && !T::COUNTING {
+        // SAFETY: `avx` is only set when runtime detection confirmed the
+        // `avx` target feature (see `LinearExec::new`), and every window
+        // is a row's length (the node's peek).
+        return unsafe { avx_dots(row, windows) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = avx;
+    let mut sums = [0.0; N];
+    for (s, w) in sums.iter_mut().zip(windows) {
+        *s = simd_dot(row, w, ops);
+    }
+    sums
 }
 
 /// A compiled linear node: one immutable table (the node, plus whatever
@@ -312,8 +341,9 @@ impl LinearExec {
     /// one `(k−1)·pop + peek` slice and no per-firing window is ever
     /// materialized. Under [`MatMulStrategy::Simd`] the sweep is
     /// additionally blocked: four firings at a time share each coefficient
-    /// row while it is in cache, and the block's four dot products run one
-    /// after another, each on the eight-lane kernel.
+    /// row while it is in cache. Counted, the block's four dot products
+    /// run one after another on the eight-lane kernel; uncounted on AVX,
+    /// one micro-kernel computes them in one pass over the row.
     ///
     /// # Panics
     ///
@@ -373,37 +403,30 @@ impl LinearExec {
                 }
             }
             MatMulStrategy::Simd => {
-                let avx = *use_avx;
                 let base = out.len();
                 out.resize(base + k * u, 0.0);
                 let dst = &mut out[base..];
-                let mut f = 0;
+                let window = |f: usize| &input[f * o..f * o + e];
                 // Blocked: each coefficient row is swept for four stacked
-                // windows, one after another, before moving to the next
-                // output. Per-firing accumulation is `simd_dot`, so the
-                // values (and tallies) match a single firing bit for bit.
-                while f + 4 <= k {
-                    let w0 = &input[f * o..f * o + e];
-                    let w1 = &input[(f + 1) * o..(f + 1) * o + e];
-                    let w2 = &input[(f + 2) * o..(f + 2) * o + e];
-                    let w3 = &input[(f + 3) * o..(f + 3) * o + e];
+                // windows before moving to the next output. Per-firing
+                // accumulation is `simd_dot`'s, so the values (and
+                // tallies) match a single firing bit for bit.
+                let blocked = k - k % 4;
+                for f in (0..blocked).step_by(4) {
+                    let windows = [window(f), window(f + 1), window(f + 2), window(f + 3)];
                     for j in 0..u {
-                        let row = node.row(j);
-                        let b = node.offset(j);
-                        dst[f * u + j] = finish_output(simd_dot(row, w0, ops, avx), b, ops);
-                        dst[(f + 1) * u + j] = finish_output(simd_dot(row, w1, ops, avx), b, ops);
-                        dst[(f + 2) * u + j] = finish_output(simd_dot(row, w2, ops, avx), b, ops);
-                        dst[(f + 3) * u + j] = finish_output(simd_dot(row, w3, ops, avx), b, ops);
+                        let (row, b) = (node.row(j), node.offset(j));
+                        let sums = simd_dots(*use_avx, row, windows, ops);
+                        for (q, v) in sums.into_iter().enumerate() {
+                            dst[(f + q) * u + j] = finish_output(v, b, ops);
+                        }
                     }
-                    f += 4;
                 }
-                while f < k {
-                    let w = &input[f * o..f * o + e];
+                for f in blocked..k {
                     for j in 0..u {
-                        let v = simd_dot(node.row(j), w, ops, avx);
+                        let [v] = simd_dots(*use_avx, node.row(j), [window(f)], ops);
                         dst[f * u + j] = finish_output(v, node.offset(j), ops);
                     }
-                    f += 1;
                 }
             }
         }
@@ -544,6 +567,49 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "{strategy:?}");
             }
             assert!(counted.flops() > 0, "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn uncounted_simd_batches_match_counted_single_firings() {
+        // Peek 1..=20 runs every eight-lane tail with zero, one and two
+        // full chunks; k 1..=9 runs zero, one and two four-window blocks
+        // and every count of firings left over; pop 1..=3 and push 1..=5
+        // move the windows and the output layout. Offsets include zeros,
+        // which are skipped.
+        for e in 1..=20usize {
+            for o in 1..=3usize {
+                for u in 1..=5usize {
+                    let offsets: Vec<f64> = (0..u).map(|j| [0.0, 0.75, -1.5][j % 3]).collect();
+                    let node = LinearNode::from_coeffs(
+                        e,
+                        o,
+                        u,
+                        |i, j| ((i * 7 + j * 5) % 13) as f64 * 0.31 - 1.7,
+                        &offsets,
+                    );
+                    let input: Vec<f64> = (0..8 * o + e)
+                        .map(|i| (i as f64 * 0.77).sin() * 4.0)
+                        .collect();
+                    let mut exec = LinearExec::new(node.clone(), MatMulStrategy::Simd);
+                    for k in 1..=9usize {
+                        let mut want = Vec::new();
+                        for f in 0..k {
+                            want.extend(exec.fire(&input[f * o..f * o + e], &mut OpCounter::new()));
+                        }
+                        let mut got = vec![f64::NAN]; // appended after
+                        exec.fire_batch(&input, k, &mut got, &mut NoCount);
+                        assert_eq!(got.len(), 1 + k * u);
+                        for (i, (a, b)) in got[1..].iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "peek {e} pop {o} push {u} k {k}: output {i}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

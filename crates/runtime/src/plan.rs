@@ -1515,6 +1515,12 @@ impl<T: Tally> PlanEngine<T> {
             }
             self.printed_at_wrap = self.state.printed.len();
         }
+        // Room for the outputs this run will print, so the buffer is not
+        // regrown on the way. Only a hint: a target too large to reserve
+        // (a program that never prints can be asked for any count) runs
+        // as before and grows the buffer as it prints.
+        let room = n.saturating_sub(self.state.printed.len());
+        let _ = self.state.printed.try_reserve(room);
         let mut silent_cycles = 0u32;
         while self.state.printed.len() < n {
             let boundary = self.cursor == 0 && self.partial == 0 && self.runs == 0;
@@ -1720,15 +1726,22 @@ pub(crate) fn exec_batch<T: Tally>(
             }
             Ok(times)
         }
+        // The table is a cyclic counter: `times` firings produce runs of
+        // `values[pos..]`, each copied into the ring whole, and advance
+        // `pos` by `times` mod the table length.
         NodeKind::Periodic { values, pos } => {
             state.firings += times as u64;
-            state.out_buf.clear();
-            for _ in 0..times {
-                state.out_buf.push(values[*pos]);
-                *pos = (*pos + 1) % values.len();
-            }
-            if let Some(c) = output {
-                state.rings.produce(c, &state.out_buf);
+            let mut left = times as usize;
+            while left > 0 {
+                let run = left.min(values.len() - *pos);
+                if let Some(c) = output {
+                    state.rings.produce(c, &values[*pos..*pos + run]);
+                }
+                *pos += run;
+                if *pos == values.len() {
+                    *pos = 0;
+                }
+                left -= run;
             }
             Ok(times)
         }
@@ -2419,6 +2432,67 @@ mod tests {
         // Past the bound on pulls in progress, the plan is refused.
         let err = plan(chain(DEPTH_LIMIT + 2)).unwrap_err();
         assert_eq!(err, PlanError::TooLarge("pull recursion too deep".into()));
+    }
+
+    #[test]
+    fn a_periodic_batch_is_the_per_item_sequence() {
+        let values: Arc<[f64]> = (0..7).map(|i| i as f64 * 1.5 - 2.0).collect();
+        let start = 4;
+        let mut node = FlatNode {
+            name: "src".into(),
+            kind: NodeKind::Periodic {
+                values: values.clone(),
+                pos: start,
+            },
+            inputs: vec![],
+            outputs: vec![0],
+        };
+        let mut state = PlanState {
+            rings: RingSet::new(&[64], &[]),
+            printed: Vec::new(),
+            ops: streamlin_support::NoCount,
+            firings: 0,
+            out_buf: Vec::new(),
+        };
+        // From mid-table: inside the table, up to its end, from its start,
+        // across one wrap, across several, nothing, and a whole number of
+        // tables. Consuming each batch moves the ring's own head, so the
+        // copies wrap the ring as well.
+        let batches = [1, 2, 7, 3, 9, 30, 0, 21, 1];
+        let mut want_pos = start;
+        for times in batches {
+            // The per-item loop: one value, then the cursor steps mod m.
+            let mut want = Vec::new();
+            for _ in 0..times {
+                want.push(values[want_pos]);
+                want_pos = (want_pos + 1) % values.len();
+            }
+            assert_eq!(exec_batch(&mut node, times, &mut state, 0), Ok(times));
+            let got = state.rings.window(0, times as usize).to_vec();
+            state.rings.consume(0, times as usize);
+            assert_eq!(got, want, "batch of {times}");
+            let NodeKind::Periodic { pos, .. } = node.kind else {
+                unreachable!()
+            };
+            assert_eq!(pos, want_pos, "cursor after a batch of {times}");
+        }
+        assert_eq!(state.firings, batches.iter().map(|&t| u64::from(t)).sum());
+    }
+
+    #[test]
+    fn a_huge_target_on_a_silent_plan_is_a_deadlock_not_an_abort() {
+        // Reserving room for the target must not abort when the target
+        // cannot be reserved: the run goes on and reports the deadlock.
+        let flat = flat_for(
+            "void->void pipeline Main { add S(); add K(); }
+             void->float filter S { float x; work push 1 { push(x++); } }
+             float->void filter K { work pop 1 { pop(); } }",
+        );
+        let plan = compile(&flat).unwrap();
+        let mut e = PlanEngine::<streamlin_support::NoCount>::new(flat, plan);
+        let err = e.run_until_outputs(usize::MAX / 2).unwrap_err();
+        assert!(matches!(err, RunError::Deadlock { .. }), "{err}");
+        assert!(e.printed().is_empty());
     }
 
     #[test]

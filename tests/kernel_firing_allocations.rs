@@ -1,13 +1,16 @@
-//! A steady-state frequency or redundancy firing performs no heap
+//! A steady-state frequency, redundancy or matrix firing performs no heap
 //! allocation.
 //!
-//! `FreqExec::fire` and `RedundExec::fire` append what a firing pushes to
-//! a buffer the caller owns, and `plan::exec_batch` hands them the
-//! engine's staging buffer, so once the first cycles have grown it and the
-//! executors' own scratch nothing on the path allocates. A counting global
-//! allocator shows it on FIR(64) under the `freq` and `redund`
-//! configurations, run in passes of whole cycles and in stepped cycles.
-//! (One test per binary: the counter is process-wide.)
+//! `FreqExec::fire`, `RedundExec::fire` and `LinearExec::fire_batch`
+//! append what a firing pushes to a buffer the caller owns, and
+//! `plan::exec_batch` hands them the engine's staging buffer, so once the
+//! first cycles have grown it and the executors' own scratch nothing on
+//! the path allocates. FIR(64)'s source is a periodic table, copied into
+//! its ring run by run. A counting global allocator shows it on FIR(64)
+//! under the `freq` and `redund` configurations and under `linear` with
+//! the `simd` kernel (four dot products per pass when uncounted), run in
+//! passes of whole cycles and in stepped cycles. (One test per binary:
+//! the counter is process-wide.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,17 +49,25 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 #[test]
-fn steady_frequency_and_redundancy_firings_allocate_nothing() {
+fn steady_kernel_firings_allocate_nothing() {
     let bench = streamlin::benchmarks::fir(64);
     let analysis = analyze_graph(bench.graph());
-    for config in [Config::Freq, Config::Redund] {
+    for (config, strategy) in [
+        (Config::Freq, MatMulStrategy::Unrolled),
+        (Config::Redund, MatMulStrategy::Unrolled),
+        (Config::Linear, MatMulStrategy::Simd),
+    ] {
         let opt = config.apply(bench.graph(), &analysis).unwrap();
-        let flat = flatten(&opt, MatMulStrategy::Unrolled).unwrap();
+        let flat = flatten(&opt, strategy).unwrap();
         let kernel = |n: &&streamlin::runtime::flat::FlatNode| match config {
             Config::Freq => matches!(n.kind, NodeKind::Freq(_)),
-            _ => matches!(n.kind, NodeKind::Redund(_)),
+            Config::Redund => matches!(n.kind, NodeKind::Redund(_)),
+            _ => matches!(n.kind, NodeKind::Linear(_)),
         };
         assert_eq!(flat.nodes.iter().filter(kernel).count(), 1, "{config:?}");
+        let periodic =
+            |n: &&streamlin::runtime::flat::FlatNode| matches!(n.kind, NodeKind::Periodic { .. });
+        assert_eq!(flat.nodes.iter().filter(periodic).count(), 1, "{config:?}");
         let plan = plan::compile(&flat).unwrap();
         let prints = plan.prints_per_cycle.unwrap();
         // Enough for a few passes, and for a stepped cycle after them.
