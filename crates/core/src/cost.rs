@@ -35,7 +35,11 @@ pub struct CostModel {
     pub nnz_a_cost: f64,
     /// `N·lg N` coefficient of one real FFT of size `N`.
     pub fft_nlogn: f64,
-    /// Linear (`N`) coefficient of one real FFT.
+    /// Linear (`N`) coefficient of one real FFT. With `fft_nlogn` it is
+    /// fitted to the mean of the tuned real forward transform, which counts
+    /// `2·N·lg N − N − 5` operations (split-radix core plus a pairwise
+    /// unpack), and the inverse, `2·N·lg N − N/2 − 2` (a pairwise pack and
+    /// the `1/N` scale): a frequency block runs one forward and `u` inverses.
     pub fft_linear: f64,
     /// Per-point cost of the half-complex spectral product.
     pub hc_mul: f64,
@@ -59,8 +63,8 @@ impl Default for CostModel {
             push_cost: 2.0,
             nnz_b_cost: 1.0,
             nnz_a_cost: 3.0,
-            fft_nlogn: 2.5,
-            fft_linear: 6.0,
+            fft_nlogn: 2.0,
+            fft_linear: -0.75,
             hc_mul: 3.0,
             decim_per_item: 4.0,
             freq_overhead: 6000.0,

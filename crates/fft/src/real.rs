@@ -6,6 +6,8 @@
 //! symmetry `X[N-k] = conj(X[k])`. All frequency-replacement executors work
 //! on this layout.
 
+#[cfg(target_arch = "x86_64")]
+use crate::tuned::avx::{add, cmul, load, sub};
 use crate::{Complex, FftError, FftPlan, SimpleFft};
 #[cfg(target_arch = "x86_64")]
 use streamlin_support::NoCount;
@@ -17,7 +19,7 @@ pub enum FftKind {
     /// The thesis-derivation recursive transform ([`SimpleFft`]); real
     /// signals are processed as full complex buffers.
     Simple,
-    /// The planned iterative transform ([`FftPlan`]) with the packed
+    /// The planned split-radix transform ([`FftPlan`]) with the packed
     /// real-input algorithm (an `N`-point real transform via an
     /// `N/2`-point complex one) — the FFTW stand-in.
     Tuned,
@@ -58,8 +60,11 @@ pub struct RealFft {
     n: usize,
     /// `n/2`-point plan for the packed algorithm (`Tuned` only, `n >= 2`).
     half_plan: Option<FftPlan>,
-    /// `e^{-2πik/n}` for `k = 0..=n/2` (`Tuned` only).
-    unpack_tw: Vec<Complex>,
+    /// `W^k/2 = e^{-2πik/n}/2` for `k < n/4`: the forward unpack's
+    /// twiddles, halved (`Tuned` only).
+    fwd_tw: Vec<Complex>,
+    /// `W^k` for `k < n/4`: the inverse pack's twiddles (`Tuned` only).
+    inv_tw: Vec<Complex>,
     /// Runtime AVX support (checked once; used by the uncounted path).
     use_avx: bool,
 }
@@ -75,15 +80,19 @@ impl RealFft {
         if !n.is_power_of_two() {
             return Err(FftError::SizeNotPowerOfTwo(n));
         }
-        let (half_plan, unpack_tw) = if kind == FftKind::Tuned && n >= 2 {
+        let (half_plan, inv_tw) = if kind == FftKind::Tuned && n >= 2 {
             let plan = FftPlan::new(n / 2)?;
-            let tw = (0..=n / 2)
+            let tw: Vec<Complex> = (0..n / 4)
                 .map(|k| Complex::from_polar(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
                 .collect();
             (Some(plan), tw)
         } else {
             (None, Vec::new())
         };
+        let fwd_tw = inv_tw
+            .iter()
+            .map(|w| Complex::new(0.5 * w.re, 0.5 * w.im))
+            .collect();
         #[cfg(target_arch = "x86_64")]
         let use_avx = std::arch::is_x86_feature_detected!("avx");
         #[cfg(not(target_arch = "x86_64"))]
@@ -92,9 +101,20 @@ impl RealFft {
             kind,
             n,
             half_plan,
-            unpack_tw,
+            fwd_tw,
+            inv_tw,
             use_avx,
         })
+    }
+
+    /// A tuned transform whose complex core has twiddle `index` scaled by
+    /// `1 + rel`: a deliberately broken transform for the accuracy tests
+    /// to catch.
+    #[cfg(test)]
+    pub(crate) fn with_twiddle_error(n: usize, index: usize, rel: f64) -> Self {
+        let mut fft = RealFft::new(FftKind::Tuned, n).expect("power of two");
+        fft.half_plan = Some(FftPlan::with_twiddle_error(n / 2, index, rel));
+        fft
     }
 
     /// The transform size.
@@ -116,7 +136,7 @@ impl RealFft {
     /// from their lengths.
     pub fn table_bytes(&self) -> usize {
         let plan = self.half_plan.as_ref().map_or(0, FftPlan::table_bytes);
-        plan + self.unpack_tw.len() * std::mem::size_of::<Complex>()
+        plan + (self.fwd_tw.len() + self.inv_tw.len()) * std::mem::size_of::<Complex>()
     }
 
     /// Forward transform of `n` real samples into a half-complex spectrum.
@@ -207,7 +227,9 @@ impl RealFft {
     }
 
     /// Packed real-input forward transform: an `n`-point real FFT via an
-    /// `n/2`-point complex FFT of `z[k] = x[2k] + i·x[2k+1]`.
+    /// `n/2`-point complex FFT of `z[k] = x[2k] + i·x[2k+1]`, then one
+    /// unpack pass that forms each conjugate pair of bins `(k, m − k)`
+    /// from `Z[k]` and `Z[m − k]` at once (`m = n/2`).
     fn forward_packed<T: Tally>(
         &self,
         x: &[f64],
@@ -229,25 +251,26 @@ impl RealFft {
         }
         plan.forward_bitreversed(z, ops);
         out.resize(n, 0.0);
+        unpack_edges(z, out, ops);
         #[cfg(target_arch = "x86_64")]
-        if !T::COUNTING && self.use_avx && m >= 2 {
+        if !T::COUNTING && self.use_avx {
             // SAFETY: `use_avx` is only set when runtime detection
             // confirmed the `avx` target feature (see `RealFft::new`).
             unsafe { self.unpack_forward_avx(z, out) };
             return;
         }
-        for k in 0..=m {
-            unpack_fwd_k(z, &self.unpack_tw, n, out, k, ops);
+        for k in 1..m / 2 {
+            unpack_pair(z, &self.fwd_tw, out, k, ops);
         }
     }
 
-    /// The AVX spectrum-unpack pass of the packed forward transform: two
-    /// `k` bins per iteration on 4-wide registers. Every complex
-    /// add/sub/scale/multiply is evaluated with exactly the scalar path's
-    /// operations (separate multiplies, `addsub` for the complex product —
-    /// no fusion), so the spectra are bit-identical to the counted loop;
-    /// only the bookkeeping-free uncounted path dispatches here. The `k ==
-    /// 0`/`k == m` edges and the odd tail run the shared scalar helper.
+    /// The AVX unpack pass of the packed forward transform: the pairs `k`
+    /// and `k + 1` per iteration on 4-wide registers. Every operation is
+    /// the scalar [`unpack_pair`]'s, in its order (separate multiplies, no
+    /// fusion; a subtraction of a negated value is the scalar path's
+    /// addition, bit for bit), so the spectra are bit-identical to the
+    /// counted loop; only the bookkeeping-free uncounted path dispatches
+    /// here. The odd tail runs the shared scalar helper.
     ///
     /// # Safety
     ///
@@ -258,53 +281,53 @@ impl RealFft {
         use std::arch::x86_64::*;
         let n = self.n;
         let m = n / 2;
-        unpack_fwd_k(z, &self.unpack_tw, n, out, 0, &mut NoCount);
-        unpack_fwd_k(z, &self.unpack_tw, n, out, m, &mut NoCount);
         let half = _mm256_set1_pd(0.5);
         // Negates the imaginary lanes (1, 3) — complex conjugation.
         let conj = _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
         let zp = z.as_ptr() as *const f64;
-        let twp = self.unpack_tw.as_ptr() as *const f64;
+        let twp = self.fwd_tw.as_ptr() as *const f64;
         let op = out.as_mut_ptr();
         let mut k = 1;
-        while k + 2 <= m {
-            let zk = _mm256_loadu_pd(zp.add(2 * k));
-            // [z[m-k-1], z[m-k]] -> swap halves -> [z[m-k], z[m-k-1]].
-            let zmk_raw = _mm256_loadu_pd(zp.add(2 * (m - k - 1)));
-            let zmk = _mm256_xor_pd(_mm256_permute2f128_pd(zmk_raw, zmk_raw, 1), conj);
-            // Fe = (Z[k] + conj(Z[M-k]))/2; Fo = -i(Z[k] - conj(Z[M-k]))/2.
-            let fe = _mm256_mul_pd(_mm256_add_pd(zk, zmk), half);
-            let diff = _mm256_sub_pd(zk, zmk);
-            // (diff.im, -diff.re): swap re/im, negate the new im lane.
-            let fo = _mm256_mul_pd(_mm256_xor_pd(_mm256_permute_pd(diff, 0b0101), conj), half);
-            // tw[k] · fo, elementwise exactly as mul_counted.
-            let t = _mm256_loadu_pd(twp.add(2 * k));
-            let fo_re = _mm256_movedup_pd(fo);
-            let fo_im = _mm256_permute_pd(fo, 0b1111);
-            let t_sw = _mm256_permute_pd(t, 0b0101);
-            let prod = _mm256_addsub_pd(_mm256_mul_pd(fo_re, t), _mm256_mul_pd(fo_im, t_sw));
-            let xk = _mm256_add_pd(fe, prod);
-            // out[k..k+2] <- re lanes; out[n-k-1..=n-k] <- im lanes,
-            // reversed (out[n-k] pairs with bin k).
-            let lo = _mm256_extractf128_pd(xk, 0);
-            let hi = _mm256_extractf128_pd(xk, 1);
-            let re = _mm_unpacklo_pd(lo, hi);
-            let im = _mm_unpackhi_pd(lo, hi);
-            _mm_storeu_pd(op.add(k), re);
-            _mm_storeu_pd(op.add(n - k - 1), _mm_shuffle_pd(im, im, 0b01));
+        while k + 2 <= m / 2 {
+            let zk = load(zp, k);
+            // [z[m-k-1], z[m-k]] -> swap halves -> conj -> the partners
+            // of [z[k], z[k+1]].
+            let zm_raw = load(zp, m - k - 1);
+            let zm = _mm256_xor_pd(_mm256_permute2f128_pd(zm_raw, zm_raw, 1), conj);
+            let (a, b) = (add(zk, zm), sub(zk, zm));
+            let fe = _mm256_mul_pd(a, half);
+            // -i·b = (b.im, -b.re), times the halved twiddle.
+            let t = cmul(
+                _mm256_xor_pd(_mm256_permute_pd(b, 0b0101), conj),
+                load(twp, k),
+            );
+            let xk = add(fe, t);
+            // (fe.re - t.re, t.im - fe.im): bin m - k, conjugated.
+            let xm = sub(
+                _mm256_blend_pd(fe, t, 0b1010),
+                _mm256_blend_pd(t, fe, 0b1010),
+            );
+            let (lo, hi) = (_mm256_castpd256_pd128(xk), _mm256_extractf128_pd(xk, 1));
+            _mm_storeu_pd(op.add(k), _mm_unpacklo_pd(lo, hi));
+            _mm_storeu_pd(op.add(n - k - 1), _mm_unpackhi_pd(hi, lo));
+            let (lo, hi) = (_mm256_castpd256_pd128(xm), _mm256_extractf128_pd(xm, 1));
+            _mm_storeu_pd(op.add(m - k - 1), _mm_unpacklo_pd(hi, lo));
+            _mm_storeu_pd(op.add(m + k), _mm_unpackhi_pd(lo, hi));
             k += 2;
         }
-        while k < m {
-            unpack_fwd_k(z, &self.unpack_tw, n, out, k, &mut NoCount);
+        while k < m / 2 {
+            unpack_pair(z, &self.fwd_tw, out, k, &mut NoCount);
             k += 1;
         }
     }
 
-    /// Packed real-input inverse transform: the `n/2`-point complex
-    /// inverse of the packed spectrum, as the conjugate of the forward
-    /// transform of its conjugate. Each packed bin is written conjugated
-    /// at its bit-reversed index, and the closing conjugate-and-scale is
-    /// applied while the samples are written out.
+    /// Packed real-input inverse transform. The pack pass forms each pair
+    /// `2·Z[k]`, `2·Z[m − k]` of the `n/2`-point packed spectrum at once
+    /// and writes it with real and imaginary parts swapped at its
+    /// bit-reversed index; the forward butterflies then give the inverse,
+    /// swapped back while the samples are written out
+    /// (`swap(DFT(swap(Z))) = m·IDFT(Z)`), and the closing scale `1/n`
+    /// removes both the `m` and the 2. Nothing is conjugated or negated.
     fn inverse_packed<T: Tally>(
         &self,
         hc: &[f64],
@@ -318,10 +341,12 @@ impl RealFft {
             .half_plan
             .as_ref()
             .expect("tuned plan present for n >= 2");
+        let bitrev = plan.bitrev();
         let z = &mut scratch.z;
         z.resize(m, Complex::zero());
+        pack_edges(hc, bitrev, z, ops);
         #[cfg(target_arch = "x86_64")]
-        let packed_by_avx = !T::COUNTING && self.use_avx && m >= 2;
+        let packed_by_avx = !T::COUNTING && self.use_avx;
         #[cfg(not(target_arch = "x86_64"))]
         let packed_by_avx = false;
         if packed_by_avx {
@@ -329,147 +354,150 @@ impl RealFft {
             // SAFETY: `use_avx` is only set when runtime detection
             // confirmed the `avx` target feature (see `RealFft::new`).
             unsafe {
-                self.pack_inverse_avx(hc, z)
+                self.pack_inverse_avx(hc, bitrev, z)
             };
         } else {
-            for (k, &at) in plan.bitrev().iter().enumerate() {
-                z[at as usize] = pack_inv_k(hc, &self.unpack_tw, n, k, ops).conj();
+            for k in 1..m / 2 {
+                let (zk, zm) = pack_pair(hc, &self.inv_tw, k, ops);
+                z[bitrev[k] as usize] = zk;
+                z[bitrev[m - k] as usize] = zm;
             }
         }
         plan.forward_bitreversed(z, ops);
-        let inv_m = 1.0 / m as f64;
+        let inv_n = 1.0 / n as f64;
         out.resize(n, 0.0);
         for (pair, zk) in out.chunks_exact_mut(2).zip(z.iter()) {
-            let zk = zk.conj().scale_counted(inv_m, ops);
-            pair[0] = zk.re;
-            pair[1] = zk.im;
+            pair[0] = ops.mul(zk.im, inv_n);
+            pair[1] = ops.mul(zk.re, inv_n);
         }
     }
 
-    /// The AVX spectrum-pack pass of the packed inverse transform (the
-    /// mirror of [`RealFft::unpack_forward_avx`]): gathers two half-complex
-    /// bins per iteration with exactly the scalar helper's arithmetic and
-    /// writes each, conjugated, at its bit-reversed index of the
-    /// `n/2`-point complex buffer. Uncounted path only; edges and the odd
-    /// tail run the shared scalar helper.
+    /// The AVX pack pass of the packed inverse transform (the mirror of
+    /// [`RealFft::unpack_forward_avx`]): the pairs `k` and `k + 1` per
+    /// iteration, real and imaginary parts in separate 2-wide registers,
+    /// with exactly [`pack_pair`]'s operations in its order. Uncounted
+    /// path only; the odd tail runs the shared scalar helper.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX support at runtime.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx")]
-    unsafe fn pack_inverse_avx(&self, hc: &[f64], z: &mut [Complex]) {
+    unsafe fn pack_inverse_avx(&self, hc: &[f64], bitrev: &[u32], z: &mut [Complex]) {
         use std::arch::x86_64::*;
         let n = self.n;
         let m = n / 2;
-        let bitrev = self.half_plan.as_ref().expect("tuned plan").bitrev();
-        let put = |z: &mut [Complex], k: usize| {
-            z[bitrev[k] as usize] = pack_inv_k(hc, &self.unpack_tw, n, k, &mut NoCount).conj();
-        };
-        put(z, 0);
-        let half = _mm256_set1_pd(0.5);
-        let conj = _mm256_set_pd(-0.0, 0.0, -0.0, 0.0);
         let hp = hc.as_ptr();
-        let twp = self.unpack_tw.as_ptr() as *const f64;
+        let twp = self.inv_tw.as_ptr() as *const f64;
+        let zp = z.as_mut_ptr() as *mut f64;
+        let rev = |v: __m128d| _mm_shuffle_pd(v, v, 0b01);
         let mut k = 1;
-        while k + 2 <= m {
-            // X[k] = (hc[k], hc[n-k]) for the pair (k, k+1).
-            let xk_re = _mm_loadu_pd(hp.add(k));
-            let xk_im_raw = _mm_loadu_pd(hp.add(n - k - 1));
-            let xk_im = _mm_shuffle_pd(xk_im_raw, xk_im_raw, 0b01);
-            let xk = _mm256_set_m128d(_mm_unpackhi_pd(xk_re, xk_im), _mm_unpacklo_pd(xk_re, xk_im));
-            // conj(X[m-k]) = (hc[m-k], -hc[m+k]) for the pair (k, k+1).
-            let xmk_re_raw = _mm_loadu_pd(hp.add(m - k - 1));
-            let xmk_re = _mm_shuffle_pd(xmk_re_raw, xmk_re_raw, 0b01);
-            let xmk_im = _mm_loadu_pd(hp.add(m + k));
-            let xmk = _mm256_xor_pd(
-                _mm256_set_m128d(
-                    _mm_unpackhi_pd(xmk_re, xmk_im),
-                    _mm_unpacklo_pd(xmk_re, xmk_im),
-                ),
-                conj,
-            );
-            let fe = _mm256_mul_pd(_mm256_add_pd(xk, xmk), half);
-            let diffh = _mm256_mul_pd(_mm256_sub_pd(xk, xmk), half);
-            // conj(tw[k]) · diffh, elementwise exactly as mul_counted.
-            let t = _mm256_xor_pd(_mm256_loadu_pd(twp.add(2 * k)), conj);
-            let d_re = _mm256_movedup_pd(diffh);
-            let d_im = _mm256_permute_pd(diffh, 0b1111);
-            let t_sw = _mm256_permute_pd(t, 0b0101);
-            let fo = _mm256_addsub_pd(_mm256_mul_pd(d_re, t), _mm256_mul_pd(d_im, t_sw));
-            // z[k] = (fe.re - fo.im, fe.im + fo.re), conjugated.
-            let fo_sw = _mm256_permute_pd(fo, 0b0101);
-            let zk = _mm256_xor_pd(_mm256_addsub_pd(fe, fo_sw), conj);
+        while k + 2 <= m / 2 {
+            // X[k] = (p, q), X[m - k] = (r, s), for k and k + 1.
+            let p = _mm_loadu_pd(hp.add(k));
+            let q = rev(_mm_loadu_pd(hp.add(n - k - 1)));
+            let r = rev(_mm_loadu_pd(hp.add(m - k - 1)));
+            let s = _mm_loadu_pd(hp.add(m + k));
+            let w = load(twp, k);
+            let (wl, wh) = (_mm256_castpd256_pd128(w), _mm256_extractf128_pd(w, 1));
+            let (wr, wi) = (_mm_unpacklo_pd(wl, wh), _mm_unpackhi_pd(wl, wh));
+            let (er, ei) = (_mm_add_pd(p, r), _mm_sub_pd(q, s));
+            let (dr, di) = (_mm_sub_pd(p, r), _mm_add_pd(q, s));
+            let fr = _mm_add_pd(_mm_mul_pd(dr, wr), _mm_mul_pd(di, wi));
+            let fi = _mm_sub_pd(_mm_mul_pd(di, wr), _mm_mul_pd(dr, wi));
+            let (zk_re, zk_im) = (_mm_add_pd(ei, fr), _mm_sub_pd(er, fi));
+            let (zm_re, zm_im) = (_mm_sub_pd(fr, ei), _mm_add_pd(er, fi));
             // `bitrev` permutes `0..m`: each value lands inside `z`.
-            let zp = z.as_mut_ptr() as *mut f64;
-            _mm_storeu_pd(zp.add(2 * bitrev[k] as usize), _mm256_castpd256_pd128(zk));
-            _mm_storeu_pd(
-                zp.add(2 * bitrev[k + 1] as usize),
-                _mm256_extractf128_pd(zk, 1),
-            );
+            let put = |j: usize, v: __m128d| _mm_storeu_pd(zp.add(2 * bitrev[j] as usize), v);
+            put(k, _mm_unpacklo_pd(zk_re, zk_im));
+            put(k + 1, _mm_unpackhi_pd(zk_re, zk_im));
+            put(m - k, _mm_unpacklo_pd(zm_re, zm_im));
+            put(m - k - 1, _mm_unpackhi_pd(zm_re, zm_im));
             k += 2;
         }
-        while k < m {
-            put(z, k);
+        while k < m / 2 {
+            let (zk, zm) = pack_pair(hc, &self.inv_tw, k, &mut NoCount);
+            z[bitrev[k] as usize] = zk;
+            z[bitrev[m - k] as usize] = zm;
             k += 1;
         }
     }
 }
 
-/// One bin of the forward spectrum unpack (shared by the counted scalar
-/// loop and the edges/tail of the AVX pass, so both compute byte-for-byte
-/// the same expressions).
+/// The bins of the forward unpack that pair with themselves: `k = 0` with
+/// `m` (`X[0]`, `X[m]` from `Z[0]`: two additions) and, for `m ≥ 2`, the
+/// middle bin `X[m/2] = conj(Z[m/2])` (one negation).
 #[inline]
-fn unpack_fwd_k<T: Tally>(
-    z: &[Complex],
-    tw: &[Complex],
-    n: usize,
-    out: &mut [f64],
-    k: usize,
-    ops: &mut T,
-) {
+fn unpack_edges<T: Tally>(z: &[Complex], out: &mut [f64], ops: &mut T) {
+    let n = out.len();
     let m = n / 2;
-    let zk = z[k % m];
-    let zmk = z[(m - k) % m].conj();
-    // Fe = (Z[k] + conj(Z[M-k]))/2, the spectrum of the even samples;
-    // Fo = -i(Z[k] - conj(Z[M-k]))/2, the spectrum of the odd samples.
-    let fe = zk.add_counted(zmk, ops).scale_counted(0.5, ops);
-    let diff = zk.sub_counted(zmk, ops);
-    let fo = Complex::new(diff.im, -diff.re).scale_counted(0.5, ops);
-    let xk = fe.add_counted(tw[k].mul_counted(fo, ops), ops);
-    if k == 0 {
-        out[0] = xk.re;
-    } else if k == m {
-        out[m] = xk.re;
-    } else {
-        out[k] = xk.re;
-        out[n - k] = xk.im;
+    out[0] = ops.add(z[0].re, z[0].im);
+    out[m] = ops.sub(z[0].re, z[0].im);
+    if m >= 2 {
+        out[m / 2] = z[m / 2].re;
+        out[n - m / 2] = ops.neg(z[m / 2].im);
     }
 }
 
-/// One bin of the inverse spectrum pack (the scalar twin of the AVX
-/// pass's vector body).
+/// One conjugate pair of the forward unpack, `1 ≤ k < m/2` (shared by the
+/// counted loop and the tail of the AVX pass). With `a = Z[k] +
+/// conj(Z[m−k])` and `b = Z[k] − conj(Z[m−k])`, the even samples'
+/// spectrum is `a/2` and the odd samples' `−i·b/2`, so `X[k] = a/2 + t`
+/// and `X[m−k] = conj(a/2 − t)` with `t = (W^k/2)·(−i·b)` (`tw[k] =
+/// W^k/2`): 16 operations for two bins.
 #[inline]
-fn pack_inv_k<T: Tally>(hc: &[f64], tw: &[Complex], n: usize, k: usize, ops: &mut T) -> Complex {
+fn unpack_pair<T: Tally>(z: &[Complex], tw: &[Complex], out: &mut [f64], k: usize, ops: &mut T) {
+    let n = out.len();
     let m = n / 2;
-    let bin = |k: usize| -> Complex {
-        if k == 0 {
-            Complex::new(hc[0], 0.0)
-        } else if k == m {
-            Complex::new(hc[m], 0.0)
-        } else {
-            Complex::new(hc[k], hc[n - k])
-        }
-    };
-    let xk = bin(k);
-    let xmk = bin(m - k).conj();
-    let fe = xk.add_counted(xmk, ops).scale_counted(0.5, ops);
-    let fo = tw[k]
-        .conj()
-        .mul_counted(xk.sub_counted(xmk, ops).scale_counted(0.5, ops), ops);
-    // z[k] = Fe[k] + i·Fo[k]
-    ops.other(2);
-    Complex::new(fe.re - fo.im, fe.im + fo.re)
+    let (zk, zm) = (z[k], z[m - k]);
+    let (ar, ai) = (ops.add(zk.re, zm.re), ops.sub(zk.im, zm.im));
+    let (br, bi) = (ops.sub(zk.re, zm.re), ops.add(zk.im, zm.im));
+    let (fr, fi) = (ops.mul(ar, 0.5), ops.mul(ai, 0.5));
+    let w = tw[k];
+    let (p1, p2) = (ops.mul(bi, w.re), ops.mul(br, w.im));
+    let (p3, p4) = (ops.mul(bi, w.im), ops.mul(br, w.re));
+    let (tr, ti) = (ops.add(p1, p2), ops.sub(p3, p4));
+    out[k] = ops.add(fr, tr);
+    out[n - k] = ops.add(fi, ti);
+    out[m - k] = ops.sub(fr, tr);
+    out[m + k] = ops.sub(ti, fi);
+}
+
+/// The self-paired bins of the inverse pack, written swapped at their
+/// bit-reversed index: `2·Z[0] = (X[0] + X[m]) + i·(X[0] − X[m])` and,
+/// for `m ≥ 2`, `2·Z[m/2] = 2·conj(X[m/2])`.
+#[inline]
+fn pack_edges<T: Tally>(hc: &[f64], bitrev: &[u32], z: &mut [Complex], ops: &mut T) {
+    let n = hc.len();
+    let m = n / 2;
+    z[0] = Complex::new(ops.sub(hc[0], hc[m]), ops.add(hc[0], hc[m]));
+    if m >= 2 {
+        let (p, q) = (hc[m / 2], hc[n - m / 2]);
+        z[bitrev[m / 2] as usize] = Complex::new(ops.mul(q, -2.0), ops.mul(p, 2.0));
+    }
+}
+
+/// One conjugate pair of the inverse pack, `1 ≤ k < m/2` (the scalar twin
+/// of the AVX pass's body). With `e = X[k] + conj(X[m−k])`, `d = X[k] −
+/// conj(X[m−k])` and `f = d·conj(W^k)` (`tw[k] = W^k`), `2·Z[k] = e + i·f`
+/// and `2·Z[m−k] = conj(e) + i·conj(f)`; both are returned swapped. 14
+/// operations for two points.
+#[inline]
+fn pack_pair<T: Tally>(hc: &[f64], tw: &[Complex], k: usize, ops: &mut T) -> (Complex, Complex) {
+    let n = hc.len();
+    let m = n / 2;
+    let (p, q) = (hc[k], hc[n - k]);
+    let (r, s) = (hc[m - k], hc[m + k]);
+    let (er, ei) = (ops.add(p, r), ops.sub(q, s));
+    let (dr, di) = (ops.sub(p, r), ops.add(q, s));
+    let w = tw[k];
+    let (p1, p2) = (ops.mul(dr, w.re), ops.mul(di, w.im));
+    let (p3, p4) = (ops.mul(di, w.re), ops.mul(dr, w.im));
+    let (fr, fi) = (ops.add(p1, p2), ops.sub(p3, p4));
+    (
+        Complex::new(ops.add(ei, fr), ops.sub(er, fi)),
+        Complex::new(ops.sub(fr, ei), ops.add(er, fi)),
+    )
 }
 
 /// Pointwise product of two half-complex spectra of length `n` — the
@@ -749,10 +777,9 @@ mod tests {
     #[test]
     fn uncounted_transforms_are_bit_identical_to_counted() {
         use streamlin_support::NoCount;
-        // Covers the AVX unpack/pack passes (edges, pair loop, odd tails)
-        // and the fused butterfly passes (an odd and an even number of
-        // stages after the first two) on machines that have AVX, and the
-        // shared scalar path elsewhere: n = 2 … 4096.
+        // Covers the AVX unpack/pack passes (pair loop and odd tails)
+        // and the split-radix butterflies on machines that have AVX, and
+        // the shared scalar path elsewhere: n = 2 … 4096.
         for log_n in 1..=12 {
             let n = 1usize << log_n;
             let x = real_signal(n);
@@ -772,13 +799,16 @@ mod tests {
 
     #[test]
     fn packed_transform_tallies_are_pinned() {
-        // `(mults, adds, others)` of one forward and one inverse transform,
-        // read before the packing moved to bit-reversed order: writing
-        // the input where the butterflies want it moves no operation.
+        // `(mults, adds, others)` of one forward and one inverse transform:
+        // the split-radix core plus one unpack (pack) pass that forms each
+        // conjugate pair once. The radix-2 core with a per-bin pass tallied
+        // (44, 58, 0) / (44, 42, 8) at n = 8, (1036, 1546, 0) /
+        // (1156, 1410, 128) at 128 and (5132, 7690, 0) / (5636, 7170, 512)
+        // at 512.
         let pinned = [
-            (8, (44, 58, 0), (44, 42, 8)),
-            (128, (1036, 1546, 0), (1156, 1410, 128)),
-            (512, (5132, 7690, 0), (5636, 7170, 512)),
+            (8, (6, 28, 1), (14, 28, 0)),
+            (128, (434, 1224, 1), (502, 1224, 0)),
+            (512, (2418, 6280, 1), (2678, 6280, 0)),
         ];
         for (n, forward, inverse) in pinned {
             let fft = RealFft::new(FftKind::Tuned, n).unwrap();
@@ -789,6 +819,50 @@ mod tests {
             assert_eq!(counts(&fwd), forward, "n {n} forward");
             assert_eq!(counts(&inv), inverse, "n {n} inverse");
             assert_eq!(fwd.divs() + inv.divs(), 0);
+        }
+    }
+
+    #[test]
+    fn counts_follow_their_closed_forms() {
+        // With m = n/2 and lg the base-2 logarithm:
+        // - the split-radix core: 4·m·lg m − 6·m + 8 for m ≥ 2;
+        // - the forward unpack: 2 additions for X[0] and X[m], one
+        //   negation for X[m/2], 16 per conjugate pair: 8·m − 13;
+        // - the inverse pack and scale: 2 additions for Z[0], 2
+        //   multiplications for Z[m/2], 14 per pair, 2·m for the scale:
+        //   9·m − 10;
+        // and for m = 1 no core, 2 (forward) and 4 (inverse).
+        // The radix-2 core with a per-bin pass ran 5·m·lg m + 10·m + 22
+        // (forward) and 5·m·lg m + 12·m + 6 (inverse).
+        for bits in 1..=12 {
+            let n = 1usize << bits;
+            let m = n / 2;
+            let lg = u64::from(m.trailing_zeros());
+            let mu = m as u64;
+            let fft = RealFft::new(FftKind::Tuned, n).unwrap();
+            let mut core = OpCounter::new();
+            let mut z = vec![Complex::new(0.5, -0.25); m];
+            FftPlan::new(m).unwrap().forward(&mut z, &mut core);
+            let core_want = if m >= 2 { 4 * mu * lg + 8 - 6 * mu } else { 0 };
+            assert_eq!(core.flops(), core_want, "n {n} core");
+            assert_eq!(core.others() + core.divs(), 0, "n {n} core");
+            let (mut fwd, mut inv) = (OpCounter::new(), OpCounter::new());
+            let spec = fft.forward(&real_signal(n), &mut fwd);
+            fft.inverse(&spec, &mut inv);
+            let (unpack, pack) = if m >= 2 {
+                (8 * mu - 13, 9 * mu - 10)
+            } else {
+                (2, 4)
+            };
+            assert_eq!(fwd.flops() - core.flops(), unpack, "n {n} unpack");
+            assert_eq!(fwd.others(), u64::from(m >= 2), "n {n} unpack negations");
+            assert_eq!(inv.flops() - core.flops(), pack, "n {n} pack");
+            assert_eq!(inv.others(), 0, "n {n} pack");
+            if n >= 64 {
+                let radix2 = (5 * mu * lg + 10 * mu + 22, 5 * mu * lg + 12 * mu + 6);
+                assert!(5 * fwd.flops() <= 4 * radix2.0, "n {n} forward");
+                assert!(5 * inv.flops() <= 4 * radix2.1, "n {n} inverse");
+            }
         }
     }
 

@@ -6,6 +6,12 @@ use crate::Complex;
 /// Direct evaluation of the `N`-point DFT, `X[k] = Σ_n x[n]·W_N^{nk}`
 /// (paper Equation 2.5). O(N²); testing and calibration only.
 ///
+/// It is built to be more accurate than the transforms it checks: the
+/// exponent `n·k` is reduced modulo `N` before any rounding, each twiddle
+/// comes from an angle of at most π, and the sums are compensated
+/// (Neumaier), so an output's error is a few units in the last place of
+/// the terms rather than growing with `N`.
+///
 /// # Examples
 ///
 /// ```
@@ -17,16 +23,54 @@ use crate::Complex;
 /// ```
 pub fn dft_naive(x: &[Complex]) -> Vec<Complex> {
     let n = x.len();
-    let mut out = vec![Complex::zero(); n];
-    for (k, o) in out.iter_mut().enumerate() {
-        let mut acc = Complex::zero();
-        for (j, &xi) in x.iter().enumerate() {
-            let w = Complex::from_polar(-2.0 * std::f64::consts::PI * (j * k) as f64 / n as f64);
-            acc = acc + xi * w;
-        }
-        *o = acc;
+    // W_N^r for r < N, from the angle -2π·r/N or, past the half, as the
+    // conjugate of W_N^{N-r}.
+    let w: Vec<Complex> = (0..n)
+        .map(|r| {
+            let near = r.min(n - r);
+            let z = Complex::from_polar(-2.0 * std::f64::consts::PI * near as f64 / n as f64);
+            if near == r {
+                z
+            } else {
+                z.conj()
+            }
+        })
+        .collect();
+    (0..n)
+        .map(|k| {
+            let (mut re, mut im) = (Compensated::default(), Compensated::default());
+            for (j, &xj) in x.iter().enumerate() {
+                let t = xj * w[(j * k) % n];
+                re.add(t.re);
+                im.add(t.im);
+            }
+            Complex::new(re.total(), im.total())
+        })
+        .collect()
+}
+
+/// Neumaier's compensated sum: the running sum plus the rounding error
+/// each addition committed.
+#[derive(Default)]
+struct Compensated {
+    sum: f64,
+    lost: f64,
+}
+
+impl Compensated {
+    fn add(&mut self, v: f64) {
+        let t = self.sum + v;
+        self.lost += if self.sum.abs() >= v.abs() {
+            (self.sum - t) + v
+        } else {
+            (v - t) + self.sum
+        };
+        self.sum = t;
     }
-    out
+
+    fn total(&self) -> f64 {
+        self.sum + self.lost
+    }
 }
 
 #[cfg(test)]

@@ -1483,9 +1483,13 @@ impl<T: Tally> PlanEngine<T> {
         rec: &mut Option<&mut Recorder>,
     ) -> Result<u32, RunError> {
         let t0 = rec.as_deref().map_or(0, Recorder::now);
+        let ops0 = rec.as_ref().map(|_| self.state.ops.counts());
         let done = exec_batch(&mut self.nodes[node], times, &mut self.state, stop_at)?;
         if let Some(rec) = rec {
             rec.batch(1, node, done, t0);
+            if let Some(ops0) = ops0 {
+                rec.batch_ops(node, &self.state.ops.counts().since(&ops0));
+            }
             let ts = rec.now();
             for &c in &self.nodes[node].outputs {
                 rec.ring_depth(c, self.state.rings.len(c), ts);

@@ -30,6 +30,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use crate::flops::OpCounter;
+
 /// Why an instrumented wait happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StallKind {
@@ -170,6 +172,10 @@ pub struct NodeStats {
     pub busy_ns: u64,
     /// Cost model's predicted per-firing cost (arbitrary units).
     pub predicted: f64,
+    /// Floating-point operations its batches tallied. A counted
+    /// single-threaded plan run fills it (zero under `NoCount` and on the
+    /// pipeline executor's lanes).
+    pub ops: OpCounter,
 }
 
 /// Raw events kept per run; aggregates are exact regardless. Big enough
@@ -510,6 +516,11 @@ impl Recorder {
         });
     }
 
+    /// Adds the operations one batch of `node` tallied.
+    pub fn batch_ops(&mut self, node: usize, ops: &OpCounter) {
+        self.nodes.entry(node).or_default().ops.merge(ops);
+    }
+
     /// Closes a stall span of `kind` on `lane`, opened at `start_ns`.
     pub fn stall(&mut self, lane: u32, kind: StallKind, start_ns: u64) {
         let dur_ns = self.now().saturating_sub(start_ns);
@@ -614,6 +625,7 @@ impl Recorder {
             }
             m.firings += n.firings;
             m.busy_ns += n.busy_ns;
+            m.ops.merge(&n.ops);
             if m.predicted == 0.0 {
                 m.predicted = n.predicted;
             }

@@ -25,8 +25,10 @@ use crate::core::opt::OptStats;
 use crate::core::{Config, LinearNode, OptStream};
 use crate::fft::FftKind::{self, Simple, Tuned};
 use crate::graph::stats::{graph_stats, GraphStats};
+use crate::runtime::flat::NodeKind;
 use crate::runtime::MatMulStrategy::{self, Blocked, Unrolled};
 use crate::runtime::{ExecMode, RunSpec};
+use crate::support::probe::Recorder;
 use crate::support::OpCounter;
 
 /// The line between the two halves of `REPRODUCTION.md`.
@@ -82,6 +84,7 @@ pub struct Lab {
     programs: HashMap<Program, Rc<(Benchmark, LinearAnalysis)>>,
     streams: HashMap<(Program, Build), Rc<OptStream>>,
     samples: HashMap<Cell, Vec<Sample>>,
+    attributions: HashMap<Program, Vec<String>>,
     /// Cell lookups so far, and the runs that served them.
     pub reads: usize,
     pub runs: usize,
@@ -142,6 +145,55 @@ impl Lab {
             self.runs += 1;
         }
         self.samples[&cell][run]
+    }
+
+    /// A suite program's row of the attribution table, made when first
+    /// asked for: one counted, recorded run of its autosel plan (the 5-1
+    /// cell's run), every node's tally summed by kind per output, then the
+    /// total and the node with the largest share.
+    /// Panics on execution errors, as [`Lab::sample`] does.
+    fn attributed(&mut self, program: Program) -> Vec<String> {
+        self.reads += 1;
+        if let Some(row) = self.attributions.get(&program) {
+            return row.clone();
+        }
+        let loaded = self.program(program);
+        let (name, n) = (loaded.0.name(), loaded.0.default_outputs());
+        let opt = self.stream(program, AUTOSEL);
+        let mut spec = RunSpec::default();
+        (spec.mode, spec.matmul) = (ExecMode::Measured, Some(Unrolled));
+        let art = spec.compile(&opt).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let mut rec = Recorder::new();
+        let run = spec.run_recorded(&opt, n, &mut rec);
+        let run = run.unwrap_or_else(|e| panic!("{name}: {e}"));
+        self.runs += 1;
+        let mut by_kind = [0u64; KINDS.len()];
+        for (&id, stats) in &rec.nodes {
+            by_kind[kind_index(&art.flat.nodes[id].kind)] += stats.ops.flops();
+        }
+        let total = run.ops.flops();
+        assert_eq!(
+            by_kind.iter().sum::<u64>(),
+            total,
+            "{name}: nodes miss FLOPs"
+        );
+        let (top, top_flops) = rec
+            .nodes
+            .iter()
+            .map(|(&id, stats)| (id, stats.ops.flops()))
+            .max_by_key(|&(id, flops)| (flops, std::cmp::Reverse(id)))
+            .expect("a plan has nodes");
+        let per_output = |flops: u64| format!("{:.1}", flops as f64 / run.outputs.len() as f64);
+        let mut row = vec![name.to_string()];
+        row.extend(by_kind.iter().map(|&f| per_output(f)));
+        row.push(per_output(total));
+        row.push(art.flat.nodes[top].name.clone());
+        row.push(format!(
+            "{:.1}",
+            100.0 * top_flops as f64 / total.max(1) as f64
+        ));
+        self.attributions.insert(program, row.clone());
+        row
     }
 
     /// Exact per-output counts, under the paper's unrolled code.
@@ -590,12 +642,43 @@ fn write_figure(lab: &mut Lab, fig: &Figure, timed: bool, out: &mut impl Write) 
     writeln!(out)
 }
 
+/// The node kinds [`write_attribution`] splits a plan's work by.
+const KINDS: [&str; 5] = ["interp", "linear", "freq", "redund", "plumbing"];
+
+fn kind_index(kind: &NodeKind) -> usize {
+    match kind {
+        NodeKind::Interp(_) => 0,
+        NodeKind::Linear(_) => 1,
+        NodeKind::Freq(_) => 2,
+        NodeKind::Redund(_) => 3,
+        _ => 4,
+    }
+}
+
+/// Where the FLOPs autosel leaves are: each suite program's row of
+/// [`Lab::attributed`] under the kinds' header.
+fn write_attribution(lab: &mut Lab, out: &mut impl Write) -> io::Result<()> {
+    let rows: Vec<Vec<String>> = (0..9).map(|i| lab.attributed(Program::Suite(i))).collect();
+    let header = ["benchmark"]
+        .into_iter()
+        .chain(KINDS)
+        .chain(["total", "largest node", "its %"]);
+    let table = render_table(&header.map(String::from).collect::<Vec<_>>(), &rows);
+    writeln!(
+        out,
+        "### Figure 5-1, attributed: autosel FLOPs per output by node kind\n\n{table}\n\
+         - Paper: none (the split is this repository's, to give every point of \
+         5-1's gap an owner).\n- Verdict: nothing to compare.\n"
+    )
+}
+
 /// Writes the exact half: everything above [`MARKER`].
 pub fn write_exact(lab: &mut Lab, out: &mut impl Write) -> io::Result<()> {
     out.write_all(include_str!("paper_preamble.md").as_bytes())?;
     for fig in figures(lab) {
         write_figure(lab, &fig, false, out)?;
     }
+    write_attribution(lab, out)?;
     let (reads, runs, programs) = (lab.reads, lab.runs, lab.programs.len());
     let served = format!("{runs} runs over {programs} programs, each analysed once, served them");
     writeln!(out, "The tables above read {reads} cells; {served}.\n")
