@@ -11,10 +11,21 @@
 //!
 //! Pipelines are cut horizontally and splitjoins vertically (with sliced
 //! splitter/joiner weights — a valid refactoring for both duplicate and
-//! round-robin splitters). The 2-D grid refactoring across
-//! splitjoins-of-pipelines is not implemented (REPRODUCTION.md's "Deviations
-//! from the paper" records this restriction; the nested DP covers every
-//! shape in the benchmark suite).
+//! round-robin splitters). Of the paper's 2-D grid refactoring, the DP
+//! searches single-depth cuts under a `duplicate` splitter whose children
+//! are all pipelines, applied recursively: a cut at depth `d` is a pipeline
+//! of two splitjoins that meet in a `roundrobin(w)` joiner and splitter,
+//! with `w_j` column `j`'s items per steady state at the cut (from the rate
+//! solver, over their gcd), and the top half may be cut again higher up.
+//! That is what lets TargetDetect's four matched filters share one forward
+//! transform. It does not search rectangles (a cut through some of the
+//! columns, or at a different depth in each), grids under a `roundrobin`
+//! splitter, or grids inside feedback loops. Columns that share no input
+//! gain no operation from being merged, only the model's per-firing
+//! overhead, while the dense kernel would run their block-diagonal matrix
+//! whole: so a `roundrobin` splitjoin gets no grid cut, and a cut's bottom
+//! half keeps its columns apart. REPRODUCTION.md's "Deviations from the
+//! paper" records the restriction.
 //! Costs are scaled by firings per global steady state, obtained from the
 //! rate solver.
 //!
@@ -28,7 +39,7 @@
 //! large product whose coefficients cancel is priced too high, and the DP
 //! may then choose differently than exact pricing would. That decisions
 //! match exact pricing is checked only on the golden benchmarks and the
-//! 200 generated programs of `tests/selection_pricing.rs`, not proven.
+//! 250 generated programs of `tests/selection_pricing.rs`, not proven.
 
 use std::cell::OnceCell;
 use std::collections::HashMap;
@@ -36,7 +47,8 @@ use std::rc::Rc;
 
 use streamlin_fft::FftKind;
 use streamlin_graph::ir::{FilterInst, Joiner, Splitter, Stream};
-use streamlin_graph::steady::steady_state;
+use streamlin_graph::steady::{items_pushed, steady_state};
+use streamlin_support::num::gcd;
 
 use crate::combine::LinearAnalysis;
 use crate::cost::CostModel;
@@ -163,21 +175,27 @@ enum Plan<'a> {
     /// A region collapsed to one linear node, run in the time domain or
     /// (`freq`) the frequency domain, with what it was priced on.
     Collapsed {
-        exact: Rc<Exact<'a>>,
+        exact: Rc<Exact>,
         freq: bool,
         firings: f64,
         inflow: f64,
     },
-    /// A pipeline range cut horizontally in two.
+    /// A pipeline range cut horizontally in two, or a splitjoin cut across
+    /// its columns into a pipeline of two splitjoins.
     PipeCut([Rc<Choice<'a>>; 2]),
     /// Children `lo..=hi` of a splitjoin cut vertically after `pivot`.
     SplitCut {
-        split: &'a Splitter,
-        join: &'a Joiner,
+        ends: Ends,
         lo: usize,
         pivot: usize,
         hi: usize,
         halves: [Rc<Choice<'a>>; 2],
+    },
+    /// A grid cut's bottom half: one splitjoin over its columns, each
+    /// implemented on its own.
+    Apart {
+        ends: Ends,
+        columns: Vec<Rc<Choice<'a>>>,
     },
     /// A feedback loop around its solved body and loop path.
     Feedback {
@@ -193,8 +211,8 @@ enum Plan<'a> {
 /// node, its shape, and the items flowing into and out of it per global
 /// steady state.
 #[derive(Clone)]
-struct Whole<'a> {
-    exact: Rc<Exact<'a>>,
+struct Whole {
+    exact: Rc<Exact>,
     /// Combined from the factors' shapes when the region's product is
     /// large; read off its formed node on first use when it is small.
     shape: OnceCell<Rc<Shape>>,
@@ -206,9 +224,9 @@ struct Whole<'a> {
     outflow: f64,
 }
 
-impl<'a> Whole<'a> {
+impl Whole {
     /// A region whose exact node is formed.
-    fn formed(exact: Rc<Exact<'a>>, inflow: f64, outflow: f64) -> Self {
+    fn formed(exact: Rc<Exact>, inflow: f64, outflow: f64) -> Self {
         let node = exact.node.get().expect("a formed region");
         Whole {
             rates: [node.peek(), node.pop(), node.push()],
@@ -221,7 +239,7 @@ impl<'a> Whole<'a> {
     }
 
     /// A region known by its shape.
-    fn shaped(exact: Rc<Exact<'a>>, shape: Shape, inflow: f64, outflow: f64) -> Self {
+    fn shaped(exact: Rc<Exact>, shape: Shape, inflow: f64, outflow: f64) -> Self {
         Whole {
             rates: [shape.peek(), shape.pop(), shape.push()],
             nnz: shape.nnz_a(),
@@ -249,26 +267,26 @@ impl<'a> Whole<'a> {
 /// ranges only kept ones are formed, and a child container's node once
 /// however many kept regions hold it. A small one is formed as the DP
 /// prices it (see [`SMALL_PRODUCT`]).
-struct Exact<'a> {
+struct Exact {
     node: OnceCell<Rc<LinearNode>>,
-    recipe: Recipe<'a>,
+    recipe: Recipe,
 }
 
-enum Recipe<'a> {
+enum Recipe {
     /// Formed when made: a linear filter's extracted node.
     Formed,
     /// Children `lo..=hi` of a container, folded as the DP folds their
     /// shapes: a pipeline left to right, a splitjoin all at once.
     Range {
-        kind: Container<'a>,
-        parts: Rc<[Option<Rc<Exact<'a>>>]>,
+        kind: Container,
+        parts: Rc<[Option<Rc<Exact>>]>,
         lo: usize,
         hi: usize,
     },
 }
 
-impl<'a> Exact<'a> {
-    fn new(recipe: Recipe<'a>) -> Rc<Self> {
+impl Exact {
+    fn new(recipe: Recipe) -> Rc<Self> {
         Rc::new(Exact {
             node: OnceCell::new(),
             recipe,
@@ -315,6 +333,10 @@ impl<'a> Exact<'a> {
     }
 }
 
+/// A splitjoin's splitter and joiner: the graph's, or a grid cut's, which
+/// has a `roundrobin` joiner on its top half and splitter on its bottom.
+type Ends = Rc<(Splitter, Joiner)>;
+
 /// The splitter feeding children `lo..=hi` alone.
 fn sliced(split: &Splitter, lo: usize, hi: usize) -> Splitter {
     match split {
@@ -329,14 +351,41 @@ struct Solved<'a> {
     best: Rc<Choice<'a>>,
     /// The fully combined subtree, when it exists — what the parent
     /// container folds into its own ranges.
-    whole: Option<Whole<'a>>,
+    whole: Option<Whole>,
 }
 
 /// The two container kinds whose child ranges the DP cuts.
-#[derive(Clone, Copy)]
-enum Container<'a> {
+#[derive(Clone)]
+enum Container {
     Pipe,
-    Split(&'a Splitter, &'a Joiner),
+    Split(Ends),
+}
+
+/// Every child range of one container, solved.
+struct Table<'a> {
+    n: usize,
+    /// `lo * n + hi` → the cheapest implementation of children `lo..=hi`.
+    best: Vec<Option<Rc<Choice<'a>>>>,
+    /// The combined region of all `n` children.
+    whole: Option<Whole>,
+    /// `lo * n + hi` → the combined region of children `lo..=hi`, for a
+    /// column of a grid; empty for any other container.
+    wholes: Vec<Option<Whole>>,
+}
+
+impl<'a> Table<'a> {
+    fn solved(&self, lo: usize, hi: usize) -> Solved<'a> {
+        let at = lo * self.n + hi;
+        let best = self.best[at].as_ref().expect("every range is solved");
+        Solved {
+            best: Rc::clone(best),
+            whole: if at == self.n - 1 {
+                self.whole.clone()
+            } else {
+                self.wholes[at].clone()
+            },
+        }
+    }
 }
 
 #[cfg(test)]
@@ -372,8 +421,24 @@ impl<'a> Dp<'a> {
                 children,
                 join,
             } => {
-                let solved = children.iter().map(|c| self.solve(c, in_feedback));
-                self.container(Container::Split(split, join), solved.collect(), in_feedback)
+                let columns: Option<Vec<&'a [Stream]>> = (children.iter())
+                    .map(|c| match c {
+                        Stream::Pipeline(column) if column.len() > 1 => Some(&column[..]),
+                        _ => None,
+                    })
+                    .collect();
+                match columns {
+                    Some(columns)
+                        if *split == Splitter::Duplicate && columns.len() > 1 && !in_feedback =>
+                    {
+                        self.grid(split, join, &columns)
+                    }
+                    _ => {
+                        let solved = children.iter().map(|c| self.solve(c, in_feedback));
+                        let ends = Rc::new((split.clone(), join.clone()));
+                        self.container(Container::Split(ends), solved.collect(), in_feedback)
+                    }
+                }
             }
             Stream::FeedbackLoop {
                 join,
@@ -427,7 +492,7 @@ impl<'a> Dp<'a> {
 
     /// Prices a collapsed region, direct vs frequency, from the cost model
     /// and the region's exact node where it is formed, its shape where not.
-    fn collapsed(&self, region: &Whole<'a>, firings: f64, in_feedback: bool) -> Choice<'a> {
+    fn collapsed(&self, region: &Whole, firings: f64, in_feedback: bool) -> Choice<'a> {
         let (direct, freq) = match region.exact.node.get() {
             Some(node) => self.prices(&**node, firings, region.inflow, in_feedback),
             None => self.prices(region.shape(), firings, region.inflow, in_feedback),
@@ -462,41 +527,65 @@ impl<'a> Dp<'a> {
         (self.model.direct_total(form, firings), freq)
     }
 
-    /// `getContainerCost` for every child range of one container, solved
-    /// smallest-first: `lo` descends and `hi` ascends, so both halves of
-    /// every cut of `lo..=hi` are already in the table. A pipeline's
-    /// combined shape for `lo..=hi` is the one for `lo..=hi-1` composed
-    /// with child `hi`'s, carried along the row, so each range's shape is
-    /// formed once.
+    /// `getContainerCost`: the cheapest implementation of one container.
     fn container(
         &self,
-        kind: Container<'a>,
+        kind: Container,
         children: Vec<Solved<'a>>,
         in_feedback: bool,
     ) -> Solved<'a> {
+        let n = children.len();
+        self.table(kind, children, in_feedback, false)
+            .solved(0, n - 1)
+    }
+
+    /// Every child range of one container, solved smallest-first: `lo`
+    /// descends and `hi` ascends, so both halves of every cut of `lo..=hi`
+    /// are already in the table. A pipeline's combined shape for `lo..=hi`
+    /// is the one for `lo..=hi-1` composed with child `hi`'s, carried along
+    /// the row, so each range's shape is formed once. `keep` keeps every
+    /// range's combined region, not only the whole container's.
+    fn table(
+        &self,
+        kind: Container,
+        children: Vec<Solved<'a>>,
+        in_feedback: bool,
+        keep: bool,
+    ) -> Table<'a> {
         let n = children.len();
         let parts: Rc<[_]> = children
             .iter()
             .map(|c| c.whole.as_ref().map(|w| Rc::clone(&w.exact)))
             .collect();
+        let mut table: Vec<Option<Rc<Choice<'a>>>> = vec![None; n * n];
+        let mut wholes = vec![None; if keep { n * n } else { 0 }];
+        for (k, child) in children.iter().enumerate() {
+            table[k * n + k] = Some(Rc::clone(&child.best));
+            if keep {
+                wholes[k * n + k] = child.whole.clone();
+            }
+        }
         if n == 1 {
             // A single child is priced as itself: there is no range to cut.
             let whole = match kind {
                 Container::Pipe => children[0].whole.clone(),
-                Container::Split(..) => combine(kind, &children, &parts, 0, 0, None),
+                Container::Split(..) => combine(&kind, &children, &parts, 0, 0, None),
             };
-            let best = Rc::clone(&children[0].best);
-            return Solved { best, whole };
-        }
-        let mut table: Vec<Option<Rc<Choice<'a>>>> = vec![None; n * n];
-        for (k, child) in children.iter().enumerate() {
-            table[k * n + k] = Some(Rc::clone(&child.best));
+            return Table {
+                n,
+                best: table,
+                whole,
+                wholes,
+            };
         }
         let mut whole = None;
         for lo in (0..n - 1).rev() {
             let mut carried = children[lo].whole.clone();
             for hi in lo + 1..n {
-                carried = combine(kind, &children, &parts, lo, hi, carried);
+                carried = combine(&kind, &children, &parts, lo, hi, carried);
+                if keep {
+                    wholes[lo * n + hi] = carried.clone();
+                }
 
                 // Option 1/2: collapse the whole range (LINEAR / FREQ).
                 let mut best = carried.as_ref().map(|region| {
@@ -523,11 +612,10 @@ impl<'a> Dp<'a> {
                     let cost = left.cost + right.cost;
                     if best.as_ref().is_none_or(|b| cost < b.cost) {
                         let halves = [Rc::clone(left), Rc::clone(right)];
-                        let plan = match kind {
+                        let plan = match &kind {
                             Container::Pipe => Plan::PipeCut(halves),
-                            Container::Split(split, join) => Plan::SplitCut {
-                                split,
-                                join,
+                            Container::Split(ends) => Plan::SplitCut {
+                                ends: Rc::clone(ends),
                                 lo,
                                 pivot,
                                 hi,
@@ -543,12 +631,80 @@ impl<'a> Dp<'a> {
                 whole = carried;
             }
         }
-        Solved {
-            best: table[n - 1]
-                .take()
-                .expect("at least one cut exists for n > 1"),
+        Table {
+            n,
+            best: table,
             whole,
+            wholes,
         }
+    }
+
+    /// A `duplicate` splitjoin whose children are pipelines of at least two
+    /// children each: its plain ranges, and its grid cuts. A cut at depth
+    /// `d` is a pipeline of two splitjoins. The top keeps the splitter,
+    /// takes each column's first `d` children and joins `roundrobin(w)`;
+    /// the bottom splits `roundrobin(w)`, takes the rest of each column and
+    /// keeps the joiner. A roundrobin join followed by a roundrobin split
+    /// of the same weights hands each column its own items in order, so
+    /// the cut is the identity on every column's stream. The top is cut
+    /// again at smaller depths (memoized in `cuts`); the bottom, whose
+    /// columns share no input, keeps its columns [`apart`].
+    fn grid(&self, split: &'a Splitter, join: &'a Joiner, columns: &[&'a [Stream]]) -> Solved<'a> {
+        let tables: Vec<Table<'a>> = (columns.iter())
+            .map(|column| {
+                let solved = column.iter().map(|c| self.solve(c, false)).collect();
+                self.table(Container::Pipe, solved, false, true)
+            })
+            .collect();
+        // Every column's children `lo..=hi` (`hi` = `None`: to its end).
+        let rows = |lo: usize, hi: Option<usize>| -> Vec<Solved<'a>> {
+            (tables.iter())
+                .map(|t| t.solved(lo, hi.unwrap_or(t.n - 1)))
+                .collect()
+        };
+        let ends = |split: &Splitter, join: &Joiner| Rc::new((split.clone(), join.clone()));
+        let plain = self.container(Container::Split(ends(split, join)), rows(0, None), false);
+        let depth = columns.iter().map(|c| c.len()).min().unwrap_or(0);
+        // `cuts[d - 1]`: the weights at depth `d` and the cheapest top
+        // splitjoin of that depth, where every column pushes there.
+        let mut cuts: Vec<Option<(Vec<usize>, Rc<Choice<'a>>)>> = Vec::with_capacity(depth);
+        for d in 1..depth {
+            let cut = self.weights(columns, d).map(|w| {
+                let joiner = Joiner { weights: w.clone() };
+                let top = Container::Split(ends(split, &joiner));
+                let mut top = self.container(top, rows(0, Some(d - 1)), false).best;
+                for (above, cut) in cuts.iter().enumerate() {
+                    if let Some((v, upper)) = cut {
+                        let ends = ends(&Splitter::RoundRobin(v.clone()), &joiner);
+                        top = cheaper(top, upper, apart(ends, rows(above + 1, Some(d - 1))));
+                    }
+                }
+                (w, top)
+            });
+            cuts.push(cut);
+        }
+        let mut best = plain.best;
+        for (above, cut) in cuts.iter().enumerate() {
+            if let Some((w, upper)) = cut {
+                let ends = ends(&Splitter::RoundRobin(w.clone()), join);
+                best = cheaper(best, upper, apart(ends, rows(above + 1, None)));
+            }
+        }
+        Solved {
+            best,
+            whole: plain.whole,
+        }
+    }
+
+    /// The weights of a grid cut at depth `d`: each column's items per
+    /// steady state after its first `d` children, over their gcd; `None`
+    /// where a column pushes nothing there.
+    fn weights(&self, columns: &[&[Stream]], d: usize) -> Option<Vec<usize>> {
+        let items: Vec<u64> = (columns.iter())
+            .map(|column| items_pushed(&column[d - 1], self.reps))
+            .collect();
+        let g = items.iter().copied().fold(0, gcd);
+        (!items.contains(&0)).then(|| items.iter().map(|&i| (i / g) as usize).collect())
     }
 
     /// Builds the chosen structure and its cost: the only place a
@@ -581,8 +737,7 @@ impl<'a> Dp<'a> {
                 (OptStream::Pipeline(streams), cost)
             }
             Plan::SplitCut {
-                split,
-                join,
+                ends,
                 lo,
                 pivot,
                 hi,
@@ -594,6 +749,7 @@ impl<'a> Dp<'a> {
                 let (left, right) = (*lo..=*pivot, *pivot + 1..=*hi);
                 let sum = |w: &[usize]| w.iter().sum();
                 let (children, cost) = self.halves(halves);
+                let (split, join) = &**ends;
                 let stream = OptStream::SplitJoin {
                     split: match split {
                         Splitter::Duplicate => Splitter::Duplicate,
@@ -608,6 +764,17 @@ impl<'a> Dp<'a> {
                     },
                 };
                 (stream, cost)
+            }
+            Plan::Apart { ends, columns } => {
+                let (split, join) = &**ends;
+                let (children, costs): (Vec<_>, Vec<f64>) =
+                    columns.iter().map(|c| self.materialize(c)).unzip();
+                let stream = OptStream::SplitJoin {
+                    split: split.clone(),
+                    children,
+                    join: join.clone(),
+                };
+                (stream, costs.into_iter().sum())
             }
             Plan::Feedback {
                 join,
@@ -647,26 +814,56 @@ impl<'a> Dp<'a> {
 /// structural ones, an upper bound that cancellation can make too high.
 const SMALL_PRODUCT: usize = 1 << 14;
 
+/// A grid cut's bottom half between `ends`, each column implemented on its
+/// own. The columns share no input, so one node over several of them would
+/// save no operation, only the model's per-firing overhead, and would hand
+/// the dense kernel a block-diagonal matrix (Radar's four `BeamFir`s would
+/// become one 512×512 node).
+fn apart<'a>(ends: Ends, rows: Vec<Solved<'a>>) -> Rc<Choice<'a>> {
+    let columns: Vec<_> = rows.into_iter().map(|row| row.best).collect();
+    let cost = columns.iter().map(|c| c.cost).sum();
+    Rc::new(Choice {
+        cost,
+        plan: Plan::Apart { ends, columns },
+    })
+}
+
+/// `best`, or the grid cut of `top` over `bottom` where that is cheaper.
+fn cheaper<'a>(
+    best: Rc<Choice<'a>>,
+    top: &Rc<Choice<'a>>,
+    bottom: Rc<Choice<'a>>,
+) -> Rc<Choice<'a>> {
+    let cost = top.cost + bottom.cost;
+    if cost < best.cost {
+        let plan = Plan::PipeCut([Rc::clone(top), bottom]);
+        Rc::new(Choice { cost, plan })
+    } else {
+        best
+    }
+}
+
 /// The combined region of children `lo..=hi`, or `None` when a child is
 /// not linear or the combination is refused. For a pipeline `carried` is
 /// the combination of `lo..=hi-1`. `parts` are the children's exact nodes,
 /// for the range's recipe. A small product of formed factors is formed
 /// now; otherwise the factors' shapes combine.
 fn combine<'a>(
-    kind: Container<'a>,
+    kind: &Container,
     children: &[Solved<'a>],
-    parts: &Rc<[Option<Rc<Exact<'a>>>]>,
+    parts: &Rc<[Option<Rc<Exact>>]>,
     lo: usize,
     hi: usize,
-    carried: Option<Whole<'a>>,
-) -> Option<Whole<'a>> {
+    carried: Option<Whole>,
+) -> Option<Whole> {
     let (factors, inflow, outflow, work): (Vec<&Whole>, f64, f64, usize) = match kind {
         Container::Pipe => {
             let (first, last) = (carried.as_ref()?, children[hi].whole.as_ref()?);
             let work = first.nnz.saturating_mul(last.nnz);
             (vec![first, last], first.inflow, last.outflow, work)
         }
-        Container::Split(split, _) => {
+        Container::Split(ends) => {
+            let split = &ends.0;
             let wholes: Vec<&Whole> = children[lo..=hi]
                 .iter()
                 .map(|c| c.whole.as_ref())
@@ -682,7 +879,7 @@ fn combine<'a>(
         }
     };
     let exact = Exact::new(Recipe::Range {
-        kind,
+        kind: kind.clone(),
         parts: Rc::clone(parts),
         lo,
         hi,
@@ -711,14 +908,20 @@ fn combine<'a>(
     })
 }
 
-impl Container<'_> {
+impl Container {
     /// The combination rule of children `lo..=hi`, on their exact nodes or
     /// their shapes: for a pipeline, `factors` are the range so far and
     /// child `hi`.
-    fn rule<F: Form + Clone>(self, lo: usize, hi: usize, factors: &[&F]) -> Result<F, LinearError> {
+    fn rule<F: Form + Clone>(
+        &self,
+        lo: usize,
+        hi: usize,
+        factors: &[&F],
+    ) -> Result<F, LinearError> {
         match self {
             Container::Pipe => combine_pipeline(factors[0], factors[1]),
-            Container::Split(split, join) => {
+            Container::Split(ends) => {
+                let (split, join) = &**ends;
                 let factors: Vec<F> = factors.iter().map(|&f| f.clone()).collect();
                 combine_splitjoin(&sliced(split, lo, hi), &factors, &join.weights[lo..=hi])
             }
@@ -875,9 +1078,65 @@ mod tests {
         assert!(st.splitjoins >= 1);
     }
 
+    /// A splitjoin of two columns, each a 256-tap FIR (distinct taps) and
+    /// a stateful accumulator, under `split`.
+    fn columns_program(split: &str) -> String {
+        format!(
+            "void->void pipeline Main {{ add Src(); add SJ(); add Sink(); }}
+             void->float filter Src {{ float x; work push 2 {{ push(x++); push(x++); }} }}
+             float->float splitjoin SJ {{
+                 split {split};
+                 add pipeline {{ add F(256, 1.0); add Acc(); }};
+                 add pipeline {{ add F(256, 2.0); add Acc(); }};
+                 join roundrobin;
+             }}
+             float->float filter F(int N, float k) {{
+                 float[N] h;
+                 init {{ for (int i=0;i<N;i++) h[i] = k / (i + 1); }}
+                 work peek N pop 1 push 1 {{
+                     float s = 0;
+                     for (int i=0;i<N;i++) s += h[i]*peek(i);
+                     push(s); pop();
+                 }}
+             }}
+             float->float filter Acc {{ float a; work pop 1 push 1 {{ a = a * 0.5 + pop(); push(a); }} }}
+             float->void filter Sink {{ work pop 1 {{ println(pop()); }} }}"
+        )
+    }
+
+    #[test]
+    fn a_grid_cut_lets_duplicate_columns_share_one_frequency_node() {
+        let sel = run_select(&columns_program("duplicate"));
+        let st = sel.opt.stats();
+        assert_eq!((st.freq, st.originals), (1, 4), "{}", sel.opt.describe());
+        let OptStream::Pipeline(stages) = &sel.opt else {
+            panic!("{}", sel.opt.describe())
+        };
+        let OptStream::Freq(spec) = &stages[1] else {
+            panic!("{}", sel.opt.describe())
+        };
+        // One transform of the shared input, two outputs.
+        assert_eq!(spec.node().push(), 2);
+        // The bottom splitjoin hands each accumulator its own column.
+        let OptStream::SplitJoin { split, join, .. } = &stages[2] else {
+            panic!("{}", sel.opt.describe())
+        };
+        assert_eq!(*split, Splitter::RoundRobin(vec![1, 1]));
+        assert_eq!(join.weights, vec![1, 1]);
+    }
+
+    #[test]
+    fn roundrobin_columns_get_no_grid_cut() {
+        // The columns share no input: a grid cut would save no operation.
+        let sel = run_select(&columns_program("roundrobin"));
+        let st = sel.opt.stats();
+        assert_eq!((st.freq, st.splitjoins), (2, 1), "{}", sel.opt.describe());
+    }
+
     /// Child ranges `lo < hi` over every container of a graph, plus one
-    /// for each single-child splitjoin: the most combinations a selection
-    /// may form.
+    /// for each single-child splitjoin and, under a `duplicate` splitjoin
+    /// of pipelines, those of the top splitjoin of each grid cut: the most
+    /// combinations a selection may form.
     fn range_count(s: &Stream) -> usize {
         let ranges = |children: &[Stream], single: usize| {
             let n = children.len();
@@ -887,7 +1146,23 @@ mod tests {
         match s {
             Stream::Filter(_) => 0,
             Stream::Pipeline(children) => ranges(children, 0),
-            Stream::SplitJoin { children, .. } => ranges(children, 1),
+            Stream::SplitJoin {
+                split, children, ..
+            } => {
+                let n = children.len();
+                let depth = (children.iter())
+                    .map(|c| match c {
+                        Stream::Pipeline(column) => column.len(),
+                        _ => 0,
+                    })
+                    .min()
+                    .unwrap_or(0);
+                let cuts = match split {
+                    Splitter::Duplicate if n > 1 => depth.saturating_sub(1),
+                    _ => 0,
+                };
+                ranges(children, 1) + cuts * n * (n - 1) / 2
+            }
             Stream::FeedbackLoop {
                 body, loop_stream, ..
             } => range_count(body) + range_count(loop_stream),

@@ -47,18 +47,20 @@ impl SimpleFft {
     }
 
     /// Inverse DFT with 1/N normalization, via
-    /// `ifft(X) = conj(fft(conj(X)))/N`.
+    /// `ifft(X) = swap(fft(swap(X)))/N` with `swap(a + ib) = b + ia`: the
+    /// conjugations of the textbook identity would be negations, a swap is
+    /// none.
     ///
     /// # Errors
     ///
     /// Returns [`FftError::SizeNotPowerOfTwo`] when `x.len()` is not a
     /// positive power of two.
     pub fn inverse<T: Tally>(&self, x: &[Complex], ops: &mut T) -> Result<Vec<Complex>, FftError> {
-        let conj: Vec<Complex> = x.iter().map(|z| z.conj()).collect();
-        let mut y = self.forward(&conj, ops)?;
+        let swapped: Vec<Complex> = x.iter().map(|z| Complex::new(z.im, z.re)).collect();
+        let mut y = self.forward(&swapped, ops)?;
         let inv_n = 1.0 / x.len() as f64;
         for z in &mut y {
-            *z = z.conj().scale_counted(inv_n, ops);
+            *z = Complex::new(ops.mul(z.im, inv_n), ops.mul(z.re, inv_n));
         }
         Ok(y)
     }
@@ -92,7 +94,7 @@ fn fft_rec<T: Tally>(x: &[Complex], ops: &mut T) -> Vec<Complex> {
 mod tests {
     use super::*;
     use crate::dft_naive;
-    use streamlin_support::OpCounter;
+    use streamlin_support::{NoCount, OpCounter};
 
     fn assert_spectra_close(a: &[Complex], b: &[Complex]) {
         assert_eq!(a.len(), b.len());
@@ -123,6 +125,40 @@ mod tests {
         let spec = SimpleFft.forward(&x, &mut ops).unwrap();
         let back = SimpleFft.inverse(&spec, &mut ops).unwrap();
         assert_spectra_close(&back, &x);
+    }
+
+    #[test]
+    fn inverse_swaps_to_the_conjugating_form_bit_for_bit_and_counts_its_closed_form() {
+        for log_n in 1..=12 {
+            let n = 1usize << log_n;
+            let x: Vec<Complex> = (0..n)
+                .map(|i| Complex::new((i as f64 * 0.37).sin() - 0.1, (i as f64 * 1.7).cos()))
+                .collect();
+            let mut ops = OpCounter::new();
+            let got = SimpleFft.inverse(&x, &mut ops).unwrap();
+            // conj(fft(conj(x)))/n, uncounted.
+            let conj: Vec<Complex> = x.iter().map(|z| z.conj()).collect();
+            let mut want = SimpleFft.forward(&conj, &mut NoCount).unwrap();
+            for z in &mut want {
+                *z = z.conj().scale_counted(1.0 / n as f64, &mut NoCount);
+            }
+            for (k, (a, b)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    (a.re.to_bits(), a.im.to_bits()),
+                    (b.re.to_bits(), b.im.to_bits()),
+                    "n = {n}, bin {k}: {a} vs {b}"
+                );
+            }
+            // Per level, n/2 twiddle products and n/2 twiddle updates
+            // (4 multiplications and 2 additions each) and one addition and
+            // one subtraction of complex values; a sin/cos pair per call of
+            // size ≥ 2; then 2·n multiplications by 1/n. No negation.
+            let (n, lg) = (n as u64, log_n as u64);
+            assert_eq!(ops.mults(), 4 * n * lg + 2 * n, "n = {n}");
+            assert_eq!(ops.adds(), 4 * n * lg, "n = {n}");
+            assert_eq!(ops.others(), 2 * (n - 1), "n = {n}");
+            assert_eq!(ops.divs(), 0, "n = {n}");
+        }
     }
 
     #[test]

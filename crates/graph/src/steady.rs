@@ -85,6 +85,33 @@ pub fn steady_state(s: &Stream) -> Result<Steady, ScheduleError> {
     })
 }
 
+/// Items `s` pushes per steady-state cycle of the graph whose filter
+/// repetitions are `reps`, as [`steady_state`] solved them: the firings of
+/// its output port (a filter, a splitjoin's joiner, a feedback loop's
+/// splitter) times that port's push.
+///
+/// # Panics
+///
+/// Panics if a filter of `s` has no entry in `reps`.
+pub fn items_pushed(s: &Stream, reps: &HashMap<usize, u64>) -> u64 {
+    match s {
+        Stream::Filter(f) => reps[&f.id] * f.work.push as u64,
+        Stream::Pipeline(children) => items_pushed(&children[children.len() - 1], reps),
+        Stream::SplitJoin { children, join, .. } => {
+            // The joiner fires once per `w` items of any child it takes
+            // from; balance makes every such child agree.
+            let fed = children.iter().zip(&join.weights).find(|(_, &w)| w > 0);
+            fed.map_or(0, |(child, &w)| {
+                items_pushed(child, reps) / w as u64 * join.items_per_cycle() as u64
+            })
+        }
+        Stream::FeedbackLoop { body, split, .. } => {
+            let firings = items_pushed(body, reps).checked_div(split.items_per_cycle() as u64);
+            firings.unwrap_or(0) * split.weight(0) as u64
+        }
+    }
+}
+
 /// A node of the flat SDF graph a [`Stream`] denotes: a filter, or the
 /// splitter or joiner of the container it names.
 enum SdfNode<'a> {
@@ -398,6 +425,43 @@ mod tests {
         // Source fires 2 per steady state; sink pops 3.
         let total: u64 = s.reps.values().sum();
         assert!(total >= 6, "reps: {:?}", s.reps);
+    }
+
+    #[test]
+    fn items_pushed_reads_each_port_off_the_solved_reps() {
+        let g = elaborate(
+            &parse(
+                "void->void pipeline Main { add S(); add SJ(); add K(); }
+                 void->float filter S { work push 1 { push(0.0); } }
+                 float->float splitjoin SJ {
+                     split duplicate;
+                     add pipeline { add A(); add B(); };
+                     add pipeline { add B(); add B(); };
+                     join roundrobin(1, 2);
+                 }
+                 float->float filter A { work pop 2 push 1 { push(pop()); pop(); } }
+                 float->float filter B { work pop 1 push 1 { push(pop()); } }
+                 float->void filter K { work pop 3 { pop(); pop(); pop(); } }",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let reps = steady_state(&g).unwrap().reps;
+        let Stream::Pipeline(main) = &g else { panic!() };
+        let Stream::SplitJoin { children, .. } = &main[1] else {
+            panic!()
+        };
+        let Stream::Pipeline(first) = &children[0] else {
+            panic!()
+        };
+        // The source fires twice: A halves its two items, B passes one on,
+        // the second column passes both, and the joiner emits all three.
+        assert_eq!(items_pushed(&main[0], &reps), 2);
+        assert_eq!(items_pushed(&first[0], &reps), 1);
+        assert_eq!(items_pushed(&children[0], &reps), 1);
+        assert_eq!(items_pushed(&children[1], &reps), 2);
+        assert_eq!(items_pushed(&main[1], &reps), 3);
+        assert_eq!(items_pushed(&g, &reps), 0);
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! about two minutes.) A debug build is an order of magnitude slower and
 //! proves nothing about the shipped code, so the check runs only where
 //! debug assertions are off (`cargo test --release --test compile_scaling`).
+//!
+//! A `duplicate` splitjoin of pipelines is also cut across its columns,
+//! at every depth, and the top half of a cut again at every smaller
+//! depth: the grid of 16 columns, 16 filters deep, holds that search to
+//! the same bound.
 #![cfg(not(debug_assertions))]
 
 use std::time::{Duration, Instant};
@@ -30,6 +35,32 @@ fn chain(k: usize) -> String {
     )
 }
 
+/// `fir.str` with its one low-pass filter replaced by a `duplicate`
+/// splitjoin of `columns` pipelines, each `depth - 1` low-pass filters of
+/// 256 taps (a cutoff of its own per column) and a stateful accumulator.
+fn grid(columns: usize, depth: usize) -> String {
+    let fir = include_str!("../assets/fir.str");
+    let single = "add LowPassFilter(1, pi/3, 64);";
+    assert!(fir.contains(single));
+    let grid = "float->float splitjoin Grid(int columns, int depth) {
+         split duplicate;
+         for (int j = 0; j < columns; j++) add Column(pi / (3 + j), depth);
+         join roundrobin;
+     }
+     float->float pipeline Column(float wc, int depth) {
+         for (int i = 1; i < depth; i++) add LowPassFilter(1, wc, 256);
+         add Accumulate();
+     }
+     float->float filter Accumulate {
+         float acc;
+         work pop 1 push 1 { acc = acc * 0.5 + pop(); push(acc); }
+     }";
+    format!(
+        "{}\n{grid}",
+        fir.replace(single, &format!("add Grid({columns}, {depth});"))
+    )
+}
+
 #[test]
 fn a_chain_of_120_filters_compiles_in_under_two_seconds() {
     let src = chain(120);
@@ -39,6 +70,23 @@ fn a_chain_of_120_filters_compiles_in_under_two_seconds() {
     let took = start.elapsed();
     assert!(took < Duration::from_secs(2), "{took:?}");
     // Selection keeps one frequency node over the whole chain.
+    let kernels = compiled
+        .flat
+        .nodes
+        .iter()
+        .filter(|n| matches!(n.kind, NodeKind::Freq(_)));
+    assert_eq!(kernels.count(), 1);
+}
+
+#[test]
+fn a_grid_of_16_columns_16_filters_deep_compiles_in_under_two_seconds() {
+    let src = grid(16, 16);
+    let start = Instant::now();
+    let compiled =
+        compile_source(&src, &RunSpec::default().plan(), None).expect("the grid compiles");
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(2), "{took:?}");
+    // The columns' linear heads share one frequency node.
     let kernels = compiled
         .flat
         .nodes

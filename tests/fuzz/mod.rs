@@ -52,6 +52,10 @@ pub enum Stage {
         extra: usize,
         coeff: i32,
     },
+    /// Duplicate splitjoin of pipelines, each a `Stateless`/`Heavy` head
+    /// and a `Stateful` tail, joined `roundrobin` with the weights that
+    /// balance the columns' rates.
+    Grid { columns: Vec<Vec<Stage>> },
 }
 
 impl Stage {
@@ -78,54 +82,8 @@ pub fn render(spec: &Spec) -> String {
     for (i, stage) in spec.stages.iter().enumerate() {
         let _ = write!(adds, " add F{i}();");
         match stage {
-            Stage::Stateless {
-                peek,
-                pop,
-                push,
-                coeffs,
-            } => {
-                let mut body = String::new();
-                for j in 0..*push {
-                    let mut terms = Vec::new();
-                    for (t, c) in coeffs.iter().enumerate() {
-                        let pos = (t * 3 + j) % peek;
-                        terms.push(format!("{}.0 * 0.25 * peek({pos})", c));
-                    }
-                    let _ = write!(body, "push({} + {}.5); ", terms.join(" + "), j);
-                }
-                for _ in 0..*pop {
-                    body.push_str("pop(); ");
-                }
-                let _ = writeln!(
-                    decls,
-                    "float->float filter F{i} {{ work peek {peek} pop {pop} push {push} {{ {body} }} }}"
-                );
-            }
-            Stage::Stateful { pop, push } => {
-                let mut body = String::from("acc = acc * 0.5 + pop(); ");
-                for _ in 1..*pop {
-                    body.push_str("acc += pop(); ");
-                }
-                for j in 0..*push {
-                    let _ = write!(body, "push(acc + {j}.0); ");
-                }
-                let _ = writeln!(
-                    decls,
-                    "float->float filter F{i} {{ float acc; work pop {pop} push {push} {{ {body} }} }}"
-                );
-            }
-            Stage::Heavy { peek, scale_q } => {
-                let _ = write!(
-                    decls,
-                    "float->float filter F{i} {{
-                         work peek {peek} pop 1 push 1 {{
-                             float s = 0;
-                             for (int k = 0; k < {peek}; k++) s += ({scale_q}.0 * 0.125) * peek(k);
-                             push(s);
-                             pop();
-                         }}
-                     }}\n"
-                );
+            Stage::Stateless { .. } | Stage::Stateful { .. } | Stage::Heavy { .. } => {
+                render_filter(&mut decls, &format!("F{i}"), stage)
             }
             Stage::SplitJoin {
                 pops,
@@ -170,6 +128,38 @@ pub fn render(spec: &Spec) -> String {
                 let _ = writeln!(
                     decls,
                     "float->float filter F{i} {{ float t; work pop {pop} push {push} {{ {body} }} }}"
+                );
+            }
+            Stage::Grid { columns } => {
+                // Column j turns one input item into num_j / den_j outputs;
+                // the joiner takes them in that proportion.
+                let gains: Vec<(usize, usize)> = (columns.iter())
+                    .map(|column| {
+                        let (num, den) = (column.iter().map(rates))
+                            .fold((1, 1), |(n, d), (pop, push)| (n * push, d * pop));
+                        let g = gcd(num, den);
+                        (num / g, den / g)
+                    })
+                    .collect();
+                let lcm = gains.iter().fold(1, |l, &(_, d)| l / gcd(l, d) * d);
+                let weights: Vec<usize> = gains.iter().map(|&(n, d)| n * (lcm / d)).collect();
+                let common = weights.iter().fold(0, |g, &w| gcd(g, w));
+                let mut adds = String::new();
+                for (j, column) in columns.iter().enumerate() {
+                    adds.push_str("add pipeline {");
+                    for (k, stage) in column.iter().enumerate() {
+                        let name = format!("F{i}c{j}s{k}");
+                        let _ = write!(adds, " add {name}();");
+                        render_filter(&mut decls, &name, stage);
+                    }
+                    adds.push_str(" }; ");
+                }
+                let weights: Vec<String> =
+                    weights.iter().map(|w| (w / common).to_string()).collect();
+                let _ = writeln!(
+                    decls,
+                    "float->float splitjoin F{i} {{ split duplicate; {adds}join roundrobin({}); }}",
+                    weights.join(", ")
                 );
             }
             &Stage::Loop {
@@ -250,6 +240,81 @@ pub fn render(spec: &Spec) -> String {
     src
 }
 
+/// Declares filter `name` as a `Stateless`, `Stateful` or `Heavy` stage.
+fn render_filter(decls: &mut String, name: &str, stage: &Stage) {
+    use std::fmt::Write as _;
+    match stage {
+        Stage::Stateless {
+            peek,
+            pop,
+            push,
+            coeffs,
+        } => {
+            let mut body = String::new();
+            for j in 0..*push {
+                let mut terms = Vec::new();
+                for (t, c) in coeffs.iter().enumerate() {
+                    let pos = (t * 3 + j) % peek;
+                    terms.push(format!("{}.0 * 0.25 * peek({pos})", c));
+                }
+                let _ = write!(body, "push({} + {}.5); ", terms.join(" + "), j);
+            }
+            for _ in 0..*pop {
+                body.push_str("pop(); ");
+            }
+            let _ = writeln!(
+                    decls,
+                    "float->float filter {name} {{ work peek {peek} pop {pop} push {push} {{ {body} }} }}"
+                );
+        }
+        Stage::Stateful { pop, push } => {
+            let mut body = String::from("acc = acc * 0.5 + pop(); ");
+            for _ in 1..*pop {
+                body.push_str("acc += pop(); ");
+            }
+            for j in 0..*push {
+                let _ = write!(body, "push(acc + {j}.0); ");
+            }
+            let _ = writeln!(
+                    decls,
+                    "float->float filter {name} {{ float acc; work pop {pop} push {push} {{ {body} }} }}"
+                );
+        }
+        Stage::Heavy { peek, scale_q } => {
+            let _ = write!(
+                decls,
+                "float->float filter {name} {{
+                         work peek {peek} pop 1 push 1 {{
+                             float s = 0;
+                             for (int k = 0; k < {peek}; k++) s += ({scale_q}.0 * 0.125) * peek(k);
+                             push(s);
+                             pop();
+                         }}
+                     }}\n"
+            );
+        }
+        _ => unreachable!("not a single filter"),
+    }
+}
+
+/// Items a `Stateless`, `Stateful` or `Heavy` stage pops and pushes per
+/// firing.
+fn rates(stage: &Stage) -> (usize, usize) {
+    match *stage {
+        Stage::Stateless { pop, push, .. } | Stage::Stateful { pop, push } => (pop, push),
+        Stage::Heavy { .. } => (1, 1),
+        _ => unreachable!("not a single filter"),
+    }
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
 pub fn stage_strategy() -> impl Strategy<Value = Stage> {
     prop_oneof![
         (
@@ -306,6 +371,29 @@ pub fn stage_strategy() -> impl Strategy<Value = Stage> {
 pub fn spec_strategy() -> impl Strategy<Value = Spec> {
     (proptest::collection::vec(stage_strategy(), 1..4), 1usize..3)
         .prop_map(|(stages, src_push)| Spec { stages, src_push })
+}
+
+/// Programs of one `Grid` stage: a duplicate splitjoin of two to four
+/// pipelines, each one or two `Stateless`/`Heavy` filters and a `Stateful`
+/// tail, so that no column collapses whole and the linear heads can only
+/// be combined across the columns by a grid cut.
+pub fn grid_spec_strategy() -> impl Strategy<Value = Spec> {
+    let head = stage_strategy().prop_map(|stage| match stage {
+        linear @ (Stage::Stateless { .. } | Stage::Heavy { .. }) => linear,
+        _ => Stage::Heavy {
+            peek: 12,
+            scale_q: 3,
+        },
+    });
+    let tail = (1usize..3, 1usize..3).prop_map(|(pop, push)| Stage::Stateful { pop, push });
+    let column = (proptest::collection::vec(head, 1..3), tail).prop_map(|(mut stages, tail)| {
+        stages.push(tail);
+        stages
+    });
+    (proptest::collection::vec(column, 2..5), 1usize..3).prop_map(|(columns, src_push)| Spec {
+        stages: vec![Stage::Grid { columns }],
+        src_push,
+    })
 }
 
 /// Programs of one to six stages, most of them linear-extractable

@@ -99,14 +99,15 @@ fn the_exact_half_matches_the_committed_file() {
 /// cannot drift apart silently. Since DToA got a static plan its counted
 /// runs here stop on the plan's stepped order; the benchmark still counts
 /// DToA on the data-driven engine, which fires upstream nodes eagerly, so
-/// its 73.43 % and 78.03 % trail these cells until it plans DToA too. The
+/// its 74.49 % and 78.63 % trail these cells until it plans DToA too. The
 /// split-radix FFT moved the cells from 69.1 and 71.6 (the benchmark's
-/// from 67.73 % and 70.37 %).
+/// from 67.73 % and 70.37 %); the grid cut that lets TargetDetect's matched
+/// filters share one transform from 74.4 and 78.7 (73.43 % and 78.03 %).
 #[test]
 fn autosel_averages_are_the_benchmarks_exact_counts() {
     let id = "Figures 5-1, 5-2 and 5-3";
-    assert_eq!(cell(exact(), id, "AVERAGE", "5-1 autosel"), "74.4");
-    assert_eq!(cell(exact(), id, "AVERAGE", "5-2 autosel"), "78.7");
+    assert_eq!(cell(exact(), id, "AVERAGE", "5-1 autosel"), "75.5");
+    assert_eq!(cell(exact(), id, "AVERAGE", "5-2 autosel"), "79.3");
 }
 
 /// The cells the first `REPRODUCTION.md` was compared on with the deleted
@@ -117,14 +118,17 @@ fn autosel_averages_are_the_benchmarks_exact_counts() {
 /// with a frequency node: 5-1 FIR 76.1 → 83.3, RateConvert 88.2 → 91.6,
 /// TargetDetect 60.3 → 72.0, FMRadio 84.7 → 86.7, FilterBank 77.9 → 83.9,
 /// Vocoder 74.1 → 76.7, Oversampler 76.3 → 83.7, DToA 76.1 → 83.2, and
-/// Figure 5-12's tuned 256-tap cell at N = 2048 from 8.16 to 15.09.
+/// Figure 5-12's tuned 256-tap cell at N = 2048 from 8.16 to 15.09. The grid
+/// cut moved TargetDetect's 5-1 cell from 72.0 to 81.5 (one frequency node
+/// for its four matched filters) and Radar's filter count after selection
+/// from 41 to 38 (its four `Beamform`s became one node).
 #[test]
 fn anchors_of_the_transferred_oracle() {
     let report = exact();
     let fig5_1 = [
         ("FIR", "83.3"),
         ("RateConvert", "91.6"),
-        ("TargetDetect", "72.0"),
+        ("TargetDetect", "81.5"),
         ("FMRadio", "86.7"),
         ("Radar", "8.4"),
         ("FilterBank", "83.9"),
@@ -139,7 +143,7 @@ fn anchors_of_the_transferred_oracle() {
     for (column, value) in [
         ("filters", "53"),
         ("linear", "32"),
-        ("after: filters", "41"),
+        ("after: filters", "38"),
     ] {
         assert_eq!(
             cell(report, "Table 5-2", "Radar", column),

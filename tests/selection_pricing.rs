@@ -2,22 +2,29 @@
 //!
 //! The DP prices every candidate range from its [`Shape`] — its rates and
 //! where its coefficients can be nonzero — and forms exact coefficients
-//! only for the regions it keeps. Two properties hold that together, on the
-//! nine benchmarks, `fir(1024)` and 200 generated programs biased to
-//! linear filters:
+//! only for the regions it keeps. Three properties hold that together, on
+//! the nine benchmarks, `fir(1024)`, 200 generated programs biased to
+//! linear filters and 50 generated `duplicate` splitjoins of pipelines
+//! (linear heads, stateful tails):
 //!
 //! * `Selection::cost` is a fresh pricing of the stream `materialize`
 //!   built: every linear and frequency node priced by the same `CostModel`
 //!   on its firings per global steady state, here solved independently
 //!   from the optimized stream's own rates (to 1e-9 relative);
-//! * every range the DP prices combines to a shape whose rates are the
-//!   exact node's and whose nonzero counts bound the exact ones from
-//!   above; a range one form refuses, the other refuses alike.
+//! * every range the DP prices, the top splitjoins of grid cuts included,
+//!   combines to a shape whose rates are the exact node's and whose
+//!   nonzero counts bound the exact ones from above; a range one form
+//!   refuses, the other refuses alike;
+//! * a splitjoin the DP may cut across its columns costs no more than any
+//!   single-depth grid cut of it, the top splitjoin and each column's rest
+//!   selected on their own and scaled to the splitjoin's steady state (to
+//!   1e-9 relative).
 
 mod fuzz;
 
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
+use std::collections::HashMap;
 use streamlin::core::combine::LinearAnalysis;
 use streamlin::core::cost::CostModel;
 use streamlin::core::node::{Form, LinearError, LinearNode};
@@ -26,8 +33,10 @@ use streamlin::core::select::{select, SelectOptions};
 use streamlin::core::shape::Shape;
 use streamlin::core::splitjoin::combine_splitjoin;
 use streamlin::core::{analyze_graph, OptStream};
-use streamlin::graph::ir::{Splitter, Stream};
-use streamlin::graph::steady::{balance, steady_state, RateEdge};
+
+use streamlin::graph::ir::{Joiner, Splitter, Stream};
+use streamlin::graph::steady::{balance, items_pushed, steady_state, RateEdge};
+use streamlin::support::num::gcd;
 
 /// The programs both properties run on, by name.
 fn programs() -> Vec<(String, Stream)> {
@@ -44,7 +53,86 @@ fn programs() -> Vec<(String, Stream)> {
         let graph = streamlin::graph::elaborate(&program).unwrap_or_else(|e| panic!("{e}\n{src}"));
         all.push((format!("generated #{case}:\n{src}"), graph));
     }
+    let mut rng = TestRng::new(0x6_71d5);
+    let strategy = fuzz::grid_spec_strategy();
+    for case in 0..50 {
+        let src = fuzz::render(&strategy.generate(&mut rng));
+        let program = streamlin::lang::parse(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        let graph = streamlin::graph::elaborate(&program).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        all.push((format!("generated grid #{case}:\n{src}"), graph));
+    }
     all
+}
+
+/// The splitjoins under `s` that selection may cut across their columns:
+/// a `duplicate` splitter over two or more pipelines of two or more
+/// children each, outside feedback loops.
+fn grid_eligible<'a>(s: &'a Stream, out: &mut Vec<&'a Stream>) {
+    match s {
+        Stream::Filter(_) | Stream::FeedbackLoop { .. } => {}
+        Stream::Pipeline(children) => children.iter().for_each(|c| grid_eligible(c, out)),
+        Stream::SplitJoin {
+            split, children, ..
+        } => {
+            let columns = (children.iter())
+                .all(|c| matches!(c, Stream::Pipeline(column) if column.len() > 1));
+            if *split == Splitter::Duplicate && children.len() > 1 && columns {
+                out.push(s);
+            }
+            children.iter().for_each(|c| grid_eligible(c, out));
+        }
+    }
+}
+
+/// One single-depth grid cut of a splitjoin.
+struct GridCut {
+    depth: usize,
+    /// The original splitter over each column's first `depth` children,
+    /// joined `roundrobin` in proportion to their items per steady state.
+    top: Stream,
+    /// The rest of each column.
+    rests: Vec<Stream>,
+}
+
+/// Every single-depth grid cut of `sj` (see [`grid_eligible`]), with `reps`
+/// its own steady state; a depth where a column pushes nothing has none.
+fn grid_cuts(sj: &Stream, reps: &HashMap<usize, u64>) -> Vec<GridCut> {
+    let Stream::SplitJoin {
+        split, children, ..
+    } = sj
+    else {
+        panic!("not a splitjoin")
+    };
+    let columns: Vec<&[Stream]> = (children.iter())
+        .map(|c| match c {
+            Stream::Pipeline(column) => &column[..],
+            _ => panic!("not a column"),
+        })
+        .collect();
+    let depth = columns.iter().map(|c| c.len()).min().unwrap_or(0);
+    (1..depth)
+        .filter_map(|d| {
+            let items: Vec<u64> = (columns.iter())
+                .map(|column| items_pushed(&column[d - 1], reps))
+                .collect();
+            let g = items.iter().copied().fold(0, gcd);
+            (!items.contains(&0)).then(|| GridCut {
+                depth: d,
+                top: Stream::SplitJoin {
+                    split: split.clone(),
+                    children: (columns.iter())
+                        .map(|column| Stream::Pipeline(column[..d].to_vec()))
+                        .collect(),
+                    join: Joiner {
+                        weights: items.iter().map(|&i| (i / g) as usize).collect(),
+                    },
+                },
+                rests: (columns.iter())
+                    .map(|column| Stream::Pipeline(column[d..].to_vec()))
+                    .collect(),
+            })
+        })
+        .collect()
 }
 
 // ---- Selection::cost against a fresh pricing --------------------------------
@@ -308,7 +396,59 @@ fn check_ranges(
 fn every_priced_range_has_the_rates_and_at_least_the_nonzeros_of_its_node() {
     let mut ranges = 0;
     for (name, graph) in programs() {
-        check_ranges(&name, &graph, &analyze_graph(&graph), &mut ranges);
+        let analysis = analyze_graph(&graph);
+        check_ranges(&name, &graph, &analysis, &mut ranges);
+        let mut eligible = Vec::new();
+        grid_eligible(&graph, &mut eligible);
+        for sj in eligible {
+            for cut in grid_cuts(sj, &steady_state(sj).unwrap().reps) {
+                let at = format!("{name}: the top of a grid cut at depth {}", cut.depth);
+                check_ranges(&at, &cut.top, &analysis, &mut ranges);
+            }
+        }
     }
     assert!(ranges > 800, "only {ranges} ranges formed");
+}
+
+// ---- grid cuts priced directly -----------------------------------------------
+
+/// What selection says `part` costs per steady state of the stream whose
+/// filter repetitions are `reps`: `part` selected on its own, scaled from
+/// its own steady state by the filters both share.
+fn price(part: &Stream, reps: &HashMap<usize, u64>, model: &CostModel) -> f64 {
+    let opts = SelectOptions::default();
+    let sel = select(part, &analyze_graph(part), model, &opts).unwrap();
+    let own = steady_state(part).unwrap().reps;
+    let mut first = None;
+    part.for_each_filter(&mut |inst| {
+        first.get_or_insert(inst.id);
+    });
+    let id = first.expect("a stream has filters");
+    sel.cost * (reps[&id] as f64 / own[&id] as f64)
+}
+
+#[test]
+fn selection_is_no_dearer_than_any_single_depth_grid_cut() {
+    let model = CostModel::default();
+    let mut cuts = 0;
+    for (name, graph) in programs() {
+        let mut eligible = Vec::new();
+        grid_eligible(&graph, &mut eligible);
+        for sj in eligible {
+            let reps = steady_state(sj).unwrap().reps;
+            let best = price(sj, &reps, &model);
+            for cut in grid_cuts(sj, &reps) {
+                let rests: f64 = cut.rests.iter().map(|r| price(r, &reps, &model)).sum();
+                let priced = price(&cut.top, &reps, &model) + rests;
+                assert!(
+                    best <= priced * (1.0 + 1e-9),
+                    "{name}: {} selects at {best} but its grid cut at depth {} prices at {priced}",
+                    sj.describe(),
+                    cut.depth
+                );
+                cuts += 1;
+            }
+        }
+    }
+    assert!(cuts >= 60, "only {cuts} grid cuts priced");
 }
