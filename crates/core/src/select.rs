@@ -361,6 +361,22 @@ enum Container {
     Split(Ends),
 }
 
+/// What a container is to a grid: it decides which combined regions its
+/// table keeps and which small products it forms.
+#[derive(Clone, Copy, PartialEq)]
+enum Part {
+    /// No part of a grid, or its plain splitjoin.
+    Plain,
+    /// A column: every range's combined region is kept, for the cuts.
+    Column,
+    /// A cut's top splitjoin. It is never folded into a parent's product,
+    /// and a `duplicate` splitjoin's product only interleaves and shifts
+    /// its children's rows, summing nothing, so its shape's counts are
+    /// exact when its children's are: every range is priced from shapes,
+    /// and [`Dp::materialize`] forms the kept ones.
+    Top,
+}
+
 /// Every child range of one container, solved.
 struct Table<'a> {
     n: usize,
@@ -535,7 +551,7 @@ impl<'a> Dp<'a> {
         in_feedback: bool,
     ) -> Solved<'a> {
         let n = children.len();
-        self.table(kind, children, in_feedback, false)
+        self.table(kind, children, in_feedback, Part::Plain)
             .solved(0, n - 1)
     }
 
@@ -543,16 +559,15 @@ impl<'a> Dp<'a> {
     /// descends and `hi` ascends, so both halves of every cut of `lo..=hi`
     /// are already in the table. A pipeline's combined shape for `lo..=hi`
     /// is the one for `lo..=hi-1` composed with child `hi`'s, carried along
-    /// the row, so each range's shape is formed once. `keep` keeps every
-    /// range's combined region, not only the whole container's.
+    /// the row, so each range's shape is formed once.
     fn table(
         &self,
         kind: Container,
         children: Vec<Solved<'a>>,
         in_feedback: bool,
-        keep: bool,
+        part: Part,
     ) -> Table<'a> {
-        let n = children.len();
+        let (n, keep) = (children.len(), part == Part::Column);
         let parts: Rc<[_]> = children
             .iter()
             .map(|c| c.whole.as_ref().map(|w| Rc::clone(&w.exact)))
@@ -569,7 +584,7 @@ impl<'a> Dp<'a> {
             // A single child is priced as itself: there is no range to cut.
             let whole = match kind {
                 Container::Pipe => children[0].whole.clone(),
-                Container::Split(..) => combine(&kind, &children, &parts, 0, 0, None),
+                Container::Split(..) => combine(&kind, &children, &parts, 0, 0, None, part),
             };
             return Table {
                 n,
@@ -582,7 +597,7 @@ impl<'a> Dp<'a> {
         for lo in (0..n - 1).rev() {
             let mut carried = children[lo].whole.clone();
             for hi in lo + 1..n {
-                carried = combine(&kind, &children, &parts, lo, hi, carried);
+                carried = combine(&kind, &children, &parts, lo, hi, carried, part);
                 if keep {
                     wholes[lo * n + hi] = carried.clone();
                 }
@@ -653,7 +668,7 @@ impl<'a> Dp<'a> {
         let tables: Vec<Table<'a>> = (columns.iter())
             .map(|column| {
                 let solved = column.iter().map(|c| self.solve(c, false)).collect();
-                self.table(Container::Pipe, solved, false, true)
+                self.table(Container::Pipe, solved, false, Part::Column)
             })
             .collect();
         // Every column's children `lo..=hi` (`hi` = `None`: to its end).
@@ -672,7 +687,8 @@ impl<'a> Dp<'a> {
             let cut = self.weights(columns, d).map(|w| {
                 let joiner = Joiner { weights: w.clone() };
                 let top = Container::Split(ends(split, &joiner));
-                let mut top = self.container(top, rows(0, Some(d - 1)), false).best;
+                let top = self.table(top, rows(0, Some(d - 1)), false, Part::Top);
+                let mut top = top.solved(0, columns.len() - 1).best;
                 for (above, cut) in cuts.iter().enumerate() {
                     if let Some((v, upper)) = cut {
                         let ends = ends(&Splitter::RoundRobin(v.clone()), &joiner);
@@ -847,7 +863,7 @@ fn cheaper<'a>(
 /// not linear or the combination is refused. For a pipeline `carried` is
 /// the combination of `lo..=hi-1`. `parts` are the children's exact nodes,
 /// for the range's recipe. A small product of formed factors is formed
-/// now; otherwise the factors' shapes combine.
+/// now, outside a grid cut's top; otherwise the factors' shapes combine.
 fn combine<'a>(
     kind: &Container,
     children: &[Solved<'a>],
@@ -855,6 +871,7 @@ fn combine<'a>(
     lo: usize,
     hi: usize,
     carried: Option<Whole>,
+    part: Part,
 ) -> Option<Whole> {
     let (factors, inflow, outflow, work): (Vec<&Whole>, f64, f64, usize) = match kind {
         Container::Pipe => {
@@ -884,7 +901,7 @@ fn combine<'a>(
         lo,
         hi,
     });
-    let nodes = (work <= SMALL_PRODUCT)
+    let nodes = (work <= SMALL_PRODUCT && part != Part::Top)
         .then(|| {
             (factors.iter())
                 .map(|w| w.exact.node.get().map(|n| &**n))
@@ -1134,17 +1151,17 @@ mod tests {
     }
 
     /// Child ranges `lo < hi` over every container of a graph, plus one
-    /// for each single-child splitjoin and, under a `duplicate` splitjoin
-    /// of pipelines, those of the top splitjoin of each grid cut: the most
-    /// combinations a selection may form.
-    fn range_count(s: &Stream) -> usize {
+    /// for each single-child splitjoin; and apart, under a `duplicate`
+    /// splitjoin of pipelines, those of the top splitjoin of each grid
+    /// cut. Together, the most combinations a selection may form.
+    fn range_count(s: &Stream) -> [usize; 2] {
         let ranges = |children: &[Stream], single: usize| {
             let n = children.len();
             let own = if n == 1 { single } else { n * (n - 1) / 2 };
-            own + children.iter().map(range_count).sum::<usize>()
+            (children.iter().map(range_count)).fold([own, 0], |[a, b], [c, d]| [a + c, b + d])
         };
         match s {
-            Stream::Filter(_) => 0,
+            Stream::Filter(_) => [0, 0],
             Stream::Pipeline(children) => ranges(children, 0),
             Stream::SplitJoin {
                 split, children, ..
@@ -1161,11 +1178,15 @@ mod tests {
                     Splitter::Duplicate if n > 1 => depth.saturating_sub(1),
                     _ => 0,
                 };
-                ranges(children, 1) + cuts * n * (n - 1) / 2
+                let [plain, tops] = ranges(children, 1);
+                [plain, tops + cuts * n * (n - 1) / 2]
             }
             Stream::FeedbackLoop {
                 body, loop_stream, ..
-            } => range_count(body) + range_count(loop_stream),
+            } => {
+                let ([a, b], [c, d]) = (range_count(body), range_count(loop_stream));
+                [a + c, b + d]
+            }
         }
     }
 
@@ -1203,11 +1224,19 @@ mod tests {
         );
         // Every range combines once, as a small product or as shapes; the
         // kept regions are among the small products.
-        let ranges = range_count(bench.graph());
+        let [plain, tops] = range_count(bench.graph());
         assert!(products > 0);
         assert!(
-            shapes + products <= ranges,
-            "{shapes} shapes and {products} products for {ranges} child ranges"
+            shapes + products <= plain + tops,
+            "{shapes} shapes and {products} products for {} child ranges",
+            plain + tops
+        );
+        // The equalizer collapses whole, so no grid cut is kept, and a
+        // cut's top is priced from shapes: none of its products is formed.
+        assert_eq!(sel.opt.stats().splitjoins, 0, "{}", sel.opt.describe());
+        assert!(
+            products <= plain,
+            "{products} products for {plain} child ranges outside the grid tops"
         );
     }
 

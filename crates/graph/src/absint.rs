@@ -5,9 +5,10 @@
 //! rate/effect analysis generalises the move; on these programs an
 //! analysis *is* evaluation in another value domain. So the control
 //! skeleton of a work body lives here, once, and an analysis is a
-//! [`Domain`]: [`crate::analyze`] (intervals × degree, tape counters,
-//! effects, lints) and `streamlin-core`'s linear extraction (linear forms)
-//! are the two instances. **A new analysis is a `Domain`, never a new
+//! [`Domain`]: [`crate::analyze`]'s two (intervals × degree, tape
+//! counters, effects, lints; and which filters are native plumbing) and
+//! `streamlin-core`'s linear extraction (linear forms) are the instances.
+//! **A new analysis is a `Domain`, never a new
 //! match on [`RStmt`].** [`crate::lower::SlotInterp`] and the bytecode tier
 //! deliberately do *not* run on this engine: they are the referee it is
 //! held to (`tests/interp_differential.rs` runs a concrete domain through
@@ -104,9 +105,15 @@ pub trait Domain {
     fn join(&mut self, a: &mut Self::Value, b: &Self::Value);
     /// `a ← a ⊔ b` on tapes.
     fn join_tapes(&mut self, a: &mut Self::Tape, b: Self::Tape) -> Result<(), Self::Stop>;
-    /// A read at the undecided index `idx` of a `ty` array (`constant`: of
-    /// a table no walked phase writes).
-    fn any_element(&mut self, _ty: DataType, _constant: bool, _idx: &[Self::Value]) -> Self::Value {
+    /// A read at the undecided index `idx` of the `ty` array in `slot`
+    /// (`constant`: a table no walked phase writes).
+    fn any_element(
+        &mut self,
+        _slot: Slot,
+        _ty: DataType,
+        _constant: bool,
+        _idx: &[Self::Value],
+    ) -> Self::Value {
         self.top()
     }
 
@@ -521,7 +528,7 @@ impl<'c, D: Domain> Walker<'_, 'c, D> {
         Ok(match (self.locate(dims, &idx), elems) {
             (Ok(Some(o)), Ok(data)) => data[o].clone(),
             (Ok(Some(o)), Err(table)) => self.dom.literal(table[o]),
-            (Ok(None), _) => self.dom.any_element(ty, elems.is_err(), &idx),
+            (Ok(None), _) => self.dom.any_element(slot, ty, elems.is_err(), &idx),
             (Err(e), _) => return Err(self.dom.fault(e)),
         })
     }
@@ -549,7 +556,7 @@ impl<'c, D: Domain> Walker<'_, 'c, D> {
         let top = self.dom.top();
         let old = match at {
             Some(o) => std::mem::replace(&mut data[o], top),
-            None if reads => self.dom.any_element(ty, false, &idx),
+            None if reads => self.dom.any_element(slot, ty, false, &idx),
             None => top,
         };
         let new = f(self.dom, old)?;

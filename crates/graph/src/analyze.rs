@@ -3,7 +3,7 @@
 //!
 //! The paper's compiler symbolically executes work functions to extract
 //! linear coefficients (§3.2). This module generalises that move into a
-//! reusable abstract interpretation with three clients:
+//! reusable abstract interpretation with four clients:
 //!
 //! 1. **Rate & bounds certification** — peek offsets are tracked as
 //!    integer intervals and pop/push counts are accumulated symbolically
@@ -24,21 +24,28 @@
 //!    conditions, possibly-out-of-range peeks, possible rate mismatches.
 //!    (Unused-field/-parameter lints are added at elaboration, which
 //!    still sees the source names.)
+//! 4. **Plumbing** — [`Plumbing`]: a sink that prints or discards exactly
+//!    what it pops, or a ring-buffer source that pushes a constant table
+//!    at a counter stepped mod `m`. The runtime runs such a filter as a
+//!    native node, so the proof includes everything that makes the node
+//!    equal to the filter: same items, no fault, no operation to tally.
 //!
-//! **What is here** is a domain and a driver. Statement order, scoping,
+//! **What is here** is two domains and a driver. Statement order, scoping,
 //! typed stores, indexing, branching, unrolling, fuel — and constant
 //! folding, by the runtime tiers' own `bin_op`/`un_op`/`MathFn::call` —
 //! are [`crate::absint::walk`]'s, the walk linear extraction runs on too:
 //! a certificate cannot disagree with execution about control flow or
 //! about a value. This file supplies `RateDomain` (`Num × Degree` values,
 //! interval tape counters, effect/lint/certificate accounting, saturating
-//! the counters of an undecided loop that touches the tape) and
+//! the counters of an undecided loop that touches the tape),
 //! [`analyze_filter`], which binds the entry state and checks the final
-//! counters against the declared rates. It matches no node of the slot IR:
-//! which slots a phase or a loop can write is the [`Effects`] the lowerer
-//! recorded.
+//! counters against the declared rates, and `PlumbingDomain`, walked only
+//! on filters whose declared rates admit a native node. It matches no node
+//! of the slot IR: which slots a phase or a loop can write is the
+//! [`Effects`] the lowerer recorded.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use streamlin_lang::ast::{BinOp, DataType, UnOp};
 use streamlin_lang::token::Span;
@@ -149,6 +156,8 @@ pub struct FilterFacts {
     pub lints: Vec<Lint>,
     /// Provable violations (non-empty fails elaboration).
     pub errors: Vec<AnalysisError>,
+    /// What the filter is, if the runtime runs it as a native node.
+    pub plumbing: Option<Plumbing>,
 }
 
 impl FilterFacts {
@@ -582,7 +591,7 @@ impl Domain for RateDomain<'_> {
     /// Some element of the array: of a constant table still a constant
     /// if the index does not depend on data; any other lookup is not
     /// affine.
-    fn any_element(&mut self, ty: DataType, constant: bool, idx: &[AbsV]) -> AbsV {
+    fn any_element(&mut self, _slot: Slot, ty: DataType, constant: bool, idx: &[AbsV]) -> AbsV {
         AbsV {
             num: elem_num(ty),
             deg: const_or_top(constant && idx.iter().all(|i| i.deg == Degree::Const)),
@@ -835,7 +844,218 @@ pub fn analyze_filter(
         init_work: init_facts,
         lints: dom.lints,
         errors: dom.errors,
+        plumbing: plumbing(state, lowered, work, init_work.is_some()),
     }
+}
+
+// ---------------------------------------------------------------------------
+// Plumbing
+// ---------------------------------------------------------------------------
+
+/// A filter the runtime runs as a native node: the same items pushed and
+/// printed, the same rates, and no floating-point operation to tally.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Plumbing {
+    /// `work pop P` that prints its `P` items, in order, one per line.
+    PrintSink {
+        /// Items consumed (= printed) per firing.
+        pop: usize,
+    },
+    /// `work pop P` that pops its `P` items and does nothing else.
+    DiscardSink {
+        /// Items consumed per firing.
+        pop: usize,
+    },
+    /// A ring-buffer source: `work push 1` pushes `table[c]` and steps
+    /// `c = (c + 1) % m`, so it pushes the table's first `m` elements
+    /// cyclically.
+    Periodic {
+        /// The cycle: `table[..m]` after `init`.
+        values: Arc<[f64]>,
+        /// `c` after `init`, inside `0..m`.
+        pos: usize,
+    },
+}
+
+/// A value of a plumbing candidate's work phase.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Pv {
+    /// A literal, or a global no phase writes.
+    Known(Value),
+    /// The `k`-th item this firing popped.
+    Popped(usize),
+    /// The entry value of the `int` global `c`.
+    Counter(u32),
+    /// `c + 1`.
+    Succ(u32),
+    /// `(c + 1) % m`.
+    Next(u32, usize),
+    /// `table[c]`, a `float` table no phase writes.
+    Elem(u32, u32),
+    /// Anything else.
+    Top,
+}
+
+/// Items popped and the values pushed.
+#[derive(Debug, Clone, Default)]
+struct Items {
+    popped: usize,
+    pushed: Vec<Pv>,
+}
+
+/// The walk of a plumbing candidate. It decides nothing (`concrete` is
+/// always `None`), so every operation reaches the domain unfolded, and
+/// any but the counter's `+ 1` and `% m` refuses the filter: an accepted
+/// phase runs no floating-point operation and cannot fault. Every branch
+/// is undecided, and the engine joins the states after one: a join
+/// refuses, so an accepted phase is straight-line code.
+#[derive(Default)]
+struct PlumbingDomain {
+    refused: bool,
+    /// Items printed, each the next popped one.
+    printed: usize,
+    /// Globals stored to.
+    wrote: Vec<u32>,
+    /// The table element read (at most one read is accepted).
+    elem: Option<Pv>,
+}
+
+impl PlumbingDomain {
+    fn refuse(&mut self) -> Pv {
+        self.refused = true;
+        Pv::Top
+    }
+}
+
+impl Domain for PlumbingDomain {
+    type Value = Pv;
+    type Tape = Items;
+    type Stop = ();
+
+    fn at(&mut self, _span: Span, _conditional: bool) {}
+    fn literal(&mut self, v: Value) -> Pv {
+        Pv::Known(v)
+    }
+    fn top(&mut self) -> Pv {
+        Pv::Top
+    }
+    fn concrete(&mut self, _v: &Pv) -> Option<Value> {
+        None
+    }
+    fn un_op(&mut self, _op: UnOp, _a: Pv) -> Pv {
+        self.refuse()
+    }
+    fn bin_op(&mut self, op: BinOp, a: Pv, b: Pv) -> Pv {
+        match (op, a, b) {
+            (BinOp::Add, Pv::Counter(c), Pv::Known(Value::Int(1)))
+            | (BinOp::Add, Pv::Known(Value::Int(1)), Pv::Counter(c)) => Pv::Succ(c),
+            (BinOp::Rem, Pv::Succ(c), Pv::Known(Value::Int(m))) if m > 0 => Pv::Next(c, m as usize),
+            _ => self.refuse(),
+        }
+    }
+    fn math(&mut self, _f: MathFn, _args: &[Pv]) -> Pv {
+        self.refuse()
+    }
+    fn coerce(&mut self, v: Pv, ty: DataType) -> Pv {
+        match v {
+            Pv::Counter(_) | Pv::Succ(_) | Pv::Next(..) if ty == DataType::Int => v,
+            _ => Pv::Top,
+        }
+    }
+    fn join(&mut self, a: &mut Pv, _b: &Pv) {
+        *a = Pv::Top;
+    }
+    fn join_tapes(&mut self, _a: &mut Items, _b: Items) -> Result<(), ()> {
+        Err(())
+    }
+    fn any_element(&mut self, slot: Slot, ty: DataType, constant: bool, idx: &[Pv]) -> Pv {
+        match (slot, idx) {
+            (Slot::Global(t), &[Pv::Counter(c)])
+                if constant && ty == DataType::Float && self.elem.is_none() =>
+            {
+                *self.elem.insert(Pv::Elem(t, c))
+            }
+            _ => self.refuse(),
+        }
+    }
+    fn peek(&mut self, _tape: &mut Items, _i: Pv) -> Result<Pv, ()> {
+        Err(())
+    }
+    fn pop(&mut self, tape: &mut Items) -> Result<Pv, ()> {
+        tape.popped += 1;
+        Ok(Pv::Popped(tape.popped - 1))
+    }
+    fn push(&mut self, tape: &mut Items, v: Pv) -> Result<(), ()> {
+        tape.pushed.push(v);
+        Ok(())
+    }
+    fn print(&mut self, v: Pv, newline: bool) -> Result<(), ()> {
+        (newline && v == Pv::Popped(self.printed))
+            .then(|| self.printed += 1)
+            .ok_or(())
+    }
+    fn fault(&mut self, _e: EvalError) {}
+    fn give_up(&mut self, _why: &'static str) {}
+    fn wrote(&mut self, slot: Slot, idx: &[Pv], _v: &Pv) {
+        if let Slot::Global(g) = slot {
+            self.refused |= !idx.is_empty();
+            self.wrote.push(g);
+        }
+    }
+}
+
+/// The plumbing fact of a filter whose declared rates admit a native
+/// node: `push 0, pop = peek > 0` (a sink) or `push 1, pop 0, peek 0` (a
+/// source), without `initWork`. `state` holds the cells after `init`.
+fn plumbing(
+    state: &HashMap<String, Cell>,
+    lowered: &LoweredFilter,
+    work: &WorkFn,
+    init_work: bool,
+) -> Option<Plumbing> {
+    let sink = work.push == 0 && work.pop > 0 && work.peek == work.pop;
+    if init_work || !(sink || (work.push, work.pop, work.peek) == (1, 0, 0)) {
+        return None;
+    }
+    let cell = |g: u32| &state[&lowered.globals[g as usize]];
+    let globals = (0..lowered.globals.len() as u32)
+        .map(|g| match (lowered.may_write(Slot::Global(g)), cell(g)) {
+            (false, cell) => ACell::Const(cell),
+            (true, Cell::Scalar(DataType::Int, _)) => ACell::Scalar(DataType::Int, Pv::Counter(g)),
+            (true, cell) => ACell::from_cell(cell, |_, _| Pv::Top),
+        })
+        .collect();
+    let mut dom = PlumbingDomain::default();
+    // An accepted phase is one statement per item popped, or two.
+    let (fuel, code, tape) = (work.pop as u64 + 2, &lowered.work, Items::default());
+    let end = walk(&mut dom, fuel, globals, code.frame_slots, tape, &code.body).ok()?;
+    if dom.refused {
+        return None;
+    }
+    let Items { popped, pushed } = end.tape;
+    if sink {
+        let quiet = dom.wrote.is_empty() && dom.elem.is_none() && pushed.is_empty();
+        return match (quiet && popped == work.pop, dom.printed) {
+            (true, 0) => Some(Plumbing::DiscardSink { pop: work.pop }),
+            (true, p) if p == work.pop => Some(Plumbing::PrintSink { pop: work.pop }),
+            _ => None,
+        };
+    }
+    let (&[Pv::Elem(t, c)], 0, 0) = (&pushed[..], popped, dom.printed) else {
+        return None;
+    };
+    let ACell::Scalar(_, Pv::Next(stepped, m)) = end.globals[c as usize] else {
+        return None;
+    };
+    let (Cell::Array(table), Cell::Scalar(_, Value::Int(start))) = (cell(t), cell(c)) else {
+        return None;
+    };
+    if stepped != c || dom.wrote != [c] || table.dims != [table.dims[0]] || table.dims[0] < m {
+        return None;
+    }
+    let pos = usize::try_from(*start).ok().filter(|&p| p < m)?;
+    let values = (table.data[..m].iter().map(|v| v.as_f64().ok())).collect::<Option<_>>()?;
+    Some(Plumbing::Periodic { values, pos })
 }
 
 #[cfg(test)]
@@ -1052,5 +1272,115 @@ mod tests {
         // The analysis must terminate and stay conservative: the loop's
         // trip count is input-dependent, so the write to `x` is unbounded.
         assert_eq!(f.effect, StateEffect::OpaqueState);
+    }
+
+    /// FIR's `FloatSource`, the ring-buffer source the near misses edit.
+    const RING: &str = "void->float filter S { float[16] inputs; int idx;
+         init { for (int i = 0; i < 16; i++) inputs[i] = i; idx = 0; }
+         work push 1 { push(inputs[idx]); idx = (idx + 1) % 16; } }";
+
+    fn plumbing(src: &str) -> Option<Plumbing> {
+        let name = src.split_whitespace().nth(2).expect("a filter");
+        facts(src, name).plumbing
+    }
+
+    #[test]
+    fn the_ring_buffer_sources_are_periodic() {
+        let sources = [
+            (RING, 16),
+            // Vocoder's `DataSource`.
+            (
+                "void->float filter V { int index; float[11] x;
+                 init { x[0] = -0.70867825; x[1] = 0.9750938; x[2] = -0.009129746;
+                     x[3] = 0.28532153; x[4] = -0.42127264; x[5] = -0.95795095;
+                     x[6] = 0.68976873; x[7] = 0.99901736; x[8] = -0.8581795;
+                     x[9] = 0.9863592; x[10] = 0.909825; }
+                 work push 1 { push(x[index]); index = (index + 1) % 11; } }",
+                11,
+            ),
+            // Oversampler's and DToA's `DataSource` (one text).
+            (
+                "void->float filter D { int index; float[100] data;
+                 init { for (int i = 0; i < 100; i++) { float t = i;
+                     data[i] = sin((2 * pi) * (t / 100))
+                         + sin((2 * pi) * (1.7 * t / 100) + (pi / 3))
+                         + sin((2 * pi) * (2.1 * t / 100) + (pi / 5)); }
+                     index = 0; }
+                 work push 1 { push(data[index]); index = (index + 1) % 100; } }",
+                100,
+            ),
+            // A cycle shorter than its table, entered mid-way.
+            (
+                &RING.replace("% 16", "% 8").replace("idx = 0;", "idx = 5;"),
+                8,
+            ),
+        ];
+        for (src, m) in sources {
+            let Some(Plumbing::Periodic { values, pos }) = plumbing(src) else {
+                panic!("not periodic: {src}")
+            };
+            assert_eq!(values.len(), m, "{src}");
+            assert_eq!(pos, if m == 8 { 5 } else { 0 }, "{src}");
+        }
+        let Some(Plumbing::Periodic { values, .. }) = plumbing(RING) else {
+            unreachable!()
+        };
+        assert_eq!(&values[..3], &[0.0, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn both_sink_forms_are_plumbing() {
+        let sink = |body: &str| plumbing(&format!("float->void filter K {{ {body} }}"));
+        let print = sink("work pop 1 { println(pop()); }");
+        assert_eq!(print, Some(Plumbing::PrintSink { pop: 1 }));
+        let print = sink("work pop 3 { println(pop()); println(pop()); println(pop()); }");
+        assert_eq!(print, Some(Plumbing::PrintSink { pop: 3 }));
+        let discard = sink("work pop 2 { pop(); pop(); }");
+        assert_eq!(discard, Some(Plumbing::DiscardSink { pop: 2 }));
+        // Near misses: no newline, out of order, arithmetic, a float
+        // operation the interpreters would tally, a branch, a peek.
+        for body in [
+            "work pop 1 { print(pop()); }",
+            "work pop 2 { pop(); println(pop()); }",
+            "work pop 1 { println(pop() * 2.0); }",
+            "work pop 1 { pop(); float x = 1.0 + 2.0; }",
+            "work pop 1 { if (true) println(pop()); else pop(); }",
+            "work peek 1 pop 1 { println(peek(0)); pop(); }",
+        ] {
+            assert_eq!(sink(body), None, "{body}");
+        }
+    }
+
+    #[test]
+    fn near_misses_of_a_ring_buffer_source_stay_interpreted() {
+        let near_misses = [
+            ("step 2", RING.replace("idx + 1", "idx + 2")),
+            ("m larger than the table", RING.replace("% 16", "% 17")),
+            (
+                "a table the work phase writes",
+                RING.replace("push(inputs[idx]);", "push(inputs[idx]); inputs[0] = 1;"),
+            ),
+            ("an int table", RING.replace("float[16]", "int[16]")),
+            (
+                "a counter at or past m after init",
+                RING.replace("% 16", "% 8").replace("idx = 0;", "idx = 8;"),
+            ),
+            (
+                "a second global write",
+                RING.replace("int idx;", "int idx; int n;")
+                    .replace("% 16;", "% 16; n = (n + 1) % 16;"),
+            ),
+            (
+                "a print in a source",
+                RING.replace("% 16;", "% 16; println(idx);"),
+            ),
+            (
+                "an initWork phase",
+                RING.replace("work push 1", "initWork push 1 { push(0); } work push 1"),
+            ),
+        ];
+        for (what, src) in near_misses {
+            assert_eq!(plumbing(&src), None, "{what}");
+        }
     }
 }

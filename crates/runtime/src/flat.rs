@@ -1,15 +1,21 @@
 //! Lowering an optimized stream to a flat node/channel graph.
+//!
+//! Every node comes from what elaboration and selection decided: a
+//! kernel from its optimized node, and an original filter either
+//! interpreted on the run's tier or, where its facts say it is plumbing
+//! ([`Plumbing`]), a native source or sink. Nothing here looks at a work
+//! body.
 
 use std::sync::Arc;
 
 use streamlin_core::frequency::FreqExec;
 use streamlin_core::opt::OptStream;
 use streamlin_core::redundancy::RedundExec;
+use streamlin_graph::analyze::Plumbing;
 use streamlin_graph::bytecode::Regs;
 use streamlin_graph::ir::{FilterInst, Splitter};
-use streamlin_graph::lower::{RExpr, RLValue, RStmt, Slot};
 use streamlin_graph::value::{Cell, Value};
-use streamlin_lang::ast::{BinOp, DataType};
+use streamlin_lang::ast::DataType;
 use streamlin_support::Recorder;
 
 use crate::linear_exec::{LinearExec, MatMulStrategy};
@@ -136,11 +142,9 @@ pub enum NodeKind {
         /// Items kept per firing.
         push: usize,
     },
-    /// Peephole-compiled periodic source: a filter whose work function
-    /// is exactly `push(arr[idx]); idx = (idx + 1) % m;` pushes the
-    /// first `m` elements of `arr` cyclically — executed natively, one
-    /// table read per firing instead of an interpreter round trip. The
-    /// firing semantics (values, rates, zero FP tallies) are identical.
+    /// A ring-buffer source ([`Plumbing::Periodic`]): pushes the first
+    /// `m` elements of its table cyclically, one table read per firing
+    /// instead of an interpreter round trip.
     Periodic {
         /// The cycle (the first `m` array elements, starting phase
         /// applied), shared by every clone of the node.
@@ -148,15 +152,14 @@ pub enum NodeKind {
         /// Next position in the cycle.
         pos: usize,
     },
-    /// Peephole-compiled printing sink: a work function of exactly `pop`
-    /// repetitions of `println(pop());` — every consumed item becomes a
-    /// program output, executed as one slice append per firing.
+    /// A printing sink ([`Plumbing::PrintSink`]): every consumed item
+    /// becomes a program output, one slice append per firing.
     PrintSink {
         /// Items consumed (= printed) per firing.
         pop: usize,
     },
-    /// Peephole-compiled discarding sink: `pop` repetitions of `pop();`
-    /// — consumes silently (Figure A-1's FloatSink).
+    /// A discarding sink ([`Plumbing::DiscardSink`]): consumes silently
+    /// (Figure A-1's FloatSink).
     DiscardSink {
         /// Items consumed per firing.
         pop: usize,
@@ -513,7 +516,8 @@ impl Builder {
     }
 }
 
-/// Peephole compilation of ubiquitous plumbing filters.
+/// The native node of a plumbing filter, read off its facts
+/// ([`streamlin_graph::analyze::FilterFacts::plumbing`]).
 ///
 /// Benchmark programs spend a large share of their steady state in two
 /// trivial interpreted filters: the printing/discarding sink of Figure
@@ -521,103 +525,17 @@ impl Builder {
 /// functions are so small that the interpreter round trip costs an order
 /// of magnitude more than the work itself, which would put an
 /// interpretation floor under every throughput measurement of the
-/// compiled kernels. The matchers run over the **slot-resolved** body
-/// (see [`streamlin_graph::lower`]) — the form the runtime would
-/// otherwise execute. When a work function matches one of these exact
-/// shapes it is compiled to a native node with identical firing semantics
-/// — same values bit for bit, same rates, same (zero) floating-point
-/// tallies; anything else still interprets.
+/// compiled kernels. Elaboration proves which filters are plumbing; the
+/// node fires with identical semantics — same values bit for bit, same
+/// rates, same (zero) floating-point tallies.
 fn compile_peephole(inst: &FilterInst) -> Option<NodeKind> {
-    if inst.init_work.is_some() {
-        return None;
-    }
-    let w = &inst.work;
-    let stmts = &inst.lowered.work.body;
-    if w.push == 0 && w.pop > 0 && w.peek == w.pop && stmts.len() == w.pop {
-        // `work pop P { println(pop()); × P }` — the printing sink.
-        if stmts.iter().all(is_println_pop) {
-            return Some(NodeKind::PrintSink { pop: w.pop });
-        }
-        // `work pop P { pop(); × P }` — the discarding sink.
-        if stmts.iter().all(is_bare_pop) {
-            return Some(NodeKind::DiscardSink { pop: w.pop });
-        }
-    }
-    if w.push == 1 && w.pop == 0 && w.peek == 0 && stmts.len() == 2 {
-        return compile_periodic(inst, stmts);
-    }
-    None
-}
-
-fn is_println_pop(s: &RStmt) -> bool {
-    matches!(s, RStmt::Expr(RExpr::Print { newline: true, arg }, _)
-        if matches!(**arg, RExpr::Pop))
-}
-
-fn is_bare_pop(s: &RStmt) -> bool {
-    matches!(s, RStmt::Expr(RExpr::Pop, _))
-}
-
-/// Matches `push(arr[idx]); idx = (idx + 1) % m;` over a 1-D float array
-/// field and an int cursor field — the ring-buffer source idiom. The
-/// post-`init` state supplies the cycle values and starting phase.
-fn compile_periodic(inst: &FilterInst, stmts: &[RStmt]) -> Option<NodeKind> {
-    let RStmt::Expr(RExpr::Push(pushed), _) = &stmts[0] else {
-        return None;
-    };
-    let RExpr::Index(Slot::Global(arr_slot), idx_exprs) = &**pushed else {
-        return None;
-    };
-    let [RExpr::Var(Slot::Global(idx_slot))] = &idx_exprs[..] else {
-        return None;
-    };
-    let RStmt::Assign {
-        target: RLValue::Var(Slot::Global(tgt)),
-        op: None,
-        value,
-        ..
-    } = &stmts[1]
-    else {
-        return None;
-    };
-    if tgt != idx_slot {
-        return None;
-    }
-    let RExpr::Binary(BinOp::Rem, sum, modulus) = value else {
-        return None;
-    };
-    let RExpr::Int(m) = &**modulus else {
-        return None;
-    };
-    let RExpr::Binary(BinOp::Add, base, step) = &**sum else {
-        return None;
-    };
-    if !matches!(&**base, RExpr::Var(Slot::Global(v)) if v == idx_slot)
-        || !matches!(&**step, RExpr::Int(1))
-    {
-        return None;
-    }
-    let m = usize::try_from(*m).ok().filter(|&m| m > 0)?;
-    let arr_name = &inst.lowered.globals[*arr_slot as usize];
-    let idx_name = &inst.lowered.globals[*idx_slot as usize];
-    let Cell::Array(arr) = inst.state.get(arr_name)? else {
-        return None;
-    };
-    if arr.dims != [arr.dims[0]] || arr.dims[0] < m || arr.elem != DataType::Float {
-        return None;
-    }
-    let Cell::Scalar(DataType::Int, Value::Int(start)) = inst.state.get(idx_name)? else {
-        return None;
-    };
-    let pos = usize::try_from(*start).ok().filter(|&s| s < m)?;
-    let mut values = Vec::with_capacity(m);
-    for v in &arr.data[..m] {
-        let Value::Float(f) = v else { return None };
-        values.push(*f);
-    }
-    Some(NodeKind::Periodic {
-        values: values.into(),
-        pos,
+    Some(match inst.facts.plumbing.as_ref()? {
+        Plumbing::PrintSink { pop } => NodeKind::PrintSink { pop: *pop },
+        Plumbing::DiscardSink { pop } => NodeKind::DiscardSink { pop: *pop },
+        Plumbing::Periodic { values, pos } => NodeKind::Periodic {
+            values: Arc::clone(values),
+            pos: *pos,
+        },
     })
 }
 

@@ -17,6 +17,7 @@
 use streamlin::benchmarks::all_default;
 use streamlin::core::opt::OptStream;
 use streamlin::core::state_space::extract_stateful;
+use streamlin::graph::analyze::Plumbing;
 use streamlin::graph::{elaborate, StateEffect};
 use streamlin::lang::parse;
 use streamlin::runtime::flat::NodeKind;
@@ -48,6 +49,46 @@ fn expected_effect(bench: &str, decl: &str) -> StateEffect {
         .find(|(b, d, _)| *b == bench && *d == decl)
         .map(|(_, _, e)| *e)
         .unwrap_or(StateEffect::Pure)
+}
+
+/// Which filters carry which plumbing fact, by benchmark, in graph order:
+/// the filters the runtime runs as native nodes. Every other filter is
+/// interpreted.
+const PLUMBING: &[(&str, &str, &str)] = &[
+    ("FIR", "FloatSource", "Periodic"),
+    ("FIR", "FloatPrinter", "PrintSink"),
+    ("RateConvert", "FloatPrinter", "PrintSink"),
+    ("TargetDetect", "FloatPrinter", "PrintSink"),
+    ("FMRadio", "FloatPrinter", "PrintSink"),
+    ("Radar", "FloatPrinter", "PrintSink"),
+    ("FilterBank", "FloatPrinter", "PrintSink"),
+    ("Vocoder", "DataSource", "Periodic"),
+    ("Vocoder", "FloatPrinter", "PrintSink"),
+    ("Oversampler", "DataSource", "Periodic"),
+    ("Oversampler", "FloatSinkPrinting", "PrintSink"),
+    ("DToA", "DataSource", "Periodic"),
+    ("DToA", "FloatPrinter", "PrintSink"),
+];
+
+/// A plumbing fact that widens or narrows fails here by name.
+#[test]
+fn the_plumbing_filters_are_the_ring_buffer_sources_and_the_printers() {
+    let mut found = Vec::new();
+    for b in all_default() {
+        b.graph().for_each_filter(&mut |inst| {
+            let kind = match inst.facts.plumbing {
+                None => return,
+                Some(Plumbing::Periodic { .. }) => "Periodic",
+                Some(Plumbing::PrintSink { .. }) => "PrintSink",
+                Some(Plumbing::DiscardSink { .. }) => "DiscardSink",
+            };
+            found.push((b.name().to_string(), inst.decl_name.clone(), kind));
+        });
+    }
+    let want: Vec<_> = (PLUMBING.iter())
+        .map(|&(b, d, k)| (b.to_string(), d.to_string(), k))
+        .collect();
+    assert_eq!(found, want);
 }
 
 /// Every filter of every benchmark certifies both phases, carries no

@@ -37,6 +37,7 @@ use std::collections::HashMap;
 use streamlin::benchmarks::Benchmark;
 use streamlin::core::opt::OptStream;
 use streamlin::graph::absint::{walk, ACell, Domain};
+use streamlin::graph::analyze::Plumbing;
 use streamlin::graph::elaborate::{elaborate, run_init};
 use streamlin::graph::exec::{Flow, Host, PureHost, DEFAULT_FUEL};
 use streamlin::graph::ir::FilterInst;
@@ -128,12 +129,13 @@ struct RunResult {
     state: HashMap<String, Cell>,
 }
 
-/// Runs `FIRINGS` firings of `inst` over `input`, each through `fire`.
+/// Runs `firings` firings of `inst` over `input`, each through `fire`.
 fn run_firings(
     inst: &FilterInst,
     input: &[f64],
     count: bool,
     tier: &str,
+    firings: usize,
     fire: impl Fn(&LoweredWork, &mut SlotStore<'_>, &mut TapeHost) -> Result<Flow, EvalError>,
 ) -> RunResult {
     let lowered = &inst.lowered;
@@ -148,7 +150,7 @@ fn run_firings(
         count,
         ..TapeHost::default()
     };
-    for k in 0..FIRINGS {
+    for k in 0..firings {
         let code = match (&lowered.init_work, k) {
             (Some(iw), 0) => iw,
             _ => &lowered.work,
@@ -172,16 +174,26 @@ fn run_firings(
 
 /// Runs `FIRINGS` firings through the slot-resolved tree-walker.
 fn run_slot_based(inst: &FilterInst, input: &[f64], count: bool) -> RunResult {
-    run_firings(inst, input, count, "slot-based", |code, store, host| {
-        SlotInterp::new(host, FIRING_FUEL).exec_work(store, &code.body)
-    })
+    run_firings(
+        inst,
+        input,
+        count,
+        "slot-based",
+        FIRINGS,
+        |code, store, host| SlotInterp::new(host, FIRING_FUEL).exec_work(store, &code.body),
+    )
 }
 
 /// Runs `FIRINGS` firings through the compiled bytecode tier.
 fn run_bytecode(inst: &FilterInst, input: &[f64], count: bool) -> RunResult {
-    run_firings(inst, input, count, "bytecode", |code, store, host| {
-        streamlin::graph::bytecode::exec(&code.code, store, host, FIRING_FUEL)
-    })
+    run_firings(
+        inst,
+        input,
+        count,
+        "bytecode",
+        FIRINGS,
+        |code, store, host| streamlin::graph::bytecode::exec(&code.code, store, host, FIRING_FUEL),
+    )
 }
 
 /// The concrete domain of the abstract walker: a value is itself, so the
@@ -257,6 +269,7 @@ fn run_abstract_engine(inst: &FilterInst, input: &[f64]) -> RunResult {
         input,
         false,
         "abstract engine",
+        FIRINGS,
         |code, store, host| {
             let globals = (store.globals.iter().zip(0u32..))
                 .map(|(cell, g)| match code.fx.may_write(Slot::Global(g)) {
@@ -714,4 +727,85 @@ fn interpreted_programs_match_across_modes() {
             bench.name()
         );
     }
+}
+
+/// Every equivalence suite flattens both of its sides, so there a plumbing
+/// filter's native node ([`Plumbing`]) is only ever compared with itself.
+/// Here each one of the nine benchmarks and FIR1024 is held to the filter
+/// it stands for: a source feeds a printing sink for 3·m
+/// firings, a sink is fed by a periodic source over the test tape for 64;
+/// what the native nodes print must be, bit for bit, what the tree-walker
+/// pushed or printed, and neither side tallies an operation.
+#[test]
+fn plumbing_nodes_fire_like_the_filters_they_stand_for() {
+    const TAPE: usize = 256;
+    let harness = elaborate(
+        &streamlin::lang::parse(&format!(
+            "void->void pipeline H {{ add Tape(); add Print(); }}
+             void->float filter Tape {{
+                 float[{TAPE}] t; int i;
+                 init {{
+                     for (int k = 0; k < {TAPE}; k++) {{
+                         float v = (k * 37 + 11) % 97;
+                         t[k] = v / 13.0 - 3.5;
+                     }}
+                 }}
+                 work push 1 {{ push(t[i]); i = (i + 1) % {TAPE}; }}
+             }}
+             float->void filter Print {{ work pop 1 {{ println(pop()); }} }}"
+        ))
+        .unwrap(),
+    )
+    .unwrap();
+    let mut ends = Vec::new();
+    harness.for_each_filter(&mut |f| ends.push(OptStream::Original(f.clone())));
+    let [tape_source, printer] = <[OptStream; 2]>::try_from(ends).ok().unwrap();
+    let input: Vec<f64> = tape(TAPE).into_iter().cycle().take(64 * TAPE).collect();
+
+    let mut benches = streamlin::benchmarks::all_default();
+    benches.push(streamlin::benchmarks::fir(1024));
+    let mut checked = 0;
+    for bench in &benches {
+        let mut filters = Vec::new();
+        bench
+            .graph()
+            .for_each_filter(&mut |f| filters.push(f.clone()));
+        for inst in filters {
+            let Some(plumbing) = &inst.facts.plumbing else {
+                continue;
+            };
+            let this = OptStream::Original(inst.clone());
+            let (firings, program) = match plumbing {
+                Plumbing::Periodic { values, .. } => (3 * values.len(), [this, printer.clone()]),
+                _ => (64, [tape_source.clone(), this]),
+            };
+            let walked = run_firings(
+                &inst,
+                &input,
+                true,
+                "slot-based",
+                firings,
+                |code, store, host| SlotInterp::new(host, FIRING_FUEL).exec_work(store, &code.body),
+            );
+            let spec = RunSpec::default();
+            let art = spec.compile(&OptStream::Pipeline(program.into())).unwrap();
+            assert!(
+                art.flat.nodes.iter().all(|n| n.interp().is_none()),
+                "{}",
+                inst.name
+            );
+            let want = match plumbing {
+                Plumbing::Periodic { .. } => walked.pushed,
+                _ => walked.printed,
+            };
+            let native = spec.run_compiled(art, want.len()).unwrap();
+            let what = format!("{}/{}", bench.name(), inst.name);
+            assert_eq!(bits(&native.outputs), bits(&want), "{what}");
+            assert_eq!((walked.tallies, native.ops.flops()), ([0; 4], 0), "{what}");
+            checked += 1;
+        }
+    }
+    // A source and a printer in each of FIR, FIR1024, Vocoder, Oversampler
+    // and DToA; a printer in each of the other five.
+    assert_eq!(checked, 15);
 }
