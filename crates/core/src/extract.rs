@@ -530,15 +530,15 @@ impl Domain for LinDomain {
 
     /// The interpreter's [`Value::coerce_to`] on the constant part (an int
     /// promotes to float). A store the interpreter would refuse is ⊤.
-    fn coerce(&mut self, v: Sym, ty: DataType) -> Sym {
-        let Sym::Lin(mut f) = v else { return v };
-        match f.konst.coerce_to(ty) {
+    fn coerce(&mut self, v: Sym, ty: DataType) -> Result<Sym, NonLinear> {
+        let Sym::Lin(mut f) = v else { return Ok(v) };
+        Ok(match f.konst.coerce_to(ty) {
             Ok(k) if f.is_const() || ty == DataType::Float => {
                 f.konst = k;
                 Sym::Lin(f)
             }
             _ => Sym::Top(self.span),
-        }
+        })
     }
 
     /// The confluence operator ⊔: equal forms stay, anything else is ⊤.

@@ -9,10 +9,14 @@
 //! counters, effects, lints; and which filters are native plumbing) and
 //! `streamlin-core`'s linear extraction (linear forms) are the instances.
 //! **A new analysis is a `Domain`, never a new
-//! match on [`RStmt`].** [`crate::lower::SlotInterp`] and the bytecode tier
-//! deliberately do *not* run on this engine: they are the referee it is
-//! held to (`tests/interp_differential.rs` runs a concrete domain through
-//! it beside both tiers).
+//! match on [`RStmt`].** Execution is a domain too: at the identity
+//! abstraction the abstract evaluator *is* the evaluator, so the dialect's
+//! reference semantics is this walk under the concrete domain ([`exec`],
+//! [`eval`]) — `--tier treewalk`, the phases the typer refuses and
+//! elaboration's constants run on it. The bytecode tier is the independent
+//! implementation held to it (`tests/interp_differential.rs`, the fuel and
+//! fault sweeps of `tests/typed_bytecode.rs`, `tests/graph_fuzz.rs`), so a
+//! drift of the skeleton fails a test instead of shipping a certificate.
 //!
 //! [`walk`] owns everything that is not a value. Each rule below was once
 //! written per walker; the PR named is the last that had to fix a copy.
@@ -24,24 +28,28 @@
 //!   b + 5` reads 0, never what a sibling scope left in the shared frame
 //!   slot (interpreters PR 3, extraction PR 15, `analyze` PR 18).
 //! * **`op=` / `++` / `--`** are one read-modify-write through a single
-//!   index evaluation: the old value is moved out of its cell, the new one
+//!   index evaluation: the old value is taken out ([`Domain::take`]), the new one
 //!   moved in, so `a[i++] += v` bumps `i` once and `sum += …` accumulates
 //!   in place (interpreters PR 3, extraction PR 12, `analyze` PR 18).
 //! * **Typed cells**, globals and frame alike: every store goes through
 //!   [`Domain::coerce`] to the declared type, so an `int` stored into a
 //!   `float` divides as a float afterwards (extraction PR 15, `analyze`
 //!   PR 18). A global no walked phase writes is [`ACell::Const`]: read
-//!   straight from its elaboration-time cell, never copied.
+//!   straight from its elaboration-time cell, never copied. A store the
+//!   declared type refuses is the concrete domain's fault.
 //! * **Arrays** are element-wise, row-major and bounds-checked through
 //!   [`flat_offset`] (one offset function since PR 15), a scalar as the
-//!   rank-0 case. An access at an undecided index is weak: a read is
+//!   rank-0 case. Each index is checked as soon as it is evaluated, before
+//!   the next one runs. An access at an undecided index is weak: a read is
 //!   [`Domain::any_element`], a store joins the value into every element.
 //! * **Constants.** An operation whose operands are all
-//!   [`Domain::concrete`] is folded here, by the interpreters' own
-//!   `un_op`/`bin_op`/`MathFn::call`; one that faults (`1 / 0`) is a
-//!   [`Domain::fault`], as at run time.
+//!   [`Domain::concrete`] is folded here, by the evaluators' own
+//!   `un_op`/`bin_op`/`MathFn::call`, after [`Domain::flop`] is told of
+//!   it when it is a floating-point operation; one that faults (`1 / 0`)
+//!   is a [`Domain::fault`], as at run time.
 //! * **Branches.** A decided `if`, `&&` or `||` takes one side — `false &&
-//!   x++` does not run `x++`; an undecided one runs both on cloned states
+//!   x++` does not run `x++` — and a decided condition that is not a
+//!   boolean is a fault; an undecided one runs both on cloned states
 //!   and joins (extraction PR 15). The join is slot-wise; a frame slot
 //!   holding a different, already out-of-scope local on each path is dead
 //!   and joins to ⊤, never to an error (extraction PR 15).
@@ -54,20 +62,20 @@
 //!   the loop can make.
 //! * **`return`** joins the state into the walk's exit state; a walk ends
 //!   in the join of falling off the end and every `return`.
-//! * **Fuel** is spent per statement and per loop test, as the
-//!   interpreters spend it; **position** — the span of the statement in
-//!   hand, and whether undecided control surrounds it — is
-//!   [`Domain::at`].
+//! * **Fuel** is spent per statement and per loop test, as the bytecode
+//!   tier spends it; **position** — the span of the statement in hand, and
+//!   whether undecided control surrounds it — is [`Domain::at`].
 
 use streamlin_lang::ast::{BinOp, DataType, UnOp};
 use streamlin_lang::token::Span;
 
-use crate::exec::IndexBuf;
-use crate::lower::{Effects, RExpr, RLValue, RStmt, Slot};
-use crate::value::{bin_op, flat_offset, un_op, Cell, EvalError, MathFn, Value};
+use crate::exec::{Flow, Host, IndexBuf};
+use crate::lower::{Effects, RExpr, RLValue, RStmt, Slot, SlotStore};
+use crate::value::{bin_op, flat_offset, un_op, ArrayVal, Cell, EvalError, MathFn, Value};
 
-/// What differs between analyses: the values, the tape, and what to do
-/// when the walk cannot decide. Everything else is [`walk`].
+/// What differs between analyses, and between an analysis and execution:
+/// the values, the tape, and what to do when the walk cannot decide.
+/// Everything else is [`walk`].
 pub trait Domain {
     /// An abstract scalar.
     type Value: Clone;
@@ -77,6 +85,8 @@ pub trait Domain {
     type Stop;
     /// Trips a decided loop is unrolled before it counts as undecided.
     const MAX_UNROLL: u64 = u64::MAX;
+    /// What [`Domain::give_up`] is told when the fuel runs out.
+    const OUT_OF_FUEL: &'static str = "analysis fuel exhausted";
 
     /// The walk is now at the statement at `span`; `conditional` if
     /// undecided control flow surrounds it.
@@ -88,7 +98,7 @@ pub trait Domain {
     fn top(&mut self) -> Self::Value;
     /// The concrete value, if `v` is the same one on every execution: what
     /// decides a branch, a loop test, an index, an array size — and an
-    /// operation, which the engine folds with the interpreters' own
+    /// operation, which the engine folds with the evaluators' own
     /// `un_op`/`bin_op`/`MathFn::call` when every operand is concrete. The
     /// three transfer functions below see the other cases.
     fn concrete(&mut self, v: &Self::Value) -> Option<Value>;
@@ -99,8 +109,23 @@ pub trait Domain {
     fn bin_op(&mut self, op: BinOp, a: Self::Value, b: Self::Value) -> Self::Value;
     /// Transfer function of an intrinsic.
     fn math(&mut self, f: MathFn, args: &[Self::Value]) -> Self::Value;
-    /// What a store of `v` leaves in a variable declared `ty`.
-    fn coerce(&mut self, v: Self::Value, ty: DataType) -> Self::Value;
+    /// What a store of `v` leaves in a variable declared `ty`, or why the
+    /// store fails.
+    fn coerce(&mut self, v: Self::Value, ty: DataType) -> Result<Self::Value, Self::Stop>;
+    /// A floating-point operation is about to be folded: a binary
+    /// operator (`op=` and `++` included) or a negation with a float
+    /// operand, or an intrinsic with a float result — the paper's FLOP
+    /// metric, in which integer arithmetic is free.
+    fn flop(&mut self, _op: Flop) {}
+    /// Takes the current value out of `cell` for an `op=` or `++`. The
+    /// default moves it, leaving ⊤ until the result is stored, so the
+    /// operation can accumulate in place; a fault then ends the walk and
+    /// its state with it. A domain whose state outlives a fault copies it,
+    /// so the cell keeps its value when the operation fails.
+    fn take(&mut self, cell: &mut Self::Value) -> Self::Value {
+        let top = self.top();
+        std::mem::replace(cell, top)
+    }
     /// `a ← a ⊔ b`.
     fn join(&mut self, a: &mut Self::Value, b: &Self::Value);
     /// `a ← a ⊔ b` on tapes.
@@ -147,6 +172,34 @@ pub trait Domain {
     fn read(&mut self, _slot: Slot, _constant: bool) {}
     /// `v` was stored to `slot`, at `idx` (empty for a scalar).
     fn wrote(&mut self, _slot: Slot, _idx: &[Self::Value], _v: &Self::Value) {}
+}
+
+/// The families the paper's FLOP metric counts (§5.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flop {
+    /// An addition or subtraction.
+    Add,
+    /// A multiplication.
+    Mul,
+    /// A division.
+    Div,
+    /// A remainder, comparison, negation or intrinsic.
+    Other,
+}
+
+impl Flop {
+    /// The family of a binary operator on floats; `None` for the logical
+    /// and bitwise ones, which no float operand survives.
+    fn of(op: BinOp) -> Option<Flop> {
+        match op {
+            BinOp::Add | BinOp::Sub => Some(Flop::Add),
+            BinOp::Mul => Some(Flop::Mul),
+            BinOp::Div => Some(Flop::Div),
+            BinOp::Rem => Some(Flop::Other),
+            op if op.is_comparison() => Some(Flop::Other),
+            _ => None,
+        }
+    }
 }
 
 /// A storage cell over abstract values, typed like the [`Cell`] it stands
@@ -239,19 +292,7 @@ pub fn walk<'c, D: Domain>(
         frame: vec![dead; frame_slots],
         tape,
     };
-    let mut w = Walker {
-        dom,
-        fuel,
-        span: Span::default(),
-        undecided: 0,
-        exit: None,
-    };
-    let falls_off = w.block(&mut st, body)?;
-    match w.exit.take() {
-        Some(exit) if falls_off => w.join(&mut st, exit)?,
-        Some(exit) => st = exit,
-        None => {}
-    }
+    Walker::new(dom, fuel).body(&mut st, body)?;
     Ok(st)
 }
 
@@ -264,12 +305,38 @@ struct Walker<'d, 'c, D: Domain> {
     undecided: u32,
     /// Joined state at the `return`s seen so far.
     exit: Option<StateOf<'c, D>>,
+    /// Evaluated indices and intrinsic arguments awaiting their use, as a
+    /// stack: an access's own start at the length it found.
+    operands: Vec<D::Value>,
 }
 
-impl<'c, D: Domain> Walker<'_, 'c, D> {
+impl<'d, 'c, D: Domain> Walker<'d, 'c, D> {
+    fn new(dom: &'d mut D, fuel: u64) -> Self {
+        Walker {
+            dom,
+            fuel,
+            span: Span::default(),
+            undecided: 0,
+            exit: None,
+            operands: Vec::new(),
+        }
+    }
+
+    /// Walks a whole body in `st`, leaving there the state it ends in;
+    /// `false` if it ended in a `return` on every path.
+    fn body(&mut self, st: &mut StateOf<'c, D>, body: &[RStmt]) -> Live<D> {
+        let falls_off = self.block(st, body)?;
+        match self.exit.take() {
+            Some(exit) if falls_off => self.join(st, exit)?,
+            Some(exit) => *st = exit,
+            None => {}
+        }
+        Ok(falls_off)
+    }
+
     fn spend(&mut self) -> Result<(), D::Stop> {
         if self.fuel == 0 {
-            return Err(self.dom.give_up("analysis fuel exhausted"));
+            return Err(self.dom.give_up(D::OUT_OF_FUEL));
         }
         self.fuel -= 1;
         Ok(())
@@ -333,23 +400,18 @@ impl<'c, D: Domain> Walker<'_, 'c, D> {
                 init,
                 ..
             } => {
-                let mut sizes = Vec::with_capacity(dims.len());
-                for v in self.eval_all(st, dims)?.iter() {
-                    match self.index(v) {
-                        Ok(Some(n)) => sizes.push(n),
-                        Ok(None) => {
-                            let why = "array index or size depends on the input";
-                            return Err(self.dom.give_up(why));
-                        }
-                        Err(e) => return Err(self.dom.fault(e)),
-                    }
-                }
+                let (start, sizes) = self.indices(st, dims)?;
+                self.operands.truncate(start);
+                let Some(sizes) = sizes else {
+                    let why = "array index or size depends on the input";
+                    return Err(self.dom.give_up(why));
+                };
                 let zero = self.dom.literal(Value::zero_of(*base));
-                st.frame[*slot as usize] = match dims.is_empty() {
-                    true => ACell::Scalar(*base, zero),
-                    false => {
+                st.frame[*slot as usize] = match sizes.as_slice() {
+                    [] => ACell::Scalar(*base, zero),
+                    sizes => {
                         let zeros = vec![zero; sizes.iter().product()];
-                        ACell::Array(*base, sizes, zeros)
+                        ACell::Array(*base, sizes.to_vec(), zeros)
                     }
                 };
                 if let Some(e) = init {
@@ -377,7 +439,7 @@ impl<'c, D: Domain> Walker<'_, 'c, D> {
             } => {
                 let c = self.eval(st, cond)?;
                 let else_blk = else_blk.as_deref().unwrap_or(&[]);
-                let Some(taken) = self.truth(&c) else {
+                let Some(taken) = self.truth(&c)? else {
                     let mut other = st.clone();
                     let (t, e) = self.conditionally(|w| {
                         Ok((w.block(st, then_blk)?, w.block(&mut other, else_blk)?))
@@ -415,7 +477,7 @@ impl<'c, D: Domain> Walker<'_, 'c, D> {
                         None => Some(true),
                         Some(c) => {
                             let v = self.eval(st, c)?;
-                            self.truth(&v)
+                            self.truth(&v)?
                         }
                     };
                     match go {
@@ -448,13 +510,17 @@ impl<'c, D: Domain> Walker<'_, 'c, D> {
                 self.eval(st, e)?;
             }
             RStmt::Return => {
-                self.exit = Some(match self.exit.take() {
-                    Some(mut exit) => {
-                        self.join(&mut exit, st.clone())?;
-                        exit
-                    }
-                    None => st.clone(),
-                });
+                // Under decided control nothing runs after this, so the
+                // state in hand is where the walk ends: no copy, no join.
+                if self.undecided > 0 || self.exit.is_some() {
+                    self.exit = Some(match self.exit.take() {
+                        Some(mut exit) => {
+                            self.join(&mut exit, st.clone())?;
+                            exit
+                        }
+                        None => st.clone(),
+                    });
+                }
                 return Ok(false);
             }
         }
@@ -466,11 +532,12 @@ impl<'c, D: Domain> Walker<'_, 'c, D> {
         Ok(self.block(st, body)? && step.map_or(Ok(true), |s| self.stmt(st, s))?)
     }
 
-    /// `Some` if `v` is the same boolean on every execution.
-    fn truth(&mut self, v: &D::Value) -> Option<bool> {
+    /// `Some` if `v` is the same boolean on every execution; a fault if it
+    /// is the same value and not a boolean.
+    fn truth(&mut self, v: &D::Value) -> Result<Option<bool>, D::Stop> {
         match self.dom.concrete(v) {
-            Some(Value::Bool(b)) => Some(b),
-            _ => None,
+            Some(c) => c.as_bool().map(Some).map_err(|e| self.dom.fault(e)),
+            None => Ok(None),
         }
     }
 
@@ -479,40 +546,28 @@ impl<'c, D: Domain> Walker<'_, 'c, D> {
         self.dom.concrete(v).map(|c| c.as_index()).transpose()
     }
 
+    /// Evaluates index (or size) expressions left to right onto
+    /// [`Walker::operands`], each checked as soon as it is evaluated —
+    /// `m[k][k++]` with `k < 0` fails before the `++`. Returns where they
+    /// start, and their positions if every one is decided.
     #[inline(always)]
-    fn eval_all(
+    fn indices(
         &mut self,
         st: &mut StateOf<'c, D>,
         exprs: &[RExpr],
-    ) -> Result<Vec<D::Value>, D::Stop> {
-        let mut vals = Vec::with_capacity(exprs.len());
+    ) -> Result<(usize, Option<IndexBuf>), D::Stop> {
+        let base = self.operands.len();
+        let mut at = Some(IndexBuf::default());
         for e in exprs {
-            vals.push(self.eval(st, e)?);
-        }
-        Ok(vals)
-    }
-
-    /// The element an access with the evaluated indices `idx` lands on
-    /// (`None`: an index is undecided, so any), with the interpreters'
-    /// checks and wording.
-    #[inline(always)]
-    fn locate(&mut self, dims: &[usize], idx: &[D::Value]) -> Result<Option<usize>, EvalError> {
-        if dims.is_empty() && idx.is_empty() {
-            return Ok(Some(0));
-        } else if dims.is_empty() != idx.is_empty() {
-            return Err(EvalError::new(match dims.is_empty() {
-                true => "variable is a scalar, not an array",
-                false => "variable is an array; index it to read an element",
-            }));
-        }
-        let mut at = IndexBuf::default();
-        for v in idx {
-            match self.index(v)? {
-                Some(i) => at.push(i),
-                None => return Ok(None),
+            let v = self.eval(st, e)?;
+            match self.index(&v) {
+                Ok(Some(i)) => at.iter_mut().for_each(|at| at.push(i)),
+                Ok(None) => at = None,
+                Err(e) => return Err(self.dom.fault(e)),
             }
+            self.operands.push(v);
         }
-        flat_offset(dims, at.as_slice()).map(Some)
+        Ok((base, at))
     }
 
     /// Reads a scalar (no index expressions) or an array element.
@@ -522,23 +577,27 @@ impl<'c, D: Domain> Walker<'_, 'c, D> {
         slot: Slot,
         idx_exprs: &[RExpr],
     ) -> Result<D::Value, D::Stop> {
-        let idx = self.eval_all(st, idx_exprs)?;
+        let (base, at) = self.indices(st, idx_exprs)?;
+        let idx = &self.operands[base..];
         let (ty, dims, elems) = st.cell_mut(slot).view();
         self.dom.read(slot, elems.is_err());
-        Ok(match (self.locate(dims, &idx), elems) {
+        let v = match (locate(dims, idx.len(), at), elems) {
             (Ok(Some(o)), Ok(data)) => data[o].clone(),
             (Ok(Some(o)), Err(table)) => self.dom.literal(table[o]),
-            (Ok(None), _) => self.dom.any_element(slot, ty, elems.is_err(), &idx),
+            (Ok(None), _) => self.dom.any_element(slot, ty, elems.is_err(), idx),
             (Err(e), _) => return Err(self.dom.fault(e)),
-        })
+        };
+        self.operands.truncate(base);
+        Ok(v)
     }
 
     /// The one store. Replaces the value of a scalar (no index
     /// expressions) or an array element with `f(current value)`, coerced
     /// to the declared type. The index expressions are evaluated once; the
-    /// current value is moved out of its cell and the result moved back,
-    /// so `f` can accumulate into it in place. `reads` says whether `f`
-    /// looks at the current value (`op=`, `++`) or replaces it (`=`).
+    /// current value is taken out of its cell ([`Domain::take`]) and the
+    /// result moved back, so `f` can accumulate into it in place. `reads`
+    /// says whether `f` looks at the current value (`op=`, `++`) or
+    /// replaces it (`=`, which leaves the cell alone until the store).
     fn update(
         &mut self,
         st: &mut StateOf<'c, D>,
@@ -547,26 +606,30 @@ impl<'c, D: Domain> Walker<'_, 'c, D> {
         reads: bool,
         f: impl FnOnce(&mut D, D::Value) -> Result<D::Value, D::Stop>,
     ) -> Result<(), D::Stop> {
-        let idx = self.eval_all(st, idx_exprs)?;
+        let (base, at) = self.indices(st, idx_exprs)?;
+        let idx = &self.operands[base..];
         let (ty, dims, data) = st.cell_mut(slot).view_mut();
         if reads {
             self.dom.read(slot, false);
+        } else if idx.is_empty() && !dims.is_empty() {
+            let e = EvalError::new("cannot assign a scalar to an array");
+            return Err(self.dom.fault(e));
         }
-        let at = self.locate(dims, &idx).map_err(|e| self.dom.fault(e))?;
-        let top = self.dom.top();
+        let at = locate(dims, idx.len(), at).map_err(|e| self.dom.fault(e))?;
         let old = match at {
-            Some(o) => std::mem::replace(&mut data[o], top),
-            None if reads => self.dom.any_element(slot, ty, false, &idx),
-            None => top,
+            Some(o) if reads => self.dom.take(&mut data[o]),
+            None if reads => self.dom.any_element(slot, ty, false, idx),
+            _ => self.dom.top(),
         };
         let new = f(self.dom, old)?;
-        let new = self.dom.coerce(new, ty);
-        self.dom.wrote(slot, &idx, &new);
+        let new = self.dom.coerce(new, ty)?;
+        self.dom.wrote(slot, idx, &new);
         match at {
             Some(o) => data[o] = new,
             // A store at an unknown position may have hit any element.
             None => data.iter_mut().for_each(|e| self.dom.join(e, &new)),
         }
+        self.operands.truncate(base);
         Ok(())
     }
 
@@ -582,7 +645,7 @@ impl<'c, D: Domain> Walker<'_, 'c, D> {
         b: &RExpr,
     ) -> Result<D::Value, D::Stop> {
         let x = self.eval(st, a)?;
-        let y = match self.truth(&x) {
+        let y = match self.truth(&x)? {
             // `false && _`, `true || _`: the right operand does not run.
             Some(l) if l == (op == BinOp::Or) => return Ok(x),
             Some(_) => self.eval(st, b)?,
@@ -613,7 +676,12 @@ impl<'c, D: Domain> Walker<'_, 'c, D> {
             RExpr::Unary(op, a) => {
                 let v = self.eval(st, a)?;
                 match self.dom.concrete(&v) {
-                    Some(c) => fold(self.dom, un_op(*op, c)),
+                    Some(c) => {
+                        if *op == UnOp::Neg && c.is_float() {
+                            self.dom.flop(Flop::Other);
+                        }
+                        fold(self.dom, un_op(*op, c))
+                    }
                     None => Ok(self.dom.un_op(*op, v)),
                 }
             }
@@ -634,13 +702,28 @@ impl<'c, D: Domain> Walker<'_, 'c, D> {
                 Ok(self.dom.literal(Value::Int(0)))
             }
             RExpr::Math(f, args) => {
-                let vals = self.eval_all(st, args)?;
-                let concrete: Option<Vec<Value>> =
-                    vals.iter().map(|v| self.dom.concrete(v)).collect();
-                match concrete {
-                    Some(c) => fold(self.dom, f.call(&c)),
-                    None => Ok(self.dom.math(*f, &vals)),
+                let base = self.operands.len();
+                for a in args {
+                    let v = self.eval(st, a)?;
+                    self.operands.push(v);
                 }
+                let vals = &self.operands[base..];
+                // Arity was checked at lowering and is never above 2.
+                let mut c = [Value::Int(0); 2];
+                let decided = (vals.iter().zip(&mut c))
+                    .all(|(v, c)| self.dom.concrete(v).map(|v| *c = v).is_some());
+                let r = match decided {
+                    true => {
+                        let r = f.call(&c[..vals.len()]);
+                        if matches!(r, Ok(v) if v.is_float()) {
+                            self.dom.flop(Flop::Other);
+                        }
+                        fold(self.dom, r)
+                    }
+                    false => Ok(self.dom.math(*f, vals)),
+                };
+                self.operands.truncate(base);
+                r
             }
             RExpr::Print { newline, arg } => {
                 let v = self.eval(st, arg)?;
@@ -662,6 +745,20 @@ impl<'c, D: Domain> Walker<'_, 'c, D> {
     }
 }
 
+/// The element an access with `n` index expressions, at the positions `at`
+/// (`None`: some index is undecided, so any), lands on in a cell of
+/// `dims`, with the evaluators' checks and wording.
+#[inline(always)]
+fn locate(dims: &[usize], n: usize, at: Option<IndexBuf>) -> Result<Option<usize>, EvalError> {
+    if dims.is_empty() != (n == 0) {
+        return Err(EvalError::new(match dims.is_empty() {
+            true => "variable is a scalar, not an array",
+            false => "variable is an array; index it to read an element",
+        }));
+    }
+    at.map(|at| flat_offset(dims, at.as_slice())).transpose()
+}
+
 /// The abstraction of a folded constant, or the fault folding it raised.
 fn fold<D: Domain>(dom: &mut D, r: Result<Value, EvalError>) -> Result<D::Value, D::Stop> {
     match r {
@@ -678,7 +775,12 @@ fn binary<D: Domain>(
     b: D::Value,
 ) -> Result<D::Value, D::Stop> {
     match (dom.concrete(&a), dom.concrete(&b)) {
-        (Some(x), Some(y)) => fold(dom, bin_op(op, x, y)),
+        (Some(x), Some(y)) => {
+            if x.is_float() || y.is_float() {
+                Flop::of(op).into_iter().for_each(|f| dom.flop(f));
+            }
+            fold(dom, bin_op(op, x, y))
+        }
         _ => Ok(dom.bin_op(op, a, b)),
     }
 }
@@ -689,4 +791,151 @@ fn target_parts(lv: &RLValue) -> (Slot, &[RExpr]) {
         RLValue::Var(s) => (*s, &[]),
         RLValue::Index(s, idx) => (*s, idx),
     }
+}
+
+// ---- the concrete domain: the reference evaluator ---------------------------
+
+/// The identity abstraction: a value is itself, so the walk decides every
+/// branch and folds every operation, and what is left is execution. The
+/// host is the tape and the FLOP tally.
+struct Concrete<'h, H> {
+    host: &'h mut H,
+}
+
+impl<H: Host> Domain for Concrete<'_, H> {
+    type Value = Value;
+    /// The host is the tape; a concrete run never clones or joins one.
+    type Tape = ();
+    type Stop = EvalError;
+    const OUT_OF_FUEL: &'static str = "execution fuel exhausted (possible infinite loop)";
+
+    fn at(&mut self, _span: Span, _conditional: bool) {}
+    fn literal(&mut self, v: Value) -> Value {
+        v
+    }
+    /// Only ever a placeholder: the old value a plain `=` never looks at.
+    fn top(&mut self) -> Value {
+        Value::Int(0)
+    }
+    fn concrete(&mut self, v: &Value) -> Option<Value> {
+        Some(*v)
+    }
+    fn un_op(&mut self, _: UnOp, _: Value) -> Value {
+        unreachable!("every operand is concrete")
+    }
+    fn bin_op(&mut self, _: BinOp, _: Value, _: Value) -> Value {
+        unreachable!("every operand is concrete")
+    }
+    fn math(&mut self, _: MathFn, _: &[Value]) -> Value {
+        unreachable!("every operand is concrete")
+    }
+    fn coerce(&mut self, v: Value, ty: DataType) -> Result<Value, EvalError> {
+        v.coerce_to(ty)
+    }
+    fn flop(&mut self, op: Flop) {
+        match op {
+            Flop::Add => self.host.count_add(),
+            Flop::Mul => self.host.count_mul(),
+            Flop::Div => self.host.count_div(),
+            Flop::Other => self.host.count_other(),
+        }
+    }
+    /// A copy: the store outlives a fault, and keeps the old value.
+    fn take(&mut self, cell: &mut Value) -> Value {
+        *cell
+    }
+    fn join(&mut self, _: &mut Value, _: &Value) {
+        unreachable!("every branch is decided")
+    }
+    fn join_tapes(&mut self, _: &mut (), _: ()) -> Result<(), EvalError> {
+        unreachable!("every branch is decided")
+    }
+    fn peek(&mut self, _: &mut (), i: Value) -> Result<Value, EvalError> {
+        Ok(Value::Float(self.host.peek(i.as_index()?)?))
+    }
+    fn pop(&mut self, _: &mut ()) -> Result<Value, EvalError> {
+        Ok(Value::Float(self.host.pop()?))
+    }
+    fn push(&mut self, _: &mut (), v: Value) -> Result<(), EvalError> {
+        self.host.push(v.as_f64()?)
+    }
+    fn print(&mut self, v: Value, newline: bool) -> Result<(), EvalError> {
+        self.host.print(v, newline)
+    }
+    fn fault(&mut self, e: EvalError) -> EvalError {
+        e
+    }
+    fn give_up(&mut self, why: &'static str) -> EvalError {
+        EvalError::new(why)
+    }
+}
+
+/// Executes a lowered body (or any statement list of one) over `store`,
+/// driving `host`, on `fuel` statements and loop tests: the dialect's
+/// reference semantics.
+///
+/// # Errors
+///
+/// The first [`EvalError`] a statement raises, or exhausted fuel. The
+/// store is left as execution left it, then too.
+pub fn exec<H: Host>(
+    body: &[RStmt],
+    store: &mut SlotStore<'_>,
+    host: &mut H,
+    fuel: u64,
+) -> Result<Flow, EvalError> {
+    on_store(store, host, fuel, |w, st| match w.body(st, body)? {
+        true => Ok(Flow::Normal),
+        false => Ok(Flow::Return),
+    })
+}
+
+/// Evaluates a resolved expression over `store` under the reference
+/// semantics, as [`exec`] executes a statement.
+///
+/// # Errors
+///
+/// As [`exec`].
+pub fn eval<H: Host>(
+    expr: &RExpr,
+    store: &mut SlotStore<'_>,
+    host: &mut H,
+    fuel: u64,
+) -> Result<Value, EvalError> {
+    on_store(store, host, fuel, |w, st| w.eval(st, expr))
+}
+
+/// The walk state of the concrete domain over one execution.
+type ConcreteState = State<'static, Value, ()>;
+
+/// Moves the store's cells into a concrete walk state, runs `f` on it, and
+/// moves them back whatever `f` returned. A cell is moved, never copied:
+/// a table costs what a scalar does.
+fn on_store<H: Host, R>(
+    store: &mut SlotStore<'_>,
+    host: &mut H,
+    fuel: u64,
+    f: impl FnOnce(&mut Walker<'_, 'static, Concrete<'_, H>>, &mut ConcreteState) -> R,
+) -> R {
+    fn take(cell: &mut Cell) -> ACell<'static, Value> {
+        match std::mem::replace(cell, Cell::Scalar(DataType::Int, Value::Int(0))) {
+            Cell::Scalar(ty, v) => ACell::Scalar(ty, v),
+            Cell::Array(ArrayVal { dims, elem, data }) => ACell::Array(elem, dims, data),
+        }
+    }
+    let mut st = State {
+        globals: store.globals.iter_mut().map(take).collect(),
+        frame: store.frame.iter_mut().map(take).collect(),
+        tape: (),
+    };
+    let r = f(&mut Walker::new(&mut Concrete { host }, fuel), &mut st);
+    let cells = store.globals.iter_mut().chain(store.frame.iter_mut());
+    for (cell, walked) in cells.zip(st.globals.into_iter().chain(st.frame)) {
+        *cell = match walked {
+            ACell::Scalar(ty, v) => Cell::Scalar(ty, v),
+            ACell::Array(elem, dims, data) => Cell::Array(ArrayVal { dims, elem, data }),
+            ACell::Const(_) => unreachable!("the concrete walk binds every cell as a variable"),
+        };
+    }
+    r
 }

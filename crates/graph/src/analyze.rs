@@ -569,13 +569,13 @@ impl Domain for RateDomain<'_> {
     }
 
     /// The runtime's store-time coercion into the declared scalar type.
-    fn coerce(&mut self, v: AbsV, ty: DataType) -> AbsV {
+    fn coerce(&mut self, v: AbsV, ty: DataType) -> Result<AbsV, String> {
         let num = match (ty, v.num) {
             (DataType::Float, Num::Known(Value::Int(i))) => Num::Known(Value::Float(i as f64)),
             (DataType::Float, Num::Int(..)) => Num::FloatAny,
             (_, num) => num,
         };
-        AbsV { num, deg: v.deg }
+        Ok(AbsV { num, deg: v.deg })
     }
 
     fn join(&mut self, a: &mut AbsV, b: &AbsV) {
@@ -956,11 +956,11 @@ impl Domain for PlumbingDomain {
     fn math(&mut self, _f: MathFn, _args: &[Pv]) -> Pv {
         self.refuse()
     }
-    fn coerce(&mut self, v: Pv, ty: DataType) -> Pv {
-        match v {
+    fn coerce(&mut self, v: Pv, ty: DataType) -> Result<Pv, ()> {
+        Ok(match v {
             Pv::Counter(_) | Pv::Succ(_) | Pv::Next(..) if ty == DataType::Int => v,
             _ => Pv::Top,
-        }
+        })
     }
     fn join(&mut self, a: &mut Pv, _b: &Pv) {
         *a = Pv::Top;

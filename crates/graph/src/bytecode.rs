@@ -24,28 +24,31 @@
 //!   written through one tag check per element.
 //! * **FLOP tallies are decided at compile time**: a float opcode calls
 //!   the [`Host`] counting hook of its family, an int opcode does not —
-//!   the tree-walker's rule (an operation counts when an operand is a
+//!   the reference walk's rule (an operation counts when an operand is a
 //!   float) without the run-time test.
 //! * **Fuel is charged per run of statements**: one `Spend(n)` covers `n`
 //!   statements that execute back to back. A run that cannot afford its
-//!   whole charge is cut off at the statement the tree-walker would have
+//!   whole charge is cut off at the statement the reference would have
 //!   stopped at, so fuel runs out at the same logical point with the same
 //!   partial state.
 //!
-//! Semantics are **bit-identical** to [`SlotInterp`], the reference tier:
-//! same evaluation order (right-hand sides before assignment indices, one
+//! Semantics are **bit-identical** to the reference tier, the abstract
+//! walker under its concrete domain ([`crate::absint::exec`]): same
+//! evaluation order (right-hand sides before assignment indices, one
 //! index evaluation under `op=`/`++`, short-circuit `&&`/`||`), same
 //! arithmetic (the shared [`MathFn`] kernels, wrapping integer ops), same
-//! tallies, same error text, same partial state on failure.
-//! `tests/interp_differential.rs`, `tests/typed_bytecode.rs` (fuel sweeps
-//! and faults) and `tests/graph_fuzz.rs` pin that.
+//! tallies, same error text, same partial state on failure. The two are
+//! written independently, and `tests/interp_differential.rs`,
+//! `tests/typed_bytecode.rs` (fuel sweeps and faults) and
+//! `tests/graph_fuzz.rs` pin that.
 //!
 //! The executor **never trusts the store**. What can only fail at run time
 //! for a type reason — a bool operand to arithmetic, a float stored into
 //! an int, a float index — makes the typer *refuse* the phase, and a store
 //! whose cells disagree with the compiled signature fails the entry check;
-//! either way the phase runs on [`SlotInterp`], which gives the reference
-//! error text and partial state by definition. There is no third executor.
+//! either way the phase runs on the reference tier, which gives the
+//! reference error text and partial state by definition. There is no third
+//! executor.
 //!
 //! On top of the typed opcodes the compiler fuses the benchmarks' dominant
 //! loop, `for (int v = lo; v < hi; v++) acc += a * b`, into one
@@ -59,7 +62,7 @@ use std::sync::Arc;
 use streamlin_lang::ast::DataType;
 
 use crate::exec::{Flow, Host};
-use crate::lower::{RStmt, SlotInterp, SlotStore};
+use crate::lower::{RStmt, SlotStore};
 use crate::value::{Cell, EvalError, MathFn};
 
 mod typer;
@@ -259,8 +262,8 @@ impl ByteCode {
         self.typed.ops.is_empty()
     }
 
-    /// Why the typer refused this body (it then runs on [`SlotInterp`]);
-    /// `None` when it compiled.
+    /// Why the typer refused this body (it then runs on the reference
+    /// tier, [`crate::absint::exec`]); `None` when it compiled.
     pub fn refusal(&self) -> Option<&'static str> {
         self.refusal
     }
@@ -284,12 +287,13 @@ pub fn compile(body: Arc<[RStmt]>, globals: &[&Cell], frame_slots: usize) -> Byt
 
 /// Executes a compiled work phase over slot storage, driving the same
 /// [`Host`] protocol (tape access, printing, FLOP tallies) and the same
-/// fuel discipline as [`SlotInterp::exec_work`], on fresh registers.
+/// fuel discipline as the reference tier ([`crate::absint::exec`]), on
+/// fresh registers.
 ///
 /// # Errors
 ///
 /// Propagates any [`EvalError`], with messages identical to the
-/// tree-walker's (the differential suites compare failure text too).
+/// reference tier's (the differential suites compare failure text too).
 pub fn exec<H: Host>(
     code: &ByteCode,
     store: &mut SlotStore<'_>,
@@ -318,7 +322,7 @@ impl ByteCode {
     /// firing allocates nothing once they have grown to the phase's size.
     /// With `typed` unset (`--tier treewalk`), for a refused body, and for
     /// a store whose cells do not match the compiled signature, the
-    /// binding is to the reference tier: every firing tree-walks the body.
+    /// binding is to the reference tier: every firing walks the body.
     pub fn bind<'a, 's>(
         &'a self,
         store: &'a mut SlotStore<'s>,
@@ -344,7 +348,7 @@ impl Bound<'_, '_> {
     pub fn fire<H: Host>(&mut self, host: &mut H, fuel: u64) -> Result<Flow, EvalError> {
         match self.typed {
             true => vm::run(&self.code.typed, self.store, self.regs, host, fuel),
-            false => SlotInterp::new(host, fuel).exec_work(self.store, &self.code.body),
+            false => crate::absint::exec(&self.code.body, self.store, host, fuel),
         }
     }
 }

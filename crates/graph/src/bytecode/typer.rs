@@ -303,7 +303,7 @@ impl Typer<'_> {
     }
 
     /// One unit of fuel for what follows (a statement, or a loop's
-    /// iteration check), mirroring `SlotInterp::exec_stmt`: joins the open
+    /// iteration check), as the reference walk spends it: joins the open
     /// run, or opens one. Statement-level branches and labels close it.
     fn spend(&mut self) {
         match self.run.map(|at| &mut self.t.ops[at]) {

@@ -675,7 +675,7 @@ mod tests {
         let Cell::Array(h) = &f.state["h"] else {
             panic!()
         };
-        assert_eq!(h.get(&[3]).unwrap(), Value::Float(9.0));
+        assert_eq!(h.data[3], Value::Float(9.0));
         assert!(f.param_names.contains(&"N".to_string()));
     }
 

@@ -2,9 +2,9 @@
 //!
 //! [`Host`] is the environment-facing side of a firing — tape access,
 //! printing, and the DynamoRIO-substitute FLOP accounting (integer index
-//! arithmetic is free, matching the paper's FLOP metric). The tree-walking
-//! reference tier ([`crate::lower::SlotInterp`]) and the bytecode tier
-//! ([`crate::bytecode`]) both drive it; `streamlin-runtime` implements it
+//! arithmetic is free, matching the paper's FLOP metric). The reference
+//! tier (the abstract walker's concrete domain, [`crate::absint::exec`])
+//! and the bytecode tier ([`crate::bytecode`]) both drive it; `streamlin-runtime` implements it
 //! over its channels, and [`PureHost`] is the constant-context host that
 //! elaboration uses for rates, dimensions, container bodies and `init`
 //! blocks — mirroring how the StreamIt compiler resolves rates and weights

@@ -16,14 +16,16 @@
 //! * [`lower`] — slot resolution, the only place a name becomes storage:
 //!   every field, parameter and lexical local is assigned a slot at
 //!   elaboration (shadowing resolved statically), and everything after it
-//!   — the reference interpreter [`SlotInterp`], the [`bytecode`] tier, the
-//!   abstract walker [`absint`], and elaboration's own constant
-//!   evaluation — walks the resolved tree over plain `Vec<Cell>` storage.
-//! * [`absint`] — the one abstract walker over that tree: the control
-//!   skeleton of a work body, written once, with the values supplied by a
-//!   [`absint::Domain`]. [`analyze`] (rates, effects, lints — the
+//!   — the abstract walker [`absint`], the [`bytecode`] tier, and
+//!   elaboration's own constant evaluation — walks the resolved tree over
+//!   plain `Vec<Cell>` storage.
+//! * [`absint`] — the one walker over that tree: the control skeleton of a
+//!   work body, written once, with the values supplied by a
+//!   [`absint::Domain`]. [`analyze`] (rates, effects, lints, plumbing — the
 //!   [`FilterFacts`] elaboration attaches to every filter) and linear
-//!   extraction in `streamlin-core` are its two domains.
+//!   extraction in `streamlin-core` are its analysis domains; its concrete
+//!   domain is the reference evaluator ([`absint::exec`]), which the
+//!   [`bytecode`] tier is held to.
 //! * [`elaborate`] — instantiation of parameterized stream declarations:
 //!   runs container bodies and filter `init` blocks under constant
 //!   evaluation ([`lower::const_eval_expr`], [`elaborate::run_init`]),
@@ -68,5 +70,5 @@ pub mod value;
 pub use analyze::{FilterFacts, RateCert, StateEffect};
 pub use elaborate::{elaborate, ElabError};
 pub use ir::{FilterInst, Joiner, Splitter, Stream};
-pub use lower::{LoweredFilter, SlotInterp, SlotStore};
+pub use lower::{LoweredFilter, SlotStore};
 pub use value::Value;

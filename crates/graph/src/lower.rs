@@ -21,18 +21,19 @@
 //!   records the persistent names it resolves too — in a work phase,
 //!   `init`, a rate or a field declaration alike — and elaboration
 //!   reports as unused every field and parameter none of them reached.
-//! * [`SlotInterp`] executes the resolved tree over two plain `Vec<Cell>`
-//!   arrays (persistent globals + a reusable frame): no per-block scope
-//!   maps, no string hashing, no name cloning on the firing path. It is
-//!   the tree-walking reference tier that `tests/interp_differential.rs`
-//!   holds the bytecode tier equal to, on the nine benchmarks.
+//! * Execution is over a [`SlotStore`]: two plain `Vec<Cell>` arrays
+//!   (persistent globals + a reusable frame), no per-block scope maps, no
+//!   string hashing, no name cloning on the firing path. The reference
+//!   semantics is the abstract walker under its concrete domain
+//!   ([`crate::absint::exec`]); the [`crate::bytecode`] tier is held to it.
 //! * [`const_eval_expr`] (and `const_exec_stmt`) are elaboration's constant
 //!   contexts (rates, dimensions, weights, `add` arguments, container
 //!   statements), whose environment is a live `HashMap<String, Cell>`:
 //!   the expression is lowered against the map — a name gets a global slot
 //!   the first time it is mentioned — only the mentioned cells are moved
-//!   into a [`SlotStore`] and back, and [`SlotInterp`] evaluates it under
-//!   [`PureHost`]. The cost follows the expression, not the environment.
+//!   into a [`SlotStore`] and back, and the reference walk evaluates it
+//!   under [`PureHost`]. The cost follows the expression, not the
+//!   environment.
 //!
 //! A filter's `init` block is lowered and compiled like a work body
 //! ([`crate::elaborate::run_init`]).
@@ -43,8 +44,8 @@ use std::sync::Arc;
 use streamlin_lang::ast::{BinOp, Block, DataType, Expr, LValue, Stmt, UnOp};
 use streamlin_lang::token::Span;
 
-use crate::exec::{Flow, Host, IndexBuf, PureHost, DEFAULT_FUEL};
-use crate::value::{bin_op, un_op, Cell, EvalError, MathFn, Value};
+use crate::exec::{PureHost, DEFAULT_FUEL};
+use crate::value::{Cell, EvalError, MathFn, Value};
 
 /// A static resolution error (undefined name, unknown function, `add` in a
 /// work body). Reported at elaboration time. [`lower_filter`] collects
@@ -676,335 +677,6 @@ pub struct SlotStore<'a> {
     pub frame: &'a mut [Cell],
 }
 
-impl SlotStore<'_> {
-    #[inline]
-    pub(crate) fn cell_mut(&mut self, slot: Slot) -> &mut Cell {
-        match slot {
-            Slot::Global(i) => &mut self.globals[i as usize],
-            Slot::Frame(i) => &mut self.frame[i as usize],
-        }
-    }
-}
-
-/// The slot-resolved tree-walking interpreter: the reference semantics of
-/// the dialect (the bytecode tier performs byte-for-byte the same
-/// arithmetic in the same order), over direct vector indexing. `fuel`
-/// bounds the number of executed statements so that accidental infinite
-/// loops in user programs surface as errors rather than hangs.
-#[derive(Debug)]
-pub struct SlotInterp<'h, H: Host> {
-    host: &'h mut H,
-    fuel: u64,
-}
-
-impl<'h, H: Host> SlotInterp<'h, H> {
-    /// Creates an interpreter with the given fuel budget.
-    pub fn new(host: &'h mut H, fuel: u64) -> Self {
-        SlotInterp { host, fuel }
-    }
-
-    #[inline]
-    fn spend(&mut self) -> Result<(), EvalError> {
-        if self.fuel == 0 {
-            return Err(EvalError::new(
-                "execution fuel exhausted (possible infinite loop)",
-            ));
-        }
-        self.fuel -= 1;
-        Ok(())
-    }
-
-    /// Executes a lowered work body (or any statement list of one).
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`EvalError`] from the statements.
-    pub fn exec_work(
-        &mut self,
-        store: &mut SlotStore<'_>,
-        stmts: &[RStmt],
-    ) -> Result<Flow, EvalError> {
-        for s in stmts {
-            if self.exec_stmt(store, s)? == Flow::Return {
-                return Ok(Flow::Return);
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    fn exec_stmt(&mut self, store: &mut SlotStore<'_>, stmt: &RStmt) -> Result<Flow, EvalError> {
-        self.spend()?;
-        match stmt {
-            RStmt::Decl {
-                slot,
-                base,
-                dims,
-                init,
-                ..
-            } => {
-                let mut sizes = Vec::with_capacity(dims.len());
-                for d in dims {
-                    sizes.push(self.eval(store, d)?.as_index()?);
-                }
-                store.frame[*slot as usize] = Cell::zero_of(*base, sizes);
-                if let Some(e) = init {
-                    let v = self.eval(store, e)?;
-                    self.assign(store, &RLValue::Var(Slot::Frame(*slot)), v)?;
-                }
-                Ok(Flow::Normal)
-            }
-            RStmt::Assign {
-                target, op, value, ..
-            } => {
-                let rhs = self.eval(store, value)?;
-                match op {
-                    None => self.assign(store, target, rhs)?,
-                    Some(op) => {
-                        self.read_modify_write(store, target, *op, rhs)?;
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            RStmt::If {
-                cond,
-                then_blk,
-                else_blk,
-                ..
-            } => {
-                let c = self.eval(store, cond)?.as_bool()?;
-                if c {
-                    self.exec_work(store, then_blk)
-                } else if let Some(e) = else_blk {
-                    self.exec_work(store, e)
-                } else {
-                    Ok(Flow::Normal)
-                }
-            }
-            RStmt::For {
-                init,
-                cond,
-                step,
-                body,
-                ..
-            } => {
-                if let Some(i) = init {
-                    if self.exec_stmt(store, i)? == Flow::Return {
-                        return Ok(Flow::Return);
-                    }
-                }
-                loop {
-                    self.spend()?;
-                    let go = match cond {
-                        Some(c) => self.eval(store, c)?.as_bool()?,
-                        None => true,
-                    };
-                    if !go {
-                        break;
-                    }
-                    if self.exec_work(store, body)? == Flow::Return {
-                        return Ok(Flow::Return);
-                    }
-                    if let Some(s) = step {
-                        if self.exec_stmt(store, s)? == Flow::Return {
-                            return Ok(Flow::Return);
-                        }
-                    }
-                }
-                Ok(Flow::Normal)
-            }
-            RStmt::Expr(e, _) => {
-                self.eval(store, e)?;
-                Ok(Flow::Normal)
-            }
-            RStmt::Return => Ok(Flow::Return),
-        }
-    }
-
-    #[inline]
-    fn read_var(&mut self, store: &mut SlotStore<'_>, slot: Slot) -> Result<Value, EvalError> {
-        match store.cell_mut(slot) {
-            Cell::Scalar(_, v) => Ok(*v),
-            Cell::Array(_) => Err(EvalError::new(
-                "variable is an array; index it to read an element",
-            )),
-        }
-    }
-
-    fn read_index(
-        &mut self,
-        store: &mut SlotStore<'_>,
-        slot: Slot,
-        idx_exprs: &[RExpr],
-    ) -> Result<Value, EvalError> {
-        let idx = self.eval_indices(store, idx_exprs)?;
-        match store.cell_mut(slot) {
-            Cell::Array(a) => a.get(idx.as_slice()),
-            Cell::Scalar(..) => Err(EvalError::new("variable is a scalar, not an array")),
-        }
-    }
-
-    fn assign(
-        &mut self,
-        store: &mut SlotStore<'_>,
-        lv: &RLValue,
-        v: Value,
-    ) -> Result<(), EvalError> {
-        match lv {
-            RLValue::Var(slot) => match store.cell_mut(*slot) {
-                Cell::Scalar(ty, cur) => {
-                    *cur = v.coerce_to(*ty)?;
-                    Ok(())
-                }
-                Cell::Array(_) => Err(EvalError::new("cannot assign a scalar to an array")),
-            },
-            RLValue::Index(slot, idx_exprs) => {
-                let idx = self.eval_indices(store, idx_exprs)?;
-                match store.cell_mut(*slot) {
-                    Cell::Array(a) => a.set(idx.as_slice(), v),
-                    Cell::Scalar(..) => Err(EvalError::new("variable is a scalar, not an array")),
-                }
-            }
-        }
-    }
-
-    /// Applies `op` between the current value of `target` and `rhs` and
-    /// writes the result back, returning `(old, new)`. Index expressions
-    /// are evaluated exactly **once**, so `a[i++] += x` bumps `i` a single
-    /// time and reads and writes the same element (compound assignment and
-    /// `++`/`--` are read-modify-write of one location, as in C).
-    fn read_modify_write(
-        &mut self,
-        store: &mut SlotStore<'_>,
-        target: &RLValue,
-        op: BinOp,
-        rhs: Value,
-    ) -> Result<(Value, Value), EvalError> {
-        match target {
-            RLValue::Var(slot) => {
-                let cur = self.read_var(store, *slot)?;
-                self.count_binop(op, cur, rhs);
-                let next = bin_op(op, cur, rhs)?;
-                match store.cell_mut(*slot) {
-                    Cell::Scalar(ty, cell) => *cell = next.coerce_to(*ty)?,
-                    Cell::Array(_) => unreachable!("read_var rejects arrays"),
-                }
-                Ok((cur, next))
-            }
-            RLValue::Index(slot, idx_exprs) => {
-                let idx = self.eval_indices(store, idx_exprs)?;
-                let Cell::Array(a) = store.cell_mut(*slot) else {
-                    return Err(EvalError::new("variable is a scalar, not an array"));
-                };
-                let cur = a.get(idx.as_slice())?;
-                self.count_binop(op, cur, rhs);
-                let next = bin_op(op, cur, rhs)?;
-                a.set(idx.as_slice(), next)?;
-                Ok((cur, next))
-            }
-        }
-    }
-
-    fn eval_indices(
-        &mut self,
-        store: &mut SlotStore<'_>,
-        exprs: &[RExpr],
-    ) -> Result<IndexBuf, EvalError> {
-        let mut idx = IndexBuf::default();
-        for e in exprs {
-            idx.push(self.eval(store, e)?.as_index()?);
-        }
-        Ok(idx)
-    }
-
-    fn count_binop(&mut self, op: BinOp, a: Value, b: Value) {
-        if !(a.is_float() || b.is_float()) {
-            return; // integer/boolean ops are not FP instructions
-        }
-        match op {
-            BinOp::Add | BinOp::Sub => self.host.count_add(),
-            BinOp::Mul => self.host.count_mul(),
-            BinOp::Div => self.host.count_div(),
-            BinOp::Rem => self.host.count_other(), // fprem
-            op if op.is_comparison() => self.host.count_other(), // fcom
-            _ => {}
-        }
-    }
-
-    /// Evaluates a resolved expression.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`EvalError`].
-    pub fn eval(&mut self, store: &mut SlotStore<'_>, expr: &RExpr) -> Result<Value, EvalError> {
-        match expr {
-            RExpr::Int(v) => Ok(Value::Int(*v)),
-            RExpr::Float(v) => Ok(Value::Float(*v)),
-            RExpr::Bool(v) => Ok(Value::Bool(*v)),
-            RExpr::Var(slot) => self.read_var(store, *slot),
-            RExpr::Index(slot, idx) => self.read_index(store, *slot, idx),
-            RExpr::Unary(op, e) => {
-                let v = self.eval(store, e)?;
-                if *op == UnOp::Neg && v.is_float() {
-                    self.host.count_other(); // fchs
-                }
-                un_op(*op, v)
-            }
-            RExpr::Binary(op, a, b) => {
-                // Short-circuit logical operators.
-                if *op == BinOp::And {
-                    return Ok(Value::Bool(
-                        self.eval(store, a)?.as_bool()? && self.eval(store, b)?.as_bool()?,
-                    ));
-                }
-                if *op == BinOp::Or {
-                    return Ok(Value::Bool(
-                        self.eval(store, a)?.as_bool()? || self.eval(store, b)?.as_bool()?,
-                    ));
-                }
-                let x = self.eval(store, a)?;
-                let y = self.eval(store, b)?;
-                self.count_binop(*op, x, y);
-                bin_op(*op, x, y)
-            }
-            RExpr::Peek(i) => {
-                let i = self.eval(store, i)?.as_index()?;
-                Ok(Value::Float(self.host.peek(i)?))
-            }
-            RExpr::Pop => Ok(Value::Float(self.host.pop()?)),
-            RExpr::Push(e) => {
-                let v = self.eval(store, e)?.as_f64()?;
-                self.host.push(v)?;
-                // `push` has no value; Int(0) keeps it harmless in
-                // expression statements.
-                Ok(Value::Int(0))
-            }
-            RExpr::Math(f, args) => {
-                // Arity was validated at lowering and never exceeds 2, so
-                // argument evaluation needs no heap.
-                let mut vals = [Value::Int(0); 2];
-                for (slot, a) in vals.iter_mut().zip(args) {
-                    *slot = self.eval(store, a)?;
-                }
-                let r = f.call(&vals[..args.len()])?;
-                if r.is_float() {
-                    self.host.count_other(); // transcendental FP instruction
-                }
-                Ok(r)
-            }
-            RExpr::Print { newline, arg } => {
-                let v = self.eval(store, arg)?;
-                self.host.print(v, *newline)?;
-                Ok(Value::Int(0))
-            }
-            RExpr::PostIncDec { target, inc } => {
-                let op = if *inc { BinOp::Add } else { BinOp::Sub };
-                let (cur, _) = self.read_modify_write(store, target, op, Value::Int(1))?;
-                Ok(cur)
-            }
-        }
-    }
-}
-
 // ---- constant contexts --------------------------------------------------------
 
 /// Moves the named cells out of `cells` into a [`SlotStore`] — global slot
@@ -1034,14 +706,14 @@ pub(crate) fn with_cells_as_store<R>(
     r
 }
 
-/// Lowers one piece of syntax against the live `cells`, then runs it with
-/// [`SlotInterp`] under [`PureHost`] over just the cells it mentions,
-/// which it adds to `uses`.
+/// Lowers one piece of syntax against the live `cells`, then runs it on
+/// the reference walk over just the cells it mentions, which it adds to
+/// `uses`.
 fn const_run<'ast, L, R>(
     cells: &mut HashMap<String, Cell>,
     uses: &mut HashSet<&'ast str>,
     lower: impl FnOnce(&mut Lowerer<'ast, '_>) -> Result<L, LowerError>,
-    run: impl FnOnce(&mut SlotInterp<'_, PureHost>, &mut SlotStore<'_>, &L) -> Result<R, EvalError>,
+    run: impl FnOnce(&mut SlotStore<'_>, &L) -> Result<R, EvalError>,
 ) -> Result<R, EvalError> {
     let mut lo = Lowerer::new(Globals::Live(cells));
     lo.push_scope();
@@ -1049,13 +721,7 @@ fn const_run<'ast, L, R>(
     let (mentioned, frame_slots) = (lo.resolved, lo.max_frame as usize);
     uses.extend(&mentioned);
     let lowered = lowered.map_err(|e| EvalError::new(e.message))?;
-    with_cells_as_store(cells, &mentioned, frame_slots, |store| {
-        run(
-            &mut SlotInterp::new(&mut PureHost, DEFAULT_FUEL),
-            store,
-            &lowered,
-        )
-    })
+    with_cells_as_store(cells, &mentioned, frame_slots, |store| run(store, &lowered))
 }
 
 /// Evaluates a single expression in a constant context over the given
@@ -1092,7 +758,7 @@ pub(crate) fn const_eval_noting<'ast>(
         cells,
         uses,
         |lo| lo.lower_expr(expr),
-        |interp, store, e| interp.eval(store, e),
+        |store, e| crate::absint::eval(e, store, &mut PureHost, DEFAULT_FUEL),
     )
 }
 
@@ -1112,13 +778,17 @@ pub(crate) fn const_exec_stmt(
         cells,
         &mut HashSet::new(),
         |lo| lo.lower_stmt(stmt, Span::default()),
-        |interp, store, s| interp.exec_work(store, std::slice::from_ref(s)).map(|_| ()),
+        |store, s| {
+            let body = std::slice::from_ref(s);
+            crate::absint::exec(body, store, &mut PureHost, DEFAULT_FUEL).map(|_| ())
+        },
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Host;
     use crate::value::ArrayVal;
     use streamlin_lang::ast::StreamKind;
     use streamlin_lang::parse;
@@ -1158,8 +828,8 @@ mod tests {
         }
     }
 
-    /// One firing of `src`'s work body on a fuel budget; what it pushed
-    /// (and printed), or why it stopped.
+    /// One firing of `src`'s work body on the reference walk, on a fuel
+    /// budget; what it pushed (and printed), or why it stopped.
     fn run_with_fuel(src: &str, fuel: u64) -> Result<Vec<f64>, EvalError> {
         let (lowered, mut state) = lowered_for(src);
         let mut host = TestHost::default();
@@ -1167,7 +837,7 @@ mod tests {
             &mut state,
             &lowered.globals,
             lowered.frame_slots(),
-            |store| SlotInterp::new(&mut host, fuel).exec_work(store, &lowered.work.body),
+            |store| crate::absint::exec(&lowered.work.body, store, &mut host, fuel),
         )?;
         Ok(host.pushed)
     }

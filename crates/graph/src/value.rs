@@ -435,35 +435,6 @@ impl ArrayVal {
             data: vec![Value::zero_of(elem); n],
         }
     }
-
-    /// Flattens a multi-dimensional index.
-    ///
-    /// # Errors
-    ///
-    /// See [`flat_offset`].
-    pub fn offset(&self, idx: &[usize]) -> Result<usize, EvalError> {
-        flat_offset(&self.dims, idx)
-    }
-
-    /// Reads an element.
-    ///
-    /// # Errors
-    ///
-    /// See [`offset`](Self::offset).
-    pub fn get(&self, idx: &[usize]) -> Result<Value, EvalError> {
-        Ok(self.data[self.offset(idx)?])
-    }
-
-    /// Writes an element (coercing to the element type).
-    ///
-    /// # Errors
-    ///
-    /// See [`offset`](Self::offset); also fails on type mismatch.
-    pub fn set(&mut self, idx: &[usize], v: Value) -> Result<(), EvalError> {
-        let off = self.offset(idx)?;
-        self.data[off] = v.coerce_to(self.elem)?;
-        Ok(())
-    }
 }
 
 /// A storage cell: either a scalar or an array.
@@ -602,10 +573,14 @@ mod tests {
     #[test]
     fn arrays_round_trip() {
         let mut a = ArrayVal::zeros(DataType::Float, vec![2, 3]);
-        a.set(&[1, 2], Value::Int(7)).unwrap();
-        assert_eq!(a.get(&[1, 2]).unwrap(), Value::Float(7.0));
-        assert_eq!(a.get(&[0, 0]).unwrap(), Value::Float(0.0));
-        assert!(a.get(&[2, 0]).is_err());
-        assert!(a.get(&[0]).is_err());
+        let at = flat_offset(&a.dims, &[1, 2]).unwrap();
+        a.data[at] = Value::Int(7).coerce_to(a.elem).unwrap();
+        assert_eq!(a.data[5], Value::Float(7.0));
+        assert_eq!(
+            a.data[flat_offset(&a.dims, &[0, 0]).unwrap()],
+            Value::Float(0.0)
+        );
+        assert!(flat_offset(&a.dims, &[2, 0]).is_err());
+        assert!(flat_offset(&a.dims, &[0]).is_err());
     }
 }

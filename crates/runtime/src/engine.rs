@@ -523,7 +523,7 @@ pub(crate) fn init_pending(interp: &InterpState) -> bool {
 /// target needs testing at all. Execution defaults to the typed register
 /// bytecode ([`streamlin_graph::bytecode`]) over registers the filter
 /// keeps between firings — a steady-state firing allocates nothing — with
-/// the slot-resolved tree-walker ([`streamlin_graph::lower`]) kept as the
+/// the reference walk ([`streamlin_graph::absint::exec`]) kept as the
 /// differential reference (`--tier treewalk`).
 pub(crate) fn fire_interp<T: Tally>(
     interp: &mut InterpState,

@@ -48,7 +48,8 @@ pub enum Tier {
     /// The typed register bytecode (`lowered.*.code`). The default.
     #[default]
     Bytecode,
-    /// The tree-walking reference evaluator over the resolved body.
+    /// The reference evaluator over the resolved body: the abstract
+    /// walker's concrete domain ([`streamlin_graph::absint::exec`]).
     TreeWalk,
 }
 

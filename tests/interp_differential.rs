@@ -1,34 +1,29 @@
 //! Differential suite: the bytecode tier ([`streamlin::graph::bytecode`])
-//! against the slot-resolved tree-walking interpreter
-//! ([`streamlin::graph::lower::SlotInterp`]), the reference semantics.
+//! against the reference semantics, the abstract walker under its concrete
+//! domain ([`streamlin::graph::absint::exec`]): the walk every certificate
+//! and every extracted node is computed on, run at the identity
+//! abstraction.
 //!
 //! For **every filter instance of all nine benchmarks**, both tiers
 //! execute the same firing sequence over the same synthetic tape; pushed
-//! values, printed values, pop counts, floating-point operation tallies
-//! and the final persistent state must agree exactly — the compiled form
-//! of every work phase, fused dot-product loops included. A run with
+//! values, printed values, pop counts, the four floating-point operation
+//! tallies and the final persistent state must agree exactly — the
+//! compiled form of every work phase, fused dot-product loops included.
+//! The two are written independently, so a drift of the walker's skeleton
+//! from execution fails here instead of shipping a certificate. A run with
 //! counting hooks disabled (the `Fast`-mode analogue: identical code, the
 //! tally is a no-op) must produce bit-identical values on each tier, and a
 //! program-level check pins `Measured` vs `Fast` outputs across the full
 //! engines.
 //!
-//! A third family runs beside them: the **abstract walker**
-//! ([`streamlin::graph::absint`]) that the rate analysis and linear
-//! extraction are domains of, instantiated here with a concrete domain —
-//! values are `Value`, every branch decided, the tape this suite's
-//! `TapeHost`. What it pushes, pops, prints and leaves in the fields must
-//! equal the reference tier's: the skeleton every certificate and every
-//! extracted node is computed on cannot drift from execution without
-//! failing here. (The two tiers stay off that engine on purpose — a
-//! referee must not share the rules it checks.)
-//!
-//! The walker binds as variables only the fields a phase can write, as the
-//! lowerer recorded them (`LoweredWork::fx`); every other field is read in
-//! place. So the recorded write sets are checked against execution too:
-//! every field whose cell the firings changed is written by some phase.
+//! The analyses bind as variables only the fields a phase can write, as
+//! the lowerer recorded them (`LoweredWork::fx`), and read every other
+//! field in place. So the recorded write sets are checked against
+//! execution too: every field whose cell the firings changed is written by
+//! some phase.
 //!
 //! Filter **`init` blocks** run on the bytecode tier at elaboration
-//! ([`streamlin::graph::elaborate::run_init`]); the tree-walker is their
+//! ([`streamlin::graph::elaborate::run_init`]); the reference walk is their
 //! reference too: same post-`init` cells for every filter of the nine
 //! benchmarks, same message text for every way an `init` can fail.
 
@@ -36,17 +31,14 @@ use std::collections::HashMap;
 
 use streamlin::benchmarks::Benchmark;
 use streamlin::core::opt::OptStream;
-use streamlin::graph::absint::{walk, ACell, Domain};
+use streamlin::graph::absint;
 use streamlin::graph::analyze::Plumbing;
 use streamlin::graph::elaborate::{elaborate, run_init};
 use streamlin::graph::exec::{Flow, Host, PureHost, DEFAULT_FUEL};
 use streamlin::graph::ir::FilterInst;
-use streamlin::graph::lower::{
-    const_eval_expr, lower_filter, LoweredWork, Slot, SlotInterp, SlotStore,
-};
-use streamlin::graph::value::{ArrayVal, Cell, EvalError, MathFn, Value};
-use streamlin::lang::ast::{BinOp, Block, DataType, FilterDecl, StreamKind, UnOp};
-use streamlin::lang::token::Span;
+use streamlin::graph::lower::{const_eval_expr, lower_filter, LoweredWork, Slot, SlotStore};
+use streamlin::graph::value::{Cell, EvalError, Value};
+use streamlin::lang::ast::{Block, DataType, FilterDecl, StreamKind};
 use streamlin::runtime::flat::NodeKind;
 use streamlin::runtime::MatMulStrategy;
 use streamlin::runtime::{ExecMode, RunSpec, Tier};
@@ -172,16 +164,18 @@ fn run_firings(
     }
 }
 
-/// Runs `FIRINGS` firings through the slot-resolved tree-walker.
-fn run_slot_based(inst: &FilterInst, input: &[f64], count: bool) -> RunResult {
-    run_firings(
-        inst,
-        input,
-        count,
-        "slot-based",
-        FIRINGS,
-        |code, store, host| SlotInterp::new(host, FIRING_FUEL).exec_work(store, &code.body),
-    )
+/// One firing of a phase on the reference walk.
+fn walk_firing(
+    code: &LoweredWork,
+    store: &mut SlotStore<'_>,
+    host: &mut TapeHost,
+) -> Result<Flow, EvalError> {
+    absint::exec(&code.body, store, host, FIRING_FUEL)
+}
+
+/// Runs `FIRINGS` firings through the reference walk.
+fn run_reference(inst: &FilterInst, input: &[f64], count: bool) -> RunResult {
+    run_firings(inst, input, count, "reference", FIRINGS, walk_firing)
 }
 
 /// Runs `FIRINGS` firings through the compiled bytecode tier.
@@ -193,106 +187,6 @@ fn run_bytecode(inst: &FilterInst, input: &[f64], count: bool) -> RunResult {
         "bytecode",
         FIRINGS,
         |code, store, host| streamlin::graph::bytecode::exec(&code.code, store, host, FIRING_FUEL),
-    )
-}
-
-/// The concrete domain of the abstract walker: a value is itself, so the
-/// engine decides every branch and folds every operation with the
-/// interpreters' own `un_op`/`bin_op`/`MathFn::call`, and the tape is the
-/// suite's host. What is left of a firing is the engine's skeleton.
-struct Concrete<'h> {
-    host: &'h mut TapeHost,
-}
-
-impl Domain for Concrete<'_> {
-    type Value = Value;
-    /// The host is the tape; a concrete run never clones or joins one.
-    type Tape = ();
-    type Stop = EvalError;
-
-    fn at(&mut self, _span: Span, _conditional: bool) {}
-    fn literal(&mut self, v: Value) -> Value {
-        v
-    }
-    /// Only ever a placeholder: in a cell whose value is moved out for
-    /// the length of a store, and in a frame slot not yet declared.
-    fn top(&mut self) -> Value {
-        Value::Int(0)
-    }
-    fn concrete(&mut self, v: &Value) -> Option<Value> {
-        Some(*v)
-    }
-    fn un_op(&mut self, _: UnOp, _: Value) -> Value {
-        unreachable!("every operand is concrete")
-    }
-    fn bin_op(&mut self, _: BinOp, _: Value, _: Value) -> Value {
-        unreachable!("every operand is concrete")
-    }
-    fn math(&mut self, _: MathFn, _: &[Value]) -> Value {
-        unreachable!("every operand is concrete")
-    }
-    fn coerce(&mut self, v: Value, ty: DataType) -> Value {
-        v.coerce_to(ty).expect("benchmark stores are well typed")
-    }
-    fn join(&mut self, _: &mut Value, _: &Value) {
-        unreachable!("every branch is decided")
-    }
-    fn join_tapes(&mut self, _: &mut (), _: ()) -> Result<(), EvalError> {
-        unreachable!("every branch is decided")
-    }
-    fn peek(&mut self, _: &mut (), i: Value) -> Result<Value, EvalError> {
-        Ok(Value::Float(self.host.peek(i.as_index()?)?))
-    }
-    fn pop(&mut self, _: &mut ()) -> Result<Value, EvalError> {
-        Ok(Value::Float(self.host.pop()?))
-    }
-    fn push(&mut self, _: &mut (), v: Value) -> Result<(), EvalError> {
-        self.host.push(v.as_f64()?)
-    }
-    fn print(&mut self, v: Value, newline: bool) -> Result<(), EvalError> {
-        self.host.print(v, newline)
-    }
-    fn fault(&mut self, e: EvalError) -> EvalError {
-        e
-    }
-    fn give_up(&mut self, why: &'static str) -> EvalError {
-        EvalError::new(why)
-    }
-}
-
-/// Runs `FIRINGS` firings through the abstract walker under [`Concrete`]:
-/// the fields a phase writes are bound as variables, the rest read in
-/// place, and what the walk ends with is stored back.
-fn run_abstract_engine(inst: &FilterInst, input: &[f64]) -> RunResult {
-    run_firings(
-        inst,
-        input,
-        false,
-        "abstract engine",
-        FIRINGS,
-        |code, store, host| {
-            let globals = (store.globals.iter().zip(0u32..))
-                .map(|(cell, g)| match code.fx.may_write(Slot::Global(g)) {
-                    true => ACell::from_cell(cell, |_, v| v),
-                    false => ACell::Const(cell),
-                })
-                .collect();
-            let dom = &mut Concrete { host };
-            let end = walk(dom, FIRING_FUEL, globals, code.frame_slots, (), &code.body)?;
-            let stored: Vec<Option<Cell>> = (end.globals.into_iter())
-                .map(|cell| match cell {
-                    ACell::Const(_) => None,
-                    ACell::Scalar(ty, v) => Some(Cell::Scalar(ty, v)),
-                    ACell::Array(elem, dims, data) => {
-                        Some(Cell::Array(ArrayVal { dims, elem, data }))
-                    }
-                })
-                .collect();
-            for (global, cell) in store.globals.iter_mut().zip(stored) {
-                *global = cell.unwrap_or_else(|| global.clone());
-            }
-            Ok(Flow::Normal)
-        },
     )
 }
 
@@ -308,15 +202,15 @@ fn check_benchmark(bench: &Benchmark) {
     assert!(!filters.is_empty());
     for inst in &filters {
         let input = tape(tape_len(inst));
-        let slot_counted = run_slot_based(inst, &input, true);
-        let slot_uncounted = run_slot_based(inst, &input, false);
+        let walk_counted = run_reference(inst, &input, true);
+        let walk_uncounted = run_reference(inst, &input, false);
 
         let ctx = format!("{} :: {}", bench.name(), inst.name);
         // The write sets the lowerer recorded are sound: every field the
         // firings changed is written by some phase.
         for (name, g) in inst.lowered.globals.iter().zip(0u32..) {
             assert!(
-                slot_counted.state[name] == inst.state[name]
+                walk_counted.state[name] == inst.state[name]
                     || inst.lowered.may_write(Slot::Global(g)),
                 "{ctx}: field `{name}` changed but no phase records a write to it"
             );
@@ -324,45 +218,46 @@ fn check_benchmark(bench: &Benchmark) {
         // Disabling the counting hooks (the Fast-mode analogue)
         // changes nothing about the values.
         assert_eq!(
-            bits(&slot_counted.pushed),
-            bits(&slot_uncounted.pushed),
+            bits(&walk_counted.pushed),
+            bits(&walk_uncounted.pushed),
             "{ctx}: counting changed pushed values"
         );
         assert_eq!(
-            bits(&slot_counted.printed),
-            bits(&slot_uncounted.printed),
+            bits(&walk_counted.printed),
+            bits(&walk_uncounted.printed),
             "{ctx}: counting changed printed values"
         );
         assert_eq!(
-            slot_uncounted.tallies,
+            walk_uncounted.tallies,
             [0, 0, 0, 0],
             "{ctx}: no-count tallied"
         );
 
-        // The bytecode tier agrees with the tree-walker on every
-        // dimension, in both tally monomorphizations.
+        // The bytecode tier agrees with the reference walk on every
+        // dimension, the four tallies included, in both tally
+        // monomorphizations.
         let byte_counted = run_bytecode(inst, &input, true);
         let byte_uncounted = run_bytecode(inst, &input, false);
         assert_eq!(
             bits(&byte_counted.pushed),
-            bits(&slot_counted.pushed),
+            bits(&walk_counted.pushed),
             "{ctx}: bytecode pushed values diverge"
         );
         assert_eq!(
             bits(&byte_counted.printed),
-            bits(&slot_counted.printed),
+            bits(&walk_counted.printed),
             "{ctx}: bytecode printed values diverge"
         );
         assert_eq!(
-            byte_counted.popped, slot_counted.popped,
+            byte_counted.popped, walk_counted.popped,
             "{ctx}: bytecode pop counts diverge"
         );
         assert_eq!(
-            byte_counted.tallies, slot_counted.tallies,
+            byte_counted.tallies, walk_counted.tallies,
             "{ctx}: bytecode operation tallies diverge"
         );
         assert_eq!(
-            byte_counted.state, slot_counted.state,
+            byte_counted.state, walk_counted.state,
             "{ctx}: bytecode final filter state diverges"
         );
         assert_eq!(
@@ -374,28 +269,6 @@ fn check_benchmark(bench: &Benchmark) {
             byte_uncounted.tallies,
             [0, 0, 0, 0],
             "{ctx}: bytecode no-count tallied"
-        );
-
-        // The abstract walker's skeleton, run concretely, is the
-        // reference tier's: same tape traffic, same fields afterwards.
-        let engine = run_abstract_engine(inst, &input);
-        assert_eq!(
-            bits(&engine.pushed),
-            bits(&slot_counted.pushed),
-            "{ctx}: abstract engine pushed values diverge"
-        );
-        assert_eq!(
-            bits(&engine.printed),
-            bits(&slot_counted.printed),
-            "{ctx}: abstract engine printed values diverge"
-        );
-        assert_eq!(
-            engine.popped, slot_counted.popped,
-            "{ctx}: abstract engine pop counts diverge"
-        );
-        assert_eq!(
-            engine.state, slot_counted.state,
-            "{ctx}: abstract engine final filter state diverges"
         );
     }
 }
@@ -454,9 +327,8 @@ fn both_tiers_match_a_hand_computed_run() {
     };
     let input: Vec<f64> = (0..6).map(|i| 10f64.powi(i)).collect();
     for (tier, run) in [
-        ("slot-based", run_slot_based(&inst, &input, true)),
+        ("reference", run_reference(&inst, &input, true)),
         ("bytecode", run_bytecode(&inst, &input, true)),
-        ("abstract engine", run_abstract_engine(&inst, &input)),
     ] {
         // 1·t[k] + 2·t[k+1] + 3·t[k+2], then 43 + (0+2+4+6+8) + 2.
         assert_eq!(
@@ -471,19 +343,17 @@ fn both_tiers_match_a_hand_computed_run() {
             Cell::Scalar(DataType::Float, Value::Float(3.0)),
             "{tier}"
         );
-        // Per firing: 3 multiply-adds, `acc + 2.0`, `seen++`, one `sqrt`
-        // (the tally is the tiers' business, not the walker's).
-        if tier != "abstract engine" {
-            assert_eq!(run.tallies, [15, 9, 0, 3], "{tier}: adds/muls/divs/others");
-        }
+        // Per firing: 3 multiply-adds, `acc + 2.0`, `seen++`, one `sqrt`.
+        assert_eq!(run.tallies, [15, 9, 0, 3], "{tier}: adds/muls/divs/others");
     }
 }
 
 /// The parser's nesting budget is what protects every recursive pass
-/// behind it — lowering, the abstract walker under both analyses, the
-/// bytecode compiler, the tree-walker. The deepest
-/// expression it admits must get through all of them, unoptimised, on a
-/// test thread's 2 MB stack.
+/// behind it — lowering, the abstract walker under both analyses and as
+/// the reference tier, the bytecode compiler. The deepest
+/// expression it admits must get through all of them on a test thread's
+/// 2 MB stack, as built by the dev profile (`opt-level = 1`, so frames
+/// are those of a lightly optimised build, not of an unoptimised one).
 #[test]
 fn the_deepest_admitted_expression_survives_every_pass() {
     // A statement costs four levels, the `push` call and its argument one
@@ -543,7 +413,7 @@ fn pre_init_cells(inst: &FilterInst, decl: &FilterDecl) -> HashMap<String, Cell>
     cells
 }
 
-/// Runs an `init` block through the tree-walking reference interpreter.
+/// Runs an `init` block on the reference walk.
 fn reference_init(
     cells: &mut HashMap<String, Cell>,
     init: &Block,
@@ -556,15 +426,15 @@ fn reference_init(
         globals: &mut globals,
         frame: &mut frame,
     };
-    let run = SlotInterp::new(&mut PureHost, fuel).exec_work(&mut store, &lowered.work.body);
+    let run = absint::exec(&lowered.work.body, &mut store, &mut PureHost, fuel);
     cells.extend(lowered.globals.into_iter().zip(globals));
     run.map(|_| ())
 }
 
 /// For every filter instance of the nine benchmarks, the cells left by
 /// the lowered/bytecode `init` — both re-run here and as elaboration
-/// stored them on the instance — equal the reference interpreter's, cell
-/// for cell.
+/// stored them on the instance — equal the reference walk's, cell for
+/// cell.
 #[test]
 fn init_blocks_leave_the_reference_state() {
     let mut with_init = 0;
@@ -675,7 +545,7 @@ fn name_errors_in_init_are_spanned_lowering_errors() {
 
 /// Program level: the fully interpreted configuration of every benchmark
 /// prints bit-identical outputs under `Measured` and `Fast` (same
-/// schedule, same slot-resolved interpreter, different tally
+/// schedule, same typed bytecode, different tally
 /// monomorphization) and on both interpreter tiers — each selected by the
 /// `tier` field of that run's spec, and confirmed on the built graph.
 #[test]
@@ -734,8 +604,8 @@ fn interpreted_programs_match_across_modes() {
 /// Here each one of the nine benchmarks and FIR1024 is held to the filter
 /// it stands for: a source feeds a printing sink for 3·m
 /// firings, a sink is fed by a periodic source over the test tape for 64;
-/// what the native nodes print must be, bit for bit, what the tree-walker
-/// pushed or printed, and neither side tallies an operation.
+/// what the native nodes print must be, bit for bit, what the reference
+/// walk pushed or printed, and neither side tallies an operation.
 #[test]
 fn plumbing_nodes_fire_like_the_filters_they_stand_for() {
     const TAPE: usize = 256;
@@ -779,14 +649,7 @@ fn plumbing_nodes_fire_like_the_filters_they_stand_for() {
                 Plumbing::Periodic { values, .. } => (3 * values.len(), [this, printer.clone()]),
                 _ => (64, [tape_source.clone(), this]),
             };
-            let walked = run_firings(
-                &inst,
-                &input,
-                true,
-                "slot-based",
-                firings,
-                |code, store, host| SlotInterp::new(host, FIRING_FUEL).exec_work(store, &code.body),
-            );
+            let walked = run_firings(&inst, &input, true, "reference", firings, walk_firing);
             let spec = RunSpec::default();
             let art = spec.compile(&OptStream::Pipeline(program.into())).unwrap();
             assert!(

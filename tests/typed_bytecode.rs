@@ -1,6 +1,7 @@
 //! Fuel-sweep and fault differential for the typed bytecode tier
-//! ([`streamlin::graph::bytecode`]) against the tree-walking reference
-//! ([`streamlin::graph::lower::SlotInterp`]).
+//! ([`streamlin::graph::bytecode`]) against the reference semantics, the
+//! abstract walker under its concrete domain
+//! ([`streamlin::graph::absint::exec`]).
 //!
 //! `interp_differential` runs whole firings with fuel to spare. What it
 //! cannot see is *where* a firing stops: the typed tier charges fuel per
@@ -24,11 +25,12 @@
 
 use std::collections::HashMap;
 
+use streamlin::graph::absint;
 use streamlin::graph::bytecode::{self, Regs};
 use streamlin::graph::elaborate::run_init;
 use streamlin::graph::exec::{Host, DEFAULT_FUEL};
 use streamlin::graph::lower::{
-    const_eval_expr, lower_filter, LoweredFilter, LoweredWork, SlotInterp, SlotStore,
+    const_eval_expr, lower_filter, LoweredFilter, LoweredWork, SlotStore,
 };
 use streamlin::graph::value::{ArrayVal, Cell, EvalError, Value};
 use streamlin::lang::ast::{DataType, StreamKind};
@@ -187,7 +189,7 @@ impl Case<'_> {
     /// bytecode module: what `bind(.., false)` must be equal to.
     fn run_reference(&self, fuel: u64) -> Outcome {
         self.observe(false, |store, host| {
-            let flow = SlotInterp::new(host, fuel).exec_work(store, &self.work.body);
+            let flow = absint::exec(&self.work.body, store, host, fuel);
             flow.map(|_| 1).map_err(|e| e.message)
         })
     }
@@ -443,6 +445,19 @@ const FAULTS: &[(&str, &str, &str, bool)] = &[
         "index 7 out of bounds",
         false,
     ),
+    // A fault inside `op=` leaves the old value in the cell.
+    (
+        "int z; int x;",
+        "x = 5; x /= z; push(x);",
+        "integer division by zero",
+        false,
+    ),
+    (
+        "int z; int[2] c; float seen;",
+        "c[1] = 7; seen = pop(); c[1] /= z; push(seen);",
+        "integer division by zero",
+        false,
+    ),
     (
         "float[2][2] m; int k;",
         "k = -2; push(m[5][k++]);",
@@ -520,6 +535,12 @@ const FAULTS: &[(&str, &str, &str, bool)] = &[
         true,
     ),
     ("float[4] a;", "push(a);", "variable is an array", true),
+    (
+        "float[4] a;",
+        "a = pop(); push(0);",
+        "cannot assign a scalar to an array",
+        true,
+    ),
     (
         "float x;",
         "push(x[0]);",
