@@ -6,11 +6,13 @@
 //! re-partitions before firing a single item, and tears the worker pool
 //! back down afterwards. This crate keeps everything resident:
 //!
-//! * a **plan cache** ([`cache`]) keyed by program content-hash × the
-//!   request's normalised `PlanSpec`, holding the fully compiled artifact
+//! * a **plan cache** ([`cache`]) keyed by program text × the request's
+//!   normalised `PlanSpec`, holding the fully compiled artifact
 //!   (`FilterFacts` intact) so compile cost is paid once per distinct
 //!   program while its plan is among the `max_streams` most recently
-//!   used (the least recently used entry is evicted);
+//!   used (the least recently used entry is evicted); a compile runs
+//!   outside the cache lock, so it never holds up an open of another
+//!   program;
 //! * **named streams**: each holds a resident
 //!   [`streamlin_runtime::Session`] — the same session a one-shot
 //!   `streamlinc` run opens, reads once and closes — whose engine state
@@ -48,7 +50,7 @@ use streamlin_support::json::Json;
 use streamlin_support::Recorder;
 
 use admission::Ledger;
-use cache::PlanCache;
+use cache::{PlanCache, PlanKey};
 use proto::{err_response, ok_response, OpenReq, Request};
 
 /// Daemon configuration.
@@ -185,13 +187,13 @@ impl Service {
                 self.close_all();
                 ok_response("shutdown", vec![])
             }
-            Ok(Request::Open(req)) => self.handle_open(&req),
+            Ok(Request::Open(req)) => self.handle_open(*req),
             Ok(Request::Read { id, n }) => self.handle_read(&id, n),
             Ok(Request::Close { id }) => self.handle_close(&id),
         }
     }
 
-    fn handle_open(&self, req: &OpenReq) -> String {
+    fn handle_open(&self, req: OpenReq) -> String {
         if !valid_stream_id(&req.id) {
             return err_response(
                 "bad_request",
@@ -214,8 +216,8 @@ impl Service {
         // stream's close report carries its compile phases.
         let instrument = self.opts.metrics || self.opts.trace_dir.is_some();
         let mut rec = instrument.then(Recorder::new);
-        let plan = req.spec.plan();
-        let (artifact, cached) = match self.cache.get_or_compile(&req.program, plan, rec.as_mut()) {
+        let key = PlanKey::of(req.program, req.spec.plan());
+        let (artifact, cached) = match self.cache.get_or_compile(key, rec.as_mut()) {
             Ok(pair) => pair,
             Err(detail) => return err_response("compile_error", &detail, vec![]),
         };
@@ -462,6 +464,7 @@ impl Service {
                         ("entries", Json::Num(c.entries as f64)),
                         ("capacity", Json::Num(c.capacity as f64)),
                         ("bytes", Json::Num(c.bytes as f64)),
+                        ("compiling", Json::Num(c.compiling as f64)),
                     ]),
                 ),
                 ("streams".to_string(), Json::Num(open as f64)),

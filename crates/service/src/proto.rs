@@ -68,8 +68,16 @@ pub enum Request {
     Shutdown,
 }
 
-fn str_field(v: &Json, key: &str) -> Option<String> {
-    v.get(key).and_then(Json::as_str).map(str::to_string)
+/// Moves the string member `key` out of the request `v` rather than
+/// copying it: an `open`'s program is most of its line.
+fn take_str(v: &mut Json, key: &str) -> Option<String> {
+    let Json::Obj(members) = v else {
+        return None;
+    };
+    match members.remove(key)? {
+        Json::Str(s) => Some(s),
+        _ => None,
+    }
 }
 
 /// A member that feeds a validator: strings as they are, numbers in
@@ -104,12 +112,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// A human-readable description of what is malformed, naming the member
 /// (the server wraps it into a `bad_request` response).
 pub fn parse_request_over(line: &str, base: &RunSpec) -> Result<Request, String> {
-    let v = json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
-    let op = str_field(&v, "op").ok_or("missing \"op\"")?;
+    let mut v = json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
+    let op = take_str(&mut v, "op").ok_or("missing \"op\"")?;
     match op.as_str() {
         "open" => {
-            let id = str_field(&v, "id").ok_or("open: missing \"id\"")?;
-            let program = str_field(&v, "program").ok_or("open: missing \"program\"")?;
+            let id = take_str(&mut v, "id").ok_or("open: missing \"id\"")?;
+            let program = take_str(&mut v, "program").ok_or("open: missing \"program\"")?;
             if let Json::Obj(members) = &v {
                 let known = |m: &str| OPEN_MEMBERS.contains(&m) || KNOBS.iter().any(|k| k.key == m);
                 if let Some(m) = members.keys().find(|m| !known(m)) {
@@ -137,7 +145,7 @@ pub fn parse_request_over(line: &str, base: &RunSpec) -> Result<Request, String>
             })))
         }
         "read" => {
-            let id = str_field(&v, "id").ok_or("read: missing \"id\"")?;
+            let id = take_str(&mut v, "id").ok_or("read: missing \"id\"")?;
             // Checked as the number it is: `read` is the hot request, and
             // stringifying `n` for the knob validator would cost it an
             // allocation.
@@ -148,7 +156,7 @@ pub fn parse_request_over(line: &str, base: &RunSpec) -> Result<Request, String>
             Ok(Request::Read { id, n })
         }
         "close" => Ok(Request::Close {
-            id: str_field(&v, "id").ok_or("close: missing \"id\"")?,
+            id: take_str(&mut v, "id").ok_or("close: missing \"id\"")?,
         }),
         "stats" => Ok(Request::Stats),
         "ping" => Ok(Request::Ping),

@@ -239,6 +239,7 @@ pub const MAX_DEPTH: usize = 128;
 /// of the container that nests deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -253,6 +254,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text`'s bytes.
     bytes: &'a [u8],
     pos: usize,
     /// Containers open around `pos`.
@@ -407,16 +410,11 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let len = match rest[0] {
-                        b if b < 0x80 => 1,
-                        b if b >= 0xf0 => 4,
-                        b if b >= 0xe0 => 3,
-                        _ => 2,
-                    };
-                    s.push_str(std::str::from_utf8(&rest[..len]).expect("valid UTF-8 input"));
+                    // The run up to the next quote or backslash, copied
+                    // whole. Both are ASCII, so the run ends on a character
+                    // boundary of the input.
+                    let len = run_len(&self.bytes[self.pos..]);
+                    s.push_str(&self.text[self.pos..self.pos + len]);
                     self.pos += len;
                 }
             }
@@ -452,6 +450,30 @@ impl Parser<'_> {
             .map(Json::Num)
             .ok_or_else(|| format!("bad number at byte {start}"))
     }
+}
+
+/// How many bytes of `bytes` come before its first quote or backslash
+/// (all of them if it has neither), tested 8 bytes at a time: a byte of
+/// `w ^ c·0x0101…` is zero where `w` holds `c`, and the lowest set bit of
+/// `(x - 0x0101…) & !x & 0x8080…` marks the first zero byte of `x`.
+fn run_len(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let zeros = |x: u64| x.wrapping_sub(ONES) & !x & (ONES << 7);
+    let mut words = bytes.chunks_exact(8);
+    let mut len = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+        let hits = zeros(w ^ (ONES * u64::from(b'"'))) | zeros(w ^ (ONES * u64::from(b'\\')));
+        if hits != 0 {
+            return len + hits.trailing_zeros() as usize / 8;
+        }
+        len += 8;
+    }
+    let rest = words.remainder();
+    len + rest
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\')
+        .unwrap_or(rest.len())
 }
 
 #[cfg(test)]
@@ -549,6 +571,143 @@ mod tests {
     fn writer_maps_nonfinite_to_null() {
         assert_eq!(Json::from(f64::NAN).dump(), "null");
         assert_eq!(Json::from(f64::INFINITY).dump(), "null");
+    }
+
+    /// SplitMix64, seeded, so a failure names a reproducible string.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len())]
+        }
+    }
+
+    /// Two-, three- and four-byte characters.
+    const WIDE: [char; 6] = ['é', 'ß', '—', '€', '𝄞', '😀'];
+
+    /// A random string of up to about `max` bytes: runs of printable ASCII,
+    /// every character with a short escape, other control characters, and
+    /// wide characters, often right beside a quote or a backslash.
+    fn random_text(rng: &mut Rng, max: usize) -> String {
+        let len = rng.below(max + 1);
+        let mut s = String::new();
+        while s.len() < len {
+            match rng.below(5) {
+                0 => {
+                    for _ in 0..rng.below(64) {
+                        s.push(char::from(b' ' + rng.below(95) as u8));
+                    }
+                }
+                1 => s.push(rng.pick(&['"', '\\', '/', '\u{8}', '\u{c}', '\n', '\r', '\t'])),
+                2 => s.push(char::from(rng.below(0x20) as u8)),
+                3 => s.push(rng.pick(&WIDE)),
+                _ => {
+                    let (wide, delim) = (rng.pick(&WIDE), rng.pick(&['"', '\\']));
+                    if rng.below(2) == 0 {
+                        s.extend([wide, delim]);
+                    } else {
+                        s.extend([delim, wide]);
+                    }
+                }
+            }
+        }
+        s
+    }
+
+    /// `s` as a JSON literal in which each character is spelled at random
+    /// by any spelling the reader accepts: raw where JSON allows it, its
+    /// short escape (`\/`, `\b` and `\f` included) or a `\u` escape in
+    /// either case.
+    fn spell_every_way(rng: &mut Rng, s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            let short = match c {
+                '"' | '\\' | '/' => Some(c),
+                '\u{8}' => Some('b'),
+                '\u{c}' => Some('f'),
+                '\n' => Some('n'),
+                '\r' => Some('r'),
+                '\t' => Some('t'),
+                _ => None,
+            };
+            let must_escape = c == '"' || c == '\\' || (c as u32) < 0x20;
+            match (short, rng.below(3)) {
+                (Some(e), 0) => {
+                    out.push('\\');
+                    out.push(e);
+                }
+                (_, 1) | (None, 0) if must_escape || (c as u32) < 0x1_0000 => {
+                    if rng.below(2) == 0 {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    } else {
+                        let _ = write!(out, "\\u{:04X}", c as u32);
+                    }
+                }
+                (Some(e), _) if must_escape => {
+                    out.push('\\');
+                    out.push(e);
+                }
+                _ if must_escape => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                _ => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn random_strings_round_trip() {
+        let mut rng = Rng(0x0a5c_11e5);
+        for round in 0..400 {
+            let s = random_text(&mut rng, 16 << 10);
+            let mut written = String::new();
+            write_string(&mut written, &s);
+            assert_eq!(
+                parse(&written).unwrap().as_str(),
+                Some(&s[..]),
+                "round {round}"
+            );
+            let spelled = spell_every_way(&mut rng, &s);
+            assert_eq!(
+                parse(&spelled).unwrap().as_str(),
+                Some(&s[..]),
+                "round {round}: {spelled}"
+            );
+            // As a key and a member, the way request lines carry text.
+            let doc = Json::obj([(s.clone(), Json::from(&s[..]))]);
+            assert_eq!(parse(&doc.dump()).unwrap(), doc, "round {round}");
+        }
+    }
+
+    #[test]
+    fn string_errors_name_their_byte() {
+        for (text, err) in [
+            ("\"abc", "unterminated string at byte 4"),
+            ("\"é😀", "unterminated string at byte 7"),
+            ("{\"a\":\"b", "unterminated string at byte 7"),
+            ("\"ab\\", "bad escape at byte 4"),
+            (r#""a\x""#, "bad escape at byte 3"),
+            (r#"["é\q"]"#, "bad escape at byte 5"),
+            (r#""\u12""#, "truncated \\u at byte 2"),
+            (r#""é\u1"#, "truncated \\u at byte 4"),
+            (r#""\uzz12""#, "bad \\u escape at byte 2"),
+            (r#""ab\u12g4""#, "bad \\u escape at byte 4"),
+        ] {
+            assert_eq!(parse(text).unwrap_err(), err, "{text}");
+        }
     }
 
     #[test]
