@@ -412,3 +412,92 @@ fn an_unsound_program_is_a_compile_error_that_spares_its_neighbours() {
     let pong = request(r#"{"op":"ping"}"#.into());
     assert_eq!(pong.get("op").and_then(Json::as_str), Some("pong"));
 }
+
+// ---- the facts golden -----------------------------------------------------------
+
+/// One phase's facts: its certificate or why there is none, and its
+/// possible pop and push counts.
+fn phase_line(p: &streamlin::graph::analyze::PhaseFacts) -> String {
+    let cert = match (&p.cert, &p.uncertified) {
+        (Some(c), _) => format!("cert={}/{}/{}", c.peek, c.pop, c.push),
+        (None, Some(why)) => format!("uncertified={why:?}"),
+        (None, None) => "uncertified".into(),
+    };
+    let (pl, ph) = p.pop_range;
+    let (ul, uh) = p.push_range;
+    format!("{cert} pop=[{pl},{ph}] push=[{ul},{uh}]")
+}
+
+/// One line per filter instance with every field of its `FilterFacts`;
+/// a periodic source's values are hashed bit for bit (FNV-1a).
+fn facts_of(label: &str, graph: &streamlin::graph::Stream, out: &mut String) {
+    graph.for_each_filter(&mut |inst| {
+        let f = &inst.facts;
+        let init = f.init_work.as_ref().map_or("none".into(), phase_line);
+        let lints: Vec<String> = (f.lints.iter())
+            .map(|l| format!("{}@{} {:?}", l.code, l.span, l.message))
+            .collect();
+        let errors: Vec<String> = (f.errors.iter())
+            .map(|e| format!("{} {:?}", e.span, e.message))
+            .collect();
+        let plumbing = match &f.plumbing {
+            None => "none".to_string(),
+            Some(Plumbing::PrintSink { pop }) => format!("PrintSink(pop={pop})"),
+            Some(Plumbing::DiscardSink { pop }) => format!("DiscardSink(pop={pop})"),
+            Some(Plumbing::Periodic { values, pos }) => {
+                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+                for v in values.iter() {
+                    h = (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                format!("Periodic(m={}, pos={pos}, fnv64={h:016x})", values.len())
+            }
+        };
+        out.push_str(&format!(
+            "{label} · {} · effect={} · work: {} · init: {init} · lints: [{}] · errors: [{}] · plumbing: {plumbing}\n",
+            inst.name,
+            f.effect,
+            phase_line(&f.work),
+            lints.join("; "),
+            errors.join("; "),
+        ));
+    });
+}
+
+/// `tests/golden/facts.txt` pins the rate/effect analysis filter by
+/// filter: generated on the commit before the abstract walk's linear forms
+/// and scalar cells were rewritten for speed, one line per filter instance
+/// of the nine benchmarks, `fir(1024)` and the checked-in assets. Never
+/// regenerate it to make a change pass; on a mismatch the actual
+/// transcript is written to the test temp dir for diffing.
+#[test]
+fn facts_match_the_parent_commit_golden() {
+    let mut actual = String::new();
+    let mut benches = all_default();
+    benches.push(streamlin::benchmarks::fir(1024));
+    for b in &benches {
+        facts_of(b.name(), b.graph(), &mut actual);
+    }
+    for name in [
+        "assets/fir.str",
+        "assets/lintbait.str",
+        "assets/rateconvert.str",
+    ] {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
+        let src = std::fs::read_to_string(path).expect("read the asset");
+        let graph = elaborate(&parse(&src).unwrap()).unwrap();
+        facts_of(name, &graph, &mut actual);
+    }
+    let golden = include_str!("golden/facts.txt");
+    if actual != golden {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("facts.actual.txt");
+        std::fs::write(&path, &actual).expect("write actual transcript");
+        let line = (actual.lines().zip(golden.lines()))
+            .position(|(a, g)| a != g)
+            .unwrap_or_else(|| actual.lines().count().min(golden.lines().count()));
+        panic!(
+            "facts transcript differs from tests/golden/facts.txt at line {}; actual written to {}",
+            line + 1,
+            path.display()
+        );
+    }
+}
