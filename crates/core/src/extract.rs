@@ -16,7 +16,8 @@
 //! branch-join rules, unrolling, fuel — is `streamlin_graph::absint::walk`,
 //! the same engine the rate/effect analysis runs on, held to the reference
 //! interpreter by `tests/interp_differential.rs`. This file supplies
-//! `LinDomain`: the linear forms, their arithmetic (`sym_bin`, `sym_un`,
+//! `LinDomain`: the linear forms (their terms are `form::Terms`, stored
+//! by what adding one costs), their arithmetic (`sym_bin`, `sym_un`,
 //! `scale_form`: constants folded by the very same `bin_op`/`un_op`/
 //! `MathFn::call` the interpreters use), the confluence operator, a
 //! symbolic tape, and the refusals ([`NonLinear`]) — every one of them
@@ -27,15 +28,15 @@
 //! (`inst.lowered.work.fx.writes`); every other global is read in place
 //! from its elaboration-time cell.
 
-use std::collections::BTreeMap;
-
 use streamlin_graph::absint::{walk, ACell, Domain};
 use streamlin_graph::ir::FilterInst;
 use streamlin_graph::lower::Slot;
 use streamlin_graph::value::{bin_op, un_op, EvalError, MathFn, Value};
 use streamlin_lang::ast::{BinOp, DataType, UnOp};
 use streamlin_lang::token::Span;
+use streamlin_matrix::{Matrix, Vector};
 
+use crate::form::{count_coeff_writes, Terms};
 use crate::node::LinearNode;
 
 /// Why a filter failed linear extraction. Mirrors the failure modes of
@@ -163,24 +164,22 @@ pub(crate) fn extract_at(inst: &FilterInst) -> Result<LinearNode, (NonLinear, Sp
     // Standard extraction is the stateless binding of the one domain:
     // with no state slots, every global `work` writes is ⊤.
     let outputs = extract_symbolic(inst, &[])?.outputs;
-    let offsets: Vec<f64> = outputs.iter().map(|(_, konst)| *konst).collect();
-    Ok(LinearNode::from_coeffs(
-        inst.work.peek,
+    // Each output's terms scattered into its row once; with no state,
+    // every key is a tape position.
+    let mut rows = Matrix::zeros(inst.work.push, inst.work.peek);
+    for (j, (terms, _)) in outputs.iter().enumerate() {
+        terms.iter().for_each(|(pos, c)| rows[(j, pos)] = c);
+    }
+    let offsets = outputs.iter().map(|(_, konst)| *konst).collect::<Vec<_>>();
+    Ok(LinearNode::from_rows(
+        rows,
+        Vector::from(offsets),
         inst.work.pop,
-        inst.work.push,
-        |peek_idx, out_idx| {
-            outputs[out_idx]
-                .0
-                .get(&SymKey::Peek(peek_idx))
-                .copied()
-                .unwrap_or(0.0)
-        },
-        &offsets,
     ))
 }
 
-/// One affine form taken apart: its coefficient map and its constant.
-pub(crate) type Piece = (BTreeMap<SymKey, f64>, f64);
+/// One affine form taken apart: its terms and its constant.
+pub(crate) type Piece = (Terms, f64);
 
 /// The affine pieces of an extraction: one per output, and one per state
 /// component (its end-of-firing value; none in standard extraction).
@@ -227,7 +226,7 @@ pub(crate) fn extract_symbolic(
             // "If a filter has persistent state, all accesses to that
             // state are marked as ⊤" — unless it is a state component.
             let entry = match state_slots.iter().position(|s| *s == g) {
-                Some(k) => Sym::Lin(LinForm::unit(SymKey::State(k))),
+                Some(k) => Sym::Lin(LinForm::unit(state_key(inst, k))),
                 None if written.binary_search(&g).is_ok() => dom.top(),
                 None => return ACell::Const(&inst.state[name]),
             };
@@ -262,7 +261,7 @@ pub(crate) fn extract_symbolic(
     // place it stopped being one.
     let take_form = |sym: Sym, not_affine: NonLinear| match sym {
         Sym::Lin(form) => match form.konst.as_f64() {
-            Ok(konst) => Ok((form.coeffs, konst)),
+            Ok(konst) => Ok((form.terms, konst)),
             Err(_) => Err((not_affine, Span::default())),
         },
         Sym::Top(at) => Err((not_affine, at)),
@@ -293,46 +292,28 @@ pub(crate) fn extract_symbolic(
 
 // ---- symbolic values ------------------------------------------------------
 
-/// What a coefficient multiplies: a tape position, or — in *stateful*
-/// extraction (§7.1's linear-state extension) — a component of the state
-/// vector carried between firings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum SymKey {
-    /// `peek(pos)` relative to the firing's window start.
-    Peek(usize),
-    /// State component `k` as of the start of the firing.
-    State(usize),
+/// The key of state component `k`. A coefficient multiplies a tape
+/// position `p < peek` (key `p`) or, in *stateful* extraction (§7.1's
+/// linear-state extension), a component of the state vector carried
+/// between firings, keyed after every position.
+fn state_key(inst: &FilterInst, k: usize) -> usize {
+    inst.work.peek + k
 }
 
-/// An affine form `Σ coeffs[key]·value(key) + konst` over tape positions
-/// (and, in stateful mode, state components) — the paper's `⟨v⃗, c⟩`.
-///
-/// No coefficient is ever stored as zero: every operation drops the
-/// entries it cancels, so an empty map *is* a constant.
+/// An affine form `Σ c·value(key) + konst` over tape positions (and, in
+/// stateful mode, state components) — the paper's `⟨v⃗, c⟩`. A form
+/// without terms *is* a constant.
 #[derive(Debug, PartialEq)]
 pub(crate) struct LinForm {
-    pub(crate) coeffs: BTreeMap<SymKey, f64>,
+    pub(crate) terms: Terms,
     pub(crate) konst: Value,
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Coefficient entries written by this thread's extractions — the unit
-    /// in which the tests assert extraction cost is linear in the taps.
-    static COEFF_WRITES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-#[inline]
-fn count_coeff_writes(_n: usize) {
-    #[cfg(test)]
-    COEFF_WRITES.with(|c| c.set(c.get() + _n));
 }
 
 impl Clone for LinForm {
     fn clone(&self) -> Self {
-        count_coeff_writes(self.coeffs.len());
+        count_coeff_writes(self.terms.stored());
         LinForm {
-            coeffs: self.coeffs.clone(),
+            terms: self.terms.clone(),
             konst: self.konst,
         }
     }
@@ -341,31 +322,21 @@ impl Clone for LinForm {
 impl LinForm {
     fn constant(v: Value) -> Self {
         LinForm {
-            coeffs: BTreeMap::new(),
+            terms: Terms::Zero,
             konst: v,
         }
     }
 
     /// The form `1·value(key) + 0.0`.
-    fn unit(key: SymKey) -> Self {
-        count_coeff_writes(1);
+    fn unit(key: usize) -> Self {
         LinForm {
-            coeffs: BTreeMap::from([(key, 1.0)]),
+            terms: Terms::unit(key),
             konst: Value::Float(0.0),
         }
     }
 
     fn is_const(&self) -> bool {
-        self.coeffs.is_empty()
-    }
-
-    /// Applies `f` to every coefficient in place, dropping those it zeroes.
-    fn map_coeffs(&mut self, f: impl Fn(f64) -> f64) {
-        count_coeff_writes(self.coeffs.len());
-        self.coeffs.retain(|_, c| {
-            *c = f(*c);
-            *c != 0.0
-        });
+        self.terms.is_empty()
     }
 }
 
@@ -394,9 +365,9 @@ impl Sym {
 
 /// `a op b`; a result that is not affine is ⊤ `at` the statement in hand,
 /// a ⊤ operand stays where it was. Both operands are consumed: sums and
-/// differences accumulate into `a`'s coefficient map entry by entry, so
-/// `sum += h[i] * peek(i)` costs one map operation per iteration, not a
-/// copy of `sum`.
+/// differences accumulate into one operand's terms term by term, so
+/// `sum += h[i] * peek(i)` costs one term per iteration, not a copy of
+/// `sum`.
 fn sym_bin(op: BinOp, a: Sym, b: Sym, at: Span) -> Sym {
     match (a, b) {
         (Sym::Lin(fa), Sym::Lin(fb)) => lin_bin(op, fa, fb).map_or(Sym::Top(at), Sym::Lin),
@@ -408,18 +379,7 @@ fn lin_bin(op: BinOp, mut fa: LinForm, fb: LinForm) -> Option<LinForm> {
     match op {
         BinOp::Add | BinOp::Sub => {
             fa.konst = bin_op(op, fa.konst, fb.konst).ok()?;
-            count_coeff_writes(fb.coeffs.len());
-            for (p, c) in fb.coeffs {
-                let e = fa.coeffs.entry(p).or_insert(0.0);
-                if op == BinOp::Add {
-                    *e += c;
-                } else {
-                    *e -= c;
-                }
-                if *e == 0.0 {
-                    fa.coeffs.remove(&p);
-                }
-            }
+            fa.terms.add_all(fb.terms, op == BinOp::Sub);
             Some(fa)
         }
         BinOp::Mul if fa.is_const() => scale_form(fb, fa.konst, BinOp::Mul),
@@ -440,7 +400,8 @@ fn lin_bin(op: BinOp, mut fa: LinForm, fb: LinForm) -> Option<LinForm> {
 fn scale_form(mut f: LinForm, k: Value, op: BinOp) -> Option<LinForm> {
     f.konst = bin_op(op, f.konst, k).ok()?;
     let kf = k.as_f64().ok()?;
-    f.map_coeffs(|c| if op == BinOp::Mul { c * kf } else { c / kf });
+    f.terms
+        .map(|c| if op == BinOp::Mul { c * kf } else { c / kf });
     Some(f)
 }
 
@@ -449,7 +410,7 @@ fn sym_un(op: UnOp, a: Sym, at: Span) -> Sym {
     let r = match op {
         UnOp::Neg => un_op(op, f.konst).ok().map(|konst| {
             f.konst = konst;
-            f.map_coeffs(|c| -c);
+            f.terms.map(|c| -c);
             f
         }),
         UnOp::Not => None,
@@ -485,7 +446,7 @@ impl LinDomain {
                 peek: self.declared_peek,
             });
         }
-        Ok(Sym::Lin(LinForm::unit(SymKey::Peek(pos))))
+        Ok(Sym::Lin(LinForm::unit(pos)))
     }
 }
 
@@ -608,6 +569,7 @@ impl Domain for LinDomain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::form::COEFF_WRITES;
     use streamlin_graph::elaborate::elaborate_named;
     use streamlin_graph::ir::Stream;
 
@@ -1024,7 +986,7 @@ mod tests {
     // ---- in-place form arithmetic --------------------------------------
 
     /// The by-value arithmetic the in-place version replaced: copy the
-    /// left map, merge the right into it, prune zeros.
+    /// left coefficients, merge the right into them, prune zeros.
     fn by_value(op: BinOp, a: &Sym, b: &Sym) -> Sym {
         let (Sym::Lin(fa), Sym::Lin(fb)) = (a, b) else {
             return Sym::Top(Span::default());
@@ -1032,17 +994,28 @@ mod tests {
         let Ok(konst) = bin_op(op, fa.konst, fb.konst) else {
             return Sym::Top(Span::default());
         };
-        let mut coeffs = fa.coeffs.clone();
-        for (&p, &c) in &fb.coeffs {
-            let e = coeffs.entry(p).or_insert(0.0);
+        let mut coeffs = [0.0; 8];
+        fa.terms.iter().for_each(|(k, c)| coeffs[k] = c);
+        for (k, c) in fb.terms.iter() {
             if op == BinOp::Add {
-                *e += c;
+                coeffs[k] += c;
             } else {
-                *e -= c;
+                coeffs[k] -= c;
             }
         }
-        coeffs.retain(|_, c| *c != 0.0);
-        Sym::Lin(LinForm { coeffs, konst })
+        Sym::Lin(LinForm {
+            terms: terms_of(&coeffs),
+            konst,
+        })
+    }
+
+    /// The terms with these coefficients by key, zeros absent.
+    fn terms_of(coeffs: &[f64]) -> Terms {
+        let mut terms = Terms::Zero;
+        for (k, &c) in coeffs.iter().enumerate().filter(|(_, c)| **c != 0.0) {
+            terms.add(k, c, false);
+        }
+        terms
     }
 
     /// A small deterministic generator (xorshift) for random forms.
@@ -1065,19 +1038,15 @@ mod tests {
                 1 => Sym::constant(Value::Int(self.next() as i64 % 5)),
                 2 => Sym::constant(Value::Float((self.next() % 7) as f64 - 3.0)),
                 _ => {
-                    let mut coeffs = BTreeMap::new();
+                    let mut coeffs = [0.0; 8];
                     for _ in 0..self.next() % 6 {
-                        let key = match self.next() % 8 {
-                            k @ 0..=5 => SymKey::Peek(k as usize),
-                            k => SymKey::State(k as usize - 6),
-                        };
-                        let c = (self.next() % 5) as f64 - 2.0;
-                        if c != 0.0 {
-                            coeffs.insert(key, c);
-                        }
+                        coeffs[(self.next() % 8) as usize] = (self.next() % 5) as f64 - 2.0;
                     }
                     let konst = Value::Float((self.next() % 3) as f64);
-                    Sym::Lin(LinForm { coeffs, konst })
+                    Sym::Lin(LinForm {
+                        terms: terms_of(&coeffs),
+                        konst,
+                    })
                 }
             }
         }
@@ -1104,7 +1073,7 @@ mod tests {
             let diff = sym_bin(BinOp::Sub, a.clone(), a.clone(), Span::default());
             assert_eq!(diff, by_value(BinOp::Sub, &a, &a));
             if let Sym::Lin(f) = diff {
-                assert!(f.coeffs.is_empty(), "x - x kept entries: {f:?}");
+                assert!(f.terms.is_empty(), "x - x kept entries: {f:?}");
             }
         }
     }
@@ -1174,6 +1143,11 @@ mod tests {
         }
     }";
 
+    /// `FIR_SRC` reading the tape at `peek(index)` instead of `peek(i)`.
+    fn fir_reading(index: &str) -> String {
+        FIR_SRC.replace("peek(i)", &format!("peek({index})"))
+    }
+
     #[test]
     fn fir_4096_extracts_to_exactly_its_weights() {
         let weights: Vec<f64> = (0..4096).map(|i| 1.0 / (i as f64 + 1.0)).collect();
@@ -1183,17 +1157,35 @@ mod tests {
 
     #[test]
     fn extraction_work_is_linear_in_the_taps() {
-        let writes = |taps: i64| {
-            let inst = filter_of(FIR_SRC, "Fir", &[Value::Int(taps)]);
-            COEFF_WRITES.with(|c| c.set(0));
-            extract(&inst).unwrap();
-            COEFF_WRITES.with(|c| c.get())
-        };
-        let (small, large) = (writes(1024), writes(2048));
-        assert!(small >= 1024, "the tally saw {small} writes for 1024 taps");
-        assert!(
-            large * 10 <= small * 23,
-            "doubling the taps took {small} -> {large} coefficient writes"
-        );
+        // Positions rising, falling, and in a permuted order: each adds one
+        // term per tap, whatever the order costs the form's storage.
+        for index in ["i", "N - 1 - i", "(i * 37) % N"] {
+            let src = fir_reading(index);
+            let writes = |taps: i64| {
+                let inst = filter_of(&src, "Fir", &[Value::Int(taps)]);
+                COEFF_WRITES.with(|c| c.set(0));
+                extract(&inst).unwrap();
+                COEFF_WRITES.with(|c| c.get())
+            };
+            let (small, large) = (writes(1024), writes(2048));
+            assert!(small >= 1024, "peek({index}): {small} writes for 1024 taps");
+            assert!(
+                large * 10 <= small * 23,
+                "peek({index}): doubling the taps took {small} -> {large} coefficient writes"
+            );
+        }
+    }
+
+    #[test]
+    fn every_order_of_the_taps_extracts_the_same_weights() {
+        let n = 1024;
+        let weights: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
+        let reversed: Vec<f64> = (0..n).map(|p| weights[n - 1 - p]).collect();
+        let mut permuted = vec![0.0; n];
+        (0..n).for_each(|i| permuted[i * 37 % n] = weights[i]);
+        for (index, want) in [("N - 1 - i", reversed), ("(i * 37) % N", permuted)] {
+            let node = extract_src(&fir_reading(index), "Fir", &[Value::Int(n as i64)]).unwrap();
+            assert_eq!(node, LinearNode::fir(&want), "peek({index})");
+        }
     }
 }

@@ -48,6 +48,7 @@ pub mod config;
 pub mod cost;
 pub mod expand;
 pub mod extract;
+mod form;
 pub mod frequency;
 pub mod node;
 pub mod opt;

@@ -26,7 +26,7 @@ use streamlin_graph::value::{Cell, Value};
 use streamlin_matrix::{Matrix, Vector};
 use streamlin_support::OpCounter;
 
-use crate::extract::{extract_symbolic, written_globals, NonLinear, Piece, StatefulPieces, SymKey};
+use crate::extract::{extract_symbolic, written_globals, NonLinear, Piece, StatefulPieces};
 use crate::node::LinearNode;
 
 /// A linear node with state: `y = x·A_x + s·A_s + b_x`,
@@ -330,18 +330,19 @@ pub fn extract_stateful(inst: &FilterInst) -> Result<StateSpaceNode, NonLinear> 
     let dim = state_names.len();
     let (e, o) = (inst.work.peek, inst.work.pop);
 
-    // One column per form: its tape coefficients into `on_x`, its state
-    // coefficients into `on_s`, its constant into `b`.
+    // One column per form, each form scattered once: its tape terms
+    // (keys below the peek rate) into `on_x`, its state terms (keyed
+    // after them) into `on_s`, its constant into `b`.
     let scatter = |forms: &[Piece]| {
         let mut on_x = Matrix::zeros(e, forms.len());
         let mut on_s = Matrix::zeros(dim, forms.len());
         let mut b = Vector::zeros(forms.len());
-        for (j, (coeffs, konst)) in forms.iter().enumerate() {
+        for (j, (terms, konst)) in forms.iter().enumerate() {
             b[j] = *konst;
-            for (key, c) in coeffs {
-                match key {
-                    SymKey::Peek(p) => on_x[(*p, j)] = *c,
-                    SymKey::State(k) => on_s[(*k, j)] = *c,
+            for (key, c) in terms.iter() {
+                match key.checked_sub(e) {
+                    None => on_x[(key, j)] = c,
+                    Some(k) => on_s[(k, j)] = c,
                 }
             }
         }

@@ -39,7 +39,8 @@
 //!   declared type refuses is the concrete domain's fault.
 //! * **Arrays** are element-wise, row-major and bounds-checked through
 //!   [`flat_offset`] (one offset function since PR 15), a scalar as the
-//!   rank-0 case. Each index is checked as soon as it is evaluated, before
+//!   rank-0 case: element 0, with no index to buffer and no offset to
+//!   compute. Each index is checked as soon as it is evaluated, before
 //!   the next one runs. An access at an undecided index is weak: a read is
 //!   [`Domain::any_element`], a store joins the value into every element.
 //! * **Constants.** An operation whose operands are all
@@ -402,17 +403,18 @@ impl<'d, 'c, D: Domain> Walker<'d, 'c, D> {
             } => {
                 let (start, sizes) = self.indices(st, dims)?;
                 self.operands.truncate(start);
-                let Some(sizes) = sizes else {
+                if let At::Any = sizes {
                     let why = "array index or size depends on the input";
                     return Err(self.dom.give_up(why));
-                };
+                }
                 let zero = self.dom.literal(Value::zero_of(*base));
-                st.frame[*slot as usize] = match sizes.as_slice() {
-                    [] => ACell::Scalar(*base, zero),
-                    sizes => {
+                st.frame[*slot as usize] = match sizes {
+                    At::Index(sizes) => {
+                        let sizes = sizes.as_slice();
                         let zeros = vec![zero; sizes.iter().product()];
                         ACell::Array(*base, sizes.to_vec(), zeros)
                     }
+                    _ => ACell::Scalar(*base, zero),
                 };
                 if let Some(e) = init {
                     let v = self.eval(st, e)?;
@@ -549,21 +551,24 @@ impl<'d, 'c, D: Domain> Walker<'d, 'c, D> {
     /// Evaluates index (or size) expressions left to right onto
     /// [`Walker::operands`], each checked as soon as it is evaluated —
     /// `m[k][k++]` with `k < 0` fails before the `++`. Returns where they
-    /// start, and their positions if every one is decided.
+    /// start, and where they land as far as they decide it.
     #[inline(always)]
     fn indices(
         &mut self,
         st: &mut StateOf<'c, D>,
         exprs: &[RExpr],
-    ) -> Result<(usize, Option<IndexBuf>), D::Stop> {
+    ) -> Result<(usize, At), D::Stop> {
         let base = self.operands.len();
-        let mut at = Some(IndexBuf::default());
+        if exprs.is_empty() {
+            return Ok((base, At::Scalar));
+        }
+        let mut at = At::Index(IndexBuf::default());
         for e in exprs {
             let v = self.eval(st, e)?;
-            match self.index(&v) {
-                Ok(Some(i)) => at.iter_mut().for_each(|at| at.push(i)),
-                Ok(None) => at = None,
-                Err(e) => return Err(self.dom.fault(e)),
+            match (self.index(&v), &mut at) {
+                (Ok(Some(i)), At::Index(buf)) => buf.push(i),
+                (Ok(_), _) => at = At::Any,
+                (Err(e), _) => return Err(self.dom.fault(e)),
             }
             self.operands.push(v);
         }
@@ -581,7 +586,7 @@ impl<'d, 'c, D: Domain> Walker<'d, 'c, D> {
         let idx = &self.operands[base..];
         let (ty, dims, elems) = st.cell_mut(slot).view();
         self.dom.read(slot, elems.is_err());
-        let v = match (locate(dims, idx.len(), at), elems) {
+        let v = match (locate(dims, at), elems) {
             (Ok(Some(o)), Ok(data)) => data[o].clone(),
             (Ok(Some(o)), Err(table)) => self.dom.literal(table[o]),
             (Ok(None), _) => self.dom.any_element(slot, ty, elems.is_err(), idx),
@@ -615,7 +620,7 @@ impl<'d, 'c, D: Domain> Walker<'d, 'c, D> {
             let e = EvalError::new("cannot assign a scalar to an array");
             return Err(self.dom.fault(e));
         }
-        let at = locate(dims, idx.len(), at).map_err(|e| self.dom.fault(e))?;
+        let at = locate(dims, at).map_err(|e| self.dom.fault(e))?;
         let old = match at {
             Some(o) if reads => self.dom.take(&mut data[o]),
             None if reads => self.dom.any_element(slot, ty, false, idx),
@@ -665,10 +670,16 @@ impl<'d, 'c, D: Domain> Walker<'d, 'c, D> {
             RExpr::Float(v) => Ok(self.dom.literal(Value::Float(*v))),
             RExpr::Bool(v) => Ok(self.dom.literal(Value::Bool(*v))),
             RExpr::Var(slot) => match &*st.cell_mut(*slot) {
-                // The common case, off the general path.
+                // The common cases, off the general path: a variable, and
+                // a constant read in place (a loop bound such as `T`).
                 ACell::Scalar(_, v) => {
                     self.dom.read(*slot, false);
                     Ok(v.clone())
+                }
+                ACell::Const(Cell::Scalar(_, v)) => {
+                    let v = *v;
+                    self.dom.read(*slot, true);
+                    Ok(self.dom.literal(v))
                 }
                 _ => self.read(st, *slot, &[]),
             },
@@ -745,18 +756,30 @@ impl<'d, 'c, D: Domain> Walker<'d, 'c, D> {
     }
 }
 
-/// The element an access with `n` index expressions, at the positions `at`
-/// (`None`: some index is undecided, so any), lands on in a cell of
-/// `dims`, with the evaluators' checks and wording.
+/// Where an access's index expressions land, as far as they decide it.
+enum At {
+    /// No index expressions: a scalar, the rank-0 case.
+    Scalar,
+    /// Every index decided: the positions.
+    Index(IndexBuf),
+    /// Some index undecided: any element.
+    Any,
+}
+
+/// The element an access at `at` lands on in a cell of `dims` (`None`:
+/// any), with the evaluators' checks and wording. A scalar is element 0
+/// of no dimensions, with no offset to compute.
 #[inline(always)]
-fn locate(dims: &[usize], n: usize, at: Option<IndexBuf>) -> Result<Option<usize>, EvalError> {
-    if dims.is_empty() != (n == 0) {
-        return Err(EvalError::new(match dims.is_empty() {
-            true => "variable is a scalar, not an array",
-            false => "variable is an array; index it to read an element",
-        }));
+fn locate(dims: &[usize], at: At) -> Result<Option<usize>, EvalError> {
+    match at {
+        At::Scalar if dims.is_empty() => Ok(Some(0)),
+        At::Scalar => Err(EvalError::new(
+            "variable is an array; index it to read an element",
+        )),
+        _ if dims.is_empty() => Err(EvalError::new("variable is a scalar, not an array")),
+        At::Index(at) => flat_offset(dims, at.as_slice()).map(Some),
+        At::Any => Ok(None),
     }
-    at.map(|at| flat_offset(dims, at.as_slice())).transpose()
 }
 
 /// The abstraction of a folded constant, or the fault folding it raised.

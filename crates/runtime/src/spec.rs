@@ -8,7 +8,7 @@
 //! second spelling — nothing here reads the environment. The spec
 //! splits by type: [`RunSpec::plan`] is the normalised, hashable
 //! [`PlanSpec`] — everything the compiled artifact depends on, and the
-//! whole of the daemon's cache key beside the source hash — and
+//! whole of the daemon's cache key beside the program text — and
 //! [`RunSpec::exec`] is the [`ExecSpec`] a session is opened with. The
 //! compiler ([`crate::session::compile`]) takes a `&PlanSpec` and cannot
 //! see the rest.
@@ -64,8 +64,9 @@ impl Default for RunSpec {
 }
 
 /// The compile half of a [`RunSpec`], normalised: two requests that
-/// compile to the same artifact are equal here, so `(source hash,
-/// PlanSpec)` is the plan-cache key and no knob can alias an entry.
+/// compile to the same artifact are equal here, so `(program text,
+/// PlanSpec)` is the plan-cache key (hashed a word at a time, compared by
+/// its text) and no knob can alias an entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PlanSpec {
     pub config: Config,

@@ -396,9 +396,11 @@ impl Parser<'_> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| format!("truncated \\u at byte {}", self.pos))?;
-                            let code = std::str::from_utf8(hex)
-                                .ok()
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            // Exactly four hex digits: no sign, no space.
+                            let code = (hex.iter())
+                                .try_fold(0, |code, &b| {
+                                    Some(code * 16 + char::from(b).to_digit(16)?)
+                                })
                                 .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
                             // Surrogates are not paired (we never emit
                             // them); replace to stay lossless-enough.
@@ -705,6 +707,8 @@ mod tests {
             (r#""é\u1"#, "truncated \\u at byte 4"),
             (r#""\uzz12""#, "bad \\u escape at byte 2"),
             (r#""ab\u12g4""#, "bad \\u escape at byte 4"),
+            (r#""\u+123""#, "bad \\u escape at byte 2"),
+            (r#""ab\u-0a1""#, "bad \\u escape at byte 4"),
         ] {
             assert_eq!(parse(text).unwrap_err(), err, "{text}");
         }
