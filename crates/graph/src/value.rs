@@ -56,6 +56,7 @@ impl Value {
     }
 
     /// Numeric value as `f64` (booleans are rejected).
+    #[inline]
     pub fn as_f64(&self) -> Result<f64, EvalError> {
         match self {
             Value::Int(v) => Ok(*v as f64),
@@ -66,6 +67,7 @@ impl Value {
 
     /// Integer value (floats are rejected — C-style implicit float→int
     /// truncation is not part of the dialect).
+    #[inline]
     pub fn as_int(&self) -> Result<i64, EvalError> {
         match self {
             Value::Int(v) => Ok(*v),
@@ -76,6 +78,7 @@ impl Value {
     }
 
     /// Non-negative integer (for rates, sizes and indices).
+    #[inline]
     pub fn as_index(&self) -> Result<usize, EvalError> {
         let v = self.as_int()?;
         usize::try_from(v)
@@ -83,6 +86,7 @@ impl Value {
     }
 
     /// Boolean value.
+    #[inline]
     pub fn as_bool(&self) -> Result<bool, EvalError> {
         match self {
             Value::Bool(b) => Ok(*b),
@@ -94,6 +98,7 @@ impl Value {
 
     /// Coerces to the declared type of an assignment target
     /// (int promotes to float; everything else must match).
+    #[inline]
     pub fn coerce_to(&self, ty: DataType) -> Result<Value, EvalError> {
         match (ty, self) {
             (DataType::Float, Value::Int(v)) => Ok(Value::Float(*v as f64)),
@@ -108,6 +113,7 @@ impl Value {
 
     /// True if the value is a float (used by FLOP accounting: integer
     /// arithmetic is free, exactly as in the paper's instruction counts).
+    #[inline]
     pub fn is_float(&self) -> bool {
         matches!(self, Value::Float(_))
     }
