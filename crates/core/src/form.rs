@@ -130,38 +130,30 @@ impl Terms {
     /// `coefficient(key) ± c`, for a non-zero `c`.
     pub(crate) fn add(&mut self, key: usize, c: f64, sub: bool) {
         count_coeff_writes(1);
-        let mut live = match self {
-            Terms::Zero => 0,
-            Terms::One(..) => 1,
-            Terms::Many(_) => 2,
-        };
-        match self {
+        let live = match self {
             Terms::Zero => {
-                let mut e = 0.0;
+                let (mut e, mut live) = (0.0, 0);
                 bump(&mut e, &mut live, c, sub);
-                if live == 1 {
-                    *self = Terms::One(key, e);
-                }
+                *self = Terms::One(key, e);
+                live
             }
             Terms::One(k, e) if *k == key => {
+                let mut live = 1;
                 bump(e, &mut live, c, sub);
-                if live == 0 {
-                    *self = Terms::Zero;
-                }
+                live
             }
             Terms::One(k, e) => {
-                let old = (*k, *e);
-                let mut new = (key, 0.0);
-                bump(&mut new.1, &mut live, c, sub);
-                let terms = if old.0 < key { [old, new] } else { [new, old] };
-                let terms = VecDeque::from(terms);
-                *self = Terms::Many(Box::new(Many::Sparse { terms, live }));
+                let (old, new) = ((*k, *e), (key, 0.0));
+                let terms = VecDeque::from(if old.0 < key { [old, new] } else { [new, old] });
+                let mut many = Box::new(Many::Sparse { terms, live: 1 });
+                let live = many.add(key, c, sub);
+                *self = Terms::Many(many);
+                live
             }
-            Terms::Many(many) => {
-                if many.add(key, c, sub) == 0 {
-                    *self = Terms::Zero;
-                }
-            }
+            Terms::Many(many) => many.add(key, c, sub),
+        };
+        if live == 0 {
+            *self = Terms::Zero;
         }
     }
 
