@@ -1,4 +1,10 @@
 //! Recursive-descent parser for the StreamIt dialect.
+//!
+//! The parser indexes the token vector [`tokenize`] returns and reads the
+//! current token by reference; advancing copies nothing. Tokens borrow
+//! their text from the source, so a name becomes a `String` exactly once,
+//! when the AST node that holds it is built, and an error describes the
+//! token it found as written ([`Spanned::describe`]).
 
 use crate::ast::*;
 use crate::lexer::{tokenize, LexError};
@@ -72,8 +78,8 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
     parser.program()
 }
 
-struct Parser {
-    toks: Vec<Spanned>,
+struct Parser<'src> {
+    toks: Vec<Spanned<'src>>,
     pos: usize,
     /// Statements and expressions open around `pos`.
     depth: usize,
@@ -81,8 +87,8 @@ struct Parser {
 
 type PResult<T> = Result<T, ParseError>;
 
-impl Parser {
-    fn cur(&self) -> &Token {
+impl<'src> Parser<'src> {
+    fn cur(&self) -> &Token<'src> {
         &self.toks[self.pos].token
     }
 
@@ -90,17 +96,15 @@ impl Parser {
         self.toks[self.pos].span
     }
 
-    fn lookahead(&self, n: usize) -> &Token {
+    fn lookahead(&self, n: usize) -> &Token<'src> {
         let i = (self.pos + n).min(self.toks.len() - 1);
         &self.toks[i].token
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.toks[self.pos].token.clone();
+    fn bump(&mut self) {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn eat(&mut self, t: &Token) -> bool {
@@ -116,8 +120,14 @@ impl Parser {
         if self.eat(t) {
             Ok(())
         } else {
-            Err(self.error(format!("expected {what}, found {}", self.cur().describe())))
+            Err(self.unexpected(what))
         }
+    }
+
+    /// "expected `what`, found <the current token as written>".
+    fn unexpected(&self, what: &str) -> ParseError {
+        let found = self.toks[self.pos].describe();
+        self.error(format!("expected {what}, found {found}"))
     }
 
     fn error(&self, message: impl Into<String>) -> ParseError {
@@ -139,12 +149,12 @@ impl Parser {
     }
 
     fn ident(&mut self, what: &str) -> PResult<String> {
-        match self.cur().clone() {
+        match *self.cur() {
             Token::Ident(s) => {
                 self.bump();
-                Ok(s)
+                Ok(s.to_owned())
             }
-            other => Err(self.error(format!("expected {what}, found {}", other.describe()))),
+            _ => Err(self.unexpected(what)),
         }
     }
 
@@ -164,7 +174,7 @@ impl Parser {
             Token::KwFloat => DataType::Float,
             Token::KwInt => DataType::Int,
             Token::KwBoolean => DataType::Bool,
-            other => return Err(self.error(format!("expected a type, found {}", other.describe()))),
+            _ => return Err(self.unexpected("a type")),
         };
         self.bump();
         Ok(ty)
@@ -196,8 +206,15 @@ impl Parser {
 
     /// Parses `filter|pipeline|splitjoin|feedbackloop [Name] [(params)] body`.
     fn stream_decl_tail(&mut self, input: DataType, output: DataType) -> PResult<StreamDecl> {
-        let kind_tok = self.bump();
-        let anon_name = |kw: &str| format!("<anonymous {kw}>");
+        let kind_tok = *self.cur();
+        let kw = match kind_tok {
+            Token::KwFilter => "filter",
+            Token::KwPipeline => "pipeline",
+            Token::KwSplitJoin => "splitjoin",
+            Token::KwFeedbackLoop => "feedbackloop",
+            _ => return Err(self.unexpected("`filter`, `pipeline`, `splitjoin` or `feedbackloop`")),
+        };
+        self.bump();
         let (name, params) = if let Token::Ident(_) = self.cur() {
             let name = self.ident("stream name")?;
             let params = if *self.cur() == Token::LParen {
@@ -207,26 +224,13 @@ impl Parser {
             };
             (name, params)
         } else {
-            let kw = match kind_tok {
-                Token::KwFilter => "filter",
-                Token::KwPipeline => "pipeline",
-                Token::KwSplitJoin => "splitjoin",
-                Token::KwFeedbackLoop => "feedbackloop",
-                _ => "stream",
-            };
-            (anon_name(kw), Vec::new())
+            (format!("<anonymous {kw}>"), Vec::new())
         };
         let kind = match kind_tok {
             Token::KwFilter => StreamKind::Filter(self.filter_body()?),
             Token::KwPipeline => StreamKind::Pipeline(self.block()?),
             Token::KwSplitJoin => StreamKind::SplitJoin(self.splitjoin_body()?),
-            Token::KwFeedbackLoop => StreamKind::FeedbackLoop(self.feedback_body()?),
-            other => {
-                return Err(self.error(format!(
-                    "expected `filter`, `pipeline`, `splitjoin` or `feedbackloop`, found {}",
-                    other.describe()
-                )))
-            }
+            _ => StreamKind::FeedbackLoop(self.feedback_body()?),
         };
         Ok(StreamDecl {
             name,
@@ -302,11 +306,10 @@ impl Parser {
                         span,
                     });
                 }
-                other => {
-                    return Err(self.error(format!(
-                        "expected a field, `init`, `work` or `initWork` in filter body, found {}",
-                        other.describe()
-                    )))
+                _ => {
+                    return Err(
+                        self.unexpected("a field, `init`, `work` or `initWork` in filter body")
+                    )
                 }
             }
         }
@@ -338,12 +341,7 @@ impl Parser {
                     peek = Some(self.expr()?);
                 }
                 Token::LBrace => break,
-                other => {
-                    return Err(self.error(format!(
-                        "expected rate declaration or `{{` after `work`, found {}",
-                        other.describe()
-                    )))
-                }
+                _ => return Err(self.unexpected("rate declaration or `{` after `work`")),
             }
         }
         let body = self.block()?;
@@ -372,10 +370,7 @@ impl Parser {
                 self.bump();
                 Ok(SplitterAst::RoundRobin(self.weight_list()?))
             }
-            other => Err(self.error(format!(
-                "expected `duplicate` or `roundrobin`, found {}",
-                other.describe()
-            ))),
+            _ => Err(self.unexpected("`duplicate` or `roundrobin`")),
         }
     }
 
@@ -385,10 +380,7 @@ impl Parser {
                 self.bump();
                 Ok(JoinerAst::RoundRobin(self.weight_list()?))
             }
-            other => Err(self.error(format!(
-                "expected `roundrobin` joiner, found {}",
-                other.describe()
-            ))),
+            _ => Err(self.unexpected("`roundrobin` joiner")),
         }
     }
 
@@ -477,12 +469,7 @@ impl Parser {
                     enqueue.push(self.expr()?);
                     self.expect(&Token::Semi, "`;` after `enqueue`")?;
                 }
-                other => {
-                    return Err(self.error(format!(
-                        "expected `join`, `body`, `loop`, `split` or `enqueue`, found {}",
-                        other.describe()
-                    )))
-                }
+                _ => return Err(self.unexpected("`join`, `body`, `loop`, `split` or `enqueue`")),
             }
         }
         Ok(FeedbackLoopDecl {
@@ -496,7 +483,7 @@ impl Parser {
 
     /// A child stream reference: named instantiation or anonymous stream.
     fn stream_ref(&mut self) -> PResult<StreamRef> {
-        match self.cur().clone() {
+        match *self.cur() {
             Token::Ident(_) => {
                 let name = self.ident("stream name")?;
                 let mut args = Vec::new();
@@ -527,10 +514,7 @@ impl Parser {
                 let decl = self.nested(STMT_LEVELS, |p| p.stream_decl_tail(input, output))?;
                 Ok(StreamRef::Anonymous(Box::new(decl)))
             }
-            other => Err(self.error(format!(
-                "expected a stream reference, found {}",
-                other.describe()
-            ))),
+            _ => Err(self.unexpected("a stream reference")),
         }
     }
 
@@ -762,7 +746,7 @@ impl Parser {
     }
 
     fn primary_expr(&mut self) -> PResult<Expr> {
-        match self.cur().clone() {
+        match *self.cur() {
             Token::Int(v) => {
                 self.bump();
                 Ok(Expr::Int(v))
@@ -810,6 +794,7 @@ impl Parser {
                 Ok(Expr::Push(Box::new(e)))
             }
             Token::Ident(name) => {
+                let name = name.to_owned();
                 self.bump();
                 if self.eat(&Token::LParen) {
                     let mut args = Vec::new();
@@ -834,10 +819,7 @@ impl Parser {
                     Ok(Expr::Var(name))
                 }
             }
-            other => Err(self.error(format!(
-                "expected an expression, found {}",
-                other.describe()
-            ))),
+            _ => Err(self.unexpected("an expression")),
         }
     }
 }

@@ -1,4 +1,10 @@
 //! Tokens and source positions for the StreamIt dialect.
+//!
+//! A token borrows its text from the source it was read from: an
+//! identifier is `Ident(&'src str)`, and every [`Spanned`] token keeps the
+//! slice it was lexed from, so neither the lexer nor the parser allocates
+//! per token. A name becomes a `String` once, in the AST node that holds
+//! it.
 
 /// A position in the source text, for error reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -16,12 +22,12 @@ impl std::fmt::Display for Span {
 }
 
 /// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Token<'src> {
     // Literals and names
     Int(i64),
     Float(f64),
-    Ident(String),
+    Ident(&'src str),
 
     // Type keywords
     KwVoid,
@@ -104,9 +110,9 @@ pub enum Token {
     Eof,
 }
 
-impl Token {
+impl Token<'_> {
     /// Keyword lookup for an identifier-shaped lexeme.
-    pub fn keyword(s: &str) -> Option<Token> {
+    pub fn keyword(s: &str) -> Option<Token<'static>> {
         Some(match s {
             "void" => Token::KwVoid,
             "float" => Token::KwFloat,
@@ -144,24 +150,34 @@ impl Token {
             _ => return None,
         })
     }
-
-    /// A short human-readable description, used in parse errors.
-    pub fn describe(&self) -> String {
-        match self {
-            Token::Int(v) => format!("integer literal {v}"),
-            Token::Float(v) => format!("float literal {v}"),
-            Token::Ident(s) => format!("identifier `{s}`"),
-            Token::Eof => "end of input".to_string(),
-            other => format!("{other:?}"),
-        }
-    }
 }
 
-/// A token paired with its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+/// A token paired with its source position and text.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spanned<'src> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'src>,
     /// Where it begins.
     pub span: Span,
+    /// The source text it was read from (empty for [`Token::Eof`]).
+    pub text: &'src str,
+}
+
+impl Spanned<'_> {
+    /// The token as written, for parse errors: ``keyword `work` ``,
+    /// ``identifier `x` ``, ``integer literal 42``, ``float literal 2.50``,
+    /// `` `;` `` or `end of input`.
+    pub fn describe(&self) -> String {
+        let text = self.text;
+        match self.token {
+            Token::Int(_) => format!("integer literal {text}"),
+            Token::Float(_) => format!("float literal {text}"),
+            Token::Ident(_) => format!("identifier `{text}`"),
+            Token::Eof => "end of input".to_string(),
+            _ if text.starts_with(|c: char| c.is_ascii_alphabetic()) => {
+                format!("keyword `{text}`")
+            }
+            _ => format!("`{text}`"),
+        }
+    }
 }
