@@ -14,7 +14,7 @@
 //! slot-resolved body the runtime executes (`inst.lowered.work.body`),
 //! statement order, scoping, typed stores, indexing, the short-circuit and
 //! branch-join rules, unrolling, fuel — is `streamlin_graph::absint::walk`,
-//! the same engine the rate/effect analysis runs on, held to the reference
+//! the same engine the rate analysis runs on, held to the reference
 //! interpreter by `tests/interp_differential.rs`. This file supplies
 //! `LinDomain`: the linear forms (their terms are `form::Terms`, stored
 //! by what adding one costs), their arithmetic (`sym_bin`, `sym_un`,

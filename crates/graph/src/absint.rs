@@ -2,14 +2,13 @@
 //! once.
 //!
 //! The paper's extraction (§3.2) is symbolic execution of `work`, and the
-//! rate/effect analysis generalises the move; on these programs an
-//! analysis *is* evaluation in another value domain. So the control
-//! skeleton of a work body lives here, once, and an analysis is a
-//! [`Domain`]: [`crate::analyze`]'s two (intervals × degree, tape
-//! counters, effects, lints; and which filters are native plumbing) and
-//! `streamlin-core`'s linear extraction (linear forms) are the instances.
-//! **A new analysis is a `Domain`, never a new
-//! match on [`RStmt`].** Execution is a domain too: at the identity
+//! rate analysis generalises the move; on these programs an analysis
+//! *is* evaluation in another value domain. So the control skeleton of a
+//! work body lives here, once, and an analysis is a [`Domain`]:
+//! [`crate::analyze`]'s two (intervals, tape counters, lints; and which
+//! filters are native plumbing) and `streamlin-core`'s linear extraction
+//! (linear forms) are the instances. **A new analysis is a `Domain`,
+//! never a new match on [`RStmt`].** Execution is a domain too: at the identity
 //! abstraction the abstract evaluator *is* the evaluator, so the dialect's
 //! reference semantics is this walk under the concrete domain ([`exec`],
 //! [`eval`]) — `--tier treewalk`, the phases the typer refuses and
@@ -168,11 +167,10 @@ pub trait Domain {
 
     /// An `if` condition was decided.
     fn constant_condition(&mut self, _taken: bool) {}
-    /// `slot` (or an element of it) was read; `constant` if no walked
-    /// phase writes it.
-    fn read(&mut self, _slot: Slot, _constant: bool) {}
-    /// `v` was stored to `slot`, at `idx` (empty for a scalar).
-    fn wrote(&mut self, _slot: Slot, _idx: &[Self::Value], _v: &Self::Value) {}
+    /// `slot` (or an element of it) was read.
+    fn read(&mut self, _slot: Slot) {}
+    /// A value was stored to `slot`, at `idx` (empty for a scalar).
+    fn wrote(&mut self, _slot: Slot, _idx: &[Self::Value]) {}
 }
 
 /// The families the paper's FLOP metric counts (§5.1).
@@ -585,7 +583,7 @@ impl<'d, 'c, D: Domain> Walker<'d, 'c, D> {
         let (base, at) = self.indices(st, idx_exprs)?;
         let idx = &self.operands[base..];
         let (ty, dims, elems) = st.cell_mut(slot).view();
-        self.dom.read(slot, elems.is_err());
+        self.dom.read(slot);
         let v = match (locate(dims, at), elems) {
             (Ok(Some(o)), Ok(data)) => data[o].clone(),
             (Ok(Some(o)), Err(table)) => self.dom.literal(table[o]),
@@ -615,7 +613,7 @@ impl<'d, 'c, D: Domain> Walker<'d, 'c, D> {
         let idx = &self.operands[base..];
         let (ty, dims, data) = st.cell_mut(slot).view_mut();
         if reads {
-            self.dom.read(slot, false);
+            self.dom.read(slot);
         } else if idx.is_empty() && !dims.is_empty() {
             let e = EvalError::new("cannot assign a scalar to an array");
             return Err(self.dom.fault(e));
@@ -628,7 +626,7 @@ impl<'d, 'c, D: Domain> Walker<'d, 'c, D> {
         };
         let new = f(self.dom, old)?;
         let new = self.dom.coerce(new, ty)?;
-        self.dom.wrote(slot, idx, &new);
+        self.dom.wrote(slot, idx);
         match at {
             Some(o) => data[o] = new,
             // A store at an unknown position may have hit any element.
@@ -673,12 +671,12 @@ impl<'d, 'c, D: Domain> Walker<'d, 'c, D> {
                 // The common cases, off the general path: a variable, and
                 // a constant read in place (a loop bound such as `T`).
                 ACell::Scalar(_, v) => {
-                    self.dom.read(*slot, false);
+                    self.dom.read(*slot);
                     Ok(v.clone())
                 }
                 ACell::Const(Cell::Scalar(_, v)) => {
                     let v = *v;
-                    self.dom.read(*slot, true);
+                    self.dom.read(*slot);
                     Ok(self.dom.literal(v))
                 }
                 _ => self.read(st, *slot, &[]),

@@ -3,7 +3,7 @@
 //!
 //! The paper's compiler symbolically executes work functions to extract
 //! linear coefficients (§3.2). This module generalises that move into a
-//! reusable abstract interpretation with four clients:
+//! reusable abstract interpretation with three clients:
 //!
 //! 1. **Rate & bounds certification** — peek offsets are tracked as
 //!    integer intervals and pop/push counts are accumulated symbolically
@@ -14,17 +14,12 @@
 //!    validation. Provable violations become [`AnalysisError`]s that fail
 //!    elaboration with source spans instead of surfacing as runtime
 //!    `EvalError`s on the Nth firing.
-//! 2. **State-effect lattice** — [`StateEffect`]: `Pure ⊏ ReadsState ⊏
-//!    AffineState ⊏ OpaqueState`. `AffineState` means every executed
-//!    write to persistent state stores a value that is affine in fields
-//!    and inputs (degree ≤ linear in the abstract domain). The walk is
-//!    flow-sensitive, so a store that only happens in a provably-dead
-//!    branch leaves a filter `Pure`.
-//! 3. **Lints** — [`Lint`]s with spans: dead field stores, constant
+//! 2. **Lints** — [`Lint`]s with spans: dead field stores, constant
 //!    conditions, possibly-out-of-range peeks, possible rate mismatches.
-//!    (Unused-field/-parameter lints are added at elaboration, which
-//!    still sees the source names.)
-//! 4. **Plumbing** — [`Plumbing`]: a sink that prints or discards exactly
+//!    The walk is flow-sensitive, so a store that only happens in a
+//!    provably-dead branch is no store. (Unused-field/-parameter lints are
+//!    added at elaboration, which still sees the source names.)
+//! 3. **Plumbing** — [`Plumbing`]: a sink that prints or discards exactly
 //!    what it pops, or a ring-buffer source that pushes a constant table
 //!    at a counter stepped mod `m`. The runtime runs such a filter as a
 //!    native node, so the proof includes everything that makes the node
@@ -35,8 +30,8 @@
 //! folding, by the runtime tiers' own `bin_op`/`un_op`/`MathFn::call` —
 //! are [`crate::absint::walk`]'s, the walk linear extraction runs on too:
 //! a certificate cannot disagree with execution about control flow or
-//! about a value. This file supplies `RateDomain` (`Num × Degree` values,
-//! interval tape counters, effect/lint/certificate accounting, saturating
+//! about a value. This file supplies `RateDomain` (`Num` values, interval
+//! tape counters, lint and certificate accounting, saturating
 //! the counters of an undecided loop that touches the tape),
 //! [`analyze_filter`], which binds the entry state and checks the final
 //! counters against the declared rates, and `PlumbingDomain`, walked only
@@ -65,34 +60,6 @@ const ANALYSIS_FUEL: u64 = 2_000_000;
 // ---------------------------------------------------------------------------
 // Public facts
 // ---------------------------------------------------------------------------
-
-/// How a filter's work code interacts with its persistent state
-/// (fields). Ordered: each level includes everything the previous one
-/// permits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum StateEffect {
-    /// Neither reads nor writes mutable state on any executed path.
-    Pure,
-    /// Reads mutable state, never writes it on any executed path.
-    ReadsState,
-    /// Writes state, but every stored value is affine in fields and
-    /// inputs (and array stores use constant indices).
-    AffineState,
-    /// Writes state in a way the analysis cannot bound.
-    #[default]
-    OpaqueState,
-}
-
-impl std::fmt::Display for StateEffect {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            StateEffect::Pure => "pure",
-            StateEffect::ReadsState => "reads-state",
-            StateEffect::AffineState => "affine-state",
-            StateEffect::OpaqueState => "opaque-state",
-        })
-    }
-}
 
 /// Proof that one work phase always pops/pushes exactly its declared
 /// rates and every tape access stays inside the declared peek window.
@@ -143,11 +110,9 @@ pub struct AnalysisError {
 
 /// Everything the framework proved about one filter. Attached to
 /// [`crate::ir::FilterInst`] at elaboration; execution paths must
-/// consult this record rather than re-deriving effects syntactically.
+/// consult this record rather than re-deriving facts syntactically.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FilterFacts {
-    /// Joined state effect across both phases.
-    pub effect: StateEffect,
     /// Facts for the steady-state work phase.
     pub work: PhaseFacts,
     /// Facts for the optional first-firing phase.
@@ -191,74 +156,29 @@ enum Num {
     Any,
 }
 
-/// Dependence of a value on inputs and mutable state, in the sense of
-/// the paper's linear forms: `Const` depends on neither, `Linear` is an
-/// affine combination, `Top` is anything else.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Degree {
-    Const,
-    Linear,
-    Top,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct AbsV {
-    num: Num,
-    deg: Degree,
-}
-
-impl AbsV {
-    /// A fresh tape item: an unknown float, linear by definition.
-    fn input() -> AbsV {
-        AbsV {
-            num: Num::FloatAny,
-            deg: Degree::Linear,
-        }
-    }
-
-    fn top() -> AbsV {
-        AbsV {
-            num: Num::Any,
-            deg: Degree::Top,
-        }
-    }
-
+impl Num {
     /// Integer range, if this value is provably an integer.
-    fn int_range(&self) -> Option<(i64, i64)> {
-        match self.num {
+    fn int_range(self) -> Option<(i64, i64)> {
+        match self {
             Num::Known(Value::Int(v)) => Some((v, v)),
             Num::Int(lo, hi) => Some((lo, hi)),
             _ => None,
         }
     }
 
-    fn is_floatish(&self) -> bool {
-        matches!(self.num, Num::Known(Value::Float(_)) | Num::FloatAny)
+    fn is_floatish(self) -> bool {
+        matches!(self, Num::Known(Value::Float(_)) | Num::FloatAny)
     }
 
-    fn join(a: AbsV, b: AbsV) -> AbsV {
-        let num = if a.num == b.num {
-            a.num
-        } else {
-            match (a.int_range(), b.int_range()) {
-                (Some((al, ah)), Some((bl, bh))) => Num::Int(al.min(bl), ah.max(bh)),
-                _ if a.is_floatish() && b.is_floatish() => Num::FloatAny,
-                _ => Num::Any,
-            }
-        };
-        AbsV {
-            num,
-            deg: a.deg.max(b.deg),
+    fn join(a: Num, b: Num) -> Num {
+        if a == b {
+            return a;
         }
-    }
-}
-
-/// The degree of a non-linear operation: constant only on constants.
-fn const_or_top(all_const: bool) -> Degree {
-    if all_const {
-        Degree::Const
-    } else {
-        Degree::Top
+        match (a.int_range(), b.int_range()) {
+            (Some((al, ah)), Some((bl, bh))) => Num::Int(al.min(bl), ah.max(bh)),
+            _ if a.is_floatish() && b.is_floatish() => Num::FloatAny,
+            _ => Num::Any,
+        }
     }
 }
 
@@ -325,31 +245,9 @@ fn decide(yes: bool, no: bool) -> Option<bool> {
 
 /// Abstract binary operation (everything except short-circuit `&&`/`||`,
 /// which the walker handles to model conditional side effects).
-fn abin(op: BinOp, a: AbsV, b: AbsV) -> AbsV {
+fn abin(op: BinOp, a: Num, b: Num) -> Num {
     use BinOp::*;
-    let deg = match op {
-        Add | Sub => a.deg.max(b.deg),
-        Mul => {
-            if a.deg == Degree::Const || b.deg == Degree::Const {
-                a.deg.max(b.deg)
-            } else {
-                Degree::Top
-            }
-        }
-        Div => {
-            if a.deg == Degree::Const && b.deg == Degree::Const {
-                Degree::Const
-            } else if b.deg == Degree::Const && (a.is_floatish() || b.is_floatish()) {
-                // Float division by a constant is a linear scaling;
-                // integer division truncates and is not.
-                a.deg
-            } else {
-                Degree::Top
-            }
-        }
-        _ => const_or_top(a.deg == Degree::Const && b.deg == Degree::Const),
-    };
-    let num = match op {
+    match op {
         Add | Sub | Mul | Div | Rem => {
             if a.is_floatish() || b.is_floatish() {
                 Num::FloatAny
@@ -367,25 +265,15 @@ fn abin(op: BinOp, a: AbsV, b: AbsV) -> AbsV {
             _ => Num::Any,
         },
         _ => Num::Any,
-    };
-    AbsV { num, deg }
+    }
 }
 
 /// Abstract unary operation.
-fn aun(op: UnOp, a: AbsV) -> AbsV {
-    match (op, a.num) {
-        (UnOp::Neg, Num::Int(lo, hi)) => AbsV {
-            num: Num::Int(clamp128(-(hi as i128)), clamp128(-(lo as i128))),
-            deg: a.deg,
-        },
-        (UnOp::Neg, Num::FloatAny) => AbsV {
-            num: Num::FloatAny,
-            deg: a.deg,
-        },
-        _ => AbsV {
-            num: Num::Any,
-            deg: const_or_top(a.deg == Degree::Const),
-        },
+fn aun(op: UnOp, a: Num) -> Num {
+    match (op, a) {
+        (UnOp::Neg, Num::Int(lo, hi)) => Num::Int(clamp128(-(hi as i128)), clamp128(-(lo as i128))),
+        (UnOp::Neg, Num::FloatAny) => Num::FloatAny,
+        _ => Num::Any,
     }
 }
 
@@ -424,8 +312,8 @@ struct Tape {
 // The domain
 // ---------------------------------------------------------------------------
 
-/// The `Num × Degree` values above, interval tape counters, and the
-/// effect, lint and certificate accounting of one filter.
+/// The `Num` values above, interval tape counters, and the lint and
+/// certificate accounting of one filter.
 struct RateDomain<'a> {
     /// Declared rates of the phase under analysis.
     decl: &'a WorkFn,
@@ -436,10 +324,7 @@ struct RateDomain<'a> {
     conditional: bool,
     /// First reason certification of the phase failed, if any.
     uncert: Option<String>,
-    // Effects, accumulated across both phases.
-    reads_state: bool,
-    writes_state: bool,
-    affine_ok: bool,
+    // Global accesses, accumulated across both phases.
     global_reads: Vec<bool>,
     global_writes: Vec<Option<Span>>,
     lints: Vec<Lint>,
@@ -471,7 +356,7 @@ impl RateDomain<'_> {
         });
     }
 
-    fn check_peek(&mut self, tape: &Tape, idx: AbsV) {
+    fn check_peek(&mut self, tape: &Tape, idx: Num) {
         let peek = self.decl.peek as i64;
         let Some((il, ih)) = idx.int_range() else {
             self.uncertify("a peek index is not statically an integer constant or bounded range");
@@ -524,7 +409,7 @@ impl RateDomain<'_> {
 }
 
 impl Domain for RateDomain<'_> {
-    type Value = AbsV;
+    type Value = Num;
     type Tape = Tape;
     /// Why the analysis gave up on the filter.
     type Stop = String;
@@ -535,51 +420,44 @@ impl Domain for RateDomain<'_> {
         (self.span, self.conditional) = (span, conditional);
     }
 
-    fn literal(&mut self, v: Value) -> AbsV {
-        AbsV {
-            num: Num::Known(v),
-            deg: Degree::Const,
-        }
+    fn literal(&mut self, v: Value) -> Num {
+        Num::Known(v)
     }
 
-    fn top(&mut self) -> AbsV {
-        AbsV::top()
+    fn top(&mut self) -> Num {
+        Num::Any
     }
 
-    fn concrete(&mut self, v: &AbsV) -> Option<Value> {
-        match v.num {
+    fn concrete(&mut self, v: &Num) -> Option<Value> {
+        match *v {
             Num::Known(v) => Some(v),
             _ => None,
         }
     }
 
-    fn un_op(&mut self, op: UnOp, a: AbsV) -> AbsV {
+    fn un_op(&mut self, op: UnOp, a: Num) -> Num {
         aun(op, a)
     }
 
-    fn bin_op(&mut self, op: BinOp, a: AbsV, b: AbsV) -> AbsV {
+    fn bin_op(&mut self, op: BinOp, a: Num, b: Num) -> Num {
         abin(op, a, b)
     }
 
-    fn math(&mut self, _f: MathFn, args: &[AbsV]) -> AbsV {
-        AbsV {
-            num: Num::Any,
-            deg: const_or_top(args.iter().all(|a| a.deg == Degree::Const)),
-        }
+    fn math(&mut self, _f: MathFn, _args: &[Num]) -> Num {
+        Num::Any
     }
 
     /// The runtime's store-time coercion into the declared scalar type.
-    fn coerce(&mut self, v: AbsV, ty: DataType) -> Result<AbsV, String> {
-        let num = match (ty, v.num) {
+    fn coerce(&mut self, v: Num, ty: DataType) -> Result<Num, String> {
+        Ok(match (ty, v) {
             (DataType::Float, Num::Known(Value::Int(i))) => Num::Known(Value::Float(i as f64)),
             (DataType::Float, Num::Int(..)) => Num::FloatAny,
             (_, num) => num,
-        };
-        Ok(AbsV { num, deg: v.deg })
+        })
     }
 
-    fn join(&mut self, a: &mut AbsV, b: &AbsV) {
-        *a = AbsV::join(*a, *b);
+    fn join(&mut self, a: &mut Num, b: &Num) {
+        *a = Num::join(*a, *b);
     }
 
     fn join_tapes(&mut self, a: &mut Tape, b: Tape) -> Result<(), Self::Stop> {
@@ -588,28 +466,24 @@ impl Domain for RateDomain<'_> {
         Ok(())
     }
 
-    /// Some element of the array: of a constant table still a constant
-    /// if the index does not depend on data; any other lookup is not
-    /// affine.
-    fn any_element(&mut self, _slot: Slot, ty: DataType, constant: bool, idx: &[AbsV]) -> AbsV {
-        AbsV {
-            num: elem_num(ty),
-            deg: const_or_top(constant && idx.iter().all(|i| i.deg == Degree::Const)),
-        }
+    /// Some element of the array: any value of its element type.
+    fn any_element(&mut self, _slot: Slot, ty: DataType, _constant: bool, _idx: &[Num]) -> Num {
+        elem_num(ty)
     }
 
-    fn peek(&mut self, tape: &mut Tape, i: AbsV) -> Result<AbsV, Self::Stop> {
+    /// A tape item: an unknown float.
+    fn peek(&mut self, tape: &mut Tape, i: Num) -> Result<Num, Self::Stop> {
         self.check_peek(tape, i);
-        Ok(AbsV::input())
+        Ok(Num::FloatAny)
     }
 
-    fn pop(&mut self, tape: &mut Tape) -> Result<AbsV, Self::Stop> {
+    fn pop(&mut self, tape: &mut Tape) -> Result<Num, Self::Stop> {
         self.check_pop(tape);
         tape.pops.bump();
-        Ok(AbsV::input())
+        Ok(Num::FloatAny)
     }
 
-    fn push(&mut self, tape: &mut Tape, _v: AbsV) -> Result<(), Self::Stop> {
+    fn push(&mut self, tape: &mut Tape, _v: Num) -> Result<(), Self::Stop> {
         tape.pushes.bump();
         Ok(())
     }
@@ -649,20 +523,16 @@ impl Domain for RateDomain<'_> {
         );
     }
 
-    fn read(&mut self, slot: Slot, constant: bool) {
+    fn read(&mut self, slot: Slot) {
         if let Slot::Global(g) = slot {
             self.global_reads[g as usize] = true;
-            self.reads_state |= !constant;
         }
     }
 
-    /// A store to state is affine only when the element it targets is
-    /// fixed (constant indices) and the stored value is affine.
-    fn wrote(&mut self, slot: Slot, idx: &[AbsV], v: &AbsV) {
-        let Slot::Global(g) = slot else { return };
-        self.writes_state = true;
-        self.affine_ok &= v.deg <= Degree::Linear && idx.iter().all(|i| i.deg == Degree::Const);
-        self.global_writes[g as usize].get_or_insert(self.span);
+    fn wrote(&mut self, slot: Slot, _idx: &[Num]) {
+        if let Slot::Global(g) = slot {
+            self.global_writes[g as usize].get_or_insert(self.span);
+        }
     }
 }
 
@@ -683,7 +553,7 @@ impl<'a> RateDomain<'a> {
     /// `decl`; `span` anchors the rate diagnostics to the phase header.
     fn phase(
         &mut self,
-        globals: Vec<ACell<'_, AbsV>>,
+        globals: Vec<ACell<'_, Num>>,
         frame_slots: usize,
         code: &LoweredWork,
         decl: &'a WorkFn,
@@ -755,16 +625,13 @@ pub fn analyze_filter(
 ) -> FilterFacts {
     let n = lowered.globals.len();
     // A global is mutable iff any phase can write it syntactically — its
-    // entry value is then unknown but, by definition, linear in the state;
-    // everything else keeps its concrete elaboration-time value, which is
-    // what makes loop trip counts and peek offsets decidable.
-    let globals: Vec<ACell<'_, AbsV>> = (lowered.globals.iter().zip(0u32..))
+    // entry value is then any value of its type; everything else keeps its
+    // concrete elaboration-time value, which is what makes loop trip
+    // counts and peek offsets decidable.
+    let globals: Vec<ACell<'_, Num>> = (lowered.globals.iter().zip(0u32..))
         .map(|(name, g)| match lowered.may_write(Slot::Global(g)) {
             false => ACell::Const(&state[name]),
-            true => ACell::from_cell(&state[name], |ty, _| AbsV {
-                num: elem_num(ty),
-                deg: Degree::Linear,
-            }),
+            true => ACell::from_cell(&state[name], |ty, _| elem_num(ty)),
         })
         .collect();
     let frame = lowered.frame_slots();
@@ -773,9 +640,6 @@ pub fn analyze_filter(
         span: work_span,
         conditional: false,
         uncert: None,
-        reads_state: false,
-        writes_state: false,
-        affine_ok: true,
         global_reads: vec![false; n],
         global_writes: vec![None; n],
         lints: Vec::new(),
@@ -826,20 +690,7 @@ pub fn analyze_filter(
         }
     }
 
-    let effect = if dom.writes_state {
-        if dom.affine_ok {
-            StateEffect::AffineState
-        } else {
-            StateEffect::OpaqueState
-        }
-    } else if dom.reads_state {
-        StateEffect::ReadsState
-    } else {
-        StateEffect::Pure
-    };
-
     FilterFacts {
-        effect,
         work: work_facts,
         init_work: init_facts,
         lints: dom.lints,
@@ -996,7 +847,7 @@ impl Domain for PlumbingDomain {
     }
     fn fault(&mut self, _e: EvalError) {}
     fn give_up(&mut self, _why: &'static str) {}
-    fn wrote(&mut self, slot: Slot, idx: &[Pv], _v: &Pv) {
+    fn wrote(&mut self, slot: Slot, idx: &[Pv]) {
         if let Slot::Global(g) = slot {
             self.refused |= !idx.is_empty();
             self.wrote.push(g);
@@ -1092,7 +943,6 @@ mod tests {
              } }",
             "F",
         );
-        assert_eq!(f.effect, StateEffect::Pure);
         assert_eq!(
             f.work.cert,
             Some(RateCert {
@@ -1136,10 +986,10 @@ mod tests {
     }
 
     #[test]
-    fn dead_branch_write_is_pruned_from_effects() {
-        // The old syntactic walk saw the write under `if (false)` and
-        // called this filter stateful; flow-sensitive analysis prunes the
-        // dead branch.
+    fn dead_branch_write_is_pruned_from_the_dead_store_lint() {
+        // A syntactic walk sees the write under `if (false)` and calls
+        // `s` written but never read; flow-sensitive analysis prunes the
+        // dead branch, so there is no store to lint.
         let f = facts(
             "float->float filter F { float s; work pop 1 push 1 {
                  if (false) s = 1.0;
@@ -1147,48 +997,9 @@ mod tests {
              } }",
             "F",
         );
-        assert_eq!(f.effect, StateEffect::Pure);
-        assert!(
-            f.lints.iter().any(|l| l.code == "constant-condition"),
-            "{:?}",
-            f.lints
-        );
-    }
-
-    #[test]
-    fn affine_state_update_is_classified_affine() {
-        let f = facts(
-            "float->float filter F { float s; work pop 1 push 1 {
-                 s = s + pop(); push(s);
-             } }",
-            "F",
-        );
-        assert_eq!(f.effect, StateEffect::AffineState);
-    }
-
-    #[test]
-    fn nonlinear_state_update_is_opaque() {
-        let f = facts(
-            "float->float filter F { float s; work pop 1 push 1 {
-                 s = s * (1.0 + pop()); push(s);
-             } }",
-            "F",
-        );
-        assert_eq!(f.effect, StateEffect::OpaqueState);
-    }
-
-    #[test]
-    fn reads_without_writes_is_reads_state() {
-        let f = facts(
-            "float->float filter F { float s;
-                 init { s = 2.0; }
-                 work pop 1 push 1 { push(s * pop()); s = s; }
-             }",
-            "F",
-        );
-        // `s = s` stores an unchanged affine value; the meaningful part is
-        // that a pure read of mutable state is at least ReadsState.
-        assert!(f.effect >= StateEffect::ReadsState);
+        let codes: Vec<&str> = f.lints.iter().map(|l| l.code).collect();
+        assert!(codes.contains(&"constant-condition"), "{codes:?}");
+        assert!(!codes.contains(&"dead-store"), "{codes:?}");
     }
 
     #[test]
@@ -1257,7 +1068,6 @@ mod tests {
             "F",
         );
         assert!(f.work.cert.is_some(), "{:?}", f.work.uncertified);
-        assert_eq!(f.effect, StateEffect::Pure);
     }
 
     #[test]
@@ -1270,8 +1080,14 @@ mod tests {
             "F",
         );
         // The analysis must terminate and stay conservative: the loop's
-        // trip count is input-dependent, so the write to `x` is unbounded.
-        assert_eq!(f.effect, StateEffect::OpaqueState);
+        // trip count is input-dependent and its test pops, so the phase
+        // keeps no certificate, and the reason names the loop.
+        assert!(f.work.cert.is_none());
+        let why = f.work.uncertified.as_deref().unwrap_or("");
+        assert!(
+            why.starts_with("a loop at 2:") && why.ends_with("touches the tape"),
+            "{why}"
+        );
     }
 
     /// FIR's `FloatSource`, the ring-buffer source the near misses edit.

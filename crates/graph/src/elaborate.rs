@@ -281,9 +281,9 @@ impl<'a> Elaborator<'a> {
             )
         })?;
 
-        // Run the abstract interpreter (see `crate::analyze`): state
-        // effect, rate/bounds certification, lints. Provable rate or
-        // bounds violations fail elaboration here, with spans, instead of
+        // Run the abstract interpreter (see `crate::analyze`): rate/bounds
+        // certification, lints, plumbing. Provable rate or bounds
+        // violations fail elaboration here, with spans, instead of
         // surfacing as runtime errors on the Nth firing.
         let mut facts = crate::analyze::analyze_filter(
             &env,
@@ -335,17 +335,17 @@ impl<'a> Elaborator<'a> {
         env: &mut HashMap<String, Cell>,
     ) -> Result<Vec<Stream>, ElabError> {
         let mut children = Vec::new();
-        self.run_stmts(&body.stmts, env, &mut children)?;
+        self.run_block(body, env, &mut children)?;
         Ok(children)
     }
 
-    fn run_stmts(
+    fn run_block(
         &mut self,
-        stmts: &[Stmt],
+        block: &Block,
         env: &mut HashMap<String, Cell>,
         children: &mut Vec<Stream>,
     ) -> Result<(), ElabError> {
-        for stmt in stmts {
+        for (_, stmt) in &block.stmts {
             self.run_stmt(stmt, env, children)?;
         }
         Ok(())
@@ -369,9 +369,9 @@ impl<'a> Elaborator<'a> {
                 else_blk,
             } => {
                 if const_eval_expr(env, cond)?.as_bool()? {
-                    self.run_stmts(&then_blk.stmts, env, children)
+                    self.run_block(then_blk, env, children)
                 } else if let Some(e) = else_blk {
-                    self.run_stmts(&e.stmts, env, children)
+                    self.run_block(e, env, children)
                 } else {
                     Ok(())
                 }
@@ -410,7 +410,7 @@ impl<'a> Elaborator<'a> {
                     return Ok(());
                 }
             }
-            self.run_stmts(&body.stmts, env, children)?;
+            self.run_block(body, env, children)?;
             if let Some(s) = step {
                 self.run_stmt(s, env, children)?;
             }

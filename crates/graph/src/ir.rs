@@ -54,10 +54,10 @@ pub struct FilterInst {
     /// of the code an instance carries: the runtime tiers execute it, and
     /// the abstract interpreter and linear extraction analyse it.
     pub lowered: LoweredFilter,
-    /// What the abstract interpreter proved about this filter (state
-    /// effect, rate/bounds certificates, lints — see [`crate::analyze`]).
-    /// Execution paths consult this record instead of re-deriving effects
-    /// from the syntax.
+    /// What the abstract interpreter proved about this filter
+    /// (rate/bounds certificates, lints, plumbing — see
+    /// [`crate::analyze`]). Execution paths consult this record instead of
+    /// re-deriving facts from the syntax.
     pub facts: FilterFacts,
 }
 

@@ -21,7 +21,7 @@
 //!   plain `Vec<Cell>` storage.
 //! * [`absint`] — the one walker over that tree: the control skeleton of a
 //!   work body, written once, with the values supplied by a
-//!   [`absint::Domain`]. [`analyze`] (rates, effects, lints, plumbing — the
+//!   [`absint::Domain`]. [`analyze`] (rates, lints, plumbing — the
 //!   [`FilterFacts`] elaboration attaches to every filter) and linear
 //!   extraction in `streamlin-core` are its analysis domains; its concrete
 //!   domain is the reference evaluator ([`absint::exec`]), which the
@@ -67,7 +67,7 @@ pub mod stats;
 pub mod steady;
 pub mod value;
 
-pub use analyze::{FilterFacts, RateCert, StateEffect};
+pub use analyze::{FilterFacts, RateCert};
 pub use elaborate::{elaborate, ElabError};
 pub use ir::{FilterInst, Joiner, Splitter, Stream};
 pub use lower::{LoweredFilter, SlotStore};

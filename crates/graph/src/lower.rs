@@ -487,8 +487,8 @@ impl<'ast, 'c> Lowerer<'ast, 'c> {
     fn lower_block(&mut self, block: &'ast Block) -> Vec<RStmt> {
         self.push_scope();
         let mut out = Vec::with_capacity(block.stmts.len());
-        for (i, s) in block.stmts.iter().enumerate() {
-            match self.lower_stmt(s, block.span_of(i)) {
+        for (span, s) in &block.stmts {
+            match self.lower_stmt(s, *span) {
                 Ok(r) => out.push(r),
                 Err(e) => {
                     self.errors.push(e);

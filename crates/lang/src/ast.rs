@@ -7,9 +7,9 @@
 //! `feedbackloop`). Work-function bodies are C-like imperative code over the
 //! tape primitives `peek(i)`, `pop()` and `push(v)`.
 //!
-//! Source positions: blocks carry one [`Span`] per statement (parallel to
-//! `stmts`), and declarations that diagnostics point at ([`FieldDecl`],
-//! [`Param`], [`WorkDecl`]) carry their own span. Spans are *position
+//! Source positions: a block pairs each statement with its [`Span`], and
+//! declarations that diagnostics point at ([`FieldDecl`], [`Param`],
+//! [`WorkDecl`]) carry their own span. Spans are *position
 //! metadata*, not syntax: the `PartialEq` impls below ignore them, so
 //! equality is structural — the same program laid out differently, or a
 //! tree built by hand with default spans, compares equal.
@@ -236,31 +236,14 @@ pub enum StreamRef {
 /// A sequence of statements.
 #[derive(Debug, Clone, Default)]
 pub struct Block {
-    /// The statements, in order.
-    pub stmts: Vec<Stmt>,
-    /// One source span per statement, parallel to `stmts` (ignored by
-    /// equality). Programmatically built blocks may leave this empty;
-    /// [`Block::span_of`] falls back to the default span.
-    pub spans: Vec<Span>,
-}
-
-impl Block {
-    /// A block over the given statements with default (unknown) spans.
-    pub fn new(stmts: Vec<Stmt>) -> Self {
-        let spans = vec![Span::default(); stmts.len()];
-        Block { stmts, spans }
-    }
-
-    /// The source span of statement `i`, or the default span when the
-    /// block was built without position information.
-    pub fn span_of(&self, i: usize) -> Span {
-        self.spans.get(i).copied().unwrap_or_default()
-    }
+    /// The statements in order, each with its source span (ignored by
+    /// equality).
+    pub stmts: Vec<(Span, Stmt)>,
 }
 
 impl PartialEq for Block {
     fn eq(&self, other: &Self) -> bool {
-        self.stmts == other.stmts
+        (self.stmts.iter().map(|(_, s)| s)).eq(other.stmts.iter().map(|(_, s)| s))
     }
 }
 

@@ -403,7 +403,6 @@ impl<'src> Parser<'src> {
         let mut split = None;
         let mut join = None;
         let mut stmts = Vec::new();
-        let mut spans = Vec::new();
         while !self.eat(&Token::RBrace) {
             match self.cur() {
                 Token::KwSplit => {
@@ -420,17 +419,14 @@ impl<'src> Parser<'src> {
                     }
                     self.expect(&Token::Semi, "`;` after `join`")?;
                 }
-                _ => {
-                    spans.push(self.cur_span());
-                    stmts.push(self.stmt()?);
-                }
+                _ => stmts.push((self.cur_span(), self.stmt()?)),
             }
         }
         let split = split.ok_or_else(|| self.error("splitjoin has no `split` declaration"))?;
         let join = join.ok_or_else(|| self.error("splitjoin has no `join` declaration"))?;
         Ok(SplitJoinDecl {
             split,
-            body: Block { stmts, spans },
+            body: Block { stmts },
             join,
         })
     }
@@ -523,12 +519,10 @@ impl<'src> Parser<'src> {
     fn block(&mut self) -> PResult<Block> {
         self.expect(&Token::LBrace, "`{`")?;
         let mut stmts = Vec::new();
-        let mut spans = Vec::new();
         while !self.eat(&Token::RBrace) {
-            spans.push(self.cur_span());
-            stmts.push(self.nested(STMT_LEVELS, Self::stmt)?);
+            stmts.push((self.cur_span(), self.nested(STMT_LEVELS, Self::stmt)?));
         }
-        Ok(Block { stmts, spans })
+        Ok(Block { stmts })
     }
 
     /// A block, or a single statement treated as a one-element block
@@ -538,9 +532,9 @@ impl<'src> Parser<'src> {
             self.block()
         } else {
             let span = self.cur_span();
+            let stmt = self.nested(STMT_LEVELS, Self::stmt)?;
             Ok(Block {
-                stmts: vec![self.nested(STMT_LEVELS, Self::stmt)?],
-                spans: vec![span],
+                stmts: vec![(span, stmt)],
             })
         }
     }
@@ -872,7 +866,7 @@ mod tests {
         };
         assert_eq!(b.stmts.len(), 3);
         assert!(
-            matches!(&b.stmts[1], Stmt::Add(StreamRef::Named { name, args })
+            matches!(&b.stmts[1].1, Stmt::Add(StreamRef::Named { name, args })
             if name == "FIRFilter" && args.len() == 2)
         );
     }
@@ -947,7 +941,7 @@ mod tests {
         let StreamKind::Pipeline(b) = &p.decls[0].kind else {
             panic!()
         };
-        let Stmt::Add(StreamRef::Anonymous(d)) = &b.stmts[0] else {
+        let Stmt::Add(StreamRef::Anonymous(d)) = &b.stmts[0].1 else {
             panic!()
         };
         assert_eq!(d.input, DataType::Float);
@@ -965,7 +959,7 @@ mod tests {
         let StreamKind::Filter(f) = &p.decls[0].kind else {
             panic!()
         };
-        let Stmt::Expr(Expr::Push(e)) = &f.work.body.stmts[0] else {
+        let Stmt::Expr(Expr::Push(e)) = &f.work.body.stmts[0].1 else {
             panic!()
         };
         // (1 + (2*3)) - (4/2)
@@ -992,10 +986,26 @@ mod tests {
         let StreamKind::Filter(f) = &p.decls[0].kind else {
             panic!()
         };
-        let Stmt::For { body, .. } = &f.work.body.stmts[1] else {
+        let (for_span, Stmt::For { body, .. }) = &f.work.body.stmts[1] else {
             panic!()
         };
         assert_eq!(body.stmts.len(), 1);
+        // Every statement carries its own span, the unbraced body's too.
+        assert_eq!((for_span.line, for_span.col), (4, 21));
+        assert_eq!((body.stmts[0].0.line, body.stmts[0].0.col), (5, 25));
+    }
+
+    #[test]
+    fn equality_ignores_statement_spans() {
+        let flat = parse("float->float filter F { work pop 1 push 1 { push(pop()); } }").unwrap();
+        let tall =
+            parse("float->float filter F {\n work pop 1 push 1 {\n  push(pop());\n }\n}").unwrap();
+        let span = |p: &Program| match &p.decls[0].kind {
+            StreamKind::Filter(f) => f.work.body.stmts[0].0,
+            _ => panic!("expected filter"),
+        };
+        assert_ne!(span(&flat), span(&tall));
+        assert_eq!(flat, tall);
     }
 
     #[test]
@@ -1011,7 +1021,7 @@ mod tests {
         let StreamKind::Filter(f) = &p.decls[0].kind else {
             panic!()
         };
-        let Stmt::Expr(Expr::Push(e)) = &f.work.body.stmts[0] else {
+        let Stmt::Expr(Expr::Push(e)) = &f.work.body.stmts[0].1 else {
             panic!()
         };
         assert!(matches!(e.as_ref(), Expr::PostIncDec { inc: true, .. }));

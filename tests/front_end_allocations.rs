@@ -3,9 +3,10 @@
 //! `tokenize` scans the text's bytes once, its tokens borrow their text
 //! from the source, and the token vector is sized from the text's length,
 //! so tokenizing any benchmark takes a handful of heap allocations however
-//! many identifiers it has. `parse` reads the tokens by reference and
-//! makes a name a `String` once, when its AST node is built. A counting
-//! global allocator shows both. (One test per binary: the counter is
+//! many identifiers it has. `parse` reads the tokens by reference, makes
+//! a name a `String` once, when its AST node is built, and keeps a block's
+//! statements and their spans in one vector. A counting global allocator
+//! shows both. (One test per binary: the counter is
 //! process-wide.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -52,26 +53,28 @@ fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
 
 /// Heap allocations `parse` made on each program before tokens borrowed
 /// their text, when the lexer collected the source into a `Vec<char>` and
-/// a `String` per name and the parser cloned every token it read, and
-/// after (release and debug alike). `tokenize` alone made 350–744 then.
+/// a `String` per name and the parser cloned every token it read
+/// (`tokenize` alone made 350–744 then), and the most it may make now:
+/// the count once a block's spans moved into its statement vector
+/// (release and debug alike).
 const PARSE_BEFORE_AND_AFTER: [(&str, u64, u64); 10] = [
-    ("FIR", 877, 352),
-    ("RateConvert", 852, 341),
-    ("TargetDetect", 1704, 718),
-    ("FMRadio", 1559, 628),
-    ("Radar", 1907, 818),
-    ("FilterBank", 1083, 441),
-    ("Vocoder", 1340, 540),
-    ("Oversampler", 1006, 416),
-    ("DToA", 1163, 469),
-    ("FIR1024", 877, 352),
+    ("FIR", 877, 325),
+    ("RateConvert", 852, 315),
+    ("TargetDetect", 1704, 661),
+    ("FMRadio", 1559, 584),
+    ("Radar", 1907, 764),
+    ("FilterBank", 1083, 409),
+    ("Vocoder", 1340, 495),
+    ("Oversampler", 1006, 386),
+    ("DToA", 1163, 432),
+    ("FIR1024", 877, 325),
 ];
 
 #[test]
 fn the_front_end_allocates_per_program_not_per_token() {
     let mut suite = benchmarks::all_default();
     suite.push(benchmarks::fir(1024));
-    for (b, (name, before, _)) in suite.iter().zip(PARSE_BEFORE_AND_AFTER) {
+    for (b, (name, before, after)) in suite.iter().zip(PARSE_BEFORE_AND_AFTER) {
         let src = b.source();
         let tokens = tokenize(src).unwrap().len();
         let lexing = allocations(|| tokenize(src).unwrap());
@@ -79,8 +82,8 @@ fn the_front_end_allocates_per_program_not_per_token() {
         println!("{name}: {tokens} tokens, tokenize {lexing}, parse {parsing} (was {before})");
         assert!(lexing <= 3, "{name}: tokenize made {lexing} allocations");
         assert!(
-            2 * parsing < before,
-            "{name}: parse made {parsing} allocations, {before} before tokens borrowed their text"
+            parsing <= after,
+            "{name}: parse made {parsing} allocations, more than the {after} pinned"
         );
     }
 }
