@@ -29,7 +29,7 @@ use crate::pipeline::combine_pipeline;
 use crate::redundancy::RedundSpec;
 use crate::splitjoin::combine_splitjoin;
 
-/// Results of running extraction over every filter of a graph.
+/// Every filter's linear verdict, as [`analyze_graph`] read it.
 #[derive(Debug, Clone, Default)]
 pub struct LinearAnalysis {
     /// Filter-instance id → extracted node.
@@ -58,8 +58,10 @@ impl LinearAnalysis {
     }
 }
 
-/// Runs linear extraction on every filter in the graph (the paper's
-/// "linear analyzer" visitor of §4.4).
+/// Collects every filter's linear verdict (the paper's "linear analyzer"
+/// visitor of §4.4). The walk that decided them ran at elaboration; this
+/// reads `inst.facts.linear` and builds the [`LinearNode`]s, walking
+/// nothing.
 ///
 /// # Examples
 ///

@@ -10,7 +10,7 @@
 //! | Paper | Module |
 //! |---|---|
 //! | §3.1 linear node representation | [`node`] |
-//! | §3.2 linear extraction (Algorithms 1–2) | [`extract`] |
+//! | §3.2 linear extraction (Algorithms 1–2) | [`extract`] (the walk: `streamlin_graph::analyze`) |
 //! | §3.3.1 linear expansion (Transformation 1) | [`expand`] |
 //! | §3.3.2 pipeline combination (Transformation 2) | [`pipeline`] |
 //! | §3.3.3 splitjoin combination (Transformations 3–4) | [`splitjoin`] |
@@ -48,7 +48,6 @@ pub mod config;
 pub mod cost;
 pub mod expand;
 pub mod extract;
-mod form;
 pub mod frequency;
 pub mod node;
 pub mod opt;

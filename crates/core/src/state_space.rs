@@ -21,12 +21,15 @@
 //! output order; state vectors are plain component order — since no paper
 //! formula needs to be transcribed against them.
 
+use streamlin_graph::analyze::linear_pieces;
 use streamlin_graph::ir::FilterInst;
+use streamlin_graph::linear::Piece;
+use streamlin_graph::lower::Slot;
 use streamlin_graph::value::{Cell, Value};
 use streamlin_matrix::{Matrix, Vector};
 use streamlin_support::OpCounter;
 
-use crate::extract::{extract_symbolic, written_globals, NonLinear, Piece, StatefulPieces};
+use crate::extract::NonLinear;
 use crate::node::LinearNode;
 
 /// A linear node with state: `y = x·A_x + s·A_s + b_x`,
@@ -260,7 +263,10 @@ impl std::fmt::Display for StateSpaceNode {
 /// Stateful linear extraction: like [`crate::extract::extract`], but every
 /// *scalar float field* mutated by `work` becomes a component of the state
 /// vector rather than ⊤. Filters whose outputs and final field values are
-/// affine in (inputs, state) yield a [`StateSpaceNode`].
+/// affine in (inputs, state) yield a [`StateSpaceNode`]. The walk is the
+/// elaboration walk's domain under this binding
+/// (`streamlin_graph::analyze::linear_pieces`), on the same fuel and
+/// unroll bound; nothing at compile time calls it.
 ///
 /// # Errors
 ///
@@ -326,7 +332,7 @@ pub fn extract_stateful(inst: &FilterInst) -> Result<StateSpaceNode, NonLinear> 
         }
     }
 
-    let pieces: StatefulPieces = extract_symbolic(inst, &state_slots)?;
+    let pieces = linear_pieces(inst, &state_slots).map_err(|(why, _)| why)?;
     let dim = state_names.len();
     let (e, o) = (inst.work.peek, inst.work.pop);
 
@@ -337,9 +343,9 @@ pub fn extract_stateful(inst: &FilterInst) -> Result<StateSpaceNode, NonLinear> 
         let mut on_x = Matrix::zeros(e, forms.len());
         let mut on_s = Matrix::zeros(dim, forms.len());
         let mut b = Vector::zeros(forms.len());
-        for (j, (terms, konst)) in forms.iter().enumerate() {
-            b[j] = *konst;
-            for (key, c) in terms.iter() {
+        for (j, form) in forms.iter().enumerate() {
+            b[j] = form.konst;
+            for (key, c) in form.terms() {
                 match key.checked_sub(e) {
                     None => on_x[(key, j)] = c,
                     Some(k) => on_s[(k, j)] = c,
@@ -362,6 +368,18 @@ pub fn extract_stateful(inst: &FilterInst) -> Result<StateSpaceNode, NonLinear> 
         o,
     )
     .map_err(NonLinear::Unsupported)
+}
+
+/// The global slots `work` can write, ascending: the filter's mutable
+/// state, as far as one firing to the next is concerned.
+fn written_globals(inst: &FilterInst) -> Vec<u32> {
+    // Sorted, globals first.
+    (inst.lowered.work.fx.writes.iter())
+        .map_while(|s| match s {
+            Slot::Global(g) => Some(*g),
+            Slot::Frame(_) => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -563,5 +581,35 @@ mod tests {
         let b = node.fire(&mut state, &[], &mut ops);
         let c = node.fire(&mut state, &[], &mut ops);
         assert_eq!((a[0], b[0], c[0]), (0.0, 1.0, 2.0));
+    }
+
+    /// Stateful extraction walks on the elaboration walk's budget: a
+    /// decided loop of `MAX_UNROLL` trips unrolls, one trip more is refused.
+    #[test]
+    fn the_stateful_walk_has_the_same_unroll_bound() {
+        use streamlin_graph::analyze::MAX_UNROLL;
+        let leaky = |trips: u64| {
+            filter_of(
+                &format!(
+                    "float->float filter Leak {{
+                        float acc;
+                        work pop 1 push 1 {{
+                            for (int i = 0; i < {trips}; i++) acc = acc + 0.5;
+                            push(pop() + acc);
+                        }}
+                    }}"
+                ),
+                "Leak",
+            )
+        };
+        let node = extract_stateful(&leaky(MAX_UNROLL)).unwrap();
+        assert_eq!((node.state_dim(), node.state_coeff(0, 0)), (1, 1.0));
+        let err = extract_stateful(&leaky(MAX_UNROLL + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            NonLinear::Unresolved(format!(
+                "loop runs past the unroll bound of {MAX_UNROLL} trips"
+            ))
+        );
     }
 }

@@ -5,10 +5,11 @@
 //! rate analysis generalises the move; on these programs an analysis
 //! *is* evaluation in another value domain. So the control skeleton of a
 //! work body lives here, once, and an analysis is a [`Domain`]:
-//! [`crate::analyze`]'s two (intervals, tape counters, lints; and which
-//! filters are native plumbing) and `streamlin-core`'s linear extraction
-//! (linear forms) are the instances. **A new analysis is a `Domain`,
-//! never a new match on [`RStmt`].** Execution is a domain too: at the identity
+//! [`crate::analyze`]'s two are the instances — one value domain whose
+//! cells hold a constant, an interval, a linear form or ⊤, read for rates,
+//! lints and the linear verdict in one walk per phase; and which filters
+//! are native plumbing. **A new analysis is a `Domain`, never a new match
+//! on [`RStmt`].** Execution is a domain too: at the identity
 //! abstraction the abstract evaluator *is* the evaluator, so the dialect's
 //! reference semantics is this walk under the concrete domain ([`exec`],
 //! [`eval`]) — `--tier treewalk`, the phases the typer refuses and
@@ -53,9 +54,10 @@
 //!   and joins (extraction PR 15). The join is slot-wise; a frame slot
 //!   holding a different, already out-of-scope local on each path is dead
 //!   and joins to ⊤, never to an error (extraction PR 15).
-//! * **Loops** unroll while the test is decided (and for at most
-//!   [`Domain::MAX_UNROLL`] trips); an undecided one is the domain's call
-//!   ([`Domain::undecided_loop`]): stop with a reason, or widen its tape
+//! * **Loops** unroll while the test is decided, for at most
+//!   [`Domain::MAX_UNROLL`] trips: after the last, only a decided exit is
+//!   taken. An undecided loop, or one that goes on past the bound, is the
+//!   domain's call ([`Domain::undecided_loop`]): stop with a reason, or widen its tape
 //!   — the engine then sets every slot the loop can write (its
 //!   [`Effects`], recorded at lowering) to ⊤ and walks test, body and step
 //!   once more on a scratch copy, so the domain still sees every access
@@ -159,9 +161,15 @@ pub trait Domain {
     /// The walk cannot go on: out of fuel, an undecided array size, an
     /// undecided loop test.
     fn give_up(&mut self, why: &'static str) -> Self::Stop;
-    /// The test of a loop that can do `fx` is undecided: stop, or widen
-    /// `tape` (the engine widens the slots in `fx.writes`).
-    fn undecided_loop(&mut self, _tape: &mut Self::Tape, _fx: &Effects) -> Result<(), Self::Stop> {
+    /// The test of a loop that can do `fx` is undecided, or (`past_unroll`)
+    /// still true after [`Domain::MAX_UNROLL`] trips: stop, or widen `tape`
+    /// (the engine widens the slots in `fx.writes`).
+    fn undecided_loop(
+        &mut self,
+        _tape: &mut Self::Tape,
+        _fx: &Effects,
+        _past_unroll: bool,
+    ) -> Result<(), Self::Stop> {
         Err(self.give_up("loop bound depends on the input or on ⊤ state"))
     }
 
@@ -276,10 +284,11 @@ type Live<D> = Result<bool, <D as Domain>::Stop>;
 /// `frame_slots` dead cells (a slot is never read before its `Decl`), and
 /// returns the state it ends in — the join of falling off the end and of
 /// every `return` — or why the domain stopped the walk (its last
-/// [`Domain::at`] says where).
+/// [`Domain::at`] says where). `fuel` is left with what the walk did not
+/// spend, whichever way it ended.
 pub fn walk<'c, D: Domain>(
     dom: &mut D,
-    fuel: u64,
+    fuel: &mut u64,
     globals: Vec<ACell<'c, D::Value>>,
     frame_slots: usize,
     tape: D::Tape,
@@ -291,7 +300,10 @@ pub fn walk<'c, D: Domain>(
         frame: vec![dead; frame_slots],
         tape,
     };
-    Walker::new(dom, fuel).body(&mut st, body)?;
+    let mut walker = Walker::new(dom, *fuel);
+    let ended = walker.body(&mut st, body);
+    *fuel = walker.fuel;
+    ended?;
     Ok(st)
 }
 
@@ -473,22 +485,24 @@ impl<'d, 'c, D: Domain> Walker<'d, 'c, D> {
                     self.spend()?;
                     self.enter(*span);
                     let go = match cond {
-                        _ if trips == D::MAX_UNROLL => None,
                         None => Some(true),
                         Some(c) => {
                             let v = self.eval(st, c)?;
                             self.truth(&v)?
                         }
                     };
+                    // After the last trip the domain unrolls, only a decided
+                    // exit is taken: a loop that goes on is widened.
+                    let past_unroll = trips == D::MAX_UNROLL && go == Some(true);
                     match go {
                         Some(false) => break,
-                        Some(true) => {
+                        Some(true) if !past_unroll => {
                             if !self.trip(st, body, step)? {
                                 return Ok(false);
                             }
                         }
-                        None => {
-                            self.dom.undecided_loop(&mut st.tape, fx)?;
+                        _ => {
+                            self.dom.undecided_loop(&mut st.tape, fx, past_unroll)?;
                             for &slot in &fx.writes {
                                 st.cell_mut(slot).view_mut().2.fill(self.dom.top());
                             }

@@ -1,9 +1,11 @@
-//! Verified-filter dataflow framework: a flow-sensitive abstract
-//! interpretation of the lowered work bodies ([`crate::lower`]).
+//! Verified-filter dataflow framework: one flow-sensitive abstract
+//! interpretation of the lowered work bodies ([`crate::lower`]), walked
+//! once per phase at elaboration.
 //!
 //! The paper's compiler symbolically executes work functions to extract
-//! linear coefficients (§3.2). This module generalises that move into a
-//! reusable abstract interpretation with three clients:
+//! linear coefficients (§3.2). This module generalises that move: one
+//! walk of each phase, in one value domain, and four kinds of facts read
+//! off it.
 //!
 //! 1. **Rate & bounds certification** — peek offsets are tracked as
 //!    integer intervals and pop/push counts are accumulated symbolically
@@ -19,25 +21,50 @@
 //!    The walk is flow-sensitive, so a store that only happens in a
 //!    provably-dead branch is no store. (Unused-field/-parameter lints are
 //!    added at elaboration, which still sees the source names.)
-//! 3. **Plumbing** — [`Plumbing`]: a sink that prints or discards exactly
+//! 3. **The linear verdict** — [`FilterFacts::linear`]: the coefficients of
+//!    the filter's linear node, or why it has none and the statement that
+//!    decided it ([`crate::linear`]). `streamlin-core` reads it; it does
+//!    not walk the body again.
+//! 4. **Plumbing** — [`Plumbing`]: a sink that prints or discards exactly
 //!    what it pops, or a ring-buffer source that pushes a constant table
 //!    at a counter stepped mod `m`. The runtime runs such a filter as a
 //!    native node, so the proof includes everything that makes the node
 //!    equal to the filter: same items, no fault, no operation to tally.
 //!
-//! **What is here** is two domains and a driver. Statement order, scoping,
-//! typed stores, indexing, branching, unrolling, fuel — and constant
-//! folding, by the runtime tiers' own `bin_op`/`un_op`/`MathFn::call` —
-//! are [`crate::absint::walk`]'s, the walk linear extraction runs on too:
-//! a certificate cannot disagree with execution about control flow or
-//! about a value. This file supplies `RateDomain` (`Num` values, interval
-//! tape counters, lint and certificate accounting, saturating
-//! the counters of an undecided loop that touches the tape),
-//! [`analyze_filter`], which binds the entry state and checks the final
-//! counters against the declared rates, and `PlumbingDomain`, walked only
-//! on filters whose declared rates admit a native node. It matches no node
-//! of the slot IR: which slots a phase or a loop can write is the
-//! [`Effects`] the lowerer recorded.
+//! **One value per cell.** A cell of the walk holds exactly one of: a
+//! concrete [`Value`], an integer interval, an affine form (a
+//! [`crate::form::Terms`] plus a constant), or ⊤; an interval and ⊤ carry
+//! the span of the statement at which the value stopped being affine. The
+//! *rate reading* of a cell is its value, its interval, or nothing (a form
+//! is an unknown float read off the tape); the *linear reading* is the
+//! value as a constant, the form, or ⊤ since that span. So a decided
+//! index, loop counter or table read is built, folded and joined once, and
+//! a branch an interval decides is decided for both readings. A linear
+//! refusal (a print, an undecided loop, branches that pop differently) is
+//! recorded where it is decided and stops only the linear reading: the
+//! walk goes on for the rate facts.
+//!
+//! **One budget.** A phase's walk takes at most [`ANALYSIS_FUEL`] steps and
+//! unrolls a decided loop at most [`MAX_UNROLL`] trips; past that bound the
+//! rate reading widens the loop and the linear reading refuses it
+//! `Unresolved`. The steps a filter's walks took are a fact too
+//! ([`FilterFacts::walk_steps`]), so `streamlinc --metrics` can name the
+//! filters that make a compile slow.
+//!
+//! **What is here** is one domain, its drivers and the plumbing domain.
+//! Statement order, scoping, typed stores, indexing, branching, unrolling,
+//! fuel — and constant folding, by the runtime tiers' own
+//! `bin_op`/`un_op`/`MathFn::call` — are [`crate::absint::walk`]'s: a
+//! certificate or a coefficient cannot disagree with execution about
+//! control flow or about a value. This file supplies `WorkDomain` (the
+//! values above, interval tape counters with the values pushed, lint,
+//! certificate and refusal accounting), [`analyze_filter`], which binds the
+//! entry state, checks the final counters against the declared rates and
+//! reads the verdict off the end state, [`linear_pieces`], the same domain
+//! with state components bound (`streamlin-core`'s stateful extraction),
+//! and `PlumbingDomain`, walked only on filters whose declared rates admit
+//! a native node. It matches no node of the slot IR: which slots a phase or
+//! a loop can write is the [`Effects`] the lowerer recorded.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -45,17 +72,25 @@ use std::sync::Arc;
 use streamlin_lang::ast::{BinOp, DataType, UnOp};
 use streamlin_lang::token::Span;
 
-use crate::absint::{walk, ACell, Domain};
-use crate::ir::WorkFn;
+use crate::absint::{walk, ACell, Domain, State};
+use crate::form::Terms;
+use crate::ir::{FilterInst, WorkFn};
+use crate::linear::{lin_bin, lin_un, LinForm, LinearFact, LinearRows, NonLinear, Piece, Pieces};
 use crate::lower::{Effects, LoweredFilter, LoweredWork, Slot};
 use crate::value::{Cell, EvalError, MathFn, Value};
 
 /// Sentinel for "no static bound" in pop/push counters.
 const UNBOUNDED: i64 = i64::MAX;
 
-/// Abstract steps (statements evaluated) per phase before the analysis
-/// gives up and reports conservative facts.
-const ANALYSIS_FUEL: u64 = 2_000_000;
+/// Abstract steps (statements and loop tests) the walk of one phase may
+/// take. Past them the walk gives up: conservative rate facts, and the
+/// linear reading refused `Unresolved`.
+pub const ANALYSIS_FUEL: u64 = 2_000_000;
+
+/// Trips of a decided loop the walk unrolls. A loop that goes on past them
+/// is widened by the rate reading, like one whose test is undecided, and
+/// refused `Unresolved` at the loop by the linear reading.
+pub const MAX_UNROLL: u64 = 65_536;
 
 // ---------------------------------------------------------------------------
 // Public facts
@@ -123,6 +158,13 @@ pub struct FilterFacts {
     pub errors: Vec<AnalysisError>,
     /// What the filter is, if the runtime runs it as a native node.
     pub plumbing: Option<Plumbing>,
+    /// The linear verdict on the work phase, which `streamlin-core` builds
+    /// its linear nodes from. Shared: a copy of the instance (`flatten`
+    /// makes one per interpreted node) holds the coefficients once.
+    pub linear: Arc<LinearFact>,
+    /// Steps the walks of the filter's phases took, each phase on its own
+    /// [`ANALYSIS_FUEL`]; `streamlinc --metrics` names the heaviest.
+    pub walk_steps: u64,
 }
 
 impl FilterFacts {
@@ -140,79 +182,85 @@ impl FilterFacts {
 }
 
 // ---------------------------------------------------------------------------
-// Abstract domain
+// Abstract values
 // ---------------------------------------------------------------------------
 
-/// Abstract scalar value.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One abstract scalar, read two ways (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
 enum Num {
     /// Exactly this concrete value on every path.
     Known(Value),
-    /// An integer in `[lo, hi]`.
-    Int(i64, i64),
-    /// A float with no further information.
-    FloatAny,
-    /// Anything.
-    Any,
+    /// An integer in `[lo, hi]`; not affine since the span.
+    Int(i64, i64, Span),
+    /// An affine form with at least one term: a float read off the tape.
+    Form(LinForm),
+    /// Anything; not affine since the span.
+    Top(Span),
 }
 
 impl Num {
     /// Integer range, if this value is provably an integer.
-    fn int_range(self) -> Option<(i64, i64)> {
-        match self {
+    fn int_range(&self) -> Option<(i64, i64)> {
+        match *self {
             Num::Known(Value::Int(v)) => Some((v, v)),
-            Num::Int(lo, hi) => Some((lo, hi)),
+            Num::Int(lo, hi, _) => Some((lo, hi)),
             _ => None,
         }
     }
 
-    fn is_floatish(self) -> bool {
-        matches!(self, Num::Known(Value::Float(_)) | Num::FloatAny)
+    /// The statement at which the linear reading went ⊤, if it did.
+    fn top_since(&self) -> Option<Span> {
+        match *self {
+            Num::Int(.., at) | Num::Top(at) => Some(at),
+            _ => None,
+        }
     }
 
-    fn join(a: Num, b: Num) -> Num {
-        if a == b {
-            return a;
+    /// The linear reading of a value that is not ⊤.
+    fn into_form(self) -> LinForm {
+        match self {
+            Num::Known(v) => LinForm::constant(v),
+            Num::Form(f) => f,
+            _ => unreachable!("an interval or ⊤ has no affine reading"),
         }
-        match (a.int_range(), b.int_range()) {
-            (Some((al, ah)), Some((bl, bh))) => Num::Int(al.min(bl), ah.max(bh)),
-            _ if a.is_floatish() && b.is_floatish() => Num::FloatAny,
-            _ => Num::Any,
+    }
+
+    /// A form, or the constant it is once its last term cancelled.
+    fn of_form(f: LinForm) -> Num {
+        match f.is_const() {
+            true => Num::Known(f.konst),
+            false => Num::Form(f),
+        }
+    }
+
+    /// Some value of type `ty`, not affine since `at`.
+    fn any(ty: DataType, at: Span) -> Num {
+        match ty {
+            DataType::Int => Num::Int(i64::MIN, i64::MAX, at),
+            _ => Num::Top(at),
         }
     }
 }
 
 fn clamp128(v: i128) -> i64 {
-    if v > i64::MAX as i128 {
-        i64::MAX
-    } else if v < i64::MIN as i128 {
-        i64::MIN
-    } else {
-        v as i64
-    }
+    v.clamp(i64::MIN as i128, i64::MAX as i128) as i64
 }
 
-/// Interval arithmetic on integer ranges (clamped, never wraps — a
-/// clamped bound only widens the range, which is sound).
-fn int_interval(op: BinOp, a: (i64, i64), b: (i64, i64)) -> Num {
+/// An integer operator on ranges, not both decided: interval arithmetic
+/// (clamped, never wraps — a clamped bound only widens the range, which
+/// is sound), or a comparison decided when the ranges permit. The result
+/// is not affine since `at`.
+fn int_op(op: BinOp, a: (i64, i64), b: (i64, i64), at: Span) -> Num {
     let (al, ah, bl, bh) = (a.0 as i128, a.1 as i128, b.0 as i128, b.1 as i128);
-    match op {
-        BinOp::Add => Num::Int(clamp128(al + bl), clamp128(ah + bh)),
-        BinOp::Sub => Num::Int(clamp128(al - bh), clamp128(ah - bl)),
+    let range = |lo: i128, hi: i128| Num::Int(clamp128(lo), clamp128(hi), at);
+    let decided = match op {
+        BinOp::Add => return range(al + bl, ah + bh),
+        BinOp::Sub => return range(al - bh, ah - bl),
         BinOp::Mul => {
             let c = [al * bl, al * bh, ah * bl, ah * bh];
-            Num::Int(
-                clamp128(*c.iter().min().expect("non-empty")),
-                clamp128(*c.iter().max().expect("non-empty")),
-            )
+            let (lo, hi) = (c.iter().min(), c.iter().max());
+            return range(*lo.expect("non-empty"), *hi.expect("non-empty"));
         }
-        _ => Num::Any,
-    }
-}
-
-/// Decides an integer comparison when the ranges permit.
-fn int_compare(op: BinOp, a: (i64, i64), b: (i64, i64)) -> Num {
-    let decided = match op {
         BinOp::Lt => decide(a.1 < b.0, a.0 >= b.1),
         BinOp::Le => decide(a.1 <= b.0, a.0 > b.1),
         BinOp::Gt => decide(a.0 > b.1, a.1 <= b.0),
@@ -227,10 +275,7 @@ fn int_compare(op: BinOp, a: (i64, i64), b: (i64, i64)) -> Num {
         ),
         _ => None,
     };
-    match decided {
-        Some(v) => Num::Known(Value::Bool(v)),
-        None => Num::Any,
-    }
+    decided.map_or(Num::Top(at), |v| Num::Known(Value::Bool(v)))
 }
 
 fn decide(yes: bool, no: bool) -> Option<bool> {
@@ -243,37 +288,17 @@ fn decide(yes: bool, no: bool) -> Option<bool> {
     }
 }
 
-/// Abstract binary operation (everything except short-circuit `&&`/`||`,
-/// which the walker handles to model conditional side effects).
-fn abin(op: BinOp, a: Num, b: Num) -> Num {
-    use BinOp::*;
-    match op {
-        Add | Sub | Mul | Div | Rem => {
-            if a.is_floatish() || b.is_floatish() {
-                Num::FloatAny
-            } else if matches!(op, Add | Sub | Mul) {
-                match (a.int_range(), b.int_range()) {
-                    (Some(x), Some(y)) => int_interval(op, x, y),
-                    _ => Num::Any,
-                }
-            } else {
-                Num::Any
-            }
-        }
-        Lt | Le | Gt | Ge | Eq | Ne => match (a.int_range(), b.int_range()) {
-            (Some(x), Some(y)) => int_compare(op, x, y),
-            _ => Num::Any,
-        },
-        _ => Num::Any,
-    }
-}
-
-/// Abstract unary operation.
-fn aun(op: UnOp, a: Num) -> Num {
-    match (op, a) {
-        (UnOp::Neg, Num::Int(lo, hi)) => Num::Int(clamp128(-(hi as i128)), clamp128(-(lo as i128))),
-        (UnOp::Neg, Num::FloatAny) => Num::FloatAny,
-        _ => Num::Any,
+/// A value taken apart as an affine piece, or `not_affine` where it
+/// stopped being one.
+fn piece(v: Num, not_affine: NonLinear) -> Result<Piece, (NonLinear, Span)> {
+    let (terms, konst) = match v {
+        Num::Known(k) => (Terms::Zero, k),
+        Num::Form(f) => (f.terms, f.konst),
+        Num::Int(.., at) | Num::Top(at) => return Err((not_affine, at)),
+    };
+    match konst.as_f64() {
+        Ok(konst) => Ok(Piece { terms, konst }),
+        Err(_) => Err((not_affine, Span::default())),
     }
 }
 
@@ -301,20 +326,23 @@ impl Ctr {
     }
 }
 
-/// The abstract tape: how many items may have been popped and pushed.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// The abstract tape: how many items may have been popped and pushed,
+/// and, while the linear reading stands (the counts are then exact), the
+/// values pushed.
+#[derive(Debug, Clone, PartialEq, Default)]
 struct Tape {
     pops: Ctr,
     pushes: Ctr,
+    pushed: Vec<Num>,
 }
 
 // ---------------------------------------------------------------------------
 // The domain
 // ---------------------------------------------------------------------------
 
-/// The `Num` values above, interval tape counters, and the lint and
-/// certificate accounting of one filter.
-struct RateDomain<'a> {
+/// The values above, interval tape counters, and the lint, certificate
+/// and refusal accounting of one filter.
+struct WorkDomain<'a> {
     /// Declared rates of the phase under analysis.
     decl: &'a WorkFn,
     /// Span of the statement in hand.
@@ -324,6 +352,11 @@ struct RateDomain<'a> {
     conditional: bool,
     /// First reason certification of the phase failed, if any.
     uncert: Option<String>,
+    /// The linear reading's refusal, once it has one: the first, and the
+    /// statement that decided it.
+    refused: Option<(NonLinear, Span)>,
+    /// Fuel the walks spent.
+    steps: u64,
     // Global accesses, accumulated across both phases.
     global_reads: Vec<bool>,
     global_writes: Vec<Option<Span>>,
@@ -331,10 +364,32 @@ struct RateDomain<'a> {
     errors: Vec<AnalysisError>,
 }
 
-impl RateDomain<'_> {
+impl<'a> WorkDomain<'a> {
+    fn new(decl: &'a WorkFn, globals: usize) -> Self {
+        WorkDomain {
+            decl,
+            span: Span::default(),
+            conditional: false,
+            uncert: None,
+            refused: None,
+            steps: 0,
+            global_reads: vec![false; globals],
+            global_writes: vec![None; globals],
+            lints: Vec::new(),
+            errors: Vec::new(),
+        }
+    }
+
     fn uncertify(&mut self, reason: impl Into<String>) {
         if self.uncert.is_none() {
             self.uncert = Some(reason.into());
+        }
+    }
+
+    /// Ends the linear reading here, unless it has already ended.
+    fn refuse(&mut self, why: impl FnOnce() -> NonLinear) {
+        if self.refused.is_none() {
+            self.refused = Some((why(), self.span));
         }
     }
 
@@ -356,7 +411,7 @@ impl RateDomain<'_> {
         });
     }
 
-    fn check_peek(&mut self, tape: &Tape, idx: Num) {
+    fn check_peek(&mut self, tape: &Tape, idx: &Num) {
         let peek = self.decl.peek as i64;
         let Some((il, ih)) = idx.int_range() else {
             self.uncertify("a peek index is not statically an integer constant or bounded range");
@@ -406,15 +461,32 @@ impl RateDomain<'_> {
             self.uncertify("a pop may read past the declared window");
         }
     }
+
+    /// The tape item `offset` past the pops so far: the form
+    /// `1·peek(pos)`, if the position is decided and inside the declared
+    /// window. The pops are exact while the linear reading stands.
+    fn tape_item(&mut self, tape: &Tape, offset: usize) -> Num {
+        let Ctr { lo, hi } = tape.pops;
+        if lo != hi {
+            return Num::Top(self.span);
+        }
+        let (pos, peek) = ((lo as usize).saturating_add(offset), self.decl.peek);
+        if pos >= peek {
+            self.refuse(|| NonLinear::PeekOutOfRange { pos, peek });
+            return Num::Top(self.span);
+        }
+        Num::Form(LinForm::unit(pos))
+    }
 }
 
-impl Domain for RateDomain<'_> {
+impl Domain for WorkDomain<'_> {
     type Value = Num;
     type Tape = Tape;
-    /// Why the analysis gave up on the filter.
-    type Stop = String;
-    /// Past this a loop is widened like one whose test is undecided.
-    const MAX_UNROLL: u64 = 65_536;
+    /// Why the walk stopped: a fault, or no way to go on. It ends the rate
+    /// reading with conservative facts, and is the linear refusal unless
+    /// one came first.
+    type Stop = NonLinear;
+    const MAX_UNROLL: u64 = MAX_UNROLL;
 
     fn at(&mut self, span: Span, conditional: bool) {
         (self.span, self.conditional) = (span, conditional);
@@ -425,7 +497,7 @@ impl Domain for RateDomain<'_> {
     }
 
     fn top(&mut self) -> Num {
-        Num::Any
+        Num::Top(self.span)
     }
 
     fn concrete(&mut self, v: &Num) -> Option<Value> {
@@ -436,31 +508,94 @@ impl Domain for RateDomain<'_> {
     }
 
     fn un_op(&mut self, op: UnOp, a: Num) -> Num {
-        aun(op, a)
+        match a {
+            Num::Int(lo, hi, at) if op == UnOp::Neg => {
+                Num::Int(clamp128(-(hi as i128)), clamp128(-(lo as i128)), at)
+            }
+            Num::Form(f) => lin_un(op, f).map_or(Num::Top(self.span), Num::of_form),
+            a => Num::Top(a.top_since().unwrap_or(self.span)),
+        }
     }
 
+    /// Forms combine affinely or go ⊤ here; anything ⊤ keeps the place it
+    /// went ⊤, and integers keep their range.
     fn bin_op(&mut self, op: BinOp, a: Num, b: Num) -> Num {
-        abin(op, a, b)
+        match a.top_since().or(b.top_since()) {
+            None => {
+                lin_bin(op, a.into_form(), b.into_form()).map_or(Num::Top(self.span), Num::of_form)
+            }
+            Some(at) => match (a.int_range(), b.int_range()) {
+                (Some(x), Some(y)) => int_op(op, x, y, at),
+                _ => Num::Top(at),
+            },
+        }
     }
 
-    fn math(&mut self, _f: MathFn, _args: &[Num]) -> Num {
-        Num::Any
+    /// An intrinsic of anything but constants is ⊤.
+    fn math(&mut self, _f: MathFn, args: &[Num]) -> Num {
+        Num::Top(args.iter().find_map(Num::top_since).unwrap_or(self.span))
     }
 
-    /// The runtime's store-time coercion into the declared scalar type.
-    fn coerce(&mut self, v: Num, ty: DataType) -> Result<Num, String> {
-        Ok(match (ty, v) {
-            (DataType::Float, Num::Known(Value::Int(i))) => Num::Known(Value::Float(i as f64)),
-            (DataType::Float, Num::Int(..)) => Num::FloatAny,
-            (_, num) => num,
+    /// The runtime's store-time coercion into the declared scalar type
+    /// ([`Value::coerce_to`] on a constant or a form's constant part). A
+    /// store the runtime would refuse is ⊤.
+    fn coerce(&mut self, v: Num, ty: DataType) -> Result<Num, NonLinear> {
+        Ok(match v {
+            Num::Known(k) => k.coerce_to(ty).map_or(Num::Top(self.span), Num::Known),
+            Num::Int(.., at) if ty == DataType::Float => Num::Top(at),
+            Num::Form(mut f) => match f.konst.coerce_to(ty) {
+                Ok(k) if ty == DataType::Float => {
+                    f.konst = k;
+                    Num::Form(f)
+                }
+                _ => Num::Top(self.span),
+            },
+            v => v,
         })
     }
 
+    /// Equal values stay; integers join to the range covering both; the
+    /// rest is ⊤ — since where either side already was, or here.
     fn join(&mut self, a: &mut Num, b: &Num) {
-        *a = Num::join(*a, *b);
+        match (&*a, b) {
+            (Num::Known(x), Num::Known(y)) if x == y => {}
+            (Num::Form(x), Num::Form(y)) if x == y => {}
+            _ => {
+                let at = (a.top_since().or(b.top_since())).unwrap_or(self.span);
+                *a = match a.int_range().zip(b.int_range()) {
+                    Some(((al, ah), (bl, bh))) => Num::Int(al.min(bl), ah.max(bh), at),
+                    None => Num::Top(at),
+                };
+            }
+        }
     }
 
-    fn join_tapes(&mut self, a: &mut Tape, b: Tape) -> Result<(), Self::Stop> {
+    /// The counters join to intervals. For the linear reading the two
+    /// sides must agree structurally, or no single linear node represents
+    /// the filter.
+    fn join_tapes(&mut self, a: &mut Tape, b: Tape) -> Result<(), NonLinear> {
+        if self.refused.is_none() {
+            let (popped, pushed) = ((a.pops.lo, b.pops.lo), (a.pushed.len(), b.pushed.len()));
+            if popped.0 != popped.1 {
+                let (x, y) = popped;
+                self.refuse(|| {
+                    NonLinear::BranchMismatch(format!(
+                        "branches pop different amounts ({x} vs {y})"
+                    ))
+                });
+            } else if pushed.0 != pushed.1 {
+                let (x, y) = pushed;
+                self.refuse(|| {
+                    NonLinear::BranchMismatch(format!(
+                        "branches push different amounts ({x} vs {y})"
+                    ))
+                });
+            } else {
+                for (x, y) in a.pushed.iter_mut().zip(&b.pushed) {
+                    self.join(x, y);
+                }
+            }
+        }
         a.pops = Ctr::join(a.pops, b.pops);
         a.pushes = Ctr::join(a.pushes, b.pushes);
         Ok(())
@@ -468,35 +603,66 @@ impl Domain for RateDomain<'_> {
 
     /// Some element of the array: any value of its element type.
     fn any_element(&mut self, _slot: Slot, ty: DataType, _constant: bool, _idx: &[Num]) -> Num {
-        elem_num(ty)
+        Num::any(ty, self.span)
     }
 
-    /// A tape item: an unknown float.
-    fn peek(&mut self, tape: &mut Tape, i: Num) -> Result<Num, Self::Stop> {
-        self.check_peek(tape, i);
-        Ok(Num::FloatAny)
+    fn peek(&mut self, tape: &mut Tape, i: Num) -> Result<Num, NonLinear> {
+        self.check_peek(tape, &i);
+        match i {
+            Num::Known(i) => match i.as_index() {
+                Ok(offset) => return Ok(self.tape_item(tape, offset)),
+                Err(e) => self.refuse(|| NonLinear::Unsupported(e.message)),
+            },
+            _ => self.refuse(|| {
+                NonLinear::Unresolved("array index or size depends on the input".into())
+            }),
+        }
+        Ok(Num::Top(self.span))
     }
 
-    fn pop(&mut self, tape: &mut Tape) -> Result<Num, Self::Stop> {
+    fn pop(&mut self, tape: &mut Tape) -> Result<Num, NonLinear> {
         self.check_pop(tape);
+        let v = self.tape_item(tape, 0);
         tape.pops.bump();
-        Ok(Num::FloatAny)
+        Ok(v)
     }
 
-    fn push(&mut self, tape: &mut Tape, _v: Num) -> Result<(), Self::Stop> {
+    fn push(&mut self, tape: &mut Tape, v: Num) -> Result<(), NonLinear> {
         tape.pushes.bump();
+        if self.refused.is_none() {
+            tape.pushed.push(v);
+        }
+        Ok(())
+    }
+
+    /// A side effect that collapsing would erase.
+    fn print(&mut self, _v: Num, _newline: bool) -> Result<(), NonLinear> {
+        self.refuse(|| NonLinear::Prints);
         Ok(())
     }
 
     /// The statement fails the same way at run time under both tiers, on
     /// the checked tape path conservative facts leave it on.
-    fn fault(&mut self, e: EvalError) -> String {
-        e.message
+    fn fault(&mut self, e: EvalError) -> NonLinear {
+        NonLinear::Unsupported(e.message)
+    }
+
+    /// Loop conditions must resolve to constants so the loop can be fully
+    /// unrolled, and so must sizes; otherwise the filter is disregarded
+    /// (§3.2).
+    fn give_up(&mut self, why: &'static str) -> NonLinear {
+        NonLinear::Unresolved(why.into())
     }
 
     /// Widening: the engine clobbers everything the loop can write; here
-    /// the tape counters saturate if it touches the tape.
-    fn undecided_loop(&mut self, tape: &mut Tape, fx: &Effects) -> Result<(), Self::Stop> {
+    /// the tape counters saturate if it touches the tape. The linear
+    /// reading cannot unroll the loop, so it ends here.
+    fn undecided_loop(
+        &mut self,
+        tape: &mut Tape,
+        fx: &Effects,
+        past_unroll: bool,
+    ) -> Result<(), NonLinear> {
         if fx.pops {
             tape.pops.hi = UNBOUNDED;
         }
@@ -509,11 +675,13 @@ impl Domain for RateDomain<'_> {
                 self.span
             ));
         }
+        self.refuse(|| {
+            NonLinear::Unresolved(match past_unroll {
+                true => format!("loop runs past the unroll bound of {MAX_UNROLL} trips"),
+                false => "loop bound depends on the input or on ⊤ state".into(),
+            })
+        });
         Ok(())
-    }
-
-    fn give_up(&mut self, why: &'static str) -> String {
-        why.to_string()
     }
 
     fn constant_condition(&mut self, taken: bool) {
@@ -536,33 +704,45 @@ impl Domain for RateDomain<'_> {
     }
 }
 
-fn elem_num(ty: DataType) -> Num {
-    match ty {
-        DataType::Int => Num::Int(i64::MIN, i64::MAX),
-        DataType::Bool => Num::Any,
-        _ => Num::FloatAny,
-    }
+// ---------------------------------------------------------------------------
+// Drivers
+// ---------------------------------------------------------------------------
+
+/// The walk state of one phase.
+type WorkState<'c> = State<'c, Num, Tape>;
+
+/// The span of a phase's first statement: where state that is ⊤ on entry
+/// went ⊤.
+fn entry_span(code: &LoweredWork) -> Span {
+    code.body.first().map_or(Span::default(), |s| s.span())
 }
 
-// ---------------------------------------------------------------------------
-// Driver
-// ---------------------------------------------------------------------------
-
-impl<'a> RateDomain<'a> {
-    /// Walks one phase and checks what it popped and pushed against
-    /// `decl`; `span` anchors the rate diagnostics to the phase header.
-    fn phase(
+impl<'a> WorkDomain<'a> {
+    /// Walks one phase on its own [`ANALYSIS_FUEL`] and checks what it
+    /// popped and pushed against `decl`; `span` anchors the rate
+    /// diagnostics to the phase header. Returns the phase's facts and the
+    /// state the walk ended in.
+    fn phase<'c>(
         &mut self,
-        globals: Vec<ACell<'_, Num>>,
+        globals: Vec<ACell<'c, Num>>,
         frame_slots: usize,
         code: &LoweredWork,
         decl: &'a WorkFn,
         span: Span,
-    ) -> Result<PhaseFacts, String> {
-        (self.decl, self.uncert) = (decl, None);
-        let entry = Tape::default();
-        let end = walk(self, ANALYSIS_FUEL, globals, frame_slots, entry, &code.body)?;
-        let Tape { pops, pushes } = end.tape;
+    ) -> Result<(PhaseFacts, WorkState<'c>), NonLinear> {
+        (self.decl, self.uncert, self.span) = (decl, None, entry_span(code));
+        let mut fuel = ANALYSIS_FUEL;
+        let end = walk(
+            self,
+            &mut fuel,
+            globals,
+            frame_slots,
+            Tape::default(),
+            &code.body,
+        );
+        self.steps += ANALYSIS_FUEL - fuel;
+        let end = end?;
+        let (pops, pushes) = (end.tape.pops, end.tape.pushes);
         self.at(span, false);
         let (dp, du) = (decl.pop as i64, decl.push as i64);
         for (what, verb, ctr, want) in [("pop", "pops", pops, dp), ("push", "pushes", pushes, du)] {
@@ -597,7 +777,7 @@ impl<'a> RateDomain<'a> {
                 ));
             }
         }
-        Ok(PhaseFacts {
+        let facts = PhaseFacts {
             cert: self.uncert.is_none().then_some(RateCert {
                 peek: decl.peek,
                 pop: decl.pop,
@@ -606,6 +786,55 @@ impl<'a> RateDomain<'a> {
             uncertified: self.uncert.take(),
             pop_range: (pops.lo, pops.hi),
             push_range: (pushes.lo, pushes.hi),
+        };
+        Ok((facts, end))
+    }
+
+    /// The linear reading of a walk: its refusal, or the affine pieces of
+    /// the end state — one per push, and one per state slot (`names` are
+    /// the globals', for the refusal's text) — once the executed pop and
+    /// push counts are checked against the declared rates.
+    fn pieces(
+        &mut self,
+        end: Result<WorkState<'_>, NonLinear>,
+        state_slots: &[u32],
+        names: &[String],
+    ) -> Result<Pieces, (NonLinear, Span)> {
+        if let Some(refused) = self.refused.take() {
+            return Err(refused);
+        }
+        let State { globals, tape, .. } = end.map_err(|stop| (stop, self.span))?;
+        let decl = self.decl;
+        let (popped, pushed) = (tape.pops.lo as usize, tape.pushed);
+        if popped != decl.pop {
+            let (declared, actual) = (decl.pop, popped);
+            let why = NonLinear::PopCountMismatch { declared, actual };
+            return Err((why, Span::default()));
+        }
+        if pushed.len() != decl.push {
+            let (declared, actual) = (decl.push, pushed.len());
+            let why = NonLinear::PushCountMismatch { declared, actual };
+            return Err((why, Span::default()));
+        }
+        let outputs = (pushed.into_iter().enumerate())
+            .map(|(index, v)| piece(v, NonLinear::PushedNonAffine { index }))
+            .collect::<Result<_, _>>()?;
+        let mut next_state = Vec::with_capacity(state_slots.len());
+        for &g in state_slots {
+            let ACell::Scalar(_, v) = &globals[g as usize] else {
+                unreachable!("state slots are written scalar globals")
+            };
+            let name = &names[g as usize];
+            next_state.push(piece(
+                v.clone(),
+                NonLinear::Unsupported(format!(
+                    "final value of field `{name}` is not an affine function of inputs and state"
+                )),
+            )?);
+        }
+        Ok(Pieces {
+            outputs,
+            next_state,
         })
     }
 }
@@ -624,41 +853,54 @@ pub fn analyze_filter(
     init_span: Span,
 ) -> FilterFacts {
     let n = lowered.globals.len();
-    // A global is mutable iff any phase can write it syntactically — its
-    // entry value is then any value of its type; everything else keeps its
-    // concrete elaboration-time value, which is what makes loop trip
-    // counts and peek offsets decidable.
-    let globals: Vec<ACell<'_, Num>> = (lowered.globals.iter().zip(0u32..))
-        .map(|(name, g)| match lowered.may_write(Slot::Global(g)) {
-            false => ACell::Const(&state[name]),
-            true => ACell::from_cell(&state[name], |ty, _| elem_num(ty)),
-        })
-        .collect();
-    let frame = lowered.frame_slots();
-    let mut dom = RateDomain {
-        decl: work,
-        span: work_span,
-        conditional: false,
-        uncert: None,
-        global_reads: vec![false; n],
-        global_writes: vec![None; n],
-        lints: Vec::new(),
-        errors: Vec::new(),
+    // A global is mutable iff any phase can write it — its entry value is
+    // then any value of its type, ⊤ since the phase's first statement
+    // ("if a filter has persistent state, all accesses to that state are
+    // marked as ⊤"); everything else keeps its concrete elaboration-time
+    // value, which is what makes loop trip counts and peek offsets
+    // decidable.
+    let entry = |code: &LoweredWork| -> Vec<ACell<'_, Num>> {
+        let at = entry_span(code);
+        (lowered.globals.iter().zip(0u32..))
+            .map(|(name, g)| match lowered.may_write(Slot::Global(g)) {
+                false => ACell::Const(&state[name]),
+                true => ACell::from_cell(&state[name], |ty, _| Num::any(ty, at)),
+            })
+            .collect()
     };
-    let phases = dom
-        .phase(globals.clone(), frame, &lowered.work, work, work_span)
-        .and_then(|w| {
-            let init = match init_work.zip(lowered.init_work.as_ref()) {
-                Some((decl, code)) => Some(dom.phase(globals, frame, code, decl, init_span)?),
-                None => None,
-            };
-            Ok((w, init))
-        });
+    let frame = lowered.frame_slots();
+    let mut dom = WorkDomain::new(work, n);
+    if init_work.is_some() {
+        // The stateless linear node cannot express a first firing that
+        // differs from the steady state.
+        dom.refused = Some((NonLinear::HasInitWork, Span::default()));
+    }
+    let worked = dom.phase(entry(&lowered.work), frame, &lowered.work, work, work_span);
+    let (worked, end) = match worked {
+        Ok((facts, end)) => (Ok(facts), Ok(end)),
+        Err(stop) => (Err(stop.clone()), Err(stop)),
+    };
+    let linear = Arc::new(match dom.pieces(end, &[], &lowered.globals) {
+        Ok(p) => LinearFact::Linear(LinearRows::from_outputs(work.peek, work.pop, &p.outputs)),
+        Err((why, at)) => LinearFact::Refused(why, at),
+    });
+    let phases = worked.and_then(|w| {
+        let init = match init_work.zip(lowered.init_work.as_ref()) {
+            Some((decl, code)) => Some(dom.phase(entry(code), frame, code, decl, init_span)?.0),
+            None => None,
+        };
+        Ok((w, init))
+    });
+    let walk_steps = dom.steps;
     let (work_facts, init_facts) = match phases {
         Ok(facts) => facts,
         // The analysis gave up: conservative facts, no diagnostics
         // (partial walks could misreport).
-        Err(why) => {
+        Err(stop) => {
+            let why = match stop {
+                NonLinear::Unresolved(why) | NonLinear::Unsupported(why) => why,
+                other => other.to_string(),
+            };
             let gave_up = PhaseFacts {
                 cert: None,
                 uncertified: Some(why),
@@ -668,6 +910,8 @@ pub fn analyze_filter(
             return FilterFacts {
                 init_work: init_work.map(|_| gave_up.clone()),
                 work: gave_up,
+                linear,
+                walk_steps,
                 ..FilterFacts::default()
             };
         }
@@ -696,7 +940,41 @@ pub fn analyze_filter(
         lints: dom.lints,
         errors: dom.errors,
         plumbing: plumbing(state, lowered, work, init_work.is_some()),
+        linear,
+        walk_steps,
     }
+}
+
+/// The linear reading of `inst`'s work phase with global slot
+/// `state_slots[k]` bound to state component `k` — the form `1·s_k`, keyed
+/// after every tape position — every other global `work` writes ⊤, and
+/// the rest their elaboration-time constants: the one walk's domain under
+/// the stateful binding (§7.1), on the same fuel and unroll bound. Returns
+/// the affine pieces of the outputs and of the state's next value, or the
+/// refusal and where it was decided.
+///
+/// # Errors
+///
+/// The first [`NonLinear`] reason, with its span.
+pub fn linear_pieces(inst: &FilterInst, state_slots: &[u32]) -> Result<Pieces, (NonLinear, Span)> {
+    let (lowered, decl) = (&inst.lowered, &inst.work);
+    let at = entry_span(&lowered.work);
+    let globals = (lowered.globals.iter().zip(0u32..))
+        .map(|(name, g)| {
+            let cell = &inst.state[name];
+            match state_slots.iter().position(|s| *s == g) {
+                Some(k) => ACell::from_cell(cell, |_, _| Num::Form(LinForm::unit(decl.peek + k))),
+                None if lowered.work.fx.may_write(Slot::Global(g)) => {
+                    ACell::from_cell(cell, |ty, _| Num::any(ty, at))
+                }
+                None => ACell::Const(cell),
+            }
+        })
+        .collect();
+    let mut dom = WorkDomain::new(decl, lowered.globals.len());
+    let frame = lowered.work.frame_slots;
+    let end = dom.phase(globals, frame, &lowered.work, decl, Span::default());
+    dom.pieces(end.map(|(_, end)| end), state_slots, &lowered.globals)
 }
 
 // ---------------------------------------------------------------------------
@@ -878,8 +1156,16 @@ fn plumbing(
         .collect();
     let mut dom = PlumbingDomain::default();
     // An accepted phase is one statement per item popped, or two.
-    let (fuel, code, tape) = (work.pop as u64 + 2, &lowered.work, Items::default());
-    let end = walk(&mut dom, fuel, globals, code.frame_slots, tape, &code.body).ok()?;
+    let (mut fuel, code, tape) = (work.pop as u64 + 2, &lowered.work, Items::default());
+    let end = walk(
+        &mut dom,
+        &mut fuel,
+        globals,
+        code.frame_slots,
+        tape,
+        &code.body,
+    )
+    .ok()?;
     if dom.refused {
         return None;
     }

@@ -1,7 +1,7 @@
 //! The coefficient vector of a linear form, stored by what adding one term
 //! costs.
 //!
-//! Extraction builds its forms a term at a time: `sum += h[i] * peek(i)`
+//! The walk's linear reading (`crate::linear`) builds its forms a term at a time: `sum += h[i] * peek(i)`
 //! adds one term to an accumulator per loop trip, at rising positions
 //! (FIR), falling ones (Radar's `BeamFir` reads `peek(2*(t-k))` with `k`
 //! rising) or in any other order. A key is a tape position `p`, or state

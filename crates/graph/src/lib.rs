@@ -61,7 +61,9 @@ pub mod analyze;
 pub mod bytecode;
 pub mod elaborate;
 pub mod exec;
+mod form;
 pub mod ir;
+pub mod linear;
 pub mod lower;
 pub mod stats;
 pub mod steady;

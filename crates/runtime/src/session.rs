@@ -9,7 +9,9 @@
 //! [`ExecSpec`] — and every phase is recorded on the [`Recorder`] it is
 //! handed (an `Option`: `None` is an unrecorded run), so the CLI and an
 //! instrumented daemon stream report the same spans (`parse, elaborate,
-//! analyze, select, flatten, plan, partition?`).
+//! analyze, select, flatten, plan, partition?`). `elaborate` walks every
+//! filter body once (rates, lints and the linear verdict are facts of
+//! that walk); `analyze` reads the verdicts and builds the linear nodes.
 //!
 //! Every program that compiles has a static plan — a feedback loop's is
 //! derived from its enqueued items — so behind a [`Session`] sits one of

@@ -22,6 +22,7 @@
 use std::io::Write;
 use std::process::ExitCode;
 
+use streamlin::graph::analyze::ANALYSIS_FUEL;
 use streamlin::prelude::*;
 use streamlin::runtime::spec::{count, usage_flags};
 use streamlin::runtime::{front_end, KNOBS};
@@ -197,6 +198,19 @@ fn lint(args: &Args, source: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// `--metrics`' last table: the five filters whose analysis walks took
+/// the most steps, each phase's walk against its fuel.
+fn heaviest_walks(graph: &Stream) -> String {
+    let mut walks = Vec::new();
+    graph.for_each_filter(&mut |inst| walks.push((inst.facts.walk_steps, inst.name.clone())));
+    walks.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+    let mut out = format!("heaviest walks (steps; fuel {ANALYSIS_FUEL} per phase)\n");
+    for (steps, name) in walks.iter().take(5) {
+        out.push_str(&format!("  {steps:>9}  {name}\n"));
+    }
+    out
+}
+
 fn run(args: &Args) -> Result<(), String> {
     let source = std::fs::read_to_string(&args.path)
         .map_err(|e| format!("cannot read {}: {e}", args.path))?;
@@ -254,6 +268,7 @@ fn run(args: &Args) -> Result<(), String> {
             "{}",
             rec.as_ref().expect("--metrics runs instrumented").summary()
         );
+        eprint!("{}", heaviest_walks(&front.graph));
     }
     if let Some(path) = &args.trace_out {
         let trace = rec

@@ -471,6 +471,46 @@ fn metrics_lists_every_compile_phase_in_order() {
     }
 }
 
+/// `--metrics` ends with the filters whose analysis walks took the most
+/// steps, heaviest first, against the walk's fuel: on `fir.str` the
+/// 64-tap low-pass filter, whose loop the walk unrolls.
+#[test]
+fn metrics_name_the_heaviest_walks() {
+    let out = streamlinc()
+        .args(["assets/fir.str", "--metrics", "-n", "4", "--quiet"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let mut lines = stderr
+        .lines()
+        .skip_while(|l| !l.starts_with("heaviest walks"));
+    assert_eq!(
+        lines.next(),
+        Some("heaviest walks (steps; fuel 2000000 per phase)"),
+        "{stderr}"
+    );
+    let rows: Vec<(u64, &str)> = lines
+        .map(|l| {
+            let (steps, name) = l.trim_start().split_once("  ").expect("steps, then a name");
+            (steps.parse().expect("a step count"), name)
+        })
+        .collect();
+    let names: Vec<&str> = rows.iter().map(|r| r.1).collect();
+    assert_eq!(
+        names,
+        [
+            "LowPassFilter(1, 1.0471975511965976, 64)",
+            "FloatSource",
+            "FloatPrinter"
+        ]
+    );
+    assert!(
+        rows[0].0 > 64 && rows.windows(2).all(|w| w[0].0 >= w[1].0),
+        "{rows:?}"
+    );
+}
+
 /// The multi-cycle pass is visible: `fir.str` under `linear` prints one
 /// value a cycle, so a pass is 64 cycles. A read of 1000 runs 15 passes
 /// (960 values), 39 single whole cycles and the stepped cycle that holds

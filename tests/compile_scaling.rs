@@ -17,6 +17,7 @@
 
 use std::time::{Duration, Instant};
 
+use streamlin::graph::linear::{LinearFact, NonLinear};
 use streamlin::runtime::flat::NodeKind;
 use streamlin::runtime::{compile_source, RunSpec};
 
@@ -93,4 +94,36 @@ fn a_grid_of_16_columns_16_filters_deep_compiles_in_under_two_seconds() {
         .iter()
         .filter(|n| matches!(n.kind, NodeKind::Freq(_)));
     assert_eq!(kernels.count(), 1);
+}
+
+/// Four filters whose one loop spins five million decided trips: the walk
+/// unrolls `MAX_UNROLL` of them and widens the rest, so the compile is
+/// bounded by the walk's budget, not by the program's trip count, and
+/// each filter is refused at its `for`.
+#[test]
+fn four_spinning_filters_compile_in_under_two_seconds() {
+    let src = "void->void pipeline Main { add Src(); add Spin(); add Spin(); add Spin();
+         add Spin(); add Sink(); }
+     void->float filter Src { work push 1 { push(1.0); } }
+     float->float filter Spin { work pop 1 push 1 { float s = pop();
+         for (int i = 0; i < 5000000; i++) s = s + 0; push(s); } }
+     float->void filter Sink { work pop 1 { println(pop()); } }";
+    let start = Instant::now();
+    compile_source(src, &RunSpec::default().plan(), None).expect("the spinners compile");
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(2), "{took:?}");
+    let graph = streamlin::graph::elaborate(&streamlin::lang::parse(src).unwrap()).unwrap();
+    let mut spins = 0;
+    graph.for_each_filter(&mut |inst| {
+        if inst.decl_name != "Spin" {
+            return;
+        }
+        spins += 1;
+        let LinearFact::Refused(NonLinear::Unresolved(why), at) = &*inst.facts.linear else {
+            panic!("{}: {:?}", inst.name, inst.facts.linear)
+        };
+        assert!(why.contains("unroll bound"), "{why}");
+        assert_eq!((at.line, at.col), (5, 10));
+    });
+    assert_eq!(spins, 4);
 }
